@@ -8,7 +8,37 @@ type program struct {
 	ends   []*stmtBlock
 	rules  []rule
 	funcs  map[string]*funcDef
+	// globals maps every global name the program mentions, and every
+	// special variable, to its slot.
+	globals map[string]int
 }
+
+// varSlot is where the interpreter keeps a variable: an index into the
+// global tables or, for a name the enclosing function lists as a
+// parameter, into the innermost frame. A name's scalar and its array
+// share the index, in separate tables. The parser binds names as it meets
+// them, which AWK allows because a function's parameters precede its body.
+type varSlot struct {
+	local bool
+	idx   int
+}
+
+// Slots of the special variables, fixed so the interpreter reaches them
+// without a lookup; the program's own globals follow.
+const (
+	slotNR = iota
+	slotNF
+	slotFS
+	slotOFS
+	slotORS
+	slotSUBSEP
+	slotFILENAME
+	slotRSTART
+	slotRLENGTH
+	numSpecials
+)
+
+var specialNames = [numSpecials]string{"NR", "NF", "FS", "OFS", "ORS", "SUBSEP", "FILENAME", "RSTART", "RLENGTH"}
 
 // rule is one pattern-action item.
 type rule struct {
@@ -58,9 +88,8 @@ type forStmt struct {
 }
 
 type forInStmt struct {
-	varName string
-	arrName string
-	body    stmt
+	v, arr varSlot
+	body   stmt
 }
 
 type breakStmt struct{}
@@ -69,8 +98,8 @@ type nextStmt struct{}
 type exitStmt struct{ code expr }
 type returnStmt struct{ val expr }
 type deleteStmt struct {
-	arrName string
-	index   []expr // nil = delete whole array
+	arr   varSlot
+	index []expr // nil = delete whole array
 }
 
 func (*stmtBlock) isStmt()    {}
@@ -96,13 +125,16 @@ type numLit struct{ v float64 }
 type strLit struct{ v string }
 type regexLit struct{ re *compiledRegex }
 
-type varRef struct{ name string }
+type varRef struct {
+	name string // kept for the split-scan prover
+	varSlot
+}
 
 type fieldRef struct{ idx expr }
 
 type indexRef struct {
-	arrName string
-	index   []expr
+	arr   varSlot
+	index []expr
 }
 
 type assign struct {
@@ -138,8 +170,8 @@ type matchExpr struct {
 }
 
 type inExpr struct {
-	index   []expr
-	arrName string
+	index []expr
+	arr   varSlot
 }
 
 type call struct {

@@ -93,6 +93,17 @@ func TestFSSingleChar(t *testing.T) {
 	}
 }
 
+// Default splitting is strings.Fields': runs of ASCII blanks, and Unicode
+// space once a record leaves ASCII.
+func TestDefaultFieldSplitting(t *testing.T) {
+	expectAwk(t, `{ print NF ":" $1 "|" $NF }`, "  a \t b\vc\f \n\nz\n", "3:a|c\n0:|\n1:z|z\n")
+	expectAwk(t, `{ print NF ":" $2 }`, "é\u00a0b c\n", "3:b\n")
+	got, _ := runAwk(t, `{ print NF ":" $2 "|" $4 }`, "a::b:\n\n", "-F", ":")
+	if got != "4:|\n0:|\n" {
+		t.Fatalf("-F: with empty fields got %q", got)
+	}
+}
+
 func TestFSRegex(t *testing.T) {
 	got, _ := runAwk(t, `{ print $2 }`, "a12b345c\n", "-F", "[0-9]+")
 	if got != "b\n" {
@@ -251,6 +262,17 @@ func TestTernaryAndLogic(t *testing.T) {
 
 func TestIncDec(t *testing.T) {
 	expectAwk(t, `BEGIN { i = 5; print i++, i, ++i, i--, --i }`, "", "5 6 7 7 5\n")
+}
+
+// An assignment target's subscripts and field index are evaluated once,
+// however the target is then read and written.
+func TestLvalueSideEffectsRunOnce(t *testing.T) {
+	expectAwk(t, `BEGIN { i = 1; a[i++]++; print i, a[1], length(a) }`, "", "2 1 1\n")
+	expectAwk(t, `BEGIN { i = 1; --a[i++]; print i, a[1], length(a) }`, "", "2 -1 1\n")
+	expectAwk(t, `{ n = 1; $(n++) += 1; print n, $0 }`, "5 10\n", "2 6 10\n")
+	expectAwk(t, `function f() { calls++; return "k" }
+		BEGIN { a[f()] -= 1; print calls, a["k"], length(a) }`, "", "1 -1 1\n")
+	expectAwk(t, `BEGIN { i = 1; a[1] = "xax"; gsub(/a/, "b", a[i++]); print i, a[1], length(a) }`, "", "2 xbx 1\n")
 }
 
 func TestCompoundAssign(t *testing.T) {

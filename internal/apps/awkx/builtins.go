@@ -23,8 +23,8 @@ func (in *interp) evalBuiltin(ex *builtinCall) (value, error) {
 			in.ensureRecord()
 			return num(float64(len(in.record))), nil
 		}
-		if vr, ok := ex.args[0].(*varRef); ok && in.isArrayName(vr.name) {
-			return num(float64(len(in.array(vr.name)))), nil
+		if vr, ok := ex.args[0].(*varRef); ok && in.isArray(vr.varSlot) {
+			return num(float64(len(in.array(vr.varSlot)))), nil
 		}
 		v, err := in.eval(ex.args[0])
 		if err != nil {
@@ -95,11 +95,9 @@ func (in *interp) evalBuiltin(ex *builtinCall) (value, error) {
 				fs = fv.Str()
 			}
 		}
-		arr := in.array(vr.name)
-		for k := range arr {
-			delete(arr, k)
-		}
-		parts := in.splitFields(sv.Str(), fs)
+		arr := in.array(vr.varSlot)
+		clear(arr)
+		parts := in.splitFields(nil, sv.Str(), fs)
 		for i, p := range parts {
 			arr[numToStr(float64(i+1))] = inputStr(p)
 		}
@@ -124,15 +122,13 @@ func (in *interp) evalBuiltin(ex *builtinCall) (value, error) {
 			}
 			target = ex.args[2]
 		}
-		cur, err := in.eval(target)
+		lv, err := in.lvalueOf(target)
 		if err != nil {
 			return uninitialized, err
 		}
-		out, count := substitute(re, cur.Str(), rv.Str(), name == "gsub")
+		out, count := substitute(re, in.load(lv).Str(), rv.Str(), name == "gsub")
 		if count > 0 {
-			if err := in.assignTo(target, str(out)); err != nil {
-				return uninitialized, err
-			}
+			in.store(lv, str(out))
 		}
 		return num(float64(count)), nil
 
@@ -150,12 +146,12 @@ func (in *interp) evalBuiltin(ex *builtinCall) (value, error) {
 		}
 		st, en, ok := re.re.FindIndex([]byte(sv.Str()))
 		if !ok {
-			in.globals["RSTART"] = num(0)
-			in.globals["RLENGTH"] = num(-1)
+			in.globals[slotRSTART] = num(0)
+			in.globals[slotRLENGTH] = num(-1)
 			return num(0), nil
 		}
-		in.globals["RSTART"] = num(float64(st + 1))
-		in.globals["RLENGTH"] = num(float64(en - st))
+		in.globals[slotRSTART] = num(float64(st + 1))
+		in.globals[slotRLENGTH] = num(float64(en - st))
 		return num(float64(st + 1)), nil
 
 	case "sprintf":

@@ -1,7 +1,6 @@
 package awkx
 
 import (
-	"io"
 	"strings"
 
 	"compstor/internal/apps"
@@ -64,14 +63,7 @@ func (Gawk) Run(ctx *apps.Context, args []string) error {
 		return apps.Exitf(2, "gawk: %v", err)
 	}
 	interp := newInterp(prog, ctx.Stdout)
-	interp.openFile = func(name string) (io.WriteCloser, error) { return ctx.Create(name) }
-	interp.openRead = func(name string) (io.ReadCloser, error) { return ctx.Open(name) }
-	if fs != "" {
-		interp.globals["FS"] = str(fs)
-	}
-	for _, kv := range assigns {
-		interp.globals[kv[0]] = inputStr(kv[1])
-	}
+	interp.configure(ctx, fs, assigns)
 
 	var inputs []namedReader
 	if len(files) == 0 {

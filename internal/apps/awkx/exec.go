@@ -75,18 +75,15 @@ func (in *interp) exec(s stmt) error {
 		}
 		return returnSignal{val: v}
 	case *deleteStmt:
-		arr := in.array(st.arrName)
 		if st.index == nil {
-			for k := range arr {
-				delete(arr, k)
-			}
+			clear(in.array(st.arr))
 			return nil
 		}
-		vals, err := in.evalAll(st.index)
+		key, err := in.subscript(st.index)
 		if err != nil {
 			return err
 		}
-		delete(arr, in.arrayKey(vals))
+		delete(in.array(st.arr), key)
 		return nil
 	}
 	return runtimeErr("unknown statement %T", s)
@@ -163,13 +160,13 @@ func (in *interp) execFor(st *forStmt) error {
 }
 
 func (in *interp) execForIn(st *forInStmt) error {
-	arr := in.array(st.arrName)
+	arr := in.array(st.arr)
 	keys := make([]string, 0, len(arr))
 	for k := range arr {
 		keys = append(keys, k)
 	}
 	for _, k := range keys {
-		in.setVar(st.varName, inputStr(k))
+		in.setVar(st.v, inputStr(k))
 		if done, err := loopErr(in.exec(st.body)); done || err != nil {
 			return err
 		}
@@ -270,7 +267,7 @@ func (in *interp) eval(e expr) (value, error) {
 	case *groupExpr:
 		return in.eval(ex.e)
 	case *varRef:
-		return in.getVar(ex.name), nil
+		return in.getVar(ex.varSlot), nil
 	case *fieldRef:
 		idx, err := in.eval(ex.idx)
 		if err != nil {
@@ -278,11 +275,11 @@ func (in *interp) eval(e expr) (value, error) {
 		}
 		return in.getField(int(idx.Num())), nil
 	case *indexRef:
-		vals, err := in.evalAll(ex.index)
+		key, err := in.subscript(ex.index)
 		if err != nil {
 			return uninitialized, err
 		}
-		return in.array(ex.arrName)[in.arrayKey(vals)], nil
+		return in.array(ex.arr)[key], nil
 	case *assign:
 		return in.evalAssign(ex)
 	case *incDec:
@@ -317,11 +314,11 @@ func (in *interp) eval(e expr) (value, error) {
 	case *matchExpr:
 		return in.evalMatch(ex)
 	case *inExpr:
-		vals, err := in.evalAll(ex.index)
+		key, err := in.subscript(ex.index)
 		if err != nil {
 			return uninitialized, err
 		}
-		if _, ok := in.array(ex.arrName)[in.arrayKey(vals)]; ok {
+		if _, ok := in.array(ex.arr)[key]; ok {
 			return num(1), nil
 		}
 		return num(0), nil
@@ -335,64 +332,89 @@ func (in *interp) eval(e expr) (value, error) {
 	return uninitialized, runtimeErr("unknown expression %T", e)
 }
 
-// assignTo writes v to an lvalue.
-func (in *interp) assignTo(target expr, v value) error {
-	switch t := target.(type) {
-	case *varRef:
-		in.setVar(t.name, v)
-		return nil
-	case *fieldRef:
-		idx, err := in.eval(t.idx)
-		if err != nil {
-			return err
-		}
-		in.setField(int(idx.Num()), v)
-		return nil
-	case *indexRef:
-		vals, err := in.evalAll(t.index)
-		if err != nil {
-			return err
-		}
-		in.array(t.arrName)[in.arrayKey(vals)] = v
-		return nil
-	}
-	return runtimeErr("assignment to non-lvalue %T", target)
+// lvalue is an assignment target with its subscripts or field index already
+// evaluated. Resolving a target once and then reading and writing through
+// the result is what makes `a[i++]++` advance i once.
+type lvalue struct {
+	kind lvalueKind
+	slot varSlot          // lvVar; for lvField, idx is the field number
+	arr  map[string]value // lvElem
+	key  string
 }
 
-// lvalueGet reads an lvalue's current value.
-func (in *interp) lvalueGet(target expr) (value, error) { return in.eval(target) }
+type lvalueKind uint8
+
+const (
+	lvVar lvalueKind = iota
+	lvField
+	lvElem
+)
+
+func (in *interp) lvalueOf(target expr) (lvalue, error) {
+	switch t := target.(type) {
+	case *varRef:
+		return lvalue{kind: lvVar, slot: t.varSlot}, nil
+	case *fieldRef:
+		idx, err := in.eval(t.idx)
+		return lvalue{kind: lvField, slot: varSlot{idx: int(idx.Num())}}, err
+	case *indexRef:
+		key, err := in.subscript(t.index)
+		if err != nil {
+			return lvalue{}, err
+		}
+		return lvalue{kind: lvElem, arr: in.array(t.arr), key: key}, nil
+	}
+	return lvalue{}, runtimeErr("assignment to non-lvalue %T", target)
+}
+
+func (in *interp) load(lv lvalue) value {
+	switch lv.kind {
+	case lvVar:
+		return in.getVar(lv.slot)
+	case lvField:
+		return in.getField(lv.slot.idx)
+	}
+	return lv.arr[lv.key]
+}
+
+func (in *interp) store(lv lvalue, v value) {
+	switch lv.kind {
+	case lvVar:
+		in.setVar(lv.slot, v)
+	case lvField:
+		in.setField(lv.slot.idx, v)
+	default:
+		lv.arr[lv.key] = v
+	}
+}
 
 func (in *interp) evalAssign(ex *assign) (value, error) {
 	rhs, err := in.eval(ex.val)
 	if err != nil {
 		return uninitialized, err
 	}
-	if ex.op != "=" {
-		cur, err := in.lvalueGet(ex.target)
-		if err != nil {
-			return uninitialized, err
-		}
-		rhs = num(arith(strings.TrimSuffix(ex.op, "="), cur.Num(), rhs.Num()))
-	}
-	if err := in.assignTo(ex.target, rhs); err != nil {
+	lv, err := in.lvalueOf(ex.target)
+	if err != nil {
 		return uninitialized, err
 	}
+	if ex.op != "=" {
+		rhs = num(arith(ex.op[:len(ex.op)-1], in.load(lv).Num(), rhs.Num()))
+	}
+	in.store(lv, rhs)
 	return rhs, nil
 }
 
 func (in *interp) evalIncDec(ex *incDec) (value, error) {
-	cur, err := in.lvalueGet(ex.target)
+	lv, err := in.lvalueOf(ex.target)
 	if err != nil {
 		return uninitialized, err
 	}
-	old := cur.Num()
+	old := in.load(lv).Num()
 	delta := 1.0
 	if ex.op == "--" {
 		delta = -1
 	}
-	if err := in.assignTo(ex.target, num(old+delta)); err != nil {
-		return uninitialized, err
-	}
+	in.store(lv, num(old+delta))
 	if ex.pre {
 		return num(old + delta), nil
 	}
@@ -523,26 +545,21 @@ func (in *interp) evalCall(ex *call) (value, error) {
 	if len(ex.args) > len(fd.params) {
 		return uninitialized, runtimeErr("%s called with %d args, defined with %d", ex.name, len(ex.args), len(fd.params))
 	}
-	fr := &frame{
-		scalars: make(map[string]value),
-		arrays:  make(map[string]map[string]value),
-		params:  make(map[string]bool),
-	}
-	for _, p := range fd.params {
-		fr.params[p] = true
-	}
+	fr := frame{scalars: make([]value, len(fd.params))}
 	// Bind arguments in the caller's scope before pushing the frame.
 	for i, arg := range ex.args {
-		pname := fd.params[i]
-		if vr, ok := arg.(*varRef); ok && in.isArrayName(vr.name) {
-			fr.arrays[pname] = in.array(vr.name)
+		if vr, ok := arg.(*varRef); ok && in.isArray(vr.varSlot) {
+			if fr.arrays == nil {
+				fr.arrays = make([]map[string]value, len(fd.params))
+			}
+			fr.arrays[i] = in.array(vr.varSlot)
 			continue
 		}
 		v, err := in.eval(arg)
 		if err != nil {
 			return uninitialized, err
 		}
-		fr.scalars[pname] = v
+		fr.scalars[i] = v
 	}
 	if len(in.frames) > 200 {
 		return uninitialized, runtimeErr("call stack overflow in %s", ex.name)
@@ -558,17 +575,6 @@ func (in *interp) evalCall(ex *call) (value, error) {
 		return uninitialized, err
 	}
 	return uninitialized, nil
-}
-
-// isArrayName reports whether name currently denotes an array (in the
-// innermost scope that binds it).
-func (in *interp) isArrayName(name string) bool {
-	if f := in.topFrame(); f != nil && f.params[name] {
-		_, ok := f.arrays[name]
-		return ok
-	}
-	_, ok := in.arrays[name]
-	return ok
 }
 
 // evalGetline implements `getline [lvalue] < file`: 1 on a line read, 0 at
@@ -604,8 +610,10 @@ func (in *interp) evalGetline(ex *getlineExpr) (value, error) {
 		in.setRecord(line)
 		return num(1), nil
 	}
-	if err := in.assignTo(ex.target, inputStr(line)); err != nil {
+	lv, err := in.lvalueOf(ex.target)
+	if err != nil {
 		return uninitialized, err
 	}
+	in.store(lv, inputStr(line))
 	return num(1), nil
 }

@@ -1,0 +1,37 @@
+package awkx
+
+import "testing"
+
+// FuzzAwkParse feeds arbitrary text to the parser, which must answer with a
+// program or an error and never panic or run past the end of its tokens.
+// It does not run what parses: until the interpreter has a step budget a
+// one-line program can spin or grow without bound (`$1e9 = 1`).
+func FuzzAwkParse(f *testing.F) {
+	for _, src := range []string{
+		`{ print $2, $1 }`,
+		`BEGIN { FS = ":" } { n += NF; a[$1]++ } END { print n, length(a) }`,
+		`{ for (i = 1; i <= NF; i++) freq[$i]++ } END { n = 0; for (w in freq) n++; print n }`,
+		`function f(x, t) { t[x] = 1; return x * 2 } BEGIN { print f(2) }`,
+		`$1 == 0 || /re/ { $(NF+1) = substr($0, 2) ; print > "out" }`,
+		`BEGIN { a[i++]++; $(n++) += 1; a[1,2] -= 1; delete a[1,2]; if ((1,2) in a) print }`,
+		`{ sub(/a/, "b", a[i++]); x = y ? z : -w ^ 2; print x "" !y }`,
+		`BEGIN { printf "%5.2f %c %s\n", 1, 65, "s"; getline line < "f"; exit 1 }`,
+		`{ NF = 2; NR = 7; $0 = "a b c"; OFS = "-"; $1 = $1; print NR, NF, $0 }`,
+		`function g(NF) { return NF } { print g(1) g`,
+		`BEGIN { a[`, `{ $ }`, `/(/`, `"`, "{ x = 1e999; print x + 0, -x, x % 2 }",
+	} {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		if len(src) > 1<<12 {
+			return
+		}
+		prog, err := parse(src)
+		if err != nil {
+			return
+		}
+		if len(prog.globals) < numSpecials {
+			t.Fatalf("special variables lost their slots: %v", prog.globals)
+		}
+	})
+}

@@ -7,6 +7,10 @@ import (
 	"io"
 	"math/rand"
 	"strings"
+	"sync"
+	"unicode/utf8"
+
+	"compstor/internal/apps"
 )
 
 // Control-flow signals, carried as errors through the tree walk.
@@ -24,20 +28,20 @@ type exitSignal struct{ code int }
 
 func (exitSignal) Error() string { return "awk: exit" }
 
-// frame is a function activation record. Params not passed are local
-// scalars; array params alias the caller's array.
+// frame is a function activation record, indexed by parameter position.
+// Params not passed are local scalars; array params alias the caller's
+// array.
 type frame struct {
-	scalars map[string]value
-	arrays  map[string]map[string]value
-	params  map[string]bool
+	scalars []value
+	arrays  []map[string]value // nil until an array is passed or made
 }
 
 // interp executes a parsed program.
 type interp struct {
 	prog    *program
-	globals map[string]value
-	arrays  map[string]map[string]value
-	frames  []*frame
+	globals []value            // by slot
+	arrays  []map[string]value // by slot; nil until first used
+	frames  []frame
 
 	record      string
 	fields      []string
@@ -59,17 +63,43 @@ type interp struct {
 }
 
 func newInterp(prog *program, out io.Writer) *interp {
-	return &interp{
+	in := &interp{
 		prog:    prog,
-		globals: make(map[string]value),
-		arrays:  make(map[string]map[string]value),
+		globals: make([]value, len(prog.globals)),
+		arrays:  make([]map[string]value, len(prog.globals)),
 		out:     out,
 		files:   make(map[string]io.WriteCloser),
 		readers: make(map[string]*getlineReader),
 		rng:     rand.New(rand.NewSource(0)),
 		reCache: make(map[string]*compiledRegex),
 	}
+	in.globals[slotFS] = str(" ")
+	in.globals[slotOFS] = str(" ")
+	in.globals[slotORS] = str("\n")
+	in.globals[slotSUBSEP] = str("\x1c")
+	return in
 }
+
+// configure applies the command line's -F and -v settings and wires file
+// access to the program's context.
+func (in *interp) configure(ctx *apps.Context, fs string, assigns [][2]string) {
+	in.openFile = func(name string) (io.WriteCloser, error) { return ctx.Create(name) }
+	in.openRead = func(name string) (io.ReadCloser, error) { return ctx.Open(name) }
+	if fs != "" {
+		in.globals[slotFS] = str(fs)
+	}
+	for _, kv := range assigns {
+		// A name the program never mentions has no slot and no reader.
+		if idx, ok := in.prog.globals[kv[0]]; ok {
+			in.setVar(varSlot{idx: idx}, inputStr(kv[1]))
+		}
+	}
+}
+
+// scanBufs recycles the main loop's line buffers: zeroing a fresh 64 KiB
+// per run costs as much as scanning a small file. The size is fixed
+// because it is what sizes the reads an input sees.
+var scanBufs = sync.Pool{New: func() any { return new([64 * 1024]byte) }}
 
 // getlineReader is one open `getline < file` source.
 type getlineReader struct {
@@ -86,31 +116,32 @@ func (in *interp) closeFiles() {
 	}
 }
 
-// Special variable handling -------------------------------------------------
+// Variables -------------------------------------------------------------------
 
-func (in *interp) getVar(name string) value {
-	switch name {
-	case "NR":
+func (in *interp) getVar(s varSlot) value {
+	if s.local {
+		return in.frames[len(in.frames)-1].scalars[s.idx]
+	}
+	switch s.idx {
+	case slotNR:
 		return num(float64(in.nr))
-	case "NF":
+	case slotNF:
 		in.ensureFields()
 		return num(float64(len(in.fields)))
 	}
-	if f := in.topFrame(); f != nil && f.params[name] {
-		return f.scalars[name]
-	}
-	if v, ok := in.globals[name]; ok {
-		return v
-	}
-	return uninitialized
+	return in.globals[s.idx]
 }
 
-func (in *interp) setVar(name string, v value) {
-	switch name {
-	case "NR":
+func (in *interp) setVar(s varSlot, v value) {
+	if s.local {
+		in.frames[len(in.frames)-1].scalars[s.idx] = v
+		return
+	}
+	switch s.idx {
+	case slotNR:
 		in.nr = int(v.Num())
 		return
-	case "NF":
+	case slotNF:
 		in.ensureFields()
 		n := int(v.Num())
 		if n < 0 {
@@ -125,52 +156,56 @@ func (in *interp) setVar(name string, v value) {
 		in.recordValid = false
 		return
 	}
-	if f := in.topFrame(); f != nil && f.params[name] {
-		f.scalars[name] = v
-		return
-	}
-	in.globals[name] = v
+	in.globals[s.idx] = v
 }
 
-func (in *interp) topFrame() *frame {
-	if len(in.frames) == 0 {
-		return nil
+// arrayTable returns the table s indexes: the innermost frame's for a
+// parameter, the global one otherwise.
+func (in *interp) arrayTable(s varSlot, create bool) []map[string]value {
+	if !s.local {
+		return in.arrays
 	}
-	return in.frames[len(in.frames)-1]
+	f := &in.frames[len(in.frames)-1]
+	if f.arrays == nil && create {
+		f.arrays = make([]map[string]value, len(f.scalars))
+	}
+	return f.arrays
 }
 
-// array returns the named associative array, resolving param aliases and
-// creating it on demand.
-func (in *interp) array(name string) map[string]value {
-	if f := in.topFrame(); f != nil && f.params[name] {
-		if a, ok := f.arrays[name]; ok {
-			return a
+// array returns the associative array bound to s, creating it on demand.
+func (in *interp) array(s varSlot) map[string]value {
+	tab := in.arrayTable(s, true)
+	if tab[s.idx] == nil {
+		tab[s.idx] = make(map[string]value)
+	}
+	return tab[s.idx]
+}
+
+// isArray reports whether s currently denotes an array.
+func (in *interp) isArray(s varSlot) bool {
+	tab := in.arrayTable(s, false)
+	return tab != nil && tab[s.idx] != nil
+}
+
+// subscript evaluates an array subscript to its key: the value's string,
+// or for several values their strings joined by SUBSEP.
+func (in *interp) subscript(index []expr) (string, error) {
+	if len(index) == 1 {
+		v, err := in.eval(index[0])
+		return v.Str(), err
+	}
+	var key strings.Builder
+	for i, e := range index {
+		v, err := in.eval(e)
+		if err != nil {
+			return "", err
 		}
-		a := make(map[string]value)
-		f.arrays[name] = a
-		return a
+		if i > 0 {
+			key.WriteString(in.globals[slotSUBSEP].Str())
+		}
+		key.WriteString(v.Str())
 	}
-	if a, ok := in.arrays[name]; ok {
-		return a
-	}
-	a := make(map[string]value)
-	in.arrays[name] = a
-	return a
-}
-
-func (in *interp) subsep() string {
-	if v, ok := in.globals["SUBSEP"]; ok {
-		return v.Str()
-	}
-	return "\x1c"
-}
-
-func (in *interp) arrayKey(index []value) string {
-	parts := make([]string, len(index))
-	for i, v := range index {
-		parts[i] = v.Str()
-	}
-	return strings.Join(parts, in.subsep())
+	return key.String(), nil
 }
 
 // Record and field handling --------------------------------------------------
@@ -181,63 +216,70 @@ func (in *interp) setRecord(line string) {
 	in.fieldsValid = false
 }
 
-func (in *interp) fs() string {
-	if v, ok := in.globals["FS"]; ok {
-		return v.Str()
-	}
-	return " "
-}
-
-func (in *interp) ofs() string {
-	if v, ok := in.globals["OFS"]; ok {
-		return v.Str()
-	}
-	return " "
-}
-
-func (in *interp) ors() string {
-	if v, ok := in.globals["ORS"]; ok {
-		return v.Str()
-	}
-	return "\n"
-}
+func (in *interp) fs() string  { return in.globals[slotFS].Str() }
+func (in *interp) ofs() string { return in.globals[slotOFS].Str() }
+func (in *interp) ors() string { return in.globals[slotORS].Str() }
 
 func (in *interp) ensureFields() {
 	if in.fieldsValid {
 		return
 	}
 	in.ensureRecord()
-	in.fields = in.splitFields(in.record, in.fs())
+	in.fields = in.splitFields(in.fields[:0], in.record, in.fs())
 	in.fieldsValid = true
 }
 
-// splitFields splits a record by the current FS semantics.
-func (in *interp) splitFields(s, fs string) []string {
+// splitFields splits a record by the current FS semantics, appending the
+// fields to dst.
+func (in *interp) splitFields(dst []string, s, fs string) []string {
 	switch {
 	case fs == " ":
-		return strings.Fields(s)
+		// What strings.Fields does for ASCII, without a slice per record.
+		base, start := len(dst), -1
+		for i := 0; i < len(s); i++ {
+			switch c := s[i]; {
+			case c >= utf8.RuneSelf:
+				return append(dst[:base], strings.Fields(s)...)
+			case !isBlank(c):
+				if start < 0 {
+					start = i
+				}
+			case start >= 0:
+				dst = append(dst, s[start:i])
+				start = -1
+			}
+		}
+		if start >= 0 {
+			dst = append(dst, s[start:])
+		}
+		return dst
 	case len(fs) == 1:
 		if s == "" {
-			return nil
+			return dst
 		}
-		return strings.Split(s, fs)
+		for {
+			i := strings.IndexByte(s, fs[0])
+			if i < 0 {
+				return append(dst, s)
+			}
+			dst = append(dst, s[:i])
+			s = s[i+1:]
+		}
 	default:
 		re, err := in.regex(fs)
 		if err != nil {
-			return strings.Split(s, fs)
+			return append(dst, strings.Split(s, fs)...)
 		}
 		if s == "" {
-			return nil
+			return dst
 		}
-		var out []string
 		rest := []byte(s)
 		for {
 			st, en, ok := re.re.FindIndex(rest)
 			if !ok || en == st {
-				out = append(out, string(rest))
-				return out
+				return append(dst, string(rest))
 			}
-			out = append(out, string(rest[:st]))
+			dst = append(dst, string(rest[:st]))
 			rest = rest[en:]
 		}
 	}
@@ -330,10 +372,12 @@ func (in *interp) Run(inputs []namedReader) (int, error) {
 
 	// Main loop (only when there are main rules or END blocks).
 	if len(in.prog.rules) > 0 || len(in.prog.ends) > 0 {
+		buf := scanBufs.Get().(*[64 * 1024]byte)
+		defer scanBufs.Put(buf)
 		for _, input := range inputs {
-			in.globals["FILENAME"] = str(input.name)
+			in.globals[slotFILENAME] = str(input.name)
 			sc := bufio.NewScanner(input.r)
-			sc.Buffer(make([]byte, 64*1024), 4*1024*1024)
+			sc.Buffer(buf[:], 4*1024*1024)
 			for sc.Scan() {
 				in.nr++
 				in.setRecord(sc.Text())

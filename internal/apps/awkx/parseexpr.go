@@ -108,7 +108,7 @@ func (p *parser) parseIn() (expr, error) {
 		if arr.kind != tIdent {
 			return nil, p.errf("expected array name after in")
 		}
-		left = &inExpr{index: []expr{left}, arrName: arr.text}
+		left = &inExpr{index: []expr{left}, arr: p.bind(arr.text)}
 	}
 	return left, nil
 }
@@ -327,7 +327,7 @@ func (p *parser) parsePrimary() (expr, error) {
 		p.pos++
 		if p.isOp("[") {
 			p.pos++
-			ir := &indexRef{arrName: t.text}
+			ir := &indexRef{arr: p.bind(t.text)}
 			for {
 				e, err := p.parseExpr()
 				if err != nil {
@@ -345,7 +345,7 @@ func (p *parser) parsePrimary() (expr, error) {
 			}
 			return ir, nil
 		}
-		return &varRef{name: t.text}, nil
+		return &varRef{t.text, p.bind(t.text)}, nil
 	}
 	if t.kind == tOp {
 		switch t.text {
@@ -393,7 +393,7 @@ func (p *parser) parseGetline() (expr, error) {
 	// Optional simple lvalue: identifier or $field.
 	if t := p.peek(); t.kind == tIdent {
 		p.pos++
-		g.target = &varRef{name: t.text}
+		g.target = &varRef{t.text, p.bind(t.text)}
 	} else if p.isOp("$") {
 		p.pos++
 		idx, err := p.parsePostfixDollar()
@@ -424,7 +424,7 @@ func (p *parser) parsePostfixDollar() (expr, error) {
 		return &numLit{v: t.num}, nil
 	case t.kind == tIdent:
 		p.pos++
-		return &varRef{name: t.text}, nil
+		return &varRef{t.text, p.bind(t.text)}, nil
 	case t.kind == tOp && t.text == "(":
 		p.pos++
 		e, err := p.parseExpr()

@@ -24,6 +24,9 @@ type parser struct {
 	toks []token
 	pos  int
 	noGT int // >0 while '>' means print redirection, not comparison
+
+	params  []string       // parameters of the function being parsed
+	globals map[string]int // global name -> slot
 }
 
 func parse(src string) (*program, error) {
@@ -31,8 +34,27 @@ func parse(src string) (*program, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
+	p := &parser{toks: toks, globals: make(map[string]int)}
+	for i, name := range specialNames {
+		p.globals[name] = i
+	}
 	return p.parseProgram()
+}
+
+// bind resolves a variable name to its slot, giving a global its slot on
+// first mention.
+func (p *parser) bind(name string) varSlot {
+	for i, param := range p.params {
+		if param == name {
+			return varSlot{local: true, idx: i}
+		}
+	}
+	idx, ok := p.globals[name]
+	if !ok {
+		idx = len(p.globals)
+		p.globals[name] = idx
+	}
+	return varSlot{idx: idx}
 }
 
 func (p *parser) errf(format string, args ...any) error {
@@ -40,7 +62,16 @@ func (p *parser) errf(format string, args ...any) error {
 }
 
 func (p *parser) peek() token { return p.toks[p.pos] }
-func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
+
+// next consumes a token; the EOF token stays put, so peek is always valid.
+func (p *parser) next() token {
+	t := p.toks[p.pos]
+	if t.kind != tEOF {
+		p.pos++
+	}
+	return t
+}
+
 func (p *parser) atEOF() bool { return p.peek().kind == tEOF }
 
 func (p *parser) skipNewlines() {
@@ -68,7 +99,7 @@ func (p *parser) expectOp(text string) error {
 }
 
 func (p *parser) parseProgram() (*program, error) {
-	prog := &program{funcs: make(map[string]*funcDef)}
+	prog := &program{funcs: make(map[string]*funcDef), globals: p.globals}
 	p.skipNewlines()
 	for !p.atEOF() {
 		switch {
@@ -129,7 +160,9 @@ func (p *parser) parseFunction() (*funcDef, error) {
 	}
 	p.pos++ // )
 	p.skipNewlines()
+	p.params = fd.params
 	body, err := p.parseBlock()
+	p.params = nil
 	if err != nil {
 		return nil, err
 	}
@@ -244,7 +277,7 @@ func (p *parser) parseStmt() (stmt, error) {
 			if name.kind != tIdent && name.kind != tFuncName {
 				return nil, p.errf("expected array name after delete")
 			}
-			ds := &deleteStmt{arrName: name.text}
+			ds := &deleteStmt{arr: p.bind(name.text)}
 			if p.isOp("[") {
 				p.pos++
 				for {
@@ -427,7 +460,7 @@ func (p *parser) parseFor() (stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &forInStmt{varName: varName, arrName: arr.text, body: body}, nil
+		return &forInStmt{v: p.bind(varName), arr: p.bind(arr.text), body: body}, nil
 	}
 	st := &forStmt{}
 	if !p.isOp(";") {

@@ -166,14 +166,7 @@ func (k *gawkKernel) RunChunk(ctx *apps.Context, r io.Reader, chunk int) (any, e
 	}
 	var buf bytes.Buffer
 	interp := newInterp(prog, &buf)
-	interp.openFile = func(name string) (io.WriteCloser, error) { return ctx.Create(name) }
-	interp.openRead = func(name string) (io.ReadCloser, error) { return ctx.Open(name) }
-	if k.fs != "" {
-		interp.globals["FS"] = str(k.fs)
-	}
-	for _, kv := range k.assigns {
-		interp.globals[kv[0]] = inputStr(kv[1])
-	}
+	interp.configure(ctx, k.fs, k.assigns)
 	code, err := interp.Run([]namedReader{{name: k.file, r: r}})
 	if err != nil {
 		return nil, apps.Exitf(2, "gawk: %v", err)

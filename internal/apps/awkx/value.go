@@ -9,31 +9,84 @@ import (
 
 // value is an AWK scalar: dynamically string, number, or "strnum" (a string
 // that came from input and compares numerically when it looks like a
-// number).
+// number). Whether an input string looks like a number is decided only when
+// a comparison or a truth test asks, so a word that is only ever an array
+// key is never scanned.
 type value struct {
-	s      string
-	n      float64
-	isNum  bool
-	strnum bool
+	s     string
+	n     float64
+	isNum bool
+	input bool // s came from input: a strnum if it looks numeric
 }
 
-func num(f float64) value { return value{n: f, isNum: true} }
-func str(s string) value  { return value{s: s} }
-func inputStr(s string) value {
-	return value{s: s, strnum: looksNumeric(s)}
-}
+func num(f float64) value     { return value{n: f, isNum: true} }
+func str(s string) value      { return value{s: s} }
+func inputStr(s string) value { return value{s: s, input: true} }
 
 var uninitialized = value{}
 
-// looksNumeric reports whether s is a valid numeric constant with optional
-// surrounding blanks.
+func isBlank(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\v' || c == '\f'
+}
+
+// scanNumber finds the longest decimal number at the front of s, after any
+// blanks: an optional sign, digits with an optional fraction or a fraction
+// alone, and an exponent if it has digits. It returns the number's bounds,
+// equal when there is none. This is awk's grammar, not Go's: no "inf",
+// "nan", hexadecimal or underscores.
+func scanNumber(s string) (start, end int) {
+	i := 0
+	for i < len(s) && isBlank(s[i]) {
+		i++
+	}
+	start = i
+	if i < len(s) && (s[i] == '+' || s[i] == '-') {
+		i++
+	}
+	digits := i
+	for i < len(s) && isDigit(s[i]) {
+		i++
+	}
+	mantissa := i - digits
+	if i < len(s) && s[i] == '.' {
+		i++
+		for i < len(s) && isDigit(s[i]) {
+			i++
+		}
+		mantissa = i - digits - 1
+	}
+	if mantissa == 0 {
+		return start, start
+	}
+	end = i
+	if i < len(s) && (s[i] == 'e' || s[i] == 'E') {
+		i++
+		if i < len(s) && (s[i] == '+' || s[i] == '-') {
+			i++
+		}
+		if i < len(s) && isDigit(s[i]) {
+			for i < len(s) && isDigit(s[i]) {
+				i++
+			}
+			end = i
+		}
+	}
+	return start, end
+}
+
+// looksNumeric reports whether s is a number with optional surrounding
+// blanks.
 func looksNumeric(s string) bool {
-	t := strings.TrimSpace(s)
-	if t == "" {
+	start, end := scanNumber(s)
+	if start == end {
 		return false
 	}
-	_, err := strconv.ParseFloat(t, 64)
-	return err == nil
+	for ; end < len(s); end++ {
+		if !isBlank(s[end]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Num converts following awk semantics: numeric prefix of the string, else 0.
@@ -47,23 +100,13 @@ func (v value) Num() float64 {
 // numPrefix parses the longest numeric prefix of s (awk's string→number
 // rule: "3.5kg" is 3.5, "abc" is 0).
 func numPrefix(s string) float64 {
-	t := strings.TrimLeft(s, " \t\n\r")
-	// Numbers are short; cap the prefix scan.
-	if len(t) > 64 {
-		t = t[:64]
-	}
-	end := 0
-	for i := 1; i <= len(t); i++ {
-		v, err := strconv.ParseFloat(t[:i], 64)
-		// Go accepts "inf"/"nan" spellings; awk's number syntax does not.
-		if err == nil && !math.IsInf(v, 0) && !math.IsNaN(v) {
-			end = i
-		}
-	}
-	if end == 0 {
+	start, end := scanNumber(s)
+	if start == end {
 		return 0
 	}
-	f, _ := strconv.ParseFloat(t[:end], 64)
+	// The text is valid syntax, so the only error is out of range, for
+	// which ParseFloat returns the infinity strtod would.
+	f, _ := strconv.ParseFloat(s[start:end], 64)
 	return f
 }
 
@@ -89,8 +132,8 @@ func (v value) Bool() bool {
 	if v.isNum {
 		return v.n != 0
 	}
-	if v.strnum {
-		return v.Num() != 0
+	if v.input && looksNumeric(v.s) {
+		return numPrefix(v.s) != 0
 	}
 	return v.s != ""
 }
@@ -98,7 +141,7 @@ func (v value) Bool() bool {
 // numericish reports whether a value participates in numeric comparison:
 // true numbers, input strnums, and uninitialised values.
 func numericish(v value) bool {
-	return v.isNum || v.strnum || (v.s == "" && !v.isNum)
+	return v.isNum || v.s == "" || (v.input && looksNumeric(v.s))
 }
 
 // numericCompare reports whether two values should compare numerically.

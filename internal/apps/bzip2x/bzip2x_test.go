@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"compstor/internal/textgen"
 )
 
 func corpus() map[string][]byte {
@@ -196,22 +198,39 @@ func TestBWTProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkCompressText(b *testing.B) {
-	data := []byte(strings.Repeat("she sells sea shells by the sea shore. ", 1000))
-	b.SetBytes(int64(len(data)))
-	for i := 0; i < b.N; i++ {
-		Compress(data, Options{})
+// The benchmarks run on generated book text at the size of one served file
+// and at 1 MiB (just over one 900k block).
+var benchSizes = []struct {
+	name string
+	size int
+}{{"28KiB", 28 << 10}, {"1MiB", 1 << 20}}
+
+func BenchmarkCompress(b *testing.B) {
+	for _, sz := range benchSizes {
+		data := textgen.Book(2018, sz.size)
+		b.Run(sz.name, func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Compress(data, Options{})
+			}
+		})
 	}
 }
 
-func BenchmarkDecompressText(b *testing.B) {
-	data := []byte(strings.Repeat("she sells sea shells by the sea shore. ", 1000))
-	out := Compress(data, Options{})
-	b.SetBytes(int64(len(data)))
-	for i := 0; i < b.N; i++ {
-		if _, err := Decompress(out); err != nil {
-			b.Fatal(err)
-		}
+func BenchmarkDecompress(b *testing.B) {
+	for _, sz := range benchSizes {
+		data := textgen.Book(2018, sz.size)
+		out := Compress(data, Options{})
+		b.Run(sz.name, func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Decompress(out); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

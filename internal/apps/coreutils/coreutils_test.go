@@ -2,10 +2,12 @@ package coreutils
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
 	"compstor/internal/apps"
+	"compstor/internal/textgen"
 )
 
 func runTool(t *testing.T, p apps.Program, stdin string, args ...string) (string, int) {
@@ -167,3 +169,27 @@ func TestMissingFileFails(t *testing.T) {
 		}
 	}
 }
+
+// benchTool runs p as a stream filter over generated book text at the size
+// of one served file and at 1 MiB.
+func benchTool(b *testing.B, p apps.Program) {
+	for _, sz := range []struct {
+		name string
+		size int
+	}{{"28KiB", 28 << 10}, {"1MiB", 1 << 20}} {
+		data := textgen.Book(2018, sz.size)
+		b.Run(sz.name, func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ctx := &apps.Context{Stdin: bytes.NewReader(data), Stdout: io.Discard, Stderr: io.Discard}
+				if err := p.Run(ctx, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkWC(b *testing.B)    { benchTool(b, WC{}) }
+func BenchmarkCksum(b *testing.B) { benchTool(b, Cksum{}) }

@@ -2,6 +2,7 @@ package grepx
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"regexp"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"testing/quick"
 
 	"compstor/internal/apps"
+	"compstor/internal/textgen"
 )
 
 func mustCompile(t *testing.T, pat string, fold bool) *Regexp {
@@ -237,6 +239,28 @@ func TestGrepEquivalenceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// BenchmarkGrepCount is the paper's grep workload, `grep -c the`, as a
+// stream filter over generated book text at the size of one served file
+// and at 1 MiB.
+func BenchmarkGrepCount(b *testing.B) {
+	for _, sz := range []struct {
+		name string
+		size int
+	}{{"28KiB", 28 << 10}, {"1MiB", 1 << 20}} {
+		data := textgen.Book(2018, sz.size)
+		b.Run(sz.name, func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ctx := &apps.Context{Stdin: bytes.NewReader(data), Stdout: io.Discard, Stderr: io.Discard}
+				if err := (Grep{}).Run(ctx, []string{"-c", "the"}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

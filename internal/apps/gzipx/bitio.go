@@ -8,68 +8,51 @@
 // compatible with real gzip.
 package gzipx
 
-import "io"
+import (
+	"encoding/binary"
+	"io"
+	"math/bits"
+)
 
-// bitWriter packs bits LSB-first, as DEFLATE requires.
+// bitWriter packs bits LSB-first, as DEFLATE requires, into a buffer that
+// flush hands to w in one Write.
 type bitWriter struct {
-	w    io.Writer
-	acc  uint64
-	n    uint // bits in acc
-	err  error
-	outb [8]byte
+	w   io.Writer
+	buf []byte
+	acc uint64
+	n   uint // bits in acc, below 32 between calls
 }
-
-func newBitWriter(w io.Writer) *bitWriter { return &bitWriter{w: w} }
 
 // writeBits emits the low `width` bits of v, LSB-first.
 func (b *bitWriter) writeBits(v uint32, width uint) {
-	if b.err != nil {
-		return
-	}
 	b.acc |= uint64(v) << b.n
 	b.n += width
-	for b.n >= 8 {
-		b.outb[0] = byte(b.acc)
-		if _, err := b.w.Write(b.outb[:1]); err != nil {
-			b.err = err
-			return
-		}
+	if b.n >= 32 {
+		b.buf = binary.LittleEndian.AppendUint32(b.buf, uint32(b.acc))
+		b.acc >>= 32
+		b.n -= 32
+	}
+}
+
+// align pads to a byte boundary with zero bits.
+func (b *bitWriter) align() {
+	for ; b.n > 0; b.n -= min(b.n, 8) {
+		b.buf = append(b.buf, byte(b.acc))
 		b.acc >>= 8
-		b.n -= 8
 	}
 }
 
-// writeCode emits a Huffman code, which DEFLATE stores MSB-first within the
-// LSB-first stream, so the code's bits must be reversed.
-func (b *bitWriter) writeCode(code uint32, width uint) {
-	b.writeBits(reverseBits(code, width), width)
-}
-
-// flush pads to a byte boundary with zero bits.
+// flush aligns and writes everything buffered.
 func (b *bitWriter) flush() error {
-	if b.err != nil {
-		return b.err
-	}
-	if b.n > 0 {
-		b.outb[0] = byte(b.acc)
-		if _, err := b.w.Write(b.outb[:1]); err != nil {
-			b.err = err
-		}
-		b.acc = 0
-		b.n = 0
-	}
-	return b.err
+	b.align()
+	_, err := b.w.Write(b.buf)
+	b.buf = b.buf[:0]
+	return err
 }
 
-// reverseBits reverses the low `width` bits of v.
-func reverseBits(v uint32, width uint) uint32 {
-	var r uint32
-	for i := uint(0); i < width; i++ {
-		r = r<<1 | (v & 1)
-		v >>= 1
-	}
-	return r
-}
+// reverseBits reverses the low `width` bits of v: DEFLATE stores Huffman
+// codes MSB-first within the LSB-first stream.
+func reverseBits(v uint32, width uint) uint32 { return bits.Reverse32(v) >> (32 - width) }
 
 // bitReader consumes bits LSB-first from a byte stream.
 type bitReader struct {

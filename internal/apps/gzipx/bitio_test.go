@@ -8,7 +8,7 @@ import (
 
 func TestLSBBitWriterKnownBits(t *testing.T) {
 	var buf bytes.Buffer
-	w := newBitWriter(&buf)
+	w := &bitWriter{w: &buf}
 	w.writeBits(0b1, 1)
 	w.writeBits(0b011, 3)
 	w.writeBits(0b1010, 4) // byte: 1010 011 1 LSB-first = 0b10100111
@@ -27,7 +27,7 @@ func TestLSBBitRoundTripProperty(t *testing.T) {
 			n = len(widths)
 		}
 		var buf bytes.Buffer
-		w := newBitWriter(&buf)
+		w := &bitWriter{w: &buf}
 		type field struct {
 			v     uint32
 			width uint
@@ -135,8 +135,8 @@ func TestHDecoderDecodesCanonical(t *testing.T) {
 	// Encode each symbol and decode it back.
 	for sym, l := range lens {
 		var buf bytes.Buffer
-		w := newBitWriter(&buf)
-		w.writeCode(codes[sym], uint(l))
+		w := &bitWriter{w: &buf}
+		w.writeBits(reverseBits(codes[sym], uint(l)), uint(l))
 		w.flush()
 		r := newBitReader(bytes.NewReader(buf.Bytes()))
 		got, err := d.decode(r)

@@ -1,6 +1,12 @@
 package gzipx
 
-import "io"
+import (
+	"encoding/binary"
+	"io"
+	"math"
+	"math/bits"
+	"sync"
+)
 
 // DEFLATE symbol tables (RFC 1951 §3.2.5).
 
@@ -27,24 +33,43 @@ var distExtra = [30]uint{
 // clOrder is the storage order of code-length-code lengths.
 var clOrder = [19]int{16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15}
 
-// lengthCode maps a match length (3..258) to its litlen symbol.
-func lengthCode(l int) int {
-	for i := len(lengthBase) - 1; i >= 0; i-- {
-		if l >= lengthBase[i] {
-			return 257 + i
+// lengthSym[l] is the litlen symbol of match length l (3..258). distSym
+// holds the distance symbols the way zlib does: entry d-1 for distances up
+// to 256 and, because every longer distance code spans a multiple of 128,
+// entry 256+(d-1)>>7 beyond.
+var (
+	lengthSym [maxMatch + 1]uint16
+	distSym   [512]uint8
+)
+
+func init() {
+	for l, i := minMatch, 0; l <= maxMatch; l++ {
+		if i+1 < len(lengthBase) && l == lengthBase[i+1] {
+			i++
+		}
+		lengthSym[l] = uint16(257 + i)
+	}
+	for d, i := 1, 0; d <= windowSize; d++ {
+		if i+1 < len(distBase) && d == distBase[i+1] {
+			i++
+		}
+		if d <= 256 {
+			distSym[d-1] = uint8(i)
+		} else {
+			distSym[256+(d-1)>>7] = uint8(i)
 		}
 	}
-	return 257
 }
+
+// lengthCode maps a match length (3..258) to its litlen symbol.
+func lengthCode(l int) int { return int(lengthSym[l]) }
 
 // distCode maps a distance (1..32768) to its distance symbol.
 func distCode(d int) int {
-	for i := len(distBase) - 1; i >= 0; i-- {
-		if d >= distBase[i] {
-			return i
-		}
+	if d <= 256 {
+		return int(distSym[d-1])
 	}
-	return 0
+	return int(distSym[256+(d-1)>>7])
 }
 
 // token encodes a literal (high bit clear) or a match (length<<16 | dist).
@@ -65,26 +90,54 @@ const (
 	blockSize  = 1 << 16 // tokens per emitted block
 )
 
-// Deflate compresses src into w as a raw DEFLATE stream.
+// Deflate compresses src into w as a raw DEFLATE stream, written with one
+// Write call.
 func Deflate(w io.Writer, src []byte) error {
-	bw := newBitWriter(w)
-	c := &compressor{
-		src:  src,
-		head: make([]int32, 1<<hashBits),
-		prev: make([]int32, len(src)+1),
-	}
-	for i := range c.head {
-		c.head[i] = -1
-	}
-	c.run(bw)
-	return bw.flush()
+	c := compressors.Get().(*compressor)
+	c.reset(w, src)
+	c.run()
+	err := c.bw.flush()
+	c.base += int32(len(src)) + 1
+	c.src, c.bw.w = nil, nil
+	compressors.Put(c)
+	return err
 }
 
+// compressor is the scratch of one Deflate call, recycled through
+// compressors so that a stream of small inputs allocates nothing per call.
 type compressor struct {
-	src    []byte
+	src []byte
+	// head and prev hold positions biased by base, which every call moves
+	// past all it stored: what an earlier input left behind then reads as
+	// older than the window, so head is cleared only when base would
+	// overflow. A prev entry is written before any chain reaches it.
 	head   []int32
 	prev   []int32
+	base   int32
 	tokens []token
+	bw     bitWriter
+
+	litFreq  [286]int
+	distFreq [30]int
+	seq      []int
+	cl       []clToken
+}
+
+var compressors = sync.Pool{New: func() any {
+	return &compressor{head: make([]int32, 1<<hashBits), base: 1}
+}}
+
+func (c *compressor) reset(w io.Writer, src []byte) {
+	if int64(c.base)+int64(len(src)) >= math.MaxInt32 {
+		clear(c.head)
+		c.base = 1
+	}
+	c.src = src
+	if cap(c.prev) < len(src) {
+		c.prev = make([]int32, len(src))
+	}
+	c.tokens = c.tokens[:0]
+	c.bw = bitWriter{w: w, buf: c.bw.buf[:0]}
 }
 
 func hash3(b []byte) uint32 {
@@ -98,7 +151,7 @@ func (c *compressor) insert(pos int) {
 	}
 	h := hash3(c.src[pos:])
 	c.prev[pos] = c.head[h]
-	c.head[h] = int32(pos)
+	c.head[h] = c.base + int32(pos)
 }
 
 // findMatch searches the hash chain for the longest match at pos.
@@ -106,24 +159,17 @@ func (c *compressor) findMatch(pos int) (length, dist int) {
 	if pos+minMatch > len(c.src) {
 		return 0, 0
 	}
-	limit := pos - windowSize
-	if limit < 0 {
-		limit = 0
-	}
-	maxLen := len(c.src) - pos
-	if maxLen > maxMatch {
-		maxLen = maxMatch
-	}
-	h := hash3(c.src[pos:])
-	cand := c.head[h]
-	chain := maxChain
+	src, prev, base := c.src, c.prev, c.base // locals: the loop below is the encoder's hot spot
+	limit := base + int32(max(pos-windowSize, 0))
+	maxLen := min(len(src)-pos, maxMatch)
+	want := src[pos : pos+maxLen]
+	cand := c.head[hash3(want)]
 	best := 0
-	for cand >= int32(limit) && chain > 0 {
-		cp := int(cand)
+	for chain := maxChain; cand >= limit && chain > 0; chain-- {
+		cp := int(cand - base)
 		// Quick reject: a longer match must improve on the byte at `best`.
-		if best == 0 || c.src[cp+best] == c.src[pos+best] {
-			l := matchLen(c.src[cp:], c.src[pos:pos+maxLen])
-			if l > best {
+		if best == 0 || src[cp+best] == want[best] {
+			if l := matchLen(src[cp:], want); l > best {
 				best = l
 				dist = pos - cp
 				if l >= maxLen {
@@ -131,8 +177,7 @@ func (c *compressor) findMatch(pos int) (length, dist int) {
 				}
 			}
 		}
-		cand = c.prev[cp]
-		chain--
+		cand = prev[cp]
 	}
 	if best < minMatch {
 		return 0, 0
@@ -140,16 +185,23 @@ func (c *compressor) findMatch(pos int) (length, dist int) {
 	return best, dist
 }
 
+// matchLen returns how many leading bytes of b (no longer than a) equal
+// a's, comparing eight at a time.
 func matchLen(a, b []byte) int {
 	n := 0
-	for n < len(b) && n < len(a) && a[n] == b[n] {
+	for ; n+8 <= len(b); n += 8 {
+		if x := binary.LittleEndian.Uint64(a[n:]) ^ binary.LittleEndian.Uint64(b[n:]); x != 0 {
+			return n + bits.TrailingZeros64(x)>>3
+		}
+	}
+	for n < len(b) && a[n] == b[n] {
 		n++
 	}
 	return n
 }
 
 // run tokenizes the source and emits blocks.
-func (c *compressor) run(bw *bitWriter) {
+func (c *compressor) run() {
 	pos := 0
 	for pos < len(c.src) {
 		l, d := c.findMatch(pos)
@@ -167,14 +219,14 @@ func (c *compressor) run(bw *bitWriter) {
 		// Flush full blocks, but keep at least one token for the final
 		// block so its Huffman alphabets are never degenerate.
 		if len(c.tokens) >= blockSize && pos < len(c.src) {
-			writeBlock(bw, c.tokens, false)
+			c.writeBlock(false)
 			c.tokens = c.tokens[:0]
 		}
 	}
 	if len(c.tokens) > 0 {
-		writeBlock(bw, c.tokens, true)
+		c.writeBlock(true)
 	} else {
-		writeStoredEmpty(bw) // empty input: final stored block of length 0
+		writeStoredEmpty(&c.bw) // empty input: final stored block of length 0
 	}
 }
 
@@ -183,15 +235,31 @@ func (c *compressor) run(bw *bitWriter) {
 func writeStoredEmpty(bw *bitWriter) {
 	bw.writeBits(1, 1) // BFINAL
 	bw.writeBits(0, 2) // stored
-	bw.flush()         // align
+	bw.align()
 	bw.writeBits(0, 16)
 	bw.writeBits(0xFFFF, 16)
 }
 
-// writeBlock emits one dynamic-Huffman block for the tokens.
-func writeBlock(bw *bitWriter, tokens []token, final bool) {
-	litFreq := make([]int, 286)
-	distFreq := make([]int, 30)
+// clToken is one symbol of the run-length-coded code-length sequence.
+type clToken struct {
+	sym   int
+	extra uint32
+}
+
+// bitReversed turns canonical codes into the order writeBits emits them in.
+func bitReversed(codes []uint32, lengths []int) []uint32 {
+	for i, l := range lengths {
+		codes[i] = reverseBits(codes[i], uint(l))
+	}
+	return codes
+}
+
+// writeBlock emits one dynamic-Huffman block for the pending tokens.
+func (c *compressor) writeBlock(final bool) {
+	bw, tokens := &c.bw, c.tokens
+	litFreq, distFreq := c.litFreq[:], c.distFreq[:]
+	clear(litFreq)
+	clear(distFreq)
 	for _, t := range tokens {
 		if t.isMatch() {
 			l, d := t.lenDist()
@@ -216,8 +284,8 @@ func writeBlock(bw *bitWriter, tokens []token, final bool) {
 	if empty {
 		distLen[0] = 1
 	}
-	litCodes := canonicalCodes(litLen)
-	distCodes := canonicalCodes(distLen)
+	litCodes := bitReversed(canonicalCodes(litLen), litLen)
+	distCodes := bitReversed(canonicalCodes(distLen), distLen)
 
 	// Trim trailing zero lengths but keep the spec minimums.
 	hlit := 286
@@ -230,14 +298,8 @@ func writeBlock(bw *bitWriter, tokens []token, final bool) {
 	}
 
 	// RLE-encode the combined length sequence with symbols 16/17/18.
-	seq := make([]int, 0, hlit+hdist)
-	seq = append(seq, litLen[:hlit]...)
-	seq = append(seq, distLen[:hdist]...)
-	type clTok struct {
-		sym   int
-		extra uint32
-	}
-	var cl []clTok
+	seq := append(append(c.seq[:0], litLen[:hlit]...), distLen[:hdist]...)
+	cl := c.cl[:0]
 	for i := 0; i < len(seq); {
 		v := seq[i]
 		run := 1
@@ -252,19 +314,19 @@ func writeBlock(bw *bitWriter, tokens []token, final bool) {
 					n = 138
 				}
 				if n <= 10 {
-					cl = append(cl, clTok{17, uint32(n - 3)})
+					cl = append(cl, clToken{17, uint32(n - 3)})
 				} else {
-					cl = append(cl, clTok{18, uint32(n - 11)})
+					cl = append(cl, clToken{18, uint32(n - 11)})
 				}
 				run -= n
 				i += n
 			}
 			for ; run > 0; run-- {
-				cl = append(cl, clTok{0, 0})
+				cl = append(cl, clToken{0, 0})
 				i++
 			}
 		case v != 0 && run >= 4:
-			cl = append(cl, clTok{v, 0})
+			cl = append(cl, clToken{v, 0})
 			i++
 			run--
 			for run >= 3 {
@@ -272,28 +334,29 @@ func writeBlock(bw *bitWriter, tokens []token, final bool) {
 				if n > 6 {
 					n = 6
 				}
-				cl = append(cl, clTok{16, uint32(n - 3)})
+				cl = append(cl, clToken{16, uint32(n - 3)})
 				run -= n
 				i += n
 			}
 			for ; run > 0; run-- {
-				cl = append(cl, clTok{v, 0})
+				cl = append(cl, clToken{v, 0})
 				i++
 			}
 		default:
 			for ; run > 0; run-- {
-				cl = append(cl, clTok{v, 0})
+				cl = append(cl, clToken{v, 0})
 				i++
 			}
 		}
 	}
 
+	c.seq, c.cl = seq, cl
 	clFreq := make([]int, 19)
 	for _, t := range cl {
 		clFreq[t.sym]++
 	}
 	clLen := buildCodeLengths(clFreq, 7)
-	clCodes := canonicalCodes(clLen)
+	clCodes := bitReversed(canonicalCodes(clLen), clLen)
 	hclen := 19
 	for hclen > 4 && clLen[clOrder[hclen-1]] == 0 {
 		hclen--
@@ -313,7 +376,7 @@ func writeBlock(bw *bitWriter, tokens []token, final bool) {
 		bw.writeBits(uint32(clLen[clOrder[i]]), 3)
 	}
 	for _, t := range cl {
-		bw.writeCode(clCodes[t.sym], uint(clLen[t.sym]))
+		bw.writeBits(clCodes[t.sym], uint(clLen[t.sym]))
 		switch t.sym {
 		case 16:
 			bw.writeBits(t.extra, 2)
@@ -329,19 +392,19 @@ func writeBlock(bw *bitWriter, tokens []token, final bool) {
 		if t.isMatch() {
 			l, d := t.lenDist()
 			lc := lengthCode(l)
-			bw.writeCode(litCodes[lc], uint(litLen[lc]))
+			bw.writeBits(litCodes[lc], uint(litLen[lc]))
 			if eb := lengthExtra[lc-257]; eb > 0 {
 				bw.writeBits(uint32(l-lengthBase[lc-257]), eb)
 			}
 			dc := distCode(d)
-			bw.writeCode(distCodes[dc], uint(distLen[dc]))
+			bw.writeBits(distCodes[dc], uint(distLen[dc]))
 			if eb := distExtra[dc]; eb > 0 {
 				bw.writeBits(uint32(d-distBase[dc]), eb)
 			}
 		} else {
 			b := t.lit()
-			bw.writeCode(litCodes[b], uint(litLen[b]))
+			bw.writeBits(litCodes[b], uint(litLen[b]))
 		}
 	}
-	bw.writeCode(litCodes[256], uint(litLen[256]))
+	bw.writeBits(litCodes[256], uint(litLen[256]))
 }

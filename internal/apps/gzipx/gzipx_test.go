@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"compstor/internal/textgen"
 )
 
 // corpus builds assorted test payloads.
@@ -236,24 +238,42 @@ func TestReverseBits(t *testing.T) {
 	}
 }
 
-func BenchmarkCompressText(b *testing.B) {
-	data := []byte(strings.Repeat("the quick brown fox jumps over the lazy dog. ", 5000))
-	b.SetBytes(int64(len(data)))
-	for i := 0; i < b.N; i++ {
-		if _, err := Compress(data); err != nil {
-			b.Fatal(err)
-		}
+// The benchmarks run on generated book text at the size of one served file,
+// where per-call fixed cost shows, and at 1 MiB. A repeated sentence would
+// compress to a handful of long matches and flatter the encoder tenfold.
+var benchSizes = []struct {
+	name string
+	size int
+}{{"28KiB", 28 << 10}, {"1MiB", 1 << 20}}
+
+func BenchmarkCompress(b *testing.B) {
+	for _, sz := range benchSizes {
+		data := textgen.Book(2018, sz.size)
+		b.Run(sz.name, func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Compress(data); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
-func BenchmarkDecompressText(b *testing.B) {
-	data := []byte(strings.Repeat("the quick brown fox jumps over the lazy dog. ", 5000))
-	out, _ := Compress(data)
-	b.SetBytes(int64(len(data)))
-	for i := 0; i < b.N; i++ {
-		if _, err := Decompress(out); err != nil {
-			b.Fatal(err)
-		}
+func BenchmarkDecompress(b *testing.B) {
+	for _, sz := range benchSizes {
+		data := textgen.Book(2018, sz.size)
+		out, _ := Compress(data)
+		b.Run(sz.name, func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Decompress(out); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -1,74 +1,80 @@
 package gzipx
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // buildCodeLengths computes optimal length-limited Huffman code lengths for
 // the given symbol frequencies using the package-merge algorithm. Symbols
 // with zero frequency get length 0. maxBits must satisfy
 // 2^maxBits >= number of used symbols.
+//
+// Each of the maxBits levels is the list of single symbols, sorted once by
+// (frequency, index), merged with the pairwise sums ("packages") of the
+// level before; a single symbol goes ahead of a package of equal weight.
+// Only the weights of one level and, per level, which positions hold
+// packages are kept. A symbol's length is the number of levels in which it
+// is among the items selected: the first 2n-2 of the last level, and below
+// that the items the selected packages were built from.
 func buildCodeLengths(freq []int, maxBits int) []int {
 	lengths := make([]int, len(freq))
-	type sym struct {
-		idx int
-		f   int
-	}
-	var used []sym
+	order := make([]int, 0, len(freq)) // used symbols by (frequency, index)
 	for i, f := range freq {
 		if f > 0 {
-			used = append(used, sym{i, f})
+			order = append(order, i)
 		}
 	}
-	switch len(used) {
+	n := len(order)
+	switch n {
 	case 0:
 		return lengths
 	case 1:
-		lengths[used[0].idx] = 1
+		lengths[order[0]] = 1
 		return lengths
 	}
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(freq[a], freq[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
 
-	// Package-merge: coins[level] is a list of (weight, symbol set) items;
-	// we approximate symbol sets by counting how many times each original
-	// symbol appears in chosen packages.
-	type item struct {
-		w    int
-		syms []int // indices into used
+	// A level holds fewer than 2n items: n symbols and half the level before.
+	weights := make([]int, 4*n)
+	prev, cur := weights[:n:2*n], weights[2*n:2*n]
+	for i, s := range order {
+		prev[i] = freq[s]
 	}
-	level := make([]item, len(used))
-	for i, s := range used {
-		level[i] = item{w: s.f, syms: []int{i}}
-	}
-	sortItems := func(xs []item) {
-		sort.SliceStable(xs, func(a, b int) bool { return xs[a].w < xs[b].w })
-	}
-	sortItems(level)
-	prev := append([]item(nil), level...)
-	for bit := 1; bit < maxBits; bit++ {
-		// Package pairs from prev, merge with fresh singletons.
-		var pkgs []item
-		for i := 0; i+1 < len(prev); i += 2 {
-			merged := item{w: prev[i].w + prev[i+1].w}
-			merged.syms = append(append([]int(nil), prev[i].syms...), prev[i+1].syms...)
-			pkgs = append(pkgs, merged)
+	isPkg := make([]bool, 2*n*maxBits) // level l at [2n*l:]; level 0 has none
+	for l := 1; l < maxBits; l++ {
+		flags := isPkg[2*n*l:]
+		cur = cur[:0]
+		for si, pi := 0, 0; si < n || pi+1 < len(prev); {
+			if pi+1 >= len(prev) || (si < n && freq[order[si]] <= prev[pi]+prev[pi+1]) {
+				cur = append(cur, freq[order[si]])
+				si++
+			} else {
+				flags[len(cur)] = true
+				cur = append(cur, prev[pi]+prev[pi+1])
+				pi += 2
+			}
 		}
-		next := make([]item, 0, len(used)+len(pkgs))
-		for i, s := range used {
-			next = append(next, item{w: s.f, syms: []int{i}})
-		}
-		next = append(next, pkgs...)
-		sortItems(next)
-		prev = next
+		prev, cur = cur, prev
 	}
-	// Take the first 2n-2 items; each appearance of a symbol adds one to
-	// its code length.
-	take := 2*len(used) - 2
-	counts := make([]int, len(used))
-	for i := 0; i < take && i < len(prev); i++ {
-		for _, s := range prev[i].syms {
-			counts[s]++
+
+	take := min(2*n-2, len(prev))
+	for l := maxBits - 1; l >= 0; l-- {
+		pkgs := 0
+		for _, p := range isPkg[2*n*l : 2*n*l+take] {
+			if p {
+				pkgs++
+			}
 		}
-	}
-	for i, s := range used {
-		lengths[s.idx] = counts[i]
+		for _, s := range order[:take-pkgs] {
+			lengths[s]++
+		}
+		take = 2 * pkgs
 	}
 	return lengths
 }
