@@ -2,23 +2,29 @@ package bzip2x
 
 import (
 	"bytes"
+	"io"
 	"testing"
 	"testing/quick"
 )
 
 func TestMSBWriterKnownBits(t *testing.T) {
-	var buf bytes.Buffer
-	w := newMSBWriter(&buf)
+	var w bitWriter
 	w.writeBits(0b101, 3)
 	w.writeBits(0b01, 2)
 	w.writeBits(0b110, 3) // exactly one byte: 10101110
-	if got := buf.Bytes(); len(got) != 1 || got[0] != 0b10101110 {
-		t.Fatalf("bytes = %08b", got)
-	}
 	w.writeBits(1, 1)
 	w.flush() // padded with zeros: 10000000
-	if got := buf.Bytes(); len(got) != 2 || got[1] != 0b10000000 {
-		t.Fatalf("flush = %08b", got)
+	if !bytes.Equal(w.out, []byte{0b10101110, 0b10000000}) {
+		t.Fatalf("bytes = %08b", w.out)
+	}
+	// Whole words leave as they fill; flush hands over the rest.
+	w = bitWriter{}
+	w.writeBits(0xABCDE, 20)
+	w.writeBits(0x12345678, 32)
+	w.writeBits(0xF, 4)
+	w.flush()
+	if want := []byte{0xAB, 0xCD, 0xE1, 0x23, 0x45, 0x67, 0x8F}; !bytes.Equal(w.out, want) {
+		t.Fatalf("bytes = %x, want %x", w.out, want)
 	}
 }
 
@@ -31,21 +37,20 @@ func TestMSBRoundTripProperty(t *testing.T) {
 		if n == 0 {
 			return true
 		}
-		var buf bytes.Buffer
-		w := newMSBWriter(&buf)
+		var w bitWriter
 		type field struct {
 			v     uint64
 			width uint
 		}
 		var fields []field
 		for i := 0; i < n; i++ {
-			width := uint(widths[i]%16) + 1
-			v := uint64(vals[i]) & (1<<width - 1)
+			width := uint(widths[i]%32) + 1
+			v := uint64(vals[i]) * 0x10001 & (1<<width - 1)
 			fields = append(fields, field{v, width})
 			w.writeBits(v, width)
 		}
 		w.flush()
-		r := newMSBReader(bytes.NewReader(buf.Bytes()))
+		r := bitReader{src: w.out}
 		for _, fl := range fields {
 			got, err := r.readBits(fl.width)
 			if err != nil || got != fl.v {
@@ -60,12 +65,36 @@ func TestMSBRoundTripProperty(t *testing.T) {
 }
 
 func TestMSBReaderEOF(t *testing.T) {
-	r := newMSBReader(bytes.NewReader([]byte{0xFF}))
+	r := bitReader{src: []byte{0xFF}}
 	if _, err := r.readBits(8); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.readBits(1); err == nil {
-		t.Fatal("read past EOF succeeded")
+	if _, err := r.readBits(1); err != io.ErrUnexpectedEOF {
+		t.Fatalf("read past EOF: %v", err)
+	}
+}
+
+func TestMSBReaderAlign(t *testing.T) {
+	// Every length around the 8-byte loads of refill, aligning after three
+	// bits of each byte.
+	for n := 1; n <= 20; n++ {
+		src := make([]byte, n)
+		for i := range src {
+			src[i] = byte(0xA0 + i)
+		}
+		r := bitReader{src: src}
+		for i := range src {
+			if !r.more() {
+				t.Fatalf("len %d: no more at byte %d", n, i)
+			}
+			if v, err := r.readBits(3); err != nil || v != 0b101 {
+				t.Fatalf("len %d byte %d: top bits %03b, %v", n, i, v, err)
+			}
+			r.alignByte()
+		}
+		if r.more() {
+			t.Fatalf("len %d: more after the last byte", n)
+		}
 	}
 }
 

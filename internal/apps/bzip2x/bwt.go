@@ -1,124 +1,194 @@
 package bzip2x
 
-// bwt computes the Burrows-Wheeler transform of block: the last column of
-// the sorted cyclic-rotation matrix, plus the row index of the original
-// string. Rotations are sorted by Manber-Myers prefix doubling with
-// counting-sort passes — O(n log n) and independent of input pathology,
-// which matters because bzip2's classic pointer sort is quadratic on
-// repetitive inputs.
-func bwt(block []byte) (last []byte, origPtr int) {
+import (
+	"encoding/binary"
+	"math/bits"
+	"slices"
+)
+
+const (
+	// seedBytes is how many leading bytes the radix sort orders rotations
+	// by before prefix doubling takes over: what one load compares. A pass
+	// over everything costs less than refining the groups it splits.
+	seedBytes = 8
+	// A tied group is sorted as words of (key, rotation index), key above
+	// index, so that ordering the words orders the rotations by key and
+	// equal keys by ascending index, with any sorting method. A key is a
+	// group number; twenty bits hold either in the largest block (900 000
+	// bytes).
+	idxBits = 20
+	idxMask = 1<<idxBits - 1
+)
+
+// bwt computes the Burrows-Wheeler transform of block into c.last: the last
+// column of the sorted cyclic-rotation matrix; it returns the row of the
+// original string. Identical rotations (a block that is a power of a shorter
+// word) are ordered by ascending start index.
+//
+// An LSD radix sort orders the rotations by their first seedBytes bytes and
+// cuts them into groups with equal keys. Each group still tied is then
+// refined by prefix doubling as Larsson and Sadakane do it: with every
+// group equal on its first h bytes, the group of the rotation h further on
+// is a key for the next h bytes. Only tied groups are visited, a group is
+// sorted in time linear in its size (a constant factor more below the radix
+// threshold) and h doubles, so the whole is O(n log n) whatever the input —
+// where bzip2's classic pointer sort is quadratic on repetitive blocks —
+// while text, shallow as it is, leaves little after the first rounds.
+func (c *compressor) bwt(block []byte) (origPtr int) {
 	n := len(block)
+	c.last = sized(c.last, n)
 	if n == 0 {
-		return nil, 0
+		return 0
 	}
-	sa := make([]int, n)
-	rank := make([]int, n)
-	tmp := make([]int, n)
-	bound := n + 1
-	if bound < 257 {
-		bound = 257
-	}
-	cnt := make([]int, bound)
+	c.words = sized(c.words, n)
+	c.alt = sized(c.alt, n)
+	c.sa = sized(c.sa, n)
+	c.sa2 = sized(c.sa2, n)
+	c.group = sized(c.group, n)
 
-	// radixPass stably sorts sa by key values in [0, width).
-	radixPass := func(key []int, width int) {
-		for i := 0; i < width; i++ {
-			cnt[i] = 0
+	c.seedSort(block)
+	h := seedBytes
+	for ; len(c.tied) > 0 && h < n; h *= 2 {
+		next := c.spare[:0]
+		for i := 0; i < len(c.tied); i += 2 {
+			next = c.refine(int(c.tied[i]), int(c.tied[i+1]), h, next)
 		}
-		for _, s := range sa {
-			cnt[key[s]]++
-		}
-		sum := 0
-		for i := 0; i < width; i++ {
-			c := cnt[i]
-			cnt[i] = sum
-			sum += c
-		}
-		for _, s := range sa {
-			tmp[cnt[key[s]]] = s
-			cnt[key[s]]++
-		}
-		copy(sa, tmp)
+		c.tied, c.spare = next, c.tied
 	}
 
-	for i := 0; i < n; i++ {
-		sa[i] = i
-		rank[i] = int(block[i])
-	}
-	radixPass(rank, 257)
-
-	// Re-rank after the first character sort.
-	newRank := make([]int, n)
-	reRank := func(k int) int {
-		newRank[sa[0]] = 0
-		maxR := 0
-		for i := 1; i < n; i++ {
-			a, b := sa[i-1], sa[i]
-			same := rank[a] == rank[b]
-			if same && k > 0 {
-				same = rank[(a+k)%n] == rank[(b+k)%n]
-			}
-			if same {
-				newRank[b] = newRank[a]
-			} else {
-				maxR++
-				newRank[b] = maxR
-			}
-		}
-		copy(rank, newRank)
-		return maxR
-	}
-	maxR := reRank(0)
-
-	secondKey := make([]int, n)
-	for k := 1; maxR < n-1 && k <= n; k <<= 1 {
-		for i := 0; i < n; i++ {
-			secondKey[i] = rank[(i+k)%n]
-		}
-		radixPass(secondKey, maxR+2)
-		radixPass(rank, maxR+2)
-		maxR = reRank(k)
-	}
-
-	last = make([]byte, n)
-	for i, s := range sa {
-		last[i] = block[(s+n-1)%n]
+	for i, s := range c.sa {
 		if s == 0 {
 			origPtr = i
+			s = int32(n)
 		}
+		c.last[i] = block[s-1]
 	}
-	return last, origPtr
+	return origPtr
 }
 
-// inverseBWT reconstructs the original block from the last column and the
-// original row pointer, using the standard T-vector walk.
-func inverseBWT(last []byte, origPtr int) []byte {
-	n := len(last)
-	if n == 0 {
-		return nil
+// seedSort fills c.sa with the rotations ordered by (first seedBytes bytes,
+// index), c.group with the position in c.sa at which each rotation's group
+// starts, and c.tied with the [lo, hi) bounds of the groups of two or more.
+func (c *compressor) seedSort(block []byte) {
+	n := len(block)
+	// The block runs on into its own start, so that every rotation's first
+	// seedBytes bytes lie in a row.
+	ext := append(c.ext[:0], block...)
+	for j := 0; j < seedBytes; j++ {
+		ext = append(ext, ext[j])
 	}
-	var counts [256]int
-	for _, b := range last {
-		counts[b]++
+	c.ext = ext
+	// Each byte of the block is the d-th of exactly one rotation: one
+	// histogram serves every pass of the LSD radix sort.
+	var first [256]int32
+	for _, b := range block {
+		first[b]++
 	}
-	var base [256]int
-	sum := 0
-	for v := 0; v < 256; v++ {
-		base[v] = sum
-		sum += counts[v]
+	sum := int32(0)
+	for v, k := range first {
+		first[v] = sum
+		sum += k
 	}
-	// next[i]: index in `last` of the row that follows row i's rotation.
-	next := make([]int, n)
-	var seen [256]int
-	for i, b := range last {
-		next[base[b]+seen[b]] = i
-		seen[b]++
+	from, to := c.sa, c.sa2
+	for i := range from {
+		from[i] = int32(i)
 	}
-	out := make([]byte, n)
-	p := next[origPtr]
-	for i := 0; i < n; i++ {
-		out[i] = last[p]
-		p = next[p]
+	for d := seedBytes - 1; d >= 0; d-- {
+		next := first
+		for _, s := range from {
+			b := ext[int(s)+d]
+			to[next[b]] = s
+			next[b]++
+		}
+		from, to = to, from
 	}
-	return out
+	c.sa, c.sa2 = from, to
+
+	seed := func(s int32) uint64 { return binary.BigEndian.Uint64(ext[s:]) }
+	c.tied = c.tied[:0]
+	lo, key := 0, seed(c.sa[0])
+	for i, s := range c.sa {
+		if k := seed(s); k != key {
+			if i-lo > 1 {
+				c.tied = append(c.tied, int32(lo), int32(i))
+			}
+			lo, key = i, k
+		}
+		c.group[s] = int32(lo)
+	}
+	if n-lo > 1 {
+		c.tied = append(c.tied, int32(lo), int32(n))
+	}
+}
+
+// refine sorts the group c.sa[lo:hi], whose rotations agree on their first
+// h bytes, by the group of the rotation h further on, renumbers the groups
+// it falls into and appends those of two or more to tied. A group's number
+// is where it starts in c.sa, so numbers given earlier stay in order with
+// the new ones, and other groups may read them as soon as they are written.
+func (c *compressor) refine(lo, hi, h int, tied []int32) []int32 {
+	sa, group := c.sa[lo:hi], c.group
+	n := int32(len(group))
+	words := c.words[:len(sa)]
+	var differ uint64
+	for j, s := range sa {
+		t := s + int32(h)
+		if t >= n {
+			t -= n
+		}
+		words[j] = uint64(group[t])<<idxBits | uint64(s)
+		differ |= words[j] ^ words[0]
+	}
+	if differ>>idxBits == 0 {
+		return append(tied, int32(lo), int32(hi))
+	}
+	// The group is in index order, so a stable radix sort need only look at
+	// the key bits: two digits of half the bits a group number can take.
+	if digit := uint(bits.Len32(uint32(n-1))+1) / 2; len(sa) >= 1<<digit {
+		radixSort2(words, c.alt[:len(sa)], idxBits, digit)
+	} else {
+		slices.Sort(words)
+	}
+	start := lo
+	for j, w := range words {
+		if w>>idxBits != words[start-lo]>>idxBits {
+			if lo+j-start > 1 {
+				tied = append(tied, int32(start), int32(lo+j))
+			}
+			start = lo + j
+		}
+		s := int32(w & idxMask)
+		sa[j] = s
+		group[s] = int32(start)
+	}
+	if hi-start > 1 {
+		tied = append(tied, int32(start), int32(hi))
+	}
+	return tied
+}
+
+// radixSort2 stably sorts words by the 2*digit bits above shift, digit at
+// most 10, through tmp and back.
+func radixSort2(words, tmp []uint64, shift, digit uint) {
+	var count [2][1 << 10]int32
+	mask := uint64(1)<<digit - 1
+	for _, w := range words {
+		count[0][w>>shift&mask]++
+		count[1][w>>(shift+digit)&mask]++
+	}
+	for d := range count {
+		cnt := count[d][:mask+1]
+		sum := int32(0)
+		for v, k := range cnt {
+			cnt[v] = sum
+			sum += k
+		}
+		for _, w := range words {
+			b := w >> shift & mask
+			tmp[cnt[b]] = w
+			cnt[b]++
+		}
+		words, tmp = tmp, words
+		shift += digit
+	}
 }

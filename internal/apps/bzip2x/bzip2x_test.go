@@ -33,13 +33,20 @@ func corpus() map[string][]byte {
 	}
 }
 
+// bwt runs the rotation sort on fresh scratch.
+func bwt(block []byte) (last []byte, origPtr int) {
+	c := new(compressor)
+	origPtr = c.bwt(block)
+	return c.last, origPtr
+}
+
 func TestBWTRoundTrip(t *testing.T) {
 	for name, data := range corpus() {
 		if len(data) > 5000 {
 			data = data[:5000]
 		}
 		last, ptr := bwt(data)
-		got := inverseBWT(last, ptr)
+		got := refInverseBWT(last, ptr)
 		if !bytes.Equal(got, data) {
 			t.Fatalf("%s: BWT round trip failed", name)
 		}
@@ -52,18 +59,18 @@ func TestBWTKnownVector(t *testing.T) {
 	if string(last) != "nnbaaa" {
 		t.Fatalf("BWT(banana) last column = %q, want nnbaaa", last)
 	}
-	if got := inverseBWT(last, ptr); string(got) != "banana" {
+	if got := refInverseBWT(last, ptr); string(got) != "banana" {
 		t.Fatalf("inverse = %q", got)
 	}
 }
 
 func TestRLE1RoundTrip(t *testing.T) {
 	for name, data := range corpus() {
-		enc, consumed := rle1Encode(data, 1<<30)
+		enc, consumed := rle1Encode(nil, data, 1<<30)
 		if consumed != len(data) {
 			t.Fatalf("%s: consumed %d of %d", name, consumed, len(data))
 		}
-		dec, err := rle1Decode(enc)
+		dec, err := refRLE1Decode(enc)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -191,7 +198,7 @@ func TestBWTProperty(t *testing.T) {
 			data = data[:2000]
 		}
 		last, ptr := bwt(data)
-		return bytes.Equal(inverseBWT(last, ptr), data)
+		return bytes.Equal(refInverseBWT(last, ptr), data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
@@ -199,20 +206,34 @@ func TestBWTProperty(t *testing.T) {
 }
 
 // The benchmarks run on generated book text at the size of one served file
-// and at 1 MiB (just over one 900k block).
+// and at 1 MiB (eleven 100 kB blocks).
 var benchSizes = []struct {
 	name string
 	size int
 }{{"28KiB", 28 << 10}, {"1MiB", 1 << 20}}
 
 func BenchmarkCompress(b *testing.B) {
+	inputs := []struct {
+		name string
+		data []byte
+	}{
+		// One block each of the inputs a rotation sort can go quadratic on;
+		// they must stay within an order of magnitude of text per byte.
+		{"periodic100k", periodic("thirteen chars", 99_990)},
+		{"fibonacci100k", fibonacciWord(99_990)},
+	}
 	for _, sz := range benchSizes {
-		data := textgen.Book(2018, sz.size)
-		b.Run(sz.name, func(b *testing.B) {
-			b.SetBytes(int64(len(data)))
+		inputs = append(inputs, struct {
+			name string
+			data []byte
+		}{sz.name, textgen.Book(2018, sz.size)})
+	}
+	for _, in := range inputs {
+		b.Run(in.name, func(b *testing.B) {
+			b.SetBytes(int64(len(in.data)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				Compress(data, Options{})
+				Compress(in.data, Options{})
 			}
 		})
 	}

@@ -1,11 +1,11 @@
 package bzip2x
 
 import (
-	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"sync"
 )
 
 // corruptError reports a malformed bzip2 stream.
@@ -18,353 +18,397 @@ func errCorrupt(msg string) error { return corruptError(msg) }
 // ErrCRC is wrapped by CRC-mismatch errors.
 var ErrCRC = errors.New("bzip2x: CRC mismatch")
 
-// Decompress parses a complete .bz2 stream and returns the original data,
-// verifying block and stream CRCs.
-func Decompress(src []byte) ([]byte, error) {
-	return DecompressReader(bytes.NewReader(src))
+const (
+	maxTables     = 6
+	formatCodeLen = 20 // the format's longest code
+	maxAlpha      = 258
+	blockSlack    = 10 // bytes a block may run over its level's size
+)
+
+// decoder is the scratch of one Decompress call, recycled through decoders.
+type decoder struct {
+	br        bitReader
+	tt        []uint32 // the block's BWT column, one byte per entry, then the T-vector above it
+	selectors []byte
+	tables    [maxTables]huffTable
 }
 
-// DecompressReader decompresses one or more concatenated .bz2 streams from
-// r (as real bunzip2 does).
-func DecompressReader(r io.Reader) ([]byte, error) {
-	br, ok := r.(io.ByteReader)
-	if !ok {
-		br = bufio.NewReaderSize(r, 64*1024)
-	}
-	bits := newMSBReader(br)
-	var out bytes.Buffer
+var decoders = sync.Pool{New: func() any { return new(decoder) }}
+
+// Decompress parses one or more concatenated .bz2 streams (as real bunzip2
+// does) and returns the original data, verifying block and stream CRCs.
+func Decompress(src []byte) ([]byte, error) {
+	d := decoders.Get().(*decoder)
+	out, err := d.decompress(src)
+	d.br.src = nil
+	decoders.Put(d)
+	return out, err
+}
+
+func (d *decoder) decompress(src []byte) ([]byte, error) {
+	d.br = bitReader{src: src}
+	out := make([]byte, 0, 4*len(src)) // book text packs to under a third
 	for stream := 0; ; stream++ {
 		if stream > 0 {
-			bits.alignByte()
-			if !bits.more() {
-				return out.Bytes(), nil
+			d.br.alignByte()
+			if !d.br.more() {
+				return out, nil
 			}
 		}
-		if err := decodeStream(bits, &out); err != nil {
+		var err error
+		if out, err = d.decodeStream(out); err != nil {
 			return nil, err
 		}
 	}
 }
 
 // decodeStream parses a whole "BZh" stream, appending to out.
-func decodeStream(bits *msbReader, out *bytes.Buffer) error {
-	hdr, err := bits.readBits(32)
+func (d *decoder) decodeStream(out []byte) ([]byte, error) {
+	hdr, err := d.br.readBits(32)
 	if err != nil {
-		return errCorrupt("short header")
+		return nil, errCorrupt("short header")
 	}
 	if hdr>>8 != 0x425A68 { // "BZh"
-		return errCorrupt("bad magic")
+		return nil, errCorrupt("bad magic")
 	}
 	level := int(hdr&0xFF) - '0'
 	if level < 1 || level > 9 {
-		return errCorrupt("bad level digit")
+		return nil, errCorrupt("bad level digit")
 	}
+	limit := level*100_000 + blockSlack
+	d.tt = sized(d.tt, limit)
 	var streamCRC uint32
 	for {
-		magic, err := bits.readBits(48)
+		magic, err := d.br.readBits(48)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		switch magic {
 		case blockMagicHi<<24 | blockMagicLo:
-			crc, err := readBlock(bits, out, level)
-			if err != nil {
-				return err
+			var crc uint32
+			if out, crc, err = d.readBlock(out); err != nil {
+				return nil, err
 			}
 			streamCRC = combineCRC(streamCRC, crc)
 		case eosMagicHi<<24 | eosMagicLo:
-			want, err := bits.readBits(32)
+			want, err := d.br.readBits(32)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if uint32(want) != streamCRC {
-				return fmt.Errorf("%w: stream CRC %08x != %08x", ErrCRC, streamCRC, want)
+				return nil, fmt.Errorf("%w: stream CRC %08x != %08x", ErrCRC, streamCRC, want)
 			}
-			return nil
+			return out, nil
 		default:
-			return errCorrupt("bad block magic")
+			return nil, errCorrupt("bad block magic")
 		}
 	}
 }
 
-// huffTable is a canonical Huffman decoder over the block alphabet.
+// fastBits is the width of a huffTable's direct lookup.
+const fastBits = 10
+
+// huffTable decodes one canonical prefix code over the block alphabet from
+// the next formatCodeLen bits of the stream.
 type huffTable struct {
-	count []int
-	sym   []int
+	// fast is indexed by the next fastBits bits: symbol<<5 | length when
+	// they begin with a code that short, 0 otherwise.
+	fast [1 << fastBits]uint16
+	// For longer codes: limit[l] is the least formatCodeLen-bit value above
+	// every code of at most l bits, and the code of l bits with value c
+	// stands for perm[offset[l]+c].
+	limit  [formatCodeLen + 1]uint32
+	offset [formatCodeLen + 1]int32
+	perm   [maxAlpha]uint16
 }
 
-func newHuffTable(lengths []int) (*huffTable, error) {
-	maxLen := 0
+// init builds the table from one code length per symbol, each 1..formatCodeLen.
+// Codes are assigned in order of length, then symbol, from zero up, as the
+// reference decoder does. A set that leaves codes unassigned is accepted, as
+// compress/bzip2 accepts it; reading an unassigned code is an error. A set
+// that claims more codes than exist is not a prefix code and is rejected.
+func (t *huffTable) init(lengths []uint8) error {
+	var count [formatCodeLen + 2]int32
 	for _, l := range lengths {
-		if l < 1 || l > 23 {
-			return nil, errCorrupt("code length out of range")
-		}
-		if l > maxLen {
-			maxLen = l
-		}
+		count[l]++
 	}
-	t := &huffTable{count: make([]int, maxLen+1)}
-	for _, l := range lengths {
-		t.count[l]++
-	}
-	offs := make([]int, maxLen+2)
-	for l := 1; l <= maxLen; l++ {
-		offs[l+1] = offs[l] + t.count[l]
-	}
-	t.sym = make([]int, len(lengths))
-	for i, l := range lengths {
-		t.sym[offs[l]] = i
-		offs[l]++
-	}
-	return t, nil
-}
-
-func (t *huffTable) decode(r *msbReader) (int, error) {
-	var code, first, index int
-	for l := 1; l < len(t.count); l++ {
-		bit, err := r.readBit()
-		if err != nil {
-			return 0, err
+	var next [formatCodeLen + 2]uint32 // the first code of each length, then the next free one
+	code, index := uint32(0), int32(0)
+	for l := 1; l <= formatCodeLen; l++ {
+		next[l] = code
+		t.offset[l] = index - int32(code)
+		code += uint32(count[l])
+		if code > 1<<l {
+			return errCorrupt("over-subscribed code lengths")
 		}
-		code |= bit
-		cnt := t.count[l]
-		if code-first < cnt {
-			return t.sym[index+code-first], nil
-		}
-		index += cnt
-		first = (first + cnt) << 1
+		t.limit[l] = code << (formatCodeLen - l)
+		index += count[l]
 		code <<= 1
 	}
-	return 0, errCorrupt("invalid Huffman code")
+	clear(t.fast[:])
+	for sym, l := range lengths {
+		c := next[l]
+		next[l]++
+		t.perm[t.offset[l]+int32(c)] = uint16(sym)
+		if l <= fastBits {
+			lo := c << (fastBits - l)
+			e := uint16(sym)<<5 | uint16(l)
+			for i := range t.fast[lo : lo+1<<(fastBits-l)] {
+				t.fast[lo+uint32(i)] = e
+			}
+		}
+	}
+	return nil
 }
 
 // readBlock decodes one block and appends its data to out, returning the
 // block CRC from the header after verifying it.
-func readBlock(bits *msbReader, out *bytes.Buffer, level int) (uint32, error) {
-	hdrCRC, err := bits.readBits(32)
+func (d *decoder) readBlock(out []byte) ([]byte, uint32, error) {
+	br := &d.br
+	crc64, err := br.readBits(32)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
-	randomised, err := bits.readBits(1)
+	hdrCRC := uint32(crc64)
+	hdr, err := br.readBits(1 + 24) // the randomised flag and origPtr
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
-	if randomised != 0 {
-		return 0, errCorrupt("randomised blocks are deprecated and unsupported")
+	if hdr>>24 != 0 {
+		return nil, 0, errCorrupt("randomised blocks are deprecated and unsupported")
 	}
-	origPtr64, err := bits.readBits(24)
-	if err != nil {
-		return 0, err
-	}
-	origPtr := int(origPtr64)
+	origPtr := int(hdr & 0xFFFFFF)
 
 	// Symbol map.
-	groups, err := bits.readBits(16)
+	groups, err := br.readBits(16)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
-	var used []byte
+	var mtf [256]byte // byte values, most recently used first
+	nUsed := 0
 	for g := 0; g < 16; g++ {
 		if groups&(1<<(15-g)) == 0 {
 			continue
 		}
-		row, err := bits.readBits(16)
+		row, err := br.readBits(16)
 		if err != nil {
-			return 0, err
+			return nil, 0, err
 		}
 		for b := 0; b < 16; b++ {
 			if row&(1<<(15-b)) != 0 {
-				used = append(used, byte(g*16+b))
+				mtf[nUsed] = byte(g*16 + b)
+				nUsed++
 			}
 		}
 	}
-	if len(used) == 0 {
-		return 0, errCorrupt("empty symbol map")
+	if nUsed == 0 {
+		return nil, 0, errCorrupt("empty symbol map")
 	}
-	alpha := len(used) + 2
+	alpha := nUsed + 2
 	eob := alpha - 1
 
-	nGroups64, err := bits.readBits(3)
+	sizes, err := br.readBits(3 + 15)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
-	nGroups := int(nGroups64)
-	if nGroups < 2 || nGroups > 6 {
-		return 0, errCorrupt("bad group count")
+	nGroups, nSel := int(sizes>>15), int(sizes&0x7FFF)
+	if nGroups < 2 || nGroups > maxTables {
+		return nil, 0, errCorrupt("bad group count")
 	}
-	nSel64, err := bits.readBits(15)
-	if err != nil {
-		return 0, err
-	}
-	nSel := int(nSel64)
 	if nSel < 1 {
-		return 0, errCorrupt("no selectors")
+		return nil, 0, errCorrupt("no selectors")
 	}
 	// Selectors, MTF-decoded.
-	mtfSel := make([]int, nGroups)
-	for i := range mtfSel {
-		mtfSel[i] = i
-	}
-	selectors := make([]int, nSel)
-	for i := 0; i < nSel; i++ {
+	mtfSel := [maxTables]byte{0, 1, 2, 3, 4, 5}
+	d.selectors = sized(d.selectors, nSel)
+	for i := range d.selectors {
 		j := 0
 		for {
-			bit, err := bits.readBit()
+			bit, err := br.readBits(1)
 			if err != nil {
-				return 0, err
+				return nil, 0, err
 			}
 			if bit == 0 {
 				break
 			}
 			j++
 			if j >= nGroups {
-				return 0, errCorrupt("selector out of range")
+				return nil, 0, errCorrupt("selector out of range")
 			}
 		}
 		v := mtfSel[j]
 		copy(mtfSel[1:j+1], mtfSel[:j])
 		mtfSel[0] = v
-		selectors[i] = v
+		d.selectors[i] = v
 	}
 
 	// Code tables.
-	tables := make([]*huffTable, nGroups)
+	var lengths [maxAlpha]uint8
 	for g := 0; g < nGroups; g++ {
-		lengths := make([]int, alpha)
-		cur64, err := bits.readBits(5)
+		cur, err := br.readBits(5)
 		if err != nil {
-			return 0, err
+			return nil, 0, err
 		}
-		cur := int(cur64)
 		for s := 0; s < alpha; s++ {
 			for {
-				if cur < 1 || cur > 23 {
-					return 0, errCorrupt("length delta out of range")
+				if cur < 1 || cur > formatCodeLen {
+					return nil, 0, errCorrupt("code length out of range")
 				}
-				bit, err := bits.readBit()
+				bit, err := br.readBits(1)
 				if err != nil {
-					return 0, err
+					return nil, 0, err
 				}
 				if bit == 0 {
 					break
 				}
-				dir, err := bits.readBit()
+				dir, err := br.readBits(1)
 				if err != nil {
-					return 0, err
+					return nil, 0, err
 				}
-				if dir == 0 {
-					cur++
-				} else {
-					cur--
-				}
+				cur += 1 - 2*dir // unsigned: adds 1 or, wrapping, takes 1 away
 			}
-			lengths[s] = cur
+			lengths[s] = uint8(cur)
 		}
-		tables[g], err = newHuffTable(lengths)
-		if err != nil {
-			return 0, err
+		if err := d.tables[g].init(lengths[:alpha]); err != nil {
+			return nil, 0, err
 		}
 	}
 
 	// Symbol stream: MTF + RUNA/RUNB decode straight into the BWT column.
-	maxBlock := level * 100_000
-	mtf := make([]byte, len(used))
-	copy(mtf, used)
-	var last []byte
-	run, shift := 0, 0
-	flushRun := func() error {
-		if run == 0 {
-			return nil
-		}
-		if len(last)+run > maxBlock+10 {
-			return errCorrupt("run overflows block")
-		}
-		b := mtf[0]
-		for i := 0; i < run; i++ {
-			last = append(last, b)
-		}
-		run, shift = 0, 0
-		return nil
-	}
-	symIdx := 0
+	tt := d.tt
+	var counts [256]int32
+	n := 0
+	run, shift := 0, uint(0)
+	var tbl *huffTable
+	sel, left := 0, 0 // selectors used, symbols left in the current group
 	for {
-		if symIdx/groupSize >= nSel {
-			return 0, errCorrupt("selector stream exhausted")
+		if left == 0 {
+			if sel == nSel {
+				return nil, 0, errCorrupt("selector stream exhausted")
+			}
+			tbl = &d.tables[d.selectors[sel]]
+			sel++
+			left = groupSize
 		}
-		tbl := tables[selectors[symIdx/groupSize]]
-		sym, err := tbl.decode(bits)
-		if err != nil {
-			return 0, err
+		left--
+		if br.n < formatCodeLen {
+			br.refill()
 		}
-		symIdx++
-		switch {
-		case sym == 0: // RUNA
-			run += 1 << shift
+		// Past the end of src the bits read as zero; a code that needs
+		// them is longer than what is left.
+		v := uint32(br.acc >> (64 - formatCodeLen))
+		var sym int
+		var l uint
+		if e := tbl.fast[v>>(formatCodeLen-fastBits)]; e != 0 {
+			sym, l = int(e>>5), uint(e&31)
+		} else {
+			for l = fastBits + 1; l <= formatCodeLen && v >= tbl.limit[l]; l++ {
+			}
+			if l > formatCodeLen {
+				return nil, 0, errCorrupt("invalid Huffman code")
+			}
+			sym = int(tbl.perm[tbl.offset[l]+int32(v>>(formatCodeLen-l))])
+		}
+		if l > br.n {
+			return nil, 0, io.ErrUnexpectedEOF
+		}
+		br.acc <<= l
+		br.n -= l
+
+		if sym <= 1 { // RUNA, RUNB: bijective base-2 digits of a run of mtf[0]
+			run += (sym + 1) << shift
 			shift++
-		case sym == 1: // RUNB
-			run += 2 << shift
-			shift++
-		case sym == eob:
-			if err := flushRun(); err != nil {
-				return 0, err
+			if run > len(tt) {
+				return nil, 0, errCorrupt("run overflows block")
 			}
-			goto done
-		default:
-			if err := flushRun(); err != nil {
-				return 0, err
+			continue
+		}
+		if run > 0 {
+			if n+run > len(tt) {
+				return nil, 0, errCorrupt("run overflows block")
 			}
-			j := sym - 1
-			if j >= len(mtf) {
-				return 0, errCorrupt("MTF index out of range")
+			b := mtf[0]
+			for i := range tt[n : n+run] {
+				tt[n+i] = uint32(b)
 			}
-			b := mtf[j]
+			counts[b] += int32(run)
+			n += run
+			run, shift = 0, 0
+		}
+		if sym == eob {
+			break
+		}
+		j := sym - 1
+		b := mtf[j]
+		if j < 16 { // the usual case, and quicker than a call
+			for ; j > 0; j-- {
+				mtf[j] = mtf[j-1]
+			}
+		} else {
 			copy(mtf[1:j+1], mtf[:j])
-			mtf[0] = b
-			if len(last) >= maxBlock+10 {
-				return 0, errCorrupt("block overflows declared size")
-			}
-			last = append(last, b)
 		}
+		mtf[0] = b
+		if n >= len(tt) {
+			return nil, 0, errCorrupt("block overflows declared size")
+		}
+		tt[n] = uint32(b)
+		counts[b]++
+		n++
 	}
-done:
-	if origPtr >= len(last) {
-		return 0, errCorrupt("origPtr beyond block")
+	if origPtr >= n {
+		return nil, 0, errCorrupt("origPtr beyond block")
 	}
-	rle := inverseBWT(last, origPtr)
-	data, err := rle1Decode(rle)
-	if err != nil {
-		return 0, err
-	}
-	if got := blockCRC(data); got != uint32(hdrCRC) {
-		return 0, fmt.Errorf("%w: block CRC %08x != %08x", ErrCRC, got, uint32(hdrCRC))
-	}
-	out.Write(data)
-	return uint32(hdrCRC), nil
+	out, err = expandBlock(out, tt[:n], &counts, origPtr, hdrCRC)
+	return out, hdrCRC, err
 }
 
-// rle1Decode reverses the initial run-length encoding.
-func rle1Decode(in []byte) ([]byte, error) {
-	out := make([]byte, 0, len(in))
-	i := 0
-	for i < len(in) {
-		b := in[i]
-		run := 1
-		for run < 4 && i+run < len(in) && in[i+run] == b {
-			run++
+// expandBlock inverts the BWT whose last column is the low bytes of tt (and
+// whose byte counts are counts), undoes the initial run-length encoding on
+// the way out, appends the data to out and checks its CRC against want.
+func expandBlock(out []byte, tt []uint32, counts *[256]int32, origPtr int, want uint32) ([]byte, error) {
+	// Turn counts into the row at which each byte value starts in the
+	// first column, then put above each row's byte the row that follows its
+	// rotation: the standard T-vector.
+	sum := int32(0)
+	for v, k := range counts {
+		counts[v] = sum
+		sum += k
+	}
+	for i, e := range tt {
+		b := byte(e)
+		tt[counts[b]] |= uint32(i) << 8
+		counts[b]++
+	}
+	out = slices.Grow(out, len(tt))
+	crc := ^uint32(0)
+	pos := tt[origPtr] >> 8
+	prev, same := -1, 0 // the last byte and how many times in a row it has come
+	for range tt {
+		e := tt[pos]
+		b := byte(e)
+		pos = e >> 8
+		if same == 4 {
+			// After four equal bytes comes a count of further repeats.
+			for k := 0; k < int(b); k++ {
+				out = append(out, byte(prev))
+				crc = crc<<8 ^ crcTable[byte(crc>>24)^byte(prev)]
+			}
+			prev, same = -1, 0
+			continue
 		}
-		if run == 4 {
-			if i+4 >= len(in) {
-				return nil, errCorrupt("truncated RLE1 run")
-			}
-			extra := int(in[i+4])
-			for k := 0; k < 4+extra; k++ {
-				out = append(out, b)
-			}
-			i += 5
+		if int(b) == prev {
+			same++
 		} else {
-			out = append(out, in[i:i+run]...)
-			i += run
+			prev, same = int(b), 1
 		}
+		out = append(out, b)
+		crc = crc<<8 ^ crcTable[byte(crc>>24)^b]
+	}
+	if same == 4 {
+		return nil, errCorrupt("truncated RLE1 run")
+	}
+	if crc = ^crc; crc != want {
+		return nil, fmt.Errorf("%w: block CRC %08x != %08x", ErrCRC, crc, want)
 	}
 	return out, nil
 }

@@ -1,8 +1,10 @@
 package bzip2x
 
 import (
-	"bytes"
-	"sort"
+	"slices"
+	"sync"
+
+	"compstor/internal/apps/huffman"
 )
 
 const (
@@ -33,37 +35,62 @@ func (o Options) blockLimit() int {
 	return l * 100_000
 }
 
+// compressor is the scratch of one Compress call, recycled through
+// compressors so that a stream of small inputs allocates little per call.
+type compressor struct {
+	w    bitWriter
+	rle  []byte   // the block after RLE1
+	last []byte   // its BWT last column
+	syms []uint16 // MTF + RUNA/RUNB symbols
+	freq [258]int // how often each symbol occurs
+
+	// Rotation sort (bwt.go).
+	ext         []byte   // the block and its first seedBytes bytes again
+	sa, sa2     []int32  // rotations in their order so far; sa2 is the seed passes' other side
+	words, alt  []uint64 // a tied group as (key, rotation) words; alt is its radix passes' other side
+	group       []int32  // by rotation: where its group starts in sa
+	tied, spare []int32  // lo, hi pairs of the groups still tied, this round's and the next's
+}
+
+var compressors = sync.Pool{New: func() any { return new(compressor) }}
+
+// sized returns s with length n and unspecified contents, reallocated only
+// when its capacity falls short.
+func sized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
 // Compress produces a complete .bz2 stream containing src.
 func Compress(src []byte, opt Options) []byte {
-	var out bytes.Buffer
-	w := newMSBWriter(&out)
-	level := opt.blockLimit() / 100_000
-	w.writeBits(uint64('B'), 8)
-	w.writeBits(uint64('Z'), 8)
-	w.writeBits(uint64('h'), 8)
-	w.writeBits(uint64('0'+level), 8)
-	var streamCRC uint32
+	c := compressors.Get().(*compressor)
+	defer compressors.Put(c)
+	w := &c.w
+	w.out = w.out[:0]
 	limit := opt.blockLimit()
+	w.writeBits('B'<<16|'Z'<<8|'h', 24)
+	w.writeBits(uint64('0'+limit/100_000), 8)
+	var streamCRC uint32
 	for len(src) > 0 {
 		// RLE1-encode greedily until the block limit.
-		rle, consumed := rle1Encode(src, limit)
+		var consumed int
+		c.rle, consumed = rle1Encode(c.rle, src, limit)
 		crc := blockCRC(src[:consumed])
 		streamCRC = combineCRC(streamCRC, crc)
-		writeBlock(w, rle, crc)
+		c.writeBlock(crc)
 		src = src[consumed:]
 	}
 	w.writeBits(eosMagicHi, 24)
 	w.writeBits(eosMagicLo, 24)
 	w.writeBits(uint64(streamCRC), 32)
 	w.flush()
-	return out.Bytes()
+	return slices.Clone(w.out)
 }
 
 // rle1Encode applies bzip2's initial run-length encoding (runs of 4-259
 // become 4 literals plus a count byte), stopping before the output exceeds
-// limit. It returns the encoded bytes and how much input was consumed.
-func rle1Encode(src []byte, limit int) (out []byte, consumed int) {
-	out = make([]byte, 0, limit)
+// limit. It returns the encoded bytes, written over dst, and how much input
+// was consumed.
+func rle1Encode(dst, src []byte, limit int) (out []byte, consumed int) {
+	// A run of four grows to five bytes, nothing grows more.
+	out = slices.Grow(dst[:0], min(limit, len(src)+len(src)/4+5))
 	i := 0
 	for i < len(src) && len(out)+5 <= limit {
 		b := src[i]
@@ -73,22 +100,20 @@ func rle1Encode(src []byte, limit int) (out []byte, consumed int) {
 		}
 		if run >= 4 {
 			out = append(out, b, b, b, b, byte(run-4))
-			i += run
 		} else {
 			out = append(out, src[i:i+run]...)
-			i += run
 		}
+		i += run
 	}
 	return out, i
 }
 
-// writeBlock emits one compressed block for RLE1 data.
-func writeBlock(w *msbWriter, rle []byte, crc uint32) {
-	last, origPtr := bwt(rle)
-	syms, used := mtfRLE2(last)
-	nUsed := len(used)
-	alpha := nUsed + 2
-	eob := alpha - 1
+// writeBlock emits one compressed block for the RLE1 data in c.rle.
+func (c *compressor) writeBlock(crc uint32) {
+	origPtr := c.bwt(c.rle)
+	used := c.mtfRLE2()
+	alpha := len(used) + 2
+	w := &c.w
 
 	w.writeBits(blockMagicHi, 24)
 	w.writeBits(blockMagicLo, 24)
@@ -113,14 +138,10 @@ func writeBlock(w *msbWriter, rle []byte, crc uint32) {
 	// Huffman coding: two identical tables (the format minimum), selector 0
 	// everywhere. This sacrifices a little ratio for simplicity; the
 	// bitstream stays fully conformant.
-	freq := make([]int, alpha)
-	for _, s := range syms {
-		freq[s]++
-	}
-	lengths := buildCodeLengths(freq, maxCodeLen)
-	codes := canonicalCodes(lengths)
+	lengths := codeLengths(c.freq[:alpha])
+	codes := huffman.CanonicalCodes(lengths)
 	nGroups := 2
-	nSel := (len(syms) + groupSize - 1) / groupSize
+	nSel := (len(c.syms) + groupSize - 1) / groupSize
 	w.writeBits(uint64(nGroups), 3)
 	w.writeBits(uint64(nSel), 15)
 	for i := 0; i < nSel; i++ {
@@ -141,148 +162,71 @@ func writeBlock(w *msbWriter, rle []byte, crc uint32) {
 			w.writeBits(0, 1)
 		}
 	}
-	for _, s := range syms {
+	for _, s := range c.syms {
 		w.writeBits(uint64(codes[s]), uint(lengths[s]))
 	}
-	_ = eob
 }
 
-// mtfRLE2 converts the BWT last column into the MTF + RUNA/RUNB symbol
-// stream, terminated by the EOB symbol. It returns the symbols and the
-// sorted list of byte values in use.
-func mtfRLE2(last []byte) (syms []uint16, used []byte) {
+// codeLengths gives every symbol of the block alphabet a code length, as
+// bzip2 tables must: a symbol weighs one more than its count, so that the
+// unused ones (RUNA or RUNB, at most) still get a code, a long one.
+func codeLengths(freq []int) []int {
+	weights := make([]int, len(freq))
+	for i, f := range freq {
+		weights[i] = f + 1
+	}
+	return huffman.CodeLengths(weights, maxCodeLen)
+}
+
+// mtfRLE2 converts the BWT last column c.last into the MTF + RUNA/RUNB
+// symbol stream c.syms, terminated by the EOB symbol, counts the symbols in
+// c.freq and returns the byte values in use, ascending.
+func (c *compressor) mtfRLE2() (used []byte) {
 	var present [256]bool
-	for _, b := range last {
+	for _, b := range c.last {
 		present[b] = true
 	}
-	for v := 0; v < 256; v++ {
-		if present[v] {
-			used = append(used, byte(v))
+	// mtf lists the byte values from most to least recently seen; a value's
+	// symbol is its position plus one.
+	var mtf [256]byte
+	n := 0
+	for v, p := range present {
+		if p {
+			mtf[n] = byte(v)
+			n++
 		}
 	}
-	idxOf := make([]int, 256)
-	for i, b := range used {
-		idxOf[b] = i
-	}
-	mtf := make([]int, len(used))
-	for i := range mtf {
-		mtf[i] = i
-	}
-	eob := uint16(len(used) + 1)
+	used = slices.Clone(mtf[:n])
+	freq := &c.freq
+	clear(freq[:])
+	syms := slices.Grow(c.syms[:0], len(c.last)+1)
 	run := 0
 	flushRun := func() {
 		// Bijective base-2 with digits RUNA(=1) and RUNB(=2).
-		for run > 0 {
-			if run&1 == 1 {
-				syms = append(syms, 0) // RUNA
-				run = (run - 1) / 2
-			} else {
-				syms = append(syms, 1) // RUNB
-				run = (run - 2) / 2
-			}
+		for ; run > 0; run = (run - 1) / 2 {
+			d := uint16(1 - run&1) // RUNA is symbol 0, RUNB symbol 1
+			syms = append(syms, d)
+			freq[d]++
 		}
 	}
-	for _, b := range last {
-		want := idxOf[b]
-		pos := 0
-		for mtf[pos] != want {
-			pos++
-		}
-		if pos == 0 {
+	for _, b := range c.last {
+		if mtf[0] == b {
 			run++
 			continue
 		}
 		flushRun()
-		copy(mtf[1:pos+1], mtf[:pos])
-		mtf[0] = want
+		// Shift the values ahead of b back by one while looking for it.
+		pos, carry := 1, mtf[0]
+		for ; mtf[pos] != b; pos++ {
+			mtf[pos], carry = carry, mtf[pos]
+		}
+		mtf[pos] = carry
+		mtf[0] = b
 		syms = append(syms, uint16(pos+1))
+		freq[pos+1]++
 	}
 	flushRun()
-	syms = append(syms, eob)
-	return syms, used
-}
-
-// buildCodeLengths computes length-limited Huffman code lengths via
-// package-merge. Every symbol is assigned a non-zero length (bzip2 tables
-// must cover the whole block alphabet; zero-frequency symbols get the
-// maximum length).
-func buildCodeLengths(freq []int, maxBits int) []int {
-	adj := make([]int, len(freq))
-	for i, f := range freq {
-		if f == 0 {
-			adj[i] = 1 // present with minimal weight
-		} else {
-			adj[i] = f + 1
-		}
-	}
-	type item struct {
-		w    int
-		syms []int
-	}
-	level := make([]item, len(adj))
-	for i, f := range adj {
-		level[i] = item{w: f, syms: []int{i}}
-	}
-	sortItems := func(xs []item) {
-		sort.SliceStable(xs, func(a, b int) bool { return xs[a].w < xs[b].w })
-	}
-	sortItems(level)
-	prev := append([]item(nil), level...)
-	for bit := 1; bit < maxBits; bit++ {
-		var pkgs []item
-		for i := 0; i+1 < len(prev); i += 2 {
-			m := item{w: prev[i].w + prev[i+1].w}
-			m.syms = append(append([]int(nil), prev[i].syms...), prev[i+1].syms...)
-			pkgs = append(pkgs, m)
-		}
-		next := make([]item, 0, len(adj)+len(pkgs))
-		for i, f := range adj {
-			next = append(next, item{w: f, syms: []int{i}})
-		}
-		next = append(next, pkgs...)
-		sortItems(next)
-		prev = next
-	}
-	take := 2*len(adj) - 2
-	lengths := make([]int, len(freq))
-	for i := 0; i < take && i < len(prev); i++ {
-		for _, s := range prev[i].syms {
-			lengths[s]++
-		}
-	}
-	if len(adj) == 1 {
-		lengths[0] = 1
-	}
-	return lengths
-}
-
-// canonicalCodes assigns canonical codes from lengths (MSB-first natural
-// order, as bzip2 stores them).
-func canonicalCodes(lengths []int) []uint64 {
-	maxLen := 0
-	for _, l := range lengths {
-		if l > maxLen {
-			maxLen = l
-		}
-	}
-	blCount := make([]int, maxLen+1)
-	for _, l := range lengths {
-		if l > 0 {
-			blCount[l]++
-		}
-	}
-	nextCode := make([]uint64, maxLen+2)
-	var code uint64
-	for bits := 1; bits <= maxLen; bits++ {
-		code = (code + uint64(blCount[bits-1])) << 1
-		nextCode[bits] = code
-	}
-	codes := make([]uint64, len(lengths))
-	for i, l := range lengths {
-		if l > 0 {
-			codes[i] = nextCode[l]
-			nextCode[l]++
-		}
-	}
-	return codes
+	c.syms = append(syms, uint16(n+1)) // EOB
+	freq[n+1]++
+	return used
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+
+	"compstor/internal/apps/huffman"
 )
 
 func TestLSBBitWriterKnownBits(t *testing.T) {
@@ -79,8 +81,8 @@ func TestCanonicalCodesPrefixFree(t *testing.T) {
 		if used < 2 {
 			return true
 		}
-		lens := buildCodeLengths(fr, 15)
-		codes := canonicalCodes(lens)
+		lens := huffman.CodeLengths(fr, 15)
+		codes := huffman.CanonicalCodes(lens)
 		// Prefix-freedom: no code may be a prefix of another.
 		type entry struct {
 			code uint32
@@ -127,7 +129,7 @@ func TestHDecoderRejectsOversubscribed(t *testing.T) {
 
 func TestHDecoderDecodesCanonical(t *testing.T) {
 	lens := []int{2, 1, 3, 3}
-	codes := canonicalCodes(lens)
+	codes := huffman.CanonicalCodes(lens)
 	d := newHDecoder(lens)
 	if d == nil {
 		t.Fatal("decoder nil")

@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/bits"
 	"sync"
+
+	"compstor/internal/apps/huffman"
 )
 
 // DEFLATE symbol tables (RFC 1951 §3.2.5).
@@ -270,8 +272,8 @@ func (c *compressor) writeBlock(final bool) {
 		}
 	}
 	litFreq[256]++ // end of block
-	litLen := buildCodeLengths(litFreq, 15)
-	distLen := buildCodeLengths(distFreq, 15)
+	litLen := huffman.CodeLengths(litFreq, 15)
+	distLen := huffman.CodeLengths(distFreq, 15)
 	// All-literal blocks still must declare a distance alphabet; a single
 	// one-bit code is the conventional (and spec-sanctioned) encoding.
 	empty := true
@@ -284,8 +286,8 @@ func (c *compressor) writeBlock(final bool) {
 	if empty {
 		distLen[0] = 1
 	}
-	litCodes := bitReversed(canonicalCodes(litLen), litLen)
-	distCodes := bitReversed(canonicalCodes(distLen), distLen)
+	litCodes := bitReversed(huffman.CanonicalCodes(litLen), litLen)
+	distCodes := bitReversed(huffman.CanonicalCodes(distLen), distLen)
 
 	// Trim trailing zero lengths but keep the spec minimums.
 	hlit := 286
@@ -355,8 +357,8 @@ func (c *compressor) writeBlock(final bool) {
 	for _, t := range cl {
 		clFreq[t.sym]++
 	}
-	clLen := buildCodeLengths(clFreq, 7)
-	clCodes := bitReversed(canonicalCodes(clLen), clLen)
+	clLen := huffman.CodeLengths(clFreq, 7)
+	clCodes := bitReversed(huffman.CanonicalCodes(clLen), clLen)
 	hclen := 19
 	for hclen > 4 && clLen[clOrder[hclen-1]] == 0 {
 		hclen--

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"compstor/internal/apps/huffman"
 	"compstor/internal/textgen"
 )
 
@@ -206,7 +207,7 @@ func TestHuffmanLengthsAreValidKraft(t *testing.T) {
 		for i, v := range freqs {
 			fr[i] = int(v)
 		}
-		lens := buildCodeLengths(fr, 15)
+		lens := huffman.CodeLengths(fr, 15)
 		// Kraft inequality must hold and lengths must respect the cap.
 		sum := 0.0
 		used := 0

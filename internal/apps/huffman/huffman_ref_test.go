@@ -1,4 +1,4 @@
-package gzipx
+package huffman
 
 import (
 	"math/rand"
@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// refCodeLengths is the package-merge this package shipped before the
+// refCodeLengths is the package-merge gzipx shipped before the
 // merge-based one: every item carries the set of symbols it covers and each
 // level is re-sorted with a stable sort. It is the oracle for code lengths,
 // and through them for every compressed byte.
@@ -94,7 +94,9 @@ func TestCodeLengthsMatchReference(t *testing.T) {
 		}
 		return f
 	}
-	alphabets := []struct{ n, maxBits int }{{286, 15}, {30, 15}, {30, 7}, {19, 15}, {19, 7}}
+	// DEFLATE's three alphabets at its two limits, then bzip2's largest and
+	// smallest block alphabets at the 17 bits bzip2x asks for.
+	alphabets := []struct{ n, maxBits int }{{286, 15}, {30, 15}, {30, 7}, {19, 15}, {19, 7}, {258, 17}, {3, 17}}
 	for _, a := range alphabets {
 		vectors := [][]int{
 			make([]int, a.n),                              // nothing used
@@ -133,7 +135,7 @@ func TestCodeLengthsMatchReference(t *testing.T) {
 			if used > 1<<uint(a.maxBits) {
 				continue
 			}
-			got, want := buildCodeLengths(freq, a.maxBits), refCodeLengths(freq, a.maxBits)
+			got, want := CodeLengths(freq, a.maxBits), refCodeLengths(freq, a.maxBits)
 			if !slices.Equal(got, want) {
 				t.Fatalf("alphabet %d maxBits %d freq %v:\n got %v\nwant %v", a.n, a.maxBits, freq, got, want)
 			}
