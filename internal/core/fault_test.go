@@ -63,7 +63,7 @@ func TestHostReadFaultSurfacesThroughNVMe(t *testing.T) {
 			}
 			return nil
 		})
-		comp := drv.Submit(p, &nvme.Command{Op: nvme.OpRead, LBA: 10, Pages: 1})
+		comp := drv.Submit(p, &nvme.Command{Op: nvme.OpRead, LBA: 10, Pages: 1, Data: make([]byte, 4096)})
 		if comp.Status != nvme.StatusInternal {
 			t.Errorf("status %v, want INTERNAL", comp.Status)
 		}

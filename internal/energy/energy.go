@@ -101,12 +101,12 @@ func (m *Meter) Component(name string, baseWatts float64) *Component {
 func (m *Meter) Lookup(name string) *Component { return m.comps[name] }
 
 // Total returns the summed energy of all components at the current virtual
-// time.
+// time. It adds in Snapshot's name order: float addition does not commute in
+// its last bits, so summing in map order would not be reproducible.
 func (m *Meter) Total() float64 {
-	now := m.eng.Now()
 	var j float64
-	for _, c := range m.comps {
-		j += c.Energy(now)
+	for _, s := range m.Snapshot() {
+		j += s.TotalJ
 	}
 	return j
 }

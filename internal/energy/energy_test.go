@@ -1,6 +1,7 @@
 package energy
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -168,5 +169,30 @@ func TestJoulesPerGBInverse(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Float addition is not associative, so a total summed in map order differs
+// in its last bits from call to call. Total must add in name order.
+func TestMeterTotalBitReproducible(t *testing.T) {
+	eng := sim.NewEngine()
+	m := NewMeter(eng)
+	// Magnitudes twenty orders apart: any other order rounds differently.
+	watts := []float64{1e-9, 3.3333333333333335, 1e11, 0.1, 7e-4, 123456.789, 1e-15, 2.5e7, 0.30000000000000004, 9.87654321e3}
+	for i, w := range watts {
+		c := m.Component(fmt.Sprintf("comp%02d", i), w)
+		c.AddActive(time.Duration(i+1)*time.Millisecond, w*1e3)
+	}
+	eng.Go("tick", func(p *sim.Proc) { p.Wait(1234567 * time.Microsecond) })
+	eng.Run()
+
+	var want float64
+	for _, s := range m.Snapshot() {
+		want += s.TotalJ
+	}
+	for i := 0; i < 100; i++ {
+		if got := m.Total(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: Total() = %b, sum over Snapshot() = %b", i, got, want)
+		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package flash models a NAND flash array: channels, dies, planes, blocks
 // and pages, with realistic operation latencies and per-channel bus
-// bandwidth, backed by a sparse in-memory page store holding real bytes.
+// bandwidth, backed by a per-block in-memory page store holding real bytes.
 //
 // The model enforces NAND programming rules (pages must be erased before
 // being programmed; erase works on whole blocks), which is what makes the
@@ -164,11 +164,11 @@ type Device struct {
 
 	chanBus []*sim.Link     // per-channel data bus
 	dies    []*sim.Resource // per-die occupancy (channels*diesPerChan)
+	dieDone []dieOps        // per-die WaitFn continuations, built once
 
-	pages      map[int64][]byte // linear page -> data
-	oob        map[int64]OOB    // linear page -> spare area
-	written    map[int64]bool   // linear page -> programmed since last erase
-	eraseCount map[int64]int64  // linear block -> erase cycles
+	blocks       []block // linear block -> header; payload allocated on first program
+	pagesPerSlab int
+	maxErases    int64 // highest erase count of any block
 
 	powered bool
 	lastOff sim.Time // most recent power-off instant; -1 if never cut
@@ -187,6 +187,50 @@ type Device struct {
 	histErase *obs.Histogram
 	histOOB   *obs.Histogram
 	chTracks  []string // per-channel span track names
+}
+
+// block is one erase block's header. A fresh device holds nothing but these,
+// so its cost is O(blocks) whatever the capacity.
+type block struct {
+	store  *blockStore // nil until the block's first program
+	erases int64
+}
+
+// blockStore is a touched block's media: payload slabs, the spare areas and
+// two presence bits per page. All of it is kept across erases (an erase only
+// clears the bits), so a program into a slab that was ever touched copies
+// into it and allocates nothing.
+//
+// The payload is not one block-sized allocation but slabs of slabBytes, each
+// allocated when its first page is programmed: striped allocation opens a
+// block on every die at once, and a drive that takes a few pages into each
+// of 64 open blocks should not pay for 64 whole blocks.
+//
+// A page is in one of three states. Erased: neither bit. Written: a faulted
+// program left the cells indeterminate — it must be erased before reuse but
+// holds no record, so reads fail and ReadOOB reports ok=false. Stored:
+// written and holding a payload plus spare area (a completed or torn
+// program, or InjectRaw).
+type blockStore struct {
+	slabs   [][]byte // pagesPerSlab pages each; nil until touched
+	oob     []OOB
+	written []uint64 // bit per page: programmed since the last erase
+	stored  []uint64 // bit per page: payload and spare area hold a record
+}
+
+// slabBytes is the payload allocation unit (rounded to whole pages, at least
+// one): Go's largest small-object size class.
+const slabBytes = 32 << 10
+
+func hasBit(bits []uint64, pg int) bool { return bits[pg>>6]&(1<<(pg&63)) != 0 }
+func setBit(bits []uint64, pg int)      { bits[pg>>6] |= 1 << (pg & 63) }
+
+// dieOps holds one die's engine-side continuations for sim.Proc.WaitFn:
+// each releases the die, charges its busy time and, for reads, books the
+// channel transfer. They depend only on the die, so they are built once
+// rather than as a fresh closure per media operation.
+type dieOps struct {
+	read, oobRead, program, erase func() sim.Time
 }
 
 // FaultOp identifies the media operation a fault hook intercepts.
@@ -236,21 +280,42 @@ func NewDevice(eng *sim.Engine, name string, geo Geometry, timing Timing) *Devic
 		panic("flash: non-positive channel bandwidth")
 	}
 	d := &Device{
-		eng:        eng,
-		geo:        geo,
-		timing:     timing,
-		pages:      make(map[int64][]byte),
-		oob:        make(map[int64]OOB),
-		written:    make(map[int64]bool),
-		eraseCount: make(map[int64]int64),
-		powered:    true,
-		lastOff:    -1,
+		eng:     eng,
+		geo:     geo,
+		timing:  timing,
+		blocks:  make([]block, geo.Blocks()),
+		powered: true,
+		lastOff: -1,
 	}
+	d.pagesPerSlab = max(1, slabBytes/geo.PageSize)
 	for c := 0; c < geo.Channels; c++ {
 		d.chanBus = append(d.chanBus, sim.NewLink(eng, fmt.Sprintf("%s/ch%d", name, c), timing.ChannelBytesPerSec, 0))
 	}
 	for i := 0; i < geo.Channels*geo.DiesPerChan; i++ {
-		d.dies = append(d.dies, sim.NewResource(eng, 1))
+		die := sim.NewResource(eng, 1)
+		bus := d.chanBus[i/geo.DiesPerChan]
+		// The sense/program/erase wait, die hand-back and (for reads) bus
+		// transfer collapse into one engine-side continuation: the
+		// bookkeeping runs at exactly the instants it did as separate waits,
+		// but without waking the proc in between.
+		done := func(busy time.Duration, xfer int64) func() sim.Time {
+			return func() sim.Time {
+				die.AddBusy(busy)
+				die.Release()
+				d.chargeDie(busy)
+				if xfer == 0 {
+					return eng.Now()
+				}
+				return bus.TransferTime(xfer)
+			}
+		}
+		d.dies = append(d.dies, die)
+		d.dieDone = append(d.dieDone, dieOps{
+			read:    done(timing.ReadPage, int64(geo.PageSize)),
+			oobRead: done(timing.ReadPage, OOBBytes),
+			program: done(timing.ProgramPage, 0),
+			erase:   done(timing.EraseBlock, 0),
+		})
 	}
 	return d
 }
@@ -309,14 +374,58 @@ func (d *Device) check(a Addr) error {
 	return nil
 }
 
-// blockIndex linearises the block coordinate of an address.
-func (d *Device) blockIndex(a Addr) int64 { return d.geo.BlockIndex(a) }
+// dieIndex linearises the die coordinate of an address.
+func (d *Device) dieIndex(a Addr) int { return a.Channel*d.geo.DiesPerChan + a.Die }
 
-// pageIndex linearises a page address.
-func (d *Device) pageIndex(a Addr) int64 { return d.geo.PageIndex(a) }
+// touch returns the store of the block containing a, allocating it on the
+// block's first program.
+func (d *Device) touch(a Addr) *blockStore {
+	b := &d.blocks[d.geo.BlockIndex(a)]
+	if b.store == nil {
+		ppb := d.geo.PagesPerBlock
+		words := (ppb + 63) / 64
+		bits := make([]uint64, 2*words)
+		b.store = &blockStore{
+			slabs:   make([][]byte, (ppb+d.pagesPerSlab-1)/d.pagesPerSlab),
+			oob:     make([]OOB, ppb),
+			written: bits[:words],
+			stored:  bits[words:],
+		}
+	}
+	return b.store
+}
 
-func (d *Device) die(a Addr) *sim.Resource {
-	return d.dies[a.Channel*d.geo.DiesPerChan+a.Die]
+// payload returns page pg's bytes within its slab, allocating the slab on its
+// first use.
+func (d *Device) payload(s *blockStore, pg int) []byte {
+	slab := &s.slabs[pg/d.pagesPerSlab]
+	if *slab == nil {
+		*slab = make([]byte, d.pagesPerSlab*d.geo.PageSize)
+	}
+	off := pg % d.pagesPerSlab * d.geo.PageSize
+	return (*slab)[off : off+d.geo.PageSize]
+}
+
+// storedPage returns the payload (a view into the slab) and spare area of a
+// page holding a record; ok is false for erased and written-only pages.
+func (d *Device) storedPage(a Addr) (data []byte, oob OOB, ok bool) {
+	s := d.blocks[d.geo.BlockIndex(a)].store
+	if s == nil || !hasBit(s.stored, a.Page) {
+		return nil, OOB{}, false
+	}
+	return d.payload(s, a.Page), s.oob[a.Page], true
+}
+
+// storePage records payload and spare area at a and marks the page stored.
+// It returns the slab's copy, which the torn-program path then damages.
+func (d *Device) storePage(a Addr, data []byte, oob OOB) []byte {
+	s := d.touch(a)
+	page := d.payload(s, a.Page)
+	clear(page[copy(page, data):])
+	s.oob[a.Page] = oob
+	setBit(s.written, a.Page)
+	setBit(s.stored, a.Page)
+	return page
 }
 
 func (d *Device) chargeDie(dur time.Duration) {
@@ -350,22 +459,45 @@ func (d *Device) cutDuring(start sim.Time) bool {
 	return !d.powered || (d.lastOff >= 0 && d.lastOff >= start)
 }
 
-// ReadPage reads one page's payload; see ReadPageOOB.
+// Buffer ownership. The slab is private to the device: every entry point
+// copies across its boundary and none hands out a view of stored bytes.
+// ReadPageInto copies the payload into the caller's dst; ReadPage and
+// ReadPageOOB return a fresh slice the caller owns; ProgramPage,
+// ProgramPageOOB and InjectRaw copy the caller's data when the operation
+// completes, so the caller's buffer must stay unchanged until they return
+// and is the caller's again afterwards.
+
+// ReadPage reads one page's payload into a fresh buffer; see ReadPageInto.
 func (d *Device) ReadPage(p *sim.Proc, a Addr) ([]byte, error) {
 	data, _, err := d.ReadPageOOB(p, a)
 	return data, err
 }
 
-// ReadPageOOB reads one page and its spare area: the die is busy for tR,
-// then the page crosses the channel bus. Returns a copy of the stored data.
-// Reading an unwritten page returns ErrUnwritten (raw NAND would return
-// all-0xFF; surfacing it as an error catches FTL bugs).
+// ReadPageOOB reads one page and its spare area into a fresh buffer; see
+// ReadPageInto.
 func (d *Device) ReadPageOOB(p *sim.Proc, a Addr) ([]byte, OOB, error) {
-	if err := d.check(a); err != nil {
+	out := make([]byte, d.geo.PageSize)
+	oob, err := d.ReadPageInto(p, a, out)
+	if err != nil {
 		return nil, OOB{}, err
 	}
+	return out, oob, nil
+}
+
+// ReadPageInto reads one page into dst (exactly one page long) and returns
+// its spare area: the die is busy for tR, then the page crosses the channel
+// bus. dst is written only on success. Reading an unwritten page returns
+// ErrUnwritten (raw NAND would return all-0xFF; surfacing it as an error
+// catches FTL bugs).
+func (d *Device) ReadPageInto(p *sim.Proc, a Addr, dst []byte) (OOB, error) {
+	if err := d.check(a); err != nil {
+		return OOB{}, err
+	}
+	if len(dst) != d.geo.PageSize {
+		return OOB{}, fmt.Errorf("%w: got %d bytes, page is %d", ErrPageSize, len(dst), d.geo.PageSize)
+	}
 	if !d.powered {
-		return nil, OOB{}, fmt.Errorf("%w: read %v", ErrPowerLoss, a)
+		return OOB{}, fmt.Errorf("%w: read %v", ErrPowerLoss, a)
 	}
 	start := p.Now()
 	if d.obs != nil {
@@ -375,32 +507,22 @@ func (d *Device) ReadPageOOB(p *sim.Proc, a Addr) ([]byte, OOB, error) {
 			sp.End()
 		}()
 	}
-	idx := d.pageIndex(a)
-	die := d.die(a)
-	die.Acquire(p)
-	// The sense wait, die hand-back, and bus transfer collapse into one
-	// engine-side continuation: the bookkeeping runs at exactly the instants
-	// it did as separate waits, but without waking the proc in between.
-	p.WaitFn(d.timing.ReadPage, func() sim.Time {
-		die.AddBusy(d.timing.ReadPage)
-		die.Release()
-		d.chargeDie(d.timing.ReadPage)
-		return d.chanBus[a.Channel].TransferTime(int64(d.geo.PageSize))
-	})
+	di := d.dieIndex(a)
+	d.dies[di].Acquire(p)
+	p.WaitFn(d.timing.ReadPage, d.dieDone[di].read)
 	if d.cutDuring(start) {
-		return nil, OOB{}, fmt.Errorf("%w: read %v", ErrPowerLoss, a)
+		return OOB{}, fmt.Errorf("%w: read %v", ErrPowerLoss, a)
 	}
 	d.stats.Reads++
 	if err := d.fault(FaultRead, a); err != nil {
-		return nil, OOB{}, err
+		return OOB{}, err
 	}
-	data, ok := d.pages[idx]
+	data, oob, ok := d.storedPage(a)
 	if !ok {
-		return nil, OOB{}, fmt.Errorf("%w: %v", ErrUnwritten, a)
+		return OOB{}, fmt.Errorf("%w: %v", ErrUnwritten, a)
 	}
-	out := make([]byte, len(data))
-	copy(out, data)
-	return out, d.oob[idx], nil
+	copy(dst, data)
+	return oob, nil
 }
 
 // ReadOOB reads only the spare area of a page — the fast scan primitive
@@ -423,14 +545,9 @@ func (d *Device) ReadOOB(p *sim.Proc, a Addr) (oob OOB, ok bool, err error) {
 			sp.End()
 		}()
 	}
-	die := d.die(a)
-	die.Acquire(p)
-	p.WaitFn(d.timing.ReadPage, func() sim.Time {
-		die.AddBusy(d.timing.ReadPage)
-		die.Release()
-		d.chargeDie(d.timing.ReadPage)
-		return d.chanBus[a.Channel].TransferTime(OOBBytes)
-	})
+	di := d.dieIndex(a)
+	d.dies[di].Acquire(p)
+	p.WaitFn(d.timing.ReadPage, d.dieDone[di].oobRead)
 	if d.cutDuring(start) {
 		return OOB{}, false, fmt.Errorf("%w: oob read %v", ErrPowerLoss, a)
 	}
@@ -438,7 +555,7 @@ func (d *Device) ReadOOB(p *sim.Proc, a Addr) (oob OOB, ok bool, err error) {
 	if err := d.fault(FaultRead, a); err != nil {
 		return OOB{}, false, err
 	}
-	oob, ok = d.oob[d.pageIndex(a)]
+	_, oob, ok = d.storedPage(a)
 	return oob, ok, nil
 }
 
@@ -463,8 +580,7 @@ func (d *Device) ProgramPageOOB(p *sim.Proc, a Addr, data []byte, oob OOB) error
 	if !d.powered {
 		return fmt.Errorf("%w: program %v", ErrPowerLoss, a)
 	}
-	idx := d.pageIndex(a)
-	if d.written[idx] {
+	if d.IsWritten(a) {
 		return fmt.Errorf("%w: %v", ErrNotErased, a)
 	}
 	start := p.Now()
@@ -476,39 +592,24 @@ func (d *Device) ProgramPageOOB(p *sim.Proc, a Addr, data []byte, oob OOB) error
 		}()
 	}
 	d.chanBus[a.Channel].Transfer(p, int64(d.geo.PageSize))
-	die := d.die(a)
-	die.Acquire(p)
-	p.WaitFn(d.timing.ProgramPage, func() sim.Time {
-		die.AddBusy(d.timing.ProgramPage)
-		die.Release()
-		d.chargeDie(d.timing.ProgramPage)
-		return d.eng.Now()
-	})
+	di := d.dieIndex(a)
+	d.dies[di].Acquire(p)
+	p.WaitFn(d.timing.ProgramPage, d.dieDone[di].program)
+	d.stats.Programs++
 	if d.cutDuring(start) {
-		torn := make([]byte, len(data))
-		copy(torn, data)
+		torn := d.storePage(a, data, oob)
 		for i := len(torn) / 2; i < len(torn); i++ {
 			torn[i] ^= 0xFF // cells that never finished programming
 		}
-		d.pages[idx] = torn
-		d.oob[idx] = oob
-		d.written[idx] = true
-		d.stats.Programs++
 		return fmt.Errorf("%w: torn program %v", ErrPowerLoss, a)
 	}
 	if err := d.fault(FaultProgram, a); err != nil {
 		// A failed program leaves the page in an indeterminate, non-erased
 		// state; mark it written so the FTL must erase before retrying here.
-		d.written[idx] = true
-		d.stats.Programs++
+		setBit(d.touch(a).written, a.Page)
 		return err
 	}
-	stored := make([]byte, len(data))
-	copy(stored, data)
-	d.pages[idx] = stored
-	d.oob[idx] = oob
-	d.written[idx] = true
-	d.stats.Programs++
+	d.storePage(a, data, oob)
 	return nil
 }
 
@@ -533,52 +634,49 @@ func (d *Device) EraseBlock(p *sim.Proc, a Addr) error {
 			sp.End()
 		}()
 	}
-	die := d.die(a)
-	die.Acquire(p)
-	p.WaitFn(d.timing.EraseBlock, func() sim.Time {
-		die.AddBusy(d.timing.EraseBlock)
-		die.Release()
-		d.chargeDie(d.timing.EraseBlock)
-		return d.eng.Now()
-	})
+	di := d.dieIndex(a)
+	d.dies[di].Acquire(p)
+	p.WaitFn(d.timing.EraseBlock, d.dieDone[di].erase)
 	if d.cutDuring(start) {
 		return fmt.Errorf("%w: erase %v", ErrPowerLoss, a)
 	}
 	if err := d.fault(FaultErase, a); err != nil {
 		return err
 	}
-	blk := d.blockIndex(a)
-	base := blk * int64(d.geo.PagesPerBlock)
-	for i := 0; i < d.geo.PagesPerBlock; i++ {
-		delete(d.pages, base+int64(i))
-		delete(d.oob, base+int64(i))
-		delete(d.written, base+int64(i))
+	b := &d.blocks[d.geo.BlockIndex(a)]
+	if b.store != nil {
+		clear(b.store.written)
+		clear(b.store.stored)
 	}
-	d.eraseCount[blk]++
+	b.erases++
+	if b.erases > d.maxErases {
+		d.maxErases = b.erases
+	}
 	d.stats.Erases++
 	return nil
 }
 
-// EraseCount returns the wear (erase cycles) of the block containing a.
-func (d *Device) EraseCount(a Addr) int64 { return d.eraseCount[d.blockIndex(a)] }
-
-// MaxEraseCount returns the highest wear across all ever-erased blocks.
-func (d *Device) MaxEraseCount() int64 {
-	var max int64
-	for _, c := range d.eraseCount {
-		if c > max {
-			max = c
-		}
+// EraseCount returns the wear (erase cycles) of the block containing a
+// (a.Page is ignored).
+func (d *Device) EraseCount(a Addr) int64 {
+	a.Page = 0
+	if d.check(a) != nil {
+		return 0
 	}
-	return max
+	return d.blocks[d.geo.BlockIndex(a)].erases
 }
 
-// IsWritten reports whether the page at a holds programmed data.
+// MaxEraseCount returns the highest wear across all blocks.
+func (d *Device) MaxEraseCount() int64 { return d.maxErases }
+
+// IsWritten reports whether the page at a has been programmed since its
+// block's last erase (whether or not the program left a readable record).
 func (d *Device) IsWritten(a Addr) bool {
 	if d.check(a) != nil {
 		return false
 	}
-	return d.written[d.pageIndex(a)]
+	s := d.blocks[d.geo.BlockIndex(a)].store
+	return s != nil && hasBit(s.written, a.Page)
 }
 
 // CorruptPage silently flips bits in the stored payload of a (the spare
@@ -589,17 +687,13 @@ func (d *Device) CorruptPage(a Addr) bool {
 	if d.check(a) != nil {
 		return false
 	}
-	data, ok := d.pages[d.pageIndex(a)]
-	if !ok || len(data) == 0 {
+	data, _, ok := d.storedPage(a)
+	if !ok {
 		return false
-	}
-	n := len(data)
-	if n > 64 {
-		n = 64
 	}
 	// Overwrite rather than xor: damage must be sticky, so corrupting the
 	// same page again (e.g. on a read retry) cannot undo itself.
-	for i := 0; i < n; i++ {
+	for i := 0; i < len(data) && i < 64; i++ {
 		data[i] = 0x5A ^ byte(i)
 	}
 	return true
@@ -613,12 +707,7 @@ func (d *Device) InjectRaw(a Addr, data []byte, oob OOB) error {
 	if err := d.check(a); err != nil {
 		return err
 	}
-	idx := d.pageIndex(a)
-	page := make([]byte, d.geo.PageSize)
-	copy(page, data)
-	d.pages[idx] = page
-	d.oob[idx] = oob
-	d.written[idx] = true
+	d.storePage(a, data, oob)
 	return nil
 }
 
@@ -628,7 +717,7 @@ func (d *Device) OOBAt(a Addr) (OOB, bool) {
 	if d.check(a) != nil {
 		return OOB{}, false
 	}
-	oob, ok := d.oob[d.pageIndex(a)]
+	_, oob, ok := d.storedPage(a)
 	return oob, ok
 }
 

@@ -96,10 +96,16 @@ func (s Stats) WriteAmplification() float64 {
 }
 
 type blockState struct {
-	nextPage int // next unwritten page slot; == PagesPerBlock when sealed
-	valid    int // pages holding live data (mapped data + live TRIM records)
+	nextPage int32 // next unwritten page slot; == PagesPerBlock when sealed
+	valid    int32 // pages holding live data (mapped data + live TRIM records)
+	// inflight counts programs issued but not yet mapped, so concurrent
+	// writers' target blocks are never GC victims.
+	inflight int32
 	active   bool
 	bad      bool // grown-bad: read-only, never erased or reused
+	// p2l maps each page slot to the logical page whose live data it holds
+	// (-1 = none). Allocated on the block's first mapping, kept across erases.
+	p2l []int64
 }
 
 // FTL is a page-mapping translation layer. It is not safe for concurrent
@@ -110,26 +116,23 @@ type FTL struct {
 	geo flash.Geometry
 	cfg Config
 
-	l2p map[int64]int64 // logical page -> physical page
-	p2l map[int64]int64 // physical page -> logical page (valid pages only)
-	// mapSeq records the journal sequence that produced each logical page's
-	// current mapping (or its most recent TRIM), so a slow concurrent
-	// program can never roll a newer write or TRIM back.
-	mapSeq map[int64]uint64
+	ppb int64 // geo.PagesPerBlock
 
-	blocks   []blockState
-	free     [][]int64 // per-allocation-unit (channel x die) free block stacks
-	active   []int64   // per-unit active block (-1 if none)
-	nextUnit int       // round-robin write unit cursor
-	units    int       // Channels * DiesPerChan parallel allocation units
+	l2p mapTable // logical page -> physical page and journal sequence
+
+	blocks     []blockState
+	free       [][]int64 // per-allocation-unit (channel x die) free block stacks
+	freeBlocks int       // total length of the free stacks
+	active     []int64   // per-unit active block (-1 if none)
+	nextUnit   int       // round-robin write unit cursor
+	units      int       // Channels * DiesPerChan parallel allocation units
+	pageFree   [][]byte  // see getPage
 
 	logicalPages int64
 	minFree      int
 	stats        Stats
 	inGC         bool
-	// inflight counts programs issued but not yet mapped, per block, so
-	// concurrent writers' target blocks are never GC victims.
-	inflight map[int64]int
+	inflight     int // sum of blockState.inflight: the checkpoint drain polls it
 
 	// Durability state: seq is the next journal sequence number (strictly
 	// increasing across writes, TRIM records, and checkpoints); ckptSeq is
@@ -172,13 +175,10 @@ func New(dev *flash.Device, cfg Config) *FTL {
 		dev:             dev,
 		geo:             geo,
 		cfg:             cfg,
-		l2p:             make(map[int64]int64),
-		p2l:             make(map[int64]int64),
-		mapSeq:          make(map[int64]uint64),
+		ppb:             int64(geo.PagesPerBlock),
 		blocks:          make([]blockState, geo.Blocks()),
 		active:          make([]int64, units),
 		free:            make([][]int64, units),
-		inflight:        make(map[int64]int),
 		units:           units,
 		seq:             1,
 		trimPages:       make(map[int64]uint64),
@@ -195,8 +195,10 @@ func New(dev *flash.Device, cfg Config) *FTL {
 		for b := perUnit - 1; b >= int64(reserved); b-- {
 			f.free[u] = append(f.free[u], base+b)
 		}
+		f.freeBlocks += len(f.free[u])
 	}
 	f.logicalPages = int64(float64((geo.Blocks()-int64(units)*int64(reserved))*int64(geo.PagesPerBlock)) * (1 - cfg.OverProvision))
+	f.l2p = newMapTable(f.logicalPages)
 	f.minFree = cfg.MinFreeBlocks
 	if f.minFree <= 0 {
 		f.minFree = units + 2
@@ -251,16 +253,10 @@ func (f *FTL) LogicalBytes() int64 { return f.logicalPages * int64(f.geo.PageSiz
 func (f *FTL) Stats() Stats { return f.stats }
 
 // FreeBlocks returns the number of blocks in the free pool.
-func (f *FTL) FreeBlocks() int {
-	n := 0
-	for _, fl := range f.free {
-		n += len(fl)
-	}
-	return n
-}
+func (f *FTL) FreeBlocks() int { return f.freeBlocks }
 
 // MappedPages returns the number of logical pages currently mapped.
-func (f *FTL) MappedPages() int64 { return int64(len(f.l2p)) }
+func (f *FTL) MappedPages() int64 { return f.l2p.mapped }
 
 func (f *FTL) checkLPN(lpn int64) error {
 	if lpn < 0 || lpn >= f.logicalPages {
@@ -269,17 +265,32 @@ func (f *FTL) checkLPN(lpn int64) error {
 	return nil
 }
 
-// ReadPage returns the data of logical page lpn, verified against the
-// page's OOB record: a payload CRC mismatch, or an OOB naming a different
-// logical page, returns ErrCorrupt. Unmapped pages read as zeroes without
-// touching the media, as on a real SSD.
+// ReadPage returns the data of logical page lpn in a fresh buffer the
+// caller owns; see ReadPageInto.
 func (f *FTL) ReadPage(p *sim.Proc, lpn int64) ([]byte, error) {
-	if err := f.checkLPN(lpn); err != nil {
+	out := make([]byte, f.geo.PageSize)
+	if err := f.ReadPageInto(p, lpn, out); err != nil {
 		return nil, err
 	}
-	ppn, ok := f.l2p[lpn]
-	if !ok {
-		return make([]byte, f.geo.PageSize), nil
+	return out, nil
+}
+
+// ReadPageInto reads logical page lpn into dst (exactly one page long),
+// verified against the page's OOB record: a payload CRC mismatch, or an OOB
+// naming a different logical page, returns ErrCorrupt. Unmapped pages read
+// as zeroes without touching the media, as on a real SSD. On error dst holds
+// nothing the caller may use.
+func (f *FTL) ReadPageInto(p *sim.Proc, lpn int64, dst []byte) error {
+	if err := f.checkLPN(lpn); err != nil {
+		return err
+	}
+	if len(dst) != f.geo.PageSize {
+		return fmt.Errorf("ftl: read into %d bytes, page is %d", len(dst), f.geo.PageSize)
+	}
+	ppn := f.l2p.get(lpn).ppn
+	if ppn < 0 {
+		clear(dst)
+		return nil
 	}
 	if f.obs != nil {
 		start := p.Now()
@@ -290,15 +301,15 @@ func (f *FTL) ReadPage(p *sim.Proc, lpn int64) ([]byte, error) {
 		}()
 	}
 	f.stats.HostReads++
-	data, oob, err := f.dev.ReadPageOOB(p, f.geo.AddrOfPage(ppn))
+	oob, err := f.dev.ReadPageInto(p, f.geo.AddrOfPage(ppn), dst)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if oob.LPN != lpn || pageCRC(data) != oob.CRC {
+	if oob.LPN != lpn || pageCRC(dst) != oob.CRC {
 		f.stats.CorruptReads++
-		return nil, fmt.Errorf("%w: lpn %d at %v", ErrCorrupt, lpn, f.geo.AddrOfPage(ppn))
+		return fmt.Errorf("%w: lpn %d at %v", ErrCorrupt, lpn, f.geo.AddrOfPage(ppn))
 	}
-	return data, nil
+	return nil
 }
 
 // WritePage stores data (exactly one page) at logical page lpn, allocating
@@ -355,13 +366,12 @@ func (f *FTL) appendRecord(p *sim.Proc, data []byte, oob flash.OOB, allowRetire 
 		if err != nil {
 			return -1, err
 		}
-		blk := ppn / int64(f.geo.PagesPerBlock)
-		f.inflight[blk]++
+		blk := ppn / f.ppb
+		f.blocks[blk].inflight++
+		f.inflight++
 		err = f.dev.ProgramPageOOB(p, f.geo.AddrOfPage(ppn), data, oob)
-		f.inflight[blk]--
-		if f.inflight[blk] == 0 {
-			delete(f.inflight, blk)
-		}
+		f.blocks[blk].inflight--
+		f.inflight--
 		if err == nil {
 			return ppn, nil
 		}
@@ -381,28 +391,30 @@ func (f *FTL) appendRecord(p *sim.Proc, data []byte, oob flash.OOB, allowRetire 
 // program was in flight (a newer write or TRIM won the race) is left
 // unmapped garbage for GC.
 func (f *FTL) remap(lpn, ppn int64, seq uint64) {
-	if cur, ok := f.mapSeq[lpn]; ok && cur >= seq {
+	e := f.l2p.row(lpn)
+	if e.seq >= seq {
 		return
 	}
-	if old, ok := f.l2p[lpn]; ok {
-		f.blocks[old/int64(f.geo.PagesPerBlock)].valid--
-		delete(f.p2l, old)
+	if e.ppn >= 0 {
+		f.blocks[e.ppn/f.ppb].valid--
+		f.setLPNAt(e.ppn, -1)
+	} else {
+		f.l2p.mapped++
 	}
-	f.l2p[lpn] = ppn
-	f.p2l[ppn] = lpn
-	f.blocks[ppn/int64(f.geo.PagesPerBlock)].valid++
-	f.mapSeq[lpn] = seq
+	*e = mapEntry{ppn: ppn, seq: seq}
+	f.setLPNAt(ppn, lpn)
+	f.blocks[ppn/f.ppb].valid++
 }
 
 // moveMapping repoints lpn from oldPPN to newPPN after a relocation that
-// copied the journal record verbatim (same OOB, same sequence), so mapSeq
-// is deliberately untouched.
+// copied the journal record verbatim (same OOB, same sequence), so the row's
+// seq is deliberately untouched.
 func (f *FTL) moveMapping(lpn, oldPPN, newPPN int64) {
-	f.blocks[oldPPN/int64(f.geo.PagesPerBlock)].valid--
-	delete(f.p2l, oldPPN)
-	f.l2p[lpn] = newPPN
-	f.p2l[newPPN] = lpn
-	f.blocks[newPPN/int64(f.geo.PagesPerBlock)].valid++
+	f.blocks[oldPPN/f.ppb].valid--
+	f.setLPNAt(oldPPN, -1)
+	f.l2p.row(lpn).ppn = newPPN
+	f.setLPNAt(newPPN, lpn)
+	f.blocks[newPPN/f.ppb].valid++
 }
 
 // Trim unmaps count logical pages starting at lpn. The revocation is
@@ -421,7 +433,7 @@ func (f *FTL) Trim(p *sim.Proc, lpn, count int64) error {
 	}
 	mapped := false
 	for i := int64(0); i < count && !mapped; i++ {
-		_, mapped = f.l2p[lpn+i]
+		mapped = f.l2p.get(lpn+i).ppn >= 0
 	}
 	if !mapped {
 		return nil // nothing durable to revoke
@@ -432,27 +444,36 @@ func (f *FTL) Trim(p *sim.Proc, lpn, count int64) error {
 	}
 	s := f.seq
 	f.seq++
-	rec := encodeTrimRecord(f.geo.PageSize, lpn, count)
+	rec := f.getPage()
+	encodeTrimRecord(rec, lpn, count)
 	ppn, err := f.appendRecord(p, rec, flash.OOB{LPN: oobTrim, Seq: s, CRC: pageCRC(rec)}, true)
+	f.putPage(rec)
 	if err != nil {
 		return err // record not durable: the TRIM never happened
 	}
 	f.trimPages[ppn] = s
-	f.blocks[ppn/int64(f.geo.PagesPerBlock)].valid++
-	ppb := int64(f.geo.PagesPerBlock)
-	for i := int64(0); i < count; i++ {
-		l := lpn + i
-		if old, ok := f.l2p[l]; ok {
-			f.blocks[old/ppb].valid--
-			delete(f.p2l, old)
-			delete(f.l2p, l)
-			f.stats.Trims++
-		}
-		f.mapSeq[l] = s
-	}
+	f.blocks[ppn/f.ppb].valid++
+	f.unmapRange(lpn, count, s)
 	f.records++
 	f.stats.TrimRecords++
 	return nil
+}
+
+// unmapRange drops the mappings of count logical pages from lpn on for the
+// TRIM record with sequence seq, and stamps every row — mapped or not — so
+// an older program still in flight cannot map the page again.
+func (f *FTL) unmapRange(lpn, count int64, seq uint64) {
+	for i := int64(0); i < count; i++ {
+		e := f.l2p.row(lpn + i)
+		if e.ppn >= 0 {
+			f.blocks[e.ppn/f.ppb].valid--
+			f.setLPNAt(e.ppn, -1)
+			e.ppn = -1
+			f.l2p.mapped--
+			f.stats.Trims++
+		}
+		e.seq = seq
+	}
 }
 
 // alloc returns the next physical page slot following the configured
@@ -472,9 +493,9 @@ func (f *FTL) alloc() (int64, error) {
 	}
 	blk := f.active[u]
 	st := &f.blocks[blk]
-	ppn := blk*int64(f.geo.PagesPerBlock) + int64(st.nextPage)
+	ppn := blk*f.ppb + int64(st.nextPage)
 	st.nextPage++
-	if st.nextPage == f.geo.PagesPerBlock {
+	if int64(st.nextPage) == f.ppb {
 		st.active = false
 		f.active[u] = -1 // sealed
 	}
@@ -512,6 +533,7 @@ func (f *FTL) popFree(u int) int64 {
 	}
 	blk := fl[len(fl)-1]
 	f.free[u] = fl[:len(fl)-1]
+	f.freeBlocks--
 	return blk
 }
 
@@ -525,7 +547,7 @@ func (f *FTL) maybeGC(p *sim.Proc) error {
 	// zero-net-gain workload degrades to high write amplification instead
 	// of an unbounded loop.
 	limit := int(f.geo.Blocks())
-	for i := 0; f.FreeBlocks() < f.minFree && i < limit; i++ {
+	for i := 0; f.freeBlocks < f.minFree && i < limit; i++ {
 		if err := f.gcOnce(p); err != nil {
 			if errors.Is(err, errNoVictim) {
 				return nil // nothing collectable; let alloc fail if truly full
@@ -548,25 +570,26 @@ var errNoVictim = errors.New("ftl: no GC victim")
 // are dropped with the garbage.
 func (f *FTL) gcOnce(p *sim.Proc) error {
 	victim := int64(-1)
-	bestValid := f.geo.PagesPerBlock + 1
+	bestValid := int32(f.ppb) + 1
 	var bestWear int64
-	for blk := int64(0); blk < f.geo.Blocks(); blk++ {
+	for blk := range f.blocks {
 		st := &f.blocks[blk]
-		if st.active || st.bad || st.nextPage == 0 || f.inflight[blk] > 0 {
-			continue // active, retired, still free, or holding an in-flight program
+		if st.active || st.bad || st.inflight > 0 || int64(st.nextPage) < f.ppb {
+			continue // active, retired, holding an in-flight program, or not yet sealed (free included)
 		}
-		if st.nextPage < f.geo.PagesPerBlock {
-			continue // partially-filled active-channel block not yet sealed
+		if st.valid > bestValid {
+			continue
 		}
-		wear := f.dev.EraseCount(f.geo.AddrOfBlock(blk))
-		if st.valid < bestValid || (st.valid == bestValid && wear < bestWear) {
-			victim, bestValid, bestWear = blk, st.valid, wear
+		// Wear breaks ties only, so it is looked up only for contenders.
+		wear := f.dev.EraseCount(f.geo.AddrOfBlock(int64(blk)))
+		if st.valid < bestValid || wear < bestWear {
+			victim, bestValid, bestWear = int64(blk), st.valid, wear
 		}
 	}
 	if victim == -1 {
 		return errNoVictim
 	}
-	if bestValid == f.geo.PagesPerBlock {
+	if int64(bestValid) == f.ppb {
 		// Relocating a fully-valid block costs a block and frees a block:
 		// no net gain, so GC cannot make progress.
 		return errNoVictim
@@ -591,13 +614,15 @@ func (f *FTL) gcOnce(p *sim.Proc) error {
 		// Erase fault: the block has grown bad. Its live pages are already
 		// relocated, so retire it in place — read-only, never reused.
 		f.blocks[victim].bad = true
-		f.blocks[victim].nextPage = f.geo.PagesPerBlock
+		f.blocks[victim].nextPage = int32(f.ppb)
 		f.stats.RetiredBlocks++
 		return nil
 	}
-	f.blocks[victim] = blockState{}
+	// Every live page was relocated above, so the kept p2l holds only -1.
+	f.blocks[victim] = blockState{p2l: f.blocks[victim].p2l}
 	u := f.unitOf(victim)
 	f.free[u] = append(f.free[u], victim)
+	f.freeBlocks++
 	f.stats.GCRuns++
 	return nil
 }
@@ -606,9 +631,10 @@ func (f *FTL) gcOnce(p *sim.Proc) error {
 // checkpointed TRIM records) off blk, preserving each record's OOB
 // verbatim.
 func (f *FTL) relocateBlock(p *sim.Proc, blk int64) error {
-	base := blk * int64(f.geo.PagesPerBlock)
-	for i := 0; i < f.geo.PagesPerBlock; i++ {
-		ppn := base + int64(i)
+	data := f.getPage()
+	defer f.putPage(data)
+	base := blk * f.ppb
+	for ppn := base; ppn < base+f.ppb; ppn++ {
 		if ts, isTrim := f.trimPages[ppn]; isTrim {
 			if ts <= f.ckptSeq {
 				// Superseded by a checkpoint while sitting here; drop it.
@@ -616,7 +642,7 @@ func (f *FTL) relocateBlock(p *sim.Proc, blk int64) error {
 				f.blocks[blk].valid--
 				continue
 			}
-			data, oob, err := f.readForRelocate(p, ppn)
+			oob, err := f.readForRelocate(p, ppn, data)
 			if err != nil {
 				return fmt.Errorf("ftl: gc read trim record: %w", err)
 			}
@@ -627,26 +653,26 @@ func (f *FTL) relocateBlock(p *sim.Proc, blk int64) error {
 			delete(f.trimPages, ppn)
 			f.blocks[blk].valid--
 			f.trimPages[newPPN] = oob.Seq
-			f.blocks[newPPN/int64(f.geo.PagesPerBlock)].valid++
+			f.blocks[newPPN/f.ppb].valid++
 			f.stats.GCWrites++
 			continue
 		}
-		lpn, ok := f.p2l[ppn]
-		if !ok {
+		lpn := f.lpnAt(ppn)
+		if lpn < 0 {
 			continue
 		}
-		data, oob, err := f.readForRelocate(p, ppn)
+		oob, err := f.readForRelocate(p, ppn, data)
 		if err != nil {
 			return fmt.Errorf("ftl: gc read: %w", err)
 		}
-		if cur, still := f.p2l[ppn]; !still || cur != lpn {
+		if f.lpnAt(ppn) != lpn {
 			continue // a concurrent host write superseded this page mid-read
 		}
 		newPPN, err := f.appendRecord(p, data, oob, false)
 		if err != nil {
 			return fmt.Errorf("ftl: gc program: %w", err)
 		}
-		if cur, still := f.p2l[ppn]; !still || cur != lpn {
+		if f.lpnAt(ppn) != lpn {
 			// Superseded during the program: abandon the relocated copy
 			// (it stays unmapped and is collected as garbage later).
 			continue
@@ -657,22 +683,23 @@ func (f *FTL) relocateBlock(p *sim.Proc, blk int64) error {
 	return nil
 }
 
-// readForRelocate reads a page raw — payload plus OOB, no CRC verification,
-// since relocation must move even a corrupt page verbatim so the corruption
-// stays detectable — absorbing transient read faults with bounded retries.
-func (f *FTL) readForRelocate(p *sim.Proc, ppn int64) ([]byte, flash.OOB, error) {
+// readForRelocate reads a page raw into dst — payload plus OOB, no CRC
+// verification, since relocation must move even a corrupt page verbatim so
+// the corruption stays detectable — absorbing transient read faults with
+// bounded retries.
+func (f *FTL) readForRelocate(p *sim.Proc, ppn int64, dst []byte) (flash.OOB, error) {
 	var lastErr error
 	for try := 0; try < 3; try++ {
-		data, oob, err := f.dev.ReadPageOOB(p, f.geo.AddrOfPage(ppn))
+		oob, err := f.dev.ReadPageInto(p, f.geo.AddrOfPage(ppn), dst)
 		if err == nil {
-			return data, oob, nil
+			return oob, nil
 		}
 		lastErr = err
 		if errors.Is(err, flash.ErrPowerLoss) {
 			break
 		}
 	}
-	return nil, flash.OOB{}, lastErr
+	return flash.OOB{}, lastErr
 }
 
 // retireBlock takes a grown-bad block out of service: it is sealed, marked
@@ -691,10 +718,11 @@ func (f *FTL) retireBlock(p *sim.Proc, blk int64) error {
 		f.active[u] = -1
 	}
 	st.active = false
-	st.nextPage = f.geo.PagesPerBlock
+	st.nextPage = int32(f.ppb)
 	for i, b := range f.free[u] {
 		if b == blk {
 			f.free[u] = append(f.free[u][:i], f.free[u][i+1:]...)
+			f.freeBlocks--
 			break
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sort"
 	"time"
 
 	"compstor/internal/flash"
@@ -20,8 +19,9 @@ import (
 //	oobTrim: the payload is a TRIM record — magic "CTRM", lpn, count. The
 //	  record is programmed before any mapping is dropped, so recovery can
 //	  revoke exactly the acknowledged TRIMs.
-//	oobCkpt: the page belongs to a checkpoint region. A checkpoint is a
-//	  sorted (lpn, ppn) entry stream split across chunk pages, committed by
+//	oobCkpt: the page belongs to a checkpoint region. A checkpoint is an
+//	  (lpn, ppn) entry stream in ascending lpn order split across chunk
+//	  pages, committed by
 //	  a final commit page ("CCKP", seq, chunkPages, entryCount, mapCRC,
 //	  nextSeq) — the commit is written last, so a torn checkpoint is simply
 //	  invisible and recovery falls back to the other region.
@@ -80,12 +80,12 @@ func (f *FTL) regionAddr(region []int64, i int) flash.Addr {
 	return f.geo.AddrOfPage(blk*int64(ppb) + int64(i%ppb))
 }
 
-func encodeTrimRecord(pageSize int, lpn, count int64) []byte {
-	b := make([]byte, pageSize)
+// encodeTrimRecord fills the page b with a TRIM record, zero-padded.
+func encodeTrimRecord(b []byte, lpn, count int64) {
+	clear(b)
 	binary.LittleEndian.PutUint32(b, trimMagic)
 	binary.LittleEndian.PutUint64(b[4:], uint64(lpn))
 	binary.LittleEndian.PutUint64(b[12:], uint64(count))
-	return b
 }
 
 func decodeTrimRecord(b []byte, logicalPages int64) (lpn, count int64, ok bool) {
@@ -108,8 +108,9 @@ type commitRec struct {
 	nextSeq    uint64
 }
 
-func encodeCommit(pageSize int, c commitRec) []byte {
-	b := make([]byte, pageSize)
+// encodeCommit fills the page b with a commit record, zero-padded.
+func encodeCommit(b []byte, c commitRec) {
+	clear(b)
 	binary.LittleEndian.PutUint32(b, commitMagic)
 	binary.LittleEndian.PutUint32(b[4:], ckptVersion)
 	binary.LittleEndian.PutUint64(b[8:], c.seq)
@@ -117,7 +118,6 @@ func encodeCommit(pageSize int, c commitRec) []byte {
 	binary.LittleEndian.PutUint32(b[20:], c.entryCount)
 	binary.LittleEndian.PutUint32(b[24:], c.mapCRC)
 	binary.LittleEndian.PutUint64(b[28:], c.nextSeq)
-	return b
 }
 
 func decodeCommit(b []byte) (commitRec, bool) {
@@ -139,11 +139,26 @@ type ckptEntry struct {
 	lpn, ppn int64
 }
 
-func encodeEntries(entries []ckptEntry) []byte {
-	b := make([]byte, len(entries)*ckptEntryBytes)
-	for i, e := range entries {
-		binary.LittleEndian.PutUint64(b[i*ckptEntryBytes:], uint64(e.lpn))
-		binary.LittleEndian.PutUint64(b[i*ckptEntryBytes+8:], uint64(e.ppn))
+// encodeMap serialises the mapped rows of the L2P table in ascending lpn
+// order into whole pages, zero-padded; the entry stream is the first
+// mapped×ckptEntryBytes bytes.
+func (f *FTL) encodeMap() []byte {
+	ps := int64(f.geo.PageSize)
+	need := f.l2p.mapped * ckptEntryBytes
+	b := make([]byte, (need+ps-1)/ps*ps)
+	at := 0
+	for ci, c := range f.l2p.chunks {
+		if c == nil {
+			continue
+		}
+		for i := range c {
+			if c[i].ppn < 0 {
+				continue
+			}
+			binary.LittleEndian.PutUint64(b[at:], uint64(ci<<mapChunkShift|i))
+			binary.LittleEndian.PutUint64(b[at+8:], uint64(c[i].ppn))
+			at += ckptEntryBytes
+		}
 	}
 	return b
 }
@@ -190,7 +205,7 @@ func (f *FTL) maybeCheckpoint(p *sim.Proc) error {
 		return nil
 	}
 	threshold := f.cfg.CheckpointEvery
-	if m := len(f.l2p) / 4; m > threshold {
+	if m := int(f.l2p.mapped / 4); m > threshold {
 		threshold = m
 	}
 	if f.records < threshold {
@@ -252,25 +267,23 @@ func (f *FTL) Checkpoint(p *sim.Proc) error {
 	}
 	// Drain programs whose sequence predates the snapshot; new mutators are
 	// stalled, so this terminates.
-	for len(f.inflight) > 0 {
+	for f.inflight > 0 {
 		p.Wait(20 * time.Microsecond)
 	}
 
-	entries := make([]ckptEntry, 0, len(f.l2p))
-	for lpn, ppn := range f.l2p {
-		entries = append(entries, ckptEntry{lpn: lpn, ppn: ppn})
-	}
-	sortEntries(entries)
+	// The snapshot is taken here in one step: a GC pass caught between two
+	// of its programs keeps remapping while the chunk pages below go out.
+	entries := f.l2p.mapped
+	stream := f.encodeMap()
 	s := f.seq
 	f.seq++
-	stream := encodeEntries(entries)
 
 	region := f.regions[f.nextRegion]
 	ps := f.geo.PageSize
 	ppb := f.geo.PagesPerBlock
-	chunkPages := (len(stream) + ps - 1) / ps
+	chunkPages := len(stream) / ps
 	if chunkPages+1 > len(region)*ppb {
-		return fmt.Errorf("ftl: checkpoint of %d entries overflows reserved region", len(entries))
+		return fmt.Errorf("ftl: checkpoint of %d entries overflows reserved region", entries)
 	}
 	usedBlocks := (chunkPages + 1 + ppb - 1) / ppb
 	for b := 0; b < usedBlocks; b++ {
@@ -283,22 +296,19 @@ func (f *FTL) Checkpoint(p *sim.Proc) error {
 		}
 	}
 	for i := 0; i < chunkPages; i++ {
-		page := make([]byte, ps)
-		end := (i + 1) * ps
-		if end > len(stream) {
-			end = len(stream)
-		}
-		copy(page, stream[i*ps:end])
+		page := stream[i*ps : (i+1)*ps]
 		oob := flash.OOB{LPN: oobCkpt, Seq: s, CRC: pageCRC(page)}
 		if err := f.dev.ProgramPageOOB(p, f.regionAddr(region, i), page, oob); err != nil {
 			return fmt.Errorf("ftl: checkpoint chunk %d: %w", i, err)
 		}
 	}
-	commit := encodeCommit(ps, commitRec{
+	commit := f.getPage()
+	defer f.putPage(commit)
+	encodeCommit(commit, commitRec{
 		seq:        s,
 		chunkPages: uint32(chunkPages),
-		entryCount: uint32(len(entries)),
-		mapCRC:     pageCRC(stream),
+		entryCount: uint32(entries),
+		mapCRC:     pageCRC(stream[:entries*ckptEntryBytes]),
 		nextSeq:    f.seq,
 	})
 	oob := flash.OOB{LPN: oobCkpt, Seq: s, CRC: pageCRC(commit)}
@@ -331,8 +341,4 @@ func (f *FTL) blockHasWrites(blk int64) bool {
 		}
 	}
 	return false
-}
-
-func sortEntries(entries []ckptEntry) {
-	sort.Slice(entries, func(i, j int) bool { return entries[i].lpn < entries[j].lpn })
 }

@@ -123,7 +123,7 @@ func Recover(p *sim.Proc, dev *flash.Device, cfg Config) (*FTL, RecoveryStats, e
 			}
 			// A block left open by the cut is sealed: real controllers close
 			// open blocks after a crash rather than resume mid-block.
-			st.nextPage = f.geo.PagesPerBlock
+			st.nextPage = int32(f.ppb)
 		}
 	}
 
@@ -143,13 +143,15 @@ func Recover(p *sim.Proc, dev *flash.Device, cfg Config) (*FTL, RecoveryStats, e
 		seq uint64
 	}
 	won := make(map[int64]winner)
+	scratch := f.getPage() // payload checks run one at a time on this process
+	defer f.putPage(scratch)
 	for i := 0; i < len(data); {
 		lpn := data[i].lpn
 		j := i
 		for j < len(data) && data[j].lpn == lpn {
 			j++
 		}
-		f.resolveLPN(p, data[i:j], ckptMapped[lpn], &rs, func(ppn int64, seq uint64) {
+		f.resolveLPN(p, data[i:j], ckptMapped[lpn], &rs, scratch, func(ppn int64, seq uint64) {
 			won[lpn] = winner{ppn: ppn, seq: seq}
 		})
 		i = j
@@ -173,12 +175,12 @@ func Recover(p *sim.Proc, dev *flash.Device, cfg Config) (*FTL, RecoveryStats, e
 			f.trimPages[t.ppn] = t.seq // extra relocated copy: still live for GC
 			continue
 		}
-		rec, err := f.readPayload(p, t.ppn, &rs)
-		if err != nil || pageCRC(rec.data) != rec.oob.CRC {
+		oob, err := f.readPayload(p, t.ppn, &rs, scratch)
+		if err != nil || pageCRC(scratch) != oob.CRC {
 			rs.TornPages++
 			continue // torn TRIM record: the TRIM was never acknowledged
 		}
-		lpn, count, ok := decodeTrimRecord(rec.data, f.logicalPages)
+		lpn, count, ok := decodeTrimRecord(scratch, f.logicalPages)
 		if !ok {
 			rs.TornPages++
 			continue
@@ -197,8 +199,8 @@ func Recover(p *sim.Proc, dev *flash.Device, cfg Config) (*FTL, RecoveryStats, e
 			if w, ok := won[l]; ok && w.seq < s {
 				delete(won, l)
 			}
-			if cur, ok := f.mapSeq[l]; !ok || cur < s {
-				f.mapSeq[l] = s
+			if e := f.l2p.row(l); e.seq < s {
+				e.seq = s
 			}
 		}
 		rs.ReplayedTrims++
@@ -216,7 +218,6 @@ func Recover(p *sim.Proc, dev *flash.Device, cfg Config) (*FTL, RecoveryStats, e
 			maxSeq = t.seq
 		}
 	}
-	ppb := int64(f.geo.PagesPerBlock)
 	lpns := make([]int64, 0, len(won))
 	for l := range won {
 		lpns = append(lpns, l)
@@ -224,11 +225,13 @@ func Recover(p *sim.Proc, dev *flash.Device, cfg Config) (*FTL, RecoveryStats, e
 	sort.Slice(lpns, func(i, j int) bool { return lpns[i] < lpns[j] })
 	for _, l := range lpns {
 		w := won[l]
-		f.l2p[l] = w.ppn
-		f.p2l[w.ppn] = l
-		f.blocks[w.ppn/ppb].valid++
-		if cur, ok := f.mapSeq[l]; !ok || cur < w.seq {
-			f.mapSeq[l] = w.seq
+		e := f.l2p.row(l)
+		e.ppn = w.ppn
+		f.l2p.mapped++
+		f.setLPNAt(w.ppn, l)
+		f.blocks[w.ppn/f.ppb].valid++
+		if e.seq < w.seq {
+			e.seq = w.seq
 		}
 		if w.seq > f.ckptSeq {
 			rs.ReplayedWrites++
@@ -236,7 +239,7 @@ func Recover(p *sim.Proc, dev *flash.Device, cfg Config) (*FTL, RecoveryStats, e
 		}
 	}
 	for ppn := range f.trimPages {
-		f.blocks[ppn/ppb].valid++
+		f.blocks[ppn/f.ppb].valid++
 	}
 	f.records += len(trimRanges)
 	f.seq = maxSeq + 1
@@ -245,6 +248,7 @@ func Recover(p *sim.Proc, dev *flash.Device, cfg Config) (*FTL, RecoveryStats, e
 	}
 	// Free lists were built by New assuming fresh media; rebuild from what
 	// the scan actually found (ascending, matching New's pop order).
+	f.freeBlocks = 0
 	for u := 0; u < f.units; u++ {
 		f.free[u] = f.free[u][:0]
 		base := int64(u) * f.perUnitBlocks()
@@ -253,8 +257,9 @@ func Recover(p *sim.Proc, dev *flash.Device, cfg Config) (*FTL, RecoveryStats, e
 				f.free[u] = append(f.free[u], base+b)
 			}
 		}
+		f.freeBlocks += len(f.free[u])
 	}
-	rs.RecoveredPages = int64(len(f.l2p))
+	rs.RecoveredPages = f.l2p.mapped
 	rs.Elapsed = time.Duration(p.Now() - start)
 	return f, rs, nil
 }
@@ -267,7 +272,10 @@ func Recover(p *sim.Proc, dev *flash.Device, cfg Config) (*FTL, RecoveryStats, e
 // checkpoint", never to a corrupt map.
 func (f *FTL) readRegion(p *sim.Proc, region []int64) (commitRec, []ckptEntry, bool) {
 	ppb := f.geo.PagesPerBlock
+	ps := f.geo.PageSize
 	total := len(region) * ppb
+	page := f.getPage()
+	defer f.putPage(page)
 	for i := 0; i < total; i++ {
 		a := f.regionAddr(region, i)
 		if !f.dev.IsWritten(a) {
@@ -277,28 +285,28 @@ func (f *FTL) readRegion(p *sim.Proc, region []int64) (commitRec, []ckptEntry, b
 		if err != nil || !ok || oob.LPN != oobCkpt {
 			continue
 		}
-		data, poob, err := f.dev.ReadPageOOB(p, a)
-		if err != nil || pageCRC(data) != poob.CRC {
+		poob, err := f.dev.ReadPageInto(p, a, page)
+		if err != nil || pageCRC(page) != poob.CRC {
 			continue
 		}
-		c, ok := decodeCommit(data)
+		c, ok := decodeCommit(page)
 		if !ok || int(c.chunkPages) != i {
 			continue // a chunk page, or a stale commit out of position
 		}
 		need := int64(c.entryCount) * ckptEntryBytes
-		capacity := int64(c.chunkPages) * int64(f.geo.PageSize)
+		capacity := int64(c.chunkPages) * int64(ps)
 		if need > capacity {
 			continue
 		}
-		stream := make([]byte, 0, need)
+		stream := make([]byte, capacity)
 		good := true
 		for jj := 0; jj < int(c.chunkPages); jj++ {
-			cd, co, err := f.dev.ReadPageOOB(p, f.regionAddr(region, jj))
+			cd := stream[jj*ps : (jj+1)*ps]
+			co, err := f.dev.ReadPageInto(p, f.regionAddr(region, jj), cd)
 			if err != nil || co.LPN != oobCkpt || co.Seq != c.seq || pageCRC(cd) != co.CRC {
 				good = false
 				break
 			}
-			stream = append(stream, cd...)
 		}
 		if !good {
 			continue
@@ -369,22 +377,18 @@ func (f *FTL) readOOBRetry(p *sim.Proc, a flash.Addr) (flash.OOB, bool, error) {
 	return flash.OOB{}, false, lastErr
 }
 
-type payload struct {
-	data []byte
-	oob  flash.OOB
-}
-
-func (f *FTL) readPayload(p *sim.Proc, ppn int64, rs *RecoveryStats) (payload, error) {
+// readPayload reads the page at ppn into dst with bounded retries.
+func (f *FTL) readPayload(p *sim.Proc, ppn int64, rs *RecoveryStats, dst []byte) (flash.OOB, error) {
 	var lastErr error
 	for try := 0; try < 3; try++ {
-		data, oob, err := f.dev.ReadPageOOB(p, f.geo.AddrOfPage(ppn))
+		oob, err := f.dev.ReadPageInto(p, f.geo.AddrOfPage(ppn), dst)
 		rs.PayloadReads++
 		if err == nil {
-			return payload{data: data, oob: oob}, nil
+			return oob, nil
 		}
 		lastErr = err
 	}
-	return payload{}, lastErr
+	return flash.OOB{}, lastErr
 }
 
 // resolveLPN walks one logical page's candidate records, sorted by sequence
@@ -401,7 +405,7 @@ func (f *FTL) readPayload(p *sim.Proc, ppn int64, rs *RecoveryStats) (payload, e
 //     still CRC-verify it — keeping remount cost scan-dominated.
 //   - A pre-checkpoint record for a page the checkpoint holds unmapped is
 //     stale garbage from before a TRIM; it and everything older is dropped.
-func (f *FTL) resolveLPN(p *sim.Proc, cands []scanRec, inCkpt bool, rs *RecoveryStats, accept func(ppn int64, seq uint64)) {
+func (f *FTL) resolveLPN(p *sim.Proc, cands []scanRec, inCkpt bool, rs *RecoveryStats, scratch []byte, accept func(ppn int64, seq uint64)) {
 	i := 0
 	for i < len(cands) {
 		seq := cands[i].seq
@@ -413,8 +417,8 @@ func (f *FTL) resolveLPN(p *sim.Proc, cands []scanRec, inCkpt bool, rs *Recovery
 		if seq > f.ckptSeq {
 			picked := false
 			for _, c := range group {
-				pl, err := f.readPayload(p, c.ppn, rs)
-				if err == nil && pageCRC(pl.data) == pl.oob.CRC && pl.oob.Seq == seq {
+				oob, err := f.readPayload(p, c.ppn, rs, scratch)
+				if err == nil && pageCRC(scratch) == oob.CRC && oob.Seq == seq {
 					accept(c.ppn, seq)
 					picked = true
 					break
@@ -439,8 +443,8 @@ func (f *FTL) resolveLPN(p *sim.Proc, cands []scanRec, inCkpt bool, rs *Recovery
 		// Multiple verbatim GC copies: prefer one whose payload verifies,
 		// falling back to the first so corruption stays detectable at read.
 		for _, c := range group {
-			pl, err := f.readPayload(p, c.ppn, rs)
-			if err == nil && pageCRC(pl.data) == pl.oob.CRC {
+			oob, err := f.readPayload(p, c.ppn, rs, scratch)
+			if err == nil && pageCRC(scratch) == oob.CRC {
 				accept(c.ppn, seq)
 				return
 			}

@@ -34,6 +34,18 @@ type BlockDevice interface {
 	TrimPages(p *sim.Proc, lpn, count int64) error
 }
 
+// PageReaderInto is an optional BlockDevice capability: ReadPages with the
+// destination passed in. dst is a whole number of pages and is filled from
+// lpn on; the device must not keep a reference to it. A view reads through
+// it when the device has it — whole-page spans of a File.Read then land in
+// the caller's buffer with no copy in between — and falls back to ReadPages
+// plus a copy when it does not, which is why this is a capability and not a
+// fourth required method: every BlockDevice written against the three-method
+// interface keeps working unchanged.
+type PageReaderInto interface {
+	ReadPagesInto(p *sim.Proc, lpn int64, dst []byte) error
+}
+
 // Syncer is an optional BlockDevice capability: Sync is the device-level
 // durability barrier (an NVMe FLUSH, or the FTL checkpoint on the dedicated
 // in-storage path). View.Flush invokes it after draining the write-back

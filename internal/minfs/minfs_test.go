@@ -477,3 +477,11 @@ func TestReadYourOwnWritesAcrossRunBoundary(t *testing.T) {
 		return nil
 	})
 }
+
+// fileReader adapts File to io.Reader for a fixed proc.
+type fileReader struct {
+	f *File
+	p *sim.Proc
+}
+
+func (r fileReader) Read(b []byte) (int, error) { return r.f.Read(r.p, b) }

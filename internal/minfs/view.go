@@ -14,7 +14,26 @@ type View struct {
 	fs  *FS
 	dev BlockDevice
 	wb  *writeBack
+	// scratch is a free list of transient buffers (read staging, metadata
+	// serialisation), each held only for the duration of one call; several
+	// processes read through one view at once, so one buffer is not enough.
+	scratch [][]byte
 }
+
+// getScratch returns a buffer of n bytes with arbitrary contents; hand it
+// back with putScratch.
+func (v *View) getScratch(n int) []byte {
+	if k := len(v.scratch); k > 0 {
+		b := v.scratch[k-1]
+		v.scratch = v.scratch[:k-1]
+		if cap(b) >= n {
+			return b[:n]
+		}
+	}
+	return make([]byte, n)
+}
+
+func (v *View) putScratch(b []byte) { v.scratch = append(v.scratch, b) }
 
 // NewView creates an access path onto fs through dev. The device must match
 // the filesystem's page size and be at least as large as its page count.
@@ -51,10 +70,13 @@ func (v *View) Sync(p *sim.Proc) error {
 		return fmt.Errorf("%w: metadata needs %d pages, reserved %d", ErrNoSpace, need, metaPages)
 	}
 	// Page 0 holds the length header then the blob streams on.
-	buf := make([]byte, need*ps)
+	buf := v.getScratch(need * ps)
 	putUint64(buf, uint64(len(blob)))
-	copy(buf[8:], blob)
-	if err := v.write(p, 0, buf); err != nil {
+	n := copy(buf[8:], blob)
+	clear(buf[8+n:])
+	err = v.write(p, 0, buf) // copied or written out by the time it returns
+	v.putScratch(buf)
+	if err != nil {
 		return err
 	}
 	// Metadata must be durable before another view mounts.
@@ -143,11 +165,19 @@ func (v *View) ReadFile(p *sim.Proc, name string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, f.Size())
-	if _, err := io.ReadFull(fileReader{f, p}, out); err != nil {
-		return nil, err
+	// Rounded up to whole pages so that the last page, too, is read in
+	// place: File.Read may use all of its buffer as scratch.
+	ps := int64(v.fs.pageSize)
+	size := f.Size()
+	out := make([]byte, (size+ps-1)/ps*ps)
+	for n := int64(0); n < size; {
+		c, err := f.Read(p, out[n:])
+		if err != nil {
+			return nil, err
+		}
+		n += int64(c)
 	}
-	return out, nil
+	return out[:size], nil
 }
 
 // WriteFile creates name (replacing any existing file) with the given
@@ -167,14 +197,6 @@ func (v *View) WriteFile(p *sim.Proc, name string, data []byte) error {
 	}
 	return f.Close(p)
 }
-
-// fileReader adapts File to io.Reader for a fixed proc (internal use).
-type fileReader struct {
-	f *File
-	p *sim.Proc
-}
-
-func (r fileReader) Read(b []byte) (int, error) { return r.f.Read(r.p, b) }
 
 // File is an open file handle with a cursor. Writes append; a partial
 // trailing page is buffered until Close.
@@ -240,7 +262,7 @@ func (f *File) Write(p *sim.Proc, data []byte) (int, error) {
 		f.buf = append(f.buf, data[:n]...)
 		data = data[n:]
 		if len(f.buf) == ps {
-			if err := f.flushPage(p, f.buf); err != nil {
+			if err := f.flushPage(p); err != nil {
 				return total - len(data), err
 			}
 			f.buf = f.buf[:0]
@@ -287,23 +309,20 @@ func (f *File) runAt(pgIdx int64) (lpn, cnt int64, ok bool) {
 	return 0, 0, false
 }
 
-// flushPage writes one full (or padded final) page into the file's extents.
-func (f *File) flushPage(p *sim.Proc, page []byte) error {
-	ps := f.view.fs.pageSize
+// flushPage writes the tail buffer, one full page or the final short one
+// zero-padded in place (the buffer's capacity is a page), into the file's
+// extents.
+func (f *File) flushPage(p *sim.Proc) error {
 	lpn, _, err := f.appendRun(1)
 	if err != nil {
 		return err
 	}
-	full := page
-	if len(full) < ps {
-		padded := make([]byte, ps)
-		copy(padded, full)
-		full = padded
-	}
+	full := f.buf[:f.view.fs.pageSize]
+	clear(full[len(f.buf):])
 	if err := f.view.write(p, lpn, full); err != nil {
 		return err
 	}
-	f.ino.Size += int64(len(page))
+	f.ino.Size += int64(len(f.buf))
 	return nil
 }
 
@@ -317,7 +336,11 @@ func appendExtent(exts []Extent, e Extent) []Extent {
 }
 
 // Read fills b from the current cursor, returning io.EOF at end of file.
-// Contiguous extents are fetched as multi-page runs.
+// Contiguous extents are fetched as multi-page runs, one device read each. A
+// run that starts on a page boundary and whose pages all fit in what is left
+// of b is read in place (so, like any io.Reader, Read may use all of b as
+// scratch: the padding of a file's last page can land beyond the count
+// returned); a run with a ragged head or tail is staged and copied.
 func (f *File) Read(p *sim.Proc, b []byte) (int, error) {
 	if f.closed {
 		return 0, ErrClosed
@@ -344,17 +367,32 @@ func (f *File) Read(p *sim.Proc, b []byte) (int, error) {
 		if needPages < run {
 			run = needPages
 		}
-		data, err := f.view.read(p, lpn, run)
-		if err != nil {
-			return n, err
-		}
-		avail := int64(len(data)) - inPage
+		avail := run*ps - inPage
 		if rem := f.ino.Size - f.off; rem < avail {
 			avail = rem
 		}
-		c := copy(b[n:], data[inPage:inPage+avail])
-		n += c
-		f.off += int64(c)
+		if rem := int64(len(b) - n); rem < avail {
+			avail = rem
+		}
+		inPlace := inPage == 0 && run*ps <= int64(len(b)-n)
+		var dst []byte
+		if inPlace {
+			dst = b[n : n+int(run*ps)]
+		} else {
+			dst = f.view.getScratch(int(run * ps))
+		}
+		err := f.view.readInto(p, lpn, dst)
+		if !inPlace {
+			if err == nil {
+				copy(b[n:], dst[inPage:inPage+avail])
+			}
+			f.view.putScratch(dst)
+		}
+		if err != nil {
+			return n, err
+		}
+		n += int(avail)
+		f.off += avail
 		f.lastEnd = f.off
 	}
 	return n, nil
@@ -432,7 +470,7 @@ func (f *File) Close(p *sim.Proc) error {
 	}
 	f.closed = true
 	if f.writable && len(f.buf) > 0 {
-		if err := f.flushPage(p, f.buf); err != nil {
+		if err := f.flushPage(p); err != nil {
 			return err
 		}
 		f.buf = nil

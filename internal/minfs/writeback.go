@@ -24,15 +24,23 @@ type writeBack struct {
 
 	outstanding int
 	flushers    []*sim.Mailbox[struct{}]
+	free        []*wbEntry // recycled entries, page buffer attached
 
 	landed  int64
 	dropped int64 // superseded before reaching the device
 	err     error // first background write error; sticky, like an EIO-poisoned page cache
 }
 
+// wbEntry is one dirty page. refs counts who can still reach it — the
+// pending map, and each flusher between picking it up and resolving its
+// queue item — and the entry returns to the free list, page buffer and all,
+// only when the last of them lets go: a flusher compares entries by pointer
+// to detect being superseded, so an entry reused while one still held it
+// would pass for the original.
 type wbEntry struct {
 	data []byte
 	seq  uint64
+	refs int
 }
 
 type wbItem struct {
@@ -75,32 +83,47 @@ func (v *View) write(p *sim.Proc, lpn int64, data []byte) error {
 	}
 	ps := v.fs.pageSize
 	for off := 0; off < len(data); off += ps {
-		pg := make([]byte, ps)
-		copy(pg, data[off:])
-		v.wb.put(p, lpn+int64(off/ps), pg)
+		v.wb.put(p, lpn+int64(off/ps), data[off:])
 	}
 	return nil
 }
 
-// put caches one dirty page and queues it, blocking on the dirty budget.
-// Entries must be exactly one page: the read overlay substitutes ent.data
-// wholesale for the device page, so a short entry would splice stale
-// device bytes into its tail. view.write pads, but defend here so any
-// future caller keeps the invariant.
-func (wb *writeBack) put(p *sim.Proc, lpn int64, page []byte) {
-	if ps := wb.dev.PageSize(); len(page) != ps {
-		padded := make([]byte, ps)
-		copy(padded, page)
-		page = padded
-	}
+// put caches a copy of the first page of src and queues it, blocking on the
+// dirty budget. The copy is always exactly one page (a short src is
+// zero-padded): the read overlay substitutes ent.data wholesale for the
+// device page, so a short entry would splice stale device bytes into its
+// tail.
+func (wb *writeBack) put(p *sim.Proc, lpn int64, src []byte) {
 	wb.budget.Acquire(p, 1)
-	var seq uint64
-	if e, ok := wb.pending[lpn]; ok {
-		seq = e.seq + 1
+	var ent *wbEntry
+	if n := len(wb.free); n > 0 {
+		ent = wb.free[n-1]
+		wb.free = wb.free[:n-1]
+	} else {
+		ent = &wbEntry{data: make([]byte, wb.dev.PageSize())}
 	}
-	wb.pending[lpn] = &wbEntry{data: page, seq: seq}
+	clear(ent.data[copy(ent.data, src):])
+	ent.seq, ent.refs = 0, 1
+	if old, ok := wb.pending[lpn]; ok {
+		ent.seq = old.seq + 1
+		wb.release(old)
+	}
+	wb.pending[lpn] = ent
 	wb.outstanding++
-	wb.queue.Put(wbItem{lpn: lpn, seq: seq})
+	wb.queue.Put(wbItem{lpn: lpn, seq: ent.seq})
+}
+
+// release drops one reference to ent (see wbEntry).
+func (wb *writeBack) release(ent *wbEntry) {
+	if ent.refs--; ent.refs == 0 {
+		wb.free = append(wb.free, ent)
+	}
+}
+
+// unpend removes ent from the cache, giving up the pending map's reference.
+func (wb *writeBack) unpend(lpn int64, ent *wbEntry) {
+	delete(wb.pending, lpn)
+	wb.release(ent)
 }
 
 // flusher is one background write-out process.
@@ -118,12 +141,14 @@ func (wb *writeBack) flusher(p *sim.Proc) {
 			wb.resolve()
 			continue
 		}
+		ent.refs++ // held across the waits below
 		// Serialise per-page device writes to preserve ordering.
 		for wb.inFlite[item.lpn] {
 			p.Wait(5_000) // 5µs
 		}
 		if cur := wb.pending[item.lpn]; cur != ent {
 			wb.dropped++
+			wb.release(ent)
 			wb.resolve()
 			continue
 		}
@@ -138,16 +163,13 @@ func (wb *writeBack) flusher(p *sim.Proc) {
 			if wb.err == nil {
 				wb.err = fmt.Errorf("minfs: write-back flush of lpn %d: %w", item.lpn, err)
 			}
-			if cur := wb.pending[item.lpn]; cur == ent {
-				delete(wb.pending, item.lpn)
-			}
-			wb.resolve()
-			continue
+		} else {
+			wb.landed++
 		}
-		if cur := wb.pending[item.lpn]; cur == ent {
-			delete(wb.pending, item.lpn)
+		if wb.pending[item.lpn] == ent {
+			wb.unpend(item.lpn, ent)
 		}
-		wb.landed++
+		wb.release(ent)
 		wb.resolve()
 	}
 }
@@ -192,11 +214,22 @@ func (v *View) Flush(p *sim.Proc) error {
 	return err
 }
 
-// read routes a page-range read, overlaying dirty pages.
-func (v *View) read(p *sim.Proc, lpn, count int64) ([]byte, error) {
-	data, err := v.dev.ReadPages(p, lpn, count)
-	if err != nil {
-		return nil, err
+// readInto routes a page-range read into dst (a whole number of pages),
+// overlaying dirty pages. A device without the PageReaderInto capability is
+// read through ReadPages and copied.
+func (v *View) readInto(p *sim.Proc, lpn int64, dst []byte) error {
+	ps := int64(v.fs.pageSize)
+	count := int64(len(dst)) / ps
+	if r, ok := v.dev.(PageReaderInto); ok {
+		if err := r.ReadPagesInto(p, lpn, dst); err != nil {
+			return err
+		}
+	} else {
+		data, err := v.dev.ReadPages(p, lpn, count)
+		if err != nil {
+			return err
+		}
+		copy(dst, data)
 	}
 	if v.wb != nil && len(v.wb.pending) > 0 {
 		// Overlay dirty pages one page at a time: multi-page runs may mix
@@ -204,21 +237,22 @@ func (v *View) read(p *sim.Proc, lpn, count int64) ([]byte, error) {
 		// stitches runs together page-wise), so each page resolves
 		// independently. ent.data is always a full page (see put), making
 		// whole-page substitution safe.
-		ps := int64(v.fs.pageSize)
 		for i := int64(0); i < count; i++ {
 			if ent, ok := v.wb.pending[lpn+i]; ok {
-				copy(data[i*ps:(i+1)*ps], ent.data)
+				copy(dst[i*ps:(i+1)*ps], ent.data)
 			}
 		}
 	}
-	return data, nil
+	return nil
 }
 
 // trim routes a trim, invalidating overlapping dirty pages first.
 func (v *View) trim(p *sim.Proc, lpn, count int64) error {
 	if v.wb != nil {
 		for i := int64(0); i < count; i++ {
-			delete(v.wb.pending, lpn+i)
+			if ent, ok := v.wb.pending[lpn+i]; ok {
+				v.wb.unpend(lpn+i, ent)
+			}
 		}
 	}
 	return v.dev.TrimPages(p, lpn, count)

@@ -92,9 +92,13 @@ const (
 // Command is a submission queue entry plus its host-resident payload.
 type Command struct {
 	Op    Opcode
-	LBA   int64  // logical page address (units of backend page size)
-	Pages int64  // page count for Read/Trim
-	Data  []byte // host write buffer (multiple of page size)
+	LBA   int64 // logical page address (units of backend page size)
+	Pages int64 // page count for Read/Trim
+	// Data is the host buffer the command DMAs: the source of a Write
+	// (a multiple of the page size) or the destination of a Read (exactly
+	// Pages pages). The host owns it and must leave it alone until the
+	// completion; a Read's Completion.Data is this same buffer.
+	Data []byte
 
 	// Vendor payload: an opaque structure handed to the backend, with its
 	// serialised wire size so the fabric can charge the DMA.
@@ -135,8 +139,8 @@ type Backend interface {
 	PageSize() int
 	CapacityBytes() int64
 	InSitu() bool
-	// Read returns pages*PageSize bytes starting at logical page lba.
-	Read(p *sim.Proc, lba, pages int64) ([]byte, error)
+	// Read fills dst (pages*PageSize bytes) from logical page lba on.
+	Read(p *sim.Proc, lba, pages int64, dst []byte) error
 	// Write stores data (a whole number of pages) starting at lba.
 	Write(p *sim.Proc, lba int64, data []byte) error
 	// Trim deallocates pages starting at lba.
@@ -323,14 +327,16 @@ func (c *Controller) execute(p *sim.Proc, cmd *Command) *Completion {
 	ps := int64(c.backend.PageSize())
 	switch cmd.Op {
 	case OpRead:
-		data, err := c.backend.Read(p, cmd.LBA, cmd.Pages)
-		if err != nil {
+		if int64(len(cmd.Data)) != cmd.Pages*ps {
+			return c.fail(comp, fmt.Errorf("%w: read buffer of %d bytes for %d pages", ErrInvalid, len(cmd.Data), cmd.Pages))
+		}
+		if err := c.backend.Read(p, cmd.LBA, cmd.Pages, cmd.Data); err != nil {
 			return c.fail(comp, err)
 		}
-		c.port.ToHost(p, int64(len(data)))
-		c.stats.BytesToHost += int64(len(data))
+		c.port.ToHost(p, int64(len(cmd.Data)))
+		c.stats.BytesToHost += int64(len(cmd.Data))
 		c.stats.ReadPages += cmd.Pages
-		comp.Data = data
+		comp.Data = cmd.Data
 	case OpWrite:
 		if int64(len(cmd.Data))%ps != 0 || len(cmd.Data) == 0 {
 			return c.fail(comp, fmt.Errorf("nvme: write payload %d bytes not page-aligned", len(cmd.Data)))
@@ -439,13 +445,24 @@ func (d *Driver) Submit(p *sim.Proc, cmd *Command) *Completion {
 	return comp
 }
 
-// Read is a convenience wrapper issuing an OpRead.
+// Read is a convenience wrapper issuing an OpRead into a fresh buffer the
+// caller owns.
 func (d *Driver) Read(p *sim.Proc, lba, pages int64) ([]byte, error) {
-	comp := d.Submit(p, &Command{Op: OpRead, LBA: lba, Pages: pages})
-	if comp.Status != StatusOK {
-		return nil, comp.Err
+	dst := make([]byte, pages*int64(d.ctrl.backend.PageSize()))
+	if err := d.ReadInto(p, lba, dst); err != nil {
+		return nil, err
 	}
-	return comp.Data, nil
+	return dst, nil
+}
+
+// ReadInto issues an OpRead that fills dst, a whole number of pages.
+func (d *Driver) ReadInto(p *sim.Proc, lba int64, dst []byte) error {
+	pages := int64(len(dst) / d.ctrl.backend.PageSize())
+	comp := d.Submit(p, &Command{Op: OpRead, LBA: lba, Pages: pages, Data: dst})
+	if comp.Status != StatusOK {
+		return comp.Err
+	}
+	return nil
 }
 
 // Write is a convenience wrapper issuing an OpWrite.

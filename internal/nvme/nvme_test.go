@@ -29,19 +29,15 @@ func (f *fakeBackend) CapacityBytes() int64  { return 1 << 20 }
 func (f *fakeBackend) InSitu() bool          { return f.inSitu }
 func (f *fakeBackend) Flush(*sim.Proc) error { return nil }
 
-func (f *fakeBackend) Read(p *sim.Proc, lba, pages int64) ([]byte, error) {
+func (f *fakeBackend) Read(p *sim.Proc, lba, pages int64, out []byte) error {
 	if f.failRead {
-		return nil, errors.New("media error")
+		return errors.New("media error")
 	}
-	out := make([]byte, 0, pages*int64(f.pageSize))
+	clear(out)
 	for i := int64(0); i < pages; i++ {
-		pg, ok := f.pages[lba+i]
-		if !ok {
-			pg = make([]byte, f.pageSize)
-		}
-		out = append(out, pg...)
+		copy(out[int(i)*f.pageSize:], f.pages[lba+i])
 	}
-	return out, nil
+	return nil
 }
 
 func (f *fakeBackend) Write(p *sim.Proc, lba int64, data []byte) error {
@@ -152,7 +148,7 @@ func TestBackendErrorSurfacesAsStatus(t *testing.T) {
 	be.failRead = true
 	eng, drv, ctrl := newRig(be)
 	eng.Go("host", func(p *sim.Proc) {
-		comp := drv.Submit(p, &Command{Op: OpRead, LBA: 0, Pages: 1})
+		comp := drv.Submit(p, &Command{Op: OpRead, LBA: 0, Pages: 1, Data: make([]byte, be.pageSize)})
 		if comp.Status != StatusInternal {
 			t.Errorf("status = %v, want INTERNAL", comp.Status)
 		}
@@ -232,7 +228,7 @@ func TestCompletionLatencyPositive(t *testing.T) {
 	be := newFakeBackend()
 	eng, drv, _ := newRig(be)
 	eng.Go("host", func(p *sim.Proc) {
-		comp := drv.Submit(p, &Command{Op: OpRead, LBA: 0, Pages: 1})
+		comp := drv.Submit(p, &Command{Op: OpRead, LBA: 0, Pages: 1, Data: make([]byte, be.pageSize)})
 		if comp.Latency() <= 0 {
 			t.Errorf("latency = %v, want > 0", comp.Latency())
 		}

@@ -1,0 +1,128 @@
+package ssd
+
+import (
+	"bytes"
+	"testing"
+
+	"compstor/internal/sim"
+)
+
+// A single-page host read owes its caller one buffer, and the protocol one
+// command and one completion; nothing else on the way down to the slab and
+// back may allocate.
+func TestDriverReadAllocations(t *testing.T) {
+	eng, drive := newRig(t, false)
+	drv := drive.Driver()
+	ps := drive.PageSize()
+	eng.Go("host", func(p *sim.Proc) {
+		if err := drv.Write(p, 0, bytes.Repeat(pagePattern(7, ps), 16)); err != nil {
+			t.Error(err)
+			return
+		}
+		if n := testing.AllocsPerRun(200, func() {
+			if _, err := drv.Read(p, 5, 1); err != nil {
+				t.Error(err)
+			}
+		}); n > 3 {
+			t.Errorf("Driver.Read of one page: %v allocs/op, want at most 3 (buffer, command, completion)", n)
+		}
+		dst := make([]byte, ps)
+		if n := testing.AllocsPerRun(200, func() {
+			if err := drv.ReadInto(p, 5, dst); err != nil {
+				t.Error(err)
+			}
+		}); n > 2 {
+			t.Errorf("Driver.ReadInto of one page: %v allocs/op, want at most 2 (command, completion)", n)
+		}
+	})
+	eng.Run()
+}
+
+// Whatever a read hands out is the caller's to scribble on, and whatever a
+// write was handed is the caller's again once it returns: neither the
+// write-back cache, the ISPS read cache nor the flash slabs may share memory
+// with either.
+func TestDataPathBuffersDoNotAlias(t *testing.T) {
+	eng, drive, _ := newPipelineRig(t, PipelineConfig{})
+	ps := drive.PageSize()
+	want := bytes.Repeat([]byte("compstor"), 3*ps/8+100) // a ragged tail
+	scribble := func(b []byte) {
+		for i := range b {
+			b[i] ^= 0xFF
+		}
+	}
+	eng.Go("t", func(p *sim.Proc) {
+		host, isps := drive.HostView(), drive.ISPSView()
+		src := append([]byte(nil), want...)
+		if err := host.WriteFile(p, "f", src); err != nil {
+			t.Error(err)
+			return
+		}
+		scribble(src) // dirty pages still queued in the host's write-back cache
+		dirty, err := host.ReadFile(p, "f")
+		if err != nil || !bytes.Equal(dirty, want) {
+			t.Errorf("write-back cache follows the writer's buffer (%v)", err)
+		}
+		scribble(dirty) // read while dirty: an overlay copy, not the cached page
+		if err := host.Flush(p); err != nil {
+			t.Error(err)
+		}
+		for pass, who := range []string{"cold, from flash", "warm, from the read cache", "warm again"} {
+			got, err := isps.ReadFile(p, "f")
+			if err != nil || !bytes.Equal(got, want) {
+				t.Errorf("isps read %d (%s): wrong bytes (%v)", pass, who, err)
+			}
+			scribble(got)
+		}
+		if st, _ := drive.ReadCacheStats(); st.Hits == 0 {
+			t.Error("the warm reads never hit the read cache: aliasing with it was not exercised")
+		}
+		for pass := 0; pass < 2; pass++ {
+			got, err := host.ReadFile(p, "f")
+			if err != nil || !bytes.Equal(got, want) {
+				t.Errorf("host read %d: wrong bytes (%v)", pass, err)
+			}
+			scribble(got)
+		}
+		raw, err := drive.Driver().Read(p, 64, 2) // the file's first pages, below the filesystem
+		if err != nil {
+			t.Error(err)
+		}
+		scribble(raw)
+		if again, _ := drive.Driver().Read(p, 64, 2); !bytes.Equal(again, want[:2*ps]) {
+			t.Error("scribbling on Driver.Read's buffer reached the media")
+		}
+	})
+	eng.Run()
+}
+
+func benchmarkSSDRead(b *testing.B, pages int64) {
+	eng, drive := newRig(b, false)
+	drv := drive.Driver()
+	ps := drive.PageSize()
+	const span = 1024
+	eng.Go("fill", func(p *sim.Proc) {
+		if err := drv.Write(p, 0, make([]byte, span*ps)); err != nil {
+			b.Error(err)
+		}
+	})
+	eng.Run()
+	b.SetBytes(pages * int64(ps))
+	b.ReportAllocs()
+	eng.Go("host", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			if _, err := drv.Read(p, (int64(i)*7919)%(span-pages), pages); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	b.ResetTimer()
+	eng.Run()
+}
+
+// BenchmarkSSDRead1Pages and BenchmarkSSDRead16Pages time a host NVMe read
+// through controller, FTL and flash: the single-page case is ftl_churn's read,
+// the 16-page case a filesystem run fanned out across channels.
+func BenchmarkSSDRead1Pages(b *testing.B)  { benchmarkSSDRead(b, 1) }
+func BenchmarkSSDRead16Pages(b *testing.B) { benchmarkSSDRead(b, 16) }

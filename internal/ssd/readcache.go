@@ -200,17 +200,17 @@ func (c *readCache) dropAll() {
 
 // Demand path -------------------------------------------------------------------
 
-// readPages is the demand read: driver latency, then per page either an
-// ISPS-DRAM copy (hit), a poll-wait on an in-flight fill, or a flash fetch
-// (miss, fanned out channel-parallel and inserted read-through).
-func (c *readCache) readPages(p *sim.Proc, lpn, count int64, lat time.Duration) ([]byte, error) {
+// readPages is the demand read into out (count pages): driver latency, then
+// per page either an ISPS-DRAM copy (hit), a poll-wait on an in-flight fill,
+// or a flash fetch (miss, fanned out channel-parallel and inserted
+// read-through).
+func (c *readCache) readPages(p *sim.Proc, lpn, count int64, lat time.Duration, out []byte) error {
 	p.Wait(lat)
 	if c.s.dev.PoweredOff() {
 		// A powered-off device serves nothing — the DRAM cache least of all.
-		return nil, flash.ErrPowerLoss
+		return flash.ErrPowerLoss
 	}
 	ps := int64(c.s.PageSize())
-	out := make([]byte, count*ps)
 
 	// Wait out in-flight fills covering the request, then classify pages.
 	// The poll interval matches the write-back flusher's (5 µs).
@@ -233,7 +233,7 @@ func (c *readCache) readPages(p *sim.Proc, lpn, count int64, lat time.Duration) 
 		p.Wait(sim.DurationFor(hitPages*ps, c.cfg.DRAMBytesPerSec))
 	}
 	if len(missed) == 0 {
-		return out, nil
+		return nil
 	}
 
 	// Register the misses so concurrent fills/reads coordinate, fetch them
@@ -244,12 +244,7 @@ func (c *readCache) readPages(p *sim.Proc, lpn, count int64, lat time.Duration) 
 	}
 	err := c.s.forEachPage(p, int64(len(missed)), func(cp *sim.Proc, j int64) error {
 		i := missed[j]
-		data, err := c.s.ftl.ReadPage(cp, lpn+i)
-		if err != nil {
-			return err
-		}
-		copy(out[i*ps:], data)
-		return nil
+		return c.s.ftl.ReadPageInto(cp, lpn+i, out[i*ps:(i+1)*ps])
 	})
 	for _, i := range missed {
 		st := c.fetching[lpn+i]
@@ -257,14 +252,10 @@ func (c *readCache) readPages(p *sim.Proc, lpn, count int64, lat time.Duration) 
 		if err != nil || st.stale || c.s.dev.PoweredOff() {
 			continue
 		}
-		page := make([]byte, ps)
-		copy(page, out[i*ps:(i+1)*ps])
-		c.insert(lpn+i, page)
+		// out is the caller's; the cache keeps a copy of its own.
+		c.insert(lpn+i, append([]byte(nil), out[i*ps:(i+1)*ps]...))
 	}
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return err
 }
 
 // Prefetch path -----------------------------------------------------------------
@@ -336,11 +327,12 @@ func (c *readCache) fill(p *sim.Proc, lpns []int64) {
 	ps := int64(c.s.PageSize())
 	pages := make([][]byte, len(lpns))
 	err := c.s.forEachPage(p, int64(len(lpns)), func(cp *sim.Proc, j int64) error {
-		data, rerr := c.s.ftl.ReadPage(cp, lpns[j])
-		if rerr != nil {
+		// Read into the very page the cache will own.
+		page := make([]byte, ps)
+		if rerr := c.s.ftl.ReadPageInto(cp, lpns[j], page); rerr != nil {
 			return rerr
 		}
-		pages[j] = append(make([]byte, 0, ps), data[:ps]...)
+		pages[j] = page
 		return nil
 	})
 	for j, l := range lpns {

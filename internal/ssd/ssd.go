@@ -334,26 +334,25 @@ func (s *SSD) CapacityBytes() int64 { return s.ftl.LogicalBytes() }
 func (s *SSD) InSitu() bool { return s.cfg.InSitu }
 
 // Read implements nvme.Backend: controller overhead, then channel-parallel
-// page fetches.
-func (s *SSD) Read(p *sim.Proc, lba, pages int64) ([]byte, error) {
+// page fetches straight into the host's buffer.
+func (s *SSD) Read(p *sim.Proc, lba, pages int64, dst []byte) error {
 	s.useCtrl(p)
 	if err := s.fault(p, nvme.OpRead); err != nil {
-		return nil, err
+		return err
+	}
+	return s.readPagesInto(p, lba, pages, dst)
+}
+
+// readPagesInto fills dst (count pages) from logical page lpn on: each page
+// is copied once, by the flash model, into its place in dst.
+func (s *SSD) readPagesInto(p *sim.Proc, lpn, count int64, dst []byte) error {
+	if count == 1 { // before the closure below is built: a one-page read allocates nothing
+		return s.ftl.ReadPageInto(p, lpn, dst)
 	}
 	ps := int64(s.PageSize())
-	out := make([]byte, pages*ps)
-	err := s.forEachPage(p, pages, func(cp *sim.Proc, i int64) error {
-		data, err := s.ftl.ReadPage(cp, lba+i)
-		if err != nil {
-			return err
-		}
-		copy(out[i*ps:], data)
-		return nil
+	return s.forEachPage(p, count, func(cp *sim.Proc, i int64) error {
+		return s.ftl.ReadPageInto(cp, lpn+i, dst[i*ps:(i+1)*ps])
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Write implements nvme.Backend.
@@ -469,6 +468,12 @@ func (d *hostBlockDevice) ReadPages(p *sim.Proc, lpn, count int64) ([]byte, erro
 	return d.drv.Read(p, lpn, count)
 }
 
+// ReadPagesInto implements minfs.PageReaderInto: one NVMe READ whose DMA
+// target is dst.
+func (d *hostBlockDevice) ReadPagesInto(p *sim.Proc, lpn int64, dst []byte) error {
+	return d.drv.ReadInto(p, lpn, dst)
+}
+
 func (d *hostBlockDevice) WritePages(p *sim.Proc, lpn int64, data []byte) error {
 	return d.drv.Write(p, lpn, data)
 }
@@ -498,38 +503,34 @@ func (d *ispsBlockDevice) PageSize() int { return d.s.PageSize() }
 func (d *ispsBlockDevice) Pages() int64  { return d.s.ftl.LogicalPages() }
 
 func (d *ispsBlockDevice) ReadPages(p *sim.Proc, lpn, count int64) ([]byte, error) {
-	if d.direct && d.s.cache != nil {
-		return d.s.cache.readPages(p, lpn, count, d.lat)
+	out := make([]byte, count*int64(d.s.PageSize()))
+	if err := d.ReadPagesInto(p, lpn, out); err != nil {
+		return nil, err
 	}
+	return out, nil
+}
+
+// ReadPagesInto implements minfs.PageReaderInto.
+func (d *ispsBlockDevice) ReadPagesInto(p *sim.Proc, lpn int64, dst []byte) error {
 	ps := int64(d.s.PageSize())
-	out := make([]byte, count*ps)
+	count := int64(len(dst)) / ps
+	if d.direct && d.s.cache != nil {
+		return d.s.cache.readPages(p, lpn, count, d.lat, dst)
+	}
 	if d.direct {
 		p.Wait(d.lat)
-		err := d.s.forEachPage(p, count, func(cp *sim.Proc, i int64) error {
-			data, err := d.s.ftl.ReadPage(cp, lpn+i)
-			if err != nil {
-				return err
-			}
-			copy(out[i*ps:], data)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
+		return d.s.readPagesInto(p, lpn, count, dst)
 	}
 	// Ablation: every page loops through the protocol front-end, serially,
 	// paying command overhead on the shared controller cores.
 	for i := int64(0); i < count; i++ {
 		p.Wait(25 * time.Microsecond)
 		d.s.useCtrl(p)
-		data, err := d.s.ftl.ReadPage(p, lpn+i)
-		if err != nil {
-			return nil, err
+		if err := d.s.ftl.ReadPageInto(p, lpn+i, dst[i*ps:(i+1)*ps]); err != nil {
+			return err
 		}
-		copy(out[i*ps:], data)
 	}
-	return out, nil
+	return nil
 }
 
 func (d *ispsBlockDevice) WritePages(p *sim.Proc, lpn int64, data []byte) error {

@@ -24,7 +24,7 @@ func smallGeometry() flash.Geometry {
 	}
 }
 
-func newRig(t *testing.T, insitu bool) (*sim.Engine, *SSD) {
+func newRig(t testing.TB, insitu bool) (*sim.Engine, *SSD) {
 	t.Helper()
 	eng := sim.NewEngine()
 	fabric := pcie.NewFabric(eng, pcie.DefaultConfig())
