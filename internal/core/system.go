@@ -172,7 +172,7 @@ func NewSystem(cfg SystemConfig) *System {
 	}
 	// Seed the proc pool for the workload's steady-state fan-out (page I/O
 	// workers, stage/map procs), so testbed construction — not the measured
-	// run — pays the goroutine and channel creation.
+	// run — pays the coroutine creation.
 	sys.Eng.Prewarm(16*cfg.CompStors + 32)
 	return sys
 }
@@ -184,10 +184,10 @@ func (s *System) Device(i int) *DeviceUnit { return s.Devices[i] }
 // time.
 func (s *System) Run() sim.Time { return s.Eng.Run() }
 
-// Close force-terminates every simulated process and joins the pooled
-// worker goroutines backing them (sim.Engine.Shutdown). Call it after the
+// Close force-terminates every simulated process and releases the pooled
+// worker coroutines backing them (sim.Engine.Shutdown). Call it after the
 // last Run: daemon processes (NVMe front-ends, agents) otherwise stay
-// parked forever and their goroutines accumulate across testbeds. The
+// parked forever and their coroutines accumulate across testbeds. The
 // system cannot be used afterwards; reading model state for reports is
 // still fine.
 func (s *System) Close() { s.Eng.Shutdown() }

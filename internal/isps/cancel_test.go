@@ -41,8 +41,8 @@ func runGrep(t *testing.T, deadline sim.Time, cancel *apps.CancelToken, arm func
 
 // settleGoroutines polls until the goroutine count stops above the
 // baseline or the real-time budget runs out — the no-new-dependencies
-// stand-in for a leak detector. Engine procs park on channels; a leaked
-// one would hold the count up.
+// stand-in for a leak detector. Engine procs are parked coroutines, which
+// the runtime counts as goroutines; a leaked one would hold the count up.
 func settleGoroutines(t *testing.T, baseline int) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)

@@ -106,6 +106,7 @@ type Command struct {
 	PayloadBytes int64
 
 	resp      *sim.Mailbox[*Completion]
+	comp      *Completion // completion to fill, when the submitter lends one
 	submitted sim.Time
 	obsCtx    obs.Ctx // submitter's span, so device-side handling parents to it
 }
@@ -189,6 +190,9 @@ type Controller struct {
 	// Put/Recv round trip), and everything runs in engine context, so no
 	// locking is needed.
 	freeResp []*sim.Mailbox[*Completion]
+	// freeIO recycles the command and completion of the Driver's
+	// convenience calls, which keep neither past their return.
+	freeIO []*ioPair
 
 	obs   *obs.Obs
 	hists [8]*obs.Histogram // per-opcode host-observed latency
@@ -318,7 +322,11 @@ func (c *Controller) execute(p *sim.Proc, cmd *Command) *Completion {
 	c.stats.Commands++
 	// Fetch the SQE from host memory.
 	c.port.FromHost(p, sqeBytes)
-	comp := &Completion{Status: StatusOK, Submitted: cmd.submitted}
+	comp := cmd.comp
+	if comp == nil {
+		comp = new(Completion)
+	}
+	*comp = Completion{Status: StatusOK, Submitted: cmd.submitted}
 	if c.faultHook != nil {
 		if err := c.faultHook(p, cmd); err != nil {
 			return c.fail(comp, err)
@@ -445,6 +453,36 @@ func (d *Driver) Submit(p *sim.Proc, cmd *Command) *Completion {
 	return comp
 }
 
+// ioPair is one recycled command with the completion the controller fills
+// for it (Controller.freeIO).
+type ioPair struct {
+	cmd  Command
+	comp Completion
+}
+
+// do issues one data command on a recycled ioPair and reduces its completion
+// to the error — all the convenience wrappers below report — before the pair
+// goes back. Direct Submit callers still own the Completion they get.
+func (d *Driver) do(p *sim.Proc, op Opcode, lba, pages int64, data []byte) error {
+	c := d.ctrl
+	var pair *ioPair
+	if n := len(c.freeIO); n > 0 {
+		pair = c.freeIO[n-1]
+		c.freeIO[n-1] = nil
+		c.freeIO = c.freeIO[:n-1]
+	} else {
+		pair = new(ioPair)
+	}
+	pair.cmd = Command{Op: op, LBA: lba, Pages: pages, Data: data, comp: &pair.comp}
+	var err error
+	if comp := d.Submit(p, &pair.cmd); comp.Status != StatusOK {
+		err = comp.Err
+	}
+	pair.cmd, pair.comp = Command{}, Completion{} // let go of the caller's buffer
+	c.freeIO = append(c.freeIO, pair)
+	return err
+}
+
 // Read is a convenience wrapper issuing an OpRead into a fresh buffer the
 // caller owns.
 func (d *Driver) Read(p *sim.Proc, lba, pages int64) ([]byte, error) {
@@ -457,42 +495,23 @@ func (d *Driver) Read(p *sim.Proc, lba, pages int64) ([]byte, error) {
 
 // ReadInto issues an OpRead that fills dst, a whole number of pages.
 func (d *Driver) ReadInto(p *sim.Proc, lba int64, dst []byte) error {
-	pages := int64(len(dst) / d.ctrl.backend.PageSize())
-	comp := d.Submit(p, &Command{Op: OpRead, LBA: lba, Pages: pages, Data: dst})
-	if comp.Status != StatusOK {
-		return comp.Err
-	}
-	return nil
+	return d.do(p, OpRead, lba, int64(len(dst)/d.ctrl.backend.PageSize()), dst)
 }
 
 // Write is a convenience wrapper issuing an OpWrite.
 func (d *Driver) Write(p *sim.Proc, lba int64, data []byte) error {
-	comp := d.Submit(p, &Command{Op: OpWrite, LBA: lba, Data: data})
-	if comp.Status != StatusOK {
-		return comp.Err
-	}
-	return nil
+	return d.do(p, OpWrite, lba, 0, data)
 }
 
 // Flush is a convenience wrapper issuing an OpFlush — the durability
 // barrier: when it completes, every write this controller previously
 // acknowledged is recoverable after power loss without journal replay (the
 // FTL commits an L2P checkpoint covering them).
-func (d *Driver) Flush(p *sim.Proc) error {
-	comp := d.Submit(p, &Command{Op: OpFlush})
-	if comp.Status != StatusOK {
-		return comp.Err
-	}
-	return nil
-}
+func (d *Driver) Flush(p *sim.Proc) error { return d.do(p, OpFlush, 0, 0, nil) }
 
 // Trim is a convenience wrapper issuing an OpTrim.
 func (d *Driver) Trim(p *sim.Proc, lba, pages int64) error {
-	comp := d.Submit(p, &Command{Op: OpTrim, LBA: lba, Pages: pages})
-	if comp.Status != StatusOK {
-		return comp.Err
-	}
-	return nil
+	return d.do(p, OpTrim, lba, pages, nil)
 }
 
 // Identify is a convenience wrapper issuing an OpIdentify.

@@ -262,6 +262,52 @@ func TestConcurrentMixedWorkloadIntegrity(t *testing.T) {
 	eng.Run()
 }
 
+// The convenience calls recycle their command and completion; a completion
+// returned by Submit is the caller's and must survive whatever runs after
+// it, and overlapping convenience calls must each see their own outcome.
+func TestRecycledCompletionsStayApart(t *testing.T) {
+	be := newFakeBackend()
+	eng, drv, _ := newRig(be)
+	buf := make([]byte, be.pageSize)
+	eng.Go("owner", func(p *sim.Proc) {
+		if err := drv.Write(p, 3, bytes.Repeat([]byte{9}, be.pageSize)); err != nil {
+			t.Error(err)
+			return
+		}
+		kept := drv.Submit(p, &Command{Op: OpRead, LBA: 3, Pages: 1, Data: buf})
+		snapshot := *kept
+		for i := 0; i < 4; i++ {
+			if err := drv.Trim(p, 100, 1); err != nil {
+				t.Error(err)
+			}
+			if err := drv.Write(p, 0, buf[:1]); err == nil { // unaligned: fails
+				t.Error("unaligned write succeeded")
+			}
+		}
+		if kept.Status != StatusOK || kept.Err != nil || &kept.Data[0] != &buf[0] ||
+			kept.Submitted != snapshot.Submitted || kept.Completed != snapshot.Completed {
+			t.Errorf("Submit's completion changed under later commands: %+v, was %+v", *kept, snapshot)
+		}
+	})
+	for w := 0; w < 8; w++ {
+		w := w
+		eng.Go("host", func(p *sim.Proc) {
+			for i := 0; i < 4; i++ {
+				var err error
+				if w%2 == 0 {
+					err = drv.Write(p, int64(200+w), buf[:w+1]) // unaligned: fails
+				} else {
+					err = drv.Flush(p)
+				}
+				if (err != nil) != (w%2 == 0) {
+					t.Errorf("host %d round %d: err = %v", w, i, err)
+				}
+			}
+		})
+	}
+	eng.Run()
+}
+
 func TestOpcodeAndStatusStrings(t *testing.T) {
 	for op, want := range map[Opcode]string{
 		OpRead: "READ", OpWrite: "WRITE", OpFlush: "FLUSH", OpTrim: "TRIM",

@@ -194,7 +194,7 @@ func (a *Accounting) ProcsStarted() int64 {
 }
 
 // ProcsReused returns how many of those processes were bound to a pooled
-// worker goroutine instead of spawning a new one.
+// worker coroutine instead of creating a new one.
 func (a *Accounting) ProcsReused() int64 {
 	if a == nil {
 		return 0
@@ -202,7 +202,7 @@ func (a *Accounting) ProcsReused() int64 {
 	return a.procsReused
 }
 
-// ProcSwitches returns the number of engine→process goroutine handoffs
+// ProcSwitches returns the number of engine→process coroutine switches
 // since enable (each Proc resumption is one). Inline waits do not switch.
 func (a *Accounting) ProcSwitches() int64 {
 	if a == nil {
@@ -212,7 +212,7 @@ func (a *Accounting) ProcSwitches() int64 {
 }
 
 // InlineWaits returns the number of waits completed on the engine-side fast
-// path (no queue insertion, no goroutine handoff).
+// path (no queue insertion, no coroutine switch).
 func (a *Accounting) InlineWaits() int64 {
 	if a == nil {
 		return 0

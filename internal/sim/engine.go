@@ -6,7 +6,7 @@
 //     calendar queue of timestamped callbacks (see sched.go). Events with
 //     equal timestamps fire in scheduling order, so a run is fully
 //     deterministic.
-//   - A process layer (see Proc): goroutine-backed simulated processes in the
+//   - A process layer (see Proc): coroutine-backed simulated processes in the
 //     style of SimPy. Exactly one process or event callback runs at a time,
 //     so model code needs no locking.
 //
@@ -18,7 +18,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 )
 
@@ -59,12 +58,11 @@ type Engine struct {
 	labels  []string
 	labelID map[string]uint32
 
-	// Worker pool backing Proc goroutines (see proc.go). Workers whose proc
-	// completed return to freeW and are rebound by the next Go, so the
-	// goroutine and channel pair are reused instead of re-created.
+	// Worker pool backing Procs (see proc.go). Workers whose proc completed
+	// return to freeW and are rebound by the next Go, so the coroutine is
+	// reused instead of re-created.
 	freeW   []*worker
 	allW    []*worker
-	wg      sync.WaitGroup
 	killing bool // Shutdown in progress: parked procs unwind, schedules drop
 	closed  bool // Shutdown finished: the engine is inert
 
@@ -263,8 +261,8 @@ func (e *Engine) canInline(p *Proc, t Time) bool {
 // inlineAdvance completes a wait as an engine-side fast path: the wake-up
 // event's seq is still consumed and the event still counts in accounting
 // (depth as if it were queued), so sim_events and every subsequent seq are
-// byte-identical to the non-inline execution — only the two goroutine
-// handoffs disappear.
+// byte-identical to the non-inline execution — only the two coroutine
+// switches disappear.
 func (e *Engine) inlineAdvance(p *Proc, t Time) {
 	e.seq++
 	depth := e.q.len() + 1
@@ -275,22 +273,18 @@ func (e *Engine) inlineAdvance(p *Proc, t Time) {
 }
 
 // Prewarm adds n idle workers to the proc pool, so the first n
-// concurrently live procs start without creating a goroutine or channel
-// pair mid-run. This is purely host-side: no event is scheduled and no seq
-// or accounting state is touched, so a prewarmed engine dispatches
-// byte-identically to a cold one (procs running on a prewarmed worker do
-// count as reused). Call it after construction, before any measured window
-// opens; the workers are joined by Shutdown like every other.
+// concurrently live procs start without creating a coroutine mid-run. This
+// is purely host-side: no event is scheduled and no seq or accounting state
+// is touched, so a prewarmed engine dispatches byte-identically to a cold
+// one (procs running on a prewarmed worker do count as reused). Call it
+// after construction, before any measured window opens; the workers are
+// released by Shutdown like every other.
 func (e *Engine) Prewarm(n int) {
 	if e.closed || e.killing {
 		panic("sim: Prewarm after Shutdown")
 	}
 	for i := 0; i < n; i++ {
-		w := &worker{eng: e, resume: make(chan struct{}), yield: make(chan struct{})}
-		e.allW = append(e.allW, w)
-		e.wg.Add(1)
-		go w.loop()
-		e.freeW = append(e.freeW, w)
+		e.freeW = append(e.freeW, newWorker(e))
 	}
 }
 
@@ -301,8 +295,8 @@ func (e *Engine) Stop() { e.stopped = true }
 // Pending reports the number of events still queued.
 func (e *Engine) Pending() int { return e.q.len() }
 
-// Shutdown force-terminates every simulated process and joins the pooled
-// worker goroutines. Parked procs unwind via a panic that runs their defers;
+// Shutdown force-terminates every simulated process and releases the pooled
+// worker coroutines. Parked procs unwind via a panic that runs their defers;
 // events scheduled during the unwind are dropped. It must not be called
 // while Run is active; afterwards the engine is inert (Go, Run, and
 // scheduling panic). Idempotent.
@@ -315,10 +309,8 @@ func (e *Engine) Shutdown() {
 	}
 	e.killing = true
 	for _, w := range e.allW {
-		w.resume <- struct{}{}
-		<-w.yield
+		w.stop()
 	}
-	e.wg.Wait()
 	e.allW, e.freeW = nil, nil
 	e.killing = false
 	e.closed = true

@@ -1,16 +1,21 @@
+//go:build go1.23
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // Proc is a simulated process: model code whose execution is interleaved
 // with the engine so that exactly one process (or event callback) runs at a
 // time. Model code inside a process advances virtual time with Wait, blocks
 // on resources with Acquire/Transfer/Recv, and never needs locks.
 //
-// A Proc is backed by a pooled worker goroutine (see worker below). Pure
-// delays on untraced procs complete inline on the engine side without waking
-// the goroutine at all; the worker is only involved when the proc genuinely
-// has to give way to another event.
+// A Proc is backed by a pooled worker coroutine (see worker below). Pure
+// delays on untraced procs complete inline on the engine side without
+// switching at all; the worker is only involved when the proc genuinely has
+// to give way to another event.
 //
 // A Proc must only call its blocking methods from its own body function.
 type Proc struct {
@@ -24,38 +29,45 @@ type Proc struct {
 	obsCtx    any
 }
 
-// worker is a pooled goroutine + channel pair executing proc bodies. When a
-// body returns, the worker parks on its resume channel and the engine
-// rebinds it to the next Go instead of spawning a fresh goroutine — this is
-// what keeps peak_goroutines near the number of concurrently live procs.
+// worker is a pooled runtime coroutine (iter.Pull) executing proc bodies:
+// next switches from the engine into the coroutine, yield switches back, and
+// neither goes through the goroutine scheduler. When a body returns, the
+// coroutine yields at the top of its loop and the engine rebinds it to the
+// next Go instead of creating a fresh one — this is what keeps
+// peak_goroutines near the number of concurrently live procs. A panic (or
+// runtime.Goexit) in a body surfaces from next, i.e. from Engine.Run on the
+// caller's goroutine.
 type worker struct {
-	eng    *Engine
-	resume chan struct{}
-	yield  chan struct{}
-	p      *Proc
+	p     *Proc
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool // false once stop was called: unwind
+	stop  func()
 }
 
 // killedProc is the panic payload Shutdown uses to unwind parked procs. It
 // is the only panic the worker recovers; real model panics propagate.
 type killedProc struct{}
 
-func (w *worker) loop() {
-	defer w.eng.wg.Done()
-	for {
-		<-w.resume
-		if w.eng.killing || w.p == nil {
-			// Shutdown woke an idle worker (or one whose proc never started).
-			w.yield <- struct{}{}
-			return
+// newWorker creates an idle worker. The coroutine is run up to its first
+// yield at once: iter.Pull allocates on the first switch, which would
+// otherwise land on a proc's first step inside a measured run, and idle then
+// means one thing — parked in the loop's yield, which returns false when
+// Shutdown stops the worker.
+func newWorker(e *Engine) *worker {
+	w := &worker{}
+	w.next, w.stop = iter.Pull(func(yield func(struct{}) bool) {
+		w.yield = yield
+		for yield(struct{}{}) {
+			p := w.p
+			if w.runBody(p) {
+				return
+			}
+			p.done = true
 		}
-		p := w.p
-		killed := w.runBody(p)
-		p.done = true
-		w.yield <- struct{}{}
-		if killed {
-			return
-		}
-	}
+	})
+	w.next()
+	e.allW = append(e.allW, w)
+	return w
 }
 
 func (w *worker) runBody(p *Proc) (killed bool) {
@@ -92,10 +104,7 @@ func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
 			a.procsReused++
 		}
 	} else {
-		w = &worker{eng: e, resume: make(chan struct{}), yield: make(chan struct{})}
-		e.allW = append(e.allW, w)
-		e.wg.Add(1)
-		go w.loop()
+		w = newWorker(e)
 	}
 	w.p = p
 	p.w = w
@@ -126,8 +135,8 @@ func (p *Proc) ObsCtx() any { return p.obsCtx }
 // parent's context onto the workers so child spans parent correctly.
 func (p *Proc) SetObsCtx(v any) { p.obsCtx = v }
 
-// stepProc hands control to the process's worker goroutine and waits for it
-// to block or finish. It runs on the engine side, inside an event dispatch.
+// stepProc switches into the process's worker coroutine and returns when it
+// blocks or finishes. It runs on the engine side, inside an event dispatch.
 func (e *Engine) stepProc(p *Proc) {
 	if p.done {
 		panic(fmt.Sprintf("sim: process %q resumed after completion", p.name))
@@ -136,8 +145,7 @@ func (e *Engine) stepProc(p *Proc) {
 		a.procSwitches++
 	}
 	w := p.w
-	w.resume <- struct{}{}
-	<-w.yield
+	w.next()
 	if p.done {
 		// Body returned: unbind and recycle the worker for the next Go.
 		w.p = nil
@@ -151,11 +159,8 @@ func (e *Engine) stepProc(p *Proc) {
 // Something else must later call p.unpark (or schedule a resume) or the
 // process sleeps forever.
 func (p *Proc) park() {
-	w := p.w
-	w.yield <- struct{}{}
-	<-w.resume
-	if w.eng.killing {
-		panic(killedProc{})
+	if !p.w.yield(struct{}{}) {
+		panic(killedProc{}) // Shutdown: unwind through the body's defers
 	}
 }
 
@@ -199,7 +204,7 @@ func (p *Proc) waitUntil(t Time) {
 // it exactly resumes the proc within the same event). It exists for model
 // hot paths whose "work" between two waits is pure bookkeeping — the flash
 // die release + bus hand-off, for example — collapsing wait/compute/wait
-// into at most one goroutine switch (zero when both hops inline). fn must
+// into at most one coroutine switch (zero when both hops inline). fn must
 // not call blocking Proc methods.
 func (p *Proc) WaitFn(d Duration, fn func() Time) {
 	if d < 0 {

@@ -7,9 +7,9 @@ import (
 	"compstor/internal/sim"
 )
 
-// A single-page host read owes its caller one buffer, and the protocol one
-// command and one completion; nothing else on the way down to the slab and
-// back may allocate.
+// A single-page host read owes its caller one buffer; the command and the
+// completion are recycled by the driver, and nothing else on the way down to
+// the slab and back may allocate.
 func TestDriverReadAllocations(t *testing.T) {
 	eng, drive := newRig(t, false)
 	drv := drive.Driver()
@@ -23,16 +23,16 @@ func TestDriverReadAllocations(t *testing.T) {
 			if _, err := drv.Read(p, 5, 1); err != nil {
 				t.Error(err)
 			}
-		}); n > 3 {
-			t.Errorf("Driver.Read of one page: %v allocs/op, want at most 3 (buffer, command, completion)", n)
+		}); n > 1 {
+			t.Errorf("Driver.Read of one page: %v allocs/op, want at most 1 (the buffer)", n)
 		}
 		dst := make([]byte, ps)
 		if n := testing.AllocsPerRun(200, func() {
 			if err := drv.ReadInto(p, 5, dst); err != nil {
 				t.Error(err)
 			}
-		}); n > 2 {
-			t.Errorf("Driver.ReadInto of one page: %v allocs/op, want at most 2 (command, completion)", n)
+		}); n > 0 {
+			t.Errorf("Driver.ReadInto of one page: %v allocs/op, want none", n)
 		}
 	})
 	eng.Run()

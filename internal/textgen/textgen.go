@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 )
 
 // Config controls corpus synthesis.
@@ -70,11 +71,11 @@ func buildVocabulary() []string {
 	return words
 }
 
-// zipfPick samples a vocabulary index with a Zipf-ish distribution using
-// the inverse-power transform (cheap and deterministic given rng).
-func zipfPick(rng *rand.Rand) int {
-	u := rng.Float64()
-	// Inverse CDF of p(i) ~ i^-1.05 approximated by u^k stretch.
+// zipfRank maps a uniform u in [0,1) to a vocabulary index with a Zipf-ish
+// distribution: the inverse CDF of p(i) ~ i^-1.05 approximated by a u^k
+// stretch. It defines the corpus; Book samples it through zipfTable, which
+// is built from this very expression.
+func zipfRank(u float64) int {
 	idx := int(math.Pow(u, 3.2) * float64(len(vocabulary)))
 	if idx >= len(vocabulary) {
 		idx = len(vocabulary) - 1
@@ -82,9 +83,55 @@ func zipfPick(rng *rand.Rand) int {
 	return idx
 }
 
+// guideSize is the number of equal slices of [0,1) the guide table indexes;
+// a power of two, so u*guideSize is exact. The steps of zipfRank are densest
+// near 1, about three per slice there and under one on average.
+const guideSize = 4096
+
+// zipfTable is zipfRank without the math.Pow per word: zipfRank is a
+// monotone step function of u, so the float64 at which each step happens
+// determines it.
+type zipfTable struct {
+	step  []float64         // step[i]: the least u with zipfRank(u) >= i; +Inf past the last word
+	guide [guideSize]uint16 // guide[j] = zipfRank(j/guideSize)
+}
+
+// zipfSteps returns the table, built on first use (some 15 ms: bisection
+// over the float bits, one Pow per probe).
+var zipfSteps = sync.OnceValue(func() *zipfTable {
+	t := &zipfTable{step: make([]float64, len(vocabulary)+1)}
+	lo := uint64(0) // bits of a u known to rank below i; non-negative floats order as their bits
+	for i := 1; i < len(vocabulary); i++ {
+		hi := math.Float64bits(1)
+		for lo+1 < hi {
+			if mid := lo + (hi-lo)/2; zipfRank(math.Float64frombits(mid)) >= i {
+				hi = mid
+			} else {
+				lo = mid
+			}
+		}
+		t.step[i] = math.Float64frombits(hi)
+	}
+	t.step[len(vocabulary)] = math.Inf(1)
+	for j := range t.guide {
+		t.guide[j] = uint16(zipfRank(float64(j) / guideSize))
+	}
+	return t
+})
+
+// pick returns zipfRank(u) for u in [0,1).
+func (t *zipfTable) pick(u float64) int {
+	i := int(t.guide[int(u*guideSize)])
+	for u >= t.step[i+1] {
+		i++
+	}
+	return i
+}
+
 // Book generates one book of roughly approxBytes of prose.
 func Book(seed int64, approxBytes int) []byte {
 	rng := rand.New(rand.NewSource(seed))
+	zipf := zipfSteps()
 	var out bytes.Buffer
 	out.Grow(approxBytes + 1024)
 	chapter := 1
@@ -96,7 +143,7 @@ func Book(seed int64, approxBytes int) []byte {
 		for s := 0; s < sentences; s++ {
 			n := sentenceLen()
 			for w := 0; w < n; w++ {
-				word := vocabulary[zipfPick(rng)]
+				word := vocabulary[zipf.pick(rng.Float64())]
 				if w == 0 {
 					word = string(word[0]-32) + word[1:]
 				}

@@ -2,6 +2,10 @@ package textgen
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -102,5 +106,71 @@ func TestCorpusDeterministic(t *testing.T) {
 func TestDefaultConfigIs348Books(t *testing.T) {
 	if DefaultConfig().Books != 348 {
 		t.Fatal("default corpus should mirror the paper's 348 files")
+	}
+}
+
+// The table must pick exactly what the defining expression picks: at every
+// step of the function and its float64 neighbours, where an off-by-one-ulp
+// table would show, and on the draws Book actually makes.
+func TestZipfTableMatchesExpression(t *testing.T) {
+	tab := zipfSteps()
+	for i := 1; i < len(vocabulary); i++ {
+		bits := math.Float64bits(tab.step[i])
+		for d := -3; d <= 3; d++ {
+			u := math.Float64frombits(uint64(int64(bits) + int64(d)))
+			if got, want := tab.pick(u), zipfRank(u); got != want {
+				t.Fatalf("step %d%+d ulp (u=%v): table picks %d, expression %d", i, d, u, got, want)
+			}
+		}
+	}
+	for _, u := range []float64{0, math.SmallestNonzeroFloat64, 1.0 / guideSize, math.Nextafter(1, 0)} {
+		if got, want := tab.pick(u), zipfRank(u); got != want {
+			t.Fatalf("u=%v: table picks %d, expression %d", u, got, want)
+		}
+	}
+	draws := 10_000_000
+	if testing.Short() {
+		draws = 200_000
+	}
+	rng := rand.New(rand.NewSource(20181))
+	for n := 0; n < draws; n++ {
+		u := rng.Float64()
+		if got, want := tab.pick(u), zipfRank(u); got != want {
+			t.Fatalf("draw %d (u=%v): table picks %d, expression %d", n, u, got, want)
+		}
+	}
+}
+
+// Book bytes recorded with the math.Pow-per-word generator, before the table.
+func TestBookPinned(t *testing.T) {
+	for _, c := range []struct {
+		seed int64
+		size int
+		sum  string
+	}{
+		{7, 10000, "80f3b293cfb47621e140f49d09560651bca78a660d0a1b8981924c977f4c671f"},
+		{2018, 300000, "d44eeca6bcd05706076565b3c2637a52544caa8e0c65e413d94573c4c429bfb3"},
+		{1, 1048576, "4358e63ae24aa11f5977908fe09b81c2372e03ce11a3125930f067cc20652d87"},
+		{-5, 77777, "b92888e2c73d2cbd3c16d49e6820cc219916c587ff7581a6455fb161baf7d82a"},
+		{424242, 4194304, "21e00686127d2facfa27e1c473162962c0a954b3afc75e4bfb66968b4d1e9e29"},
+	} {
+		if got := fmt.Sprintf("%x", sha256.Sum256(Book(c.seed, c.size))); got != c.sum {
+			t.Errorf("Book(%d, %d) = %s, pinned %s", c.seed, c.size, got, c.sum)
+		}
+	}
+	h := sha256.New()
+	for _, f := range Corpus(Config{Seed: 2018, Books: 40, MeanBookBytes: 20000}) {
+		h.Write([]byte(f.Name))
+		h.Write(f.Data)
+	}
+	if got, want := fmt.Sprintf("%x", h.Sum(nil)), "36877521e16f12ce947bb4f7e07a033519dede54e4612c62cc30bd1c02aecdee"; got != want {
+		t.Errorf("Corpus = %s, pinned %s", got, want)
+	}
+}
+
+func BenchmarkBook(b *testing.B) {
+	b.SetBytes(1 << 20)
+	for i := 0; i < b.N; i++ {
+		Book(int64(i), 1<<20)
 	}
 }
