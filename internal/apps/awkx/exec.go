@@ -1,12 +1,13 @@
 package awkx
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"strings"
+
+	"compstor/internal/apps"
 )
 
 // execBlock runs a statement block.
@@ -594,9 +595,8 @@ func (in *interp) evalGetline(ex *getlineExpr) (value, error) {
 		if err != nil {
 			return num(-1), nil
 		}
-		sc := bufio.NewScanner(f)
-		sc.Buffer(make([]byte, 64*1024), 4*1024*1024)
-		r = &getlineReader{c: f, sc: sc}
+		blk := apps.GetBlock()
+		r = &getlineReader{c: f, sc: apps.NewLineScanner(f, blk), blk: blk}
 		in.readers[name] = r
 	}
 	if !r.sc.Scan() {

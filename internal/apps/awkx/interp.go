@@ -7,7 +7,6 @@ import (
 	"io"
 	"math/rand"
 	"strings"
-	"sync"
 	"unicode/utf8"
 
 	"compstor/internal/apps"
@@ -96,15 +95,12 @@ func (in *interp) configure(ctx *apps.Context, fs string, assigns [][2]string) {
 	}
 }
 
-// scanBufs recycles the main loop's line buffers: zeroing a fresh 64 KiB
-// per run costs as much as scanning a small file. The size is fixed
-// because it is what sizes the reads an input sees.
-var scanBufs = sync.Pool{New: func() any { return new([64 * 1024]byte) }}
-
-// getlineReader is one open `getline < file` source.
+// getlineReader is one open `getline < file` source, scanned through its
+// own pooled block.
 type getlineReader struct {
-	c  io.Closer
-	sc *bufio.Scanner
+	c   io.Closer
+	sc  *bufio.Scanner
+	blk *apps.Block
 }
 
 func (in *interp) closeFiles() {
@@ -113,6 +109,7 @@ func (in *interp) closeFiles() {
 	}
 	for _, r := range in.readers {
 		r.c.Close()
+		apps.PutBlock(r.blk)
 	}
 }
 
@@ -372,12 +369,11 @@ func (in *interp) Run(inputs []namedReader) (int, error) {
 
 	// Main loop (only when there are main rules or END blocks).
 	if len(in.prog.rules) > 0 || len(in.prog.ends) > 0 {
-		buf := scanBufs.Get().(*[64 * 1024]byte)
-		defer scanBufs.Put(buf)
+		buf := apps.GetBlock()
+		defer apps.PutBlock(buf)
 		for _, input := range inputs {
 			in.globals[slotFILENAME] = str(input.name)
-			sc := bufio.NewScanner(input.r)
-			sc.Buffer(buf[:], 4*1024*1024)
+			sc := apps.NewLineScanner(input.r, buf)
 			for sc.Scan() {
 				in.nr++
 				in.setRecord(sc.Text())

@@ -7,9 +7,11 @@ package coreutils
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
@@ -157,31 +159,54 @@ func wcArgs(args []string) (onlyLines, onlyWords, onlyBytes bool, files []string
 	return
 }
 
-// countStream tallies lines, words and bytes of one input. Word state
-// resets at every newline, so counts taken over newline-aligned chunks sum
-// to exactly the whole-file counts — the property the split-scan kernel
-// relies on.
+// countStream tallies lines, words and bytes of one input, a block at a
+// time. Word state resets at every newline, so counts taken over
+// newline-aligned chunks sum to exactly the whole-file counts — the property
+// the split-scan kernel relies on.
 func countStream(r io.Reader) (l, w, b int64, err error) {
-	br := bufread(r)
-	inWord := false
+	blk := apps.GetBlock()
+	defer apps.PutBlock(blk)
+	afterSpace := true // a word starts at a non-space byte that follows a space
 	for {
-		c, rerr := br.ReadByte()
+		n, rerr := readBlock(r, blk[:])
+		b += int64(n)
+		l += int64(bytes.Count(blk[:n], []byte{'\n'}))
+		w += int64(wordStarts(blk[:n], &afterSpace))
 		if rerr == io.EOF {
 			return l, w, b, nil
 		}
 		if rerr != nil {
 			return l, w, b, rerr
 		}
-		b++
-		if c == '\n' {
-			l++
-		}
-		space := c == ' ' || c == '\t' || c == '\n' || c == '\r'
-		if !space && !inWord {
-			w++
-		}
-		inWord = !space
 	}
+}
+
+// wordStarts counts the bytes of buf that are not a space (' ', \t, \n, \r
+// and nothing else) and follow one, eight at a time with no branch on the
+// data. afterSpace carries the last byte's class from block to block.
+func wordStarts(buf []byte, afterSpace *bool) (starts int) {
+	const ones, low7, high = 0x0101010101010101, 0x7f7f7f7f7f7f7f7f, 0x8080808080808080
+	// differs sets the high bit of every byte of x that is not c.
+	differs := func(x uint64, c byte) uint64 { v := x ^ ones*uint64(c); return (v&low7 + low7) | v }
+	var carry uint64 // the high bit of its lowest byte: the byte before is a space
+	if *afterSpace {
+		carry = 0x80
+	}
+	for ; len(buf) >= 8; buf = buf[8:] {
+		x := binary.LittleEndian.Uint64(buf)
+		space := ^(differs(x, ' ') & differs(x, '\t') & differs(x, '\n') & differs(x, '\r')) & high
+		starts += bits.OnesCount64((space<<8 | carry) &^ space)
+		carry = space >> 56
+	}
+	*afterSpace = carry != 0
+	for _, c := range buf {
+		space := c == ' ' || c == '\t' || c == '\n' || c == '\r'
+		if *afterSpace && !space {
+			starts++
+		}
+		*afterSpace = space
+	}
+	return starts
 }
 
 func wcEmit(out io.Writer, onlyLines, onlyWords, onlyBytes bool, l, w, b int64, name string) {
@@ -259,10 +284,15 @@ func (Head) Run(ctx *apps.Context, args []string) error {
 		return apps.Exitf(1, "head: %v", oerr)
 	}
 	defer done()
+	blk := apps.GetBlock()
+	defer apps.PutBlock(blk)
 	for _, r := range rs {
-		sc := newScanner(r)
+		sc := apps.NewLineScanner(r, blk)
 		for i := 0; i < n && sc.Scan(); i++ {
 			fmt.Fprintln(ctx.Stdout, sc.Text())
+		}
+		if err := sc.Err(); err != nil {
+			return apps.Exitf(1, "head: %v", err)
 		}
 	}
 	return nil
@@ -288,18 +318,26 @@ func (Tail) Run(ctx *apps.Context, args []string) error {
 		return apps.Exitf(1, "tail: %v", oerr)
 	}
 	defer done()
+	blk := apps.GetBlock()
+	defer apps.PutBlock(blk)
+	var ring []string // line i of the input sits in slot i % n, once n lines came
 	for _, r := range rs {
-		ring := make([]string, 0, n)
-		sc := newScanner(r)
+		ring = ring[:0]
+		lines := 0
+		sc := apps.NewLineScanner(r, blk)
 		for sc.Scan() {
-			if len(ring) == n {
-				copy(ring, ring[1:])
-				ring = ring[:n-1]
+			if len(ring) < n {
+				ring = append(ring, sc.Text())
+			} else if n > 0 {
+				ring[lines%n] = sc.Text()
 			}
-			ring = append(ring, sc.Text())
+			lines++
 		}
-		for _, l := range ring {
-			fmt.Fprintln(ctx.Stdout, l)
+		if err := sc.Err(); err != nil {
+			return apps.Exitf(1, "tail: %v", err)
+		}
+		for i := max(lines-n, 0); i < lines; i++ {
+			fmt.Fprintln(ctx.Stdout, ring[i%n])
 		}
 	}
 	return nil
@@ -333,18 +371,22 @@ func headTailArgs(args []string) (int, []string, error) {
 	return n, files, nil
 }
 
-func newScanner(r io.Reader) *bufio.Scanner {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 4*1024*1024)
-	return sc
+// bufread wraps r in a 64 KiB buffered reader so line-oriented consumers
+// always issue large device reads: even the 64 KiB scanner shrinks its read
+// size while a partial token sits in its buffer.
+func bufread(r io.Reader) *bufio.Reader {
+	return bufio.NewReaderSize(r, apps.BlockSize)
 }
 
-// bufread wraps r in a 64 KiB buffered reader so byte- and line-oriented
-// consumers always issue large device reads: bufio's default 4 KiB buffer
-// would cost a device read per page, and even the 64 KiB scanner shrinks
-// its read size while a partial token sits in its buffer.
-func bufread(r io.Reader) *bufio.Reader {
-	return bufio.NewReaderSize(r, 64*1024)
+// readBlock reads into b once, the way a drained bufio.Reader fills: a
+// reader that keeps returning (0, nil) is io.ErrNoProgress after 100 tries.
+func readBlock(r io.Reader, b []byte) (int, error) {
+	for i := 0; i < 100; i++ {
+		if n, err := r.Read(b); n > 0 || err != nil {
+			return n, err
+		}
+	}
+	return 0, io.ErrNoProgress
 }
 
 // Sort sorts lines (-r reverse, -n numeric, -u unique).
@@ -382,11 +424,16 @@ func (Sort) Run(ctx *apps.Context, args []string) error {
 		return apps.Exitf(1, "sort: %v", err)
 	}
 	defer done()
+	blk := apps.GetBlock()
+	defer apps.PutBlock(blk)
 	var lines []string
 	for _, r := range rs {
-		sc := newScanner(bufread(r))
+		sc := apps.NewLineScanner(bufread(r), blk)
 		for sc.Scan() {
 			lines = append(lines, sc.Text())
+		}
+		if err := sc.Err(); err != nil {
+			return apps.Exitf(1, "sort: %v", err)
 		}
 	}
 	less := func(a, b string) bool { return a < b }
@@ -467,8 +514,10 @@ func (Uniq) Run(ctx *apps.Context, args []string) error {
 			fmt.Fprintln(ctx.Stdout, prev)
 		}
 	}
+	blk := apps.GetBlock()
+	defer apps.PutBlock(blk)
 	for _, r := range rs {
-		sc := newScanner(bufread(r))
+		sc := apps.NewLineScanner(bufread(r), blk)
 		for sc.Scan() {
 			l := sc.Text()
 			if run > 0 && l == prev {
@@ -477,6 +526,9 @@ func (Uniq) Run(ctx *apps.Context, args []string) error {
 			}
 			flush()
 			prev, run = l, 1
+		}
+		if err := sc.Err(); err != nil {
+			return apps.Exitf(1, "uniq: %v", err)
 		}
 	}
 	flush()
@@ -528,24 +580,31 @@ func (Cut) Run(ctx *apps.Context, args []string) error {
 		return apps.Exitf(1, "cut: %v", oerr)
 	}
 	defer done()
+	blk := apps.GetBlock()
+	defer apps.PutBlock(blk)
 	for _, r := range rs {
-		sc := newScanner(bufread(r))
+		sc := apps.NewLineScanner(bufread(r), blk)
 		for sc.Scan() {
 			parts := strings.Split(sc.Text(), delim)
 			var out []string
-			for _, f := range wanted {
-				if f-1 < len(parts) {
+			for _, r := range wanted {
+				for f := r[0]; f <= r[1] && f <= len(parts); f++ {
 					out = append(out, parts[f-1])
 				}
 			}
 			fmt.Fprintln(ctx.Stdout, strings.Join(out, delim))
 		}
+		if err := sc.Err(); err != nil {
+			return apps.Exitf(1, "cut: %v", err)
+		}
 	}
 	return nil
 }
 
-func parseFieldList(spec string) ([]int, error) {
-	var out []int
+// parseFieldList parses a cut -f list into [first, last] ranges, never
+// expanded: `-f 1-999999999999` is a legal list.
+func parseFieldList(spec string) ([][2]int, error) {
+	var out [][2]int
 	for _, part := range strings.Split(spec, ",") {
 		if lo, hi, ok := strings.Cut(part, "-"); ok {
 			a, err1 := strconv.Atoi(lo)
@@ -553,16 +612,14 @@ func parseFieldList(spec string) ([]int, error) {
 			if err1 != nil || err2 != nil || a < 1 || b < a {
 				return nil, fmt.Errorf("bad range %q", part)
 			}
-			for f := a; f <= b; f++ {
-				out = append(out, f)
-			}
+			out = append(out, [2]int{a, b})
 			continue
 		}
 		f, err := strconv.Atoi(part)
 		if err != nil || f < 1 {
 			return nil, fmt.Errorf("bad field %q", part)
 		}
-		out = append(out, f)
+		out = append(out, [2]int{f, f})
 	}
 	return out, nil
 }
@@ -614,11 +671,23 @@ func (Cksum) Run(ctx *apps.Context, args []string) error {
 	return nil
 }
 
-// crcStream checksums one input through a 64 KiB buffered reader.
-func crcStream(r io.Reader) (uint32, int64, error) {
-	h := crc32.NewIEEE()
-	n, err := io.Copy(h, bufread(r))
-	return h.Sum32(), n, err
+// crcStream checksums one input a block at a time. Like the io.Copy out of
+// a bufio.Reader it replaces, it reads until a call returns no bytes, even
+// past an error that came with data, and reports that last call's error.
+func crcStream(r io.Reader) (crc uint32, total int64, err error) {
+	blk := apps.GetBlock()
+	defer apps.PutBlock(blk)
+	for {
+		n, rerr := readBlock(r, blk[:])
+		if n == 0 {
+			if rerr == io.EOF {
+				rerr = nil
+			}
+			return crc, total, rerr
+		}
+		crc = crc32.Update(crc, crc32.IEEETable, blk[:n])
+		total += int64(n)
+	}
 }
 
 // SplitPlan implements splitscan.Splitter.

@@ -1,12 +1,17 @@
 package coreutils
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
+	"time"
 
 	"compstor/internal/apps"
+	"compstor/internal/sim"
 	"compstor/internal/textgen"
 )
 
@@ -68,6 +73,108 @@ func TestTail(t *testing.T) {
 		t.Fatalf("tail = %q", out)
 	}
 }
+
+func TestTailRing(t *testing.T) {
+	five := "1\n2\n3\n4\n5\n"
+	for _, tc := range []struct{ n, in, want string }{
+		{"0", five, ""}, // used to index an empty ring and panic the host
+		{"0", "", ""},
+		{"1", five, "5\n"},
+		{"5", five, five},
+		{"7", five, five},
+		{"3", "1\n2\n3\n4\n5", "3\n4\n5\n"},
+		{"1000000000000", five, five}, // the ring grows with the input, not with -n
+	} {
+		if out, code := runTool(t, Tail{}, tc.in, "-n", tc.n); code != 0 || out != tc.want {
+			t.Errorf("tail -n %s of %q = %q (exit %d), want %q", tc.n, tc.in, out, code, tc.want)
+		}
+	}
+	var in, want strings.Builder
+	for i := 0; i < 100000; i++ {
+		fmt.Fprintln(&in, "line", i)
+		if i >= 99000 {
+			fmt.Fprintln(&want, "line", i)
+		}
+	}
+	if out, code := runTool(t, Tail{}, in.String(), "-n", "1000"); code != 0 || out != want.String() {
+		t.Errorf("tail -n 1000 of 100000 lines: exit %d, %d bytes, want %d", code, len(out), want.Len())
+	}
+}
+
+// failAfter serves the first n bytes of its text and then err.
+type failAfter struct {
+	text string
+	n    int
+	err  error
+}
+
+func (r *failAfter) Read(b []byte) (int, error) {
+	if r.n == 0 {
+		return 0, r.err
+	}
+	k := copy(b, r.text[:r.n])
+	r.text, r.n = r.text[k:], r.n-k
+	return k, nil
+}
+
+// A read that fails mid-stream must fail the tool with the cause still
+// reachable through errors.Is; head, tail, sort, uniq and cut used to print
+// what they had and exit 0.
+func TestReadErrorsFailTheTool(t *testing.T) {
+	errMedia := errors.New("uncorrectable page")
+	tools := []struct {
+		p    apps.Program
+		args []string
+	}{
+		{Head{}, []string{"-n", "100"}},
+		{Tail{}, nil},
+		{Sort{}, nil},
+		{Uniq{}, nil},
+		{Cut{}, []string{"-d", " ", "-f", "1"}},
+		{Tr{}, []string{"a", "b"}},
+		{WC{}, nil},
+		{Cksum{}, nil},
+	}
+	for _, tool := range tools {
+		run := func(ctx *apps.Context, want error) {
+			t.Helper()
+			ctx.Stdout, ctx.Stderr = io.Discard, io.Discard
+			err := tool.p.Run(ctx, tool.args)
+			if apps.ExitCode(err) != 1 || !errors.Is(err, want) {
+				t.Errorf("%s: error %v (exit %d), want exit 1 wrapping %q", tool.p.Name(), err, apps.ExitCode(err), want)
+			}
+		}
+		run(&apps.Context{Stdin: &failAfter{text: "a b\nc d\ne f\n", n: 10, err: errMedia}}, errMedia)
+		if tool.p.Name() != "tr" && tool.p.Name() != "wc" && tool.p.Name() != "cksum" { // no lines, no limit
+			run(&apps.Context{Stdin: strings.NewReader(strings.Repeat("x", 4<<20+1))}, bufio.ErrTooLong)
+		}
+		eng := sim.NewEngine()
+		eng.Go("expired", func(p *sim.Proc) {
+			p.Wait(time.Millisecond)
+			run(&apps.Context{Proc: p, Deadline: p.Now(), Stdin: strings.NewReader("a b\n")}, apps.ErrDeadline)
+			cancel := &apps.CancelToken{}
+			cancel.Cancel()
+			run(&apps.Context{Cancel: cancel, Stdin: strings.NewReader("a b\n")}, apps.ErrCanceled)
+		})
+		eng.Run()
+		eng.Shutdown()
+	}
+}
+
+// A failing output must fail tr too: the deferred Flush used to drop it.
+func TestTrReportsWriteError(t *testing.T) {
+	errFull := errors.New("device full")
+	for _, size := range []int{10, 100000} {
+		ctx := &apps.Context{Stdin: strings.NewReader(strings.Repeat("a", size)), Stdout: failingWriter{errFull}, Stderr: io.Discard}
+		if err := (Tr{}).Run(ctx, []string{"a", "b"}); apps.ExitCode(err) != 1 || !errors.Is(err, errFull) {
+			t.Errorf("tr of %d bytes into a failing writer: %v", size, err)
+		}
+	}
+}
+
+type failingWriter struct{ err error }
+
+func (w failingWriter) Write([]byte) (int, error) { return 0, w.err }
 
 func TestSortLexAndNumeric(t *testing.T) {
 	out, _ := runTool(t, Sort{}, "b\na\nc\n")
@@ -172,7 +279,7 @@ func TestMissingFileFails(t *testing.T) {
 
 // benchTool runs p as a stream filter over generated book text at the size
 // of one served file and at 1 MiB.
-func benchTool(b *testing.B, p apps.Program) {
+func benchTool(b *testing.B, p apps.Program, args ...string) {
 	for _, sz := range []struct {
 		name string
 		size int
@@ -183,7 +290,7 @@ func benchTool(b *testing.B, p apps.Program) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				ctx := &apps.Context{Stdin: bytes.NewReader(data), Stdout: io.Discard, Stderr: io.Discard}
-				if err := p.Run(ctx, nil); err != nil {
+				if err := p.Run(ctx, args); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -193,3 +300,4 @@ func benchTool(b *testing.B, p apps.Program) {
 
 func BenchmarkWC(b *testing.B)    { benchTool(b, WC{}) }
 func BenchmarkCksum(b *testing.B) { benchTool(b, Cksum{}) }
+func BenchmarkTr(b *testing.B)    { benchTool(b, Tr{}, "a-z", "A-Z") }

@@ -61,21 +61,44 @@ func (Tr) Run(ctx *apps.Context, args []string) error {
 			table[c] = int16(set2[j])
 		}
 	}
-	r := bufio.NewReaderSize(ctx.In(), 64*1024)
 	w := bufio.NewWriter(ctx.Stdout)
-	defer w.Flush()
+	err = translate(w, ctx.In(), &table)
+	if ferr := w.Flush(); err == nil {
+		err = ferr
+	}
+	if err != nil {
+		return apps.Exitf(1, "tr: %v", err)
+	}
+	return nil
+}
+
+// translate copies in to w through table (-1 drops the byte), a block at a
+// time and in place: the translated bytes never overtake the one being read.
+func translate(w *bufio.Writer, in io.Reader, table *[256]int16) error {
+	blk := apps.GetBlock()
+	defer apps.PutBlock(blk)
 	for {
-		c, err := r.ReadByte()
-		if err == io.EOF {
-			return nil
+		n, rerr := readBlock(in, blk[:])
+		out := blk[:0]
+		for _, c := range blk[:n] {
+			if v := table[c]; v >= 0 {
+				out = append(out, byte(v))
+			}
 		}
-		if err != nil {
-			return apps.Exitf(1, "tr: %v", err)
-		}
-		if v := table[c]; v >= 0 {
-			if err := w.WriteByte(byte(v)); err != nil {
+		// In pieces no larger than w's buffer, so that w passes on one full
+		// buffer at a time, as it did when fed byte by byte.
+		for len(out) > 0 {
+			k := min(len(out), w.Size())
+			if _, err := w.Write(out[:k]); err != nil {
 				return err
 			}
+			out = out[k:]
+		}
+		if rerr == io.EOF {
+			return nil
+		}
+		if rerr != nil {
+			return rerr
 		}
 	}
 }

@@ -1,22 +1,18 @@
 package grepx
 
-// bmhSearcher is a Boyer-Moore-Horspool literal searcher, optionally ASCII
-// case-folding. It is the fast path for plain-literal grep patterns, which
-// dominate the paper's IO-intensive search workloads.
+// bmhSearcher is an ASCII case-folding Boyer-Moore-Horspool literal
+// searcher: the fast path for plain-literal `grep -i` patterns. Literals
+// matched case-sensitively, which dominate the paper's IO-intensive search
+// workloads, go through bytes.Index instead.
 type bmhSearcher struct {
-	pat  []byte
+	pat  []byte // lower case
 	skip [256]int
-	fold bool
 }
 
-func newBMH(pattern []byte, fold bool) *bmhSearcher {
-	s := &bmhSearcher{fold: fold}
-	s.pat = make([]byte, len(pattern))
+func newBMH(pattern []byte) *bmhSearcher {
+	s := &bmhSearcher{pat: make([]byte, len(pattern))}
 	for i, c := range pattern {
-		if fold {
-			c = lower(c)
-		}
-		s.pat[i] = c
+		s.pat[i] = lower(c)
 	}
 	m := len(s.pat)
 	for i := range s.skip {
@@ -24,15 +20,13 @@ func newBMH(pattern []byte, fold bool) *bmhSearcher {
 	}
 	for i := 0; i < m-1; i++ {
 		s.skip[s.pat[i]] = m - 1 - i
-		if fold {
-			s.skip[upper(s.pat[i])] = m - 1 - i
-		}
+		s.skip[upper(s.pat[i])] = m - 1 - i
 	}
 	return s
 }
 
 // find returns the index of the first occurrence of the pattern in text,
-// or -1.
+// in either case, or -1.
 func (s *bmhSearcher) find(text []byte) int {
 	m := len(s.pat)
 	if m == 0 {
@@ -42,14 +36,7 @@ func (s *bmhSearcher) find(text []byte) int {
 	i := 0
 	for i+m <= n {
 		j := m - 1
-		for j >= 0 {
-			c := text[i+j]
-			if s.fold {
-				c = lower(c)
-			}
-			if c != s.pat[j] {
-				break
-			}
+		for j >= 0 && lower(text[i+j]) == s.pat[j] {
 			j--
 		}
 		if j < 0 {

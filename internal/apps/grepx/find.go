@@ -4,8 +4,8 @@ package grepx
 // [start, end) byte range, with ok=false when there is no match. It powers
 // awk's sub/gsub/match builtins, which need positions, not just a boolean.
 func (re *Regexp) FindIndex(line []byte) (start, end int, ok bool) {
-	if re.bmh != nil {
-		if i := re.bmh.find(line); i >= 0 {
+	if re.literal != nil {
+		if i := re.findLiteral(line); i >= 0 {
 			return i, i + len(re.literal), true
 		}
 		return 0, 0, false

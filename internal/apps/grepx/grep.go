@@ -1,7 +1,6 @@
 package grepx
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -125,8 +124,9 @@ func grepStream(ctx *apps.Context, re *Regexp, opts grepOpts, r io.Reader, name 
 // workers: it writes matching lines to out and returns the match count,
 // leaving count/list trailers to the caller.
 func scanMatches(re *Regexp, opts grepOpts, r io.Reader, out io.Writer, name string, showName bool) (int, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 4*1024*1024)
+	blk := apps.GetBlock()
+	defer apps.PutBlock(blk)
+	sc := apps.NewLineScanner(r, blk)
 	matches := 0
 	lineNo := 0
 	for sc.Scan() {

@@ -122,22 +122,40 @@ func TestNoBacktrackingBlowup(t *testing.T) {
 	}
 }
 
+// Case-sensitive literals go through bytes.Index, `-i` ones through the
+// folding Horspool loop that used to serve both. On text of one case the two
+// must find the same leftmost occurrence, and that is the stdlib's.
 func TestBMHAgainstIndex(t *testing.T) {
-	f := func(pat, text string) bool {
-		if len(pat) == 0 || len(pat) > 40 {
-			return true
+	rng := rand.New(rand.NewSource(1))
+	word := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = "abc .-"[rng.Intn(6)]
 		}
-		s := newBMH([]byte(pat), false)
-		want := strings.Index(text, pat)
-		return s.find([]byte(text)) == want
+		return b
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
+	for i := 0; i < 3000; i++ {
+		pat, text := word(1+rng.Intn(5)), word(rng.Intn(60))
+		re := mustCompile(t, regexp.QuoteMeta(string(pat)), false)
+		if !bytes.Equal(re.Literal(), pat) || re.bmh != nil {
+			t.Fatalf("%q did not compile to a case-sensitive literal", pat)
+		}
+		want := bytes.Index(text, pat)
+		if got := re.findLiteral(text); got != want {
+			t.Fatalf("findLiteral(%q, %q) = %d, want %d", text, pat, got, want)
+		}
+		if got := newBMH(pat).find(text); got != want {
+			t.Fatalf("Horspool(%q, %q) = %d, want %d", text, pat, got, want)
+		}
+		start, end, ok := re.FindIndex(text)
+		if ok != (want >= 0) || ok && (start != want || end != want+len(pat)) {
+			t.Fatalf("FindIndex(%q, %q) = %d,%d,%v, want start %d", text, pat, start, end, ok, want)
+		}
 	}
 }
 
 func TestBMHFolded(t *testing.T) {
-	s := newBMH([]byte("AbC"), true)
+	s := newBMH([]byte("AbC"))
 	if s.find([]byte("xxabcxx")) != 2 {
 		t.Fatal("folded BMH missed match")
 	}

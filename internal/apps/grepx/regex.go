@@ -10,6 +10,7 @@
 package grepx
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 )
@@ -58,7 +59,7 @@ type Regexp struct {
 	anchorHead bool
 	anchorTail bool
 	fold       bool
-	// literal fast path
+	// literal fast path: bytes.Index, or Horspool when folding case
 	literal []byte
 	bmh     *bmhSearcher
 }
@@ -374,7 +375,9 @@ func Compile(pattern string, fold bool) (*Regexp, error) {
 	}
 	if lit, ok := literalOf(pattern); ok && !re.anchorHead && !re.anchorTail && len(lit) > 0 {
 		re.literal = lit
-		re.bmh = newBMH(lit, fold)
+		if fold {
+			re.bmh = newBMH(lit)
+		}
 		return re, nil
 	}
 	p := &parser{src: pattern, fold: fold}
@@ -414,10 +417,19 @@ func literalOf(pattern string) ([]byte, bool) {
 // MatchLine reports whether the pattern matches anywhere in line (or, with
 // anchors, at its edges).
 func (re *Regexp) MatchLine(line []byte) bool {
-	if re.bmh != nil {
-		return re.bmh.find(line) >= 0
+	if re.literal != nil {
+		return re.findLiteral(line) >= 0
 	}
 	return re.matchNFA(line)
+}
+
+// findLiteral returns the index of the first occurrence of a literal
+// pattern in line, or -1.
+func (re *Regexp) findLiteral(line []byte) int {
+	if re.bmh != nil {
+		return re.bmh.find(line)
+	}
+	return bytes.Index(line, re.literal)
 }
 
 // Literal exposes the literal fast-path bytes (nil when the pattern is not
