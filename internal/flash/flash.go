@@ -323,6 +323,9 @@ func NewDevice(eng *sim.Engine, name string, geo Geometry, timing Timing) *Devic
 // Geometry returns the device geometry.
 func (d *Device) Geometry() Geometry { return d.geo }
 
+// Now returns the device's engine's current virtual time.
+func (d *Device) Now() sim.Time { return d.eng.Now() }
+
 // Timing returns the device timing parameters.
 func (d *Device) Timing() Timing { return d.timing }
 
@@ -490,14 +493,8 @@ func (d *Device) ReadPageOOB(p *sim.Proc, a Addr) ([]byte, OOB, error) {
 // ErrUnwritten (raw NAND would return all-0xFF; surfacing it as an error
 // catches FTL bugs).
 func (d *Device) ReadPageInto(p *sim.Proc, a Addr, dst []byte) (OOB, error) {
-	if err := d.check(a); err != nil {
+	if err := d.checkRead(a, dst); err != nil {
 		return OOB{}, err
-	}
-	if len(dst) != d.geo.PageSize {
-		return OOB{}, fmt.Errorf("%w: got %d bytes, page is %d", ErrPageSize, len(dst), d.geo.PageSize)
-	}
-	if !d.powered {
-		return OOB{}, fmt.Errorf("%w: read %v", ErrPowerLoss, a)
 	}
 	start := p.Now()
 	if d.obs != nil {
@@ -510,6 +507,25 @@ func (d *Device) ReadPageInto(p *sim.Proc, a Addr, dst []byte) (OOB, error) {
 	di := d.dieIndex(a)
 	d.dies[di].Acquire(p)
 	p.WaitFn(d.timing.ReadPage, d.dieDone[di].read)
+	return d.finishRead(a, start, dst)
+}
+
+// checkRead rejects a page read before it costs any time.
+func (d *Device) checkRead(a Addr, dst []byte) error {
+	if err := d.check(a); err != nil {
+		return err
+	}
+	if len(dst) != d.geo.PageSize {
+		return fmt.Errorf("%w: got %d bytes, page is %d", ErrPageSize, len(dst), d.geo.PageSize)
+	}
+	if !d.powered {
+		return fmt.Errorf("%w: read %v", ErrPowerLoss, a)
+	}
+	return nil
+}
+
+// finishRead is a page read from the instant its transfer ends.
+func (d *Device) finishRead(a Addr, start sim.Time, dst []byte) (OOB, error) {
 	if d.cutDuring(start) {
 		return OOB{}, fmt.Errorf("%w: read %v", ErrPowerLoss, a)
 	}
@@ -523,6 +539,62 @@ func (d *Device) ReadPageInto(p *sim.Proc, a Addr, dst []byte) (OOB, error) {
 	}
 	copy(dst, data)
 	return oob, nil
+}
+
+// ReadOp is ReadPageInto run in engine context: the page operation of a
+// multi-page read, which has no process per page (DESIGN.md §21). It does what
+// the blocking read does at the same instants and dispatch positions — the
+// die's FIFO, an event when the sense ends, an event when the transfer ends.
+type ReadOp struct {
+	d     *Device
+	label sim.Label
+	done  func(OOB, error)
+	a     Addr
+	dst   []byte // the caller's, from StartRead until done is called
+	start sim.Time
+	span  obs.Span
+	// The steps, bound once so a read allocates nothing.
+	granted, sensed, landed func()
+}
+
+// Init binds the op to its owner: label bills its events, done gets each outcome.
+func (op *ReadOp) Init(label sim.Label, done func(OOB, error)) {
+	op.label, op.done = label, done
+	op.granted, op.sensed, op.landed = op.onGrant, op.onSensed, op.onLanded
+}
+
+// StartRead starts reading the page at a into dst on op, from engine context,
+// under the span parent. An error rejects the read before it cost anything and
+// done is not called; otherwise done runs in the event the transfer ends in.
+func (d *Device) StartRead(op *ReadOp, a Addr, dst []byte, parent obs.Ctx) error {
+	if err := d.checkRead(a, dst); err != nil {
+		return err
+	}
+	op.d, op.a, op.dst, op.start = d, a, dst, d.eng.Now()
+	if d.obs != nil {
+		op.span = d.obs.BeginAt(op.start, parent, d.chTracks[a.Channel], "read")
+	}
+	d.dies[d.dieIndex(a)].AcquireFn(op.label, op.granted)
+	return nil
+}
+
+func (op *ReadOp) onGrant() {
+	eng := op.d.eng
+	eng.AtLabel(eng.Now().Add(op.d.timing.ReadPage), op.label, op.sensed)
+}
+
+func (op *ReadOp) onSensed() {
+	d := op.d
+	d.eng.AtLabel(d.dieDone[d.dieIndex(op.a)].read(), op.label, op.landed)
+}
+
+func (op *ReadOp) onLanded() {
+	d, now := op.d, op.d.eng.Now()
+	oob, err := d.finishRead(op.a, op.start, op.dst)
+	d.histRead.Observe(now.Sub(op.start))
+	op.span.EndAt(now)
+	op.dst = nil
+	op.done(oob, err)
 }
 
 // ReadOOB reads only the spare area of a page — the fast scan primitive
@@ -723,3 +795,6 @@ func (d *Device) OOBAt(a Addr) (OOB, bool) {
 
 // ChannelBus exposes channel c's bus link for utilisation reporting.
 func (d *Device) ChannelBus(c int) *sim.Link { return d.chanBus[c] }
+
+// Die exposes die i's occupancy station (channel-major) for utilisation reporting.
+func (d *Device) Die(i int) *sim.Resource { return d.dies[i] }

@@ -281,16 +281,9 @@ func (f *FTL) ReadPage(p *sim.Proc, lpn int64) ([]byte, error) {
 // as zeroes without touching the media, as on a real SSD. On error dst holds
 // nothing the caller may use.
 func (f *FTL) ReadPageInto(p *sim.Proc, lpn int64, dst []byte) error {
-	if err := f.checkLPN(lpn); err != nil {
+	ppn, err := f.lookupRead(lpn, dst)
+	if err != nil || ppn < 0 {
 		return err
-	}
-	if len(dst) != f.geo.PageSize {
-		return fmt.Errorf("ftl: read into %d bytes, page is %d", len(dst), f.geo.PageSize)
-	}
-	ppn := f.l2p.get(lpn).ppn
-	if ppn < 0 {
-		clear(dst)
-		return nil
 	}
 	if f.obs != nil {
 		start := p.Now()
@@ -305,11 +298,88 @@ func (f *FTL) ReadPageInto(p *sim.Proc, lpn int64, dst []byte) error {
 	if err != nil {
 		return err
 	}
-	if oob.LPN != lpn || pageCRC(dst) != oob.CRC {
+	return f.verifyRead(lpn, ppn, dst, oob)
+}
+
+// lookupRead validates a page read and resolves it; an unmapped page
+// (ppn < 0) is served here, since it never reaches the media.
+func (f *FTL) lookupRead(lpn int64, dst []byte) (ppn int64, err error) {
+	if err := f.checkLPN(lpn); err != nil {
+		return -1, err
+	}
+	if len(dst) != f.geo.PageSize {
+		return -1, fmt.Errorf("ftl: read into %d bytes, page is %d", len(dst), f.geo.PageSize)
+	}
+	ppn = f.l2p.get(lpn).ppn
+	if ppn < 0 {
+		clear(dst)
+	}
+	return ppn, nil
+}
+
+// verifyRead holds the page the media returned for lpn to its OOB record.
+func (f *FTL) verifyRead(lpn, ppn int64, data []byte, oob flash.OOB) error {
+	if oob.LPN != lpn || pageCRC(data) != oob.CRC {
 		f.stats.CorruptReads++
 		return fmt.Errorf("%w: lpn %d at %v", ErrCorrupt, lpn, f.geo.AddrOfPage(ppn))
 	}
 	return nil
+}
+
+// ReadOp is ReadPageInto run in engine context, over a flash.ReadOp: the
+// page operation of a multi-page read (DESIGN.md §21), one read at a time.
+type ReadOp struct {
+	media flash.ReadOp
+	done  func(error)
+	f     *FTL
+	lpn   int64
+	ppn   int64
+	dst   []byte // the caller's, from StartRead until done is called
+	start sim.Time
+	span  obs.Span
+}
+
+// Init binds the op to its owner: label bills its events, done gets each outcome.
+func (op *ReadOp) Init(label sim.Label, done func(error)) {
+	op.done = done
+	op.media.Init(label, op.landed)
+}
+
+// StartRead is ReadPageInto from engine context, under the span parent.
+// finished reports a read over before the call returned — a rejected
+// argument, an unmapped page's zero fill, a device without power — with its
+// outcome in err; otherwise op's done gets it, in the event the page lands in.
+func (f *FTL) StartRead(op *ReadOp, lpn int64, dst []byte, parent obs.Ctx) (finished bool, err error) {
+	ppn, err := f.lookupRead(lpn, dst)
+	if err != nil || ppn < 0 {
+		return true, err
+	}
+	op.f, op.lpn, op.ppn, op.dst, op.start = f, lpn, ppn, dst, f.dev.Now()
+	op.span = f.obs.BeginAt(op.start, parent, "ftl", "read")
+	if c := op.span.Ctx(); c.Valid() {
+		parent = c
+	}
+	f.stats.HostReads++
+	if err := f.dev.StartRead(&op.media, f.geo.AddrOfPage(ppn), dst, parent); err != nil {
+		op.end()
+		return true, err
+	}
+	return false, nil
+}
+
+func (op *ReadOp) landed(oob flash.OOB, err error) {
+	if err == nil {
+		err = op.f.verifyRead(op.lpn, op.ppn, op.dst, oob)
+	}
+	op.end()
+	op.done(err)
+}
+
+func (op *ReadOp) end() {
+	now := op.f.dev.Now()
+	op.f.histRead.Observe(now.Sub(op.start))
+	op.span.EndAt(now)
+	op.dst = nil
 }
 
 // WritePage stores data (exactly one page) at logical page lpn, allocating

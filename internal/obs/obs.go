@@ -194,6 +194,17 @@ func (o *Obs) BeginCtx(p *sim.Proc, parent Ctx, track, name string) *Span {
 	return o.shared.tracer.begin(p, parent, o.pid, track, name)
 }
 
+// BeginAt opens a span at an explicit instant under an explicit parent, for
+// engine-context code with no process to carry the context. The span comes
+// back by value, to live in a pooled operation; close it with EndAt. With
+// tracing off it is the zero Span: EndAt does nothing, Ctx is not Valid.
+func (o *Obs) BeginAt(at sim.Time, parent Ctx, track, name string) Span {
+	if o == nil || !o.shared.tracer.enabled {
+		return Span{}
+	}
+	return o.shared.tracer.beginAt(at, parent, o.pid, track, name)
+}
+
 // Instant records a zero-duration trace event (a chaos fault, a retry, a
 // failover decision) on track, associated with the process's current span.
 // args are alternating key, value detail strings.

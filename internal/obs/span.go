@@ -134,29 +134,39 @@ type Span struct {
 }
 
 func (t *Tracer) begin(p *sim.Proc, parent Ctx, pid int, track, name string) *Span {
+	var at sim.Time
+	if p != nil {
+		at = p.Now()
+	}
+	s := t.beginAt(at, parent, pid, track, name)
+	if p != nil {
+		s.p = p
+		s.prev = p.ObsCtx()
+		p.SetObsCtx(Ctx{id: s.id, pid: pid})
+	}
+	return &s
+}
+
+// beginAt opens a span no process carries.
+func (t *Tracer) beginAt(at sim.Time, parent Ctx, pid int, track, name string) Span {
 	t.nextID++
-	s := &Span{
+	s := Span{
 		t:      t,
-		p:      p,
 		id:     t.nextID,
 		parent: parent.id,
 		pid:    pid,
 		tid:    t.tid(pid, track),
 		name:   name,
+		begin:  at,
 	}
 	if t.wall {
 		s.wallBegin = time.Since(t.wallBase).Nanoseconds()
-	}
-	if p != nil {
-		s.begin = p.Now()
-		s.prev = p.ObsCtx()
-		p.SetObsCtx(Ctx{id: s.id, pid: pid})
 	}
 	return s
 }
 
 // Ctx returns the span's context for cross-queue parenting. The zero Ctx on
-// a nil span.
+// a nil span and on the zero Span.
 func (s *Span) Ctx() Ctx {
 	if s == nil {
 		return Ctx{}
@@ -175,6 +185,14 @@ func (s *Span) End() {
 	if s.p != nil {
 		end = s.p.Now()
 		s.p.SetObsCtx(s.prev)
+	}
+	s.EndAt(end)
+}
+
+// EndAt closes a span opened with BeginAt. Like End it is idempotent.
+func (s *Span) EndAt(end sim.Time) {
+	if s.t == nil {
+		return
 	}
 	var wallNS int64
 	if s.t.wall {

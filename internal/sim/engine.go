@@ -142,6 +142,18 @@ func (e *Engine) AfterLabeled(d time.Duration, label string, fn func()) {
 	e.schedule(e.now.Add(d), e.intern(label), nil, fn)
 }
 
+// Label is an accounting label resolved once, for code that schedules an
+// event per media operation: AtLabeled looks its string up on every call.
+type Label uint32
+
+// ProcLabel returns the label processes named name are accounted under (Go
+// drops the digits: "cs3/io7" bills "cs/io"), so that engine-context code
+// standing in for such processes bills its events where theirs went.
+func (e *Engine) ProcLabel(name string) Label { return Label(e.intern(accountLabel(name))) }
+
+// AtLabel is AtLabeled for a label resolved in advance.
+func (e *Engine) AtLabel(t Time, label Label, fn func()) { e.schedule(t, uint32(label), nil, fn) }
+
 // After schedules fn to run d after the current virtual time. Negative
 // delays panic.
 func (e *Engine) After(d time.Duration, fn func()) {

@@ -21,11 +21,7 @@ func (m *Mailbox[T]) Put(item T) {
 	}
 	m.items = append(m.items, item)
 	if len(m.waiters) > 0 {
-		w := m.waiters[0]
-		copy(m.waiters, m.waiters[1:])
-		m.waiters[len(m.waiters)-1] = nil
-		m.waiters = m.waiters[:len(m.waiters)-1]
-		w.unpark()
+		popFront(&m.waiters).unpark()
 	}
 }
 
@@ -41,7 +37,7 @@ func (m *Mailbox[T]) Recv(p *Proc) (item T, ok bool) {
 		m.waiters = append(m.waiters, p)
 		p.park()
 	}
-	return m.popItem(), true
+	return popFront(&m.items), true
 }
 
 // TryRecv dequeues without blocking; ok is false if the mailbox is empty.
@@ -50,20 +46,7 @@ func (m *Mailbox[T]) TryRecv() (item T, ok bool) {
 		var zero T
 		return zero, false
 	}
-	return m.popItem(), true
-}
-
-// popItem removes the queue head by shifting down, keeping the backing
-// array anchored so a long-lived (or pooled) mailbox stops allocating once
-// its high-water depth is reached. Queues here are a handful of entries, so
-// the copy is cheaper than the slice-forward idiom's reallocation churn.
-func (m *Mailbox[T]) popItem() T {
-	item := m.items[0]
-	var zero T
-	copy(m.items, m.items[1:])
-	m.items[len(m.items)-1] = zero
-	m.items = m.items[:len(m.items)-1]
-	return item
+	return popFront(&m.items), true
 }
 
 // Close marks the mailbox closed and wakes all blocked receivers, which

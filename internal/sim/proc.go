@@ -91,7 +91,7 @@ func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
 	if e.closed {
 		panic("sim: Go after Shutdown")
 	}
-	p := &Proc{eng: e, name: name, lbl: e.intern(accountLabel(name)), body: body}
+	p := &Proc{eng: e, name: name, lbl: uint32(e.ProcLabel(name)), body: body}
 	if a := e.acct; a != nil {
 		a.procsStarted++
 	}

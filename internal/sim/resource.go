@@ -8,17 +8,23 @@ type Duration = time.Duration
 
 // Semaphore is a counted semaphore with FIFO granting. It is the basic
 // mutual-exclusion and admission-control primitive for simulated processes.
+// Engine-context code queues in the same FIFO through AcquireFn.
 type Semaphore struct {
 	eng       *Engine
 	tokens    int
 	cap       int
+	acquires  int64
 	waiters   []semWaiter // value-typed: no per-Acquire allocation
 	queueTime func(wait Duration)
 }
 
+// semWaiter is a parked process (p), or a callback (fn, grant-event label, arrival).
 type semWaiter struct {
-	p *Proc
-	n int
+	p   *Proc
+	fn  func()
+	n   int
+	lbl Label
+	t0  Time
 }
 
 // NewSemaphore creates a semaphore holding n tokens (and capacity n).
@@ -29,30 +35,56 @@ func NewSemaphore(eng *Engine, n int) *Semaphore {
 	return &Semaphore{eng: eng, tokens: n, cap: n}
 }
 
-// Acquire takes n tokens, blocking the process in FIFO order until they are
-// available. Acquiring more tokens than the semaphore's capacity panics,
-// since it would block forever.
-func (s *Semaphore) Acquire(p *Proc, n int) {
+// tryAcquire takes n tokens if they are free and nobody queues (FIFO: a
+// newcomer goes behind existing waiters even if tokens are free). Acquiring
+// more than the semaphore's capacity panics, since it would block forever.
+func (s *Semaphore) tryAcquire(n int) bool {
 	if n <= 0 {
 		panic("sim: non-positive acquire")
 	}
 	if n > s.cap {
 		panic("sim: acquire exceeds semaphore capacity")
 	}
-	// FIFO: even if tokens are free, queue behind existing waiters.
-	if len(s.waiters) == 0 && s.tokens >= n {
-		s.tokens -= n
-		if s.queueTime != nil {
-			s.queueTime(0)
-		}
+	if len(s.waiters) > 0 || s.tokens < n {
+		return false
+	}
+	s.tokens -= n
+	s.acquired(0)
+	return true
+}
+
+// acquired counts one acquisition and feeds the queue-time hook.
+func (s *Semaphore) acquired(wait Duration) {
+	s.acquires++
+	if s.queueTime != nil {
+		s.queueTime(wait)
+	}
+}
+
+// Acquire takes n tokens, blocking the process in FIFO order until they are
+// available.
+func (s *Semaphore) Acquire(p *Proc, n int) {
+	if s.tryAcquire(n) {
 		return
 	}
 	s.waiters = append(s.waiters, semWaiter{p: p, n: n})
 	t0 := s.eng.Now()
 	p.park()
-	if s.queueTime != nil {
-		s.queueTime(s.eng.Now().Sub(t0))
+	s.acquired(s.eng.Now().Sub(t0))
+}
+
+// AcquireFn is Acquire for engine-context code, which has no process to
+// park: fn runs once the n tokens are held — inside the call if they are free
+// and nobody queues, otherwise as an event of its own, billed to label, at
+// the instant a Release grants it (which feeds the count and the hook). That
+// is the event a parked process would have resumed in, from the same FIFO, so
+// swapping a process for a callback moves nothing in the dispatch order.
+func (s *Semaphore) AcquireFn(n int, label Label, fn func()) {
+	if s.tryAcquire(n) {
+		fn()
+		return
 	}
+	s.waiters = append(s.waiters, semWaiter{fn: fn, n: n, lbl: label, t0: s.eng.Now()})
 }
 
 // SetQueueTimeHook installs a hook invoked on every successful Acquire with
@@ -71,11 +103,30 @@ func (s *Semaphore) Release(n int) {
 		s.cap = s.tokens // semaphore grew; allow it but track capacity
 	}
 	for len(s.waiters) > 0 && s.tokens >= s.waiters[0].n {
-		w := s.waiters[0]
-		s.waiters = s.waiters[1:]
+		w := popFront(&s.waiters)
 		s.tokens -= w.n
-		w.p.unpark()
+		if w.p != nil {
+			w.p.unpark()
+			continue
+		}
+		s.acquired(s.eng.now.Sub(w.t0))
+		s.eng.schedule(s.eng.now, uint32(w.lbl), nil, w.fn)
 	}
+}
+
+// popFront removes the head of a FIFO by shifting down and zeroing the
+// vacated slot: the backing array stays anchored, so a long-lived queue stops
+// allocating at its high-water depth and pins nothing that has left it.
+// Queues here are a handful of entries, so the copy is cheaper than the
+// slice-forward idiom's reallocation churn.
+func popFront[T any](q *[]T) T {
+	s := *q
+	head := s[0]
+	var zero T
+	copy(s, s[1:])
+	s[len(s)-1] = zero
+	*q = s[:len(s)-1]
+	return head
 }
 
 // Available returns the number of free tokens.
@@ -91,7 +142,6 @@ type Resource struct {
 	sem      *Semaphore
 	capacity int
 	busyNS   int64 // accumulated busy time across all servers
-	acquires int64
 	eng      *Engine
 	onBusy   func(start Time, d Duration)
 }
@@ -114,10 +164,10 @@ func (r *Resource) InUse() int { return r.capacity - r.sem.Available() }
 func (r *Resource) QueueLen() int { return r.sem.QueueLen() }
 
 // Acquire claims one server, blocking FIFO until one is free.
-func (r *Resource) Acquire(p *Proc) {
-	r.sem.Acquire(p, 1)
-	r.acquires++
-}
+func (r *Resource) Acquire(p *Proc) { r.sem.Acquire(p, 1) }
+
+// AcquireFn claims one server for engine-context code; see Semaphore.AcquireFn.
+func (r *Resource) AcquireFn(label Label, fn func()) { r.sem.AcquireFn(1, label, fn) }
 
 // Release frees one server.
 func (r *Resource) Release() { r.sem.Release(1) }
@@ -155,7 +205,7 @@ func (r *Resource) SetBusyHook(fn func(start Time, d Duration)) { r.onBusy = fn 
 func (r *Resource) SetQueueTimeHook(fn func(wait Duration)) { r.sem.SetQueueTimeHook(fn) }
 
 // Acquires returns the number of successful acquisitions.
-func (r *Resource) Acquires() int64 { return r.acquires }
+func (r *Resource) Acquires() int64 { return r.sem.acquires }
 
 // Utilization returns busy time divided by (elapsed * capacity), in [0,1],
 // measured at the current virtual time.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -237,5 +238,168 @@ func TestMailboxCloseWakesReceivers(t *testing.T) {
 	}
 	if !mb.Closed() {
 		t.Fatal("mailbox not closed")
+	}
+}
+
+// Processes and callback waiters share one FIFO: grants go out in arrival
+// order whichever kind waits, a callback runs as an event of its own at the
+// releasing instant (after whatever the releaser still does in its event),
+// and a callback that releases from inside its grant passes the token on to
+// the next in line the same way.
+func TestSemaphoreCallbackWaitersShareFIFO(t *testing.T) {
+	e := NewEngine()
+	acct := e.EnableAccounting(AccountingConfig{})
+	sem := NewSemaphore(e, 1)
+	var waits []Duration
+	sem.SetQueueTimeHook(func(w Duration) { waits = append(waits, w) })
+	var order []string
+	note := func(s string) { order = append(order, s+"@"+e.Now().String()) }
+	lbl := e.ProcLabel("cb7")
+
+	e.Go("holder", func(p *Proc) {
+		sem.Acquire(p, 1)
+		p.Wait(10 * time.Millisecond)
+		sem.Release(1)
+		note("released") // still inside the releasing event: before any grant runs
+	})
+	proc := func(name string, at, hold Duration) {
+		e.Go(name, func(p *Proc) {
+			p.Wait(at)
+			sem.Acquire(p, 1)
+			note(name)
+			p.Wait(hold)
+			sem.Release(1)
+		})
+	}
+	callback := func(name string, at Duration, then func()) {
+		e.After(at, func() {
+			sem.AcquireFn(1, lbl, func() {
+				note(name)
+				then()
+			})
+		})
+	}
+	proc("p1", 1*time.Millisecond, time.Millisecond)
+	callback("c2", 2*time.Millisecond, func() { e.After(time.Millisecond, func() { sem.Release(1) }) })
+	proc("p3", 3*time.Millisecond, 0)
+	// c4 releases inside its own grant event, which must grant c5 — a
+	// callback granted by a callback — as a further event at that instant.
+	callback("c4", 4*time.Millisecond, func() { sem.Release(1) })
+	callback("c5", 5*time.Millisecond, func() { sem.Release(1) })
+	proc("p6", 6*time.Millisecond, 0)
+	e.Run()
+
+	want := []string{"released@10ms", "p1@10ms", "c2@11ms", "p3@12ms", "c4@12ms", "c5@12ms", "p6@12ms"}
+	if !slices.Equal(order, want) {
+		t.Errorf("grant order\n got %v\nwant %v", order, want)
+	}
+	wantWaits := []Duration{0, 9e6, 9e6, 9e6, 8e6, 7e6, 6e6}
+	if !slices.Equal(waits, wantWaits) {
+		t.Errorf("queue-time hook saw %v, want %v", waits, wantWaits)
+	}
+	if sem.Available() != 1 || sem.QueueLen() != 0 {
+		t.Errorf("semaphore left with %d tokens, %d waiters", sem.Available(), sem.QueueLen())
+	}
+	// The three grant events are billed to the callbacks' label, like the
+	// resumptions of the processes they stand in for.
+	billed := int64(0)
+	for _, lc := range acct.ByLabel() {
+		if lc.Label == "cb" {
+			billed = lc.Events
+		}
+	}
+	if billed != 3 {
+		t.Errorf("label cb billed %d events, want 3", billed)
+	}
+
+	// A free semaphore grants a callback inside the call, without an event.
+	before := acct.Events()
+	ran := false
+	sem.AcquireFn(1, lbl, func() { ran = true })
+	if !ran || acct.Events() != before || e.Pending() != 0 {
+		t.Errorf("uncontended AcquireFn: ran=%v, %d events, %d pending", ran, acct.Events()-before, e.Pending())
+	}
+}
+
+// Swapping a parked process for a callback waiter moves nothing: the same
+// contended schedule, driven once by processes and once by callbacks,
+// dispatches the same number of events at the same instants.
+func TestResourceAcquireFnMatchesProcess(t *testing.T) {
+	run := func(callbacks bool) (trace []Time, acquires int64) {
+		e := NewEngine()
+		r := NewResource(e, 2)
+		lbl := e.ProcLabel("user")
+		for i := 0; i < 7; i++ {
+			arrive := Duration(i%3) * time.Microsecond
+			hold := Duration(3+i%4) * time.Microsecond
+			if callbacks {
+				e.Go("user", func(p *Proc) {
+					p.Wait(arrive)
+					var wg WaitGroup
+					wg.Add(1)
+					r.AcquireFn(lbl, func() {
+						trace = append(trace, e.Now())
+						e.AtLabel(e.Now().Add(hold), lbl, func() {
+							r.Release()
+							wg.Done()
+						})
+					})
+					wg.Wait(p)
+				})
+				continue
+			}
+			e.Go("user", func(p *Proc) {
+				p.Wait(arrive)
+				r.Acquire(p)
+				trace = append(trace, e.Now())
+				p.Wait(hold)
+				r.Release()
+			})
+		}
+		e.Run()
+		return trace, r.Acquires()
+	}
+	pt, pa := run(false)
+	ct, ca := run(true)
+	if !slices.Equal(pt, ct) || pa != ca {
+		t.Errorf("grant instants differ:\nprocesses %v (%d acquires)\ncallbacks %v (%d acquires)", pt, pa, ct, ca)
+	}
+}
+
+// A contended station must stop allocating once its queue has seen its
+// high-water depth: the waiter FIFO shifts down instead of walking its
+// backing array forward. Three processes and three callback users hammer one
+// server without ever leaving the queue empty.
+func TestContendedResourceAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	defer e.Shutdown()
+	r := NewResource(e, 1)
+	lbl := e.ProcLabel("cb")
+	for i := 0; i < 3; i++ {
+		e.Go("user", func(p *Proc) {
+			for {
+				r.Acquire(p)
+				p.Wait(time.Microsecond)
+				r.Release()
+			}
+		})
+		var hold, release func()
+		hold = func() { e.AtLabel(e.Now().Add(time.Microsecond), lbl, release) }
+		release = func() {
+			r.Release()
+			r.AcquireFn(lbl, hold)
+		}
+		r.AcquireFn(lbl, hold)
+	}
+	round := func() { e.RunUntil(e.Now().Add(100 * time.Microsecond)) }
+	for i := 0; i < 400; i++ { // a full lap of the scheduler's wheel, which allocates each slot once
+		round()
+	}
+	before := r.Acquires()
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Errorf("contended Resource: %v allocs per 100 µs round, want 0", n)
+	}
+	if got := r.Acquires() - before; got < 100*90 || r.QueueLen() != 5 {
+		t.Errorf("after warm-up: %d acquires in 101 rounds, %d queued; want ~100 a round and 5 queued", got, r.QueueLen())
 	}
 }

@@ -38,6 +38,47 @@ func TestDriverReadAllocations(t *testing.T) {
 	eng.Run()
 }
 
+// A multi-page read fans out without a process, a closure or a span object
+// per page: once a drive has built its batch and lanes, a 16-page read on
+// the ISPS path allocates nothing, and a host NVMe read only the buffer the
+// driver owes its caller (BenchmarkSSDRead16Pages: 61 allocs/op with a
+// worker process per page). One object of slack each: the scheduler's wheel
+// slots allocate their backing arrays as they are first reached.
+func TestReadBatchAllocs(t *testing.T) {
+	eng, drive := newRig(t, true)
+	bd := drive.ispsBlockDevice().(*ispsBlockDevice)
+	drv := drive.Driver()
+	ps := drive.PageSize()
+	eng.Go("isps", func(p *sim.Proc) {
+		if err := bd.WritePages(p, 0, bytes.Repeat(pagePattern(3, ps), 64)); err != nil {
+			t.Error(err)
+			return
+		}
+		dst := make([]byte, 16*ps)
+		lpn := int64(0)
+		read := func() {
+			lpn = (lpn + 7) % 48
+			if err := bd.ReadPagesInto(p, lpn, dst); err != nil {
+				t.Error(err)
+			}
+		}
+		for i := 0; i < 4000; i++ { // builds the lanes and takes the scheduler round its wheel a few times
+			read()
+		}
+		if n := testing.AllocsPerRun(100, read); n > 1 {
+			t.Errorf("16-page ReadPagesInto on the ISPS path: %v allocs/op, want at most 1", n)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := drv.Read(p, 5, 16); err != nil {
+				t.Error(err)
+			}
+		}); n > 2 {
+			t.Errorf("Driver.Read of 16 pages: %v allocs/op, want at most 2", n)
+		}
+	})
+	eng.Run()
+}
+
 // Whatever a read hands out is the caller's to scribble on, and whatever a
 // write was handed is the caller's again once it returns: neither the
 // write-back cache, the ISPS read cache nor the flash slabs may share memory

@@ -213,8 +213,12 @@ func (c *readCache) readPages(p *sim.Proc, lpn, count int64, lat time.Duration, 
 	ps := int64(c.s.PageSize())
 
 	// Wait out in-flight fills covering the request, then classify pages.
-	// The poll interval matches the write-back flusher's (5 µs).
-	var missed []int64
+	// The poll interval matches the write-back flusher's (5 µs). A miss is
+	// registered the moment it is classified: this reader may wait again
+	// before it fetches (the next page's poll, the hit copy), and whoever took
+	// the page for unclaimed meanwhile would clear this registration.
+	miss := c.s.newBatch()
+	defer miss.release()
 	hitPages := int64(0)
 	for i := int64(0); i < count; i++ {
 		for c.fetching[lpn+i] != nil {
@@ -224,36 +228,27 @@ func (c *readCache) readPages(p *sim.Proc, lpn, count int64, lat time.Duration, 
 			copy(out[i*ps:], data)
 			hitPages++
 		} else {
-			missed = append(missed, i)
+			c.fetching[lpn+i] = &fetchState{}
+			miss.pages = append(miss.pages, pageRead{lpn + i, out[i*ps : (i+1)*ps]})
 		}
 	}
 	c.stats.Hits += hitPages
-	c.stats.Misses += int64(len(missed))
+	c.stats.Misses += int64(len(miss.pages))
 	if hitPages > 0 {
 		p.Wait(sim.DurationFor(hitPages*ps, c.cfg.DRAMBytesPerSec))
 	}
-	if len(missed) == 0 {
-		return nil
-	}
 
-	// Register the misses so concurrent fills/reads coordinate, fetch them
-	// channel-parallel, then insert read-through (unless invalidated while
-	// the fetch was in flight).
-	for _, i := range missed {
-		c.fetching[lpn+i] = &fetchState{}
-	}
-	err := c.s.forEachPage(p, int64(len(missed)), func(cp *sim.Proc, j int64) error {
-		i := missed[j]
-		return c.s.ftl.ReadPageInto(cp, lpn+i, out[i*ps:(i+1)*ps])
-	})
-	for _, i := range missed {
-		st := c.fetching[lpn+i]
-		delete(c.fetching, lpn+i)
+	// Fetch the misses channel-parallel, then insert read-through (unless
+	// invalidated while the fetch was in flight).
+	err := miss.run(p)
+	for _, pg := range miss.pages {
+		st := c.fetching[pg.lpn]
+		delete(c.fetching, pg.lpn)
 		if err != nil || st.stale || c.s.dev.PoweredOff() {
 			continue
 		}
 		// out is the caller's; the cache keeps a copy of its own.
-		c.insert(lpn+i, append([]byte(nil), out[i*ps:(i+1)*ps]...))
+		c.insert(pg.lpn, append([]byte(nil), pg.dst...))
 	}
 	return err
 }
@@ -324,25 +319,21 @@ func (c *readCache) fill(p *sim.Proc, lpns []int64) {
 		defer sp.End()
 	}
 	p.Wait(c.s.cfg.ISPSDriverLatency)
-	ps := int64(c.s.PageSize())
-	pages := make([][]byte, len(lpns))
-	err := c.s.forEachPage(p, int64(len(lpns)), func(cp *sim.Proc, j int64) error {
-		// Read into the very page the cache will own.
-		page := make([]byte, ps)
-		if rerr := c.s.ftl.ReadPageInto(cp, lpns[j], page); rerr != nil {
-			return rerr
-		}
-		pages[j] = page
-		return nil
-	})
-	for j, l := range lpns {
-		st := c.fetching[l]
-		delete(c.fetching, l)
-		if err != nil || st.stale || pages[j] == nil || c.s.dev.PoweredOff() {
+	ps := c.s.PageSize()
+	run := c.s.newBatch()
+	defer run.release()
+	for _, l := range lpns {
+		run.pages = append(run.pages, pageRead{l, make([]byte, ps)}) // the very page the cache will own
+	}
+	err := run.run(p)
+	for _, pg := range run.pages {
+		st := c.fetching[pg.lpn]
+		delete(c.fetching, pg.lpn)
+		if err != nil || st.stale || c.s.dev.PoweredOff() {
 			c.stats.StaleFills++
 			continue
 		}
-		c.insert(l, pages[j])
+		c.insert(pg.lpn, pg.dst)
 		c.stats.PrefetchPages++
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"time"
 
 	"compstor/internal/apps/appset"
 	"compstor/internal/flash"
@@ -170,6 +171,64 @@ func TestPipelineTrimUnderPrefetch(t *testing.T) {
 	st, _ := drive.ReadCacheStats()
 	if st.PrefetchRuns != 2 {
 		t.Fatalf("prefetch runs %d, want 2; test is vacuous: %+v", st.PrefetchRuns, st)
+	}
+}
+
+// TestPipelineOverlappingReadersOfOnePage: a demand reader that has taken a
+// page for a miss may wait again before it fetches — here the DRAM copy of
+// the hit beside it — and a second claimant arriving in that gap must find
+// the page spoken for. It used to find nothing, fetch the page too and
+// overwrite the first registration; whichever finished second dereferenced
+// the cleared entry, and the panic took down Engine.Run. Split-scan chunk
+// workers read one page past their cut, into the next chunk's first page.
+func TestPipelineOverlappingReadersOfOnePage(t *testing.T) {
+	claimants := map[string]func(p *sim.Proc, bd *ispsBlockDevice) error{
+		"demand reader": func(p *sim.Proc, bd *ispsBlockDevice) error {
+			_, err := bd.ReadPages(p, 1, 1)
+			return err
+		},
+		"prefetch run": func(p *sim.Proc, bd *ispsBlockDevice) error {
+			p.Wait(bd.lat) // the instant a reader arriving now would classify
+			bd.Prefetch(p, 1, 1)
+			return nil
+		},
+	}
+	for name, second := range claimants {
+		t.Run(name, func(t *testing.T) {
+			eng, drive, bd := newPipelineRig(t, PipelineConfig{})
+			ps := drive.PageSize()
+			payload := append(pagePattern(0xA0, ps), pagePattern(0xA1, ps)...)
+			eng.Go("t", func(p *sim.Proc) {
+				if err := bd.WritePages(p, 0, payload); err != nil {
+					t.Errorf("seed write: %v", err)
+					return
+				}
+				if _, err := bd.ReadPages(p, 0, 1); err != nil { // warm page 0 only
+					t.Errorf("warm read: %v", err)
+					return
+				}
+				eng.Go("first", func(p *sim.Proc) {
+					got, err := bd.ReadPages(p, 0, 2) // hit + miss: copies page 0 before fetching page 1
+					if err != nil || !bytes.Equal(got, payload) {
+						t.Errorf("first reader: wrong bytes (%v)", err)
+					}
+				})
+				eng.Go("second", func(p *sim.Proc) {
+					p.Wait(100 * time.Nanosecond) // inside the first reader's 241 ns copy
+					if err := second(p, bd); err != nil {
+						t.Errorf("second claimant: %v", err)
+					}
+				})
+			})
+			eng.Run()
+			st, _ := drive.ReadCacheStats()
+			if st.Misses != 2 || st.PrefetchRuns != 0 || st.CachedPages != 2 {
+				t.Errorf("stats %+v: want each page fetched from flash once, by a demand reader", st)
+			}
+			if got := drive.Flash().Stats().Reads; got != 2 {
+				t.Errorf("%d flash reads, want 2", got)
+			}
+		})
 	}
 }
 

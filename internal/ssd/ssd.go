@@ -116,8 +116,11 @@ type SSD struct {
 	raBusy   *obs.Timeline // prefetch-window occupancy (nil without obs)
 
 	// ioNames are the forEachPage worker proc names, built once so the
-	// fan-out on every multi-page command spawns without formatting.
+	// fan-out on every multi-page write spawns without formatting; reads fan
+	// out without processes (readBatch) and bill their events to ioLabel.
 	ioNames []string
+	ioLabel sim.Label
+	batches []*readBatch // idle, ready for reuse
 
 	vendor    func(p *sim.Proc, op nvme.Opcode, payload any) (any, int64, error)
 	faultHook func(p *sim.Proc, op nvme.Opcode) error
@@ -153,6 +156,7 @@ func New(eng *sim.Engine, port *pcie.Port, cfg Config) *SSD {
 	for i := range s.ioNames {
 		s.ioNames[i] = fmt.Sprintf("%s/io%d", cfg.Name, i)
 	}
+	s.ioLabel = eng.ProcLabel(s.ioNames[0])
 	s.dev.SetObs(cfg.Obs)
 	s.ftl = ftl.New(s.dev, cfg.FTL)
 	s.fs = minfs.NewFS(cfg.Geometry.PageSize, s.ftl.LogicalPages())
@@ -346,13 +350,16 @@ func (s *SSD) Read(p *sim.Proc, lba, pages int64, dst []byte) error {
 // readPagesInto fills dst (count pages) from logical page lpn on: each page
 // is copied once, by the flash model, into its place in dst.
 func (s *SSD) readPagesInto(p *sim.Proc, lpn, count int64, dst []byte) error {
-	if count == 1 { // before the closure below is built: a one-page read allocates nothing
+	if count == 1 { // ftl_churn's whole read path: not even a batch is fetched
 		return s.ftl.ReadPageInto(p, lpn, dst)
 	}
 	ps := int64(s.PageSize())
-	return s.forEachPage(p, count, func(cp *sim.Proc, i int64) error {
-		return s.ftl.ReadPageInto(cp, lpn+i, dst[i*ps:(i+1)*ps])
-	})
+	b := s.newBatch()
+	defer b.release()
+	for i := int64(0); i < count; i++ {
+		b.pages = append(b.pages, pageRead{lpn + i, dst[i*ps : (i+1)*ps]})
+	}
+	return b.run(p)
 }
 
 // Write implements nvme.Backend.
@@ -410,8 +417,10 @@ func (s *SSD) useCtrl(p *sim.Proc) {
 	s.ctrlCPU.Use(p, s.cmdOverhead)
 }
 
-// forEachPage fans page operations out across worker processes so channel
-// and die parallelism is exploited; it returns the first error.
+// forEachPage fans page writes out across worker processes so channel and
+// die parallelism is exploited; it returns the first error. ftl.WritePage
+// blocks where an event cannot (checkpoint drain, GC, block retirement), so
+// writes keep a process per lane; reads do without (readBatch).
 func (s *SSD) forEachPage(p *sim.Proc, n int64, fn func(cp *sim.Proc, i int64) error) error {
 	if n <= 0 {
 		return nil
@@ -449,6 +458,106 @@ func (s *SSD) forEachPage(p *sim.Proc, n int64, fn func(cp *sim.Proc, i int64) e
 	}
 	wg.Wait(p)
 	return firstErr
+}
+
+// readBatch is one multi-page read: forEachPage's fan-out run in engine
+// context (DESIGN.md §21). The issuing process schedules one start event
+// where the worker spawns sat and parks; that event sets every lane going,
+// and each landing page starts its lane's next. Lane w reads pages w,
+// w+lanes, … at the instants and dispatch positions worker w did. Batches are
+// recycled: newBatch, fill pages, run, release; until release the
+// destination slices are the batch's to write.
+type readBatch struct {
+	s      *SSD
+	pages  []pageRead
+	lanes  []*readLane // the first nLanes are running
+	nLanes int
+	wg     sim.WaitGroup
+	err    error   // the first error: stops every lane at its next page
+	parent obs.Ctx // the issuing command's span, which every page's span joins
+	start  func()  // the start event, built once
+}
+
+// pageRead is one page of a batch: logical page lpn lands in dst.
+type pageRead struct {
+	lpn int64
+	dst []byte
+}
+
+// readLane is one lane of a batch and the page operation it reuses.
+type readLane struct {
+	b    *readBatch
+	op   ftl.ReadOp
+	next int // index in b.pages of the lane's next page
+}
+
+func (s *SSD) newBatch() *readBatch {
+	if n := len(s.batches); n > 0 {
+		b := s.batches[n-1]
+		s.batches = s.batches[:n-1]
+		return b
+	}
+	b := &readBatch{s: s}
+	b.start = func() {
+		for w, l := range b.lanes[:b.nLanes] {
+			l.next = w
+			l.step(nil)
+		}
+	}
+	return b
+}
+
+// release empties the batch and hands it back to newBatch.
+func (b *readBatch) release() {
+	clear(b.pages)
+	b.pages, b.err = b.pages[:0], nil
+	b.s.batches = append(b.s.batches, b)
+}
+
+// run reads the batch's pages and returns the first error. A single page is
+// read by p itself: a blocking read can complete without a switch, no event can.
+func (b *readBatch) run(p *sim.Proc) error {
+	s, n := b.s, len(b.pages)
+	if n == 1 {
+		return s.ftl.ReadPageInto(p, b.pages[0].lpn, b.pages[0].dst)
+	}
+	if n == 0 {
+		return nil
+	}
+	b.nLanes = min(len(s.ioNames), n)
+	for len(b.lanes) < b.nLanes {
+		l := &readLane{b: b}
+		l.op.Init(s.ioLabel, l.step)
+		b.lanes = append(b.lanes, l)
+	}
+	b.parent = obs.CtxOf(p)
+	b.wg.Add(b.nLanes)
+	s.eng.AtLabel(s.eng.Now(), s.ioLabel, b.start)
+	b.wg.Wait(p)
+	return b.err
+}
+
+// step takes the outcome of the lane's page that just landed (nil to begin)
+// and starts pages until one is in flight — its landing comes back here — or
+// the lane is over: out of pages, or any lane failed. Pages over as they start
+// (unmapped, rejected) are passed by iteration: a long hole grows no stack.
+func (l *readLane) step(err error) {
+	b := l.b
+	for {
+		if err != nil && b.err == nil {
+			b.err = err
+		}
+		if b.err != nil || l.next >= len(b.pages) {
+			b.wg.Done()
+			return
+		}
+		pg := b.pages[l.next]
+		l.next += b.nLanes
+		var finished bool
+		if finished, err = b.s.ftl.StartRead(&l.op, pg.lpn, pg.dst, b.parent); !finished {
+			return
+		}
+	}
 }
 
 // Block device adapters ---------------------------------------------------------
