@@ -3,15 +3,16 @@
 //
 // Usage:
 //
-//	compstor-bench [-run all|fig1|fig6|fig7|fig8|tables|ablations|degraded|recovery|pipeline|scaleup|serving|tail|engine]
+//	compstor-bench [-run all|tables|table1|table2|table3|table4|fig1|fig6|fig7|fig8|degraded|recovery|pipeline|scaleup|serving|tail|ablations]
 //	               [-books N] [-mean BYTES] [-devices 1,2,4,8] [-v]
 //	               [-outdir DIR] [-trace out.json] [-metrics out.json]
 //	               [-cpuprofile out.pprof] [-memprofile out.pprof]
-//	               [-wallprofile N] [-parallel N]
-//	compstor-bench -compare baseline.json new.json [-tol metric=frac,...]
+//	               [-wallprofile N]
 //
-// Results are normalised (MB/s, J/GB) so the paper's shapes carry over to
-// the scaled corpus; EXPERIMENTS.md records paper-vs-measured values.
+// The -run names are the rows of experiments.Experiments, in the order
+// "all" runs them. Results are normalised (MB/s, J/GB) so the paper's
+// shapes carry over to the scaled corpus; EXPERIMENTS.md records
+// paper-vs-measured values.
 //
 // Every experiment additionally writes BENCH_<name>.json — a machine-
 // readable metrics snapshot (per-layer latency histograms, counters,
@@ -19,26 +20,20 @@
 // whole invocation; -trace enables sim-time span tracing and writes a
 // Chrome trace-event file loadable in Perfetto (ui.perfetto.dev).
 //
-// -run engine measures the simulator itself (events/sec, allocs/event, sim
-// time advanced per wall second) and writes BENCH_engine.json; -compare
-// checks such a file against a baseline under per-metric tolerance bands
-// and exits 1 on a regression. -wallprofile N captures host wall-clock on
-// spans and prints the top-N span labels by gross wall time (and, with
-// -trace, adds a wall_us argument per span — the host-CPU view).
-// -parallel N fans the engine suite's independent cells across up to N
-// goroutines; every deterministic column and BENCH artefact is identical
-// to a serial run (cells record into forked Obs, absorbed in cell order),
-// but the wall-clock columns then price contended time, so never -compare
-// a parallel run against a serial baseline. Incompatible with -trace and
-// -wallprofile.
+// -wallprofile N captures host wall-clock on spans and prints the top-N
+// span labels by gross wall time (and, with -trace, adds a wall_us argument
+// per span — the host-CPU view). How fast the simulator itself runs is
+// measured by the repository benchmark, `bash bench/run.sh`.
 //
-// Profiles and partial artefacts are flushed on SIGINT and on experiment
-// panics, so an interrupted run still yields a usable -cpuprofile and
-// BENCH JSON.
+// A bad flag value, an unknown experiment or an unusable -outdir exits 2
+// before anything is run or written. Profiles and partial artefacts are
+// flushed on SIGINT and on experiment panics, so an interrupted run still
+// yields a usable -cpuprofile and BENCH JSON.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -56,15 +51,18 @@ import (
 	"compstor/internal/obs"
 )
 
+// runAll is the -run value that selects every experiment.
+const runAll = "all"
+
 // artifacts owns every output the binary may need to flush early: on
 // SIGINT or on an experiment panic, flush() stops the CPU profile and
 // writes the heap profile, trace, combined metrics, and a partial
-// BENCH_<name>.json for the experiment that was running. Happy-path
-// completion calls the same code exactly once. mu guards the mutable
-// bookkeeping against the signal goroutine; the obs data itself is only
-// read best-effort on an early flush (the simulator may be mid-event).
+// BENCH_<name>.json for the experiment that was running; completion calls
+// the same code. mu guards the mutable bookkeeping against the signal
+// goroutine; the obs data itself is only read best-effort on an early flush.
 type artifacts struct {
 	root        *obs.Obs
+	stderr      io.Writer
 	runName     string
 	outDir      string
 	cpuFile     *os.File
@@ -88,87 +86,90 @@ func (a *artifacts) setCurrent(name string, scope *obs.Obs) {
 	a.mu.Unlock()
 }
 
-func (a *artifacts) fail(what string, err error) {
-	fmt.Fprintf(os.Stderr, "%s: %v\n", what, err)
-	os.Exit(1)
+func (a *artifacts) benchPath(name string) string {
+	return filepath.Join(a.outDir, "BENCH_"+name+".json")
 }
 
-func (a *artifacts) writeJSON(path string, write func(io.Writer) error) error {
+// write creates path with fn's output, reporting a failure on stderr.
+func (a *artifacts) write(path string, fn func(io.Writer) error) bool {
 	f, err := os.Create(path)
+	if err == nil {
+		err = fn(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
 	if err != nil {
-		return err
+		fmt.Fprintf(a.stderr, "%s: %v\n", path, err)
 	}
-	err = write(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return err == nil
 }
 
-// flush writes everything that has been requested. strict controls error
-// handling: the happy path exits non-zero on a write failure, the
-// interrupt/panic path reports and keeps going (partial data beats none).
-func (a *artifacts) flush(strict bool) {
+// flush writes everything that has been requested, once, and reports
+// whether all of it was written; a failure does not stop the remaining
+// outputs (partial data beats none).
+func (a *artifacts) flush() bool {
 	a.mu.Lock()
 	if a.flushed {
 		a.mu.Unlock()
-		return
+		return true
 	}
 	a.flushed = true
 	name, scope := a.currentName, a.currentScope
 	a.mu.Unlock()
-	report := func(what string, err error) {
-		if err == nil {
-			return
-		}
-		if strict {
-			a.fail(what, err)
-		}
-		fmt.Fprintf(os.Stderr, "%s (partial): %v\n", what, err)
-	}
+	ok := true
 	if a.cpuFile != nil {
 		pprof.StopCPUProfile()
-		report("cpuprofile", a.cpuFile.Close())
-		a.cpuFile = nil
+		if err := a.cpuFile.Close(); err != nil {
+			fmt.Fprintf(a.stderr, "cpuprofile: %v\n", err)
+			ok = false
+		}
 	}
 	if name != "" && scope != nil {
 		// The experiment was cut short: persist what its scope has so far.
-		path := filepath.Join(a.outDir, "BENCH_"+name+".json")
-		snap := scope.Snapshot(name)
-		report(path, a.writeJSON(path, snap.WriteJSON))
+		ok = a.write(a.benchPath(name), scope.Snapshot(name).WriteJSON) && ok
 	}
 	if a.metricsPath != "" {
-		snap := a.root.Snapshot(a.runName)
-		report("metrics", a.writeJSON(a.metricsPath, snap.WriteJSON))
+		ok = a.write(a.metricsPath, a.root.Snapshot(a.runName).WriteJSON) && ok
 	}
 	if a.tracePath != "" {
-		report("trace", a.writeJSON(a.tracePath, a.root.WriteTrace))
+		ok = a.write(a.tracePath, a.root.WriteTrace) && ok
 	}
 	if a.memPath != "" {
 		runtime.GC()
-		report("memprofile", a.writeJSON(a.memPath, pprof.WriteHeapProfile))
+		ok = a.write(a.memPath, pprof.WriteHeapProfile) && ok
 	}
+	return ok
 }
 
-func main() {
-	run := flag.String("run", "all", "experiment to run: all, fig1, fig6, fig7, fig8, tables, ablations, degraded, recovery, pipeline, scaleup, serving, tail, engine")
-	books := flag.Int("books", 0, "number of corpus files (0 = paper-scale default of 348)")
-	mean := flag.Int("mean", 0, "mean book size in bytes (0 = default)")
-	devices := flag.String("devices", "", "comma-separated device counts for the scaling figures")
-	verbose := flag.Bool("v", false, "log progress")
-	outDir := flag.String("outdir", ".", "directory for BENCH_<name>.json snapshots")
-	tracePath := flag.String("trace", "", "enable span tracing and write Chrome trace-event JSON here")
-	metricsPath := flag.String("metrics", "", "write the combined metrics snapshot JSON here")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile here (samples carry an 'experiment' pprof label)")
-	memProfile := flag.String("memprofile", "", "write a heap profile here")
-	wallProfile := flag.Int("wallprofile", 0, "capture wall-clock on spans and print the top-N wall profile (0 = off)")
-	parallel := flag.Int("parallel", 0, "run independent engine-suite cells on up to N goroutines (0/1 = serial; wall-clock columns then price contended time)")
-	compare := flag.String("compare", "", "BASELINE engine json: compare the positional NEW json against it and exit 1 on regression")
-	tolerances := flag.String("tol", "", "comma-separated metric=fraction tolerance overrides for -compare (see DefaultEngineTolerances)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if *compare != "" {
-		os.Exit(compareMain(*compare, flag.Arg(0), *tolerances))
+// run is main with its streams and exit status made explicit.
+func run(args []string, stdout, stderr io.Writer) int {
+	table := experiments.Experiments()
+	names := []string{runAll}
+	for _, e := range table {
+		names = append(names, e.Name)
+	}
+
+	fs := flag.NewFlagSet("compstor-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	runName := fs.String("run", runAll, "experiment to run: "+strings.Join(names, ", "))
+	books := fs.Int("books", 0, "number of corpus files (0 = paper-scale default of 348)")
+	mean := fs.Int("mean", 0, "mean book size in bytes (0 = default)")
+	devices := fs.String("devices", "", "comma-separated device counts for the scaling figures")
+	verbose := fs.Bool("v", false, "log progress")
+	outDir := fs.String("outdir", ".", "directory for BENCH_<name>.json snapshots (created if missing)")
+	tracePath := fs.String("trace", "", "enable span tracing and write Chrome trace-event JSON here")
+	metricsPath := fs.String("metrics", "", "write the combined metrics snapshot JSON here")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile here (samples carry an 'experiment' pprof label)")
+	memProfile := fs.String("memprofile", "", "write a heap profile here")
+	wallProfile := fs.Int("wallprofile", 0, "capture wall-clock on spans and print the top-N wall profile (0 = off)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
 
 	opt := experiments.PaperScaleOptions()
@@ -178,43 +179,47 @@ func main() {
 	if *mean > 0 {
 		opt.MeanBookBytes = *mean
 	}
-	var deviceCounts []int
 	if *devices != "" {
+		opt.DeviceCounts = nil
 		for _, s := range strings.Split(*devices, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(s))
 			if err != nil || n <= 0 {
-				fmt.Fprintf(os.Stderr, "bad -devices element %q\n", s)
-				os.Exit(2)
+				fmt.Fprintf(stderr, "bad -devices element %q\n", s)
+				return 2
 			}
-			deviceCounts = append(deviceCounts, n)
+			opt.DeviceCounts = append(opt.DeviceCounts, n)
 		}
-		opt.DeviceCounts = deviceCounts
 	}
 	if *verbose {
-		opt.Log = os.Stderr
+		opt.Log = stderr
 	}
-	if *parallel > 1 {
-		// Forked Obs cannot carry spans (ids have no deterministic merge),
-		// and a wall profile of contended cells would mislead.
-		if *tracePath != "" || *wallProfile > 0 {
-			fmt.Fprintln(os.Stderr, "-parallel is incompatible with -trace and -wallprofile; run serially to profile")
-			os.Exit(2)
+	var selected []experiments.Experiment
+	for _, e := range table {
+		if e.Name == *runName || (*runName == runAll && e.PartOf == "") {
+			selected = append(selected, e)
 		}
-		opt.Parallel = *parallel
+	}
+	if len(selected) == 0 {
+		fmt.Fprintf(stderr, "unknown experiment %q (want one of: %s)\n", *runName, strings.Join(names, ", "))
+		return 2
+	}
+	if err := os.MkdirAll(*outDir, 0o755); err != nil {
+		fmt.Fprintf(stderr, "-outdir: %v\n", err)
+		return 2
 	}
 
 	root := obs.New()
-	if *tracePath != "" {
+	if *tracePath != "" || *wallProfile > 0 {
 		root.EnableTrace()
 	}
 	if *wallProfile > 0 {
-		root.EnableTrace()
 		root.EnableWallProfile()
 	}
 
 	art := &artifacts{
 		root:        root,
-		runName:     *run,
+		stderr:      stderr,
+		runName:     *runName,
 		outDir:      *outDir,
 		memPath:     *memProfile,
 		tracePath:   *tracePath,
@@ -222,232 +227,74 @@ func main() {
 	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			art.fail("cpuprofile", err)
+		if err == nil {
+			if err = pprof.StartCPUProfile(f); err != nil {
+				f.Close()
+			}
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			art.fail("cpuprofile", err)
+		if err != nil {
+			fmt.Fprintf(stderr, "cpuprofile: %v\n", err)
+			return 1
 		}
 		art.cpuFile = f
 	}
 
-	// SIGINT/SIGTERM: flush profiles and partial artefacts, then exit with
-	// the conventional interrupted status. Best effort by design — the
-	// simulator may be mid-event on the main goroutine.
+	// SIGINT/SIGTERM: flush profiles and partial artefacts, then exit 130.
+	// Best effort — the simulator may be mid-event on the main goroutine.
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigc)
+	done := make(chan struct{})
+	defer close(done)
 	go func() {
-		sig := <-sigc
-		fmt.Fprintf(os.Stderr, "\n%v: flushing profiles and partial artefacts...\n", sig)
-		art.flush(false)
-		os.Exit(130)
+		select {
+		case sig := <-sigc:
+			fmt.Fprintf(stderr, "\n%v: flushing profiles and partial artefacts...\n", sig)
+			art.flush()
+			os.Exit(130)
+		case <-done:
+		}
 	}()
 	// Experiment panics (model bugs, impossible configs): keep the
 	// diagnostics but flush first so the failure comes with its profile.
 	defer func() {
 		if r := recover(); r != nil {
-			fmt.Fprintf(os.Stderr, "experiment failed: %v\nflushing profiles and partial artefacts...\n", r)
-			art.flush(false)
+			fmt.Fprintf(stderr, "experiment failed: %v\nflushing profiles and partial artefacts...\n", r)
+			art.flush()
 			panic(r)
 		}
 	}()
 
-	w := os.Stdout
-	ran := false
-	sep := func() { fmt.Fprintln(w, strings.Repeat("=", 78)) }
-	want := func(name string) bool {
-		if *run == "all" || *run == name {
-			ran = true
-			return true
-		}
-		return false
-	}
-	// finish snapshots one experiment's scope: BENCH_<name>.json plus a
-	// utilization chart on stdout when any timeline recorded data.
-	finish := func(name string, scope *obs.Obs) {
-		art.setCurrent("", nil)
-		snap := scope.Snapshot(name)
-		snap.RenderUtilization(w, name+" — mean utilization %")
-		path := filepath.Join(*outDir, "BENCH_"+name+".json")
-		if err := art.writeJSON(path, snap.WriteJSON); err != nil {
-			art.fail(path, err)
-		}
-		fmt.Fprintln(w)
-		sep()
-	}
-	scoped := func(name string) experiments.Options {
+	for _, e := range selected {
+		name := e.Artefact()
 		o := opt
 		o.Obs = root.Scope(name)
 		art.setCurrent(name, o.Obs)
-		return o
-	}
-	// labeled tags the experiment's samples in the CPU profile, so pprof
-	// can attribute host time per experiment (`pprof -tagfocus`).
-	labeled := func(name string, body func()) {
+		// The label tags the experiment's samples in the CPU profile, so
+		// pprof can attribute host time per experiment (`pprof -tagfocus`).
 		pprof.Do(context.Background(), pprof.Labels("experiment", name), func(context.Context) {
-			body()
+			e.Run(o).Render(stdout)
 		})
-	}
-
-	if want("tables") || *run == "table1" || *run == "table2" || *run == "table3" || *run == "table4" {
-		ran = true
-		o := scoped("tables")
-		labeled("tables", func() {
-			if *run != "table2" && *run != "table3" && *run != "table4" {
-				experiments.Table1(w)
-				fmt.Fprintln(w)
-			}
-			if *run == "all" || *run == "tables" || *run == "table2" {
-				experiments.Table2(w)
-				fmt.Fprintln(w)
-			}
-			if *run == "all" || *run == "tables" || *run == "table3" {
-				experiments.Table3(o, w)
-				fmt.Fprintln(w)
-			}
-			if *run == "all" || *run == "tables" || *run == "table4" {
-				experiments.Table4(w)
-				fmt.Fprintln(w)
-			}
-		})
-		finish("tables", o.Obs)
-	}
-	if want("fig1") {
-		o := scoped("fig1")
-		labeled("fig1", func() { experiments.Fig1(o).Render(w) })
-		fmt.Fprintln(w)
-		finish("fig1", o.Obs)
-	}
-	if want("fig6") {
-		o := scoped("fig6")
-		labeled("fig6", func() { experiments.RenderFig6(w, experiments.Fig6(o, nil)) })
-		fmt.Fprintln(w)
-		finish("fig6", o.Obs)
-	}
-	if want("fig7") {
-		o := scoped("fig7")
-		labeled("fig7", func() { experiments.RenderFig7(w, experiments.Fig7(o)) })
-		fmt.Fprintln(w)
-		finish("fig7", o.Obs)
-	}
-	if want("fig8") {
-		o := scoped("fig8")
-		labeled("fig8", func() { experiments.RenderFig8(w, experiments.Fig8(o)) })
-		fmt.Fprintln(w)
-		finish("fig8", o.Obs)
-	}
-	if want("degraded") {
-		o := scoped("degraded")
-		labeled("degraded", func() { experiments.RenderDegraded(w, experiments.Degraded(o)) })
-		fmt.Fprintln(w)
-		finish("degraded", o.Obs)
-	}
-	if want("recovery") {
-		o := scoped("recovery")
-		labeled("recovery", func() {
-			experiments.RenderRecovery(w,
-				experiments.RecoveryIntervals(o),
-				experiments.RecoveryScanScaling(o))
-		})
-		fmt.Fprintln(w)
-		finish("recovery", o.Obs)
-	}
-	if want("pipeline") {
-		o := scoped("pipeline")
-		labeled("pipeline", func() { experiments.RenderPipeline(w, experiments.Pipeline(o)) })
-		fmt.Fprintln(w)
-		finish("pipeline", o.Obs)
-	}
-	if want("scaleup") {
-		o := scoped("scaleup")
-		labeled("scaleup", func() { experiments.RenderScaleup(w, experiments.Scaleup(o)) })
-		fmt.Fprintln(w)
-		finish("scaleup", o.Obs)
-	}
-	if want("serving") {
-		o := scoped("serving")
-		labeled("serving", func() { experiments.RenderServing(w, experiments.Serving(o)) })
-		fmt.Fprintln(w)
-		finish("serving", o.Obs)
-	}
-	if want("tail") {
-		o := scoped("tail")
-		labeled("tail", func() { experiments.RenderTail(w, experiments.Tail(o)) })
-		fmt.Fprintln(w)
-		finish("tail", o.Obs)
-	}
-	if want("ablations") {
-		o := scoped("ablations")
-		labeled("ablations", func() {
-			experiments.AblationInterference(o).Render(w)
-			fmt.Fprintln(w)
-			experiments.AblationStriping(o).Render(w)
-			fmt.Fprintln(w)
-			experiments.AblationDirectPath(o).Render(w)
-		})
-		fmt.Fprintln(w)
-		finish("ablations", o.Obs)
-	}
-	if want("engine") {
-		o := scoped("engine")
-		var er experiments.EngineResult
-		labeled("engine", func() { er = experiments.Engine(o, deviceCounts) })
-		experiments.RenderEngine(w, er)
-		// BENCH_engine.json is the EngineResult itself (wall numbers
-		// included) — the regression baseline, not a metrics snapshot. The
-		// deterministic engine accounting still reaches the obs snapshot
-		// via the "engines" section (-metrics).
+		fmt.Fprintln(stdout)
+		// Snapshot the experiment's scope: BENCH_<name>.json plus a
+		// utilization chart on stdout when any timeline recorded data.
 		art.setCurrent("", nil)
-		path := filepath.Join(*outDir, "BENCH_engine.json")
-		if err := art.writeJSON(path, er.WriteJSON); err != nil {
-			art.fail(path, err)
+		snap := o.Obs.Snapshot(name)
+		snap.RenderUtilization(stdout, name+" — mean utilization %")
+		if !art.write(art.benchPath(name), snap.WriteJSON) {
+			art.flush()
+			return 1
 		}
-		fmt.Fprintln(w)
-		sep()
+		fmt.Fprintln(stdout)
+		fmt.Fprintln(stdout, strings.Repeat("=", 78))
 	}
-	if !ran {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *run)
-		os.Exit(2)
-	}
-
 	if *wallProfile > 0 {
-		obs.RenderWallProfile(w,
+		obs.RenderWallProfile(stdout,
 			fmt.Sprintf("Wall profile — top %d span labels by gross host time", *wallProfile),
 			root.WallProfile(*wallProfile))
 	}
-	art.flush(true)
-}
-
-// compareMain implements -compare: check NEW against BASELINE under the
-// tolerance bands and report every violated metric.
-func compareMain(basePath, newPath, tolSpec string) int {
-	if newPath == "" {
-		fmt.Fprintln(os.Stderr, "usage: compstor-bench -compare baseline.json new.json [-tol metric=frac,...]")
-		return 2
+	if !art.flush() {
+		return 1
 	}
-	tol, err := experiments.ParseTolerances(tolSpec)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "-tol: %v\n", err)
-		return 2
-	}
-	base, err := experiments.ReadEngineResult(basePath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "baseline: %v\n", err)
-		return 2
-	}
-	next, err := experiments.ReadEngineResult(newPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "new: %v\n", err)
-		return 2
-	}
-	violations := experiments.CompareEngine(base, next, tol)
-	if len(violations) == 0 {
-		fmt.Printf("engine perf OK: %d runs within tolerance of %s\n", len(base.Runs), basePath)
-		return 0
-	}
-	fmt.Fprintf(os.Stderr, "engine perf REGRESSION: %d violation(s) vs %s\n", len(violations), basePath)
-	for _, v := range violations {
-		fmt.Fprintf(os.Stderr, "  %s\n", v)
-	}
-	return 1
+	return 0
 }

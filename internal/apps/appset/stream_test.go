@@ -205,9 +205,9 @@ func TestStreamingToolsAllocateNoBlocks(t *testing.T) {
 	}
 }
 
-// compstor-bench -parallel runs engines, and so tools, on several goroutines
-// that all draw on the one block pool: each must keep printing what it
-// prints alone. Under -race this also shows no block is used after its Put.
+// Parallel tests run engines, and so tools, on several goroutines that all
+// draw on the one block pool: each must keep printing what it prints
+// alone. Under -race this also shows no block is used after its Put.
 func TestPooledBlocksAcrossGoroutines(t *testing.T) {
 	reg := Base()
 	tools := [][]string{{"wc"}, {"cksum"}, {"grep", "-c", "the"}, {"gawk", "{ n += NF } END { print n }"}, {"tr", "a-z", "A-Z"}, {"sort"}}

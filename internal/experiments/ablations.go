@@ -45,6 +45,7 @@ func AblationInterference(o Options) InterferenceResult {
 		cfg := ssd.CompStorConfig("dev", appset.Base())
 		cfg.Geometry = o.Geometry
 		cfg.SharedCores = shared
+		cfg.Obs = o.Obs.Scope(fmt.Sprintf("interference.load%t.shared%t", load, shared))
 		drive := ssd.New(eng, fabric.AddPort(), cfg)
 		core.AttachAgent(drive)
 		client := core.NewClient(drive)
@@ -146,6 +147,7 @@ func AblationStriping(o Options) StripingResult {
 		cfg := ssd.DefaultConfig("dev")
 		cfg.Geometry = o.Geometry
 		cfg.FTL = ftl.Config{OverProvision: 0.07, Striping: striping}
+		cfg.Obs = o.Obs.Scope(fmt.Sprintf("striping.striped%t", striping))
 		drive := ssd.New(eng, fabric.AddPort(), cfg)
 		drv := drive.Driver()
 		const chunk = 64
@@ -194,6 +196,7 @@ func AblationDirectPath(o Options) DirectPathResult {
 		cfg := ssd.CompStorConfig("dev", appset.Base())
 		cfg.Geometry = o.Geometry
 		cfg.ISPSViaNVMePath = via
+		cfg.Obs = o.Obs.Scope(fmt.Sprintf("directpath.via%t", via))
 		drive := ssd.New(eng, fabric.AddPort(), cfg)
 		core.AttachAgent(drive)
 		client := core.NewClient(drive)

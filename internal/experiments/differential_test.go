@@ -12,13 +12,12 @@ import (
 // The differential determinism suite: every experiment must produce
 // byte-identical results and observability snapshots whether the engine's
 // switch-free fast paths are on (the default) or forced off (the classic
-// queue+handoff dispatch of the pre-fast-path engine). Only proc_switches
-// and inline_waits — the counts of goroutine handoffs removed by the fast
-// path and of waits that took it — may differ, so both are masked before
-// comparison.
+// queue+handoff dispatch of the pre-fast-path engine). The workloads are
+// the public experiments that between them cover the scatter/gather,
+// chaos, open-loop serving, tail-tolerance and split-scan paths.
 
 // diffSnapshot runs fn under the given fast-path mode on a fresh Obs and
-// returns (result JSON, snapshot JSON) with proc_switches masked.
+// returns (result JSON, snapshot JSON).
 func diffSnapshot(t *testing.T, fast bool, fn func(o Options) any) ([]byte, []byte) {
 	t.Helper()
 	sim.SetDefaultFastPaths(fast)
@@ -26,17 +25,12 @@ func diffSnapshot(t *testing.T, fast bool, fn func(o Options) any) ([]byte, []by
 	o := tinyOptions()
 	o.Obs = obs.New()
 	result := fn(o)
-	snap := o.Obs.Snapshot("differential")
-	for i := range snap.Engines {
-		snap.Engines[i].ProcSwitches = 0
-		snap.Engines[i].InlineWaits = 0
-	}
 	rj, err := json.MarshalIndent(result, "", " ")
 	if err != nil {
 		t.Fatalf("marshal result: %v", err)
 	}
 	var sj bytes.Buffer
-	if err := snap.WriteJSON(&sj); err != nil {
+	if err := o.Obs.Snapshot("differential").WriteJSON(&sj); err != nil {
 		t.Fatalf("marshal snapshot: %v", err)
 	}
 	return rj, sj.Bytes()
@@ -71,31 +65,15 @@ func TestDifferentialDegraded(t *testing.T) {
 }
 
 func TestDifferentialServing(t *testing.T) {
-	assertFastSlowIdentical(t, "serving", func(o Options) any {
-		o.Books = 2
-		data := o.servingData()
-		service := o.engineProbe(data).Seconds()
-		lambda := engineUtilization * float64(4*2) / service
-		acct := o.engineServe(o.Obs.Scope("serve"), 2, data, lambda, false)
-		return map[string]int64{"events": acct.Events(), "sim_ns": int64(acct.SimElapsed())}
-	})
+	assertFastSlowIdentical(t, "serving", func(o Options) any { return Serving(o) })
 }
 
 func TestDifferentialTail(t *testing.T) {
-	assertFastSlowIdentical(t, "tail", func(o Options) any {
-		o.Books = 2
-		data := o.servingData()
-		service := o.engineProbe(data).Seconds()
-		lambda := engineUtilization * float64(4*2) / service
-		acct := o.engineServe(o.Obs.Scope("tail"), 2, data, lambda, true)
-		return map[string]int64{"events": acct.Events(), "sim_ns": int64(acct.SimElapsed())}
-	})
+	assertFastSlowIdentical(t, "tail", func(o Options) any { return Tail(o) })
 }
 
+// TestDifferentialParscan covers the read pipeline and the intra-device
+// split scan, which only the scaleup experiment turns on.
 func TestDifferentialParscan(t *testing.T) {
-	assertFastSlowIdentical(t, "parscan", func(o Options) any {
-		o.Books = 4
-		acct := o.engineScan(o.Obs.Scope("scan"), 2, true)
-		return map[string]int64{"events": acct.Events(), "sim_ns": int64(acct.SimElapsed())}
-	})
+	assertFastSlowIdentical(t, "scaleup", func(o Options) any { return Scaleup(o) })
 }

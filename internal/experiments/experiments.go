@@ -1,7 +1,8 @@
 // Package experiments reproduces every table and figure of the CompStor
 // paper's evaluation on the simulated platform. Each experiment is a
 // function returning structured results plus a renderer, shared between
-// cmd/compstor-bench and the repository's testing.B benchmarks.
+// cmd/compstor-bench and the repository's testing.B benchmarks;
+// Experiments is the table of all of them, one row each.
 //
 // Scale note: the paper's corpus is 348 books / 11.3 GB on a 24 TB device.
 // The default options use the same file count at a reduced mean size and a
@@ -34,13 +35,6 @@ type Options struct {
 	Geometry flash.Geometry
 	// Log, when non-nil, receives progress lines.
 	Log io.Writer
-	// Parallel, when >1, lets suites whose measurement cells are fully
-	// independent (currently Engine) run up to that many cells concurrently.
-	// Each cell builds its own engine and corpus and records into a forked
-	// Obs that is absorbed in cell order, so every deterministic output is
-	// identical to a serial run; only the wall-clock columns change, since
-	// concurrent cells contend for the host. Incompatible with tracing.
-	Parallel int
 	// Obs, when non-nil, instruments every system the experiment builds.
 	// Callers usually pass a per-experiment scope (root.Scope("fig7")) so
 	// metric names from different experiments stay apart; each measurement

@@ -31,18 +31,3 @@ func TestPipelineSpeedupAndFidelity(t *testing.T) {
 		t.Errorf("grep speedup %.2fx, want >= 2.0x", grep.Speedup)
 	}
 }
-
-// TestPipelineDeterministic: the experiment is a pure function of its
-// options — two runs must agree on every number, not just every byte of
-// program output.
-func TestPipelineDeterministic(t *testing.T) {
-	a, b := Pipeline(DefaultOptions()), Pipeline(DefaultOptions())
-	if len(a) != len(b) {
-		t.Fatalf("point counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("point %d differs:\n a=%+v\n b=%+v", i, a[i], b[i])
-		}
-	}
-}

@@ -46,18 +46,3 @@ func TestScaleupSpeedupAndFidelity(t *testing.T) {
 		}
 	}
 }
-
-// TestScaleupDeterministic: the experiment is a pure function of its
-// options — two runs must agree on every number, not just every byte of
-// program output.
-func TestScaleupDeterministic(t *testing.T) {
-	a, b := Scaleup(DefaultOptions()), Scaleup(DefaultOptions())
-	if len(a) != len(b) {
-		t.Fatalf("point counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("point %d differs:\n a=%+v\n b=%+v", i, a[i], b[i])
-		}
-	}
-}

@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"bytes"
-	"reflect"
-	"testing"
-)
+import "testing"
 
 // TestServingKneeAndShedding runs the full serving evaluation at tiny
 // scale and checks its headline claims: the interactive tenant meets its
@@ -54,21 +50,5 @@ func TestServingKneeAndShedding(t *testing.T) {
 	}
 	if over.TotalShed == 0 {
 		t.Errorf("no shedding at %.2fx capacity", over.Load)
-	}
-}
-
-// TestServingDeterministic: the whole evaluation — calibration, sweep,
-// chaos compositions, rendered report — is a pure function of the seed.
-func TestServingDeterministic(t *testing.T) {
-	a := Serving(tinyOptions())
-	b := Serving(tinyOptions())
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("serving results differ across identical runs:\n%+v\nvs\n%+v", a, b)
-	}
-	var ra, rb bytes.Buffer
-	RenderServing(&ra, a)
-	RenderServing(&rb, b)
-	if !bytes.Equal(ra.Bytes(), rb.Bytes()) {
-		t.Fatal("rendered serving reports differ across identical runs")
 	}
 }

@@ -51,13 +51,29 @@ type Table3Step struct {
 	What string
 }
 
+// table3Result is one traced minion lifetime: the paper's six steps with
+// measured virtual timestamps, plus the figures of its summary line.
+type table3Result struct {
+	Steps     []Table3Step
+	Elapsed   sim.Duration
+	RoundTrip sim.Duration
+	Stdout    string
+}
+
 // Table3 traces one real minion through the stack and renders the paper's
 // six lifetime steps with measured virtual timestamps.
 func Table3(o Options, w io.Writer) []Table3Step {
+	r := table3(o)
+	r.Render(w)
+	return r.Steps
+}
+
+func table3(o Options) table3Result {
 	sys := core.NewSystem(core.SystemConfig{
 		CompStors: 1,
 		Registry:  appset.Base(),
 		Geometry:  o.Geometry,
+		Obs:       o.Obs.Scope("table3"),
 	})
 	unit := sys.Device(0)
 	var m *core.Minion
@@ -79,22 +95,30 @@ func Table3(o Options, w io.Writer) []Table3Step {
 	sys.Close()
 
 	r := m.Response
-	steps := []Table3Step{
-		{1, m.Submitted, "client configures the minion and sends it via the in-situ library"},
-		{2, r.AgentReceived, "ISPS agent extracts the command and spawns the executable"},
-		{3, r.TaskStarted, "executable accesses flash through the device driver"},
-		{4, r.TaskStarted, fmt.Sprintf("driver issues read/write commands to the flash controller (%d page reads)", ftlReadsAfter-ftlReadsBefore)},
-		{5, r.TaskFinished, "agent tracks completion of the in-situ process"},
-		{6, m.Returned, "agent populates the response; minion returns to the client"},
+	return table3Result{
+		Steps: []Table3Step{
+			{1, m.Submitted, "client configures the minion and sends it via the in-situ library"},
+			{2, r.AgentReceived, "ISPS agent extracts the command and spawns the executable"},
+			{3, r.TaskStarted, "executable accesses flash through the device driver"},
+			{4, r.TaskStarted, fmt.Sprintf("driver issues read/write commands to the flash controller (%d page reads)", ftlReadsAfter-ftlReadsBefore)},
+			{5, r.TaskFinished, "agent tracks completion of the in-situ process"},
+			{6, m.Returned, "agent populates the response; minion returns to the client"},
+		},
+		Elapsed:   r.Elapsed,
+		RoundTrip: m.RoundTrip(),
+		Stdout:    string(r.Stdout),
 	}
+}
+
+// Render writes the lifetime table and its summary line.
+func (r table3Result) Render(w io.Writer) {
 	t := trace.NewTable("Table III — lifetime of a minion (measured)", "step", "t (virtual)", "description")
-	for _, s := range steps {
+	for _, s := range r.Steps {
 		t.AddRow(s.Step, s.At, s.What)
 	}
 	t.Render(w)
 	fmt.Fprintf(w, "in-device execution: %v; client round trip: %v; result: %q\n",
-		r.Elapsed, m.RoundTrip(), string(r.Stdout))
-	return steps
+		r.Elapsed, r.RoundTrip, r.Stdout)
 }
 
 // Table4 renders the server specification (paper Table IV) from the live

@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"bytes"
-	"reflect"
-	"testing"
-)
+import "testing"
 
 // tailTiny runs the tail evaluation once at test scale.
 func tailTiny() TailResult {
@@ -86,20 +82,5 @@ func TestTailRetryStormBounded(t *testing.T) {
 	if unbudgeted.Retries < 2*budgeted.Retries {
 		t.Fatalf("unbudgeted storm did not amplify: %d retries vs %d budgeted",
 			unbudgeted.Retries, budgeted.Retries)
-	}
-}
-
-// TestTailDeterministic: the whole evaluation — two serving runs, two
-// storms, and the rendered report — replays byte-identically per seed.
-func TestTailDeterministic(t *testing.T) {
-	r1, r2 := tailTiny(), tailTiny()
-	if !reflect.DeepEqual(r1, r2) {
-		t.Fatalf("tail results diverge:\n%+v\nvs\n%+v", r1, r2)
-	}
-	var b1, b2 bytes.Buffer
-	RenderTail(&b1, r1)
-	RenderTail(&b2, r2)
-	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-		t.Fatal("rendered tail reports differ between identical runs")
 	}
 }

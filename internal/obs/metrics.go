@@ -112,10 +112,6 @@ func (c *Counter) Add(n int64) {
 // Inc adds one.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Merge folds another counter's value into c (for combining per-seed
-// snapshot runs). Nil-safe on both sides.
-func (c *Counter) Merge(o *Counter) { c.Add(o.Value()) }
-
 // Value returns the current count (zero on a nil counter).
 func (c *Counter) Value() int64 {
 	if c == nil {
@@ -183,32 +179,6 @@ func (h *Histogram) Observe(d sim.Duration) {
 		h.sumNS += v
 	}
 	h.buckets[bits.Len64(uint64(v))]++
-}
-
-// Merge folds another histogram's observations into h, for combining
-// per-seed runs into one distribution. Counts, sums, and buckets add;
-// min/max take the extremes; quantiles of the merged histogram are
-// therefore bounded by the inputs' min and max (asserted in tests). Merge
-// is commutative and nil-safe on both sides.
-func (h *Histogram) Merge(o *Histogram) {
-	if h == nil || o == nil || o.count == 0 {
-		return
-	}
-	if h.count == 0 || o.minNS < h.minNS {
-		h.minNS = o.minNS
-	}
-	if o.maxNS > h.maxNS {
-		h.maxNS = o.maxNS
-	}
-	h.count += o.count
-	if h.sumNS > math.MaxInt64-o.sumNS {
-		h.sumNS = math.MaxInt64
-	} else {
-		h.sumNS += o.sumNS
-	}
-	for i, n := range o.buckets {
-		h.buckets[i] += n
-	}
 }
 
 // Count returns the number of observations.

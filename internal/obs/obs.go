@@ -51,7 +51,6 @@ type shared struct {
 	reg     *Registry
 	tracer  *Tracer
 	tls     *timelineStore
-	engines []watchedEngine
 	nextPid int
 }
 

@@ -23,11 +23,6 @@ type Snapshot struct {
 	Gauges     []GaugeSnap     `json:"gauges"`
 	Histograms []HistogramSnap `json:"histograms"`
 	Timelines  []TimelineSnap  `json:"timelines"`
-	// Engines holds scheduler accounting for engines registered with
-	// WatchEngine — deterministic sim-side fields only, so artefacts stay
-	// byte-identical per seed. Omitted when no engine is watched, keeping
-	// pre-existing BENCH_*.json artefacts unchanged.
-	Engines []EngineSnap `json:"engines,omitempty"`
 }
 
 // CounterSnap is one counter's value.
@@ -127,7 +122,6 @@ func (o *Obs) Snapshot(name string) Snapshot {
 			P99NS: int64(h.Quantile(0.99)),
 		})
 	}
-	s.Engines = o.shared.engineSnaps(o.prefix)
 	for _, full := range o.shared.tls.sortedNames() {
 		n, ok := keep(full)
 		if !ok {

@@ -8,7 +8,7 @@ import (
 
 // Accounting collects scheduler statistics for an Engine: events dispatched
 // (total and per source label), process switches, starts and pool reuses,
-// inline-completed waits, event-queue depth over virtual time, and —
+// inline-completed waits, the deepest event queue seen, and —
 // optionally — the wall-clock side (wall nanoseconds per label, allocation
 // and goroutine deltas from the Go runtime, and virtual time advanced per
 // wall second).
@@ -36,9 +36,6 @@ type Accounting struct {
 	inlineWaits  int64
 	maxDepth     int
 
-	depthWindow Duration
-	depthMax    []int64
-
 	wall           bool
 	wallStart      time.Time
 	memStart       runtime.MemStats
@@ -52,18 +49,11 @@ type labelStats struct {
 
 // AccountingConfig tunes EnableAccounting.
 type AccountingConfig struct {
-	// DepthWindow is the virtual-time bucket width of the queue-depth
-	// timeline (0 selects 1ms). The timeline coarsens by doubling the
-	// window when a run outlives the bucket budget, like obs timelines.
-	DepthWindow Duration
 	// Wall additionally captures wall-clock per label, allocation deltas
 	// (runtime.MemStats), and a sampled goroutine peak. Wall capture is
 	// host-dependent: never compare its numbers byte-for-byte.
 	Wall bool
 }
-
-// maxDepthWindows bounds the depth timeline's memory.
-const maxDepthWindows = 512
 
 // goroutineSampleMask samples runtime.NumGoroutine every 8192 events when
 // wall capture is on.
@@ -74,14 +64,10 @@ const goroutineSampleMask = 8192 - 1
 // replaces the previous accounting.
 func (e *Engine) EnableAccounting(cfg AccountingConfig) *Accounting {
 	a := &Accounting{
-		eng:         e,
-		simStart:    e.now,
-		byID:        make([]labelStats, len(e.labels)),
-		depthWindow: cfg.DepthWindow,
-		wall:        cfg.Wall,
-	}
-	if a.depthWindow <= 0 {
-		a.depthWindow = Duration(1e6) // 1ms
+		eng:      e,
+		simStart: e.now,
+		byID:     make([]labelStats, len(e.labels)),
+		wall:     cfg.Wall,
 	}
 	if a.wall {
 		a.wallStart = time.Now()
@@ -104,7 +90,7 @@ func (a *Accounting) grow(id int) {
 
 // dispatch records one event execution and runs it, timing the callback
 // when wall capture is on.
-func (a *Accounting) dispatch(ev event, depth int, now Time) {
+func (a *Accounting) dispatch(ev event, depth int) {
 	a.events++
 	id := int(ev.lbl)
 	if id >= len(a.byID) {
@@ -114,7 +100,6 @@ func (a *Accounting) dispatch(ev event, depth int, now Time) {
 	if depth > a.maxDepth {
 		a.maxDepth = depth
 	}
-	a.noteDepth(now, depth)
 	if !a.wall {
 		a.eng.exec(ev)
 		return
@@ -134,7 +119,7 @@ func (a *Accounting) dispatch(ev event, depth int, now Time) {
 // sim-deterministic counters advance exactly as if the wake-up event had
 // been queued and dispatched; only the wall timing attribution differs (the
 // proc's own frame keeps running, so there is no callback to time).
-func (a *Accounting) inlineEvent(lbl uint32, depth int, now Time) {
+func (a *Accounting) inlineEvent(lbl uint32, depth int) {
 	a.events++
 	a.inlineWaits++
 	id := int(lbl)
@@ -145,34 +130,10 @@ func (a *Accounting) inlineEvent(lbl uint32, depth int, now Time) {
 	if depth > a.maxDepth {
 		a.maxDepth = depth
 	}
-	a.noteDepth(now, depth)
 	if a.wall && a.events&goroutineSampleMask == 0 {
 		if g := runtime.NumGoroutine(); g > a.peakGoroutines {
 			a.peakGoroutines = g
 		}
-	}
-}
-
-// noteDepth folds one queue-depth sample into the virtual-time timeline,
-// keeping the per-window maximum.
-func (a *Accounting) noteDepth(now Time, depth int) {
-	i := int(int64(now) / int64(a.depthWindow))
-	for i >= maxDepthWindows {
-		half := make([]int64, (len(a.depthMax)+1)/2)
-		for j, v := range a.depthMax {
-			if v > half[j/2] {
-				half[j/2] = v
-			}
-		}
-		a.depthMax = half
-		a.depthWindow *= 2
-		i = int(int64(now) / int64(a.depthWindow))
-	}
-	for i >= len(a.depthMax) {
-		a.depthMax = append(a.depthMax, 0)
-	}
-	if int64(depth) > a.depthMax[i] {
-		a.depthMax[i] = int64(depth)
 	}
 }
 
@@ -234,15 +195,6 @@ func (a *Accounting) SimElapsed() Duration {
 		return 0
 	}
 	return a.eng.now.Sub(a.simStart)
-}
-
-// DepthTimeline returns the queue-depth timeline: the bucket width and the
-// per-bucket maximum depth. The returned slice is a copy.
-func (a *Accounting) DepthTimeline() (window Duration, depthMax []int64) {
-	if a == nil {
-		return 0, nil
-	}
-	return a.depthWindow, append([]int64(nil), a.depthMax...)
 }
 
 // LabelCount is one event-source label's share of the dispatch work. WallNS

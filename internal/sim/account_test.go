@@ -67,36 +67,8 @@ func TestAccountingDisabledIsNil(t *testing.T) {
 		a.MaxHeapDepth() != 0 || a.SimElapsed() != 0 || a.ByLabel() != nil {
 		t.Fatal("nil Accounting accessors not zero")
 	}
-	if w, d := a.DepthTimeline(); w != 0 || d != nil {
-		t.Fatal("nil DepthTimeline not zero")
-	}
 	if ws := a.WallStats(); ws != (WallStats{}) {
 		t.Fatal("nil WallStats not zero")
-	}
-}
-
-func TestAccountingDepthTimelineCoarsens(t *testing.T) {
-	e := NewEngine()
-	a := e.EnableAccounting(AccountingConfig{DepthWindow: Duration(1e3)}) // 1µs windows
-
-	// Schedule events far beyond maxDepthWindows µs so the window must
-	// double (possibly repeatedly) while folding earlier maxima.
-	for i := 0; i < 4*maxDepthWindows; i++ {
-		e.At(Time(int64(i)*1e3), func() {})
-	}
-	e.Run()
-
-	window, depth := a.DepthTimeline()
-	if window < Duration(4e3) {
-		t.Fatalf("window = %v, want coarsened to >= 4µs", window)
-	}
-	if len(depth) > maxDepthWindows {
-		t.Fatalf("timeline has %d windows, budget %d", len(depth), maxDepthWindows)
-	}
-	// The first window saw the full pending heap: all events were scheduled
-	// before the first dispatch.
-	if depth[0] != int64(4*maxDepthWindows) {
-		t.Fatalf("depth[0] = %d, want %d", depth[0], 4*maxDepthWindows)
 	}
 }
 

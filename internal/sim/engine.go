@@ -66,25 +66,22 @@ type Engine struct {
 	killing bool // Shutdown in progress: parked procs unwind, schedules drop
 	closed  bool // Shutdown finished: the engine is inert
 
-	fastOff bool // SetFastPaths(false): force the queue+handoff slow path
+	fastOff bool // force the queue+handoff slow path (SetDefaultFastPaths)
 }
-
-// SetFastPaths toggles the switch-free wait fast path. It is on by default;
-// turning it off forces every wait through the event queue and the worker
-// handoff, the exact dispatch pattern of the pre-fast-path engine. The two
-// modes are byte-identical in virtual time, seq numbering, and accounting —
-// the differential determinism tests assert this — so the knob exists only
-// for those tests and for bisecting suspected fast-path bugs.
-func (e *Engine) SetFastPaths(enabled bool) { e.fastOff = !enabled }
 
 // defaultFastOff seeds new engines' fast-path setting; see
 // SetDefaultFastPaths.
 var defaultFastOff bool
 
-// SetDefaultFastPaths sets the fast-path mode inherited by engines created
-// afterwards. It exists for the differential determinism tests, which build
-// whole testbeds (engine included) deep inside experiment helpers and need
-// the slow path from construction on. Not safe to flip while engines run.
+// SetDefaultFastPaths sets whether engines created afterwards take the
+// switch-free wait fast path. It is on by default; turning it off forces
+// every wait through the event queue and the worker handoff, the exact
+// dispatch pattern of the pre-fast-path engine. The two modes are
+// byte-identical in virtual time, seq numbering, and accounting — the
+// differential determinism tests assert this, and the switch exists only
+// for them: they build whole testbeds (engine included) deep inside
+// experiment helpers and need the slow path from construction on. Not safe
+// to flip while engines run.
 func SetDefaultFastPaths(enabled bool) { defaultFastOff = !enabled }
 
 // NewEngine returns an engine with its clock at time zero and no pending
@@ -193,7 +190,7 @@ func (e *Engine) dispatchNext() {
 	ev := e.q.popReady()
 	e.now = ev.at
 	if a := e.acct; a != nil {
-		a.dispatch(ev, depth, e.now)
+		a.dispatch(ev, depth)
 	} else {
 		e.exec(ev)
 	}
@@ -280,7 +277,7 @@ func (e *Engine) inlineAdvance(p *Proc, t Time) {
 	depth := e.q.len() + 1
 	e.now = t
 	if a := e.acct; a != nil {
-		a.inlineEvent(p.lbl, depth, t)
+		a.inlineEvent(p.lbl, depth)
 	}
 }
 
