@@ -51,8 +51,8 @@ func main() {
 		*app, *devices, *books, trace.Bytes(res.PlainBytes)),
 		"metric", "value")
 	t.AddRow("wall time (virtual)", res.Elapsed)
-	t.AddRow("throughput", trace.MBps(res.MBps*1e6))
-	t.AddRow("device energy", fmt.Sprintf("%.3f J (%.1f J/GB)", res.DeviceJ, res.JPerGB))
+	t.AddRow("throughput", trace.MBps(res.MBps()*1e6))
+	t.AddRow("device energy", fmt.Sprintf("%.3f J (%.1f J/GB)", res.Joules, res.JPerGB()))
 	t.AddRow("task failures", res.Failures)
 	t.Render(os.Stdout)
 
@@ -61,10 +61,10 @@ func main() {
 		fmt.Println()
 		t2 := trace.NewTable("Xeon host baseline (conventional SSD)", "metric", "value")
 		t2.AddRow("wall time (virtual)", h.Elapsed)
-		t2.AddRow("throughput", trace.MBps(h.MBps*1e6))
-		t2.AddRow("host CPU energy", fmt.Sprintf("%.3f J (%.1f J/GB)", h.HostJ, h.JPerGB))
+		t2.AddRow("throughput", trace.MBps(h.MBps()*1e6))
+		t2.AddRow("host CPU energy", fmt.Sprintf("%.3f J (%.1f J/GB)", h.Joules, h.JPerGB()))
 		t2.Render(os.Stdout)
-		fmt.Printf("\nenergy ratio (host/CompStor): %.2fx\n", h.JPerGB/res.JPerGB)
+		fmt.Printf("\nenergy ratio (host/CompStor): %.2fx\n", h.JPerGB()/res.JPerGB())
 	}
 }
 

@@ -81,7 +81,9 @@ func main() {
 				sys.Eng.Go("hostwork", func(hp *sim.Proc) {
 					defer hw.Done()
 					for i := wk; i < len(hostFiles); i += workers {
-						sys.Host.Run(hp, isps.TaskSpec{Exec: "bzip2", Args: []string{hostFiles[i].Name}})
+						if r := sys.Host.Run(hp, isps.TaskSpec{Exec: "bzip2", Args: []string{hostFiles[i].Name}}); r.Err != nil {
+							panic(fmt.Sprintf("host bzip2 %s: %v", hostFiles[i].Name, r.Err))
+						}
 					}
 				})
 			}
@@ -91,9 +93,13 @@ func main() {
 		sys.Eng.Go("device-side", func(sp *sim.Proc) {
 			defer wg.Done()
 			start := sp.Now()
-			pool.MapFiles(sp, staged, func(name string) core.Command {
+			for _, r := range pool.MapFiles(sp, staged, func(name string) core.Command {
 				return core.Command{Exec: "bzip2", Args: []string{name}}
-			})
+			}) {
+				if r.Err != nil { // a non-OK status arrives as cluster.ErrTaskFailed
+					panic(fmt.Sprintf("device %d bzip2 %s: %v", r.Device, r.Name, r.Err))
+				}
+			}
 			devElapsed = sp.Now().Sub(start)
 		})
 		wg.Wait(p)

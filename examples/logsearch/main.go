@@ -3,14 +3,16 @@
 // The scenario from the paper's introduction: a storage node holds far more
 // data than the host can ingest, so the search runs where the data lives.
 // A log corpus is sharded over 8 devices; grep and a gawk aggregation run
-// as concurrent minions with utilisation-aware load balancing for a final
-// interactive query.
+// as concurrent minions, and a final interactive query is placed on the
+// least-loaded device.
 //
 //	go run ./examples/logsearch
 package main
 
 import (
 	"fmt"
+	"os"
+	"sort"
 	"strings"
 
 	"compstor/internal/apps/appset"
@@ -53,31 +55,59 @@ func main() {
 		elapsed := p.Now().Sub(start)
 		matches := 0
 		for _, r := range results {
-			if r.Err == nil && r.Resp.Status == core.StatusOK {
-				var n int
-				fmt.Sscanf(string(r.Resp.Stdout), "%d", &n)
-				matches += n
-			}
+			var n int
+			fmt.Sscanf(string(mustOK(r).Stdout), "%d", &n)
+			matches += n
 		}
 		fmt.Printf("distributed grep: %d matching lines in %v (%s aggregate)\n",
 			matches, elapsed, trace.MBps(float64(total)/elapsed.Seconds()))
 
-		// Distributed gawk: top word length histogram per device via script
-		// pipelines, all inside the SSDs.
+		// Distributed gawk: a word-length histogram per device over (up to
+		// four of) that device's own files, one script pipeline per device,
+		// all inside the SSDs. The map "name" is the device's file list.
+		perDevice := make([][]string, devices)
+		for d, names := range staged {
+			if len(names) > 4 {
+				names = names[:4]
+			}
+			perDevice[d] = []string{strings.Join(names, " ")}
+		}
 		start = p.Now()
-		hist := pool.Broadcast(p, core.Command{
-			Script: `gawk '{ for (i = 1; i <= NF; i++) n[length($i)]++ } END { for (l in n) print l, n[l] }' ` + strings.Join(names(staged[0]), " "),
+		results = pool.MapFiles(p, perDevice, func(names string) core.Command {
+			return core.Command{
+				Script: `gawk '{ for (i = 1; i <= NF; i++) n[length($i)]++ } END { for (l in n) print l, n[l] }' ` + names,
+			}
 		})
-		_ = hist
-		fmt.Printf("gawk histogram broadcast finished in %v\n", p.Now().Sub(start))
+		hist := map[int]int{}
+		for _, r := range results {
+			for _, line := range strings.Split(strings.TrimSpace(string(mustOK(r).Stdout)), "\n") {
+				var length, count int
+				fmt.Sscanf(line, "%d %d", &length, &count)
+				hist[length] += count
+			}
+		}
+		lengths := make([]int, 0, len(hist))
+		for l := range hist {
+			lengths = append(lengths, l)
+		}
+		sort.Slice(lengths, func(i, j int) bool { return hist[lengths[i]] > hist[lengths[j]] })
+		fmt.Printf("gawk histogram over %d devices finished in %v; commonest word lengths:", devices, p.Now().Sub(start))
+		for _, l := range lengths[:3] {
+			fmt.Printf(" %d letters x%d", l, hist[l])
+		}
+		fmt.Println()
 
-		// Interactive query routed by live device status (cores busy,
-		// temperature) — the paper's load-balancing use of queries.
-		r := pool.Dispatch(p, cluster.LeastBusy{}, core.Command{
-			Script: `grep -c CHAPTER ` + staged[0][0],
+		// Interactive query: pick the device with the fewest tasks in flight,
+		// then ask it about a file it holds.
+		dev, err := cluster.LeastOutstanding{}.Pick(p, pool)
+		if err != nil {
+			panic(err)
+		}
+		r := pool.Dispatch(p, onDevice(dev), core.Command{
+			Script: `grep -c CHAPTER ` + staged[dev][0],
 		})
-		fmt.Printf("balanced query ran on device %d -> %s chapter headings\n",
-			r.Device, strings.TrimSpace(string(r.Resp.Stdout)))
+		fmt.Printf("balanced query ran on device %d -> %s chapter headings in %s\n",
+			r.Device, strings.TrimSpace(string(mustOK(r).Stdout)), staged[dev][0])
 	})
 	sys.Run()
 
@@ -87,9 +117,17 @@ func main() {
 		trace.Bytes(up.Bytes()), trace.Bytes(total))
 }
 
-func names(staged []string) []string {
-	if len(staged) > 4 {
-		return staged[:4]
+// onDevice is a cluster.Balancer that places a task on one chosen device.
+type onDevice int
+
+func (d onDevice) Pick(*sim.Proc, *cluster.Pool) (int, error) { return int(d), nil }
+
+// mustOK returns the task's response, or ends the example with a non-zero
+// exit if the task failed or reported a non-OK status.
+func mustOK(r cluster.TaskResult) *core.Response {
+	if r.Err != nil || r.Resp == nil || r.Resp.Status != core.StatusOK {
+		fmt.Fprintf(os.Stderr, "logsearch: device %d, %q: err=%v resp=%+v\n", r.Device, r.Name, r.Err, r.Resp)
+		os.Exit(1)
 	}
-	return staged
+	return r.Resp
 }

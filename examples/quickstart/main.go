@@ -44,6 +44,9 @@ func main() {
 		}
 
 		r := minion.Response
+		if r.Status != core.StatusOK {
+			panic(fmt.Sprintf("minion status %v: %s", r.Status, r.Error))
+		}
 		fmt.Printf("in-situ grep -c ERROR: %s", r.Stdout)
 		fmt.Printf("status=%v exit=%d\n", r.Status, r.ExitCode)
 		fmt.Printf("executed inside the SSD in %v; client round trip %v\n",

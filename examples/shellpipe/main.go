@@ -42,23 +42,29 @@ func main() {
 			panic(err)
 		}
 
+		// run sends one minion and insists it came back OK.
+		run := func(cmd core.Command) *core.Response {
+			resp, err := unit.Client.Run(p, cmd)
+			if err != nil {
+				panic(err)
+			}
+			if resp.Status != core.StatusOK {
+				panic(fmt.Sprintf("minion status %v: %s", resp.Status, resp.Error))
+			}
+			return resp
+		}
+
 		// A whole shell pipeline as one minion: decompress, find chapter
 		// headings, count them — no data leaves the drive.
-		resp, err := unit.Client.Run(p, core.Command{
+		resp := run(core.Command{
 			Script: `gunzip book.txt.gz ; grep -c CHAPTER book.txt`,
 		})
-		if err != nil {
-			panic(err)
-		}
 		fmt.Printf("chapters found in-situ: %s", resp.Stdout)
 
 		// Longer pipeline: word-frequency top-5 via sort|uniq|sort|head.
-		resp, err = unit.Client.Run(p, core.Command{
+		resp = run(core.Command{
 			Script: `gawk '{ for (i=1; i<=NF; i++) print $i }' book.txt | sort | uniq -c | sort -rn | head -n 5`,
 		})
-		if err != nil {
-			panic(err)
-		}
 		fmt.Println("top-5 words (computed inside the SSD):")
 		sc := bufio.NewScanner(strings.NewReader(string(resp.Stdout)))
 		for sc.Scan() {
@@ -103,10 +109,7 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		resp, err = unit.Client.Run(p, core.Command{Exec: "readability", Args: []string{"book.txt"}})
-		if err != nil {
-			panic(err)
-		}
+		resp = run(core.Command{Exec: "readability", Args: []string{"book.txt"}})
 		fmt.Printf("hot-loaded analyzer: %s", resp.Stdout)
 
 		st, _ := unit.Client.Status(p)

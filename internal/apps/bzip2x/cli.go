@@ -1,9 +1,6 @@
 package bzip2x
 
 import (
-	"io"
-	"strings"
-
 	"compstor/internal/apps"
 	"compstor/internal/cpu"
 )
@@ -23,25 +20,8 @@ func (Bzip2) Class() cpu.Class { return cpu.ClassBzip2 }
 
 // Run implements apps.Program.
 func (b Bzip2) Run(ctx *apps.Context, args []string) error {
-	opt := Options{Level: b.Level}
-	if len(args) == 0 {
-		data, err := io.ReadAll(ctx.In())
-		if err != nil {
-			return err
-		}
-		_, err = ctx.Stdout.Write(Compress(data, opt))
-		return err
-	}
-	for _, name := range args {
-		data, err := readFileCharged(ctx, name)
-		if err != nil {
-			return apps.Exitf(1, "bzip2: %v", err)
-		}
-		if err := writeFile(ctx, name+".bz2", Compress(data, opt)); err != nil {
-			return apps.Exitf(1, "bzip2: %v", err)
-		}
-	}
-	return nil
+	return apps.RunCodec(ctx, args, apps.Codec{Name: "bzip2", Suffix: ".bz2",
+		Transform: func(data []byte) ([]byte, error) { return Compress(data, Options{Level: b.Level}), nil }})
 }
 
 // Bunzip2 is the `bunzip2` offloadable executable.
@@ -55,55 +35,5 @@ func (Bunzip2) Class() cpu.Class { return cpu.ClassBunzip2 }
 
 // Run implements apps.Program.
 func (Bunzip2) Run(ctx *apps.Context, args []string) error {
-	if len(args) == 0 {
-		data, err := io.ReadAll(ctx.In())
-		if err != nil {
-			return err
-		}
-		out, err := Decompress(data)
-		if err != nil {
-			return err
-		}
-		apps.ChargeExtra(ctx, int64(len(out)-len(data)))
-		_, err = ctx.Stdout.Write(out)
-		return err
-	}
-	for _, name := range args {
-		data, err := readFileCharged(ctx, name)
-		if err != nil {
-			return apps.Exitf(1, "bunzip2: %v", err)
-		}
-		out, err := Decompress(data)
-		if err != nil {
-			return apps.Exitf(1, "bunzip2: %s: %v", name, err)
-		}
-		// Decompression cost is calibrated per plain byte; top up from the
-		// auto-charged compressed input to the plain output size.
-		apps.ChargeExtra(ctx, int64(len(out)-len(data)))
-		if err := writeFile(ctx, strings.TrimSuffix(name, ".bz2"), out); err != nil {
-			return apps.Exitf(1, "bunzip2: %v", err)
-		}
-	}
-	return nil
-}
-
-func readFileCharged(ctx *apps.Context, name string) ([]byte, error) {
-	f, err := ctx.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return io.ReadAll(f)
-}
-
-func writeFile(ctx *apps.Context, name string, data []byte) error {
-	f, err := ctx.Create(name)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return apps.RunCodec(ctx, args, apps.Codec{Name: "bunzip2", Suffix: ".bz2", Expand: true, Transform: Decompress})
 }

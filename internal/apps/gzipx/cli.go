@@ -1,9 +1,6 @@
 package gzipx
 
 import (
-	"io"
-	"strings"
-
 	"compstor/internal/apps"
 	"compstor/internal/cpu"
 )
@@ -21,32 +18,7 @@ func (Gzip) Class() cpu.Class { return cpu.ClassGzip }
 
 // Run implements apps.Program.
 func (Gzip) Run(ctx *apps.Context, args []string) error {
-	if len(args) == 0 {
-		data, err := io.ReadAll(ctx.In())
-		if err != nil {
-			return err
-		}
-		out, err := Compress(data)
-		if err != nil {
-			return err
-		}
-		_, err = ctx.Stdout.Write(out)
-		return err
-	}
-	for _, name := range args {
-		data, err := readFileCharged(ctx, name)
-		if err != nil {
-			return apps.Exitf(1, "gzip: %v", err)
-		}
-		out, err := Compress(data)
-		if err != nil {
-			return apps.Exitf(1, "gzip: %s: %v", name, err)
-		}
-		if err := writeFile(ctx, name+".gz", out); err != nil {
-			return apps.Exitf(1, "gzip: %v", err)
-		}
-	}
-	return nil
+	return apps.RunCodec(ctx, args, apps.Codec{Name: "gzip", Suffix: ".gz", Transform: Compress})
 }
 
 // Gunzip is the `gunzip` offloadable executable: it expands each named
@@ -61,56 +33,5 @@ func (Gunzip) Class() cpu.Class { return cpu.ClassGunzip }
 
 // Run implements apps.Program.
 func (Gunzip) Run(ctx *apps.Context, args []string) error {
-	if len(args) == 0 {
-		data, err := io.ReadAll(ctx.In())
-		if err != nil {
-			return err
-		}
-		out, err := Decompress(data)
-		if err != nil {
-			return err
-		}
-		apps.ChargeExtra(ctx, int64(len(out)-len(data)))
-		_, err = ctx.Stdout.Write(out)
-		return err
-	}
-	for _, name := range args {
-		data, err := readFileCharged(ctx, name)
-		if err != nil {
-			return apps.Exitf(1, "gunzip: %v", err)
-		}
-		out, err := Decompress(data)
-		if err != nil {
-			return apps.Exitf(1, "gunzip: %s: %v", name, err)
-		}
-		// Decompression cost is calibrated per plain byte; top up from the
-		// auto-charged compressed input to the plain output size.
-		apps.ChargeExtra(ctx, int64(len(out)-len(data)))
-		if err := writeFile(ctx, strings.TrimSuffix(name, ".gz"), out); err != nil {
-			return apps.Exitf(1, "gunzip: %v", err)
-		}
-	}
-	return nil
-}
-
-// readFileCharged reads a whole file through the charging path.
-func readFileCharged(ctx *apps.Context, name string) ([]byte, error) {
-	f, err := ctx.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return io.ReadAll(f)
-}
-
-func writeFile(ctx *apps.Context, name string, data []byte) error {
-	f, err := ctx.Create(name)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return apps.RunCodec(ctx, args, apps.Codec{Name: "gunzip", Suffix: ".gz", Expand: true, Transform: Decompress})
 }

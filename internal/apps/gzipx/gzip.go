@@ -31,9 +31,9 @@ func Compress(src []byte) ([]byte, error) {
 	return out.Bytes(), nil
 }
 
-// header flag bits.
+// header flag bits. Bit 0 (FTEXT) only hints that the content is text and
+// changes nothing about parsing, so it has no name here.
 const (
-	flagFTEXT    = 1 << 0
 	flagFHCRC    = 1 << 1
 	flagFEXTRA   = 1 << 2
 	flagFNAME    = 1 << 3

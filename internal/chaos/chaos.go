@@ -386,18 +386,6 @@ func Install(sys *core.System, plan *Plan) *Injector {
 // Stats returns a snapshot of the injected-fault counters.
 func (inj *Injector) Stats() Stats { return inj.stats }
 
-// FailedDevices returns the devices whose FailAt has passed at virtual
-// time now.
-func (inj *Injector) FailedDevices(now sim.Time) []int {
-	var out []int
-	for i := range inj.sys.Devices {
-		if inj.plan.Faults(i).failed(now) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // Uninstall clears every hook the injector installed.
 func (inj *Injector) Uninstall() {
 	for _, unit := range inj.sys.Devices {

@@ -54,11 +54,11 @@ func burstPicks(t *testing.T, devices, n int, b Balancer) []int {
 }
 
 // TestLeastOutstandingBurstBalance is the stale-sample regression test: a
-// burst of dispatches in the same instant must spread evenly. The
-// status-query balancer samples device load only at task start, so every
-// pick in the burst can read the same pre-burst snapshot and pile onto one
-// device; LeastOutstanding reads the host-side in-flight count, which each
-// dispatch bumps synchronously before the next pick runs.
+// burst of dispatches in the same instant must spread evenly. A balancer
+// that samples device load by status query reads the same pre-burst
+// snapshot for every pick and piles onto one device; LeastOutstanding reads
+// the host-side in-flight count, which each dispatch bumps synchronously
+// before the next pick runs.
 func TestLeastOutstandingBurstBalance(t *testing.T) {
 	const devices, n = 4, 8
 	counts := burstPicks(t, devices, n, LeastOutstanding{})
@@ -74,20 +74,8 @@ func TestLeastOutstandingBurstBalance(t *testing.T) {
 	}
 }
 
-// TestLeastBusyBurstStaleness documents the failure mode the fix is for:
-// under the same burst the status-query balancer is no better balanced
-// than LeastOutstanding, because its samples go stale between the status
-// round trip and the minion landing on the device.
-func TestLeastBusyBurstStaleness(t *testing.T) {
-	const devices, n = 4, 8
-	lb := spread(burstPicks(t, devices, n, LeastBusy{}))
-	lo := spread(burstPicks(t, devices, n, LeastOutstanding{}))
-	if lo > lb {
-		t.Fatalf("LeastOutstanding spread %d worse than LeastBusy %d", lo, lb)
-	}
-}
-
-// TestLeastOutstandingSkipsDead mirrors the LeastBusy liveness contract.
+// TestLeastOutstandingSkipsDead: dead devices take nothing, and a pool with
+// none left reports ErrNoDevices.
 func TestLeastOutstandingSkipsDead(t *testing.T) {
 	sys, pool := newSystem(t, 2)
 	pool.MarkDead(0)

@@ -15,11 +15,6 @@ package cluster
 type RetryBudgetPolicy struct {
 	// Enabled turns budgeting on (default off).
 	Enabled bool
-	// Tokens is the bucket capacity and its initial fill (0 selects 10).
-	Tokens float64
-	// Refill is the number of tokens earned per successful task, capped at
-	// Tokens (0 selects 0.1 — one earned retry per ten successes).
-	Refill float64
 }
 
 // DefaultRetryBudget returns the enabled policy the tail experiments use.
@@ -27,27 +22,19 @@ func DefaultRetryBudget() RetryBudgetPolicy {
 	return RetryBudgetPolicy{Enabled: true}
 }
 
-func (bp RetryBudgetPolicy) tokens() float64 {
-	if bp.Tokens <= 0 {
-		return 10
-	}
-	return bp.Tokens
-}
-
-func (bp RetryBudgetPolicy) refill() float64 {
-	if bp.Refill <= 0 {
-		return 0.1
-	}
-	return bp.Refill
-}
-
-// ensureBudget fills the bucket on first touch.
-func (pl *Pool) ensureBudget() {
-	if !pl.budgetInit {
-		pl.budgetTokens = pl.Budget.tokens()
-		pl.budgetInit = true
-	}
-}
+// The bucket's size and refill are constants, not policy fields: no
+// experiment, command or benchmark ever set them.
+const (
+	// budgetCapacity is the bucket capacity and its initial fill: enough to
+	// ride out a burst of transient faults (a few tasks retrying to their
+	// limit), small enough that a correlated fault drains it within its
+	// first dozen retries.
+	budgetCapacity = 10.0
+	// budgetRefill tokens are earned per successful task, capped at
+	// budgetCapacity: one retry per ten successes bounds steady-state retry
+	// amplification at 10% of the offered load.
+	budgetRefill = 0.1
+)
 
 // budgetTake charges one token for a retry, reporting false when the bucket
 // is dry — the caller must fast-fail instead of retrying.
@@ -55,7 +42,6 @@ func (pl *Pool) budgetTake() bool {
 	if !pl.Budget.Enabled {
 		return true
 	}
-	pl.ensureBudget()
 	if pl.budgetTokens < 1 {
 		return false
 	}
@@ -68,19 +54,12 @@ func (pl *Pool) budgetRefill() {
 	if !pl.Budget.Enabled {
 		return
 	}
-	pl.ensureBudget()
-	pl.budgetTokens += pl.Budget.refill()
-	if cap := pl.Budget.tokens(); pl.budgetTokens > cap {
-		pl.budgetTokens = cap
+	pl.budgetTokens += budgetRefill
+	if pl.budgetTokens > budgetCapacity {
+		pl.budgetTokens = budgetCapacity
 	}
 }
 
 // RetryBudgetLeft returns the current token count (the full capacity while
-// budgeting is disabled), for tests and reporting.
-func (pl *Pool) RetryBudgetLeft() float64 {
-	if !pl.Budget.Enabled {
-		return pl.Budget.tokens()
-	}
-	pl.ensureBudget()
-	return pl.budgetTokens
-}
+// budgeting is disabled: nothing is ever taken), for tests and reporting.
+func (pl *Pool) RetryBudgetLeft() float64 { return pl.budgetTokens }

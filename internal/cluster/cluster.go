@@ -1,8 +1,9 @@
 // Package cluster orchestrates many CompStor devices from one host client:
 // size-balanced file sharding, parallel staging, scatter/gather minion
-// execution, and utilisation-aware load balancing via status queries — the
+// execution, and load balancing on the host's own in-flight counts — the
 // paper's "thousands of concurrent minions ... heavy parallelism at the
-// storage unit level".
+// storage unit level". One request path (runTask, reached through Dispatch
+// or RunHedged) and one fan-out (fanOut) carry all of it.
 package cluster
 
 import (
@@ -111,10 +112,11 @@ type File struct {
 type Pool struct {
 	eng   *sim.Engine
 	units []*core.DeviceUnit
+	ids   []int // 0..len(units)-1: the device list the whole-pool fan-outs slice
 	// PerDeviceTasks bounds concurrent minions per device (default: 4, one
 	// per ISPS core).
 	PerDeviceTasks int
-	// Retry is the fault-tolerance policy applied by MapFiles/MapFilesFT.
+	// Retry is the fault-tolerance policy every task runs under.
 	Retry RetryPolicy
 	// Hedge configures hedged dispatch via RunHedged (default off).
 	Hedge HedgePolicy
@@ -130,8 +132,7 @@ type Pool struct {
 	inflight []int // tasks dispatched to each device and not yet finished
 
 	health       []deviceHealth
-	budgetTokens float64
-	budgetInit   bool
+	budgetTokens float64       // retry budget bucket; starts full
 	latencies    obs.Histogram // successful-task latency, feeds the hedge delay
 	rng          *rand.Rand    // backoff jitter stream; nil until SetSeed
 
@@ -158,14 +159,21 @@ func NewPool(eng *sim.Engine, units []*core.DeviceUnit) *Pool {
 	if len(units) == 0 {
 		panic("cluster: empty pool")
 	}
+	ids := make([]int, len(units))
+	for i := range ids {
+		ids[i] = i
+	}
 	return &Pool{
 		eng:            eng,
 		units:          units,
+		ids:            ids,
 		PerDeviceTasks: 4,
 		Retry:          DefaultRetryPolicy(),
 		dead:           make([]bool, len(units)),
 		strikes:        make([]int, len(units)),
 		inflight:       make([]int, len(units)),
+		health:         make([]deviceHealth, len(units)),
+		budgetTokens:   budgetCapacity,
 		// Tail-tolerance counters are pool-owned (allocated eagerly) so
 		// HedgeStats and tests read them even without obs attached.
 		cHedgeIssued:  &obs.Counter{},
@@ -244,6 +252,9 @@ func (pl *Pool) Unit(i int) *core.DeviceUnit { return pl.units[i] }
 // IsDead reports whether device i has been marked dead.
 func (pl *Pool) IsDead(i int) bool { return pl.dead[i] }
 
+// alive is !IsDead, in the shape the balancers' eligibility filters take.
+func (pl *Pool) alive(i int) bool { return !pl.dead[i] }
+
 // MarkDead declares device i failed; schedulers stop routing work to it.
 func (pl *Pool) MarkDead(i int) { pl.dead[i] = true }
 
@@ -281,15 +292,23 @@ func (pl *Pool) Alive() []int {
 	return out
 }
 
-// strike records a transport-level failure on device i and marks it dead
+// strike records a transport-level failure on device i and declares it dead
 // once DeadAfter consecutive failures accumulate.
-func (pl *Pool) strike(i int) {
+func (pl *Pool) strike(p *sim.Proc, i int) {
 	pl.strikes[i]++
 	pl.cStrikes.Add(1)
 	if pl.Retry.DeadAfter > 0 && pl.strikes[i] >= pl.Retry.DeadAfter && !pl.dead[i] {
-		pl.dead[i] = true
-		pl.cDeaths.Add(1)
+		pl.declareDead(p, i)
 	}
+}
+
+// declareDead takes device i out of service on the pool's own evidence —
+// DeadAfter strikes in a row, or a shard it could not absorb. Unlike the
+// operator's MarkDead the verdict is counted and traced.
+func (pl *Pool) declareDead(p *sim.Proc, i int) {
+	pl.dead[i] = true
+	pl.cDeaths.Add(1)
+	pl.obs.Instant(p, "cluster", "device_dead", "device", fmt.Sprint(i))
 }
 
 // clearStrikes resets device i's consecutive-failure counter after any
@@ -315,15 +334,16 @@ func (pl *Pool) backoffDelay(attempt int) time.Duration {
 	return time.Duration(pl.rng.Int63n(int64(d))) + 1
 }
 
-// runTask executes one minion on device dev with per-task retry and
-// exponential backoff in sim-time. It returns the last response (which may
-// be non-OK), the number of attempts made, and the final error: nil on
-// success, the transport or status error otherwise. Transport failures
-// strike the device; once it is marked dead remaining attempts are
-// abandoned. A deadline on the command is enforced host-side too: no
-// attempt starts, and no backoff is taken, past the deadline. Deadline and
-// cancellation outcomes are final — the device is healthy, so they neither
-// strike nor retry.
+// runTask is the pool's one attempt loop — Dispatch, RunHedged's legs and
+// the map fan-out all end here. It executes one minion on device dev with
+// per-task retry and exponential backoff in sim-time. It returns the last
+// response (which may be non-OK), the number of attempts made, and the
+// final error: nil on success, the transport or status error otherwise.
+// Transport failures strike the device; once it is marked dead remaining
+// attempts are abandoned. A deadline on the command is enforced host-side
+// too: no attempt starts, and no backoff is taken, past the deadline.
+// Deadline and cancellation outcomes are final — the device is healthy, so
+// they neither strike nor retry.
 func (pl *Pool) runTask(p *sim.Proc, dev int, cmd core.Command) (*core.Response, int, error) {
 	var (
 		lastResp *core.Response
@@ -398,11 +418,8 @@ func (pl *Pool) runTask(p *sim.Proc, dev int, cmd core.Command) (*core.Response,
 			// scheduler re-dispatches the work elsewhere.
 			lastResp = resp
 			lastErr = fmt.Errorf("%w: device %d: %s", ErrMediaFailure, dev, resp.Error)
-			pl.strike(dev)
 			pl.recordHealth(p, dev, lat, true)
-			if pl.dead[dev] {
-				pl.obs.Instant(p, "cluster", "device_dead", "device", fmt.Sprint(dev))
-			}
+			pl.strike(p, dev)
 		case err == nil:
 			lastResp = resp
 			pl.clearStrikes(dev)
@@ -412,11 +429,8 @@ func (pl *Pool) runTask(p *sim.Proc, dev int, cmd core.Command) (*core.Response,
 			lastErr = fmt.Errorf("%w: device %d: %s: %s", ErrTaskFailed, dev, resp.Status, resp.Error)
 		default:
 			lastErr = err
-			pl.strike(dev)
 			pl.recordHealth(p, dev, lat, true)
-			if pl.dead[dev] {
-				pl.obs.Instant(p, "cluster", "device_dead", "device", fmt.Sprint(dev))
-			}
+			pl.strike(p, dev)
 		}
 		if pl.dead[dev] || attempts >= pl.maxAttempts() {
 			break
@@ -432,13 +446,6 @@ func (pl *Pool) runTask(p *sim.Proc, dev int, cmd core.Command) (*core.Response,
 		p.Wait(delay)
 	}
 	return lastResp, attempts, lastErr
-}
-
-// RunOn executes one minion on device dev with the pool's full retry,
-// strike, and in-flight accounting — the single-task entry point for
-// callers (like the serve layer) that pick the device themselves.
-func (pl *Pool) RunOn(p *sim.Proc, dev int, cmd core.Command) (*core.Response, int, error) {
-	return pl.runTask(p, dev, cmd)
 }
 
 // Shard splits files into n size-balanced groups (longest-processing-time
@@ -482,6 +489,23 @@ func (pl *Pool) stageOn(p *sim.Proc, dev int, files []File) ([]string, error) {
 	return names, nil
 }
 
+// fanOut runs fn once per listed device, each in its own process named
+// label<device>, and blocks p until all of them return. fn receives the
+// position in devs and the device there. Staging, replication, the map
+// phase and every failover round fan out through here.
+func (pl *Pool) fanOut(p *sim.Proc, label string, devs []int, fn func(sp *sim.Proc, i, dev int)) {
+	var wg sim.WaitGroup
+	wg.Add(len(devs))
+	for i, dev := range devs {
+		i, dev := i, dev
+		pl.eng.Go(fmt.Sprintf("%s%d", label, dev), func(sp *sim.Proc) {
+			defer wg.Done()
+			fn(sp, i, dev)
+		})
+	}
+	wg.Wait(p)
+}
+
 // Stage writes shard i's files onto device i, all devices in parallel,
 // returning the per-device file-name lists. The caller's process blocks
 // until every device is staged.
@@ -491,20 +515,11 @@ func (pl *Pool) Stage(p *sim.Proc, shards [][]File) ([][]string, error) {
 	}
 	names := make([][]string, len(shards))
 	errs := make([]error, len(shards))
-	var wg sim.WaitGroup
-	wg.Add(len(shards))
-	for i := range shards {
-		i := i
-		pl.eng.Go(fmt.Sprintf("stage%d", i), func(sp *sim.Proc) {
-			defer wg.Done()
-			names[i], errs[i] = pl.stageOn(sp, i, shards[i])
-		})
-	}
-	wg.Wait(p)
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	pl.fanOut(p, "stage", pl.ids[:len(shards)], func(sp *sim.Proc, i, dev int) {
+		names[i], errs[i] = pl.stageOn(sp, dev, shards[i])
+	})
+	if err := firstError(errs); err != nil {
+		return nil, err
 	}
 	return names, nil
 }
@@ -519,16 +534,14 @@ func (pl *Pool) StageReplicated(p *sim.Proc, files []File) error {
 		return ErrNoDevices
 	}
 	errs := make([]error, len(alive))
-	var wg sim.WaitGroup
-	wg.Add(len(alive))
-	for i, dev := range alive {
-		i, dev := i, dev
-		pl.eng.Go(fmt.Sprintf("repstage%d", dev), func(sp *sim.Proc) {
-			defer wg.Done()
-			_, errs[i] = pl.stageOn(sp, dev, files)
-		})
-	}
-	wg.Wait(p)
+	pl.fanOut(p, "repstage", alive, func(sp *sim.Proc, i, dev int) {
+		_, errs[i] = pl.stageOn(sp, dev, files)
+	})
+	return firstError(errs)
+}
+
+// firstError returns the lowest-positioned non-nil error, or nil.
+func firstError(errs []error) error {
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -592,17 +605,16 @@ func (pl *Pool) mapOn(p *sim.Proc, dev int, files []string, makeCmd func(name st
 // returned with Err set (use MapFilesFT to re-dispatch them instead). It
 // gathers all results before returning, ordered by device then by file.
 func (pl *Pool) MapFiles(p *sim.Proc, staged [][]string, makeCmd func(name string) core.Command) []TaskResult {
-	perDev := make([][]TaskResult, len(staged))
-	var wg sim.WaitGroup
-	wg.Add(len(staged))
-	for dev := range staged {
-		dev := dev
-		pl.eng.Go(fmt.Sprintf("mapdev%d", dev), func(sp *sim.Proc) {
-			defer wg.Done()
-			perDev[dev] = pl.mapOn(sp, dev, staged[dev], makeCmd)
-		})
-	}
-	wg.Wait(p)
+	return pl.mapDevices(p, pl.ids[:len(staged)], staged, makeCmd)
+}
+
+// mapDevices is the gather under MapFiles and under every MapFilesFT round:
+// staged[i] runs on device devs[i].
+func (pl *Pool) mapDevices(p *sim.Proc, devs []int, staged [][]string, makeCmd func(name string) core.Command) []TaskResult {
+	perDev := make([][]TaskResult, len(devs))
+	pl.fanOut(p, "mapdev", devs, func(sp *sim.Proc, i, dev int) {
+		perDev[i] = pl.mapOn(sp, dev, staged[i], makeCmd)
+	})
 	var results []TaskResult
 	for _, rs := range perDev {
 		results = append(results, rs...)
@@ -617,7 +629,8 @@ func (pl *Pool) MapFiles(p *sim.Proc, staged [][]string, makeCmd func(name strin
 // retains the file bytes, so failover needs no data from the dead device.
 // It returns one result per file; a task that failed on a healthy device
 // (an application error) is final and is not re-dispatched. The error is
-// ErrNoDevices when every device died with files still unfinished.
+// ErrNoDevices when every device died with files still unfinished. With no
+// fault a call is exactly Stage followed by MapFiles.
 func (pl *Pool) MapFilesFT(p *sim.Proc, files []File, makeCmd func(name string) core.Command) ([]TaskResult, error) {
 	results := make([]TaskResult, 0, len(files))
 	attempts := make(map[string]int, len(files))
@@ -637,33 +650,23 @@ func (pl *Pool) MapFilesFT(p *sim.Proc, files []File, makeCmd func(name string) 
 		// alive[i].
 		shards := Shard(pending, len(alive))
 		staged := make([][]string, len(alive))
-		var wg sim.WaitGroup
-		wg.Add(len(alive))
-		for i := range alive {
-			i := i
-			pl.eng.Go(fmt.Sprintf("ftstage%d", alive[i]), func(sp *sim.Proc) {
-				defer wg.Done()
-				// Staging retries like tasks do: a transient write fault
-				// only costs a rewrite. A device that cannot absorb its
-				// shard after MaxAttempts is out of the round; its files go
-				// back to pending.
-				for attempt := 1; ; attempt++ {
-					names, err := pl.stageOn(sp, alive[i], shards[i])
-					if err == nil {
-						staged[i] = names
-						return
-					}
-					if attempt >= pl.maxAttempts() {
-						pl.MarkDead(alive[i])
-						pl.cDeaths.Add(1)
-						pl.obs.Instant(sp, "cluster", "device_dead", "device", fmt.Sprint(alive[i]))
-						return
-					}
-					sp.Wait(pl.Retry.backoff(attempt))
+		pl.fanOut(p, "stage", alive, func(sp *sim.Proc, i, dev int) {
+			// Staging retries like tasks do: a transient write fault only
+			// costs a rewrite. A device that cannot absorb its shard after
+			// MaxAttempts is out of the round; its files go back to pending.
+			for attempt := 1; ; attempt++ {
+				names, err := pl.stageOn(sp, dev, shards[i])
+				if err == nil {
+					staged[i] = names
+					return
 				}
-			})
-		}
-		wg.Wait(p)
+				if attempt >= pl.maxAttempts() {
+					pl.declareDead(sp, dev)
+					return
+				}
+				sp.Wait(pl.backoffDelay(attempt))
+			}
+		})
 
 		byName := make(map[string]File, len(pending))
 		for _, f := range pending {
@@ -677,32 +680,19 @@ func (pl *Pool) MapFilesFT(p *sim.Proc, files []File, makeCmd func(name string) 
 		}
 
 		// Gather, re-queueing only the files stranded by a device death.
-		done := make([][]TaskResult, len(alive))
-		wg.Add(len(alive))
-		for i := range alive {
-			i := i
-			pl.eng.Go(fmt.Sprintf("ftmap%d", alive[i]), func(sp *sim.Proc) {
-				defer wg.Done()
-				done[i] = pl.mapOn(sp, alive[i], staged[i], makeCmd)
-			})
-		}
-		wg.Wait(p)
-
-		for i := range alive {
-			for _, r := range done[i] {
-				attempts[r.Name] += r.Attempts
-				// Transport-level failures are never final while survivors
-				// exist: the device may be dead in fact long before it
-				// accumulates enough strikes to be dead on record, and the
-				// host still holds the bytes. Only an application-level
-				// failure (the device answered, the task said no) is final.
-				if r.Err != nil && !errors.Is(r.Err, ErrTaskFailed) {
-					requeue = append(requeue, byName[r.Name])
-					continue
-				}
-				r.Attempts = attempts[r.Name]
-				results = append(results, r)
+		for _, r := range pl.mapDevices(p, alive, staged, makeCmd) {
+			attempts[r.Name] += r.Attempts
+			// Transport-level failures are never final while survivors
+			// exist: the device may be dead in fact long before it
+			// accumulates enough strikes to be dead on record, and the
+			// host still holds the bytes. Only an application-level
+			// failure (the device answered, the task said no) is final.
+			if r.Err != nil && !errors.Is(r.Err, ErrTaskFailed) {
+				requeue = append(requeue, byName[r.Name])
+				continue
 			}
+			r.Attempts = attempts[r.Name]
+			results = append(results, r)
 		}
 		if len(requeue) > 0 {
 			pl.cFailovers.Add(1)
@@ -717,24 +707,6 @@ func (pl *Pool) MapFilesFT(p *sim.Proc, files []File, makeCmd func(name string) 
 		pending = requeue
 	}
 	return results, nil
-}
-
-// Broadcast sends one minion to every device in parallel and gathers the
-// responses in device order.
-func (pl *Pool) Broadcast(p *sim.Proc, cmd core.Command) []TaskResult {
-	results := make([]TaskResult, len(pl.units))
-	var wg sim.WaitGroup
-	wg.Add(len(pl.units))
-	for i := range pl.units {
-		i := i
-		pl.eng.Go(fmt.Sprintf("bcast%d", i), func(sp *sim.Proc) {
-			defer wg.Done()
-			resp, err := pl.units[i].Client.Run(sp, cmd)
-			results[i] = TaskResult{Device: i, Resp: resp, Err: err}
-		})
-	}
-	wg.Wait(p)
-	return results
 }
 
 // Balancer picks a device for the next task.
@@ -752,113 +724,59 @@ func (rr *RoundRobin) Pick(p *sim.Proc, pool *Pool) (int, error) {
 	if i, ok := pool.probePick(); ok {
 		return i, nil
 	}
-	for tries := 0; tries < pool.Size(); tries++ {
-		i := rr.next % pool.Size()
-		rr.next++
-		if pool.routable(i) {
-			return i, nil
-		}
-	}
-	// Every device is tripped: degrade to any alive device rather than
-	// refusing all traffic on health suspicion alone.
-	for tries := 0; tries < pool.Size(); tries++ {
-		i := rr.next % pool.Size()
-		rr.next++
-		if !pool.IsDead(i) {
-			return i, nil
-		}
-	}
-	return 0, ErrNoDevices
-}
-
-// LeastBusy queries every device's status and picks the one with the
-// fewest busy cores + queued tasks (ties to the cooler device) — the
-// paper's "this information could be used for load balancing".
-type LeastBusy struct{}
-
-// Pick implements Balancer. Dead, quarantined, and probation devices are
-// skipped (probation devices get only probe traffic, routed first), and a
-// device whose status query fails is struck (and skipped) rather than
-// aborting the pick: an unreachable device must not take the whole
-// scheduler down with it.
-func (LeastBusy) Pick(p *sim.Proc, pool *Pool) (int, error) {
-	if i, ok := pool.probePick(); ok {
-		return i, nil
-	}
-	pick := func(relaxed bool) (int, bool) {
-		best := -1
-		bestLoad := 1 << 30
-		bestTemp := 1e9
-		for i := 0; i < pool.Size(); i++ {
-			if relaxed {
-				if pool.IsDead(i) {
-					continue
-				}
-			} else if !pool.routable(i) {
-				continue
-			}
-			st, err := pool.Unit(i).Client.Status(p)
-			if err != nil {
-				pool.strike(i)
-				continue
-			}
-			pool.clearStrikes(i)
-			load := st.CoresBusy + st.QueuedTasks + st.InFlightMinions
-			if load < bestLoad || (load == bestLoad && st.TemperatureC < bestTemp) {
-				best, bestLoad, bestTemp = i, load, st.TemperatureC
+	// One lap over the healthy devices; if every one is tripped, a second
+	// over the merely alive — degrade rather than refuse all traffic on
+	// health suspicion alone.
+	for _, eligible := range []func(int) bool{pool.routable, pool.alive} {
+		for tries := 0; tries < pool.Size(); tries++ {
+			i := rr.next % pool.Size()
+			rr.next++
+			if eligible(i) {
+				return i, nil
 			}
 		}
-		return best, best >= 0
-	}
-	if best, ok := pick(false); ok {
-		return best, nil
-	}
-	// Every device is tripped: degrade to any alive device.
-	if best, ok := pick(true); ok {
-		return best, nil
 	}
 	return 0, ErrNoDevices
 }
 
 // LeastOutstanding picks the alive device with the fewest in-flight tasks
 // as counted on the host side (Pool.InFlight), ties to the lowest index.
-// Unlike LeastBusy it needs no status-query round trip, so the signal can
-// never be stale: a burst of picks in the same instant spreads evenly
-// because each dispatch bumps the count the next pick reads. This is the
-// same signal the serve layer's admission control reads.
+// It needs no status-query round trip, so the signal can never be stale: a
+// burst of picks in the same instant spreads evenly because each dispatch
+// bumps the count the next pick reads. This is the same signal the serve
+// layer's admission control reads.
 type LeastOutstanding struct{}
 
-// Pick implements Balancer. Like the other balancers it routes probe
-// traffic to probation devices first and otherwise considers only healthy,
-// alive devices, degrading to any alive device when every one is tripped.
+// Pick implements Balancer. Like RoundRobin it routes probe traffic to
+// probation devices first and otherwise considers only healthy, alive
+// devices, degrading to any alive device when every one is tripped.
 func (LeastOutstanding) Pick(p *sim.Proc, pool *Pool) (int, error) {
 	if i, ok := pool.probePick(); ok {
 		return i, nil
 	}
-	best := -1
-	bestLoad := 1 << 30
-	for i := 0; i < pool.Size(); i++ {
-		if !pool.routable(i) {
-			continue
-		}
-		if load := pool.InFlight(i); load < bestLoad {
-			best, bestLoad = i, load
-		}
-	}
+	best := pool.leastLoaded(pool.routable)
 	if best < 0 {
-		for i := 0; i < pool.Size(); i++ {
-			if pool.IsDead(i) {
-				continue
-			}
-			if load := pool.InFlight(i); load < bestLoad {
-				best, bestLoad = i, load
-			}
-		}
+		best = pool.leastLoaded(pool.alive)
 	}
 	if best < 0 {
 		return 0, ErrNoDevices
 	}
 	return best, nil
+}
+
+// leastLoaded returns the eligible device with the fewest in-flight tasks,
+// ties to the lowest index, or -1 when no device is eligible.
+func (pl *Pool) leastLoaded(eligible func(i int) bool) int {
+	best, bestLoad := -1, 1<<30
+	for i := range pl.units {
+		if !eligible(i) {
+			continue
+		}
+		if load := pl.inflight[i]; load < bestLoad {
+			best, bestLoad = i, load
+		}
+	}
+	return best
 }
 
 // Dispatch sends one minion via the balancer and returns its result. The

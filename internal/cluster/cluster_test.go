@@ -139,23 +139,6 @@ func TestStageAndMapFiles(t *testing.T) {
 	}
 }
 
-func TestBroadcast(t *testing.T) {
-	sys, pool := newSystem(t, 3)
-	var results []TaskResult
-	sys.Go("driver", func(p *sim.Proc) {
-		results = pool.Broadcast(p, core.Command{Exec: "echo", Args: []string{"pong"}})
-	})
-	sys.Run()
-	if len(results) != 3 {
-		t.Fatalf("%d results", len(results))
-	}
-	for i, r := range results {
-		if r.Device != i || strings.TrimSpace(string(r.Resp.Stdout)) != "pong" {
-			t.Fatalf("result %d: %+v", i, r)
-		}
-	}
-}
-
 func TestRoundRobinBalancer(t *testing.T) {
 	sys, pool := newSystem(t, 3)
 	rr := &RoundRobin{}
@@ -172,33 +155,6 @@ func TestRoundRobinBalancer(t *testing.T) {
 		if picks[i] != want[i] {
 			t.Fatalf("picks = %v", picks)
 		}
-	}
-}
-
-func TestLeastBusyAvoidsLoadedDevice(t *testing.T) {
-	sys, pool := newSystem(t, 2)
-	big := bytes.Repeat([]byte("data to squash "), 40_000) // ~600 KB of bzip2 work
-	var picked int
-	sys.Go("loader", func(p *sim.Proc) {
-		// Saturate device 0 with four long compressions.
-		pool.Unit(0).Client.FS().WriteFile(p, "big", big)
-		var wg sim.WaitGroup
-		wg.Add(4)
-		for i := 0; i < 4; i++ {
-			sys.Eng.Go("busy", func(sp *sim.Proc) {
-				defer wg.Done()
-				pool.Unit(0).Client.Run(sp, core.Command{Exec: "bzip2", Args: []string{"big"}})
-			})
-		}
-		// Let the long tasks start, then dispatch via LeastBusy.
-		p.Wait(50_000_000) // 50 ms
-		r := pool.Dispatch(p, LeastBusy{}, core.Command{Exec: "echo", Args: []string{"hi"}})
-		picked = r.Device
-		wg.Wait(p)
-	})
-	sys.Run()
-	if picked != 1 {
-		t.Fatalf("LeastBusy picked loaded device %d", picked)
 	}
 }
 

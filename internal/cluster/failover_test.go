@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -66,6 +67,50 @@ func TestMapFilesFTFaultFree(t *testing.T) {
 	}
 	if len(pool.DeadDevices()) != 0 {
 		t.Fatalf("fault-free run killed devices %v", pool.DeadDevices())
+	}
+}
+
+// TestQuietFTEqualsStageThenMap pins the scatter/gather fold: with no fault,
+// MapFilesFT is Stage followed by MapFiles — same stdout per file, one
+// attempt each, and the same final virtual time to the nanosecond — on
+// twin systems at 1, 3 and 4 devices.
+func TestQuietFTEqualsStageThenMap(t *testing.T) {
+	files := corpus(13)
+	for _, devices := range []int{1, 3, 4} {
+		run := func(ft bool) (map[string]string, sim.Time) {
+			sys, pool := newSystem(t, devices)
+			var results []TaskResult
+			sys.Go("driver", func(p *sim.Proc) {
+				var err error
+				if ft {
+					results, err = pool.MapFilesFT(p, files, grepWords)
+				} else if staged, serr := pool.Stage(p, Shard(files, devices)); serr != nil {
+					err = serr
+				} else {
+					results = pool.MapFiles(p, staged, grepWords)
+				}
+				if err != nil {
+					t.Errorf("%d devices, ft=%v: %v", devices, ft, err)
+				}
+			})
+			final := sys.Run()
+			for _, r := range results {
+				if r.Err != nil || r.Attempts != 1 {
+					t.Errorf("%d devices, ft=%v: %s: err=%v attempts=%d, want one clean attempt",
+						devices, ft, r.Name, r.Err, r.Attempts)
+				}
+			}
+			out, _ := gather(results)
+			return out, final
+		}
+		ftOut, ftFinal := run(true)
+		out, final := run(false)
+		if final != ftFinal {
+			t.Errorf("%d devices: Stage+MapFiles ended at %v, MapFilesFT at %v", devices, final, ftFinal)
+		}
+		if len(out) != len(files) || !reflect.DeepEqual(out, ftOut) {
+			t.Errorf("%d devices: per-file stdout differs:\n%v\nvs\n%v", devices, out, ftOut)
+		}
 	}
 }
 
@@ -247,14 +292,14 @@ func TestBalancersSkipDead(t *testing.T) {
 				t.Error("RoundRobin picked dead device 1")
 			}
 		}
-		lb := LeastBusy{}
+		lo := LeastOutstanding{}
 		for i := 0; i < 6; i++ {
-			dev, err := lb.Pick(p, pool)
+			dev, err := lo.Pick(p, pool)
 			if err != nil {
-				t.Errorf("LeastBusy.Pick: %v", err)
+				t.Errorf("LeastOutstanding.Pick: %v", err)
 			}
 			if dev == 1 {
-				t.Error("LeastBusy picked dead device 1")
+				t.Error("LeastOutstanding picked dead device 1")
 			}
 		}
 		pool.MarkDead(0)
@@ -262,8 +307,8 @@ func TestBalancersSkipDead(t *testing.T) {
 		if _, err := rr.Pick(p, pool); !errors.Is(err, ErrNoDevices) {
 			t.Errorf("RoundRobin on dead pool: %v, want ErrNoDevices", err)
 		}
-		if _, err := lb.Pick(p, pool); !errors.Is(err, ErrNoDevices) {
-			t.Errorf("LeastBusy on dead pool: %v, want ErrNoDevices", err)
+		if _, err := lo.Pick(p, pool); !errors.Is(err, ErrNoDevices) {
+			t.Errorf("LeastOutstanding on dead pool: %v, want ErrNoDevices", err)
 		}
 	})
 	sys.Run()

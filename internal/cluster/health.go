@@ -51,66 +51,16 @@ func (s HealthState) String() string {
 type HealthPolicy struct {
 	// Enabled turns health scoring on (default off).
 	Enabled bool
-	// LatencyAlpha and ErrorAlpha are the EWMA weights for per-attempt
-	// latency and error observations (0 selects 0.2 and 0.1).
-	LatencyAlpha float64
-	ErrorAlpha   float64
-	// ErrThreshold trips a device when its error-rate EWMA exceeds it
-	// (0 selects 0.5).
-	ErrThreshold float64
-	// LatencyFactor trips a device when its latency EWMA exceeds this
-	// multiple of the pool-wide median EWMA (0 selects 4; negative disables
-	// the latency trip).
-	LatencyFactor float64
-	// MinSamples is the number of attempts a device must absorb before
-	// either trip can fire (0 selects 16).
-	MinSamples int64
 	// Cooldown is the quarantine dwell before probation; it doubles every
-	// time a probe fails (0 selects 50ms).
+	// time a probe fails (0 selects 50ms). It stays a field because a
+	// serving run scales it to its horizon, so probation and readmission
+	// happen inside the measured window.
 	Cooldown time.Duration
-	// ProbeSuccesses is the consecutive probe-success count that readmits a
-	// probation device (0 selects 3).
-	ProbeSuccesses int
 }
 
 // DefaultHealthPolicy returns the enabled policy the tail experiments use.
 func DefaultHealthPolicy() HealthPolicy {
 	return HealthPolicy{Enabled: true}
-}
-
-func (hp HealthPolicy) latencyAlpha() float64 {
-	if hp.LatencyAlpha <= 0 {
-		return 0.2
-	}
-	return hp.LatencyAlpha
-}
-
-func (hp HealthPolicy) errorAlpha() float64 {
-	if hp.ErrorAlpha <= 0 {
-		return 0.1
-	}
-	return hp.ErrorAlpha
-}
-
-func (hp HealthPolicy) errThreshold() float64 {
-	if hp.ErrThreshold <= 0 {
-		return 0.5
-	}
-	return hp.ErrThreshold
-}
-
-func (hp HealthPolicy) latencyFactor() float64 {
-	if hp.LatencyFactor == 0 {
-		return 4
-	}
-	return hp.LatencyFactor
-}
-
-func (hp HealthPolicy) minSamples() int64 {
-	if hp.MinSamples <= 0 {
-		return 16
-	}
-	return hp.MinSamples
 }
 
 func (hp HealthPolicy) cooldown() time.Duration {
@@ -120,12 +70,33 @@ func (hp HealthPolicy) cooldown() time.Duration {
 	return hp.Cooldown
 }
 
-func (hp HealthPolicy) probeSuccesses() int {
-	if hp.ProbeSuccesses <= 0 {
-		return 3
-	}
-	return hp.ProbeSuccesses
-}
+// The scorer's parameters are constants, not policy fields: no experiment,
+// command or benchmark ever set them.
+const (
+	// healthLatencyAlpha weighs one attempt in the latency EWMA: 0.2 is a
+	// ~10-attempt memory, short enough to see a device go gray within one
+	// healthMinSamples window and long enough that one slow request is not
+	// a trend.
+	healthLatencyAlpha = 0.2
+	// healthErrorAlpha weighs one attempt in the error-rate EWMA. Half the
+	// latency weight: errors are rarer and each is stronger evidence, so the
+	// rate is averaged over ~20 attempts before it may trip anything.
+	healthErrorAlpha = 0.1
+	// healthErrThreshold trips a device whose error-rate EWMA exceeds it:
+	// past one half, an attempt on the device is more likely to fail than not.
+	healthErrThreshold = 0.5
+	// healthLatencyFactor trips a device whose latency EWMA exceeds this
+	// multiple of the peer median. Fail-slow devices run 10-40x late; 4x sits
+	// above any imbalance sharding or queueing produces between healthy peers.
+	healthLatencyFactor = 4
+	// healthMinSamples attempts must be absorbed before either trip can fire,
+	// and before a device counts toward the peer median: one and a half
+	// latency-EWMA memories, so the first (cold) attempts have decayed.
+	healthMinSamples = 16
+	// healthProbeSuccesses consecutive probe successes readmit a probation
+	// device: one could be luck, three in a row on a gray device is not.
+	healthProbeSuccesses = 3
+)
 
 // deviceHealth is one device's score and breaker state.
 type deviceHealth struct {
@@ -139,13 +110,6 @@ type deviceHealth struct {
 	probing   bool // a probe is currently routed to this device
 }
 
-// ensureHealth lazily allocates the per-device scores.
-func (pl *Pool) ensureHealth() {
-	if pl.health == nil {
-		pl.health = make([]deviceHealth, len(pl.units))
-	}
-}
-
 // DeviceHealth returns device i's breaker state (HealthHealthy when scoring
 // is disabled), advancing a quarantine whose cooldown elapsed into
 // probation first.
@@ -153,7 +117,6 @@ func (pl *Pool) DeviceHealth(i int) HealthState {
 	if !pl.Health.Enabled {
 		return HealthHealthy
 	}
-	pl.ensureHealth()
 	pl.advanceHealth(i, pl.eng.Now())
 	return pl.health[i].state
 }
@@ -178,7 +141,6 @@ func (pl *Pool) routable(i int) bool {
 	if !pl.Health.Enabled {
 		return true
 	}
-	pl.ensureHealth()
 	pl.advanceHealth(i, pl.eng.Now())
 	return pl.health[i].state == HealthHealthy
 }
@@ -191,7 +153,6 @@ func (pl *Pool) probePick() (int, bool) {
 	if !pl.Health.Enabled {
 		return -1, false
 	}
-	pl.ensureHealth()
 	now := pl.eng.Now()
 	for i := range pl.health {
 		if pl.dead[i] {
@@ -217,19 +178,17 @@ func (pl *Pool) recordHealth(p *sim.Proc, i int, lat time.Duration, failed bool)
 	if !pl.Health.Enabled {
 		return
 	}
-	pl.ensureHealth()
 	h := &pl.health[i]
-	la, ea := pl.Health.latencyAlpha(), pl.Health.errorAlpha()
 	if h.samples == 0 {
 		h.latEWMA = lat.Seconds()
 	} else {
-		h.latEWMA += la * (lat.Seconds() - h.latEWMA)
+		h.latEWMA += healthLatencyAlpha * (lat.Seconds() - h.latEWMA)
 	}
 	e := 0.0
 	if failed {
 		e = 1.0
 	}
-	h.errEWMA += ea * (e - h.errEWMA)
+	h.errEWMA += healthErrorAlpha * (e - h.errEWMA)
 	h.samples++
 
 	wasProbe := h.probing
@@ -242,16 +201,11 @@ func (pl *Pool) recordHealth(p *sim.Proc, i int, lat time.Duration, failed bool)
 		}
 		if failed {
 			// One failed probe re-quarantines with escalating cooldown.
-			h.state = HealthQuarantined
-			h.trippedAt = p.Now()
-			h.cooldown *= 2
-			h.probeOK = 0
-			pl.cQuarantines.Add(1)
-			pl.obs.Instant(p, "cluster", "quarantine", "device", fmt.Sprint(i), "cause", "probe_failed")
+			pl.quarantine(p, i, 2*h.cooldown, "probe_failed")
 			return
 		}
 		h.probeOK++
-		if h.probeOK >= pl.Health.probeSuccesses() {
+		if h.probeOK >= healthProbeSuccesses {
 			h.state = HealthHealthy
 			h.errEWMA = 0
 			h.probeOK = 0
@@ -259,26 +213,30 @@ func (pl *Pool) recordHealth(p *sim.Proc, i int, lat time.Duration, failed bool)
 			pl.obs.Instant(p, "cluster", "readmit", "device", fmt.Sprint(i))
 		}
 	case HealthHealthy:
-		if h.samples < pl.Health.minSamples() {
+		if h.samples < healthMinSamples {
 			return
 		}
 		cause := ""
-		if h.errEWMA > pl.Health.errThreshold() {
+		if h.errEWMA > healthErrThreshold {
 			cause = "errors"
-		} else if f := pl.Health.latencyFactor(); f > 0 {
-			if med, ok := pl.medianLatEWMA(i); ok && h.latEWMA > f*med {
-				cause = "latency"
-			}
+		} else if med, ok := pl.medianLatEWMA(i); ok && h.latEWMA > healthLatencyFactor*med {
+			cause = "latency"
 		}
-		if cause == "" {
-			return
+		if cause != "" {
+			pl.quarantine(p, i, pl.Health.cooldown(), cause)
 		}
-		h.state = HealthQuarantined
-		h.trippedAt = p.Now()
-		h.cooldown = pl.Health.cooldown()
-		pl.cQuarantines.Add(1)
-		pl.obs.Instant(p, "cluster", "quarantine", "device", fmt.Sprint(i), "cause", cause)
 	}
+}
+
+// quarantine opens device i's breaker for dwell and records why.
+func (pl *Pool) quarantine(p *sim.Proc, i int, dwell time.Duration, cause string) {
+	h := &pl.health[i]
+	h.state = HealthQuarantined
+	h.trippedAt = p.Now()
+	h.cooldown = dwell
+	h.probeOK = 0
+	pl.cQuarantines.Add(1)
+	pl.obs.Instant(p, "cluster", "quarantine", "device", fmt.Sprint(i), "cause", cause)
 }
 
 // recordNeutral clears device i's probe-in-flight marker without scoring
@@ -290,7 +248,6 @@ func (pl *Pool) recordNeutral(i int) {
 	if !pl.Health.Enabled {
 		return
 	}
-	pl.ensureHealth()
 	pl.health[i].probing = false
 }
 
@@ -306,27 +263,16 @@ func (pl *Pool) recordHedgeLoss(p *sim.Proc, i int) {
 	if !pl.Health.Enabled {
 		return
 	}
-	pl.ensureHealth()
 	h := &pl.health[i]
-	h.errEWMA += pl.Health.errorAlpha() * (1 - h.errEWMA)
+	h.errEWMA += healthErrorAlpha * (1 - h.errEWMA)
 	h.samples++
 	switch h.state {
 	case HealthProbation:
-		h.state = HealthQuarantined
-		h.trippedAt = p.Now()
-		h.cooldown *= 2
-		h.probeOK = 0
-		pl.cQuarantines.Add(1)
-		pl.obs.Instant(p, "cluster", "quarantine", "device", fmt.Sprint(i), "cause", "probe_lost_hedge")
+		pl.quarantine(p, i, 2*h.cooldown, "probe_lost_hedge")
 	case HealthHealthy:
-		if h.samples < pl.Health.minSamples() || h.errEWMA <= pl.Health.errThreshold() {
-			return
+		if h.samples >= healthMinSamples && h.errEWMA > healthErrThreshold {
+			pl.quarantine(p, i, pl.Health.cooldown(), "hedge_losses")
 		}
-		h.state = HealthQuarantined
-		h.trippedAt = p.Now()
-		h.cooldown = pl.Health.cooldown()
-		pl.cQuarantines.Add(1)
-		pl.obs.Instant(p, "cluster", "quarantine", "device", fmt.Sprint(i), "cause", "hedge_losses")
 	}
 }
 
@@ -338,7 +284,7 @@ func (pl *Pool) medianLatEWMA(except int) (float64, bool) {
 		if i == except || pl.dead[i] {
 			continue
 		}
-		if pl.health[i].samples >= pl.Health.minSamples() {
+		if pl.health[i].samples >= healthMinSamples {
 			vals = append(vals, pl.health[i].latEWMA)
 		}
 	}
@@ -374,7 +320,6 @@ func (pl *Pool) HealthyFraction() float64 {
 	if !pl.Health.Enabled || len(pl.units) == 0 {
 		return 1
 	}
-	pl.ensureHealth()
 	now := pl.eng.Now()
 	n := 0
 	for i := range pl.units {

@@ -23,16 +23,6 @@ import (
 type HedgePolicy struct {
 	// Enabled turns hedging on (default off).
 	Enabled bool
-	// Quantile of the pool's observed task latency used as the hedge delay
-	// (0 selects 0.95): only the slowest (1-q) of requests ever hedge.
-	Quantile float64
-	// MinSamples is how many completed tasks must be observed before
-	// hedging arms — an unwarmed quantile would hedge everything or nothing
-	// (0 selects 32).
-	MinSamples int64
-	// MinDelay floors the hedge delay so a tight latency distribution
-	// cannot hedge instantly (0 selects 200µs).
-	MinDelay time.Duration
 }
 
 // DefaultHedgePolicy returns the enabled policy the tail experiments use.
@@ -40,26 +30,22 @@ func DefaultHedgePolicy() HedgePolicy {
 	return HedgePolicy{Enabled: true}
 }
 
-func (hp HedgePolicy) quantile() float64 {
-	if hp.Quantile <= 0 || hp.Quantile >= 1 {
-		return 0.95
-	}
-	return hp.Quantile
-}
-
-func (hp HedgePolicy) minSamples() int64 {
-	if hp.MinSamples <= 0 {
-		return 32
-	}
-	return hp.MinSamples
-}
-
-func (hp HedgePolicy) minDelay() time.Duration {
-	if hp.MinDelay <= 0 {
-		return 200 * time.Microsecond
-	}
-	return hp.MinDelay
-}
+// The hedge timer's three parameters are constants, not policy fields: no
+// experiment, command or benchmark ever set them.
+const (
+	// hedgeQuantile of the pool's observed task latency is the hedge delay:
+	// at p95 only the slowest twentieth of requests ever hedge, which caps
+	// the duplicated work at ~5% ("The Tail at Scale" picks the same point).
+	hedgeQuantile = 0.95
+	// hedgeMinSamples completed tasks must be observed before hedging arms —
+	// an unwarmed quantile would hedge everything or nothing. 32 gives p95 at
+	// least one sample above it.
+	hedgeMinSamples = 32
+	// hedgeMinDelay floors the hedge delay so a tight latency distribution
+	// cannot hedge instantly; it equals the first retry backoff, the
+	// shortest wait the pool takes anywhere else.
+	hedgeMinDelay = 200 * time.Microsecond
+)
 
 // noteLatency feeds one successful task latency into the hedge-delay
 // tracker. The histogram is pool-internal (not registered with obs) so an
@@ -71,12 +57,12 @@ func (pl *Pool) noteLatency(d time.Duration) {
 // hedgeDelay returns the current hedge delay, or false while the latency
 // quantile is still warming up.
 func (pl *Pool) hedgeDelay() (time.Duration, bool) {
-	if pl.latencies.Count() < pl.Hedge.minSamples() {
+	if pl.latencies.Count() < hedgeMinSamples {
 		return 0, false
 	}
-	d := pl.latencies.Quantile(pl.Hedge.quantile())
-	if min := pl.Hedge.minDelay(); d < min {
-		d = min
+	d := pl.latencies.Quantile(hedgeQuantile)
+	if d < hedgeMinDelay {
+		d = hedgeMinDelay
 	}
 	return d, true
 }
@@ -86,15 +72,7 @@ func (pl *Pool) hedgeDelay() (time.Duration, bool) {
 // devices never take hedges — a hedge exists to dodge a slow device, not to
 // probe one.
 func (pl *Pool) hedgePick(primary int) (int, bool) {
-	best, bestLoad := -1, 1<<30
-	for i := range pl.units {
-		if i == primary || !pl.routable(i) {
-			continue
-		}
-		if load := pl.inflight[i]; load < bestLoad {
-			best, bestLoad = i, load
-		}
-	}
+	best := pl.leastLoaded(func(i int) bool { return i != primary && pl.routable(i) })
 	return best, best >= 0
 }
 
@@ -106,13 +84,13 @@ type hedgeOutcome struct {
 	err      error
 }
 
-// RunHedged executes one minion on device dev like RunOn, but arms a hedge:
-// if no response arrives within the pool's tracked latency quantile, a tied
-// secondary is issued to the least-loaded other replica, the first success
-// wins, and the winner cancels the loser. Falls back to plain RunOn while
-// hedging is disabled or the quantile is warming up. Each leg carries its
-// own CancelToken (any caller-provided token is superseded); the deadline,
-// if set, rides both legs unchanged.
+// RunHedged is a race of two runTask calls: it executes one minion on device
+// dev, and if no response arrives within the pool's tracked latency quantile
+// a tied secondary is issued to the least-loaded other replica, the first
+// success wins, and the winner cancels the loser. It is a single plain
+// runTask while hedging is disabled or the quantile is warming up. Each leg
+// carries its own CancelToken (any caller-provided token is superseded);
+// the deadline, if set, rides both legs unchanged.
 func (pl *Pool) RunHedged(p *sim.Proc, dev int, cmd core.Command) (*core.Response, int, error) {
 	delay, armed := pl.hedgeDelay()
 	if !pl.Hedge.Enabled || !armed {

@@ -157,7 +157,7 @@ func TestCorruptionFailsOverToHealthyReplica(t *testing.T) {
 func TestReviveClearsStrikes(t *testing.T) {
 	_, pool := newSystem(t, 2)
 	for i := 0; i < pool.Retry.DeadAfter; i++ {
-		pool.strike(0)
+		pool.strike(nil, 0) // no obs attached: the proc is only a trace timestamp
 	}
 	if !pool.IsDead(0) {
 		t.Fatal("strikes did not kill the device")

@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,6 +16,12 @@ import (
 func tailGrep(name string) core.Command {
 	return core.Command{Exec: "grep", Args: []string{"-c", "text", name}}
 }
+
+// pinned is a Balancer that always picks one device, for tests that place
+// the task themselves and want Dispatch's full retry path.
+type pinned int
+
+func (d pinned) Pick(*sim.Proc, *Pool) (int, error) { return int(d), nil }
 
 // --- backoff jitter (satellite: seeded full jitter + determinism) ---
 
@@ -102,12 +110,12 @@ func TestRetryBudgetBoundsRetryStorm(t *testing.T) {
 			}
 			failingAgent(pool, 0)
 			for i := 0; i < tasks; i++ {
-				_, att, err := pool.RunOn(p, 0, tailGrep("books/book000.txt"))
-				attempts += att
-				if err == nil {
+				r := pool.Dispatch(p, pinned(0), tailGrep("books/book000.txt"))
+				attempts += r.Attempts
+				if r.Err == nil {
 					t.Error("task unexpectedly succeeded on a dropping device")
 				}
-				if errors.Is(err, ErrRetryBudgetExhausted) {
+				if errors.Is(r.Err, ErrRetryBudgetExhausted) {
 					denied++
 				}
 			}
@@ -126,9 +134,8 @@ func TestRetryBudgetBoundsRetryStorm(t *testing.T) {
 	}
 	// With zero successes the bucket never refills: total retries across the
 	// storm are bounded by the initial tokens.
-	cap := int(DefaultRetryBudget().tokens())
-	if retries := budgeted - tasks; retries > cap {
-		t.Fatalf("budgeted retries %d exceed the %d-token budget", retries, cap)
+	if retries := budgeted - tasks; retries > budgetCapacity {
+		t.Fatalf("budgeted retries %d exceed the %v-token budget", retries, budgetCapacity)
 	}
 	if denied == 0 {
 		t.Fatal("no task saw ErrRetryBudgetExhausted during the storm")
@@ -141,9 +148,9 @@ func TestRetryBudgetBoundsRetryStorm(t *testing.T) {
 func TestRetryBudgetRefillsOnSuccess(t *testing.T) {
 	_, pool := newSystem(t, 1)
 	pool.Budget = DefaultRetryBudget()
-	for i := 0; i < int(pool.Budget.tokens()); i++ {
+	for i := 0; i < budgetCapacity; i++ {
 		if !pool.budgetTake() {
-			t.Fatalf("bucket dry after %d takes, capacity %v", i, pool.Budget.tokens())
+			t.Fatalf("bucket dry after %d takes, capacity %v", i, budgetCapacity)
 		}
 	}
 	if pool.budgetTake() {
@@ -207,21 +214,26 @@ func TestHedgeRescuesSlowDevice(t *testing.T) {
 }
 
 // TestHedgePrimaryWinIsWasted: hedging a healthy primary costs a wasted
-// secondary, not a wrong answer.
+// secondary, not a wrong answer. The quantile is warmed far below the
+// floor, so the hedge arms at hedgeMinDelay; the scan is long enough to
+// still be running then, and the primary's head start wins the race.
 func TestHedgePrimaryWinIsWasted(t *testing.T) {
 	sys, pool := newSystem(t, 2)
 	pool.Hedge = DefaultHedgePolicy()
-	pool.Hedge.MinDelay = time.Nanosecond // hedge basically immediately
-	for i := 0; i < 64; i++ {
+	for i := 0; i < hedgeMinSamples; i++ {
 		pool.noteLatency(time.Nanosecond)
 	}
+	long := File{Name: "long.txt", Data: bytes.Repeat([]byte("line of text with words\n"), 20_000)}
 	var out string
+	var lat time.Duration
 	sys.Go("driver", func(p *sim.Proc) {
-		if err := pool.StageReplicated(p, corpus(1)); err != nil {
+		if err := pool.StageReplicated(p, []File{long}); err != nil {
 			t.Errorf("stage: %v", err)
 			return
 		}
-		resp, _, err := pool.RunHedged(p, 0, tailGrep("books/book000.txt"))
+		t0 := p.Now()
+		resp, _, err := pool.RunHedged(p, 0, tailGrep(long.Name))
+		lat = p.Now().Sub(t0)
 		if err != nil {
 			t.Errorf("hedged run failed: %v", err)
 			return
@@ -229,16 +241,21 @@ func TestHedgePrimaryWinIsWasted(t *testing.T) {
 		out = string(resp.Stdout)
 	})
 	sys.Run()
-	if out == "" {
-		t.Fatal("no output")
+	if strings.TrimSpace(out) != "20000" {
+		t.Fatalf("grep -c = %q, want 20000", out)
 	}
-	hs := pool.HedgeStats()
-	if hs.Issued != 1 || hs.Won+hs.Wasted != 1 {
-		t.Fatalf("hedge stats %+v, want one issued and exactly one outcome", hs)
+	if lat <= hedgeMinDelay {
+		t.Fatalf("primary answered in %v, inside the %v floor: nothing raced", lat, hedgeMinDelay)
+	}
+	if hs := pool.HedgeStats(); hs.Issued != 1 || hs.Wasted != 1 || hs.Won != 0 {
+		t.Fatalf("hedge stats %+v, want one issued at the floor and wasted", hs)
+	}
+	if n := pool.TotalInFlight(); n != 0 {
+		t.Fatalf("%d tasks still in flight after drain", n)
 	}
 }
 
-// TestHedgeColdQuantileFallsBack: until MinSamples latencies are observed,
+// TestHedgeColdQuantileFallsBack: until hedgeMinSamples latencies are observed,
 // RunHedged must behave exactly like the plain path.
 func TestHedgeColdQuantileFallsBack(t *testing.T) {
 	sys, pool := newSystem(t, 2)
@@ -266,7 +283,7 @@ func trip(t *testing.T, p *sim.Proc, pool *Pool, dev int) {
 	t.Helper()
 	base := time.Millisecond
 	for i := 0; i < pool.Size(); i++ {
-		for n := int64(0); n < pool.Health.minSamples(); n++ {
+		for n := 0; n < healthMinSamples; n++ {
 			pool.recordHealth(p, i, base, false)
 		}
 	}
@@ -303,19 +320,19 @@ func TestHealthQuarantineProbationReadmit(t *testing.T) {
 		}
 		// Probe succeeds; two more readmit it.
 		pool.recordHealth(p, 1, time.Millisecond, false)
-		for n := 0; n < pool.Health.probeSuccesses()-1; n++ {
+		for n := 0; n < healthProbeSuccesses-1; n++ {
 			if i, ok := pool.probePick(); !ok || i != 1 {
 				t.Fatalf("probe %d not routed", n)
 			}
 			pool.recordHealth(p, 1, time.Millisecond, false)
 		}
 		if got := pool.DeviceHealth(1); got != HealthHealthy {
-			t.Fatalf("state %v after %d probe successes, want healthy", got, pool.Health.probeSuccesses())
+			t.Fatalf("state %v after %d probe successes, want healthy", got, healthProbeSuccesses)
 		}
 	})
 	sys.Run()
 	hc := pool.HealthStats()
-	if hc.Quarantines != 1 || hc.Readmits != 1 || hc.Probes != int64(pool.Health.probeSuccesses()) {
+	if hc.Quarantines != 1 || hc.Readmits != 1 || hc.Probes != healthProbeSuccesses {
 		t.Fatalf("health counters %+v", hc)
 	}
 }
@@ -353,7 +370,7 @@ func TestHealthErrorRateTrips(t *testing.T) {
 	sys, pool := newSystem(t, 2)
 	pool.Health = DefaultHealthPolicy()
 	sys.Go("driver", func(p *sim.Proc) {
-		for n := int64(0); n < pool.Health.minSamples(); n++ {
+		for n := 0; n < healthMinSamples; n++ {
 			pool.recordHealth(p, 0, time.Millisecond, false)
 		}
 		for n := 0; n < 16 && pool.DeviceHealth(0) == HealthHealthy; n++ {
@@ -375,7 +392,6 @@ func TestGrayDeviceGetsOnlyProbeTraffic(t *testing.T) {
 		mk   func() Balancer
 	}{
 		{"roundrobin", func() Balancer { return &RoundRobin{} }},
-		{"leastbusy", func() Balancer { return LeastBusy{} }},
 		{"leastoutstanding", func() Balancer { return LeastOutstanding{} }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -440,7 +456,7 @@ func TestAllDevicesTrippedDegradesOpen(t *testing.T) {
 		// Error-trip both devices (errors, not latency: the latency trip is
 		// relative to peers and cannot fire on every device at once).
 		for i := 0; i < 2; i++ {
-			for n := int64(0); n < pool.Health.minSamples(); n++ {
+			for n := 0; n < healthMinSamples; n++ {
 				pool.recordHealth(p, i, time.Millisecond, false)
 			}
 			for n := 0; n < 16 && pool.DeviceHealth(i) == HealthHealthy; n++ {
@@ -470,12 +486,12 @@ func TestRunTaskDeadlineBeforeDispatch(t *testing.T) {
 		p.Wait(time.Millisecond)
 		cmd := tailGrep("books/book000.txt")
 		cmd.Deadline = sim.Time(time.Microsecond) // already passed
-		_, attempts, err := pool.RunOn(p, 0, cmd)
-		if !errors.Is(err, ErrDeadlineExceeded) {
-			t.Errorf("err = %v, want ErrDeadlineExceeded", err)
+		r := pool.Dispatch(p, pinned(0), cmd)
+		if !errors.Is(r.Err, ErrDeadlineExceeded) {
+			t.Errorf("err = %v, want ErrDeadlineExceeded", r.Err)
 		}
-		if attempts != 0 {
-			t.Errorf("pre-lapsed task made %d attempts", attempts)
+		if r.Attempts != 0 {
+			t.Errorf("pre-lapsed task made %d attempts", r.Attempts)
 		}
 	})
 	sys.Run()
@@ -494,12 +510,12 @@ func TestRunTaskDeadlineCutsBackoffShort(t *testing.T) {
 		cmd := tailGrep("books/book000.txt")
 		cmd.Deadline = p.Now().Add(10 * time.Millisecond) // inside the first backoff
 		t0 := p.Now()
-		_, attempts, err := pool.RunOn(p, 0, cmd)
-		if !errors.Is(err, ErrDeadlineExceeded) {
-			t.Errorf("err = %v, want ErrDeadlineExceeded", err)
+		r := pool.Dispatch(p, pinned(0), cmd)
+		if !errors.Is(r.Err, ErrDeadlineExceeded) {
+			t.Errorf("err = %v, want ErrDeadlineExceeded", r.Err)
 		}
-		if attempts != 1 {
-			t.Errorf("attempts = %d, want 1 (backoff would sleep through the deadline)", attempts)
+		if r.Attempts != 1 {
+			t.Errorf("attempts = %d, want 1 (backoff would sleep through the deadline)", r.Attempts)
 		}
 		if waited := p.Now().Sub(t0); waited >= 50*time.Millisecond {
 			t.Errorf("task slept %v through its deadline", waited)

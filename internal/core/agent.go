@@ -8,7 +8,6 @@ import (
 	"compstor/internal/flash"
 	"compstor/internal/ftl"
 	"compstor/internal/isps"
-	"compstor/internal/minfs"
 	"compstor/internal/nvme"
 	"compstor/internal/sim"
 	"compstor/internal/ssd"
@@ -165,6 +164,3 @@ func (a *Agent) runMinion(p *sim.Proc, cmd Command) *Response {
 	}
 	return resp
 }
-
-// HostFS returns a fresh host-path view of the drive's namespace.
-func (a *Agent) HostFS() *minfs.View { return a.drive.HostView() }

@@ -32,9 +32,6 @@ type Component struct {
 // Name returns the component's registered name.
 func (c *Component) Name() string { return c.name }
 
-// BasePower returns the constant base draw in watts.
-func (c *Component) BasePower() float64 { return c.baseW }
-
 // AddActive charges incremental energy for d of activity at ΔP = watts
 // above base power.
 func (c *Component) AddActive(d time.Duration, watts float64) {

@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"compstor/internal/apps/appset"
 	"compstor/internal/chaos"
 	"compstor/internal/cluster"
 	"compstor/internal/core"
@@ -26,16 +25,19 @@ type DegradedPoint struct {
 	ResultsMatch  bool
 }
 
+// DegradedResult is the degraded-mode record, one point per device count.
+type DegradedResult []DegradedPoint
+
 // Degraded runs the Fig-7 grep workload for each device count, fault-free
 // and then under a seeded chaos plan whose device 0 fails halfway through
 // the healthy run's span. Outputs must match exactly — failover changes
 // when work happens, never what it computes.
-func Degraded(o Options) []DegradedPoint {
+func Degraded(o Options) DegradedResult {
 	w, err := WorkloadByName("grep")
 	if err != nil {
 		panic(err)
 	}
-	var out []DegradedPoint
+	var out DegradedResult
 	for _, n := range o.DeviceCounts {
 		if n < 2 {
 			continue // no survivor to fail over to
@@ -58,15 +60,7 @@ func (o Options) degradedRun(devices int, w Workload, files []cluster.File, plan
 	if plan != nil {
 		label = "degraded"
 	}
-	scope := o.Obs.Scope(fmt.Sprintf("%s.n%d", label, devices))
-	sys := core.NewSystem(core.SystemConfig{
-		CompStors: devices,
-		Registry:  appset.Base(),
-		Geometry:  o.Geometry,
-		Obs:       scope,
-	})
-	pool := cluster.NewPool(sys.Eng, sys.Devices)
-	pool.SetObs(scope)
+	sys, pool := o.newCluster(o.Obs.Scope(fmt.Sprintf("%s.n%d", label, devices)), core.SystemConfig{CompStors: devices})
 	if plan != nil {
 		chaos.Install(sys, plan)
 	}
@@ -122,8 +116,8 @@ func (o Options) degradedPoint(devices int, w Workload) DegradedPoint {
 	return pt
 }
 
-// RenderDegraded writes the degraded-mode throughput report.
-func RenderDegraded(w io.Writer, pts []DegradedPoint) {
+// Render writes the degraded-mode throughput report.
+func (pts DegradedResult) Render(w io.Writer) {
 	t := trace.NewTable("Degraded mode — grep scatter/gather, 1 device killed mid-run",
 		"devices", "healthy MB/s", "degraded MB/s", "slowdown %", "dead", "attempts", "results match")
 	for _, pt := range pts {

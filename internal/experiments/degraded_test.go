@@ -27,7 +27,7 @@ func TestDegradedKeepsResultsAndReportsSlowdown(t *testing.T) {
 			pt.HealthyMBps, pt.DegradedMBps)
 	}
 	var sb strings.Builder
-	RenderDegraded(&sb, pts)
+	pts.Render(&sb)
 	if !strings.Contains(sb.String(), "Degraded mode") {
 		t.Error("render incomplete")
 	}

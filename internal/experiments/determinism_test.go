@@ -15,8 +15,8 @@ func TestSimulationIsDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() (elapsed int64, energy float64) {
-		r := o.poolRun(2, w)
-		return int64(r.elapsed), r.deviceJ
+		r := RunPool(o, 2, w)
+		return int64(r.Elapsed), r.Joules
 	}
 	e1, j1 := run()
 	e2, j2 := run()
@@ -36,10 +36,10 @@ func TestHostRunDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := o.hostRun(w)
-	b := o.hostRun(w)
-	if a.elapsed != b.elapsed || a.hostJ != b.hostJ {
-		t.Fatalf("host runs differ: %v/%g vs %v/%g", a.elapsed, a.hostJ, b.elapsed, b.hostJ)
+	a := RunHost(o, w)
+	b := RunHost(o, w)
+	if a != b {
+		t.Fatalf("host runs differ: %+v vs %+v", a, b)
 	}
 }
 
@@ -52,15 +52,15 @@ func TestReportsExported(t *testing.T) {
 	if rep.Failures != 0 {
 		t.Fatalf("failures: %d", rep.Failures)
 	}
-	if rep.MBps <= 0 || rep.JPerGB <= 0 || rep.PlainBytes <= 0 {
+	if rep.MBps() <= 0 || rep.JPerGB() <= 0 || rep.PlainBytes <= 0 {
 		t.Fatalf("report: %+v", rep)
 	}
 	hr := RunHost(o, w)
-	if hr.MBps <= 0 || hr.JPerGB <= 0 {
+	if hr.MBps() <= 0 || hr.JPerGB() <= 0 {
 		t.Fatalf("host report: %+v", hr)
 	}
 	// The energy story must hold at any scale: host J/GB > device J/GB.
-	if hr.JPerGB <= rep.JPerGB {
-		t.Fatalf("host %g J/GB <= device %g J/GB", hr.JPerGB, rep.JPerGB)
+	if hr.JPerGB() <= rep.JPerGB() {
+		t.Fatalf("host %g J/GB <= device %g J/GB", hr.JPerGB(), rep.JPerGB())
 	}
 }

@@ -14,12 +14,17 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"time"
 
+	"compstor/internal/apps/appset"
 	"compstor/internal/apps/bzip2x"
 	"compstor/internal/apps/gzipx"
 	"compstor/internal/cluster"
+	"compstor/internal/core"
 	"compstor/internal/flash"
 	"compstor/internal/obs"
+	"compstor/internal/sim"
+	"compstor/internal/ssd"
 	"compstor/internal/textgen"
 )
 
@@ -110,6 +115,121 @@ func corpusBz2(files []cluster.File) []cluster.File {
 		out[i] = cluster.File{Name: f.Name + ".bz2", Data: bzip2x.Compress(f.Data, bzip2x.Options{})}
 	}
 	return out
+}
+
+// system builds a simulated platform at the experiment's geometry with the
+// stock application set, instrumented under scope; cfg says what is in it.
+func (o Options) system(scope *obs.Obs, cfg core.SystemConfig) *core.System {
+	cfg.Registry, cfg.Geometry, cfg.Obs = appset.Base(), o.Geometry, scope
+	return core.NewSystem(cfg)
+}
+
+// newCluster is system plus the pool that drives its CompStors, both
+// instrumented under scope.
+func (o Options) newCluster(scope *obs.Obs, cfg core.SystemConfig) (*core.System, *cluster.Pool) {
+	sys := o.system(scope, cfg)
+	pool := cluster.NewPool(sys.Eng, sys.Devices)
+	pool.SetObs(scope)
+	return sys, pool
+}
+
+// closedLoop issues total requests through b with every dispatch slot of
+// the pool kept busy: PerDeviceTasks x Size workers (named label0,
+// label1, ...) each send their next request only once the previous one has
+// returned. cmd builds request idx; done sees its result and latency.
+func closedLoop(p *sim.Proc, sys *core.System, pool *cluster.Pool, label string, total int,
+	b cluster.Balancer, cmd func(idx int) core.Command, done func(idx int, r cluster.TaskResult, lat sim.Duration)) {
+	next := 0
+	workers := pool.PerDeviceTasks * pool.Size()
+	var wg sim.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		sys.Eng.Go(fmt.Sprintf("%s%d", label, w), func(sp *sim.Proc) {
+			defer wg.Done()
+			for next < total {
+				idx := next
+				next++
+				t0 := sp.Now()
+				r := pool.Dispatch(sp, b, cmd(idx))
+				done(idx, r, sp.Now().Sub(t0))
+			}
+		})
+	}
+	wg.Wait(p)
+}
+
+// calibrate measures an n-device cluster's closed-loop capacity on the
+// request stream cmd, with data replicated as serve.txt: every dispatch
+// slot kept busy for total requests. It returns sustained requests/s and
+// the p99 latency at saturation — the baseline SLOs are derived from. The
+// latencies are mirrored into the artefact as calibrate.latency.
+func (o Options) calibrate(n int, data []byte, total int, cmd func(idx int) core.Command) (rps float64, p99 time.Duration) {
+	scope := o.Obs.Scope("calibrate")
+	sys, pool := o.newCluster(scope, core.SystemConfig{CompStors: n})
+	var hist obs.Histogram
+	snapHist := scope.Histogram("latency")
+	var elapsed sim.Duration
+	sys.Go("driver", func(p *sim.Proc) {
+		if err := pool.StageReplicated(p, []cluster.File{{Name: "serve.txt", Data: data}}); err != nil {
+			panic(fmt.Sprintf("calibration stage: %v", err))
+		}
+		start := p.Now()
+		closedLoop(p, sys, pool, "cal", total, cluster.LeastOutstanding{}, cmd,
+			func(idx int, r cluster.TaskResult, lat sim.Duration) {
+				if r.Err != nil {
+					panic(fmt.Sprintf("calibration req %d: %v", idx, r.Err))
+				}
+				hist.Observe(lat)
+				snapHist.Observe(lat)
+			})
+		elapsed = p.Now().Sub(start)
+	})
+	sys.Run()
+	sys.Close()
+	return float64(total) / elapsed.Seconds(), hist.Quantile(0.99)
+}
+
+// scanFileBytes sizes the one large file the single-file scan experiments
+// read: the corpus volume, clamped to [4 MiB, 64 MiB].
+func (o Options) scanFileBytes() int {
+	n := int64(o.Books) * int64(o.MeanBookBytes)
+	if n < 4<<20 {
+		n = 4 << 20
+	}
+	if n > 64<<20 {
+		n = 64 << 20
+	}
+	return int(n)
+}
+
+// scanRun stages data as scan.txt on a fresh single-device system built
+// from cfg (which read path, how many scan chunks) and times one cold
+// in-situ run of cmd over it through the agent path. It returns the scan's
+// stdout and duration, and the drive for its counters.
+func (o Options) scanRun(scope string, cfg core.SystemConfig, cmd core.Command, data []byte) (string, sim.Duration, *ssd.SSD) {
+	cfg.CompStors = 1
+	sys := o.system(o.Obs.Scope(scope), cfg)
+	var elapsed sim.Duration
+	var stdout string
+	sys.Go("driver", func(p *sim.Proc) {
+		cl := sys.Device(0).Client
+		if err := cl.FS().WriteFile(p, "scan.txt", data); err != nil {
+			panic(fmt.Sprintf("%s staging: %v", scope, err))
+		}
+		if err := cl.FS().Flush(p); err != nil {
+			panic(fmt.Sprintf("%s staging flush: %v", scope, err))
+		}
+		start := p.Now()
+		resp, err := cl.Run(p, cmd)
+		elapsed = p.Now().Sub(start)
+		if err != nil || resp.Status != core.StatusOK {
+			panic(fmt.Sprintf("%s: err=%v resp=%+v", scope, err, resp))
+		}
+		stdout = string(resp.Stdout)
+	})
+	sys.Run()
+	sys.Close()
+	return stdout, elapsed, sys.Device(0).Drive
 }
 
 func totalBytes(files []cluster.File) int64 {

@@ -68,7 +68,7 @@ func TestFig6ScalesNearLinearly(t *testing.T) {
 		}
 	}
 	var sb strings.Builder
-	RenderFig6(&sb, series)
+	series.Render(&sb)
 	if !strings.Contains(sb.String(), "grep") {
 		t.Error("render incomplete")
 	}
@@ -95,7 +95,7 @@ func TestFig7HostFlatDevicesGrow(t *testing.T) {
 		t.Errorf("total did not grow: %+v", pts)
 	}
 	var sb strings.Builder
-	RenderFig7(&sb, pts)
+	pts.Render(&sb)
 	if !strings.Contains(sb.String(), "bzip2") {
 		t.Error("render incomplete")
 	}
@@ -132,7 +132,7 @@ func TestFig8EnergyShape(t *testing.T) {
 		}
 	}
 	var sb strings.Builder
-	RenderFig8(&sb, rows)
+	rows.Render(&sb)
 	if !strings.Contains(sb.String(), "J/GB") {
 		t.Error("render incomplete")
 	}
@@ -140,9 +140,9 @@ func TestFig8EnergyShape(t *testing.T) {
 
 func TestTablesRender(t *testing.T) {
 	var sb bytes.Buffer
-	Table1(&sb)
-	Table2(&sb)
-	Table4(&sb)
+	Table1{}.Render(&sb)
+	Table2{}.Render(&sb)
+	Table4{}.Render(&sb)
 	out := sb.String()
 	for _, want := range []string{"Biscuit", "CompStor", "A53", "8GB DDR4", "Xeon", "32 GB DDR4"} {
 		if !strings.Contains(out, want) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"compstor/internal/apps/appset"
 	"compstor/internal/core"
 	"compstor/internal/flash"
 	"compstor/internal/pcie"
@@ -60,12 +59,7 @@ func Fig1(o Options) Fig1Result {
 	if fileBytes < 1<<20 {
 		fileBytes = 1 << 20
 	}
-	sys := core.NewSystem(core.SystemConfig{
-		CompStors: devices,
-		Registry:  appset.Base(),
-		Geometry:  o.Geometry,
-		Obs:       o.Obs.Scope("scan"),
-	})
+	sys := o.system(o.Obs.Scope("scan"), core.SystemConfig{CompStors: devices})
 	payload := make([]byte, fileBytes)
 	for i := range payload {
 		payload[i] = byte(i * 131)

@@ -23,14 +23,17 @@ func (s Fig6Series) Speedup() float64 {
 	return s.MBps[len(s.MBps)-1] / s.MBps[0]
 }
 
+// Fig6Result is the scaling experiment's outcome, one series per application.
+type Fig6Result []Fig6Series
+
 // Fig6 reproduces the linear-scaling experiment: the corpus is sharded
 // across N CompStors and each application's aggregate throughput is
 // measured as N grows.
-func Fig6(o Options, apps []string) []Fig6Series {
+func Fig6(o Options, apps []string) Fig6Result {
 	if len(apps) == 0 {
 		apps = []string{"gzip", "bzip2", "grep", "gawk"}
 	}
-	var out []Fig6Series
+	var out Fig6Result
 	for _, name := range apps {
 		w, err := WorkloadByName(name)
 		if err != nil {
@@ -39,17 +42,17 @@ func Fig6(o Options, apps []string) []Fig6Series {
 		s := Fig6Series{App: name, Devices: o.DeviceCounts}
 		for _, n := range o.DeviceCounts {
 			o.logf("fig6: %s on %d device(s)...", name, n)
-			r := o.poolRun(n, w)
-			s.MBps = append(s.MBps, mbps(r.inBytes, r.elapsed))
-			s.Failures += r.failures
+			r := RunPool(o, n, w)
+			s.MBps = append(s.MBps, r.MBps())
+			s.Failures += r.Failures
 		}
 		out = append(out, s)
 	}
 	return out
 }
 
-// RenderFig6 writes the scaling report.
-func RenderFig6(w io.Writer, series []Fig6Series) {
+// Render writes the scaling report.
+func (series Fig6Result) Render(w io.Writer) {
 	if len(series) == 0 {
 		return
 	}

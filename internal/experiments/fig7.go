@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"compstor/internal/apps/appset"
 	"compstor/internal/cluster"
 	"compstor/internal/core"
 	"compstor/internal/cpu"
@@ -22,13 +21,16 @@ type Fig7Point struct {
 	TotalMBps float64
 }
 
+// Fig7Result is the aggregated-performance curve, one point per device count.
+type Fig7Result []Fig7Point
+
 // Fig7 runs the aggregated-performance experiment for each device count.
-func Fig7(o Options) []Fig7Point {
+func Fig7(o Options) Fig7Result {
 	w, err := WorkloadByName("bzip2")
 	if err != nil {
 		panic(err)
 	}
-	var out []Fig7Point
+	var out Fig7Result
 	for _, n := range o.DeviceCounts {
 		o.logf("fig7: host + %d device(s)...", n)
 		out = append(out, o.fig7Point(n, w))
@@ -38,17 +40,8 @@ func Fig7(o Options) []Fig7Point {
 
 func (o Options) fig7Point(devices int, w Workload) Fig7Point {
 	files := w.Dataset(o.corpus())
-	scope := o.Obs.Scope(fmt.Sprintf("n%d", devices))
-	sys := core.NewSystem(core.SystemConfig{
-		CompStors:       devices,
-		ConventionalSSD: true,
-		WithHost:        true,
-		Registry:        appset.Base(),
-		Geometry:        o.Geometry,
-		Obs:             scope,
-	})
-	pool := cluster.NewPool(sys.Eng, sys.Devices)
-	pool.SetObs(scope)
+	sys, pool := o.newCluster(o.Obs.Scope(fmt.Sprintf("n%d", devices)),
+		core.SystemConfig{CompStors: devices, ConventionalSSD: true, WithHost: true})
 
 	// Split the corpus proportionally to the calibrated aggregate
 	// throughputs, as the paper "distributed the whole set of the input
@@ -131,8 +124,8 @@ func (o Options) fig7Point(devices int, w Workload) Fig7Point {
 	return pt
 }
 
-// RenderFig7 writes the aggregated-performance report.
-func RenderFig7(w io.Writer, pts []Fig7Point) {
+// Render writes the aggregated-performance report.
+func (pts Fig7Result) Render(w io.Writer) {
 	t := trace.NewTable("Fig 7 — aggregated bzip2 throughput, Xeon host + N CompStors",
 		"devices", "host MB/s", "devices MB/s", "total MB/s")
 	for _, pt := range pts {

@@ -18,25 +18,26 @@ type Fig8Row struct {
 	PaperXeon      float64
 }
 
+// Fig8Result is the energy comparison, one row per application.
+type Fig8Result []Fig8Row
+
 // Fig8 reproduces the energy-consumption experiment: every application runs
 // over the corpus (a) in-situ on one CompStor and (b) on the Xeon host with
 // a conventional SSD; energy is integrated over the compute window and
 // normalised per gigabyte of input, exactly as the paper reports.
-func Fig8(o Options) []Fig8Row {
-	var out []Fig8Row
+func Fig8(o Options) Fig8Result {
+	var out Fig8Result
 	for _, w := range Workloads() {
 		o.logf("fig8: %s in-situ...", w.Name)
-		dev := o.poolRun(1, w)
-		devJ := dev.deviceJ
+		dev := RunPool(o, 1, w)
 
 		o.logf("fig8: %s on host...", w.Name)
-		host := o.hostRun(w)
-		hostJ := host.hostJ
+		host := RunHost(o, w)
 
 		row := Fig8Row{
 			App:            w.Name,
-			CompStorJPerGB: devJ / (float64(dev.inBytes) / 1e9),
-			XeonJPerGB:     hostJ / (float64(host.inBytes) / 1e9),
+			CompStorJPerGB: dev.JPerGB(),
+			XeonJPerGB:     host.JPerGB(),
 		}
 		if row.CompStorJPerGB > 0 {
 			row.Ratio = row.XeonJPerGB / row.CompStorJPerGB
@@ -50,8 +51,8 @@ func Fig8(o Options) []Fig8Row {
 	return out
 }
 
-// RenderFig8 writes the energy report with paper-vs-measured columns.
-func RenderFig8(w io.Writer, rows []Fig8Row) {
+// Render writes the energy report with paper-vs-measured columns.
+func (rows Fig8Result) Render(w io.Writer) {
 	t := trace.NewTable("Fig 8 — energy per gigabyte of input (J/GB)",
 		"app", "CompStor", "paper", "Xeon", "paper", "ratio", "paper-ratio")
 	for _, r := range rows {

@@ -33,7 +33,7 @@ func TestBenchSnapshotSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.poolRun(2, w)
+	RunPool(o, 2, w)
 
 	var buf bytes.Buffer
 	if err := root.Snapshot("fig6").WriteJSON(&buf); err != nil {

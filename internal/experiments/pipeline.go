@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"compstor/internal/apps/appset"
 	"compstor/internal/core"
-	"compstor/internal/sim"
 	"compstor/internal/ssd"
 	"compstor/internal/textgen"
 	"compstor/internal/trace"
@@ -27,21 +25,17 @@ type PipelinePoint struct {
 	Cache        ssd.ReadCacheStats // from the pipelined run
 }
 
+// PipelineResult is the read-pipeline comparison, one point per workload.
+type PipelineResult []PipelinePoint
+
 // Pipeline measures the read pipeline on scan-class workloads. Each point
 // stages one large file on a fresh single-device system and times a cold
 // in-situ scan through the agent path, stock vs pipelined. grep is the
 // paper-motivated headline (HeydariGorji et al. report in-storage scans
 // roughly doubling when I/O is pipelined with compute); wc, gawk and cat
 // bracket it with higher and lower arithmetic intensity.
-func Pipeline(o Options) []PipelinePoint {
-	fileBytes := int64(o.Books) * int64(o.MeanBookBytes)
-	if fileBytes < 4<<20 {
-		fileBytes = 4 << 20
-	}
-	if fileBytes > 64<<20 {
-		fileBytes = 64 << 20
-	}
-	data := textgen.Corpus(textgen.Config{Seed: o.Seed, Books: 1, MeanBookBytes: int(fileBytes)})[0].Data
+func Pipeline(o Options) PipelineResult {
+	data := textgen.Corpus(textgen.Config{Seed: o.Seed, Books: 1, MeanBookBytes: o.scanFileBytes()})[0].Data
 
 	cmds := []struct {
 		name string
@@ -52,11 +46,13 @@ func Pipeline(o Options) []PipelinePoint {
 		{"wc", core.Command{Exec: "wc", Args: []string{"scan.txt"}}},
 		{"cat", core.Command{Exec: "cat", Args: []string{"scan.txt"}}},
 	}
-	var out []PipelinePoint
+	var out PipelineResult
 	for _, c := range cmds {
 		o.logf("pipeline: %s...", c.name)
-		stockOut, stockEl, _ := o.pipelineRun(c.name, c.cmd, data, false)
-		pipeOut, pipeEl, st := o.pipelineRun(c.name, c.cmd, data, true)
+		stockOut, stockEl, _ := o.scanRun("stock."+c.name, core.SystemConfig{}, c.cmd, data)
+		pipeOut, pipeEl, drive := o.scanRun("pipelined."+c.name,
+			core.SystemConfig{ReadPipeline: ssd.PipelineConfig{Enabled: true}}, c.cmd, data)
+		st, _ := drive.ReadCacheStats()
 		pt := PipelinePoint{
 			Workload:     c.name,
 			FileBytes:    int64(len(data)),
@@ -73,46 +69,8 @@ func Pipeline(o Options) []PipelinePoint {
 	return out
 }
 
-// pipelineRun stages data as one file on a fresh system and times a cold
-// in-situ scan of it.
-func (o Options) pipelineRun(name string, cmd core.Command, data []byte, pipeline bool) (string, sim.Duration, ssd.ReadCacheStats) {
-	label := "stock"
-	if pipeline {
-		label = "pipelined"
-	}
-	sys := core.NewSystem(core.SystemConfig{
-		CompStors:    1,
-		Registry:     appset.Base(),
-		Geometry:     o.Geometry,
-		Obs:          o.Obs.Scope(fmt.Sprintf("%s.%s", label, name)),
-		ReadPipeline: ssd.PipelineConfig{Enabled: pipeline},
-	})
-	var elapsed sim.Duration
-	var stdout string
-	sys.Go("driver", func(p *sim.Proc) {
-		cl := sys.Device(0).Client
-		if err := cl.FS().WriteFile(p, "scan.txt", data); err != nil {
-			panic(fmt.Sprintf("pipeline staging: %v", err))
-		}
-		if err := cl.FS().Flush(p); err != nil {
-			panic(fmt.Sprintf("pipeline staging flush: %v", err))
-		}
-		start := p.Now()
-		resp, err := cl.Run(p, cmd)
-		elapsed = p.Now().Sub(start)
-		if err != nil || resp.Status != core.StatusOK {
-			panic(fmt.Sprintf("pipeline %s/%s: err=%v resp=%+v", label, name, err, resp))
-		}
-		stdout = string(resp.Stdout)
-	})
-	sys.Run()
-	sys.Close()
-	st, _ := sys.Device(0).Drive.ReadCacheStats()
-	return stdout, elapsed, st
-}
-
-// RenderPipeline writes the read-pipeline report.
-func RenderPipeline(w io.Writer, pts []PipelinePoint) {
+// Render writes the read-pipeline report.
+func (pts PipelineResult) Render(w io.Writer) {
 	t := trace.NewTable("Read pipeline — cold in-situ scans, stock vs cached+prefetched",
 		"workload", "file MB", "stock MB/s", "pipelined MB/s", "speedup", "outputs match",
 		"hits", "misses", "prefetched")

@@ -112,11 +112,20 @@ func (o Options) recoveryGeometry() flash.Geometry {
 	return geo
 }
 
-// RenderRecovery writes both remount reports.
-func RenderRecovery(w io.Writer, intervals, scaling []RecoveryPoint) {
+// RecoveryResult is the crash-recovery evaluation: the checkpoint-interval
+// sweep and the media-size sweep.
+type RecoveryResult struct{ Intervals, Scaling []RecoveryPoint }
+
+// Recovery runs both remount sweeps.
+func Recovery(o Options) RecoveryResult {
+	return RecoveryResult{Intervals: RecoveryIntervals(o), Scaling: RecoveryScanScaling(o)}
+}
+
+// Render writes both remount reports.
+func (r RecoveryResult) Render(w io.Writer) {
 	t := trace.NewTable("Crash recovery — remount latency vs checkpoint interval",
 		"ckpt every", "media MB", "writes", "ckpt found", "replayed", "scanned pages", "remount")
-	for _, pt := range intervals {
+	for _, pt := range r.Intervals {
 		every := fmt.Sprint(pt.CheckpointEvery)
 		if pt.CheckpointEvery < 0 {
 			every = "never"
@@ -131,7 +140,7 @@ func RenderRecovery(w io.Writer, intervals, scaling []RecoveryPoint) {
 
 	t = trace.NewTable("Crash recovery — OOB scan cost vs media size (ckpt every 1024)",
 		"media MB", "writes", "scanned pages", "recovered", "remount")
-	for _, pt := range scaling {
+	for _, pt := range r.Scaling {
 		t.AddRow(pt.MediaMB, pt.Writes, pt.ScannedPages, pt.RecoveredPages, pt.RemountTime)
 	}
 	t.Render(w)

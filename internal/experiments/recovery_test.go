@@ -68,7 +68,7 @@ func TestRecoveryScanScalesWithMedia(t *testing.T) {
 func TestRenderRecovery(t *testing.T) {
 	o := tinyRecoveryOptions()
 	var sb strings.Builder
-	RenderRecovery(&sb, RecoveryIntervals(o), RecoveryScanScaling(o))
+	Recovery(o).Render(&sb)
 	out := sb.String()
 	for _, want := range []string{"checkpoint interval", "scan cost", "never"} {
 		if !strings.Contains(out, want) {

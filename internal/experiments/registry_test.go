@@ -61,7 +61,7 @@ func TestRegistry(t *testing.T) {
 				t.Error("snapshots differ across identical runs")
 			}
 			switch rep1.(type) {
-			case table1, table2, table4:
+			case Table1, Table2, Table4:
 				// Rendered from model constants; nothing is simulated.
 			default:
 				if len(snap1.Histograms) == 0 {

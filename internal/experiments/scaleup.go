@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"io"
 
-	"compstor/internal/apps/appset"
 	"compstor/internal/core"
 	"compstor/internal/isps"
-	"compstor/internal/sim"
 	"compstor/internal/ssd"
 	"compstor/internal/textgen"
 	"compstor/internal/trace"
@@ -28,6 +26,9 @@ type ScaleupPoint struct {
 	ParScan      isps.ParScanStats
 }
 
+// ScaleupResult is the parallel-scan matrix: kernel x read path x cores.
+type ScaleupResult []ScaleupPoint
+
 // Scaleup measures intra-device parallel scan: one minion's file split
 // across the ISPS cores, each chunk worker issuing its own demand fetches
 // (different flash channels) and driving its own read-ahead streak. The
@@ -35,15 +36,8 @@ type ScaleupPoint struct {
 // 16-channel flash array, so fanning a single file out over the quad cores
 // should approach linear speedup — the stock read path and the streaming
 // read pipeline are both measured, at 1, 2 and 4 chunks.
-func Scaleup(o Options) []ScaleupPoint {
-	fileBytes := int64(o.Books) * int64(o.MeanBookBytes)
-	if fileBytes < 4<<20 {
-		fileBytes = 4 << 20
-	}
-	if fileBytes > 64<<20 {
-		fileBytes = 64 << 20
-	}
-	data := textgen.Corpus(textgen.Config{Seed: o.Seed, Books: 1, MeanBookBytes: int(fileBytes)})[0].Data
+func Scaleup(o Options) ScaleupResult {
+	data := textgen.Corpus(textgen.Config{Seed: o.Seed, Books: 1, MeanBookBytes: o.scanFileBytes()})[0].Data
 
 	cmds := []struct {
 		name string
@@ -55,14 +49,22 @@ func Scaleup(o Options) []ScaleupPoint {
 		{"gawk", core.Command{Exec: "gawk", Args: []string{"{print $1}", "scan.txt"}}},
 		{"cat", core.Command{Exec: "cat", Args: []string{"scan.txt"}}},
 	}
-	var out []ScaleupPoint
+	var out ScaleupResult
 	for _, c := range cmds {
 		var serialOut string // stock serial stdout: the byte-identity reference
 		for _, pipelined := range []bool{false, true} {
+			path := "stock"
+			if pipelined {
+				path = "pipelined"
+			}
 			var base float64
 			for _, cores := range []int{1, 2, 4} {
 				o.logf("scaleup: %s pipelined=%v cores=%d...", c.name, pipelined, cores)
-				stdout, elapsed, st := o.scaleupRun(c.name, c.cmd, data, pipelined, cores)
+				cfg := core.SystemConfig{ReadPipeline: ssd.PipelineConfig{Enabled: pipelined}}
+				if cores > 1 { // 1 = ParScan off
+					cfg.ParScan = isps.ParScanConfig{Enabled: true, Chunks: cores}
+				}
+				stdout, elapsed, drive := o.scanRun(fmt.Sprintf("%s.%s.c%d", path, c.name, cores), cfg, c.cmd, data)
 				if !pipelined && cores == 1 {
 					serialOut = stdout
 				}
@@ -73,7 +75,7 @@ func Scaleup(o Options) []ScaleupPoint {
 					FileBytes:    int64(len(data)),
 					MBps:         mbps(int64(len(data)), elapsed),
 					OutputsMatch: stdout == serialOut,
-					ParScan:      st,
+					ParScan:      drive.ISPS().ParScanStats(),
 				}
 				if cores == 1 {
 					base = pt.MBps
@@ -88,49 +90,8 @@ func Scaleup(o Options) []ScaleupPoint {
 	return out
 }
 
-// scaleupRun stages data as one file on a fresh single-device system and
-// times a cold in-situ scan split into `cores` chunks (1 = ParScan off).
-func (o Options) scaleupRun(name string, cmd core.Command, data []byte, pipelined bool, cores int) (string, sim.Duration, isps.ParScanStats) {
-	path := "stock"
-	if pipelined {
-		path = "pipelined"
-	}
-	cfg := core.SystemConfig{
-		CompStors:    1,
-		Registry:     appset.Base(),
-		Geometry:     o.Geometry,
-		Obs:          o.Obs.Scope(fmt.Sprintf("%s.%s.c%d", path, name, cores)),
-		ReadPipeline: ssd.PipelineConfig{Enabled: pipelined},
-	}
-	if cores > 1 {
-		cfg.ParScan = isps.ParScanConfig{Enabled: true, Chunks: cores}
-	}
-	sys := core.NewSystem(cfg)
-	var elapsed sim.Duration
-	var stdout string
-	sys.Go("driver", func(p *sim.Proc) {
-		cl := sys.Device(0).Client
-		if err := cl.FS().WriteFile(p, "scan.txt", data); err != nil {
-			panic(fmt.Sprintf("scaleup staging: %v", err))
-		}
-		if err := cl.FS().Flush(p); err != nil {
-			panic(fmt.Sprintf("scaleup staging flush: %v", err))
-		}
-		start := p.Now()
-		resp, err := cl.Run(p, cmd)
-		elapsed = p.Now().Sub(start)
-		if err != nil || resp.Status != core.StatusOK {
-			panic(fmt.Sprintf("scaleup %s/%s/c%d: err=%v resp=%+v", path, name, cores, err, resp))
-		}
-		stdout = string(resp.Stdout)
-	})
-	sys.Run()
-	sys.Close()
-	return stdout, elapsed, sys.Device(0).Drive.ISPS().ParScanStats()
-}
-
-// RenderScaleup writes the intra-device parallel scan report.
-func RenderScaleup(w io.Writer, pts []ScaleupPoint) {
+// Render writes the intra-device parallel scan report.
+func (pts ScaleupResult) Render(w io.Writer) {
 	t := trace.NewTable("Intra-device parallel scan — one file split across the ISPS cores",
 		"workload", "path", "cores", "file MB", "MB/s", "speedup", "outputs match", "chunks")
 	for _, pt := range pts {

@@ -5,11 +5,9 @@ import (
 	"io"
 	"time"
 
-	"compstor/internal/apps/appset"
 	"compstor/internal/chaos"
 	"compstor/internal/cluster"
 	"compstor/internal/core"
-	"compstor/internal/obs"
 	"compstor/internal/serve"
 	"compstor/internal/sim"
 	"compstor/internal/textgen"
@@ -156,64 +154,6 @@ func servingTenants(lambda float64, slo time.Duration, cost int64) []serve.Tenan
 	}
 }
 
-// servingSystem builds a fresh cluster for one point.
-func (o Options) servingSystem(scope *obs.Obs) (*core.System, *cluster.Pool) {
-	sys := core.NewSystem(core.SystemConfig{
-		CompStors: servingDevices,
-		Registry:  appset.Base(),
-		Geometry:  o.Geometry,
-		Obs:       scope,
-	})
-	pool := cluster.NewPool(sys.Eng, sys.Devices)
-	pool.SetObs(scope)
-	return sys, pool
-}
-
-// servingCalibrate measures the cluster's closed-loop capacity on the
-// tenant mix: every dispatch slot kept busy, requests drawn in mix
-// proportion. Returns sustained requests/s and the p99 latency at
-// saturation — the baseline the SLO is derived from.
-func (o Options) servingCalibrate(data []byte) (rps float64, p99 time.Duration) {
-	scope := o.Obs.Scope("calibrate")
-	sys, pool := o.servingSystem(scope)
-	var hist obs.Histogram
-	snapHist := scope.Histogram("latency") // mirrored into BENCH_serving.json
-	var elapsed sim.Duration
-	sys.Go("driver", func(p *sim.Proc) {
-		if err := pool.StageReplicated(p, []cluster.File{{Name: "serve.txt", Data: data}}); err != nil {
-			panic(fmt.Sprintf("serving calibration stage: %v", err))
-		}
-		start := p.Now()
-		next := 0
-		workers := pool.PerDeviceTasks * pool.Size()
-		var wg sim.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			sys.Eng.Go(fmt.Sprintf("cal%d", w), func(sp *sim.Proc) {
-				defer wg.Done()
-				var lb cluster.LeastOutstanding
-				for next < servingCalibrationReq {
-					idx := next
-					next++
-					t0 := sp.Now()
-					r := pool.Dispatch(sp, lb, servingMixCmd(idx))
-					if r.Err != nil {
-						panic(fmt.Sprintf("serving calibration req %d: %v", idx, r.Err))
-					}
-					lat := sp.Now().Sub(t0)
-					hist.Observe(lat)
-					snapHist.Observe(lat)
-				}
-			})
-		}
-		wg.Wait(p)
-		elapsed = p.Now().Sub(start)
-	})
-	sys.Run()
-	sys.Close()
-	return float64(servingCalibrationReq) / elapsed.Seconds(), hist.Quantile(0.99)
-}
-
 // servingRun measures one open-loop point. A non-nil plan installs chaos;
 // rejoinAt > 0 additionally remounts and revives device 0 at that virtual
 // time (the power-cut composition).
@@ -221,7 +161,7 @@ func (o Options) servingRun(name string, load, lambda float64, horizon time.Dura
 	slo time.Duration, data []byte, plan *chaos.Plan, chaosName string, rejoinAt time.Duration) ServingPoint {
 	o.logf("serving: %s (%.0f req/s offered, horizon %v)...", name, lambda, horizon)
 	scope := o.Obs.Scope(name)
-	sys, pool := o.servingSystem(scope)
+	sys, pool := o.newCluster(scope, core.SystemConfig{CompStors: servingDevices})
 	if plan != nil {
 		chaos.Install(sys, plan)
 	}
@@ -290,7 +230,7 @@ func (o Options) servingRun(name string, load, lambda float64, horizon time.Dura
 func Serving(o Options) ServingResult {
 	data := o.servingData()
 	o.logf("serving: calibrating capacity on %d devices...", servingDevices)
-	capacity, calP99 := o.servingCalibrate(data)
+	capacity, calP99 := o.calibrate(servingDevices, data, servingCalibrationReq, servingMixCmd)
 	slo := servingSLOFactor * calP99
 	res := ServingResult{
 		Devices:     servingDevices,
@@ -326,9 +266,9 @@ func Serving(o Options) ServingResult {
 	return res
 }
 
-// RenderServing writes the serving report: the knee curve and the chaos
+// Render writes the serving report: the knee curve and the chaos
 // compositions.
-func RenderServing(w io.Writer, r ServingResult) {
+func (r ServingResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "Open-loop serving: %d devices, %d-byte file, capacity %.0f req/s (closed-loop), calibration p99 %v, interactive SLO %v\n\n",
 		r.Devices, r.FileBytes, r.CapacityRPS, r.CalibP99, r.SLO)
 	t := trace.NewTable("Tail latency vs offered load — per-tenant SLO attainment",

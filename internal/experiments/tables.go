@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"compstor/internal/apps/appset"
 	"compstor/internal/core"
 	"compstor/internal/cpu"
 	"compstor/internal/flash"
@@ -13,10 +12,18 @@ import (
 	"compstor/internal/trace"
 )
 
-// Table1 renders the related-work comparison (paper Table I), with the
+// Table1, Table2 and Table4 are rendered from model constants; nothing is
+// simulated, so the result carries no data.
+type (
+	Table1 struct{}
+	Table2 struct{}
+	Table4 struct{}
+)
+
+// Render writes the related-work comparison (paper Table I), with the
 // right-hand column noting which design points this repository actually
 // implements as runnable configurations.
-func Table1(w io.Writer) {
+func (Table1) Render(w io.Writer) {
 	t := trace.NewTable("Table I — in-storage computation frameworks",
 		"work", "prototype / engine", "dyn. task load", "library", "OS-level flexibility", "in this repo")
 	t.AddRow("Jun (BlueDBM)", "FPGA SSD / FPGA accelerator", "no", "yes", "no", "-")
@@ -30,9 +37,9 @@ func Table1(w io.Writer) {
 	t.Render(w)
 }
 
-// Table2 renders the ISPS characteristics (paper Table II) from the live
+// Render writes the ISPS characteristics (paper Table II) from the live
 // platform model.
-func Table2(w io.Writer) {
+func (Table2) Render(w io.Writer) {
 	p := cpu.ISPS()
 	t := trace.NewTable("Table II — ISPS characteristics", "property", "value")
 	t.AddRow("processor", fmt.Sprintf("64-bit %d-core ARM Cortex A53 @ %.1fGHz", p.Cores, p.ClockGHz))
@@ -69,12 +76,7 @@ func Table3(o Options, w io.Writer) []Table3Step {
 }
 
 func table3(o Options) table3Result {
-	sys := core.NewSystem(core.SystemConfig{
-		CompStors: 1,
-		Registry:  appset.Base(),
-		Geometry:  o.Geometry,
-		Obs:       o.Obs.Scope("table3"),
-	})
+	sys := o.system(o.Obs.Scope("table3"), core.SystemConfig{CompStors: 1})
 	unit := sys.Device(0)
 	var m *core.Minion
 	var ftlReadsBefore, ftlReadsAfter int64
@@ -121,9 +123,9 @@ func (r table3Result) Render(w io.Writer) {
 		r.Elapsed, r.RoundTrip, r.Stdout)
 }
 
-// Table4 renders the server specification (paper Table IV) from the live
+// Render writes the server specification (paper Table IV) from the live
 // configuration.
-func Table4(w io.Writer) {
+func (Table4) Render(w io.Writer) {
 	x := cpu.Xeon()
 	t := trace.NewTable("Table IV — server specification", "component", "value")
 	t.AddRow("CPU type", x.Name)

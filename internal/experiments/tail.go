@@ -6,11 +6,9 @@ import (
 	"io"
 	"time"
 
-	"compstor/internal/apps/appset"
 	"compstor/internal/chaos"
 	"compstor/internal/cluster"
 	"compstor/internal/core"
-	"compstor/internal/obs"
 	"compstor/internal/serve"
 	"compstor/internal/sim"
 	"compstor/internal/trace"
@@ -106,62 +104,6 @@ type TailResult struct {
 
 func tailGrepCmd() core.Command { return servingGrepCmd() }
 
-// tailSystem builds a fresh n-device cluster for one run.
-func (o Options) tailSystem(scope *obs.Obs, n int) (*core.System, *cluster.Pool) {
-	sys := core.NewSystem(core.SystemConfig{
-		CompStors: n,
-		Registry:  appset.Base(),
-		Geometry:  o.Geometry,
-		Obs:       scope,
-	})
-	pool := cluster.NewPool(sys.Eng, sys.Devices)
-	pool.SetObs(scope)
-	return sys, pool
-}
-
-// tailCalibrate measures closed-loop grep capacity on the healthy cluster:
-// every dispatch slot kept busy. Returns sustained requests/s and the p99
-// at saturation.
-func (o Options) tailCalibrate(data []byte) (rps float64, p99 time.Duration) {
-	scope := o.Obs.Scope("calibrate")
-	sys, pool := o.tailSystem(scope, tailDevices)
-	var hist obs.Histogram
-	snapHist := scope.Histogram("latency")
-	var elapsed sim.Duration
-	sys.Go("driver", func(p *sim.Proc) {
-		if err := pool.StageReplicated(p, []cluster.File{{Name: "serve.txt", Data: data}}); err != nil {
-			panic(fmt.Sprintf("tail calibration stage: %v", err))
-		}
-		start := p.Now()
-		next := 0
-		workers := pool.PerDeviceTasks * pool.Size()
-		var wg sim.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			sys.Eng.Go(fmt.Sprintf("cal%d", w), func(sp *sim.Proc) {
-				defer wg.Done()
-				var lb cluster.LeastOutstanding
-				for next < tailCalibrationReq {
-					next++
-					t0 := sp.Now()
-					r := pool.Dispatch(sp, lb, tailGrepCmd())
-					if r.Err != nil {
-						panic(fmt.Sprintf("tail calibration: %v", r.Err))
-					}
-					lat := sp.Now().Sub(t0)
-					hist.Observe(lat)
-					snapHist.Observe(lat)
-				}
-			})
-		}
-		wg.Wait(p)
-		elapsed = p.Now().Sub(start)
-	})
-	sys.Run()
-	sys.Close()
-	return float64(tailCalibrationReq) / elapsed.Seconds(), hist.Quantile(0.99)
-}
-
 // tailRun measures one open-loop run against the fail-slow plan. tolerant
 // selects the full tail-tolerance stack; the baseline pool keeps the plain
 // retry semantics. Arrivals are identical in both modes (the serve layer's
@@ -171,7 +113,7 @@ func (o Options) tailRun(name string, tolerant bool, lambda float64,
 	horizon, slo, deadline time.Duration, data []byte, plan *chaos.Plan) TailPoint {
 	o.logf("tail: %s (%.0f req/s offered, horizon %v)...", name, lambda, horizon)
 	scope := o.Obs.Scope(name)
-	sys, pool := o.tailSystem(scope, tailDevices)
+	sys, pool := o.newCluster(scope, core.SystemConfig{CompStors: tailDevices})
 	if tolerant {
 		pool.Hedge = cluster.DefaultHedgePolicy()
 		pool.Health = cluster.DefaultHealthPolicy()
@@ -239,8 +181,7 @@ func (o Options) tailRun(name string, tolerant bool, lambda float64,
 // attempts with the retry budget on or off.
 func (o Options) tailStorm(name string, budgeted bool, data []byte) TailStormPoint {
 	o.logf("tail: storm %s...", name)
-	scope := o.Obs.Scope(name)
-	sys, pool := o.tailSystem(scope, tailStormDevices)
+	sys, pool := o.newCluster(o.Obs.Scope(name), core.SystemConfig{CompStors: tailStormDevices})
 	pool.Retry.MaxAttempts = tailStormAttempts
 	pool.Retry.DeadAfter = 0 // misbehaving, not dying: strikes never kill
 	pool.Retry.Jitter = true
@@ -260,31 +201,20 @@ func (o Options) tailStorm(name string, budgeted bool, data []byte) TailStormPoi
 		if err := pool.StageReplicated(p, []cluster.File{{Name: "serve.txt", Data: data}}); err != nil {
 			panic(fmt.Sprintf("tail storm stage: %v", err))
 		}
-		next := 0
-		workers := pool.PerDeviceTasks * pool.Size()
-		var rr cluster.RoundRobin
-		var wg sim.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			sys.Eng.Go(fmt.Sprintf("storm%d", w), func(sp *sim.Proc) {
-				defer wg.Done()
-				for next < tailStormRequests {
-					next++
-					r := pool.Dispatch(sp, &rr, tailGrepCmd())
-					pt.Attempts += r.Attempts
-					switch {
-					case r.Err == nil:
-						pt.Successes++
-					case errors.Is(r.Err, cluster.ErrRetryBudgetExhausted):
-						pt.Failures++
-						pt.BudgetDenied++
-					default:
-						pt.Failures++
-					}
+		closedLoop(p, sys, pool, "storm", tailStormRequests, &cluster.RoundRobin{},
+			func(int) core.Command { return tailGrepCmd() },
+			func(_ int, r cluster.TaskResult, _ sim.Duration) {
+				pt.Attempts += r.Attempts
+				switch {
+				case r.Err == nil:
+					pt.Successes++
+				case errors.Is(r.Err, cluster.ErrRetryBudgetExhausted):
+					pt.Failures++
+					pt.BudgetDenied++
+				default:
+					pt.Failures++
 				}
 			})
-		}
-		wg.Wait(p)
 	})
 	sys.Run()
 	sys.Close()
@@ -298,7 +228,7 @@ func (o Options) tailStorm(name string, budgeted bool, data []byte) TailStormPoi
 func Tail(o Options) TailResult {
 	data := o.servingData()
 	o.logf("tail: calibrating capacity on %d devices...", tailDevices)
-	capacity, calP99 := o.tailCalibrate(data)
+	capacity, calP99 := o.calibrate(tailDevices, data, tailCalibrationReq, func(int) core.Command { return tailGrepCmd() })
 	lambda := tailLoad * capacity
 	horizon := time.Duration(float64(tailTargetArrivals) / lambda * 1e9)
 	slo := tailSLOFactor * calP99
@@ -332,8 +262,8 @@ func Tail(o Options) TailResult {
 	return res
 }
 
-// RenderTail writes the tail-tolerance report.
-func RenderTail(w io.Writer, r TailResult) {
+// Render writes the tail-tolerance report.
+func (r TailResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "Tail tolerance: %d devices, %d-byte file, capacity %.0f req/s (closed-loop), calibration p99 %v\n",
 		r.Devices, r.FileBytes, r.CapacityRPS, r.CalibP99)
 	fmt.Fprintf(w, "Scenario: device 0 fail-slow (%dx controller overhead) for the middle half of the run; offered load %.0f%% of capacity\n\n",

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"compstor/internal/apps/appset"
 	"compstor/internal/cluster"
 	"compstor/internal/core"
 	"compstor/internal/isps"
@@ -91,51 +90,54 @@ func WorkloadByName(name string) (Workload, error) {
 	return Workload{}, fmt.Errorf("experiments: unknown workload %q", name)
 }
 
-// poolRun stages the dataset across n CompStors and runs the workload over
-// every file, returning the map-phase wall time and the input bytes
-// processed. The returned system allows energy/traffic inspection.
-type poolRunResult struct {
-	sys      *core.System
-	elapsed  sim.Duration
-	startAt  sim.Time
-	endAt    sim.Time
-	inBytes  int64
-	failures int
-	// Device energy (all ISPS components) integrated over the map window,
-	// snapshotted inside the simulation.
-	deviceJ float64
+// RunReport summarises one workload run, on a CompStor pool (RunPool) or on
+// the Xeon host baseline (RunHost).
+type RunReport struct {
+	// Elapsed is the compute window: staging is excluded.
+	Elapsed sim.Duration
+	// PlainBytes is the plain corpus size. Throughput and energy are
+	// normalised per byte of *plain* corpus (the paper's "per gigabyte
+	// data"), regardless of whether the staged files are the compressed
+	// variants.
+	PlainBytes int64
+	// Joules is the energy integrated over the window, snapshotted inside
+	// the simulation: every ISPS component for a pool run, the host CPU for
+	// a host run.
+	Joules   float64
+	Failures int
 }
 
-func (o Options) poolRun(n int, w Workload) poolRunResult {
+// MBps is the run's throughput in MB/s of plain corpus.
+func (r RunReport) MBps() float64 { return mbps(r.PlainBytes, r.Elapsed) }
+
+// JPerGB is the run's energy per gigabyte of plain corpus.
+func (r RunReport) JPerGB() float64 {
+	if r.PlainBytes <= 0 {
+		return 0
+	}
+	return r.Joules / (float64(r.PlainBytes) / 1e9)
+}
+
+// RunPool stages the workload's dataset across n CompStors, runs it over
+// every file, and reports the map phase.
+func RunPool(o Options, n int, w Workload) RunReport {
 	plain := o.corpus()
 	files := w.Dataset(plain)
-	scope := o.Obs.Scope(fmt.Sprintf("%s.n%d", w.Name, n))
-	sys := core.NewSystem(core.SystemConfig{
-		CompStors: n,
-		Registry:  appset.Base(),
-		Geometry:  o.Geometry,
-		Obs:       scope,
-	})
-	pool := cluster.NewPool(sys.Eng, sys.Devices)
-	pool.SetObs(scope)
-	// Throughput and energy are normalised per byte of *plain* corpus (the
-	// paper's "per gigabyte data"), regardless of whether the staged files
-	// are the compressed variants.
-	res := poolRunResult{sys: sys, inBytes: totalBytes(plain)}
+	sys, pool := o.newCluster(o.Obs.Scope(fmt.Sprintf("%s.n%d", w.Name, n)), core.SystemConfig{CompStors: n})
+	res := RunReport{PlainBytes: totalBytes(plain)}
 	sys.Go("driver", func(p *sim.Proc) {
 		staged, err := pool.Stage(p, cluster.Shard(files, n))
 		if err != nil {
 			panic(fmt.Sprintf("experiments: staging: %v", err))
 		}
-		res.startAt = p.Now()
+		start := p.Now()
 		startJ := deviceEnergy(sys, n, p.Now())
 		results := pool.MapFiles(p, staged, w.Command)
-		res.endAt = p.Now()
-		res.deviceJ = deviceEnergy(sys, n, p.Now()) - startJ
-		res.elapsed = res.endAt.Sub(res.startAt)
+		res.Joules = deviceEnergy(sys, n, p.Now()) - startJ
+		res.Elapsed = p.Now().Sub(start)
 		for _, r := range results {
 			if r.Err != nil || r.Resp == nil || r.Resp.Status != core.StatusOK {
-				res.failures++
+				res.Failures++
 			}
 		}
 	})
@@ -144,30 +146,13 @@ func (o Options) poolRun(n int, w Workload) poolRunResult {
 	return res
 }
 
-// hostRun stages the dataset on a conventional SSD and runs the workload on
+// RunHost stages the dataset on a conventional SSD and runs the workload on
 // the Xeon host with all cores busy.
-type hostRunResult struct {
-	sys      *core.System
-	elapsed  sim.Duration
-	startAt  sim.Time
-	endAt    sim.Time
-	inBytes  int64
-	failures int
-	// Host CPU energy integrated over the compute window.
-	hostJ float64
-}
-
-func (o Options) hostRun(w Workload) hostRunResult {
+func RunHost(o Options, w Workload) RunReport {
 	plain := o.corpus()
 	files := w.Dataset(plain)
-	sys := core.NewSystem(core.SystemConfig{
-		ConventionalSSD: true,
-		WithHost:        true,
-		Registry:        appset.Base(),
-		Geometry:        o.Geometry,
-		Obs:             o.Obs.Scope(w.Name + ".host"),
-	})
-	res := hostRunResult{sys: sys, inBytes: totalBytes(plain)}
+	sys := o.system(o.Obs.Scope(w.Name+".host"), core.SystemConfig{ConventionalSSD: true, WithHost: true})
+	res := RunReport{PlainBytes: totalBytes(plain)}
 	view := sys.Conventional.HostView()
 	sys.Go("driver", func(p *sim.Proc) {
 		for _, f := range files {
@@ -176,7 +161,7 @@ func (o Options) hostRun(w Workload) hostRunResult {
 			}
 		}
 		view.Flush(p)
-		res.startAt = p.Now()
+		start := p.Now()
 		startJ := sys.Host.Energy().Energy(p.Now())
 		workers := sys.Host.Sub.Platform().Cores
 		var wg sim.WaitGroup
@@ -188,15 +173,14 @@ func (o Options) hostRun(w Workload) hostRunResult {
 				for i := wk; i < len(files); i += workers {
 					r := sys.Host.Run(sp, w.Spec(files[i].Name))
 					if r.Err != nil {
-						res.failures++
+						res.Failures++
 					}
 				}
 			})
 		}
 		wg.Wait(p)
-		res.endAt = p.Now()
-		res.hostJ = sys.Host.Energy().Energy(p.Now()) - startJ
-		res.elapsed = res.endAt.Sub(res.startAt)
+		res.Joules = sys.Host.Energy().Energy(p.Now()) - startJ
+		res.Elapsed = p.Now().Sub(start)
 	})
 	sys.Run()
 	sys.Close()

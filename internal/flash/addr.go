@@ -36,13 +36,3 @@ func (g Geometry) AddrOfPage(idx int64) Addr {
 	a.Page = int(idx % int64(g.PagesPerBlock))
 	return a
 }
-
-// ChannelOfBlock returns the channel a flat block index lives on.
-func (g Geometry) ChannelOfBlock(idx int64) int {
-	return int(idx / (int64(g.DiesPerChan) * int64(g.PlanesPerDie) * int64(g.BlocksPerPlan)))
-}
-
-// BlocksPerChannel returns the number of blocks on each channel.
-func (g Geometry) BlocksPerChannel() int64 {
-	return int64(g.DiesPerChan) * int64(g.PlanesPerDie) * int64(g.BlocksPerPlan)
-}

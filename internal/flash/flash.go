@@ -471,6 +471,8 @@ func (d *Device) cutDuring(start sim.Time) bool {
 // and is the caller's again afterwards.
 
 // ReadPage reads one page's payload into a fresh buffer; see ReadPageInto.
+// It and ProgramPage have no caller in this module outside tests: they
+// stay for the frozen bench/ module (bench/layers.go).
 func (d *Device) ReadPage(p *sim.Proc, a Addr) ([]byte, error) {
 	data, _, err := d.ReadPageOOB(p, a)
 	return data, err

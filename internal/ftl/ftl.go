@@ -232,11 +232,6 @@ func (f *FTL) unitOf(blk int64) int {
 	return int(blk / f.perUnitBlocks())
 }
 
-// isReserved reports whether blk belongs to a checkpoint region.
-func (f *FTL) isReserved(blk int64) bool {
-	return blk%f.perUnitBlocks() < int64(f.reservedPerUnit)
-}
-
 // Device returns the underlying flash device.
 func (f *FTL) Device() *flash.Device { return f.dev }
 

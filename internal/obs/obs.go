@@ -78,11 +78,6 @@ func (o *Obs) EnableTrace() {
 	o.shared.tracer.enabled = true
 }
 
-// TraceEnabled reports whether span recording is on.
-func (o *Obs) TraceEnabled() bool {
-	return o != nil && o.shared.tracer.enabled
-}
-
 // Scope derives a child handle whose metric names gain the prefix
 // "name." and whose spans render under a fresh Chrome trace process named
 // after the full prefix. Registry, tracer, and timelines stay shared, so a

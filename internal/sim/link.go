@@ -36,9 +36,6 @@ func NewLink(eng *Engine, name string, bytesPerSec float64, latency Duration) *L
 // Name returns the link's diagnostic name.
 func (l *Link) Name() string { return l.name }
 
-// Bandwidth returns the link bandwidth in bytes per second.
-func (l *Link) Bandwidth() float64 { return l.bps }
-
 // SetOnActive installs a hook invoked with each transfer's occupancy time,
 // used for energy accounting.
 func (l *Link) SetOnActive(fn func(d Duration)) { l.onActive = fn }
