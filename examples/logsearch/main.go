@@ -90,7 +90,10 @@ func main() {
 		for l := range hist {
 			lengths = append(lengths, l)
 		}
-		sort.Slice(lengths, func(i, j int) bool { return hist[lengths[i]] > hist[lengths[j]] })
+		// Map order is random: sort by length first, so that equal counts
+		// print shortest first on every run.
+		sort.Ints(lengths)
+		sort.SliceStable(lengths, func(i, j int) bool { return hist[lengths[i]] > hist[lengths[j]] })
 		fmt.Printf("gawk histogram over %d devices finished in %v; commonest word lengths:", devices, p.Now().Sub(start))
 		for _, l := range lengths[:3] {
 			fmt.Printf(" %d letters x%d", l, hist[l])

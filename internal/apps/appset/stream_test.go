@@ -241,3 +241,48 @@ func TestPooledBlocksAcrossGoroutines(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestPooledArraysAcrossGoroutines is the same question about gawk's array
+// tables: four goroutines running different programs over different sizes
+// each print what they print alone, and a table that held ten thousand keys
+// comes back from the pool holding none. Run it under -race.
+func TestPooledArraysAcrossGoroutines(t *testing.T) {
+	progs := []string{
+		`{ for (i = 1; i <= NF; i++) f[$i]++ } END { for (w in f) print w, f[w] }`,
+		`{ len[length($0)]++; delete len[NR - 5] } END { for (l in len) print l, len[l] }`,
+		`{ n = split($0, p); for (i in p) seen[p[i]] = NR; delete p } END { print length(seen); for (w in seen) if (seen[w] == NR) print w }`,
+		`function add(arr, k) { arr[k] += NF } BEGIN { delete a; delete b } { add(a, NR % 7); add(b, $1) } END { for (k in a) print k, a[k]; print length(b) }`,
+	}
+	gawk, _ := Base().Lookup("gawk")
+	run := func(prog string, data []byte) string {
+		var out bytes.Buffer
+		ctx := &apps.Context{Stdin: bytes.NewReader(data), Stdout: &out, Stderr: io.Discard}
+		if err := gawk.Run(ctx, []string{prog}); err != nil {
+			t.Error(err)
+		}
+		return out.String()
+	}
+	var wg sync.WaitGroup
+	for g, prog := range progs {
+		data := patternText(20000 + 30000*g)
+		alone := run(prog, data)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				if got := run(prog, data); got != alone {
+					t.Errorf("%q printed %d bytes beside other goroutines, %d alone", prog, len(got), len(alone))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := run(`BEGIN { for (i = 0; i < 10000; i++) big[i] = i; print length(big) }`, nil); got != "10000\n" {
+		t.Fatalf("filling an array printed %q", got)
+	}
+	for i := 0; i < 4; i++ {
+		if got := run(`BEGIN { n = 0; for (k in a) n++; print n, length(a), length(b), (5 in a), a[5] "." }`, nil); got != "0 0 0 0 .\n" {
+			t.Fatalf("arrays after a 10,000-key run: %q", got)
+		}
+	}
+}

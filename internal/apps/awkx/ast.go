@@ -75,16 +75,12 @@ type ifStmt struct {
 	then, elze stmt
 }
 
-type whileStmt struct {
-	cond expr
-	body stmt
-	post bool // do-while
-}
-
-type forStmt struct {
+// loopStmt is while (cond only), do-while (cond, doWhile) or for.
+type loopStmt struct {
 	init, post stmt
-	cond       expr
+	cond       expr // nil = true
 	body       stmt
+	doWhile    bool // cond is tested after the body
 }
 
 type forInStmt struct {
@@ -107,8 +103,7 @@ func (*exprStmt) isStmt()     {}
 func (*printStmt) isStmt()    {}
 func (*printfStmt) isStmt()   {}
 func (*ifStmt) isStmt()       {}
-func (*whileStmt) isStmt()    {}
-func (*forStmt) isStmt()      {}
+func (*loopStmt) isStmt()     {}
 func (*forInStmt) isStmt()    {}
 func (*breakStmt) isStmt()    {}
 func (*continueStmt) isStmt() {}

@@ -2,6 +2,8 @@ package awkx
 
 import (
 	"bytes"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -469,5 +471,68 @@ func runAwkFS(t *testing.T, files map[string]string, prog, want string) {
 	}
 	if out.String() != want {
 		t.Fatalf("got %q, want %q", out.String(), want)
+	}
+}
+
+// for-in visits the keys live at loop entry, once each, in the order they
+// were first inserted, so what a program prints from a loop is a property
+// of the program. (It ranged over a Go map once: 20 orders in 20 runs.)
+func TestForInOrderIsInsertionOrder(t *testing.T) {
+	const count = `{ for (i = 1; i <= NF; i++) f[$i]++ } END { for (w in f) printf "%s ", w; print "" }`
+	for i := 0; i < 50; i++ {
+		expectAwk(t, count, "the quick brown fox jumps over the lazy dog and the cat\n",
+			"the quick brown fox jumps over lazy dog and cat \n")
+	}
+	for _, c := range []struct{ name, prog, want string }{
+		{"a deleted key that returns goes last",
+			`BEGIN { a["x"] = 1; a["y"] = 2; a["z"] = 3; delete a["x"]; a["x"] = 4; for (k in a) printf "%s%d ", k, a[k] }`,
+			"y2 z3 x4 "},
+		{"a key the body deletes is still visited, one it inserts is not",
+			`BEGIN { split("x y z", a); for (k in a) { printf "%s ", k; delete a[3]; a[k + 10] = k }; print length(a); for (k in a) printf "%s ", k }`,
+			"1 2 3 5\n1 2 11 12 13 "},
+		{"a key gone before the loop began is not",
+			`BEGIN { split("x y z", a); delete a[2]; for (k in a) { for (j in a) printf "%s%s ", k, j; delete a[3] } }`,
+			"11 13 31 "},
+		{"split fills in index order",
+			`BEGIN { split("c a b", p); for (i in p) printf "%s%s ", i, p[i] }`,
+			"1c 2a 3b "},
+		{"an array parameter iterates like its caller's",
+			`function keys(arr,  k, s) { for (k in arr) s = s k; return s } BEGIN { a["b"] = 1; a["c"] = 2; a["a"] = 3; print keys(a); for (k in a) printf "%s", k }`,
+			"bca\nbca"},
+	} {
+		if got, _ := runAwk(t, c.prog, ""); got != c.want {
+			t.Errorf("%s: got %q, want %q", c.name, got, c.want)
+		}
+	}
+}
+
+// A run's arrays come from a pool and go back to it, so a warm run of the
+// served-file program allocates its records and keys, not a hash map grown
+// from empty (545,934 B in 192 objects when it did).
+func TestWordFreqWarmRunAllocs(t *testing.T) {
+	data := book(28 << 10)
+	leastBytes, leastObjects := uint64(1<<62), uint64(1<<62)
+	for i := 0; i < 10; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ctx := &apps.Context{Stdin: bytes.NewReader(data), Stdout: io.Discard, Stderr: io.Discard}
+		if err := (Gawk{}).Run(ctx, []string{wordFreqProg}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		leastBytes = min(leastBytes, after.TotalAlloc-before.TotalAlloc)
+		leastObjects = min(leastObjects, after.Mallocs-before.Mallocs)
+	}
+	if leastBytes > 64<<10 || leastObjects > 200 {
+		t.Errorf("a warm word-frequency run over 28 KiB allocates %d bytes in %d objects, want at most %d in 200", leastBytes, leastObjects, 64<<10)
+	}
+}
+
+// The generator is built by the first rand() or srand(), not per run, and a
+// program that never calls srand() still draws seed 0's sequence.
+func TestRandWithoutSrandIsSeedZero(t *testing.T) {
+	expectAwk(t, `BEGIN { a = rand(); b = rand(); srand(0); print (a == rand()), (b == rand()), srand(3), srand() }`, "", "1 1 0 3\n")
+	if prog, err := parse(`BEGIN { x = 1 }`); err != nil || newInterp(prog, io.Discard).rng != nil {
+		t.Fatalf("a new interpreter already has a generator (parse error %v)", err)
 	}
 }

@@ -24,7 +24,7 @@ func (in *interp) evalBuiltin(ex *builtinCall) (value, error) {
 			return num(float64(len(in.record))), nil
 		}
 		if vr, ok := ex.args[0].(*varRef); ok && in.isArray(vr.varSlot) {
-			return num(float64(len(in.array(vr.varSlot)))), nil
+			return num(float64(in.array(vr.varSlot).length())), nil
 		}
 		v, err := in.eval(ex.args[0])
 		if err != nil {
@@ -96,10 +96,10 @@ func (in *interp) evalBuiltin(ex *builtinCall) (value, error) {
 			}
 		}
 		arr := in.array(vr.varSlot)
-		clear(arr)
+		arr.clear()
 		parts := in.splitFields(nil, sv.Str(), fs)
 		for i, p := range parts {
-			arr[numToStr(float64(i+1))] = inputStr(p)
+			arr.insert(numToStr(float64(i+1)), inputStr(p))
 		}
 		return num(float64(len(parts))), nil
 
@@ -216,6 +216,9 @@ func (in *interp) evalBuiltin(ex *builtinCall) (value, error) {
 		return num(math.Atan2(vals[0].Num(), vals[1].Num())), nil
 
 	case "rand":
+		if in.rng == nil {
+			in.rng = rand.New(rand.NewSource(in.rngSeed))
+		}
 		return num(in.rng.Float64()), nil
 
 	case "srand":

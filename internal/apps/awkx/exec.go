@@ -43,10 +43,8 @@ func (in *interp) exec(s stmt) error {
 			return in.exec(st.elze)
 		}
 		return nil
-	case *whileStmt:
-		return in.execWhile(st)
-	case *forStmt:
-		return in.execFor(st)
+	case *loopStmt:
+		return in.execLoop(st)
 	case *forInStmt:
 		return in.execForIn(st)
 	case *breakStmt:
@@ -56,35 +54,27 @@ func (in *interp) exec(s stmt) error {
 	case *nextStmt:
 		return errNext
 	case *exitStmt:
-		code := 0
-		if st.code != nil {
-			v, err := in.eval(st.code)
-			if err != nil {
-				return err
-			}
-			code = int(v.Num())
+		v, err := in.eval(st.code)
+		if err != nil {
+			return err
 		}
-		return exitSignal{code: code}
+		return exitSignal{code: int(v.Num())}
 	case *returnStmt:
-		var v value
-		if st.val != nil {
-			var err error
-			v, err = in.eval(st.val)
-			if err != nil {
-				return err
-			}
+		v, err := in.eval(st.val)
+		if err != nil {
+			return err
 		}
 		return returnSignal{val: v}
 	case *deleteStmt:
 		if st.index == nil {
-			clear(in.array(st.arr))
+			in.array(st.arr).clear()
 			return nil
 		}
 		key, err := in.subscript(st.index)
 		if err != nil {
 			return err
 		}
-		delete(in.array(st.arr), key)
+		in.array(st.arr).delete(key)
 		return nil
 	}
 	return runtimeErr("unknown statement %T", s)
@@ -103,43 +93,19 @@ func loopErr(err error) (done bool, rerr error) {
 	}
 }
 
-func (in *interp) execWhile(st *whileStmt) error {
-	const maxIter = 100_000_000 // runaway-loop guard
-	for i := 0; i < maxIter; i++ {
-		if !st.post {
-			cond, err := in.eval(st.cond)
-			if err != nil {
-				return err
-			}
-			if !cond.Bool() {
-				return nil
-			}
-		}
-		if done, err := loopErr(in.exec(st.body)); done || err != nil {
-			return err
-		}
-		if st.post {
-			cond, err := in.eval(st.cond)
-			if err != nil {
-				return err
-			}
-			if !cond.Bool() {
-				return nil
-			}
-		}
-	}
-	return runtimeErr("loop iteration limit exceeded")
-}
-
-func (in *interp) execFor(st *forStmt) error {
+// execLoop runs while, do-while and for: an optional init, a condition
+// (none means true) tested before each pass — for do-while, before each
+// pass but the first, which is the same as after each — and an optional
+// post statement.
+func (in *interp) execLoop(st *loopStmt) error {
 	if st.init != nil {
 		if err := in.exec(st.init); err != nil {
 			return err
 		}
 	}
-	const maxIter = 100_000_000
+	const maxIter = 100_000_000 // runaway-loop guard
 	for i := 0; i < maxIter; i++ {
-		if st.cond != nil {
+		if st.cond != nil && !(st.doWhile && i == 0) {
 			cond, err := in.eval(st.cond)
 			if err != nil {
 				return err
@@ -160,19 +126,26 @@ func (in *interp) execFor(st *forStmt) error {
 	return runtimeErr("loop iteration limit exceeded")
 }
 
+// execForIn visits the keys live at loop entry, once each, in the order
+// they were first inserted. Cells only move when the array is compacted,
+// which a loop in progress holds off, so the loop needs no copy of the
+// keys: it walks the positions that existed at entry, and the cells' epochs
+// tell a key its own body deleted (still visited) from one already gone.
 func (in *interp) execForIn(st *forInStmt) error {
 	arr := in.array(st.arr)
-	keys := make([]string, 0, len(arr))
-	for k := range arr {
-		keys = append(keys, k)
-	}
-	for _, k := range keys {
-		in.setVar(st.v, inputStr(k))
-		if done, err := loopErr(in.exec(st.body)); done || err != nil {
-			return err
+	arr.epoch++
+	arr.loops++
+	epoch, n := arr.epoch, len(arr.cells)
+	var err error
+	for i, done := 0, false; i < n && !done; i++ {
+		if c := &arr.cells[i]; c.diedAt == 0 || c.diedAt > epoch {
+			in.setVar(st.v, inputStr(c.key))
+			done, err = loopErr(in.exec(st.body)) // done on break and on error
 		}
 	}
-	return nil
+	arr.loops--
+	arr.compact()
+	return err
 }
 
 // printDest resolves the output writer for print/printf redirection.
@@ -254,6 +227,8 @@ func (in *interp) evalAll(es []expr) ([]value, error) {
 
 func (in *interp) eval(e expr) (value, error) {
 	switch ex := e.(type) {
+	case nil: // an optional operand left out: `exit`, `return`
+		return uninitialized, nil
 	case *numLit:
 		return num(ex.v), nil
 	case *strLit:
@@ -261,10 +236,7 @@ func (in *interp) eval(e expr) (value, error) {
 	case *regexLit:
 		// A bare /re/ matches against $0, yielding 0/1.
 		in.ensureRecord()
-		if ex.re.re.MatchLine([]byte(in.record)) {
-			return num(1), nil
-		}
-		return num(0), nil
+		return boolNum(ex.re.re.MatchLine([]byte(in.record))), nil
 	case *groupExpr:
 		return in.eval(ex.e)
 	case *varRef:
@@ -276,11 +248,11 @@ func (in *interp) eval(e expr) (value, error) {
 		}
 		return in.getField(int(idx.Num())), nil
 	case *indexRef:
-		key, err := in.subscript(ex.index)
+		lv, err := in.lvalueOf(ex)
 		if err != nil {
 			return uninitialized, err
 		}
-		return in.array(ex.arr)[key], nil
+		return in.load(lv), nil
 	case *assign:
 		return in.evalAssign(ex)
 	case *incDec:
@@ -294,10 +266,7 @@ func (in *interp) eval(e expr) (value, error) {
 		}
 		switch ex.op {
 		case "!":
-			if v.Bool() {
-				return num(0), nil
-			}
-			return num(1), nil
+			return boolNum(!v.Bool()), nil
 		case "-":
 			return num(-v.Num()), nil
 		default:
@@ -319,10 +288,7 @@ func (in *interp) eval(e expr) (value, error) {
 		if err != nil {
 			return uninitialized, err
 		}
-		if _, ok := in.array(ex.arr)[key]; ok {
-			return num(1), nil
-		}
-		return num(0), nil
+		return boolNum(in.array(ex.arr).find(key) >= 0), nil
 	case *call:
 		return in.evalCall(ex)
 	case *builtinCall:
@@ -335,12 +301,16 @@ func (in *interp) eval(e expr) (value, error) {
 
 // lvalue is an assignment target with its subscripts or field index already
 // evaluated. Resolving a target once and then reading and writing through
-// the result is what makes `a[i++]++` advance i once.
+// the result is what makes `a[i++]++` advance i once. An element that does
+// not exist yet has pos -1 and is inserted by store, not by load: reading
+// a[k] creates nothing. Nothing may run between lvalueOf and store that
+// could delete from arr, or pos would go stale.
 type lvalue struct {
 	kind lvalueKind
-	slot varSlot          // lvVar; for lvField, idx is the field number
-	arr  map[string]value // lvElem
+	slot varSlot // lvVar; for lvField, idx is the field number
+	arr  *array  // lvElem
 	key  string
+	pos  int32 // of key's cell in arr, or -1
 }
 
 type lvalueKind uint8
@@ -363,7 +333,8 @@ func (in *interp) lvalueOf(target expr) (lvalue, error) {
 		if err != nil {
 			return lvalue{}, err
 		}
-		return lvalue{kind: lvElem, arr: in.array(t.arr), key: key}, nil
+		arr := in.array(t.arr)
+		return lvalue{kind: lvElem, arr: arr, key: key, pos: arr.find(key)}, nil
 	}
 	return lvalue{}, runtimeErr("assignment to non-lvalue %T", target)
 }
@@ -375,7 +346,10 @@ func (in *interp) load(lv lvalue) value {
 	case lvField:
 		return in.getField(lv.slot.idx)
 	}
-	return lv.arr[lv.key]
+	if lv.pos < 0 {
+		return uninitialized
+	}
+	return lv.arr.cells[lv.pos].val
 }
 
 func (in *interp) store(lv lvalue, v value) {
@@ -385,7 +359,11 @@ func (in *interp) store(lv lvalue, v value) {
 	case lvField:
 		in.setField(lv.slot.idx, v)
 	default:
-		lv.arr[lv.key] = v
+		if lv.pos < 0 {
+			lv.arr.insert(lv.key, v)
+		} else {
+			lv.arr.cells[lv.pos].val = v
+		}
 	}
 }
 
@@ -441,49 +419,21 @@ func arith(op string, a, b float64) float64 {
 }
 
 func (in *interp) evalBinary(ex *binary) (value, error) {
-	switch ex.op {
-	case "&&":
-		l, err := in.eval(ex.l)
-		if err != nil {
-			return uninitialized, err
-		}
-		if !l.Bool() {
-			return num(0), nil
-		}
-		r, err := in.eval(ex.r)
-		if err != nil {
-			return uninitialized, err
-		}
-		if r.Bool() {
-			return num(1), nil
-		}
-		return num(0), nil
-	case "||":
-		l, err := in.eval(ex.l)
-		if err != nil {
-			return uninitialized, err
-		}
-		if l.Bool() {
-			return num(1), nil
-		}
-		r, err := in.eval(ex.r)
-		if err != nil {
-			return uninitialized, err
-		}
-		if r.Bool() {
-			return num(1), nil
-		}
-		return num(0), nil
-	}
 	l, err := in.eval(ex.l)
 	if err != nil {
 		return uninitialized, err
+	}
+	// Short circuit: a false left side decides &&, a true one decides ||.
+	if ex.op == "&&" && !l.Bool() || ex.op == "||" && l.Bool() {
+		return boolNum(ex.op == "||"), nil
 	}
 	r, err := in.eval(ex.r)
 	if err != nil {
 		return uninitialized, err
 	}
 	switch ex.op {
+	case "&&", "||":
+		return boolNum(r.Bool()), nil
 	case "concat":
 		return str(l.Str() + r.Str()), nil
 	case "+", "-", "*", "/", "%", "^":
@@ -505,10 +455,7 @@ func (in *interp) evalBinary(ex *binary) (value, error) {
 		case "!=":
 			ok = c != 0
 		}
-		if ok {
-			return num(1), nil
-		}
-		return num(0), nil
+		return boolNum(ok), nil
 	}
 	return uninitialized, runtimeErr("unknown operator %q", ex.op)
 }
@@ -531,11 +478,7 @@ func (in *interp) evalMatch(ex *matchExpr) (value, error) {
 			return uninitialized, err
 		}
 	}
-	m := re.re.MatchLine([]byte(l.Str()))
-	if m != ex.neg {
-		return num(1), nil
-	}
-	return num(0), nil
+	return boolNum(re.re.MatchLine([]byte(l.Str())) != ex.neg), nil
 }
 
 func (in *interp) evalCall(ex *call) (value, error) {
@@ -551,7 +494,7 @@ func (in *interp) evalCall(ex *call) (value, error) {
 	for i, arg := range ex.args {
 		if vr, ok := arg.(*varRef); ok && in.isArray(vr.varSlot) {
 			if fr.arrays == nil {
-				fr.arrays = make([]map[string]value, len(fd.params))
+				fr.arrays = make([]*array, len(fd.params))
 			}
 			fr.arrays[i] = in.array(vr.varSlot)
 			continue
@@ -568,14 +511,11 @@ func (in *interp) evalCall(ex *call) (value, error) {
 	in.frames = append(in.frames, fr)
 	err := in.execBlock(fd.body)
 	in.frames = in.frames[:len(in.frames)-1]
-	if err != nil {
-		var rs returnSignal
-		if errors.As(err, &rs) {
-			return rs.val, nil
-		}
-		return uninitialized, err
+	var rs returnSignal
+	if errors.As(err, &rs) {
+		return rs.val, nil
 	}
-	return uninitialized, nil
+	return uninitialized, err
 }
 
 // evalGetline implements `getline [lvalue] < file`: 1 on a line read, 0 at

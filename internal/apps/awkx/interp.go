@@ -32,14 +32,14 @@ func (exitSignal) Error() string { return "awk: exit" }
 // array.
 type frame struct {
 	scalars []value
-	arrays  []map[string]value // nil until an array is passed or made
+	arrays  []*array // nil until an array is passed or made
 }
 
 // interp executes a parsed program.
 type interp struct {
 	prog    *program
-	globals []value            // by slot
-	arrays  []map[string]value // by slot; nil until first used
+	globals []value  // by slot
+	arrays  []*array // by slot; nil until first used
 	frames  []frame
 
 	record      string
@@ -55,7 +55,7 @@ type interp struct {
 	openRead func(name string) (io.ReadCloser, error) // getline < "file"
 	readers  map[string]*getlineReader
 
-	rng     *rand.Rand
+	rng     *rand.Rand // nil until the first rand() or srand()
 	rngSeed int64
 
 	reCache map[string]*compiledRegex
@@ -65,11 +65,10 @@ func newInterp(prog *program, out io.Writer) *interp {
 	in := &interp{
 		prog:    prog,
 		globals: make([]value, len(prog.globals)),
-		arrays:  make([]map[string]value, len(prog.globals)),
+		arrays:  make([]*array, len(prog.globals)),
 		out:     out,
 		files:   make(map[string]io.WriteCloser),
 		readers: make(map[string]*getlineReader),
-		rng:     rand.New(rand.NewSource(0)),
 		reCache: make(map[string]*compiledRegex),
 	}
 	in.globals[slotFS] = str(" ")
@@ -103,13 +102,21 @@ type getlineReader struct {
 	blk *apps.Block
 }
 
-func (in *interp) closeFiles() {
+// release closes the run's files and returns its pooled blocks and global
+// arrays. A function's local arrays come from the pool too but are left to
+// the collector, as the maps they replace were.
+func (in *interp) release() {
 	for _, f := range in.files {
 		f.Close()
 	}
 	for _, r := range in.readers {
 		r.c.Close()
 		apps.PutBlock(r.blk)
+	}
+	for _, a := range in.arrays {
+		if a != nil {
+			a.release()
+		}
 	}
 }
 
@@ -158,22 +165,22 @@ func (in *interp) setVar(s varSlot, v value) {
 
 // arrayTable returns the table s indexes: the innermost frame's for a
 // parameter, the global one otherwise.
-func (in *interp) arrayTable(s varSlot, create bool) []map[string]value {
+func (in *interp) arrayTable(s varSlot, create bool) []*array {
 	if !s.local {
 		return in.arrays
 	}
 	f := &in.frames[len(in.frames)-1]
 	if f.arrays == nil && create {
-		f.arrays = make([]map[string]value, len(f.scalars))
+		f.arrays = make([]*array, len(f.scalars))
 	}
 	return f.arrays
 }
 
 // array returns the associative array bound to s, creating it on demand.
-func (in *interp) array(s varSlot) map[string]value {
+func (in *interp) array(s varSlot) *array {
 	tab := in.arrayTable(s, true)
 	if tab[s.idx] == nil {
-		tab[s.idx] = make(map[string]value)
+		tab[s.idx] = arrayPool.Get().(*array)
 	}
 	return tab[s.idx]
 }
@@ -338,98 +345,76 @@ func runtimeErr(format string, args ...any) error {
 // Run executes BEGIN rules, the main loop over input records, and END
 // rules, returning the exit code.
 func (in *interp) Run(inputs []namedReader) (int, error) {
-	defer in.closeFiles()
-	exitCode := 0
-	exited := false
-
-	handle := func(err error) (stop bool, rerr error) {
-		if err == nil {
-			return false, nil
-		}
-		var ex exitSignal
-		if errors.As(err, &ex) {
-			exitCode = ex.code
-			exited = true
-			return true, nil
-		}
-		if errors.Is(err, errNext) {
-			return false, nil
-		}
-		return true, err
+	defer in.release()
+	exitCode, err := in.runRules(inputs)
+	if err != nil {
+		return 1, err
 	}
-
-	for _, blk := range in.prog.begins {
-		if stop, err := handle(in.execBlock(blk)); stop || err != nil {
-			if err != nil {
-				return 1, err
-			}
-			goto ends
-		}
-	}
-
-	// Main loop (only when there are main rules or END blocks).
-	if len(in.prog.rules) > 0 || len(in.prog.ends) > 0 {
-		buf := apps.GetBlock()
-		defer apps.PutBlock(buf)
-		for _, input := range inputs {
-			in.globals[slotFILENAME] = str(input.name)
-			sc := apps.NewLineScanner(input.r, buf)
-			for sc.Scan() {
-				in.nr++
-				in.setRecord(sc.Text())
-				stop := false
-				var err error
-				for _, r := range in.prog.rules {
-					matched, merr := in.matchPattern(r.pattern)
-					if merr != nil {
-						return 1, merr
-					}
-					if !matched {
-						continue
-					}
-					aerr := in.execBlock(r.action)
-					if errors.Is(aerr, errNext) {
-						break // skip remaining rules for this record
-					}
-					if s, e := handle(aerr); s || e != nil {
-						stop, err = s, e
-						break
-					}
-					if exited {
-						stop = true
-						break
-					}
-				}
-				if err != nil {
-					return 1, err
-				}
-				if stop || exited {
-					goto ends
-				}
-			}
-			if err := sc.Err(); err != nil {
-				return 1, runtimeErr("reading %s: %v", input.name, err)
-			}
-		}
-	}
-
-ends:
 	// POSIX: exit in BEGIN or a main rule still runs END rules; exit inside
 	// END terminates immediately.
-	_ = exited
 	for _, blk := range in.prog.ends {
 		if err := in.execBlock(blk); err != nil {
-			var ex exitSignal
-			if errors.As(err, &ex) {
-				return ex.code, nil
-			}
 			if errors.Is(err, errNext) {
 				return 1, runtimeErr("next inside END")
 			}
-			return 1, err
+			return exitOrErr(err)
 		}
 	}
 	return exitCode, nil
+}
+
+// exitOrErr turns what stopped a block into Run's result: the code of an
+// `exit`, or 1 and the error.
+func exitOrErr(err error) (int, error) {
+	var ex exitSignal
+	if errors.As(err, &ex) {
+		return ex.code, nil
+	}
+	return 1, err
+}
+
+// runRules runs the BEGIN rules and the main loop, to the end of input or
+// the first `exit`, whose code it returns.
+func (in *interp) runRules(inputs []namedReader) (int, error) {
+	for _, blk := range in.prog.begins {
+		if err := in.execBlock(blk); err != nil && !errors.Is(err, errNext) {
+			return exitOrErr(err)
+		}
+	}
+	// The input is read only when there are main rules or END blocks.
+	if len(in.prog.rules) == 0 && len(in.prog.ends) == 0 {
+		return 0, nil
+	}
+	buf := apps.GetBlock()
+	defer apps.PutBlock(buf)
+	for _, input := range inputs {
+		in.globals[slotFILENAME] = str(input.name)
+		sc := apps.NewLineScanner(input.r, buf)
+		for sc.Scan() {
+			in.nr++
+			in.setRecord(sc.Text())
+			for _, r := range in.prog.rules {
+				matched, err := in.matchPattern(r.pattern)
+				if err != nil {
+					return 1, err
+				}
+				if !matched {
+					continue
+				}
+				err = in.execBlock(r.action)
+				if errors.Is(err, errNext) {
+					break // skip remaining rules for this record
+				}
+				if err != nil {
+					return exitOrErr(err)
+				}
+			}
+		}
+		if err := sc.Err(); err != nil {
+			return 1, runtimeErr("reading %s: %v", input.name, err)
+		}
+	}
+	return 0, nil
 }
 
 // namedReader pairs an input stream with its FILENAME.

@@ -364,8 +364,8 @@ func (p *parser) parsePrint(formatted bool) (stmt, error) {
 	return &printStmt{args: args, dest: dest}, nil
 }
 
-func (p *parser) parseIf() (stmt, error) {
-	p.pos++ // if
+// parseCond parses the parenthesised condition of if, while and do-while.
+func (p *parser) parseCond() (expr, error) {
 	if err := p.expectOp("("); err != nil {
 		return nil, err
 	}
@@ -373,7 +373,13 @@ func (p *parser) parseIf() (stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expectOp(")"); err != nil {
+	return cond, p.expectOp(")")
+}
+
+func (p *parser) parseIf() (stmt, error) {
+	p.pos++ // if
+	cond, err := p.parseCond()
+	if err != nil {
 		return nil, err
 	}
 	then, err := p.parseSimpleOrBlock()
@@ -399,21 +405,15 @@ func (p *parser) parseIf() (stmt, error) {
 
 func (p *parser) parseWhile() (stmt, error) {
 	p.pos++ // while
-	if err := p.expectOp("("); err != nil {
-		return nil, err
-	}
-	cond, err := p.parseExpr()
+	cond, err := p.parseCond()
 	if err != nil {
-		return nil, err
-	}
-	if err := p.expectOp(")"); err != nil {
 		return nil, err
 	}
 	body, err := p.parseSimpleOrBlock()
 	if err != nil {
 		return nil, err
 	}
-	return &whileStmt{cond: cond, body: body}, nil
+	return &loopStmt{cond: cond, body: body}, nil
 }
 
 func (p *parser) parseDo() (stmt, error) {
@@ -427,17 +427,11 @@ func (p *parser) parseDo() (stmt, error) {
 		return nil, p.errf("expected while after do body")
 	}
 	p.pos++
-	if err := p.expectOp("("); err != nil {
-		return nil, err
-	}
-	cond, err := p.parseExpr()
+	cond, err := p.parseCond()
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expectOp(")"); err != nil {
-		return nil, err
-	}
-	return &whileStmt{cond: cond, body: body, post: true}, nil
+	return &loopStmt{cond: cond, body: body, doWhile: true}, nil
 }
 
 func (p *parser) parseFor() (stmt, error) {
@@ -462,7 +456,7 @@ func (p *parser) parseFor() (stmt, error) {
 		}
 		return &forInStmt{v: p.bind(varName), arr: p.bind(arr.text), body: body}, nil
 	}
-	st := &forStmt{}
+	st := &loopStmt{}
 	if !p.isOp(";") {
 		init, err := p.parseStmt()
 		if err != nil {

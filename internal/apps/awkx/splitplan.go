@@ -77,9 +77,7 @@ func splitStmt(s stmt) bool {
 		return splitExprs(s.args)
 	case *ifStmt:
 		return splitExpr(s.cond) && splitStmt(s.then) && splitStmt(s.elze)
-	case *whileStmt:
-		return splitExpr(s.cond) && splitStmt(s.body)
-	case *forStmt:
+	case *loopStmt:
 		return splitStmt(s.init) && splitExpr(s.cond) && splitStmt(s.post) && splitStmt(s.body)
 	case *breakStmt, *continueStmt, *nextStmt:
 		return true

@@ -25,6 +25,14 @@ func inputStr(s string) value { return value{s: s, input: true} }
 
 var uninitialized = value{}
 
+// boolNum is the result of a comparison or logical operator: 1 or 0.
+func boolNum(b bool) value {
+	if b {
+		return num(1)
+	}
+	return num(0)
+}
+
 func isBlank(c byte) bool {
 	return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\v' || c == '\f'
 }

@@ -123,3 +123,52 @@ func TestFTLSeesChurnFromInSituWork(t *testing.T) {
 		t.Fatal("no writes recorded")
 	}
 }
+
+// TestForInOutputFileIsDeterministic: a tenant program that writes a file
+// in for-in order is covered by same-seed-same-bytes like everything else —
+// two fresh systems leave the same file at the same virtual time, and the
+// file lists the words in the order the book first uses them.
+func TestForInOutputFileIsDeterministic(t *testing.T) {
+	book := textgen.Book(7, 8<<10)
+	run := func() (string, sim.Time) {
+		sys := newSystem(t, 1, false)
+		unit := sys.Device(0)
+		var out []byte
+		sys.Go("client", func(p *sim.Proc) {
+			if err := unit.Client.FS().WriteFile(p, "b.txt", book); err != nil {
+				t.Error(err)
+				return
+			}
+			resp, err := unit.Client.Run(p, Command{
+				Exec:        "gawk",
+				Args:        []string{`{ for (i = 1; i <= NF; i++) f[$i]++ } END { for (w in f) print w > "out" }`, "b.txt"},
+				InputFiles:  []string{"b.txt"},
+				OutputFiles: []string{"out"},
+			})
+			if err != nil || resp.Status != StatusOK {
+				t.Errorf("in-situ gawk: %v %+v", err, resp)
+				return
+			}
+			if out, err = unit.Client.FS().ReadFile(p, "out"); err != nil {
+				t.Error(err)
+			}
+		})
+		return string(out), sys.Run()
+	}
+	var want strings.Builder
+	seen := map[string]bool{}
+	for _, w := range strings.Fields(string(book)) {
+		if !seen[w] {
+			seen[w] = true
+			want.WriteString(w + "\n")
+		}
+	}
+	outA, endA := run()
+	outB, endB := run()
+	if outA != outB || endA != endB {
+		t.Errorf("two runs at one seed: %d and %d bytes of output (equal: %v), ending at %v and %v", len(outA), len(outB), outA == outB, endA, endB)
+	}
+	if outA != want.String() {
+		t.Errorf("out is not the book's words in first-use order: %d bytes, want %d", len(outA), want.Len())
+	}
+}
