@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"sort"
 
@@ -72,16 +73,6 @@ func (c *Context) chargeBytes(n int) {
 	}
 }
 
-// ChargeExtra charges additional work beyond the auto-charged input bytes.
-// Decompressors use it to top their cost up from input (compressed) bytes
-// to output (plain) bytes, since their calibrated throughput — like the
-// paper's J/GB normalisation — is per byte of plain data.
-func ChargeExtra(ctx *Context, n int64) {
-	if ctx.Charge != nil && n > 0 {
-		ctx.Charge(ctx.Class, n)
-	}
-}
-
 // In returns the program's stdin wrapped for automatic cost charging.
 func (c *Context) In() io.Reader {
 	if c.Stdin == nil {
@@ -100,26 +91,18 @@ var ErrNoFS = errors.New("apps: no filesystem in context")
 // rate (cpu.StreamCPUFraction): the stall share the end-to-end measurement
 // bundled in is then paid as explicit, overlapped flash I/O instead of
 // being double-counted as core time.
-func (c *Context) Open(name string) (io.ReadCloser, error) {
-	if c.FS == nil {
-		return nil, ErrNoFS
-	}
-	f, err := c.FS.Open(c.Proc, name)
-	if err != nil {
-		return nil, err
-	}
-	scale := 1.0
-	if c.FS.Pipelined() {
-		scale = cpu.StreamCPUFraction(c.Class)
-	}
-	return &chargingFile{chargingReader: chargingReader{ctx: c, r: fsReader{f: f, p: c.Proc}, scale: scale}, f: f, p: c.Proc}, nil
-}
+func (c *Context) Open(name string) (io.ReadCloser, error) { return c.open(name, 0, false) }
 
 // OpenAt opens a named file like Open with the cursor positioned at off —
 // the entry point for chunked scans, where each worker starts mid-file.
 // The same pipelined charge split applies, and the seek arms a fresh
-// sequential-read streak so every chunk drives its own prefetch window.
+// sequential-read streak so every chunk drives its own prefetch window
+// (which is why Open, even at offset 0, does not seek).
 func (c *Context) OpenAt(name string, off int64) (io.ReadCloser, error) {
+	return c.open(name, off, true)
+}
+
+func (c *Context) open(name string, off int64, seek bool) (io.ReadCloser, error) {
 	if c.FS == nil {
 		return nil, ErrNoFS
 	}
@@ -127,9 +110,11 @@ func (c *Context) OpenAt(name string, off int64) (io.ReadCloser, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := f.SeekTo(off); err != nil {
-		f.Close(c.Proc)
-		return nil, err
+	if seek {
+		if err := f.SeekTo(off); err != nil {
+			f.Close(c.Proc)
+			return nil, err
+		}
 	}
 	scale := 1.0
 	if c.FS.Pipelined() {
@@ -310,13 +295,7 @@ func (r *Registry) Names() []string {
 
 // Clone returns an independent copy (each device gets its own registry so
 // dynamic loads stay device-local).
-func (r *Registry) Clone() *Registry {
-	c := NewRegistry()
-	for _, p := range r.m {
-		c.Register(p)
-	}
-	return c
-}
+func (r *Registry) Clone() *Registry { return &Registry{m: maps.Clone(r.m)} }
 
 // Func adapts a plain function to a Program.
 type Func struct {

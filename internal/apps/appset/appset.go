@@ -14,14 +14,20 @@ import (
 	"compstor/internal/apps/shx"
 )
 
-// Base returns a registry holding every standard program.
+// Base returns a registry holding every standard program. Its four codecs
+// share one new memo, and Registry.Clone copies programs by value: the
+// devices of a system built from one Base compute each distinct codec result
+// once between them, and two Bases share nothing.
 func Base() *apps.Registry {
 	r := apps.NewRegistry()
+	memo := apps.NewCodecMemo()
+	gzip, gunzip := gzipx.Programs(memo)
+	bzip2, bunzip2 := bzip2x.Programs(memo)
 	for _, p := range []apps.Program{
-		gzipx.Gzip{},
-		gzipx.Gunzip{},
-		bzip2x.Bzip2{},
-		bzip2x.Bunzip2{},
+		gzip,
+		gunzip,
+		bzip2,
+		bunzip2,
 		grepx.Grep{},
 		awkx.Gawk{},
 		shx.Shell{},

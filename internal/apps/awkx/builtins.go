@@ -334,17 +334,8 @@ func (in *interp) sprintf(format string, args []value) (string, error) {
 			spec += string(format[j])
 			j++
 		}
-		for j < len(format) && (format[j] >= '0' && format[j] <= '9') {
-			spec += string(format[j])
-			j++
-		}
-		if j < len(format) && format[j] == '*' {
-			spec += fmt.Sprintf("%d", int(nextArg().Num()))
-			j++
-		}
-		if j < len(format) && format[j] == '.' {
-			spec += "."
-			j++
+		// A width or a precision: digits, or `*` for the next argument.
+		number := func() {
 			for j < len(format) && (format[j] >= '0' && format[j] <= '9') {
 				spec += string(format[j])
 				j++
@@ -353,6 +344,12 @@ func (in *interp) sprintf(format string, args []value) (string, error) {
 				spec += fmt.Sprintf("%d", int(nextArg().Num()))
 				j++
 			}
+		}
+		number()
+		if j < len(format) && format[j] == '.' {
+			spec += "."
+			j++
+			number()
 		}
 		if j >= len(format) {
 			return "", runtimeErr("printf: truncated format %q", format)

@@ -94,11 +94,15 @@ func (c *compressor) seedSort(block []byte) {
 		from[i] = int32(i)
 	}
 	for d := seedBytes - 1; d >= 0; d-- {
-		next := first
+		// The column is sliced once per pass and the cursor kept in a local:
+		// indexing ext[int(s)+d] and bumping next[b] in memory made a loop
+		// body of three cache lines, a third slower at 0 than at 32 mod 64.
+		next, col := first, ext[d:d+n]
 		for _, s := range from {
-			b := ext[int(s)+d]
-			to[next[b]] = s
-			next[b]++
+			b := col[uint32(s)]
+			p := next[b]
+			next[b] = p + 1
+			to[uint32(p)] = s
 		}
 		from, to = to, from
 	}

@@ -1,35 +1,53 @@
 package apps
 
 import (
+	"bytes"
+	"hash/maphash"
 	"io"
 	"strings"
+	"sync"
+
+	"compstor/internal/cpu"
 )
 
-// Codec is one direction of a whole-buffer compressor, as RunCodec drives
-// it: gzip, gunzip, bzip2 and bunzip2 differ only in these four values.
+// Codec is one direction of a whole-buffer compressor and the program that
+// runs it: gzip, gunzip, bzip2 and bunzip2 differ only in these values.
 type Codec struct {
-	// Name is the program name, the prefix of its error messages.
-	Name string
+	// ProgName is the command name, the prefix of its error messages.
+	ProgName string
+	// CostClass is the program's class in the platform calibration table.
+	CostClass cpu.Class
 	// Suffix is the compressed file's extension (".gz").
 	Suffix string
 	// Expand marks the decompressing direction: output names lose Suffix
 	// instead of gaining it, and the compute charge is topped up (below).
 	Expand bool
-	// Transform maps a file's whole content to its (de)compressed form.
+	// Transform maps a file's whole content to its (de)compressed form. It
+	// is a pure function of data, and nothing writes the slice it returns:
+	// a memo hands the same one to later runs.
 	Transform func(data []byte) ([]byte, error)
+
+	memo *CodecMemo // set by Bind; nil computes every time
 }
 
-// RunCodec is the command line the four codec programs share: each named
-// file is transformed into its sibling (name <-> name+Suffix), or, with no
-// file arguments, stdin is filtered to stdout. Inputs are kept (the
+// Name implements Program.
+func (c Codec) Name() string { return c.ProgName }
+
+// Class implements Program.
+func (c Codec) Class() cpu.Class { return c.CostClass }
+
+// Run implements Program with the command line the four codecs share: each
+// named file is transformed into its sibling (name <-> name+Suffix), or,
+// with no file arguments, stdin is filtered to stdout. Inputs are kept (the
 // simulation datasets are reused across runs).
-func RunCodec(ctx *Context, args []string, c Codec) error {
+func (c Codec) Run(ctx *Context, args []string) error {
 	transform := func(data []byte) ([]byte, error) {
-		out, err := c.Transform(data)
+		out, err := c.memo.transform(c, data)
 		if err == nil && c.Expand {
-			// Decompression cost is calibrated per plain byte; top up from
-			// the auto-charged compressed input to the plain output size.
-			ChargeExtra(ctx, int64(len(out)-len(data)))
+			// Decompression cost — like the paper's J/GB normalisation — is
+			// calibrated per plain byte: top up from the auto-charged
+			// compressed input to the plain output size.
+			ctx.chargeBytes(len(out) - len(data))
 		}
 		return out, err
 	}
@@ -46,23 +64,117 @@ func RunCodec(ctx *Context, args []string, c Codec) error {
 		return err
 	}
 	for _, name := range args {
+		dst := name + c.Suffix
+		if c.Expand {
+			// Without the suffix the output's name would be the input's:
+			// refuse, as gunzip does, before anything is read or charged.
+			if dst = strings.TrimSuffix(name, c.Suffix); dst == name {
+				return Exitf(1, "%s: %s: unknown suffix -- ignored", c.ProgName, name)
+			}
+		}
 		data, err := readFileCharged(ctx, name)
 		if err != nil {
-			return Exitf(1, "%s: %v", c.Name, err)
+			return Exitf(1, "%s: %v", c.ProgName, err)
 		}
 		out, err := transform(data)
 		if err != nil {
-			return Exitf(1, "%s: %s: %v", c.Name, name, err)
-		}
-		dst := name + c.Suffix
-		if c.Expand {
-			dst = strings.TrimSuffix(name, c.Suffix)
+			return Exitf(1, "%s: %s: %v", c.ProgName, name, err)
 		}
 		if err := writeFile(ctx, dst, out); err != nil {
-			return Exitf(1, "%s: %v", c.Name, err)
+			return Exitf(1, "%s: %v", c.ProgName, err)
 		}
 	}
 	return nil
+}
+
+// memoBudget bounds one memo's footprint: the input and output bytes it
+// retains plus memoKeyCost for every key. All four codecs' inputs and
+// outputs over the paper-scale corpus (348 books of 24 KiB) come to about
+// 45 MB, so 64 MiB holds any working set a committed experiment can repeat,
+// and a memo that fills up is seeing content that does not.
+const memoBudget = 64 << 20
+
+// memoKeyCost is what a key alone is booked at: its map slot (key, entry
+// pointer, bucket overhead).
+const memoKeyCost = 48
+
+// CodecMemo remembers what the codecs bound to it have computed, so that one
+// system transforms each distinct content once however many devices, runs
+// and replicas ask for it. Virtual time cannot see it: a codec's charged
+// reads, top-up charge and charged writes happen around every transform, hit
+// or not, and a hit is returned only after the stored input compared equal
+// byte for byte — a hash collision is a recompute, never a wrong byte.
+//
+// Content is admitted on second sight: the first transform of an input
+// leaves only its key, the second keeps the input and output slices the
+// caller already holds (a corpus compressed once per system retains nothing,
+// and nothing is copied), later ones hit. Failures are not stored. When the
+// footprint would pass memoBudget everything is dropped and filling starts
+// again; content that repeats is back after two sights.
+type CodecMemo struct {
+	seed maphash.Seed
+
+	mu   sync.Mutex
+	m    map[memoKey]*memoEntry // nil entry: key seen once
+	size int                    // booked footprint, at most memoBudget
+}
+
+type memoKey struct {
+	prog string
+	sum  uint64 // maphash of the input
+}
+
+// memoEntry is immutable once stored, so hits read it outside the lock.
+type memoEntry struct{ in, out []byte }
+
+// NewCodecMemo returns an empty memo. The random hash seed decides which
+// inputs collide, never a result.
+func NewCodecMemo() *CodecMemo {
+	return &CodecMemo{seed: maphash.MakeSeed(), m: make(map[memoKey]*memoEntry)}
+}
+
+// Bind returns c computing through m. A nil m binds nothing.
+func (m *CodecMemo) Bind(c Codec) Codec {
+	c.memo = m
+	return c
+}
+
+// transform is c.Transform(data) through the memo.
+func (m *CodecMemo) transform(c Codec, data []byte) ([]byte, error) {
+	if m == nil {
+		return c.Transform(data)
+	}
+	k := memoKey{c.ProgName, maphash.Bytes(m.seed, data)}
+	m.mu.Lock()
+	e := m.m[k]
+	m.mu.Unlock()
+	if e != nil && bytes.Equal(e.in, data) {
+		return e.out, nil
+	}
+	out, err := c.Transform(data)
+	if err != nil {
+		return out, err
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e, seen := m.m[k]
+	cost := memoKeyCost
+	if e != nil {
+		// The key holds other content (a collision), or this content since
+		// the look-up above.
+		return out, nil
+	} else if seen {
+		e, cost = &memoEntry{in: data, out: out}, cap(data)+cap(out)
+	}
+	if m.size+cost > memoBudget {
+		// Full, or content larger than the budget: drop everything and
+		// count this as a first sight.
+		clear(m.m)
+		m.size, e, cost = 0, nil, memoKeyCost
+	}
+	m.m[k] = e
+	m.size += cost
+	return out, nil
 }
 
 // readFileCharged reads a whole file through the charging path.

@@ -371,11 +371,29 @@ func headTailArgs(args []string) (int, []string, error) {
 	return n, files, nil
 }
 
-// bufread wraps r in a 64 KiB buffered reader so line-oriented consumers
-// always issue large device reads: even the 64 KiB scanner shrinks its read
-// size while a partial token sits in its buffer.
-func bufread(r io.Reader) *bufio.Reader {
-	return bufio.NewReaderSize(r, apps.BlockSize)
+// eachLine calls line with every line of the named files (or stdin), in
+// order, for sort, uniq and cut; a failure is tool's exit 1. Each input is
+// wrapped in a 64 KiB buffered reader so that it always sees large device
+// reads: even the 64 KiB scanner shrinks its read size while a partial
+// token sits in its buffer.
+func eachLine(ctx *apps.Context, tool string, files []string, line func(string)) error {
+	rs, done, err := openAll(ctx, files)
+	if err != nil {
+		return apps.Exitf(1, "%s: %v", tool, err)
+	}
+	defer done()
+	blk := apps.GetBlock()
+	defer apps.PutBlock(blk)
+	for _, r := range rs {
+		sc := apps.NewLineScanner(bufio.NewReaderSize(r, apps.BlockSize), blk)
+		for sc.Scan() {
+			line(sc.Text())
+		}
+		if err := sc.Err(); err != nil {
+			return apps.Exitf(1, "%s: %v", tool, err)
+		}
+	}
+	return nil
 }
 
 // readBlock reads into b once, the way a drained bufio.Reader fills: a
@@ -419,22 +437,9 @@ func (Sort) Run(ctx *apps.Context, args []string) error {
 			files = append(files, a)
 		}
 	}
-	rs, done, err := openAll(ctx, files)
-	if err != nil {
-		return apps.Exitf(1, "sort: %v", err)
-	}
-	defer done()
-	blk := apps.GetBlock()
-	defer apps.PutBlock(blk)
 	var lines []string
-	for _, r := range rs {
-		sc := apps.NewLineScanner(bufread(r), blk)
-		for sc.Scan() {
-			lines = append(lines, sc.Text())
-		}
-		if err := sc.Err(); err != nil {
-			return apps.Exitf(1, "sort: %v", err)
-		}
+	if err := eachLine(ctx, "sort", files, func(l string) { lines = append(lines, l) }); err != nil {
+		return err
 	}
 	less := func(a, b string) bool { return a < b }
 	if numeric {
@@ -497,11 +502,6 @@ func (Uniq) Run(ctx *apps.Context, args []string) error {
 			files = append(files, a)
 		}
 	}
-	rs, done, err := openAll(ctx, files)
-	if err != nil {
-		return apps.Exitf(1, "uniq: %v", err)
-	}
-	defer done()
 	var prev string
 	run := 0
 	flush := func() {
@@ -514,22 +514,16 @@ func (Uniq) Run(ctx *apps.Context, args []string) error {
 			fmt.Fprintln(ctx.Stdout, prev)
 		}
 	}
-	blk := apps.GetBlock()
-	defer apps.PutBlock(blk)
-	for _, r := range rs {
-		sc := apps.NewLineScanner(bufread(r), blk)
-		for sc.Scan() {
-			l := sc.Text()
-			if run > 0 && l == prev {
-				run++
-				continue
-			}
-			flush()
-			prev, run = l, 1
+	err := eachLine(ctx, "uniq", files, func(l string) {
+		if run > 0 && l == prev {
+			run++
+			return
 		}
-		if err := sc.Err(); err != nil {
-			return apps.Exitf(1, "uniq: %v", err)
-		}
+		flush()
+		prev, run = l, 1
+	})
+	if err != nil {
+		return err
 	}
 	flush()
 	return nil
@@ -575,30 +569,16 @@ func (Cut) Run(ctx *apps.Context, args []string) error {
 	if err != nil {
 		return apps.Exitf(1, "cut: %v", err)
 	}
-	rs, done, oerr := openAll(ctx, files)
-	if oerr != nil {
-		return apps.Exitf(1, "cut: %v", oerr)
-	}
-	defer done()
-	blk := apps.GetBlock()
-	defer apps.PutBlock(blk)
-	for _, r := range rs {
-		sc := apps.NewLineScanner(bufread(r), blk)
-		for sc.Scan() {
-			parts := strings.Split(sc.Text(), delim)
-			var out []string
-			for _, r := range wanted {
-				for f := r[0]; f <= r[1] && f <= len(parts); f++ {
-					out = append(out, parts[f-1])
-				}
+	return eachLine(ctx, "cut", files, func(l string) {
+		parts := strings.Split(l, delim)
+		var out []string
+		for _, r := range wanted {
+			for f := r[0]; f <= r[1] && f <= len(parts); f++ {
+				out = append(out, parts[f-1])
 			}
-			fmt.Fprintln(ctx.Stdout, strings.Join(out, delim))
 		}
-		if err := sc.Err(); err != nil {
-			return apps.Exitf(1, "cut: %v", err)
-		}
-	}
-	return nil
+		fmt.Fprintln(ctx.Stdout, strings.Join(out, delim))
+	})
 }
 
 // parseFieldList parses a cut -f list into [first, last] ranges, never

@@ -116,79 +116,90 @@ func compileNFA(ast *node) ([]inst, int) {
 	return b.prog, f.start
 }
 
-// matchNFA runs the parallel-state simulation over the line.
+// nfaRun is one parallel-state simulation: the program counters alive after
+// the bytes stepped so far, and whether a match state is among them.
+type nfaRun struct {
+	prog      []inst
+	cur, next []bool
+	gen       []int // gen[pc] == genID: pc was already added for this byte
+	genID     int
+	matched   bool
+}
+
+// newRun starts a simulation at the pattern's entry point.
+func (re *Regexp) newRun() nfaRun {
+	n := len(re.prog)
+	r := nfaRun{prog: re.prog, cur: make([]bool, n), next: make([]bool, n), gen: make([]int, n), genID: 1}
+	r.add(r.cur, re.startPC)
+	return r
+}
+
+// add puts pc — or, through a split, both of its branches — into set.
+func (r *nfaRun) add(set []bool, pc int) {
+	if r.gen[pc] == r.genID {
+		return
+	}
+	r.gen[pc] = r.genID
+	switch r.prog[pc].op {
+	case opSplit:
+		r.add(set, r.prog[pc].x)
+		r.add(set, r.prog[pc].y)
+		return
+	case opMatch:
+		r.matched = true
+	}
+	set[pc] = true
+}
+
+// step consumes c and reports whether any state took it. A restart >= 0 is
+// added to the states that follow: an unanchored search, where a match may
+// start at the next position.
+func (r *nfaRun) step(c byte, restart int) (alive bool) {
+	r.genID++
+	r.matched = false
+	cur, next := r.cur, r.next
+	clear(next)
+	for pc, on := range cur {
+		if !on {
+			continue
+		}
+		in := &r.prog[pc]
+		hit := false
+		switch in.op {
+		case opChar:
+			hit = in.ch == c
+		case opAny:
+			hit = true
+		case opClass:
+			hit = in.cls.has(c)
+		}
+		if hit {
+			r.add(next, in.x)
+			alive = true
+		}
+	}
+	if restart >= 0 {
+		r.add(next, restart)
+	}
+	r.cur, r.next = next, cur
+	return alive
+}
+
+// matchNFA reports whether the pattern matches anywhere in the line.
 func (re *Regexp) matchNFA(line []byte) bool {
-	prog := re.prog
-	n := len(prog)
-	cur := make([]bool, n)
-	next := make([]bool, n)
-	gen := make([]int, n) // de-dup marker per position
-	genID := 0
-
-	var addState func(set []bool, pc int)
-	addState = func(set []bool, pc int) {
-		if gen[pc] == genID {
-			return
-		}
-		gen[pc] = genID
-		if prog[pc].op == opSplit {
-			addState(set, prog[pc].x)
-			addState(set, prog[pc].y)
-			return
-		}
-		set[pc] = true
-	}
-	clearSet := func(set []bool) {
-		for i := range set {
-			set[i] = false
-		}
-	}
-	matched := func(set []bool) bool {
-		for pc, on := range set {
-			if on && prog[pc].op == opMatch {
-				return true
-			}
-		}
-		return false
-	}
-
-	genID++
-	addState(cur, re.startPC)
-	if matched(cur) && (!re.anchorTail || len(line) == 0) {
+	r := re.newRun()
+	if r.matched && (!re.anchorTail || len(line) == 0) {
 		return true
 	}
-	for i := 0; i < len(line); i++ {
-		c := line[i]
-		genID++
-		clearSet(next)
-		for pc, on := range cur {
-			if !on {
-				continue
-			}
-			in := prog[pc]
-			ok := false
-			switch in.op {
-			case opChar:
-				ok = in.ch == c
-			case opAny:
-				ok = true
-			case opClass:
-				ok = in.cls.has(c)
-			}
-			if ok {
-				addState(next, in.x)
-			}
-		}
-		if !re.anchorHead {
-			// Unanchored search: a match may start at the next position.
-			addState(next, re.startPC)
-		}
-		cur, next = next, cur
-		if matched(cur) {
-			if !re.anchorTail || i == len(line)-1 {
-				return true
-			}
+	restart := re.startPC
+	if re.anchorHead {
+		restart = -1
+	}
+	for i, c := range line {
+		r.step(c, restart)
+		if r.matched && (!re.anchorTail || i == len(line)-1) {
+			return true
 		}
 	}
-	return matched(cur) // tail-anchored: a match state alive at end of line
+	return r.matched // tail-anchored: a match state alive at end of line
 }

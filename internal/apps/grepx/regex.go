@@ -128,13 +128,18 @@ func (p *parser) parseConcat() (*node, error) {
 		}
 		seq = append(seq, atom)
 	}
+	return concat(seq), nil
+}
+
+// concat is the node matching seq's nodes one after another.
+func concat(seq []*node) *node {
 	switch len(seq) {
 	case 0:
-		return &node{kind: nEmpty}, nil
+		return &node{kind: nEmpty}
 	case 1:
-		return seq[0], nil
+		return seq[0]
 	}
-	return &node{kind: nConcat, subs: seq}, nil
+	return &node{kind: nConcat, subs: seq}
 }
 
 func (p *parser) parseRepeat() (*node, error) {
@@ -235,13 +240,7 @@ func (p *parser) parseInterval(atom *node) (*node, error) {
 			seq = append(seq, &node{kind: nQuest, subs: []*node{atom}})
 		}
 	}
-	switch len(seq) {
-	case 0:
-		return &node{kind: nEmpty}, nil
-	case 1:
-		return seq[0], nil
-	}
-	return &node{kind: nConcat, subs: seq}, nil
+	return concat(seq), nil
 }
 
 func (p *parser) parseAtom() (*node, error) {

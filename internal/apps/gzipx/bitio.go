@@ -82,9 +82,6 @@ func (b *bitReader) readBits(width uint) (uint32, error) {
 	return v, nil
 }
 
-// readBit returns a single bit.
-func (b *bitReader) readBit() (uint32, error) { return b.readBits(1) }
-
 // alignByte discards bits up to the next byte boundary.
 func (b *bitReader) alignByte() {
 	b.acc = 0

@@ -323,10 +323,6 @@ func (c *compressor) writeBlock(final bool) {
 				run -= n
 				i += n
 			}
-			for ; run > 0; run-- {
-				cl = append(cl, clToken{0, 0})
-				i++
-			}
 		case v != 0 && run >= 4:
 			cl = append(cl, clToken{v, 0})
 			i++
@@ -340,15 +336,12 @@ func (c *compressor) writeBlock(final bool) {
 				run -= n
 				i += n
 			}
-			for ; run > 0; run-- {
-				cl = append(cl, clToken{v, 0})
-				i++
-			}
-		default:
-			for ; run > 0; run-- {
-				cl = append(cl, clToken{v, 0})
-				i++
-			}
+		}
+		// What a repeat code cannot take — the whole run, if it is too
+		// short for one — goes out as plain lengths.
+		for ; run > 0; run-- {
+			cl = append(cl, clToken{v, 0})
+			i++
 		}
 	}
 

@@ -54,7 +54,7 @@ func newHDecoder(lengths []int) *hDecoder {
 func (d *hDecoder) decode(br *bitReader) (int, error) {
 	var code, first, index int
 	for l := 1; l < len(d.count); l++ {
-		bit, err := br.readBit()
+		bit, err := br.readBits(1)
 		if err != nil {
 			return 0, err
 		}

@@ -61,7 +61,7 @@ type inflater struct {
 
 func (d *inflater) run() error {
 	for {
-		final, err := d.br.readBit()
+		final, err := d.br.readBits(1)
 		if err != nil {
 			return err
 		}

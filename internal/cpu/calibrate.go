@@ -28,7 +28,7 @@ package cpu
 // stack overheads) normalised per byte of *plain* data — the only reading
 // under which the paper's decompression J/GB numbers are physically
 // consistent with any SSD's write bandwidth. Decompressors therefore
-// charge by output size (apps.ChargeExtra tops the auto-charged compressed
+// charge by output size (apps.Codec.Run tops the auto-charged compressed
 // input up to the plain size), which is why bunzip2 shows a lower rate
 // than bzip2, exactly as in the paper's per-GB bars. Derived aggregate
 // rates: e.g. CompStor gzip 7 W / 880.9 J/GB = 7.95 MB/s aggregate →
