@@ -239,7 +239,7 @@ func FuzzAwkArrayOps(f *testing.F) {
 		in := newInterp(prog, &out)
 		defer in.release()
 		// Not Run: that would hand the tables back before they can be read.
-		if err := in.execBlock(prog.begins[0]); err != nil {
+		if _, err := in.code.begins[0](in); err != nil {
 			t.Fatalf("%v\n%s", err, s.prog.String())
 		}
 		if out.String() != s.want.String() {
@@ -262,7 +262,7 @@ func TestArrayCompactsTombstones(t *testing.T) {
 	}
 	in := newInterp(prog, &bytes.Buffer{})
 	defer in.release()
-	if err := in.execBlock(prog.begins[0]); err != nil {
+	if _, err := in.code.begins[0](in); err != nil {
 		t.Fatal(err)
 	}
 	q := in.arrays[prog.globals["q"]]

@@ -60,14 +60,11 @@ type stmtBlock struct{ stmts []stmt }
 
 type exprStmt struct{ e expr }
 
+// printStmt is print, or with formatted printf.
 type printStmt struct {
-	args []expr // empty = $0
-	dest expr   // optional > "file" target
-}
-
-type printfStmt struct {
-	args []expr
-	dest expr
+	args      []expr // empty = $0
+	dest      expr   // optional > "file" target
+	formatted bool
 }
 
 type ifStmt struct {
@@ -88,29 +85,25 @@ type forInStmt struct {
 	body   stmt
 }
 
-type breakStmt struct{}
-type continueStmt struct{}
-type nextStmt struct{}
-type exitStmt struct{ code expr }
-type returnStmt struct{ val expr }
+type jumpStmt struct{ code ctl } // break, continue or next
+type leaveStmt struct {          // exit or return
+	code ctl
+	val  expr // optional
+}
 type deleteStmt struct {
 	arr   varSlot
 	index []expr // nil = delete whole array
 }
 
-func (*stmtBlock) isStmt()    {}
-func (*exprStmt) isStmt()     {}
-func (*printStmt) isStmt()    {}
-func (*printfStmt) isStmt()   {}
-func (*ifStmt) isStmt()       {}
-func (*loopStmt) isStmt()     {}
-func (*forInStmt) isStmt()    {}
-func (*breakStmt) isStmt()    {}
-func (*continueStmt) isStmt() {}
-func (*nextStmt) isStmt()     {}
-func (*exitStmt) isStmt()     {}
-func (*returnStmt) isStmt()   {}
-func (*deleteStmt) isStmt()   {}
+func (*stmtBlock) isStmt()  {}
+func (*exprStmt) isStmt()   {}
+func (*printStmt) isStmt()  {}
+func (*ifStmt) isStmt()     {}
+func (*loopStmt) isStmt()   {}
+func (*forInStmt) isStmt()  {}
+func (*jumpStmt) isStmt()   {}
+func (*leaveStmt) isStmt()  {}
+func (*deleteStmt) isStmt() {}
 
 // Expressions.
 

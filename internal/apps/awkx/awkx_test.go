@@ -2,6 +2,7 @@ package awkx
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"runtime"
 	"strings"
@@ -23,6 +24,12 @@ func runAwk(t *testing.T, prog, input string, args ...string) (string, int) {
 	}
 	all := append(args, prog)
 	err := Gawk{}.Run(ctx, all)
+	// Every program a test runs is held to what the tree walk makes of it.
+	var refOut bytes.Buffer
+	refErr := refGawk(&apps.Context{Stdin: strings.NewReader(input), Stdout: &refOut, Stderr: &bytes.Buffer{}}, all)
+	if out.String() != refOut.String() || fmt.Sprint(err) != fmt.Sprint(refErr) {
+		t.Errorf("program %q: compiled printed %q (%v), the tree walk %q (%v)", prog, out.String(), err, refOut.String(), refErr)
+	}
 	return out.String(), apps.ExitCode(err)
 }
 
@@ -441,8 +448,15 @@ func (d *fsDevice) TrimPages(p *sim.Proc, lpn, count int64) error {
 	return nil
 }
 
-// runAwkFS executes a program with a filesystem-backed context.
+// runAwkFS executes a program with a filesystem-backed context, compiled
+// and through the tree walk.
 func runAwkFS(t *testing.T, files map[string]string, prog, want string) {
+	t.Helper()
+	runAwkFSWith(t, Gawk{}.Run, files, prog, want)
+	runAwkFSWith(t, refGawk, files, prog, want)
+}
+
+func runAwkFSWith(t *testing.T, run func(*apps.Context, []string) error, files map[string]string, prog, want string) {
 	t.Helper()
 	eng := sim.NewEngine()
 	dev := &fsDevice{pageSize: 512, pages: 1 << 14, store: make(map[int64][]byte)}
@@ -463,7 +477,7 @@ func runAwkFS(t *testing.T, files map[string]string, prog, want string) {
 			Stdout: &out,
 			Stderr: &bytes.Buffer{},
 		}
-		code = apps.ExitCode(Gawk{}.Run(ctx, []string{prog}))
+		code = apps.ExitCode(run(ctx, []string{prog}))
 	})
 	eng.Run()
 	if code != 0 {
@@ -535,4 +549,28 @@ func TestRandWithoutSrandIsSeedZero(t *testing.T) {
 	if prog, err := parse(`BEGIN { x = 1 }`); err != nil || newInterp(prog, io.Discard).rng != nil {
 		t.Fatalf("a new interpreter already has a generator (parse error %v)", err)
 	}
+}
+
+// The binary operators are parsed by one precedence table (parseBinary);
+// this is each operator against its neighbours, as the nine-level ladder the
+// table replaced parsed them.
+func TestOperatorPrecedence(t *testing.T) {
+	expectAwk(t, `BEGIN {
+		print 1 + 2 * 3, 7 - 2 - 1, 2 * 3 % 4, 2 ^ 3 ^ 2, -2 ^ 2, 2 ^ -1, !0 + 1, 1 - -1
+		print 1 " " 2 + 3, 1 2 * 3, 2 - 1 " " 1, "a" 1 < 2, 1 + 1 == 2 "x", ("a" "b") == "ab"
+		print 3 < 12 ~ 1, 1 ~ 1 < 2, "ab" ~ "a" "b", 2 < 1 || 1, 0 && 0 || 1, 1 || 0 && 0, !1 || 1
+		a[1] = 1; print 1 in a, 2 in a || 1, 0 + 1 in a, (1 in a) + 1, 1 < 2 in a, x = 1 ? 2 : 3, x
+		print 1 == 1 ? "y" : "n", 1 ? 0 ? "a" : "b" : "c", $0 ~ 1 ? 1 : 2, (2 > 1) 3
+	}`, "", "7 4 2 512 -4 0.5 2 2\n1 5 16 1 1 0 0 1\n1 1 1 1 1 1 1\n1 1 1 2 1 2 2\ny b 2 13\n")
+	for _, bad := range []string{`BEGIN { print 1 < 2 < 3 }`, `BEGIN { x = 1 in }`, `BEGIN { print (1 in a < 2) }`, `BEGIN { x = 1 == 2 != 3 }`} {
+		if _, err := parse(bad); err == nil {
+			t.Errorf("%s parsed", bad)
+		}
+	}
+}
+
+// A number literal is the longest prefix strings convert by, so what follows
+// one is the next token: `1.2.3` is 1.2 and .3 side by side.
+func TestNumberLiterals(t *testing.T) {
+	expectAwk(t, `BEGIN { print 1.2.3, 1e3x, .5 + 1., 1e+2 1E-1, 2e, 0x10 }`, "", "1.20.3 1000 1.5 1000.1 2 0\n")
 }

@@ -46,21 +46,26 @@ func numberTable(size int) []byte {
 	return []byte(sb.String())
 }
 
-func BenchmarkFieldSplit(b *testing.B) {
-	benchRun(b, `{ n += NF } END { print n }`, book)
-}
-
 // wordFreqProg is the paper's gawk workload, as bench/ serves it.
-const wordFreqProg = `{ for (i = 1; i <= NF; i++) freq[$i]++ } END { n = 0; for (w in freq) n++; print n }`
+const (
+	fieldSplitProg = `{ n += NF } END { print n }`
+	wordFreqProg   = `{ for (i = 1; i <= NF; i++) freq[$i]++ } END { n = 0; for (w in freq) n++; print n }`
+	regexMatchProg = `/the/ { n++ } END { print n }`
+	arithmeticProg = `{ s += $1 * $2 + $3 / 2 } $1 > $2 { n++ } END { printf "%.1f %d\n", s, n }`
+)
+
+func BenchmarkFieldSplit(b *testing.B) {
+	benchRun(b, fieldSplitProg, book)
+}
 
 func BenchmarkWordFrequency(b *testing.B) {
 	benchRun(b, wordFreqProg, book)
 }
 
 func BenchmarkRegexMatch(b *testing.B) {
-	benchRun(b, `/the/ { n++ } END { print n }`, book)
+	benchRun(b, regexMatchProg, book)
 }
 
 func BenchmarkArithmetic(b *testing.B) {
-	benchRun(b, `{ s += $1 * $2 + $3 / 2 } $1 > $2 { n++ } END { printf "%.1f %d\n", s, n }`, numberTable)
+	benchRun(b, arithmeticProg, numberTable)
 }

@@ -7,247 +7,222 @@ import (
 	"strings"
 )
 
-// evalBuiltin dispatches the built-in functions.
-func (in *interp) evalBuiltin(ex *builtinCall) (value, error) {
-	name := ex.name
-	argc := len(ex.args)
-	need := func(min, max int) error {
-		if argc < min || argc > max {
-			return runtimeErr("%s: expected %d-%d args, got %d", name, min, max, argc)
-		}
-		return nil
+// builtin is one built-in function: how many arguments it takes, checked
+// when a call is compiled, and either fn over the evaluated arguments or,
+// for the ones that take an array, a regex or an assignment target, a
+// compiler of their own.
+type builtin struct {
+	min, max int
+	fn       func(in *interp, args []value) (value, error)
+	form     func(c *compiler, name string, args []expr) evalFn
+}
+
+// builtins is also how the lexer knows a builtin's name. It is filled at
+// start-up because the forms compile expressions, which may be calls.
+var builtins map[string]*builtin
+
+func init() {
+	builtins = map[string]*builtin{
+		"length": {0, 1, nil, (*compiler).length},
+		"split":  {2, 3, nil, (*compiler).split},
+		"sub":    {2, 3, nil, (*compiler).sub},
+		"gsub":   {2, 3, nil, (*compiler).sub},
+		"match":  {2, 2, nil, (*compiler).match},
+		"substr": {2, 3, substr, nil},
+		"sprintf": {1, math.MaxInt, func(in *interp, args []value) (value, error) {
+			s, err := in.sprintf(args[0].Str(), args[1:])
+			return str(s), err
+		}, nil},
+		"index": {2, 2, func(_ *interp, args []value) (value, error) {
+			return num(float64(strings.Index(args[0].Str(), args[1].Str()) + 1)), nil
+		}, nil},
+		"toupper": {1, 1, func(_ *interp, args []value) (value, error) { return str(strings.ToUpper(args[0].Str())), nil }, nil},
+		"tolower": {1, 1, func(_ *interp, args []value) (value, error) { return str(strings.ToLower(args[0].Str())), nil }, nil},
+		"int":     math1(math.Trunc),
+		"sqrt":    math1(math.Sqrt),
+		"exp":     math1(math.Exp),
+		"log":     math1(math.Log),
+		"sin":     math1(math.Sin),
+		"cos":     math1(math.Cos),
+		"atan2": {2, 2, func(_ *interp, args []value) (value, error) {
+			return num(math.Atan2(args[0].Num(), args[1].Num())), nil
+		}, nil},
+		"rand": {0, 0, func(in *interp, _ []value) (value, error) {
+			if in.rng == nil {
+				in.rng = rand.New(rand.NewSource(in.rngSeed))
+			}
+			return num(in.rng.Float64()), nil
+		}, nil},
+		"srand": {0, 1, func(in *interp, args []value) (value, error) {
+			prev := in.rngSeed
+			if len(args) == 1 {
+				in.rngSeed = int64(args[0].Num())
+			} else {
+				in.rngSeed++
+			}
+			in.rng = rand.New(rand.NewSource(in.rngSeed))
+			return num(float64(prev)), nil
+		}, nil},
 	}
-	switch name {
-	case "length":
-		if argc == 0 {
+}
+
+func math1(f func(float64) float64) *builtin {
+	return &builtin{1, 1, func(_ *interp, args []value) (value, error) { return num(f(args[0].Num())), nil }, nil}
+}
+
+// push evaluates args onto the argument stack, where a call's values live
+// while it runs, and returns where they start; the caller pops them by
+// cutting the stack back to there. On an error nothing is left pushed.
+func (in *interp) push(args []evalFn) (base int, err error) {
+	base = len(in.stack)
+	for _, a := range args {
+		v, err := a(in)
+		if err != nil {
+			in.stack = in.stack[:base]
+			return base, err
+		}
+		in.stack = append(in.stack, v)
+	}
+	return base, nil
+}
+
+func (c *compiler) builtin(ex *builtinCall) evalFn {
+	b := builtins[ex.name]
+	if n := len(ex.args); n < b.min || n > b.max {
+		return fail("%s: expected %d-%d args, got %d", ex.name, b.min, b.max, n)
+	}
+	if b.form != nil {
+		return b.form(c, ex.name, ex.args)
+	}
+	args, fn := c.exprs(ex.args), b.fn
+	return func(in *interp) (value, error) {
+		base, err := in.push(args)
+		if err != nil {
+			return uninitialized, err
+		}
+		v, err := fn(in, in.stack[base:])
+		in.stack = in.stack[:base]
+		return v, err
+	}
+}
+
+func (c *compiler) length(_ string, args []expr) evalFn {
+	if len(args) == 0 { // bare `length` means length($0)
+		return func(in *interp) (value, error) {
 			in.ensureRecord()
 			return num(float64(len(in.record))), nil
 		}
-		if vr, ok := ex.args[0].(*varRef); ok && in.isArray(vr.varSlot) {
+	}
+	arg := c.expr(args[0])
+	vr, _ := args[0].(*varRef)
+	return func(in *interp) (value, error) {
+		if vr != nil && in.isArray(vr.varSlot) {
 			return num(float64(in.array(vr.varSlot).length())), nil
 		}
-		v, err := in.eval(ex.args[0])
-		if err != nil {
-			return uninitialized, err
-		}
-		return num(float64(len(v.Str()))), nil
+		v, err := arg(in)
+		return num(float64(len(v.Str()))), err
+	}
+}
 
-	case "substr":
-		if err := need(2, 3); err != nil {
-			return uninitialized, err
-		}
-		vals, err := in.evalAll(ex.args)
-		if err != nil {
-			return uninitialized, err
-		}
-		s := vals[0].Str()
-		m := int(vals[1].Num())
-		n := len(s) + 1
-		if argc == 3 {
-			n = int(vals[2].Num())
-		}
-		// POSIX clamping: the result is characters at positions
-		// [max(1,m), m+n) within 1..len.
-		start := m
-		end := m + n
-		if start < 1 {
-			start = 1
-		}
-		if end > len(s)+1 {
-			end = len(s) + 1
-		}
-		if start >= end {
-			return str(""), nil
-		}
-		return str(s[start-1 : end-1]), nil
+func substr(_ *interp, args []value) (value, error) {
+	s := args[0].Str()
+	m := int(args[1].Num())
+	n := len(s) + 1
+	if len(args) == 3 {
+		n = int(args[2].Num())
+	}
+	// POSIX clamping: the result is characters at positions
+	// [max(1,m), m+n) within 1..len.
+	start, end := max(m, 1), min(m+n, len(s)+1)
+	if start >= end {
+		return str(""), nil
+	}
+	return str(s[start-1 : end-1]), nil
+}
 
-	case "index":
-		if err := need(2, 2); err != nil {
-			return uninitialized, err
+func (c *compiler) split(_ string, args []expr) evalFn {
+	src, sep := c.expr(args[0]), c.expr(&varRef{varSlot: varSlot{idx: slotFS}})
+	vr, isName := args[1].(*varRef)
+	if len(args) == 3 {
+		sep = c.expr(args[2])
+		if rl, ok := args[2].(*regexLit); ok {
+			sep = constant(str(rl.re.src))
 		}
-		vals, err := in.evalAll(ex.args)
+	}
+	return func(in *interp) (value, error) {
+		sv, err := src(in)
 		if err != nil {
 			return uninitialized, err
 		}
-		return num(float64(strings.Index(vals[0].Str(), vals[1].Str()) + 1)), nil
-
-	case "split":
-		if err := need(2, 3); err != nil {
-			return uninitialized, err
-		}
-		sv, err := in.eval(ex.args[0])
-		if err != nil {
-			return uninitialized, err
-		}
-		vr, ok := ex.args[1].(*varRef)
-		if !ok {
+		if !isName {
 			return uninitialized, runtimeErr("split: second argument must be an array")
 		}
-		fs := in.fs()
-		if argc == 3 {
-			if rl, ok := ex.args[2].(*regexLit); ok {
-				fs = rl.re.src
-			} else {
-				fv, err := in.eval(ex.args[2])
-				if err != nil {
-					return uninitialized, err
-				}
-				fs = fv.Str()
-			}
+		fs, err := sep(in)
+		if err != nil {
+			return uninitialized, err
 		}
 		arr := in.array(vr.varSlot)
 		arr.clear()
-		parts := in.splitFields(nil, sv.Str(), fs)
+		parts := in.splitFields(nil, sv.Str(), fs.Str())
 		for i, p := range parts {
 			arr.insert(numToStr(float64(i+1)), inputStr(p))
 		}
 		return num(float64(len(parts))), nil
+	}
+}
 
-	case "sub", "gsub":
-		if err := need(2, 3); err != nil {
-			return uninitialized, err
-		}
-		re, err := in.regexArg(ex.args[0])
+// sub compiles sub and gsub, whose target is $0 unless a third argument
+// names one.
+func (c *compiler) sub(name string, args []expr) evalFn {
+	re, repl, global := c.regex(args[0]), c.expr(args[1]), name == "gsub"
+	dst := expr(&fieldRef{idx: &numLit{v: 0}})
+	if len(args) == 3 {
+		dst = args[2]
+	}
+	t, assignable := c.target(dst), isLvalue(dst)
+	return func(in *interp) (value, error) {
+		m, err := re(in)
 		if err != nil {
 			return uninitialized, err
 		}
-		rv, err := in.eval(ex.args[1])
+		rv, err := repl(in)
 		if err != nil {
 			return uninitialized, err
 		}
-		target := expr(&fieldRef{idx: &numLit{v: 0}})
-		if argc == 3 {
-			if !isLvalue(ex.args[2]) {
-				return uninitialized, runtimeErr("%s: target must be assignable", name)
-			}
-			target = ex.args[2]
+		if !assignable {
+			return uninitialized, runtimeErr("%s: target must be assignable", name)
 		}
-		lv, err := in.lvalueOf(target)
+		p, err := t.at(in)
 		if err != nil {
 			return uninitialized, err
 		}
-		out, count := substitute(re, in.load(lv).Str(), rv.Str(), name == "gsub")
+		out, count := substitute(m, t.get(in, p).Str(), rv.Str(), global)
 		if count > 0 {
-			in.store(lv, str(out))
+			err = t.set(in, p, str(out))
 		}
-		return num(float64(count)), nil
+		return num(float64(count)), err
+	}
+}
 
-	case "match":
-		if err := need(2, 2); err != nil {
-			return uninitialized, err
-		}
-		sv, err := in.eval(ex.args[0])
+func (c *compiler) match(_ string, args []expr) evalFn {
+	src, re := c.expr(args[0]), c.regex(args[1])
+	return func(in *interp) (value, error) {
+		sv, err := src(in)
 		if err != nil {
 			return uninitialized, err
 		}
-		re, err := in.regexArg(ex.args[1])
+		m, err := re(in)
 		if err != nil {
 			return uninitialized, err
 		}
-		st, en, ok := re.re.FindIndex([]byte(sv.Str()))
+		st, en, ok := m.re.FindIndex([]byte(sv.Str()))
 		if !ok {
-			in.globals[slotRSTART] = num(0)
-			in.globals[slotRLENGTH] = num(-1)
-			return num(0), nil
+			st, en = -1, -2 // RSTART 0, RLENGTH -1
 		}
 		in.globals[slotRSTART] = num(float64(st + 1))
 		in.globals[slotRLENGTH] = num(float64(en - st))
 		return num(float64(st + 1)), nil
-
-	case "sprintf":
-		if argc < 1 {
-			return uninitialized, runtimeErr("sprintf: missing format")
-		}
-		vals, err := in.evalAll(ex.args)
-		if err != nil {
-			return uninitialized, err
-		}
-		s, err := in.sprintf(vals[0].Str(), vals[1:])
-		if err != nil {
-			return uninitialized, err
-		}
-		return str(s), nil
-
-	case "toupper", "tolower":
-		if err := need(1, 1); err != nil {
-			return uninitialized, err
-		}
-		v, err := in.eval(ex.args[0])
-		if err != nil {
-			return uninitialized, err
-		}
-		if name == "toupper" {
-			return str(strings.ToUpper(v.Str())), nil
-		}
-		return str(strings.ToLower(v.Str())), nil
-
-	case "int", "sqrt", "exp", "log", "sin", "cos":
-		if err := need(1, 1); err != nil {
-			return uninitialized, err
-		}
-		v, err := in.eval(ex.args[0])
-		if err != nil {
-			return uninitialized, err
-		}
-		x := v.Num()
-		switch name {
-		case "int":
-			return num(math.Trunc(x)), nil
-		case "sqrt":
-			return num(math.Sqrt(x)), nil
-		case "exp":
-			return num(math.Exp(x)), nil
-		case "log":
-			return num(math.Log(x)), nil
-		case "sin":
-			return num(math.Sin(x)), nil
-		default:
-			return num(math.Cos(x)), nil
-		}
-
-	case "atan2":
-		if err := need(2, 2); err != nil {
-			return uninitialized, err
-		}
-		vals, err := in.evalAll(ex.args)
-		if err != nil {
-			return uninitialized, err
-		}
-		return num(math.Atan2(vals[0].Num(), vals[1].Num())), nil
-
-	case "rand":
-		if in.rng == nil {
-			in.rng = rand.New(rand.NewSource(in.rngSeed))
-		}
-		return num(in.rng.Float64()), nil
-
-	case "srand":
-		prev := in.rngSeed
-		if argc >= 1 {
-			v, err := in.eval(ex.args[0])
-			if err != nil {
-				return uninitialized, err
-			}
-			in.rngSeed = int64(v.Num())
-		} else {
-			in.rngSeed++
-		}
-		in.rng = rand.New(rand.NewSource(in.rngSeed))
-		return num(float64(prev)), nil
 	}
-	return uninitialized, runtimeErr("unknown builtin %s", name)
-}
-
-// regexArg resolves a regex-position argument (literal or dynamic string).
-func (in *interp) regexArg(e expr) (*compiledRegex, error) {
-	if rl, ok := e.(*regexLit); ok {
-		return rl.re, nil
-	}
-	v, err := in.eval(e)
-	if err != nil {
-		return nil, err
-	}
-	return in.regex(v.Str())
 }
 
 // substitute performs sub/gsub over s, expanding & (matched text) and \&
@@ -357,15 +332,10 @@ func (in *interp) sprintf(format string, args []value) (string, error) {
 		verb := format[j]
 		i = j
 		switch verb {
-		case 'd', 'i':
+		case 'd', 'i', 'u':
 			fmt.Fprintf(&out, spec+"d", int64(nextArg().Num()))
-		case 'o', 'x', 'X', 'u':
-			v := int64(nextArg().Num())
-			if verb == 'u' {
-				fmt.Fprintf(&out, spec+"d", v)
-			} else {
-				fmt.Fprintf(&out, spec+string(verb), v)
-			}
+		case 'o', 'x', 'X':
+			fmt.Fprintf(&out, spec+string(verb), int64(nextArg().Num()))
 		case 'e', 'E', 'f', 'F', 'g', 'G':
 			fmt.Fprintf(&out, spec+string(verb), nextArg().Num())
 		case 'c':

@@ -1,6 +1,7 @@
 package awkx
 
 import (
+	"io"
 	"strings"
 
 	"compstor/internal/apps"
@@ -57,32 +58,44 @@ func (Gawk) Run(ctx *apps.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-
-	prog, err := parse(progText)
+	in, err := load(ctx, ctx.Stdout, fs, assigns, progText)
 	if err != nil {
-		return apps.Exitf(2, "gawk: %v", err)
+		return err
 	}
-	interp := newInterp(prog, ctx.Stdout)
-	interp.configure(ctx, fs, assigns)
-
 	var inputs []namedReader
 	if len(files) == 0 {
 		inputs = append(inputs, namedReader{name: "", r: ctx.In()})
-	} else {
-		for _, name := range files {
-			f, err := ctx.Open(name)
-			if err != nil {
-				return apps.Exitf(2, "gawk: %v", err)
-			}
-			defer f.Close()
-			inputs = append(inputs, namedReader{name: name, r: f})
+	}
+	for _, name := range files {
+		f, err := ctx.Open(name)
+		if err != nil {
+			return apps.Exitf(2, "gawk: %v", err)
 		}
+		defer f.Close()
+		inputs = append(inputs, namedReader{name: name, r: f})
 	}
-	code, err := interp.Run(inputs)
+	return in.exitStatus(inputs)
+}
+
+// load compiles progText into an interpreter printing to out, configured.
+func load(ctx *apps.Context, out io.Writer, fs string, assigns [][2]string, progText string) (*interp, error) {
+	prog, err := parse(progText)
 	if err != nil {
-		return apps.Exitf(2, "gawk: %v", err)
+		return nil, apps.Exitf(2, "gawk: %v", err)
 	}
-	if code != 0 {
+	in := newInterp(prog, out)
+	if err := in.configure(ctx, fs, assigns); err != nil {
+		return nil, apps.Exitf(2, "gawk: %v", err)
+	}
+	return in, nil
+}
+
+// exitStatus runs the program and makes its result the exit status.
+func (in *interp) exitStatus(inputs []namedReader) error {
+	switch code, err := in.Run(inputs); {
+	case err != nil:
+		return apps.Exitf(2, "gawk: %v", err)
+	case code != 0:
 		return apps.Exitf(code, "")
 	}
 	return nil

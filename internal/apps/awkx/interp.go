@@ -2,7 +2,6 @@ package awkx
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -12,21 +11,6 @@ import (
 	"compstor/internal/apps"
 )
 
-// Control-flow signals, carried as errors through the tree walk.
-var (
-	errBreak    = errors.New("awk: break outside loop")
-	errContinue = errors.New("awk: continue outside loop")
-	errNext     = errors.New("awk: next")
-)
-
-type returnSignal struct{ val value }
-
-func (returnSignal) Error() string { return "awk: return outside function" }
-
-type exitSignal struct{ code int }
-
-func (exitSignal) Error() string { return "awk: exit" }
-
 // frame is a function activation record, indexed by parameter position.
 // Params not passed are local scalars; array params alias the caller's
 // array.
@@ -35,12 +19,23 @@ type frame struct {
 	arrays  []*array // nil until an array is passed or made
 }
 
-// interp executes a parsed program.
+// interp executes a compiled program.
 type interp struct {
 	prog    *program
+	code    *code
 	globals []value  // by slot
 	arrays  []*array // by slot; nil until first used
 	frames  []frame
+	stack   []value // arguments of the builtin calls in progress
+
+	ret     value // of the last return, or exit
+	pending ctl   // what errUnwind is carrying
+
+	ctx       *apps.Context // nil outside a task: nothing to poll or charge
+	steps     int           // taken so far in this record
+	nextLook  int           // the count at which to look at ctx and the limit
+	charged   int           // quanta charged so far in this record
+	stepLimit int
 
 	record      string
 	fields      []string
@@ -63,13 +58,15 @@ type interp struct {
 
 func newInterp(prog *program, out io.Writer) *interp {
 	in := &interp{
-		prog:    prog,
-		globals: make([]value, len(prog.globals)),
-		arrays:  make([]*array, len(prog.globals)),
-		out:     out,
-		files:   make(map[string]io.WriteCloser),
-		readers: make(map[string]*getlineReader),
-		reCache: make(map[string]*compiledRegex),
+		prog:      prog,
+		code:      compile(prog),
+		stepLimit: maxSteps,
+		globals:   make([]value, len(prog.globals)),
+		arrays:    make([]*array, len(prog.globals)),
+		out:       out,
+		files:     make(map[string]io.WriteCloser),
+		readers:   make(map[string]*getlineReader),
+		reCache:   make(map[string]*compiledRegex),
 	}
 	in.globals[slotFS] = str(" ")
 	in.globals[slotOFS] = str(" ")
@@ -79,19 +76,22 @@ func newInterp(prog *program, out io.Writer) *interp {
 }
 
 // configure applies the command line's -F and -v settings and wires file
-// access to the program's context.
-func (in *interp) configure(ctx *apps.Context, fs string, assigns [][2]string) {
-	in.openFile = func(name string) (io.WriteCloser, error) { return ctx.Create(name) }
-	in.openRead = func(name string) (io.ReadCloser, error) { return ctx.Open(name) }
+// access, cancellation and the step charge to the program's context.
+func (in *interp) configure(ctx *apps.Context, fs string, assigns [][2]string) error {
+	in.ctx = ctx
+	in.openFile, in.openRead = ctx.Create, ctx.Open
 	if fs != "" {
 		in.globals[slotFS] = str(fs)
 	}
 	for _, kv := range assigns {
 		// A name the program never mentions has no slot and no reader.
 		if idx, ok := in.prog.globals[kv[0]]; ok {
-			in.setVar(varSlot{idx: idx}, inputStr(kv[1]))
+			if err := in.setVar(varSlot{idx: idx}, inputStr(kv[1])); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
 }
 
 // getlineReader is one open `getline < file` source, scanned through its
@@ -136,31 +136,37 @@ func (in *interp) getVar(s varSlot) value {
 	return in.globals[s.idx]
 }
 
-func (in *interp) setVar(s varSlot, v value) {
-	if s.local {
+func (in *interp) setVar(s varSlot, v value) error {
+	switch {
+	case s.local:
 		in.frames[len(in.frames)-1].scalars[s.idx] = v
-		return
-	}
-	switch s.idx {
-	case slotNR:
+	case s.idx == slotNR:
 		in.nr = int(v.Num())
-		return
-	case slotNF:
-		in.ensureFields()
-		n := int(v.Num())
-		if n < 0 {
-			n = 0
-		}
-		for len(in.fields) > n {
-			in.fields = in.fields[:len(in.fields)-1]
-		}
-		for len(in.fields) < n {
-			in.fields = append(in.fields, "")
-		}
-		in.recordValid = false
-		return
+	case s.idx == slotNF:
+		return in.setNF(max(int(v.Num()), 0))
+	default:
+		in.globals[s.idx] = v
 	}
-	in.globals[s.idx] = v
+	return nil
+}
+
+// maxFields bounds NF. A record read from input cannot have more fields
+// than bytes plus one, and the longest line apps.NewLineScanner admits is
+// 4 MiB; only an assignment — `$1e9 = 1`, `NF = 1e9` — can ask for more, and
+// would be given a string header per field it asked for.
+const maxFields = 4<<20 + 1
+
+// setNF truncates the record to n fields or pads it with empty ones.
+func (in *interp) setNF(n int) error {
+	if n > maxFields {
+		return runtimeErr("field count %d exceeds the limit of %d", n, maxFields)
+	}
+	in.ensureFields()
+	grow := max(n-len(in.fields), 0)
+	in.steps += grow // padding costs what joining does
+	in.fields = append(in.fields[:n-grow], make([]string, grow)...)
+	in.recordValid = false
+	return nil
 }
 
 // arrayTable returns the table s indexes: the innermost frame's for a
@@ -191,27 +197,6 @@ func (in *interp) isArray(s varSlot) bool {
 	return tab != nil && tab[s.idx] != nil
 }
 
-// subscript evaluates an array subscript to its key: the value's string,
-// or for several values their strings joined by SUBSEP.
-func (in *interp) subscript(index []expr) (string, error) {
-	if len(index) == 1 {
-		v, err := in.eval(index[0])
-		return v.Str(), err
-	}
-	var key strings.Builder
-	for i, e := range index {
-		v, err := in.eval(e)
-		if err != nil {
-			return "", err
-		}
-		if i > 0 {
-			key.WriteString(in.globals[slotSUBSEP].Str())
-		}
-		key.WriteString(v.Str())
-	}
-	return key.String(), nil
-}
-
 // Record and field handling --------------------------------------------------
 
 func (in *interp) setRecord(line string) {
@@ -220,7 +205,6 @@ func (in *interp) setRecord(line string) {
 	in.fieldsValid = false
 }
 
-func (in *interp) fs() string  { return in.globals[slotFS].Str() }
 func (in *interp) ofs() string { return in.globals[slotOFS].Str() }
 func (in *interp) ors() string { return in.globals[slotORS].Str() }
 
@@ -229,7 +213,7 @@ func (in *interp) ensureFields() {
 		return
 	}
 	in.ensureRecord()
-	in.fields = in.splitFields(in.fields[:0], in.record, in.fs())
+	in.fields = in.splitFields(in.fields[:0], in.record, in.globals[slotFS].Str())
 	in.fieldsValid = true
 }
 
@@ -294,6 +278,7 @@ func (in *interp) ensureRecord() {
 		return
 	}
 	in.record = strings.Join(in.fields, in.ofs())
+	in.steps += len(in.fields) // collected at the next step
 	in.recordValid = true
 }
 
@@ -309,17 +294,23 @@ func (in *interp) getField(i int) value {
 	return inputStr(in.fields[i-1])
 }
 
-func (in *interp) setField(i int, v value) {
-	if i == 0 {
+func (in *interp) setField(i int, v value) error {
+	switch {
+	case i == 0:
 		in.setRecord(v.Str())
-		return
+		return nil
+	case i < 0:
+		return runtimeErr("assignment to field %d", i)
 	}
 	in.ensureFields()
-	for len(in.fields) < i {
-		in.fields = append(in.fields, "")
+	if i > len(in.fields) {
+		if err := in.setNF(i); err != nil {
+			return err
+		}
 	}
 	in.fields[i-1] = v.Str()
 	in.recordValid = false
+	return nil
 }
 
 // regex compiles (with caching) a dynamic regex source.
@@ -342,47 +333,114 @@ func runtimeErr(format string, args ...any) error {
 	return fmt.Errorf("awk: %s", fmt.Sprintf(format, args...))
 }
 
+// outFile returns the writer of a print redirection, opening it on first use.
+func (in *interp) outFile(name string) (io.Writer, error) {
+	if f, ok := in.files[name]; ok {
+		return f, nil
+	}
+	if in.openFile == nil {
+		return nil, runtimeErr("print redirection unavailable in this context")
+	}
+	f, err := in.openFile(name)
+	if err != nil {
+		return nil, runtimeErr("cannot open %q: %v", name, err)
+	}
+	in.files[name] = f
+	return f, nil
+}
+
+// The step counter. A step is one pass of a loop or one function call, the
+// only ways a program runs longer than its text; joining or padding n fields
+// counts n, the one thing a single step can make expensive. The count starts
+// again at every input record (and at BEGIN and END), so the thresholds are
+// per record, and no program whose work is proportional to its input comes
+// near the second.
+const (
+	// pollSteps is how often a running program looks at its context for a
+	// cancel or a passed deadline, which until then only its reads did.
+	pollSteps = 1 << 16
+	// chargeSteps is how often it is charged as many input bytes of its
+	// class, a byte a step, so a program that spins burns virtual time until
+	// its deadline instead of host time with the clock frozen.
+	chargeSteps = 1 << 20
+	// maxSteps fails the record: the bound where there is no cost model or
+	// no deadline, and one nested loops and recursion cannot multiply.
+	maxSteps = 100_000_000
+)
+
+func (in *interp) startRecord() {
+	in.steps, in.charged, in.nextLook = 0, 0, min(pollSteps, in.stepLimit)
+}
+
+// step counts one loop pass or call.
+func (in *interp) step() error {
+	if in.steps++; in.steps < in.nextLook {
+		return nil
+	}
+	return in.look()
+}
+
+func (in *interp) look() error {
+	if in.steps >= in.stepLimit {
+		return runtimeErr("step limit exceeded")
+	}
+	in.nextLook = min(in.steps+pollSteps, in.stepLimit)
+	if in.ctx == nil {
+		return nil
+	}
+	for ; in.charged < in.steps/chargeSteps; in.charged++ {
+		if in.ctx.Charge != nil {
+			in.ctx.Charge(in.ctx.Class, chargeSteps)
+		}
+	}
+	return in.ctx.Interrupted()
+}
+
 // Run executes BEGIN rules, the main loop over input records, and END
 // rules, returning the exit code.
 func (in *interp) Run(inputs []namedReader) (int, error) {
 	defer in.release()
-	exitCode, err := in.runRules(inputs)
+	code, err := in.runRules(inputs)
 	if err != nil {
 		return 1, err
 	}
 	// POSIX: exit in BEGIN or a main rule still runs END rules; exit inside
 	// END terminates immediately.
-	for _, blk := range in.prog.ends {
-		if err := in.execBlock(blk); err != nil {
-			if errors.Is(err, errNext) {
-				return 1, runtimeErr("next inside END")
-			}
-			return exitOrErr(err)
+	in.startRecord()
+	for _, blk := range in.code.ends {
+		switch ct, err := in.run(blk); {
+		case err != nil:
+			return 1, err
+		case ct == ctlNext:
+			return 1, runtimeErr("next inside END")
+		case ct == ctlExit:
+			return int(in.ret.Num()), nil
 		}
 	}
-	return exitCode, nil
+	return code, nil
 }
 
-// exitOrErr turns what stopped a block into Run's result: the code of an
-// `exit`, or 1 and the error.
-func exitOrErr(err error) (int, error) {
-	var ex exitSignal
-	if errors.As(err, &ex) {
-		return ex.code, nil
+// run executes one rule and turns a next or exit that a function raised
+// back into its control code.
+func (in *interp) run(blk execFn) (ctl, error) {
+	ct, err := blk(in)
+	if err == errUnwind {
+		return in.pending, nil
 	}
-	return 1, err
+	return ct, err
 }
 
 // runRules runs the BEGIN rules and the main loop, to the end of input or
 // the first `exit`, whose code it returns.
 func (in *interp) runRules(inputs []namedReader) (int, error) {
-	for _, blk := range in.prog.begins {
-		if err := in.execBlock(blk); err != nil && !errors.Is(err, errNext) {
-			return exitOrErr(err)
+	in.startRecord()
+	for _, blk := range in.code.begins {
+		if ct, err := in.run(blk); err != nil || ct == ctlExit {
+			return int(in.ret.Num()), err
 		}
 	}
 	// The input is read only when there are main rules or END blocks.
-	if len(in.prog.rules) == 0 && len(in.prog.ends) == 0 {
+	if len(in.code.rules) == 0 && len(in.code.ends) == 0 {
 		return 0, nil
 	}
 	buf := apps.GetBlock()
@@ -392,21 +450,13 @@ func (in *interp) runRules(inputs []namedReader) (int, error) {
 		sc := apps.NewLineScanner(input.r, buf)
 		for sc.Scan() {
 			in.nr++
+			in.startRecord()
 			in.setRecord(sc.Text())
-			for _, r := range in.prog.rules {
-				matched, err := in.matchPattern(r.pattern)
-				if err != nil {
-					return 1, err
-				}
-				if !matched {
-					continue
-				}
-				err = in.execBlock(r.action)
-				if errors.Is(err, errNext) {
+			for _, r := range in.code.rules {
+				if ct, err := in.run(r); err != nil || ct == ctlExit {
+					return int(in.ret.Num()), err
+				} else if ct == ctlNext {
 					break // skip remaining rules for this record
-				}
-				if err != nil {
-					return exitOrErr(err)
 				}
 			}
 		}
@@ -421,20 +471,4 @@ func (in *interp) runRules(inputs []namedReader) (int, error) {
 type namedReader struct {
 	name string
 	r    io.Reader
-}
-
-// matchPattern evaluates a rule pattern against the current record.
-func (in *interp) matchPattern(pat expr) (bool, error) {
-	if pat == nil {
-		return true, nil
-	}
-	if re, ok := pat.(*regexLit); ok {
-		in.ensureRecord()
-		return re.re.re.MatchLine([]byte(in.record)), nil
-	}
-	v, err := in.eval(pat)
-	if err != nil {
-		return false, err
-	}
-	return v.Bool(), nil
 }

@@ -1,7 +1,8 @@
 // Package awkx implements the `gawk` offloadable executable of the
-// CompStor evaluation: a tree-walking AWK interpreter with fields, pattern-
-// action rules, associative arrays, user functions, and the classic
-// string/number builtins. Regular expressions reuse the grepx NFA engine.
+// CompStor evaluation: an AWK interpreter — a program is parsed, then
+// compiled to closures (compile.go) — with fields, pattern-action rules,
+// associative arrays, user functions, and the classic string/number
+// builtins. Regular expressions reuse the grepx NFA engine.
 //
 // Supported language: BEGIN/END and expression//regex/ patterns; print and
 // printf (with > "file" redirection); if/else, while, do, for, for-in,
@@ -58,14 +59,6 @@ var keywords = map[string]bool{
 	"next": true, "exit": true, "return": true, "delete": true, "in": true,
 	"getline": true,
 	"print":   true, "printf": true,
-}
-
-var builtins = map[string]bool{
-	"length": true, "substr": true, "index": true, "split": true,
-	"sub": true, "gsub": true, "match": true, "sprintf": true,
-	"toupper": true, "tolower": true, "int": true, "sqrt": true,
-	"exp": true, "log": true, "sin": true, "cos": true, "atan2": true,
-	"rand": true, "srand": true,
 }
 
 type lexer struct {
@@ -144,33 +137,15 @@ func isDigit(c byte) bool      { return c >= '0' && c <= '9' }
 func isIdentStart(c byte) bool { return c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' }
 func isIdent(c byte) bool      { return isIdentStart(c) || isDigit(c) }
 
+// lexNumber takes the longest number at the cursor, by the grammar strings
+// convert with (scanNumber); the caller saw a digit, so there is one.
 func (l *lexer) lexNumber() (token, error) {
 	start := l.pos
-	for l.pos < len(l.src) && (isDigit(l.src[l.pos]) || l.src[l.pos] == '.') {
-		l.pos++
-	}
-	// Exponent.
-	if l.pos < len(l.src) && (l.src[l.pos] == 'e' || l.src[l.pos] == 'E') {
-		save := l.pos
-		l.pos++
-		if l.pos < len(l.src) && (l.src[l.pos] == '+' || l.src[l.pos] == '-') {
-			l.pos++
-		}
-		if l.pos < len(l.src) && isDigit(l.src[l.pos]) {
-			for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
-				l.pos++
-			}
-		} else {
-			l.pos = save
-		}
-	}
+	_, end := scanNumber(l.src[start:])
+	l.pos += end
 	text := l.src[start:l.pos]
-	var num float64
-	if _, err := fmt.Sscanf(text, "%g", &num); err != nil {
-		return token{}, l.errf("bad number %q", text)
-	}
 	l.lastValue = true
-	return token{kind: tNumber, text: text, num: num, pos: start}, nil
+	return token{kind: tNumber, text: text, num: numPrefix(text), pos: start}, nil
 }
 
 func (l *lexer) lexIdent() (token, error) {
@@ -183,7 +158,7 @@ func (l *lexer) lexIdent() (token, error) {
 	case keywords[text]:
 		l.lastValue = false
 		return token{kind: tKeyword, text: text, pos: start}, nil
-	case builtins[text]:
+	case builtins[text] != nil:
 		l.lastValue = false
 		return token{kind: tBuiltin, text: text, pos: start}, nil
 	}
@@ -212,23 +187,11 @@ func (l *lexer) lexString() (token, error) {
 			if l.pos >= len(l.src) {
 				return token{}, l.errf("unterminated string")
 			}
-			e := l.src[l.pos]
-			switch e {
-			case 'n':
-				sb.WriteByte('\n')
-			case 't':
-				sb.WriteByte('\t')
-			case 'r':
-				sb.WriteByte('\r')
-			case '\\':
-				sb.WriteByte('\\')
-			case '"':
-				sb.WriteByte('"')
-			case '/':
-				sb.WriteByte('/')
-			default:
-				sb.WriteByte('\\')
-				sb.WriteByte(e)
+			// \n \t \r \\ \" \/ are the character; any other escape stays as written.
+			if i := strings.IndexByte(`ntr\"/`, l.src[l.pos]); i >= 0 {
+				sb.WriteByte("\n\t\r\\\"/"[i])
+			} else {
+				sb.WriteString(l.src[l.pos-1 : l.pos+1])
 			}
 			l.pos++
 		case '\n':
@@ -270,9 +233,7 @@ func (l *lexer) lexRegex() (token, error) {
 	return token{}, l.errf("unterminated regex")
 }
 
-// twoCharOps and threeCharOps, longest match first.
-var threeCharOps = []string{}
-
+// twoCharOps are matched before the single characters.
 var twoCharOps = []string{
 	"==", "!=", "<=", ">=", "&&", "||", "++", "--",
 	"+=", "-=", "*=", "/=", "%=", "^=", "!~", ">>",
@@ -281,13 +242,6 @@ var twoCharOps = []string{
 func (l *lexer) lexOp() (token, error) {
 	start := l.pos
 	rest := l.src[l.pos:]
-	for _, op := range threeCharOps {
-		if strings.HasPrefix(rest, op) {
-			l.pos += 3
-			l.lastValue = false
-			return token{kind: tOp, text: op, pos: start}, nil
-		}
-	}
 	for _, op := range twoCharOps {
 		if strings.HasPrefix(rest, op) {
 			l.pos += 2

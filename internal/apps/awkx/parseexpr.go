@@ -1,8 +1,8 @@
 package awkx
 
-// Expression parsing, precedence climbing from lowest to highest:
-// assignment → ternary → || → && → in → match → relational → concat →
-// additive → multiplicative → unary → power → postfix → primary.
+// Expression parsing, from loosest to tightest: assignment → ternary → the
+// binary operators (|| → && → in → match → relational → concat → additive
+// → multiplicative) → unary → power → postfix → primary.
 
 func (p *parser) parseExpr() (expr, error) { return p.parseAssign() }
 
@@ -29,17 +29,14 @@ func (p *parser) parseAssign() (expr, error) {
 			}
 			p.pos++
 			right, err := p.parseAssign() // right associative
-			if err != nil {
-				return nil, err
-			}
-			return &assign{op: t.text, target: left, val: right}, nil
+			return &assign{op: t.text, target: left, val: right}, err
 		}
 	}
 	return left, nil
 }
 
 func (p *parser) parseTernary() (expr, error) {
-	cond, err := p.parseOr()
+	cond, err := p.parseBinary(1)
 	if err != nil {
 		return nil, err
 	}
@@ -49,175 +46,87 @@ func (p *parser) parseTernary() (expr, error) {
 	p.pos++
 	p.skipNewlines()
 	a, err := p.parseTernary()
-	if err != nil {
-		return nil, err
+	if err == nil {
+		err = p.expectOp(":")
 	}
-	if err := p.expectOp(":"); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	p.skipNewlines()
 	b, err := p.parseTernary()
-	if err != nil {
-		return nil, err
-	}
-	return &ternary{cond: cond, a: a, b: b}, nil
+	return &ternary{cond: cond, a: a, b: b}, err
 }
 
-func (p *parser) parseOr() (expr, error) {
-	left, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.isOp("||") {
-		p.pos++
-		p.skipNewlines()
-		right, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		left = &binary{op: "||", l: left, r: right}
-	}
-	return left, nil
+// precedence orders the binary operators, loosest first; "concat" is
+// juxtaposition.
+var precedence = map[string]int{
+	"||": 1, "&&": 2, "in": 3, "~": 4, "!~": 4,
+	"<": 5, "<=": 5, ">": 5, ">=": 5, "==": 5, "!=": 5,
+	"concat": 6, "+": 7, "-": 7, "*": 8, "/": 8, "%": 8,
 }
 
-func (p *parser) parseAnd() (expr, error) {
-	left, err := p.parseIn()
-	if err != nil {
-		return nil, err
-	}
-	for p.isOp("&&") {
-		p.pos++
-		p.skipNewlines()
-		right, err := p.parseIn()
-		if err != nil {
-			return nil, err
-		}
-		left = &binary{op: "&&", l: left, r: right}
-	}
-	return left, nil
-}
+const (
+	precMatch, precRel, precConcat = 4, 5, 6
+)
 
-func (p *parser) parseIn() (expr, error) {
-	left, err := p.parseMatch()
-	if err != nil {
-		return nil, err
-	}
-	for p.isKeyword("in") {
-		p.pos++
-		arr := p.next()
-		if arr.kind != tIdent {
-			return nil, p.errf("expected array name after in")
-		}
-		left = &inExpr{index: []expr{left}, arr: p.bind(arr.text)}
-	}
-	return left, nil
-}
-
-func (p *parser) parseMatch() (expr, error) {
-	left, err := p.parseRel()
-	if err != nil {
-		return nil, err
-	}
-	for p.isOp("~") || p.isOp("!~") {
-		neg := p.peek().text == "!~"
-		p.pos++
-		right, err := p.parseRel()
-		if err != nil {
-			return nil, err
-		}
-		left = &matchExpr{neg: neg, l: left, re: right}
-	}
-	return left, nil
-}
-
-func (p *parser) parseRel() (expr, error) {
-	left, err := p.parseConcat()
-	if err != nil {
-		return nil, err
-	}
+// binaryOp reports the binary operator at the cursor and its precedence, 0
+// for none. While '>' means print redirection it is no operator; and what
+// can start an operand where one just ended is a concatenation.
+func (p *parser) binaryOp() (string, int) {
 	t := p.peek()
-	if t.kind == tOp {
-		op := t.text
-		switch op {
-		case "<", "<=", ">=", "==", "!=":
-		case ">":
-			if p.noGT > 0 {
-				return left, nil // print redirection, not comparison
-			}
-		default:
-			return left, nil
-		}
-		p.pos++
-		right, err := p.parseConcat()
-		if err != nil {
-			return nil, err
-		}
-		return &binary{op: op, l: left, r: right}, nil
+	switch {
+	case t.kind == tKeyword && t.text == "in",
+		t.kind == tOp && precedence[t.text] > 0 && !(t.text == ">" && p.noGT > 0):
+		return t.text, precedence[t.text]
+	case p.concatStarts():
+		return "concat", precConcat
 	}
-	return left, nil
+	return "", 0
 }
 
 // concatStarts reports whether the next token can begin a concatenation
-// operand. '+'/'-' are excluded: additive parsing owns them.
+// operand. '+'/'-' are excluded, which are additive there, and a regex.
 func (p *parser) concatStarts() bool {
 	t := p.peek()
-	switch t.kind {
-	case tNumber, tString, tIdent, tFuncName, tBuiltin:
-		return true
-	case tOp:
-		switch t.text {
-		case "(", "$", "!", "++", "--":
-			return true
-		}
-	}
-	return false
+	return p.startsExpr() && t.kind != tRegex && !(t.kind == tOp && (t.text == "-" || t.text == "+"))
 }
 
-func (p *parser) parseConcat() (expr, error) {
-	left, err := p.parseAdditive()
-	if err != nil {
-		return nil, err
-	}
-	for p.concatStarts() {
-		right, err := p.parseAdditive()
-		if err != nil {
-			return nil, err
-		}
-		left = &binary{op: "concat", l: left, r: right}
-	}
-	return left, nil
-}
-
-func (p *parser) parseAdditive() (expr, error) {
-	left, err := p.parseMultiplicative()
-	if err != nil {
-		return nil, err
-	}
-	for p.isOp("+") || p.isOp("-") {
-		op := p.next().text
-		right, err := p.parseMultiplicative()
-		if err != nil {
-			return nil, err
-		}
-		left = &binary{op: op, l: left, r: right}
-	}
-	return left, nil
-}
-
-func (p *parser) parseMultiplicative() (expr, error) {
+// parseBinary parses the binary operators of precedence min and tighter by
+// precedence climbing. All are left associative, except that comparisons do
+// not chain; and once a level has been left it is not entered again, so
+// `k in a < 1` stops before the '<'.
+func (p *parser) parseBinary(min int) (expr, error) {
 	left, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for p.isOp("*") || p.isOp("/") || p.isOp("%") {
-		op := p.next().text
-		right, err := p.parseUnary()
-		if err != nil {
-			return nil, err
+	for max := len(precedence); err == nil; {
+		op, prec := p.binaryOp()
+		if prec < min || prec > max || prec == 0 {
+			break
 		}
-		left = &binary{op: op, l: left, r: right}
+		if max = prec; prec == precRel {
+			max--
+		}
+		if op != "concat" {
+			p.pos++
+		}
+		if op == "||" || op == "&&" {
+			p.skipNewlines()
+		}
+		if op == "in" {
+			arr := p.next()
+			if arr.kind != tIdent {
+				return nil, p.errf("expected array name after in")
+			}
+			left = &inExpr{index: []expr{left}, arr: p.bind(arr.text)}
+			continue
+		}
+		var right expr
+		if right, err = p.parseBinary(prec + 1); prec == precMatch {
+			left = &matchExpr{neg: op == "!~", l: left, re: right}
+		} else {
+			left = &binary{op: op, l: left, r: right}
+		}
 	}
-	return left, nil
+	return left, err
 }
 
 func (p *parser) parseUnary() (expr, error) {
@@ -227,10 +136,7 @@ func (p *parser) parseUnary() (expr, error) {
 		case "!", "-", "+":
 			p.pos++
 			e, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			return &unary{op: t.text, e: e}, nil
+			return &unary{op: t.text, e: e}, err
 		}
 	}
 	return p.parsePower()
@@ -244,10 +150,7 @@ func (p *parser) parsePower() (expr, error) {
 	if p.isOp("^") {
 		p.pos++
 		right, err := p.parseUnary() // right associative, allows 2^-3
-		if err != nil {
-			return nil, err
-		}
-		return &binary{op: "^", l: left, r: right}, nil
+		return &binary{op: "^", l: left, r: right}, err
 	}
 	return left, nil
 }
@@ -288,64 +191,30 @@ func (p *parser) parsePrimary() (expr, error) {
 		if err := p.expectOp("("); err != nil {
 			return nil, err
 		}
-		c := &call{name: t.text}
-		for !p.isOp(")") {
-			a, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			c.args = append(c.args, a)
-			if p.isOp(",") {
-				p.pos++
-			}
-		}
-		p.pos++ // )
-		return c, nil
+		args, err := p.parseArgs()
+		return &call{name: t.text, args: args}, err
 	case tBuiltin:
 		p.pos++
+		if !p.isOp("(") && t.text != "length" { // bare `length` means length($0)
+			return nil, p.errf("%s requires arguments", t.text)
+		}
 		bc := &builtinCall{name: t.text}
 		if p.isOp("(") {
 			p.pos++
-			for !p.isOp(")") {
-				a, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				bc.args = append(bc.args, a)
-				if p.isOp(",") {
-					p.pos++
-				}
+			var err error
+			if bc.args, err = p.parseArgs(); err != nil {
+				return nil, err
 			}
-			p.pos++ // )
-		} else if t.text == "length" {
-			// bare `length` means length($0)
-		} else {
-			return nil, p.errf("%s requires arguments", t.text)
 		}
 		return bc, nil
 	case tIdent:
 		p.pos++
 		if p.isOp("[") {
-			p.pos++
-			ir := &indexRef{arr: p.bind(t.text)}
-			for {
-				e, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				ir.index = append(ir.index, e)
-				if p.isOp(",") {
-					p.pos++
-					continue
-				}
-				break
-			}
-			if err := p.expectOp("]"); err != nil {
-				return nil, err
-			}
-			return ir, nil
+			arr := p.bind(t.text)
+			index, err := p.parseSubscripts()
+			return &indexRef{arr: arr, index: index}, err
 		}
-		return &varRef{t.text, p.bind(t.text)}, nil
+		return &varRef{name: t.text, varSlot: p.bind(t.text)}, nil
 	}
 	if t.kind == tOp {
 		switch t.text {
@@ -355,21 +224,14 @@ func (p *parser) parsePrimary() (expr, error) {
 			saved := p.noGT
 			p.noGT = 0
 			e, err := p.parseExpr()
-			p.noGT = saved
-			if err != nil {
-				return nil, err
+			if p.noGT = saved; err == nil {
+				err = p.expectOp(")")
 			}
-			if err := p.expectOp(")"); err != nil {
-				return nil, err
-			}
-			return &groupExpr{e: e}, nil
+			return &groupExpr{e: e}, err
 		case "$":
 			p.pos++
 			idx, err := p.parsePostfixDollar()
-			if err != nil {
-				return nil, err
-			}
-			return &fieldRef{idx: idx}, nil
+			return &fieldRef{idx: idx}, err
 		case "++", "--":
 			p.pos++
 			target, err := p.parsePostfix()
@@ -385,6 +247,35 @@ func (p *parser) parsePrimary() (expr, error) {
 	return nil, p.errf("unexpected token")
 }
 
+// parseArgs parses a call's arguments, the opening parenthesis behind it.
+func (p *parser) parseArgs() (args []expr, err error) {
+	for !p.isOp(")") {
+		a, err := p.parseExpr()
+		if err != nil {
+			return nil, err
+		}
+		args = append(args, a)
+		if p.isOp(",") {
+			p.pos++
+		}
+	}
+	p.pos++ // )
+	return args, nil
+}
+
+// parseSubscripts parses `[e, e...]`, the cursor at the bracket.
+func (p *parser) parseSubscripts() (index []expr, err error) {
+	for p.pos++; ; p.pos++ {
+		e, err := p.parseExpr()
+		if err != nil {
+			return nil, err
+		}
+		if index = append(index, e); !p.isOp(",") {
+			return index, p.expectOp("]")
+		}
+	}
+}
+
 // parseGetline parses `getline [lvalue] < file`. Only the file-redirection
 // forms are supported (reading the main input mid-rule is not).
 func (p *parser) parseGetline() (expr, error) {
@@ -393,7 +284,7 @@ func (p *parser) parseGetline() (expr, error) {
 	// Optional simple lvalue: identifier or $field.
 	if t := p.peek(); t.kind == tIdent {
 		p.pos++
-		g.target = &varRef{t.text, p.bind(t.text)}
+		g.target = &varRef{name: t.text, varSlot: p.bind(t.text)}
 	} else if p.isOp("$") {
 		p.pos++
 		idx, err := p.parsePostfixDollar()
@@ -406,12 +297,9 @@ func (p *parser) parseGetline() (expr, error) {
 		return nil, p.errf("getline requires `< filename` in this implementation")
 	}
 	p.pos++
-	src, err := p.parseConcat()
-	if err != nil {
-		return nil, err
-	}
-	g.src = src
-	return g, nil
+	var err error
+	g.src, err = p.parseBinary(precConcat)
+	return g, err
 }
 
 // parsePostfixDollar parses the operand of `$`, which binds tighter than
@@ -424,24 +312,18 @@ func (p *parser) parsePostfixDollar() (expr, error) {
 		return &numLit{v: t.num}, nil
 	case t.kind == tIdent:
 		p.pos++
-		return &varRef{t.text, p.bind(t.text)}, nil
+		return &varRef{name: t.text, varSlot: p.bind(t.text)}, nil
 	case t.kind == tOp && t.text == "(":
 		p.pos++
 		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
+		if err == nil {
+			err = p.expectOp(")")
 		}
-		if err := p.expectOp(")"); err != nil {
-			return nil, err
-		}
-		return e, nil
+		return e, err
 	case t.kind == tOp && t.text == "$":
 		p.pos++
 		inner, err := p.parsePostfixDollar()
-		if err != nil {
-			return nil, err
-		}
-		return &fieldRef{idx: inner}, nil
+		return &fieldRef{idx: inner}, err
 	}
 	return nil, p.errf("bad field reference")
 }

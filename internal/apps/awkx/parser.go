@@ -112,20 +112,16 @@ func (p *parser) parseProgram() (*program, error) {
 				return nil, p.errf("duplicate function %s", fd.name)
 			}
 			prog.funcs[fd.name] = fd
-		case p.isKeyword("BEGIN"):
-			p.pos++
+		case p.isKeyword("BEGIN"), p.isKeyword("END"):
+			blocks := &prog.begins
+			if p.next().text == "END" {
+				blocks = &prog.ends
+			}
 			blk, err := p.parseBlock()
 			if err != nil {
 				return nil, err
 			}
-			prog.begins = append(prog.begins, blk)
-		case p.isKeyword("END"):
-			p.pos++
-			blk, err := p.parseBlock()
-			if err != nil {
-				return nil, err
-			}
-			prog.ends = append(prog.ends, blk)
+			*blocks = append(*blocks, blk)
 		default:
 			r, err := p.parseRule()
 			if err != nil {
@@ -160,36 +156,23 @@ func (p *parser) parseFunction() (*funcDef, error) {
 	}
 	p.pos++ // )
 	p.skipNewlines()
+	var err error
 	p.params = fd.params
-	body, err := p.parseBlock()
+	fd.body, err = p.parseBlock()
 	p.params = nil
-	if err != nil {
-		return nil, err
-	}
-	fd.body = body
-	return fd, nil
+	return fd, err
 }
 
 func (p *parser) parseRule() (rule, error) {
-	var r rule
+	// Without an action a pattern prints $0.
+	r, err := rule{action: &stmtBlock{stmts: []stmt{&printStmt{}}}}, error(nil)
 	if !p.isOp("{") {
-		pat, err := p.parseExpr()
-		if err != nil {
-			return r, err
-		}
-		r.pattern = pat
+		r.pattern, err = p.parseExpr()
 	}
-	if p.isOp("{") {
-		blk, err := p.parseBlock()
-		if err != nil {
-			return r, err
-		}
-		r.action = blk
-	} else {
-		// Pattern with no action: print $0.
-		r.action = &stmtBlock{stmts: []stmt{&printStmt{}}}
+	if err == nil && p.isOp("{") {
+		r.action, err = p.parseBlock()
 	}
-	return r, nil
+	return r, err
 }
 
 func (p *parser) parseBlock() (*stmtBlock, error) {
@@ -222,16 +205,15 @@ func (p *parser) parseSimpleOrBlock() (stmt, error) {
 	return p.parseStmt()
 }
 
+var jumps = map[string]ctl{"break": ctlBreak, "continue": ctlContinue, "next": ctlNext, "exit": ctlExit, "return": ctlReturn}
+
 func (p *parser) parseStmt() (stmt, error) {
 	t := p.peek()
 	if t.kind == tKeyword {
 		switch t.text {
-		case "print":
+		case "print", "printf":
 			p.pos++
-			return p.parsePrint(false)
-		case "printf":
-			p.pos++
-			return p.parsePrint(true)
+			return p.parsePrint(t.text == "printf")
 		case "if":
 			return p.parseIf()
 		case "while":
@@ -240,37 +222,18 @@ func (p *parser) parseStmt() (stmt, error) {
 			return p.parseDo()
 		case "for":
 			return p.parseFor()
-		case "break":
+		case "break", "continue", "next":
 			p.pos++
-			return &breakStmt{}, nil
-		case "continue":
+			return &jumpStmt{code: jumps[t.text]}, nil
+		case "exit", "return":
 			p.pos++
-			return &continueStmt{}, nil
-		case "next":
-			p.pos++
-			return &nextStmt{}, nil
-		case "exit":
-			p.pos++
-			var code expr
-			if p.startsExpr() {
-				var err error
-				code, err = p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
+			st := &leaveStmt{code: jumps[t.text]}
+			if !p.startsExpr() {
+				return st, nil
 			}
-			return &exitStmt{code: code}, nil
-		case "return":
-			p.pos++
-			var val expr
-			if p.startsExpr() {
-				var err error
-				val, err = p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-			}
-			return &returnStmt{val: val}, nil
+			var err error
+			st.val, err = p.parseExpr()
+			return st, err
 		case "delete":
 			p.pos++
 			name := p.next()
@@ -278,25 +241,12 @@ func (p *parser) parseStmt() (stmt, error) {
 				return nil, p.errf("expected array name after delete")
 			}
 			ds := &deleteStmt{arr: p.bind(name.text)}
-			if p.isOp("[") {
-				p.pos++
-				for {
-					e, err := p.parseExpr()
-					if err != nil {
-						return nil, err
-					}
-					ds.index = append(ds.index, e)
-					if p.isOp(",") {
-						p.pos++
-						continue
-					}
-					break
-				}
-				if err := p.expectOp("]"); err != nil {
-					return nil, err
-				}
+			if !p.isOp("[") {
+				return ds, nil
 			}
-			return ds, nil
+			var err error
+			ds.index, err = p.parseSubscripts()
+			return ds, err
 		}
 	}
 	if p.isOp("{") {
@@ -355,13 +305,10 @@ func (p *parser) parsePrint(formatted bool) (stmt, error) {
 		}
 		dest = e
 	}
-	if formatted {
-		if len(args) == 0 {
-			return nil, p.errf("printf needs a format")
-		}
-		return &printfStmt{args: args, dest: dest}, nil
+	if formatted && len(args) == 0 {
+		return nil, p.errf("printf needs a format")
 	}
-	return &printStmt{args: args, dest: dest}, nil
+	return &printStmt{args: args, dest: dest, formatted: formatted}, nil
 }
 
 // parseCond parses the parenthesised condition of if, while and do-while.
@@ -390,17 +337,13 @@ func (p *parser) parseIf() (stmt, error) {
 	// Optional else (possibly after newlines / semicolon).
 	save := p.pos
 	p.skipNewlines()
-	if p.isKeyword("else") {
-		p.pos++
-		elze, err := p.parseSimpleOrBlock()
-		if err != nil {
-			return nil, err
-		}
-		st.elze = elze
-	} else {
+	if !p.isKeyword("else") {
 		p.pos = save
+		return st, nil
 	}
-	return st, nil
+	p.pos++
+	st.elze, err = p.parseSimpleOrBlock()
+	return st, err
 }
 
 func (p *parser) parseWhile() (stmt, error) {
@@ -410,10 +353,7 @@ func (p *parser) parseWhile() (stmt, error) {
 		return nil, err
 	}
 	body, err := p.parseSimpleOrBlock()
-	if err != nil {
-		return nil, err
-	}
-	return &loopStmt{cond: cond, body: body}, nil
+	return &loopStmt{cond: cond, body: body}, err
 }
 
 func (p *parser) parseDo() (stmt, error) {
@@ -428,10 +368,7 @@ func (p *parser) parseDo() (stmt, error) {
 	}
 	p.pos++
 	cond, err := p.parseCond()
-	if err != nil {
-		return nil, err
-	}
-	return &loopStmt{cond: cond, body: body, doWhile: true}, nil
+	return &loopStmt{cond: cond, body: body, doWhile: true}, err
 }
 
 func (p *parser) parseFor() (stmt, error) {
@@ -451,46 +388,30 @@ func (p *parser) parseFor() (stmt, error) {
 			return nil, err
 		}
 		body, err := p.parseSimpleOrBlock()
-		if err != nil {
-			return nil, err
-		}
-		return &forInStmt{v: p.bind(varName), arr: p.bind(arr.text), body: body}, nil
+		return &forInStmt{v: p.bind(varName), arr: p.bind(arr.text), body: body}, err
 	}
-	st := &loopStmt{}
+	// Each of init, cond and post may be left out.
+	st, err := &loopStmt{}, error(nil)
 	if !p.isOp(";") {
-		init, err := p.parseStmt()
-		if err != nil {
-			return nil, err
-		}
-		st.init = init
+		st.init, err = p.parseStmt()
 	}
-	if err := p.expectOp(";"); err != nil {
-		return nil, err
+	if err == nil {
+		err = p.expectOp(";")
 	}
-	if !p.isOp(";") {
-		cond, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		st.cond = cond
+	if err == nil && !p.isOp(";") {
+		st.cond, err = p.parseExpr()
 	}
-	if err := p.expectOp(";"); err != nil {
-		return nil, err
+	if err == nil {
+		err = p.expectOp(";")
 	}
-	if !p.isOp(")") {
-		post, err := p.parseStmt()
-		if err != nil {
-			return nil, err
-		}
-		st.post = post
+	if err == nil && !p.isOp(")") {
+		st.post, err = p.parseStmt()
 	}
-	if err := p.expectOp(")"); err != nil {
-		return nil, err
+	if err == nil {
+		err = p.expectOp(")")
 	}
-	body, err := p.parseSimpleOrBlock()
-	if err != nil {
-		return nil, err
+	if err == nil {
+		st.body, err = p.parseSimpleOrBlock()
 	}
-	st.body = body
-	return st, nil
+	return st, err
 }

@@ -66,23 +66,15 @@ func splitStmt(s stmt) bool {
 	case *exprStmt:
 		return splitExpr(s.e)
 	case *printStmt:
-		if s.dest != nil {
-			return false
-		}
-		return splitExprs(s.args)
-	case *printfStmt:
-		if s.dest != nil {
-			return false
-		}
-		return splitExprs(s.args)
+		return s.dest == nil && splitExprs(s.args)
 	case *ifStmt:
 		return splitExpr(s.cond) && splitStmt(s.then) && splitStmt(s.elze)
 	case *loopStmt:
 		return splitStmt(s.init) && splitExpr(s.cond) && splitStmt(s.post) && splitStmt(s.body)
-	case *breakStmt, *continueStmt, *nextStmt:
+	case *jumpStmt:
 		return true
 	default:
-		// forInStmt, exitStmt, returnStmt, deleteStmt — all stateful.
+		// forInStmt, leaveStmt, deleteStmt — all stateful.
 		return false
 	}
 }
@@ -158,19 +150,13 @@ type gawkKernel struct {
 // configured exactly like the serial one, scanning just the chunk's records
 // into a private buffer.
 func (k *gawkKernel) RunChunk(ctx *apps.Context, r io.Reader, chunk int) (any, error) {
-	prog, err := parse(k.progText)
-	if err != nil {
-		return nil, apps.Exitf(2, "gawk: %v", err)
-	}
 	var buf bytes.Buffer
-	interp := newInterp(prog, &buf)
-	interp.configure(ctx, k.fs, k.assigns)
-	code, err := interp.Run([]namedReader{{name: k.file, r: r}})
-	if err != nil {
-		return nil, apps.Exitf(2, "gawk: %v", err)
+	in, err := load(ctx, &buf, k.fs, k.assigns, k.progText)
+	if err == nil {
+		err = in.exitStatus([]namedReader{{name: k.file, r: r}})
 	}
-	if code != 0 {
-		return nil, apps.Exitf(code, "")
+	if err != nil {
+		return nil, err
 	}
 	return buf.Bytes(), nil
 }

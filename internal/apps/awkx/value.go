@@ -158,14 +158,17 @@ func numericCompare(a, b value) bool { return numericish(a) && numericish(b) }
 // compare returns -1, 0, or 1.
 func compare(a, b value) int {
 	if numericCompare(a, b) {
-		x, y := a.Num(), b.Num()
-		switch {
-		case x < y:
-			return -1
-		case x > y:
-			return 1
-		}
-		return 0
+		return compareNum(a.Num(), b.Num())
 	}
 	return strings.Compare(a.Str(), b.Str())
+}
+
+func compareNum(x, y float64) int {
+	switch {
+	case x < y:
+		return -1
+	case x > y:
+		return 1
+	}
+	return 0
 }

@@ -275,27 +275,11 @@ func (Head) Class() cpu.Class { return cpu.ClassCat }
 
 // Run implements apps.Program.
 func (Head) Run(ctx *apps.Context, args []string) error {
-	n, files, err := headTailArgs(args)
-	if err != nil {
-		return apps.Exitf(1, "head: %v", err)
-	}
-	rs, done, oerr := openAll(ctx, files)
-	if oerr != nil {
-		return apps.Exitf(1, "head: %v", oerr)
-	}
-	defer done()
-	blk := apps.GetBlock()
-	defer apps.PutBlock(blk)
-	for _, r := range rs {
-		sc := apps.NewLineScanner(r, blk)
+	return headTail(ctx, "head", args, func(sc *bufio.Scanner, n int) {
 		for i := 0; i < n && sc.Scan(); i++ {
 			fmt.Fprintln(ctx.Stdout, sc.Text())
 		}
-		if err := sc.Err(); err != nil {
-			return apps.Exitf(1, "head: %v", err)
-		}
-	}
-	return nil
+	})
 }
 
 // Tail prints the last N lines (default 10).
@@ -309,22 +293,10 @@ func (Tail) Class() cpu.Class { return cpu.ClassCat }
 
 // Run implements apps.Program.
 func (Tail) Run(ctx *apps.Context, args []string) error {
-	n, files, err := headTailArgs(args)
-	if err != nil {
-		return apps.Exitf(1, "tail: %v", err)
-	}
-	rs, done, oerr := openAll(ctx, files)
-	if oerr != nil {
-		return apps.Exitf(1, "tail: %v", oerr)
-	}
-	defer done()
-	blk := apps.GetBlock()
-	defer apps.PutBlock(blk)
 	var ring []string // line i of the input sits in slot i % n, once n lines came
-	for _, r := range rs {
+	return headTail(ctx, "tail", args, func(sc *bufio.Scanner, n int) {
 		ring = ring[:0]
 		lines := 0
-		sc := apps.NewLineScanner(r, blk)
 		for sc.Scan() {
 			if len(ring) < n {
 				ring = append(ring, sc.Text())
@@ -333,11 +305,31 @@ func (Tail) Run(ctx *apps.Context, args []string) error {
 			}
 			lines++
 		}
-		if err := sc.Err(); err != nil {
-			return apps.Exitf(1, "tail: %v", err)
-		}
-		for i := max(lines-n, 0); i < lines; i++ {
+		for i := max(lines-n, 0); sc.Err() == nil && i < lines; i++ {
 			fmt.Fprintln(ctx.Stdout, ring[i%n])
+		}
+	})
+}
+
+// headTail runs head or tail: each scans one input for its share of the n
+// lines asked for; a read that failed is the tool's exit 1.
+func headTail(ctx *apps.Context, tool string, args []string, each func(sc *bufio.Scanner, n int)) error {
+	n, files, err := headTailArgs(args)
+	if err != nil {
+		return apps.Exitf(1, "%s: %v", tool, err)
+	}
+	rs, done, err := openAll(ctx, files)
+	if err != nil {
+		return apps.Exitf(1, "%s: %v", tool, err)
+	}
+	defer done()
+	blk := apps.GetBlock()
+	defer apps.PutBlock(blk)
+	for _, r := range rs {
+		sc := apps.NewLineScanner(r, blk)
+		each(sc, n)
+		if err := sc.Err(); err != nil {
+			return apps.Exitf(1, "%s: %v", tool, err)
 		}
 	}
 	return nil

@@ -30,9 +30,9 @@ func render(seqs []seqItem) string {
 	var sb strings.Builder
 	for i, sq := range seqs {
 		switch {
-		case sq.when == whenAnd:
+		case sq.when == tokAnd:
 			sb.WriteString(" && ")
-		case sq.when == whenOr:
+		case sq.when == tokOr:
 			sb.WriteString(" || ")
 		case i > 0:
 			sb.WriteString(" ; ")

@@ -1,17 +1,20 @@
 package shx_test
 
 import (
+	"errors"
+	"io"
 	"strings"
 	"testing"
 
 	"compstor/internal/apps"
+	"compstor/internal/apps/awkx"
 	"compstor/internal/apps/coreutils"
 	"compstor/internal/apps/grepx"
 	"compstor/internal/apps/shx"
 )
 
-// FuzzShxExec runs arbitrary script text over the coreutils and grep — the
-// tools that always terminate; gawk can be told to loop — on an in-memory
+// FuzzShxExec runs arbitrary script text over the coreutils, grep and gawk —
+// whose programs end at its step limit if not before — on an in-memory
 // filesystem. Whatever the text, the shell must come back with an exit
 // status rather than a panic (since sim processes became coroutines a panic
 // in a task body takes the whole simulation down), and what its parser
@@ -29,6 +32,9 @@ func FuzzShxExec(f *testing.F) {
 		`tail -n 999999999999 < in.txt | wc -l`,
 		`&& wc ; || cat < "" # comment`,
 		"echo a\\\necho b\n\ncat ghost.txt",
+		`gawk 'BEGIN { while (1) {} }' in.txt`,
+		`gawk 'BEGIN { for (;;) for (;;) {} }' | wc`,
+		`gawk 'function f() { f() } BEGIN { f() }' ; gawk '{ n += NF } END { print n > "n.txt" }' in.txt`,
 	} {
 		f.Add(script)
 	}
@@ -36,6 +42,12 @@ func FuzzShxExec(f *testing.F) {
 	for _, p := range []apps.Program{
 		coreutils.Cat{}, coreutils.WC{}, coreutils.Head{}, coreutils.Tail{}, coreutils.Sort{}, coreutils.Uniq{},
 		coreutils.Cut{}, coreutils.Tr{}, coreutils.Echo{}, coreutils.Cksum{}, grepx.Grep{},
+		// gawk's steps are bounded; what it prints on the way is not.
+		apps.Func{ProgName: "gawk", Body: func(ctx *apps.Context, args []string) error {
+			capped := *ctx
+			capped.Stdout = &cappedWriter{w: ctx.Stdout, left: 1 << 20}
+			return awkx.Gawk{}.Run(&capped, args)
+		}},
 	} {
 		reg.Register(p)
 	}
@@ -48,4 +60,17 @@ func FuzzShxExec(f *testing.F) {
 		}
 		runShellWith(t, reg, files, script)
 	})
+}
+
+// cappedWriter fails once more than it allows has been written.
+type cappedWriter struct {
+	w    io.Writer
+	left int
+}
+
+func (c *cappedWriter) Write(b []byte) (int, error) {
+	if c.left -= len(b); c.left < 0 {
+		return 0, errors.New("output cap exceeded")
+	}
+	return c.w.Write(b)
 }

@@ -54,9 +54,9 @@ func Exec(ctx *apps.Context, script string) error {
 		for _, sq := range seqs {
 			run := true
 			switch sq.when {
-			case whenAnd:
+			case tokAnd:
 				run = lastErr == nil
-			case whenOr:
+			case tokOr:
 				run = lastErr != nil
 			}
 			if !run {
@@ -83,7 +83,7 @@ func execPipeline(ctx *apps.Context, pipe []*command) error {
 		// Resolve stage stdin.
 		stageIn := stdin
 		if cmd.inFile != "" {
-			f, err := stageOpen(ctx, cmd.inFile)
+			f, err := ctx.Open(cmd.inFile)
 			if err != nil {
 				return apps.Exitf(1, "sh: %v", err)
 			}
@@ -135,22 +135,12 @@ func execPipeline(ctx *apps.Context, pipe []*command) error {
 	return lastErr
 }
 
-func stageOpen(ctx *apps.Context, name string) (io.ReadCloser, error) {
-	return ctx.Open(name)
-}
-
 // Script structure -----------------------------------------------------------
 
-type whenKind int
-
-const (
-	whenAlways whenKind = iota
-	whenAnd
-	whenOr
-)
-
+// seqItem is one pipeline and the separator before it, which says when it
+// runs: tokSemi always, tokAnd after a success, tokOr after a failure.
 type seqItem struct {
-	when whenKind
+	when tokKind
 	pipe []*command
 }
 
@@ -168,7 +158,7 @@ func parseScript(line string) ([]seqItem, error) {
 		return nil, err
 	}
 	var out []seqItem
-	cur := seqItem{when: whenAlways}
+	cur := seqItem{when: tokSemi}
 	var words []string
 	var cmds []*command
 	var inFile, outFile string
@@ -188,7 +178,7 @@ func parseScript(line string) ([]seqItem, error) {
 		words, inFile, outFile = nil, "", ""
 		return nil
 	}
-	flushPipe := func(nextWhen whenKind) error {
+	flushPipe := func(nextWhen tokKind) error {
 		if err := flushCmd(); err != nil {
 			return err
 		}
@@ -221,16 +211,8 @@ func parseScript(line string) ([]seqItem, error) {
 			if len(cmds) == 0 {
 				return nil, fmt.Errorf("pipe with no left command")
 			}
-		case tokSemi:
-			if err := flushPipe(whenAlways); err != nil {
-				return nil, err
-			}
-		case tokAnd:
-			if err := flushPipe(whenAnd); err != nil {
-				return nil, err
-			}
-		case tokOr:
-			if err := flushPipe(whenOr); err != nil {
+		case tokSemi, tokAnd, tokOr:
+			if err := flushPipe(t.kind); err != nil {
 				return nil, err
 			}
 		case tokLT:
@@ -239,7 +221,7 @@ func parseScript(line string) ([]seqItem, error) {
 			expect = ">"
 		}
 	}
-	if err := flushPipe(whenAlways); err != nil {
+	if err := flushPipe(tokSemi); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -261,6 +243,8 @@ type tok struct {
 	kind tokKind
 	text string
 }
+
+var punctuation = map[byte]tokKind{';': tokSemi, '<': tokLT, '>': tokGT}
 
 // tokenize splits a command line, honouring quotes and a minimal $VAR
 // expansion from the environment-free in-SSD world (only ${NAME} and $NAME
@@ -291,14 +275,8 @@ func tokenize(line string) ([]tok, error) {
 			} else {
 				return nil, fmt.Errorf("background jobs not supported")
 			}
-		case c == ';':
-			out = append(out, tok{kind: tokSemi})
-			i++
-		case c == '<':
-			out = append(out, tok{kind: tokLT})
-			i++
-		case c == '>':
-			out = append(out, tok{kind: tokGT})
+		case punctuation[c] != tokWord:
+			out = append(out, tok{kind: punctuation[c]})
 			i++
 		default:
 			word, next, err := scanWord(line, i)

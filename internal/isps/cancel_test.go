@@ -181,3 +181,52 @@ func TestSpawnDeadlineDeterministic(t *testing.T) {
 		t.Fatalf("finish times differ: %v vs %v", r1.Finished, r2.Finished)
 	}
 }
+
+// A program that spins never reaches a charged read, so it used to hold its
+// core — and a host goroutine — with virtual time frozen, out of reach of
+// deadlines, cancel tokens and the serving watchdog. gawk now counts steps
+// and charges for them, so a spin burns virtual time like a scan does.
+func TestSpinningGawkMeetsItsDeadline(t *testing.T) {
+	for _, prog := range []string{
+		`BEGIN { while (1) {} }`,
+		`BEGIN { for (;;) for (;;) {} }`,
+		`function f(n) { while (1) n++ } BEGIN { f() }`,
+	} {
+		eng, sub, _ := newRig(t)
+		start := time.Now()
+		deadline := sim.Time(125 * time.Millisecond)
+		var res TaskResult
+		eng.Go("client", func(p *sim.Proc) {
+			res = sub.Spawn(p, TaskSpec{Exec: "gawk", Args: []string{prog}, Deadline: deadline})
+		})
+		eng.Run()
+		eng.Shutdown()
+		if !errors.Is(res.Err, apps.ErrDeadline) {
+			t.Errorf("%s: err = %v, want apps.ErrDeadline", prog, res.Err)
+		}
+		if res.Finished < deadline || res.Finished > deadline.Add(time.Millisecond) {
+			t.Errorf("%s: finished at %v, deadline %v", prog, res.Finished, deadline)
+		}
+		if d := time.Since(start); d > 10*time.Second {
+			t.Errorf("%s: %v of host time", prog, d)
+		}
+	}
+}
+
+func TestSpinningGawkSeesCancel(t *testing.T) {
+	eng, sub, _ := newRig(t)
+	cancel := &apps.CancelToken{}
+	var res TaskResult
+	eng.Go("client", func(p *sim.Proc) {
+		res = sub.Spawn(p, TaskSpec{Exec: "gawk", Args: []string{`BEGIN { while (1) {} }`}, Cancel: cancel})
+	})
+	eng.Go("canceller", func(p *sim.Proc) {
+		p.Wait(20 * time.Millisecond)
+		cancel.Cancel()
+	})
+	eng.Run()
+	eng.Shutdown()
+	if !errors.Is(res.Err, apps.ErrCanceled) {
+		t.Fatalf("err = %v, want apps.ErrCanceled", res.Err)
+	}
+}
