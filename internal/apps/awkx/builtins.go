@@ -109,8 +109,8 @@ func (c *compiler) builtin(ex *builtinCall) evalFn {
 func (c *compiler) length(_ string, args []expr) evalFn {
 	if len(args) == 0 { // bare `length` means length($0)
 		return func(in *interp) (value, error) {
-			in.ensureRecord()
-			return num(float64(len(in.record))), nil
+			err := in.ensureRecord()
+			return num(float64(len(in.record))), err
 		}
 	}
 	arg := c.expr(args[0])
@@ -196,8 +196,8 @@ func (c *compiler) sub(name string, args []expr) evalFn {
 		if err != nil {
 			return uninitialized, err
 		}
-		out, count := substitute(m, t.get(in, p).Str(), rv.Str(), global)
-		if count > 0 {
+		out, count, err := substitute(m, t.get(in, p).Str(), rv.Str(), global)
+		if count > 0 && err == nil {
 			err = t.set(in, p, str(out))
 		}
 		return num(float64(count)), err
@@ -227,7 +227,7 @@ func (c *compiler) match(_ string, args []expr) evalFn {
 
 // substitute performs sub/gsub over s, expanding & (matched text) and \&
 // in the replacement.
-func substitute(re *compiledRegex, s, repl string, global bool) (string, int) {
+func substitute(re *compiledRegex, s, repl string, global bool) (string, int, error) {
 	var out strings.Builder
 	count := 0
 	rest := []byte(s)
@@ -237,7 +237,9 @@ func substitute(re *compiledRegex, s, repl string, global bool) (string, int) {
 			break
 		}
 		out.Write(rest[:st])
-		out.WriteString(expandRepl(repl, string(rest[st:en])))
+		if !expandRepl(&out, repl, rest[st:en]) {
+			return "", 0, errStringLimit
+		}
 		count++
 		if en == st {
 			// Empty match: copy one byte forward to guarantee progress.
@@ -255,12 +257,19 @@ func substitute(re *compiledRegex, s, repl string, global bool) (string, int) {
 		}
 	}
 	out.Write(rest)
-	return out.String(), count
+	if out.Len() > maxString {
+		return "", 0, errStringLimit
+	}
+	return out.String(), count, nil
 }
 
-func expandRepl(repl, matched string) string {
-	var out strings.Builder
+// expandRepl appends repl to out with each & expanded, reporting false
+// instead when that would take out past maxString.
+func expandRepl(out *strings.Builder, repl string, matched []byte) bool {
 	for i := 0; i < len(repl); i++ {
+		if out.Len()+len(matched) > maxString {
+			return false
+		}
 		c := repl[i]
 		switch {
 		case c == '\\' && i+1 < len(repl) && repl[i+1] == '&':
@@ -270,12 +279,12 @@ func expandRepl(repl, matched string) string {
 			out.WriteByte('\\')
 			i++
 		case c == '&':
-			out.WriteString(matched)
+			out.Write(matched)
 		default:
 			out.WriteByte(c)
 		}
 	}
-	return out.String()
+	return true
 }
 
 // sprintf implements awk's printf formatting on top of Go's fmt, converting
@@ -292,6 +301,9 @@ func (in *interp) sprintf(format string, args []value) (string, error) {
 		return uninitialized
 	}
 	for i := 0; i < len(format); i++ {
+		if out.Len() > maxString {
+			return "", errStringLimit
+		}
 		c := format[i]
 		if c != '%' {
 			out.WriteByte(c)
@@ -346,10 +358,17 @@ func (in *interp) sprintf(format string, args []value) (string, error) {
 				fmt.Fprintf(&out, spec+"c", rune(s[0]))
 			}
 		case 's':
-			fmt.Fprintf(&out, spec+"s", nextArg().Str())
+			s := nextArg().Str()
+			if out.Len()+len(s) > maxString {
+				return "", errStringLimit
+			}
+			fmt.Fprintf(&out, spec+"s", s)
 		default:
 			return "", runtimeErr("printf: unsupported verb %%%c", verb)
 		}
+	}
+	if out.Len() > maxString {
+		return "", errStringLimit
 	}
 	return out.String(), nil
 }

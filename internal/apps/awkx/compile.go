@@ -304,7 +304,7 @@ func (c *compiler) print(st *printStmt) execFn {
 		case formatted:
 			line, err = in.sprintf(vals[0].Str(), vals[1:])
 		case len(vals) == 0:
-			in.ensureRecord()
+			err = in.ensureRecord()
 			line = in.record + in.ors()
 		default:
 			var sb strings.Builder
@@ -380,7 +380,7 @@ func (c *compiler) expr(e expr) evalFn {
 		return func(in *interp) (value, error) { return in.getVar(ex.varSlot), nil }
 	case *fieldRef:
 		if vr, ok := ex.idx.(*varRef); ok && plainGlobal(vr.varSlot) { // $i, without a call for i
-			return func(in *interp) (value, error) { return in.getField(int(in.globals[vr.idx].Num())), nil }
+			return func(in *interp) (value, error) { return in.getField(int(in.globals[vr.idx].Num())) }
 		}
 		idx := c.expr(ex.idx)
 		return func(in *interp) (value, error) {
@@ -388,7 +388,7 @@ func (c *compiler) expr(e expr) evalFn {
 			if err != nil {
 				return uninitialized, err
 			}
-			return in.getField(int(v.Num())), nil
+			return in.getField(int(v.Num()))
 		}
 	case *indexRef:
 		t := c.target(e)
@@ -461,7 +461,7 @@ func (c *compiler) binary(ex *binary, f func(a, b float64) float64) evalFn {
 			return uninitialized, err
 		}
 		if f == nil {
-			return str(a.Str() + b.Str()), nil
+			return concat(a.Str(), b.Str())
 		}
 		return num(f(a.Num(), b.Num())), nil
 	}
@@ -476,8 +476,8 @@ func (c *compiler) cond(e expr) condFn {
 		return c.cond(ex.e)
 	case *regexLit: // a bare /re/ matches against $0
 		return func(in *interp) (bool, error) {
-			in.ensureRecord()
-			return ex.re.re.MatchLine([]byte(in.record)), nil
+			err := in.ensureRecord()
+			return ex.re.re.MatchLine([]byte(in.record)), err
 		}
 	case *unary:
 		if ex.op == "!" {
@@ -635,9 +635,12 @@ func (c *compiler) target(e expr) target {
 		return target{
 			func(in *interp) (place, error) {
 				v, err := idx(in)
+				if err == nil && int(v.Num()) == 0 {
+					err = in.ensureRecord() // so that get cannot fail
+				}
 				return place{pos: int(v.Num())}, err
 			},
-			func(in *interp, p place) value { return in.getField(p.pos) },
+			func(in *interp, p place) value { v, _ := in.getField(p.pos); return v },
 			func(in *interp, p place, v value) error { return in.setField(p.pos, v) }}
 	case *indexRef:
 		key, slot := c.subscript(t.index), t.arr

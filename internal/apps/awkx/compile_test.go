@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -266,4 +267,41 @@ func TestFieldCountIsBounded(t *testing.T) {
 		t.Errorf("-v NF=1e9: exit %d", code)
 	}
 	expectAwk(t, fmt.Sprintf(`{ print $(-1) "|" $1e9 "|" $(2^53); NF = -2; print NF; $%d = "z"; print NF }`, 100), "a\n", "||\n0\n100\n")
+}
+
+// A string that doubles each pass used to grow until the host ran out of
+// memory: 26 passes make 64 MiB, with 26 steps counted. Each way a program
+// builds a string now stops at maxString, in bounded memory and time.
+func TestStringLengthIsBounded(t *testing.T) {
+	for _, src := range []string{
+		`BEGIN { s = "x"; while (1) s = s s }`,
+		`BEGIN { s = "x"; while (1) gsub(/x*/, "&&", s) }`,
+		`BEGIN { s = "x"; while (1) s = sprintf("%s%s", s, s) }`,
+		`BEGIN { FS = ","; s = "x"; while (1) { $0 = s; $2 = s; s = $0 } }`,
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		err := Gawk{}.Run(&apps.Context{Stdin: strings.NewReader(""), Stdout: io.Discard, Stderr: io.Discard}, []string{src})
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "string longer than") {
+			t.Errorf("%s: %v, want the string limit", src, err)
+		}
+		// gsub's /x*/ scans 128 MiB of x's on the way, about 3 s, and twenty
+		// times that under the race detector.
+		if d := time.Since(start); d > 2*time.Minute {
+			t.Errorf("%s: took %v", src, d)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<30 {
+			t.Errorf("%s: allocated %d MiB", src, n>>20)
+		}
+	}
+	// What a program gathers a record at a time stays well inside it.
+	var out bytes.Buffer
+	input := strings.Repeat(strings.Repeat("y", 64<<10-1)+"\n", 128) // 8 MiB
+	err := Gawk{}.Run(&apps.Context{Stdin: strings.NewReader(input), Stdout: &out, Stderr: io.Discard},
+		[]string{`{ s = s $0 "\n" } END { print length(s) }`})
+	if err != nil || out.String() != "8388608\n" {
+		t.Errorf("8 MiB gathered: %v %q", err, out.String())
+	}
 }

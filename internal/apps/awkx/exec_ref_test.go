@@ -210,7 +210,9 @@ func (in *interp) execPrint(st *printStmt) error {
 		return err
 	}
 	if len(st.args) == 0 {
-		in.ensureRecord()
+		if err := in.ensureRecord(); err != nil {
+			return err
+		}
 		_, err := fmt.Fprintf(w, "%s%s", in.record, in.ors())
 		return err
 	}
@@ -267,8 +269,8 @@ func (in *interp) eval(e expr) (value, error) {
 		return str(ex.v), nil
 	case *regexLit:
 		// A bare /re/ matches against $0, yielding 0/1.
-		in.ensureRecord()
-		return boolNum(ex.re.re.MatchLine([]byte(in.record))), nil
+		err := in.ensureRecord()
+		return boolNum(ex.re.re.MatchLine([]byte(in.record))), err
 	case *groupExpr:
 		return in.eval(ex.e)
 	case *varRef:
@@ -278,7 +280,7 @@ func (in *interp) eval(e expr) (value, error) {
 		if err != nil {
 			return uninitialized, err
 		}
-		return in.getField(int(idx.Num())), nil
+		return in.getField(int(idx.Num()))
 	case *indexRef:
 		lv, err := in.lvalueOf(ex)
 		if err != nil {
@@ -359,6 +361,9 @@ func (in *interp) lvalueOf(target expr) (lvalue, error) {
 		return lvalue{kind: lvVar, slot: t.varSlot}, nil
 	case *fieldRef:
 		idx, err := in.eval(t.idx)
+		if err == nil && int(idx.Num()) == 0 {
+			err = in.ensureRecord()
+		}
 		return lvalue{kind: lvField, slot: varSlot{idx: int(idx.Num())}}, err
 	case *indexRef:
 		key, err := in.refSubscript(t.index)
@@ -376,7 +381,8 @@ func (in *interp) load(lv lvalue) value {
 	case lvVar:
 		return in.getVar(lv.slot)
 	case lvField:
-		return in.getField(lv.slot.idx)
+		v, _ := in.getField(lv.slot.idx) // lvalueOf rebuilt $0
+		return v
 	}
 	if lv.pos < 0 {
 		return uninitialized
@@ -466,7 +472,7 @@ func (in *interp) evalBinary(ex *binary) (value, error) {
 	case "&&", "||":
 		return boolNum(r.Bool()), nil
 	case "concat":
-		return str(l.Str() + r.Str()), nil
+		return concat(l.Str(), r.Str())
 	case "+", "-", "*", "/", "%", "^":
 		return num(refArith(ex.op, l.Num(), r.Num())), nil
 	case "<", "<=", ">", ">=", "==", "!=":
@@ -631,8 +637,8 @@ func (in *interp) evalBuiltin(ex *builtinCall) (value, error) {
 	switch name {
 	case "length":
 		if argc == 0 {
-			in.ensureRecord()
-			return num(float64(len(in.record))), nil
+			err := in.ensureRecord()
+			return num(float64(len(in.record))), err
 		}
 		if vr, ok := ex.args[0].(*varRef); ok && in.isArray(vr.varSlot) {
 			return num(float64(in.array(vr.varSlot).length())), nil
@@ -737,8 +743,8 @@ func (in *interp) evalBuiltin(ex *builtinCall) (value, error) {
 		if err != nil {
 			return uninitialized, err
 		}
-		out, count := substitute(re, in.load(lv).Str(), rv.Str(), name == "gsub")
-		if count > 0 {
+		out, count, err := substitute(re, in.load(lv).Str(), rv.Str(), name == "gsub")
+		if count > 0 && err == nil {
 			err = in.store(lv, str(out))
 		}
 		return num(float64(count)), err
@@ -944,8 +950,8 @@ func (in *interp) refMatchPattern(pat expr) (bool, error) {
 		return true, nil
 	}
 	if re, ok := pat.(*regexLit); ok {
-		in.ensureRecord()
-		return re.re.re.MatchLine([]byte(in.record)), nil
+		err := in.ensureRecord()
+		return re.re.re.MatchLine([]byte(in.record)), err
 	}
 	v, err := in.eval(pat)
 	if err != nil {

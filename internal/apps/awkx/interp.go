@@ -156,6 +156,22 @@ func (in *interp) setVar(s varSlot, v value) error {
 // would be given a string header per field it asked for.
 const maxFields = 4<<20 + 1
 
+// maxString bounds every string a program builds — a concatenation, a
+// sprintf or printf, a sub or gsub result, a rebuilt $0 — at the 64 MiB the
+// ISPS reserves for a task by default. Doubling a string in a loop passes it
+// in 26 steps, long before the step counter would notice.
+const maxString = 64 << 20
+
+var errStringLimit = runtimeErr("string longer than %d bytes", maxString)
+
+// concat is the one place awk joins two strings.
+func concat(a, b string) (value, error) {
+	if len(a)+len(b) > maxString {
+		return uninitialized, errStringLimit
+	}
+	return str(a + b), nil
+}
+
 // setNF truncates the record to n fields or pads it with empty ones.
 func (in *interp) setNF(n int) error {
 	if n > maxFields {
@@ -212,7 +228,7 @@ func (in *interp) ensureFields() {
 	if in.fieldsValid {
 		return
 	}
-	in.ensureRecord()
+	in.ensureRecord() // fields are only stale beside a fresh $0 (or none), so this joins nothing
 	in.fields = in.splitFields(in.fields[:0], in.record, in.globals[slotFS].Str())
 	in.fieldsValid = true
 }
@@ -273,25 +289,34 @@ func (in *interp) splitFields(dst []string, s, fs string) []string {
 	}
 }
 
-func (in *interp) ensureRecord() {
+// ensureRecord rebuilds $0 from its fields after one of them was assigned.
+func (in *interp) ensureRecord() error {
 	if in.recordValid {
-		return
+		return nil
+	}
+	n := len(in.ofs()) * max(len(in.fields)-1, 0)
+	for _, f := range in.fields {
+		n += len(f)
+	}
+	if n > maxString {
+		return errStringLimit
 	}
 	in.record = strings.Join(in.fields, in.ofs())
 	in.steps += len(in.fields) // collected at the next step
 	in.recordValid = true
+	return nil
 }
 
-func (in *interp) getField(i int) value {
+func (in *interp) getField(i int) (value, error) {
 	if i == 0 {
-		in.ensureRecord()
-		return inputStr(in.record)
+		err := in.ensureRecord()
+		return inputStr(in.record), err
 	}
 	in.ensureFields()
 	if i < 1 || i > len(in.fields) {
-		return uninitialized
+		return uninitialized, nil
 	}
-	return inputStr(in.fields[i-1])
+	return inputStr(in.fields[i-1]), nil
 }
 
 func (in *interp) setField(i int, v value) error {
@@ -443,11 +468,18 @@ func (in *interp) runRules(inputs []namedReader) (int, error) {
 	if len(in.code.rules) == 0 && len(in.code.ends) == 0 {
 		return 0, nil
 	}
-	buf := apps.GetBlock()
-	defer apps.PutBlock(buf)
+	var buf *apps.Block // taken for the first input that is not a chunk
 	for _, input := range inputs {
 		in.globals[slotFILENAME] = str(input.name)
-		sc := apps.NewLineScanner(input.r, buf)
+		var blk *apps.Block
+		if !input.chunk {
+			if buf == nil {
+				buf = apps.GetBlock()
+				defer apps.PutBlock(buf)
+			}
+			blk = buf
+		}
+		sc := apps.NewLineScanner(input.r, blk)
 		for sc.Scan() {
 			in.nr++
 			in.startRecord()
@@ -467,8 +499,10 @@ func (in *interp) runRules(inputs []namedReader) (int, error) {
 	return 0, nil
 }
 
-// namedReader pairs an input stream with its FILENAME.
+// namedReader pairs an input stream with its FILENAME. A split-scan chunk's
+// reader holds the block its lines are cut from, so scanning it takes none.
 type namedReader struct {
-	name string
-	r    io.Reader
+	name  string
+	r     io.Reader
+	chunk bool
 }

@@ -26,8 +26,15 @@ func PutBlock(b *Block) { blocks.Put(b) }
 
 // NewLineScanner scans r for lines of up to 4 MiB through blk: it asks r for
 // a whole block first, then for what a buffered partial line leaves free.
+// With a nil blk the scanner's buffer starts small and grows to the longest
+// line: for an r that already reads its source a block at a time (a
+// split-scan chunk), so that its reader's block is the only one.
 func NewLineScanner(r io.Reader, blk *Block) *bufio.Scanner {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(blk[:], 4*1024*1024)
+	var buf []byte
+	if blk != nil {
+		buf = blk[:]
+	}
+	sc.Buffer(buf, 4*1024*1024)
 	return sc
 }

@@ -1,6 +1,7 @@
 package grepx
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -103,7 +104,9 @@ func (Grep) Run(ctx *apps.Context, args []string) error {
 // grepStream scans one input, emits its per-stream trailers (count, list),
 // and reports its match count.
 func grepStream(ctx *apps.Context, re *Regexp, opts grepOpts, r io.Reader, name string, showName bool) (int, error) {
-	matches, err := scanMatches(re, opts, r, ctx.Stdout, name, showName)
+	blk := apps.GetBlock()
+	defer apps.PutBlock(blk)
+	matches, err := scanMatches(re, opts, apps.NewLineScanner(r, blk), ctx.Stdout, name, showName)
 	if err != nil {
 		return matches, apps.Exitf(2, "grep: %s: %v", name, err)
 	}
@@ -123,10 +126,7 @@ func grepStream(ctx *apps.Context, re *Regexp, opts grepOpts, r io.Reader, name 
 // scanMatches is the line-scan core shared by the serial path and chunk
 // workers: it writes matching lines to out and returns the match count,
 // leaving count/list trailers to the caller.
-func scanMatches(re *Regexp, opts grepOpts, r io.Reader, out io.Writer, name string, showName bool) (int, error) {
-	blk := apps.GetBlock()
-	defer apps.PutBlock(blk)
-	sc := apps.NewLineScanner(r, blk)
+func scanMatches(re *Regexp, opts grepOpts, sc *bufio.Scanner, out io.Writer, name string, showName bool) (int, error) {
 	matches := 0
 	lineNo := 0
 	for sc.Scan() {
@@ -183,10 +183,11 @@ type grepPartial struct {
 	out     []byte
 }
 
-// RunChunk implements splitscan.Kernel.
+// RunChunk implements splitscan.Kernel. The chunk reader holds the block the
+// lines are cut from, so the scanner takes none.
 func (k *grepKernel) RunChunk(ctx *apps.Context, r io.Reader, chunk int) (any, error) {
 	var buf bytes.Buffer
-	n, err := scanMatches(k.re, k.opts, r, &buf, "", false)
+	n, err := scanMatches(k.re, k.opts, apps.NewLineScanner(r, nil), &buf, "", false)
 	if err != nil {
 		return nil, apps.Exitf(2, "grep: %s: %v", k.name, err)
 	}

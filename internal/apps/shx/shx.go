@@ -107,17 +107,11 @@ func execPipeline(ctx *apps.Context, pipe []*command) error {
 			pipeBuf = &bytes.Buffer{}
 			stageOut = pipeBuf
 		}
-		sub := &apps.Context{
-			Proc:   ctx.Proc,
-			FS:     ctx.FS,
-			Stdin:  stageIn,
-			Stdout: stageOut,
-			Stderr: ctx.Stderr,
-			Class:  prog.Class(),
-			Charge: ctx.Charge,
-			Lookup: ctx.Lookup,
-		}
-		err := prog.Run(sub, cmd.args)
+		// A stage is the script's context with its own streams and class:
+		// the task's deadline, cancel token and charge carry over by copy.
+		sub := *ctx
+		sub.Stdin, sub.Stdout, sub.Class = stageIn, stageOut, prog.Class()
+		err := prog.Run(&sub, cmd.args)
 		if outFile != nil {
 			if cerr := outFile.Close(); cerr != nil && err == nil {
 				err = cerr

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"io"
 	"testing"
+
+	"compstor/internal/apps"
 )
 
 // FuzzSplitRealign is the satellite's property test: for arbitrary byte
@@ -15,6 +17,9 @@ import (
 // cutSeed drives an LCG that perturbs the evenly-spaced nominal cuts, so
 // the property is checked for arbitrary cut positions, not just the ones
 // Cuts would pick; nchunks exercises counts from 1 far past the core count.
+// Every chunk is read twice: by io.ReadAll, whose short reads the reader
+// serves from its own block, and a whole block at a time as wc and cksum
+// read, which it fills straight from the source.
 func FuzzSplitRealign(f *testing.F) {
 	// Regression corpus: page-boundary and extent-run-boundary shapes (the
 	// cut cases the production Cuts placement actually produces), plus the
@@ -29,6 +34,7 @@ func FuzzSplitRealign(f *testing.F) {
 	// Extent-run boundary: a cut snapped off the even stride (as a run
 	// boundary at 5000 would snap it) — modelled by the LCG perturbation.
 	f.Add(bytes.Repeat([]byte("line of text here\n"), 600), uint8(4), uint64(5000))
+	f.Add(bytes.Repeat([]byte("0123456789abcde\n"), 20000), uint8(1), uint64(6)) // chunks of several blocks
 
 	f.Fuzz(func(t *testing.T, data []byte, nchunks uint8, cutSeed uint64) {
 		size := int64(len(data))
@@ -65,6 +71,9 @@ func FuzzSplitRealign(f *testing.F) {
 			if err != nil {
 				t.Fatalf("chunk %d [%d,%d): %v", i, start, end, err)
 			}
+			if blocks := readBlocks(t, NewReader(bytes.NewReader(data[Pos(start):]), start, end, size)); !bytes.Equal(blocks, got) {
+				t.Fatalf("chunk %d [%d,%d): %d bytes read a block at a time, %d by io.ReadAll", i, start, end, len(blocks), len(got))
+			}
 			if len(got) > 0 {
 				if at := int64(len(cat)); at != 0 && data[at-1] != '\n' {
 					t.Fatalf("chunk %d [%d,%d) starts mid-line at offset %d", i, start, end, at)
@@ -76,4 +85,20 @@ func FuzzSplitRealign(f *testing.F) {
 			t.Fatalf("cuts %v: chunks reassemble %d bytes, file has %d", cuts, len(cat), len(data))
 		}
 	})
+}
+
+// readBlocks reads r to its end through one whole-block buffer.
+func readBlocks(t *testing.T, r io.Reader) []byte {
+	buf := make([]byte, apps.BlockSize)
+	var out []byte
+	for {
+		n, err := r.Read(buf)
+		out = append(out, buf[:n]...)
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 }

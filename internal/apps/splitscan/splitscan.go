@@ -120,21 +120,25 @@ func snap(c, stride int64, pageSize int, runStarts []int64) int64 {
 
 // Reader delivers exactly the realigned chunk [start, end) of a file of
 // the given size. The underlying reader must be positioned at Pos(start)
-// and is read in 64 KiB blocks regardless of the caller's buffer size, so
-// chunk workers issue the same large device reads as serial kernels. The
-// reader stops consuming the underlying stream shortly after the chunk's
-// terminating newline — the deliberate read past the nominal end that
-// finishes the straddling line.
+// and is read in apps.BlockSize blocks regardless of the caller's buffer
+// size, so chunk workers issue the same large device reads as serial
+// kernels. The reader stops consuming the underlying stream shortly after
+// the chunk's terminating newline — the deliberate read past the nominal
+// end that finishes the straddling line.
+//
+// A chunk worker holds one pooled block, not two: a Read into a whole block
+// (wc, cksum) fills the caller's buffer straight from the source, and a
+// shorter one (a line scanner, which then needs no block of its own: see
+// apps.NewLineScanner) is served from the reader's block.
 type Reader struct {
 	r    io.Reader
-	abs  int64 // absolute offset of the next unconsumed byte
-	end  int64 // nominal chunk end
-	skip bool  // leading partial line still to discard
-	stop int64 // absolute delivery stop (realign(end)); -1 = not yet known
-	buf  []byte
-	pos  int
-	fill int
-	err  error // pending underlying error, surfaced once the buffer drains
+	abs  int64       // absolute offset of buf[0]
+	end  int64       // nominal chunk end
+	skip bool        // leading partial line still to discard
+	stop int64       // absolute delivery stop (realign(end)); -1 = not yet known
+	blk  *apps.Block // pooled: taken by the first short Read, returned by release
+	buf  []byte      // what the last underlying read left unconsumed
+	err  error       // pending underlying error, surfaced once buf drains
 }
 
 // NewReader wraps r (positioned at Pos(start)) as the realigned chunk
@@ -151,85 +155,99 @@ func NewReader(r io.Reader, start, end, size int64) *Reader {
 	return cr
 }
 
-func (cr *Reader) refill() error {
-	if cr.pos < cr.fill {
-		return nil
+// Read implements io.Reader over the realigned chunk.
+func (cr *Reader) Read(p []byte) (int, error) {
+	inP := false // buf is a slice of p, which must not outlive this call
+	for {
+		if cr.stop >= 0 && cr.abs >= cr.stop {
+			cr.buf = nil
+			return 0, io.EOF
+		}
+		if len(cr.buf) == 0 {
+			if cr.err != nil {
+				return 0, cr.err
+			}
+			dst := p
+			if inP = len(p) >= apps.BlockSize; !inP {
+				if cr.blk == nil {
+					cr.blk = apps.GetBlock()
+				}
+				dst = cr.blk[:]
+			}
+			if err := cr.fill(dst[:apps.BlockSize]); err != nil {
+				return 0, err
+			}
+		}
+		if cr.skip {
+			// Discard the leading partial line: everything through the first
+			// '\n' at offset ≥ start−1. That newline may lie at or past end−1,
+			// in which case it is also the chunk's terminator and the chunk is
+			// empty.
+			i := bytes.IndexByte(cr.buf, '\n')
+			if i < 0 {
+				cr.consume(len(cr.buf))
+				continue
+			}
+			cr.consume(i + 1)
+			cr.skip = false
+			if cr.stop < 0 && cr.abs-1 >= cr.end-1 {
+				cr.stop = cr.abs
+			}
+			continue
+		}
+		n := copy(p, cr.buf[:cr.deliverable()])
+		cr.consume(n)
+		if inP {
+			cr.buf = nil // the rest lies past the stop
+		}
+		return n, nil
 	}
-	if cr.err != nil {
-		return cr.err
-	}
-	if cr.buf == nil {
-		cr.buf = make([]byte, 64*1024)
-	}
-	cr.pos, cr.fill = 0, 0
-	for cr.fill == 0 {
-		n, err := cr.r.Read(cr.buf)
-		cr.fill = n
-		if err != nil {
-			cr.err = err
+}
+
+// fill reads the source's next block into dst, retrying empty reads.
+func (cr *Reader) fill(dst []byte) error {
+	for {
+		n, err := cr.r.Read(dst)
+		cr.buf, cr.err = dst[:n], err
+		if n > 0 || err != nil {
 			if n == 0 {
 				return err
 			}
-			break
+			return nil
 		}
 	}
-	return nil
 }
 
-// Read implements io.Reader over the realigned chunk.
-func (cr *Reader) Read(p []byte) (int, error) {
-	// Discard the leading partial line: everything through the first '\n'
-	// at offset ≥ start−1. That newline may lie at or past end−1, in which
-	// case it is also the chunk's terminator and the chunk is empty.
-	for cr.skip {
-		if err := cr.refill(); err != nil {
-			return 0, err
-		}
-		seg := cr.buf[cr.pos:cr.fill]
-		if i := bytes.IndexByte(seg, '\n'); i >= 0 {
-			nl := cr.abs + int64(i)
-			cr.pos += i + 1
-			cr.abs = nl + 1
-			cr.skip = false
-			if cr.stop < 0 && nl >= cr.end-1 {
-				cr.stop = nl + 1
-			}
-		} else {
-			cr.pos = cr.fill
-			cr.abs += int64(len(seg))
-		}
-	}
-	if cr.stop >= 0 && cr.abs >= cr.stop {
-		return 0, io.EOF
-	}
-	if len(p) == 0 {
-		return 0, nil
-	}
-	if err := cr.refill(); err != nil {
-		return 0, err
-	}
-	seg := cr.buf[cr.pos:cr.fill]
+// deliverable is how much of buf belongs to the chunk: up to the stop once
+// it is known; otherwise all of the blind region before end−1, which is
+// ours unconditionally, and from end−1 through the first newline, which
+// fixes the stop.
+func (cr *Reader) deliverable() int {
 	if cr.stop >= 0 {
-		if max := cr.stop - cr.abs; int64(len(seg)) > max {
-			seg = seg[:max]
-		}
-	} else if cr.abs < cr.end-1 {
-		// Blind region: everything before end−1 is ours unconditionally.
-		if max := cr.end - 1 - cr.abs; int64(len(seg)) > max {
-			seg = seg[:max]
-		}
-	} else {
-		// At or past end−1 with no terminator found yet: deliver through
-		// the first newline, which fixes the stop.
-		if i := bytes.IndexByte(seg, '\n'); i >= 0 {
-			cr.stop = cr.abs + int64(i) + 1
-			seg = seg[:i+1]
-		}
+		return int(min(int64(len(cr.buf)), cr.stop-cr.abs))
 	}
-	n := copy(p, seg)
-	cr.pos += n
+	blind := max(cr.end-1-cr.abs, 0)
+	if blind >= int64(len(cr.buf)) {
+		return len(cr.buf)
+	}
+	if i := bytes.IndexByte(cr.buf[blind:], '\n'); i >= 0 {
+		cr.stop = cr.abs + blind + int64(i) + 1
+		return int(blind) + i + 1
+	}
+	return len(cr.buf)
+}
+
+func (cr *Reader) consume(n int) {
+	cr.buf = cr.buf[n:]
 	cr.abs += int64(n)
-	return n, nil
+}
+
+// release hands the reader's block back to the pool.
+func (cr *Reader) release() {
+	if cr.blk != nil {
+		apps.PutBlock(cr.blk)
+		cr.blk, cr.buf = nil, nil
+	}
 }
 
 // RunChunk opens the plan's file positioned for chunk i of cuts and feeds
@@ -242,5 +260,7 @@ func RunChunk(ctx *apps.Context, pl Plan, cuts []int64, i int) (any, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return pl.Kernel.RunChunk(ctx, NewReader(f, start, end, size), i)
+	cr := NewReader(f, start, end, size)
+	defer cr.release()
+	return pl.Kernel.RunChunk(ctx, cr, i)
 }

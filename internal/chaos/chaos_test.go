@@ -12,9 +12,7 @@ import (
 	"compstor/internal/cluster"
 	"compstor/internal/core"
 	"compstor/internal/flash"
-	"compstor/internal/isps"
 	"compstor/internal/sim"
-	"compstor/internal/ssd"
 )
 
 // corpus builds the grep workload's input set: text files that all contain
@@ -47,8 +45,9 @@ type runResult struct {
 	psTasks  int64 // split-scan tasks executed, summed across devices
 }
 
-// run executes the Fig-7-style grep scatter/gather over `devices` CompStors
-// under the given plan (nil = fault-free) and returns the observables.
+// run executes the Fig-7-style grep scatter/gather over `devices` stock
+// CompStors under the given plan (nil = fault-free) and returns the
+// observables.
 func run(t *testing.T, devices int, files []cluster.File, plan *chaos.Plan) runResult {
 	t.Helper()
 	return runWith(t, devices, files, plan, false)
@@ -58,12 +57,12 @@ func run(t *testing.T, devices int, files []cluster.File, plan *chaos.Plan) runR
 // scenarios cover the cached+prefetched read path as well as the stock one.
 func runWith(t *testing.T, devices int, files []cluster.File, plan *chaos.Plan, pipeline bool) runResult {
 	t.Helper()
-	return runMode(t, devices, files, plan, pipeline, false)
+	return runMode(t, devices, files, plan, pipeline, 0)
 }
 
-// runMode is runWith plus the intra-device split-scan toggle, covering the
-// full execution-mode matrix under chaos.
-func runMode(t *testing.T, devices int, files []cluster.File, plan *chaos.Plan, pipeline, parScan bool) runResult {
+// runMode is runWith plus the ISPS executor: scanChunks 0 is the stock
+// split scan, 1 the paper's one-core-per-task executor.
+func runMode(t *testing.T, devices int, files []cluster.File, plan *chaos.Plan, pipeline bool, scanChunks int) runResult {
 	t.Helper()
 	cfg := core.SystemConfig{
 		CompStors: devices,
@@ -72,11 +71,8 @@ func runMode(t *testing.T, devices int, files []cluster.File, plan *chaos.Plan, 
 			Channels: 8, DiesPerChan: 1, PlanesPerDie: 1,
 			BlocksPerPlan: 128, PagesPerBlock: 32, PageSize: 4096,
 		},
-		ReadPipeline: ssd.PipelineConfig{Enabled: pipeline},
-	}
-	if parScan {
-		// MinChunkBytes 1: the test corpus files split for real.
-		cfg.ParScan = isps.ParScanConfig{Enabled: true, Chunks: 4, MinChunkBytes: 1}
+		ReadPipeline: pipeline,
+		ScanChunks:   scanChunks,
 	}
 	sys := core.NewSystem(cfg)
 	pool := cluster.NewPool(sys.Eng, sys.Devices)
@@ -113,11 +109,17 @@ func runMode(t *testing.T, devices int, files []cluster.File, plan *chaos.Plan, 
 // killPlan kills one of the four devices mid-run and stresses the three
 // survivors with transient media errors, drops, and a slowdown.
 func killPlan(seed int64, failAt time.Duration) *chaos.Plan {
+	return killPlanPerPage(seed, failAt, 1)
+}
+
+// killPlanPerPage is killPlan with its per-page media-error rates scaled by
+// rate, for corpora whose files span many more pages.
+func killPlanPerPage(seed int64, failAt time.Duration, rate float64) *chaos.Plan {
 	return chaos.NewPlan(seed).
-		WithDevice(0, chaos.DeviceFaults{ReadErrProb: 0.01, DropProb: 0.15}).
+		WithDevice(0, chaos.DeviceFaults{ReadErrProb: 0.01 * rate, DropProb: 0.15}).
 		WithDevice(1, chaos.DeviceFaults{SlowFactor: 3, DropProb: 0.1}).
-		WithDevice(2, chaos.DeviceFaults{FailAt: failAt, ReadErrProb: 0.005}).
-		WithDevice(3, chaos.DeviceFaults{ProgramErrProb: 0.005, DropProb: 0.1})
+		WithDevice(2, chaos.DeviceFaults{FailAt: failAt, ReadErrProb: 0.005 * rate}).
+		WithDevice(3, chaos.DeviceFaults{ProgramErrProb: 0.005 * rate, DropProb: 0.1})
 }
 
 // failAtMidRun returns a virtual time inside the fault-free run's map
@@ -248,22 +250,23 @@ func TestPipelineUnderChaosMatchesFaultFree(t *testing.T) {
 	}
 }
 
-// splitCorpus builds files large enough (~18-90 KiB) that the 4-way chunk
-// cuts survive page snapping, so chaos actually hits mid-scan workers.
+// splitCorpus builds files of at least two chunk floors (512 KiB) and up to
+// four, so the stock device splits them 2- to 4-way and chaos actually hits
+// mid-scan workers.
 func splitCorpus(n int) []cluster.File {
 	var out []cluster.File
 	for i := 0; i < n; i++ {
 		line := fmt.Sprintf("line %d with the searched words in the middle\n", i)
 		out = append(out, cluster.File{
 			Name: fmt.Sprintf("books/book%03d.txt", i),
-			Data: []byte(strings.Repeat(line, 400*(i%5+1))),
+			Data: []byte(strings.Repeat(line, (1<<19)/len(line)*(i%3+2)/2+1)),
 		})
 	}
 	return out
 }
 
-// TestSplitScanUnderChaosMatchesFaultFree: with intra-device parallel scan
-// enabled (stock and pipelined read paths), a chaos run that kills a device
+// TestSplitScanUnderChaosMatchesFaultFree: with the stock split scan (stock
+// and pipelined read paths), a chaos run that kills a device
 // mid-run and peppers the survivors with transient faults must still
 // produce the serial fault-free answers — a fault landing in one chunk
 // worker fails the whole task with its cause intact, the pool retries or
@@ -271,13 +274,13 @@ func splitCorpus(n int) []cluster.File {
 // stay byte-identical. Same seed twice must replay identically, chunk
 // workers included.
 func TestSplitScanUnderChaosMatchesFaultFree(t *testing.T) {
-	files := splitCorpus(24)
-	baseline := run(t, 4, files, nil) // serial, fault-free: ground truth
+	files := splitCorpus(12)
+	baseline := runMode(t, 4, files, nil, false, 1) // serial, fault-free: ground truth
 	if baseline.runErr != nil || len(baseline.failed) > 0 {
 		t.Fatalf("baseline: err=%v failed=%v", baseline.runErr, baseline.failed)
 	}
 
-	clean := runMode(t, 4, files, nil, false, true)
+	clean := run(t, 4, files, nil)
 	if clean.runErr != nil || len(clean.failed) > 0 {
 		t.Fatalf("split-scan fault-free run: err=%v failed=%v", clean.runErr, clean.failed)
 	}
@@ -294,14 +297,18 @@ func TestSplitScanUnderChaosMatchesFaultFree(t *testing.T) {
 		t.Fatal("no task executed as a split scan; corpus or config regressed")
 	}
 
+	// splitCorpus files span 128-256 pages, so media faults come at a
+	// twentieth of killPlan's per-page rate: a task meets as many as a
+	// 6-13-page file does at the full one.
 	failAt := clean.finalAt.Duration() / 2
+	plan := func() *chaos.Plan { return killPlanPerPage(7, failAt, 0.05) }
 	for _, pipeline := range []bool{false, true} {
 		name := "stock"
 		if pipeline {
 			name = "pipelined"
 		}
 		t.Run(name, func(t *testing.T) {
-			faulty := runMode(t, 4, files, killPlan(7, failAt), pipeline, true)
+			faulty := runWith(t, 4, files, plan(), pipeline)
 			if faulty.runErr != nil || len(faulty.failed) > 0 {
 				t.Fatalf("split-scan chaos run: err=%v failed=%v", faulty.runErr, faulty.failed)
 			}
@@ -314,7 +321,7 @@ func TestSplitScanUnderChaosMatchesFaultFree(t *testing.T) {
 				t.Errorf("dead devices %v, want [2]", faulty.dead)
 			}
 
-			again := runMode(t, 4, files, killPlan(7, failAt), pipeline, true)
+			again := runWith(t, 4, files, plan(), pipeline)
 			if again.finalAt != faulty.finalAt || again.stats != faulty.stats || again.attempts != faulty.attempts {
 				t.Errorf("same seed diverged: %v/%+v/%d vs %v/%+v/%d",
 					again.finalAt, again.stats, again.attempts,

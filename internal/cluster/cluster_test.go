@@ -10,9 +10,7 @@ import (
 	"compstor/internal/apps/appset"
 	"compstor/internal/core"
 	"compstor/internal/flash"
-	"compstor/internal/isps"
 	"compstor/internal/sim"
-	"compstor/internal/ssd"
 )
 
 func newSystem(t *testing.T, devices int) (*core.System, *Pool) {
@@ -23,27 +21,24 @@ func newSystem(t *testing.T, devices int) (*core.System, *Pool) {
 // newSystemWith is newSystem with the streaming read pipeline toggled.
 func newSystemWith(t *testing.T, devices int, pipeline bool) (*core.System, *Pool) {
 	t.Helper()
-	return newSystemMode(t, devices, pipeline, false)
+	return newSystemMode(t, devices, pipeline, 0)
 }
 
-// newSystemMode is the full-matrix constructor: read pipeline and
-// intra-device parallel scan toggles.
-func newSystemMode(t *testing.T, devices int, pipeline, parScan bool) (*core.System, *Pool) {
+// newSystemMode is the full-matrix constructor: the read pipeline toggle
+// and the ISPS executor (scanChunks 0 is the stock split scan, 1 the
+// paper's one-core-per-task executor).
+func newSystemMode(t *testing.T, devices int, pipeline bool, scanChunks int) (*core.System, *Pool) {
 	t.Helper()
-	cfg := core.SystemConfig{
+	sys := core.NewSystem(core.SystemConfig{
 		CompStors: devices,
 		Registry:  appset.Base(),
 		Geometry: flash.Geometry{
 			Channels: 8, DiesPerChan: 1, PlanesPerDie: 1,
 			BlocksPerPlan: 128, PagesPerBlock: 32, PageSize: 4096,
 		},
-		ReadPipeline: ssd.PipelineConfig{Enabled: pipeline},
-	}
-	if parScan {
-		// MinChunkBytes 1: even modest test corpora split for real.
-		cfg.ParScan = isps.ParScanConfig{Enabled: true, Chunks: 4, MinChunkBytes: 1}
-	}
-	sys := core.NewSystem(cfg)
+		ReadPipeline: pipeline,
+		ScanChunks:   scanChunks,
+	})
 	return sys, NewPool(sys.Eng, sys.Devices)
 }
 

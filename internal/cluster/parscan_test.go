@@ -45,15 +45,15 @@ func TestPerDeviceTasksZeroMapsSerially(t *testing.T) {
 	}
 }
 
-// bigCorpus builds files large enough that a 4-way split survives page
-// snapping (~40 KiB each).
+// bigCorpus builds files of four to five chunk floors (1-1.25 MiB), so the
+// stock device splits each of them across all four cores.
 func bigCorpus(n int) []File {
 	var out []File
 	for i := 0; i < n; i++ {
 		line := fmt.Sprintf("line of text %d with words\n", i)
 		out = append(out, File{
 			Name: fmt.Sprintf("books/book%03d.txt", i),
-			Data: bytes.Repeat([]byte(line), 1500+100*(i%5)),
+			Data: bytes.Repeat([]byte(line), (1<<20+(1<<18)*(i%2))/len(line)),
 		})
 	}
 	return out
@@ -64,8 +64,8 @@ func bigCorpus(n int) []File {
 // workers contend on 4 cores, queue FIFO, and the merged outputs match the
 // serial run file-for-file.
 func TestMapFilesComposesWithParScan(t *testing.T) {
-	run := func(parScan bool) []TaskResult {
-		sys, pool := newSystemMode(t, 2, false, parScan)
+	run := func(scanChunks int) ([]TaskResult, int64) {
+		sys, pool := newSystemMode(t, 2, false, scanChunks)
 		files := bigCorpus(8)
 		var results []TaskResult
 		sys.Go("driver", func(p *sim.Proc) {
@@ -79,9 +79,17 @@ func TestMapFilesComposesWithParScan(t *testing.T) {
 			})
 		})
 		sys.Run()
-		return results
+		var tasks int64
+		for _, d := range sys.Devices {
+			tasks += d.Drive.ISPS().ParScanStats().Tasks
+		}
+		return results, tasks
 	}
-	serial, split := run(false), run(true)
+	serial, _ := run(1)
+	split, tasks := run(0)
+	if tasks == 0 {
+		t.Fatal("no task ran as a split scan; the test is vacuous")
+	}
 	if len(serial) != len(split) {
 		t.Fatalf("result counts differ: %d vs %d", len(serial), len(split))
 	}

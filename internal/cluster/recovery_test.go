@@ -23,25 +23,27 @@ import (
 // device's parallel merge must match the pre-cut serial answer).
 func TestPowerCutRemountRejoin(t *testing.T) {
 	for _, mode := range []struct {
-		name              string
-		pipeline, parScan bool
+		name       string
+		pipeline   bool
+		scanChunks int
 	}{
-		{"stock", false, false},
-		{"pipelined", true, false},
-		{"parscan", false, true},
-		{"pipelined_parscan", true, true},
+		{"stock", false, 1},
+		{"pipelined", true, 1},
+		{"parscan", false, 0},
+		{"pipelined_parscan", true, 0},
 	} {
 		mode := mode
-		t.Run(mode.name, func(t *testing.T) { testPowerCutRemountRejoin(t, mode.pipeline, mode.parScan) })
+		t.Run(mode.name, func(t *testing.T) { testPowerCutRemountRejoin(t, mode.pipeline, mode.scanChunks) })
 	}
 }
 
-func testPowerCutRemountRejoin(t *testing.T, pipeline, parScan bool) {
+func testPowerCutRemountRejoin(t *testing.T, pipeline bool, scanChunks int) {
 	const cut = 50 * time.Millisecond
-	sys, pool := newSystemMode(t, 2, pipeline, parScan)
+	sys, pool := newSystemMode(t, 2, pipeline, scanChunks)
 	inj := chaos.Install(sys, chaos.NewPlan(21).WithDevice(0, chaos.DeviceFaults{PowerCutAt: cut}))
 
-	data := bytes.Repeat([]byte("a line with words in it\n"), 200)
+	// Two chunk floors: the stock device splits it.
+	data := bytes.Repeat([]byte("a line with words in it\n"), (1<<19)/24+1)
 	cmd := core.Command{Exec: "grep", Args: []string{"-c", "words", "pre.txt"}}
 
 	sys.Go("driver", func(p *sim.Proc) {
@@ -96,6 +98,9 @@ func testPowerCutRemountRejoin(t *testing.T, pipeline, parScan bool) {
 		}
 		if !bytes.Equal(after.Stdout, before.Stdout) {
 			t.Errorf("post-remount output %q != pre-cut %q", after.Stdout, before.Stdout)
+		}
+		if st := pool.Unit(0).Drive.ISPS().ParScanStats(); (st.Tasks > 0) != (scanChunks == 0) {
+			t.Errorf("split-scan stats %+v with ScanChunks %d", st, scanChunks)
 		}
 		if pipeline {
 			st, ok := pool.Unit(0).Drive.ReadCacheStats()

@@ -305,3 +305,38 @@ func TestTaskStatusStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestStockDeviceSplitsLargeScans: the stock CompStor — no executor setting
+// at all — splits a 1 MiB scan across its four cores, and prints what the
+// paper's one-core executor (ScanChunks 1) prints.
+func TestStockDeviceSplitsLargeScans(t *testing.T) {
+	data := bytes.Repeat([]byte("a line of the text to scan\n"), (1<<20)/27+1)
+	run := func(scanChunks int) (string, isps.ParScanStats) {
+		sys := NewSystem(SystemConfig{CompStors: 1, Registry: appset.Base(), ScanChunks: scanChunks})
+		unit := sys.Device(0)
+		var out string
+		sys.Go("client", func(p *sim.Proc) {
+			if err := unit.Client.FS().WriteFile(p, "big.txt", data); err != nil {
+				t.Error(err)
+				return
+			}
+			resp, err := unit.Client.Run(p, Command{Exec: "grep", Args: []string{"-c", "text", "big.txt"}})
+			if err != nil || resp.Status != StatusOK {
+				t.Errorf("grep: %v %+v", err, resp)
+				return
+			}
+			out = string(resp.Stdout)
+		})
+		sys.Run()
+		sys.Close()
+		return out, unit.Drive.ISPS().ParScanStats()
+	}
+	split, st := run(0)
+	serial, _ := run(1)
+	if st.Tasks != 1 || st.Chunks != 4 {
+		t.Errorf("stock device: %+v, want 1 task in 4 chunks", st)
+	}
+	if split != serial || serial != "38837\n" {
+		t.Errorf("split printed %q, serial %q", split, serial)
+	}
+}

@@ -25,6 +25,8 @@ type Host struct {
 }
 
 // NewHost builds the host platform with the standard program set installed.
+// The Xeon baseline runs each program as one process, as the paper's host
+// does: it never splits a scan.
 func NewHost(eng *sim.Engine, meter *energy.Meter, registry *apps.Registry) *Host {
 	platform := cpu.Xeon()
 	var comp *energy.Component
@@ -32,9 +34,10 @@ func NewHost(eng *sim.Engine, meter *energy.Meter, registry *apps.Registry) *Hos
 		comp = meter.Component("host/cpu", platform.BaseWatts)
 	}
 	sub := isps.New(eng, isps.Config{
-		Platform: platform,
-		Registry: registry.Clone(),
-		Meter:    comp,
+		Platform:   platform,
+		Registry:   registry.Clone(),
+		Meter:      comp,
+		ScanChunks: 1,
 	})
 	return &Host{Sub: sub, comp: comp}
 }
@@ -67,21 +70,22 @@ type SystemConfig struct {
 	// Registry is the program set installed everywhere; nil selects nothing
 	// (callers usually pass appset.Base()).
 	Registry *apps.Registry
-	// Geometry/fabric overrides; zero values select defaults.
+	// Geometry overrides the flash array; the zero value selects the
+	// default. The fabric is always pcie.DefaultConfig().
 	Geometry flash.Geometry
-	Fabric   pcie.Config
 	// WithHost attaches a Xeon host runner.
 	WithHost bool
 	// SharedCores / ISPSViaNVMePath forward the ablation switches to every
 	// CompStor.
 	SharedCores     bool
 	ISPSViaNVMePath bool
-	// ReadPipeline forwards the streaming read-pipeline configuration
-	// (ISPS page cache + read-ahead) to every CompStor. Zero value = off.
-	ReadPipeline ssd.PipelineConfig
-	// ParScan forwards the intra-device parallel-scan configuration to
-	// every CompStor. Zero value = off.
-	ParScan isps.ParScanConfig
+	// ReadPipeline turns on every CompStor's streaming read pipeline (ISPS
+	// page cache + read-ahead). Off by default.
+	ReadPipeline bool
+	// ScanChunks is forwarded to every CompStor's ISPS: 0 splits a large
+	// scan one chunk per core (the stock device), 1 is the paper's
+	// one-core-per-task executor.
+	ScanChunks int
 	// Obs, when set, instruments the whole testbed. Each drive gets its own
 	// scope named after it (compstor0, conv0, ...); fabric timelines and
 	// host metrics live on the handle passed here.
@@ -108,10 +112,7 @@ func NewSystem(cfg SystemConfig) *System {
 	}
 	eng := sim.NewEngine()
 	meter := energy.NewMeter(eng)
-	fcfg := cfg.Fabric
-	if fcfg.UplinkBytesPerSec == 0 {
-		fcfg = pcie.DefaultConfig()
-	}
+	fcfg := pcie.DefaultConfig()
 	geo := cfg.Geometry
 	if geo.Channels == 0 {
 		geo = flash.DefaultGeometry()
@@ -140,8 +141,8 @@ func NewSystem(cfg SystemConfig) *System {
 		dcfg.Meter = meter
 		dcfg.SharedCores = cfg.SharedCores
 		dcfg.ISPSViaNVMePath = cfg.ISPSViaNVMePath
-		dcfg.Pipeline = cfg.ReadPipeline
-		dcfg.ParScan = cfg.ParScan
+		dcfg.ReadPipeline = cfg.ReadPipeline
+		dcfg.ScanChunks = cfg.ScanChunks
 		dcfg.Obs = cfg.Obs.Scope(dcfg.Name)
 		port := sys.Fabric.AddPort()
 		meterPort(fmt.Sprintf("pcie/port%d", port.ID()), port)

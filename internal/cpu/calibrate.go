@@ -102,7 +102,7 @@ func Xeon() *Platform {
 // The stock execution path charges the full end-to-end rate as core time
 // while *also* paying the modelled flash reads, reproducing the paper's
 // synchronous read loop (and its throughputs) exactly. The streaming read
-// pipeline (ssd.PipelineConfig) removes that double count: demand reads hit
+// pipeline (ssd.Config.ReadPipeline) removes that double count: demand reads hit
 // the ISPS-DRAM cache that the read-ahead prefetcher fills in the
 // background, so the stall share turns into explicit, overlapped flash
 // time and the core charge drops to the CPU share below. This is the

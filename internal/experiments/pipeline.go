@@ -12,9 +12,10 @@ import (
 
 // PipelinePoint compares one cold large-file in-situ scan on the stock
 // synchronous read path against the same scan with the streaming read
-// pipeline (ISPS page cache + read-ahead prefetch) enabled. Outputs must
-// be byte-identical — the pipeline changes when flash time is spent, never
-// what a program computes.
+// pipeline (ISPS page cache + read-ahead prefetch) enabled. Both sides run
+// the paper's one-core-per-task executor (ScanChunks 1), so the point
+// isolates the read path. Outputs must be byte-identical — the pipeline
+// changes when flash time is spent, never what a program computes.
 type PipelinePoint struct {
 	Workload     string
 	FileBytes    int64
@@ -49,9 +50,9 @@ func Pipeline(o Options) PipelineResult {
 	var out PipelineResult
 	for _, c := range cmds {
 		o.logf("pipeline: %s...", c.name)
-		stockOut, stockEl, _ := o.scanRun("stock."+c.name, core.SystemConfig{}, c.cmd, data)
+		stockOut, stockEl, _ := o.scanRun("stock."+c.name, core.SystemConfig{ScanChunks: 1}, c.cmd, data)
 		pipeOut, pipeEl, drive := o.scanRun("pipelined."+c.name,
-			core.SystemConfig{ReadPipeline: ssd.PipelineConfig{Enabled: true}}, c.cmd, data)
+			core.SystemConfig{ReadPipeline: true, ScanChunks: 1}, c.cmd, data)
 		st, _ := drive.ReadCacheStats()
 		pt := PipelinePoint{
 			Workload:     c.name,

@@ -6,13 +6,13 @@ import (
 
 	"compstor/internal/core"
 	"compstor/internal/isps"
-	"compstor/internal/ssd"
 	"compstor/internal/textgen"
 	"compstor/internal/trace"
 )
 
 // ScaleupPoint measures one scan kernel over one large file at one chunk
-// fan-out (cores = chunk count; 1 = serial) on one read path. Speedup is
+// fan-out (cores = ScanChunks; 1 = the paper's serial executor) on one read
+// path. Speedup is
 // against the same path's serial point; OutputsMatch compares against the
 // stock serial run — split execution must never change a byte.
 type ScaleupPoint struct {
@@ -60,10 +60,7 @@ func Scaleup(o Options) ScaleupResult {
 			var base float64
 			for _, cores := range []int{1, 2, 4} {
 				o.logf("scaleup: %s pipelined=%v cores=%d...", c.name, pipelined, cores)
-				cfg := core.SystemConfig{ReadPipeline: ssd.PipelineConfig{Enabled: pipelined}}
-				if cores > 1 { // 1 = ParScan off
-					cfg.ParScan = isps.ParScanConfig{Enabled: true, Chunks: cores}
-				}
+				cfg := core.SystemConfig{ReadPipeline: pipelined, ScanChunks: cores} // 1 = the paper's executor
 				stdout, elapsed, drive := o.scanRun(fmt.Sprintf("%s.%s.c%d", path, c.name, cores), cfg, c.cmd, data)
 				if !pipelined && cores == 1 {
 					serialOut = stdout

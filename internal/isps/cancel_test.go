@@ -230,3 +230,71 @@ func TestSpinningGawkSeesCancel(t *testing.T) {
 		t.Fatalf("err = %v, want apps.ErrCanceled", res.Err)
 	}
 }
+
+// A shell stage obeys the task's deadline and cancel token like a program
+// spawned on its own: `sh -c` hands each stage the task's context, not a
+// fresh one without them.
+func TestShellStagesMeetTheTaskDeadline(t *testing.T) {
+	const script = "cat big.txt | grep -c needle"
+	run := func(deadline sim.Time) (TaskResult, sim.Time) {
+		eng, sub, view := newRig(t)
+		var res TaskResult
+		eng.Go("client", func(p *sim.Proc) {
+			if err := view.WriteFile(p, "big.txt", cancelPayload); err != nil {
+				t.Error(err)
+				return
+			}
+			res = sub.Spawn(p, TaskSpec{Script: script, Deadline: deadline})
+		})
+		end := eng.Run()
+		eng.Shutdown()
+		return res, end
+	}
+	full, fullEnd := run(0)
+	if full.Err != nil || string(full.Stdout) != "8000\n" {
+		t.Fatalf("full run: %v %q", full.Err, full.Stdout)
+	}
+	deadline := sim.Time(fullEnd.Duration() / 2)
+	res, end := run(deadline)
+	if !errors.Is(res.Err, apps.ErrDeadline) {
+		t.Fatalf("err = %v, stdout %q; want apps.ErrDeadline", res.Err, res.Stdout)
+	}
+	if end >= fullEnd {
+		t.Fatalf("aborted script ended at %v, not before the full run's %v", end, fullEnd)
+	}
+}
+
+func TestSpinningShellStageMeetsItsDeadline(t *testing.T) {
+	eng, sub, _ := newRig(t)
+	deadline := sim.Time(125 * time.Millisecond)
+	var res TaskResult
+	eng.Go("client", func(p *sim.Proc) {
+		res = sub.Spawn(p, TaskSpec{Script: "gawk 'BEGIN { while (1) {} }'", Deadline: deadline})
+	})
+	eng.Run()
+	eng.Shutdown()
+	if !errors.Is(res.Err, apps.ErrDeadline) {
+		t.Fatalf("err = %v, want apps.ErrDeadline", res.Err)
+	}
+	if res.Finished < deadline || res.Finished > deadline.Add(time.Millisecond) {
+		t.Errorf("finished at %v, deadline %v", res.Finished, deadline)
+	}
+}
+
+func TestSpinningShellStageSeesCancel(t *testing.T) {
+	eng, sub, _ := newRig(t)
+	cancel := &apps.CancelToken{}
+	var res TaskResult
+	eng.Go("client", func(p *sim.Proc) {
+		res = sub.Spawn(p, TaskSpec{Script: "gawk 'BEGIN { while (1) {} }'", Cancel: cancel})
+	})
+	eng.Go("canceller", func(p *sim.Proc) {
+		p.Wait(20 * time.Millisecond)
+		cancel.Cancel()
+	})
+	eng.Run()
+	eng.Shutdown()
+	if !errors.Is(res.Err, apps.ErrCanceled) {
+		t.Fatalf("err = %v, want apps.ErrCanceled", res.Err)
+	}
+}

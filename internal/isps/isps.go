@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"time"
 
@@ -38,18 +39,24 @@ type Config struct {
 	Cores *sim.Resource
 	// Meter receives compute energy; optional.
 	Meter *energy.Component
-	// DefaultTaskMem is reserved per task when a spec does not say;
-	// defaults to 64 MiB.
-	DefaultTaskMem int64
 	// TimeSlice, when non-zero, makes compute release and re-acquire its
 	// core every quantum so other work (notably I/O command handling on
 	// shared controller cores) can interleave. The dedicated-ISPS
 	// configuration leaves it zero; the shared-core ablation uses ~1 ms,
 	// modelling a preemptive firmware scheduler.
 	TimeSlice sim.Duration
-	// ParScan configures intra-device parallel scans (default off).
-	ParScan ParScanConfig
+	// ScanChunks is how many chunks a large scan splits into across the
+	// cores (parscan.go): 0 is one per core, the stock CompStor; 1 runs every
+	// task on one core, the paper's executor and its named ablation; n asks
+	// for n.
+	ScanChunks int
 }
+
+// defaultTaskMem is the DRAM reserved for a task whose spec does not say.
+// The paper's applications stream their input through block-sized buffers,
+// so 64 MiB covers any of them; the 8 GB ISPS then admits 128 such tasks,
+// far more than its four cores can run.
+const defaultTaskMem = 64 << 20
 
 // TaskSpec describes one in-situ execution request (the payload of a
 // minion's command).
@@ -96,12 +103,11 @@ type Subsystem struct {
 
 	memTotal int64
 	memUsed  int64
-	taskMem  int64
 
 	thermal thermalModel
 
-	slice   sim.Duration
-	parScan ParScanConfig
+	slice      sim.Duration
+	scanChunks int
 
 	running   int
 	completed int64
@@ -132,21 +138,16 @@ func New(eng *sim.Engine, cfg Config) *Subsystem {
 	if cores == nil {
 		cores = sim.NewResource(eng, pl.Cores)
 	}
-	taskMem := cfg.DefaultTaskMem
-	if taskMem <= 0 {
-		taskMem = 64 << 20
-	}
 	s := &Subsystem{
-		eng:      eng,
-		platform: pl,
-		cores:    cores,
-		meter:    cfg.Meter,
-		registry: cfg.Registry,
-		memTotal: pl.MemBytes,
-		taskMem:  taskMem,
-		slice:    cfg.TimeSlice,
-		parScan:  cfg.ParScan,
-		thermal:  newThermalModel(),
+		eng:        eng,
+		platform:   pl,
+		cores:      cores,
+		meter:      cfg.Meter,
+		registry:   cfg.Registry,
+		memTotal:   pl.MemBytes,
+		slice:      cfg.TimeSlice,
+		scanChunks: cfg.ScanChunks,
+		thermal:    newThermalModel(),
 	}
 	// Start at the idle thermal equilibrium (base power keeps the die above
 	// ambient even with no tasks).
@@ -163,9 +164,6 @@ func (s *Subsystem) FS() *minfs.View { return s.fsView }
 
 // Platform returns the processor model.
 func (s *Subsystem) Platform() *cpu.Platform { return s.platform }
-
-// Registry returns the program registry.
-func (s *Subsystem) Registry() *apps.Registry { return s.registry }
 
 // Cores exposes the execution stations (for utilisation reporting).
 func (s *Subsystem) Cores() *sim.Resource { return s.cores }
@@ -196,17 +194,9 @@ func (s *Subsystem) SetObs(o *obs.Obs) {
 // ReserveDRAM permanently claims n bytes of the subsystem's DRAM for a
 // platform service (the drive wires the read-pipeline page cache through
 // here), shrinking what tasks can reserve. The claim shows up in Status as
-// used memory, exactly like task reservations.
-func (s *Subsystem) ReserveDRAM(n int64) error {
-	if n < 0 {
-		return fmt.Errorf("isps: negative DRAM reservation %d", n)
-	}
-	if s.memUsed+n > s.memTotal {
-		return fmt.Errorf("%w: reserve %d with %d/%d used", ErrNoMemory, n, s.memUsed, s.memTotal)
-	}
-	s.memUsed += n
-	return nil
-}
+// used memory, exactly like task reservations. The one claimant is a
+// constant-size cache well inside the DRAM, so the claim cannot fail.
+func (s *Subsystem) ReserveDRAM(n int64) { s.memUsed += n }
 
 // LoadTask installs a program at runtime (dynamic task loading). It
 // reports whether an existing program was replaced.
@@ -222,8 +212,9 @@ var (
 )
 
 // Spawn runs one task to completion, blocking the calling process. It
-// queues on a core (FIFO), charges compute time and energy through the
-// platform model, and captures stdout/stderr. A task whose deadline has
+// queues on a core (FIFO) — a large scan on all of them (parscan.go) —
+// charges compute time and energy through the platform model, and
+// captures stdout/stderr. A task whose deadline has
 // already passed (or whose cancel token has fired) fails fast without
 // consuming a core or DRAM; one interrupted mid-run aborts at its next
 // charged I/O or compute quantum and releases both.
@@ -239,109 +230,124 @@ func (s *Subsystem) Spawn(p *sim.Proc, spec TaskSpec) TaskResult {
 		defer func() { s.histExec.Observe(p.Now().Sub(res.Started)); sp.End() }()
 	}
 
-	if err := interrupted(p, spec.Deadline, spec.Cancel); err != nil {
-		res.Err = err
-		res.ExitCode = 1
-		res.Finished = p.Now()
+	t, err := s.admit(p, spec)
+	if err != nil {
+		res.Err, res.ExitCode, res.Finished = err, 1, p.Now()
+		if errors.Is(err, ErrNoProgram) {
+			res.ExitCode = 127
+		}
 		s.noteOutcome(err)
 		return res
 	}
 
-	mem := spec.MemBytes
-	if mem <= 0 {
-		mem = s.taskMem
-	}
-	if s.memUsed+mem > s.memTotal {
-		res.Err = fmt.Errorf("%w: %d + %d > %d", ErrNoMemory, s.memUsed, mem, s.memTotal)
-		res.ExitCode = 1
-		res.Finished = p.Now()
-		s.failed++
-		return res
-	}
-
-	var prog apps.Program
-	var args []string
-	if spec.Script != "" {
-		sh, ok := s.registry.Lookup("sh")
-		if !ok {
-			res.Err = fmt.Errorf("%w: sh (script execution)", ErrNoProgram)
-			res.ExitCode = 127
-			res.Finished = p.Now()
-			s.failed++
-			return res
-		}
-		prog, args = sh, []string{"-c", spec.Script}
-	} else {
-		pg, ok := s.registry.Lookup(spec.Exec)
-		if !ok {
-			res.Err = fmt.Errorf("%w: %s", ErrNoProgram, spec.Exec)
-			res.ExitCode = 127
-			res.Finished = p.Now()
-			s.failed++
-			return res
-		}
-		prog, args = pg, spec.Args
-	}
-
-	if s.parScan.Enabled && spec.Script == "" {
-		if s.trySplit(p, prog, args, mem, spec.Deadline, spec.Cancel, &res) {
-			return res
-		}
-	}
-
-	s.memUsed += mem
-	s.cores.Acquire(p)
-	s.observeThermal()
-	s.running++
-
+	// A split scan's chunks run first, each on a core of its own; the merge
+	// is what is left for the task's core.
 	var stdout, stderr bytes.Buffer
-	ctx := &apps.Context{
-		Proc:     p,
-		FS:       s.fsView,
-		Stdin:    bytes.NewReader(spec.Stdin),
-		Stdout:   &stdout,
-		Stderr:   &stderr,
-		Class:    prog.Class(),
-		Charge:   s.charge(p, spec.Deadline, spec.Cancel),
-		Deadline: spec.Deadline,
-		Cancel:   spec.Cancel,
-		Lookup:   s.registry.Lookup,
+	s.memUsed += t.mem
+	var parts []any
+	plan, cuts, split := s.splitPlan(&t)
+	if split {
+		parts, err = s.scan(p, t, plan, cuts)
 	}
-	err := prog.Run(ctx, args)
-	if s.fsView != nil {
-		// Task outputs must be durable before the response travels back; a
-		// lost background write fails the task rather than vanishing.
-		if ferr := s.fsView.Flush(p); ferr != nil && err == nil {
-			err = ferr
+	s.onCore(p, func() {
+		switch {
+		case !split:
+			err = t.prog.Run(s.context(p, &t, spec.Stdin, &stdout, &stderr), t.args)
+		case err == nil:
+			err = plan.Kernel.Merge(s.context(p, &t, nil, &stdout, &stderr), parts)
 		}
-	}
-
-	s.running--
-	s.cores.Release()
-	s.memUsed -= mem
-	s.observeThermal()
+		if s.fsView != nil {
+			// Task outputs must be durable before the response travels back; a
+			// lost background write fails the task rather than vanishing.
+			if ferr := s.fsView.Flush(p); ferr != nil && err == nil {
+				err = ferr
+			}
+		}
+	})
+	s.memUsed -= t.mem
 
 	res.Stdout = stdout.Bytes()
 	res.Stderr = stderr.Bytes()
 	res.Finished = p.Now()
 	res.ExitCode = apps.ExitCode(err)
-	if err != nil {
-		res.Err = err
-	}
+	res.Err = err
 	s.noteOutcome(err)
 	return res
 }
 
-// interrupted mirrors apps.Context.Interrupted for the executor's own
-// checkpoints (before a context exists, and between chunk fan-outs).
-func interrupted(p *sim.Proc, deadline sim.Time, cancel *apps.CancelToken) error {
-	if cancel.Canceled() {
-		return apps.ErrCanceled
+// task is one admitted TaskSpec: the program it resolved to, its argv, its
+// DRAM reservation, and the bounds every program run on its behalf obeys.
+type task struct {
+	prog     apps.Program
+	args     []string
+	mem      int64
+	deadline sim.Time
+	cancel   *apps.CancelToken
+}
+
+// admit resolves spec to a task, or says why it cannot start: its deadline
+// passed or its cancel token fired, its DRAM does not fit, or its program is
+// not installed.
+func (s *Subsystem) admit(p *sim.Proc, spec TaskSpec) (task, error) {
+	switch {
+	case spec.Cancel.Canceled():
+		return task{}, apps.ErrCanceled
+	case spec.Deadline > 0 && p.Now() >= spec.Deadline:
+		return task{}, apps.ErrDeadline
 	}
-	if deadline > 0 && p.Now() >= deadline {
-		return apps.ErrDeadline
+	t := task{args: spec.Args, mem: spec.MemBytes, deadline: spec.Deadline, cancel: spec.Cancel}
+	if t.mem <= 0 {
+		t.mem = defaultTaskMem
 	}
-	return nil
+	if s.memUsed+t.mem > s.memTotal {
+		return task{}, fmt.Errorf("%w: %d + %d > %d", ErrNoMemory, s.memUsed, t.mem, s.memTotal)
+	}
+	name := spec.Exec
+	if spec.Script != "" {
+		name, t.args = "sh", []string{"-c", spec.Script}
+	}
+	prog, ok := s.registry.Lookup(name)
+	switch {
+	case !ok && spec.Script != "":
+		return task{}, fmt.Errorf("%w: sh (script execution)", ErrNoProgram)
+	case !ok:
+		return task{}, fmt.Errorf("%w: %s", ErrNoProgram, name)
+	}
+	t.prog = prog
+	return t, nil
+}
+
+// context is the executor's one apps.Context: every program run of t — the
+// serial run, each chunk worker, the merge — sees the task's filesystem,
+// registry, deadline and cancel token, and a charge bound to p, the proc
+// holding the core. Shell stages copy theirs from it (shx), so they obey
+// the same bounds.
+func (s *Subsystem) context(p *sim.Proc, t *task, stdin []byte, stdout, stderr io.Writer) *apps.Context {
+	return &apps.Context{
+		Proc:     p,
+		FS:       s.fsView,
+		Stdin:    bytes.NewReader(stdin),
+		Stdout:   stdout,
+		Stderr:   stderr,
+		Class:    t.prog.Class(),
+		Charge:   s.charge(p, t.deadline, t.cancel),
+		Deadline: t.deadline,
+		Cancel:   t.cancel,
+		Lookup:   s.registry.Lookup,
+	}
+}
+
+// onCore runs fn on a core p holds for it: queued FIFO for the core, counted
+// as running, and seen by the thermal model on the way in and out. A task's
+// own run and each of its chunk workers are one such hold.
+func (s *Subsystem) onCore(p *sim.Proc, fn func()) {
+	s.cores.Acquire(p)
+	s.observeThermal()
+	s.running++
+	fn()
+	s.running--
+	s.cores.Release()
+	s.observeThermal()
 }
 
 // noteOutcome updates the completion counters, splitting deadline and

@@ -120,8 +120,10 @@ func TestComputeTimeMatchesCalibration(t *testing.T) {
 	}
 }
 
+// TestQuadCoreConcurrencyLimit runs the paper's one-core-per-task executor:
+// the stock device would split each 1 MB scan across all four cores.
 func TestQuadCoreConcurrencyLimit(t *testing.T) {
-	eng, sub, view := newRig(t)
+	eng, sub, view := newParRig(t, 1, nil)
 	const tasks = 8
 	var finish []sim.Time
 	eng.Go("setup", func(p *sim.Proc) {

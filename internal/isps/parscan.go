@@ -1,42 +1,29 @@
 package isps
 
 import (
-	"bytes"
+	"cmp"
 	"fmt"
+	"io"
 
-	"compstor/internal/apps"
 	"compstor/internal/apps/splitscan"
 	"compstor/internal/sim"
 )
 
-// Parallel split-scan execution: one qualifying task fans out across all
-// ISPS cores instead of streaming its file on a single one. The file is cut
-// into chunks aligned to extent-run starts (else page boundaries) and
-// realigned to newline boundaries by splitscan.Reader; one worker process
-// per chunk contends on the shared cores Resource, issues its own demand
-// fetches (hitting different flash channels concurrently) and drives its
-// own read-ahead streak; the partial results merge deterministically in
-// chunk order. With ParScan disabled, Spawn never reaches this file and
-// every existing artefact stays byte-identical.
+// Split-scan execution: the stock ISPS runs one large scan across all of its
+// cores instead of streaming the file on one. The file is cut into chunks
+// aligned to extent-run starts (else page boundaries) and realigned to
+// newline boundaries by splitscan.Reader; one worker process per chunk
+// queues FIFO on the shared cores, issues its own demand fetches (hitting
+// different flash channels concurrently) and drives its own read-ahead
+// streak; the partial results merge in chunk order on the task's own core.
+// ScanChunks 1 is the paper's one-core-per-task executor: Spawn then never
+// plans, and no counter here moves.
 
-// ParScanConfig configures intra-device parallel scans.
-type ParScanConfig struct {
-	// Enabled turns split-scan execution on (default off).
-	Enabled bool
-	// Chunks is the target chunk count per split task (0 = one per core).
-	Chunks int
-	// MinChunkBytes keeps small files serial: the chunk count is capped at
-	// file size / MinChunkBytes. 0 selects the 256 KiB default; negative
-	// disables the floor.
-	MinChunkBytes int64
-	// MaxWorkers bounds the in-flight chunk workers per task (0 = 2x the
-	// core count). Excess chunks queue FIFO behind the bound, and the
-	// workers themselves queue on the cores Resource, so oversubscription
-	// never errors — it serialises.
-	MaxWorkers int
-}
-
-const defaultMinChunkBytes = 256 << 10
+// minChunkBytes is the smallest chunk a scan is cut into: 256 KiB, one
+// read-ahead run of the pipelined read path, so no chunk is shorter than a
+// full sequential fill. A task is planned only when some argument names a
+// file of at least two chunks.
+const minChunkBytes = 256 << 10
 
 // ParScanStats counts split-scan activity.
 type ParScanStats struct {
@@ -44,9 +31,9 @@ type ParScanStats struct {
 	Tasks int64
 	// Chunks is the total number of chunk workers spawned.
 	Chunks int64
-	// Fallbacks counts tasks that ran serially despite ParScan being
-	// enabled (script tasks, unsplittable program or argv, missing or tiny
-	// input file).
+	// Fallbacks counts tasks with a large input — one of at least two chunk
+	// floors — that ran serially all the same: a program or argv form that
+	// cannot split, or a scanned file too small for two chunks.
 	Fallbacks int64
 }
 
@@ -55,17 +42,41 @@ func (s *Subsystem) ParScanStats() ParScanStats {
 	return ParScanStats{Tasks: s.psTasks, Chunks: s.psChunks, Fallbacks: s.psFallbacks}
 }
 
-// splitPlan decides whether the resolved program runs as a parallel scan,
-// returning its plan and chunk cuts. Any disqualification — program not
-// chunkable, argv form not splittable, file missing (the serial path will
-// surface the error), or file too small to be worth fanning out — falls
-// back to the serial path.
-func (s *Subsystem) splitPlan(prog apps.Program, args []string) (splitscan.Plan, []int64, bool) {
-	sp, ok := prog.(splitscan.Splitter)
-	if !ok || s.fsView == nil {
+// splitPlan decides whether t runs as a split scan, returning its plan and
+// chunk cuts. A task with no large input is not planned at all, so it pays no
+// pattern compile or program parse; a large one that cannot split is a
+// fallback.
+func (s *Subsystem) splitPlan(t *task) (splitscan.Plan, []int64, bool) {
+	if s.scanChunks == 1 || s.fsView == nil || !s.largeInput(t.args) {
 		return splitscan.Plan{}, nil, false
 	}
-	plan, ok := sp.SplitPlan(args)
+	plan, cuts, ok := s.cut(t)
+	if !ok {
+		s.psFallbacks++
+	}
+	return plan, cuts, ok
+}
+
+// largeInput reports whether some argument names a file of at least two
+// chunk floors.
+func (s *Subsystem) largeInput(args []string) bool {
+	for _, a := range args {
+		if info, err := s.fsView.FS().Stat(a); err == nil && info.Size >= 2*minChunkBytes {
+			return true
+		}
+	}
+	return false
+}
+
+// cut asks the program for its chunkable form and places the chunk
+// boundaries: ScanChunks of them (one per core for 0), no smaller than the
+// floor. A missing file is the serial run's error to report.
+func (s *Subsystem) cut(t *task) (splitscan.Plan, []int64, bool) {
+	sp, ok := t.prog.(splitscan.Splitter)
+	if !ok {
+		return splitscan.Plan{}, nil, false
+	}
+	plan, ok := sp.SplitPlan(t.args)
 	if !ok {
 		return splitscan.Plan{}, nil, false
 	}
@@ -74,26 +85,15 @@ func (s *Subsystem) splitPlan(prog apps.Program, args []string) (splitscan.Plan,
 	if err != nil {
 		return splitscan.Plan{}, nil, false
 	}
-	n := s.parScan.Chunks
+	n := s.scanChunks
 	if n <= 0 {
 		n = s.cores.Capacity()
 	}
-	minb := s.parScan.MinChunkBytes
-	if minb == 0 {
-		minb = defaultMinChunkBytes
-	}
-	if minb > 0 {
-		if m := info.Size / minb; int64(n) > m {
-			n = int(m)
-		}
-	}
+	n = int(min(int64(n), info.Size/minChunkBytes))
 	if n < 2 {
 		return splitscan.Plan{}, nil, false
 	}
-	runStarts, err := fs.ExtentRunStarts(plan.File)
-	if err != nil {
-		runStarts = nil
-	}
+	runStarts, _ := fs.ExtentRunStarts(plan.File) // nil without extents: page cuts
 	cuts := splitscan.Cuts(info.Size, fs.PageSize(), runStarts, n)
 	if len(cuts) < 3 {
 		return splitscan.Plan{}, nil, false
@@ -101,127 +101,30 @@ func (s *Subsystem) splitPlan(prog apps.Program, args []string) (splitscan.Plan,
 	return plan, cuts, true
 }
 
-// trySplit runs the task as a parallel split scan when it qualifies,
-// filling res and reporting true; false means the caller must take the
-// serial path (counted as a fallback).
-func (s *Subsystem) trySplit(p *sim.Proc, prog apps.Program, args []string, mem int64, deadline sim.Time, cancel *apps.CancelToken, res *TaskResult) bool {
-	plan, cuts, ok := s.splitPlan(prog, args)
-	if !ok {
-		s.psFallbacks++
-		return false
-	}
-	s.execSplit(p, prog, plan, cuts, mem, deadline, cancel, res)
-	return true
-}
-
-// execSplit fans the planned chunks out over the cores and merges. Each
-// chunk worker carries the task's deadline and cancel token, so an aborting
-// split task drains all of its workers cooperatively.
-func (s *Subsystem) execSplit(p *sim.Proc, prog apps.Program, plan splitscan.Plan, cuts []int64, mem int64, deadline sim.Time, cancel *apps.CancelToken, res *TaskResult) {
-	nchunks := len(cuts) - 1
+// scan runs the planned chunks, one worker process each holding a core, and
+// returns their partial results in chunk order with the lowest failing
+// chunk's error (deterministic, and the underlying cause survives for retry
+// classification). Every worker carries the task's deadline and cancel
+// token, so an aborting split task drains all of its workers cooperatively.
+func (s *Subsystem) scan(p *sim.Proc, t task, plan splitscan.Plan, cuts []int64) ([]any, error) {
+	n := len(cuts) - 1
 	s.psTasks++
-	s.psChunks += int64(nchunks)
-	s.memUsed += mem
-
-	maxW := s.parScan.MaxWorkers
-	if maxW <= 0 {
-		maxW = 2 * s.cores.Capacity()
-	}
-	var gate *sim.Semaphore
-	if maxW < nchunks {
-		gate = sim.NewSemaphore(s.eng, maxW)
-	}
-
-	results := make([]any, nchunks)
-	errs := make([]error, nchunks)
+	s.psChunks += int64(n)
+	parts, errs := make([]any, n), make([]error, n)
 	obsCtx := p.ObsCtx() // the task span: chunk spans parent under it
 	var wg sim.WaitGroup
-	wg.Add(nchunks)
-	for i := 0; i < nchunks; i++ {
-		i := i
-		s.eng.Go(fmt.Sprintf("parscan/%s/%d", prog.Name(), i), func(wp *sim.Proc) {
+	wg.Add(n)
+	for i := range n {
+		s.eng.Go(fmt.Sprintf("parscan/%s/%d", t.prog.Name(), i), func(wp *sim.Proc) {
 			defer wg.Done()
 			wp.SetObsCtx(obsCtx)
-			if gate != nil {
-				gate.Acquire(wp, 1)
-				defer gate.Release(1)
-			}
-			s.cores.Acquire(wp)
-			s.observeThermal()
-			s.running++
-			defer func() {
-				s.running--
-				s.cores.Release()
-				s.observeThermal()
-			}()
-			sp := s.obs.Begin(wp, "isps/parscan", fmt.Sprintf("%s#%d", prog.Name(), i))
-			defer sp.End()
-			var out, errBuf bytes.Buffer
-			wctx := &apps.Context{
-				Proc:     wp,
-				FS:       s.fsView,
-				Stdin:    bytes.NewReader(nil),
-				Stdout:   &out,
-				Stderr:   &errBuf,
-				Class:    prog.Class(),
-				Charge:   s.charge(wp, deadline, cancel),
-				Deadline: deadline,
-				Cancel:   cancel,
-				Lookup:   s.registry.Lookup,
-			}
-			results[i], errs[i] = splitscan.RunChunk(wctx, plan, cuts, i)
+			s.onCore(wp, func() {
+				sp := s.obs.Begin(wp, "isps/parscan", fmt.Sprintf("%s#%d", t.prog.Name(), i))
+				parts[i], errs[i] = splitscan.RunChunk(s.context(wp, &t, nil, io.Discard, io.Discard), plan, cuts, i)
+				sp.End()
+			})
 		})
 	}
 	wg.Wait(p)
-
-	// The coordinator takes a core for the merge and flush, like the tail
-	// of a serial run.
-	s.cores.Acquire(p)
-	s.observeThermal()
-	s.running++
-
-	var stdout, stderr bytes.Buffer
-	var err error
-	for i := range errs {
-		// The lowest failing chunk wins: deterministic, and it preserves
-		// the underlying cause for retry classification.
-		if errs[i] != nil {
-			err = errs[i]
-			break
-		}
-	}
-	if err == nil {
-		mctx := &apps.Context{
-			Proc:     p,
-			FS:       s.fsView,
-			Stdin:    bytes.NewReader(nil),
-			Stdout:   &stdout,
-			Stderr:   &stderr,
-			Class:    prog.Class(),
-			Charge:   s.charge(p, deadline, cancel),
-			Deadline: deadline,
-			Cancel:   cancel,
-			Lookup:   s.registry.Lookup,
-		}
-		err = plan.Kernel.Merge(mctx, results)
-	}
-	if s.fsView != nil {
-		if ferr := s.fsView.Flush(p); ferr != nil && err == nil {
-			err = ferr
-		}
-	}
-
-	s.running--
-	s.cores.Release()
-	s.memUsed -= mem
-	s.observeThermal()
-
-	res.Stdout = stdout.Bytes()
-	res.Stderr = stderr.Bytes()
-	res.Finished = p.Now()
-	res.ExitCode = apps.ExitCode(err)
-	if err != nil {
-		res.Err = err
-	}
-	s.noteOutcome(err)
+	return parts, cmp.Or(errs...)
 }

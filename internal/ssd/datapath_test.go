@@ -84,7 +84,7 @@ func TestReadBatchAllocs(t *testing.T) {
 // write-back cache, the ISPS read cache nor the flash slabs may share memory
 // with either.
 func TestDataPathBuffersDoNotAlias(t *testing.T) {
-	eng, drive, _ := newPipelineRig(t, PipelineConfig{})
+	eng, drive, _ := newPipelineRig(t)
 	ps := drive.PageSize()
 	want := bytes.Repeat([]byte("compstor"), 3*ps/8+100) // a ragged tail
 	scribble := func(b []byte) {

@@ -8,49 +8,34 @@ import (
 	"compstor/internal/sim"
 )
 
-// PipelineConfig configures the streaming in-device read pipeline: an
-// ISPS-DRAM page cache in front of the FTL plus a sequential read-ahead
-// prefetcher. The cache is carved out of the subsystem's 8 GB DDR4 budget
-// (isps.Subsystem.ReserveDRAM), so a huge cache visibly shrinks what tasks
-// can claim. Disabled by default: the stock path reproduces the paper's
-// synchronous read loop and its calibrated end-to-end throughputs exactly;
-// enabling the pipeline is the "what if CompStor pipelined I/O with
+// The streaming in-device read pipeline (Config.ReadPipeline): an ISPS-DRAM
+// page cache in front of the FTL plus a sequential read-ahead prefetcher.
+// The cache is carved out of the subsystem's 8 GB DDR4 budget
+// (isps.Subsystem.ReserveDRAM). Off by default: the stock path reproduces
+// the paper's synchronous read loop and its calibrated end-to-end
+// throughputs exactly; on is the "what if CompStor pipelined I/O with
 // compute" configuration measured by `compstor-bench -run pipeline`.
 //
 // The pipeline only exists on the dedicated flash path of an in-situ drive
 // (the ISPS has no DRAM on conventional drives, and the NVMe-path ablation
-// deliberately strips the fast path), so Enabled is ignored elsewhere.
-type PipelineConfig struct {
-	// Enabled turns the read pipeline on.
-	Enabled bool
-	// CachePages sizes the page cache (default 16384 pages = 64 MiB at
-	// 4 KiB pages), LRU-evicted.
-	CachePages int64
-	// ReadAheadPages is the run length of one background fill (default 64
-	// pages = 256 KiB), and the granularity the in-flight window counts.
-	ReadAheadPages int64
-	// Window bounds concurrently running background fills (default 4).
-	Window int
-	// DRAMBytesPerSec is the cache-hit copy bandwidth (default 17 GB/s,
-	// DDR4-2133 peak).
-	DRAMBytesPerSec float64
-}
-
-func (c PipelineConfig) withDefaults() PipelineConfig {
-	if c.CachePages <= 0 {
-		c.CachePages = 16384
-	}
-	if c.ReadAheadPages <= 0 {
-		c.ReadAheadPages = 64
-	}
-	if c.Window <= 0 {
-		c.Window = 4
-	}
-	if c.DRAMBytesPerSec <= 0 {
-		c.DRAMBytesPerSec = 17e9
-	}
-	return c
-}
+// deliberately strips the fast path), so ReadPipeline is ignored elsewhere.
+//
+// Its sizes are model constants; no experiment varies them.
+const (
+	// cachePages sizes the LRU page cache: 64 MiB at 4 KiB pages, which holds
+	// a scan workload's per-device working set and is under 1% of the ISPS's
+	// 8 GB, so tasks barely notice the reservation.
+	cachePages = 16384
+	// readAheadPages is the run length of one background fill, 256 KiB (the
+	// split-scan chunk floor, so one fill covers a minimal chunk), and the
+	// granularity the fill window counts.
+	readAheadPages = 64
+	// fillWindow bounds concurrently running background fills per drive: one
+	// per ISPS core, 1 MiB in flight.
+	fillWindow = 4
+	// dramBytesPerSec is the cache-hit copy bandwidth, DDR4-2133 peak.
+	dramBytesPerSec = 17e9
+)
 
 // ReadCacheStats is a snapshot of the pipeline's counters.
 type ReadCacheStats struct {
@@ -83,8 +68,7 @@ type fetchState struct {
 // cooperative engine: all mutation happens from sim procs, never
 // concurrently, so ordinary maps and counters are safe and deterministic.
 type readCache struct {
-	s   *SSD
-	cfg PipelineConfig
+	s *SSD
 
 	entries    map[int64]*cacheEntry
 	head, tail *cacheEntry // head = most recently used
@@ -94,15 +78,6 @@ type readCache struct {
 	seq      int64 // fill proc naming counter
 
 	stats ReadCacheStats
-}
-
-func newReadCache(s *SSD, cfg PipelineConfig) *readCache {
-	return &readCache{
-		s:        s,
-		cfg:      cfg.withDefaults(),
-		entries:  make(map[int64]*cacheEntry),
-		fetching: make(map[int64]*fetchState),
-	}
 }
 
 // LRU plumbing -----------------------------------------------------------------
@@ -152,7 +127,7 @@ func (c *readCache) insert(lpn int64, data []byte) {
 		c.pushFront(e)
 		return
 	}
-	for int64(len(c.entries)) >= c.cfg.CachePages {
+	for int64(len(c.entries)) >= cachePages {
 		victim := c.tail
 		if victim == nil {
 			break
@@ -204,8 +179,8 @@ func (c *readCache) dropAll() {
 // per page either an ISPS-DRAM copy (hit), a poll-wait on an in-flight fill,
 // or a flash fetch (miss, fanned out channel-parallel and inserted
 // read-through).
-func (c *readCache) readPages(p *sim.Proc, lpn, count int64, lat time.Duration, out []byte) error {
-	p.Wait(lat)
+func (c *readCache) readPages(p *sim.Proc, lpn, count int64, out []byte) error {
+	p.Wait(ispsDriverLatency)
 	if c.s.dev.PoweredOff() {
 		// A powered-off device serves nothing — the DRAM cache least of all.
 		return flash.ErrPowerLoss
@@ -235,7 +210,7 @@ func (c *readCache) readPages(p *sim.Proc, lpn, count int64, lat time.Duration, 
 	c.stats.Hits += hitPages
 	c.stats.Misses += int64(len(miss.pages))
 	if hitPages > 0 {
-		p.Wait(sim.DurationFor(hitPages*ps, c.cfg.DRAMBytesPerSec))
+		p.Wait(sim.DurationFor(hitPages*ps, dramBytesPerSec))
 	}
 
 	// Fetch the misses channel-parallel, then insert read-through (unless
@@ -255,21 +230,15 @@ func (c *readCache) readPages(p *sim.Proc, lpn, count int64, lat time.Duration, 
 
 // Prefetch path -----------------------------------------------------------------
 
-// readAheadPages advises the filesystem how far ahead to offer runs: the
-// whole in-flight window's worth.
-func (c *readCache) readAheadPages() int64 {
-	return c.cfg.ReadAheadPages * int64(c.cfg.Window)
-}
-
 // prefetch accepts up to count pages starting at lpn, spawning one
-// background fill per ReadAheadPages-sized run while window slots remain.
+// background fill per readAheadPages-sized run while window slots remain.
 // Pages already cached or in flight are consumed without spawning (they are
 // warm; the caller's read-ahead cursor must advance past them). Returns the
 // number of pages consumed; 0 applies backpressure.
 func (c *readCache) prefetch(p *sim.Proc, lpn, count int64) int64 {
 	accepted := int64(0)
-	for accepted < count && c.inflight < c.cfg.Window {
-		run := c.cfg.ReadAheadPages
+	for accepted < count && c.inflight < fillWindow {
+		run := int64(readAheadPages)
 		if rem := count - accepted; run > rem {
 			run = rem
 		}
@@ -318,7 +287,7 @@ func (c *readCache) fill(p *sim.Proc, lpns []int64) {
 		sp := c.s.cfg.Obs.Begin(p, "isps", "readahead")
 		defer sp.End()
 	}
-	p.Wait(c.s.cfg.ISPSDriverLatency)
+	p.Wait(ispsDriverLatency)
 	ps := c.s.PageSize()
 	run := c.s.newBatch()
 	defer run.release()

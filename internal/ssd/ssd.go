@@ -26,30 +26,41 @@ import (
 	"compstor/internal/sim"
 )
 
-// Config assembles a drive.
+// Controller constants. Every drive in the paper's testbed is the same
+// enterprise part, so none of these is a setting: a different drive is a
+// different model, not a knob.
+const (
+	// ctrlCmdOverhead is embedded-CPU time per NVMe command.
+	ctrlCmdOverhead = 8 * time.Microsecond
+	// ctrlCores is the number of embedded controller cores.
+	ctrlCores = 2
+	// ispsDriverLatency is the flash-access device driver overhead per
+	// range operation on the dedicated path.
+	ispsDriverLatency = 3 * time.Microsecond
+)
+
+// Config assembles a drive. Flash timing and the NVMe front-end are the
+// defaults of their packages (flash.DefaultTiming, nvme.DefaultConfig).
 type Config struct {
 	Name     string
 	Geometry flash.Geometry
-	Timing   flash.Timing
 	FTL      ftl.Config
-	NVMe     nvme.Config
 
 	// InSitu attaches an ISPS (making this a CompStor). Registry is the
 	// program set to install (cloned); required when InSitu.
 	InSitu   bool
 	Registry *apps.Registry
 
-	// Pipeline configures the streaming read pipeline (ISPS-DRAM page
-	// cache + read-ahead prefetcher). Only meaningful on in-situ drives
-	// with the dedicated flash path; ignored elsewhere. Zero value = off,
-	// which keeps the stock synchronous read path byte-identical.
-	Pipeline PipelineConfig
+	// ReadPipeline turns on the streaming read pipeline (ISPS-DRAM page
+	// cache + read-ahead prefetcher, readcache.go). Only meaningful on
+	// in-situ drives with the dedicated flash path; ignored elsewhere. Off
+	// keeps the paper's synchronous read path.
+	ReadPipeline bool
 
-	// ParScan forwards the intra-device parallel-scan configuration to the
-	// ISPS. Zero value = off, which keeps serial task execution
-	// byte-identical. Works on both the stock and pipelined read paths and
-	// under either ablation.
-	ParScan isps.ParScanConfig
+	// ScanChunks is forwarded to the ISPS (isps.Config.ScanChunks): 0 splits
+	// a large scan one chunk per core, 1 is the paper's one-core-per-task
+	// executor.
+	ScanChunks int
 
 	// SharedCores is the Biscuit-style ablation: in-situ tasks execute on
 	// the controller's embedded cores instead of a dedicated subsystem.
@@ -65,14 +76,6 @@ type Config struct {
 	// NVMe, ISPS). Pass a per-drive scope (e.g. root.Scope(name)) so metric
 	// names from different drives do not collide.
 	Obs *obs.Obs
-
-	// CtrlCmdOverhead is embedded-CPU time per NVMe command (default 8µs).
-	CtrlCmdOverhead time.Duration
-	// CtrlCores is the number of embedded controller cores (default 2).
-	CtrlCores int
-	// ISPSDriverLatency is the flash-access device driver overhead per
-	// range operation on the dedicated path (default 3µs).
-	ISPSDriverLatency time.Duration
 }
 
 // DefaultConfig returns a conventional enterprise drive using the default
@@ -81,9 +84,7 @@ func DefaultConfig(name string) Config {
 	return Config{
 		Name:     name,
 		Geometry: flash.DefaultGeometry(),
-		Timing:   flash.DefaultTiming(),
 		FTL:      ftl.DefaultConfig(),
-		NVMe:     nvme.DefaultConfig(),
 	}
 }
 
@@ -105,8 +106,7 @@ type SSD struct {
 	ftl  *ftl.FTL
 	ctrl *nvme.Controller
 
-	ctrlCPU     *sim.Resource
-	cmdOverhead time.Duration
+	ctrlCPU *sim.Resource
 
 	sub *isps.Subsystem
 
@@ -128,25 +128,15 @@ type SSD struct {
 
 // New builds and attaches a drive.
 func New(eng *sim.Engine, port *pcie.Port, cfg Config) *SSD {
-	if cfg.CtrlCmdOverhead <= 0 {
-		cfg.CtrlCmdOverhead = 8 * time.Microsecond
-	}
-	if cfg.CtrlCores <= 0 {
-		cfg.CtrlCores = 2
-	}
-	if cfg.ISPSDriverLatency <= 0 {
-		cfg.ISPSDriverLatency = 3 * time.Microsecond
-	}
 	// Carrying Obs inside the FTL config means Remount's Recover-built
 	// replacement FTL is instrumented too.
 	cfg.FTL.Obs = cfg.Obs
 	s := &SSD{
-		eng:         eng,
-		cfg:         cfg,
-		port:        port,
-		dev:         flash.NewDevice(eng, cfg.Name+"/nand", cfg.Geometry, cfg.Timing),
-		ctrlCPU:     sim.NewResource(eng, cfg.CtrlCores),
-		cmdOverhead: cfg.CtrlCmdOverhead,
+		eng:     eng,
+		cfg:     cfg,
+		port:    port,
+		dev:     flash.NewDevice(eng, cfg.Name+"/nand", cfg.Geometry, flash.DefaultTiming()),
+		ctrlCPU: sim.NewResource(eng, ctrlCores),
 	}
 	maxIO := cfg.Geometry.Channels * cfg.Geometry.DiesPerChan * 2
 	if maxIO > 128 {
@@ -174,10 +164,10 @@ func New(eng *sim.Engine, port *pcie.Port, cfg Config) *SSD {
 			meterComp = cfg.Meter.Component(cfg.Name+"/isps", platform.BaseWatts)
 		}
 		icfg := isps.Config{
-			Platform: platform,
-			Registry: cfg.Registry.Clone(),
-			Meter:    meterComp,
-			ParScan:  cfg.ParScan,
+			Platform:   platform,
+			Registry:   cfg.Registry.Clone(),
+			Meter:      meterComp,
+			ScanChunks: cfg.ScanChunks,
 		}
 		if cfg.SharedCores {
 			icfg.Cores = s.ctrlCPU
@@ -185,14 +175,9 @@ func New(eng *sim.Engine, port *pcie.Port, cfg Config) *SSD {
 		}
 		s.sub = isps.New(eng, icfg)
 		s.sub.SetObs(cfg.Obs)
-		if cfg.Pipeline.Enabled && !cfg.ISPSViaNVMePath {
-			pcfg := cfg.Pipeline.withDefaults()
-			cacheBytes := pcfg.CachePages * int64(cfg.Geometry.PageSize)
-			if err := s.sub.ReserveDRAM(cacheBytes); err != nil {
-				panic(fmt.Sprintf("ssd: %s read-cache of %d bytes exceeds ISPS DRAM: %v",
-					cfg.Name, cacheBytes, err))
-			}
-			s.cache = newReadCache(s, pcfg)
+		if cfg.ReadPipeline && !cfg.ISPSViaNVMePath {
+			s.sub.ReserveDRAM(cachePages * int64(cfg.Geometry.PageSize))
+			s.cache = &readCache{s: s, entries: map[int64]*cacheEntry{}, fetching: map[int64]*fetchState{}}
 			if cfg.Obs != nil {
 				c := s.cache
 				cfg.Obs.CounterFunc("isps.cache.hits", func() int64 { return c.stats.Hits })
@@ -203,7 +188,7 @@ func New(eng *sim.Engine, port *pcie.Port, cfg Config) *SSD {
 				cfg.Obs.CounterFunc("isps.cache.prefetch_pages", func() int64 { return c.stats.PrefetchPages })
 				cfg.Obs.CounterFunc("isps.cache.stale_fills", func() int64 { return c.stats.StaleFills })
 				cfg.Obs.CounterFunc("isps.cache.pages", func() int64 { return int64(len(c.entries)) })
-				s.raBusy = cfg.Obs.Timeline("isps.prefetch.busy", time.Millisecond, pcfg.Window)
+				s.raBusy = cfg.Obs.Timeline("isps.prefetch.busy", time.Millisecond, fillWindow)
 			}
 		}
 		s.ispsView = minfs.NewView(s.fs, s.ispsBlockDevice())
@@ -212,7 +197,7 @@ func New(eng *sim.Engine, port *pcie.Port, cfg Config) *SSD {
 		s.sub.AttachFS(s.ispsView)
 	}
 
-	s.ctrl = nvme.NewController(eng, port, s, cfg.NVMe)
+	s.ctrl = nvme.NewController(eng, port, s, nvme.DefaultConfig())
 	s.ctrl.SetObs(cfg.Obs)
 	return s
 }
@@ -314,7 +299,7 @@ func (s *SSD) SetFaultHook(fn func(p *sim.Proc, op nvme.Opcode) error) { s.fault
 
 // CmdOverhead returns the embedded-CPU time charged per NVMe command — the
 // nominal unit fault injectors scale when they model a slow drive.
-func (s *SSD) CmdOverhead() time.Duration { return s.cmdOverhead }
+func (s *SSD) CmdOverhead() time.Duration { return ctrlCmdOverhead }
 
 func (s *SSD) fault(p *sim.Proc, op nvme.Opcode) error {
 	if s.faultHook == nil {
@@ -414,7 +399,7 @@ func (s *SSD) Vendor(p *sim.Proc, op nvme.Opcode, payload any) (any, int64, erro
 
 // useCtrl charges embedded-CPU time for one command.
 func (s *SSD) useCtrl(p *sim.Proc) {
-	s.ctrlCPU.Use(p, s.cmdOverhead)
+	s.ctrlCPU.Use(p, ctrlCmdOverhead)
 }
 
 // forEachPage fans page writes out across worker processes so channel and
@@ -600,12 +585,11 @@ func (d *hostBlockDevice) Sync(p *sim.Proc) error {
 // high-bandwidth, low-latency path from the ISPS to the media.
 type ispsBlockDevice struct {
 	s      *SSD
-	lat    time.Duration
 	direct bool
 }
 
 func (s *SSD) ispsBlockDevice() minfs.BlockDevice {
-	return &ispsBlockDevice{s: s, lat: s.cfg.ISPSDriverLatency, direct: !s.cfg.ISPSViaNVMePath}
+	return &ispsBlockDevice{s: s, direct: !s.cfg.ISPSViaNVMePath}
 }
 
 func (d *ispsBlockDevice) PageSize() int { return d.s.PageSize() }
@@ -624,10 +608,10 @@ func (d *ispsBlockDevice) ReadPagesInto(p *sim.Proc, lpn int64, dst []byte) erro
 	ps := int64(d.s.PageSize())
 	count := int64(len(dst)) / ps
 	if d.direct && d.s.cache != nil {
-		return d.s.cache.readPages(p, lpn, count, d.lat, dst)
+		return d.s.cache.readPages(p, lpn, count, dst)
 	}
 	if d.direct {
-		p.Wait(d.lat)
+		p.Wait(ispsDriverLatency)
 		return d.s.readPagesInto(p, lpn, count, dst)
 	}
 	// Ablation: every page loops through the protocol front-end, serially,
@@ -647,7 +631,7 @@ func (d *ispsBlockDevice) WritePages(p *sim.Proc, lpn int64, data []byte) error 
 	count := int64(len(data)) / ps
 	defer d.s.invalidateCache(lpn, count)
 	if d.direct {
-		p.Wait(d.lat)
+		p.Wait(ispsDriverLatency)
 		return d.s.forEachPage(p, count, func(cp *sim.Proc, i int64) error {
 			return d.s.ftl.WritePage(cp, lpn+i, data[i*ps:(i+1)*ps])
 		})
@@ -663,7 +647,7 @@ func (d *ispsBlockDevice) WritePages(p *sim.Proc, lpn int64, data []byte) error 
 }
 
 func (d *ispsBlockDevice) TrimPages(p *sim.Proc, lpn, count int64) error {
-	p.Wait(d.lat)
+	p.Wait(ispsDriverLatency)
 	defer d.s.invalidateCache(lpn, count)
 	return d.s.ftl.Trim(p, lpn, count)
 }
@@ -674,7 +658,7 @@ func (d *ispsBlockDevice) ReadAheadPages() int64 {
 	if !d.direct || d.s.cache == nil {
 		return 0
 	}
-	return d.s.cache.readAheadPages()
+	return readAheadPages * fillWindow // the whole fill window's worth
 }
 
 // Prefetch implements minfs.Prefetcher, delegating to the read cache's
@@ -695,6 +679,6 @@ func (d *ispsBlockDevice) Pipelined() bool {
 // goes straight to the FTL's flush barrier (writes are acknowledged only
 // once programmed, so there is no cache to drain).
 func (d *ispsBlockDevice) Sync(p *sim.Proc) error {
-	p.Wait(d.lat)
+	p.Wait(ispsDriverLatency)
 	return d.s.ftl.Flush(p)
 }
