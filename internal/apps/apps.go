@@ -120,12 +120,13 @@ func (c *Context) open(name string, off int64, seek bool) (io.ReadCloser, error)
 	if c.FS.Pipelined() {
 		scale = cpu.StreamCPUFraction(c.Class)
 	}
-	return &chargingFile{chargingReader: chargingReader{ctx: c, r: fsReader{f: f, p: c.Proc}, scale: scale}, f: f, p: c.Proc}, nil
+	return &chargingFile{chargingReader: chargingReader{ctx: c, r: fsReader{f: f, p: c.Proc}, scale: scale}, f: f}, nil
 }
 
-// Create creates (or replaces) a named output file. Output bytes charge the
-// platform's streaming-copy class (cpu.ClassCat) — moving produced bytes
-// into the filesystem costs core time just like consuming input does.
+// Create creates a named output file, atomically replacing any file of that
+// name (minfs.View.CreateTrunc). Output bytes charge the platform's
+// streaming-copy class (cpu.ClassCat) — moving produced bytes into the
+// filesystem costs core time just like consuming input does.
 // The program's algorithmic cost stays calibrated on *input* bytes (the
 // paper's per-GB normalisation), so writes deliberately do not charge the
 // program's own class: that would double-count work the input calibration
@@ -134,16 +135,11 @@ func (c *Context) Create(name string) (io.WriteCloser, error) {
 	if c.FS == nil {
 		return nil, ErrNoFS
 	}
-	if _, err := c.FS.FS().Stat(name); err == nil {
-		if err := c.FS.Delete(c.Proc, name); err != nil {
-			return nil, err
-		}
-	}
-	f, err := c.FS.Create(c.Proc, name)
+	f, err := c.FS.CreateTrunc(c.Proc, name)
 	if err != nil {
 		return nil, err
 	}
-	return &chargingWriter{ctx: c, w: fsWriter{f: f, p: c.Proc}}, nil
+	return &chargingWriter{ctx: c, f: f}, nil
 }
 
 // fsReader adapts a minfs file to io.Reader with a pinned proc.
@@ -153,15 +149,6 @@ type fsReader struct {
 }
 
 func (r fsReader) Read(b []byte) (int, error) { return r.f.Read(r.p, b) }
-
-// fsWriter adapts a minfs file to io.WriteCloser with a pinned proc.
-type fsWriter struct {
-	f *minfs.File
-	p *sim.Proc
-}
-
-func (w fsWriter) Write(b []byte) (int, error) { return w.f.Write(w.p, b) }
-func (w fsWriter) Close() error                { return w.f.Close(w.p) }
 
 // chargingReader charges the context for every byte read through it.
 // A scale in (0,1) charges only that fraction of each byte — the streaming
@@ -190,29 +177,28 @@ func (r *chargingReader) Read(b []byte) (int, error) {
 // program's own class).
 type chargingWriter struct {
 	ctx *Context
-	w   io.WriteCloser
+	f   *minfs.File
 }
 
 func (w *chargingWriter) Write(b []byte) (int, error) {
 	if err := w.ctx.Interrupted(); err != nil {
 		return 0, err
 	}
-	n, err := w.w.Write(b)
+	n, err := w.f.Write(w.ctx.Proc, b)
 	if w.ctx.Charge != nil && n > 0 {
 		w.ctx.Charge(cpu.ClassCat, int64(n))
 	}
 	return n, err
 }
 
-func (w *chargingWriter) Close() error { return w.w.Close() }
+func (w *chargingWriter) Close() error { return w.f.Close(w.ctx.Proc) }
 
 type chargingFile struct {
 	chargingReader
 	f *minfs.File
-	p *sim.Proc
 }
 
-func (f *chargingFile) Close() error { return f.f.Close(f.p) }
+func (f *chargingFile) Close() error { return f.f.Close(f.ctx.Proc) }
 
 // ExitError carries a program's non-zero exit code with a message. When the
 // failure was caused by another error (an I/O error surfacing through a

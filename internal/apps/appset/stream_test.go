@@ -13,7 +13,11 @@ import (
 	"testing"
 
 	"compstor/internal/apps"
+	"compstor/internal/apps/bzip2x"
+	"compstor/internal/apps/gzipx"
 	"compstor/internal/apps/splitscan"
+	"compstor/internal/minfs"
+	"compstor/internal/sim"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/readpattern.golden from this checkout")
@@ -103,13 +107,65 @@ func patternText(size int) []byte {
 	return out
 }
 
+// pageLog is a BlockDevice of 4 KiB pages that logs each read, write and
+// trim asked of it as r, w or t and its page count.
+type pageLog struct {
+	store map[int64][]byte
+	log   []string
+}
+
+func (d *pageLog) PageSize() int { return 4096 }
+func (d *pageLog) Pages() int64  { return 4096 }
+
+func (d *pageLog) ReadPages(p *sim.Proc, lpn, count int64) ([]byte, error) {
+	d.log = append(d.log, fmt.Sprint("r", count))
+	out := make([]byte, count*4096)
+	for i := range count {
+		copy(out[i*4096:], d.store[lpn+i])
+	}
+	return out, nil
+}
+
+func (d *pageLog) WritePages(p *sim.Proc, lpn int64, data []byte) error {
+	d.log = append(d.log, fmt.Sprint("w", len(data)/4096))
+	for i := 0; i < len(data); i += 4096 {
+		d.store[lpn+int64(i/4096)] = bytes.Clone(data[i : i+4096])
+	}
+	return nil
+}
+
+func (d *pageLog) TrimPages(p *sim.Proc, lpn, count int64) error {
+	d.log = append(d.log, fmt.Sprint("t", count))
+	return nil
+}
+
+// runs is the log with repeats run-length encoded, as the recorder's.
+func (d *pageLog) runs() string {
+	var out []string
+	for i := 0; i < len(d.log); {
+		j := i + 1
+		for j < len(d.log) && d.log[j] == d.log[i] {
+			j++
+		}
+		if j-i > 1 {
+			out = append(out, fmt.Sprintf("%dx%s", j-i, d.log[i]))
+		} else {
+			out = append(out, d.log[i])
+		}
+		i = j
+	}
+	return strings.Join(out, " ")
+}
+
 // TestReadPatternPinned pins the rule the streaming tools keep: the
 // buffer a tool reads into sizes the device reads it issues, and what it
 // reads is charged when it is read, so the sequence of Read calls is part
 // of the model. The golden file was recorded from the tools as they stood
 // before they went block-granular (bufio.Reader.ReadByte loops, a fresh
 // scanner buffer per stream); every tool must keep handing its input the
-// same calls and printing the same bytes.
+// same calls and printing the same bytes. The codecs' lines came later:
+// they read their file in one Read at its size, so the device reads each
+// of its pages once, in one run.
 func TestReadPatternPinned(t *testing.T) {
 	reg := Base()
 	tools := [][]string{
@@ -150,6 +206,42 @@ func TestReadPatternPinned(t *testing.T) {
 				fmt.Fprintf(&got, "%q %d %s: %s | out %d crc %08x\n", argv, size, via.name,
 					strings.Join(rec.log, " "), rec.out.Len(), crc32.ChecksumIEEE(rec.out.Bytes()))
 			}
+		}
+	}
+	// The codecs read a named file, so their lines log what the device is
+	// asked for instead: each page read, write and trim.
+	for _, argv := range [][]string{{"gzip", "f"}, {"gunzip", "f.gz"}, {"bzip2", "f"}, {"bunzip2", "f.bz2"}} {
+		prog, _ := reg.Lookup(argv[0])
+		for _, size := range sizes {
+			in, out := patternText(size), "f"
+			switch argv[0] {
+			case "gzip", "bzip2":
+				out = argv[1] + map[string]string{"gzip": ".gz", "bzip2": ".bz2"}[argv[0]]
+			case "gunzip":
+				in, _ = gzipx.Compress(in)
+			case "bunzip2":
+				in = bzip2x.Compress(in, bzip2x.Options{})
+			}
+			dev := &pageLog{store: map[int64][]byte{}}
+			view := minfs.NewView(minfs.NewFS(4096, 4096), dev)
+			eng := sim.NewEngine()
+			eng.Go("run", func(p *sim.Proc) {
+				if err := view.WriteFile(p, argv[1], in); err != nil {
+					t.Fatal(err)
+				}
+				dev.log = nil
+				ctx := &apps.Context{Proc: p, FS: view, Stdout: io.Discard, Stderr: io.Discard, Class: prog.Class()}
+				if err := prog.Run(ctx, argv[1:]); err != nil {
+					t.Fatalf("%q over %d bytes: %v", argv, size, err)
+				}
+				ops := dev.runs()
+				data, err := view.ReadFile(p, out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(&got, "%q %d file: %s | out %d crc %08x\n", argv, size, ops, len(data), crc32.ChecksumIEEE(data))
+			})
+			eng.Run()
 		}
 	}
 	const golden = "testdata/readpattern.golden"

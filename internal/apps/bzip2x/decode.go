@@ -6,6 +6,8 @@ import (
 	"io"
 	"slices"
 	"sync"
+
+	"compstor/internal/apps"
 )
 
 // corruptError reports a malformed bzip2 stream.
@@ -29,8 +31,11 @@ const (
 type decoder struct {
 	br        bitReader
 	tt        []uint32 // the block's BWT column, one byte per entry, then the T-vector above it
+	blk       []byte   // the block as the inverse BWT gives it, before RLE1 is undone
+	runs      []int32  // where in blk RLE1's run counts are
 	selectors []byte
 	tables    [maxTables]huffTable
+	total     int // bytes the blocks decoded so far hold
 }
 
 var decoders = sync.Pool{New: func() any { return new(decoder) }}
@@ -45,25 +50,28 @@ func Decompress(src []byte) ([]byte, error) {
 	return out, err
 }
 
+// decompress expands each block into a buffer of its own size and joins
+// them at the end, so an expansion past apps.MaxOutput stops, having
+// allocated less than that, at the first block that would pass it.
 func (d *decoder) decompress(src []byte) ([]byte, error) {
-	d.br = bitReader{src: src}
-	out := make([]byte, 0, 4*len(src)) // book text packs to under a third
-	for stream := 0; ; stream++ {
-		if stream > 0 {
-			d.br.alignByte()
-			if !d.br.more() {
-				return out, nil
-			}
-		}
+	d.br, d.total = bitReader{src: src}, 0
+	var blocks [][]byte
+	for stream := 0; stream == 0 || d.br.more(); stream++ {
 		var err error
-		if out, err = d.decodeStream(out); err != nil {
+		if blocks, err = d.decodeStream(blocks); err != nil {
 			return nil, err
 		}
+		d.br.alignByte()
 	}
+	if len(blocks) == 1 {
+		return blocks[0], nil
+	}
+	return slices.Concat(blocks...), nil
 }
 
-// decodeStream parses a whole "BZh" stream, appending to out.
-func (d *decoder) decodeStream(out []byte) ([]byte, error) {
+// decodeStream parses a whole "BZh" stream, appending its blocks' data to
+// blocks.
+func (d *decoder) decodeStream(blocks [][]byte) ([][]byte, error) {
 	hdr, err := d.br.readBits(32)
 	if err != nil {
 		return nil, errCorrupt("short header")
@@ -85,10 +93,12 @@ func (d *decoder) decodeStream(out []byte) ([]byte, error) {
 		}
 		switch magic {
 		case blockMagicHi<<24 | blockMagicLo:
-			var crc uint32
-			if out, crc, err = d.readBlock(out); err != nil {
+			data, crc, err := d.readBlock()
+			if err != nil {
 				return nil, err
 			}
+			blocks = append(blocks, data)
+			d.total += len(data)
 			streamCRC = combineCRC(streamCRC, crc)
 		case eosMagicHi<<24 | eosMagicLo:
 			want, err := d.br.readBits(32)
@@ -98,7 +108,7 @@ func (d *decoder) decodeStream(out []byte) ([]byte, error) {
 			if uint32(want) != streamCRC {
 				return nil, fmt.Errorf("%w: stream CRC %08x != %08x", ErrCRC, streamCRC, want)
 			}
-			return out, nil
+			return blocks, nil
 		default:
 			return nil, errCorrupt("bad block magic")
 		}
@@ -161,9 +171,9 @@ func (t *huffTable) init(lengths []uint8) error {
 	return nil
 }
 
-// readBlock decodes one block and appends its data to out, returning the
-// block CRC from the header after verifying it.
-func (d *decoder) readBlock(out []byte) ([]byte, uint32, error) {
+// readBlock decodes one block, returning its data and the block CRC from
+// the header after verifying it.
+func (d *decoder) readBlock() ([]byte, uint32, error) {
 	br := &d.br
 	crc64, err := br.readBits(32)
 	if err != nil {
@@ -358,14 +368,17 @@ func (d *decoder) readBlock(out []byte) ([]byte, uint32, error) {
 	if origPtr >= n {
 		return nil, 0, errCorrupt("origPtr beyond block")
 	}
-	out, err = expandBlock(out, tt[:n], &counts, origPtr, hdrCRC)
+	out, err := d.expandBlock(tt[:n], &counts, origPtr, hdrCRC)
 	return out, hdrCRC, err
 }
 
 // expandBlock inverts the BWT whose last column is the low bytes of tt (and
-// whose byte counts are counts), undoes the initial run-length encoding on
-// the way out, appends the data to out and checks its CRC against want.
-func expandBlock(out []byte, tt []uint32, counts *[256]int32, origPtr int, want uint32) ([]byte, error) {
+// whose byte counts are counts) into d.blk, noting on the way where the
+// initial run-length encoding left its counts, and so the size and the CRC
+// (which must be want) of the data; then undoes it into a buffer of that
+// size. A block that would take the output past apps.MaxOutput fails
+// before it is allocated.
+func (d *decoder) expandBlock(tt []uint32, counts *[256]int32, origPtr int, want uint32) ([]byte, error) {
 	// Turn counts into the row at which each byte value starts in the
 	// first column, then put above each row's byte the row that follows its
 	// rotation: the standard T-vector.
@@ -379,20 +392,24 @@ func expandBlock(out []byte, tt []uint32, counts *[256]int32, origPtr int, want 
 		tt[counts[b]] |= uint32(i) << 8
 		counts[b]++
 	}
-	out = slices.Grow(out, len(tt))
+	d.blk = sized(d.blk, len(tt))
+	blk, runs := d.blk, d.runs[:0]
 	crc := ^uint32(0)
 	pos := tt[origPtr] >> 8
+	size := len(tt)
 	prev, same := -1, 0 // the last byte and how many times in a row it has come
-	for range tt {
+	for i := range blk {
 		e := tt[pos]
 		b := byte(e)
 		pos = e >> 8
+		blk[i] = b
 		if same == 4 {
 			// After four equal bytes comes a count of further repeats.
 			for k := 0; k < int(b); k++ {
-				out = append(out, byte(prev))
 				crc = crc<<8 ^ crcTable[byte(crc>>24)^byte(prev)]
 			}
+			runs = append(runs, int32(i))
+			size += int(b) - 1
 			prev, same = -1, 0
 			continue
 		}
@@ -401,14 +418,25 @@ func expandBlock(out []byte, tt []uint32, counts *[256]int32, origPtr int, want 
 		} else {
 			prev, same = int(b), 1
 		}
-		out = append(out, b)
 		crc = crc<<8 ^ crcTable[byte(crc>>24)^b]
 	}
+	d.runs = runs
 	if same == 4 {
 		return nil, errCorrupt("truncated RLE1 run")
 	}
 	if crc = ^crc; crc != want {
 		return nil, fmt.Errorf("%w: block CRC %08x != %08x", ErrCRC, crc, want)
 	}
-	return out, nil
+	if d.total+size > apps.MaxOutput {
+		return nil, apps.ErrOutputLimit
+	}
+	out, from := make([]byte, 0, size), 0
+	for _, r := range runs {
+		out = append(out, blk[from:r]...)
+		for range blk[r] {
+			out = append(out, blk[r-1])
+		}
+		from = int(r) + 1
+	}
+	return append(out, blk[from:]...), nil
 }

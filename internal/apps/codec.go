@@ -2,6 +2,7 @@ package apps
 
 import (
 	"bytes"
+	"fmt"
 	"hash/maphash"
 	"io"
 	"strings"
@@ -29,6 +30,14 @@ type Codec struct {
 
 	memo *CodecMemo // set by Bind; nil computes every time
 }
+
+// MaxOutput bounds a decoder's output at the DRAM the ISPS reserves for a
+// task by default (awk's strings obey it too); gunzip and bunzip2 stop with
+// ErrOutputLimit before their output passes it.
+const MaxOutput = 64 << 20
+
+// ErrOutputLimit is a decoder's error past MaxOutput.
+var ErrOutputLimit = fmt.Errorf("output larger than %d bytes", MaxOutput)
 
 // Name implements Program.
 func (c Codec) Name() string { return c.ProgName }
@@ -177,24 +186,34 @@ func (m *CodecMemo) transform(c Codec, data []byte) ([]byte, error) {
 	return out, nil
 }
 
-// readFileCharged reads a whole file through the charging path.
+// readFileCharged reads a whole file through the charging path, in one
+// charged Read at its size (minfs.File.ReadAll).
 func readFileCharged(ctx *Context, name string) ([]byte, error) {
-	f, err := ctx.Open(name)
+	r, err := ctx.Open(name)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return io.ReadAll(f)
+	defer r.Close()
+	f := r.(*chargingFile)
+	return f.f.ReadAll(f.Read)
 }
 
+// writeFile replaces name with data, unless the task was interrupted while
+// computing it. A failure once the file exists (a write or close error, a
+// cancel, a full device) deletes it, as gzip(1) does: no truncated output.
 func writeFile(ctx *Context, name string, data []byte) error {
-	f, err := ctx.Create(name)
+	if err := ctx.Interrupted(); err != nil {
+		return err
+	}
+	w, err := ctx.Create(name)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
+	if _, err = w.Write(data); err == nil {
+		err = w.Close()
 	}
-	return f.Close()
+	if err != nil {
+		w.(*chargingWriter).f.Discard(ctx.Proc)
+	}
+	return err
 }

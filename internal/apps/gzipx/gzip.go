@@ -1,11 +1,12 @@
 package gzipx
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"io"
+
+	"compstor/internal/apps"
 )
 
 // gzip framing (RFC 1952).
@@ -42,39 +43,39 @@ const (
 
 // Decompress parses one or more concatenated gzip members (as real gunzip
 // does) and returns the original data, verifying each member's CRC32 and
-// length.
+// length. The output is sized by the last member's declared length, capped
+// at DEFLATE's 1032:1 and apps.MaxOutput: one member (what gzip writes)
+// expands into one allocation.
 func Decompress(src []byte) ([]byte, error) {
-	r := bufio.NewReader(bytes.NewReader(src))
+	r := bytes.NewReader(src)
 	var out []byte
-	for member := 0; ; member++ {
-		if member > 0 {
-			// More members only if bytes remain.
-			if _, err := r.Peek(1); err != nil {
-				return out, nil
-			}
-		}
+	if n := len(src); n >= 4 {
+		out = make([]byte, 0, min(int(binary.LittleEndian.Uint32(src[n-4:])), 1032*n, apps.MaxOutput))
+	}
+	for member := 0; member == 0 || r.Len() > 0; member++ {
 		if err := skipHeader(r); err != nil {
 			return nil, err
 		}
-		data, err := Inflate(r)
-		if err != nil {
+		start := len(out)
+		var err error
+		if out, err = inflate(r, out); err != nil {
 			return nil, err
 		}
 		var tail [8]byte
 		if _, err := io.ReadFull(r, tail[:]); err != nil {
 			return nil, errCorrupt("missing gzip trailer")
 		}
-		if crc32.ChecksumIEEE(data) != binary.LittleEndian.Uint32(tail[0:]) {
+		if crc32.ChecksumIEEE(out[start:]) != binary.LittleEndian.Uint32(tail[0:]) {
 			return nil, errCorrupt("gzip CRC mismatch")
 		}
-		if uint32(len(data)) != binary.LittleEndian.Uint32(tail[4:]) {
+		if uint32(len(out)-start) != binary.LittleEndian.Uint32(tail[4:]) {
 			return nil, errCorrupt("gzip length mismatch")
 		}
-		out = append(out, data...)
 	}
+	return out, nil
 }
 
-func skipHeader(r *bufio.Reader) error {
+func skipHeader(r *bytes.Reader) error {
 	var hdr [10]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return errCorrupt("short gzip header")

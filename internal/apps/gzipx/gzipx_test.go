@@ -40,7 +40,7 @@ func TestDeflateRoundTrip(t *testing.T) {
 		if err := Deflate(&buf, data); err != nil {
 			t.Fatalf("%s: deflate: %v", name, err)
 		}
-		got, err := Inflate(&buf)
+		got, err := inflate(&buf, nil)
 		if err != nil {
 			t.Fatalf("%s: inflate: %v", name, err)
 		}

@@ -1,10 +1,10 @@
 package gzipx
 
 import (
-	"bufio"
-	"bytes"
 	"fmt"
 	"io"
+
+	"compstor/internal/apps"
 )
 
 // corruptError reports a malformed DEFLATE stream.
@@ -40,23 +40,30 @@ func init() {
 	fixedDistDecoder = newHDecoder(distLen)
 }
 
-// Inflate decompresses a raw DEFLATE stream from r, returning the output.
-func Inflate(r io.Reader) ([]byte, error) {
-	br, ok := r.(io.ByteReader)
-	if !ok {
-		br = bufio.NewReaderSize(r, 64*1024)
-	}
-	d := &inflater{br: newBitReader(br), raw: br}
+// inflate appends the DEFLATE stream read from br to out. Matches reach no
+// further back than where the stream's output starts, and the whole of out
+// stays within apps.MaxOutput.
+func inflate(br io.ByteReader, out []byte) ([]byte, error) {
+	d := &inflater{br: newBitReader(br), raw: br, out: out, start: len(out)}
 	if err := d.run(); err != nil {
 		return nil, err
 	}
-	return d.out.Bytes(), nil
+	return d.out, nil
 }
 
 type inflater struct {
-	br  *bitReader
-	raw io.ByteReader
-	out bytes.Buffer
+	br    *bitReader
+	raw   io.ByteReader
+	out   []byte
+	start int // where this stream's output begins in out
+}
+
+// room fails once n more bytes would take the output past apps.MaxOutput.
+func (d *inflater) room(n int) error {
+	if len(d.out)+n > apps.MaxOutput {
+		return apps.ErrOutputLimit
+	}
+	return nil
 }
 
 func (d *inflater) run() error {
@@ -105,12 +112,15 @@ func (d *inflater) stored() error {
 	if ln != ^nln&0xFFFF {
 		return errCorrupt("stored block length check")
 	}
+	if err := d.room(ln); err != nil {
+		return err
+	}
 	for i := 0; i < ln; i++ {
 		c, err := d.raw.ReadByte()
 		if err != nil {
 			return io.ErrUnexpectedEOF
 		}
-		d.out.WriteByte(c)
+		d.out = append(d.out, c)
 	}
 	return nil
 }
@@ -213,7 +223,10 @@ func (d *inflater) block(lit, dist *hDecoder) error {
 		}
 		switch {
 		case sym < 256:
-			d.out.WriteByte(byte(sym))
+			if err := d.room(1); err != nil {
+				return err
+			}
+			d.out = append(d.out, byte(sym))
 		case sym == 256:
 			return nil
 		default:
@@ -247,15 +260,16 @@ func (d *inflater) block(lit, dist *hDecoder) error {
 				}
 				distance += int(v)
 			}
-			if distance > d.out.Len() {
+			if distance > len(d.out)-d.start {
 				return errCorrupt("distance beyond output start")
 			}
+			if err := d.room(length); err != nil {
+				return err
+			}
 			// Copy byte-by-byte: overlapping copies are the point of LZ77.
-			start := d.out.Len() - distance
-			buf := d.out.Bytes()
+			from := len(d.out) - distance
 			for i := 0; i < length; i++ {
-				d.out.WriteByte(buf[start+i])
-				buf = d.out.Bytes()
+				d.out = append(d.out, d.out[from+i])
 			}
 		}
 	}

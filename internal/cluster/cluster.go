@@ -227,13 +227,6 @@ func (pl *Pool) SetObs(o *obs.Obs) {
 	o.CounterFunc("cluster.inflight", func() int64 { return int64(pl.TotalInFlight()) })
 }
 
-// InFlight returns the number of tasks dispatched to device i and not yet
-// finished — counted on the host side at dispatch time, so unlike a status
-// query it can never be stale by a fabric round trip. This is the signal
-// the LeastOutstanding balancer and the serve layer's admission control
-// share.
-func (pl *Pool) InFlight(i int) int { return pl.inflight[i] }
-
 // TotalInFlight sums the live in-flight count over every device.
 func (pl *Pool) TotalInFlight() int {
 	var n int

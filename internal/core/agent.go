@@ -58,9 +58,6 @@ func AttachAgent(drive *ssd.SSD) *Agent {
 // Subsystem returns the ISPS the agent serves.
 func (a *Agent) Subsystem() *isps.Subsystem { return a.sub }
 
-// MinionsServed returns the number of minions processed.
-func (a *Agent) MinionsServed() int64 { return a.minions }
-
 // handle services one vendor command in device context.
 func (a *Agent) handle(p *sim.Proc, op nvme.Opcode, payload any) (any, int64, error) {
 	switch op {

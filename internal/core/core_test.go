@@ -73,7 +73,7 @@ func TestMinionLifecycleEndToEnd(t *testing.T) {
 	if r.Elapsed <= 0 || m.RoundTrip() < r.Elapsed {
 		t.Fatalf("timing: elapsed %v, round trip %v", r.Elapsed, m.RoundTrip())
 	}
-	if unit.Agent.MinionsServed() != 1 {
+	if unit.Agent.minions != 1 {
 		t.Fatal("agent did not count the minion")
 	}
 }

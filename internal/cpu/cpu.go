@@ -78,13 +78,6 @@ func (pl *Platform) FullLoadWatts() float64 {
 	return pl.BaseWatts + float64(pl.Cores)*pl.CoreActiveWatts
 }
 
-// PredictJoulesPerGB returns the analytic energy per input gigabyte for a
-// class with all cores busy — the closed-form version of the paper's Fig 8
-// bars, used to validate the calibration.
-func (pl *Platform) PredictJoulesPerGB(c Class) float64 {
-	return pl.FullLoadWatts() / (pl.AggregateThroughput(c) / 1e9)
-}
-
 func (pl *Platform) String() string {
 	return fmt.Sprintf("%s (%d cores @ %.1f GHz, %s)", pl.Name, pl.Cores, pl.ClockGHz, pl.Memory)
 }

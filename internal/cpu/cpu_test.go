@@ -16,8 +16,8 @@ func TestCalibrationReproducesPaperFig8(t *testing.T) {
 		if !ok {
 			t.Fatalf("paper table missing %s", c)
 		}
-		gotC := isps.PredictJoulesPerGB(c)
-		gotX := xeon.PredictJoulesPerGB(c)
+		gotC := predictJoulesPerGB(isps, c)
+		gotX := predictJoulesPerGB(xeon, c)
 		if rel := math.Abs(gotC-paperC) / paperC; rel > tol {
 			t.Errorf("%s CompStor: predicted %.1f J/GB, paper %.1f (%.1f%% off)", c, gotC, paperC, 100*rel)
 		}
@@ -31,7 +31,7 @@ func TestCalibrationPreservesWinners(t *testing.T) {
 	// The paper's headline: CompStor wins energy on every app, up to ~3x.
 	isps, xeon := ISPS(), Xeon()
 	for _, c := range []Class{ClassGzip, ClassGunzip, ClassBzip2, ClassBunzip2, ClassGrep, ClassGawk} {
-		ratio := xeon.PredictJoulesPerGB(c) / isps.PredictJoulesPerGB(c)
+		ratio := predictJoulesPerGB(xeon, c) / predictJoulesPerGB(isps, c)
 		if ratio <= 1.5 {
 			t.Errorf("%s: energy ratio %.2f, CompStor should win clearly", c, ratio)
 		}
@@ -101,4 +101,11 @@ func TestXeonFasterPerCore(t *testing.T) {
 			t.Errorf("%s: Xeon core (%.0f) not faster than A53 core (%.0f)", c, xeon.Throughput(c), isps.Throughput(c))
 		}
 	}
+}
+
+// predictJoulesPerGB is the analytic energy per input gigabyte of class c
+// with all cores busy: the closed form of the paper's Fig 8 bars, which the
+// calibration must reproduce.
+func predictJoulesPerGB(pl *Platform, c Class) float64 {
+	return pl.FullLoadWatts() / (pl.AggregateThroughput(c) / 1e9)
 }

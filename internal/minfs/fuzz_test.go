@@ -72,7 +72,7 @@ func scribble(b []byte) {
 // Operation codes of a fuzz program: three bytes each, (code, a, b).
 const (
 	fzWriteFile = iota // replace file a with b-derived ragged size
-	fzCreate           // open a writer on file a (if absent and none open)
+	fzCreate           // open a writer on file a, replacing it (if none is open)
 	fzAppend           // append a ragged chunk to file a's open writer
 	fzClose            // close file a's writer
 	fzReadAt           // read b-derived length at an a-derived offset, check
@@ -86,10 +86,13 @@ const (
 // FuzzMinfsOps runs an operation sequence against a map[string][]byte model:
 // create / ragged appends / reads at offsets / delete / WriteFile replace /
 // Flush, with write-back on or off, over a device with the PageReaderInto
-// capability or without it. Every read is checked as it happens — including
+// capability or without it. A replace or delete may land on a file whose
+// writer is still open; that writer keeps appending, nameless, until it is
+// closed. Every read is checked as it happens — including
 // reads of files whose pages are still dirty or half flushed — every buffer
-// handed in or out is scribbled on afterwards, and at the end a second,
-// cache-less view must find exactly the model on the device.
+// handed in or out is scribbled on afterwards, and at the end no page may be
+// allocated to no file or to two, and a second, cache-less view must find
+// exactly the model on the device.
 func FuzzMinfsOps(f *testing.F) {
 	op := func(code, a, b byte) []byte { return []byte{code, a, b} }
 	cat := func(cfg byte, ops ...[]byte) []byte { return append([]byte{cfg}, bytes.Join(ops, nil)...) }
@@ -101,6 +104,9 @@ func FuzzMinfsOps(f *testing.F) {
 		f.Add(cat(cfg, op(fzWriteFile, 1, 120), op(fzWait, 0, 3), op(fzDelete, 1, 0), op(fzWriteFile, 2, 121), op(fzReadFile, 2, 0), op(fzFlush, 0, 0), op(fzReadFile, 2, 0)))
 		// Replace while dirty; ragged appends through an open writer.
 		f.Add(cat(cfg, op(fzWriteFile, 0, 30), op(fzWriteFile, 0, 31), op(fzCreate, 3, 0), op(fzAppend, 3, 1), op(fzAppend, 3, 200), op(fzAppend, 3, 13), op(fzClose, 3, 0), op(fzReadAt, 200, 99), op(fzReadFile, 3, 0)))
+		// A writer replaced, another deleted, both writing on without a name
+		// while new files take their pages' neighbours.
+		f.Add(cat(cfg, op(fzCreate, 2, 0), op(fzAppend, 2, 90), op(fzWriteFile, 2, 50), op(fzAppend, 2, 200), op(fzCreate, 1, 0), op(fzAppend, 1, 33), op(fzDelete, 1, 0), op(fzWriteFile, 1, 70), op(fzAppend, 0, 120), op(fzClose, 1, 0), op(fzReadFile, 2, 0), op(fzReadFile, 1, 0), op(fzWait, 0, 30)))
 	}
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) == 0 || len(prog) > 1+3*200 {
@@ -125,6 +131,13 @@ func FuzzMinfsOps(f *testing.F) {
 		model := map[string][]byte{}
 		writers := map[string]*File{}
 		pending := map[string][]byte{} // what an open writer has been given so far
+		var orphans []*File            // open writers whose name was replaced or deleted
+		orphan := func(name string) {
+			if w, open := writers[name]; open {
+				orphans = append(orphans, w)
+				delete(writers, name)
+			}
+		}
 		writes := 0
 
 		inProc(t, eng, func(p *sim.Proc) error {
@@ -142,9 +155,6 @@ func FuzzMinfsOps(f *testing.F) {
 				want, exists := model[name]
 				switch prog[i] % fzOps {
 				case fzWriteFile:
-					if open {
-						continue
-					}
 					writes++
 					data := fuzzBytes(writes, b*23%(6*ps))
 					if err := v.WriteFile(p, name, data); errors.Is(err, ErrNoSpace) {
@@ -152,32 +162,46 @@ func FuzzMinfsOps(f *testing.F) {
 					} else if err != nil {
 						return err
 					}
+					orphan(name)
 					model[name] = append([]byte(nil), data...)
 					scribble(data)
 				case fzCreate:
-					if open || exists {
+					if open {
 						continue
 					}
-					w, err := v.Create(p, name)
+					w, err := v.CreateTrunc(p, name)
 					if err != nil {
 						return err
 					}
 					writers[name], pending[name] = w, nil
+					delete(model, name)
 				case fzAppend:
-					if !open {
+					w := writers[name]
+					if !open && len(orphans) > 0 {
+						w = orphans[a%len(orphans)] // a nameless writer keeps writing
+					} else if !open {
 						continue
 					}
 					writes++
 					data := fuzzBytes(writes, 1+b*7%(3*ps))
-					if n, err := writers[name].Write(p, data); errors.Is(err, ErrNoSpace) {
+					if n, err := w.Write(p, data); errors.Is(err, ErrNoSpace) {
 						return nil
 					} else if err != nil || n != len(data) {
 						return fmt.Errorf("append %s: %d of %d, %v", name, n, len(data), err)
 					}
-					pending[name] = append(pending[name], data...)
+					if open {
+						pending[name] = append(pending[name], data...)
+					}
 					scribble(data)
 				case fzClose:
-					if !open {
+					if !open && len(orphans) > 0 {
+						k := a % len(orphans)
+						if err := orphans[k].Close(p); err != nil {
+							return err
+						}
+						orphans = append(orphans[:k], orphans[k+1:]...)
+						continue
+					} else if !open {
 						continue
 					}
 					if err := writers[name].Close(p); errors.Is(err, ErrNoSpace) {
@@ -226,12 +250,13 @@ func FuzzMinfsOps(f *testing.F) {
 						return err
 					}
 				case fzDelete:
-					if open || !exists {
+					if !open && !exists {
 						continue
 					}
 					if err := v.Delete(p, name); err != nil {
 						return err
 					}
+					orphan(name)
 					delete(model, name)
 				case fzFlush:
 					if err := v.Flush(p); err != nil {
@@ -251,6 +276,14 @@ func FuzzMinfsOps(f *testing.F) {
 					}
 					model[name] = pending[name]
 				}
+			}
+			for _, w := range orphans {
+				if err := w.Close(p); err != nil {
+					return err
+				}
+			}
+			if err := audit(fs); err != nil {
+				return err
 			}
 			if err := v.Flush(p); err != nil {
 				return err

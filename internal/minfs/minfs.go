@@ -81,7 +81,6 @@ type PipelinedDevice interface {
 // Filesystem errors.
 var (
 	ErrNotExist = errors.New("minfs: file does not exist")
-	ErrExist    = errors.New("minfs: file already exists")
 	ErrNoSpace  = errors.New("minfs: no space")
 	ErrClosed   = errors.New("minfs: file closed")
 	ErrBadMeta  = errors.New("minfs: corrupt metadata")
@@ -103,6 +102,7 @@ type Inode struct {
 	Name    string   `json:"name"`
 	Size    int64    `json:"size"`
 	Extents []Extent `json:"ext"`
+	writing bool     // a writer is open on it (see View.release)
 }
 
 // FileInfo is the public view of an inode.

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"compstor/internal/sim"
 )
@@ -108,7 +109,7 @@ func TestWriteReadFileRoundTrip(t *testing.T) {
 func TestStreamingWriteAndRead(t *testing.T) {
 	eng, v, _ := newTestView()
 	inProc(t, eng, func(p *sim.Proc) error {
-		f, err := v.Create(p, "stream")
+		f, err := v.CreateTrunc(p, "stream")
 		if err != nil {
 			return err
 		}
@@ -181,19 +182,6 @@ func TestSeek(t *testing.T) {
 		}
 		if err := f.SeekTo(-1); err == nil {
 			return errors.New("negative seek accepted")
-		}
-		return nil
-	})
-}
-
-func TestCreateExistingFails(t *testing.T) {
-	eng, v, _ := newTestView()
-	inProc(t, eng, func(p *sim.Proc) error {
-		if err := v.WriteFile(p, "dup", []byte("x")); err != nil {
-			return err
-		}
-		if _, err := v.Create(p, "dup"); !errors.Is(err, ErrExist) {
-			return fmt.Errorf("create dup: %v", err)
 		}
 		return nil
 	})
@@ -287,7 +275,7 @@ func TestListAndStat(t *testing.T) {
 func TestClosedHandleRejected(t *testing.T) {
 	eng, v, _ := newTestView()
 	inProc(t, eng, func(p *sim.Proc) error {
-		f, _ := v.Create(p, "x")
+		f, _ := v.CreateTrunc(p, "x")
 		f.Close(p)
 		if _, err := f.Write(p, []byte("y")); !errors.Is(err, ErrClosed) {
 			return fmt.Errorf("write after close: %v", err)
@@ -302,7 +290,7 @@ func TestClosedHandleRejected(t *testing.T) {
 func TestWriteHandleCannotRead(t *testing.T) {
 	eng, v, _ := newTestView()
 	inProc(t, eng, func(p *sim.Proc) error {
-		f, _ := v.Create(p, "x")
+		f, _ := v.CreateTrunc(p, "x")
 		if _, err := f.Read(p, make([]byte, 8)); err == nil {
 			return errors.New("read on write handle succeeded")
 		}
@@ -485,3 +473,123 @@ type fileReader struct {
 }
 
 func (r fileReader) Read(b []byte) (int, error) { return r.f.Read(r.p, b) }
+
+// audit checks the allocation bitmap against the named files: every page an
+// extent covers is allocated and has one owner, and no other data page is
+// allocated. A writer still open is not named in fs.files only if its file
+// was replaced or deleted, so callers audit with every writer closed.
+func audit(fs *FS) error {
+	owner := map[int64]string{}
+	for name, ino := range fs.files {
+		for _, e := range ino.Extents {
+			for pg := e.Start; pg < e.Start+e.Count; pg++ {
+				if o, dup := owner[pg]; dup {
+					return fmt.Errorf("page %d belongs to %s and %s", pg, o, name)
+				}
+				if fs.isFree(pg) {
+					return fmt.Errorf("page %d of %s is free", pg, name)
+				}
+				owner[pg] = name
+			}
+		}
+	}
+	for pg := int64(metaPages); pg < fs.pages; pg++ {
+		if _, ok := owner[pg]; !ok && !fs.isFree(pg) {
+			return fmt.Errorf("page %d is allocated to no file", pg)
+		}
+	}
+	return nil
+}
+
+// slowTrims is a memDevice whose trims take virtual time, the window in
+// which a replace used to leave its name missing.
+type slowTrims struct{ *memDevice }
+
+func (d slowTrims) TrimPages(p *sim.Proc, lpn, count int64) error {
+	p.Wait(50 * time.Microsecond)
+	return d.memDevice.TrimPages(p, lpn, count)
+}
+
+// CreateTrunc names the new inode before it trims the old one, so the name
+// is never missing; a writer it displaces keeps writing into its own pages,
+// and its Close releases them.
+func TestCreateTruncOverOpenWriter(t *testing.T) {
+	eng := sim.NewEngine()
+	fs := NewFS(512, 4096)
+	v := NewView(fs, slowTrims{newMemDevice(512, 4096)})
+	first, second := bytes.Repeat([]byte("first "), 700), bytes.Repeat([]byte("2nd "), 300)
+	var a *File
+	eng.Go("a", func(p *sim.Proc) {
+		if err := v.WriteFile(p, "f", []byte("stale")); err != nil {
+			t.Error(err)
+		}
+		var err error
+		if a, err = v.CreateTrunc(p, "f"); err != nil { // trims "stale" for 50 µs
+			t.Error(err)
+		}
+		p.Wait(100 * time.Microsecond)
+		if _, err := a.Write(p, first); err != nil { // nameless by now
+			t.Error(err)
+		}
+		if err := a.Close(p); err != nil {
+			t.Error(err)
+		}
+	})
+	eng.Go("b", func(p *sim.Proc) {
+		p.Wait(60 * time.Microsecond) // a's trims under way
+		if _, err := fs.Stat("f"); err != nil {
+			t.Errorf("during a replace: %v", err)
+		}
+		p.Wait(20 * time.Microsecond)
+		if err := v.WriteFile(p, "f", second); err != nil {
+			t.Error(err)
+		}
+	})
+	eng.Run()
+	inProc(t, eng, func(p *sim.Proc) error {
+		if got, err := v.ReadFile(p, "f"); err != nil || !bytes.Equal(got, second) {
+			return fmt.Errorf("f is %d bytes (%v), want the second writer's %d", len(got), err, len(second))
+		}
+		return audit(fs)
+	})
+}
+
+// A writer that fails partway discards its file; one replaced meanwhile
+// leaves its successor alone; a deleted writer's pages go at its Close.
+func TestDiscardAndDeleteUnderWriter(t *testing.T) {
+	eng, v, _ := newTestView()
+	inProc(t, eng, func(p *sim.Proc) error {
+		w, _ := v.CreateTrunc(p, "partial")
+		w.Write(p, make([]byte, 3000))
+		if err := w.Discard(p); err != nil {
+			return err
+		}
+		if _, err := v.FS().Stat("partial"); !errors.Is(err, ErrNotExist) {
+			return fmt.Errorf("discarded file: %v", err)
+		}
+		w, _ = v.CreateTrunc(p, "f")
+		w.Write(p, make([]byte, 700))
+		if err := v.WriteFile(p, "f", []byte("successor")); err != nil {
+			return err
+		}
+		if err := w.Discard(p); err != nil {
+			return err
+		}
+		if got, err := v.ReadFile(p, "f"); err != nil || string(got) != "successor" {
+			return fmt.Errorf("after the replaced writer's discard f is %q, %v", got, err)
+		}
+		w, _ = v.CreateTrunc(p, "g")
+		w.Write(p, make([]byte, 900))
+		if err := v.Delete(p, "g"); err != nil {
+			return err
+		}
+		w.Write(p, make([]byte, 900))
+		if err := w.Close(p); err != nil {
+			return err
+		}
+		if len(v.FS().List()) != 1 {
+			return fmt.Errorf("files left: %+v", v.FS().List())
+		}
+		return audit(v.FS())
+	})
+}

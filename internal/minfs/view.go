@@ -120,18 +120,38 @@ func getUint64(b []byte) uint64 {
 	return v
 }
 
-// Create makes a new file open for writing. Creating an existing name
-// fails (delete first); this keeps create semantics trivially atomic.
-func (v *View) Create(p *sim.Proc, name string) (*File, error) {
+// CreateTrunc makes a new file open for writing, atomically replacing any
+// file of that name: the new inode takes the name before the old one's
+// trims wait on the device, so no process finds the name missing, and a
+// writer racing this one replaces it in turn instead of failing.
+func (v *View) CreateTrunc(p *sim.Proc, name string) (*File, error) {
 	if name == "" {
 		return nil, fmt.Errorf("%w: empty name", ErrNotExist)
 	}
-	if _, ok := v.fs.files[name]; ok {
-		return nil, fmt.Errorf("%w: %s", ErrExist, name)
+	old := v.fs.files[name]
+	f := &File{view: v, ino: &Inode{Name: name, writing: true}, writable: true, buf: make([]byte, 0, v.fs.pageSize)}
+	v.fs.files[name] = f.ino
+	if err := v.release(p, old); err != nil {
+		f.Close(p) // an empty file keeps the name
+		return nil, err
 	}
-	ino := &Inode{Name: name}
-	v.fs.files[name] = ino
-	return &File{view: v, ino: ino, writable: true, buf: make([]byte, 0, v.fs.pageSize)}, nil
+	return f, nil
+}
+
+// release trims and frees the pages of an inode no name maps to any more
+// (nil: none). One still open for writing keeps filling the extent it
+// pre-allocated, and its writer's Close releases it.
+func (v *View) release(p *sim.Proc, ino *Inode) error {
+	if ino == nil || ino.writing {
+		return nil
+	}
+	for _, e := range ino.Extents {
+		if err := v.trim(p, e.Start, e.Count); err != nil {
+			return err
+		}
+	}
+	v.fs.freeExtents(ino.Extents)
+	return nil
 }
 
 // Open opens an existing file for reading.
@@ -143,20 +163,14 @@ func (v *View) Open(p *sim.Proc, name string) (*File, error) {
 	return &File{view: v, ino: ino}, nil
 }
 
-// Delete removes a file and trims its pages.
+// Delete removes a file and trims its pages (at its writer's Close, if open).
 func (v *View) Delete(p *sim.Proc, name string) error {
 	ino, ok := v.fs.files[name]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotExist, name)
 	}
 	delete(v.fs.files, name)
-	for _, e := range ino.Extents {
-		if err := v.trim(p, e.Start, e.Count); err != nil {
-			return err
-		}
-	}
-	v.fs.freeExtents(ino.Extents)
-	return nil
+	return v.release(p, ino)
 }
 
 // ReadFile reads a whole file through this view.
@@ -165,37 +179,23 @@ func (v *View) ReadFile(p *sim.Proc, name string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Rounded up to whole pages so that the last page, too, is read in
-	// place: File.Read may use all of its buffer as scratch.
-	ps := int64(v.fs.pageSize)
-	size := f.Size()
-	out := make([]byte, (size+ps-1)/ps*ps)
-	for n := int64(0); n < size; {
-		c, err := f.Read(p, out[n:])
-		if err != nil {
-			return nil, err
-		}
-		n += int64(c)
-	}
-	return out[:size], nil
+	return f.ReadAll(func(b []byte) (int, error) { return f.Read(p, b) })
 }
 
 // WriteFile creates name (replacing any existing file) with the given
-// contents.
+// contents. On failure nothing is left under the name.
 func (v *View) WriteFile(p *sim.Proc, name string, data []byte) error {
-	if _, ok := v.fs.files[name]; ok {
-		if err := v.Delete(p, name); err != nil {
-			return err
-		}
-	}
-	f, err := v.Create(p, name)
+	f, err := v.CreateTrunc(p, name)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(p, data); err != nil {
-		return err
+	if _, err = f.Write(p, data); err == nil {
+		err = f.Close(p)
 	}
-	return f.Close(p)
+	if err != nil {
+		f.Discard(p)
+	}
+	return err
 }
 
 // File is an open file handle with a cursor. Writes append; a partial
@@ -463,22 +463,60 @@ func (f *File) SeekTo(off int64) error {
 	return nil
 }
 
-// Close flushes any buffered tail and releases surplus pre-allocated pages.
+// Close flushes any buffered tail and releases surplus pre-allocated pages;
+// a writer whose file lost its name while open releases them all.
 func (f *File) Close(p *sim.Proc) error {
 	if f.closed {
 		return ErrClosed
 	}
 	f.closed = true
-	if f.writable && len(f.buf) > 0 {
-		if err := f.flushPage(p); err != nil {
-			return err
-		}
+	if !f.writable {
+		return nil
+	}
+	f.ino.writing = false
+	if f.view.fs.files[f.ino.Name] != f.ino {
+		return f.view.release(p, f.ino)
+	}
+	var err error
+	if len(f.buf) > 0 {
+		err = f.flushPage(p)
 		f.buf = nil
 	}
-	if f.writable {
-		f.releaseTail(p)
+	f.releaseTail(p)
+	return err
+}
+
+// Discard closes the writer f if it is open and deletes its file, unless
+// another writer has taken the name since: a writer that failed partway
+// leaves no truncated file behind.
+func (f *File) Discard(p *sim.Proc) error {
+	named := f.view.fs.files[f.ino.Name] == f.ino
+	if named {
+		delete(f.view.fs.files, f.ino.Name)
+	}
+	if !f.closed {
+		return f.Close(p) // nameless now: Close releases every page
+	} else if named {
+		return f.view.release(p, f.ino)
 	}
 	return nil
+}
+
+// ReadAll reads a file just opened, whole: one call of read (f's Read bound
+// to a proc, or a wrapper of it) at the file's size, then one that finds
+// the end. The buffer is rounded up to whole pages so that the last page,
+// too, is read in place: File.Read may use all of b.
+func (f *File) ReadAll(read func([]byte) (int, error)) ([]byte, error) {
+	ps := int64(f.view.fs.pageSize)
+	buf := make([]byte, (f.Size()+ps-1)/ps*ps)
+	n, err := read(buf)
+	if err == nil {
+		_, err = read(buf[n:n])
+	}
+	if err != nil && err != io.EOF {
+		return nil, err
+	}
+	return buf[:n], nil
 }
 
 // releaseTail returns over-allocated pages at the end of the file to the

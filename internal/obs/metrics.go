@@ -11,11 +11,10 @@ import (
 // context only (see the package doc); none takes a lock. A nil *Registry
 // is inert.
 type Registry struct {
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	hists      map[string]*Histogram
-	funcs      map[string]func() int64
-	collectors []func()
+	counters map[string]*Counter
+	gauges   map[string]*Gauge
+	hists    map[string]*Histogram
+	funcs    map[string]func() int64
 }
 
 // NewRegistry returns an empty registry.
@@ -76,14 +75,6 @@ func (r *Registry) CounterFunc(name string, fn func() int64) {
 		return
 	}
 	r.funcs[name] = fn
-}
-
-// AddCollector registers fn to run at the start of every snapshot.
-func (r *Registry) AddCollector(fn func()) {
-	if r == nil {
-		return
-	}
-	r.collectors = append(r.collectors, fn)
 }
 
 // Counter is a monotonically interpreted event count. Negative deltas clamp

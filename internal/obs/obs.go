@@ -129,15 +129,6 @@ func (o *Obs) CounterFunc(name string, fn func() int64) {
 	o.shared.reg.CounterFunc(o.prefix+name, fn)
 }
 
-// AddCollector registers fn to run at the start of every Snapshot, for
-// setting gauges from live model state.
-func (o *Obs) AddCollector(fn func()) {
-	if o == nil {
-		return
-	}
-	o.shared.reg.AddCollector(fn)
-}
-
 // Timeline returns the utilisation timeline registered under the scope's
 // prefix + name, creating it with the given window width and capacity
 // divisor on first use.

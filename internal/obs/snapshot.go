@@ -75,9 +75,6 @@ func (o *Obs) Snapshot(name string) Snapshot {
 		return s
 	}
 	r := o.shared.reg
-	for _, fn := range r.collectors {
-		fn()
-	}
 	keep := func(full string) (string, bool) {
 		if !strings.HasPrefix(full, o.prefix) {
 			return "", false

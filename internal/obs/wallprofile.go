@@ -25,11 +25,6 @@ func (o *Obs) EnableWallProfile() {
 	o.shared.tracer.wallBase = time.Now()
 }
 
-// WallProfileEnabled reports whether span wall capture is on.
-func (o *Obs) WallProfileEnabled() bool {
-	return o != nil && o.shared.tracer.wall
-}
-
 // WallProfileEntry aggregates the completed spans sharing one label.
 //
 // WallNS is *gross* wall time: the engine runs exactly one process at a

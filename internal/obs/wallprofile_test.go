@@ -13,11 +13,11 @@ func TestWallProfile(t *testing.T) {
 	e := sim.NewEngine()
 	o := New()
 	o.EnableTrace()
-	if o.WallProfileEnabled() {
+	if o.shared.tracer.wall {
 		t.Fatal("wall profile on before enable")
 	}
 	o.EnableWallProfile()
-	if !o.WallProfileEnabled() {
+	if !o.shared.tracer.wall {
 		t.Fatal("wall profile off after enable")
 	}
 	e.Go("w", func(p *sim.Proc) {

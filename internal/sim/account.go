@@ -2,6 +2,7 @@ package sim
 
 import (
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 )
@@ -154,15 +155,6 @@ func (a *Accounting) ProcsStarted() int64 {
 	return a.procsStarted
 }
 
-// ProcsReused returns how many of those processes were bound to a pooled
-// worker coroutine instead of creating a new one.
-func (a *Accounting) ProcsReused() int64 {
-	if a == nil {
-		return 0
-	}
-	return a.procsReused
-}
-
 // ProcSwitches returns the number of engine→process coroutine switches
 // since enable (each Proc resumption is one). Inline waits do not switch.
 func (a *Accounting) ProcSwitches() int64 {
@@ -231,17 +223,8 @@ func (a *Accounting) ByLabel() []LabelCount {
 			out = append(out, LabelCount{Label: name, Events: ls.events, WallNS: ls.wallNS})
 		}
 	}
-	sortLabelCounts(out)
+	slices.SortFunc(out, func(x, y LabelCount) int { return strings.Compare(x.Label, y.Label) })
 	return out
-}
-
-func sortLabelCounts(s []LabelCount) {
-	// Insertion sort keeps this dependency-free; label sets are small.
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j].Label < s[j-1].Label; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // WallStats is the host-side view of a run: wall clock, allocation deltas,
@@ -254,31 +237,6 @@ type WallStats struct {
 	AllocBytes     uint64 // bytes allocated since enable (MemStats.TotalAlloc delta)
 	Goroutines     int    // goroutine count at capture
 	PeakGoroutines int    // sampled peak since enable
-}
-
-// EventsPerSec returns dispatched events per wall second.
-func (ws WallStats) EventsPerSec() float64 {
-	if ws.WallNS <= 0 {
-		return 0
-	}
-	return float64(ws.Events) / (float64(ws.WallNS) / 1e9)
-}
-
-// AllocsPerEvent returns heap allocations per dispatched event.
-func (ws WallStats) AllocsPerEvent() float64 {
-	if ws.Events <= 0 {
-		return 0
-	}
-	return float64(ws.Mallocs) / float64(ws.Events)
-}
-
-// SimPerWall returns virtual seconds advanced per wall second — the
-// engine-speed headline.
-func (ws WallStats) SimPerWall() float64 {
-	if ws.WallNS <= 0 {
-		return 0
-	}
-	return float64(ws.SimNS) / float64(ws.WallNS)
 }
 
 // WallStats captures the host-side deltas now. Zero value unless the

@@ -96,9 +96,6 @@ func TestAccountingWallStats(t *testing.T) {
 	if ws.Mallocs == 0 {
 		t.Fatal("Mallocs = 0, want allocation delta")
 	}
-	if ws.EventsPerSec() <= 0 || ws.AllocsPerEvent() <= 0 || ws.SimPerWall() <= 0 {
-		t.Fatalf("derived metrics not positive: %+v", ws)
-	}
 	if ws.PeakGoroutines < ws.Goroutines {
 		t.Fatalf("PeakGoroutines %d < Goroutines %d", ws.PeakGoroutines, ws.Goroutines)
 	}

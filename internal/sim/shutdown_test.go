@@ -218,11 +218,11 @@ func TestWorkerPoolAccounting(t *testing.T) {
 		e.Run()
 	}
 	stagger(5) // 2 prewarmed + 3 fresh workers
-	if s, r := a.ProcsStarted(), a.ProcsReused(); s != 5 || r != 2 {
+	if s, r := a.ProcsStarted(), a.procsReused; s != 5 || r != 2 {
 		t.Fatalf("first wave: started %d reused %d, want 5 and 2", s, r)
 	}
 	stagger(5) // all from the free list
-	if s, r := a.ProcsStarted(), a.ProcsReused(); s != 10 || r != 7 {
+	if s, r := a.ProcsStarted(), a.procsReused; s != 10 || r != 7 {
 		t.Fatalf("second wave: started %d reused %d, want 10 and 7", s, r)
 	}
 	// A wave never inlines: each wait has another proc's wake-up pending at

@@ -90,12 +90,6 @@ func (t *Table) String() string {
 	return sb.String()
 }
 
-// Bar renders one labelled horizontal bar scaled against max. The label
-// column is sized for the single label; BarChart aligns a whole series.
-func Bar(label string, value, max float64, width int) string {
-	return bar(label, len(label), value, max, width)
-}
-
 // bar renders one bar with an explicit label-column width, so a chart's
 // rows align on the widest label (the same auto-sizing Table.Render does
 // for its columns) instead of truncating at a fixed width.

@@ -28,18 +28,18 @@ func TestTableAlignment(t *testing.T) {
 }
 
 func TestBarScaling(t *testing.T) {
-	full := Bar("x", 10, 10, 20)
-	half := Bar("y", 5, 10, 20)
+	full := bar("x", len("x"), 10, 10, 20)
+	half := bar("y", len("y"), 5, 10, 20)
 	if strings.Count(full, "#") != 20 {
 		t.Fatalf("full bar: %q", full)
 	}
 	if strings.Count(half, "#") != 10 {
 		t.Fatalf("half bar: %q", half)
 	}
-	if strings.Count(Bar("z", 0, 10, 20), "#") != 0 {
+	if strings.Count(bar("z", len("z"), 0, 10, 20), "#") != 0 {
 		t.Fatal("zero bar has hashes")
 	}
-	if strings.Count(Bar("w", 20, 10, 20), "#") != 20 {
+	if strings.Count(bar("w", len("w"), 20, 10, 20), "#") != 20 {
 		t.Fatal("overflow bar not clamped")
 	}
 }
@@ -72,12 +72,12 @@ func TestTableGolden(t *testing.T) {
 }
 
 func TestBarGolden(t *testing.T) {
-	if got, want := Bar("cpu", 5, 10, 10), "cpu        5 |#####"; got != want {
+	if got, want := bar("cpu", len("cpu"), 5, 10, 10), "cpu        5 |#####"; got != want {
 		t.Fatalf("Bar = %q, want %q", got, want)
 	}
 	// The label column sizes to the label — no truncation at a fixed width.
 	long := "a.very.long.hierarchical.metric.name.busy"
-	if got := Bar(long, 5, 10, 10); !strings.HasPrefix(got, long+" ") {
+	if got := bar(long, len(long), 5, 10, 10); !strings.HasPrefix(got, long+" ") {
 		t.Fatalf("long label mangled: %q", got)
 	}
 }
