@@ -8,6 +8,7 @@
 //	               [-outdir DIR] [-trace out.json] [-metrics out.json]
 //	               [-cpuprofile out.pprof] [-memprofile out.pprof]
 //	               [-wallprofile N]
+//	compstor-bench -diff a.json b.json
 //
 // The -run names are the rows of experiments.Experiments, in the order
 // "all" runs them. Results are normalised (MB/s, J/GB) so the paper's
@@ -19,6 +20,9 @@
 // utilization timelines). -metrics writes the combined snapshot of the
 // whole invocation; -trace enables sim-time span tracing and writes a
 // Chrome trace-event file loadable in Perfetto (ui.perfetto.dev).
+//
+// -diff runs nothing: it prints the metrics that moved most between two
+// BENCH_<name>.json files (counters, histogram quantiles, timeline means).
 //
 // -wallprofile N captures host wall-clock on spans and prints the top-N
 // span labels by gross wall time (and, with -trace, adds a wall_us argument
@@ -165,11 +169,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile here (samples carry an 'experiment' pprof label)")
 	memProfile := fs.String("memprofile", "", "write a heap profile here")
 	wallProfile := fs.Int("wallprofile", 0, "capture wall-clock on spans and print the top-N wall profile (0 = off)")
+	diff := fs.Bool("diff", false, "print the top movers between the two BENCH_<name>.json files given as arguments; run nothing")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
 		return 2
+	}
+	if *diff || fs.NArg() > 0 {
+		if !*diff || fs.NArg() != 2 {
+			fmt.Fprintln(stderr, "usage: compstor-bench -diff a.json b.json")
+			return 2
+		}
+		if err := diffSnapshots(stdout, fs.Arg(0), fs.Arg(1)); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		return 0
 	}
 
 	opt := experiments.PaperScaleOptions()

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"compstor/internal/experiments"
+	"compstor/internal/obs"
 )
 
 func experimentNames() []string {
@@ -103,5 +104,51 @@ func TestDocListsTheTable(t *testing.T) {
 	want := "//\tcompstor-bench [-run " + strings.Join(experimentNames(), "|") + "]\n"
 	if !bytes.Contains(src, []byte(want)) {
 		t.Errorf("main.go's package comment lacks the usage line\n%s", want)
+	}
+}
+
+// TestDiffRanksMovers: -diff ranks a counter that moved, lists a metric
+// present in one file only, leaves unchanged metrics out, and sets apart a
+// timeline mean taken over a different number of windows instead of
+// ranking it.
+func TestDiffRanksMovers(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, s obs.Snapshot) string {
+		s.Schema = obs.SchemaVersion
+		path := filepath.Join(dir, name)
+		f, err := os.Create(path)
+		if err == nil {
+			err = s.WriteJSON(f)
+			f.Close()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	a := write("a.json", obs.Snapshot{
+		Counters:  []obs.CounterSnap{{Name: "flash.reads", Value: 100}, {Name: "same", Value: 7}, {Name: "gone", Value: 1}},
+		Timelines: []obs.TimelineSnap{{Name: "ch0.busy", Mean: 0.02, Busy: make([]float64, 8)}},
+	})
+	b := write("b.json", obs.Snapshot{
+		Counters:  []obs.CounterSnap{{Name: "flash.reads", Value: 25}, {Name: "same", Value: 7}},
+		Timelines: []obs.TimelineSnap{{Name: "ch0.busy", Mean: 0.07, Busy: make([]float64, 1)}},
+	})
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-diff", a, b}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d (stderr %q)", code, stderr.String())
+	}
+	out := stdout.String()
+	for _, want := range []string{"2 metrics moved, 1 unchanged, 1 only in a, 0 only in b", "flash.reads", "-75.0%", "1 only in a:\n  gone", "ch0.busy.mean 0.02 → 0.07 over 8 → 1 windows"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "same") {
+		t.Errorf("an unchanged counter is listed:\n%s", out)
+	}
+	stdout.Reset()
+	if code := run([]string{"-diff", a}, &stdout, &stderr); code != 2 {
+		t.Errorf("-diff with one file: exit %d, want 2", code)
 	}
 }

@@ -85,12 +85,10 @@ func (c *Context) In() io.Reader {
 // mounted in its context.
 var ErrNoFS = errors.New("apps: no filesystem in context")
 
-// Open opens a named file for reading, wrapped for cost charging. When the
-// view's device serves reads through a caching/prefetching pipeline, file
-// streams charge only the CPU share of the class's calibrated end-to-end
-// rate (cpu.StreamCPUFraction): the stall share the end-to-end measurement
-// bundled in is then paid as explicit, overlapped flash I/O instead of
-// being double-counted as core time.
+// Open opens a named file for reading, wrapped for cost charging. Through
+// the read pipeline (minfs.View.Pipelined) a stream charges only the CPU
+// share of its class's calibrated rate (cpu.StreamCPUFraction); the stall
+// share is paid as explicit, overlapped flash I/O.
 func (c *Context) Open(name string) (io.ReadCloser, error) { return c.open(name, 0, false) }
 
 // OpenAt opens a named file like Open with the cursor positioned at off —

@@ -54,7 +54,7 @@ func FuzzGrepMatch(f *testing.F) {
 			t.Fatalf("pattern %q line %q: FindIndex range [%d,%d) out of bounds (len %d)",
 				pattern, line, start, end, len(line))
 		}
-		if lit := re.Literal(); lit != nil {
+		if lit := re.literal; lit != nil {
 			hay, needle := line, lit
 			if fold {
 				// The engine folds ASCII only (bytes.ToLower would also

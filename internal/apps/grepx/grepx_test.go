@@ -24,7 +24,7 @@ func mustCompile(t *testing.T, pat string, fold bool) *Regexp {
 
 func TestLiteralMatching(t *testing.T) {
 	re := mustCompile(t, "needle", false)
-	if re.Literal() == nil {
+	if re.literal == nil {
 		t.Fatal("plain literal did not take the BMH fast path")
 	}
 	cases := map[string]bool{
@@ -137,7 +137,7 @@ func TestBMHAgainstIndex(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		pat, text := word(1+rng.Intn(5)), word(rng.Intn(60))
 		re := mustCompile(t, regexp.QuoteMeta(string(pat)), false)
-		if !bytes.Equal(re.Literal(), pat) || re.bmh != nil {
+		if !bytes.Equal(re.literal, pat) || re.bmh != nil {
 			t.Fatalf("%q did not compile to a case-sensitive literal", pat)
 		}
 		want := bytes.Index(text, pat)

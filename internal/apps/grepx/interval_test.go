@@ -79,7 +79,7 @@ func TestIntervalOutOfRangeRejected(t *testing.T) {
 
 func TestIntervalNoLiteralFastPathLeak(t *testing.T) {
 	re := mustCompile(t, "a{2}", false)
-	if re.Literal() != nil {
+	if re.literal != nil {
 		t.Fatal("interval pattern took the literal fast path")
 	}
 }

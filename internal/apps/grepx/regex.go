@@ -431,8 +431,4 @@ func (re *Regexp) findLiteral(line []byte) int {
 	return bytes.Index(line, re.literal)
 }
 
-// Literal exposes the literal fast-path bytes (nil when the pattern is not
-// a pure literal).
-func (re *Regexp) Literal() []byte { return re.literal }
-
 func (re *Regexp) String() string { return re.src }

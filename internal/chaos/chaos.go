@@ -177,30 +177,6 @@ func (pl *Plan) Faults(i int) DeviceFaults {
 	return pl.Default
 }
 
-// RandomPlan derives a randomized-but-seeded plan for n devices: fault
-// probabilities and slowdowns are drawn from the seed, scaled by intensity
-// in [0, 1]. The same (seed, n, intensity) always yields the same plan, so
-// a sweep over seeds explores distinct deterministic schedules.
-func RandomPlan(seed int64, n int, intensity float64) *Plan {
-	if intensity < 0 {
-		intensity = 0
-	}
-	if intensity > 1 {
-		intensity = 1
-	}
-	rng := rand.New(rand.NewSource(seed))
-	pl := NewPlan(seed)
-	for i := 0; i < n; i++ {
-		pl.WithDevice(i, DeviceFaults{
-			ReadErrProb:    intensity * 0.05 * rng.Float64(),
-			ProgramErrProb: intensity * 0.02 * rng.Float64(),
-			DropProb:       intensity * 0.10 * rng.Float64(),
-			SlowFactor:     1 + intensity*3*rng.Float64(),
-		})
-	}
-	return pl
-}
-
 // Stats counts the faults an injector actually delivered.
 type Stats struct {
 	ReadFaults    int64 // transient media read errors injected
@@ -229,7 +205,7 @@ type Injector struct {
 // errors, dead media), the drive backend (slow device, dead drive), the
 // NVMe front-end (dead protocol path), and the ISPS agent (dropped
 // responses). Install replaces any previously-installed hooks on those
-// devices; Uninstall clears them.
+// devices.
 func Install(sys *core.System, plan *Plan) *Injector {
 	inj := &Injector{sys: sys, plan: plan}
 	// Surface the injected-fault counters in snapshots; Instant calls below
@@ -385,13 +361,3 @@ func Install(sys *core.System, plan *Plan) *Injector {
 
 // Stats returns a snapshot of the injected-fault counters.
 func (inj *Injector) Stats() Stats { return inj.stats }
-
-// Uninstall clears every hook the injector installed.
-func (inj *Injector) Uninstall() {
-	for _, unit := range inj.sys.Devices {
-		unit.Drive.Flash().SetFaultHook(nil)
-		unit.Drive.SetFaultHook(nil)
-		unit.Drive.Controller().SetFaultHook(nil)
-		unit.Agent.SetFaultHook(nil)
-	}
-}

@@ -27,7 +27,7 @@ func TestZeroIntensityPlanInjectsNothing(t *testing.T) {
 	if base.runErr != nil || len(base.failed) > 0 {
 		t.Fatalf("baseline: err=%v failed=%v", base.runErr, base.failed)
 	}
-	quiet := run(t, 3, files, chaos.RandomPlan(9, 3, 0))
+	quiet := run(t, 3, files, randomPlan(9, 3, 0))
 	if quiet.stats != (chaos.Stats{}) {
 		t.Fatalf("intensity-0 plan delivered faults: %+v", quiet.stats)
 	}

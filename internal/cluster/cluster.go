@@ -388,13 +388,13 @@ func (pl *Pool) runTask(p *sim.Proc, dev int, cmd core.Command) (*core.Response,
 			pl.clearStrikes(dev)
 			pl.budgetRefill()
 			pl.noteLatency(lat)
-			pl.recordHealth(p, dev, lat, false)
+			pl.recordHealth(p, dev, cmd.Exec, lat, false)
 			return resp, attempts, nil
 		case err == nil && resp.Status == core.StatusDeadline:
 			// The device answered: it abandoned the task because the clock
 			// ran out. Healthy device, unwinnable race — final.
 			pl.clearStrikes(dev)
-			pl.recordHealth(p, dev, lat, false)
+			pl.recordHealth(p, dev, cmd.Exec, lat, false)
 			pl.cDeadlineHits.Add(1)
 			return resp, attempts, fmt.Errorf("%w: device %d", ErrDeadlineExceeded, dev)
 		case err == nil && resp.Status == core.StatusCanceled:
@@ -411,18 +411,18 @@ func (pl *Pool) runTask(p *sim.Proc, dev int, cmd core.Command) (*core.Response,
 			// scheduler re-dispatches the work elsewhere.
 			lastResp = resp
 			lastErr = fmt.Errorf("%w: device %d: %s", ErrMediaFailure, dev, resp.Error)
-			pl.recordHealth(p, dev, lat, true)
+			pl.recordHealth(p, dev, cmd.Exec, lat, true)
 			pl.strike(p, dev)
 		case err == nil:
 			lastResp = resp
 			pl.clearStrikes(dev)
 			// An application error says nothing about the device — latency
 			// still folds into its score, the failure does not.
-			pl.recordHealth(p, dev, lat, false)
+			pl.recordHealth(p, dev, cmd.Exec, lat, false)
 			lastErr = fmt.Errorf("%w: device %d: %s: %s", ErrTaskFailed, dev, resp.Status, resp.Error)
 		default:
 			lastErr = err
-			pl.recordHealth(p, dev, lat, true)
+			pl.recordHealth(p, dev, cmd.Exec, lat, true)
 			pl.strike(p, dev)
 		}
 		if pl.dead[dev] || attempts >= pl.maxAttempts() {

@@ -36,8 +36,8 @@ func newSystemMode(t *testing.T, devices int, pipeline bool, scanChunks int) (*c
 			Channels: 8, DiesPerChan: 1, PlanesPerDie: 1,
 			BlocksPerPlan: 128, PagesPerBlock: 32, PageSize: 4096,
 		},
-		ReadPipeline: pipeline,
-		ScanChunks:   scanChunks,
+		SerialReads: !pipeline,
+		ScanChunks:  scanChunks,
 	})
 	return sys, NewPool(sys.Eng, sys.Devices)
 }

@@ -16,6 +16,10 @@ import (
 // device, trips a gray device into quarantine, and readmits it through a
 // half-open probation state that risks single probe requests instead of
 // real traffic.
+//
+// Latency is scored per program, a device's grep EWMA against its peers':
+// one EWMA over a mix scores the mix, and a healthy device that drew a run
+// of 14 ms gzips beside peers' 1 ms greps would trip.
 
 // HealthState is a device's circuit-breaker state.
 type HealthState int
@@ -90,8 +94,9 @@ const (
 	// above any imbalance sharding or queueing produces between healthy peers.
 	healthLatencyFactor = 4
 	// healthMinSamples attempts must be absorbed before either trip can fire,
-	// and before a device counts toward the peer median: one and a half
-	// latency-EWMA memories, so the first (cold) attempts have decayed.
+	// and attempts of one program before a device's latency for it trips or
+	// counts toward the peer median: one and a half latency-EWMA memories,
+	// so the first (cold) attempts have decayed.
 	healthMinSamples = 16
 	// healthProbeSuccesses consecutive probe successes readmit a probation
 	// device: one could be luck, three in a row on a gray device is not.
@@ -101,8 +106,8 @@ const (
 // deviceHealth is one device's score and breaker state.
 type deviceHealth struct {
 	state     HealthState
-	latEWMA   float64 // seconds per attempt
-	errEWMA   float64 // failure fraction
+	lat       map[string]latScore // per program
+	errEWMA   float64             // failure fraction
 	samples   int64
 	trippedAt sim.Time
 	cooldown  time.Duration
@@ -110,15 +115,10 @@ type deviceHealth struct {
 	probing   bool // a probe is currently routed to this device
 }
 
-// DeviceHealth returns device i's breaker state (HealthHealthy when scoring
-// is disabled), advancing a quarantine whose cooldown elapsed into
-// probation first.
-func (pl *Pool) DeviceHealth(i int) HealthState {
-	if !pl.Health.Enabled {
-		return HealthHealthy
-	}
-	pl.advanceHealth(i, pl.eng.Now())
-	return pl.health[i].state
+// latScore is one device's attempt latency EWMA for one program.
+type latScore struct {
+	ewma    float64 // seconds per attempt
+	samples int64
 }
 
 // advanceHealth applies the lazy Quarantined→Probation transition.
@@ -173,17 +173,23 @@ func (pl *Pool) probePick() (int, bool) {
 // the breaker. failed must be true only for device-rooted failures
 // (transport, media): an application error or a deadline/cancel abort says
 // nothing about the device's health. Latency still folds in either way —
-// a gray device is slow regardless of outcome.
-func (pl *Pool) recordHealth(p *sim.Proc, i int, lat time.Duration, failed bool) {
+// a gray device is slow regardless of outcome. prog names what ran.
+func (pl *Pool) recordHealth(p *sim.Proc, i int, prog string, lat time.Duration, failed bool) {
 	if !pl.Health.Enabled {
 		return
 	}
 	h := &pl.health[i]
-	if h.samples == 0 {
-		h.latEWMA = lat.Seconds()
-	} else {
-		h.latEWMA += healthLatencyAlpha * (lat.Seconds() - h.latEWMA)
+	if h.lat == nil {
+		h.lat = map[string]latScore{}
 	}
+	ls := h.lat[prog]
+	if ls.samples == 0 {
+		ls.ewma = lat.Seconds()
+	} else {
+		ls.ewma += healthLatencyAlpha * (lat.Seconds() - ls.ewma)
+	}
+	ls.samples++
+	h.lat[prog] = ls
 	e := 0.0
 	if failed {
 		e = 1.0
@@ -219,7 +225,7 @@ func (pl *Pool) recordHealth(p *sim.Proc, i int, lat time.Duration, failed bool)
 		cause := ""
 		if h.errEWMA > healthErrThreshold {
 			cause = "errors"
-		} else if med, ok := pl.medianLatEWMA(i); ok && h.latEWMA > healthLatencyFactor*med {
+		} else if med, ok := pl.medianLatEWMA(i, prog); ok && ls.samples >= healthMinSamples && ls.ewma > healthLatencyFactor*med {
 			cause = "latency"
 		}
 		if cause != "" {
@@ -276,16 +282,17 @@ func (pl *Pool) recordHedgeLoss(p *sim.Proc, i int) {
 	}
 }
 
-// medianLatEWMA returns the median latency EWMA over the other devices with
-// enough samples — the peer baseline a suspect is compared against.
-func (pl *Pool) medianLatEWMA(except int) (float64, bool) {
+// medianLatEWMA returns the median latency EWMA for prog over the other
+// devices with enough samples of it — the peer baseline a suspect is
+// compared against.
+func (pl *Pool) medianLatEWMA(except int, prog string) (float64, bool) {
 	var vals []float64
 	for i := range pl.health {
 		if i == except || pl.dead[i] {
 			continue
 		}
-		if pl.health[i].samples >= healthMinSamples {
-			vals = append(vals, pl.health[i].latEWMA)
+		if ls := pl.health[i].lat[prog]; ls.samples >= healthMinSamples {
+			vals = append(vals, ls.ewma)
 		}
 	}
 	if len(vals) == 0 {

@@ -284,15 +284,50 @@ func trip(t *testing.T, p *sim.Proc, pool *Pool, dev int) {
 	base := time.Millisecond
 	for i := 0; i < pool.Size(); i++ {
 		for n := 0; n < healthMinSamples; n++ {
-			pool.recordHealth(p, i, base, false)
+			pool.recordHealth(p, i, "grep", base, false)
 		}
 	}
 	for n := 0; n < 8 && pool.DeviceHealth(dev) == HealthHealthy; n++ {
-		pool.recordHealth(p, dev, 20*base, false)
+		pool.recordHealth(p, dev, "grep", 20*base, false)
 	}
 	if got := pool.DeviceHealth(dev); got != HealthQuarantined {
 		t.Fatalf("device %d state %v after slow samples, want quarantined", dev, got)
 	}
+}
+
+// TestHealthComparesLikeWithLike: a healthy device that drew a run of slow
+// programs is not a gray device. One latency EWMA over the mix tripped it:
+// with the read pipeline on and grep's CPU share at 0.75, serve_mix's gray
+// point lost healthy devices beside the failing one that way. A device slow
+// at the same program as its peers still trips.
+func TestHealthComparesLikeWithLike(t *testing.T) {
+	sys, pool := newSystem(t, 4)
+	pool.Health = DefaultHealthPolicy()
+	grep, gzip := time.Millisecond, 14*time.Millisecond
+	sys.Go("t", func(p *sim.Proc) {
+		for n := 0; n < healthMinSamples; n++ {
+			for i := 0; i < pool.Size(); i++ {
+				pool.recordHealth(p, i, "grep", grep, false)
+				pool.recordHealth(p, i, "gzip", gzip, false)
+			}
+		}
+		for n := 0; n < 2*healthMinSamples; n++ { // device 3 draws the gzips
+			for i := 0; i < 3; i++ {
+				pool.recordHealth(p, i, "grep", grep, false)
+			}
+			pool.recordHealth(p, 3, "gzip", gzip, false)
+		}
+		if got := pool.DeviceHealth(3); got != HealthHealthy {
+			t.Fatalf("device 3 %v after a run of gzips at the peers' gzip latency", got)
+		}
+		for n := 0; n < 8 && pool.DeviceHealth(3) == HealthHealthy; n++ {
+			pool.recordHealth(p, 3, "grep", 20*grep, false)
+		}
+		if got := pool.DeviceHealth(3); got != HealthQuarantined {
+			t.Fatalf("device 3 %v after greps 20x slower than its peers', want quarantined", got)
+		}
+	})
+	sys.Run()
 }
 
 func TestHealthQuarantineProbationReadmit(t *testing.T) {
@@ -319,12 +354,12 @@ func TestHealthQuarantineProbationReadmit(t *testing.T) {
 			t.Fatal("second concurrent probe allowed")
 		}
 		// Probe succeeds; two more readmit it.
-		pool.recordHealth(p, 1, time.Millisecond, false)
+		pool.recordHealth(p, 1, "grep", time.Millisecond, false)
 		for n := 0; n < healthProbeSuccesses-1; n++ {
 			if i, ok := pool.probePick(); !ok || i != 1 {
 				t.Fatalf("probe %d not routed", n)
 			}
-			pool.recordHealth(p, 1, time.Millisecond, false)
+			pool.recordHealth(p, 1, "grep", time.Millisecond, false)
 		}
 		if got := pool.DeviceHealth(1); got != HealthHealthy {
 			t.Fatalf("state %v after %d probe successes, want healthy", got, healthProbeSuccesses)
@@ -346,7 +381,7 @@ func TestHealthProbeFailureEscalatesCooldown(t *testing.T) {
 		if i, ok := pool.probePick(); !ok || i != 1 {
 			t.Fatal("no probe routed")
 		}
-		pool.recordHealth(p, 1, time.Millisecond, true) // probe fails
+		pool.recordHealth(p, 1, "grep", time.Millisecond, true) // probe fails
 		if got := pool.DeviceHealth(1); got != HealthQuarantined {
 			t.Fatalf("state %v after failed probe, want quarantined", got)
 		}
@@ -371,10 +406,10 @@ func TestHealthErrorRateTrips(t *testing.T) {
 	pool.Health = DefaultHealthPolicy()
 	sys.Go("driver", func(p *sim.Proc) {
 		for n := 0; n < healthMinSamples; n++ {
-			pool.recordHealth(p, 0, time.Millisecond, false)
+			pool.recordHealth(p, 0, "grep", time.Millisecond, false)
 		}
 		for n := 0; n < 16 && pool.DeviceHealth(0) == HealthHealthy; n++ {
-			pool.recordHealth(p, 0, time.Millisecond, true)
+			pool.recordHealth(p, 0, "grep", time.Millisecond, true)
 		}
 		if got := pool.DeviceHealth(0); got != HealthQuarantined {
 			t.Fatalf("state %v after sustained failures, want quarantined", got)
@@ -457,10 +492,10 @@ func TestAllDevicesTrippedDegradesOpen(t *testing.T) {
 		// relative to peers and cannot fire on every device at once).
 		for i := 0; i < 2; i++ {
 			for n := 0; n < healthMinSamples; n++ {
-				pool.recordHealth(p, i, time.Millisecond, false)
+				pool.recordHealth(p, i, "grep", time.Millisecond, false)
 			}
 			for n := 0; n < 16 && pool.DeviceHealth(i) == HealthHealthy; n++ {
-				pool.recordHealth(p, i, time.Millisecond, true)
+				pool.recordHealth(p, i, "grep", time.Millisecond, true)
 			}
 			if pool.DeviceHealth(i) == HealthHealthy {
 				t.Fatalf("device %d did not trip", i)

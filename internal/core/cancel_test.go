@@ -9,6 +9,13 @@ import (
 	"compstor/internal/sim"
 )
 
+// idleMem is an idle device's ISPS DRAM use: the read cache's reservation.
+func idleMem(t *testing.T) int64 {
+	sys := newSystem(t, 1, false)
+	defer sys.Close()
+	return sys.Device(0).Agent.Subsystem().Status().MemUsedBytes
+}
+
 // TestMinionDeadlineEndToEnd drives a deadline through the whole stack:
 // host command → fabric → agent → ISPS task, asserting the typed status
 // mapping, the early abort, and that the device's core and DRAM came back.
@@ -57,7 +64,7 @@ func TestMinionDeadlineEndToEnd(t *testing.T) {
 		t.Fatalf("deadlined run ended at %v, not before the full run's %v", end, fullEnd)
 	}
 	st := sys.Device(0).Agent.Subsystem().Status()
-	if st.CoresBusy != 0 || st.MemUsedBytes != 0 || st.RunningTasks != 0 {
+	if st.CoresBusy != 0 || st.MemUsedBytes != idleMem(t) || st.RunningTasks != 0 {
 		t.Fatalf("device resources leaked: cores %d, mem %d, tasks %d",
 			st.CoresBusy, st.MemUsedBytes, st.RunningTasks)
 	}
@@ -122,7 +129,7 @@ func TestMinionCancelEndToEnd(t *testing.T) {
 		t.Fatalf("canceled run ended at %v, not before the full run's %v", end, full)
 	}
 	st := unit.Agent.Subsystem().Status()
-	if st.CoresBusy != 0 || st.MemUsedBytes != 0 || st.RunningTasks != 0 {
+	if st.CoresBusy != 0 || st.MemUsedBytes != idleMem(t) || st.RunningTasks != 0 {
 		t.Fatalf("device resources leaked: cores %d, mem %d, tasks %d",
 			st.CoresBusy, st.MemUsedBytes, st.RunningTasks)
 	}

@@ -79,9 +79,9 @@ type SystemConfig struct {
 	// CompStor.
 	SharedCores     bool
 	ISPSViaNVMePath bool
-	// ReadPipeline turns on every CompStor's streaming read pipeline (ISPS
-	// page cache + read-ahead). Off by default.
-	ReadPipeline bool
+	// SerialReads is forwarded to every CompStor: the serial-read ablation,
+	// without the streaming read pipeline (ISPS page cache + read-ahead).
+	SerialReads bool
 	// ScanChunks is forwarded to every CompStor's ISPS: 0 splits a large
 	// scan one chunk per core (the stock device), 1 is the paper's
 	// one-core-per-task executor.
@@ -141,7 +141,7 @@ func NewSystem(cfg SystemConfig) *System {
 		dcfg.Meter = meter
 		dcfg.SharedCores = cfg.SharedCores
 		dcfg.ISPSViaNVMePath = cfg.ISPSViaNVMePath
-		dcfg.ReadPipeline = cfg.ReadPipeline
+		dcfg.SerialReads = cfg.SerialReads
 		dcfg.ScanChunks = cfg.ScanChunks
 		dcfg.Obs = cfg.Obs.Scope(dcfg.Name)
 		port := sys.Fabric.AddPort()

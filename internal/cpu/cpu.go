@@ -73,11 +73,6 @@ func (pl *Platform) ComputeTime(c Class, n int64) time.Duration {
 	return sim.DurationFor(n, pl.Throughput(c))
 }
 
-// FullLoadWatts returns draw with every core busy.
-func (pl *Platform) FullLoadWatts() float64 {
-	return pl.BaseWatts + float64(pl.Cores)*pl.CoreActiveWatts
-}
-
 func (pl *Platform) String() string {
 	return fmt.Sprintf("%s (%d cores @ %.1f GHz, %s)", pl.Name, pl.Cores, pl.ClockGHz, pl.Memory)
 }

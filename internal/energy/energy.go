@@ -45,14 +45,6 @@ func (c *Component) AddActive(d time.Duration, watts float64) {
 	c.busyNS += int64(d)
 }
 
-// AddJoules charges incremental energy directly.
-func (c *Component) AddJoules(j float64) {
-	if j < 0 {
-		panic("energy: negative joules")
-	}
-	c.activeJ += j
-}
-
 // ActiveEnergy returns the incremental (above-base) energy in joules.
 func (c *Component) ActiveEnergy() float64 { return c.activeJ }
 
@@ -96,17 +88,6 @@ func (m *Meter) Component(name string, baseWatts float64) *Component {
 
 // Lookup returns the named component, or nil if it was never registered.
 func (m *Meter) Lookup(name string) *Component { return m.comps[name] }
-
-// Total returns the summed energy of all components at the current virtual
-// time. It adds in Snapshot's name order: float addition does not commute in
-// its last bits, so summing in map order would not be reproducible.
-func (m *Meter) Total() float64 {
-	var j float64
-	for _, s := range m.Snapshot() {
-		j += s.TotalJ
-	}
-	return j
-}
 
 // Snapshot captures per-component energy at the current virtual time,
 // sorted by name.

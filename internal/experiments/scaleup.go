@@ -14,7 +14,7 @@ import (
 // fan-out (cores = ScanChunks; 1 = the paper's serial executor) on one read
 // path. Speedup is
 // against the same path's serial point; OutputsMatch compares against the
-// stock serial run — split execution must never change a byte.
+// serial-read one-chunk run — split execution must never change a byte.
 type ScaleupPoint struct {
 	Workload     string
 	Pipelined    bool
@@ -34,8 +34,8 @@ type ScaleupResult []ScaleupPoint
 // (different flash channels) and driving its own read-ahead streak. The
 // scan kernels are compute-bound on one ~1 GHz ARM core against a
 // 16-channel flash array, so fanning a single file out over the quad cores
-// should approach linear speedup — the stock read path and the streaming
-// read pipeline are both measured, at 1, 2 and 4 chunks.
+// should approach linear speedup — the serial-read ablation and the stock
+// streaming read pipeline are both measured, at 1, 2 and 4 chunks.
 func Scaleup(o Options) ScaleupResult {
 	data := textgen.Corpus(textgen.Config{Seed: o.Seed, Books: 1, MeanBookBytes: o.scanFileBytes()})[0].Data
 
@@ -51,16 +51,16 @@ func Scaleup(o Options) ScaleupResult {
 	}
 	var out ScaleupResult
 	for _, c := range cmds {
-		var serialOut string // stock serial stdout: the byte-identity reference
+		var serialOut string // serial-read one-chunk stdout: the byte-identity reference
 		for _, pipelined := range []bool{false, true} {
-			path := "stock"
+			path := "serial"
 			if pipelined {
 				path = "pipelined"
 			}
 			var base float64
 			for _, cores := range []int{1, 2, 4} {
 				o.logf("scaleup: %s pipelined=%v cores=%d...", c.name, pipelined, cores)
-				cfg := core.SystemConfig{ReadPipeline: pipelined, ScanChunks: cores} // 1 = the paper's executor
+				cfg := core.SystemConfig{SerialReads: !pipelined, ScanChunks: cores} // 1 = the paper's executor
 				stdout, elapsed, drive := o.scanRun(fmt.Sprintf("%s.%s.c%d", path, c.name, cores), cfg, c.cmd, data)
 				if !pipelined && cores == 1 {
 					serialOut = stdout
@@ -92,7 +92,7 @@ func (pts ScaleupResult) Render(w io.Writer) {
 	t := trace.NewTable("Intra-device parallel scan — one file split across the ISPS cores",
 		"workload", "path", "cores", "file MB", "MB/s", "speedup", "outputs match", "chunks")
 	for _, pt := range pts {
-		path := "stock"
+		path := "serial"
 		if pt.Pipelined {
 			path = "pipelined"
 		}

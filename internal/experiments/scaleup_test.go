@@ -4,8 +4,8 @@ import "testing"
 
 // TestScaleupSpeedupAndFidelity is the ISSUE's acceptance gate: splitting
 // one minion's file across all four ISPS cores must deliver at least 2.5x
-// on wc and grep versus the same path's serial run, with every merged
-// output byte-identical to the stock serial scan.
+// on wc and grep on the stock (pipelined) device versus its one-chunk run,
+// with every merged output byte-identical to the serial-read one-chunk scan.
 func TestScaleupSpeedupAndFidelity(t *testing.T) {
 	pts := Scaleup(DefaultOptions())
 	if len(pts) == 0 {
@@ -14,7 +14,7 @@ func TestScaleupSpeedupAndFidelity(t *testing.T) {
 	fourCore := map[string]float64{}
 	for _, pt := range pts {
 		if !pt.OutputsMatch {
-			t.Errorf("%s (pipelined=%v cores=%d): output differs from stock serial",
+			t.Errorf("%s (pipelined=%v cores=%d): output differs from the serial-read one-chunk scan",
 				pt.Workload, pt.Pipelined, pt.Cores)
 		}
 		if pt.Cores == 1 {
@@ -32,17 +32,17 @@ func TestScaleupSpeedupAndFidelity(t *testing.T) {
 			t.Errorf("%s (pipelined=%v cores=%d): speedup %.2fx, split made it slower",
 				pt.Workload, pt.Pipelined, pt.Cores, pt.Speedup)
 		}
-		if !pt.Pipelined && pt.Cores == 4 {
+		if pt.Pipelined && pt.Cores == 4 {
 			fourCore[pt.Workload] = pt.Speedup
 		}
 	}
-	// Measured ~3.5-3.9x on the stock path; 2.5x leaves margin while still
+	// Measured ~3.7x on the stock device; 2.5x leaves margin while still
 	// catching a regression to two-way (or no) parallelism.
 	for _, w := range []string{"wc", "grep"} {
 		if s, ok := fourCore[w]; !ok {
-			t.Errorf("no stock 4-core point for %s", w)
+			t.Errorf("no pipelined 4-core point for %s", w)
 		} else if s < 2.5 {
-			t.Errorf("%s stock 4-core speedup %.2fx, want >= 2.5x", w, s)
+			t.Errorf("%s pipelined 4-core speedup %.2fx, want >= 2.5x", w, s)
 		}
 	}
 }

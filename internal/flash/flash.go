@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"time"
 
-	"compstor/internal/energy"
 	"compstor/internal/obs"
 	"compstor/internal/sim"
 )
@@ -174,10 +173,6 @@ type Device struct {
 	lastOff sim.Time // most recent power-off instant; -1 if never cut
 
 	stats Stats
-	meter *energy.Component
-	// Incremental power while a die is busy, and per-byte bus energy, are
-	// fixed at SetEnergy time.
-	dieActiveW float64
 
 	faultHook func(op FaultOp, a Addr) error
 
@@ -302,7 +297,6 @@ func NewDevice(eng *sim.Engine, name string, geo Geometry, timing Timing) *Devic
 			return func() sim.Time {
 				die.AddBusy(busy)
 				die.Release()
-				d.chargeDie(busy)
 				if xfer == 0 {
 					return eng.Now()
 				}
@@ -354,16 +348,6 @@ func (d *Device) SetObs(o *obs.Obs) {
 	o.CounterFunc("flash.programs", func() int64 { return d.stats.Programs })
 	o.CounterFunc("flash.erases", func() int64 { return d.stats.Erases })
 	o.CounterFunc("flash.oob_reads", func() int64 { return d.stats.OOBReads })
-}
-
-// SetEnergy attaches an energy component: die-busy time is charged at
-// activeWatts, and channel-bus occupancy at busWatts per channel.
-func (d *Device) SetEnergy(c *energy.Component, activeWatts, busWatts float64) {
-	d.meter = c
-	d.dieActiveW = activeWatts
-	for _, l := range d.chanBus {
-		energy.MeterLink(c, l, busWatts)
-	}
 }
 
 func (d *Device) check(a Addr) error {
@@ -431,12 +415,6 @@ func (d *Device) storePage(a Addr, data []byte, oob OOB) []byte {
 	return page
 }
 
-func (d *Device) chargeDie(dur time.Duration) {
-	if d.meter != nil {
-		d.meter.AddActive(dur, d.dieActiveW)
-	}
-}
-
 // PowerOff cuts the device's power immediately. Operations in flight at the
 // cut fail with ErrPowerLoss when their timing completes; a program caught
 // mid-flight leaves a torn page behind. Idempotent.
@@ -464,8 +442,8 @@ func (d *Device) cutDuring(start sim.Time) bool {
 
 // Buffer ownership. The slab is private to the device: every entry point
 // copies across its boundary and none hands out a view of stored bytes.
-// ReadPageInto copies the payload into the caller's dst; ReadPage and
-// ReadPageOOB return a fresh slice the caller owns; ProgramPage,
+// ReadPageInto and PeekInto copy the payload into the caller's dst; ReadPage
+// and ReadPageOOB return a fresh slice the caller owns; ProgramPage,
 // ProgramPageOOB and InjectRaw copy the caller's data when the operation
 // completes, so the caller's buffer must stay unchanged until they return
 // and is the caller's again afterwards.
@@ -785,13 +763,16 @@ func (d *Device) InjectRaw(a Addr, data []byte, oob OOB) error {
 	return nil
 }
 
-// OOBAt returns the spare area stored at a without charging timing (test
-// inspection seam).
-func (d *Device) OOBAt(a Addr) (OOB, bool) {
+// PeekInto copies the payload stored at a into dst (one page, or nil) and
+// returns its spare area, with none of a read's cost: no timing, counters,
+// fault hook or power check. It serves the read cache's hits and test
+// inspection. ok is false when a holds no record; dst is then untouched.
+func (d *Device) PeekInto(a Addr, dst []byte) (OOB, bool) {
 	if d.check(a) != nil {
 		return OOB{}, false
 	}
-	_, oob, ok := d.storedPage(a)
+	data, oob, ok := d.storedPage(a)
+	copy(dst, data)
 	return oob, ok
 }
 

@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"compstor/internal/energy"
 	"compstor/internal/sim"
 )
 
@@ -253,27 +252,6 @@ func TestPaperGeometryIs24TBClass(t *testing.T) {
 	b := PaperGeometry().Bytes()
 	if b < 20e12 || b > 28e12 {
 		t.Fatalf("paper geometry capacity = %d bytes, want ~24 TB", b)
-	}
-}
-
-func TestEnergyCharging(t *testing.T) {
-	eng := sim.NewEngine()
-	dev := testDevice(eng)
-	m := energy.NewMeter(eng)
-	c := m.Component("flash", 0)
-	dev.SetEnergy(c, 2.0, 0.5)
-	eng.Go("io", func(p *sim.Proc) {
-		dev.ProgramPage(p, Addr{}, page(dev, 1))
-		dev.ReadPage(p, Addr{})
-	})
-	eng.Run()
-	if c.ActiveEnergy() <= 0 {
-		t.Fatal("no flash energy charged")
-	}
-	// Die energy alone: (tProg + tR) * 2 W.
-	dieJ := (DefaultTiming().ProgramPage + DefaultTiming().ReadPage).Seconds() * 2
-	if c.ActiveEnergy() < dieJ {
-		t.Fatalf("energy %g J below die-only bound %g J", c.ActiveEnergy(), dieJ)
 	}
 }
 

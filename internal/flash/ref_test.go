@@ -261,11 +261,14 @@ func (d *refDevice) InjectRaw(a Addr, data []byte, oob OOB) error {
 	return nil
 }
 
-func (d *refDevice) OOBAt(a Addr) (OOB, bool) {
+func (d *refDevice) PeekInto(a Addr, dst []byte) (OOB, bool) {
 	if d.check(a) != nil {
 		return OOB{}, false
 	}
 	oob, ok := d.oob[d.geo.PageIndex(a)]
+	if ok {
+		copy(dst, d.pages[d.geo.PageIndex(a)])
+	}
 	return oob, ok
 }
 
@@ -280,7 +283,7 @@ type store interface {
 	IsWritten(a Addr) bool
 	CorruptPage(a Addr) bool
 	InjectRaw(a Addr, data []byte, oob OOB) error
-	OOBAt(a Addr) (OOB, bool)
+	PeekInto(a Addr, dst []byte) (OOB, bool)
 	PowerOff()
 	PowerOn()
 }
@@ -384,7 +387,7 @@ func runOps(seed int64, ops int, eng *sim.Engine, geo Geometry, d store, setHook
 				restore()
 				line = fmt.Sprintf("cut-erase %v: %s", a, errClass(err))
 			default:
-				oob, ok := d.OOBAt(a)
+				oob, ok := d.PeekInto(a, nil)
 				line = fmt.Sprintf("inspect %v: written=%v oob=%+v/%v wear=%d max=%d", a, d.IsWritten(a), oob, ok, d.EraseCount(a), d.MaxEraseCount())
 			}
 			log = append(log, fmt.Sprintf("%d @%d %s", i, p.Now(), line))

@@ -26,7 +26,7 @@ func TestWriteErrorPropagates(t *testing.T) {
 	})
 	eng.Run()
 	// The failed write must not have mapped the page.
-	if f.MappedPages() != 0 {
+	if f.l2p.mapped != 0 {
 		t.Fatal("failed write left a mapping")
 	}
 }

@@ -247,12 +247,6 @@ func (f *FTL) LogicalBytes() int64 { return f.logicalPages * int64(f.geo.PageSiz
 // Stats returns activity counters.
 func (f *FTL) Stats() Stats { return f.stats }
 
-// FreeBlocks returns the number of blocks in the free pool.
-func (f *FTL) FreeBlocks() int { return f.freeBlocks }
-
-// MappedPages returns the number of logical pages currently mapped.
-func (f *FTL) MappedPages() int64 { return f.l2p.mapped }
-
 func (f *FTL) checkLPN(lpn int64) error {
 	if lpn < 0 || lpn >= f.logicalPages {
 		return fmt.Errorf("%w: lpn %d of %d", ErrCapacity, lpn, f.logicalPages)
@@ -319,6 +313,21 @@ func (f *FTL) verifyRead(lpn, ppn int64, data []byte, oob flash.OOB) error {
 		return fmt.Errorf("%w: lpn %d at %v", ErrCorrupt, lpn, f.geo.AddrOfPage(ppn))
 	}
 	return nil
+}
+
+// PeekPageInto copies logical page lpn, as its live mapping resolves it, into
+// dst with no timing and no media operation: the read cache's hit path,
+// which keeps no bytes of its own. ok is false when the mapped page fails
+// its OOB record (another LPN, or a payload CRC mismatch); dst then holds
+// nothing the caller may use. Unmapped pages read as zeroes.
+func (f *FTL) PeekPageInto(lpn int64, dst []byte) (ok bool) {
+	ppn := f.l2p.get(lpn).ppn
+	if ppn < 0 {
+		clear(dst)
+		return true
+	}
+	oob, ok := f.dev.PeekInto(f.geo.AddrOfPage(ppn), dst)
+	return ok && oob.LPN == lpn && pageCRC(dst) == oob.CRC
 }
 
 // ReadOp is ReadPageInto run in engine context, over a flash.ReadOp: the

@@ -112,8 +112,8 @@ func TestOverwriteInvalidatesOldMapping(t *testing.T) {
 		}
 		return nil
 	})
-	if f.MappedPages() != 1 {
-		t.Fatalf("mapped = %d, want 1", f.MappedPages())
+	if f.l2p.mapped != 1 {
+		t.Fatalf("mapped = %d, want 1", f.l2p.mapped)
 	}
 }
 
@@ -252,8 +252,8 @@ func TestTrimUnmapsAndReadsZero(t *testing.T) {
 	if f.Stats().Trims != 5 {
 		t.Fatalf("trims = %d, want 5", f.Stats().Trims)
 	}
-	if f.MappedPages() != 5 {
-		t.Fatalf("mapped = %d, want 5", f.MappedPages())
+	if f.l2p.mapped != 5 {
+		t.Fatalf("mapped = %d, want 5", f.l2p.mapped)
 	}
 }
 

@@ -209,7 +209,7 @@ func TestTrimJournalFaultLeavesMappingIntact(t *testing.T) {
 	if f.Stats().TrimRecords != 0 {
 		t.Fatalf("TrimRecords = %d after a failed trim", f.Stats().TrimRecords)
 	}
-	if f.MappedPages() != 4 {
-		t.Fatalf("MappedPages = %d, want 4", f.MappedPages())
+	if f.l2p.mapped != 4 {
+		t.Fatalf("MappedPages = %d, want 4", f.l2p.mapped)
 	}
 }

@@ -49,8 +49,8 @@ func TestRecoverFromCheckpoint(t *testing.T) {
 	if !rs.CheckpointFound || rs.CheckpointEntries != 30 {
 		t.Fatalf("recovery stats = %+v", rs)
 	}
-	if f2.MappedPages() != 30 {
-		t.Fatalf("recovered %d pages, want 30", f2.MappedPages())
+	if f2.l2p.mapped != 30 {
+		t.Fatalf("recovered %d pages, want 30", f2.l2p.mapped)
 	}
 	run(t, eng, func(p *sim.Proc) error {
 		for lpn := int64(0); lpn < 30; lpn++ {
@@ -90,8 +90,8 @@ func TestRecoverByScanWithoutCheckpoint(t *testing.T) {
 	if rs.CheckpointFound {
 		t.Fatalf("found a checkpoint that was never written: %+v", rs)
 	}
-	if rs.ReplayedWrites != 25 || f2.MappedPages() != 25 {
-		t.Fatalf("recovery stats = %+v, mapped %d", rs, f2.MappedPages())
+	if rs.ReplayedWrites != 25 || f2.l2p.mapped != 25 {
+		t.Fatalf("recovery stats = %+v, mapped %d", rs, f2.l2p.mapped)
 	}
 	run(t, eng, func(p *sim.Proc) error {
 		for lpn := int64(0); lpn < 25; lpn++ {
@@ -133,8 +133,8 @@ func TestRecoverDoesNotResurrectTrims(t *testing.T) {
 	if rs.ReplayedTrims != 1 {
 		t.Fatalf("recovery stats = %+v", rs)
 	}
-	if f2.MappedPages() != 10 {
-		t.Fatalf("recovered %d pages, want 10 (trim resurrected?)", f2.MappedPages())
+	if f2.l2p.mapped != 10 {
+		t.Fatalf("recovered %d pages, want 10 (trim resurrected?)", f2.l2p.mapped)
 	}
 	run(t, eng, func(p *sim.Proc) error {
 		zero := make([]byte, f2.PageSize())
@@ -199,7 +199,7 @@ func TestCorruptionDetectedOnRead(t *testing.T) {
 	geo := dev.Geometry()
 	corrupted := false
 	for ppn := int64(0); ppn < geo.Pages(); ppn++ {
-		if oob, ok := dev.OOBAt(geo.AddrOfPage(ppn)); ok && oob.LPN == 9 {
+		if oob, ok := dev.PeekInto(geo.AddrOfPage(ppn), nil); ok && oob.LPN == 9 {
 			if !dev.CorruptPage(geo.AddrOfPage(ppn)) {
 				t.Fatal("nothing to corrupt")
 			}
@@ -369,7 +369,7 @@ func TestCrashTortureDeterministic(t *testing.T) {
 			dev.PowerOn()
 			f2, rs := recoverFTL(t, eng, dev, tortureCfg())
 			stats[rep] = rs
-			maps[rep] = f2.MappedPages()
+			maps[rep] = f2.l2p.mapped
 			acks[rep] = len(ack)
 		}
 		if stats[0] != stats[1] || maps[0] != maps[1] || acks[0] != acks[1] {
@@ -439,8 +439,8 @@ func TestRecoverSurvivesMidCheckpointCut(t *testing.T) {
 	if !rs.CheckpointFound {
 		t.Fatalf("previous checkpoint lost: %+v", rs)
 	}
-	if f2.MappedPages() != 41 {
-		t.Fatalf("recovered %d pages, want 41", f2.MappedPages())
+	if f2.l2p.mapped != 41 {
+		t.Fatalf("recovered %d pages, want 41", f2.l2p.mapped)
 	}
 	run(t, eng, func(p *sim.Proc) error {
 		got, err := f2.ReadPage(p, 40)

@@ -101,8 +101,8 @@ func (r *refMaps) compare(f *FTL) error {
 			return fmt.Errorf("ppn %d: reverse entry %d, maps say %d", ppn, got, want)
 		}
 	}
-	if f.MappedPages() != int64(len(r.l2p)) {
-		return fmt.Errorf("MappedPages %d, maps hold %d", f.MappedPages(), len(r.l2p))
+	if f.l2p.mapped != int64(len(r.l2p)) {
+		return fmt.Errorf("MappedPages %d, maps hold %d", f.l2p.mapped, len(r.l2p))
 	}
 	for blk := range f.blocks {
 		if int(f.blocks[blk].valid) != r.valid[int64(blk)] {
@@ -204,20 +204,20 @@ func audit(f *FTL) (l2p map[int64]int64, err error) {
 		if back := f.lpnAt(e.ppn); back != lpn {
 			return nil, fmt.Errorf("lpn %d -> ppn %d -> lpn %d", lpn, e.ppn, back)
 		}
-		oob, ok := f.dev.OOBAt(f.geo.AddrOfPage(e.ppn))
+		oob, ok := f.dev.PeekInto(f.geo.AddrOfPage(e.ppn), nil)
 		if !ok || oob.LPN != lpn || oob.Seq != e.seq {
 			return nil, fmt.Errorf("lpn %d seq %d: media at ppn %d holds %+v (%v)", lpn, e.seq, e.ppn, oob, ok)
 		}
 	}
-	if f.MappedPages() != int64(len(l2p)) {
-		return nil, fmt.Errorf("MappedPages %d, table holds %d", f.MappedPages(), len(l2p))
+	if f.l2p.mapped != int64(len(l2p)) {
+		return nil, fmt.Errorf("MappedPages %d, table holds %d", f.l2p.mapped, len(l2p))
 	}
 	free := 0
 	for _, fl := range f.free {
 		free += len(fl)
 	}
-	if f.FreeBlocks() != free {
-		return nil, fmt.Errorf("FreeBlocks %d, free lists hold %d", f.FreeBlocks(), free)
+	if f.freeBlocks != free {
+		return nil, fmt.Errorf("FreeBlocks %d, free lists hold %d", f.freeBlocks, free)
 	}
 	inflight := 0
 	for blk := range f.blocks {

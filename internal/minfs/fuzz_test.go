@@ -298,7 +298,7 @@ func FuzzMinfsOps(f *testing.F) {
 					return err
 				}
 			}
-			if got := fs.List(); len(got) != len(model) {
+			if got := listFiles(fs); len(got) != len(model) {
 				return fmt.Errorf("filesystem lists %d files, model holds %d", len(got), len(model))
 			}
 			return nil

@@ -14,7 +14,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 
 	"compstor/internal/sim"
 )
@@ -58,7 +57,7 @@ type Syncer interface {
 // pipeline accepts asynchronous read-ahead hints. File readers detect
 // extent-sequential access and offer upcoming page runs; the device warms
 // them into its cache from background processes, bounded by its in-flight
-// window.
+// window. View.Pipelined reports such a device to the cost model.
 type Prefetcher interface {
 	// ReadAheadPages is the advised read-ahead distance in pages
 	// (0 = prefetching disabled).
@@ -68,14 +67,6 @@ type Prefetcher interface {
 	// in-flight window is full). It never blocks on media; it is a hint
 	// and carries no completion or error semantics.
 	Prefetch(p *sim.Proc, lpn, count int64) int64
-}
-
-// PipelinedDevice is an optional BlockDevice capability reporting that the
-// device serves reads through a caching/prefetching pipeline. Cost models
-// above the filesystem use it to pick the streaming charge split (see
-// cpu.StreamCPUFraction).
-type PipelinedDevice interface {
-	Pipelined() bool
 }
 
 // Filesystem errors.
@@ -140,16 +131,6 @@ func NewFS(pageSize int, pages int64) *FS {
 // PageSize returns the filesystem page size.
 func (fs *FS) PageSize() int { return fs.pageSize }
 
-// List returns all files sorted by name.
-func (fs *FS) List() []FileInfo {
-	out := make([]FileInfo, 0, len(fs.files))
-	for _, ino := range fs.files {
-		out = append(out, FileInfo{Name: ino.Name, Size: ino.Size})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // Stat returns the file's info.
 func (fs *FS) Stat(name string) (FileInfo, error) {
 	ino, ok := fs.files[name]
@@ -180,15 +161,6 @@ func (fs *FS) ExtentRunStarts(name string) ([]int64, error) {
 		pages += e.Count
 	}
 	return out, nil
-}
-
-// UsedBytes returns the total logical size of all files.
-func (fs *FS) UsedBytes() int64 {
-	var n int64
-	for _, ino := range fs.files {
-		n += ino.Size
-	}
-	return n
 }
 
 // bitmap helpers.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -257,7 +258,7 @@ func TestListAndStat(t *testing.T) {
 	inProc(t, eng, func(p *sim.Proc) error {
 		v.WriteFile(p, "b", make([]byte, 100))
 		v.WriteFile(p, "a", make([]byte, 200))
-		ls := v.FS().List()
+		ls := listFiles(v.FS())
 		if len(ls) != 2 || ls[0].Name != "a" || ls[1].Name != "b" {
 			return fmt.Errorf("list = %+v", ls)
 		}
@@ -265,8 +266,8 @@ func TestListAndStat(t *testing.T) {
 		if err != nil || st.Size != 200 {
 			return fmt.Errorf("stat: %+v %v", st, err)
 		}
-		if v.FS().UsedBytes() != 300 {
-			return fmt.Errorf("used = %d", v.FS().UsedBytes())
+		if usedBytes(v.FS()) != 300 {
+			return fmt.Errorf("used = %d", usedBytes(v.FS()))
 		}
 		return nil
 	})
@@ -587,9 +588,28 @@ func TestDiscardAndDeleteUnderWriter(t *testing.T) {
 		if err := w.Close(p); err != nil {
 			return err
 		}
-		if len(v.FS().List()) != 1 {
-			return fmt.Errorf("files left: %+v", v.FS().List())
+		if len(listFiles(v.FS())) != 1 {
+			return fmt.Errorf("files left: %+v", listFiles(v.FS()))
 		}
 		return audit(v.FS())
 	})
+}
+
+// listFiles returns all files sorted by name.
+func listFiles(fs *FS) []FileInfo {
+	out := make([]FileInfo, 0, len(fs.files))
+	for _, ino := range fs.files {
+		out = append(out, FileInfo{Name: ino.Name, Size: ino.Size})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
+}
+
+// usedBytes returns the total logical size of all files.
+func usedBytes(fs *FS) int64 {
+	var n int64
+	for _, ino := range fs.files {
+		n += ino.Size
+	}
+	return n
 }

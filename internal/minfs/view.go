@@ -51,10 +51,10 @@ func NewView(fs *FS, dev BlockDevice) *View {
 func (v *View) FS() *FS { return v.fs }
 
 // Pipelined reports whether this view's device serves reads through a
-// caching/prefetching pipeline (see PipelinedDevice).
+// caching/prefetching pipeline: a Prefetcher that advises read-ahead.
 func (v *View) Pipelined() bool {
-	pd, ok := v.dev.(PipelinedDevice)
-	return ok && pd.Pipelined()
+	pf, ok := v.dev.(Prefetcher)
+	return ok && pf.ReadAheadPages() > 0
 }
 
 // Sync serialises metadata into the reserved metadata region through this

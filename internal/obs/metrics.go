@@ -12,7 +12,6 @@ import (
 // is inert.
 type Registry struct {
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	funcs    map[string]func() int64
 }
@@ -21,7 +20,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 		funcs:    make(map[string]func() int64),
 	}
@@ -39,19 +37,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns the gauge registered under name, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	g := r.gauges[name]
-	if g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns the histogram registered under name, creating it on
@@ -100,36 +85,12 @@ func (c *Counter) Add(n int64) {
 	}
 }
 
-// Inc adds one.
-func (c *Counter) Inc() { c.Add(1) }
-
 // Value returns the current count (zero on a nil counter).
 func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
 	return c.v
-}
-
-// Gauge is a last-write-wins instantaneous value.
-type Gauge struct {
-	v float64
-}
-
-// Set stores v. Nil-safe.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.v = v
-}
-
-// Value returns the stored value (zero on a nil gauge).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
 }
 
 // histBuckets is one bucket per power of two of nanoseconds (bucket 0 holds

@@ -1,5 +1,5 @@
 // Package obs is the sim-time observability layer: a metrics registry
-// (counters, gauges, log-scaled latency histograms), a span tracer that
+// (counters and log-scaled latency histograms), a span tracer that
 // exports Chrome trace-event JSON loadable in Perfetto, and windowed
 // utilisation timelines for links and resources. Everything is driven off
 // virtual time, so with a fixed seed two runs produce byte-identical
@@ -100,14 +100,6 @@ func (o *Obs) Counter(name string) *Counter {
 		return nil
 	}
 	return o.shared.reg.Counter(o.prefix + name)
-}
-
-// Gauge returns the gauge registered under the scope's prefix + name.
-func (o *Obs) Gauge(name string) *Gauge {
-	if o == nil {
-		return nil
-	}
-	return o.shared.reg.Gauge(o.prefix + name)
 }
 
 // Histogram returns the sim-time histogram registered under the scope's

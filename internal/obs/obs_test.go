@@ -30,7 +30,7 @@ func TestCounterDeltas(t *testing.T) {
 		t.Fatalf("after overflow value = %d, want MaxInt64", got)
 	}
 	var nilC *Counter
-	nilC.Inc() // must not panic
+	nilC.Add(1) // must not panic
 	if nilC.Value() != 0 {
 		t.Fatal("nil counter reads non-zero")
 	}
@@ -228,7 +228,6 @@ func TestSnapshotScopingAndDeterminism(t *testing.T) {
 		o := New()
 		s := o.Scope("fig7").Scope("n4")
 		s.Counter("cluster.task_attempts").Add(7)
-		s.Gauge("mem").Set(0.5)
 		s.Histogram("ftl.read").Observe(90 * time.Microsecond)
 		s.Timeline("flash.ch0.busy", time.Millisecond, 1).Add(0, time.Millisecond/2)
 		s.CounterFunc("ftl.gc_runs", func() int64 { return 3 })

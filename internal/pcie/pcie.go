@@ -98,9 +98,6 @@ func (f *Fabric) AddPort() *Port {
 	return p
 }
 
-// Ports returns the number of attached ports.
-func (f *Fabric) Ports() int { return len(f.ports) }
-
 // Port returns the i-th attached port.
 func (f *Fabric) Port(i int) *Port { return f.ports[i] }
 
@@ -143,6 +140,3 @@ func (p *Port) Message(proc *sim.Proc) {
 
 // BytesToHost returns payload bytes DMAed device→host through this port.
 func (p *Port) BytesToHost() int64 { return p.toHost }
-
-// BytesFromHost returns payload bytes DMAed host→device through this port.
-func (p *Port) BytesFromHost() int64 { return p.fromHost }

@@ -64,8 +64,8 @@ func TestManyDevicesLimitedByUplink(t *testing.T) {
 	if got := f.Uplink().Bytes(); got != devs*per {
 		t.Fatalf("uplink moved %d bytes, want %d", got, int64(devs*per))
 	}
-	if f.Ports() != devs {
-		t.Fatalf("Ports = %d", f.Ports())
+	if len(f.ports) != devs {
+		t.Fatalf("Ports = %d", len(f.ports))
 	}
 }
 
@@ -77,8 +77,8 @@ func TestFromHostDirection(t *testing.T) {
 		port.FromHost(p, 1_000_000)
 	})
 	eng.Run()
-	if port.BytesFromHost() != 1_000_000 {
-		t.Fatalf("BytesFromHost = %d", port.BytesFromHost())
+	if port.fromHost != 1_000_000 {
+		t.Fatalf("BytesFromHost = %d", port.fromHost)
 	}
 	if port.BytesToHost() != 0 {
 		t.Fatal("ToHost counter polluted by FromHost transfer")

@@ -404,21 +404,6 @@ func (s *Server) Stats(name string) TenantStats {
 	panic("serve: unknown tenant " + name)
 }
 
-// Watchdog arms a deadline: if admitted requests are still unfinished when
-// the virtual clock reaches it, the engine is stopped and the returned
-// flag is set. Chaos tests use it to turn a hang into a failure instead of
-// a runaway simulation.
-func (s *Server) Watchdog(deadline sim.Time) *bool {
-	expired := new(bool)
-	s.eng.AtLabeled(deadline, "serve.watchdog", func() {
-		if s.Unfinished() > 0 {
-			*expired = true
-			s.eng.Stop()
-		}
-	})
-	return expired
-}
-
 // arrivals generates the tenant's arrival process until the horizon.
 func (s *Server) arrivals(p *sim.Proc, ts *tenantState) {
 	end := s.started.Add(s.cfg.Horizon)

@@ -301,9 +301,6 @@ func (e *Engine) Prewarm(n int) {
 // completes. Pending events stay queued.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Pending reports the number of events still queued.
-func (e *Engine) Pending() int { return e.q.len() }
-
 // Shutdown force-terminates every simulated process and releases the pooled
 // worker coroutines. Parked procs unwind via a panic that runs their defers;
 // events scheduled during the unwind are dropped. It must not be called

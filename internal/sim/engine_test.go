@@ -87,8 +87,8 @@ func TestEngineRunUntil(t *testing.T) {
 	if count != 3 {
 		t.Fatalf("ran %d events before deadline, want 3", count)
 	}
-	if e.Pending() != 2 {
-		t.Fatalf("pending = %d, want 2", e.Pending())
+	if e.q.len() != 2 {
+		t.Fatalf("pending = %d, want 2", e.q.len())
 	}
 	e.Run()
 	if count != 5 {
@@ -111,8 +111,8 @@ func TestEngineStop(t *testing.T) {
 	if count != 2 {
 		t.Fatalf("ran %d events, want 2 (stopped)", count)
 	}
-	if e.Pending() != 3 {
-		t.Fatalf("pending = %d, want 3", e.Pending())
+	if e.q.len() != 3 {
+		t.Fatalf("pending = %d, want 3", e.q.len())
 	}
 }
 

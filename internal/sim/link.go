@@ -81,10 +81,6 @@ func (l *Link) TransferTime(n int64) Time {
 	return done
 }
 
-// Delay blocks the process for the link's propagation latency only, as for
-// a doorbell write or small control message.
-func (l *Link) Delay(p *Proc) { p.Wait(l.latency) }
-
 // Bytes returns the total payload bytes moved through the pipe.
 func (l *Link) Bytes() int64 { return l.bytes }
 

@@ -40,15 +40,6 @@ func (m *Mailbox[T]) Recv(p *Proc) (item T, ok bool) {
 	return popFront(&m.items), true
 }
 
-// TryRecv dequeues without blocking; ok is false if the mailbox is empty.
-func (m *Mailbox[T]) TryRecv() (item T, ok bool) {
-	if len(m.items) == 0 {
-		var zero T
-		return zero, false
-	}
-	return popFront(&m.items), true
-}
-
 // Close marks the mailbox closed and wakes all blocked receivers, which
 // will observe ok=false once the queue drains.
 func (m *Mailbox[T]) Close() {
@@ -61,6 +52,3 @@ func (m *Mailbox[T]) Close() {
 
 // Len returns the number of queued items.
 func (m *Mailbox[T]) Len() int { return len(m.items) }
-
-// Closed reports whether Close has been called.
-func (m *Mailbox[T]) Closed() bool { return m.closed }

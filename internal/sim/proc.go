@@ -233,7 +233,3 @@ func (p *Proc) WaitFn(d Duration, fn func() Time) {
 	e.schedule(t, p.lbl, p, nil)
 	p.park()
 }
-
-// Yield lets all other events scheduled for the current instant run before
-// the process continues.
-func (p *Proc) Yield() { p.Wait(0) }

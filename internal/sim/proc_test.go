@@ -85,7 +85,7 @@ func TestProcYield(t *testing.T) {
 	var log []string
 	e.Go("first", func(p *Proc) {
 		log = append(log, "first-before")
-		p.Yield()
+		p.Wait(0)
 		log = append(log, "first-after")
 	})
 	e.Go("second", func(p *Proc) {

@@ -236,7 +236,7 @@ func TestMailboxCloseWakesReceivers(t *testing.T) {
 	if woken != 3 {
 		t.Fatalf("woken = %d, want 3", woken)
 	}
-	if !mb.Closed() {
+	if !mb.closed {
 		t.Fatal("mailbox not closed")
 	}
 }
@@ -316,8 +316,8 @@ func TestSemaphoreCallbackWaitersShareFIFO(t *testing.T) {
 	before := acct.Events()
 	ran := false
 	sem.AcquireFn(1, lbl, func() { ran = true })
-	if !ran || acct.Events() != before || e.Pending() != 0 {
-		t.Errorf("uncontended AcquireFn: ran=%v, %d events, %d pending", ran, acct.Events()-before, e.Pending())
+	if !ran || acct.Events() != before || e.q.len() != 0 {
+		t.Errorf("uncontended AcquireFn: ran=%v, %d events, %d pending", ran, acct.Events()-before, e.q.len())
 	}
 }
 

@@ -43,9 +43,10 @@ func TestDriverReadAllocations(t *testing.T) {
 // the ISPS path allocates nothing, and a host NVMe read only the buffer the
 // driver owes its caller (BenchmarkSSDRead16Pages: 61 allocs/op with a
 // worker process per page). One object of slack each: the scheduler's wheel
-// slots allocate their backing arrays as they are first reached.
+// slots allocate their backing arrays as they are first reached. The drive
+// reads serially, so the ISPS reads reach the batch, not the cache.
 func TestReadBatchAllocs(t *testing.T) {
-	eng, drive := newRig(t, true)
+	eng, drive := newSerialRig(t)
 	bd := drive.ispsBlockDevice().(*ispsBlockDevice)
 	drv := drive.Driver()
 	ps := drive.PageSize()

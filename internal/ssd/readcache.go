@@ -8,19 +8,22 @@ import (
 	"compstor/internal/sim"
 )
 
-// The streaming in-device read pipeline (Config.ReadPipeline): an ISPS-DRAM
-// page cache in front of the FTL plus a sequential read-ahead prefetcher.
-// The cache is carved out of the subsystem's 8 GB DDR4 budget
-// (isps.Subsystem.ReserveDRAM). Off by default: the stock path reproduces
-// the paper's synchronous read loop and its calibrated end-to-end
-// throughputs exactly; on is the "what if CompStor pipelined I/O with
-// compute" configuration measured by `compstor-bench -run pipeline`.
+// The streaming in-device read pipeline, how the stock CompStor reads: an
+// ISPS-DRAM page cache in front of the FTL plus a sequential read-ahead
+// prefetcher, carved out of the subsystem's 8 GB DDR4 budget
+// (isps.Subsystem.ReserveDRAM). Config.SerialReads is the ablation without
+// it, the paper's synchronous read loop. It exists only on an in-situ
+// drive's dedicated flash path.
 //
-// The pipeline only exists on the dedicated flash path of an in-situ drive
-// (the ISPS has no DRAM on conventional drives, and the NVMe-path ablation
-// deliberately strips the fast path), so ReadPipeline is ignored elsewhere.
-//
-// Its sizes are model constants; no experiment varies them.
+// The cache shares flash pages instead of copying them. An entry records
+// which logical page is resident; a hit resolves it through the FTL's live
+// mapping (ftl.PeekPageInto) and copies it once, into the reader's
+// destination, at DRAM bandwidth. GC relocation stays a hit, erase-and-reuse
+// cannot serve stale bytes, and a page corrupted after it was cached fails
+// its CRC, becomes a miss and surfaces as ftl.ErrCorrupt. Writes and TRIMs
+// invalidate; Remount drops everything, as a power cut empties DRAM. Every
+// structure is sized when the drive is built, so a read allocates nothing.
+// The sizes are model constants; no experiment varies them.
 const (
 	// cachePages sizes the LRU page cache: 64 MiB at 4 KiB pages, which holds
 	// a scan workload's per-device working set and is under 1% of the ISPS's
@@ -42,25 +45,27 @@ type ReadCacheStats struct {
 	Hits          int64 // demand pages served from ISPS DRAM
 	Misses        int64 // demand pages fetched from flash
 	Evictions     int64 // pages LRU-evicted
-	Invalidations int64 // cached pages dropped by write/TRIM/remount
+	Invalidations int64 // cached pages dropped by write/TRIM/remount or a failed check
 	PrefetchRuns  int64 // background fill processes spawned
 	PrefetchPages int64 // pages fetched by background fills
 	StaleFills    int64 // fills discarded because the page changed mid-flight
 	CachedPages   int64 // current occupancy
 }
 
-// cacheEntry is one cached page and its position in the LRU list.
-type cacheEntry struct {
-	lpn        int64
-	data       []byte
-	prev, next *cacheEntry
+// pageCache is readCache, or in tests the copying cache it replaced.
+type pageCache interface {
+	readPages(p *sim.Proc, lpn, count int64, out []byte) error
+	prefetch(p *sim.Proc, lpn, count int64) int64
+	invalidate(lpn, count int64)
+	dropAll()
+	Stats() ReadCacheStats
 }
 
-// fetchState tracks one page's in-flight fill. Invalidation cannot remove
-// an in-flight fill, so it marks the state stale and the fill discards its
-// result; demand readers poll until the state is cleared.
-type fetchState struct {
-	stale bool
+// lruSlot is one resident logical page and its neighbours in recency order,
+// as slot indices into a circular list whose sentinel is slot 0.
+type lruSlot struct {
+	lpn        int64
+	prev, next int32
 }
 
 // readCache is the ISPS-DRAM page cache plus prefetch machinery. Like
@@ -70,94 +75,125 @@ type fetchState struct {
 type readCache struct {
 	s *SSD
 
-	entries    map[int64]*cacheEntry
-	head, tail *cacheEntry // head = most recently used
+	index map[int64]int32 // resident logical page → its slot
+	slots []lruSlot       // slot 0's next is the most recently used, its prev the least
+	free  []int32         // slots holding no page
 
-	fetching map[int64]*fetchState
-	inflight int   // running background fills
-	seq      int64 // fill proc naming counter
+	// fetching holds the logical pages with a fetch in flight, each mapped
+	// to whether it went stale: invalidation cannot stop a fetch, so it
+	// marks it and the fetch discards its result; demand readers poll until
+	// the page leaves the map.
+	fetching map[int64]bool
+	fills    [][]int64 // idle fill lists, one per window slot
+	scratch  []byte    // where fills land: the cache keeps no bytes
+	inflight int       // running background fills
+	seq      int64     // fill proc naming counter
 
 	stats ReadCacheStats
 }
 
+func newReadCache(s *SSD) *readCache {
+	c := &readCache{
+		s:        s,
+		index:    make(map[int64]int32, cachePages),
+		slots:    make([]lruSlot, cachePages+1),
+		free:     make([]int32, 0, cachePages),
+		fetching: make(map[int64]bool, 2*fillWindow*readAheadPages),
+		scratch:  make([]byte, s.PageSize()),
+	}
+	for range fillWindow {
+		c.fills = append(c.fills, make([]int64, 0, readAheadPages))
+	}
+	c.empty()
+	return c
+}
+
 // LRU plumbing -----------------------------------------------------------------
 
-func (c *readCache) unlink(e *cacheEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (c *readCache) pushFront(e *cacheEntry) {
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
+// empty makes every slot free.
+func (c *readCache) empty() {
+	clear(c.index)
+	c.slots[0] = lruSlot{}
+	c.free = c.free[:0]
+	for i := int32(len(c.slots) - 1); i > 0; i-- {
+		c.free = append(c.free, i)
 	}
 }
 
-// get returns a cached page and refreshes its recency.
-func (c *readCache) get(lpn int64) ([]byte, bool) {
-	e, ok := c.entries[lpn]
+func (c *readCache) unlink(i int32) {
+	e := c.slots[i]
+	c.slots[e.prev].next = e.next
+	c.slots[e.next].prev = e.prev
+}
+
+func (c *readCache) pushFront(i int32) {
+	first := c.slots[0].next
+	c.slots[i].prev, c.slots[i].next = 0, first
+	c.slots[first].prev = i
+	c.slots[0].next = i
+}
+
+// remove drops a resident page.
+func (c *readCache) remove(lpn int64, i int32) {
+	c.unlink(i)
+	delete(c.index, lpn)
+	c.free = append(c.free, i)
+}
+
+// hit serves a resident page into dst and refreshes its recency. A page
+// whose flash copy no longer verifies is dropped and reported as a miss.
+func (c *readCache) hit(lpn int64, dst []byte) bool {
+	i, ok := c.index[lpn]
 	if !ok {
-		return nil, false
+		return false
 	}
-	c.unlink(e)
-	c.pushFront(e)
-	return e.data, true
+	if !c.s.ftl.PeekPageInto(lpn, dst) {
+		c.remove(lpn, i)
+		c.stats.Invalidations++
+		return false
+	}
+	c.unlink(i)
+	c.pushFront(i)
+	return true
 }
 
-// insert adds (or refreshes) a page, evicting from the LRU tail on
-// overflow. The cache owns data; callers must not retain or mutate it.
-func (c *readCache) insert(lpn int64, data []byte) {
-	if e, ok := c.entries[lpn]; ok {
-		e.data = data
-		c.unlink(e)
-		c.pushFront(e)
-		return
-	}
-	for int64(len(c.entries)) >= cachePages {
-		victim := c.tail
-		if victim == nil {
-			break
-		}
-		c.unlink(victim)
-		delete(c.entries, victim.lpn)
+// insert makes a page resident (or refreshes it), evicting from the LRU
+// tail when full.
+func (c *readCache) insert(lpn int64) {
+	i, ok := c.index[lpn]
+	switch {
+	case ok:
+		c.unlink(i)
+	case len(c.free) > 0:
+		i = c.free[len(c.free)-1]
+		c.free = c.free[:len(c.free)-1]
+	default:
+		i = c.slots[0].prev
+		c.unlink(i)
+		delete(c.index, c.slots[i].lpn)
 		c.stats.Evictions++
 	}
-	e := &cacheEntry{lpn: lpn, data: data}
-	c.entries[lpn] = e
-	c.pushFront(e)
+	c.slots[i].lpn = lpn
+	c.index[lpn] = i
+	c.pushFront(i)
 }
 
 // Invalidation ------------------------------------------------------------------
 
-// invalidate drops count pages starting at lpn: cached copies are removed
-// and in-flight fills are marked stale so they discard their result. Every
+// invalidate drops count pages starting at lpn: resident pages are removed
+// and in-flight fetches are marked stale so they discard their result. Every
 // path that changes logical content (host NVMe write/TRIM, ISPS-path
 // write/TRIM) calls this *after* the FTL operation completes, so a
-// concurrent fill either reads the new mapping, is marked stale mid-flight,
-// or had its inserted copy removed here — never a stale serve.
+// concurrent fetch either reads the new mapping, is marked stale mid-flight,
+// or had its entry removed here — never a stale serve.
 func (c *readCache) invalidate(lpn, count int64) {
-	for i := int64(0); i < count; i++ {
-		if e, ok := c.entries[lpn+i]; ok {
-			c.unlink(e)
-			delete(c.entries, lpn+i)
+	for l := lpn; l < lpn+count; l++ {
+		if i, ok := c.index[l]; ok {
+			c.remove(l, i)
 			c.stats.Invalidations++
 		}
-		if st, ok := c.fetching[lpn+i]; ok {
-			st.stale = true
+		if _, ok := c.fetching[l]; ok {
+			c.fetching[l] = true
 		}
 	}
 }
@@ -165,11 +201,10 @@ func (c *readCache) invalidate(lpn, count int64) {
 // dropAll empties the cache wholesale — ISPS DRAM does not survive a power
 // cut, so Remount calls this before serving any post-recovery read.
 func (c *readCache) dropAll() {
-	c.stats.Invalidations += int64(len(c.entries))
-	c.entries = make(map[int64]*cacheEntry)
-	c.head, c.tail = nil, nil
-	for _, st := range c.fetching {
-		st.stale = true
+	c.stats.Invalidations += int64(len(c.index))
+	c.empty()
+	for l := range c.fetching {
+		c.fetching[l] = true
 	}
 }
 
@@ -177,7 +212,7 @@ func (c *readCache) dropAll() {
 
 // readPages is the demand read into out (count pages): driver latency, then
 // per page either an ISPS-DRAM copy (hit), a poll-wait on an in-flight fill,
-// or a flash fetch (miss, fanned out channel-parallel and inserted
+// or a flash fetch (miss, fanned out channel-parallel and made resident
 // read-through).
 func (c *readCache) readPages(p *sim.Proc, lpn, count int64, out []byte) error {
 	p.Wait(ispsDriverLatency)
@@ -196,15 +231,15 @@ func (c *readCache) readPages(p *sim.Proc, lpn, count int64, out []byte) error {
 	defer miss.release()
 	hitPages := int64(0)
 	for i := int64(0); i < count; i++ {
-		for c.fetching[lpn+i] != nil {
+		for _, ok := c.fetching[lpn+i]; ok; _, ok = c.fetching[lpn+i] {
 			p.Wait(5 * time.Microsecond)
 		}
-		if data, ok := c.get(lpn + i); ok {
-			copy(out[i*ps:], data)
+		dst := out[i*ps : (i+1)*ps]
+		if c.hit(lpn+i, dst) {
 			hitPages++
 		} else {
-			c.fetching[lpn+i] = &fetchState{}
-			miss.pages = append(miss.pages, pageRead{lpn + i, out[i*ps : (i+1)*ps]})
+			c.fetching[lpn+i] = false
+			miss.pages = append(miss.pages, pageRead{lpn + i, dst})
 		}
 	}
 	c.stats.Hits += hitPages
@@ -213,19 +248,25 @@ func (c *readCache) readPages(p *sim.Proc, lpn, count int64, out []byte) error {
 		p.Wait(sim.DurationFor(hitPages*ps, dramBytesPerSec))
 	}
 
-	// Fetch the misses channel-parallel, then insert read-through (unless
+	// Fetch the misses channel-parallel, then make them resident (unless
 	// invalidated while the fetch was in flight).
 	err := miss.run(p)
 	for _, pg := range miss.pages {
-		st := c.fetching[pg.lpn]
-		delete(c.fetching, pg.lpn)
-		if err != nil || st.stale || c.s.dev.PoweredOff() {
-			continue
-		}
-		// out is the caller's; the cache keeps a copy of its own.
-		c.insert(pg.lpn, append([]byte(nil), pg.dst...))
+		c.landed(pg.lpn, err)
 	}
 	return err
+}
+
+// landed ends lpn's fetch with its batch's outcome, making the page resident
+// when the fetch succeeded and nothing changed it meanwhile.
+func (c *readCache) landed(lpn int64, err error) bool {
+	stale := c.fetching[lpn]
+	delete(c.fetching, lpn)
+	if err != nil || stale || c.s.dev.PoweredOff() {
+		return false
+	}
+	c.insert(lpn)
+	return true
 }
 
 // Prefetch path -----------------------------------------------------------------
@@ -238,27 +279,23 @@ func (c *readCache) readPages(p *sim.Proc, lpn, count int64, out []byte) error {
 func (c *readCache) prefetch(p *sim.Proc, lpn, count int64) int64 {
 	accepted := int64(0)
 	for accepted < count && c.inflight < fillWindow {
-		run := int64(readAheadPages)
-		if rem := count - accepted; run > rem {
-			run = rem
-		}
+		run := min(readAheadPages, count-accepted)
 		base := lpn + accepted
-		var fill []int64
-		for i := int64(0); i < run; i++ {
-			if _, ok := c.entries[base+i]; ok {
-				continue
+		fill := c.fills[len(c.fills)-1]
+		for l := base; l < base+run; l++ {
+			_, cached := c.index[l]
+			_, busy := c.fetching[l]
+			if !cached && !busy {
+				fill = append(fill, l)
 			}
-			if _, ok := c.fetching[base+i]; ok {
-				continue
-			}
-			fill = append(fill, base+i)
 		}
 		accepted += run
 		if len(fill) == 0 {
 			continue // whole run already warm: no slot consumed
 		}
+		c.fills = c.fills[:len(c.fills)-1]
 		for _, l := range fill {
-			c.fetching[l] = &fetchState{}
+			c.fetching[l] = false
 		}
 		c.inflight++
 		c.stats.PrefetchRuns++
@@ -273,12 +310,15 @@ func (c *readCache) prefetch(p *sim.Proc, lpn, count int64) int64 {
 }
 
 // fill is one background read-ahead run: pay the driver latency, fetch the
-// pages channel-parallel, insert whatever is still valid. Errors are
-// swallowed — a prefetch is a hint; the demand path will surface them.
+// pages channel-parallel, make resident whatever is still valid. Every page
+// lands in the one scratch page: the FTL verifies it as it lands, and the
+// cache keeps no bytes. Errors are swallowed — a prefetch is a hint; the
+// demand path will surface them.
 func (c *readCache) fill(p *sim.Proc, lpns []int64) {
 	start := p.Now()
 	defer func() {
 		c.inflight--
+		c.fills = append(c.fills, lpns[:0])
 		if c.s.raBusy != nil {
 			c.s.raBusy.Add(start, p.Now().Sub(start))
 		}
@@ -288,28 +328,24 @@ func (c *readCache) fill(p *sim.Proc, lpns []int64) {
 		defer sp.End()
 	}
 	p.Wait(ispsDriverLatency)
-	ps := c.s.PageSize()
 	run := c.s.newBatch()
 	defer run.release()
 	for _, l := range lpns {
-		run.pages = append(run.pages, pageRead{l, make([]byte, ps)}) // the very page the cache will own
+		run.pages = append(run.pages, pageRead{l, c.scratch})
 	}
 	err := run.run(p)
-	for _, pg := range run.pages {
-		st := c.fetching[pg.lpn]
-		delete(c.fetching, pg.lpn)
-		if err != nil || st.stale || c.s.dev.PoweredOff() {
+	for _, l := range lpns {
+		if c.landed(l, err) {
+			c.stats.PrefetchPages++
+		} else {
 			c.stats.StaleFills++
-			continue
 		}
-		c.insert(pg.lpn, pg.dst)
-		c.stats.PrefetchPages++
 	}
 }
 
 // Stats returns a counter snapshot including current occupancy.
 func (c *readCache) Stats() ReadCacheStats {
 	st := c.stats
-	st.CachedPages = int64(len(c.entries))
+	st.CachedPages = int64(len(c.index))
 	return st
 }

@@ -17,12 +17,15 @@ import (
 // returning the raw ISPS block device so tests can drive the cache at page
 // granularity (below the minfs write-back cache).
 func newPipelineRig(t *testing.T) (*sim.Engine, *SSD, *ispsBlockDevice) {
+	return newPipelineRigGeo(t, smallGeometry())
+}
+
+func newPipelineRigGeo(t *testing.T, geo flash.Geometry) (*sim.Engine, *SSD, *ispsBlockDevice) {
 	t.Helper()
 	eng := sim.NewEngine()
 	fabric := pcie.NewFabric(eng, pcie.DefaultConfig())
 	c := CompStorConfig("cs0", appset.Base())
-	c.Geometry = smallGeometry()
-	c.ReadPipeline = true
+	c.Geometry = geo
 	drive := New(eng, fabric.AddPort(), c)
 	return eng, drive, drive.ispsBlockDevice().(*ispsBlockDevice)
 }
@@ -304,7 +307,6 @@ func TestPipelineDeterminism(t *testing.T) {
 		fabric := pcie.NewFabric(eng, pcie.DefaultConfig())
 		cfg := CompStorConfig("cs0", appset.Base())
 		cfg.Geometry = smallGeometry()
-		cfg.ReadPipeline = true
 		drive := New(eng, fabric.AddPort(), cfg)
 		var o outcome
 		eng.Go("host", func(p *sim.Proc) {
@@ -332,16 +334,59 @@ func TestPipelineDeterminism(t *testing.T) {
 	}
 }
 
-// TestPipelineOffByDefault: the default drive keeps the paper's synchronous
-// read path — no cache, no prefetcher advertised to minfs.
-func TestPipelineOffByDefault(t *testing.T) {
-	eng, drive := newRig(t, true)
-	_ = eng
+// TestSerialReadsAblation: the stock in-situ drive reads through the
+// pipeline; the serial-read ablation keeps the paper's synchronous read
+// path — no cache, no prefetcher advertised to minfs.
+func TestSerialReadsAblation(t *testing.T) {
+	_, stock := newRig(t, true)
+	if _, ok := stock.ReadCacheStats(); !ok {
+		t.Fatal("stock CompStor has no read cache")
+	}
+	_, drive := newSerialRig(t)
 	if _, ok := drive.ReadCacheStats(); ok {
-		t.Fatal("read cache exists without ReadPipeline")
+		t.Fatal("read cache exists under SerialReads")
 	}
 	bd := drive.ispsBlockDevice().(*ispsBlockDevice)
-	if bd.ReadAheadPages() != 0 || bd.Pipelined() {
-		t.Fatal("disabled pipeline still advertises read-ahead")
+	if bd.ReadAheadPages() != 0 {
+		t.Fatal("serial-read drive still advertises read-ahead")
 	}
+}
+
+// TestCacheReadsAllocateNothing: the cache keeps no bytes, and its LRU and
+// fetch state were sized with the drive, so neither a steady-state hit nor a
+// read-through insert allocates.
+func TestCacheReadsAllocateNothing(t *testing.T) {
+	eng, drive, bd := newPipelineRig(t)
+	ps := drive.PageSize()
+	eng.Go("isps", func(p *sim.Proc) {
+		if err := bd.WritePages(p, 0, bytes.Repeat(pagePattern(3, ps), 64)); err != nil {
+			t.Error(err)
+			return
+		}
+		dst := make([]byte, 16*ps)
+		lpn := int64(0)
+		read := func() {
+			if err := bd.ReadPagesInto(p, lpn, dst); err != nil {
+				t.Error(err)
+			}
+		}
+		hit := func() { lpn = (lpn + 7) % 48; read() }
+		insert := func() { lpn = (lpn + 7) % 48; drive.invalidateCache(lpn, 16); read() }
+		for range 8000 { // builds the batch lanes and takes the scheduler round its wheel
+			hit()
+			insert()
+		}
+		for name, fn := range map[string]func(){"hit": hit, "read-through insert": insert} {
+			before, _ := drive.ReadCacheStats()
+			n := testing.AllocsPerRun(100, fn)
+			after, _ := drive.ReadCacheStats()
+			if hits := after.Hits - before.Hits; (name == "hit") != (hits == 101*16) {
+				t.Errorf("%s: %d hits in 101 reads of 16 pages", name, hits)
+			}
+			if n != 0 {
+				t.Errorf("16-page %s: %v allocs/op, want none", name, n)
+			}
+		}
+	})
+	eng.Run()
 }

@@ -51,11 +51,11 @@ type Config struct {
 	InSitu   bool
 	Registry *apps.Registry
 
-	// ReadPipeline turns on the streaming read pipeline (ISPS-DRAM page
-	// cache + read-ahead prefetcher, readcache.go). Only meaningful on
-	// in-situ drives with the dedicated flash path; ignored elsewhere. Off
-	// keeps the paper's synchronous read path.
-	ReadPipeline bool
+	// SerialReads is the serial-read ablation: no streaming read pipeline
+	// (ISPS-DRAM page cache + read-ahead prefetcher, readcache.go), so every
+	// in-situ read stalls its core — the paper's synchronous read loop. The
+	// pipeline only exists on in-situ drives with the dedicated flash path.
+	SerialReads bool
 
 	// ScanChunks is forwarded to the ISPS (isps.Config.ScanChunks): 0 splits
 	// a large scan one chunk per core, 1 is the paper's one-core-per-task
@@ -112,8 +112,10 @@ type SSD struct {
 
 	fs       *minfs.FS
 	ispsView *minfs.View
-	cache    *readCache    // streaming read pipeline; nil when disabled
+	cache    pageCache     // streaming read pipeline; nil without one
 	raBusy   *obs.Timeline // prefetch-window occupancy (nil without obs)
+
+	readStall time.Duration // ISPS-path reads: how long they kept their callers waiting
 
 	// ioNames are the forEachPage worker proc names, built once so the
 	// fan-out on every multi-page write spawns without formatting; reads fan
@@ -175,11 +177,11 @@ func New(eng *sim.Engine, port *pcie.Port, cfg Config) *SSD {
 		}
 		s.sub = isps.New(eng, icfg)
 		s.sub.SetObs(cfg.Obs)
-		if cfg.ReadPipeline && !cfg.ISPSViaNVMePath {
+		if !cfg.SerialReads && !cfg.ISPSViaNVMePath {
 			s.sub.ReserveDRAM(cachePages * int64(cfg.Geometry.PageSize))
-			s.cache = &readCache{s: s, entries: map[int64]*cacheEntry{}, fetching: map[int64]*fetchState{}}
+			c := newReadCache(s)
+			s.cache = c
 			if cfg.Obs != nil {
-				c := s.cache
 				cfg.Obs.CounterFunc("isps.cache.hits", func() int64 { return c.stats.Hits })
 				cfg.Obs.CounterFunc("isps.cache.misses", func() int64 { return c.stats.Misses })
 				cfg.Obs.CounterFunc("isps.cache.evictions", func() int64 { return c.stats.Evictions })
@@ -187,7 +189,7 @@ func New(eng *sim.Engine, port *pcie.Port, cfg Config) *SSD {
 				cfg.Obs.CounterFunc("isps.cache.prefetch_runs", func() int64 { return c.stats.PrefetchRuns })
 				cfg.Obs.CounterFunc("isps.cache.prefetch_pages", func() int64 { return c.stats.PrefetchPages })
 				cfg.Obs.CounterFunc("isps.cache.stale_fills", func() int64 { return c.stats.StaleFills })
-				cfg.Obs.CounterFunc("isps.cache.pages", func() int64 { return int64(len(c.entries)) })
+				cfg.Obs.CounterFunc("isps.cache.pages", func() int64 { return int64(len(c.index)) })
 				s.raBusy = cfg.Obs.Timeline("isps.prefetch.busy", time.Millisecond, fillWindow)
 			}
 		}
@@ -237,6 +239,11 @@ func (s *SSD) ReadCacheStats() (st ReadCacheStats, ok bool) {
 	return s.cache.Stats(), true
 }
 
+// ReadStall returns how long ISPS-path reads have kept their callers
+// waiting: with the ISPS's core-busy time, the split cpu.StreamCPUFraction
+// is measured from.
+func (s *SSD) ReadStall() time.Duration { return s.readStall }
+
 // invalidateCache drops cached copies of a logical range after its content
 // changed; a no-op when the pipeline is off.
 func (s *SSD) invalidateCache(lpn, count int64) {
@@ -262,10 +269,6 @@ func (s *SSD) Flash() *flash.Device { return s.dev }
 
 // ISPS returns the in-storage subsystem, or nil on conventional drives.
 func (s *SSD) ISPS() *isps.Subsystem { return s.sub }
-
-// CtrlCPU exposes the embedded controller cores (for interference
-// experiments).
-func (s *SSD) CtrlCPU() *sim.Resource { return s.ctrlCPU }
 
 // FS returns the drive's filesystem metadata object.
 func (s *SSD) FS() *minfs.FS { return s.fs }
@@ -605,9 +608,11 @@ func (d *ispsBlockDevice) ReadPages(p *sim.Proc, lpn, count int64) ([]byte, erro
 
 // ReadPagesInto implements minfs.PageReaderInto.
 func (d *ispsBlockDevice) ReadPagesInto(p *sim.Proc, lpn int64, dst []byte) error {
+	start := p.Now()
+	defer func() { d.s.readStall += p.Now().Sub(start) }()
 	ps := int64(d.s.PageSize())
 	count := int64(len(dst)) / ps
-	if d.direct && d.s.cache != nil {
+	if d.s.cache != nil { // only ever on the direct path
 		return d.s.cache.readPages(p, lpn, count, dst)
 	}
 	if d.direct {
@@ -653,9 +658,9 @@ func (d *ispsBlockDevice) TrimPages(p *sim.Proc, lpn, count int64) error {
 }
 
 // ReadAheadPages implements minfs.Prefetcher: the advised read-ahead
-// distance (0 when the pipeline is off, which disables file read-ahead).
+// distance, 0 without the pipeline (no file read-ahead, serial charging).
 func (d *ispsBlockDevice) ReadAheadPages() int64 {
-	if !d.direct || d.s.cache == nil {
+	if d.s.cache == nil {
 		return 0
 	}
 	return readAheadPages * fillWindow // the whole fill window's worth
@@ -664,15 +669,10 @@ func (d *ispsBlockDevice) ReadAheadPages() int64 {
 // Prefetch implements minfs.Prefetcher, delegating to the read cache's
 // background fill machinery.
 func (d *ispsBlockDevice) Prefetch(p *sim.Proc, lpn, count int64) int64 {
-	if !d.direct || d.s.cache == nil {
+	if d.s.cache == nil {
 		return 0
 	}
 	return d.s.cache.prefetch(p, lpn, count)
-}
-
-// Pipelined implements minfs.PipelinedDevice.
-func (d *ispsBlockDevice) Pipelined() bool {
-	return d.direct && d.s.cache != nil
 }
 
 // Sync implements minfs.Syncer over the dedicated path: the driver call

@@ -38,6 +38,16 @@ func newRig(t testing.TB, insitu bool) (*sim.Engine, *SSD) {
 	return eng, New(eng, fabric.AddPort(), cfg)
 }
 
+// newSerialRig is an in-situ drive on the serial-read ablation: ISPS reads go
+// straight to the FTL, with no cache in between.
+func newSerialRig(t testing.TB) (*sim.Engine, *SSD) {
+	eng := sim.NewEngine()
+	cfg := CompStorConfig("cs0", appset.Base())
+	cfg.Geometry = smallGeometry()
+	cfg.SerialReads = true
+	return eng, New(eng, pcie.NewFabric(eng, pcie.DefaultConfig()).AddPort(), cfg)
+}
+
 func TestHostReadWriteThroughNVMe(t *testing.T) {
 	eng, drive := newRig(t, false)
 	drv := drive.Driver()
@@ -198,7 +208,7 @@ func TestSharedCoresAblationWiring(t *testing.T) {
 	cfg.Geometry = smallGeometry()
 	cfg.SharedCores = true
 	drive := New(eng, fabric.AddPort(), cfg)
-	if drive.ISPS().Cores() != drive.CtrlCPU() {
+	if drive.ISPS().Cores() != drive.ctrlCPU {
 		t.Fatal("shared-core ablation did not share the controller CPU")
 	}
 }
@@ -261,8 +271,8 @@ func TestControllerOverheadCharged(t *testing.T) {
 		drv.Read(p, 0, 1)
 	})
 	eng.Run()
-	if drive.CtrlCPU().BusyTime() < 8*time.Microsecond {
-		t.Fatalf("controller CPU busy %v, want >= 8µs", drive.CtrlCPU().BusyTime())
+	if drive.ctrlCPU.BusyTime() < 8*time.Microsecond {
+		t.Fatalf("controller CPU busy %v, want >= 8µs", drive.ctrlCPU.BusyTime())
 	}
 }
 
