@@ -7,7 +7,6 @@
 //	               [-books N] [-mean BYTES] [-devices 1,2,4,8] [-v]
 //	               [-outdir DIR] [-trace out.json] [-metrics out.json]
 //	               [-cpuprofile out.pprof] [-memprofile out.pprof]
-//	               [-wallprofile N]
 //	compstor-bench -diff a.json b.json
 //
 // The -run names are the rows of experiments.Experiments, in the order
@@ -24,10 +23,10 @@
 // -diff runs nothing: it prints the metrics that moved most between two
 // BENCH_<name>.json files (counters, histogram quantiles, timeline means).
 //
-// -wallprofile N captures host wall-clock on spans and prints the top-N
-// span labels by gross wall time (and, with -trace, adds a wall_us argument
-// per span — the host-CPU view). How fast the simulator itself runs is
-// measured by the repository benchmark, `bash bench/run.sh`.
+// Every number printed is on the simulator's virtual clock. How fast the
+// simulator itself runs on the host is measured by the repository
+// benchmark, `bash bench/run.sh`; -cpuprofile labels its samples per
+// experiment for the same question about one invocation.
 //
 // A bad flag value, an unknown experiment or an unusable -outdir exits 2
 // before anything is run or written. Profiles and partial artefacts are
@@ -168,7 +167,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	metricsPath := fs.String("metrics", "", "write the combined metrics snapshot JSON here")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile here (samples carry an 'experiment' pprof label)")
 	memProfile := fs.String("memprofile", "", "write a heap profile here")
-	wallProfile := fs.Int("wallprofile", 0, "capture wall-clock on spans and print the top-N wall profile (0 = off)")
 	diff := fs.Bool("diff", false, "print the top movers between the two BENCH_<name>.json files given as arguments; run nothing")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -225,11 +223,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	root := obs.New()
-	if *tracePath != "" || *wallProfile > 0 {
+	if *tracePath != "" {
 		root.EnableTrace()
-	}
-	if *wallProfile > 0 {
-		root.EnableWallProfile()
 	}
 
 	art := &artifacts{
@@ -303,11 +298,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintln(stdout)
 		fmt.Fprintln(stdout, strings.Repeat("=", 78))
-	}
-	if *wallProfile > 0 {
-		obs.RenderWallProfile(stdout,
-			fmt.Sprintf("Wall profile — top %d span labels by gross host time", *wallProfile),
-			root.WallProfile(*wallProfile))
 	}
 	if !art.flush() {
 		return 1

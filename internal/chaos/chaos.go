@@ -238,23 +238,23 @@ func Install(sys *core.System, plan *Plan) *Injector {
 
 		dev := fmt.Sprint(i)
 		if f.PowerCutAt > 0 {
-			eng.AtLabeled(sim.Time(f.PowerCutAt), "chaos", func() {
+			eng.At(sim.Time(f.PowerCutAt), func() {
 				nand.PowerOff()
 				inj.stats.PowerCuts++
 				o.InstantAt(eng.Now(), "chaos", "power_cut", "device", dev)
 			})
 		}
 		if f.FailAt > 0 {
-			eng.AtLabeled(sim.Time(f.FailAt), "chaos", func() {
+			eng.At(sim.Time(f.FailAt), func() {
 				o.InstantAt(eng.Now(), "chaos", "device_failed", "device", dev)
 			})
 		}
 		if f.FailSlowAt > 0 && f.FailSlowFactor > 1 {
-			eng.AtLabeled(sim.Time(f.FailSlowAt), "chaos", func() {
+			eng.At(sim.Time(f.FailSlowAt), func() {
 				o.InstantAt(eng.Now(), "chaos", "failslow_start", "device", dev)
 			})
 			if f.FailSlowFor > 0 {
-				eng.AtLabeled(sim.Time(f.FailSlowAt+f.FailSlowFor), "chaos", func() {
+				eng.At(sim.Time(f.FailSlowAt+f.FailSlowFor), func() {
 					o.InstantAt(eng.Now(), "chaos", "failslow_end", "device", dev)
 				})
 			}

@@ -112,7 +112,7 @@ func (pl *Pool) RunHedged(p *sim.Proc, dev int, cmd core.Command) (*core.Respons
 		})
 	}
 	launch(0, dev)
-	pl.eng.AfterLabeled(delay, "hedge.timer", func() { out.Put(hedgeOutcome{leg: -1}) })
+	pl.eng.After(delay, func() { out.Put(hedgeOutcome{leg: -1}) })
 
 	var (
 		attempts    int

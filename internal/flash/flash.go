@@ -527,7 +527,6 @@ func (d *Device) finishRead(a Addr, start sim.Time, dst []byte) (OOB, error) {
 // die's FIFO, an event when the sense ends, an event when the transfer ends.
 type ReadOp struct {
 	d     *Device
-	label sim.Label
 	done  func(OOB, error)
 	a     Addr
 	dst   []byte // the caller's, from StartRead until done is called
@@ -537,9 +536,9 @@ type ReadOp struct {
 	granted, sensed, landed func()
 }
 
-// Init binds the op to its owner: label bills its events, done gets each outcome.
-func (op *ReadOp) Init(label sim.Label, done func(OOB, error)) {
-	op.label, op.done = label, done
+// Init binds the op to its owner: done gets each outcome.
+func (op *ReadOp) Init(done func(OOB, error)) {
+	op.done = done
 	op.granted, op.sensed, op.landed = op.onGrant, op.onSensed, op.onLanded
 }
 
@@ -554,18 +553,18 @@ func (d *Device) StartRead(op *ReadOp, a Addr, dst []byte, parent obs.Ctx) error
 	if d.obs != nil {
 		op.span = d.obs.BeginAt(op.start, parent, d.chTracks[a.Channel], "read")
 	}
-	d.dies[d.dieIndex(a)].AcquireFn(op.label, op.granted)
+	d.dies[d.dieIndex(a)].AcquireFn(op.granted)
 	return nil
 }
 
 func (op *ReadOp) onGrant() {
 	eng := op.d.eng
-	eng.AtLabel(eng.Now().Add(op.d.timing.ReadPage), op.label, op.sensed)
+	eng.At(eng.Now().Add(op.d.timing.ReadPage), op.sensed)
 }
 
 func (op *ReadOp) onSensed() {
 	d := op.d
-	d.eng.AtLabel(d.dieDone[d.dieIndex(op.a)].read(), op.label, op.landed)
+	d.eng.At(d.dieDone[d.dieIndex(op.a)].read(), op.landed)
 }
 
 func (op *ReadOp) onLanded() {

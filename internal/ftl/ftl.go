@@ -343,10 +343,10 @@ type ReadOp struct {
 	span  obs.Span
 }
 
-// Init binds the op to its owner: label bills its events, done gets each outcome.
-func (op *ReadOp) Init(label sim.Label, done func(error)) {
+// Init binds the op to its owner: done gets each outcome.
+func (op *ReadOp) Init(done func(error)) {
 	op.done = done
-	op.media.Init(label, op.landed)
+	op.media.Init(op.landed)
 }
 
 // StartRead is ReadPageInto from engine context, under the span parent.

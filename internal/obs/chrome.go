@@ -78,11 +78,6 @@ func writeChromeTrace(w io.Writer, t *Tracer) error {
 			if sp.parent != 0 {
 				args["parent"] = sp.parent
 			}
-			// Host-CPU view: only emitted under EnableWallProfile, so
-			// default traces stay byte-identical per seed.
-			if t.wall {
-				args["wall_us"] = usec(sp.wallNS)
-			}
 			out.TraceEvents = append(out.TraceEvents, chromeEvent{
 				Name: sp.name, Ph: "X", Ts: usec(int64(sp.begin)), Dur: &dur,
 				Pid: sp.pid, Tid: sp.tid, Args: args,

@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"time"
-
-	"compstor/internal/sim"
-)
+import "compstor/internal/sim"
 
 // Ctx identifies an open span so causality can cross a mailbox or queue:
 // the submitting side stores its Ctx alongside the message, the serving
@@ -38,7 +34,6 @@ type spanRec struct {
 	name   string
 	begin  sim.Time
 	end    sim.Time
-	wallNS int64 // gross wall-clock between begin and end; 0 unless wall capture is on
 }
 
 // instantRec is one zero-duration event.
@@ -61,8 +56,6 @@ type threadKey struct {
 // default; Obs.EnableTrace flips it on. All state is engine-context only.
 type Tracer struct {
 	enabled  bool
-	wall     bool      // capture wall clock on spans (host-dependent output)
-	wallBase time.Time // wall epoch so span wall offsets fit an int64
 	nextID   int64
 	spans    []spanRec
 	instants []instantRec
@@ -121,16 +114,15 @@ func (t *Tracer) tid(pid int, track string) int {
 // End already called) is a no-op, which is also what makes
 // end-without-begin harmless.
 type Span struct {
-	t         *Tracer
-	p         *sim.Proc
-	prev      any
-	id        int64
-	parent    int64
-	pid       int
-	tid       int
-	name      string
-	begin     sim.Time
-	wallBegin int64
+	t      *Tracer
+	p      *sim.Proc
+	prev   any
+	id     int64
+	parent int64
+	pid    int
+	tid    int
+	name   string
+	begin  sim.Time
 }
 
 func (t *Tracer) begin(p *sim.Proc, parent Ctx, pid int, track, name string) *Span {
@@ -150,7 +142,7 @@ func (t *Tracer) begin(p *sim.Proc, parent Ctx, pid int, track, name string) *Sp
 // beginAt opens a span no process carries.
 func (t *Tracer) beginAt(at sim.Time, parent Ctx, pid int, track, name string) Span {
 	t.nextID++
-	s := Span{
+	return Span{
 		t:      t,
 		id:     t.nextID,
 		parent: parent.id,
@@ -159,10 +151,6 @@ func (t *Tracer) beginAt(at sim.Time, parent Ctx, pid int, track, name string) S
 		name:   name,
 		begin:  at,
 	}
-	if t.wall {
-		s.wallBegin = time.Since(t.wallBase).Nanoseconds()
-	}
-	return s
 }
 
 // Ctx returns the span's context for cross-queue parenting. The zero Ctx on
@@ -194,10 +182,6 @@ func (s *Span) EndAt(end sim.Time) {
 	if s.t == nil {
 		return
 	}
-	var wallNS int64
-	if s.t.wall {
-		wallNS = time.Since(s.t.wallBase).Nanoseconds() - s.wallBegin
-	}
 	s.t.spans = append(s.t.spans, spanRec{
 		id:     s.id,
 		parent: s.parent,
@@ -206,7 +190,6 @@ func (s *Span) EndAt(end sim.Time) {
 		name:   s.name,
 		begin:  s.begin,
 		end:    end,
-		wallNS: wallNS,
 	})
 	s.t.order = append(s.t.order, traceRef{idx: len(s.t.spans) - 1})
 	s.t = nil

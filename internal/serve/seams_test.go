@@ -10,7 +10,7 @@ import "compstor/internal/sim"
 // a runaway simulation.
 func (s *Server) Watchdog(deadline sim.Time) *bool {
 	expired := new(bool)
-	s.eng.AtLabeled(deadline, "serve.watchdog", func() {
+	s.eng.At(deadline, func() {
 		if s.Unfinished() > 0 {
 			*expired = true
 			s.eng.Stop()

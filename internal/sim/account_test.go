@@ -5,24 +5,21 @@ import (
 	"time"
 )
 
-func TestAccountingCountsAndLabels(t *testing.T) {
+func TestAccountingCounts(t *testing.T) {
 	e := NewEngine()
 	a := e.EnableAccounting(AccountingConfig{})
 
-	// Three labeled callbacks, two unlabeled, and a proc whose digits are
-	// stripped from the accounting label.
-	for i := 0; i < 3; i++ {
-		e.AtLabeled(Time(int64(i+1)*1e6), "chaos", func() {})
+	// Five callbacks and a proc that waits once.
+	for i := 0; i < 5; i++ {
+		e.At(Time(int64(i+1)*1e6), func() {})
 	}
-	e.At(Time(5e6), func() {})
-	e.AfterLabeled(6*time.Millisecond, "", func() {}) // empty label pools with callbacks
 	e.Go("cal7", func(p *Proc) {
 		p.Wait(time.Millisecond)
 	})
 	e.Run()
 
 	// cal7: start step + wakeup after Wait = 2 events.
-	if got, want := a.Events(), int64(3+2+2); got != want {
+	if got, want := a.Events(), int64(5+2); got != want {
 		t.Fatalf("Events = %d, want %d", got, want)
 	}
 	if got := a.ProcsStarted(); got != 1 {
@@ -30,26 +27,6 @@ func TestAccountingCountsAndLabels(t *testing.T) {
 	}
 	if got := a.ProcSwitches(); got != 2 {
 		t.Fatalf("ProcSwitches = %d, want 2", got)
-	}
-	want := []LabelCount{
-		{Label: "cal", Events: 2},
-		{Label: "callback", Events: 2},
-		{Label: "chaos", Events: 3},
-	}
-	got := a.ByLabel()
-	if len(got) != len(want) {
-		t.Fatalf("ByLabel = %+v, want %+v", got, want)
-	}
-	for i := range want {
-		if got[i].Label != want[i].Label || got[i].Events != want[i].Events {
-			t.Fatalf("ByLabel[%d] = %+v, want %+v", i, got[i], want[i])
-		}
-		if got[i].WallNS != 0 {
-			t.Fatalf("ByLabel[%d].WallNS = %d, want 0 without wall capture", i, got[i].WallNS)
-		}
-	}
-	if a.SimElapsed() != Duration(6e6) {
-		t.Fatalf("SimElapsed = %v, want 6ms", a.SimElapsed())
 	}
 	if a.MaxHeapDepth() < 1 {
 		t.Fatalf("MaxHeapDepth = %d, want >= 1", a.MaxHeapDepth())
@@ -64,7 +41,7 @@ func TestAccountingDisabledIsNil(t *testing.T) {
 	// All accessors are nil-safe so callers can read unconditionally.
 	var a *Accounting
 	if a.Events() != 0 || a.ProcsStarted() != 0 || a.ProcSwitches() != 0 ||
-		a.MaxHeapDepth() != 0 || a.SimElapsed() != 0 || a.ByLabel() != nil {
+		a.InlineWaits() != 0 || a.MaxHeapDepth() != 0 {
 		t.Fatal("nil Accounting accessors not zero")
 	}
 	if ws := a.WallStats(); ws != (WallStats{}) {
@@ -84,60 +61,33 @@ func TestAccountingWallStats(t *testing.T) {
 	e.Run()
 
 	ws := a.WallStats()
-	if ws.Events != a.Events() || ws.Events == 0 {
-		t.Fatalf("WallStats.Events = %d, accounting %d", ws.Events, a.Events())
-	}
 	if ws.WallNS <= 0 {
 		t.Fatalf("WallNS = %d, want > 0", ws.WallNS)
-	}
-	if ws.SimNS != int64(100*time.Millisecond) {
-		t.Fatalf("SimNS = %d, want 100ms", ws.SimNS)
 	}
 	if ws.Mallocs == 0 {
 		t.Fatal("Mallocs = 0, want allocation delta")
 	}
-	if ws.PeakGoroutines < ws.Goroutines {
-		t.Fatalf("PeakGoroutines %d < Goroutines %d", ws.PeakGoroutines, ws.Goroutines)
-	}
-	var labelWall int64
-	for _, lc := range a.ByLabel() {
-		labelWall += lc.WallNS
-	}
-	if labelWall <= 0 || labelWall > ws.WallNS {
-		t.Fatalf("per-label wall %d outside (0, %d]", labelWall, ws.WallNS)
-	}
-}
-
-func TestAccountLabel(t *testing.T) {
-	cases := []struct{ in, want string }{
-		{"cal", "cal"},
-		{"cal7", "cal"},
-		{"cal12", "cal"},
-		{"isps2.core3", "isps.core"},
-		{"42", "proc"},
-		{"", ""},
-	}
-	for _, c := range cases {
-		if got := accountLabel(c.in); got != c.want {
-			t.Errorf("accountLabel(%q) = %q, want %q", c.in, got, c.want)
-		}
+	if off := e.EnableAccounting(AccountingConfig{}).WallStats(); off != (WallStats{}) {
+		t.Fatalf("WallStats without Wall = %+v, want zero", off)
 	}
 }
 
 // TestAccountingOverhead asserts — loosely, so scheduler noise cannot flake
-// CI — that sim-side accounting does not grossly slow the dispatch loop.
-// The design target is <= 5% (one nil check when off, one map increment
-// when on); the test only rejects order-of-magnitude regressions. Run
+// CI — that accounting does not grossly slow the dispatch loop, with or
+// without wall capture. The design target is <= 5% (one nil check when off, a
+// counter increment and a depth compare when on; wall capture reads the clock
+// only at enable and readout, never per event); the test only rejects
+// order-of-magnitude regressions, such as timing every event again. Run
 // BenchmarkEngineAccounting for the precise numbers.
 func TestAccountingOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
-	run := func(enable bool) time.Duration {
+	run := func(cfg *AccountingConfig) time.Duration {
 		const events = 200000
 		e := NewEngine()
-		if enable {
-			e.EnableAccounting(AccountingConfig{})
+		if cfg != nil {
+			e.EnableAccounting(*cfg)
 		}
 		n := 0
 		var tick func()
@@ -158,18 +108,28 @@ func TestAccountingOverhead(t *testing.T) {
 	// The gate is 3x, as loose as the comment above promises: at 1.5x the
 	// test failed on a two-core host while another package's tests ran
 	// beside it (on 12.2 ms, off 6.3 ms), and tier-1 must not depend on the
-	// runner being idle.
-	run(false) // warm up
-	off, on := run(false), run(true)
-	for i := 0; i < 9; i++ {
-		if d := run(false); d < off {
-			off = d
-		}
-		if d := run(true); d < on {
-			on = d
+	// runner being idle. Timing every event under wall capture cost about 4x,
+	// which is why the gate covers on-wall too.
+	configs := []struct {
+		name string
+		cfg  *AccountingConfig
+	}{
+		{"off", nil},
+		{"on", &AccountingConfig{}},
+		{"on-wall", &AccountingConfig{Wall: true}},
+	}
+	best := make([]time.Duration, len(configs))
+	run(nil) // warm up
+	for i := 0; i < 10; i++ {
+		for j, c := range configs {
+			if d := run(c.cfg); i == 0 || d < best[j] {
+				best[j] = d
+			}
 		}
 	}
-	if on > 3*off {
-		t.Errorf("accounting-on %v vs off %v: more than 3x — expected ~<=5%% overhead", on, off)
+	for j, c := range configs[1:] {
+		if on := best[j+1]; on > 3*best[0] {
+			t.Errorf("accounting %s %v vs off %v: more than 3x — expected ~<=5%% overhead", c.name, on, best[0])
+		}
 	}
 }

@@ -112,10 +112,11 @@ func BenchmarkEventChurn(b *testing.B) {
 }
 
 // BenchmarkEngineAccounting measures the dispatch-loop cost of scheduler
-// accounting: off (the nil-check-only baseline), on (event + label + depth
-// counters), and on with wall capture (two time.Now calls and periodic
-// goroutine sampling per event). Compare ns/op across the three to read the
-// overhead; TestAccountingOverhead gates it loosely.
+// accounting: off (the nil-check-only baseline), on (event and depth
+// counters), and on with wall capture, which reads the clock and MemStats
+// once at enable and adds nothing per event — no variant calls time.Now per
+// event. Compare ns/op across the three to read the overhead;
+// TestAccountingOverhead gates it loosely.
 func BenchmarkEngineAccounting(b *testing.B) {
 	bench := func(cfg *AccountingConfig) func(*testing.B) {
 		return func(b *testing.B) {

@@ -53,11 +53,6 @@ type Engine struct {
 	runDeadline Time
 	acct        *Accounting // nil unless EnableAccounting was called
 
-	// Label interning: events carry a uint32 id instead of a string. Id 0 is
-	// reserved for the unlabeled callback.
-	labels  []string
-	labelID map[string]uint32
-
 	// Worker pool backing Procs (see proc.go). Workers whose proc completed
 	// return to freeW and are rebound by the next Go, so the coroutine is
 	// reused instead of re-created.
@@ -87,11 +82,7 @@ func SetDefaultFastPaths(enabled bool) { defaultFastOff = !enabled }
 // NewEngine returns an engine with its clock at time zero and no pending
 // events.
 func NewEngine() *Engine {
-	e := &Engine{
-		labels:  []string{""},
-		labelID: make(map[string]uint32, 8),
-		fastOff: defaultFastOff,
-	}
+	e := &Engine{fastOff: defaultFastOff}
 	e.q.init()
 	return e
 }
@@ -99,57 +90,11 @@ func NewEngine() *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// intern maps a label string to its stable id, assigning one on first use.
-func (e *Engine) intern(label string) uint32 {
-	if label == "" {
-		return 0
-	}
-	if id, ok := e.labelID[label]; ok {
-		return id
-	}
-	id := uint32(len(e.labels))
-	e.labels = append(e.labels, label)
-	e.labelID[label] = id
-	return id
-}
-
-// labelName resolves an interned id for reporting.
-func (e *Engine) labelName(id uint32) string {
-	if id == 0 {
-		return "callback"
-	}
-	return e.labels[id]
-}
-
 // At schedules fn to run at virtual time t. Scheduling into the past
 // panics: the causality violation always indicates a model bug.
 func (e *Engine) At(t Time, fn func()) {
-	e.schedule(t, 0, nil, fn)
+	e.schedule(t, nil, fn)
 }
-
-// AtLabeled is At with an accounting label attributing the event to its
-// source (a model subsystem like "chaos" or a proc family like "worker").
-// With accounting off the label is carried but unused.
-func (e *Engine) AtLabeled(t Time, label string, fn func()) {
-	e.schedule(t, e.intern(label), nil, fn)
-}
-
-// AfterLabeled is After with an accounting label.
-func (e *Engine) AfterLabeled(d time.Duration, label string, fn func()) {
-	e.schedule(e.now.Add(d), e.intern(label), nil, fn)
-}
-
-// Label is an accounting label resolved once, for code that schedules an
-// event per media operation: AtLabeled looks its string up on every call.
-type Label uint32
-
-// ProcLabel returns the label processes named name are accounted under (Go
-// drops the digits: "cs3/io7" bills "cs/io"), so that engine-context code
-// standing in for such processes bills its events where theirs went.
-func (e *Engine) ProcLabel(name string) Label { return Label(e.intern(accountLabel(name))) }
-
-// AtLabel is AtLabeled for a label resolved in advance.
-func (e *Engine) AtLabel(t Time, label Label, fn func()) { e.schedule(t, uint32(label), nil, fn) }
 
 // After schedules fn to run d after the current virtual time. Negative
 // delays panic.
@@ -157,7 +102,7 @@ func (e *Engine) After(d time.Duration, fn func()) {
 	e.At(e.now.Add(d), fn)
 }
 
-func (e *Engine) schedule(t Time, lbl uint32, p *Proc, fn func()) {
+func (e *Engine) schedule(t Time, p *Proc, fn func()) {
 	if e.killing {
 		// Shutdown unwind: cleanup code may still unpark or reschedule, but
 		// nothing will ever run again, so the event is dropped.
@@ -170,7 +115,7 @@ func (e *Engine) schedule(t Time, lbl uint32, p *Proc, fn func()) {
 		panic(fmt.Sprintf("sim: event scheduled at %v, before now %v", t, e.now))
 	}
 	e.seq++
-	e.q.insert(event{at: t, seq: e.seq, lbl: lbl, p: p, fn: fn}, e.now)
+	e.q.insert(event{at: t, seq: e.seq, p: p, fn: fn}, e.now)
 }
 
 // Step executes the single earliest pending event and reports whether one
@@ -190,10 +135,9 @@ func (e *Engine) dispatchNext() {
 	ev := e.q.popReady()
 	e.now = ev.at
 	if a := e.acct; a != nil {
-		a.dispatch(ev, depth)
-	} else {
-		e.exec(ev)
+		a.dispatched(depth)
 	}
+	e.exec(ev)
 }
 
 // exec runs one popped event: a plain callback, a process resumption, or a
@@ -214,7 +158,7 @@ func (e *Engine) exec(ev event) {
 			// would have been after its Wait.
 			e.stepProc(p)
 		case done > e.now:
-			e.schedule(done, p.lbl, p, nil)
+			e.schedule(done, p, nil)
 		default:
 			panic("sim: WaitFn continuation returned a past time")
 		}
@@ -277,7 +221,8 @@ func (e *Engine) inlineAdvance(p *Proc, t Time) {
 	depth := e.q.len() + 1
 	e.now = t
 	if a := e.acct; a != nil {
-		a.inlineEvent(p.lbl, depth)
+		a.dispatched(depth)
+		a.inlineWaits++
 	}
 }
 

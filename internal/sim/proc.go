@@ -21,7 +21,6 @@ import (
 type Proc struct {
 	eng       *Engine
 	name      string
-	lbl       uint32 // interned accounting label (name with digits stripped)
 	w         *worker
 	body      func(p *Proc)
 	pendingFn func() Time // engine-side continuation armed by WaitFn
@@ -33,8 +32,8 @@ type Proc struct {
 // next switches from the engine into the coroutine, yield switches back, and
 // neither goes through the goroutine scheduler. When a body returns, the
 // coroutine yields at the top of its loop and the engine rebinds it to the
-// next Go instead of creating a fresh one — this is what keeps
-// peak_goroutines near the number of concurrently live procs. A panic (or
+// next Go instead of creating a fresh one — this is what keeps the
+// goroutine count near the number of concurrently live procs. A panic (or
 // runtime.Goexit) in a body surfaces from next, i.e. from Engine.Run on the
 // caller's goroutine.
 type worker struct {
@@ -86,12 +85,12 @@ func (w *worker) runBody(p *Proc) (killed bool) {
 
 // Go starts a new simulated process executing body. The process begins at
 // the current virtual time (after already-scheduled events at that time).
-// The name is used in diagnostics and scheduler accounting only.
+// The name is used in diagnostics only.
 func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
 	if e.closed {
 		panic("sim: Go after Shutdown")
 	}
-	p := &Proc{eng: e, name: name, lbl: uint32(e.ProcLabel(name)), body: body}
+	p := &Proc{eng: e, name: name, body: body}
 	if a := e.acct; a != nil {
 		a.procsStarted++
 	}
@@ -108,7 +107,7 @@ func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
 	}
 	w.p = p
 	p.w = w
-	e.schedule(e.now, p.lbl, p, nil)
+	e.schedule(e.now, p, nil)
 	return p
 }
 
@@ -168,7 +167,7 @@ func (p *Proc) park() {
 // must be called from engine context (an event callback or another process)
 // while p is parked.
 func (p *Proc) unpark() {
-	p.eng.schedule(p.eng.now, p.lbl, p, nil)
+	p.eng.schedule(p.eng.now, p, nil)
 }
 
 // Wait advances the process's virtual time by d. Other events and processes
@@ -195,7 +194,7 @@ func (p *Proc) waitUntil(t Time) {
 		e.inlineAdvance(p, t)
 		return
 	}
-	e.schedule(t, p.lbl, p, nil)
+	e.schedule(t, p, nil)
 	p.park()
 }
 
@@ -225,11 +224,11 @@ func (p *Proc) WaitFn(d Duration, fn func() Time) {
 			e.inlineAdvance(p, done)
 			return
 		}
-		e.schedule(done, p.lbl, p, nil)
+		e.schedule(done, p, nil)
 		p.park()
 		return
 	}
 	p.pendingFn = fn
-	e.schedule(t, p.lbl, p, nil)
+	e.schedule(t, p, nil)
 	p.park()
 }

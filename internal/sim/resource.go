@@ -18,13 +18,12 @@ type Semaphore struct {
 	queueTime func(wait Duration)
 }
 
-// semWaiter is a parked process (p), or a callback (fn, grant-event label, arrival).
+// semWaiter is a parked process (p), or a callback (fn, arrival).
 type semWaiter struct {
-	p   *Proc
-	fn  func()
-	n   int
-	lbl Label
-	t0  Time
+	p  *Proc
+	fn func()
+	n  int
+	t0 Time
 }
 
 // NewSemaphore creates a semaphore holding n tokens (and capacity n).
@@ -75,16 +74,16 @@ func (s *Semaphore) Acquire(p *Proc, n int) {
 
 // AcquireFn is Acquire for engine-context code, which has no process to
 // park: fn runs once the n tokens are held — inside the call if they are free
-// and nobody queues, otherwise as an event of its own, billed to label, at
-// the instant a Release grants it (which feeds the count and the hook). That
-// is the event a parked process would have resumed in, from the same FIFO, so
-// swapping a process for a callback moves nothing in the dispatch order.
-func (s *Semaphore) AcquireFn(n int, label Label, fn func()) {
+// and nobody queues, otherwise as an event of its own, at the instant a
+// Release grants it (which feeds the count and the hook). That is the event a
+// parked process would have resumed in, from the same FIFO, so swapping a
+// process for a callback moves nothing in the dispatch order.
+func (s *Semaphore) AcquireFn(n int, fn func()) {
 	if s.tryAcquire(n) {
 		fn()
 		return
 	}
-	s.waiters = append(s.waiters, semWaiter{fn: fn, n: n, lbl: label, t0: s.eng.Now()})
+	s.waiters = append(s.waiters, semWaiter{fn: fn, n: n, t0: s.eng.Now()})
 }
 
 // SetQueueTimeHook installs a hook invoked on every successful Acquire with
@@ -110,7 +109,7 @@ func (s *Semaphore) Release(n int) {
 			continue
 		}
 		s.acquired(s.eng.now.Sub(w.t0))
-		s.eng.schedule(s.eng.now, uint32(w.lbl), nil, w.fn)
+		s.eng.schedule(s.eng.now, nil, w.fn)
 	}
 }
 
@@ -167,7 +166,7 @@ func (r *Resource) QueueLen() int { return r.sem.QueueLen() }
 func (r *Resource) Acquire(p *Proc) { r.sem.Acquire(p, 1) }
 
 // AcquireFn claims one server for engine-context code; see Semaphore.AcquireFn.
-func (r *Resource) AcquireFn(label Label, fn func()) { r.sem.AcquireFn(1, label, fn) }
+func (r *Resource) AcquireFn(fn func()) { r.sem.AcquireFn(1, fn) }
 
 // Release frees one server.
 func (r *Resource) Release() { r.sem.Release(1) }

@@ -254,7 +254,6 @@ func TestSemaphoreCallbackWaitersShareFIFO(t *testing.T) {
 	sem.SetQueueTimeHook(func(w Duration) { waits = append(waits, w) })
 	var order []string
 	note := func(s string) { order = append(order, s+"@"+e.Now().String()) }
-	lbl := e.ProcLabel("cb7")
 
 	e.Go("holder", func(p *Proc) {
 		sem.Acquire(p, 1)
@@ -273,7 +272,7 @@ func TestSemaphoreCallbackWaitersShareFIFO(t *testing.T) {
 	}
 	callback := func(name string, at Duration, then func()) {
 		e.After(at, func() {
-			sem.AcquireFn(1, lbl, func() {
+			sem.AcquireFn(1, func() {
 				note(name)
 				then()
 			})
@@ -300,22 +299,10 @@ func TestSemaphoreCallbackWaitersShareFIFO(t *testing.T) {
 	if sem.Available() != 1 || sem.QueueLen() != 0 {
 		t.Errorf("semaphore left with %d tokens, %d waiters", sem.Available(), sem.QueueLen())
 	}
-	// The three grant events are billed to the callbacks' label, like the
-	// resumptions of the processes they stand in for.
-	billed := int64(0)
-	for _, lc := range acct.ByLabel() {
-		if lc.Label == "cb" {
-			billed = lc.Events
-		}
-	}
-	if billed != 3 {
-		t.Errorf("label cb billed %d events, want 3", billed)
-	}
-
 	// A free semaphore grants a callback inside the call, without an event.
 	before := acct.Events()
 	ran := false
-	sem.AcquireFn(1, lbl, func() { ran = true })
+	sem.AcquireFn(1, func() { ran = true })
 	if !ran || acct.Events() != before || e.q.len() != 0 {
 		t.Errorf("uncontended AcquireFn: ran=%v, %d events, %d pending", ran, acct.Events()-before, e.q.len())
 	}
@@ -328,7 +315,6 @@ func TestResourceAcquireFnMatchesProcess(t *testing.T) {
 	run := func(callbacks bool) (trace []Time, acquires int64) {
 		e := NewEngine()
 		r := NewResource(e, 2)
-		lbl := e.ProcLabel("user")
 		for i := 0; i < 7; i++ {
 			arrive := Duration(i%3) * time.Microsecond
 			hold := Duration(3+i%4) * time.Microsecond
@@ -337,9 +323,9 @@ func TestResourceAcquireFnMatchesProcess(t *testing.T) {
 					p.Wait(arrive)
 					var wg WaitGroup
 					wg.Add(1)
-					r.AcquireFn(lbl, func() {
+					r.AcquireFn(func() {
 						trace = append(trace, e.Now())
-						e.AtLabel(e.Now().Add(hold), lbl, func() {
+						e.At(e.Now().Add(hold), func() {
 							r.Release()
 							wg.Done()
 						})
@@ -374,7 +360,6 @@ func TestContendedResourceAllocatesNothing(t *testing.T) {
 	e := NewEngine()
 	defer e.Shutdown()
 	r := NewResource(e, 1)
-	lbl := e.ProcLabel("cb")
 	for i := 0; i < 3; i++ {
 		e.Go("user", func(p *Proc) {
 			for {
@@ -384,12 +369,12 @@ func TestContendedResourceAllocatesNothing(t *testing.T) {
 			}
 		})
 		var hold, release func()
-		hold = func() { e.AtLabel(e.Now().Add(time.Microsecond), lbl, release) }
+		hold = func() { e.At(e.Now().Add(time.Microsecond), release) }
 		release = func() {
 			r.Release()
-			r.AcquireFn(lbl, hold)
+			r.AcquireFn(hold)
 		}
-		r.AcquireFn(lbl, hold)
+		r.AcquireFn(hold)
 	}
 	round := func() { e.RunUntil(e.Now().Add(100 * time.Microsecond)) }
 	for i := 0; i < 400; i++ { // a full lap of the scheduler's wheel, which allocates each slot once

@@ -36,15 +36,13 @@ const (
 	occWords     = wheelBuckets / 64
 )
 
-// event is a value-typed queue entry (~48 bytes): no per-event heap
+// event is a value-typed queue entry (32 bytes): no per-event heap
 // allocation and no interface boxing, unlike the old heap of *event.
 // Exactly one of p / fn is set: p resumes a process (or runs its pendingFn
-// in engine context), fn is a plain callback. lbl is an interned accounting
-// label (index into Engine.labels; 0 is the unlabeled "callback" id).
+// in engine context), fn is a plain callback.
 type event struct {
 	at  Time
 	seq uint64
-	lbl uint32
 	p   *Proc
 	fn  func()
 }

@@ -203,12 +203,12 @@ func TestNestedEngineInsideProc(t *testing.T) {
 
 // TestWorkerPoolAccounting pins the pool's observable behaviour: which Go
 // reuses a worker, how many switches a run costs, and how many goroutines
-// back it — the numbers procs_reused and peak_goroutines report.
+// back it.
 func TestWorkerPoolAccounting(t *testing.T) {
 	base := goroutineBaseline()
 	e := NewEngine()
 	defer e.Shutdown()
-	a := e.EnableAccounting(AccountingConfig{Wall: true})
+	a := e.EnableAccounting(AccountingConfig{})
 	e.Prewarm(2)
 	stagger := func(n int) {
 		for i := 0; i < n; i++ {
@@ -233,8 +233,7 @@ func TestWorkerPoolAccounting(t *testing.T) {
 	if sw, in := a.ProcSwitches(), a.InlineWaits(); sw != 31 || in != 2 {
 		t.Fatalf("switches %d inline %d, want 31 and 2", sw, in)
 	}
-	ws := a.WallStats()
-	if ws.Goroutines != base+5 || ws.PeakGoroutines != base+5 {
-		t.Fatalf("goroutines %d peak %d, want %d (five pooled workers)", ws.Goroutines, ws.PeakGoroutines, base+5)
+	if g := runtime.NumGoroutine(); g != base+5 {
+		t.Fatalf("goroutines %d, want %d (five pooled workers)", g, base+5)
 	}
 }

@@ -174,7 +174,7 @@ type fanOutOutcome struct {
 	End   sim.Time
 
 	procs    int64  // processes started after staging
-	ioEvents int64  // events billed to the drive's io label after staging
+	events   int64  // events dispatched after staging
 	snapshot string // traced runs: the metrics snapshot and the exported trace
 	trace    string
 }
@@ -182,7 +182,7 @@ type fanOutOutcome struct {
 // model returns the part of the outcome that may not depend on how the
 // fan-out is implemented or on whether anyone is watching.
 func (o fanOutOutcome) model() fanOutOutcome {
-	o.procs, o.ioEvents, o.snapshot, o.trace = 0, 0, "", ""
+	o.procs, o.events, o.snapshot, o.trace = 0, 0, "", ""
 	return o
 }
 
@@ -286,12 +286,7 @@ func (sc fanOutScenario) run(t testing.TB, read readPagesFn, traced bool) fanOut
 		b := s.dev.ChannelBus(c)
 		out.Buses = append(out.Buses, fmt.Sprintf("busy=%v transfers=%d", b.BusyTime(), b.Transfers()))
 	}
-	out.procs = acct.ProcsStarted()
-	for _, lc := range acct.ByLabel() {
-		if lc.Label == "ssd/io" {
-			out.ioEvents = lc.Events
-		}
-	}
+	out.procs, out.events = acct.ProcsStarted(), acct.Events()
 	if traced {
 		var snap, tr bytes.Buffer
 		if err := o.Snapshot("fanout").WriteJSON(&snap); err != nil {
@@ -359,8 +354,8 @@ func TestReadFanOutStartsNoProcess(t *testing.T) {
 	if want := int64(len(sc.readers)); batch.procs != want || ref.procs <= want {
 		t.Errorf("processes started: batch %d, reference %d; want %d and more", batch.procs, ref.procs, want)
 	}
-	if batch.ioEvents == 0 || batch.ioEvents >= ref.ioEvents {
-		t.Errorf("io-label events: batch %d, reference %d; want fewer, not none", batch.ioEvents, ref.ioEvents)
+	if batch.events == 0 || batch.events >= ref.events {
+		t.Errorf("events dispatched: batch %d, reference %d; want fewer, not none", batch.events, ref.events)
 	}
 	if batch.Flash.Reads < 40 {
 		t.Errorf("only %d media reads: the scenario is vacuous", batch.Flash.Reads)

@@ -119,9 +119,8 @@ type SSD struct {
 
 	// ioNames are the forEachPage worker proc names, built once so the
 	// fan-out on every multi-page write spawns without formatting; reads fan
-	// out without processes (readBatch) and bill their events to ioLabel.
+	// out without processes (readBatch).
 	ioNames []string
-	ioLabel sim.Label
 	batches []*readBatch // idle, ready for reuse
 
 	vendor    func(p *sim.Proc, op nvme.Opcode, payload any) (any, int64, error)
@@ -148,7 +147,6 @@ func New(eng *sim.Engine, port *pcie.Port, cfg Config) *SSD {
 	for i := range s.ioNames {
 		s.ioNames[i] = fmt.Sprintf("%s/io%d", cfg.Name, i)
 	}
-	s.ioLabel = eng.ProcLabel(s.ioNames[0])
 	s.dev.SetObs(cfg.Obs)
 	s.ftl = ftl.New(s.dev, cfg.FTL)
 	s.fs = minfs.NewFS(cfg.Geometry.PageSize, s.ftl.LogicalPages())
@@ -515,12 +513,12 @@ func (b *readBatch) run(p *sim.Proc) error {
 	b.nLanes = min(len(s.ioNames), n)
 	for len(b.lanes) < b.nLanes {
 		l := &readLane{b: b}
-		l.op.Init(s.ioLabel, l.step)
+		l.op.Init(l.step)
 		b.lanes = append(b.lanes, l)
 	}
 	b.parent = obs.CtxOf(p)
 	b.wg.Add(b.nLanes)
-	s.eng.AtLabel(s.eng.Now(), s.ioLabel, b.start)
+	s.eng.At(s.eng.Now(), b.start)
 	b.wg.Wait(p)
 	return b.err
 }
