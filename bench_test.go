@@ -7,8 +7,9 @@
 //	go test -bench=. -benchmem
 //
 // regenerates the whole evaluation. Shapes — who wins, by what factor —
-// are asserted in internal/experiments's unit tests; here the numbers are
-// surfaced for inspection.
+// are asserted once, by the claims table TestRegistry checks
+// (internal/experiments/claims_test.go); here the numbers are surfaced for
+// inspection.
 package compstor
 
 import (

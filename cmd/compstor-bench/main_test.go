@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -74,12 +75,14 @@ func TestUnusableOutdirExitsBeforeRunning(t *testing.T) {
 }
 
 // TestRunWritesReportAndArtefact drives one simulated part end to end: it
-// renders only that part, creates a missing -outdir, and files the
-// snapshot under the composite's artefact name.
+// renders only that part, creates a missing -outdir, files the snapshot
+// under the composite's artefact name, and writes -trace and -metrics as
+// valid JSON.
 func TestRunWritesReportAndArtefact(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "new", "dir")
+	dir := t.TempDir()
+	out, tr, mt := filepath.Join(dir, "new", "dir"), filepath.Join(dir, "trace.json"), filepath.Join(dir, "metrics.json")
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-run", "table3", "-outdir", out}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"-run", "table3", "-outdir", out, "-trace", tr, "-metrics", mt}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d (stderr %q)", code, stderr.String())
 	}
 	if !strings.Contains(stdout.String(), "Table III") || strings.Contains(stdout.String(), "Table II ") {
@@ -91,6 +94,11 @@ func TestRunWritesReportAndArtefact(t *testing.T) {
 	}
 	if !bytes.Contains(js, []byte(`"table3.compstor0.ftl.read"`)) {
 		t.Error("BENCH_tables.json carries no table3 FTL read histogram")
+	}
+	for _, p := range []string{tr, mt} {
+		if b, err := os.ReadFile(p); err != nil || !json.Valid(b) {
+			t.Errorf("%s: %v, or not valid JSON", p, err)
+		}
 	}
 }
 

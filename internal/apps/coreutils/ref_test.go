@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
+	"strings"
 	"testing"
 )
 
@@ -149,6 +151,99 @@ func FuzzWCCount(f *testing.F) {
 			t.Fatalf("tr: %d bytes %v, byte loop wrote %d bytes %v", out.Len(), err, rout.Len(), rerr)
 		}
 		sameCalls(t, "tr", got, want)
+	})
+}
+
+// linesRef splits input the way the tools' line scanner does: at each '\n',
+// less one '\r' before it; a last line without '\n' still counts.
+func linesRef(in string) []string {
+	var lines []string
+	for start, i := 0, 0; i < len(in); i++ {
+		if in[i] == '\n' || i == len(in)-1 {
+			end := i
+			if in[i] != '\n' {
+				end++
+			}
+			if end > start && in[end-1] == '\r' {
+				end--
+			}
+			lines = append(lines, in[start:end])
+			start = i + 1
+		}
+	}
+	return lines
+}
+
+// cutRef is cut -d delim -f over lines, one byte at a time: it records
+// where each field starts and emits the fields of every range in the order
+// given, duplicates included, joined by delim.
+func cutRef(lines []string, delim byte, ranges [][2]int) string {
+	var out []byte
+	for _, l := range lines {
+		starts := []int{0} // field f begins at starts[f-1]
+		for i := 0; i < len(l); i++ {
+			if l[i] == delim {
+				starts = append(starts, i+1)
+			}
+		}
+		n := 0
+		for _, r := range ranges {
+			for f := r[0]; f <= r[1] && f <= len(starts); f++ {
+				end := len(l)
+				if f < len(starts) {
+					end = starts[f] - 1
+				}
+				if n > 0 {
+					out = append(out, delim)
+				}
+				out = append(out, l[starts[f-1]:end]...)
+				n++
+			}
+		}
+		out = append(out, '\n')
+	}
+	return string(out)
+}
+
+// FuzzCutTailEcho holds cut, tail and echo to reference loops on arbitrary
+// input: cut -d D -f LO-HI,K (a bad list must exit 1 and print nothing),
+// tail -n N, and echo given the input split at D as its arguments.
+func FuzzCutTailEcho(f *testing.F) {
+	f.Add("a:b:c\nd:e:f\n", byte(':'), uint8(2), uint8(3), uint8(1), uint8(1))
+	f.Add("x\ty\r\n\r\n\tz\r", byte('\t'), uint8(1), uint8(9), uint8(3), uint8(0))
+	f.Add("1 2\n3\n4 5 6\n7", byte(' '), uint8(3), uint8(2), uint8(1), uint8(3)) // bad range
+	f.Add("", byte('\n'), uint8(1), uint8(1), uint8(0), uint8(9))                // bad field
+	f.Fuzz(func(t *testing.T, in string, delim, lo, hi, k, n uint8) {
+		d := string([]byte{delim})
+		lines := linesRef(in)
+
+		want, wantCode := "", 1
+		if lo >= 1 && hi >= lo && k >= 1 {
+			want, wantCode = cutRef(lines, delim, [][2]int{{int(lo), int(hi)}, {int(k), int(k)}}), 0
+		}
+		if out, code := runTool(t, Cut{}, in, "-d", d, "-f", fmt.Sprintf("%d-%d,%d", lo, hi, k)); out != want || code != wantCode {
+			t.Fatalf("cut -d %q -f %d-%d,%d = %q (exit %d), want %q (exit %d)", d, lo, hi, k, out, code, want, wantCode)
+		}
+
+		want = ""
+		for _, l := range lines[max(len(lines)-int(n), 0):] {
+			want += l + "\n"
+		}
+		if out, code := runTool(t, Tail{}, in, "-n", fmt.Sprint(n)); out != want || code != 0 {
+			t.Fatalf("tail -n %d = %q (exit %d), want %q", n, out, code, want)
+		}
+
+		args := strings.Split(in, d)
+		want = ""
+		for i, a := range args {
+			if i > 0 {
+				want += " "
+			}
+			want += a
+		}
+		if out, code := runTool(t, Echo{}, "", args...); out != want+"\n" || code != 0 {
+			t.Fatalf("echo %q = %q (exit %d), want %q", args, out, code, want+"\n")
+		}
 	})
 }
 

@@ -53,7 +53,6 @@ func (c *class) has(b byte) bool { in := c.bits[b>>6]&(1<<(b&63)) != 0; return i
 
 // Regexp is a compiled pattern.
 type Regexp struct {
-	src        string
 	prog       []inst
 	startPC    int
 	anchorHead bool
@@ -363,7 +362,7 @@ func (p *parser) parseClass() (*node, error) {
 
 // Compile parses a pattern. fold enables ASCII case-insensitive matching.
 func Compile(pattern string, fold bool) (*Regexp, error) {
-	re := &Regexp{src: pattern, fold: fold}
+	re := &Regexp{fold: fold}
 	if strings.HasPrefix(pattern, "^") {
 		re.anchorHead = true
 		pattern = pattern[1:]
@@ -430,5 +429,3 @@ func (re *Regexp) findLiteral(line []byte) int {
 	}
 	return bytes.Index(line, re.literal)
 }
-
-func (re *Regexp) String() string { return re.src }

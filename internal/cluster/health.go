@@ -37,19 +37,6 @@ const (
 	HealthProbation
 )
 
-func (s HealthState) String() string {
-	switch s {
-	case HealthHealthy:
-		return "healthy"
-	case HealthQuarantined:
-		return "quarantined"
-	case HealthProbation:
-		return "probation"
-	default:
-		return "unknown"
-	}
-}
-
 // HealthPolicy configures gray-failure detection. The zero value disables
 // it, keeping the PR 1 strike model byte-identical.
 type HealthPolicy struct {

@@ -30,9 +30,6 @@ func NewClient(drive *ssd.SSD) *Client {
 // files and retrieving outputs.
 func (c *Client) FS() *minfs.View { return c.view }
 
-// Drive returns the client's device.
-func (c *Client) Drive() *ssd.SSD { return c.drive }
-
 // SendMinion configures a minion with the command, sends it, waits for the
 // in-situ processing to finish, and returns the minion with its response
 // populated (steps 1 and 6 of Table III).

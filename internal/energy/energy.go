@@ -29,9 +29,6 @@ type Component struct {
 	busyNS  int64
 }
 
-// Name returns the component's registered name.
-func (c *Component) Name() string { return c.name }
-
 // AddActive charges incremental energy for d of activity at ΔP = watts
 // above base power.
 func (c *Component) AddActive(d time.Duration, watts float64) {

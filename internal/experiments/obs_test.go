@@ -11,6 +11,7 @@ import (
 	"compstor/internal/core"
 	"compstor/internal/obs"
 	"compstor/internal/sim"
+	"compstor/internal/textgen"
 )
 
 func obsTestOptions() Options {
@@ -23,8 +24,8 @@ func obsTestOptions() Options {
 
 // TestBenchSnapshotSchema runs a small instrumented experiment and
 // strict-decodes its snapshot JSON: any field the exporter writes that the
-// schema struct does not declare (or vice versa) fails the round trip. This
-// is the same shape check CI applies to the BENCH_*.json artifacts.
+// schema struct does not declare (or vice versa) fails the round trip. Every
+// BENCH_*.json artefact has this shape.
 func TestBenchSnapshotSchema(t *testing.T) {
 	o := obsTestOptions()
 	root := obs.New()
@@ -142,8 +143,10 @@ func TestMidRunSnapshotIsRaceFree(t *testing.T) {
 }
 
 // TestTraceAndMetricsDeterminism runs the same seeded degraded experiment
-// twice and requires byte-identical trace and metrics exports — the
-// property that makes a trace attachable to a bug report.
+// and a stock (pipelined, split) scan twice and requires byte-identical,
+// valid JSON trace and metrics exports — the property that makes a trace
+// attachable to a bug report — with the chaos instants and the split
+// scan's chunk spans in the trace.
 func TestTraceAndMetricsDeterminism(t *testing.T) {
 	run := func() (traceJSON, metricsJSON []byte) {
 		o := obsTestOptions()
@@ -155,6 +158,8 @@ func TestTraceAndMetricsDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		o.degradedPoint(2, w)
+		o.scanRun("scan", core.SystemConfig{}, core.Command{Exec: "grep", Args: []string{"-c", "the", "scan.txt"}},
+			textgen.Book(o.Seed, 1<<20))
 		var tb, mb bytes.Buffer
 		if err := root.WriteTrace(&tb); err != nil {
 			t.Fatal(err)
@@ -172,7 +177,13 @@ func TestTraceAndMetricsDeterminism(t *testing.T) {
 	if !bytes.Equal(m1, m2) {
 		t.Error("metrics exports differ between identical seeded runs")
 	}
-	if len(t1) == 0 || !bytes.Contains(t1, []byte(`"ph":"i"`)) {
+	if !json.Valid(t1) || !json.Valid(m1) {
+		t.Error("trace or metrics export is not valid JSON")
+	}
+	if !bytes.Contains(t1, []byte(`"ph":"i"`)) {
 		t.Error("degraded trace has no instant events (chaos faults missing)")
+	}
+	if !bytes.Contains(t1, []byte("isps/parscan")) {
+		t.Error("trace has no split-scan chunk spans")
 	}
 }

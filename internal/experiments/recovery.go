@@ -73,52 +73,31 @@ func recoveryPoint(geo flash.Geometry, ckptEvery, writes int, seed int64, ob *ob
 	}
 }
 
-// RecoveryIntervals sweeps the checkpoint interval at fixed geometry: a
-// tighter interval trades steady-state checkpoint writes for less journal
-// replay at remount, with "never checkpoint" as the full-scan baseline.
-func RecoveryIntervals(o Options) []RecoveryPoint {
-	geo := o.recoveryGeometry()
-	writes := int(geo.Pages() / 4)
-	var out []RecoveryPoint
-	for _, every := range []int{-1, 4096, 1024, 256, 64} {
-		o.logf("recovery: checkpoint interval %d...", every)
-		out = append(out, recoveryPoint(geo, every, writes, o.Seed, o.Obs.Scope(fmt.Sprintf("ckpt%d", every))))
-	}
-	return out
-}
-
-// RecoveryScanScaling doubles the media size at a fixed checkpoint interval:
-// the OOB scan walks every written page, so remount time grows with media,
-// which is exactly why the checkpoint region exists.
-func RecoveryScanScaling(o Options) []RecoveryPoint {
-	geo := o.recoveryGeometry()
-	var out []RecoveryPoint
-	for i := 0; i < 4; i++ {
-		o.logf("recovery: media scale %dx...", 1<<i)
-		writes := int(geo.Pages() / 4)
-		out = append(out, recoveryPoint(geo, 1024, writes, o.Seed, o.Obs.Scope(fmt.Sprintf("scale%d", 1<<i))))
-		geo.BlocksPerPlan *= 2
-	}
-	return out
-}
-
-// recoveryGeometry shrinks the experiment geometry so the interval sweep
-// stays fast: recovery cost scales with pages, not page size.
-func (o Options) recoveryGeometry() flash.Geometry {
-	geo := o.Geometry
-	geo.BlocksPerPlan = 16
-	geo.PagesPerBlock = 32
-	geo.PageSize = 1024
-	return geo
-}
-
 // RecoveryResult is the crash-recovery evaluation: the checkpoint-interval
 // sweep and the media-size sweep.
 type RecoveryResult struct{ Intervals, Scaling []RecoveryPoint }
 
-// Recovery runs both remount sweeps.
+// Recovery runs both remount sweeps on a shrunken geometry (recovery cost
+// scales with pages, not page size). Intervals varies the checkpoint
+// interval at fixed media: a tighter interval trades steady-state
+// checkpoint writes for less journal replay at remount, with "never
+// checkpoint" as the full-scan baseline. Scaling doubles the media at a
+// fixed interval: the OOB scan walks every written page, so remount time
+// grows with media, which is exactly why the checkpoint region exists.
 func Recovery(o Options) RecoveryResult {
-	return RecoveryResult{Intervals: RecoveryIntervals(o), Scaling: RecoveryScanScaling(o)}
+	geo := o.Geometry
+	geo.BlocksPerPlan, geo.PagesPerBlock, geo.PageSize = 16, 32, 1024
+	var r RecoveryResult
+	for _, every := range []int{-1, 4096, 1024, 256, 64} {
+		o.logf("recovery: checkpoint interval %d...", every)
+		r.Intervals = append(r.Intervals, recoveryPoint(geo, every, int(geo.Pages()/4), o.Seed, o.Obs.Scope(fmt.Sprintf("ckpt%d", every))))
+	}
+	for i := 0; i < 4; i++ {
+		o.logf("recovery: media scale %dx...", 1<<i)
+		r.Scaling = append(r.Scaling, recoveryPoint(geo, 1024, int(geo.Pages()/4), o.Seed, o.Obs.Scope(fmt.Sprintf("scale%d", 1<<i))))
+		geo.BlocksPerPlan *= 2
+	}
+	return r
 }
 
 // Render writes both remount reports.

@@ -3,30 +3,78 @@ package experiments
 import (
 	"bytes"
 	"reflect"
+	"sync"
 	"testing"
 
 	"compstor/internal/obs"
 )
 
+// rowRun is one run of a row: the structured result, the rendered report
+// and the scope's snapshot.
+type rowRun struct {
+	rep  Report
+	out  []byte
+	snap obs.Snapshot
+}
+
 // runRow runs one row of the table as compstor-bench does — a fresh root,
-// a scope named after the artefact — and returns the structured result,
-// the rendered report and the scope's snapshot.
-func runRow(t *testing.T, e Experiment) (Report, []byte, obs.Snapshot) {
-	t.Helper()
+// a scope named after the artefact.
+func runRow(e Experiment) rowRun {
 	o := tinyOptions()
 	o.Obs = obs.New().Scope(e.Artefact())
 	rep := e.Run(o)
 	var out bytes.Buffer
 	rep.Render(&out)
-	return rep, out.Bytes(), o.Obs.Snapshot(e.Artefact())
+	return rowRun{rep, out.Bytes(), o.Obs.Snapshot(e.Artefact())}
+}
+
+// firstRuns holds each row's first run, made once and shared by
+// TestRegistry and the named claim tests, so a claim never costs a rerun.
+var firstRuns = func() map[string]func() rowRun {
+	m := map[string]func() rowRun{}
+	for _, e := range Experiments() {
+		m[e.Name] = sync.OnceValue(func() rowRun { return runRow(e) })
+	}
+	return m
+}()
+
+// rowReport returns the R in row's first run, failing unless the row's
+// render mentions each of mentions.
+func rowReport[R Report](t *testing.T, row string, mentions ...string) R {
+	t.Helper()
+	run := firstRuns[row]()
+	for _, m := range mentions {
+		if !bytes.Contains(run.out, []byte(m)) {
+			t.Errorf("%s render does not mention %q", row, m)
+		}
+	}
+	r, ok := findReport[R](run.rep)
+	if !ok {
+		t.Fatalf("row %s has no %T", row, r)
+	}
+	return r
+}
+
+// findReport returns the first R in rep, looking inside composites.
+func findReport[R Report](rep Report) (R, bool) {
+	if rs, ok := rep.(reports); ok {
+		for _, sub := range rs {
+			if r, ok := findReport[R](sub); ok {
+				return r, true
+			}
+		}
+	}
+	r, ok := rep.(R)
+	return r, ok
 }
 
 // TestRegistry holds every row of the experiment table to the contract the
 // driver and CI rely on: unique names, parts that point at a real
 // composite, and a run that is a pure function of its options — the same
-// structured result, report bytes and snapshot bytes twice over. A row
-// that simulates anything must also leave at least one latency histogram
-// in its artefact, or the BENCH file explains nothing.
+// structured result, report bytes and snapshot bytes twice over. Each
+// row's result must then hold its claims (claims_test.go), and a row that
+// simulates anything must leave at least one latency histogram in its
+// artefact, or the BENCH file explains nothing.
 func TestRegistry(t *testing.T) {
 	table := Experiments()
 	names := map[string]bool{}
@@ -42,31 +90,25 @@ func TestRegistry(t *testing.T) {
 		}
 		t.Run(e.Name, func(t *testing.T) {
 			t.Parallel() // rows share nothing; the long ones overlap
-			rep1, out1, snap1 := runRow(t, e)
-			rep2, out2, snap2 := runRow(t, e)
-			if !reflect.DeepEqual(rep1, rep2) {
-				t.Errorf("results differ across identical runs:\n%+v\nvs\n%+v", rep1, rep2)
+			run1, run2 := firstRuns[e.Name](), runRow(e)
+			if !reflect.DeepEqual(run1.rep, run2.rep) {
+				t.Errorf("results differ across identical runs:\n%+v\nvs\n%+v", run1.rep, run2.rep)
 			}
-			if len(out1) == 0 || !bytes.Equal(out1, out2) {
-				t.Errorf("rendered reports empty or different across identical runs:\n%s\nvs\n%s", out1, out2)
+			if len(run1.out) == 0 || !bytes.Equal(run1.out, run2.out) {
+				t.Errorf("rendered reports empty or different across identical runs:\n%s\nvs\n%s", run1.out, run2.out)
 			}
 			var js1, js2 bytes.Buffer
-			if err := snap1.WriteJSON(&js1); err != nil {
+			if err := run1.snap.WriteJSON(&js1); err != nil {
 				t.Fatal(err)
 			}
-			if err := snap2.WriteJSON(&js2); err != nil {
+			if err := run2.snap.WriteJSON(&js2); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(js1.Bytes(), js2.Bytes()) {
 				t.Error("snapshots differ across identical runs")
 			}
-			switch rep1.(type) {
-			case Table1, Table2, Table4:
-				// Rendered from model constants; nothing is simulated.
-			default:
-				if len(snap1.Histograms) == 0 {
-					t.Error("simulated, but the snapshot has no histogram")
-				}
+			if claim(t, run1.rep) && len(run1.snap.Histograms) == 0 {
+				t.Error("simulated, but the snapshot has no histogram")
 			}
 		})
 	}

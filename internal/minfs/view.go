@@ -217,9 +217,6 @@ type File struct {
 	raNext  int64
 }
 
-// Name returns the file's name.
-func (f *File) Name() string { return f.ino.Name }
-
 // Size returns the current logical size, including buffered bytes.
 func (f *File) Size() int64 { return f.ino.Size + int64(len(f.buf)) }
 

@@ -280,15 +280,6 @@ func (c *Controller) hist(op Opcode) *obs.Histogram {
 	return nil
 }
 
-// Backend returns the controller's backend.
-func (c *Controller) Backend() Backend { return c.backend }
-
-// Shutdown closes the submission queues; front-end workers drain and exit.
-func (c *Controller) Shutdown() {
-	c.sq.Close()
-	c.vq.Close()
-}
-
 // isVendor reports whether an opcode travels on the vendor queue.
 func isVendor(op Opcode) bool {
 	return op == OpVendorMinion || op == OpVendorQuery || op == OpVendorTaskLoad

@@ -80,9 +80,6 @@ func (f *Fabric) SetObs(o *obs.Obs) {
 	}
 }
 
-// Config returns the fabric configuration.
-func (f *Fabric) Config() Config { return f.cfg }
-
 // AddPort attaches a new downstream port (one per endpoint device).
 func (f *Fabric) AddPort() *Port {
 	id := len(f.ports)

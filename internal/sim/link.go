@@ -33,9 +33,6 @@ func NewLink(eng *Engine, name string, bytesPerSec float64, latency Duration) *L
 	return &Link{eng: eng, name: name, bps: bytesPerSec, latency: latency}
 }
 
-// Name returns the link's diagnostic name.
-func (l *Link) Name() string { return l.name }
-
 // SetOnActive installs a hook invoked with each transfer's occupancy time,
 // used for energy accounting.
 func (l *Link) SetOnActive(fn func(d Duration)) { l.onActive = fn }

@@ -268,9 +268,6 @@ func (s *SSD) Flash() *flash.Device { return s.dev }
 // ISPS returns the in-storage subsystem, or nil on conventional drives.
 func (s *SSD) ISPS() *isps.Subsystem { return s.sub }
 
-// FS returns the drive's filesystem metadata object.
-func (s *SSD) FS() *minfs.FS { return s.fs }
-
 // HostView returns a filesystem view routed through the NVMe host path,
 // with write-back caching enabled (the host's page cache). Callers must
 // Flush before handing files to another view; Client.SendMinion does this
