@@ -15,9 +15,9 @@ import (
 )
 
 // Base returns a registry holding every standard program. Its four codecs
-// share one new memo, and Registry.Clone copies programs by value: the
-// devices of a system built from one Base compute each distinct codec result
-// once between them, and two Bases share nothing.
+// and gawk share one new memo, and Registry.Clone copies programs by value:
+// the devices of a system built from one Base compute each distinct codec
+// result and gawk tape once between them, and two Bases share nothing.
 func Base() *apps.Registry {
 	r := apps.NewRegistry()
 	memo := apps.NewCodecMemo()
@@ -29,7 +29,7 @@ func Base() *apps.Registry {
 		bzip2,
 		bunzip2,
 		grepx.Grep{},
-		awkx.Gawk{},
+		awkx.Program(memo),
 		shx.Shell{},
 		coreutils.Cat{},
 		coreutils.WC{},

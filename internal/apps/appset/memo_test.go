@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"compstor/internal/apps"
+	"compstor/internal/apps/awkx"
 	"compstor/internal/apps/bzip2x"
 	"compstor/internal/apps/gzipx"
 	"compstor/internal/core"
@@ -19,12 +20,13 @@ import (
 	"compstor/internal/textgen"
 )
 
-// bareBase is Base with the four codecs bound to no memo: every run computes.
+// bareBase is Base with the four codecs and gawk bound to no memo: every run
+// computes.
 func bareBase() *apps.Registry {
 	r := Base()
 	gzip, gunzip := gzipx.Programs(nil)
 	bzip2, bunzip2 := bzip2x.Programs(nil)
-	for _, p := range []apps.Program{gzip, gunzip, bzip2, bunzip2} {
+	for _, p := range []apps.Program{gzip, gunzip, bzip2, bunzip2, awkx.Gawk{}} {
 		r.Register(p)
 	}
 	return r
@@ -53,7 +55,7 @@ func transcript(t *testing.T, reg *apps.Registry) string {
 				return
 			}
 			fmt.Fprintf(&log, "dev%d %s %v: %v exit %d in %v, stdout %q stderr %q error %q, now %v\n",
-				dev, cmd.Exec, cmd.Args, resp.Status, resp.ExitCode, resp.Elapsed, resp.Stdout, resp.Stderr, resp.Error, p.Now())
+				dev, cmd.Exec+cmd.Script, cmd.Args, resp.Status, resp.ExitCode, resp.Elapsed, resp.Stdout, resp.Stderr, resp.Error, p.Now())
 		}
 		for dev := range sys.Devices {
 			if err := sys.Device(dev).Client.FS().WriteFile(p, "f", book); err != nil {
@@ -88,8 +90,25 @@ func transcript(t *testing.T, reg *apps.Registry) string {
 		// One run killed by its deadline while it reads.
 		run(1, core.Command{Exec: "bzip2", Args: []string{"f"}, Deadline: p.Now().Add(400 * time.Microsecond)})
 
+		// gawk: one argv four times, into stdout and into a charged file;
+		// then over the file with one line changed; then killed mid-file.
+		const freq = `{ for (i = 1; i <= NF; i++) n[$i]++; if (NR % 50 == 0) print NR, length(n) } END { print length(n) }`
+		for i := 0; i < 4; i++ {
+			run(0, core.Command{Exec: "gawk", Args: []string{freq, "f"}})
+			run(0, core.Command{Script: "gawk '" + freq + "' f > g"})
+		}
+		changed := bytes.Replace(book, []byte("\n"), []byte(" changed\n"), 20)
+		if err := sys.Device(0).Client.FS().WriteFile(p, "f", changed); err != nil {
+			t.Error(err)
+			return
+		}
+		for i := 0; i < 3; i++ {
+			run(0, core.Command{Exec: "gawk", Args: []string{freq, "f"}})
+		}
+		run(0, core.Command{Exec: "gawk", Args: []string{freq, "f"}, Deadline: p.Now().Add(300 * time.Microsecond)})
+
 		for dev, u := range sys.Devices {
-			for _, name := range []string{"f", "f.gz", "f.bz2"} {
+			for _, name := range []string{"f", "f.gz", "f.bz2", "g"} {
 				data, err := u.Client.FS().ReadFile(p, name)
 				fmt.Fprintf(&log, "dev%d %s: %d bytes %x %v\n", dev, name, len(data), crc32.ChecksumIEEE(data), err)
 			}
@@ -105,14 +124,14 @@ func transcript(t *testing.T, reg *apps.Registry) string {
 }
 
 // The memo is invisible to the virtual side: a system over Base and one over
-// the same programs with bare codecs produce the same responses, files,
-// device statistics and final virtual time.
+// the same programs with bare codecs and gawk produce the same responses,
+// files, device statistics and final virtual time.
 func TestCodecMemoInvisibleThroughDevice(t *testing.T) {
 	with, without := transcript(t, Base()), transcript(t, bareBase())
 	if with != without {
 		t.Errorf("with the memo:\n%s\nwithout:\n%s", with, without)
 	}
-	for _, want := range []string{"leg 0: OK", "leg 1: CANCELED", "DEADLINE", "short gzip header", "dev0 f.bz2: "} {
+	for _, want := range []string{"leg 0: OK", "leg 1: CANCELED", "DEADLINE", "short gzip header", "dev0 f.bz2: ", "f > g []: OK", "gawk: awk: reading f: apps: deadline exceeded"} {
 		if !strings.Contains(with, want) {
 			t.Errorf("transcript lacks %q:\n%s", want, with)
 		}
@@ -194,25 +213,30 @@ func TestCodecMemoComputesTwicePerSystem(t *testing.T) {
 	}
 }
 
-// memoOf digs the memo a registered codec is bound to out of its program.
+// memoOf digs the memo a registered codec or gawk is bound to out of its
+// program.
 func memoOf(t *testing.T, r *apps.Registry, name string) uintptr {
 	t.Helper()
 	p, ok := r.Lookup(name)
 	if !ok {
 		t.Fatalf("%s not registered", name)
 	}
-	return reflect.ValueOf(p).FieldByName("Codec").FieldByName("memo").Pointer()
+	v := reflect.ValueOf(p)
+	if c := v.FieldByName("Codec"); c.IsValid() {
+		v = c
+	}
+	return v.FieldByName("memo").Pointer()
 }
 
-// The memo's scope is one Base call: its four codecs share one, clones keep
-// it, and another Base has another — nothing is package-level.
+// The memo's scope is one Base call: its four codecs and gawk share one,
+// clones keep it, and another Base has another — nothing is package-level.
 func TestCodecMemoScopedToBase(t *testing.T) {
 	a, b := Base(), Base()
 	memo := memoOf(t, a, "gzip")
 	if memo == 0 {
 		t.Fatal("Base's gzip is bound to no memo")
 	}
-	for _, name := range []string{"gunzip", "bzip2", "bunzip2"} {
+	for _, name := range []string{"gunzip", "bzip2", "bunzip2", "gawk"} {
 		if memoOf(t, a, name) != memo || memoOf(t, a.Clone(), name) != memo {
 			t.Errorf("%s of one Base (or its clone) has a memo of its own", name)
 		}

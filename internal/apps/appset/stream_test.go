@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"compstor/internal/apps"
+	"compstor/internal/apps/awkx"
 	"compstor/internal/apps/bzip2x"
 	"compstor/internal/apps/gzipx"
 	"compstor/internal/apps/splitscan"
@@ -243,6 +244,33 @@ func TestReadPatternPinned(t *testing.T) {
 			})
 			eng.Run()
 		}
+	}
+	// gawk through a memo: first sight, second sight (recorded), a hit
+	// (replayed), and a hit over input changed mid-file (replayed, then
+	// caught up). Each must hand its input the live run's calls and write
+	// what the live run writes, where it writes it.
+	gawkArgs := []string{"{ n += NF; if (NR % 500 == 0) print NR, n } END { print n, NR }"}
+	pattern := func(prog apps.Program, data []byte) string {
+		rec := &recorder{data: data}
+		if err := prog.Run(&apps.Context{Stdin: rec, Stdout: rec, Stderr: io.Discard}, gawkArgs); err != nil {
+			t.Fatal(err)
+		}
+		rec.flush()
+		return fmt.Sprintf("%s | out %d crc %08x", strings.Join(rec.log, " "), rec.out.Len(), crc32.ChecksumIEEE(rec.out.Bytes()))
+	}
+	memo := awkx.Program(apps.NewCodecMemo())
+	data := patternText(204801)
+	changed := bytes.Clone(data)
+	changed[len(data)/2+bytes.IndexByte(data[len(data)/2:], ' ')] = 'x' // two words become one
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{{"first-sight", data}, {"second-sight", data}, {"hit", data}, {"diverged", changed}} {
+		through, live := pattern(memo, c.data), pattern(awkx.Gawk{}, c.data)
+		if through != live {
+			t.Errorf("gawk %s through the memo:\n got  %s\n live %s", c.name, through, live)
+		}
+		fmt.Fprintf(&got, "%q %d memo-%s: %s\n", gawkArgs, len(c.data), c.name, through)
 	}
 	const golden = "testdata/readpattern.golden"
 	if *update {

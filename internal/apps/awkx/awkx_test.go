@@ -574,3 +574,29 @@ func TestOperatorPrecedence(t *testing.T) {
 func TestNumberLiterals(t *testing.T) {
 	expectAwk(t, `BEGIN { print 1.2.3, 1e3x, .5 + 1., 1e+2 1E-1, 2e, 0x10 }`, "", "1.20.3 1000 1.5 1000.1 2 0\n")
 }
+
+// Through a memo, the third run of an argv over the same input replays the
+// second's tape: it prints the same bytes, and it neither parses the program
+// nor runs the rules, so it allocates a small fraction of what a live run
+// does (the pooled arrays make a live run's count a stable floor).
+func TestGawkMemoHitRunsNoRules(t *testing.T) {
+	data := book(28 << 10)
+	run := func(g Gawk) string {
+		var out bytes.Buffer
+		if err := g.Run(&apps.Context{Stdin: bytes.NewReader(data), Stdout: &out, Stderr: io.Discard}, []string{wordFreqProg}); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
+	}
+	memo := Program(apps.NewCodecMemo())
+	want := run(Gawk{})
+	for i := 1; i <= 3; i++ {
+		if got := run(memo); got != want {
+			t.Fatalf("run %d through the memo printed %q, want %q", i, got, want)
+		}
+	}
+	live, hit := testing.AllocsPerRun(5, func() { run(Gawk{}) }), testing.AllocsPerRun(5, func() { run(memo) })
+	if hit > live/10 {
+		t.Errorf("a hit allocates %.0f objects, a live run %.0f: the hit ran the program", hit, live)
+	}
+}

@@ -1,6 +1,7 @@
 package awkx
 
 import (
+	"fmt"
 	"io"
 	"strings"
 
@@ -12,7 +13,15 @@ import (
 //
 // Usage: gawk [-F fs] [-v var=value]... 'program' [FILE...]
 // With no files the program reads stdin.
-type Gawk struct{}
+type Gawk struct {
+	memo *apps.CodecMemo // set by Program; nil computes every time
+}
+
+// Program returns gawk keeping the tapes of its runs in m (nil: every run
+// computes). A repeated argv replays the tape of its last run that m admitted
+// (see session) over the records it reads, and so runs no rules while they
+// match.
+func Program(m *apps.CodecMemo) Gawk { return Gawk{m} }
 
 // Name implements apps.Program.
 func (Gawk) Name() string { return "gawk" }
@@ -53,14 +62,24 @@ prog:
 }
 
 // Run implements apps.Program.
-func (Gawk) Run(ctx *apps.Context, args []string) error {
+func (g Gawk) Run(ctx *apps.Context, args []string) error {
 	fs, assigns, progText, files, err := parseCLI(args)
 	if err != nil {
 		return err
 	}
-	in, err := load(ctx, ctx.Stdout, fs, assigns, progText)
-	if err != nil {
-		return err
+	key := fmt.Appendf(nil, "%q", args)
+	kept, seen := g.memo.Recall("gawk", key)
+	s := &session{stdout: ctx.Stdout}
+	s.old, _ = kept.(tape)
+	out := ctx.Stdout
+	if s.keep = seen && s.old == nil; s.keep {
+		out = s
+	}
+	s.load = func() (*interp, error) { return load(ctx, out, fs, assigns, progText) }
+	if s.old == nil {
+		if s.in, err = s.load(); err != nil {
+			return err
+		}
 	}
 	var inputs []namedReader
 	if len(files) == 0 {
@@ -74,7 +93,17 @@ func (Gawk) Run(ctx *apps.Context, args []string) error {
 		defer f.Close()
 		inputs = append(inputs, namedReader{name: name, r: f})
 	}
-	return in.exitStatus(inputs)
+	// A run is kept if it read every input to its end, exited 0, and looked
+	// at nothing but its records.
+	code, err := s.run(inputs)
+	if s.in != nil && !s.in.impure && s.eofs == len(inputs) && code == 0 && err == nil {
+		var v any // none at first sight
+		if s.keep {
+			v = s.rec
+		}
+		g.memo.Keep("gawk", key, v, len(key)+s.size)
+	}
+	return exitStatus(code, err)
 }
 
 // load compiles progText into an interpreter printing to out, configured.
@@ -90,9 +119,9 @@ func load(ctx *apps.Context, out io.Writer, fs string, assigns [][2]string, prog
 	return in, nil
 }
 
-// exitStatus runs the program and makes its result the exit status.
-func (in *interp) exitStatus(inputs []namedReader) error {
-	switch code, err := in.Run(inputs); {
+// exitStatus makes a run's result its exit status.
+func exitStatus(code int, err error) error {
+	switch {
 	case err != nil:
 		return apps.Exitf(2, "gawk: %v", err)
 	case code != 0:

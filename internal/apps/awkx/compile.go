@@ -812,6 +812,7 @@ func (c *compiler) getline(ex *getlineExpr) evalFn {
 			if in.openRead == nil {
 				return uninitialized, runtimeErr("getline unavailable in this context")
 			}
+			in.impure = true
 			f, err := in.openRead(sv.Str())
 			if err != nil {
 				return num(-1), nil

@@ -63,7 +63,7 @@ func runProgram(prog *program, input string, stepLimit int, ref bool) outcome {
 		}
 		return io.NopCloser(strings.NewReader(auxFile)), nil
 	}
-	run := in.Run
+	run := (&session{in: in}).run
 	if ref {
 		run = in.refRun
 	}

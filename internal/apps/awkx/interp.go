@@ -36,6 +36,10 @@ type interp struct {
 	nextLook  int           // the count at which to look at ctx and the limit
 	charged   int           // quanta charged so far in this record
 	stepLimit int
+	// impure marks a run that did more than read its records and print: it
+	// polled or charged its context (look) or opened a file, so neither its
+	// output nor its virtual time is a function of argv and records alone.
+	impure bool
 
 	record      string
 	fields      []string
@@ -366,6 +370,7 @@ func (in *interp) outFile(name string) (io.Writer, error) {
 	if in.openFile == nil {
 		return nil, runtimeErr("print redirection unavailable in this context")
 	}
+	in.impure = true
 	f, err := in.openFile(name)
 	if err != nil {
 		return nil, runtimeErr("cannot open %q: %v", name, err)
@@ -406,6 +411,7 @@ func (in *interp) step() error {
 }
 
 func (in *interp) look() error {
+	in.impure = true
 	if in.steps >= in.stepLimit {
 		return runtimeErr("step limit exceeded")
 	}
@@ -421,11 +427,24 @@ func (in *interp) look() error {
 	return in.ctx.Interrupted()
 }
 
-// Run executes BEGIN rules, the main loop over input records, and END
-// rules, returning the exit code.
-func (in *interp) Run(inputs []namedReader) (int, error) {
+// rules runs the BEGIN rules or, over a record, the main ones, which a next
+// ends. more is false after an exit, whose code is code, or an error.
+func (in *interp) rules(blks []execFn, main bool) (code int, more bool, err error) {
+	in.startRecord()
+	for _, blk := range blks {
+		if ct, err := in.run(blk); err != nil || ct == ctlExit {
+			return int(in.ret.Num()), false, err
+		} else if ct == ctlNext && main {
+			break
+		}
+	}
+	return 0, true, nil
+}
+
+// end runs the END rules after the main loop stopped with code and err, and
+// releases what the run holds.
+func (in *interp) end(code int, err error) (int, error) {
 	defer in.release()
-	code, err := in.runRules(inputs)
 	if err != nil {
 		return 1, err
 	}
@@ -453,50 +472,6 @@ func (in *interp) run(blk execFn) (ctl, error) {
 		return in.pending, nil
 	}
 	return ct, err
-}
-
-// runRules runs the BEGIN rules and the main loop, to the end of input or
-// the first `exit`, whose code it returns.
-func (in *interp) runRules(inputs []namedReader) (int, error) {
-	in.startRecord()
-	for _, blk := range in.code.begins {
-		if ct, err := in.run(blk); err != nil || ct == ctlExit {
-			return int(in.ret.Num()), err
-		}
-	}
-	// The input is read only when there are main rules or END blocks.
-	if len(in.code.rules) == 0 && len(in.code.ends) == 0 {
-		return 0, nil
-	}
-	var buf *apps.Block // taken for the first input that is not a chunk
-	for _, input := range inputs {
-		in.globals[slotFILENAME] = str(input.name)
-		var blk *apps.Block
-		if !input.chunk {
-			if buf == nil {
-				buf = apps.GetBlock()
-				defer apps.PutBlock(buf)
-			}
-			blk = buf
-		}
-		sc := apps.NewLineScanner(input.r, blk)
-		for sc.Scan() {
-			in.nr++
-			in.startRecord()
-			in.setRecord(sc.Text())
-			for _, r := range in.code.rules {
-				if ct, err := in.run(r); err != nil || ct == ctlExit {
-					return int(in.ret.Num()), err
-				} else if ct == ctlNext {
-					break // skip remaining rules for this record
-				}
-			}
-		}
-		if err := sc.Err(); err != nil {
-			return 1, runtimeErr("reading %s: %v", input.name, err)
-		}
-	}
-	return 0, nil
 }
 
 // namedReader pairs an input stream with its FILENAME. A split-scan chunk's

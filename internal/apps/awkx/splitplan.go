@@ -153,7 +153,7 @@ func (k *gawkKernel) RunChunk(ctx *apps.Context, r io.Reader, chunk int) (any, e
 	var buf bytes.Buffer
 	in, err := load(ctx, &buf, k.fs, k.assigns, k.progText)
 	if err == nil {
-		err = in.exitStatus([]namedReader{{name: k.file, r: r, chunk: true}})
+		err = exitStatus((&session{in: in}).run([]namedReader{{name: k.file, r: r, chunk: true}}))
 	}
 	if err != nil {
 		return nil, err

@@ -50,8 +50,12 @@ func (c Codec) Class() cpu.Class { return c.CostClass }
 // with no file arguments, stdin is filtered to stdout. Inputs are kept (the
 // simulation datasets are reused across runs).
 func (c Codec) Run(ctx *Context, args []string) error {
-	transform := func(data []byte) ([]byte, error) {
-		out, err := c.memo.transform(c, data)
+	transform := func(data []byte) (out []byte, err error) {
+		if kept, _ := c.memo.Recall(c.ProgName, data); kept != nil {
+			out = kept.([]byte)
+		} else if out, err = c.Transform(data); err == nil {
+			c.memo.Keep(c.ProgName, data, out, cap(data)+cap(out))
+		}
 		if err == nil && c.Expand {
 			// Decompression cost — like the paper's J/GB normalisation — is
 			// calibrated per plain byte: top up from the auto-charged
@@ -96,30 +100,32 @@ func (c Codec) Run(ctx *Context, args []string) error {
 	return nil
 }
 
-// memoBudget bounds one memo's footprint: the input and output bytes it
-// retains plus memoKeyCost for every key. All four codecs' inputs and
-// outputs over the paper-scale corpus (348 books of 24 KiB) come to about
-// 45 MB, so 64 MiB holds any working set a committed experiment can repeat,
-// and a memo that fills up is seeing content that does not.
+// memoBudget bounds one memo's footprint: the bytes its entries retain plus
+// memoKeyCost for every key. All four codecs' inputs and outputs over the
+// paper-scale corpus (348 books of 24 KiB) come to about 45 MB, so 64 MiB
+// holds any working set a committed experiment can repeat, and a memo that
+// fills up is seeing content that does not.
 const memoBudget = 64 << 20
 
 // memoKeyCost is what a key alone is booked at: its map slot (key, entry
 // pointer, bucket overhead).
 const memoKeyCost = 48
 
-// CodecMemo remembers what the codecs bound to it have computed, so that one
-// system transforms each distinct content once however many devices, runs
-// and replicas ask for it. Virtual time cannot see it: a codec's charged
+// CodecMemo remembers what the programs bound to it have computed, so that
+// one system computes each distinct result once however many devices, runs
+// and replicas ask for it: a codec's output per input content, and gawk's
+// tape per command line (awkx). Virtual time cannot see it: a codec's charged
 // reads, top-up charge and charged writes happen around every transform, hit
-// or not, and a hit is returned only after the stored input compared equal
-// byte for byte — a hash collision is a recompute, never a wrong byte.
+// or not, and gawk replays its tape over its live reads. An entry is returned
+// only after the key it was stored under compared equal byte for byte — a
+// hash collision is a recompute, never a wrong byte.
 //
-// Content is admitted on second sight: the first transform of an input
-// leaves only its key, the second keeps the input and output slices the
-// caller already holds (a corpus compressed once per system retains nothing,
-// and nothing is copied), later ones hit. Failures are not stored. When the
-// footprint would pass memoBudget everything is dropped and filling starts
-// again; content that repeats is back after two sights.
+// Results are admitted on second sight: the first success under a key leaves
+// only the key, the second keeps its value (a codec's input and output slices
+// the caller already holds: a corpus compressed once per system retains
+// nothing, and nothing is copied), later ones hit. Failures are not stored.
+// When the footprint would pass memoBudget everything is dropped and filling
+// starts again; content that repeats is back after two sights.
 type CodecMemo struct {
 	seed maphash.Seed
 
@@ -130,14 +136,17 @@ type CodecMemo struct {
 
 type memoKey struct {
 	prog string
-	sum  uint64 // maphash of the input
+	sum  uint64 // maphash of the key bytes
 }
 
 // memoEntry is immutable once stored, so hits read it outside the lock.
-type memoEntry struct{ in, out []byte }
+type memoEntry struct {
+	key []byte
+	v   any
+}
 
 // NewCodecMemo returns an empty memo. The random hash seed decides which
-// inputs collide, never a result.
+// keys collide, never a result.
 func NewCodecMemo() *CodecMemo {
 	return &CodecMemo{seed: maphash.MakeSeed(), m: make(map[memoKey]*memoEntry)}
 }
@@ -148,42 +157,49 @@ func (m *CodecMemo) Bind(c Codec) Codec {
 	return c
 }
 
-// transform is c.Transform(data) through the memo.
-func (m *CodecMemo) transform(c Codec, data []byte) ([]byte, error) {
+// Recall returns what prog kept under key, and whether prog succeeded on key
+// before. A nil m has seen nothing.
+func (m *CodecMemo) Recall(prog string, key []byte) (kept any, seen bool) {
 	if m == nil {
-		return c.Transform(data)
+		return nil, false
 	}
-	k := memoKey{c.ProgName, maphash.Bytes(m.seed, data)}
+	k := memoKey{prog, maphash.Bytes(m.seed, key)}
 	m.mu.Lock()
-	e := m.m[k]
+	e, seen := m.m[k]
 	m.mu.Unlock()
-	if e != nil && bytes.Equal(e.in, data) {
-		return e.out, nil
+	if e != nil && bytes.Equal(e.key, key) {
+		return e.v, true
 	}
-	out, err := c.Transform(data)
-	if err != nil {
-		return out, err
+	return nil, seen
+}
+
+// Keep books a success of prog on key: a first sight leaves the key, a
+// second keeps v (if any), booked at size bytes. The caller writes a kept v
+// no more. A nil m keeps nothing.
+func (m *CodecMemo) Keep(prog string, key []byte, v any, size int) {
+	if m == nil {
+		return
 	}
+	k := memoKey{prog, maphash.Bytes(m.seed, key)}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	e, seen := m.m[k]
 	cost := memoKeyCost
 	if e != nil {
 		// The key holds other content (a collision), or this content since
-		// the look-up above.
-		return out, nil
-	} else if seen {
-		e, cost = &memoEntry{in: data, out: out}, cap(data)+cap(out)
+		// the look-up.
+		return
+	} else if seen && v != nil {
+		e, cost = &memoEntry{key, v}, size
 	}
 	if m.size+cost > memoBudget {
-		// Full, or content larger than the budget: drop everything and
+		// Full, or a value larger than the budget: drop everything and
 		// count this as a first sight.
 		clear(m.m)
 		m.size, e, cost = 0, nil, memoKeyCost
 	}
 	m.m[k] = e
 	m.size += cost
-	return out, nil
 }
 
 // readFileCharged reads a whole file through the charging path, in one

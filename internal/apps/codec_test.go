@@ -20,6 +20,14 @@ func countingCodec(calls *int) Codec {
 	}}
 }
 
+// transform is what c computes for data, run as a filter through m.
+func (m *CodecMemo) transform(c Codec, data []byte) ([]byte, error) {
+	var out bytes.Buffer
+	c.memo = m
+	err := c.Run(&Context{Stdin: bytes.NewReader(data), Stdout: &out}, nil)
+	return out.Bytes(), err
+}
+
 func (m *CodecMemo) key(c Codec, data []byte) memoKey {
 	return memoKey{c.ProgName, maphash.Bytes(m.seed, data)}
 }
@@ -64,7 +72,7 @@ func TestCodecMemoVerifiesInput(t *testing.T) {
 	var calls int
 	m := NewCodecMemo()
 	c := m.Bind(countingCodec(&calls))
-	planted := &memoEntry{in: []byte("abc"), out: []byte("aabbcc")}
+	planted := &memoEntry{key: []byte("abc"), v: []byte("aabbcc")}
 	m.m[m.key(c, []byte("xyz"))] = planted
 	for i := 1; i <= 3; i++ {
 		out, err := m.transform(c, []byte("xyz"))
@@ -105,7 +113,7 @@ func TestCodecMemoSkipsFailures(t *testing.T) {
 func (m *CodecMemo) retained() (keys, bytes int) {
 	for _, e := range m.m {
 		if e != nil {
-			bytes += cap(e.in) + cap(e.out)
+			bytes += cap(e.key) + cap(e.v.([]byte))
 		}
 	}
 	return len(m.m), bytes

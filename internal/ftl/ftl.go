@@ -31,9 +31,6 @@ type Config struct {
 	// OverProvision is the fraction of raw capacity hidden from the host
 	// (spare blocks for GC headroom). Typical enterprise values: 0.07–0.28.
 	OverProvision float64
-	// MinFreeBlocks triggers foreground GC when the free-block pool drops
-	// below it. Zero selects a geometry-derived default.
-	MinFreeBlocks int
 	// Striping selects channel-striped write allocation (the production
 	// layout). When false, writes fill one block at a time, serialising on a
 	// single channel — the ablation baseline for the media-parallelism
@@ -129,7 +126,6 @@ type FTL struct {
 	pageFree   [][]byte  // see getPage
 
 	logicalPages int64
-	minFree      int
 	stats        Stats
 	inGC         bool
 	inflight     int // sum of blockState.inflight: the checkpoint drain polls it
@@ -199,10 +195,6 @@ func New(dev *flash.Device, cfg Config) *FTL {
 	}
 	f.logicalPages = int64(float64((geo.Blocks()-int64(units)*int64(reserved))*int64(geo.PagesPerBlock)) * (1 - cfg.OverProvision))
 	f.l2p = newMapTable(f.logicalPages)
-	f.minFree = cfg.MinFreeBlocks
-	if f.minFree <= 0 {
-		f.minFree = units + 2
-	}
 	f.obs = cfg.Obs
 	f.histRead = f.obs.Histogram("ftl.read")
 	f.histWrite = f.obs.Histogram("ftl.write")
@@ -621,7 +613,10 @@ func (f *FTL) maybeGC(p *sim.Proc) error {
 	// zero-net-gain workload degrades to high write amplification instead
 	// of an unbounded loop.
 	limit := int(f.geo.Blocks())
-	for i := 0; f.freeBlocks < f.minFree && i < limit; i++ {
+	// The watermark: a free block for every allocation unit to open, plus
+	// two for a victim's relocation. Foreground writes can still drain it; a
+	// reserve they cannot (ROADMAP item 2) belongs here.
+	for i := 0; f.freeBlocks < f.units+2 && i < limit; i++ {
 		if err := f.gcOnce(p); err != nil {
 			if errors.Is(err, errNoVictim) {
 				return nil // nothing collectable; let alloc fail if truly full
