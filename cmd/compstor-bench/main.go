@@ -159,7 +159,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	runName := fs.String("run", runAll, "experiment to run: "+strings.Join(names, ", "))
 	books := fs.Int("books", 0, "number of corpus files (0 = paper-scale default of 348)")
-	mean := fs.Int("mean", 0, "mean book size in bytes (0 = default)")
+	mean := fs.Int("mean", 0, "book-size scale in bytes: sizes are uniform in 0.5–2× it, averaging 1.25× (0 = default)")
 	devices := fs.String("devices", "", "comma-separated device counts for the scaling figures")
 	verbose := fs.Bool("v", false, "log progress")
 	outDir := fs.String("outdir", ".", "directory for BENCH_<name>.json snapshots (created if missing)")

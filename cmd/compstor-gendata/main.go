@@ -22,7 +22,7 @@ import (
 func main() {
 	out := flag.String("out", "corpus", "output directory")
 	books := flag.Int("books", 348, "number of books")
-	mean := flag.Int("mean", 32<<10, "mean book bytes")
+	mean := flag.Int("mean", 32<<10, "book-size scale in bytes: sizes are uniform in 0.5–2× it, averaging 1.25×")
 	seed := flag.Int64("seed", 2018, "corpus seed")
 	gz := flag.Bool("gz", false, "also write .gz variants (own codec)")
 	bz2 := flag.Bool("bz2", false, "also write .bz2 variants (own codec)")

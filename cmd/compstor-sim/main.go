@@ -26,7 +26,7 @@ import (
 func main() {
 	devices := flag.Int("devices", 2, "number of CompStor devices")
 	books := flag.Int("books", 24, "corpus files")
-	mean := flag.Int("mean", 32<<10, "mean book bytes")
+	mean := flag.Int("mean", 32<<10, "book-size scale in bytes: sizes are uniform in 0.5–2× it, averaging 1.25×")
 	app := flag.String("app", "grep", "workload application")
 	script := flag.String("script", "", "run this shell script as a single minion on device 0 instead of a workload")
 	compare := flag.Bool("compare", false, "also run the workload on the Xeon host baseline")

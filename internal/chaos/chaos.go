@@ -196,7 +196,6 @@ type Stats struct {
 // streams and fault counters.
 type Injector struct {
 	sys   *core.System
-	plan  *Plan
 	stats Stats
 }
 
@@ -207,7 +206,7 @@ type Injector struct {
 // responses). Install replaces any previously-installed hooks on those
 // devices.
 func Install(sys *core.System, plan *Plan) *Injector {
-	inj := &Injector{sys: sys, plan: plan}
+	inj := &Injector{sys: sys}
 	// Surface the injected-fault counters in snapshots; Instant calls below
 	// put the fault moments on the trace so retries and failovers can be
 	// read causally against them. All obs methods are nil-safe.

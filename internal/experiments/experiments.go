@@ -190,7 +190,7 @@ func (o Options) calibrate(n int, data []byte, total int, cmd func(idx int) core
 }
 
 // scanFileBytes sizes the one large file the single-file scan experiments
-// read: the corpus volume, clamped to [4 MiB, 64 MiB].
+// read: Books × MeanBookBytes (0.8× the corpus), clamped to [4 MiB, 64 MiB].
 func (o Options) scanFileBytes() int {
 	n := int64(o.Books) * int64(o.MeanBookBytes)
 	if n < 4<<20 {

@@ -10,12 +10,9 @@ const wfqScale = 1 << 20
 
 // queued is one request waiting in a lane.
 type queued struct {
-	req    *request
-	flow   string
-	start  int64 // SFQ start tag
-	finish int64 // SFQ finish tag
-	seq    int64 // global arrival order, the FIFO tie-break
-	index  int   // heap bookkeeping
+	req   *request
+	start int64 // SFQ start tag
+	seq   int64 // global arrival order, the FIFO tie-break
 }
 
 // wfq is a start-time fair queueing (SFQ) scheduler: each flow's request
@@ -58,7 +55,7 @@ func (w *wfq) push(flow string, weight int, cost int64, req *request) {
 	}
 	finish := start + (cost*wfqScale+int64(weight)-1)/int64(weight)
 	w.lastFinish[flow] = finish
-	q := &queued{req: req, flow: flow, start: start, finish: finish, seq: w.nextSeq}
+	q := &queued{req: req, start: start, seq: w.nextSeq}
 	w.nextSeq++
 	heap.Push(&w.h, q)
 }
@@ -88,16 +85,8 @@ func (h wfqHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h wfqHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *wfqHeap) Push(x interface{}) {
-	q := x.(*queued)
-	q.index = len(*h)
-	*h = append(*h, q)
-}
+func (h wfqHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *wfqHeap) Push(x interface{}) { *h = append(*h, x.(*queued)) }
 func (h *wfqHeap) Pop() interface{} {
 	old := *h
 	n := len(old)

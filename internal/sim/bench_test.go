@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strconv"
 	"testing"
 	"time"
 )
@@ -58,6 +59,31 @@ func BenchmarkLinkTransfers(b *testing.B) {
 	})
 	b.ResetTimer()
 	e.Run()
+}
+
+// BenchmarkMailboxDeep queues depth items, then drains them: a write-back
+// mailbox's pattern when staging fills a device. The ns/item must not grow
+// with depth.
+func BenchmarkMailboxDeep(b *testing.B) {
+	for _, depth := range []int{1 << 10, 1 << 14} {
+		b.Run(strconv.Itoa(depth), func(b *testing.B) {
+			e := NewEngine()
+			mb := NewMailbox[int]()
+			e.Go("drain", func(p *Proc) {
+				for i := 0; i < b.N; i++ {
+					for j := 0; j < depth; j++ {
+						mb.Put(j)
+					}
+					for j := 0; j < depth; j++ {
+						mb.Recv(p)
+					}
+				}
+			})
+			b.ResetTimer()
+			e.Run()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*depth), "ns/item")
+		})
+	}
 }
 
 // BenchmarkProcSwitch measures the full park/resume handoff. Two procs wait

@@ -118,16 +118,6 @@ func (e *Engine) schedule(t Time, p *Proc, fn func()) {
 	e.q.insert(event{at: t, seq: e.seq, p: p, fn: fn}, e.now)
 }
 
-// Step executes the single earliest pending event and reports whether one
-// was executed.
-func (e *Engine) Step() bool {
-	if !e.q.fill(e.now) {
-		return false
-	}
-	e.dispatchNext()
-	return true
-}
-
 // dispatchNext pops and runs the next event. The queue must be non-empty
 // (filled). Depth is sampled before the pop, matching the old heap engine.
 func (e *Engine) dispatchNext() {

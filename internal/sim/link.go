@@ -86,16 +86,3 @@ func (l *Link) Transfers() int64 { return l.xfers }
 
 // BusyTime returns the total serialisation (occupancy) time.
 func (l *Link) BusyTime() Duration { return Duration(l.busyNS) }
-
-// Utilization returns occupancy divided by elapsed virtual time, in [0,1].
-func (l *Link) Utilization() float64 {
-	el := l.eng.Now().Seconds()
-	if el <= 0 {
-		return 0
-	}
-	u := Duration(l.busyNS).Seconds() / el
-	if u > 1 {
-		u = 1
-	}
-	return u
-}

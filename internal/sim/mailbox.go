@@ -5,8 +5,8 @@ package sim
 // available. It is the transport used for daemon-style processes such as
 // the ISPS agent and the NVMe controller front-end.
 type Mailbox[T any] struct {
-	items   []T
-	waiters []*Proc
+	items   fifo[T]
+	waiters fifo[*Proc]
 	closed  bool
 }
 
@@ -19,9 +19,9 @@ func (m *Mailbox[T]) Put(item T) {
 	if m.closed {
 		panic("sim: Put on closed mailbox")
 	}
-	m.items = append(m.items, item)
-	if len(m.waiters) > 0 {
-		popFront(&m.waiters).unpark()
+	m.items.push(item)
+	if m.waiters.len() > 0 {
+		m.waiters.pop().unpark()
 	}
 }
 
@@ -29,26 +29,22 @@ func (m *Mailbox[T]) Put(item T) {
 // available. If the mailbox is closed and empty, Recv returns the zero
 // value and ok=false.
 func (m *Mailbox[T]) Recv(p *Proc) (item T, ok bool) {
-	for len(m.items) == 0 {
+	for m.items.len() == 0 {
 		if m.closed {
 			var zero T
 			return zero, false
 		}
-		m.waiters = append(m.waiters, p)
+		m.waiters.push(p)
 		p.park()
 	}
-	return popFront(&m.items), true
+	return m.items.pop(), true
 }
 
 // Close marks the mailbox closed and wakes all blocked receivers, which
 // will observe ok=false once the queue drains.
 func (m *Mailbox[T]) Close() {
 	m.closed = true
-	for _, w := range m.waiters {
-		w.unpark()
+	for m.waiters.len() > 0 {
+		m.waiters.pop().unpark()
 	}
-	m.waiters = nil
 }
-
-// Len returns the number of queued items.
-func (m *Mailbox[T]) Len() int { return len(m.items) }

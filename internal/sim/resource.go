@@ -14,7 +14,7 @@ type Semaphore struct {
 	tokens    int
 	cap       int
 	acquires  int64
-	waiters   []semWaiter // value-typed: no per-Acquire allocation
+	waiters   fifo[semWaiter] // value-typed: no per-Acquire allocation
 	queueTime func(wait Duration)
 }
 
@@ -44,7 +44,7 @@ func (s *Semaphore) tryAcquire(n int) bool {
 	if n > s.cap {
 		panic("sim: acquire exceeds semaphore capacity")
 	}
-	if len(s.waiters) > 0 || s.tokens < n {
+	if s.waiters.len() > 0 || s.tokens < n {
 		return false
 	}
 	s.tokens -= n
@@ -66,7 +66,7 @@ func (s *Semaphore) Acquire(p *Proc, n int) {
 	if s.tryAcquire(n) {
 		return
 	}
-	s.waiters = append(s.waiters, semWaiter{p: p, n: n})
+	s.waiters.push(semWaiter{p: p, n: n})
 	t0 := s.eng.Now()
 	p.park()
 	s.acquired(s.eng.Now().Sub(t0))
@@ -83,7 +83,7 @@ func (s *Semaphore) AcquireFn(n int, fn func()) {
 		fn()
 		return
 	}
-	s.waiters = append(s.waiters, semWaiter{fn: fn, n: n, t0: s.eng.Now()})
+	s.waiters.push(semWaiter{fn: fn, n: n, t0: s.eng.Now()})
 }
 
 // SetQueueTimeHook installs a hook invoked on every successful Acquire with
@@ -101,8 +101,8 @@ func (s *Semaphore) Release(n int) {
 	if s.tokens > s.cap {
 		s.cap = s.tokens // semaphore grew; allow it but track capacity
 	}
-	for len(s.waiters) > 0 && s.tokens >= s.waiters[0].n {
-		w := popFront(&s.waiters)
+	for s.waiters.len() > 0 && s.tokens >= s.waiters.front().n {
+		w := s.waiters.pop()
 		s.tokens -= w.n
 		if w.p != nil {
 			w.p.unpark()
@@ -113,26 +113,8 @@ func (s *Semaphore) Release(n int) {
 	}
 }
 
-// popFront removes the head of a FIFO by shifting down and zeroing the
-// vacated slot: the backing array stays anchored, so a long-lived queue stops
-// allocating at its high-water depth and pins nothing that has left it.
-// Queues here are a handful of entries, so the copy is cheaper than the
-// slice-forward idiom's reallocation churn.
-func popFront[T any](q *[]T) T {
-	s := *q
-	head := s[0]
-	var zero T
-	copy(s, s[1:])
-	s[len(s)-1] = zero
-	*q = s[:len(s)-1]
-	return head
-}
-
-// Available returns the number of free tokens.
-func (s *Semaphore) Available() int { return s.tokens }
-
 // QueueLen returns the number of blocked acquirers.
-func (s *Semaphore) QueueLen() int { return len(s.waiters) }
+func (s *Semaphore) QueueLen() int { return s.waiters.len() }
 
 // Resource is a multi-server station: up to Capacity processes hold it at
 // once; others queue FIFO. Use measures utilisation for reporting and
@@ -157,7 +139,7 @@ func NewResource(eng *Engine, capacity int) *Resource {
 func (r *Resource) Capacity() int { return r.capacity }
 
 // InUse returns the number of servers currently held.
-func (r *Resource) InUse() int { return r.capacity - r.sem.Available() }
+func (r *Resource) InUse() int { return r.capacity - r.sem.tokens }
 
 // QueueLen returns the number of processes waiting for a server.
 func (r *Resource) QueueLen() int { return r.sem.QueueLen() }

@@ -353,8 +353,8 @@ func TestResourceAcquireFnMatchesProcess(t *testing.T) {
 }
 
 // A contended station must stop allocating once its queue has seen its
-// high-water depth: the waiter FIFO shifts down instead of walking its
-// backing array forward. Three processes and three callback users hammer one
+// high-water depth: the waiter FIFO is a ring that reuses its backing array
+// instead of walking forward through it. Three processes and three callback users hammer one
 // server without ever leaving the queue empty.
 func TestContendedResourceAllocatesNothing(t *testing.T) {
 	e := NewEngine()

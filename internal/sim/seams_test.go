@@ -4,13 +4,42 @@ package sim
 
 // TryRecv dequeues without blocking; ok is false if the mailbox is empty.
 func (m *Mailbox[T]) TryRecv() (item T, ok bool) {
-	if len(m.items) == 0 {
+	if m.items.len() == 0 {
 		var zero T
 		return zero, false
 	}
-	return popFront(&m.items), true
+	return m.items.pop(), true
 }
 
 // Delay blocks the process for the link's propagation latency only, as for
 // a doorbell write or small control message.
 func (l *Link) Delay(p *Proc) { p.Wait(l.latency) }
+
+// Step executes the single earliest pending event and reports whether one
+// was executed.
+func (e *Engine) Step() bool {
+	if !e.q.fill(e.now) {
+		return false
+	}
+	e.dispatchNext()
+	return true
+}
+
+// Utilization returns occupancy divided by elapsed virtual time, in [0,1].
+func (l *Link) Utilization() float64 {
+	el := l.eng.Now().Seconds()
+	if el <= 0 {
+		return 0
+	}
+	u := Duration(l.busyNS).Seconds() / el
+	if u > 1 {
+		u = 1
+	}
+	return u
+}
+
+// Available returns the number of free tokens.
+func (s *Semaphore) Available() int { return s.tokens }
+
+// Len returns the number of queued items.
+func (m *Mailbox[T]) Len() int { return m.items.len() }

@@ -7,10 +7,11 @@
 package textgen
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strconv"
 	"sync"
 )
 
@@ -20,14 +21,14 @@ type Config struct {
 	Seed int64
 	// Books is the number of files (the paper: 348).
 	Books int
-	// MeanBookBytes is the average uncompressed book size. The paper's
-	// corpus averages ~32 MB/book; benches default much smaller and report
-	// the scale factor.
+	// MeanBookBytes scales the book sizes, drawn uniformly in 0.5–2× it
+	// (mean 1.25×). The paper's corpus averages ~32 MB/book; benches default
+	// much smaller and report the scale factor.
 	MeanBookBytes int
 }
 
-// DefaultConfig returns a laptop-scale corpus: 348 books averaging 8 KB
-// (scale factor ~1/4000 of the paper's 11.3 GB).
+// DefaultConfig returns a laptop-scale corpus: 348 books averaging ~10 KB
+// (1.25× MeanBookBytes; scale factor ~1/3,200 of the paper's 11.3 GB).
 func DefaultConfig() Config {
 	return Config{Seed: 2018, Books: 348, MeanBookBytes: 8 << 10}
 }
@@ -56,13 +57,11 @@ func buildVocabulary() []string {
 	}
 	for len(words) < 4000 {
 		syls := 1 + rng.Intn(3)
-		var w bytes.Buffer
+		word := ""
 		for s := 0; s < syls; s++ {
-			w.WriteString(onsets[rng.Intn(len(onsets))])
-			w.WriteString(nuclei[rng.Intn(len(nuclei))])
-			w.WriteString(codas[rng.Intn(len(codas))])
+			// Operands are evaluated left to right: onset, nucleus, coda.
+			word += onsets[rng.Intn(len(onsets))] + nuclei[rng.Intn(len(nuclei))] + codas[rng.Intn(len(codas))]
 		}
-		word := w.String()
 		if !seen[word] {
 			seen[word] = true
 			words = append(words, word)
@@ -70,6 +69,20 @@ func buildVocabulary() []string {
 	}
 	return words
 }
+
+const wordPad = 24 // the width of every word's copy in padded; no word is longer
+
+// padded holds each vocabulary word zero-padded to wordPad bytes, so Book
+// copies it with one fixed-width store and then advances by its length.
+var padded = func() [][wordPad]byte {
+	ws := make([][wordPad]byte, len(vocabulary))
+	for i, w := range vocabulary {
+		if copy(ws[i][:], w) < len(w) {
+			panic(fmt.Sprintf("textgen: word %q is longer than wordPad", w))
+		}
+	}
+	return ws
+}()
 
 // zipfRank maps a uniform u in [0,1) to a vocabulary index with a Zipf-ish
 // distribution: the inverse CDF of p(i) ~ i^-1.05 approximated by a u^k
@@ -85,8 +98,8 @@ func zipfRank(u float64) int {
 
 // guideSize is the number of equal slices of [0,1) the guide table indexes;
 // a power of two, so u*guideSize is exact. The steps of zipfRank are densest
-// near 1, about three per slice there and under one on average.
-const guideSize = 4096
+// near 1, about one per five slices there, so a pick seldom walks step.
+const guideSize = 1 << 16
 
 // zipfTable is zipfRank without the math.Pow per word: zipfRank is a
 // monotone step function of u, so the float64 at which each step happens
@@ -132,42 +145,43 @@ func (t *zipfTable) pick(u float64) int {
 func Book(seed int64, approxBytes int) []byte {
 	rng := rand.New(rand.NewSource(seed))
 	zipf := zipfSteps()
-	var out bytes.Buffer
-	out.Grow(approxBytes + 1024)
-	chapter := 1
-	fmt.Fprintf(&out, "CHAPTER %d\n\n", chapter)
-	sentenceLen := func() int { return 6 + rng.Intn(14) }
-	paraSentences := func() int { return 3 + rng.Intn(5) }
-	for out.Len() < approxBytes {
-		sentences := paraSentences()
-		for s := 0; s < sentences; s++ {
-			n := sentenceLen()
+	b := make([]byte, 0, approxBytes+1024)
+	for chapter, heading := int64(0), true; ; heading = rng.Intn(40) == 0 {
+		if heading {
+			chapter++
+			b = append(strconv.AppendInt(append(b, "CHAPTER "...), chapter, 10), "\n\n"...)
+		}
+		if len(b) >= approxBytes {
+			return b
+		}
+		for s := 3 + rng.Intn(5); s > 0; s-- {
+			n := 6 + rng.Intn(14)
 			for w := 0; w < n; w++ {
-				word := vocabulary[zipf.pick(rng.Float64())]
-				if w == 0 {
-					word = string(word[0]-32) + word[1:]
+				i := zipf.pick(rng.Float64())
+				if cap(b)-len(b) < wordPad {
+					b = slices.Grow(b, wordPad)
 				}
-				out.WriteString(word)
+				at := len(b)
+				*(*[wordPad]byte)(b[at : at+wordPad]) = padded[i]
+				b = b[:at+len(vocabulary[i])]
+				if w == 0 {
+					b[at] -= 'a' - 'A'
+				}
 				if w < n-1 {
 					if w > 2 && rng.Intn(12) == 0 {
-						out.WriteByte(',')
+						b = append(b, ',')
 					}
-					out.WriteByte(' ')
+					b = append(b, ' ')
 				}
 			}
-			out.WriteString(". ")
+			b = append(b, ". "...)
 		}
-		out.WriteString("\n\n")
-		if rng.Intn(40) == 0 {
-			chapter++
-			fmt.Fprintf(&out, "CHAPTER %d\n\n", chapter)
-		}
+		b = append(b, "\n\n"...)
 	}
-	return out.Bytes()
 }
 
-// Corpus generates the whole book set. Book sizes vary ±50% around the
-// mean, log-uniformly, like real book collections.
+// Corpus generates the whole book set. Book sizes are drawn uniformly in
+// 0.5–2× MeanBookBytes, so they average 1.25× it.
 func Corpus(cfg Config) []File {
 	if cfg.Books <= 0 || cfg.MeanBookBytes <= 0 {
 		panic("textgen: invalid corpus config")

@@ -141,7 +141,9 @@ func TestZipfTableMatchesExpression(t *testing.T) {
 	}
 }
 
-// Book bytes recorded with the math.Pow-per-word generator, before the table.
+// Book bytes recorded with the math.Pow-per-word generator, before the table;
+// the last two, recorded with bookRef, are the benchmark's own inputs: the
+// big file scan stages on device 0, and serve_mix's file.
 func TestBookPinned(t *testing.T) {
 	for _, c := range []struct {
 		seed int64
@@ -153,6 +155,8 @@ func TestBookPinned(t *testing.T) {
 		{1, 1048576, "4358e63ae24aa11f5977908fe09b81c2372e03ce11a3125930f067cc20652d87"},
 		{-5, 77777, "b92888e2c73d2cbd3c16d49e6820cc219916c587ff7581a6455fb161baf7d82a"},
 		{424242, 4194304, "21e00686127d2facfa27e1c473162962c0a954b3afc75e4bfb66968b4d1e9e29"},
+		{3018, 16 << 20, "dfc3bce15e6f31b0e6528532b6dae0998cc1470105aebcdf10e8559b56774b6b"},
+		{2018, 28 << 10, "30651f2bd9ff240ed44ddf7079f523c6ba20299fc656f461c713a5189a108f43"},
 	} {
 		if got := fmt.Sprintf("%x", sha256.Sum256(Book(c.seed, c.size))); got != c.sum {
 			t.Errorf("Book(%d, %d) = %s, pinned %s", c.seed, c.size, got, c.sum)
@@ -165,6 +169,87 @@ func TestBookPinned(t *testing.T) {
 	}
 	if got, want := fmt.Sprintf("%x", h.Sum(nil)), "36877521e16f12ce947bb4f7e07a033519dede54e4612c62cc30bd1c02aecdee"; got != want {
 		t.Errorf("Corpus = %s, pinned %s", got, want)
+	}
+}
+
+// bookRef is the generator Book replaced, kept as its oracle: it builds in a
+// bytes.Buffer, formats chapter lines with fmt and allocates a string per
+// capitalised word. The RNG draws are the definition of the corpus.
+func bookRef(seed int64, approxBytes int) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	zipf := zipfSteps()
+	var out bytes.Buffer
+	out.Grow(approxBytes + 1024)
+	chapter := 1
+	fmt.Fprintf(&out, "CHAPTER %d\n\n", chapter)
+	sentenceLen := func() int { return 6 + rng.Intn(14) }
+	paraSentences := func() int { return 3 + rng.Intn(5) }
+	for out.Len() < approxBytes {
+		sentences := paraSentences()
+		for s := 0; s < sentences; s++ {
+			n := sentenceLen()
+			for w := 0; w < n; w++ {
+				word := vocabulary[zipf.pick(rng.Float64())]
+				if w == 0 {
+					word = string(word[0]-32) + word[1:]
+				}
+				out.WriteString(word)
+				if w < n-1 {
+					if w > 2 && rng.Intn(12) == 0 {
+						out.WriteByte(',')
+					}
+					out.WriteByte(' ')
+				}
+			}
+			out.WriteString(". ")
+		}
+		out.WriteString("\n\n")
+		if rng.Intn(40) == 0 {
+			chapter++
+			fmt.Fprintf(&out, "CHAPTER %d\n\n", chapter)
+		}
+	}
+	return out.Bytes()
+}
+
+// Book writes bookRef's bytes: at size 0, around the first paragraph's end
+// and around every chapter break of a long book, where the stopping rule
+// meets the heading draw, and at random seeds and sizes.
+func TestBookMatchesRef(t *testing.T) {
+	check := func(seed int64, size int) {
+		t.Helper()
+		if got, want := Book(seed, size), bookRef(seed, size); !bytes.Equal(got, want) {
+			t.Fatalf("Book(%d, %d): %d bytes, not bookRef's %d", seed, size, len(got), len(want))
+		}
+	}
+	const seed = 5
+	long := string(bookRef(seed, 400_000))
+	head := len("CHAPTER 1\n\n")
+	para := head + strings.Index(long[head:], "\n\n") + 2
+	sizes := []int{0, 1, head - 1, head, head + 1, para - 1, para, para + 1}
+	breaks := 0
+	for k := 2; ; k++ {
+		heading := fmt.Sprintf("CHAPTER %d\n\n", k)
+		at := strings.Index(long, heading)
+		if at < 0 {
+			break
+		}
+		breaks++
+		sizes = append(sizes, at-1, at, at+1, at+len(heading), at+len(heading)+1)
+	}
+	if breaks < 10 {
+		t.Fatalf("only %d chapter breaks in %d bytes", breaks, len(long))
+	}
+	for _, size := range sizes {
+		check(seed, size)
+	}
+	rng := rand.New(rand.NewSource(31))
+	for i := 0; i < 300; i++ {
+		size := rng.Intn(64 << 10)
+		if i%50 == 0 {
+			size = rng.Intn(2 << 20)
+		}
+		check(rng.Int63()-1<<62, size)
 	}
 }
 
