@@ -96,9 +96,8 @@ func BenchmarkFig8Energy(b *testing.B) {
 func BenchmarkTable3MinionLatency(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		steps := experiments.Table3(o, discard{})
-		total := steps[len(steps)-1].At.Sub(steps[0].At)
-		b.ReportMetric(float64(total.Microseconds()), "roundtrip-us")
+		r := experiments.Table3(o)
+		b.ReportMetric(float64(r.RoundTrip.Microseconds()), "roundtrip-us")
 	}
 }
 
@@ -164,8 +163,3 @@ func BenchmarkObservability(b *testing.B) {
 	b.Run("metrics", func(b *testing.B) { point(b, "metrics") })
 	b.Run("trace", func(b *testing.B) { point(b, "trace") })
 }
-
-// discard is an io.Writer sink for benchmark table rendering.
-type discard struct{}
-
-func (discard) Write(b []byte) (int, error) { return len(b), nil }

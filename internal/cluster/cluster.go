@@ -55,10 +55,6 @@ var (
 type RetryPolicy struct {
 	// MaxAttempts bounds tries per task on one device (≥1).
 	MaxAttempts int
-	// BaseBackoff is the delay before the first retry; it doubles per
-	// attempt up to MaxBackoff (exponential backoff in sim-time).
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
 	// DeadAfter marks a device dead after this many consecutive
 	// transport-level failures (no response came back at all). App-level
 	// failures — a response arrived with a non-OK status — are retried but
@@ -72,34 +68,20 @@ type RetryPolicy struct {
 	Jitter bool
 }
 
-// DefaultRetryPolicy returns the policy the pool starts with: 3 attempts,
-// 200µs base backoff capped at 20ms, death after 6 consecutive transport
-// failures.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{
-		MaxAttempts: 3,
-		BaseBackoff: 200 * time.Microsecond,
-		MaxBackoff:  20 * time.Millisecond,
-		DeadAfter:   6,
-	}
-}
+// The retry schedule: exponential backoff in sim-time, from baseBackoff
+// before the first retry, doubling per attempt up to maxBackoff.
+const (
+	baseBackoff = 200 * time.Microsecond
+	maxBackoff  = 20 * time.Millisecond
+)
 
 // backoff returns the delay after the attempt-th failure (1-based).
-func (rp RetryPolicy) backoff(attempt int) time.Duration {
-	d := rp.BaseBackoff
-	if d <= 0 {
-		d = 200 * time.Microsecond
-	}
-	for i := 1; i < attempt; i++ {
+func backoff(attempt int) time.Duration {
+	d := baseBackoff
+	for i := 1; i < attempt && d < maxBackoff; i++ {
 		d *= 2
-		if rp.MaxBackoff > 0 && d >= rp.MaxBackoff {
-			return rp.MaxBackoff
-		}
 	}
-	if rp.MaxBackoff > 0 && d > rp.MaxBackoff {
-		d = rp.MaxBackoff
-	}
-	return d
+	return min(d, maxBackoff)
 }
 
 // File is one named payload to distribute.
@@ -116,7 +98,8 @@ type Pool struct {
 	// PerDeviceTasks bounds concurrent minions per device (default: 4, one
 	// per ISPS core).
 	PerDeviceTasks int
-	// Retry is the fault-tolerance policy every task runs under.
+	// Retry is the fault-tolerance policy every task runs under (default:
+	// 3 attempts, death after 6 consecutive transport failures).
 	Retry RetryPolicy
 	// Hedge configures hedged dispatch via RunHedged (default off).
 	Hedge HedgePolicy
@@ -168,7 +151,7 @@ func NewPool(eng *sim.Engine, units []*core.DeviceUnit) *Pool {
 		units:          units,
 		ids:            ids,
 		PerDeviceTasks: 4,
-		Retry:          DefaultRetryPolicy(),
+		Retry:          RetryPolicy{MaxAttempts: 3, DeadAfter: 6},
 		dead:           make([]bool, len(units)),
 		strikes:        make([]int, len(units)),
 		inflight:       make([]int, len(units)),
@@ -320,7 +303,7 @@ func (pl *Pool) maxAttempts() int {
 // schedule, with seeded full jitter applied when armed (Retry.Jitter set
 // and SetSeed called) — each delay draws uniformly from (0, d].
 func (pl *Pool) backoffDelay(attempt int) time.Duration {
-	d := pl.Retry.backoff(attempt)
+	d := backoff(attempt)
 	if !pl.Retry.Jitter || pl.rng == nil || d <= 0 {
 		return d
 	}

@@ -314,25 +314,27 @@ func TestBalancersSkipDead(t *testing.T) {
 	sys.Run()
 }
 
-// TestRetryPolicyBackoff: exponential doubling from BaseBackoff, capped at
-// MaxBackoff, degenerate configs never negative.
+// TestRetryPolicyBackoff: exponential doubling from 200µs, capped at 20ms,
+// and still the cap at an attempt count whose doubling would overflow.
 func TestRetryPolicyBackoff(t *testing.T) {
-	rp := RetryPolicy{BaseBackoff: 100 * time.Microsecond, MaxBackoff: 500 * time.Microsecond}
 	want := []time.Duration{
-		100 * time.Microsecond, // attempt 1
-		200 * time.Microsecond,
+		200 * time.Microsecond, // attempt 1
 		400 * time.Microsecond,
-		500 * time.Microsecond, // capped
-		500 * time.Microsecond,
+		800 * time.Microsecond,
+		1600 * time.Microsecond,
+		3200 * time.Microsecond,
+		6400 * time.Microsecond,
+		12800 * time.Microsecond,
+		20 * time.Millisecond, // capped
+		20 * time.Millisecond,
 	}
 	for i, w := range want {
-		if got := rp.backoff(i + 1); got != w {
+		if got := backoff(i + 1); got != w {
 			t.Errorf("backoff(%d) = %v, want %v", i+1, got, w)
 		}
 	}
-	zero := RetryPolicy{}
-	if d := zero.backoff(3); d < 0 {
-		t.Errorf("zero-policy backoff negative: %v", d)
+	if got := backoff(100); got != 20*time.Millisecond {
+		t.Errorf("backoff(100) = %v, want the 20ms cap", got)
 	}
 }
 

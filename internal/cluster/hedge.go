@@ -44,7 +44,7 @@ const (
 	// hedgeMinDelay floors the hedge delay so a tight latency distribution
 	// cannot hedge instantly; it equals the first retry backoff, the
 	// shortest wait the pool takes anywhere else.
-	hedgeMinDelay = 200 * time.Microsecond
+	hedgeMinDelay = baseBackoff
 )
 
 // noteLatency feeds one successful task latency into the hedge-delay

@@ -61,7 +61,7 @@ func TestBackoffJitterBounds(t *testing.T) {
 	pool.Retry.Jitter = true
 	pool.SetSeed(7)
 	for attempt := 1; attempt <= 6; attempt++ {
-		ceil := pool.Retry.backoff(attempt)
+		ceil := backoff(attempt)
 		for i := 0; i < 200; i++ {
 			d := pool.backoffDelay(attempt)
 			if d <= 0 || d > ceil {
@@ -77,7 +77,7 @@ func TestJitterWithoutSeedFallsBack(t *testing.T) {
 	_, pool := newSystem(t, 1)
 	pool.Retry.Jitter = true
 	for attempt := 1; attempt <= 4; attempt++ {
-		if got, want := pool.backoffDelay(attempt), pool.Retry.backoff(attempt); got != want {
+		if got, want := pool.backoffDelay(attempt), backoff(attempt); got != want {
 			t.Fatalf("attempt %d: %v, want unjittered %v", attempt, got, want)
 		}
 	}
@@ -535,7 +535,7 @@ func TestRunTaskDeadlineBeforeDispatch(t *testing.T) {
 func TestRunTaskDeadlineCutsBackoffShort(t *testing.T) {
 	sys, pool := newSystem(t, 1)
 	pool.Retry.DeadAfter = 0
-	pool.Retry.BaseBackoff = 50 * time.Millisecond
+	pool.Retry.MaxAttempts = 10
 	sys.Go("driver", func(p *sim.Proc) {
 		if err := pool.StageReplicated(p, corpus(1)); err != nil {
 			t.Errorf("stage: %v", err)
@@ -543,16 +543,18 @@ func TestRunTaskDeadlineCutsBackoffShort(t *testing.T) {
 		}
 		failingAgent(pool, 0)
 		cmd := tailGrep("books/book000.txt")
-		cmd.Deadline = p.Now().Add(10 * time.Millisecond) // inside the first backoff
+		// Seven backoffs sum to 25.4ms; the eighth, capped at 20ms, would
+		// end past the deadline.
+		cmd.Deadline = p.Now().Add(30 * time.Millisecond)
 		t0 := p.Now()
 		r := pool.Dispatch(p, pinned(0), cmd)
 		if !errors.Is(r.Err, ErrDeadlineExceeded) {
 			t.Errorf("err = %v, want ErrDeadlineExceeded", r.Err)
 		}
-		if r.Attempts != 1 {
-			t.Errorf("attempts = %d, want 1 (backoff would sleep through the deadline)", r.Attempts)
+		if r.Attempts != 8 {
+			t.Errorf("attempts = %d, want 8 (the next backoff would sleep through the deadline)", r.Attempts)
 		}
-		if waited := p.Now().Sub(t0); waited >= 50*time.Millisecond {
+		if waited := p.Now().Sub(t0); waited >= 30*time.Millisecond {
 			t.Errorf("task slept %v through its deadline", waited)
 		}
 	})

@@ -50,8 +50,6 @@ type Command struct {
 	Cancel *apps.CancelToken `json:"-"`
 }
 
-// WireSize estimates the serialised size of the command as it crosses the
-// fabric.
 // Name is a short display label for traces: the program name, or "sh" for
 // script commands.
 func (c Command) Name() string {
@@ -64,6 +62,8 @@ func (c Command) Name() string {
 	return "task"
 }
 
+// WireSize estimates the serialised size of the command as it crosses the
+// fabric.
 func (c Command) WireSize() int64 {
 	b, err := json.Marshal(c)
 	if err != nil {

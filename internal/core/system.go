@@ -71,7 +71,7 @@ type SystemConfig struct {
 	// (callers usually pass appset.Base()).
 	Registry *apps.Registry
 	// Geometry overrides the flash array; the zero value selects the
-	// default. The fabric is always pcie.DefaultConfig().
+	// default.
 	Geometry flash.Geometry
 	// WithHost attaches a Xeon host runner.
 	WithHost bool
@@ -112,7 +112,6 @@ func NewSystem(cfg SystemConfig) *System {
 	}
 	eng := sim.NewEngine()
 	meter := energy.NewMeter(eng)
-	fcfg := pcie.DefaultConfig()
 	geo := cfg.Geometry
 	if geo.Channels == 0 {
 		geo = flash.DefaultGeometry()
@@ -120,7 +119,7 @@ func NewSystem(cfg SystemConfig) *System {
 	sys := &System{
 		Eng:    eng,
 		Meter:  meter,
-		Fabric: pcie.NewFabric(eng, fcfg),
+		Fabric: pcie.NewFabric(eng),
 		Obs:    cfg.Obs,
 	}
 	sys.Fabric.SetObs(cfg.Obs)
@@ -129,10 +128,10 @@ func NewSystem(cfg SystemConfig) *System {
 	// but it makes the data-movement cost the paper argues about visible in
 	// the meter.
 	const pjPerBit = 10.0
-	uplinkW := energy.PicojoulesPerBit(pjPerBit, int64(fcfg.UplinkBytesPerSec))
+	uplinkW := energy.PicojoulesPerBit(pjPerBit, pcie.UplinkBytesPerSec)
 	energy.MeterLink(meter.Component("pcie/uplink", 0), sys.Fabric.Uplink(), uplinkW)
 	meterPort := func(name string, port *pcie.Port) {
-		portW := energy.PicojoulesPerBit(pjPerBit, int64(fcfg.PortBytesPerSec))
+		portW := energy.PicojoulesPerBit(pjPerBit, pcie.PortBytesPerSec)
 		energy.MeterLink(meter.Component(name, 0), port.Link(), portW)
 	}
 	for i := 0; i < cfg.CompStors; i++ {

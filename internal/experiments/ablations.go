@@ -41,7 +41,7 @@ type InterferenceResult struct {
 func AblationInterference(o Options) InterferenceResult {
 	run := func(load bool, shared bool) (mean, p99 time.Duration, count int64) {
 		eng := sim.NewEngine()
-		fabric := pcie.NewFabric(eng, pcie.DefaultConfig())
+		fabric := pcie.NewFabric(eng)
 		cfg := ssd.CompStorConfig("dev", appset.Base())
 		cfg.Geometry = o.Geometry
 		cfg.SharedCores = shared
@@ -143,7 +143,7 @@ type StripingResult struct {
 func AblationStriping(o Options) StripingResult {
 	run := func(striping bool) float64 {
 		eng := sim.NewEngine()
-		fabric := pcie.NewFabric(eng, pcie.DefaultConfig())
+		fabric := pcie.NewFabric(eng)
 		cfg := ssd.DefaultConfig("dev")
 		cfg.Geometry = o.Geometry
 		cfg.FTL = ftl.Config{OverProvision: 0.07, Striping: striping}
@@ -192,7 +192,7 @@ func AblationDirectPath(o Options) DirectPathResult {
 	run := func(via bool) float64 {
 		files := o.corpus()
 		eng := sim.NewEngine()
-		fabric := pcie.NewFabric(eng, pcie.DefaultConfig())
+		fabric := pcie.NewFabric(eng)
 		cfg := ssd.CompStorConfig("dev", appset.Base())
 		cfg.Geometry = o.Geometry
 		cfg.ISPSViaNVMePath = via

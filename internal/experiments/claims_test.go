@@ -28,7 +28,7 @@ func claim(t *testing.T, rep Report) (simulated bool) {
 		return simulated
 	case Table1, Table2, Table4:
 		return false // rendered from model constants
-	case table3Result:
+	case Table3Result:
 		claimTable3(t, r)
 	case Fig1Result:
 		claimFig1(t, r)
@@ -74,7 +74,7 @@ func within(t *testing.T, what string, v, lo, hi float64) {
 
 // Table III: the paper's six lifetime steps of one traced minion, in
 // virtual-time order.
-func claimTable3(t *testing.T, r table3Result) {
+func claimTable3(t *testing.T, r Table3Result) {
 	t.Helper()
 	if len(r.Steps) != 6 {
 		t.Fatalf("%d steps, want the paper's six", len(r.Steps))
@@ -380,7 +380,7 @@ func claimTailStorm(t *testing.T, r TailResult) {
 
 func TestTable3LifetimeOrdered(t *testing.T) {
 	t.Parallel()
-	claimTable3(t, rowReport[table3Result](t, "table3", "minion"))
+	claimTable3(t, rowReport[Table3Result](t, "table3", "minion"))
 }
 
 func TestFig1ShapesHold(t *testing.T) {

@@ -21,6 +21,12 @@ func tinyOptions() Options {
 	return o
 }
 
+func TestPaperScaleIs348Books(t *testing.T) {
+	if PaperScaleOptions().Books != 348 {
+		t.Fatal("the paper-scale corpus should mirror the paper's 348 files")
+	}
+}
+
 func TestTablesRender(t *testing.T) {
 	var sb bytes.Buffer
 	Table1{}.Render(&sb)

@@ -37,12 +37,11 @@ type Fig1Result struct {
 func Fig1(o Options) Fig1Result {
 	paperGeo := flash.PaperGeometry()
 	timing := flash.DefaultTiming()
-	fabric := pcie.DefaultConfig()
 	r := Fig1Result{
 		PerSSDMediaBW: paperGeo.MediaBandwidth(timing),
-		PerSSDPortBW:  fabric.PortBytesPerSec,
+		PerSSDPortBW:  pcie.PortBytesPerSec,
 		ServerSSDs:    64,
-		HostUplinkBW:  fabric.UplinkBytesPerSec,
+		HostUplinkBW:  pcie.UplinkBytesPerSec,
 	}
 	r.ServerMediaBW = r.PerSSDMediaBW * float64(r.ServerSSDs)
 	r.AnalyticFactor = r.ServerMediaBW / r.HostUplinkBW

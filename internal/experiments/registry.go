@@ -35,10 +35,10 @@ func (e Experiment) Artefact() string {
 // experiment is one row here plus its function.
 func Experiments() []Experiment {
 	return []Experiment{
-		{Name: "tables", Run: func(o Options) Report { return reports{Table1{}, Table2{}, table3(o), Table4{}} }},
+		{Name: "tables", Run: func(o Options) Report { return reports{Table1{}, Table2{}, Table3(o), Table4{}} }},
 		{Name: "table1", PartOf: "tables", Run: func(Options) Report { return Table1{} }},
 		{Name: "table2", PartOf: "tables", Run: func(Options) Report { return Table2{} }},
-		{Name: "table3", PartOf: "tables", Run: func(o Options) Report { return table3(o) }},
+		{Name: "table3", PartOf: "tables", Run: func(o Options) Report { return Table3(o) }},
 		{Name: "table4", PartOf: "tables", Run: func(Options) Report { return Table4{} }},
 		{Name: "fig1", Run: func(o Options) Report { return Fig1(o) }},
 		{Name: "fig6", Run: func(o Options) Report { return Fig6(o, nil) }},

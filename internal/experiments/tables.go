@@ -58,24 +58,18 @@ type Table3Step struct {
 	What string
 }
 
-// table3Result is one traced minion lifetime: the paper's six steps with
+// Table3Result is one traced minion lifetime: the paper's six steps with
 // measured virtual timestamps, plus the figures of its summary line.
-type table3Result struct {
+type Table3Result struct {
 	Steps     []Table3Step
 	Elapsed   sim.Duration
 	RoundTrip sim.Duration
 	Stdout    string
 }
 
-// Table3 traces one real minion through the stack and renders the paper's
-// six lifetime steps with measured virtual timestamps.
-func Table3(o Options, w io.Writer) []Table3Step {
-	r := table3(o)
-	r.Render(w)
-	return r.Steps
-}
-
-func table3(o Options) table3Result {
+// Table3 traces one real minion through the stack: the paper's six
+// lifetime steps with measured virtual timestamps.
+func Table3(o Options) Table3Result {
 	sys := o.system(o.Obs.Scope("table3"), core.SystemConfig{CompStors: 1})
 	unit := sys.Device(0)
 	var m *core.Minion
@@ -97,7 +91,7 @@ func table3(o Options) table3Result {
 	sys.Close()
 
 	r := m.Response
-	return table3Result{
+	return Table3Result{
 		Steps: []Table3Step{
 			{1, m.Submitted, "client configures the minion and sends it via the in-situ library"},
 			{2, r.AgentReceived, "ISPS agent extracts the command and spawns the executable"},
@@ -113,7 +107,7 @@ func table3(o Options) table3Result {
 }
 
 // Render writes the lifetime table and its summary line.
-func (r table3Result) Render(w io.Writer) {
+func (r Table3Result) Render(w io.Writer) {
 	t := trace.NewTable("Table III — lifetime of a minion (measured)", "step", "t (virtual)", "description")
 	for _, s := range r.Steps {
 		t.AddRow(s.Step, s.At, s.What)
@@ -135,6 +129,6 @@ func (Table4) Render(w io.Writer) {
 	t.AddRow("off-the-shelf SSD", fmt.Sprintf("conventional NVMe SSD (%s raw)", trace.Bytes(flash.DefaultGeometry().Bytes())))
 	t.AddRow("in-situ SSD", fmt.Sprintf("CompStor NVMe SSD, paper geometry %s", trace.Bytes(flash.PaperGeometry().Bytes())))
 	t.AddRow("fabric", fmt.Sprintf("PCIe: %s uplink, %s per port",
-		trace.MBps(pcie.DefaultConfig().UplinkBytesPerSec), trace.MBps(pcie.DefaultConfig().PortBytesPerSec)))
+		trace.MBps(pcie.UplinkBytesPerSec), trace.MBps(pcie.PortBytesPerSec)))
 	t.Render(w)
 }

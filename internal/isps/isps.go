@@ -35,22 +35,22 @@ type Config struct {
 	Registry *apps.Registry
 	// Cores overrides the execution stations. Nil allocates dedicated
 	// cores per the platform; pass the SSD controller's CPU resource to
-	// build the shared-core ablation.
+	// build the shared-core ablation, whose compute runs in timeSlice quanta.
 	Cores *sim.Resource
 	// Meter receives compute energy; optional.
 	Meter *energy.Component
-	// TimeSlice, when non-zero, makes compute release and re-acquire its
-	// core every quantum so other work (notably I/O command handling on
-	// shared controller cores) can interleave. The dedicated-ISPS
-	// configuration leaves it zero; the shared-core ablation uses ~1 ms,
-	// modelling a preemptive firmware scheduler.
-	TimeSlice sim.Duration
 	// ScanChunks is how many chunks a large scan splits into across the
 	// cores (parscan.go): 0 is one per core, the stock CompStor; 1 runs every
 	// task on one core, the paper's executor and its named ablation; n asks
 	// for n.
 	ScanChunks int
 }
+
+// timeSlice is the quantum compute runs on shared cores before it releases
+// and re-acquires its core, so other work (notably I/O command handling on
+// the controller) can interleave: a preemptive firmware scheduler.
+// Dedicated ISPS cores run compute unsliced.
+const timeSlice = time.Millisecond
 
 // defaultTaskMem is the DRAM reserved for a task whose spec does not say.
 // The paper's applications stream their input through block-sized buffers,
@@ -106,7 +106,7 @@ type Subsystem struct {
 
 	thermal thermalModel
 
-	slice      sim.Duration
+	slice      sim.Duration // timeSlice on shared cores, else 0
 	scanChunks int
 
 	running   int
@@ -134,9 +134,9 @@ func New(eng *sim.Engine, cfg Config) *Subsystem {
 	if cfg.Registry == nil {
 		panic("isps: registry required")
 	}
-	cores := cfg.Cores
+	cores, slice := cfg.Cores, timeSlice
 	if cores == nil {
-		cores = sim.NewResource(eng, pl.Cores)
+		cores, slice = sim.NewResource(eng, pl.Cores), 0
 	}
 	s := &Subsystem{
 		eng:        eng,
@@ -145,7 +145,7 @@ func New(eng *sim.Engine, cfg Config) *Subsystem {
 		meter:      cfg.Meter,
 		registry:   cfg.Registry,
 		memTotal:   pl.MemBytes,
-		slice:      cfg.TimeSlice,
+		slice:      slice,
 		scanChunks: cfg.ScanChunks,
 		thermal:    newThermalModel(),
 	}

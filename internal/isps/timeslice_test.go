@@ -6,19 +6,27 @@ import (
 	"time"
 
 	"compstor/internal/apps/appset"
+	"compstor/internal/cpu"
 	"compstor/internal/minfs"
 	"compstor/internal/sim"
 )
 
-// TestTimeSliceInterleavesQueuedWork: with a 1ms quantum on a single shared
-// core, a short task submitted after a long one starts must finish long
-// before the long task does (preemption), whereas without slicing it waits
-// for the whole long task.
+// TestTimeSliceInterleavesQueuedWork: on a single shared core, compute runs
+// in 1ms quanta, so a short task submitted after a long one starts must
+// finish long before the long task does (preemption), whereas on a single
+// dedicated core, unsliced, it waits for the whole long task.
 func TestTimeSliceInterleavesQueuedWork(t *testing.T) {
-	run := func(slice sim.Duration) (shortDone, longDone sim.Time) {
+	run := func(shared bool) (shortDone, longDone sim.Time) {
 		eng := sim.NewEngine()
-		shared := sim.NewResource(eng, 1)
-		sub := New(eng, Config{Registry: appset.Base().Clone(), Cores: shared, TimeSlice: slice})
+		cfg := Config{Registry: appset.Base().Clone()}
+		if shared {
+			cfg.Cores = sim.NewResource(eng, 1)
+		} else {
+			one := *cpu.ISPS()
+			one.Cores = 1
+			cfg.Platform = &one
+		}
+		sub := New(eng, cfg)
 		dev := &memDevice{pageSize: 512, pages: 1 << 16, store: make(map[int64][]byte)}
 		view := minfs.NewView(minfs.NewFS(512, 1<<16), dev)
 		sub.AttachFS(view)
@@ -40,8 +48,8 @@ func TestTimeSliceInterleavesQueuedWork(t *testing.T) {
 		return shortDone, longDone
 	}
 
-	shortNoSlice, longNoSlice := run(0)
-	shortSliced, longSliced := run(time.Millisecond)
+	shortNoSlice, longNoSlice := run(false)
+	shortSliced, longSliced := run(true)
 
 	// Without slicing the short task waits for the whole long task.
 	if shortNoSlice < longNoSlice-sim.Time(5*time.Millisecond) {
@@ -53,23 +61,27 @@ func TestTimeSliceInterleavesQueuedWork(t *testing.T) {
 	}
 }
 
-// TestTimeSliceDoesNotChangeTotalComputeEnergyOrTime: slicing reorders
+// TestTimeSlicePreservesBusyTime: slicing on shared cores reorders
 // execution but must not change the total busy time charged.
 func TestTimeSlicePreservesBusyTime(t *testing.T) {
-	busy := func(slice sim.Duration) sim.Duration {
+	busy := func(shared bool) sim.Duration {
 		eng := sim.NewEngine()
-		sub := New(eng, Config{Registry: appset.Base().Clone(), TimeSlice: slice})
+		cfg := Config{Registry: appset.Base().Clone()}
+		if shared {
+			cfg.Cores = sim.NewResource(eng, cpu.ISPS().Cores)
+		}
+		sub := New(eng, cfg)
 		dev := &memDevice{pageSize: 512, pages: 1 << 16, store: make(map[int64][]byte)}
 		view := minfs.NewView(minfs.NewFS(512, 1<<16), dev)
 		sub.AttachFS(view)
 		eng.Go("t", func(p *sim.Proc) {
-			view.WriteFile(p, "f", bytes.Repeat([]byte("q"), 50_000))
+			view.WriteFile(p, "f", bytes.Repeat([]byte("q"), 200_000))
 			sub.Spawn(p, TaskSpec{Exec: "grep", Args: []string{"-c", "q", "f"}})
 		})
 		eng.Run()
 		return sub.Cores().BusyTime()
 	}
-	a, b := busy(0), busy(500*time.Microsecond)
+	a, b := busy(false), busy(true)
 	if a != b {
 		t.Fatalf("busy time changed with slicing: %v vs %v", a, b)
 	}

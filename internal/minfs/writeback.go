@@ -55,12 +55,6 @@ func (v *View) EnableWriteBack(eng *sim.Engine, budgetPages, workers int) {
 	if v.wb != nil {
 		return
 	}
-	if budgetPages <= 0 {
-		budgetPages = 4096
-	}
-	if workers <= 0 {
-		workers = 16
-	}
 	wb := &writeBack{
 		eng:     eng,
 		dev:     v.dev,

@@ -153,23 +153,20 @@ type Backend interface {
 	Vendor(p *sim.Proc, op Opcode, payload any) (resp any, respBytes int64, err error)
 }
 
-// Config tunes the controller model.
-type Config struct {
-	// QueueDepth bounds outstanding commands (admission at the host driver).
-	QueueDepth int
-	// Workers is the number of controller-side execution contexts; it models
+// The controller model: modern controllers service deep queues
+// concurrently, so the flash die and channel resources are the real
+// limiters.
+const (
+	// queueDepth bounds outstanding commands (admission at the host driver).
+	queueDepth = 128
+	// ioWorkers is the number of controller-side execution contexts; it models
 	// the front-end's command-level parallelism.
-	Workers int
-	// VendorWorkers service vendor commands (minions, queries) on their own
+	ioWorkers = 64
+	// vendorWorkers service vendor commands (minions, queries) on their own
 	// contexts so long-running in-situ tasks never starve the I/O path —
 	// the hardware analogue is the separate admin/vendor queue pair.
-	VendorWorkers int
-}
-
-// DefaultConfig returns QD128 with 64 I/O contexts and 8 vendor contexts
-// (modern controllers service deep queues concurrently; the flash die and
-// channel resources are the real limiters).
-func DefaultConfig() Config { return Config{QueueDepth: 128, Workers: 64, VendorWorkers: 8} }
+	vendorWorkers = 8
+)
 
 // Controller is the device-side protocol engine. Create with NewController,
 // then obtain the host-side handle with Driver.
@@ -177,7 +174,6 @@ type Controller struct {
 	eng     *sim.Engine
 	port    *pcie.Port
 	backend Backend
-	cfg     Config
 	sq      *sim.Mailbox[*Command]
 	vq      *sim.Mailbox[*Command]
 	qd      *sim.Semaphore
@@ -219,28 +215,21 @@ type Stats struct {
 	BytesFromHo int64
 }
 
-// NewController starts a controller with cfg.Workers front-end processes
-// servicing the submission queue.
-func NewController(eng *sim.Engine, port *pcie.Port, backend Backend, cfg Config) *Controller {
-	if cfg.QueueDepth <= 0 || cfg.Workers <= 0 {
-		panic("nvme: non-positive queue depth or workers")
-	}
-	if cfg.VendorWorkers <= 0 {
-		cfg.VendorWorkers = 4
-	}
+// NewController starts a controller with its front-end processes servicing
+// the submission and vendor queues.
+func NewController(eng *sim.Engine, port *pcie.Port, backend Backend) *Controller {
 	c := &Controller{
 		eng:     eng,
 		port:    port,
 		backend: backend,
-		cfg:     cfg,
 		sq:      sim.NewMailbox[*Command](),
 		vq:      sim.NewMailbox[*Command](),
-		qd:      sim.NewSemaphore(eng, cfg.QueueDepth),
+		qd:      sim.NewSemaphore(eng, queueDepth),
 	}
-	for i := 0; i < cfg.Workers; i++ {
+	for i := 0; i < ioWorkers; i++ {
 		eng.Go(fmt.Sprintf("nvme/fe%d", i), func(p *sim.Proc) { c.serve(p, c.sq) })
 	}
-	for i := 0; i < cfg.VendorWorkers; i++ {
+	for i := 0; i < vendorWorkers; i++ {
 		eng.Go(fmt.Sprintf("nvme/vfe%d", i), func(p *sim.Proc) { c.serve(p, c.vq) })
 	}
 	return c

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"compstor/internal/pcie"
 	"compstor/internal/sim"
@@ -65,8 +66,8 @@ func (f *fakeBackend) Vendor(p *sim.Proc, op Opcode, payload any) (any, int64, e
 
 func newRig(be Backend) (*sim.Engine, *Driver, *Controller) {
 	eng := sim.NewEngine()
-	fabric := pcie.NewFabric(eng, pcie.DefaultConfig())
-	ctrl := NewController(eng, fabric.AddPort(), be, DefaultConfig())
+	fabric := pcie.NewFabric(eng)
+	ctrl := NewController(eng, fabric.AddPort(), be)
 	return eng, ctrl.Driver(), ctrl
 }
 
@@ -195,32 +196,40 @@ func TestUnknownOpcodeFails(t *testing.T) {
 	eng.Run()
 }
 
+// TestQueueDepthLimitsOutstanding fills the queue with slow vendor
+// commands and then issues one read: the read is admitted at once while a
+// slot is free, and waits for the first vendor completion when all
+// queueDepth slots are taken — the bound is exactly queueDepth.
 func TestQueueDepthLimitsOutstanding(t *testing.T) {
-	be := newFakeBackend()
-	eng := sim.NewEngine()
-	fabric := pcie.NewFabric(eng, pcie.DefaultConfig())
-	ctrl := NewController(eng, fabric.AddPort(), be, Config{QueueDepth: 2, Workers: 8})
-	drv := ctrl.Driver()
-	// With QD=2, 6 reads must finish in at least 3 serialized "waves".
-	var completions []sim.Time
-	for i := 0; i < 6; i++ {
-		eng.Go("host", func(p *sim.Proc) {
+	const task = 10 * time.Millisecond
+	for _, held := range []int{queueDepth - 1, queueDepth} {
+		be := newFakeBackend()
+		be.vendorFn = func(p *sim.Proc, op Opcode, payload any) (any, int64, error) {
+			p.Wait(task)
+			return nil, 0, nil
+		}
+		eng, drv, _ := newRig(be)
+		for i := 0; i < held; i++ {
+			eng.Go("minion", func(p *sim.Proc) {
+				drv.Submit(p, &Command{Op: OpVendorMinion, Payload: "task", PayloadBytes: 64})
+			})
+		}
+		var readDone sim.Time
+		eng.Go("reader", func(p *sim.Proc) {
+			p.Wait(time.Millisecond) // every vendor command is admitted by now
 			if _, err := drv.Read(p, 0, 1); err != nil {
-				t.Errorf("read: %v", err)
+				t.Error(err)
 			}
-			completions = append(completions, p.Now())
+			readDone = p.Now()
 		})
-	}
-	eng.Run()
-	if len(completions) != 6 {
-		t.Fatalf("%d completions", len(completions))
-	}
-	distinct := map[sim.Time]bool{}
-	for _, c := range completions {
-		distinct[c] = true
-	}
-	if len(distinct) < 3 {
-		t.Fatalf("completions bunched into %d instants; QD=2 not enforced", len(distinct))
+		eng.Run()
+		if readDone == 0 {
+			t.Fatalf("%d slots held: the read never completed", held)
+		}
+		if waited := readDone > sim.Time(task); waited != (held == queueDepth) {
+			t.Errorf("%d slots held: read completed at %v (waited for a slot: %v, want %v)",
+				held, readDone, waited, held == queueDepth)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"compstor/internal/pcie"
 	"compstor/internal/sim"
 )
 
@@ -17,13 +16,10 @@ func TestVendorQueueDoesNotStarveIO(t *testing.T) {
 		p.Wait(100 * time.Millisecond) // a long in-situ task
 		return "done", 16, nil
 	}
-	eng := sim.NewEngine()
-	fabric := pcie.NewFabric(eng, pcie.DefaultConfig())
-	ctrl := NewController(eng, fabric.AddPort(), be, Config{QueueDepth: 64, Workers: 4, VendorWorkers: 2})
-	drv := ctrl.Driver()
+	eng, drv, _ := newRig(be)
 
-	// Saturate both vendor workers.
-	for i := 0; i < 2; i++ {
+	// Saturate every vendor worker.
+	for i := 0; i < vendorWorkers; i++ {
 		eng.Go("minion", func(p *sim.Proc) {
 			drv.Submit(p, &Command{Op: OpVendorMinion, Payload: "task", PayloadBytes: 64})
 		})
@@ -42,20 +38,17 @@ func TestVendorQueueDoesNotStarveIO(t *testing.T) {
 	}
 }
 
-// TestVendorCommandsQueueWhenWorkersBusy: a third vendor command waits for
-// a free vendor context rather than failing.
+// TestVendorCommandsQueueWhenWorkersBusy: one vendor command more than
+// there are vendor contexts waits for a free one rather than failing.
 func TestVendorCommandsQueueWhenWorkersBusy(t *testing.T) {
 	be := newFakeBackend()
 	be.vendorFn = func(p *sim.Proc, op Opcode, payload any) (any, int64, error) {
 		p.Wait(10 * time.Millisecond)
 		return "ok", 8, nil
 	}
-	eng := sim.NewEngine()
-	fabric := pcie.NewFabric(eng, pcie.DefaultConfig())
-	ctrl := NewController(eng, fabric.AddPort(), be, Config{QueueDepth: 64, Workers: 2, VendorWorkers: 1})
-	drv := ctrl.Driver()
+	eng, drv, _ := newRig(be)
 	var done []sim.Time
-	for i := 0; i < 3; i++ {
+	for i := 0; i < vendorWorkers+1; i++ {
 		eng.Go("m", func(p *sim.Proc) {
 			comp := drv.Submit(p, &Command{Op: OpVendorQuery, Payload: "q", PayloadBytes: 8})
 			if comp.Status != StatusOK {
@@ -65,11 +58,10 @@ func TestVendorCommandsQueueWhenWorkersBusy(t *testing.T) {
 		})
 	}
 	eng.Run()
-	if len(done) != 3 {
+	if len(done) != vendorWorkers+1 {
 		t.Fatalf("%d completions", len(done))
 	}
-	last := done[len(done)-1]
-	if last < sim.Time(30*time.Millisecond) {
-		t.Fatalf("3 serialized 10ms vendor commands finished at %v", last)
+	if first, last := done[vendorWorkers-1], done[vendorWorkers]; first >= sim.Time(20*time.Millisecond) || last < sim.Time(20*time.Millisecond) {
+		t.Fatalf("%d concurrent 10ms vendor commands finished at %v, the one after them at %v", vendorWorkers, first, last)
 	}
 }

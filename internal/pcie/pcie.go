@@ -18,48 +18,33 @@ import (
 	"compstor/internal/sim"
 )
 
-// Config describes a fabric. The defaults (via DefaultConfig) model the
-// paper's setup: PCIe Gen3 x16 root complex, Gen3 x4-class device ports.
-type Config struct {
+// The fabric of the paper's setup (the figures quoted in Fig. 1): a PCIe
+// Gen3 x16 root complex shared by all devices and Gen3 x4-class device
+// ports.
+const (
 	// UplinkBytesPerSec is the root-complex bandwidth shared by all devices.
-	UplinkBytesPerSec float64
-	// UplinkLatency is the propagation latency through switch + root complex.
-	UplinkLatency time.Duration
+	UplinkBytesPerSec = 16e9
 	// PortBytesPerSec is each downstream port's bandwidth (per device).
-	PortBytesPerSec float64
-	// PortLatency is each downstream port's propagation latency.
-	PortLatency time.Duration
-}
-
-// DefaultConfig returns the paper-calibrated fabric: 16 GB/s uplink,
-// 2 GB/s per device port (the figures quoted in Fig. 1).
-func DefaultConfig() Config {
-	return Config{
-		UplinkBytesPerSec: 16e9,
-		UplinkLatency:     500 * time.Nanosecond,
-		PortBytesPerSec:   2e9,
-		PortLatency:       300 * time.Nanosecond,
-	}
-}
+	PortBytesPerSec = 2e9
+	// uplinkLatency is the propagation latency through switch + root complex.
+	uplinkLatency = 500 * time.Nanosecond
+	// portLatency is each downstream port's propagation latency.
+	portLatency = 300 * time.Nanosecond
+)
 
 // Fabric is a host root complex plus switch with downstream ports.
 type Fabric struct {
 	eng    *sim.Engine
-	cfg    Config
 	uplink *sim.Link
 	ports  []*Port
 	obs    *obs.Obs
 }
 
 // NewFabric builds a fabric with no ports; attach devices with AddPort.
-func NewFabric(eng *sim.Engine, cfg Config) *Fabric {
-	if cfg.UplinkBytesPerSec <= 0 || cfg.PortBytesPerSec <= 0 {
-		panic("pcie: non-positive bandwidth")
-	}
+func NewFabric(eng *sim.Engine) *Fabric {
 	return &Fabric{
 		eng:    eng,
-		cfg:    cfg,
-		uplink: sim.NewLink(eng, "pcie/uplink", cfg.UplinkBytesPerSec, cfg.UplinkLatency),
+		uplink: sim.NewLink(eng, "pcie/uplink", UplinkBytesPerSec, uplinkLatency),
 	}
 }
 
@@ -86,7 +71,7 @@ func (f *Fabric) AddPort() *Port {
 	p := &Port{
 		fabric: f,
 		id:     id,
-		link:   sim.NewLink(f.eng, fmt.Sprintf("pcie/port%d", id), f.cfg.PortBytesPerSec, f.cfg.PortLatency),
+		link:   sim.NewLink(f.eng, fmt.Sprintf("pcie/port%d", id), PortBytesPerSec, portLatency),
 	}
 	f.ports = append(f.ports, p)
 	if f.obs != nil {
@@ -132,7 +117,7 @@ func (p *Port) FromHost(proc *sim.Proc, n int64) {
 // Message models a small control transaction (doorbell write, MSI-X
 // interrupt): propagation latencies only, no occupancy.
 func (p *Port) Message(proc *sim.Proc) {
-	proc.Wait(p.fabric.cfg.UplinkLatency + p.fabric.cfg.PortLatency)
+	proc.Wait(uplinkLatency + portLatency)
 }
 
 // BytesToHost returns payload bytes DMAed device→host through this port.

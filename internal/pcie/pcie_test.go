@@ -9,10 +9,7 @@ import (
 
 func TestSingleDeviceLimitedByPort(t *testing.T) {
 	eng := sim.NewEngine()
-	f := NewFabric(eng, Config{
-		UplinkBytesPerSec: 16e9,
-		PortBytesPerSec:   2e9,
-	})
+	f := NewFabric(eng)
 	port := f.AddPort()
 	const n = 2_000_000_000 // 2 GB
 	var done sim.Time
@@ -22,8 +19,8 @@ func TestSingleDeviceLimitedByPort(t *testing.T) {
 	})
 	eng.Run()
 	// 2 GB at 2 GB/s = 1 s on the port, plus 2 GB at 16 GB/s = 0.125 s on
-	// the uplink (store and forward).
-	want := sim.Time(1125 * time.Millisecond)
+	// the uplink (store and forward), plus both hops' 300 + 500 ns latency.
+	want := sim.Time(1125*time.Millisecond + 800*time.Nanosecond)
 	if done != want {
 		t.Fatalf("DMA finished at %v, want %v", done, want)
 	}
@@ -36,10 +33,7 @@ func TestManyDevicesLimitedByUplink(t *testing.T) {
 	// 16 devices each pushing 2 GB: port-limited would take ~1s in
 	// parallel, but the 16 GB/s uplink must serialise 32 GB = 2 s.
 	eng := sim.NewEngine()
-	f := NewFabric(eng, Config{
-		UplinkBytesPerSec: 16e9,
-		PortBytesPerSec:   2e9,
-	})
+	f := NewFabric(eng)
 	const devs = 16
 	const per = 2_000_000_000
 	var last sim.Time
@@ -71,7 +65,7 @@ func TestManyDevicesLimitedByUplink(t *testing.T) {
 
 func TestFromHostDirection(t *testing.T) {
 	eng := sim.NewEngine()
-	f := NewFabric(eng, DefaultConfig())
+	f := NewFabric(eng)
 	port := f.AddPort()
 	eng.Go("dma", func(p *sim.Proc) {
 		port.FromHost(p, 1_000_000)
@@ -87,13 +81,7 @@ func TestFromHostDirection(t *testing.T) {
 
 func TestMessageLatencyOnly(t *testing.T) {
 	eng := sim.NewEngine()
-	cfg := Config{
-		UplinkBytesPerSec: 16e9,
-		UplinkLatency:     500 * time.Nanosecond,
-		PortBytesPerSec:   2e9,
-		PortLatency:       300 * time.Nanosecond,
-	}
-	f := NewFabric(eng, cfg)
+	f := NewFabric(eng)
 	port := f.AddPort()
 	var done sim.Time
 	eng.Go("msg", func(p *sim.Proc) {
@@ -111,7 +99,7 @@ func TestMessageLatencyOnly(t *testing.T) {
 
 func TestPortIdentity(t *testing.T) {
 	eng := sim.NewEngine()
-	f := NewFabric(eng, DefaultConfig())
+	f := NewFabric(eng)
 	a, b := f.AddPort(), f.AddPort()
 	if a.ID() != 0 || b.ID() != 1 {
 		t.Fatalf("port IDs %d,%d", a.ID(), b.ID())
@@ -122,14 +110,4 @@ func TestPortIdentity(t *testing.T) {
 	if a.Link() == b.Link() {
 		t.Fatal("ports share a link")
 	}
-}
-
-func TestBadConfigPanics(t *testing.T) {
-	eng := sim.NewEngine()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero bandwidth config did not panic")
-		}
-	}()
-	NewFabric(eng, Config{})
 }

@@ -126,14 +126,12 @@ type Limits struct {
 	// reaches this depth (default 64).
 	MaxQueuedPerTenant int
 	// MaxOutstanding sheds all arrivals once admitted-but-unfinished
-	// requests reach this count (default 4x the dispatch workers).
+	// requests reach this count (default 4x the dispatch workers, which
+	// are the pool's PerDeviceTasks per device).
 	MaxOutstanding int
 	// DRAMBudget sheds arrivals whose reservation would push the summed
 	// per-request memory estimate past this many bytes; zero = unlimited.
 	DRAMBudget int64
-	// PerDeviceWorkers sets dispatch concurrency per device (default:
-	// the pool's PerDeviceTasks).
-	PerDeviceWorkers int
 }
 
 // Config assembles a serving run.
@@ -142,11 +140,10 @@ type Config struct {
 	Horizon time.Duration // arrivals stop this long after Start
 	Tenants []TenantSpec
 	Limits  Limits
-	// Balancer picks the device per dispatch (default LeastOutstanding).
-	Balancer cluster.Balancer
-	// TimelineWindow is the queue-depth timeline resolution (default 10ms).
-	TimelineWindow time.Duration
 }
+
+// timelineWindow is the resolution of each tenant's queue-depth timeline.
+const timelineWindow = 10 * time.Millisecond
 
 // RequestResult is the outcome of one arrival, in completion order.
 type RequestResult struct {
@@ -263,20 +260,11 @@ func New(eng *sim.Engine, pool *cluster.Pool, o *obs.Obs, cfg Config) *Server {
 	if cfg.Horizon <= 0 {
 		panic("serve: non-positive horizon")
 	}
-	if cfg.Balancer == nil {
-		cfg.Balancer = cluster.LeastOutstanding{}
-	}
-	if cfg.TimelineWindow <= 0 {
-		cfg.TimelineWindow = 10 * time.Millisecond
-	}
-	if cfg.Limits.PerDeviceWorkers <= 0 {
-		cfg.Limits.PerDeviceWorkers = pool.PerDeviceTasks
-	}
 	if cfg.Limits.MaxQueuedPerTenant <= 0 {
 		cfg.Limits.MaxQueuedPerTenant = 64
 	}
 	if cfg.Limits.MaxOutstanding <= 0 {
-		cfg.Limits.MaxOutstanding = 4 * cfg.Limits.PerDeviceWorkers * pool.Size()
+		cfg.Limits.MaxOutstanding = 4 * pool.PerDeviceTasks * pool.Size()
 	}
 	s := &Server{
 		eng:    eng,
@@ -320,7 +308,7 @@ func New(eng *sim.Engine, pool *cluster.Pool, o *obs.Obs, cfg Config) *Server {
 			},
 			// Capacity = the shed threshold, so a window's fraction is
 			// mean depth over the depth that triggers shedding.
-			queueTL: o.Timeline(pre+"queue_depth", cfg.TimelineWindow, cfg.Limits.MaxQueuedPerTenant),
+			queueTL: o.Timeline(pre+"queue_depth", timelineWindow, cfg.Limits.MaxQueuedPerTenant),
 		}
 		s.tenants = append(s.tenants, ts)
 	}
@@ -359,7 +347,7 @@ func (s *Server) Start() {
 			}
 		})
 	}
-	workers := s.cfg.Limits.PerDeviceWorkers * s.pool.Size()
+	workers := s.pool.PerDeviceTasks * s.pool.Size()
 	for w := 0; w < workers; w++ {
 		s.eng.Go(fmt.Sprintf("serve.worker%d", w), s.worker)
 	}
@@ -559,7 +547,7 @@ func (s *Server) brownoutLimit(c Class) int {
 	if frac >= 1 {
 		return max
 	}
-	floor := s.cfg.Limits.PerDeviceWorkers
+	floor := s.pool.PerDeviceTasks
 	eff := int(math.Ceil(float64(max) * frac))
 	if eff < floor {
 		eff = floor
@@ -613,7 +601,7 @@ func (s *Server) worker(p *sim.Proc) {
 			s.finish(p, req, -1, nil, fmt.Errorf("%w: lapsed in queue", cluster.ErrDeadlineExceeded))
 			continue
 		}
-		dev, err := s.cfg.Balancer.Pick(p, s.pool)
+		dev, err := cluster.LeastOutstanding{}.Pick(p, s.pool)
 		if err != nil {
 			s.finish(p, req, -1, nil, err)
 			continue

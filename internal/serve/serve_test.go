@@ -48,6 +48,14 @@ func grepWorkload() []Workload {
 func runServing(t *testing.T, devices int, cfg Config, plan *chaos.Plan, watchdog time.Duration) (*Server, *bool) {
 	t.Helper()
 	sys, pool := newSys(t, devices)
+	return serveOn(t, sys, pool, cfg, plan, watchdog)
+}
+
+// serveOn is runServing on a system and pool the caller built, for tests
+// that set the pool's PerDeviceTasks (the server's dispatch slots per
+// device).
+func serveOn(t *testing.T, sys *core.System, pool *cluster.Pool, cfg Config, plan *chaos.Plan, watchdog time.Duration) (*Server, *bool) {
+	t.Helper()
 	if plan != nil {
 		chaos.Install(sys, plan)
 	}
@@ -140,10 +148,11 @@ func TestInteractivePriority(t *testing.T) {
 	// One dispatch slot (~1200 req/s of grep capacity) and a deep backlog
 	// allowance: the background queue builds for real, and any interactive
 	// arrival must jump it.
-	cfg.Limits.PerDeviceWorkers = 1
 	cfg.Limits.MaxQueuedPerTenant = 32
 	cfg.Limits.MaxOutstanding = 64
-	srv, _ := runServing(t, 1, cfg, nil, 0)
+	sys, pool := newSys(t, 1)
+	pool.PerDeviceTasks = 1
+	srv, _ := serveOn(t, sys, pool, cfg, nil, 0)
 	checkConservation(t, srv, "inter", "back")
 	is, bs := srv.Stats("inter"), srv.Stats("back")
 	if bs.Shed == 0 {
@@ -165,10 +174,11 @@ func TestAdmissionSheds(t *testing.T) {
 		Workloads: grepWorkload(),
 	}
 	cfg := defaultConfig(spec)
-	cfg.Limits.PerDeviceWorkers = 1
 	cfg.Limits.MaxQueuedPerTenant = 8
 	cfg.Limits.MaxOutstanding = 100 // so the queue-depth threshold binds first
-	srv, _ := runServing(t, 1, cfg, nil, 0)
+	sys, pool := newSys(t, 1)
+	pool.PerDeviceTasks = 1
+	srv, _ := serveOn(t, sys, pool, cfg, nil, 0)
 	checkConservation(t, srv, "flood")
 	st := srv.Stats("flood")
 	if st.Shed == 0 {

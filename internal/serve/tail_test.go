@@ -75,11 +75,11 @@ func TestBrownoutShedsBackgroundFirst(t *testing.T) {
 	}
 	cfg := defaultConfig(inter, back)
 	cfg.Horizon = 300 * time.Millisecond
-	cfg.Limits.PerDeviceWorkers = 2
 	cfg.Limits.MaxOutstanding = 16
 	cfg.Limits.MaxQueuedPerTenant = 1 << 20 // queue depth must not bind first
 
 	sys, pool := newSys(t, 2)
+	pool.PerDeviceTasks = 2
 	pool.Health = cluster.DefaultHealthPolicy()
 	srv := New(sys.Eng, pool, nil, cfg)
 	sys.Go("driver", func(p *sim.Proc) {

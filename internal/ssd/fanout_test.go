@@ -191,7 +191,7 @@ func (o fanOutOutcome) model() fanOutOutcome {
 func (sc fanOutScenario) run(t testing.TB, read readPagesFn, traced bool) fanOutOutcome {
 	eng := sim.NewEngine()
 	defer eng.Shutdown()
-	fabric := pcie.NewFabric(eng, pcie.DefaultConfig())
+	fabric := pcie.NewFabric(eng)
 	cfg := DefaultConfig("ssd0")
 	cfg.Geometry = sc.geo
 	var o *obs.Obs

@@ -23,7 +23,7 @@ func newPipelineRig(t *testing.T) (*sim.Engine, *SSD, *ispsBlockDevice) {
 func newPipelineRigGeo(t *testing.T, geo flash.Geometry) (*sim.Engine, *SSD, *ispsBlockDevice) {
 	t.Helper()
 	eng := sim.NewEngine()
-	fabric := pcie.NewFabric(eng, pcie.DefaultConfig())
+	fabric := pcie.NewFabric(eng)
 	c := CompStorConfig("cs0", appset.Base())
 	c.Geometry = geo
 	drive := New(eng, fabric.AddPort(), c)
@@ -304,7 +304,7 @@ func TestPipelineDeterminism(t *testing.T) {
 	}
 	run := func() outcome {
 		eng := sim.NewEngine()
-		fabric := pcie.NewFabric(eng, pcie.DefaultConfig())
+		fabric := pcie.NewFabric(eng)
 		cfg := CompStorConfig("cs0", appset.Base())
 		cfg.Geometry = smallGeometry()
 		drive := New(eng, fabric.AddPort(), cfg)

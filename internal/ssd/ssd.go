@@ -39,8 +39,8 @@ const (
 	ispsDriverLatency = 3 * time.Microsecond
 )
 
-// Config assembles a drive. Flash timing and the NVMe front-end are the
-// defaults of their packages (flash.DefaultTiming, nvme.DefaultConfig).
+// Config assembles a drive. Flash timing is its package's default
+// (flash.DefaultTiming); the NVMe front-end has no settings.
 type Config struct {
 	Name     string
 	Geometry flash.Geometry
@@ -171,7 +171,6 @@ func New(eng *sim.Engine, port *pcie.Port, cfg Config) *SSD {
 		}
 		if cfg.SharedCores {
 			icfg.Cores = s.ctrlCPU
-			icfg.TimeSlice = time.Millisecond // preemptive firmware scheduler
 		}
 		s.sub = isps.New(eng, icfg)
 		s.sub.SetObs(cfg.Obs)
@@ -197,7 +196,7 @@ func New(eng *sim.Engine, port *pcie.Port, cfg Config) *SSD {
 		s.sub.AttachFS(s.ispsView)
 	}
 
-	s.ctrl = nvme.NewController(eng, port, s, nvme.DefaultConfig())
+	s.ctrl = nvme.NewController(eng, port, s)
 	s.ctrl.SetObs(cfg.Obs)
 	return s
 }

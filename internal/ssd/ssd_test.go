@@ -27,7 +27,7 @@ func smallGeometry() flash.Geometry {
 func newRig(t testing.TB, insitu bool) (*sim.Engine, *SSD) {
 	t.Helper()
 	eng := sim.NewEngine()
-	fabric := pcie.NewFabric(eng, pcie.DefaultConfig())
+	fabric := pcie.NewFabric(eng)
 	var cfg Config
 	if insitu {
 		cfg = CompStorConfig("cs0", appset.Base())
@@ -45,7 +45,7 @@ func newSerialRig(t testing.TB) (*sim.Engine, *SSD) {
 	cfg := CompStorConfig("cs0", appset.Base())
 	cfg.Geometry = smallGeometry()
 	cfg.SerialReads = true
-	return eng, New(eng, pcie.NewFabric(eng, pcie.DefaultConfig()).AddPort(), cfg)
+	return eng, New(eng, pcie.NewFabric(eng).AddPort(), cfg)
 }
 
 func TestHostReadWriteThroughNVMe(t *testing.T) {
@@ -171,7 +171,7 @@ func TestISPSDirectPathFasterThanHostPath(t *testing.T) {
 func TestViaNVMeAblationSlower(t *testing.T) {
 	elapsed := func(via bool) sim.Duration {
 		eng := sim.NewEngine()
-		fabric := pcie.NewFabric(eng, pcie.DefaultConfig())
+		fabric := pcie.NewFabric(eng)
 		cfg := CompStorConfig("cs", appset.Base())
 		cfg.Geometry = smallGeometry()
 		cfg.ISPSViaNVMePath = via
@@ -203,7 +203,7 @@ func TestViaNVMeAblationSlower(t *testing.T) {
 
 func TestSharedCoresAblationWiring(t *testing.T) {
 	eng := sim.NewEngine()
-	fabric := pcie.NewFabric(eng, pcie.DefaultConfig())
+	fabric := pcie.NewFabric(eng)
 	cfg := CompStorConfig("cs", appset.Base())
 	cfg.Geometry = smallGeometry()
 	cfg.SharedCores = true

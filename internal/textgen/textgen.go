@@ -27,12 +27,6 @@ type Config struct {
 	MeanBookBytes int
 }
 
-// DefaultConfig returns a laptop-scale corpus: 348 books averaging ~10 KB
-// (1.25× MeanBookBytes; scale factor ~1/3,200 of the paper's 11.3 GB).
-func DefaultConfig() Config {
-	return Config{Seed: 2018, Books: 348, MeanBookBytes: 8 << 10}
-}
-
 // File is one generated book.
 type File struct {
 	Name string

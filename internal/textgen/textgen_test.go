@@ -103,12 +103,6 @@ func TestCorpusDeterministic(t *testing.T) {
 	}
 }
 
-func TestDefaultConfigIs348Books(t *testing.T) {
-	if DefaultConfig().Books != 348 {
-		t.Fatal("default corpus should mirror the paper's 348 files")
-	}
-}
-
 // The table must pick exactly what the defining expression picks: at every
 // step of the function and its float64 neighbours, where an off-by-one-ulp
 // table would show, and on the draws Book actually makes.
