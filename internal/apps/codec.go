@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"compstor/internal/cpu"
+	"compstor/internal/minfs"
 )
 
 // Codec is one direction of a whole-buffer compressor and the program that
@@ -24,8 +25,9 @@ type Codec struct {
 	// instead of gaining it, and the compute charge is topped up (below).
 	Expand bool
 	// Transform maps a file's whole content to its (de)compressed form. It
-	// is a pure function of data, and nothing writes the slice it returns:
-	// a memo hands the same one to later runs.
+	// is a pure function of data, keeps no reference to data after it
+	// returns (Run recycles it), and nothing writes the slice it returns: a
+	// memo hands the same one to later runs.
 	Transform func(data []byte) ([]byte, error)
 
 	memo *CodecMemo // set by Bind; nil computes every time
@@ -48,13 +50,14 @@ func (c Codec) Class() cpu.Class { return c.CostClass }
 // Run implements Program with the command line the four codecs share: each
 // named file is transformed into its sibling (name <-> name+Suffix), or,
 // with no file arguments, stdin is filtered to stdout. Inputs are kept (the
-// simulation datasets are reused across runs).
+// simulation datasets are reused across runs). A file is read into a pooled
+// buffer, recycled once the output is written unless the memo kept it.
 func (c Codec) Run(ctx *Context, args []string) error {
-	transform := func(data []byte) (out []byte, err error) {
+	transform := func(data []byte) (out []byte, keyKept bool, err error) {
 		if kept, _ := c.memo.Recall(c.ProgName, data); kept != nil {
 			out = kept.([]byte)
 		} else if out, err = c.Transform(data); err == nil {
-			c.memo.Keep(c.ProgName, data, out, cap(data)+cap(out))
+			keyKept = c.memo.Keep(c.ProgName, data, out, cap(data)+cap(out))
 		}
 		if err == nil && c.Expand {
 			// Decompression cost — like the paper's J/GB normalisation — is
@@ -62,14 +65,14 @@ func (c Codec) Run(ctx *Context, args []string) error {
 			// compressed input to the plain output size.
 			ctx.chargeBytes(len(out) - len(data))
 		}
-		return out, err
+		return out, keyKept, err
 	}
 	if len(args) == 0 {
 		data, err := io.ReadAll(ctx.In())
 		if err != nil {
 			return err
 		}
-		out, err := transform(data)
+		out, _, err := transform(data)
 		if err != nil {
 			return err
 		}
@@ -89,12 +92,15 @@ func (c Codec) Run(ctx *Context, args []string) error {
 		if err != nil {
 			return Exitf(1, "%s: %v", c.ProgName, err)
 		}
-		out, err := transform(data)
+		out, keyKept, err := transform(data)
 		if err != nil {
 			return Exitf(1, "%s: %s: %v", c.ProgName, name, err)
 		}
 		if err := writeFile(ctx, dst, out); err != nil {
 			return Exitf(1, "%s: %v", c.ProgName, err)
+		}
+		if !keyKept {
+			minfs.Recycle(data)
 		}
 	}
 	return nil
@@ -174,11 +180,12 @@ func (m *CodecMemo) Recall(prog string, key []byte) (kept any, seen bool) {
 }
 
 // Keep books a success of prog on key: a first sight leaves the key, a
-// second keeps v (if any), booked at size bytes. The caller writes a kept v
-// no more. A nil m keeps nothing.
-func (m *CodecMemo) Keep(prog string, key []byte, v any, size int) {
+// second keeps v (if any), booked at size bytes, and reports that the key
+// slice itself was kept. The caller writes a kept key or v no more. A nil m
+// keeps nothing.
+func (m *CodecMemo) Keep(prog string, key []byte, v any, size int) bool {
 	if m == nil {
-		return
+		return false
 	}
 	k := memoKey{prog, maphash.Bytes(m.seed, key)}
 	m.mu.Lock()
@@ -188,7 +195,7 @@ func (m *CodecMemo) Keep(prog string, key []byte, v any, size int) {
 	if e != nil {
 		// The key holds other content (a collision), or this content since
 		// the look-up.
-		return
+		return false
 	} else if seen && v != nil {
 		e, cost = &memoEntry{key, v}, size
 	}
@@ -200,6 +207,7 @@ func (m *CodecMemo) Keep(prog string, key []byte, v any, size int) {
 	}
 	m.m[k] = e
 	m.size += cost
+	return e != nil
 }
 
 // readFileCharged reads a whole file through the charging path, in one

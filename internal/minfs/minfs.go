@@ -176,35 +176,22 @@ func (fs *FS) allocExtent(want int64) (Extent, error) {
 	if want < 1 {
 		want = 1
 	}
-	scan := func(from, to int64) (Extent, bool) {
-		var run int64
-		var start int64
-		for pg := from; pg < to; pg++ {
+	for _, r := range [2][2]int64{{fs.nextFit, fs.pages}, {metaPages, fs.nextFit}} {
+		var ext Extent
+		for pg := r[0]; pg < r[1] && ext.Count < want; pg++ {
 			if fs.isFree(pg) {
-				if run == 0 {
-					start = pg
+				if ext.Count == 0 {
+					ext.Start = pg
 				}
-				run++
-				if run == want {
-					return Extent{Start: start, Count: run}, true
-				}
-			} else if run > 0 {
-				// Take the partial run rather than hunting for a perfect fit.
-				return Extent{Start: start, Count: run}, true
+				ext.Count++
+			} else if ext.Count > 0 {
+				break // take the partial run rather than hunt for a perfect fit
 			}
 		}
-		if run > 0 {
-			return Extent{Start: start, Count: run}, true
+		if ext.Count > 0 {
+			fs.commit(ext)
+			return ext, nil
 		}
-		return Extent{}, false
-	}
-	if ext, ok := scan(fs.nextFit, fs.pages); ok {
-		fs.commit(ext)
-		return ext, nil
-	}
-	if ext, ok := scan(metaPages, fs.nextFit); ok {
-		fs.commit(ext)
-		return ext, nil
 	}
 	return Extent{}, ErrNoSpace
 }

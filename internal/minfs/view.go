@@ -1,8 +1,11 @@
 package minfs
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
+	"sync"
 
 	"compstor/internal/sim"
 )
@@ -71,7 +74,7 @@ func (v *View) Sync(p *sim.Proc) error {
 	}
 	// Page 0 holds the length header then the blob streams on.
 	buf := v.getScratch(need * ps)
-	putUint64(buf, uint64(len(blob)))
+	binary.LittleEndian.PutUint64(buf, uint64(len(blob)))
 	n := copy(buf[8:], blob)
 	clear(buf[8+n:])
 	err = v.write(p, 0, buf) // copied or written out by the time it returns
@@ -90,7 +93,7 @@ func Mount(p *sim.Proc, dev BlockDevice) (*FS, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := int(getUint64(first))
+	n := int(binary.LittleEndian.Uint64(first))
 	if n <= 0 || n > (metaPages*ps-8) {
 		return nil, fmt.Errorf("%w: metadata length %d", ErrBadMeta, n)
 	}
@@ -106,20 +109,6 @@ func Mount(p *sim.Proc, dev BlockDevice) (*FS, error) {
 	return load(blob[:n])
 }
 
-func putUint64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
-func getUint64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v
-}
-
 // CreateTrunc makes a new file open for writing, atomically replacing any
 // file of that name: the new inode takes the name before the old one's
 // trims wait on the device, so no process finds the name missing, and a
@@ -129,7 +118,7 @@ func (v *View) CreateTrunc(p *sim.Proc, name string) (*File, error) {
 		return nil, fmt.Errorf("%w: empty name", ErrNotExist)
 	}
 	old := v.fs.files[name]
-	f := &File{view: v, ino: &Inode{Name: name, writing: true}, writable: true, buf: make([]byte, 0, v.fs.pageSize)}
+	f := &File{view: v, ino: &Inode{Name: name, writing: true}, writable: true}
 	v.fs.files[name] = f.ino
 	if err := v.release(p, old); err != nil {
 		f.Close(p) // an empty file keeps the name
@@ -206,7 +195,7 @@ type File struct {
 	writable bool
 	closed   bool
 	off      int64  // read cursor
-	buf      []byte // pending unflushed tail (writers only)
+	buf      []byte // pending unflushed tail (writers only), a page from bufs
 
 	// Sequential read detection (readers only): lastEnd is where the
 	// previous Read left the cursor; raNext is the next page ordinal not
@@ -252,10 +241,10 @@ func (f *File) Write(p *sim.Proc, data []byte) (int, error) {
 			data = data[w:]
 			continue
 		}
-		n := ps - len(f.buf)
-		if n > len(data) {
-			n = len(data)
+		if f.buf == nil {
+			f.buf = getBuf(ps)[:0]
 		}
+		n := min(ps-len(f.buf), len(data))
 		f.buf = append(f.buf, data[:n]...)
 		data = data[n:]
 		if len(f.buf) == ps {
@@ -477,8 +466,9 @@ func (f *File) Close(p *sim.Proc) error {
 	var err error
 	if len(f.buf) > 0 {
 		err = f.flushPage(p)
-		f.buf = nil
 	}
+	Recycle(f.buf)
+	f.buf = nil
 	f.releaseTail(p)
 	return err
 }
@@ -502,10 +492,11 @@ func (f *File) Discard(p *sim.Proc) error {
 // ReadAll reads a file just opened, whole: one call of read (f's Read bound
 // to a proc, or a wrapper of it) at the file's size, then one that finds
 // the end. The buffer is rounded up to whole pages so that the last page,
-// too, is read in place: File.Read may use all of b.
+// too, is read in place: File.Read may use all of b. The buffer comes from
+// bufs, and a caller done with it may hand it back with Recycle.
 func (f *File) ReadAll(read func([]byte) (int, error)) ([]byte, error) {
 	ps := int64(f.view.fs.pageSize)
-	buf := make([]byte, (f.Size()+ps-1)/ps*ps)
+	buf := getBuf(int((f.Size() + ps - 1) / ps * ps))
 	n, err := read(buf)
 	if err == nil {
 		_, err = read(buf[n:n])
@@ -514,6 +505,27 @@ func (f *File) ReadAll(read func([]byte) (int, error)) ([]byte, error) {
 		return nil, err
 	}
 	return buf[:n], nil
+}
+
+// bufs recycles ReadAll's results and writers' tail pages by size class:
+// bufs[k] holds buffers of 1<<k bytes. It holds scratch memory, never a
+// result anyone still reads.
+var bufs [64]sync.Pool
+
+// getBuf returns a buffer of n bytes with arbitrary contents from bufs.
+func getBuf(n int) []byte {
+	k := bits.Len(uint(max(n, 1) - 1))
+	if b, ok := bufs[k].Get().(*[]byte); ok {
+		return (*b)[:n]
+	}
+	return make([]byte, n, 1<<k)
+}
+
+// Recycle hands back a buffer ReadAll returned, once nothing refers to it.
+func Recycle(b []byte) {
+	if c := cap(b); c > 0 {
+		bufs[bits.Len(uint(c))-1].Put(&b)
+	}
 }
 
 // releaseTail returns over-allocated pages at the end of the file to the

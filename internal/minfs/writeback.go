@@ -25,10 +25,7 @@ type writeBack struct {
 	outstanding int
 	flushers    []*sim.Mailbox[struct{}]
 	free        []*wbEntry // recycled entries, page buffer attached
-
-	landed  int64
-	dropped int64 // superseded before reaching the device
-	err     error // first background write error; sticky, like an EIO-poisoned page cache
+	err         error      // first background write error; sticky, like an EIO-poisoned page cache
 }
 
 // wbEntry is one dirty page. refs counts who can still reach it — the
@@ -131,7 +128,6 @@ func (wb *writeBack) flusher(p *sim.Proc) {
 		if ent == nil || ent.seq != item.seq {
 			// A newer write superseded this one; its own queue item will
 			// land the latest data.
-			wb.dropped++
 			wb.resolve()
 			continue
 		}
@@ -141,7 +137,6 @@ func (wb *writeBack) flusher(p *sim.Proc) {
 			p.Wait(5_000) // 5µs
 		}
 		if cur := wb.pending[item.lpn]; cur != ent {
-			wb.dropped++
 			wb.release(ent)
 			wb.resolve()
 			continue
@@ -149,16 +144,12 @@ func (wb *writeBack) flusher(p *sim.Proc) {
 		wb.inFlite[item.lpn] = true
 		err := wb.dev.WritePages(p, item.lpn, ent.data)
 		delete(wb.inFlite, item.lpn)
-		if err != nil {
+		if err != nil && wb.err == nil {
 			// A background write error poisons the cache: the data is lost,
 			// the error is sticky, and every later write or Flush through
 			// this view reports it — a real page cache surfaces the same
 			// failure as EIO at fsync.
-			if wb.err == nil {
-				wb.err = fmt.Errorf("minfs: write-back flush of lpn %d: %w", item.lpn, err)
-			}
-		} else {
-			wb.landed++
+			wb.err = fmt.Errorf("minfs: write-back flush of lpn %d: %w", item.lpn, err)
 		}
 		if wb.pending[item.lpn] == ent {
 			wb.unpend(item.lpn, ent)

@@ -80,9 +80,6 @@ func (f *Fabric) AddPort() *Port {
 	return p
 }
 
-// Port returns the i-th attached port.
-func (f *Fabric) Port(i int) *Port { return f.ports[i] }
-
 // Port is one downstream link of the switch, attached to a single endpoint.
 type Port struct {
 	fabric   *Fabric

@@ -104,8 +104,8 @@ func TestPortIdentity(t *testing.T) {
 	if a.ID() != 0 || b.ID() != 1 {
 		t.Fatalf("port IDs %d,%d", a.ID(), b.ID())
 	}
-	if f.Port(1) != b {
-		t.Fatal("Port(1) != b")
+	if f.ports[1] != b {
+		t.Fatal("ports[1] != b")
 	}
 	if a.Link() == b.Link() {
 		t.Fatal("ports share a link")

@@ -56,9 +56,6 @@ func (e *Engine) EnableAccounting(cfg AccountingConfig) *Accounting {
 	return a
 }
 
-// Accounting returns the engine's accounting, nil when disabled.
-func (e *Engine) Accounting() *Accounting { return e.acct }
-
 // dispatched records one dispatched event (queued or inline) seen at the
 // given queue depth.
 func (a *Accounting) dispatched(depth int) {

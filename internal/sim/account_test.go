@@ -35,7 +35,7 @@ func TestAccountingCounts(t *testing.T) {
 
 func TestAccountingDisabledIsNil(t *testing.T) {
 	e := NewEngine()
-	if e.Accounting() != nil {
+	if e.acct != nil {
 		t.Fatal("Accounting non-nil before enable")
 	}
 	// All accessors are nil-safe so callers can read unconditionally.

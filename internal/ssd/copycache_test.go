@@ -305,21 +305,30 @@ const (
 	opTrimISPS
 	opTrimHost
 	opWait
-	opChurn   // overwrite the churn region until GC relocates and erases
-	opRemount // power cut, then recovery
-	opCorrupt // damage a cached page's flash copy behind the cache's back
+	opChurn          // overwrite the churn region until GC relocates and erases
+	opRemount        // power cut, then recovery
+	opCorrupt        // damage a cached page's flash copy behind the cache's back
+	opTrimWide       // an ISPS TRIM wider than the small cache's capacity
+	opTrimFilling    // read-ahead, then at once a TRIM over the pages it is fetching
+	opRemountFilling // read-ahead, then at once a power cut and recovery
 	opKinds
 )
 
 // diffSpan is the logical range the script reads, writes and trims; GC
-// churn writes above it.
-const diffSpan = 64
+// churn writes above it. smallCache is the capacity of half the sweep's
+// caches: less than diffSpan, so the LRU evicts.
+const (
+	diffSpan   = 64
+	smallCache = 48
+)
 
 // cacheScript draws a script from seed: mostly reads, read-ahead and small
-// writes into diffSpan, with the rare churn burst, remount or corruption.
+// writes into diffSpan, with the rare churn burst, remount or corruption,
+// wide TRIM, or TRIM or remount under fills in flight.
 func cacheScript(seed int64) []cacheOp {
 	rng := rand.New(rand.NewSource(seed))
-	weights := [opKinds]int{opRead: 30, opPrefetch: 10, opWriteISPS: 8, opWriteHost: 6, opTrimISPS: 3, opTrimHost: 3, opWait: 8, opChurn: 1, opRemount: 1, opCorrupt: 2}
+	weights := [opKinds]int{opRead: 30, opPrefetch: 10, opWriteISPS: 8, opWriteHost: 6, opTrimISPS: 3, opTrimHost: 3, opWait: 8, opChurn: 1, opRemount: 1, opCorrupt: 2,
+		opTrimWide: 2, opTrimFilling: 3, opRemountFilling: 1}
 	total := 0
 	for _, w := range weights {
 		total += w
@@ -338,6 +347,11 @@ func cacheScript(seed int64) []cacheOp {
 			op.n = 1 + rng.Int63n(128)
 		case opWait:
 			op.n = rng.Int63n(300)
+		case opTrimWide:
+			op.lpn = rng.Int63n(diffSpan - smallCache)
+			op.n = diffSpan - op.lpn
+		case opTrimFilling, opRemountFilling:
+			op.n = 1 + rng.Int63n(2*readAheadPages)
 		default:
 			op.n = 1 + rng.Int63n(8)
 		}
@@ -412,7 +426,13 @@ func runCacheScript(t *testing.T, ops []cacheOp, oracle bool, capacity int) cach
 						model[l] = op.b
 					}
 				}
-			case opTrimISPS, opTrimHost:
+			case opTrimFilling:
+				// The fill fetches from the first page read-ahead accepts, so
+				// the TRIM overlaps it from there; half of them on each path.
+				bd.Prefetch(p, op.lpn, op.n)
+				op.kind = opTrimISPS + int(op.b%2)*(opTrimHost-opTrimISPS)
+				fallthrough
+			case opTrimISPS, opTrimHost, opTrimWide:
 				if op.kind == opTrimHost {
 					err = drive.Trim(p, op.lpn, op.n)
 				} else {
@@ -428,8 +448,12 @@ func runCacheScript(t *testing.T, ops []cacheOp, oracle bool, capacity int) cach
 				for j := int64(0); j < drive.Flash().Geometry().Pages() && err == nil; j += 4 {
 					err = write(diffSpan+j%(logical-diffSpan-4), 4, op.b, false)
 				}
-			case opRemount:
-				p.Wait(time.Millisecond) // let read-ahead land first: a cut fill is fine, but not part of this check
+			case opRemount, opRemountFilling:
+				if op.kind == opRemount {
+					p.Wait(time.Millisecond) // let read-ahead land first
+				} else {
+					bd.Prefetch(p, op.lpn, op.n) // the cut lands mid-fill
+				}
 				drive.Flash().PowerOff()
 				_, err = drive.Remount(p)
 			case opCorrupt:
@@ -481,7 +505,7 @@ func TestSharedCacheMatchesCopyingCache(t *testing.T) {
 	for seed := int64(1); seed <= 24; seed++ {
 		capacity := cachePages
 		if seed%2 == 0 {
-			capacity = 48 // smaller than diffSpan: the LRU evicts
+			capacity = smallCache
 		}
 		ops := cacheScript(seed)
 		want := runCacheScript(t, ops, true, capacity)

@@ -65,25 +65,30 @@ type pageCache interface {
 // as slot indices into a circular list whose sentinel is slot 0.
 type lruSlot struct {
 	lpn        int64
-	prev, next int32
+	prev, next uint32
 }
+
+// The bits of readCache.page's word for a logical page.
+const (
+	fetchBit = 1 << 31      // a fetch of the page is in flight
+	staleBit = 1 << 30      // and the page changed since: the fetch discards its result
+	slotMask = staleBit - 1 // the slot the page is resident in, 0 if none
+)
 
 // readCache is the ISPS-DRAM page cache plus prefetch machinery. Like
 // every structure in the simulation it is single-threaded under the
 // cooperative engine: all mutation happens from sim procs, never
-// concurrently, so ordinary maps and counters are safe and deterministic.
+// concurrently, so plain slices and counters are safe and deterministic.
 type readCache struct {
 	s *SSD
 
-	index map[int64]int32 // resident logical page → its slot
-	slots []lruSlot       // slot 0's next is the most recently used, its prev the least
-	free  []int32         // slots holding no page
-
-	// fetching holds the logical pages with a fetch in flight, each mapped
-	// to whether it went stale: invalidation cannot stop a fetch, so it
-	// marks it and the fetch discards its result; demand readers poll until
-	// the page leaves the map.
-	fetching map[int64]bool
+	// page is indexed by logical page number and sized with the drive, one
+	// word (slotMask, fetchBit, staleBit) a page. Invalidation cannot stop a
+	// fetch, so it marks it stale and the fetch discards its result; demand
+	// readers poll until fetchBit clears.
+	page     []uint32
+	slots    []lruSlot // slot 0's next is the most recently used, its prev the least
+	free     []uint32  // slots holding no page
 	fills    [][]int64 // idle fill lists, one per window slot
 	scratch  []byte    // where fills land: the cache keeps no bytes
 	inflight int       // running background fills
@@ -94,12 +99,11 @@ type readCache struct {
 
 func newReadCache(s *SSD) *readCache {
 	c := &readCache{
-		s:        s,
-		index:    make(map[int64]int32, cachePages),
-		slots:    make([]lruSlot, cachePages+1),
-		free:     make([]int32, 0, cachePages),
-		fetching: make(map[int64]bool, 2*fillWindow*readAheadPages),
-		scratch:  make([]byte, s.PageSize()),
+		s:       s,
+		page:    make([]uint32, s.ftl.LogicalPages()),
+		slots:   make([]lruSlot, cachePages+1),
+		free:    make([]uint32, 0, cachePages),
+		scratch: make([]byte, s.PageSize()),
 	}
 	for range fillWindow {
 		c.fills = append(c.fills, make([]int64, 0, readAheadPages))
@@ -110,45 +114,44 @@ func newReadCache(s *SSD) *readCache {
 
 // LRU plumbing -----------------------------------------------------------------
 
-// empty makes every slot free.
+// empty makes every slot free; no page may name one.
 func (c *readCache) empty() {
-	clear(c.index)
 	c.slots[0] = lruSlot{}
 	c.free = c.free[:0]
-	for i := int32(len(c.slots) - 1); i > 0; i-- {
+	for i := uint32(len(c.slots) - 1); i > 0; i-- {
 		c.free = append(c.free, i)
 	}
 }
 
-func (c *readCache) unlink(i int32) {
+func (c *readCache) unlink(i uint32) {
 	e := c.slots[i]
 	c.slots[e.prev].next = e.next
 	c.slots[e.next].prev = e.prev
 }
 
-func (c *readCache) pushFront(i int32) {
+func (c *readCache) pushFront(i uint32) {
 	first := c.slots[0].next
 	c.slots[i].prev, c.slots[i].next = 0, first
 	c.slots[first].prev = i
 	c.slots[0].next = i
 }
 
-// remove drops a resident page.
-func (c *readCache) remove(lpn int64, i int32) {
+// remove drops the page resident in slot i.
+func (c *readCache) remove(i uint32) {
 	c.unlink(i)
-	delete(c.index, lpn)
+	c.page[c.slots[i].lpn] &^= slotMask
 	c.free = append(c.free, i)
 }
 
 // hit serves a resident page into dst and refreshes its recency. A page
 // whose flash copy no longer verifies is dropped and reported as a miss.
 func (c *readCache) hit(lpn int64, dst []byte) bool {
-	i, ok := c.index[lpn]
-	if !ok {
+	i := c.page[lpn] & slotMask
+	if i == 0 {
 		return false
 	}
 	if !c.s.ftl.PeekPageInto(lpn, dst) {
-		c.remove(lpn, i)
+		c.remove(i)
 		c.stats.Invalidations++
 		return false
 	}
@@ -160,9 +163,9 @@ func (c *readCache) hit(lpn int64, dst []byte) bool {
 // insert makes a page resident (or refreshes it), evicting from the LRU
 // tail when full.
 func (c *readCache) insert(lpn int64) {
-	i, ok := c.index[lpn]
+	i := c.page[lpn] & slotMask
 	switch {
-	case ok:
+	case i != 0:
 		c.unlink(i)
 	case len(c.free) > 0:
 		i = c.free[len(c.free)-1]
@@ -170,11 +173,11 @@ func (c *readCache) insert(lpn int64) {
 	default:
 		i = c.slots[0].prev
 		c.unlink(i)
-		delete(c.index, c.slots[i].lpn)
+		c.page[c.slots[i].lpn] &^= slotMask
 		c.stats.Evictions++
 	}
 	c.slots[i].lpn = lpn
-	c.index[lpn] = i
+	c.page[lpn] |= i
 	c.pushFront(i)
 }
 
@@ -185,15 +188,16 @@ func (c *readCache) insert(lpn int64) {
 // path that changes logical content (host NVMe write/TRIM, ISPS-path
 // write/TRIM) calls this *after* the FTL operation completes, so a
 // concurrent fetch either reads the new mapping, is marked stale mid-flight,
-// or had its entry removed here — never a stale serve.
+// or had its entry removed here — never a stale serve. Pages past the drive's
+// end were never cached.
 func (c *readCache) invalidate(lpn, count int64) {
-	for l := lpn; l < lpn+count; l++ {
-		if i, ok := c.index[l]; ok {
-			c.remove(l, i)
+	for l := max(lpn, 0); l < min(lpn+count, int64(len(c.page))); l++ {
+		if i := c.page[l] & slotMask; i != 0 {
+			c.remove(i)
 			c.stats.Invalidations++
 		}
-		if _, ok := c.fetching[l]; ok {
-			c.fetching[l] = true
+		if c.page[l]&fetchBit != 0 {
+			c.page[l] |= staleBit
 		}
 	}
 }
@@ -201,12 +205,18 @@ func (c *readCache) invalidate(lpn, count int64) {
 // dropAll empties the cache wholesale — ISPS DRAM does not survive a power
 // cut, so Remount calls this before serving any post-recovery read.
 func (c *readCache) dropAll() {
-	c.stats.Invalidations += int64(len(c.index))
-	c.empty()
-	for l := range c.fetching {
-		c.fetching[l] = true
+	c.stats.Invalidations += c.resident()
+	for l, w := range c.page {
+		if w&fetchBit != 0 {
+			w |= staleBit
+		}
+		c.page[l] = w &^ slotMask
 	}
+	c.empty()
 }
+
+// resident counts the pages in the cache.
+func (c *readCache) resident() int64 { return int64(len(c.slots) - 1 - len(c.free)) }
 
 // Demand path -------------------------------------------------------------------
 
@@ -231,14 +241,14 @@ func (c *readCache) readPages(p *sim.Proc, lpn, count int64, out []byte) error {
 	defer miss.release()
 	hitPages := int64(0)
 	for i := int64(0); i < count; i++ {
-		for _, ok := c.fetching[lpn+i]; ok; _, ok = c.fetching[lpn+i] {
+		for c.page[lpn+i]&fetchBit != 0 {
 			p.Wait(5 * time.Microsecond)
 		}
 		dst := out[i*ps : (i+1)*ps]
 		if c.hit(lpn+i, dst) {
 			hitPages++
 		} else {
-			c.fetching[lpn+i] = false
+			c.page[lpn+i] |= fetchBit
 			miss.pages = append(miss.pages, pageRead{lpn + i, dst})
 		}
 	}
@@ -260,9 +270,9 @@ func (c *readCache) readPages(p *sim.Proc, lpn, count int64, out []byte) error {
 // landed ends lpn's fetch with its batch's outcome, making the page resident
 // when the fetch succeeded and nothing changed it meanwhile.
 func (c *readCache) landed(lpn int64, err error) bool {
-	stale := c.fetching[lpn]
-	delete(c.fetching, lpn)
-	if err != nil || stale || c.s.dev.PoweredOff() {
+	w := c.page[lpn]
+	c.page[lpn] = w &^ (fetchBit | staleBit)
+	if err != nil || w&staleBit != 0 || c.s.dev.PoweredOff() {
 		return false
 	}
 	c.insert(lpn)
@@ -283,9 +293,7 @@ func (c *readCache) prefetch(p *sim.Proc, lpn, count int64) int64 {
 		base := lpn + accepted
 		fill := c.fills[len(c.fills)-1]
 		for l := base; l < base+run; l++ {
-			_, cached := c.index[l]
-			_, busy := c.fetching[l]
-			if !cached && !busy {
+			if c.page[l] == 0 { // neither cached nor in flight
 				fill = append(fill, l)
 			}
 		}
@@ -295,7 +303,7 @@ func (c *readCache) prefetch(p *sim.Proc, lpn, count int64) int64 {
 		}
 		c.fills = c.fills[:len(c.fills)-1]
 		for _, l := range fill {
-			c.fetching[l] = false
+			c.page[l] = fetchBit
 		}
 		c.inflight++
 		c.stats.PrefetchRuns++
@@ -346,6 +354,6 @@ func (c *readCache) fill(p *sim.Proc, lpns []int64) {
 // Stats returns a counter snapshot including current occupancy.
 func (c *readCache) Stats() ReadCacheStats {
 	st := c.stats
-	st.CachedPages = int64(len(c.index))
+	st.CachedPages = c.resident()
 	return st
 }

@@ -16,11 +16,11 @@ import (
 // newPipelineRig builds an in-situ drive with the read pipeline enabled,
 // returning the raw ISPS block device so tests can drive the cache at page
 // granularity (below the minfs write-back cache).
-func newPipelineRig(t *testing.T) (*sim.Engine, *SSD, *ispsBlockDevice) {
+func newPipelineRig(t testing.TB) (*sim.Engine, *SSD, *ispsBlockDevice) {
 	return newPipelineRigGeo(t, smallGeometry())
 }
 
-func newPipelineRigGeo(t *testing.T, geo flash.Geometry) (*sim.Engine, *SSD, *ispsBlockDevice) {
+func newPipelineRigGeo(t testing.TB, geo flash.Geometry) (*sim.Engine, *SSD, *ispsBlockDevice) {
 	t.Helper()
 	eng := sim.NewEngine()
 	fabric := pcie.NewFabric(eng)
@@ -353,8 +353,9 @@ func TestSerialReadsAblation(t *testing.T) {
 }
 
 // TestCacheReadsAllocateNothing: the cache keeps no bytes, and its LRU and
-// fetch state were sized with the drive, so neither a steady-state hit nor a
-// read-through insert allocates.
+// per-page state were sized with the drive, so neither a steady-state hit, a
+// read-through insert nor the invalidation of a 128-page file tail
+// allocates.
 func TestCacheReadsAllocateNothing(t *testing.T) {
 	eng, drive, bd := newPipelineRig(t)
 	ps := drive.PageSize()
@@ -376,7 +377,8 @@ func TestCacheReadsAllocateNothing(t *testing.T) {
 			hit()
 			insert()
 		}
-		for name, fn := range map[string]func(){"hit": hit, "read-through insert": insert} {
+		tail := func() { drive.invalidateCache(1024, 128) }
+		for name, fn := range map[string]func(){"hit": hit, "read-through insert": insert, "tail invalidate": tail} {
 			before, _ := drive.ReadCacheStats()
 			n := testing.AllocsPerRun(100, fn)
 			after, _ := drive.ReadCacheStats()
@@ -384,9 +386,34 @@ func TestCacheReadsAllocateNothing(t *testing.T) {
 				t.Errorf("%s: %d hits in 101 reads of 16 pages", name, hits)
 			}
 			if n != 0 {
-				t.Errorf("16-page %s: %v allocs/op, want none", name, n)
+				t.Errorf("%s: %v allocs/op, want none", name, n)
 			}
 		}
 	})
 	eng.Run()
+}
+
+// BenchmarkInvalidateTail times what a file's Close costs the read cache
+// when minfs trims the unused tail of its preallocated extent (releaseTail):
+// 253 pages (256 preallocated, a 3-page output) that the cache does not
+// hold, on a cache with 4,096 resident pages.
+func BenchmarkInvalidateTail(b *testing.B) {
+	eng, drive, bd := newPipelineRig(b)
+	ps := drive.PageSize()
+	eng.Go("warm", func(p *sim.Proc) {
+		if err := bd.WritePages(p, 0, make([]byte, 4096*ps)); err != nil {
+			b.Error(err)
+		} else if err := bd.ReadPagesInto(p, 0, make([]byte, 4096*ps)); err != nil {
+			b.Error(err)
+		}
+	})
+	eng.Run()
+	if st, _ := drive.ReadCacheStats(); st.CachedPages != 4096 {
+		b.Fatalf("%d pages resident, want 4096", st.CachedPages)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := range b.N {
+		drive.invalidateCache(4096+int64(i%16)*256, 253)
+	}
 }

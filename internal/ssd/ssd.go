@@ -186,7 +186,7 @@ func New(eng *sim.Engine, port *pcie.Port, cfg Config) *SSD {
 				cfg.Obs.CounterFunc("isps.cache.prefetch_runs", func() int64 { return c.stats.PrefetchRuns })
 				cfg.Obs.CounterFunc("isps.cache.prefetch_pages", func() int64 { return c.stats.PrefetchPages })
 				cfg.Obs.CounterFunc("isps.cache.stale_fills", func() int64 { return c.stats.StaleFills })
-				cfg.Obs.CounterFunc("isps.cache.pages", func() int64 { return int64(len(c.index)) })
+				cfg.Obs.CounterFunc("isps.cache.pages", c.resident)
 				s.raBusy = cfg.Obs.Timeline("isps.prefetch.busy", time.Millisecond, fillWindow)
 			}
 		}
