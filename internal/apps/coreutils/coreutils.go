@@ -209,17 +209,23 @@ func wordStarts(buf []byte, afterSpace *bool) (starts int) {
 	return starts
 }
 
+// wcEmit prints the selected counts (all three when none is selected) in
+// lines, words, bytes order: a lone count bare, several in columns.
 func wcEmit(out io.Writer, onlyLines, onlyWords, onlyBytes bool, l, w, b int64, name string) {
-	switch {
-	case onlyLines && !onlyWords && !onlyBytes:
-		fmt.Fprintf(out, "%d", l)
-	case onlyWords && !onlyLines && !onlyBytes:
-		fmt.Fprintf(out, "%d", w)
-	case onlyBytes && !onlyLines && !onlyWords:
-		fmt.Fprintf(out, "%d", b)
-	default:
-		fmt.Fprintf(out, "%7d %7d %7d", l, w, b)
+	all := !onlyLines && !onlyWords && !onlyBytes
+	var cols [3]any
+	n := 0
+	for i, on := range [3]bool{onlyLines || all, onlyWords || all, onlyBytes || all} {
+		if on {
+			cols[n] = [3]int64{l, w, b}[i]
+			n++
+		}
 	}
+	format := "%d"
+	if n > 1 {
+		format = "%7d %7d %7d"[:4*n-1]
+	}
+	fmt.Fprintf(out, format, cols[:n]...)
 	if name != "" {
 		fmt.Fprintf(out, " %s", name)
 	}
@@ -521,7 +527,8 @@ func (Uniq) Run(ctx *apps.Context, args []string) error {
 	return nil
 }
 
-// Cut extracts fields (-d delim -f list) or byte ranges (-c n-m).
+// Cut extracts fields (-d delim -f list), each selected field once, in
+// input order.
 type Cut struct{}
 
 // Name implements apps.Program.
@@ -562,11 +569,13 @@ func (Cut) Run(ctx *apps.Context, args []string) error {
 		return apps.Exitf(1, "cut: %v", err)
 	}
 	return eachLine(ctx, "cut", files, func(l string) {
-		parts := strings.Split(l, delim)
 		var out []string
-		for _, r := range wanted {
-			for f := r[0]; f <= r[1] && f <= len(parts); f++ {
-				out = append(out, parts[f-1])
+		for i, part := range strings.Split(l, delim) {
+			for _, r := range wanted {
+				if r[0] <= i+1 && i+1 <= r[1] {
+					out = append(out, part)
+					break
+				}
 			}
 		}
 		fmt.Fprintln(ctx.Stdout, strings.Join(out, delim))

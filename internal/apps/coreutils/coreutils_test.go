@@ -55,6 +55,23 @@ func TestWCWordsOnly(t *testing.T) {
 	}
 }
 
+func TestWCTwoCounts(t *testing.T) {
+	in := "a b  c\nd\n" // 2 lines, 4 words, 9 bytes
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-l", "-w"}, "      2       4\n"},
+		{[]string{"-w", "-c"}, "      4       9\n"},
+		{[]string{"-l", "-c"}, "      2       9\n"},
+		{[]string{"-c", "-w"}, "      4       9\n"}, // wc's order, not the flags'
+	} {
+		if out, _ := runTool(t, WC{}, in, tc.args...); out != tc.want {
+			t.Errorf("wc %v = %q, want %q", tc.args, out, tc.want)
+		}
+	}
+}
+
 func TestHead(t *testing.T) {
 	input := "1\n2\n3\n4\n5\n"
 	out, _ := runTool(t, Head{}, input, "-n", "2")
@@ -222,6 +239,15 @@ func TestCut(t *testing.T) {
 	out, _ = runTool(t, Cut{}, "a:b:c:d\n", "-d:", "-f2-3")
 	if out != "b:c\n" {
 		t.Fatalf("cut range = %q", out)
+	}
+	// Each field once, in input order, whatever the list's order or overlap.
+	out, _ = runTool(t, Cut{}, "a:b:c\n", "-d:", "-f3,1")
+	if out != "a:c\n" {
+		t.Fatalf("cut unordered = %q", out)
+	}
+	out, _ = runTool(t, Cut{}, "a:b:c\n", "-d:", "-f1-2,2")
+	if out != "a:b\n" {
+		t.Fatalf("cut overlapping = %q", out)
 	}
 }
 

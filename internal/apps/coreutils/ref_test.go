@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -175,8 +176,8 @@ func linesRef(in string) []string {
 }
 
 // cutRef is cut -d delim -f over lines, one byte at a time: it records
-// where each field starts and emits the fields of every range in the order
-// given, duplicates included, joined by delim.
+// where each field starts and emits, in input order, every field some range
+// covers, each once, joined by delim.
 func cutRef(lines []string, delim byte, ranges [][2]int) string {
 	var out []byte
 	for _, l := range lines {
@@ -187,18 +188,19 @@ func cutRef(lines []string, delim byte, ranges [][2]int) string {
 			}
 		}
 		n := 0
-		for _, r := range ranges {
-			for f := r[0]; f <= r[1] && f <= len(starts); f++ {
-				end := len(l)
-				if f < len(starts) {
-					end = starts[f] - 1
-				}
-				if n > 0 {
-					out = append(out, delim)
-				}
-				out = append(out, l[starts[f-1]:end]...)
-				n++
+		for f := 1; f <= len(starts); f++ {
+			if !slices.ContainsFunc(ranges, func(r [2]int) bool { return r[0] <= f && f <= r[1] }) {
+				continue
 			}
+			end := len(l)
+			if f < len(starts) {
+				end = starts[f] - 1
+			}
+			if n > 0 {
+				out = append(out, delim)
+			}
+			out = append(out, l[starts[f-1]:end]...)
+			n++
 		}
 		out = append(out, '\n')
 	}

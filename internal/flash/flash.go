@@ -522,7 +522,7 @@ func (d *Device) finishRead(a Addr, start sim.Time, dst []byte) (OOB, error) {
 }
 
 // ReadOp is ReadPageInto run in engine context: the page operation of a
-// multi-page read, which has no process per page (DESIGN.md §21). It does what
+// multi-page read, which has no process per page (DESIGN.md §14). It does what
 // the blocking read does at the same instants and dispatch positions — the
 // die's FIFO, an event when the sense ends, an event when the transfer ends.
 type ReadOp struct {

@@ -323,7 +323,7 @@ func (f *FTL) PeekPageInto(lpn int64, dst []byte) (ok bool) {
 }
 
 // ReadOp is ReadPageInto run in engine context, over a flash.ReadOp: the
-// page operation of a multi-page read (DESIGN.md §21), one read at a time.
+// page operation of a multi-page read (DESIGN.md §14), one read at a time.
 type ReadOp struct {
 	media flash.ReadOp
 	done  func(error)

@@ -4,14 +4,13 @@
 // the in-storage executable opens the very same files through the ISPS
 // flash-access driver view, and output files travel the other way.
 //
-// Metadata (a flat directory of inodes with extent lists) lives in device
-// memory and can be persisted to a reserved metadata region with Sync and
-// recovered with Mount. Data pages are allocated from a bitmap with a
-// next-fit extent allocator and trimmed on delete.
+// Metadata (a flat directory of inodes with extent lists) lives only in
+// device memory: one FS is shared by both views, so there is no superblock
+// and no mount. Data pages are allocated from a bitmap with a next-fit
+// extent allocator and trimmed on delete.
 package minfs
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -74,26 +73,25 @@ var (
 	ErrNotExist = errors.New("minfs: file does not exist")
 	ErrNoSpace  = errors.New("minfs: no space")
 	ErrClosed   = errors.New("minfs: file closed")
-	ErrBadMeta  = errors.New("minfs: corrupt metadata")
 )
 
-// metaPages reserves the head of the device for serialised metadata.
+// metaPages is where the data area starts. Nothing is written below it:
+// metadata lives only in device memory. It stays at 64 because moving it
+// moves every file's LPNs, and with them every simulated number.
 const metaPages = 64
-
-const magic = "MINFS1"
 
 // Extent is a contiguous run of logical pages.
 type Extent struct {
-	Start int64 `json:"s"`
-	Count int64 `json:"c"`
+	Start int64
+	Count int64
 }
 
 // Inode describes one file.
 type Inode struct {
-	Name    string   `json:"name"`
-	Size    int64    `json:"size"`
-	Extents []Extent `json:"ext"`
-	writing bool     // a writer is open on it (see View.release)
+	Name    string
+	Size    int64
+	Extents []Extent
+	writing bool // a writer is open on it (see View.release)
 }
 
 // FileInfo is the public view of an inode.
@@ -212,41 +210,4 @@ func (fs *FS) freeExtents(exts []Extent) {
 			fs.clear(e.Start + i)
 		}
 	}
-}
-
-// metaBlob is the serialised metadata format.
-type metaBlob struct {
-	Magic    string            `json:"magic"`
-	PageSize int               `json:"page_size"`
-	Pages    int64             `json:"pages"`
-	Files    map[string]*Inode `json:"files"`
-}
-
-// marshal serialises metadata for Sync.
-func (fs *FS) marshal() ([]byte, error) {
-	return json.Marshal(metaBlob{Magic: magic, PageSize: fs.pageSize, Pages: fs.pages, Files: fs.files})
-}
-
-// load rebuilds the FS from serialised metadata.
-func load(data []byte) (*FS, error) {
-	var blob metaBlob
-	if err := json.Unmarshal(data, &blob); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadMeta, err)
-	}
-	if blob.Magic != magic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadMeta, blob.Magic)
-	}
-	fs := NewFS(blob.PageSize, blob.Pages)
-	fs.files = blob.Files
-	if fs.files == nil {
-		fs.files = make(map[string]*Inode)
-	}
-	for _, ino := range fs.files {
-		for _, e := range ino.Extents {
-			for i := int64(0); i < e.Count; i++ {
-				fs.mark(e.Start + i)
-			}
-		}
-	}
-	return fs, nil
 }

@@ -299,47 +299,6 @@ func TestWriteHandleCannotRead(t *testing.T) {
 	})
 }
 
-func TestSyncAndMountSharesFiles(t *testing.T) {
-	eng := sim.NewEngine()
-	dev := newMemDevice(512, 4096)
-	fs := NewFS(512, 4096)
-	host := NewView(fs, dev)
-	content := bytes.Repeat([]byte("persistent"), 333)
-	inProc(t, eng, func(p *sim.Proc) error {
-		if err := host.WriteFile(p, "shared.txt", content); err != nil {
-			return err
-		}
-		if err := host.Sync(p); err != nil {
-			return err
-		}
-		// Second access path: mount from the same device, as the ISPS does.
-		fs2, err := Mount(p, dev)
-		if err != nil {
-			return err
-		}
-		isps := NewView(fs2, dev)
-		got, err := isps.ReadFile(p, "shared.txt")
-		if err != nil {
-			return err
-		}
-		if !bytes.Equal(got, content) {
-			return errors.New("cross-mount content mismatch")
-		}
-		return nil
-	})
-}
-
-func TestMountGarbageFails(t *testing.T) {
-	eng := sim.NewEngine()
-	dev := newMemDevice(512, 4096)
-	inProc(t, eng, func(p *sim.Proc) error {
-		if _, err := Mount(p, dev); !errors.Is(err, ErrBadMeta) {
-			return fmt.Errorf("mount of blank device: %v", err)
-		}
-		return nil
-	})
-}
-
 func TestViewValidation(t *testing.T) {
 	fs := NewFS(512, 4096)
 	for _, dev := range []*memDevice{
@@ -476,13 +435,17 @@ type fileReader struct {
 func (r fileReader) Read(b []byte) (int, error) { return r.f.Read(r.p, b) }
 
 // audit checks the allocation bitmap against the named files: every page an
-// extent covers is allocated and has one owner, and no other data page is
-// allocated. A writer still open is not named in fs.files only if its file
-// was replaced or deleted, so callers audit with every writer closed.
+// extent covers lies in the data area, is allocated and has one owner, and
+// no other data page is allocated. A writer still open is not named in
+// fs.files only if its file was replaced or deleted, so callers audit with
+// every writer closed.
 func audit(fs *FS) error {
 	owner := map[int64]string{}
 	for name, ino := range fs.files {
 		for _, e := range ino.Extents {
+			if e.Start < metaPages {
+				return fmt.Errorf("%s has page %d below the data area", name, e.Start)
+			}
 			for pg := e.Start; pg < e.Start+e.Count; pg++ {
 				if o, dup := owner[pg]; dup {
 					return fmt.Errorf("page %d belongs to %s and %s", pg, o, name)

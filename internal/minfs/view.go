@@ -1,7 +1,6 @@
 package minfs
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math/bits"
@@ -17,9 +16,9 @@ type View struct {
 	fs  *FS
 	dev BlockDevice
 	wb  *writeBack
-	// scratch is a free list of transient buffers (read staging, metadata
-	// serialisation), each held only for the duration of one call; several
-	// processes read through one view at once, so one buffer is not enough.
+	// scratch is a free list of transient read-staging buffers, each held
+	// only for the duration of one call; several processes read through one
+	// view at once, so one buffer is not enough.
 	scratch [][]byte
 }
 
@@ -58,55 +57,6 @@ func (v *View) FS() *FS { return v.fs }
 func (v *View) Pipelined() bool {
 	pf, ok := v.dev.(Prefetcher)
 	return ok && pf.ReadAheadPages() > 0
-}
-
-// Sync serialises metadata into the reserved metadata region through this
-// view, making the filesystem mountable from the other access path.
-func (v *View) Sync(p *sim.Proc) error {
-	blob, err := v.fs.marshal()
-	if err != nil {
-		return err
-	}
-	ps := v.fs.pageSize
-	need := (len(blob) + 8 + ps - 1) / ps
-	if need > metaPages {
-		return fmt.Errorf("%w: metadata needs %d pages, reserved %d", ErrNoSpace, need, metaPages)
-	}
-	// Page 0 holds the length header then the blob streams on.
-	buf := v.getScratch(need * ps)
-	binary.LittleEndian.PutUint64(buf, uint64(len(blob)))
-	n := copy(buf[8:], blob)
-	clear(buf[8+n:])
-	err = v.write(p, 0, buf) // copied or written out by the time it returns
-	v.putScratch(buf)
-	if err != nil {
-		return err
-	}
-	// Metadata must be durable before another view mounts.
-	return v.Flush(p)
-}
-
-// Mount reads metadata from dev's reserved region and returns a fresh FS.
-func Mount(p *sim.Proc, dev BlockDevice) (*FS, error) {
-	ps := dev.PageSize()
-	first, err := dev.ReadPages(p, 0, 1)
-	if err != nil {
-		return nil, err
-	}
-	n := int(binary.LittleEndian.Uint64(first))
-	if n <= 0 || n > (metaPages*ps-8) {
-		return nil, fmt.Errorf("%w: metadata length %d", ErrBadMeta, n)
-	}
-	need := int64((n + 8 + ps - 1) / ps)
-	blob := append([]byte(nil), first[8:]...)
-	if need > 1 {
-		rest, err := dev.ReadPages(p, 1, need-1)
-		if err != nil {
-			return nil, err
-		}
-		blob = append(blob, rest...)
-	}
-	return load(blob[:n])
 }
 
 // CreateTrunc makes a new file open for writing, atomically replacing any

@@ -443,7 +443,7 @@ func (s *SSD) forEachPage(p *sim.Proc, n int64, fn func(cp *sim.Proc, i int64) e
 }
 
 // readBatch is one multi-page read: forEachPage's fan-out run in engine
-// context (DESIGN.md §21). The issuing process schedules one start event
+// context (DESIGN.md §14). The issuing process schedules one start event
 // where the worker spawns sat and parks; that event sets every lane going,
 // and each landing page starts its lane's next. Lane w reads pages w,
 // w+lanes, … at the instants and dispatch positions worker w did. Batches are
