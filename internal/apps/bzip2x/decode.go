@@ -350,13 +350,7 @@ func (d *decoder) readBlock() ([]byte, uint32, error) {
 		}
 		j := sym - 1
 		b := mtf[j]
-		if j < 16 { // the usual case, and quicker than a call
-			for ; j > 0; j-- {
-				mtf[j] = mtf[j-1]
-			}
-		} else {
-			copy(mtf[1:j+1], mtf[:j])
-		}
+		copy(mtf[1:j+1], mtf[:j])
 		mtf[0] = b
 		if n >= len(tt) {
 			return nil, 0, errCorrupt("block overflows declared size")

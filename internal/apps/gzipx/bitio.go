@@ -3,6 +3,11 @@
 // length-limited canonical Huffman coding, a full inflater, and the
 // gzip/gunzip command-line programs used by the CompStor evaluation.
 //
+// The inflater reads a byte slice through a 64-bit bit buffer and decodes
+// each Huffman code by one lookup in a 10-bit table, codes of 11 to 15 bits
+// by a walk over the canonical code's per-length limits. The bit-at-a-time
+// decoder it replaced is the tests' oracle.
+//
 // The bitstreams produced here are verified in the tests against the Go
 // standard library's decoder (and vice versa), so the codec is wire-
 // compatible with real gzip.
@@ -54,36 +59,57 @@ func (b *bitWriter) flush() error {
 // codes MSB-first within the LSB-first stream.
 func reverseBits(v uint32, width uint) uint32 { return bits.Reverse32(v) >> (32 - width) }
 
-// bitReader consumes bits LSB-first from a byte stream.
+// bitReader takes bits LSB-first from src. The unread bits of acc are its
+// low n; whatever lies above them is either zero or a copy of the bits that
+// the next refill will put there.
 type bitReader struct {
-	r   io.ByteReader
-	acc uint32
+	src []byte
+	pos int // next byte of src to load
+	acc uint64
 	n   uint
 }
 
-func newBitReader(r io.ByteReader) *bitReader { return &bitReader{r: r} }
-
-// readBits returns the next `width` bits, LSB-first.
-func (b *bitReader) readBits(width uint) (uint32, error) {
-	for b.n < width {
-		c, err := b.r.ReadByte()
-		if err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return 0, err
-		}
-		b.acc |= uint32(c) << b.n
-		b.n += 8
+// refill tops acc up to at least 56 bits, or to all that is left of src.
+func (r *bitReader) refill() {
+	if r.pos+8 <= len(r.src) {
+		r.acc |= binary.LittleEndian.Uint64(r.src[r.pos:]) << r.n
+		whole := (63 - r.n) >> 3
+		r.pos += int(whole)
+		r.n += whole * 8
+		return
 	}
-	v := b.acc & (1<<width - 1)
-	b.acc >>= width
-	b.n -= width
+	for ; r.n <= 56 && r.pos < len(r.src); r.pos++ {
+		r.acc |= uint64(r.src[r.pos]) << r.n
+		r.n += 8
+	}
+}
+
+// readBits returns the next `width` (0 to 32) bits.
+func (r *bitReader) readBits(width uint) (uint32, error) {
+	if r.n < width {
+		r.refill()
+	}
+	return r.take(width)
+}
+
+// take is readBits for a caller that has refilled acc: if it holds fewer
+// than `width` bits, src has no more.
+func (r *bitReader) take(width uint) (uint32, error) {
+	if r.n < width {
+		return 0, io.ErrUnexpectedEOF
+	}
+	v := uint32(r.acc) & (1<<width - 1)
+	r.acc >>= width
+	r.n -= width
 	return v, nil
 }
 
-// alignByte discards bits up to the next byte boundary.
-func (b *bitReader) alignByte() {
-	b.acc = 0
-	b.n = 0
+// alignByte discards the bits left of a partly read byte and gives back the
+// whole bytes still in acc, so that src[pos:] is what follows.
+func (r *bitReader) alignByte() {
+	r.pos -= int(r.n >> 3)
+	r.acc, r.n = 0, 0
 }
+
+// used is the number of bytes of src read, a partly read one included.
+func (r *bitReader) used() int { return r.pos - int(r.n>>3) }

@@ -2,6 +2,8 @@ package gzipx
 
 import (
 	"bytes"
+	"io"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -44,12 +46,16 @@ func TestLSBBitRoundTripProperty(t *testing.T) {
 		if err := w.flush(); err != nil {
 			return false
 		}
-		r := newBitReader(bytes.NewReader(buf.Bytes()))
+		r := &bitReader{src: buf.Bytes()}
 		for _, fl := range fields {
 			got, err := r.readBits(fl.width)
 			if err != nil || got != fl.v {
 				return false
 			}
+		}
+		// What is left is the zero padding of the last byte, then nothing.
+		if _, err := r.readBits(8); err != io.ErrUnexpectedEOF {
+			return false
 		}
 		return true
 	}
@@ -59,12 +65,47 @@ func TestLSBBitRoundTripProperty(t *testing.T) {
 }
 
 func TestBitReaderAlign(t *testing.T) {
-	r := newBitReader(bytes.NewReader([]byte{0xFF, 0x42}))
-	r.readBits(3)
-	r.alignByte()
-	got, err := r.readBits(8)
-	if err != nil || got != 0x42 {
-		t.Fatalf("after align: %02x, %v", got, err)
+	// A short source is loaded byte by byte, a long one eight bytes at a
+	// time: alignByte must give back the whole bytes acc holds.
+	for _, src := range [][]byte{{0xFF, 0x42}, {0xFF, 0x42, 1, 2, 3, 4, 5, 6, 7, 8, 9}} {
+		r := &bitReader{src: src}
+		r.readBits(3)
+		if r.used() != 1 {
+			t.Fatalf("%d-byte source: %d bytes used after 3 bits", len(src), r.used())
+		}
+		r.alignByte()
+		got, err := r.readBits(8)
+		if err != nil || got != 0x42 || r.used() != 2 {
+			t.Fatalf("%d-byte source, after align: %02x, %v, %d used", len(src), got, err, r.used())
+		}
+	}
+
+	// A fixed-Huffman block of 29 bits, then a stored block whose header
+	// starts mid-byte, then bytes that are not part of the stream.
+	var buf bytes.Buffer
+	w := &bitWriter{w: &buf}
+	w.writeBits(0b010, 3) // not final, fixed codes
+	for _, c := range []byte("ab") {
+		w.writeBits(reverseBits(0x30+uint32(c), 8), 8)
+	}
+	w.writeBits(0, 7)     // end of block
+	w.writeBits(0b001, 3) // final, stored
+	w.align()
+	for _, b := range []byte{3, 0, 0xFC, 0xFF, 'x', 'y', 'z'} {
+		w.writeBits(uint32(b), 8)
+	}
+	if err := w.flush(); err != nil {
+		t.Fatal(err)
+	}
+	stream := buf.Len()
+	buf.WriteString("trailer beyond the stream")
+	got, used, err := inflate(buf.Bytes(), []byte("<"))
+	if err != nil || string(got) != "<abxyz" || used != stream {
+		t.Fatalf("inflate = %q, %d of %d bytes, %v", got, used, stream, err)
+	}
+	r := bytes.NewReader(buf.Bytes())
+	if ref, err := refInflate(r, []byte("<")); err != nil || string(ref) != "<abxyz" || r.Len() != buf.Len()-stream {
+		t.Fatalf("oracle: %q, %d bytes left, %v", ref, r.Len(), err)
 	}
 }
 
@@ -112,38 +153,79 @@ func TestCanonicalCodesPrefixFree(t *testing.T) {
 	}
 }
 
+// slowLengths is a complete code that reaches every length, 1 to 15: the
+// codes of 11 bits and more miss the direct lookup.
+var slowLengths = []uint8{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 15}
+
 func TestHDecoderRejectsOversubscribed(t *testing.T) {
-	// Three codes of length 1 cannot exist.
-	if newHDecoder([]int{1, 1, 1}) != nil {
-		t.Fatal("oversubscribed code accepted")
-	}
-	// A valid complete code is accepted.
-	if newHDecoder([]int{1, 2, 2}) == nil {
-		t.Fatal("valid code rejected")
-	}
-	// All-zero lengths mean no decoder.
-	if newHDecoder([]int{0, 0}) != nil {
-		t.Fatal("empty code accepted")
+	var h huffTable
+	for _, c := range []struct {
+		lens []uint8
+		ok   bool
+	}{
+		{[]uint8{1, 1, 1}, false}, // three codes of length 1 cannot exist
+		{[]uint8{1, 2, 2}, true},  // a complete code
+		{[]uint8{0, 0}, false},    // no code at all
+		{[]uint8{0, 3}, true},     // one code, seven unassigned
+		{slowLengths, true},
+		{append(slowLengths[:len(slowLengths):len(slowLengths)], 15), false},
+	} {
+		if got := h.init(c.lens); got != c.ok {
+			t.Errorf("init(%v) = %v, want %v", c.lens, got, c.ok)
+		}
+		ints := make([]int, len(c.lens))
+		for i, l := range c.lens {
+			ints[i] = int(l)
+		}
+		if ref := newRefHDecoder(ints) != nil; ref != c.ok {
+			t.Errorf("oracle accepts %v: %v, want %v", c.lens, ref, c.ok)
+		}
 	}
 }
 
 func TestHDecoderDecodesCanonical(t *testing.T) {
-	lens := []int{2, 1, 3, 3}
-	codes := huffman.CanonicalCodes(lens)
-	d := newHDecoder(lens)
-	if d == nil {
-		t.Fatal("decoder nil")
-	}
-	// Encode each symbol and decode it back.
-	for sym, l := range lens {
+	rng := rand.New(rand.NewSource(1))
+	for _, lens := range [][]uint8{{2, 1, 3, 3}, slowLengths} {
+		ints := make([]int, len(lens))
+		for i, l := range lens {
+			ints[i] = int(l)
+		}
+		codes := huffman.CanonicalCodes(ints)
+		var h huffTable
+		if !h.init(lens) {
+			t.Fatalf("%v rejected", lens)
+		}
+		// Every symbol many times over, in random order and across refills,
+		// each followed by a 3-bit marker the decoder must leave in place.
+		var syms []int
 		var buf bytes.Buffer
 		w := &bitWriter{w: &buf}
-		w.writeBits(reverseBits(codes[sym], uint(l)), uint(l))
-		w.flush()
-		r := newBitReader(bytes.NewReader(buf.Bytes()))
-		got, err := d.decode(r)
-		if err != nil || got != sym {
-			t.Fatalf("symbol %d decoded as %d (%v)", sym, got, err)
+		for i := 0; i < 50*len(lens); i++ {
+			sym := rng.Intn(len(lens))
+			syms = append(syms, sym)
+			w.writeBits(reverseBits(codes[sym], uint(lens[sym])), uint(lens[sym]))
+			w.writeBits(uint32(i%8), 3)
 		}
+		w.flush()
+		r := &bitReader{src: buf.Bytes()}
+		for i, want := range syms {
+			got, err := h.decode(r)
+			if err != nil || got != want {
+				t.Fatalf("%v, symbol %d: decoded %d, want %d (%v)", lens, i, got, want, err)
+			}
+			if m, err := r.readBits(3); err != nil || m != uint32(i%8) {
+				t.Fatalf("%v, symbol %d: marker %d, %v", lens, i, m, err)
+			}
+		}
+	}
+
+	var h huffTable
+	h.init([]uint8{0, 3}) // symbol 1 is 000
+	if _, err := h.decode(&bitReader{src: []byte{0x01}}); err == nil || err == io.ErrUnexpectedEOF {
+		t.Errorf("an unassigned code decoded: %v", err)
+	}
+	h.init(slowLengths) // the last symbol is fifteen 1s
+	if _, err := h.decode(&bitReader{src: []byte{0xFF}}); err != io.ErrUnexpectedEOF {
+		t.Errorf("a 15-bit code cut after 8 bits: %v", err)
 	}
 }

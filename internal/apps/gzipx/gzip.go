@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
-	"io"
 
 	"compstor/internal/apps"
 )
@@ -47,24 +46,24 @@ const (
 // at DEFLATE's 1032:1 and apps.MaxOutput: one member (what gzip writes)
 // expands into one allocation.
 func Decompress(src []byte) ([]byte, error) {
-	r := bytes.NewReader(src)
 	var out []byte
 	if n := len(src); n >= 4 {
 		out = make([]byte, 0, min(int(binary.LittleEndian.Uint32(src[n-4:])), 1032*n, apps.MaxOutput))
 	}
-	for member := 0; member == 0 || r.Len() > 0; member++ {
-		if err := skipHeader(r); err != nil {
+	for at := 0; at == 0 || at < len(src); {
+		h, err := headerLen(src[at:])
+		if err != nil {
 			return nil, err
 		}
-		start := len(out)
-		var err error
-		if out, err = inflate(r, out); err != nil {
+		start, used := len(out), 0
+		if out, used, err = inflate(src[at+h:], out); err != nil {
 			return nil, err
 		}
-		var tail [8]byte
-		if _, err := io.ReadFull(r, tail[:]); err != nil {
+		if at += h + used; len(src)-at < 8 {
 			return nil, errCorrupt("missing gzip trailer")
 		}
+		tail := src[at : at+8]
+		at += 8
 		if crc32.ChecksumIEEE(out[start:]) != binary.LittleEndian.Uint32(tail[0:]) {
 			return nil, errCorrupt("gzip CRC mismatch")
 		}
@@ -75,45 +74,39 @@ func Decompress(src []byte) ([]byte, error) {
 	return out, nil
 }
 
-func skipHeader(r *bytes.Reader) error {
-	var hdr [10]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return errCorrupt("short gzip header")
+// headerLen returns the length of the gzip member header src starts with.
+func headerLen(src []byte) (int, error) {
+	if len(src) < 10 {
+		return 0, errCorrupt("short gzip header")
 	}
-	if hdr[0] != gzipID1 || hdr[1] != gzipID2 {
-		return errCorrupt("bad gzip magic")
+	if src[0] != gzipID1 || src[1] != gzipID2 {
+		return 0, errCorrupt("bad gzip magic")
 	}
-	if hdr[2] != gzipMethod {
-		return errCorrupt("unknown gzip method")
+	if src[2] != gzipMethod {
+		return 0, errCorrupt("unknown gzip method")
 	}
-	flg := hdr[3]
+	flg, n := src[3], 10
 	if flg&flagFEXTRA != 0 {
-		var ln [2]byte
-		if _, err := io.ReadFull(r, ln[:]); err != nil {
-			return errCorrupt("short FEXTRA")
+		if len(src) < n+2 {
+			return 0, errCorrupt("short FEXTRA")
 		}
-		n := int(binary.LittleEndian.Uint16(ln[:]))
-		if _, err := io.CopyN(io.Discard, r, int64(n)); err != nil {
-			return errCorrupt("short FEXTRA body")
+		if n += 2 + int(binary.LittleEndian.Uint16(src[n:])); n > len(src) {
+			return 0, errCorrupt("short FEXTRA body")
 		}
 	}
 	for _, f := range []byte{flagFNAME, flagFCOMMENT} {
 		if flg&f != 0 {
-			for {
-				c, err := r.ReadByte()
-				if err != nil {
-					return errCorrupt("unterminated header string")
-				}
-				if c == 0 {
-					break
-				}
+			end := bytes.IndexByte(src[n:], 0)
+			if end < 0 {
+				return 0, errCorrupt("unterminated header string")
 			}
+			n += end + 1
 		}
 	}
 	if flg&flagFHCRC != 0 {
-		if _, err := io.CopyN(io.Discard, r, 2); err != nil {
-			return errCorrupt("short FHCRC")
+		if n += 2; n > len(src) {
+			return 0, errCorrupt("short FHCRC")
 		}
 	}
-	return nil
+	return n, nil
 }

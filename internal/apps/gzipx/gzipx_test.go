@@ -3,12 +3,15 @@ package gzipx
 import (
 	"bytes"
 	stdgzip "compress/gzip"
+	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"compstor/internal/apps"
 	"compstor/internal/apps/huffman"
 	"compstor/internal/textgen"
 )
@@ -40,9 +43,12 @@ func TestDeflateRoundTrip(t *testing.T) {
 		if err := Deflate(&buf, data); err != nil {
 			t.Fatalf("%s: deflate: %v", name, err)
 		}
-		got, err := inflate(&buf, nil)
+		got, used, err := inflate(buf.Bytes(), nil)
 		if err != nil {
 			t.Fatalf("%s: inflate: %v", name, err)
+		}
+		if used != buf.Len() {
+			t.Fatalf("%s: inflate took %d of %d bytes", name, used, buf.Len())
 		}
 		if !bytes.Equal(got, data) {
 			t.Fatalf("%s: round trip mismatch (%d vs %d bytes)", name, len(got), len(data))
@@ -89,6 +95,77 @@ func TestInflateDecodesStdlibOutput(t *testing.T) {
 	}
 }
 
+// TestInflateMatchesReference decodes gzipx and compress/gzip streams, the
+// latter at every level from Huffman-only to best, with the table-driven
+// inflater and with the oracle: both give the input back, byte for byte.
+func TestInflateMatchesReference(t *testing.T) {
+	payloads := corpus()
+	for _, size := range []int{1 << 10, 28 << 10, 1 << 20} {
+		payloads[fmt.Sprintf("book %d", size)] = textgen.Book(2018, size)
+	}
+	for name, data := range payloads {
+		ours, err := Compress(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams := map[string][]byte{"gzipx": ours}
+		for level := stdgzip.HuffmanOnly; level <= stdgzip.BestCompression; level++ {
+			var buf bytes.Buffer
+			zw, _ := stdgzip.NewWriterLevel(&buf, level)
+			zw.Write(data)
+			zw.Close()
+			streams[fmt.Sprintf("level %d", level)] = buf.Bytes()
+		}
+		for enc, z := range streams {
+			got, err := Decompress(z)
+			if err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("%s, %s: %d bytes, %v; want %d", name, enc, len(got), err, len(data))
+			}
+			if ref, err := refDecompress(z); err != nil || !bytes.Equal(ref, got) {
+				t.Fatalf("%s, %s: the oracle gives %d bytes, %v", name, enc, len(ref), err)
+			}
+		}
+	}
+}
+
+// TestInflateStopsAtOutputLimit puts a stored block, literals and a match
+// across apps.MaxOutput: each fails with apps.ErrOutputLimit before it
+// writes, as in the oracle, and decodes when two more bytes fit.
+func TestInflateStopsAtOutputLimit(t *testing.T) {
+	fixed := func(emit func(w *bitWriter)) []byte {
+		var buf bytes.Buffer
+		w := &bitWriter{w: &buf}
+		w.writeBits(0b011, 3) // final, fixed codes
+		emit(w)
+		w.writeBits(0, 7) // end of block
+		w.flush()
+		return buf.Bytes()
+	}
+	literal := func(w *bitWriter, c byte) { w.writeBits(reverseBits(0x30+uint32(c), 8), 8) }
+	streams := map[string][]byte{
+		"stored": {0b001, 3, 0, 0xFC, 0xFF, 'x', 'y', 'z'},
+		"literals": fixed(func(w *bitWriter) {
+			literal(w, 'x')
+			literal(w, 'y')
+			literal(w, 'z')
+		}),
+		"match": fixed(func(w *bitWriter) {
+			literal(w, 'x')
+			w.writeBits(reverseBits(1, 7), 7) // length symbol 257: 3 bytes,
+			w.writeBits(reverseBits(0, 5), 5) // distance symbol 0: 1 back
+		}),
+	}
+	for name, z := range streams {
+		for _, room := range []int{2, 4} {
+			_, _, err := inflate(z, make([]byte, apps.MaxOutput-room, apps.MaxOutput))
+			_, refErr := refInflate(bytes.NewReader(z), make([]byte, apps.MaxOutput-room, apps.MaxOutput))
+			if want := room < 4; errors.Is(err, apps.ErrOutputLimit) != want || errors.Is(refErr, apps.ErrOutputLimit) != want {
+				t.Errorf("%s with %d bytes to spare: %v, oracle %v", name, room, err, refErr)
+			}
+		}
+	}
+}
+
 func TestCompressionActuallyCompresses(t *testing.T) {
 	text := []byte(strings.Repeat("compression should shrink redundant text. ", 5000))
 	out, err := Compress(text)
@@ -123,20 +200,34 @@ func TestDecompressRejectsGarbageHeader(t *testing.T) {
 }
 
 func TestDecompressHandlesHeaderFields(t *testing.T) {
-	// stdlib writer with a name and comment exercises FNAME/FCOMMENT
-	// skipping.
+	// stdlib writer with an extra field, a name and a comment exercises
+	// FEXTRA/FNAME/FCOMMENT skipping; FHCRC is set by hand.
 	var buf bytes.Buffer
 	zw := stdgzip.NewWriter(&buf)
+	zw.Extra = []byte("ex")
 	zw.Name = "file.txt"
 	zw.Comment = "a comment"
 	zw.Write([]byte("payload"))
 	zw.Close()
-	got, err := Decompress(buf.Bytes())
-	if err != nil {
-		t.Fatalf("decompress with header fields: %v", err)
-	}
-	if string(got) != "payload" {
-		t.Fatalf("got %q", got)
+	plain, _ := Compress([]byte("payload"))
+	hcrc := append(append(bytes.Clone(plain[:10]), 0xAB, 0xCD), plain[10:]...)
+	hcrc[3] |= flagFHCRC
+	for _, z := range [][]byte{buf.Bytes(), hcrc} {
+		got, err := Decompress(z)
+		if err != nil {
+			t.Fatalf("decompress with header fields: %v", err)
+		}
+		if string(got) != "payload" {
+			t.Fatalf("got %q", got)
+		}
+		// Cut anywhere in the header, the member is rejected, as the
+		// oracle rejects it.
+		for n := 0; n < 10+2+2+len("file.txt")+1+len("a comment")+1 && n < len(z); n++ {
+			_, err := Decompress(z[:n])
+			if _, refErr := refDecompress(z[:n]); err == nil || refErr == nil {
+				t.Fatalf("header cut to %d bytes: %v, oracle %v", n, err, refErr)
+			}
+		}
 	}
 }
 
