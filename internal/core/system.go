@@ -186,7 +186,7 @@ func (s *System) Run() sim.Time { return s.Eng.Run() }
 
 // Close force-terminates every simulated process and releases the pooled
 // worker coroutines backing them (sim.Engine.Shutdown). Call it after the
-// last Run: daemon processes (NVMe front-ends, agents) otherwise stay
+// last Run: daemons (write-back flushers, serving workers) otherwise stay
 // parked forever and their coroutines accumulate across testbeds. The
 // system cannot be used afterwards; reading model state for reports is
 // still fine.

@@ -146,6 +146,8 @@ type FTL struct {
 	nextRegion      int
 	reservedPerUnit int
 
+	inCkptFn, inflightFn func() bool // WaitWhile conditions, built once
+
 	obs       *obs.Obs
 	histRead  *obs.Histogram
 	histWrite *obs.Histogram
@@ -195,6 +197,8 @@ func New(dev *flash.Device, cfg Config) *FTL {
 	}
 	f.logicalPages = int64(float64((geo.Blocks()-int64(units)*int64(reserved))*int64(geo.PagesPerBlock)) * (1 - cfg.OverProvision))
 	f.l2p = newMapTable(f.logicalPages)
+	f.inCkptFn = func() bool { return f.inCkpt }
+	f.inflightFn = func() bool { return f.inflight > 0 }
 	f.obs = cfg.Obs
 	f.histRead = f.obs.Histogram("ftl.read")
 	f.histWrite = f.obs.Histogram("ftl.write")

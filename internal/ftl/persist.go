@@ -191,9 +191,7 @@ func decodeEntries(stream []byte, n int, logicalPages, totalPages int64) ([]ckpt
 // being written (the write cliff a real controller shows at checkpoint
 // time). Reads proceed freely.
 func (f *FTL) waitCheckpoint(p *sim.Proc) {
-	for f.inCkpt {
-		p.Wait(20 * time.Microsecond)
-	}
+	p.WaitWhile(20*time.Microsecond, f.inCkptFn)
 }
 
 // maybeCheckpoint writes a checkpoint when the journal since the last one
@@ -267,9 +265,7 @@ func (f *FTL) Checkpoint(p *sim.Proc) error {
 	}
 	// Drain programs whose sequence predates the snapshot; new mutators are
 	// stalled, so this terminates.
-	for f.inflight > 0 {
-		p.Wait(20 * time.Microsecond)
-	}
+	p.WaitWhile(20*time.Microsecond, f.inflightFn)
 
 	// The snapshot is taken here in one step: a GC pass caught between two
 	// of its programs keeps remapping while the chunk pages below go out.

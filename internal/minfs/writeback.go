@@ -119,8 +119,11 @@ func (wb *writeBack) unpend(lpn int64, ent *wbEntry) {
 
 // flusher is one background write-out process.
 func (wb *writeBack) flusher(p *sim.Proc) {
+	var item wbItem
+	inFlight := func() bool { return wb.inFlite[item.lpn] } // built once per flusher
 	for {
-		item, ok := wb.queue.Recv(p)
+		var ok bool
+		item, ok = wb.queue.Recv(p)
 		if !ok {
 			return
 		}
@@ -133,9 +136,7 @@ func (wb *writeBack) flusher(p *sim.Proc) {
 		}
 		ent.refs++ // held across the waits below
 		// Serialise per-page device writes to preserve ordering.
-		for wb.inFlite[item.lpn] {
-			p.Wait(5_000) // 5µs
-		}
+		p.WaitWhile(5_000, inFlight) // 5µs
 		if cur := wb.pending[item.lpn]; cur != ent {
 			wb.release(ent)
 			wb.resolve()

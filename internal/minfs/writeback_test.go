@@ -127,6 +127,47 @@ func TestWriteBackRewriteLastWriterWins(t *testing.T) {
 	_ = dev
 }
 
+// loggedDevice records when each device write starts and ends.
+type loggedDevice struct {
+	*slowDevice
+	starts, ends []sim.Time
+}
+
+func (d *loggedDevice) WritePages(p *sim.Proc, lpn int64, data []byte) error {
+	d.starts = append(d.starts, p.Now())
+	defer func() { d.ends = append(d.ends, p.Now()) }()
+	return d.slowDevice.WritePages(p, lpn, data)
+}
+
+// A page rewritten while its first write-out is in flight is written out
+// again only once that write has landed: the second flusher polls (every
+// 5 µs) and starts at the first poll after.
+func TestWriteBackSerialisesWritesOfOnePage(t *testing.T) {
+	eng := sim.NewEngine()
+	dev := &loggedDevice{slowDevice: &slowDevice{memDevice: newMemDevice(512, 8192), writeLatency: 500 * time.Microsecond}}
+	v := NewView(NewFS(512, 8192), dev)
+	v.EnableWriteBack(eng, 256, 8)
+	eng.Go("w", func(p *sim.Proc) {
+		for round := byte(1); round <= 2; round++ {
+			v.write(p, 100, bytes.Repeat([]byte{round}, 512))
+			p.Wait(100 * time.Microsecond)
+		}
+		if err := v.Flush(p); err != nil {
+			t.Error(err)
+		}
+		if got, _ := dev.ReadPages(p, 100, 1); got[0] != 2 {
+			t.Errorf("page holds %d, want the second write", got[0])
+		}
+	})
+	eng.Run()
+	if len(dev.starts) != 2 {
+		t.Fatalf("%d device writes, want 2", len(dev.starts))
+	}
+	if gap := dev.starts[1].Sub(dev.ends[0]); gap < 0 || gap >= 5*time.Microsecond {
+		t.Errorf("second write-out started %v after the first landed, want within one 5µs poll", gap)
+	}
+}
+
 func TestWriteBackBudgetBackpressure(t *testing.T) {
 	eng := sim.NewEngine()
 	dev := &slowDevice{memDevice: newMemDevice(512, 8192), writeLatency: time.Millisecond}

@@ -34,27 +34,13 @@ const (
 	OpVendorTaskLoad // dynamic task loading: install an executable at runtime
 )
 
+var opNames = [...]string{"READ", "WRITE", "FLUSH", "TRIM", "IDENTIFY", "VENDOR_MINION", "VENDOR_QUERY", "VENDOR_TASK_LOAD"}
+
 func (o Opcode) String() string {
-	switch o {
-	case OpRead:
-		return "READ"
-	case OpWrite:
-		return "WRITE"
-	case OpFlush:
-		return "FLUSH"
-	case OpTrim:
-		return "TRIM"
-	case OpIdentify:
-		return "IDENTIFY"
-	case OpVendorMinion:
-		return "VENDOR_MINION"
-	case OpVendorQuery:
-		return "VENDOR_QUERY"
-	case OpVendorTaskLoad:
-		return "VENDOR_TASK_LOAD"
-	default:
-		return fmt.Sprintf("OP(%d)", uint8(o))
+	if int(o) < len(opNames) {
+		return opNames[o]
 	}
+	return fmt.Sprintf("OP(%d)", uint8(o))
 }
 
 // Status is a completion status code.
@@ -68,19 +54,13 @@ const (
 	StatusInternal
 )
 
+var statusNames = [...]string{"OK", "INVALID", "CAPACITY", "INTERNAL"}
+
 func (s Status) String() string {
-	switch s {
-	case StatusOK:
-		return "OK"
-	case StatusInvalid:
-		return "INVALID"
-	case StatusCapacity:
-		return "CAPACITY"
-	case StatusInternal:
-		return "INTERNAL"
-	default:
-		return fmt.Sprintf("STATUS(%d)", uint8(s))
+	if int(s) < len(statusNames) {
+		return statusNames[s]
 	}
+	return fmt.Sprintf("STATUS(%d)", uint8(s))
 }
 
 // Sizes of protocol structures DMAed across the fabric.
@@ -105,10 +85,8 @@ type Command struct {
 	Payload      any
 	PayloadBytes int64
 
-	resp      *sim.Mailbox[*Completion]
 	comp      *Completion // completion to fill, when the submitter lends one
 	submitted sim.Time
-	obsCtx    obs.Ctx // submitter's span, so device-side handling parents to it
 }
 
 // Completion is the controller's answer to one command.
@@ -159,33 +137,27 @@ type Backend interface {
 const (
 	// queueDepth bounds outstanding commands (admission at the host driver).
 	queueDepth = 128
-	// ioWorkers is the number of controller-side execution contexts; it models
-	// the front-end's command-level parallelism.
+	// ioWorkers is the number of I/O commands the front-end executes at
+	// once; it models the controller's command-level parallelism.
 	ioWorkers = 64
-	// vendorWorkers service vendor commands (minions, queries) on their own
-	// contexts so long-running in-situ tasks never starve the I/O path —
-	// the hardware analogue is the separate admin/vendor queue pair.
+	// vendorWorkers bounds vendor commands (minions, queries) separately so
+	// long-running in-situ tasks never starve the I/O path — the hardware
+	// analogue is the separate admin/vendor queue pair.
 	vendorWorkers = 8
 )
 
 // Controller is the device-side protocol engine. Create with NewController,
 // then obtain the host-side handle with Driver.
 type Controller struct {
-	eng     *sim.Engine
 	port    *pcie.Port
 	backend Backend
-	sq      *sim.Mailbox[*Command]
-	vq      *sim.Mailbox[*Command]
 	qd      *sim.Semaphore
+	io      *sim.Semaphore // front-end execution slots for I/O commands
+	vendor  *sim.Semaphore // and for vendor commands
 	stats   Stats
 
 	faultHook func(p *sim.Proc, cmd *Command) error
 
-	// freeResp recycles completion mailboxes across Submits. A mailbox is
-	// in the list only between commands (Submit holds it for exactly one
-	// Put/Recv round trip), and everything runs in engine context, so no
-	// locking is needed.
-	freeResp []*sim.Mailbox[*Completion]
 	// freeIO recycles the command and completion of the Driver's
 	// convenience calls, which keep neither past their return.
 	freeIO []*ioPair
@@ -194,13 +166,12 @@ type Controller struct {
 	hists [8]*obs.Histogram // per-opcode host-observed latency
 }
 
-// SetFaultHook installs a protocol-level fault injector: it runs in the
-// controller front-end after the SQE fetch, before the command is
-// dispatched to the backend. Returning an error fails the command with
-// StatusInternal — the host sees a completed-with-error CQE, which is how a
-// dropped or garbled device response surfaces to a driver with a timeout.
-// The hook runs in device context and may call p.Wait to model a slow
-// front-end. Pass nil to clear.
+// SetFaultHook installs a protocol-level fault injector, run after the SQE
+// fetch, before the backend sees the command. An error fails the command
+// with StatusInternal — a completed-with-error CQE, the way a dropped or
+// garbled device response reaches a driver with a timeout. The hook runs on
+// the submitting process, holding a front-end slot, and may call p.Wait to
+// model a slow front-end. Pass nil to clear.
 func (c *Controller) SetFaultHook(fn func(p *sim.Proc, cmd *Command) error) { c.faultHook = fn }
 
 // Stats counts protocol activity.
@@ -215,24 +186,16 @@ type Stats struct {
 	BytesFromHo int64
 }
 
-// NewController starts a controller with its front-end processes servicing
-// the submission and vendor queues.
+// NewController returns a controller. It starts no process: each command
+// runs on its submitter, in one of ioWorkers I/O or vendorWorkers slots.
 func NewController(eng *sim.Engine, port *pcie.Port, backend Backend) *Controller {
-	c := &Controller{
-		eng:     eng,
+	return &Controller{
 		port:    port,
 		backend: backend,
-		sq:      sim.NewMailbox[*Command](),
-		vq:      sim.NewMailbox[*Command](),
 		qd:      sim.NewSemaphore(eng, queueDepth),
+		io:      sim.NewSemaphore(eng, ioWorkers),
+		vendor:  sim.NewSemaphore(eng, vendorWorkers),
 	}
-	for i := 0; i < ioWorkers; i++ {
-		eng.Go(fmt.Sprintf("nvme/fe%d", i), func(p *sim.Proc) { c.serve(p, c.sq) })
-	}
-	for i := 0; i < vendorWorkers; i++ {
-		eng.Go(fmt.Sprintf("nvme/vfe%d", i), func(p *sim.Proc) { c.serve(p, c.vq) })
-	}
-	return c
 }
 
 // Stats returns protocol counters.
@@ -241,8 +204,8 @@ func (c *Controller) Stats() Stats { return c.stats }
 // SetObs attaches an observability scope: per-opcode host-observed latency
 // histograms (nvme.read … nvme.vendor_minion), a queue-depth admission wait
 // histogram (nvme.qd_wait), snapshot-time counters from Stats, and — when
-// tracing is on — a host-side span per Submit plus a device-side span per
-// command, parented across the submission queue.
+// tracing is on — a host-side span per Submit and, under it, a device-side
+// span per command.
 func (c *Controller) SetObs(o *obs.Obs) {
 	c.obs = o
 	for op := OpRead; op <= OpVendorTaskLoad; op++ {
@@ -262,40 +225,38 @@ func (c *Controller) SetObs(o *obs.Obs) {
 	o.CounterFunc("nvme.bytes_from_host", func() int64 { return c.stats.BytesFromHo })
 }
 
-func (c *Controller) hist(op Opcode) *obs.Histogram {
-	if int(op) < len(c.hists) {
-		return c.hists[op]
+// frontEnd returns the execution slots an opcode's commands queue for:
+// vendor commands have their own.
+func (c *Controller) frontEnd(op Opcode) *sim.Semaphore {
+	if op == OpVendorMinion || op == OpVendorQuery || op == OpVendorTaskLoad {
+		return c.vendor
 	}
-	return nil
+	return c.io
 }
 
-// isVendor reports whether an opcode travels on the vendor queue.
-func isVendor(op Opcode) bool {
-	return op == OpVendorMinion || op == OpVendorQuery || op == OpVendorTaskLoad
-}
-
-// serve is one controller execution context draining a submission queue.
-func (c *Controller) serve(p *sim.Proc, q *sim.Mailbox[*Command]) {
-	for {
-		cmd, ok := q.Recv(p)
-		if !ok {
-			return
-		}
-		var sp *obs.Span
-		if c.obs != nil {
-			sp = c.obs.BeginCtx(p, cmd.obsCtx, "nvme", cmd.Op.String())
-		}
-		comp := c.execute(p, cmd)
-		comp.Completed = p.Now()
-		sp.End()
-		if c.obs != nil {
-			c.hist(cmd.Op).Observe(comp.Latency())
-		}
-		// Post CQE and raise the interrupt.
-		c.port.ToHost(p, cqeBytes)
-		c.port.Message(p)
-		cmd.resp.Put(comp)
+// serve runs one command on the submitting process, holding a front-end
+// slot: a yield at the doorbell's instant (where a front-end worker's wake-up
+// was), the command, the completion posted and the interrupt raised. The
+// slot goes back on every way out, a Shutdown unwind included.
+func (c *Controller) serve(p *sim.Proc, cmd *Command) *Completion {
+	fe := c.frontEnd(cmd.Op)
+	fe.Acquire(p, 1)
+	defer fe.Release(1)
+	p.WaitUntil(p.Now())
+	var sp *obs.Span
+	if c.obs != nil {
+		sp = c.obs.Begin(p, "nvme", cmd.Op.String()) // under the host-side span
 	}
+	comp := c.execute(p, cmd)
+	comp.Completed = p.Now()
+	sp.End()
+	if c.obs != nil && int(cmd.Op) < len(c.hists) {
+		c.hists[cmd.Op].Observe(comp.Latency())
+	}
+	// Post CQE and raise the interrupt.
+	c.port.ToHost(p, cqeBytes)
+	c.port.Message(p)
+	return comp
 }
 
 func (c *Controller) execute(p *sim.Proc, cmd *Command) *Completion {
@@ -390,8 +351,8 @@ func (c *Controller) fail(comp *Completion, err error) *Completion {
 // ErrInvalid marks host-fault command errors.
 var ErrInvalid = errors.New("nvme: invalid command")
 
-// Driver is the host-side handle: it rings the doorbell, enqueues the
-// command, and waits for the completion interrupt.
+// Driver is the host-side handle: it rings the doorbell, has the command
+// executed, and takes the completion interrupt.
 type Driver struct {
 	ctrl *Controller
 }
@@ -409,27 +370,12 @@ func (d *Driver) Submit(p *sim.Proc, cmd *Command) *Completion {
 	}
 	c.qd.Acquire(p, 1)
 	defer c.qd.Release(1)
-	cmd.obsCtx = obs.CtxOf(p)
-	if n := len(c.freeResp); n > 0 {
-		cmd.resp = c.freeResp[n-1]
-		c.freeResp[n-1] = nil
-		c.freeResp = c.freeResp[:n-1]
-	} else {
-		cmd.resp = sim.NewMailbox[*Completion]()
-	}
 	cmd.submitted = p.Now()
 	// Doorbell write.
 	c.port.Message(p)
-	if isVendor(cmd.Op) {
-		c.vq.Put(cmd)
-	} else {
-		c.sq.Put(cmd)
-	}
-	comp, _ := cmd.resp.Recv(p)
-	// The round trip is over: the mailbox is empty again and nothing else
-	// holds it, so it can serve the next command.
-	c.freeResp = append(c.freeResp, cmd.resp)
-	cmd.resp = nil
+	comp := c.serve(p, cmd)
+	// Take the interrupt: a yield at the instant the completion was posted.
+	p.WaitUntil(p.Now())
 	return comp
 }
 

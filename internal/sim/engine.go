@@ -131,13 +131,21 @@ func (e *Engine) dispatchNext() {
 }
 
 // exec runs one popped event: a plain callback, a process resumption, or a
-// process's pending engine-side continuation (WaitFn).
+// process's pending engine-side continuation (WaitWhile's poll, WaitFn).
 func (e *Engine) exec(ev event) {
 	if ev.p == nil {
 		ev.fn()
 		return
 	}
 	p := ev.p
+	if w := p.w; w != nil && w.pollCond != nil {
+		// A WaitWhile poll instant: the proc resumes only once cond is false.
+		if e.poll(p, w.pollD, w.pollCond) {
+			w.pollCond = nil
+			e.stepProc(p)
+		}
+		return
+	}
 	if fn := p.pendingFn; fn != nil {
 		p.pendingFn = nil
 		done := fn()

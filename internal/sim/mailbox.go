@@ -2,8 +2,8 @@ package sim
 
 // Mailbox is an unbounded FIFO queue connecting simulated processes:
 // producers Put without blocking; consumers Recv, blocking until an item is
-// available. It is the transport used for daemon-style processes such as
-// the ISPS agent and the NVMe controller front-end.
+// available. It feeds daemon-style processes such as the minfs write-back
+// flushers and the serving layer's dispatch workers.
 type Mailbox[T any] struct {
 	items   fifo[T]
 	waiters fifo[*Proc]

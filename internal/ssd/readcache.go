@@ -240,10 +240,12 @@ func (c *readCache) readPages(p *sim.Proc, lpn, count int64, out []byte) error {
 	miss := c.s.newBatch()
 	defer miss.release()
 	hitPages := int64(0)
+	if miss.fetching == nil {
+		miss.fetching = func() bool { return c.page[miss.poll]&fetchBit != 0 }
+	}
 	for i := int64(0); i < count; i++ {
-		for c.page[lpn+i]&fetchBit != 0 {
-			p.Wait(5 * time.Microsecond)
-		}
+		miss.poll = lpn + i
+		p.WaitWhile(5*time.Microsecond, miss.fetching)
 		dst := out[i*ps : (i+1)*ps]
 		if c.hit(lpn+i, dst) {
 			hitPages++

@@ -450,14 +450,16 @@ func (s *SSD) forEachPage(p *sim.Proc, n int64, fn func(cp *sim.Proc, i int64) e
 // recycled: newBatch, fill pages, run, release; until release the
 // destination slices are the batch's to write.
 type readBatch struct {
-	s      *SSD
-	pages  []pageRead
-	lanes  []*readLane // the first nLanes are running
-	nLanes int
-	wg     sim.WaitGroup
-	err    error   // the first error: stops every lane at its next page
-	parent obs.Ctx // the issuing command's span, which every page's span joins
-	start  func()  // the start event, built once
+	s        *SSD
+	pages    []pageRead
+	lanes    []*readLane // the first nLanes are running
+	nLanes   int
+	wg       sim.WaitGroup
+	err      error       // the first error: stops every lane at its next page
+	parent   obs.Ctx     // the issuing command's span, which every page's span joins
+	start    func()      // the start event, built once
+	fetching func() bool // the read cache's WaitWhile condition: page poll is in flight
+	poll     int64
 }
 
 // pageRead is one page of a batch: logical page lpn lands in dst.
