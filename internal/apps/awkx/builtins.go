@@ -352,7 +352,7 @@ func (in *interp) sprintf(format string, args []value) (string, error) {
 			fmt.Fprintf(&out, spec+string(verb), nextArg().Num())
 		case 'c':
 			v := nextArg()
-			if v.isNum {
+			if v.kind == isNum {
 				fmt.Fprintf(&out, spec+"c", rune(int(v.n)))
 			} else if s := v.Str(); len(s) > 0 {
 				fmt.Fprintf(&out, spec+"c", rune(s[0]))

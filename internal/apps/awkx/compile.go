@@ -509,7 +509,7 @@ func (c *compiler) cond(e expr) condFn {
 				if err != nil {
 					return false, err
 				}
-				if a.isNum && b.isNum { // no strnum to look at
+				if a.kind == isNum && b.kind == isNum { // no strnum to look at
 					return holds(compareNum(a.n, b.n)), nil
 				}
 				return holds(compare(a, b)), nil
@@ -734,7 +734,7 @@ func (c *compiler) incDecStmt(ex *incDec) execFn {
 
 // add makes v the number v.Num() + d.
 func (v *value) add(d float64) {
-	if v.isNum {
+	if v.kind == isNum {
 		v.n += d
 	} else {
 		*v = num(v.Num() + d)

@@ -3,8 +3,8 @@ package awkx
 import "testing"
 
 // fuzzSeeds start both fuzzers below and are part of what
-// TestCompiledEqualsTreeWalk runs.
-var fuzzSeeds = []string{
+// TestCompiledEqualsTreeWalk runs, the strnum table's programs last.
+var fuzzSeeds = append([]string{
 	`{ print $2, $1 }`,
 	`BEGIN { FS = ":" } { n += NF; a[$1]++ } END { print n, length(a) }`,
 	`{ for (i = 1; i <= NF; i++) freq[$i]++ } END { n = 0; for (w in freq) n++; print n }`,
@@ -19,7 +19,7 @@ var fuzzSeeds = []string{
 	`BEGIN { while (1) {} }`, `BEGIN { for (;;) for (;;) {} }`, `function f() { f() } BEGIN { f() }`,
 	`function f(a) { for (k in a) { if (k > 1) continue; next } } { split($0, w); f(w) } END { print NR; exit 3 }`,
 	`{ do { $1e9 = NF++ } while (NF < 1e9) }`,
-}
+}, strnumSeeds()...)
 
 // FuzzAwkParse feeds arbitrary text to the parser, which must answer with a
 // program or an error and never panic or run past the end of its tokens.

@@ -7,21 +7,23 @@ import (
 	"strings"
 )
 
-// value is an AWK scalar: dynamically string, number, or "strnum" (a string
-// that came from input and compares numerically when it looks like a
+// value is an AWK scalar of one kind: isNull (never set: both "" and 0, the
+// zero value), isNum (n), isStr (s, a string even when empty) or isInput (s
+// from input: a "strnum", which compares numerically when it looks like a
 // number). Whether an input string looks like a number is decided only when
 // a comparison or a truth test asks, so a word that is only ever an array
-// key is never scanned.
+// key is never scanned. Three fields let the compiler keep one in registers.
 type value struct {
-	s     string
-	n     float64
-	isNum bool
-	input bool // s came from input: a strnum if it looks numeric
+	s    string
+	n    float64
+	kind uint8
 }
 
-func num(f float64) value     { return value{n: f, isNum: true} }
-func str(s string) value      { return value{s: s} }
-func inputStr(s string) value { return value{s: s, input: true} }
+const isNull, isNum, isStr, isInput = 0, 1, 2, 3
+
+func num(f float64) value     { return value{n: f, kind: isNum} }
+func str(s string) value      { return value{s: s, kind: isStr} }
+func inputStr(s string) value { return value{s: s, kind: isInput} }
 
 var uninitialized = value{}
 
@@ -99,7 +101,7 @@ func looksNumeric(s string) bool {
 
 // Num converts following awk semantics: numeric prefix of the string, else 0.
 func (v value) Num() float64 {
-	if v.isNum {
+	if v.kind == isNum {
 		return v.n
 	}
 	return numPrefix(v.s)
@@ -121,7 +123,7 @@ func numPrefix(s string) float64 {
 // Str renders the value as awk would: integral numbers without decimals,
 // others via CONVFMT (%.6g).
 func (v value) Str() string {
-	if !v.isNum {
+	if v.kind != isNum {
 		return v.s
 	}
 	return numToStr(v.n)
@@ -137,27 +139,25 @@ func numToStr(f float64) string {
 // Bool follows awk truthiness: numbers by non-zero, strings by non-empty
 // (strnums by numeric value).
 func (v value) Bool() bool {
-	if v.isNum {
+	if v.kind == isNum {
 		return v.n != 0
 	}
-	if v.input && looksNumeric(v.s) {
+	if v.kind == isInput && looksNumeric(v.s) {
 		return numPrefix(v.s) != 0
 	}
 	return v.s != ""
 }
 
 // numericish reports whether a value participates in numeric comparison:
-// true numbers, input strnums, and uninitialised values.
+// true numbers, input strnums, and uninitialised values — not an empty
+// string or empty field.
 func numericish(v value) bool {
-	return v.isNum || v.s == "" || (v.input && looksNumeric(v.s))
+	return v.kind == isNum || v.kind == isNull || (v.kind == isInput && looksNumeric(v.s))
 }
-
-// numericCompare reports whether two values should compare numerically.
-func numericCompare(a, b value) bool { return numericish(a) && numericish(b) }
 
 // compare returns -1, 0, or 1.
 func compare(a, b value) int {
-	if numericCompare(a, b) {
+	if numericish(a) && numericish(b) {
 		return compareNum(a.Num(), b.Num())
 	}
 	return strings.Compare(a.Str(), b.Str())

@@ -73,7 +73,7 @@ func (c *compressor) seedSort(block []byte) {
 	n := len(block)
 	// The block runs on into its own start, so that every rotation's first
 	// seedBytes bytes lie in a row.
-	ext := append(c.ext[:0], block...)
+	ext := append(sized(c.ext, n+seedBytes)[:0], block...)
 	for j := 0; j < seedBytes; j++ {
 		ext = append(ext, ext[j])
 	}

@@ -115,7 +115,7 @@ func TestCodeLengthsMatchReference(t *testing.T) {
 				freq[j] = int(rng.ExpFloat64() * rng.ExpFloat64() * 300)
 			}
 		}
-		got, want := codeLengths(freq), refCodeLengths(freq, maxCodeLen)
+		got, want := new(compressor).codeLengths(freq), refCodeLengths(freq, maxCodeLen)
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("freq %v:\n got %v\nwant %v", freq, got, want)
 		}

@@ -15,9 +15,10 @@ type (
 
 // Programs returns the pair computing through m (nil: every run computes).
 func Programs(m *apps.CodecMemo) (Bzip2, Bunzip2) {
-	compress := func(data []byte) ([]byte, error) { return Compress(data, Options{}), nil }
-	return Bzip2{m.Bind(apps.Codec{ProgName: "bzip2", CostClass: cpu.ClassBzip2, Suffix: ".bz2", Transform: compress})},
-		Bunzip2{m.Bind(apps.Codec{ProgName: "bunzip2", CostClass: cpu.ClassBunzip2, Suffix: ".bz2", Expand: true, Transform: Decompress})}
+	bzip2 := func(data []byte) ([]byte, error) { return compress(data, Options{}, m.Alloc("bzip2", data)), nil }
+	bunzip2 := func(data []byte) ([]byte, error) { return decompress(data, m.Alloc("bunzip2", data)) }
+	return Bzip2{m.Bind(apps.Codec{ProgName: "bzip2", CostClass: cpu.ClassBzip2, Suffix: ".bz2", Transform: bzip2})},
+		Bunzip2{m.Bind(apps.Codec{ProgName: "bunzip2", CostClass: cpu.ClassBunzip2, Suffix: ".bz2", Expand: true, Transform: bunzip2})}
 }
 
 // Run implements apps.Program.

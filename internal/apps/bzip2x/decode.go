@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"sync"
 
 	"compstor/internal/apps"
@@ -30,58 +29,69 @@ const (
 // decoder is the scratch of one Decompress call, recycled through decoders.
 type decoder struct {
 	br        bitReader
-	tt        []uint32 // the block's BWT column, one byte per entry, then the T-vector above it
-	blk       []byte   // the block as the inverse BWT gives it, before RLE1 is undone
+	tt        []uint32 // a block's BWT column, one byte per entry, then the T-vector above it
+	blk       []byte   // every block as the inverse BWT gives it, before RLE1 is undone
 	runs      []int32  // where in blk RLE1's run counts are
 	selectors []byte
 	tables    [maxTables]huffTable
-	total     int // bytes the blocks decoded so far hold
+	size      int // bytes the blocks decoded so far expand to
 }
 
 var decoders = sync.Pool{New: func() any { return new(decoder) }}
 
 // Decompress parses one or more concatenated .bz2 streams (as real bunzip2
 // does) and returns the original data, verifying block and stream CRCs.
-func Decompress(src []byte) ([]byte, error) {
+func Decompress(src []byte) ([]byte, error) { return decompress(src, apps.NewBytes) }
+
+// decompress is Decompress into a buffer of alloc's.
+func decompress(src []byte, alloc func(n int) []byte) ([]byte, error) {
 	d := decoders.Get().(*decoder)
-	out, err := d.decompress(src)
+	out, err := d.decompress(src, alloc)
 	d.br.src = nil
 	decoders.Put(d)
 	return out, err
 }
 
-// decompress expands each block into a buffer of its own size and joins
-// them at the end, so an expansion past apps.MaxOutput stops, having
-// allocated less than that, at the first block that would pass it.
-func (d *decoder) decompress(src []byte) ([]byte, error) {
-	d.br, d.total = bitReader{src: src}, 0
-	var blocks [][]byte
+// decompress inverts every block into d.blk, and undoes RLE1 into the
+// output only when all of them are, at their summed size: an expansion past
+// apps.MaxOutput stops at the first block that would pass it, with no
+// output allocated.
+func (d *decoder) decompress(src []byte, alloc func(n int) []byte) ([]byte, error) {
+	d.br, d.blk, d.runs, d.size = bitReader{src: src}, d.blk[:0], d.runs[:0], 0
 	for stream := 0; stream == 0 || d.br.more(); stream++ {
-		var err error
-		if blocks, err = d.decodeStream(blocks); err != nil {
+		if err := d.decodeStream(); err != nil {
 			return nil, err
 		}
 		d.br.alignByte()
 	}
-	if len(blocks) == 1 {
-		return blocks[0], nil
-	}
-	return slices.Concat(blocks...), nil
+	return d.output(alloc), nil
 }
 
-// decodeStream parses a whole "BZh" stream, appending its blocks' data to
-// blocks.
-func (d *decoder) decodeStream(blocks [][]byte) ([][]byte, error) {
+// output undoes RLE1 over d.blk into a buffer of alloc's.
+func (d *decoder) output(alloc func(n int) []byte) []byte {
+	out, from := alloc(d.size)[:0], 0
+	for _, r := range d.runs {
+		out = append(out, d.blk[from:r]...)
+		for range d.blk[r] {
+			out = append(out, d.blk[r-1])
+		}
+		from = int(r) + 1
+	}
+	return append(out, d.blk[from:]...)
+}
+
+// decodeStream parses a whole "BZh" stream into d.blk.
+func (d *decoder) decodeStream() error {
 	hdr, err := d.br.readBits(32)
 	if err != nil {
-		return nil, errCorrupt("short header")
+		return errCorrupt("short header")
 	}
 	if hdr>>8 != 0x425A68 { // "BZh"
-		return nil, errCorrupt("bad magic")
+		return errCorrupt("bad magic")
 	}
 	level := int(hdr&0xFF) - '0'
 	if level < 1 || level > 9 {
-		return nil, errCorrupt("bad level digit")
+		return errCorrupt("bad level digit")
 	}
 	limit := level*100_000 + blockSlack
 	d.tt = sized(d.tt, limit)
@@ -89,28 +99,26 @@ func (d *decoder) decodeStream(blocks [][]byte) ([][]byte, error) {
 	for {
 		magic, err := d.br.readBits(48)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		switch magic {
 		case blockMagicHi<<24 | blockMagicLo:
-			data, crc, err := d.readBlock()
+			crc, err := d.readBlock()
 			if err != nil {
-				return nil, err
+				return err
 			}
-			blocks = append(blocks, data)
-			d.total += len(data)
 			streamCRC = combineCRC(streamCRC, crc)
 		case eosMagicHi<<24 | eosMagicLo:
 			want, err := d.br.readBits(32)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if uint32(want) != streamCRC {
-				return nil, fmt.Errorf("%w: stream CRC %08x != %08x", ErrCRC, streamCRC, want)
+				return fmt.Errorf("%w: stream CRC %08x != %08x", ErrCRC, streamCRC, want)
 			}
-			return blocks, nil
+			return nil
 		default:
-			return nil, errCorrupt("bad block magic")
+			return errCorrupt("bad block magic")
 		}
 	}
 }
@@ -171,28 +179,28 @@ func (t *huffTable) init(lengths []uint8) error {
 	return nil
 }
 
-// readBlock decodes one block, returning its data and the block CRC from
-// the header after verifying it.
-func (d *decoder) readBlock() ([]byte, uint32, error) {
+// readBlock decodes one block into d.blk, returning the block CRC from the
+// header after verifying it.
+func (d *decoder) readBlock() (uint32, error) {
 	br := &d.br
 	crc64, err := br.readBits(32)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	hdrCRC := uint32(crc64)
 	hdr, err := br.readBits(1 + 24) // the randomised flag and origPtr
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	if hdr>>24 != 0 {
-		return nil, 0, errCorrupt("randomised blocks are deprecated and unsupported")
+		return 0, errCorrupt("randomised blocks are deprecated and unsupported")
 	}
 	origPtr := int(hdr & 0xFFFFFF)
 
 	// Symbol map.
 	groups, err := br.readBits(16)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	var mtf [256]byte // byte values, most recently used first
 	nUsed := 0
@@ -202,7 +210,7 @@ func (d *decoder) readBlock() ([]byte, uint32, error) {
 		}
 		row, err := br.readBits(16)
 		if err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 		for b := 0; b < 16; b++ {
 			if row&(1<<(15-b)) != 0 {
@@ -212,21 +220,21 @@ func (d *decoder) readBlock() ([]byte, uint32, error) {
 		}
 	}
 	if nUsed == 0 {
-		return nil, 0, errCorrupt("empty symbol map")
+		return 0, errCorrupt("empty symbol map")
 	}
 	alpha := nUsed + 2
 	eob := alpha - 1
 
 	sizes, err := br.readBits(3 + 15)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	nGroups, nSel := int(sizes>>15), int(sizes&0x7FFF)
 	if nGroups < 2 || nGroups > maxTables {
-		return nil, 0, errCorrupt("bad group count")
+		return 0, errCorrupt("bad group count")
 	}
 	if nSel < 1 {
-		return nil, 0, errCorrupt("no selectors")
+		return 0, errCorrupt("no selectors")
 	}
 	// Selectors, MTF-decoded.
 	mtfSel := [maxTables]byte{0, 1, 2, 3, 4, 5}
@@ -236,14 +244,14 @@ func (d *decoder) readBlock() ([]byte, uint32, error) {
 		for {
 			bit, err := br.readBits(1)
 			if err != nil {
-				return nil, 0, err
+				return 0, err
 			}
 			if bit == 0 {
 				break
 			}
 			j++
 			if j >= nGroups {
-				return nil, 0, errCorrupt("selector out of range")
+				return 0, errCorrupt("selector out of range")
 			}
 		}
 		v := mtfSel[j]
@@ -257,30 +265,30 @@ func (d *decoder) readBlock() ([]byte, uint32, error) {
 	for g := 0; g < nGroups; g++ {
 		cur, err := br.readBits(5)
 		if err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 		for s := 0; s < alpha; s++ {
 			for {
 				if cur < 1 || cur > formatCodeLen {
-					return nil, 0, errCorrupt("code length out of range")
+					return 0, errCorrupt("code length out of range")
 				}
 				bit, err := br.readBits(1)
 				if err != nil {
-					return nil, 0, err
+					return 0, err
 				}
 				if bit == 0 {
 					break
 				}
 				dir, err := br.readBits(1)
 				if err != nil {
-					return nil, 0, err
+					return 0, err
 				}
 				cur += 1 - 2*dir // unsigned: adds 1 or, wrapping, takes 1 away
 			}
 			lengths[s] = uint8(cur)
 		}
 		if err := d.tables[g].init(lengths[:alpha]); err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 	}
 
@@ -294,7 +302,7 @@ func (d *decoder) readBlock() ([]byte, uint32, error) {
 	for {
 		if left == 0 {
 			if sel == nSel {
-				return nil, 0, errCorrupt("selector stream exhausted")
+				return 0, errCorrupt("selector stream exhausted")
 			}
 			tbl = &d.tables[d.selectors[sel]]
 			sel++
@@ -315,12 +323,12 @@ func (d *decoder) readBlock() ([]byte, uint32, error) {
 			for l = fastBits + 1; l <= formatCodeLen && v >= tbl.limit[l]; l++ {
 			}
 			if l > formatCodeLen {
-				return nil, 0, errCorrupt("invalid Huffman code")
+				return 0, errCorrupt("invalid Huffman code")
 			}
 			sym = int(tbl.perm[tbl.offset[l]+int32(v>>(formatCodeLen-l))])
 		}
 		if l > br.n {
-			return nil, 0, io.ErrUnexpectedEOF
+			return 0, io.ErrUnexpectedEOF
 		}
 		br.acc <<= l
 		br.n -= l
@@ -329,13 +337,13 @@ func (d *decoder) readBlock() ([]byte, uint32, error) {
 			run += (sym + 1) << shift
 			shift++
 			if run > len(tt) {
-				return nil, 0, errCorrupt("run overflows block")
+				return 0, errCorrupt("run overflows block")
 			}
 			continue
 		}
 		if run > 0 {
 			if n+run > len(tt) {
-				return nil, 0, errCorrupt("run overflows block")
+				return 0, errCorrupt("run overflows block")
 			}
 			b := mtf[0]
 			for i := range tt[n : n+run] {
@@ -353,26 +361,24 @@ func (d *decoder) readBlock() ([]byte, uint32, error) {
 		copy(mtf[1:j+1], mtf[:j])
 		mtf[0] = b
 		if n >= len(tt) {
-			return nil, 0, errCorrupt("block overflows declared size")
+			return 0, errCorrupt("block overflows declared size")
 		}
 		tt[n] = uint32(b)
 		counts[b]++
 		n++
 	}
 	if origPtr >= n {
-		return nil, 0, errCorrupt("origPtr beyond block")
+		return 0, errCorrupt("origPtr beyond block")
 	}
-	out, err := d.expandBlock(tt[:n], &counts, origPtr, hdrCRC)
-	return out, hdrCRC, err
+	return hdrCRC, d.expandBlock(tt[:n], &counts, origPtr, hdrCRC)
 }
 
 // expandBlock inverts the BWT whose last column is the low bytes of tt (and
-// whose byte counts are counts) into d.blk, noting on the way where the
-// initial run-length encoding left its counts, and so the size and the CRC
-// (which must be want) of the data; then undoes it into a buffer of that
-// size. A block that would take the output past apps.MaxOutput fails
-// before it is allocated.
-func (d *decoder) expandBlock(tt []uint32, counts *[256]int32, origPtr int, want uint32) ([]byte, error) {
+// whose byte counts are counts) onto the end of d.blk, noting on the way
+// where the initial run-length encoding left its counts, and so the size and
+// the CRC (which must be want) of the data. A block that would take the
+// output past apps.MaxOutput fails.
+func (d *decoder) expandBlock(tt []uint32, counts *[256]int32, origPtr int, want uint32) error {
 	// Turn counts into the row at which each byte value starts in the
 	// first column, then put above each row's byte the row that follows its
 	// rotation: the standard T-vector.
@@ -386,8 +392,9 @@ func (d *decoder) expandBlock(tt []uint32, counts *[256]int32, origPtr int, want
 		tt[counts[b]] |= uint32(i) << 8
 		counts[b]++
 	}
-	d.blk = sized(d.blk, len(tt))
-	blk, runs := d.blk, d.runs[:0]
+	start := len(d.blk)
+	d.blk = sized(d.blk, start+len(tt))
+	blk, runs := d.blk[start:], d.runs
 	crc := ^uint32(0)
 	pos := tt[origPtr] >> 8
 	size := len(tt)
@@ -402,7 +409,7 @@ func (d *decoder) expandBlock(tt []uint32, counts *[256]int32, origPtr int, want
 			for k := 0; k < int(b); k++ {
 				crc = crc<<8 ^ crcTable[byte(crc>>24)^byte(prev)]
 			}
-			runs = append(runs, int32(i))
+			runs = append(runs, int32(start+i))
 			size += int(b) - 1
 			prev, same = -1, 0
 			continue
@@ -416,21 +423,13 @@ func (d *decoder) expandBlock(tt []uint32, counts *[256]int32, origPtr int, want
 	}
 	d.runs = runs
 	if same == 4 {
-		return nil, errCorrupt("truncated RLE1 run")
+		return errCorrupt("truncated RLE1 run")
 	}
 	if crc = ^crc; crc != want {
-		return nil, fmt.Errorf("%w: block CRC %08x != %08x", ErrCRC, crc, want)
+		return fmt.Errorf("%w: block CRC %08x != %08x", ErrCRC, crc, want)
 	}
-	if d.total+size > apps.MaxOutput {
-		return nil, apps.ErrOutputLimit
+	if d.size += size; d.size > apps.MaxOutput {
+		return apps.ErrOutputLimit
 	}
-	out, from := make([]byte, 0, size), 0
-	for _, r := range runs {
-		out = append(out, blk[from:r]...)
-		for range blk[r] {
-			out = append(out, blk[r-1])
-		}
-		from = int(r) + 1
-	}
-	return append(out, blk[from:]...), nil
+	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"compstor/internal/apps"
 	"compstor/internal/apps/huffman"
 	"compstor/internal/textgen"
 )
@@ -99,12 +100,12 @@ func TestBlockSizeEnforced(t *testing.T) {
 	src := textgen.Book(3, 400_000)
 	bz := Compress(src, Options{Level: 9})
 	d := new(decoder)
-	if got, err := d.decompress(bz); err != nil || !bytes.Equal(got, src) {
+	if got, err := d.decompress(bz, apps.NewBytes); err != nil || !bytes.Equal(got, src) {
 		t.Fatalf("level 9 round trip: %v", err)
 	}
 	bz[3] = '1'
 	d = new(decoder)
-	_, err := d.decompress(bz)
+	_, err := d.decompress(bz, apps.NewBytes)
 	if err == nil || !strings.Contains(err.Error(), "overflows") {
 		t.Fatalf("relabelled stream: %v", err)
 	}
@@ -135,7 +136,11 @@ func TestExpandBlockMatchesReference(t *testing.T) {
 				tt[i] = uint32(b)
 				counts[b]++
 			}
-			return new(decoder).expandBlock(tt, &counts, ptr, crc)
+			d := new(decoder)
+			if err := d.expandBlock(tt, &counts, ptr, crc); err != nil {
+				return nil, err
+			}
+			return d.output(apps.NewBytes), nil
 		}
 		got, err := expand(last, blockCRC(data))
 		if err != nil || !bytes.Equal(got, data) {
@@ -151,7 +156,7 @@ func TestExpandBlockMatchesReference(t *testing.T) {
 	// Four equal bytes with no count after them.
 	tt := []uint32{'a', 'a', 'a', 'a'}
 	counts := [256]int32{'a': 4}
-	if _, err := new(decoder).expandBlock(tt, &counts, 0, 0); err == nil || !strings.Contains(err.Error(), "truncated RLE1 run") {
+	if err := new(decoder).expandBlock(tt, &counts, 0, 0); err == nil || !strings.Contains(err.Error(), "truncated RLE1 run") {
 		t.Errorf("truncated run: %v", err)
 	}
 }

@@ -1,9 +1,11 @@
 package bzip2x
 
 import (
+	"math/bits"
 	"slices"
 	"sync"
 
+	"compstor/internal/apps"
 	"compstor/internal/apps/huffman"
 )
 
@@ -24,25 +26,19 @@ type Options struct {
 	Level int
 }
 
-func (o Options) blockLimit() int {
-	l := o.Level
-	if l <= 0 {
-		l = 1
-	}
-	if l > 9 {
-		l = 9
-	}
-	return l * 100_000
-}
+func (o Options) blockLimit() int { return min(max(o.Level, 1), 9) * 100_000 }
 
 // compressor is the scratch of one Compress call, recycled through
-// compressors so that a stream of small inputs allocates little per call.
+// compressors so that a stream of inputs allocates nothing per call.
 type compressor struct {
-	w    bitWriter
-	rle  []byte   // the block after RLE1
-	last []byte   // its BWT last column
-	syms []uint16 // MTF + RUNA/RUNB symbols
-	freq [258]int // how often each symbol occurs
+	w       bitWriter
+	rle     []byte          // the block after RLE1
+	last    []byte          // its BWT last column
+	syms    []uint16        // MTF + RUNA/RUNB symbols
+	freq    [maxAlpha]int   // how often each symbol occurs
+	weights [maxAlpha]int   // freq plus one
+	lengths [maxAlpha]int   // the code lengths
+	huff    huffman.Scratch // codeLengths's
 
 	// Rotation sort (bwt.go).
 	ext         []byte   // the block and its first seedBytes bytes again
@@ -54,12 +50,21 @@ type compressor struct {
 
 var compressors = sync.Pool{New: func() any { return new(compressor) }}
 
-// sized returns s with length n and unspecified contents, reallocated only
-// when its capacity falls short.
-func sized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+// sized returns s resized to n, what it held kept up to the shorter length.
+// One too short is reallocated at the next power of two, so that inputs of
+// varying size reallocate the scratch a few times, not at every larger one.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = append(make([]T, 0, 1<<bits.Len(uint(n-1))), s...)
+	}
+	return s[:n]
+}
 
 // Compress produces a complete .bz2 stream containing src.
-func Compress(src []byte, opt Options) []byte {
+func Compress(src []byte, opt Options) []byte { return compress(src, opt, apps.NewBytes) }
+
+// compress is Compress into a buffer of alloc's.
+func compress(src []byte, opt Options, alloc func(n int) []byte) []byte {
 	c := compressors.Get().(*compressor)
 	defer compressors.Put(c)
 	w := &c.w
@@ -81,7 +86,9 @@ func Compress(src []byte, opt Options) []byte {
 	w.writeBits(eosMagicLo, 24)
 	w.writeBits(uint64(streamCRC), 32)
 	w.flush()
-	return slices.Clone(w.out)
+	out := alloc(len(w.out))
+	copy(out, w.out)
+	return out
 }
 
 // rle1Encode applies bzip2's initial run-length encoding (runs of 4-259
@@ -90,7 +97,7 @@ func Compress(src []byte, opt Options) []byte {
 // was consumed.
 func rle1Encode(dst, src []byte, limit int) (out []byte, consumed int) {
 	// A run of four grows to five bytes, nothing grows more.
-	out = slices.Grow(dst[:0], min(limit, len(src)+len(src)/4+5))
+	out = sized(dst, min(limit, len(src)+len(src)/4+5))[:0]
 	i := 0
 	for i < len(src) && len(out)+5 <= limit {
 		b := src[i]
@@ -138,7 +145,7 @@ func (c *compressor) writeBlock(crc uint32) {
 	// Huffman coding: two identical tables (the format minimum), selector 0
 	// everywhere. This sacrifices a little ratio for simplicity; the
 	// bitstream stays fully conformant.
-	lengths := codeLengths(c.freq[:alpha])
+	lengths := c.codeLengths(c.freq[:alpha])
 	codes := huffman.CanonicalCodes(lengths)
 	nGroups := 2
 	nSel := (len(c.syms) + groupSize - 1) / groupSize
@@ -170,12 +177,12 @@ func (c *compressor) writeBlock(crc uint32) {
 // codeLengths gives every symbol of the block alphabet a code length, as
 // bzip2 tables must: a symbol weighs one more than its count, so that the
 // unused ones (RUNA or RUNB, at most) still get a code, a long one.
-func codeLengths(freq []int) []int {
-	weights := make([]int, len(freq))
+func (c *compressor) codeLengths(freq []int) []int {
+	weights := c.weights[:len(freq)]
 	for i, f := range freq {
 		weights[i] = f + 1
 	}
-	return huffman.CodeLengths(weights, maxCodeLen)
+	return c.huff.CodeLengths(c.lengths[:0], weights, maxCodeLen)
 }
 
 // mtfRLE2 converts the BWT last column c.last into the MTF + RUNA/RUNB
@@ -199,7 +206,7 @@ func (c *compressor) mtfRLE2() (used []byte) {
 	used = slices.Clone(mtf[:n])
 	freq := &c.freq
 	clear(freq[:])
-	syms := slices.Grow(c.syms[:0], len(c.last)+1)
+	syms := sized(c.syms, len(c.last)+1)[:0]
 	run := 0
 	flushRun := func() {
 		// Bijective base-2 with digits RUNA(=1) and RUNB(=2).

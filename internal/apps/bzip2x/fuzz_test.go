@@ -5,6 +5,8 @@ import (
 	stdbzip2 "compress/bzip2"
 	"io"
 	"testing"
+
+	"compstor/internal/apps"
 )
 
 // FuzzBzip2RoundTrip checks, for arbitrary payloads, that Compress produces
@@ -70,7 +72,7 @@ func FuzzBunzip2Decode(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, src []byte) {
 		d := new(decoder)
-		got, err := d.decompress(src)
+		got, err := d.decompress(src, apps.NewBytes)
 		if err != nil && got != nil {
 			t.Fatalf("data and an error: %d bytes, %v", len(got), err)
 		}

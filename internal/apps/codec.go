@@ -25,9 +25,12 @@ type Codec struct {
 	// instead of gaining it, and the compute charge is topped up (below).
 	Expand bool
 	// Transform maps a file's whole content to its (de)compressed form. It
-	// is a pure function of data, keeps no reference to data after it
-	// returns (Run recycles it), and nothing writes the slice it returns: a
-	// memo hands the same one to later runs.
+	// is a pure function of data and keeps no reference to data, or to the
+	// result, after it returns: once a file's output is written, Run hands
+	// both to minfs's pool unless the memo holds them, so the result shares
+	// no memory with data. The codecs allocate it through CodecMemo.Alloc.
+	// Nothing writes a result the memo holds; it hands the same one to later
+	// runs.
 	Transform func(data []byte) ([]byte, error)
 
 	memo *CodecMemo // set by Bind; nil computes every time
@@ -41,6 +44,10 @@ const MaxOutput = 64 << 20
 // ErrOutputLimit is a decoder's error past MaxOutput.
 var ErrOutputLimit = fmt.Errorf("output larger than %d bytes", MaxOutput)
 
+// NewBytes allocates n bytes: a kernel's alloc when the caller keeps the
+// result.
+func NewBytes(n int) []byte { return make([]byte, n) }
+
 // Name implements Program.
 func (c Codec) Name() string { return c.ProgName }
 
@@ -51,13 +58,18 @@ func (c Codec) Class() cpu.Class { return c.CostClass }
 // named file is transformed into its sibling (name <-> name+Suffix), or,
 // with no file arguments, stdin is filtered to stdout. Inputs are kept (the
 // simulation datasets are reused across runs). A file is read into a pooled
-// buffer, recycled once the output is written unless the memo kept it.
+// buffer and transformed into another; both go back to the pool once the
+// output is written, unless the memo holds them.
 func (c Codec) Run(ctx *Context, args []string) error {
-	transform := func(data []byte) (out []byte, keyKept bool, err error) {
+	// transform returns data's output and whether the memo holds it, kept
+	// with data as its key or recalled. A recalled output's input goes back
+	// to the pool at once.
+	transform := func(data []byte) (out []byte, held bool, err error) {
 		if kept, _ := c.memo.Recall(c.ProgName, data); kept != nil {
-			out = kept.([]byte)
+			out, held = kept.([]byte), true
+			defer minfs.Recycle(data)
 		} else if out, err = c.Transform(data); err == nil {
-			keyKept = c.memo.Keep(c.ProgName, data, out, cap(data)+cap(out))
+			held = c.memo.Keep(c.ProgName, data, out, cap(data)+cap(out))
 		}
 		if err == nil && c.Expand {
 			// Decompression cost — like the paper's J/GB normalisation — is
@@ -65,7 +77,7 @@ func (c Codec) Run(ctx *Context, args []string) error {
 			// compressed input to the plain output size.
 			ctx.chargeBytes(len(out) - len(data))
 		}
-		return out, keyKept, err
+		return out, held, err
 	}
 	if len(args) == 0 {
 		data, err := io.ReadAll(ctx.In())
@@ -92,15 +104,17 @@ func (c Codec) Run(ctx *Context, args []string) error {
 		if err != nil {
 			return Exitf(1, "%s: %v", c.ProgName, err)
 		}
-		out, keyKept, err := transform(data)
+		out, held, err := transform(data)
 		if err != nil {
 			return Exitf(1, "%s: %s: %v", c.ProgName, name, err)
 		}
-		if err := writeFile(ctx, dst, out); err != nil {
-			return Exitf(1, "%s: %v", c.ProgName, err)
-		}
-		if !keyKept {
+		err = writeFile(ctx, dst, out)
+		if !held {
 			minfs.Recycle(data)
+			minfs.Recycle(out)
+		}
+		if err != nil {
+			return Exitf(1, "%s: %v", c.ProgName, err)
 		}
 	}
 	return nil
@@ -208,6 +222,17 @@ func (m *CodecMemo) Keep(prog string, key []byte, v any, size int) bool {
 	m.m[k] = e
 	m.size += cost
 	return e != nil
+}
+
+// Alloc returns the allocator for prog's output on key: minfs's pool
+// (minfs.GetBuf), whose buffers Run hands back, unless this is the second
+// sight, whose output Keep keeps at its capacity: that one is allocated at
+// its size, so that the memo fills no sooner than for an unpooled output.
+func (m *CodecMemo) Alloc(prog string, key []byte) func(n int) []byte {
+	if _, seen := m.Recall(prog, key); seen {
+		return NewBytes
+	}
+	return minfs.GetBuf
 }
 
 // readFileCharged reads a whole file through the charging path, in one

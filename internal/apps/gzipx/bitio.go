@@ -19,10 +19,8 @@ import (
 	"math/bits"
 )
 
-// bitWriter packs bits LSB-first, as DEFLATE requires, into a buffer that
-// flush hands to w in one Write.
+// bitWriter packs bits LSB-first, as DEFLATE requires, into buf.
 type bitWriter struct {
-	w   io.Writer
 	buf []byte
 	acc uint64
 	n   uint // bits in acc, below 32 between calls
@@ -45,14 +43,6 @@ func (b *bitWriter) align() {
 		b.buf = append(b.buf, byte(b.acc))
 		b.acc >>= 8
 	}
-}
-
-// flush aligns and writes everything buffered.
-func (b *bitWriter) flush() error {
-	b.align()
-	_, err := b.w.Write(b.buf)
-	b.buf = b.buf[:0]
-	return err
 }
 
 // reverseBits reverses the low `width` bits of v: DEFLATE stores Huffman

@@ -10,13 +10,20 @@ import (
 	"compstor/internal/apps/huffman"
 )
 
+// flush aligns w and appends what it holds to buf.
+func flush(w *bitWriter, buf *bytes.Buffer) error {
+	w.align()
+	_, err := buf.Write(w.buf)
+	return err
+}
+
 func TestLSBBitWriterKnownBits(t *testing.T) {
 	var buf bytes.Buffer
-	w := &bitWriter{w: &buf}
+	w := &bitWriter{}
 	w.writeBits(0b1, 1)
 	w.writeBits(0b011, 3)
 	w.writeBits(0b1010, 4) // byte: 1010 011 1 LSB-first = 0b10100111
-	if err := w.flush(); err != nil {
+	if err := flush(w, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if got := buf.Bytes(); len(got) != 1 || got[0] != 0b10100111 {
@@ -31,7 +38,7 @@ func TestLSBBitRoundTripProperty(t *testing.T) {
 			n = len(widths)
 		}
 		var buf bytes.Buffer
-		w := &bitWriter{w: &buf}
+		w := &bitWriter{}
 		type field struct {
 			v     uint32
 			width uint
@@ -43,7 +50,7 @@ func TestLSBBitRoundTripProperty(t *testing.T) {
 			fields = append(fields, field{v, width})
 			w.writeBits(v, width)
 		}
-		if err := w.flush(); err != nil {
+		if err := flush(w, &buf); err != nil {
 			return false
 		}
 		r := &bitReader{src: buf.Bytes()}
@@ -83,7 +90,7 @@ func TestBitReaderAlign(t *testing.T) {
 	// A fixed-Huffman block of 29 bits, then a stored block whose header
 	// starts mid-byte, then bytes that are not part of the stream.
 	var buf bytes.Buffer
-	w := &bitWriter{w: &buf}
+	w := &bitWriter{}
 	w.writeBits(0b010, 3) // not final, fixed codes
 	for _, c := range []byte("ab") {
 		w.writeBits(reverseBits(0x30+uint32(c), 8), 8)
@@ -94,7 +101,7 @@ func TestBitReaderAlign(t *testing.T) {
 	for _, b := range []byte{3, 0, 0xFC, 0xFF, 'x', 'y', 'z'} {
 		w.writeBits(uint32(b), 8)
 	}
-	if err := w.flush(); err != nil {
+	if err := flush(w, &buf); err != nil {
 		t.Fatal(err)
 	}
 	stream := buf.Len()
@@ -122,7 +129,7 @@ func TestCanonicalCodesPrefixFree(t *testing.T) {
 		if used < 2 {
 			return true
 		}
-		lens := huffman.CodeLengths(fr, 15)
+		lens := new(huffman.Scratch).CodeLengths(nil, fr, 15)
 		codes := huffman.CanonicalCodes(lens)
 		// Prefix-freedom: no code may be a prefix of another.
 		type entry struct {
@@ -199,14 +206,14 @@ func TestHDecoderDecodesCanonical(t *testing.T) {
 		// each followed by a 3-bit marker the decoder must leave in place.
 		var syms []int
 		var buf bytes.Buffer
-		w := &bitWriter{w: &buf}
+		w := &bitWriter{}
 		for i := 0; i < 50*len(lens); i++ {
 			sym := rng.Intn(len(lens))
 			syms = append(syms, sym)
 			w.writeBits(reverseBits(codes[sym], uint(lens[sym])), uint(lens[sym]))
 			w.writeBits(uint32(i%8), 3)
 		}
-		w.flush()
+		flush(w, &buf)
 		r := &bitReader{src: buf.Bytes()}
 		for i, want := range syms {
 			got, err := h.decode(r)

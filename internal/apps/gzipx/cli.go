@@ -17,8 +17,10 @@ type (
 
 // Programs returns the pair computing through m (nil: every run computes).
 func Programs(m *apps.CodecMemo) (Gzip, Gunzip) {
-	return Gzip{m.Bind(apps.Codec{ProgName: "gzip", CostClass: cpu.ClassGzip, Suffix: ".gz", Transform: Compress})},
-		Gunzip{m.Bind(apps.Codec{ProgName: "gunzip", CostClass: cpu.ClassGunzip, Suffix: ".gz", Expand: true, Transform: Decompress})}
+	gzip := func(data []byte) ([]byte, error) { return compress(data, m.Alloc("gzip", data)) }
+	gunzip := func(data []byte) ([]byte, error) { return decompress(data, m.Alloc("gunzip", data)) }
+	return Gzip{m.Bind(apps.Codec{ProgName: "gzip", CostClass: cpu.ClassGzip, Suffix: ".gz", Transform: gzip})},
+		Gunzip{m.Bind(apps.Codec{ProgName: "gunzip", CostClass: cpu.ClassGunzip, Suffix: ".gz", Expand: true, Transform: gunzip})}
 }
 
 // Run implements apps.Program.

@@ -2,7 +2,6 @@ package gzipx
 
 import (
 	"encoding/binary"
-	"io"
 	"math"
 	"math/bits"
 	"sync"
@@ -63,9 +62,6 @@ func init() {
 	}
 }
 
-// lengthCode maps a match length (3..258) to its litlen symbol.
-func lengthCode(l int) int { return int(lengthSym[l]) }
-
 // distCode maps a distance (1..32768) to its distance symbol.
 func distCode(d int) int {
 	if d <= 256 {
@@ -92,35 +88,29 @@ const (
 	blockSize  = 1 << 16 // tokens per emitted block
 )
 
-// Deflate compresses src into w as a raw DEFLATE stream, written with one
-// Write call.
-func Deflate(w io.Writer, src []byte) error {
-	c := compressors.Get().(*compressor)
-	c.reset(w, src)
-	c.run()
-	err := c.bw.flush()
-	c.base += int32(len(src)) + 1
-	c.src, c.bw.w = nil, nil
-	compressors.Put(c)
-	return err
-}
-
-// compressor is the scratch of one Deflate call, recycled through
-// compressors so that a stream of small inputs allocates nothing per call.
+// compressor is the scratch of one deflate call, recycled through
+// compressors so that a stream of inputs allocates nothing per call.
 type compressor struct {
 	src []byte
 	// head and prev hold positions biased by base, which every call moves
 	// past all it stored: what an earlier input left behind then reads as
 	// older than the window, so head is cleared only when base would
-	// overflow. A prev entry is written before any chain reaches it.
+	// overflow. prev is a ring over the window, as in zlib: a prev entry is
+	// written before any chain reaches it, and overwritten only once its
+	// position has left the window.
 	head   []int32
-	prev   []int32
+	prev   [windowSize]int32
 	base   int32
 	tokens []token
 	bw     bitWriter
 
 	litFreq  [286]int
 	distFreq [30]int
+	clFreq   [19]int
+	litLen   [286]int
+	distLen  [30]int
+	clLen    [19]int
+	huff     huffman.Scratch
 	seq      []int
 	cl       []clToken
 }
@@ -129,17 +119,21 @@ var compressors = sync.Pool{New: func() any {
 	return &compressor{head: make([]int32, 1<<hashBits), base: 1}
 }}
 
-func (c *compressor) reset(w io.Writer, src []byte) {
+// deflate compresses src as a raw DEFLATE stream and returns it, in c's
+// scratch.
+func (c *compressor) deflate(src []byte) []byte {
 	if int64(c.base)+int64(len(src)) >= math.MaxInt32 {
 		clear(c.head)
 		c.base = 1
 	}
 	c.src = src
-	if cap(c.prev) < len(src) {
-		c.prev = make([]int32, len(src))
-	}
 	c.tokens = c.tokens[:0]
-	c.bw = bitWriter{w: w, buf: c.bw.buf[:0]}
+	c.bw = bitWriter{buf: c.bw.buf[:0]}
+	c.run()
+	c.bw.align()
+	c.base += int32(len(src)) + 1
+	c.src = nil
+	return c.bw.buf
 }
 
 func hash3(b []byte) uint32 {
@@ -152,7 +146,7 @@ func (c *compressor) insert(pos int) {
 		return
 	}
 	h := hash3(c.src[pos:])
-	c.prev[pos] = c.head[h]
+	c.prev[pos&(windowSize-1)] = c.head[h]
 	c.head[h] = c.base + int32(pos)
 }
 
@@ -161,7 +155,7 @@ func (c *compressor) findMatch(pos int) (length, dist int) {
 	if pos+minMatch > len(c.src) {
 		return 0, 0
 	}
-	src, prev, base := c.src, c.prev, c.base // locals: the loop below is the encoder's hot spot
+	src, prev, base := c.src, &c.prev, c.base // locals: the loop below is the encoder's hot spot
 	limit := base + int32(max(pos-windowSize, 0))
 	maxLen := min(len(src)-pos, maxMatch)
 	want := src[pos : pos+maxLen]
@@ -179,7 +173,7 @@ func (c *compressor) findMatch(pos int) (length, dist int) {
 				}
 			}
 		}
-		cand = prev[cp]
+		cand = prev[cp&(windowSize-1)]
 	}
 	if best < minMatch {
 		return 0, 0
@@ -265,15 +259,15 @@ func (c *compressor) writeBlock(final bool) {
 	for _, t := range tokens {
 		if t.isMatch() {
 			l, d := t.lenDist()
-			litFreq[lengthCode(l)]++
+			litFreq[lengthSym[l]]++
 			distFreq[distCode(d)]++
 		} else {
 			litFreq[t.lit()]++
 		}
 	}
 	litFreq[256]++ // end of block
-	litLen := huffman.CodeLengths(litFreq, 15)
-	distLen := huffman.CodeLengths(distFreq, 15)
+	litLen := c.huff.CodeLengths(c.litLen[:0], litFreq, 15)
+	distLen := c.huff.CodeLengths(c.distLen[:0], distFreq, 15)
 	// All-literal blocks still must declare a distance alphabet; a single
 	// one-bit code is the conventional (and spec-sanctioned) encoding.
 	empty := true
@@ -311,10 +305,7 @@ func (c *compressor) writeBlock(final bool) {
 		switch {
 		case v == 0 && run >= 3:
 			for run >= 3 {
-				n := run
-				if n > 138 {
-					n = 138
-				}
+				n := min(run, 138)
 				if n <= 10 {
 					cl = append(cl, clToken{17, uint32(n - 3)})
 				} else {
@@ -328,10 +319,7 @@ func (c *compressor) writeBlock(final bool) {
 			i++
 			run--
 			for run >= 3 {
-				n := run
-				if n > 6 {
-					n = 6
-				}
+				n := min(run, 6)
 				cl = append(cl, clToken{16, uint32(n - 3)})
 				run -= n
 				i += n
@@ -346,11 +334,12 @@ func (c *compressor) writeBlock(final bool) {
 	}
 
 	c.seq, c.cl = seq, cl
-	clFreq := make([]int, 19)
+	clFreq := c.clFreq[:]
+	clear(clFreq)
 	for _, t := range cl {
 		clFreq[t.sym]++
 	}
-	clLen := huffman.CodeLengths(clFreq, 7)
+	clLen := c.huff.CodeLengths(c.clLen[:0], clFreq, 7)
 	clCodes := bitReversed(huffman.CanonicalCodes(clLen), clLen)
 	hclen := 19
 	for hclen > 4 && clLen[clOrder[hclen-1]] == 0 {
@@ -386,7 +375,7 @@ func (c *compressor) writeBlock(final bool) {
 	for _, t := range tokens {
 		if t.isMatch() {
 			l, d := t.lenDist()
-			lc := lengthCode(l)
+			lc := int(lengthSym[l])
 			bw.writeBits(litCodes[lc], uint(litLen[lc]))
 			if eb := lengthExtra[lc-257]; eb > 0 {
 				bw.writeBits(uint32(l-lengthBase[lc-257]), eb)

@@ -17,18 +17,20 @@ const (
 )
 
 // Compress produces a complete gzip member containing src.
-func Compress(src []byte) ([]byte, error) {
-	var out bytes.Buffer
+func Compress(src []byte) ([]byte, error) { return compress(src, apps.NewBytes) }
+
+// compress is Compress into a buffer of alloc's.
+func compress(src []byte, alloc func(n int) []byte) ([]byte, error) {
+	c := compressors.Get().(*compressor)
+	defer compressors.Put(c)
+	body := c.deflate(src)
+	out := alloc(10 + len(body) + 8)
 	// Header: magic, method, flags, mtime(4), XFL, OS (255 = unknown).
-	out.Write([]byte{gzipID1, gzipID2, gzipMethod, 0, 0, 0, 0, 0, 0, 255})
-	if err := Deflate(&out, src); err != nil {
-		return nil, err
-	}
-	var tail [8]byte
+	copy(out, []byte{gzipID1, gzipID2, gzipMethod, 0, 0, 0, 0, 0, 0, 255})
+	tail := out[10+copy(out[10:], body):]
 	binary.LittleEndian.PutUint32(tail[0:], crc32.ChecksumIEEE(src))
 	binary.LittleEndian.PutUint32(tail[4:], uint32(len(src)))
-	out.Write(tail[:])
-	return out.Bytes(), nil
+	return out, nil
 }
 
 // header flag bits. Bit 0 (FTEXT) only hints that the content is text and
@@ -42,13 +44,16 @@ const (
 
 // Decompress parses one or more concatenated gzip members (as real gunzip
 // does) and returns the original data, verifying each member's CRC32 and
-// length. The output is sized by the last member's declared length, capped
-// at DEFLATE's 1032:1 and apps.MaxOutput: one member (what gzip writes)
-// expands into one allocation.
-func Decompress(src []byte) ([]byte, error) {
+// length.
+func Decompress(src []byte) ([]byte, error) { return decompress(src, apps.NewBytes) }
+
+// decompress is Decompress into a buffer of alloc's, sized by the last
+// member's declared length, capped at DEFLATE's 1032:1 and apps.MaxOutput:
+// one member (what gzip writes) expands into it without growing.
+func decompress(src []byte, alloc func(n int) []byte) ([]byte, error) {
 	var out []byte
 	if n := len(src); n >= 4 {
-		out = make([]byte, 0, min(int(binary.LittleEndian.Uint32(src[n-4:])), 1032*n, apps.MaxOutput))
+		out = alloc(min(int(binary.LittleEndian.Uint32(src[n-4:])), 1032*n, apps.MaxOutput))[:0]
 	}
 	for at := 0; at == 0 || at < len(src); {
 		h, err := headerLen(src[at:])

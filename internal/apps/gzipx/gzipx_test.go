@@ -39,10 +39,7 @@ func corpus() map[string][]byte {
 
 func TestDeflateRoundTrip(t *testing.T) {
 	for name, data := range corpus() {
-		var buf bytes.Buffer
-		if err := Deflate(&buf, data); err != nil {
-			t.Fatalf("%s: deflate: %v", name, err)
-		}
+		buf := bytes.NewBuffer(compressors.New().(*compressor).deflate(data))
 		got, used, err := inflate(buf.Bytes(), nil)
 		if err != nil {
 			t.Fatalf("%s: inflate: %v", name, err)
@@ -134,11 +131,11 @@ func TestInflateMatchesReference(t *testing.T) {
 func TestInflateStopsAtOutputLimit(t *testing.T) {
 	fixed := func(emit func(w *bitWriter)) []byte {
 		var buf bytes.Buffer
-		w := &bitWriter{w: &buf}
+		w := &bitWriter{}
 		w.writeBits(0b011, 3) // final, fixed codes
 		emit(w)
 		w.writeBits(0, 7) // end of block
-		w.flush()
+		flush(w, &buf)
 		return buf.Bytes()
 	}
 	literal := func(w *bitWriter, c byte) { w.writeBits(reverseBits(0x30+uint32(c), 8), 8) }
@@ -298,7 +295,7 @@ func TestHuffmanLengthsAreValidKraft(t *testing.T) {
 		for i, v := range freqs {
 			fr[i] = int(v)
 		}
-		lens := huffman.CodeLengths(fr, 15)
+		lens := new(huffman.Scratch).CodeLengths(nil, fr, 15)
 		// Kraft inequality must hold and lengths must respect the cap.
 		sum := 0.0
 		used := 0

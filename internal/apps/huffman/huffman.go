@@ -7,10 +7,18 @@ import (
 	"slices"
 )
 
+// Scratch is CodeLengths's working memory. The zero value is ready; one
+// kept beside its caller's other scratch grows to the largest alphabet it
+// has served and allocates nothing after.
+type Scratch struct {
+	order, weights []int
+	isPkg          []bool
+}
+
 // CodeLengths computes optimal length-limited Huffman code lengths for
-// the given symbol frequencies using the package-merge algorithm. Symbols
-// with zero frequency get length 0. maxBits must satisfy
-// 2^maxBits >= number of used symbols.
+// the given symbol frequencies using the package-merge algorithm, and
+// returns them in dst resized to len(freq). Symbols with zero frequency get
+// length 0. maxBits must satisfy 2^maxBits >= number of used symbols.
 //
 // Each of the maxBits levels is the list of single symbols, sorted once by
 // (frequency, index), merged with the pairwise sums ("packages") of the
@@ -19,14 +27,16 @@ import (
 // packages are kept. A symbol's length is the number of levels in which it
 // is among the items selected: the first 2n-2 of the last level, and below
 // that the items the selected packages were built from.
-func CodeLengths(freq []int, maxBits int) []int {
-	lengths := make([]int, len(freq))
-	order := make([]int, 0, len(freq)) // used symbols by (frequency, index)
+func (s *Scratch) CodeLengths(dst, freq []int, maxBits int) []int {
+	lengths := slices.Grow(dst[:0], len(freq))[:len(freq)]
+	clear(lengths)
+	order := s.order[:0] // used symbols by (frequency, index)
 	for i, f := range freq {
 		if f > 0 {
 			order = append(order, i)
 		}
 	}
+	s.order = order
 	n := len(order)
 	switch n {
 	case 0:
@@ -43,12 +53,14 @@ func CodeLengths(freq []int, maxBits int) []int {
 	})
 
 	// A level holds fewer than 2n items: n symbols and half the level before.
-	weights := make([]int, 4*n)
-	prev, cur := weights[:n:2*n], weights[2*n:2*n]
-	for i, s := range order {
-		prev[i] = freq[s]
+	s.weights = slices.Grow(s.weights[:0], 4*n)[:4*n]
+	prev, cur := s.weights[:n:2*n], s.weights[2*n:2*n]
+	for i, sym := range order {
+		prev[i] = freq[sym]
 	}
-	isPkg := make([]bool, 2*n*maxBits) // level l at [2n*l:]; level 0 has none
+	s.isPkg = slices.Grow(s.isPkg[:0], 2*n*maxBits)[:2*n*maxBits] // level l at [2n*l:]; level 0 has none
+	isPkg := s.isPkg
+	clear(isPkg)
 	for l := 1; l < maxBits; l++ {
 		flags := isPkg[2*n*l:]
 		cur = cur[:0]
@@ -82,32 +94,22 @@ func CodeLengths(freq []int, maxBits int) []int {
 }
 
 // CanonicalCodes assigns canonical Huffman codes (RFC 1951 §3.2.2) from
-// code lengths. Returned codes are in natural (MSB-first) bit order, which is
-// how bzip2 stores them; DEFLATE reverses them.
+// code lengths (at most 32). Returned codes are in natural (MSB-first) bit
+// order, which is how bzip2 stores them; DEFLATE reverses them.
 func CanonicalCodes(lengths []int) []uint32 {
-	maxLen := 0
+	var count, next [33]uint32 // per length: how many codes, then the next one
 	for _, l := range lengths {
-		if l > maxLen {
-			maxLen = l
-		}
+		count[l]++
 	}
-	blCount := make([]int, maxLen+1)
-	for _, l := range lengths {
-		if l > 0 {
-			blCount[l]++
-		}
-	}
-	nextCode := make([]uint32, maxLen+2)
-	var code uint32
-	for bits := 1; bits <= maxLen; bits++ {
-		code = (code + uint32(blCount[bits-1])) << 1
-		nextCode[bits] = code
+	count[0] = 0
+	for l := 1; l < len(next); l++ {
+		next[l] = (next[l-1] + count[l-1]) << 1
 	}
 	codes := make([]uint32, len(lengths))
 	for i, l := range lengths {
 		if l > 0 {
-			codes[i] = nextCode[l]
-			nextCode[l]++
+			codes[i] = next[l]
+			next[l]++
 		}
 	}
 	return codes

@@ -135,10 +135,53 @@ func TestCodeLengthsMatchReference(t *testing.T) {
 			if used > 1<<uint(a.maxBits) {
 				continue
 			}
-			got, want := CodeLengths(freq, a.maxBits), refCodeLengths(freq, a.maxBits)
+			got, want := new(Scratch).CodeLengths(nil, freq, a.maxBits), refCodeLengths(freq, a.maxBits)
 			if !slices.Equal(got, want) {
 				t.Fatalf("alphabet %d maxBits %d freq %v:\n got %v\nwant %v", a.n, a.maxBits, freq, got, want)
 			}
+		}
+	}
+}
+
+// TestScratchReuseMatchesReference runs one Scratch, and one result slice,
+// through alphabets of every size up to 300 and the three maxBits the
+// encoders use, in shuffled order and with n = 0, 1 and 2 used symbols
+// among them: what a bigger or deeper call leaves behind must not reach a
+// later one.
+func TestScratchReuseMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(2112))
+	type job struct {
+		freq    []int
+		maxBits int
+	}
+	var jobs []job
+	for _, maxBits := range []int{7, 15, 17} {
+		for used := range 3 {
+			freq := make([]int, 1+rng.Intn(40))
+			for range used {
+				freq[rng.Intn(len(freq))] += 1 + rng.Intn(9)
+			}
+			jobs = append(jobs, job{freq, maxBits})
+		}
+		for range 150 {
+			freq := make([]int, 1+rng.Intn(300))
+			used := 0
+			for i := range freq {
+				if rng.Intn(3) > 0 && used < 1<<maxBits {
+					freq[i] = 1 + int(rng.ExpFloat64()*rng.ExpFloat64()*40)
+					used++
+				}
+			}
+			jobs = append(jobs, job{freq, maxBits})
+		}
+	}
+	rng.Shuffle(len(jobs), func(i, j int) { jobs[i], jobs[j] = jobs[j], jobs[i] })
+	var s Scratch
+	var lengths []int
+	for _, j := range jobs {
+		lengths = s.CodeLengths(lengths, j.freq, j.maxBits)
+		if want := refCodeLengths(j.freq, j.maxBits); !slices.Equal(lengths, want) {
+			t.Fatalf("maxBits %d freq %v:\n got %v\nwant %v", j.maxBits, j.freq, lengths, want)
 		}
 	}
 }

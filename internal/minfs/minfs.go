@@ -171,9 +171,7 @@ func (fs *FS) clear(pg int64)       { fs.bitmap[pg/64] &^= 1 << (pg % 64) }
 // the search at the next-fit cursor. Returns ErrNoSpace when the device is
 // full.
 func (fs *FS) allocExtent(want int64) (Extent, error) {
-	if want < 1 {
-		want = 1
-	}
+	want = max(want, 1)
 	for _, r := range [2][2]int64{{fs.nextFit, fs.pages}, {metaPages, fs.nextFit}} {
 		var ext Extent
 		for pg := r[0]; pg < r[1] && ext.Count < want; pg++ {

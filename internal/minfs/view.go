@@ -180,10 +180,7 @@ func (f *File) Write(p *sim.Proc, data []byte) (int, error) {
 			if err != nil {
 				return total - len(data), err
 			}
-			if cnt > pages {
-				cnt = pages
-			}
-			w := int(cnt) * ps
+			w := int(min(cnt, pages)) * ps
 			if err := f.view.write(p, lpn, data[:w]); err != nil {
 				return total - len(data), err
 			}
@@ -192,7 +189,7 @@ func (f *File) Write(p *sim.Proc, data []byte) (int, error) {
 			continue
 		}
 		if f.buf == nil {
-			f.buf = getBuf(ps)[:0]
+			f.buf = GetBuf(ps)[:0]
 		}
 		n := min(ps-len(f.buf), len(data))
 		f.buf = append(f.buf, data[:n]...)
@@ -215,11 +212,7 @@ func (f *File) appendRun(want int64) (lpn, cnt int64, err error) {
 	if l, c, ok := f.runAt(pgIdx); ok {
 		return l, c, nil
 	}
-	ask := want
-	if ask < 256 {
-		ask = 256
-	}
-	ext, err := f.view.fs.allocExtent(ask)
+	ext, err := f.view.fs.allocExtent(max(want, 256))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -298,19 +291,10 @@ func (f *File) Read(p *sim.Proc, b []byte) (int, error) {
 		if !ok {
 			return n, fmt.Errorf("minfs: %s: hole at page %d", f.ino.Name, pgIdx)
 		}
-		inPage := f.off % ps
-		needPages := (inPage + int64(len(b)-n) + ps - 1) / ps
-		if needPages < run {
-			run = needPages
-		}
-		avail := run*ps - inPage
-		if rem := f.ino.Size - f.off; rem < avail {
-			avail = rem
-		}
-		if rem := int64(len(b) - n); rem < avail {
-			avail = rem
-		}
-		inPlace := inPage == 0 && run*ps <= int64(len(b)-n)
+		inPage, want := f.off%ps, int64(len(b)-n)
+		run = min(run, (inPage+want+ps-1)/ps)
+		avail := min(run*ps-inPage, f.ino.Size-f.off, want)
+		inPlace := inPage == 0 && run*ps <= want
 		var dst []byte
 		if inPlace {
 			dst = b[n : n+int(run*ps)]
@@ -357,22 +341,14 @@ func (f *File) readAhead(p *sim.Proc, want int64) {
 	ps := int64(f.view.fs.pageSize)
 	filePages := (f.ino.Size + ps - 1) / ps
 	endPg := (f.off + want + ps - 1) / ps // first page past the demand read
-	target := endPg + advise
-	if target > filePages {
-		target = filePages
-	}
-	pg := f.raNext
-	if pg < endPg {
-		pg = endPg
-	}
+	target := min(endPg+advise, filePages)
+	pg := max(f.raNext, endPg)
 	for pg < target {
 		lpn, run, ok := f.runAt(pg)
 		if !ok {
 			break
 		}
-		if run > target-pg {
-			run = target - pg
-		}
+		run = min(run, target-pg)
 		accepted := pf.Prefetch(p, lpn, run)
 		pg += accepted
 		if accepted < run {
@@ -446,7 +422,7 @@ func (f *File) Discard(p *sim.Proc) error {
 // bufs, and a caller done with it may hand it back with Recycle.
 func (f *File) ReadAll(read func([]byte) (int, error)) ([]byte, error) {
 	ps := int64(f.view.fs.pageSize)
-	buf := getBuf(int((f.Size() + ps - 1) / ps * ps))
+	buf := GetBuf(int((f.Size() + ps - 1) / ps * ps))
 	n, err := read(buf)
 	if err == nil {
 		_, err = read(buf[n:n])
@@ -457,13 +433,13 @@ func (f *File) ReadAll(read func([]byte) (int, error)) ([]byte, error) {
 	return buf[:n], nil
 }
 
-// bufs recycles ReadAll's results and writers' tail pages by size class:
-// bufs[k] holds buffers of 1<<k bytes. It holds scratch memory, never a
-// result anyone still reads.
+// bufs recycles ReadAll's results, writers' tail pages and the codecs'
+// outputs (apps.Codec) by size class: bufs[k] holds buffers of at least 1<<k
+// bytes. It holds scratch memory, never a result anyone still reads.
 var bufs [64]sync.Pool
 
-// getBuf returns a buffer of n bytes with arbitrary contents from bufs.
-func getBuf(n int) []byte {
+// GetBuf returns a buffer of n bytes with arbitrary contents from bufs.
+func GetBuf(n int) []byte {
 	k := bits.Len(uint(max(n, 1) - 1))
 	if b, ok := bufs[k].Get().(*[]byte); ok {
 		return (*b)[:n]
@@ -471,7 +447,8 @@ func getBuf(n int) []byte {
 	return make([]byte, n, 1<<k)
 }
 
-// Recycle hands back a buffer ReadAll returned, once nothing refers to it.
+// Recycle hands back a buffer, GetBuf's or any other, once nothing refers to
+// it.
 func Recycle(b []byte) {
 	if c := cap(b); c > 0 {
 		bufs[bits.Len(uint(c))-1].Put(&b)
