@@ -3,9 +3,11 @@
 //
 // The CompStor differentiator in the paper's Table I is a real OS in the
 // device: arbitrary shell command lines run in-place, and new executables
-// install at runtime without reflashing. This example pipes four tools
-// together inside the device, then hot-loads a custom analytics program
-// and runs it in the same pipeline.
+// install at runtime without reflashing. This example runs the paper's
+// shell tools (gunzip, a regular-expression grep, head | tail | cut | tr,
+// echo), an awk program with functions and loops, and a word-frequency
+// pipeline inside the device, then hot-loads a custom analytics program and
+// runs it like any other executable.
 //
 //	go run ./examples/shellpipe
 package main
@@ -54,22 +56,33 @@ func main() {
 			return resp
 		}
 
-		// A whole shell pipeline as one minion: decompress, find chapter
-		// headings, count them — no data leaves the drive.
+		// A whole shell script as one minion: decompress, count the chapter
+		// headings with a regular expression — no data leaves the drive.
 		resp := run(core.Command{
-			Script: `gunzip book.txt.gz ; grep -c CHAPTER book.txt`,
+			Script: `gunzip book.txt.gz ; grep -c '^CHAPTER [0-9]+' book.txt`,
 		})
 		fmt.Printf("chapters found in-situ: %s", resp.Stdout)
+
+		// Unmodified shell tools in one pipeline: lines 10-12 of the text,
+		// the first three words of each, upper-cased; then a case-blind count.
+		resp = run(core.Command{
+			Script: `grep -v '^$' book.txt | head -n 12 | tail -n 3 | cut -d ' ' -f 1-3 | tr a-z A-Z ; echo lines naming a chapter, any case: ; grep -ci chapter book.txt`,
+		})
+		fmt.Println("grep -v | head | tail | cut | tr, then echo and grep -ci:")
+		printIndented(resp.Stdout)
+
+		// An awk program with a function, loops and the string built-ins:
+		// words and capitalised words per chapter.
+		resp = run(core.Command{Exec: "gawk", Args: []string{chapterReport, "book.txt"}})
+		fmt.Println("per-chapter report (awk, inside the SSD):")
+		printIndented(resp.Stdout)
 
 		// Longer pipeline: word-frequency top-5 via sort|uniq|sort|head.
 		resp = run(core.Command{
 			Script: `gawk '{ for (i=1; i<=NF; i++) print $i }' book.txt | sort | uniq -c | sort -rn | head -n 5`,
 		})
 		fmt.Println("top-5 words (computed inside the SSD):")
-		sc := bufio.NewScanner(strings.NewReader(string(resp.Stdout)))
-		for sc.Scan() {
-			fmt.Printf("  %s\n", strings.TrimSpace(sc.Text()))
-		}
+		printIndented(resp.Stdout)
 
 		// Dynamic task loading: install a custom "readability" analyzer at
 		// runtime (the paper: "load tasks into a computational SSD at
@@ -116,4 +129,40 @@ func main() {
 		fmt.Printf("device now has %d programs installed\n", len(st.Programs))
 	})
 	sys.Run()
+}
+
+// chapterReport counts, per chapter, the words and the capitalised words
+// (match/substr in a loop), and finds the longest last word of a line.
+const chapterReport = `
+function caps(s,    n) {
+	n = 0
+	while (match(s, /[A-Z][a-z]+/)) {
+		n++
+		s = substr(s, RSTART + RLENGTH)
+	}
+	return n
+}
+/^CHAPTER/ { split($0, f, " "); ch = f[2]; next }
+NF > 0 {
+	words[ch] += NF
+	names[ch] += caps($0)
+	w = $NF
+	sub(/[.,]$/, "", w)
+	if (length(w) > length(longest)) longest = w
+}
+END {
+	i = 1
+	do {
+		printf "chapter %d: %d words, %d capitalised\n", i, words[i], names[i]
+		i++
+	} while (i in words)
+	print sprintf("longest last word: %s (%d letters)", longest, length(longest))
+}`
+
+// printIndented prints each line of out, trimmed and indented.
+func printIndented(out []byte) {
+	sc := bufio.NewScanner(strings.NewReader(string(out)))
+	for sc.Scan() {
+		fmt.Printf("  %s\n", strings.TrimSpace(sc.Text()))
+	}
 }

@@ -226,6 +226,8 @@ func TestSubstrClamping(t *testing.T) {
 func TestSplitBuiltin(t *testing.T) {
 	expectAwk(t, `BEGIN { n = split("a:b:c", parts, ":"); print n, parts[1], parts[3] }`,
 		"", "3 a c\n")
+	// A separator that can match empty splits only where it matches text.
+	expectAwk(t, `{ n = split($0, p, /b*/); print n, p[1], p[n] }`, "abc\nxbxbx\n", "2 a c\n3 x x\n")
 }
 
 func TestSubGsub(t *testing.T) {
@@ -233,6 +235,22 @@ func TestSubGsub(t *testing.T) {
 	expectAwk(t, `{ n = gsub(/o/, "0"); print n, $0 }`, "foo boo\n", "4 f00 b00\n")
 	expectAwk(t, `BEGIN { s = "aaa"; gsub(/a/, "[&]", s); print s }`, "", "[a][a][a]\n")
 	expectAwk(t, `BEGIN { s = "aaa"; gsub(/a/, "[\\&]", s); print s }`, "", "[&][&][&]\n")
+}
+
+// As in POSIX awk: an empty match counts at every position, the end of the
+// string included, except where the previous match ended; and ^ anchors at
+// the start of the string only, not wherever the last match left off.
+func TestGsubEmptyMatchesAndAnchors(t *testing.T) {
+	for _, c := range []struct{ prog, want string }{
+		{`{ n = gsub(/x*/, "-"); print n, $0 }`, "4 -a-b-c-\n"},
+		{`{ gsub(/b*/, "-"); print }`, "-a-c-\n"},
+		{`{ gsub(/^/, ">"); print }`, ">abc\n"},
+		{`{ gsub(/$/, "<"); print }`, "abc<\n"},
+		{`{ s = "aaa"; gsub(/^a/, "X", s); print s }`, "Xaa\n"},
+		{`{ gsub(/b|$/, "#"); print }`, "a#c#\n"},
+	} {
+		expectAwk(t, c.prog, "abc\n", c.want)
+	}
 }
 
 func TestMatchBuiltin(t *testing.T) {

@@ -215,7 +215,7 @@ func (c *compiler) match(_ string, args []expr) evalFn {
 		if err != nil {
 			return uninitialized, err
 		}
-		st, en, ok := m.re.FindIndex([]byte(sv.Str()))
+		st, en, ok := m.re.FindIndex([]byte(sv.Str()), 0)
 		if !ok {
 			st, en = -1, -2 // RSTART 0, RLENGTH -1
 		}
@@ -226,37 +226,36 @@ func (c *compiler) match(_ string, args []expr) evalFn {
 }
 
 // substitute performs sub/gsub over s, expanding & (matched text) and \&
-// in the replacement.
+// in the replacement. As in POSIX awk, an empty match counts everywhere,
+// the end of s included, except right where a match ended.
 func substitute(re *compiledRegex, s, repl string, global bool) (string, int, error) {
 	var out strings.Builder
 	count := 0
-	rest := []byte(s)
-	for {
-		st, en, ok := re.re.FindIndex(rest)
+	src := []byte(s)
+	done, lastEnd := 0, -1 // src[:done] is in out; where the last match ended
+	for at := 0; at <= len(src); {
+		st, en, ok := re.re.FindIndex(src, at)
 		if !ok {
 			break
 		}
-		out.Write(rest[:st])
-		if !expandRepl(&out, repl, rest[st:en]) {
+		if en == st && st == lastEnd {
+			at = st + 1
+			continue
+		}
+		out.Write(src[done:st])
+		if !expandRepl(&out, repl, src[st:en]) {
 			return "", 0, errStringLimit
 		}
 		count++
+		done, lastEnd, at = en, en, en
 		if en == st {
-			// Empty match: copy one byte forward to guarantee progress.
-			if st < len(rest) {
-				out.WriteByte(rest[st])
-				rest = rest[st+1:]
-			} else {
-				rest = nil
-			}
-		} else {
-			rest = rest[en:]
+			at++ // the byte after an empty match is copied as text
 		}
-		if !global || len(rest) == 0 {
+		if !global {
 			break
 		}
 	}
-	out.Write(rest)
+	out.Write(src[done:])
 	if out.Len() > maxString {
 		return "", 0, errStringLimit
 	}

@@ -761,7 +761,7 @@ func (in *interp) evalBuiltin(ex *builtinCall) (value, error) {
 		if err != nil {
 			return uninitialized, err
 		}
-		st, en, ok := re.re.FindIndex([]byte(sv.Str()))
+		st, en, ok := re.re.FindIndex([]byte(sv.Str()), 0)
 		if !ok {
 			in.globals[slotRSTART] = num(0)
 			in.globals[slotRLENGTH] = num(-1)

@@ -281,15 +281,20 @@ func (in *interp) splitFields(dst []string, s, fs string) []string {
 		if s == "" {
 			return dst
 		}
-		rest := []byte(s)
-		for {
-			st, en, ok := re.re.FindIndex(rest)
-			if !ok || en == st {
-				return append(dst, string(rest))
+		src, done := []byte(s), 0 // src[done:] is the field being built
+		for at := 0; at <= len(src); {
+			st, en, ok := re.re.FindIndex(src, at)
+			if !ok {
+				break
 			}
-			dst = append(dst, string(rest[:st]))
-			rest = rest[en:]
+			if en == st { // an empty match separates nothing
+				at = st + 1
+				continue
+			}
+			dst = append(dst, s[done:st])
+			done, at = en, en
 		}
+		return append(dst, s[done:])
 	}
 }
 

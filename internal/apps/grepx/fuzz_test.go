@@ -26,7 +26,7 @@ func FuzzGrepMatch(f *testing.F) {
 	patterns := []string{
 		"a", "abc", "a.c", "a*", "ab*c", "a+b", "colou?r", "(ab)+",
 		"a|b", "abc|def|ghi", "[abc]x", "[a-m]+z", "[^0-9]+", "x(y|z)*w",
-		"needle", "the", "a{2,4}b",
+		"needle", "the", "a{2,4}b", "^a|b", "(x|^y)z$",
 	}
 	lines := []string{
 		"", "a", "abc", "a needle in a haystack", "colour",
@@ -45,7 +45,7 @@ func FuzzGrepMatch(f *testing.F) {
 			return // invalid pattern: rejection is the correct behaviour
 		}
 		matched := re.MatchLine(line)
-		start, end, ok := re.FindIndex(line)
+		start, end, ok := re.FindIndex(line, 0)
 		if ok != matched {
 			t.Fatalf("pattern %q line %q: MatchLine=%v but FindIndex ok=%v",
 				pattern, line, matched, ok)

@@ -147,7 +147,7 @@ func TestBMHAgainstIndex(t *testing.T) {
 		if got := newBMH(pat).find(text); got != want {
 			t.Fatalf("Horspool(%q, %q) = %d, want %d", text, pat, got, want)
 		}
-		start, end, ok := re.FindIndex(text)
+		start, end, ok := re.FindIndex(text, 0)
 		if ok != (want >= 0) || ok && (start != want || end != want+len(pat)) {
 			t.Fatalf("FindIndex(%q, %q) = %d,%d,%v, want start %d", text, pat, start, end, ok, want)
 		}

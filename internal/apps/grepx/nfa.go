@@ -9,6 +9,8 @@ const (
 	opAny
 	opClass
 	opSplit
+	opBOL // zero-width: passes only at the start of the line
+	opEOL // zero-width: passes only at the end of the line
 	opMatch
 )
 
@@ -64,6 +66,12 @@ func (b *builder) compile(n *node) frag {
 	case nAny:
 		pc := b.emit(inst{op: opAny})
 		return frag{start: pc, outs: []outRef{{pc, 'x'}}}
+	case nBOL:
+		pc := b.emit(inst{op: opBOL})
+		return frag{start: pc, outs: []outRef{{pc, 'x'}}}
+	case nEOL:
+		pc := b.emit(inst{op: opEOL})
+		return frag{start: pc, outs: []outRef{{pc, 'x'}}}
 	case nClass:
 		pc := b.emit(inst{op: opClass, cls: n.cls})
 		return frag{start: pc, outs: []outRef{{pc, 'x'}}}
@@ -116,25 +124,36 @@ func compileNFA(ast *node) ([]inst, int) {
 	return b.prog, f.start
 }
 
-// nfaRun is one parallel-state simulation: the program counters alive after
-// the bytes stepped so far, and whether a match state is among them.
+// nfaRun is one parallel-state simulation over a line: the program counters
+// alive at position pos, and whether a match state is among them.
 type nfaRun struct {
 	prog      []inst
+	startPC   int
 	cur, next []bool
-	gen       []int // gen[pc] == genID: pc was already added for this byte
+	gen       []int // gen[pc] == genID: pc was already added at this position
 	genID     int
+	pos, end  int // bytes of the line stepped over so far, and its length
 	matched   bool
 }
 
-// newRun starts a simulation at the pattern's entry point.
-func (re *Regexp) newRun() nfaRun {
-	n := len(re.prog)
-	r := nfaRun{prog: re.prog, cur: make([]bool, n), next: make([]bool, n), gen: make([]int, n), genID: 1}
-	r.add(r.cur, re.startPC)
-	return r
+// newRun returns a simulation of the pattern over a line of n bytes; startAt
+// starts it.
+func (re *Regexp) newRun(n int) *nfaRun {
+	m := len(re.prog)
+	return &nfaRun{prog: re.prog, startPC: re.startPC, cur: make([]bool, m), next: make([]bool, m), gen: make([]int, m), end: n}
 }
 
-// add puts pc — or, through a split, both of its branches — into set.
+// startAt (re)starts the simulation at the pattern's entry point, at byte at
+// of the line.
+func (r *nfaRun) startAt(at int) {
+	clear(r.cur)
+	r.genID++
+	r.pos, r.matched = at, false
+	r.add(r.cur, r.startPC)
+}
+
+// add puts pc — or, through a split or a passing anchor, its successors —
+// into set.
 func (r *nfaRun) add(set []bool, pc int) {
 	if r.gen[pc] == r.genID {
 		return
@@ -144,6 +163,11 @@ func (r *nfaRun) add(set []bool, pc int) {
 	case opSplit:
 		r.add(set, r.prog[pc].x)
 		r.add(set, r.prog[pc].y)
+		return
+	case opBOL, opEOL:
+		if r.prog[pc].op == opBOL && r.pos == 0 || r.prog[pc].op == opEOL && r.pos == r.end {
+			r.add(set, r.prog[pc].x)
+		}
 		return
 	case opMatch:
 		r.matched = true
@@ -156,6 +180,7 @@ func (r *nfaRun) add(set []bool, pc int) {
 // start at the next position.
 func (r *nfaRun) step(c byte, restart int) (alive bool) {
 	r.genID++
+	r.pos++
 	r.matched = false
 	cur, next := r.cur, r.next
 	clear(next)
@@ -187,19 +212,19 @@ func (r *nfaRun) step(c byte, restart int) (alive bool) {
 
 // matchNFA reports whether the pattern matches anywhere in the line.
 func (re *Regexp) matchNFA(line []byte) bool {
-	r := re.newRun()
-	if r.matched && (!re.anchorTail || len(line) == 0) {
-		return true
-	}
+	r := re.newRun(len(line))
+	r.startAt(0)
 	restart := re.startPC
-	if re.anchorHead {
+	if re.anchored {
 		restart = -1
 	}
-	for i, c := range line {
-		r.step(c, restart)
-		if r.matched && (!re.anchorTail || i == len(line)-1) {
+	for _, c := range line {
+		if r.matched {
 			return true
 		}
+		if !r.step(c, restart) && re.anchored {
+			return false // no state left, and none restarts
+		}
 	}
-	return r.matched // tail-anchored: a match state alive at end of line
+	return r.matched
 }

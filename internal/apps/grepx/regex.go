@@ -5,14 +5,14 @@
 //
 // Supported syntax: literals, '.', character classes [abc] [a-z] [^...],
 // grouping (...), alternation |, repetition * + ? and {n}/{n,}/{n,m}
-// intervals, and the anchors ^ / $ at the pattern edges. This covers the
-// pattern language the paper's search workloads exercise.
+// intervals, and the anchors ^ / $ (zero-width: the start and end of the
+// line, wherever they appear). This covers the pattern language the paper's
+// search workloads exercise.
 package grepx
 
 import (
 	"bytes"
 	"fmt"
-	"strings"
 )
 
 // node kinds of the pattern AST.
@@ -28,6 +28,8 @@ const (
 	nPlus
 	nQuest
 	nEmpty
+	nBOL // ^: the start of the line
+	nEOL // $: the end of the line
 )
 
 type node struct {
@@ -53,11 +55,10 @@ func (c *class) has(b byte) bool { in := c.bits[b>>6]&(1<<(b&63)) != 0; return i
 
 // Regexp is a compiled pattern.
 type Regexp struct {
-	prog       []inst
-	startPC    int
-	anchorHead bool
-	anchorTail bool
-	fold       bool
+	prog     []inst
+	startPC  int
+	anchored bool // the pattern opens with ^: a match starts only at 0
+	fold     bool
 	// literal fast path: bytes.Index, or Horspool when folding case
 	literal []byte
 	bmh     *bmhSearcher
@@ -263,6 +264,10 @@ func (p *parser) parseAtom() (*node, error) {
 		return p.parseClass()
 	case '.':
 		return &node{kind: nAny}, nil
+	case '^':
+		return &node{kind: nBOL}, nil
+	case '$':
+		return &node{kind: nEOL}, nil
 	case '*', '+', '?':
 		return nil, p.errf("repetition with nothing to repeat")
 	case '\\':
@@ -363,15 +368,7 @@ func (p *parser) parseClass() (*node, error) {
 // Compile parses a pattern. fold enables ASCII case-insensitive matching.
 func Compile(pattern string, fold bool) (*Regexp, error) {
 	re := &Regexp{fold: fold}
-	if strings.HasPrefix(pattern, "^") {
-		re.anchorHead = true
-		pattern = pattern[1:]
-	}
-	if strings.HasSuffix(pattern, "$") && !strings.HasSuffix(pattern, "\\$") {
-		re.anchorTail = true
-		pattern = pattern[:len(pattern)-1]
-	}
-	if lit, ok := literalOf(pattern); ok && !re.anchorHead && !re.anchorTail && len(lit) > 0 {
+	if lit, ok := literalOf(pattern); ok && len(lit) > 0 {
 		re.literal = lit
 		if fold {
 			re.bmh = newBMH(lit)
@@ -386,6 +383,7 @@ func Compile(pattern string, fold bool) (*Regexp, error) {
 	if p.pos != len(p.src) {
 		return nil, p.errf("trailing input")
 	}
+	re.anchored = ast.kind == nBOL || ast.kind == nConcat && ast.subs[0].kind == nBOL
 	re.prog, re.startPC = compileNFA(ast)
 	return re, nil
 }
@@ -412,8 +410,7 @@ func literalOf(pattern string) ([]byte, bool) {
 	return out, true
 }
 
-// MatchLine reports whether the pattern matches anywhere in line (or, with
-// anchors, at its edges).
+// MatchLine reports whether the pattern matches anywhere in line.
 func (re *Regexp) MatchLine(line []byte) bool {
 	if re.literal != nil {
 		return re.findLiteral(line) >= 0

@@ -55,9 +55,6 @@ func AttachAgent(drive *ssd.SSD) *Agent {
 	return a
 }
 
-// Subsystem returns the ISPS the agent serves.
-func (a *Agent) Subsystem() *isps.Subsystem { return a.sub }
-
 // handle services one vendor command in device context.
 func (a *Agent) handle(p *sim.Proc, op nvme.Opcode, payload any) (any, int64, error) {
 	switch op {

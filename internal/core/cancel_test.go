@@ -13,7 +13,7 @@ import (
 func idleMem(t *testing.T) int64 {
 	sys := newSystem(t, 1, false)
 	defer sys.Close()
-	return sys.Device(0).Agent.Subsystem().Status().MemUsedBytes
+	return sys.Device(0).Agent.sub.Status().MemUsedBytes
 }
 
 // TestMinionDeadlineEndToEnd drives a deadline through the whole stack:
@@ -63,7 +63,7 @@ func TestMinionDeadlineEndToEnd(t *testing.T) {
 	if end >= fullEnd {
 		t.Fatalf("deadlined run ended at %v, not before the full run's %v", end, fullEnd)
 	}
-	st := sys.Device(0).Agent.Subsystem().Status()
+	st := sys.Device(0).Agent.sub.Status()
 	if st.CoresBusy != 0 || st.MemUsedBytes != idleMem(t) || st.RunningTasks != 0 {
 		t.Fatalf("device resources leaked: cores %d, mem %d, tasks %d",
 			st.CoresBusy, st.MemUsedBytes, st.RunningTasks)
@@ -128,7 +128,7 @@ func TestMinionCancelEndToEnd(t *testing.T) {
 	if end := sys.Eng.Now(); end >= full {
 		t.Fatalf("canceled run ended at %v, not before the full run's %v", end, full)
 	}
-	st := unit.Agent.Subsystem().Status()
+	st := unit.Agent.sub.Status()
 	if st.CoresBusy != 0 || st.MemUsedBytes != idleMem(t) || st.RunningTasks != 0 {
 		t.Fatalf("device resources leaked: cores %d, mem %d, tasks %d",
 			st.CoresBusy, st.MemUsedBytes, st.RunningTasks)

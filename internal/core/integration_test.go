@@ -93,7 +93,7 @@ func TestEndToEndScriptChain(t *testing.T) {
 	}
 }
 
-// TestFTLSeesChurnFromInSituWork: sustained in-situ compress/delete cycles
+// TestFTLSeesChurnFromInSituWork: sustained in-situ compress/trim cycles
 // must drive garbage collection without corrupting later runs.
 func TestFTLSeesChurnFromInSituWork(t *testing.T) {
 	sys := newSystem(t, 1, false)
@@ -107,8 +107,8 @@ func TestFTLSeesChurnFromInSituWork(t *testing.T) {
 				t.Errorf("cycle %d: %v %+v", i, err, resp)
 				return
 			}
-			if err := unit.Client.FS().Delete(p, "w.txt.gz"); err != nil {
-				t.Errorf("cycle %d delete: %v", i, err)
+			if err := unit.Client.FS().WriteFile(p, "w.txt.gz", nil); err != nil { // trims the output's pages
+				t.Errorf("cycle %d trim: %v", i, err)
 				return
 			}
 		}

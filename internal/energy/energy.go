@@ -42,9 +42,6 @@ func (c *Component) AddActive(d time.Duration, watts float64) {
 	c.busyNS += int64(d)
 }
 
-// ActiveEnergy returns the incremental (above-base) energy in joules.
-func (c *Component) ActiveEnergy() float64 { return c.activeJ }
-
 // BusyTime returns the total duration charged through AddActive.
 func (c *Component) BusyTime() time.Duration { return time.Duration(c.busyNS) }
 

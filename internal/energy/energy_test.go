@@ -30,8 +30,8 @@ func TestComponentBasePlusActive(t *testing.T) {
 	if c.BusyTime() != time.Second {
 		t.Fatalf("busy = %v", c.BusyTime())
 	}
-	if !almost(c.ActiveEnergy(), 50) {
-		t.Fatalf("active = %g", c.ActiveEnergy())
+	if got := m.Snapshot()[0].ActiveJ; !almost(got, 50) {
+		t.Fatalf("active = %g", got)
 	}
 }
 
@@ -93,7 +93,7 @@ func TestMeterLink(t *testing.T) {
 		l.Transfer(p, 2000) // 2 ms
 	})
 	eng.Run()
-	if got := c.ActiveEnergy(); !almost(got, 0.002*4) {
+	if got := m.Snapshot()[0].ActiveJ; !almost(got, 0.002*4) {
 		t.Fatalf("link energy = %g J, want 0.008", got)
 	}
 }
@@ -152,7 +152,7 @@ func TestEnergyAdditivity(t *testing.T) {
 			total += d
 		}
 		b.AddActive(total, 7)
-		return almost(a.ActiveEnergy(), b.ActiveEnergy())
+		return almost(a.Energy(eng.Now()), b.Energy(eng.Now())) // no base draw: all active
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

@@ -167,7 +167,6 @@ type Device struct {
 
 	blocks       []block // linear block -> header; payload allocated on first program
 	pagesPerSlab int
-	maxErases    int64 // highest erase count of any block
 
 	powered bool
 	lastOff sim.Time // most recent power-off instant; -1 if never cut
@@ -319,9 +318,6 @@ func (d *Device) Geometry() Geometry { return d.geo }
 
 // Now returns the device's engine's current virtual time.
 func (d *Device) Now() sim.Time { return d.eng.Now() }
-
-// Timing returns the device timing parameters.
-func (d *Device) Timing() Timing { return d.timing }
 
 // Stats returns the operation counters.
 func (d *Device) Stats() Stats { return d.stats }
@@ -700,9 +696,6 @@ func (d *Device) EraseBlock(p *sim.Proc, a Addr) error {
 		clear(b.store.stored)
 	}
 	b.erases++
-	if b.erases > d.maxErases {
-		d.maxErases = b.erases
-	}
 	d.stats.Erases++
 	return nil
 }
@@ -716,9 +709,6 @@ func (d *Device) EraseCount(a Addr) int64 {
 	}
 	return d.blocks[d.geo.BlockIndex(a)].erases
 }
-
-// MaxEraseCount returns the highest wear across all blocks.
-func (d *Device) MaxEraseCount() int64 { return d.maxErases }
 
 // IsWritten reports whether the page at a has been programmed since its
 // block's last erase (whether or not the program left a readable record).
@@ -775,8 +765,9 @@ func (d *Device) PeekInto(a Addr, dst []byte) (OOB, bool) {
 	return oob, ok
 }
 
-// ChannelBus exposes channel c's bus link for utilisation reporting.
+// ChannelBus exposes channel c's bus link, so that its load can be watched.
 func (d *Device) ChannelBus(c int) *sim.Link { return d.chanBus[c] }
 
-// Die exposes die i's occupancy station (channel-major) for utilisation reporting.
+// Die exposes die i's occupancy station (channel-major), so that its load
+// can be watched.
 func (d *Device) Die(i int) *sim.Resource { return d.dies[i] }

@@ -220,16 +220,6 @@ func (d *refDevice) EraseBlock(p *sim.Proc, a Addr) error {
 
 func (d *refDevice) EraseCount(a Addr) int64 { return d.eraseCount[d.geo.BlockIndex(a)] }
 
-func (d *refDevice) MaxEraseCount() int64 {
-	var max int64
-	for _, c := range d.eraseCount {
-		if c > max {
-			max = c
-		}
-	}
-	return max
-}
-
 func (d *refDevice) IsWritten(a Addr) bool {
 	return d.check(a) == nil && d.written[d.geo.PageIndex(a)]
 }
@@ -279,7 +269,6 @@ type store interface {
 	ProgramPageOOB(p *sim.Proc, a Addr, data []byte, oob OOB) error
 	EraseBlock(p *sim.Proc, a Addr) error
 	EraseCount(a Addr) int64
-	MaxEraseCount() int64
 	IsWritten(a Addr) bool
 	CorruptPage(a Addr) bool
 	InjectRaw(a Addr, data []byte, oob OOB) error
@@ -388,7 +377,7 @@ func runOps(seed int64, ops int, eng *sim.Engine, geo Geometry, d store, setHook
 				line = fmt.Sprintf("cut-erase %v: %s", a, errClass(err))
 			default:
 				oob, ok := d.PeekInto(a, nil)
-				line = fmt.Sprintf("inspect %v: written=%v oob=%+v/%v wear=%d max=%d", a, d.IsWritten(a), oob, ok, d.EraseCount(a), d.MaxEraseCount())
+				line = fmt.Sprintf("inspect %v: written=%v oob=%+v/%v wear=%d max=%d", a, d.IsWritten(a), oob, ok, d.EraseCount(a), maxWear(d, geo))
 			}
 			log = append(log, fmt.Sprintf("%d @%d %s", i, p.Now(), line))
 		}

@@ -13,7 +13,7 @@ var errMedia = errors.New("simulated media failure")
 func TestWriteErrorPropagates(t *testing.T) {
 	eng := sim.NewEngine()
 	f := newTestFTL(eng, DefaultConfig())
-	f.Device().SetFaultHook(func(op flash.FaultOp, a flash.Addr) error {
+	f.dev.SetFaultHook(func(op flash.FaultOp, a flash.Addr) error {
 		if op == flash.FaultProgram {
 			return errMedia
 		}
@@ -39,7 +39,7 @@ func TestReadErrorPropagates(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		f.Device().SetFaultHook(func(op flash.FaultOp, a flash.Addr) error {
+		f.dev.SetFaultHook(func(op flash.FaultOp, a flash.Addr) error {
 			if op == flash.FaultRead {
 				return errMedia
 			}
@@ -60,7 +60,7 @@ func TestTransientWriteErrorThenRecovery(t *testing.T) {
 	eng := sim.NewEngine()
 	f := newTestFTL(eng, DefaultConfig())
 	failures := 3
-	f.Device().SetFaultHook(func(op flash.FaultOp, a flash.Addr) error {
+	f.dev.SetFaultHook(func(op flash.FaultOp, a flash.Addr) error {
 		if op == flash.FaultProgram && failures > 0 {
 			failures--
 			return errMedia

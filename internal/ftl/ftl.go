@@ -41,7 +41,7 @@ type Config struct {
 	// trigger also scales with the mapped-page count so serialising the
 	// full map stays a bounded fraction of write work. Zero selects the
 	// default (4096); negative disables automatic checkpoints (explicit
-	// Checkpoint/Sync still work).
+	// Checkpoint still works).
 	CheckpointEvery int
 	// Obs optionally attaches an observability scope: read/write latency
 	// histograms, GC-pause and checkpoint histograms, stats counters, and
@@ -228,17 +228,11 @@ func (f *FTL) unitOf(blk int64) int {
 	return int(blk / f.perUnitBlocks())
 }
 
-// Device returns the underlying flash device.
-func (f *FTL) Device() *flash.Device { return f.dev }
-
 // PageSize returns the logical page size (== flash page size).
 func (f *FTL) PageSize() int { return f.geo.PageSize }
 
 // LogicalPages returns the number of pages exported to the host.
 func (f *FTL) LogicalPages() int64 { return f.logicalPages }
-
-// LogicalBytes returns the exported capacity in bytes.
-func (f *FTL) LogicalBytes() int64 { return f.logicalPages * int64(f.geo.PageSize) }
 
 // Stats returns activity counters.
 func (f *FTL) Stats() Stats { return f.stats }

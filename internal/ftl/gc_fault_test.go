@@ -19,7 +19,7 @@ func TestProgramFaultRetiresGrownBadBlock(t *testing.T) {
 	f := newTestFTL(eng, DefaultConfig())
 	geo := smallGeo()
 	badBlock := int64(-1)
-	f.Device().SetFaultHook(func(op flash.FaultOp, a flash.Addr) error {
+	f.dev.SetFaultHook(func(op flash.FaultOp, a flash.Addr) error {
 		if op != flash.FaultProgram {
 			return nil
 		}
@@ -63,7 +63,7 @@ func TestRetiredBlockNeverReused(t *testing.T) {
 	badBlock := int64(-1)
 	failedOnce := false
 	var programsToBad int
-	f.Device().SetFaultHook(func(op flash.FaultOp, a flash.Addr) error {
+	f.dev.SetFaultHook(func(op flash.FaultOp, a flash.Addr) error {
 		if op != flash.FaultProgram {
 			return nil
 		}
@@ -104,7 +104,7 @@ func TestGCIntegrityUnderTransientFaults(t *testing.T) {
 	f := newTestFTL(eng, Config{OverProvision: 0.35, CheckpointEvery: 64})
 	faultRng := rand.New(rand.NewSource(4242))
 	var programFaults, eraseFaults int
-	f.Device().SetFaultHook(func(op flash.FaultOp, a flash.Addr) error {
+	f.dev.SetFaultHook(func(op flash.FaultOp, a flash.Addr) error {
 		switch op {
 		case flash.FaultProgram:
 			// Bounded: each fault retires a block, and the small test device
@@ -185,7 +185,7 @@ func TestTrimJournalFaultLeavesMappingIntact(t *testing.T) {
 				return err
 			}
 		}
-		f.Device().SetFaultHook(func(op flash.FaultOp, a flash.Addr) error {
+		f.dev.SetFaultHook(func(op flash.FaultOp, a flash.Addr) error {
 			if op == flash.FaultProgram {
 				return errMedia
 			}
@@ -194,7 +194,7 @@ func TestTrimJournalFaultLeavesMappingIntact(t *testing.T) {
 		if err := f.Trim(p, 0, 4); !errors.Is(err, errMedia) {
 			return fmt.Errorf("trim with unwritable journal: %v, want errMedia", err)
 		}
-		f.Device().SetFaultHook(nil)
+		f.dev.SetFaultHook(nil)
 		for lpn := int64(0); lpn < 4; lpn++ {
 			got, err := f.ReadPage(p, lpn)
 			if err != nil {

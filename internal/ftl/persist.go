@@ -227,23 +227,11 @@ func (f *FTL) maybeCheckpoint(p *sim.Proc) error {
 // Flush is the barrier behind NVMe FLUSH. The FTL has no volatile write
 // cache — WritePage programs the payload and its OOB journal record before
 // acknowledging — so every acknowledged write is already power-cut durable
-// and Flush only waits out a checkpoint in progress. Use Sync to force a
-// checkpoint and bound recovery replay.
+// and Flush only waits out a checkpoint in progress. Checkpoint bounds
+// recovery replay.
 func (f *FTL) Flush(p *sim.Proc) error {
 	f.waitCheckpoint(p)
 	return nil
-}
-
-// Sync commits an L2P checkpoint covering every journal record acknowledged
-// so far. (Acknowledged writes survive power loss even without Sync —
-// replay recovers them from OOB records — so Sync's value is bounding
-// recovery replay, not correctness.) A no-op when the journal is empty.
-func (f *FTL) Sync(p *sim.Proc) error {
-	f.waitCheckpoint(p)
-	if f.records == 0 {
-		return nil
-	}
-	return f.Checkpoint(p)
 }
 
 // Checkpoint serialises the L2P map into the next reserved region and

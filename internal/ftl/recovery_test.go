@@ -42,7 +42,7 @@ func TestRecoverFromCheckpoint(t *testing.T) {
 	if f.Stats().Checkpoints == 0 {
 		t.Fatal("Sync committed no checkpoint")
 	}
-	dev := f.Device()
+	dev := f.dev
 	dev.PowerOff()
 	dev.PowerOn()
 	f2, rs := recoverFTL(t, eng, dev, DefaultConfig())
@@ -83,7 +83,7 @@ func TestRecoverByScanWithoutCheckpoint(t *testing.T) {
 		}
 		return nil
 	})
-	dev := f.Device()
+	dev := f.dev
 	dev.PowerOff()
 	dev.PowerOn()
 	f2, rs := recoverFTL(t, eng, dev, DefaultConfig())
@@ -126,7 +126,7 @@ func TestRecoverDoesNotResurrectTrims(t *testing.T) {
 		// TRIM after the checkpoint: only the journal record protects it.
 		return f.Trim(p, 5, 10)
 	})
-	dev := f.Device()
+	dev := f.dev
 	dev.PowerOff()
 	dev.PowerOn()
 	f2, rs := recoverFTL(t, eng, dev, DefaultConfig())
@@ -154,7 +154,7 @@ func TestRecoverDoesNotResurrectTrims(t *testing.T) {
 func TestTornProgramRollsBack(t *testing.T) {
 	eng := sim.NewEngine()
 	f := newTestFTL(eng, DefaultConfig())
-	dev := f.Device()
+	dev := f.dev
 	var writeErr error
 	eng.Go("w", func(p *sim.Proc) {
 		if err := f.WritePage(p, 3, fill(f, 0x01)); err != nil {
@@ -195,7 +195,7 @@ func TestCorruptionDetectedOnRead(t *testing.T) {
 		return f.WritePage(p, 9, fill(f, 0x77))
 	})
 	// Find the physical page backing lpn 9 and silently flip bits in it.
-	dev := f.Device()
+	dev := f.dev
 	geo := dev.Geometry()
 	corrupted := false
 	for ppn := int64(0); ppn < geo.Pages(); ppn++ {
@@ -384,7 +384,7 @@ func TestCrashTortureDeterministic(t *testing.T) {
 func TestRecoverSurvivesMidCheckpointCut(t *testing.T) {
 	eng := sim.NewEngine()
 	f := newTestFTL(eng, DefaultConfig())
-	dev := f.Device()
+	dev := f.dev
 	var syncStarted sim.Time
 	eng.Go("w", func(p *sim.Proc) {
 		for lpn := int64(0); lpn < 40; lpn++ {

@@ -241,12 +241,13 @@ func TestEnergyCharged(t *testing.T) {
 		sub.Spawn(p, TaskSpec{Exec: "grep", Args: []string{"-c", "x", "f"}})
 	})
 	eng.Run()
-	if comp.ActiveEnergy() <= 0 {
+	got := m.Snapshot()[0].ActiveJ
+	if got <= 0 {
 		t.Fatal("no compute energy charged")
 	}
 	// Energy should equal compute time x core watts.
 	wantJ := cpu.ISPS().ComputeTime(cpu.ClassGrep, 100_000).Seconds() * cpu.ISPS().CoreActiveWatts
-	if got := comp.ActiveEnergy(); got < wantJ*0.99 || got > wantJ*1.01 {
+	if got < wantJ*0.99 || got > wantJ*1.01 {
 		t.Fatalf("energy %g J, want ~%g J", got, wantJ)
 	}
 }

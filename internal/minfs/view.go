@@ -102,16 +102,6 @@ func (v *View) Open(p *sim.Proc, name string) (*File, error) {
 	return &File{view: v, ino: ino}, nil
 }
 
-// Delete removes a file and trims its pages (at its writer's Close, if open).
-func (v *View) Delete(p *sim.Proc, name string) error {
-	ino, ok := v.fs.files[name]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotExist, name)
-	}
-	delete(v.fs.files, name)
-	return v.release(p, ino)
-}
-
 // ReadFile reads a whole file through this view.
 func (v *View) ReadFile(p *sim.Proc, name string) ([]byte, error) {
 	f, err := v.Open(p, name)

@@ -3,9 +3,9 @@
 // the proper direction, completion posting, and interrupt delivery.
 //
 // Besides the standard I/O command set (READ, WRITE, FLUSH, dataset-
-// management TRIM, IDENTIFY) the controller carries the CompStor vendor
-// extensions that transport minions and queries to the in-storage
-// processing subsystem (MINION_SEND, QUERY, TASK_LOAD).
+// management TRIM) the controller carries the CompStor vendor extensions
+// that transport minions and queries to the in-storage processing subsystem
+// (MINION_SEND, QUERY, TASK_LOAD).
 package nvme
 
 import (
@@ -27,14 +27,13 @@ const (
 	OpWrite
 	OpFlush
 	OpTrim // dataset management / deallocate
-	OpIdentify
 	// Vendor extensions (the CompStor in-situ transport).
 	OpVendorMinion   // deliver a minion; completes when in-situ task finishes
 	OpVendorQuery    // administrative query (status, temperature, utilisation)
 	OpVendorTaskLoad // dynamic task loading: install an executable at runtime
 )
 
-var opNames = [...]string{"READ", "WRITE", "FLUSH", "TRIM", "IDENTIFY", "VENDOR_MINION", "VENDOR_QUERY", "VENDOR_TASK_LOAD"}
+var opNames = [...]string{"READ", "WRITE", "FLUSH", "TRIM", "VENDOR_MINION", "VENDOR_QUERY", "VENDOR_TASK_LOAD"}
 
 func (o Opcode) String() string {
 	if int(o) < len(opNames) {
@@ -103,21 +102,10 @@ type Completion struct {
 // Latency returns the command's host-observed service time.
 func (c *Completion) Latency() sim.Duration { return c.Completed.Sub(c.Submitted) }
 
-// IdentifyData is the payload of an IDENTIFY completion.
-type IdentifyData struct {
-	Model         string
-	CapacityBytes int64
-	PageSize      int
-	InSitu        bool // device carries an in-situ processing subsystem
-}
-
 // Backend is the device-side service the controller drives: the SSD's FTL
 // plus, on CompStor devices, the vendor path into the ISPS.
 type Backend interface {
-	Model() string
 	PageSize() int
-	CapacityBytes() int64
-	InSitu() bool
 	// Read fills dst (pages*PageSize bytes) from logical page lba on.
 	Read(p *sim.Proc, lba, pages int64, dst []byte) error
 	// Write stores data (a whole number of pages) starting at lba.
@@ -163,7 +151,7 @@ type Controller struct {
 	freeIO []*ioPair
 
 	obs   *obs.Obs
-	hists [8]*obs.Histogram // per-opcode host-observed latency
+	hists [7]*obs.Histogram // per-opcode host-observed latency
 }
 
 // SetFaultHook installs a protocol-level fault injector, run after the SQE
@@ -305,15 +293,6 @@ func (c *Controller) execute(p *sim.Proc, cmd *Command) *Completion {
 		if err := c.backend.Flush(p); err != nil {
 			return c.fail(comp, err)
 		}
-	case OpIdentify:
-		comp.Payload = IdentifyData{
-			Model:         c.backend.Model(),
-			CapacityBytes: c.backend.CapacityBytes(),
-			PageSize:      c.backend.PageSize(),
-			InSitu:        c.backend.InSitu(),
-		}
-		comp.PayloadBytes = 4096
-		c.port.ToHost(p, comp.PayloadBytes)
 	case OpVendorMinion, OpVendorQuery, OpVendorTaskLoad:
 		c.stats.VendorCmds++
 		if cmd.PayloadBytes > 0 {
@@ -438,13 +417,4 @@ func (d *Driver) Flush(p *sim.Proc) error { return d.do(p, OpFlush, 0, 0, nil) }
 // Trim is a convenience wrapper issuing an OpTrim.
 func (d *Driver) Trim(p *sim.Proc, lba, pages int64) error {
 	return d.do(p, OpTrim, lba, pages, nil)
-}
-
-// Identify is a convenience wrapper issuing an OpIdentify.
-func (d *Driver) Identify(p *sim.Proc) (IdentifyData, error) {
-	comp := d.Submit(p, &Command{Op: OpIdentify})
-	if comp.Status != StatusOK {
-		return IdentifyData{}, comp.Err
-	}
-	return comp.Payload.(IdentifyData), nil
 }

@@ -15,7 +15,6 @@ import (
 type fakeBackend struct {
 	pageSize int
 	pages    map[int64][]byte
-	inSitu   bool
 	vendorFn func(p *sim.Proc, op Opcode, payload any) (any, int64, error)
 	failRead bool
 }
@@ -24,10 +23,7 @@ func newFakeBackend() *fakeBackend {
 	return &fakeBackend{pageSize: 512, pages: make(map[int64][]byte)}
 }
 
-func (f *fakeBackend) Model() string         { return "fake-ssd" }
 func (f *fakeBackend) PageSize() int         { return f.pageSize }
-func (f *fakeBackend) CapacityBytes() int64  { return 1 << 20 }
-func (f *fakeBackend) InSitu() bool          { return f.inSitu }
 func (f *fakeBackend) Flush(*sim.Proc) error { return nil }
 
 func (f *fakeBackend) Read(p *sim.Proc, lba, pages int64, out []byte) error {
@@ -126,22 +122,6 @@ func TestTrim(t *testing.T) {
 	if ctrl.Stats().TrimPages != 1 {
 		t.Fatalf("trim pages = %d", ctrl.Stats().TrimPages)
 	}
-}
-
-func TestIdentify(t *testing.T) {
-	be := newFakeBackend()
-	be.inSitu = true
-	eng, drv, _ := newRig(be)
-	eng.Go("host", func(p *sim.Proc) {
-		id, err := drv.Identify(p)
-		if err != nil {
-			t.Errorf("identify: %v", err)
-		}
-		if id.Model != "fake-ssd" || !id.InSitu || id.PageSize != 512 {
-			t.Errorf("identify data = %+v", id)
-		}
-	})
-	eng.Run()
 }
 
 func TestBackendErrorSurfacesAsStatus(t *testing.T) {
@@ -320,8 +300,8 @@ func TestRecycledCompletionsStayApart(t *testing.T) {
 func TestOpcodeAndStatusStrings(t *testing.T) {
 	for op, want := range map[Opcode]string{
 		OpRead: "READ", OpWrite: "WRITE", OpFlush: "FLUSH", OpTrim: "TRIM",
-		OpIdentify: "IDENTIFY", OpVendorMinion: "VENDOR_MINION",
-		OpVendorQuery: "VENDOR_QUERY", OpVendorTaskLoad: "VENDOR_TASK_LOAD",
+		OpVendorMinion: "VENDOR_MINION",
+		OpVendorQuery:  "VENDOR_QUERY", OpVendorTaskLoad: "VENDOR_TASK_LOAD",
 		Opcode(200): "OP(200)",
 	} {
 		if op.String() != want {

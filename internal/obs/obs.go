@@ -161,16 +161,6 @@ func (o *Obs) Begin(p *sim.Proc, track, name string) *Span {
 	return o.shared.tracer.begin(p, CtxOf(p), o.pid, track, name)
 }
 
-// BeginCtx is Begin with an explicit parent, for spans whose causal parent
-// crossed a mailbox or queue rather than the process's call stack (e.g. the
-// device-side handling of an NVMe command parents to the submitter's span).
-func (o *Obs) BeginCtx(p *sim.Proc, parent Ctx, track, name string) *Span {
-	if o == nil || !o.shared.tracer.enabled {
-		return nil
-	}
-	return o.shared.tracer.begin(p, parent, o.pid, track, name)
-}
-
 // BeginAt opens a span at an explicit instant under an explicit parent, for
 // engine-context code with no process to carry the context. The span comes
 // back by value, to live in a pooled operation; close it with EndAt. With

@@ -178,9 +178,9 @@ func TestTraceFlowAcrossTracks(t *testing.T) {
 		ctx := root.Ctx()
 		p.Wait(time.Millisecond)
 		eng.Go("dev", func(dp *sim.Proc) {
-			sp := dev.BeginCtx(dp, ctx, "fe", "exec")
+			sp := dev.BeginAt(dp.Now(), ctx, "fe", "exec")
 			dp.Wait(time.Millisecond)
-			sp.End()
+			sp.EndAt(dp.Now())
 		})
 		p.Wait(2 * time.Millisecond)
 		root.End()

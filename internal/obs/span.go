@@ -4,7 +4,7 @@ import "compstor/internal/sim"
 
 // Ctx identifies an open span so causality can cross a mailbox or queue:
 // the submitting side stores its Ctx alongside the message, the serving
-// side passes it to BeginCtx. The zero Ctx means "no span".
+// side passes it to BeginAt. The zero Ctx means "no span".
 type Ctx struct {
 	id  int64
 	pid int

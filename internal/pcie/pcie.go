@@ -82,11 +82,9 @@ func (f *Fabric) AddPort() *Port {
 
 // Port is one downstream link of the switch, attached to a single endpoint.
 type Port struct {
-	fabric   *Fabric
-	id       int
-	link     *sim.Link
-	toHost   int64
-	fromHost int64
+	fabric *Fabric
+	id     int
+	link   *sim.Link
 }
 
 // ID returns the port index.
@@ -98,7 +96,6 @@ func (p *Port) Link() *sim.Link { return p.link }
 // ToHost DMAs n bytes from the device into host memory: downstream port
 // first, then the shared uplink.
 func (p *Port) ToHost(proc *sim.Proc, n int64) {
-	p.toHost += n
 	p.link.Transfer(proc, n)
 	p.fabric.uplink.Transfer(proc, n)
 }
@@ -106,7 +103,6 @@ func (p *Port) ToHost(proc *sim.Proc, n int64) {
 // FromHost DMAs n bytes from host memory into the device: shared uplink
 // first, then the downstream port.
 func (p *Port) FromHost(proc *sim.Proc, n int64) {
-	p.fromHost += n
 	p.fabric.uplink.Transfer(proc, n)
 	p.link.Transfer(proc, n)
 }
@@ -116,6 +112,3 @@ func (p *Port) FromHost(proc *sim.Proc, n int64) {
 func (p *Port) Message(proc *sim.Proc) {
 	proc.Wait(uplinkLatency + portLatency)
 }
-
-// BytesToHost returns payload bytes DMAed device→host through this port.
-func (p *Port) BytesToHost() int64 { return p.toHost }

@@ -24,8 +24,8 @@ func TestSingleDeviceLimitedByPort(t *testing.T) {
 	if done != want {
 		t.Fatalf("DMA finished at %v, want %v", done, want)
 	}
-	if port.BytesToHost() != n {
-		t.Fatalf("BytesToHost = %d", port.BytesToHost())
+	if port.Link().Bytes() != n || f.Uplink().Bytes() != n {
+		t.Fatalf("port moved %d bytes, uplink %d, want %d each", port.Link().Bytes(), f.Uplink().Bytes(), int64(n))
 	}
 }
 
@@ -67,15 +67,19 @@ func TestFromHostDirection(t *testing.T) {
 	eng := sim.NewEngine()
 	f := NewFabric(eng)
 	port := f.AddPort()
+	var upAt, portAt sim.Time
+	f.Uplink().SetBusyHook(func(start sim.Time, _ sim.Duration) { upAt = start })
+	port.Link().SetBusyHook(func(start sim.Time, _ sim.Duration) { portAt = start })
 	eng.Go("dma", func(p *sim.Proc) {
 		port.FromHost(p, 1_000_000)
 	})
 	eng.Run()
-	if port.fromHost != 1_000_000 {
-		t.Fatalf("BytesFromHost = %d", port.fromHost)
+	if port.Link().Bytes() != 1_000_000 || f.Uplink().Bytes() != 1_000_000 {
+		t.Fatalf("port moved %d bytes, uplink %d, want 1e6 each", port.Link().Bytes(), f.Uplink().Bytes())
 	}
-	if port.BytesToHost() != 0 {
-		t.Fatal("ToHost counter polluted by FromHost transfer")
+	// Host to device crosses the shared uplink first, then the port.
+	if upAt != 0 || portAt <= upAt {
+		t.Fatalf("uplink busy from %v, port from %v: want the uplink first", upAt, portAt)
 	}
 }
 

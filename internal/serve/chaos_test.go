@@ -31,9 +31,9 @@ func chaosTenants() []TenantSpec {
 // checkOutcomes asserts the chaos-suite contract: every admitted request
 // either completed with the baseline's exact bytes or failed with a typed
 // error — and the watchdog proves the run never hung.
-func checkOutcomes(t *testing.T, srv *Server, expired *bool, baseline map[resultKey]RequestResult) {
+func checkOutcomes(t *testing.T, srv *Server, expired bool, baseline map[resultKey]RequestResult) {
 	t.Helper()
-	if expired != nil && *expired {
+	if expired {
 		t.Fatal("watchdog expired: serving run hung with requests in flight")
 	}
 	checkConservation(t, srv, "inter", "back")
@@ -89,14 +89,12 @@ func TestServingPowerCutRejoin(t *testing.T) {
 	sys, pool := newSys(t, 2)
 	chaos.Install(sys, chaos.NewPlan(7).WithDevice(0, chaos.DeviceFaults{PowerCutAt: cut}))
 	srv := New(sys.Eng, pool, nil, cfg)
-	var expired *bool
 	sys.Go("driver", func(p *sim.Proc) {
 		if err := pool.StageReplicated(p, []cluster.File{{Name: "data.txt", Data: testCorpus}}); err != nil {
 			t.Errorf("stage: %v", err)
 			return
 		}
 		srv.Start()
-		expired = srv.Watchdog(p.Now().Add(30 * time.Second))
 	})
 	var rejoined bool
 	sys.Go("rejoin", func(p *sim.Proc) {
@@ -108,7 +106,7 @@ func TestServingPowerCutRejoin(t *testing.T) {
 		pool.Revive(0)
 		rejoined = true
 	})
-	sys.Run()
+	expired := srv.runWatched(sim.Time(30 * time.Second))
 
 	if !rejoined {
 		t.Fatal("rejoin never ran")

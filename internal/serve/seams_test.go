@@ -4,17 +4,15 @@ import "compstor/internal/sim"
 
 // Helpers only the tests call; production code does not.
 
-// Watchdog arms a deadline: if admitted requests are still unfinished when
-// the virtual clock reaches it, the engine is stopped and the returned
-// flag is set. Chaos tests use it to turn a hang into a failure instead of
-// a runaway simulation.
-func (s *Server) Watchdog(deadline sim.Time) *bool {
-	expired := new(bool)
-	s.eng.At(deadline, func() {
-		if s.Unfinished() > 0 {
-			*expired = true
-			s.eng.Stop()
-		}
-	})
-	return expired
+// runWatched runs the engine to completion unless admitted requests are
+// still unfinished when the virtual clock reaches deadline: then it leaves
+// the rest queued and reports expired. Chaos tests use it to turn a hang
+// into a failure instead of a runaway simulation.
+func (s *Server) runWatched(deadline sim.Time) (expired bool) {
+	s.eng.RunUntil(deadline)
+	if s.Unfinished() > 0 {
+		return true
+	}
+	s.eng.Run()
+	return false
 }

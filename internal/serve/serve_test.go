@@ -45,7 +45,7 @@ func grepWorkload() []Workload {
 
 // runServing stages the corpus replicated, starts the server, and runs the
 // engine to completion. watchdog == 0 disarms the hang guard.
-func runServing(t *testing.T, devices int, cfg Config, plan *chaos.Plan, watchdog time.Duration) (*Server, *bool) {
+func runServing(t *testing.T, devices int, cfg Config, plan *chaos.Plan, watchdog time.Duration) (*Server, bool) {
 	t.Helper()
 	sys, pool := newSys(t, devices)
 	return serveOn(t, sys, pool, cfg, plan, watchdog)
@@ -54,25 +54,24 @@ func runServing(t *testing.T, devices int, cfg Config, plan *chaos.Plan, watchdo
 // serveOn is runServing on a system and pool the caller built, for tests
 // that set the pool's PerDeviceTasks (the server's dispatch slots per
 // device).
-func serveOn(t *testing.T, sys *core.System, pool *cluster.Pool, cfg Config, plan *chaos.Plan, watchdog time.Duration) (*Server, *bool) {
+func serveOn(t *testing.T, sys *core.System, pool *cluster.Pool, cfg Config, plan *chaos.Plan, watchdog time.Duration) (*Server, bool) {
 	t.Helper()
 	if plan != nil {
 		chaos.Install(sys, plan)
 	}
 	srv := New(sys.Eng, pool, nil, cfg)
-	var expired *bool
 	sys.Go("driver", func(p *sim.Proc) {
 		if err := pool.StageReplicated(p, []cluster.File{{Name: "data.txt", Data: testCorpus}}); err != nil {
 			t.Errorf("stage: %v", err)
 			return
 		}
 		srv.Start()
-		if watchdog > 0 {
-			expired = srv.Watchdog(p.Now().Add(watchdog))
-		}
 	})
+	if watchdog > 0 {
+		return srv, srv.runWatched(sim.Time(watchdog))
+	}
 	sys.Run()
-	return srv, expired
+	return srv, false
 }
 
 func defaultConfig(tenants ...TenantSpec) Config {

@@ -73,9 +73,6 @@ func (w *wfq) pop() *request {
 	return q.req
 }
 
-// len reports the number of queued requests.
-func (w *wfq) len() int { return w.h.Len() }
-
 type wfqHeap []*queued
 
 func (h wfqHeap) Len() int { return len(h) }

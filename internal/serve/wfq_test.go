@@ -53,7 +53,7 @@ func TestWFQFairnessBound(t *testing.T) {
 		for f := 0; f < flows; f++ {
 			tsOf[reqs[names[f]]] = f
 		}
-		for pops := 0; w.len() > 0; pops++ {
+		for pops := 0; w.h.Len() > 0; pops++ {
 			r := w.pop()
 			served[r.ts] += r.cost
 			popped[r.ts]++

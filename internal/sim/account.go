@@ -6,9 +6,9 @@ import (
 )
 
 // Accounting collects scheduler totals for an Engine: events dispatched,
-// process switches, starts and pool reuses, inline-completed waits, the
-// deepest event queue seen, and — optionally — the wall clock and heap
-// allocations between enable and readout.
+// process starts and switches, inline-completed waits, the deepest event
+// queue seen, and — optionally — the wall clock and heap allocations between
+// enable and readout.
 //
 // The sim-side counters are pure functions of the event sequence, so with a
 // fixed seed they are byte-identically reproducible; WallStats is
@@ -24,7 +24,6 @@ import (
 type Accounting struct {
 	events       int64
 	procsStarted int64
-	procsReused  int64
 	procSwitches int64
 	inlineWaits  int64
 	maxDepth     int

@@ -49,7 +49,6 @@ type Engine struct {
 	seq         uint64
 	q           schedQ
 	running     bool
-	stopped     bool
 	runDeadline Time
 	acct        *Accounting // nil unless EnableAccounting was called
 
@@ -165,15 +164,15 @@ func (e *Engine) exec(ev event) {
 	e.stepProc(p)
 }
 
-// Run executes events until the queue drains or Stop is called. It returns
-// the final virtual time.
+// Run executes events until the queue drains. It returns the final virtual
+// time.
 func (e *Engine) Run() Time {
 	return e.RunUntil(MaxTime)
 }
 
 // RunUntil executes events with timestamps <= deadline, or until the queue
-// drains or Stop is called. The clock is left at the timestamp of the last
-// executed event (it does not jump to the deadline).
+// drains. The clock is left at the timestamp of the last executed event (it
+// does not jump to the deadline).
 func (e *Engine) RunUntil(deadline Time) Time {
 	if e.running {
 		panic("sim: Engine.Run called re-entrantly")
@@ -182,10 +181,9 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		panic("sim: Run after Shutdown")
 	}
 	e.running = true
-	e.stopped = false
 	e.runDeadline = deadline
 	defer func() { e.running = false }()
-	for !e.stopped {
+	for {
 		t, ok := e.q.nextTime(e.now)
 		if !ok || t > deadline {
 			break
@@ -197,12 +195,12 @@ func (e *Engine) RunUntil(deadline Time) Time {
 
 // canInline reports whether a process delay ending at t can complete without
 // touching the event queue: the engine must be inside Run with the deadline
-// covering t, no stop requested, the proc must carry no tracing context (an
-// open span pins the old dispatch pattern), and no pending event may fire at
-// or before t. Under those conditions advancing the clock directly is
-// indistinguishable from scheduling a wake-up event and dispatching it next.
+// covering t, the proc must carry no tracing context (an open span pins the
+// old dispatch pattern), and no pending event may fire at or before t. Under
+// those conditions advancing the clock directly is indistinguishable from
+// scheduling a wake-up event and dispatching it next.
 func (e *Engine) canInline(p *Proc, t Time) bool {
-	if e.fastOff || !e.running || e.stopped || t > e.runDeadline || p.obsCtx != nil {
+	if e.fastOff || !e.running || t > e.runDeadline || p.obsCtx != nil {
 		return false
 	}
 	min, ok := e.q.minTime(e.now)
@@ -228,9 +226,8 @@ func (e *Engine) inlineAdvance(p *Proc, t Time) {
 // concurrently live procs start without creating a coroutine mid-run. This
 // is purely host-side: no event is scheduled and no seq or accounting state
 // is touched, so a prewarmed engine dispatches byte-identically to a cold
-// one (procs running on a prewarmed worker do count as reused). Call it
-// after construction, before any measured window opens; the workers are
-// released by Shutdown like every other.
+// one. Call it after construction, before any measured window opens; the
+// workers are released by Shutdown like every other.
 func (e *Engine) Prewarm(n int) {
 	if e.closed || e.killing {
 		panic("sim: Prewarm after Shutdown")
@@ -239,10 +236,6 @@ func (e *Engine) Prewarm(n int) {
 		e.freeW = append(e.freeW, newWorker(e))
 	}
 }
-
-// Stop makes the innermost Run/RunUntil return after the current event
-// completes. Pending events stay queued.
-func (e *Engine) Stop() { e.stopped = true }
 
 // Shutdown force-terminates every simulated process and releases the pooled
 // worker coroutines. Parked procs unwind via a panic that runs their defers;

@@ -96,26 +96,6 @@ func TestEngineRunUntil(t *testing.T) {
 	}
 }
 
-func TestEngineStop(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 1; i <= 5; i++ {
-		e.After(time.Duration(i)*time.Second, func() {
-			count++
-			if count == 2 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if count != 2 {
-		t.Fatalf("ran %d events, want 2 (stopped)", count)
-	}
-	if e.q.len() != 3 {
-		t.Fatalf("pending = %d, want 3", e.q.len())
-	}
-}
-
 func TestEngineStep(t *testing.T) {
 	e := NewEngine()
 	n := 0

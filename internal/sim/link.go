@@ -14,9 +14,7 @@ type Link struct {
 	bps      float64 // bytes per second
 	latency  Duration
 	freeAt   Time
-	busyNS   int64
 	bytes    int64
-	xfers    int64
 	onActive func(d Duration)             // optional energy hook: pipe busy for d
 	onBusy   func(start Time, d Duration) // optional utilisation-timeline hook
 }
@@ -66,9 +64,7 @@ func (l *Link) TransferTime(n int64) Time {
 	ser := DurationFor(n, l.bps)
 	l.freeAt = start.Add(ser)
 	done := l.freeAt.Add(l.latency)
-	l.busyNS += int64(ser)
 	l.bytes += n
-	l.xfers++
 	if l.onActive != nil && ser > 0 {
 		l.onActive(ser)
 	}
@@ -80,9 +76,3 @@ func (l *Link) TransferTime(n int64) Time {
 
 // Bytes returns the total payload bytes moved through the pipe.
 func (l *Link) Bytes() int64 { return l.bytes }
-
-// Transfers returns the number of Transfer calls.
-func (l *Link) Transfers() int64 { return l.xfers }
-
-// BusyTime returns the total serialisation (occupancy) time.
-func (l *Link) BusyTime() Duration { return Duration(l.busyNS) }

@@ -6,9 +6,22 @@ import (
 	"time"
 )
 
+// linkLoad sums a link's transfers and occupancy through its busy hook.
+type linkLoad struct {
+	n    int
+	busy Duration
+}
+
+func watchLoad(l *Link) *linkLoad {
+	w := &linkLoad{}
+	l.SetBusyHook(func(_ Time, d Duration) { w.n++; w.busy += d })
+	return w
+}
+
 func TestLinkSingleTransferTime(t *testing.T) {
 	e := NewEngine()
 	l := NewLink(e, "pcie", 1e9, 2*time.Microsecond) // 1 GB/s, 2us latency
+	load := watchLoad(l)
 	var done Time
 	e.Go("dma", func(p *Proc) {
 		l.Transfer(p, 1_000_000) // 1 MB at 1 GB/s = 1ms
@@ -19,14 +32,15 @@ func TestLinkSingleTransferTime(t *testing.T) {
 	if done != want {
 		t.Fatalf("transfer finished at %v, want %v", done, want)
 	}
-	if l.Bytes() != 1_000_000 || l.Transfers() != 1 {
-		t.Fatalf("counters: bytes=%d xfers=%d", l.Bytes(), l.Transfers())
+	if l.Bytes() != 1_000_000 || load.n != 1 {
+		t.Fatalf("counters: bytes=%d xfers=%d", l.Bytes(), load.n)
 	}
 }
 
 func TestLinkFIFOSerialization(t *testing.T) {
 	e := NewEngine()
 	l := NewLink(e, "bus", 1e6, 0) // 1 MB/s
+	load := watchLoad(l)
 	var done []Time
 	for i := 0; i < 3; i++ {
 		e.Go("x", func(p *Proc) {
@@ -41,10 +55,10 @@ func TestLinkFIFOSerialization(t *testing.T) {
 			t.Fatalf("completion times %v, want %v", done, want)
 		}
 	}
-	if l.BusyTime() != 3*time.Millisecond {
-		t.Fatalf("busy = %v, want 3ms", l.BusyTime())
+	if load.busy != 3*time.Millisecond {
+		t.Fatalf("busy = %v, want 3ms", load.busy)
 	}
-	if u := l.Utilization(); u != 1.0 {
+	if u := load.busy.Seconds() / e.Now().Seconds(); u != 1.0 {
 		t.Fatalf("utilization = %v, want 1", u)
 	}
 }
@@ -118,6 +132,7 @@ func TestLinkBusyTimeProperty(t *testing.T) {
 	f := func(sizes []uint16) bool {
 		e := NewEngine()
 		l := NewLink(e, "x", 1e6, 0)
+		load := watchLoad(l)
 		var wantBusy time.Duration
 		for _, s := range sizes {
 			n := int64(s)
@@ -125,7 +140,7 @@ func TestLinkBusyTimeProperty(t *testing.T) {
 			e.Go("x", func(p *Proc) { l.Transfer(p, n) })
 		}
 		end := e.Run()
-		if l.BusyTime() != wantBusy {
+		if load.busy != wantBusy {
 			return false
 		}
 		return len(sizes) == 0 || end == Time(wantBusy)

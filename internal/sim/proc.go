@@ -101,9 +101,6 @@ func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
 		w = e.freeW[n-1]
 		e.freeW[n-1] = nil
 		e.freeW = e.freeW[:n-1]
-		if a := e.acct; a != nil {
-			a.procsReused++
-		}
 	} else {
 		w = newWorker(e)
 	}
@@ -113,17 +110,11 @@ func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
 	return p
 }
 
-// Name returns the diagnostic name given to Go.
-func (p *Proc) Name() string { return p.name }
-
 // Engine returns the engine this process runs on.
 func (p *Proc) Engine() *Engine { return p.eng }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.Now() }
-
-// Done reports whether the process body has returned.
-func (p *Proc) Done() bool { return p.done }
 
 // ObsCtx returns the process's observability context, an opaque value owned
 // by the obs package (the currently open span). The sim kernel never

@@ -68,15 +68,15 @@ func TestProcWaitUntilPastIsNow(t *testing.T) {
 func TestProcDone(t *testing.T) {
 	e := NewEngine()
 	p := e.Go("p", func(p *Proc) { p.Wait(time.Second) })
-	if p.Done() {
+	if p.done {
 		t.Fatal("done before Run")
 	}
 	e.Run()
-	if !p.Done() {
+	if !p.done {
 		t.Fatal("not done after Run")
 	}
-	if p.Name() != "p" {
-		t.Fatalf("name = %q", p.Name())
+	if p.name != "p" {
+		t.Fatalf("name = %q", p.name)
 	}
 }
 

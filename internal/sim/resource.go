@@ -13,7 +13,6 @@ type Semaphore struct {
 	eng       *Engine
 	tokens    int
 	cap       int
-	acquires  int64
 	waiters   fifo[semWaiter] // value-typed: no per-Acquire allocation
 	queueTime func(wait Duration)
 }
@@ -52,9 +51,8 @@ func (s *Semaphore) tryAcquire(n int) bool {
 	return true
 }
 
-// acquired counts one acquisition and feeds the queue-time hook.
+// acquired feeds one acquisition's queue time to the hook.
 func (s *Semaphore) acquired(wait Duration) {
-	s.acquires++
 	if s.queueTime != nil {
 		s.queueTime(wait)
 	}
@@ -184,9 +182,6 @@ func (r *Resource) SetBusyHook(fn func(start Time, d Duration)) { r.onBusy = fn 
 // SetQueueTimeHook installs a hook invoked on every successful Acquire with
 // the virtual time spent queued for a server (zero for immediate grants).
 func (r *Resource) SetQueueTimeHook(fn func(wait Duration)) { r.sem.SetQueueTimeHook(fn) }
-
-// Acquires returns the number of successful acquisitions.
-func (r *Resource) Acquires() int64 { return r.sem.acquires }
 
 // Utilization returns busy time divided by (elapsed * capacity), in [0,1],
 // measured at the current virtual time.

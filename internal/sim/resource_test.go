@@ -97,9 +97,18 @@ func TestSemaphoreOverCapacityPanics(t *testing.T) {
 	}
 }
 
+// countAcquires counts r's successful acquisitions from now on, through
+// its queue-time hook.
+func countAcquires(r *Resource) *int64 {
+	n := new(int64)
+	r.SetQueueTimeHook(func(Duration) { *n++ })
+	return n
+}
+
 func TestResourceConcurrencyLimit(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, 3)
+	acquires := countAcquires(r)
 	inUseMax := 0
 	for i := 0; i < 12; i++ {
 		e.Go("w", func(p *Proc) {
@@ -123,8 +132,8 @@ func TestResourceConcurrencyLimit(t *testing.T) {
 	if r.BusyTime() != 12*time.Millisecond {
 		t.Fatalf("busy time = %v, want 12ms", r.BusyTime())
 	}
-	if r.Acquires() != 12 {
-		t.Fatalf("acquires = %d, want 12", r.Acquires())
+	if *acquires != 12 {
+		t.Fatalf("acquires = %d, want 12", *acquires)
 	}
 	if u := r.Utilization(); u != 1.0 {
 		t.Fatalf("utilization = %v, want 1.0", u)
@@ -315,6 +324,7 @@ func TestResourceAcquireFnMatchesProcess(t *testing.T) {
 	run := func(callbacks bool) (trace []Time, acquires int64) {
 		e := NewEngine()
 		r := NewResource(e, 2)
+		n := countAcquires(r)
 		for i := 0; i < 7; i++ {
 			arrive := Duration(i%3) * time.Microsecond
 			hold := Duration(3+i%4) * time.Microsecond
@@ -343,7 +353,7 @@ func TestResourceAcquireFnMatchesProcess(t *testing.T) {
 			})
 		}
 		e.Run()
-		return trace, r.Acquires()
+		return trace, *n
 	}
 	pt, pa := run(false)
 	ct, ca := run(true)
@@ -360,6 +370,7 @@ func TestContendedResourceAllocatesNothing(t *testing.T) {
 	e := NewEngine()
 	defer e.Shutdown()
 	r := NewResource(e, 1)
+	acquires := countAcquires(r)
 	for i := 0; i < 3; i++ {
 		e.Go("user", func(p *Proc) {
 			for {
@@ -380,11 +391,11 @@ func TestContendedResourceAllocatesNothing(t *testing.T) {
 	for i := 0; i < 400; i++ { // a full lap of the scheduler's wheel, which allocates each slot once
 		round()
 	}
-	before := r.Acquires()
+	before := *acquires
 	if n := testing.AllocsPerRun(100, round); n != 0 {
 		t.Errorf("contended Resource: %v allocs per 100 µs round, want 0", n)
 	}
-	if got := r.Acquires() - before; got < 100*90 || r.QueueLen() != 5 {
+	if got := *acquires - before; got < 100*90 || r.QueueLen() != 5 {
 		t.Errorf("after warm-up: %d acquires in 101 rounds, %d queued; want ~100 a round and 5 queued", got, r.QueueLen())
 	}
 }

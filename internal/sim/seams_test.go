@@ -25,19 +25,6 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Utilization returns occupancy divided by elapsed virtual time, in [0,1].
-func (l *Link) Utilization() float64 {
-	el := l.eng.Now().Seconds()
-	if el <= 0 {
-		return 0
-	}
-	u := Duration(l.busyNS).Seconds() / el
-	if u > 1 {
-		u = 1
-	}
-	return u
-}
-
 // Available returns the number of free tokens.
 func (s *Semaphore) Available() int { return s.tokens }
 

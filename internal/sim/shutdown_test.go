@@ -218,12 +218,12 @@ func TestWorkerPoolAccounting(t *testing.T) {
 		e.Run()
 	}
 	stagger(5) // 2 prewarmed + 3 fresh workers
-	if s, r := a.ProcsStarted(), a.procsReused; s != 5 || r != 2 {
-		t.Fatalf("first wave: started %d reused %d, want 5 and 2", s, r)
+	if s, w := a.ProcsStarted(), len(e.allW); s != 5 || w != 5 {
+		t.Fatalf("first wave: started %d on %d workers, want 5 and 5", s, w)
 	}
 	stagger(5) // all from the free list
-	if s, r := a.ProcsStarted(), a.procsReused; s != 10 || r != 7 {
-		t.Fatalf("second wave: started %d reused %d, want 10 and 7", s, r)
+	if s, w := a.ProcsStarted(), len(e.allW); s != 10 || w != 5 {
+		t.Fatalf("second wave: started %d on %d workers, want 10 and 5", s, w)
 	}
 	// A wave never inlines: each wait has another proc's wake-up pending at
 	// or before its end. A proc alone on the engine is switched into once and

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -169,8 +170,9 @@ type fanOutOutcome struct {
 	Reads []string // per reader and read: completion instant, error, bytes
 	Flash flash.Stats
 	FTL   ftl.Stats
-	Dies  []string // per die: busy time, acquires
-	Buses []string // per channel: busy time, transfers
+	Dies  []string // per die: busy time, grants
+	Buses []string // per channel: busy time, transfers, bytes
+	Media []string // every media operation that ran to its end: instant, kind, address (sorted)
 	End   sim.Time
 
 	procs    int64  // processes started after staging
@@ -202,6 +204,7 @@ func (sc fanOutScenario) run(t testing.TB, read readPagesFn, traced bool) fanOut
 	}
 	s := New(eng, fabric.AddPort(), cfg)
 	ps := s.PageSize()
+	dies, buses := watchMedia(s.dev)
 	logical := s.ftl.LogicalPages()
 
 	// Stage: every written page carries its own number.
@@ -226,17 +229,16 @@ func (sc fanOutScenario) run(t testing.TB, read readPagesFn, traced bool) fanOut
 	var out fanOutOutcome
 	acct := eng.EnableAccounting(sim.AccountingConfig{})
 	reads := 0
-	if sc.faultEvery > 0 {
-		s.dev.SetFaultHook(func(op flash.FaultOp, a flash.Addr) error {
-			if op != flash.FaultRead {
-				return nil
-			}
-			if reads++; int64(reads)%sc.faultEvery == 0 {
-				return fmt.Errorf("injected: media read %d at %v", reads, a)
-			}
+	s.dev.SetFaultHook(func(op flash.FaultOp, a flash.Addr) error {
+		out.Media = append(out.Media, fmt.Sprintf("@%v %v %v", s.dev.Now().Sub(t0), op, a))
+		if op != flash.FaultRead || sc.faultEvery == 0 {
 			return nil
-		})
-	}
+		}
+		if reads++; int64(reads)%sc.faultEvery == 0 {
+			return fmt.Errorf("injected: media read %d at %v", reads, a)
+		}
+		return nil
+	})
 	if sc.powerOffAt > 0 {
 		eng.At(t0.Add(sc.powerOffAt), s.dev.PowerOff)
 	}
@@ -278,14 +280,13 @@ func (sc fanOutScenario) run(t testing.TB, read readPagesFn, traced bool) fanOut
 		out.Reads = append(out.Reads, rs...)
 	}
 	out.Flash, out.FTL = s.dev.Stats(), s.ftl.Stats()
-	for i := 0; i < sc.geo.Channels*sc.geo.DiesPerChan; i++ {
-		d := s.dev.Die(i)
-		out.Dies = append(out.Dies, fmt.Sprintf("busy=%v acquires=%d", d.BusyTime(), d.Acquires()))
+	for i, n := range dies {
+		out.Dies = append(out.Dies, fmt.Sprintf("busy=%v grants=%d", s.dev.Die(i).BusyTime(), n))
 	}
-	for c := 0; c < sc.geo.Channels; c++ {
-		b := s.dev.ChannelBus(c)
-		out.Buses = append(out.Buses, fmt.Sprintf("busy=%v transfers=%d", b.BusyTime(), b.Transfers()))
+	for c, ld := range buses {
+		out.Buses = append(out.Buses, fmt.Sprintf("busy=%v transfers=%d bytes=%d", ld.busy, ld.n, s.dev.ChannelBus(c).Bytes()))
 	}
+	sort.Strings(out.Media)
 	out.procs, out.events = acct.ProcsStarted(), acct.Events()
 	if traced {
 		var snap, tr bytes.Buffer
@@ -300,13 +301,37 @@ func (sc fanOutScenario) run(t testing.TB, read readPagesFn, traced bool) fanOut
 	return out
 }
 
+// busLoad is what a channel bus carried: transfers and their occupancy.
+type busLoad struct {
+	n    int
+	busy sim.Duration
+}
+
+// watchMedia counts, from now on, every die grant and every bus transfer
+// of dev, through the dies' queue-time hooks and the buses' busy hooks.
+func watchMedia(dev *flash.Device) (grants []int64, buses []*busLoad) {
+	geo := dev.Geometry()
+	grants = make([]int64, geo.Channels*geo.DiesPerChan)
+	for i := range grants {
+		dev.Die(i).SetQueueTimeHook(func(sim.Duration) { grants[i]++ })
+	}
+	for c := 0; c < geo.Channels; c++ {
+		ld := &busLoad{}
+		dev.ChannelBus(c).SetBusyHook(func(_ sim.Time, d sim.Duration) { ld.n++; ld.busy += d })
+		buses = append(buses, ld)
+	}
+	return grants, buses
+}
+
 // checkFanOut plays a scenario four ways — reference and batch, plain and
 // traced — and requires the model to have computed the same thing in all of
 // them: every reader's completion instants, errors and bytes, the flash and
-// FTL counters, every die's and bus's busy time and grant count, and the
-// final clock. The two traced runs must also agree on the metrics snapshot
-// and on the exported trace byte for byte: same span ids, parents, tracks,
-// begin and end instants, in the same order.
+// FTL counters, every die's busy time and grant count, every bus's busy
+// time, transfer count and bytes, the instant, kind and address of every
+// media operation that ran to its end, and the final clock. The two traced
+// runs must also agree on the metrics snapshot and on the exported trace
+// byte for byte: same span ids, parents, tracks, begin and end instants, in
+// the same order.
 func checkFanOut(t *testing.T, sc fanOutScenario) (ref, batch fanOutOutcome) {
 	t.Helper()
 	ref, batch = sc.run(t, refRead, false), sc.run(t, batchRead, false)

@@ -136,7 +136,7 @@ func TestPipelineTrimUnderPrefetch(t *testing.T) {
 			return
 		}
 		drive.invalidateCache(0, 16)
-		p.Wait(drive.Flash().Timing().ReadPage * 100) // fill completes here
+		p.Wait(flash.DefaultTiming().ReadPage * 100) // fill completes here
 		st, _ := drive.ReadCacheStats()
 		if st.StaleFills != 16 {
 			t.Errorf("StaleFills = %d, want 16 (in-flight fill not discarded)", st.StaleFills)
@@ -156,7 +156,7 @@ func TestPipelineTrimUnderPrefetch(t *testing.T) {
 			t.Errorf("trim: %v", err)
 			return
 		}
-		p.Wait(drive.Flash().Timing().ReadPage * 100)
+		p.Wait(flash.DefaultTiming().ReadPage * 100)
 		got, err := bd.ReadPages(p, 0, 16)
 		if err != nil {
 			t.Errorf("post-trim read: %v", err)

@@ -307,17 +307,8 @@ func (s *SSD) fault(p *sim.Proc, op nvme.Opcode) error {
 
 // nvme.Backend implementation -------------------------------------------------
 
-// Model implements nvme.Backend.
-func (s *SSD) Model() string { return s.cfg.Name }
-
 // PageSize implements nvme.Backend.
 func (s *SSD) PageSize() int { return s.cfg.Geometry.PageSize }
-
-// CapacityBytes implements nvme.Backend.
-func (s *SSD) CapacityBytes() int64 { return s.ftl.LogicalBytes() }
-
-// InSitu implements nvme.Backend.
-func (s *SSD) InSitu() bool { return s.cfg.InSitu }
 
 // Read implements nvme.Backend: controller overhead, then channel-parallel
 // page fetches straight into the host's buffer.

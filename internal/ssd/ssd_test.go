@@ -72,27 +72,6 @@ func TestHostReadWriteThroughNVMe(t *testing.T) {
 	}
 }
 
-func TestIdentifyReflectsInSitu(t *testing.T) {
-	for _, insitu := range []bool{false, true} {
-		eng, drive := newRig(t, insitu)
-		drv := drive.Driver()
-		eng.Go("host", func(p *sim.Proc) {
-			id, err := drv.Identify(p)
-			if err != nil {
-				t.Errorf("identify: %v", err)
-				return
-			}
-			if id.InSitu != insitu {
-				t.Errorf("InSitu = %v, want %v", id.InSitu, insitu)
-			}
-			if id.CapacityBytes != drive.FTL().LogicalBytes() {
-				t.Errorf("capacity = %d", id.CapacityBytes)
-			}
-		})
-		eng.Run()
-	}
-}
-
 func TestMultiPageReadExploitsChannels(t *testing.T) {
 	// Reading 32 striped pages must be far faster than 32x a single page
 	// read (channel parallelism through forEachPage).
