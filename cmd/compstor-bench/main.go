@@ -5,7 +5,7 @@
 //
 //	compstor-bench [-run all|tables|table1|table2|table3|table4|fig1|fig6|fig7|fig8|degraded|recovery|pipeline|scaleup|serving|tail|ablations]
 //	               [-books N] [-mean BYTES] [-devices 1,2,4,8] [-v]
-//	               [-outdir DIR] [-trace out.json] [-metrics out.json]
+//	               [-outdir DIR] [-trace out.json]
 //	               [-cpuprofile out.pprof] [-memprofile out.pprof]
 //	compstor-bench -diff a.json b.json
 //
@@ -14,11 +14,11 @@
 // shapes carry over to the scaled corpus; EXPERIMENTS.md records
 // paper-vs-measured values.
 //
-// Every experiment additionally writes BENCH_<name>.json — a machine-
-// readable metrics snapshot (per-layer latency histograms, counters,
-// utilization timelines). -metrics writes the combined snapshot of the
-// whole invocation; -trace enables sim-time span tracing and writes a
-// Chrome trace-event file loadable in Perfetto (ui.perfetto.dev).
+// Stdout carries the experiments' reports and nothing else. Every
+// per-component number goes to BENCH_<name>.json, one machine-readable
+// snapshot per experiment (counters, per-layer latency histograms,
+// utilization timelines). -trace enables sim-time span tracing and writes
+// a Chrome trace-event file loadable in Perfetto (ui.perfetto.dev).
 //
 // -diff runs nothing: it prints the metrics that moved most between two
 // BENCH_<name>.json files (counters, histogram quantiles, timeline means).
@@ -59,19 +59,17 @@ const runAll = "all"
 
 // artifacts owns every output the binary may need to flush early: on
 // SIGINT or on an experiment panic, flush() stops the CPU profile and
-// writes the heap profile, trace, combined metrics, and a partial
+// writes the heap profile, trace, and a partial
 // BENCH_<name>.json for the experiment that was running; completion calls
 // the same code. mu guards the mutable bookkeeping against the signal
 // goroutine; the obs data itself is only read best-effort on an early flush.
 type artifacts struct {
-	root        *obs.Obs
-	stderr      io.Writer
-	runName     string
-	outDir      string
-	cpuFile     *os.File
-	memPath     string
-	tracePath   string
-	metricsPath string
+	root      *obs.Obs
+	stderr    io.Writer
+	outDir    string
+	cpuFile   *os.File
+	memPath   string
+	tracePath string
 
 	mu sync.Mutex
 	// current experiment mid-run, "" when idle; written as a partial
@@ -132,9 +130,6 @@ func (a *artifacts) flush() bool {
 		// The experiment was cut short: persist what its scope has so far.
 		ok = a.write(a.benchPath(name), scope.Snapshot(name).WriteJSON) && ok
 	}
-	if a.metricsPath != "" {
-		ok = a.write(a.metricsPath, a.root.Snapshot(a.runName).WriteJSON) && ok
-	}
 	if a.tracePath != "" {
 		ok = a.write(a.tracePath, a.root.WriteTrace) && ok
 	}
@@ -164,7 +159,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	verbose := fs.Bool("v", false, "log progress")
 	outDir := fs.String("outdir", ".", "directory for BENCH_<name>.json snapshots (created if missing)")
 	tracePath := fs.String("trace", "", "enable span tracing and write Chrome trace-event JSON here")
-	metricsPath := fs.String("metrics", "", "write the combined metrics snapshot JSON here")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile here (samples carry an 'experiment' pprof label)")
 	memProfile := fs.String("memprofile", "", "write a heap profile here")
 	diff := fs.Bool("diff", false, "print the top movers between the two BENCH_<name>.json files given as arguments; run nothing")
@@ -228,13 +222,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	art := &artifacts{
-		root:        root,
-		stderr:      stderr,
-		runName:     *runName,
-		outDir:      *outDir,
-		memPath:     *memProfile,
-		tracePath:   *tracePath,
-		metricsPath: *metricsPath,
+		root:      root,
+		stderr:    stderr,
+		outDir:    *outDir,
+		memPath:   *memProfile,
+		tracePath: *tracePath,
 	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -286,13 +278,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		pprof.Do(context.Background(), pprof.Labels("experiment", name), func(context.Context) {
 			e.Run(o).Render(stdout)
 		})
-		fmt.Fprintln(stdout)
-		// Snapshot the experiment's scope: BENCH_<name>.json plus a
-		// utilization chart on stdout when any timeline recorded data.
 		art.setCurrent("", nil)
-		snap := o.Obs.Snapshot(name)
-		snap.RenderUtilization(stdout, name+" — mean utilization %")
-		if !art.write(art.benchPath(name), snap.WriteJSON) {
+		if !art.write(art.benchPath(name), o.Obs.Snapshot(name).WriteJSON) {
 			art.flush()
 			return 1
 		}

@@ -75,18 +75,24 @@ func TestUnusableOutdirExitsBeforeRunning(t *testing.T) {
 }
 
 // TestRunWritesReportAndArtefact drives one simulated part end to end: it
-// renders only that part, creates a missing -outdir, files the snapshot
-// under the composite's artefact name, and writes -trace and -metrics as
-// valid JSON.
+// prints that part's report and nothing else (no per-component numbers on
+// stdout), creates a missing -outdir, files the snapshot under the
+// composite's artefact name, and writes -trace as valid JSON. -metrics is
+// not a flag.
 func TestRunWritesReportAndArtefact(t *testing.T) {
 	dir := t.TempDir()
-	out, tr, mt := filepath.Join(dir, "new", "dir"), filepath.Join(dir, "trace.json"), filepath.Join(dir, "metrics.json")
+	out, tr := filepath.Join(dir, "new", "dir"), filepath.Join(dir, "trace.json")
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-run", "table3", "-outdir", out, "-trace", tr, "-metrics", mt}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"-run", "table3", "-outdir", out, "-trace", tr}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d (stderr %q)", code, stderr.String())
 	}
-	if !strings.Contains(stdout.String(), "Table III") || strings.Contains(stdout.String(), "Table II ") {
-		t.Errorf("stdout is not Table III alone:\n%s", stdout.String())
+	o := experiments.PaperScaleOptions()
+	o.Obs = obs.New()
+	var want bytes.Buffer
+	experiments.Table3(o).Render(&want)
+	want.WriteString("\n" + strings.Repeat("=", 78) + "\n")
+	if stdout.String() != want.String() {
+		t.Errorf("stdout is not Table III's report, a blank line and the separator:\n%s\nwant:\n%s", stdout.String(), want.String())
 	}
 	js, err := os.ReadFile(filepath.Join(out, "BENCH_tables.json"))
 	if err != nil {
@@ -95,11 +101,14 @@ func TestRunWritesReportAndArtefact(t *testing.T) {
 	if !bytes.Contains(js, []byte(`"table3.compstor0.ftl.read"`)) {
 		t.Error("BENCH_tables.json carries no table3 FTL read histogram")
 	}
-	for _, p := range []string{tr, mt} {
-		if b, err := os.ReadFile(p); err != nil || !json.Valid(b) {
-			t.Errorf("%s: %v, or not valid JSON", p, err)
-		}
+	if b, err := os.ReadFile(tr); err != nil || !json.Valid(b) {
+		t.Errorf("%s: %v, or not valid JSON", tr, err)
 	}
+	stdout.Reset()
+	if code := run([]string{"-run", "table3", "-metrics", filepath.Join(dir, "m.json")}, &stdout, &stderr); code != 2 {
+		t.Errorf("-metrics: exit %d, want 2", code)
+	}
+	assertNothingWritten(t, &stdout, filepath.Join(dir, "m.json"))
 }
 
 // TestDocListsTheTable keeps the package comment's usage line in step with

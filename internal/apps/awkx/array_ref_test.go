@@ -20,7 +20,13 @@ type refArray struct {
 
 func newRefArray() *refArray { return &refArray{m: make(map[string]value)} }
 
-func (r *refArray) get(k string) value { return r.m[k] }
+// get is an rvalue reference, which creates the element, as in awk.
+func (r *refArray) get(k string) value {
+	if !r.has(k) {
+		r.set(k, uninitialized)
+	}
+	return r.m[k]
+}
 
 func (r *refArray) has(k string) bool {
 	_, ok := r.m[k]

@@ -137,6 +137,19 @@ func TestArrayMultiDim(t *testing.T) {
 		"", "xy\n2\n")
 }
 
+// As in mawk: reading x[k] creates the element, with the uninitialized
+// value; a membership test, a delete and length create nothing.
+func TestReadingAnElementCreatesIt(t *testing.T) {
+	for _, c := range []struct{ prog, want string }{
+		{`BEGIN { x["k"]; n = 0; for (k in x) n++; print n }`, "1\n"},
+		{`BEGIN { if (y["k"] == "") ; print ("k" in y) }`, "1\n"},
+		{`BEGIN { v = w["a"] w["b"]; print length(w), v == "" }`, "2 1\n"},
+		{`BEGIN { if ("k" in x) ; delete x["j"]; n = length(x); for (k in x) n++; print n }`, "0\n"},
+	} {
+		expectAwk(t, c.prog, "", c.want)
+	}
+}
+
 func TestForIn(t *testing.T) {
 	// Order is unspecified; sum values instead.
 	expectAwk(t, `BEGIN { a["x"]=1; a["y"]=2; a["z"]=4; s=0; for (k in a) s += a[k]; print s }`,

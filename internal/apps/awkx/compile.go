@@ -390,12 +390,15 @@ func (c *compiler) expr(e expr) evalFn {
 			}
 			return in.getField(int(v.Num()))
 		}
-	case *indexRef:
+	case *indexRef: // reading x[k] creates the element, as in awk
 		t := c.target(e)
 		return func(in *interp) (value, error) {
 			p, err := t.at(in)
 			if err != nil {
 				return uninitialized, err
+			}
+			if p.pos < 0 {
+				p.arr.insert(p.key, uninitialized)
 			}
 			return t.get(in, p), nil
 		}

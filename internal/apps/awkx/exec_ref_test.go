@@ -15,7 +15,7 @@ import (
 // as the oracle TestCompiledEqualsTreeWalk and FuzzAwkRun hold the compiled
 // form to. It is the code as it ran, on the same interp and the same
 // helpers (fields, arrays, sprintf, substitute), with its entry points
-// renamed ref* and four deliberate differences, each one a place where the
+// renamed ref* and five deliberate differences, each one a place where the
 // compiled form does not repeat what the walk did:
 //
 //   - loops and calls count steps (interp.step) at the points the compiled
@@ -25,7 +25,9 @@ import (
 //   - a next or exit raised by a function in a rule's pattern acts as it
 //     does in the action, where the walk failed with "awk: next";
 //   - every builtin's argument count is checked (rand, srand, length and
-//     sprintf went unchecked or had a message of their own).
+//     sprintf went unchecked or had a message of their own);
+//   - reading x[k] creates the element, as awk's does, where the walk left
+//     the array as it was.
 
 // Control-flow signals, carried as errors through the tree walk.
 var (
@@ -281,10 +283,13 @@ func (in *interp) eval(e expr) (value, error) {
 			return uninitialized, err
 		}
 		return in.getField(int(idx.Num()))
-	case *indexRef:
+	case *indexRef: // reading x[k] creates the element
 		lv, err := in.lvalueOf(ex)
 		if err != nil {
 			return uninitialized, err
+		}
+		if lv.pos < 0 {
+			lv.arr.insert(lv.key, uninitialized)
 		}
 		return in.load(lv), nil
 	case *assign:

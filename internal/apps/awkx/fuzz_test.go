@@ -19,6 +19,8 @@ var fuzzSeeds = append([]string{
 	`BEGIN { while (1) {} }`, `BEGIN { for (;;) for (;;) {} }`, `function f() { f() } BEGIN { f() }`,
 	`function f(a) { for (k in a) { if (k > 1) continue; next } } { split($0, w); f(w) } END { print NR; exit 3 }`,
 	`{ do { $1e9 = NF++ } while (NF < 1e9) }`,
+	`BEGIN { x["k"]; n = 0; for (k in x) n++; print n }`, `BEGIN { if (y["k"] == "") ; print ("k" in y) }`,
+	`function f() { while (1) {} } BEGIN { print x[f()] }`,
 }, strnumSeeds()...)
 
 // FuzzAwkParse feeds arbitrary text to the parser, which must answer with a

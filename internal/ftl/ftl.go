@@ -244,16 +244,6 @@ func (f *FTL) checkLPN(lpn int64) error {
 	return nil
 }
 
-// ReadPage returns the data of logical page lpn in a fresh buffer the
-// caller owns; see ReadPageInto.
-func (f *FTL) ReadPage(p *sim.Proc, lpn int64) ([]byte, error) {
-	out := make([]byte, f.geo.PageSize)
-	if err := f.ReadPageInto(p, lpn, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // ReadPageInto reads logical page lpn into dst (exactly one page long),
 // verified against the page's OOB record: a payload CRC mismatch, or an OOB
 // naming a different logical page, returns ErrCorrupt. Unmapped pages read

@@ -15,3 +15,13 @@ func (f *FTL) Sync(p *sim.Proc) error {
 	}
 	return f.Checkpoint(p)
 }
+
+// ReadPage returns the data of logical page lpn in a fresh buffer the
+// caller owns; see ReadPageInto.
+func (f *FTL) ReadPage(p *sim.Proc, lpn int64) ([]byte, error) {
+	out := make([]byte, f.geo.PageSize)
+	if err := f.ReadPageInto(p, lpn, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}

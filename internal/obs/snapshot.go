@@ -5,8 +5,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-
-	"compstor/internal/trace"
 )
 
 // SchemaVersion identifies the snapshot JSON layout; bump on incompatible
@@ -136,21 +134,6 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
-}
-
-// RenderUtilization draws each timeline's mean busy fraction as a bar
-// chart.
-func (s Snapshot) RenderUtilization(w io.Writer, title string) {
-	if len(s.Timelines) == 0 {
-		return
-	}
-	labels := make([]string, len(s.Timelines))
-	values := make([]float64, len(s.Timelines))
-	for i, tl := range s.Timelines {
-		labels[i] = tl.Name
-		values[i] = tl.Mean * 100
-	}
-	trace.BarChart(w, title, labels, values)
 }
 
 func sortedKeys[M ~map[string]V, V any](m M) []string {
