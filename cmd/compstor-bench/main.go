@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	compstor-bench [-run all|tables|table1|table2|table3|table4|fig1|fig6|fig7|fig8|degraded|recovery|pipeline|scaleup|serving|tail|ablations]
+//	compstor-bench [-run all|tables|table1|table2|table3|table4|fig1|fig6|fig7|fig8|degraded|recovery|scaleup|serving|tail|ablations]
 //	               [-books N] [-mean BYTES] [-devices 1,2,4,8] [-v]
 //	               [-outdir DIR] [-trace out.json]
 //	               [-cpuprofile out.pprof] [-memprofile out.pprof]

@@ -189,11 +189,11 @@ func (s *arrayScript) step(op, kb, vb byte) {
 			ref.set(k2, num(v))
 		}
 		s.want.WriteString("\n")
-	case 13: // sub() creates an element only if it substitutes
-		re, n := "zzz", 0
+	case 13: // sub() creates the element it names, substituting or not (mawk)
+		re, n, old := "zzz", 0, ref.get(k)
 		if vb&1 == 1 {
 			re, n = "^", 1
-			ref.set(k, str("p"+ref.get(k).Str()))
+			ref.set(k, str("p"+old.Str()))
 		}
 		s.stmt(`print "u" sub(/%s/, "p", %s["%s"])`, re, name, k)
 		fmt.Fprintf(&s.want, "u%d\n", n)

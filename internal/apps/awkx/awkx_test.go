@@ -138,13 +138,17 @@ func TestArrayMultiDim(t *testing.T) {
 }
 
 // As in mawk: reading x[k] creates the element, with the uninitialized
-// value; a membership test, a delete and length create nothing.
+// value, and so does naming it as the target of sub or gsub, substituting
+// or not; a membership test, a delete and length create nothing.
 func TestReadingAnElementCreatesIt(t *testing.T) {
 	for _, c := range []struct{ prog, want string }{
 		{`BEGIN { x["k"]; n = 0; for (k in x) n++; print n }`, "1\n"},
 		{`BEGIN { if (y["k"] == "") ; print ("k" in y) }`, "1\n"},
 		{`BEGIN { v = w["a"] w["b"]; print length(w), v == "" }`, "2 1\n"},
 		{`BEGIN { if ("k" in x) ; delete x["j"]; n = length(x); for (k in x) n++; print n }`, "0\n"},
+		{`BEGIN { gsub(/x/, "y", a["k"]); print length(a) }`, "1\n"},
+		{`BEGIN { sub(/x/, "y", a["k"]); print length(a) }`, "1\n"},
+		{`BEGIN { sub(/x/, "y", a["k"]); print a["k"] == 0, a["k"] == "" }`, "1 1\n"},
 	} {
 		expectAwk(t, c.prog, "", c.want)
 	}

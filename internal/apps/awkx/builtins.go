@@ -199,6 +199,8 @@ func (c *compiler) sub(name string, args []expr) evalFn {
 		out, count, err := substitute(m, t.get(in, p).Str(), rv.Str(), global)
 		if count > 0 && err == nil {
 			err = t.set(in, p, str(out))
+		} else if p.arr != nil && p.pos < 0 {
+			p.arr.insert(p.key, uninitialized) // a named element exists after, as in mawk
 		}
 		return num(float64(count)), err
 	}

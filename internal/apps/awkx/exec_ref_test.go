@@ -751,6 +751,8 @@ func (in *interp) evalBuiltin(ex *builtinCall) (value, error) {
 		out, count, err := substitute(re, in.load(lv).Str(), rv.Str(), name == "gsub")
 		if count > 0 && err == nil {
 			err = in.store(lv, str(out))
+		} else if lv.kind == lvElem && lv.pos < 0 {
+			lv.arr.insert(lv.key, uninitialized) // mawk creates the element
 		}
 		return num(float64(count)), err
 

@@ -41,6 +41,7 @@ type InterferenceResult struct {
 func AblationInterference(o Options) InterferenceResult {
 	run := func(load bool, shared bool) (mean, p99 time.Duration, count int64) {
 		eng := sim.NewEngine()
+		defer eng.Shutdown()
 		fabric := pcie.NewFabric(eng)
 		cfg := ssd.CompStorConfig("dev", appset.Base())
 		cfg.Geometry = o.Geometry
@@ -143,6 +144,7 @@ type StripingResult struct {
 func AblationStriping(o Options) StripingResult {
 	run := func(striping bool) float64 {
 		eng := sim.NewEngine()
+		defer eng.Shutdown()
 		fabric := pcie.NewFabric(eng)
 		cfg := ssd.DefaultConfig("dev")
 		cfg.Geometry = o.Geometry
@@ -192,6 +194,7 @@ func AblationDirectPath(o Options) DirectPathResult {
 	run := func(via bool) float64 {
 		files := o.corpus()
 		eng := sim.NewEngine()
+		defer eng.Shutdown()
 		fabric := pcie.NewFabric(eng)
 		cfg := ssd.CompStorConfig("dev", appset.Base())
 		cfg.Geometry = o.Geometry

@@ -92,19 +92,7 @@ func (o Options) fig7Point(devices int, w Workload) Fig7Point {
 		sys.Eng.Go("host-side", func(sp *sim.Proc) {
 			defer wg.Done()
 			start := sp.Now()
-			workers := sys.Host.Sub.Platform().Cores
-			var hw sim.WaitGroup
-			hw.Add(workers)
-			for wk := 0; wk < workers; wk++ {
-				wk := wk
-				sys.Eng.Go("hostwork", func(hp *sim.Proc) {
-					defer hw.Done()
-					for i := wk; i < len(hostFiles); i += workers {
-						sys.Host.Run(hp, w.Spec(hostFiles[i].Name))
-					}
-				})
-			}
-			hw.Wait(sp)
+			hostWorkers(sp, sys, w, hostFiles)
 			hostElapsed = sp.Now().Sub(start)
 		})
 		sys.Eng.Go("device-side", func(sp *sim.Proc) {

@@ -31,6 +31,7 @@ type RecoveryPoint struct {
 // reports the recovery statistics.
 func recoveryPoint(geo flash.Geometry, ckptEvery, writes int, seed int64, ob *obs.Obs) RecoveryPoint {
 	eng := sim.NewEngine()
+	defer eng.Shutdown()
 	dev := flash.NewDevice(eng, "nand", geo, flash.DefaultTiming())
 	dev.SetObs(ob)
 	cfg := ftl.Config{OverProvision: 0.25, Striping: true, CheckpointEvery: ckptEvery, Obs: ob}

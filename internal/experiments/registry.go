@@ -46,7 +46,6 @@ func Experiments() []Experiment {
 		{Name: "fig8", Run: func(o Options) Report { return Fig8(o) }},
 		{Name: "degraded", Run: func(o Options) Report { return Degraded(o) }},
 		{Name: "recovery", Run: func(o Options) Report { return Recovery(o) }},
-		{Name: "pipeline", Run: func(o Options) Report { return Pipeline(o) }},
 		{Name: "scaleup", Run: func(o Options) Report { return Scaleup(o) }},
 		{Name: "serving", Run: func(o Options) Report { return Serving(o) }},
 		{Name: "tail", Run: func(o Options) Report { return Tail(o) }},

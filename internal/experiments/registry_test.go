@@ -3,8 +3,10 @@ package experiments
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"compstor/internal/obs"
 )
@@ -112,4 +114,34 @@ func TestRegistry(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestEveryRowReleasesItsGoroutines: every top-level row shuts down each
+// engine it builds, so no parked proc or pooled worker coroutine outlives
+// the run. Not parallel, so no other test's goroutines come or go while a
+// row runs.
+func TestEveryRowReleasesItsGoroutines(t *testing.T) {
+	for _, e := range Experiments() {
+		if e.PartOf != "" {
+			continue
+		}
+		before := settledGoroutines()
+		runRow(e)
+		if after := settledGoroutines(); after != before {
+			t.Errorf("%s: %d goroutines before the run, %d after", e.Name, before, after)
+		}
+	}
+}
+
+// settledGoroutines returns the goroutine count once goroutines merely on
+// their way out have gone; a leaked coroutine stays and holds it up.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for quiet := 0; quiet < 5; quiet++ {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, quiet = m, 0
+		}
+	}
+	return n
 }

@@ -6,15 +6,17 @@ import (
 
 	"compstor/internal/core"
 	"compstor/internal/isps"
+	"compstor/internal/ssd"
 	"compstor/internal/textgen"
 	"compstor/internal/trace"
 )
 
 // ScaleupPoint measures one scan kernel over one large file at one chunk
 // fan-out (cores = ScanChunks; 1 = the paper's serial executor) on one read
-// path. Speedup is
-// against the same path's serial point; OutputsMatch compares against the
-// serial-read one-chunk run — split execution must never change a byte.
+// path. Speedup is against the same path's one-core point; OutputsMatch
+// compares against the serial-read one-core run, so neither the read
+// pipeline nor a split may change a byte. Cache is the pipeline's counters
+// (zero on the serial path): the two one-core points are its comparison.
 type ScaleupPoint struct {
 	Workload     string
 	Pipelined    bool
@@ -24,6 +26,7 @@ type ScaleupPoint struct {
 	Speedup      float64
 	OutputsMatch bool
 	ParScan      isps.ParScanStats
+	Cache        ssd.ReadCacheStats
 }
 
 // ScaleupResult is the parallel-scan matrix: kernel x read path x cores.
@@ -74,6 +77,7 @@ func Scaleup(o Options) ScaleupResult {
 					OutputsMatch: stdout == serialOut,
 					ParScan:      drive.ISPS().ParScanStats(),
 				}
+				pt.Cache, _ = drive.ReadCacheStats()
 				if cores == 1 {
 					base = pt.MBps
 				}

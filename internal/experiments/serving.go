@@ -154,19 +154,51 @@ func servingTenants(lambda float64, slo time.Duration, cost int64) []serve.Tenan
 	}
 }
 
-// servingRun measures one open-loop point. A non-nil plan installs chaos;
-// rejoinAt > 0 additionally remounts and revives device 0 at that virtual
-// time (the power-cut composition).
-func (o Options) servingRun(name string, load, lambda float64, horizon time.Duration,
-	slo time.Duration, data []byte, plan *chaos.Plan, chaosName string, rejoinAt time.Duration) ServingPoint {
-	o.logf("serving: %s (%.0f req/s offered, horizon %v)...", name, lambda, horizon)
+// openLoop runs one open-loop serving point on an n-device cluster with
+// serve.txt replicated on every device. arm, when non-nil, sets pool
+// policies before anything runs; a non-nil plan installs chaos; rejoinAt > 0
+// remounts and revives device 0 at that virtual time (the power-cut
+// composition). It returns the drained server and its pool for read-out.
+func (o Options) openLoop(name string, n int, cfg serve.Config, data []byte,
+	arm func(*cluster.Pool), plan *chaos.Plan, rejoinAt time.Duration) (*serve.Server, *cluster.Pool) {
 	scope := o.Obs.Scope(name)
-	sys, pool := o.newCluster(scope, core.SystemConfig{CompStors: servingDevices})
+	sys, pool := o.newCluster(scope, core.SystemConfig{CompStors: n})
+	if arm != nil {
+		arm(pool)
+	}
 	if plan != nil {
 		chaos.Install(sys, plan)
 	}
-	srv := serve.New(sys.Eng, pool, scope, serve.Config{
-		Seed:    o.Seed,
+	cfg.Seed = o.Seed
+	srv := serve.New(sys.Eng, pool, scope, cfg)
+	sys.Go("driver", func(p *sim.Proc) {
+		if err := pool.StageReplicated(p, []cluster.File{{Name: "serve.txt", Data: data}}); err != nil {
+			panic(fmt.Sprintf("open-loop stage %s: %v", name, err))
+		}
+		srv.Start()
+	})
+	if rejoinAt > 0 {
+		sys.Go("rejoin", func(p *sim.Proc) {
+			p.WaitUntil(sim.Time(rejoinAt))
+			if _, err := pool.Unit(0).Drive.Remount(p); err != nil {
+				panic(fmt.Sprintf("open-loop rejoin %s: %v", name, err))
+			}
+			pool.Revive(0)
+		})
+	}
+	sys.Run()
+	if n := srv.Unfinished(); n != 0 {
+		panic(fmt.Sprintf("open-loop %s: %d requests unfinished after drain", name, n))
+	}
+	sys.Close()
+	return srv, pool
+}
+
+// servingRun measures one point of the three-tenant mix.
+func (o Options) servingRun(name string, load, lambda float64, horizon time.Duration,
+	slo time.Duration, data []byte, plan *chaos.Plan, chaosName string, rejoinAt time.Duration) ServingPoint {
+	o.logf("serving: %s (%.0f req/s offered, horizon %v)...", name, lambda, horizon)
+	srv, _ := o.openLoop(name, servingDevices, serve.Config{
 		Horizon: horizon,
 		Tenants: servingTenants(lambda, slo, int64(len(data))),
 		Limits: serve.Limits{
@@ -177,27 +209,7 @@ func (o Options) servingRun(name string, load, lambda float64, horizon time.Dura
 			MaxQueuedPerTenant: 24,
 			MaxOutstanding:     256,
 		},
-	})
-	sys.Go("driver", func(p *sim.Proc) {
-		if err := pool.StageReplicated(p, []cluster.File{{Name: "serve.txt", Data: data}}); err != nil {
-			panic(fmt.Sprintf("serving stage %s: %v", name, err))
-		}
-		srv.Start()
-	})
-	if rejoinAt > 0 {
-		sys.Go("rejoin", func(p *sim.Proc) {
-			p.WaitUntil(sim.Time(rejoinAt))
-			if _, err := pool.Unit(0).Drive.Remount(p); err != nil {
-				panic(fmt.Sprintf("serving rejoin %s: %v", name, err))
-			}
-			pool.Revive(0)
-		})
-	}
-	sys.Run()
-	if n := srv.Unfinished(); n != 0 {
-		panic(fmt.Sprintf("serving %s: %d requests unfinished after drain", name, n))
-	}
-	sys.Close()
+	}, data, nil, plan, rejoinAt)
 
 	pt := ServingPoint{
 		Name: name, Load: load, Chaos: chaosName,

@@ -112,45 +112,32 @@ func tailGrepCmd() core.Command { return servingGrepCmd() }
 func (o Options) tailRun(name string, tolerant bool, lambda float64,
 	horizon, slo, deadline time.Duration, data []byte, plan *chaos.Plan) TailPoint {
 	o.logf("tail: %s (%.0f req/s offered, horizon %v)...", name, lambda, horizon)
-	scope := o.Obs.Scope(name)
-	sys, pool := o.newCluster(scope, core.SystemConfig{CompStors: tailDevices})
-	if tolerant {
-		pool.Hedge = cluster.DefaultHedgePolicy()
-		pool.Health = cluster.DefaultHealthPolicy()
-		// Scale the quarantine dwell to the run so probation (and, once the
-		// fail-slow window closes, readmission) happens inside the horizon.
-		pool.Health.Cooldown = horizon / 8
-		pool.Budget = cluster.DefaultRetryBudget()
-		pool.Retry.Jitter = true
-		pool.SetSeed(o.Seed)
-	}
-	chaos.Install(sys, plan)
 	spec := serve.TenantSpec{
 		Name: "tail", Class: serve.Interactive, Weight: 1,
 		Arrival:   serve.Arrival{Kind: serve.Poisson, Rate: lambda},
 		Workloads: []serve.Workload{{Weight: 1, Cost: int64(len(data)), Make: func(int64) core.Command { return tailGrepCmd() }}},
 		SLO:       slo,
 	}
+	var arm func(*cluster.Pool)
 	if tolerant {
 		spec.Deadline = deadline
+		arm = func(pool *cluster.Pool) {
+			pool.Hedge = cluster.DefaultHedgePolicy()
+			pool.Health = cluster.DefaultHealthPolicy()
+			// Scale the quarantine dwell to the run so probation (and, once
+			// the fail-slow window closes, readmission) happens inside the
+			// horizon.
+			pool.Health.Cooldown = horizon / 8
+			pool.Budget = cluster.DefaultRetryBudget()
+			pool.Retry.Jitter = true
+			pool.SetSeed(o.Seed)
+		}
 	}
-	srv := serve.New(sys.Eng, pool, scope, serve.Config{
-		Seed:    o.Seed,
+	srv, pool := o.openLoop(name, tailDevices, serve.Config{
 		Horizon: horizon,
 		Tenants: []serve.TenantSpec{spec},
 		Limits:  serve.Limits{MaxQueuedPerTenant: 64, MaxOutstanding: 256},
-	})
-	sys.Go("driver", func(p *sim.Proc) {
-		if err := pool.StageReplicated(p, []cluster.File{{Name: "serve.txt", Data: data}}); err != nil {
-			panic(fmt.Sprintf("tail stage %s: %v", name, err))
-		}
-		srv.Start()
-	})
-	sys.Run()
-	if n := srv.Unfinished(); n != 0 {
-		panic(fmt.Sprintf("tail %s: %d requests unfinished after drain", name, n))
-	}
-	sys.Close()
+	}, data, arm, plan, 0)
 
 	st := srv.Stats("tail")
 	hs := pool.HedgeStats()

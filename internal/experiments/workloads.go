@@ -163,28 +163,33 @@ func RunHost(o Options, w Workload) RunReport {
 		view.Flush(p)
 		start := p.Now()
 		startJ := sys.Host.Energy().Energy(p.Now())
-		workers := sys.Host.Sub.Platform().Cores
-		var wg sim.WaitGroup
-		wg.Add(workers)
-		for wk := 0; wk < workers; wk++ {
-			wk := wk
-			sys.Eng.Go(fmt.Sprintf("hostwork%d", wk), func(sp *sim.Proc) {
-				defer wg.Done()
-				for i := wk; i < len(files); i += workers {
-					r := sys.Host.Run(sp, w.Spec(files[i].Name))
-					if r.Err != nil {
-						res.Failures++
-					}
-				}
-			})
-		}
-		wg.Wait(p)
+		res.Failures = hostWorkers(p, sys, w, files)
 		res.Joules = sys.Host.Energy().Energy(p.Now()) - startJ
 		res.Elapsed = p.Now().Sub(start)
 	})
 	sys.Run()
 	sys.Close()
 	return res
+}
+
+// hostWorkers runs w over files on the Xeon host with every core busy: one
+// proc per core, each taking every cores-th file. It returns the failures.
+func hostWorkers(p *sim.Proc, sys *core.System, w Workload, files []cluster.File) (failures int) {
+	cores := sys.Host.Sub.Platform().Cores
+	var wg sim.WaitGroup
+	wg.Add(cores)
+	for wk := 0; wk < cores; wk++ {
+		sys.Eng.Go(fmt.Sprintf("hostwork%d", wk), func(sp *sim.Proc) {
+			defer wg.Done()
+			for i := wk; i < len(files); i += cores {
+				if r := sys.Host.Run(sp, w.Spec(files[i].Name)); r.Err != nil {
+					failures++
+				}
+			}
+		})
+	}
+	wg.Wait(p)
+	return failures
 }
 
 // deviceEnergy sums the ISPS components' energy at the current instant.

@@ -6,8 +6,8 @@
 // per-class start-time fair-queueing lanes (interactive strictly ahead of
 // background at dispatch granularity) onto the ISPS cores via
 // cluster.Pool, with admission control that sheds load (ErrAdmissionShed)
-// when per-tenant queue depth, the global core budget, or the DRAM
-// reservation budget would be exceeded — bounding queues instead of
+// when per-tenant queue depth or the global core budget would be exceeded,
+// or a gray failure has browned the pool out — bounding queues instead of
 // letting latency grow without limit past saturation.
 //
 // Determinism: each tenant owns two RNG streams (arrival times, workload
@@ -31,14 +31,13 @@ import (
 )
 
 // ErrAdmissionShed marks a request rejected at admission because a load
-// threshold (queue depth, core budget, or DRAM reservation) was exceeded.
+// threshold (queue depth, core budget, or brownout) was exceeded.
 var ErrAdmissionShed = errors.New("serve: admission shed")
 
 // Shed reasons, recorded per tenant in serve.tenant.<name>.shed_<reason>.
 const (
 	ShedQueue = "queue" // per-tenant backlog at MaxQueuedPerTenant
 	ShedCores = "cores" // global admitted-but-unfinished at MaxOutstanding
-	ShedDRAM  = "dram"  // reservation would exceed DRAMBudget
 	// ShedBrownout sheds when the pool's healthy-capacity estimate has
 	// dropped (gray failures quarantined devices) and the admitted load
 	// already fills what remains. The background lane browns out first: it
@@ -46,11 +45,6 @@ const (
 	// all, so a gray device degrades batch work before user latency.
 	ShedBrownout = "brownout"
 )
-
-// defaultTaskMem mirrors the ISPS default task reservation, so admission
-// accounts requests that don't declare MemBytes the same way the device
-// will.
-const defaultTaskMem = 64 << 20
 
 // Class is a tenant's priority lane.
 type Class int
@@ -129,9 +123,6 @@ type Limits struct {
 	// requests reach this count (default 4x the dispatch workers, which
 	// are the pool's PerDeviceTasks per device).
 	MaxOutstanding int
-	// DRAMBudget sheds arrivals whose reservation would push the summed
-	// per-request memory estimate past this many bytes; zero = unlimited.
-	DRAMBudget int64
 }
 
 // Config assembles a serving run.
@@ -190,7 +181,6 @@ type request struct {
 	seq     int64
 	cmd     core.Command
 	cost    int64
-	mem     int64
 	arrived sim.Time
 }
 
@@ -237,7 +227,6 @@ type Server struct {
 
 	started      sim.Time
 	outstanding  int
-	dramReserved int64
 	arrivalsOpen int
 	results      []RequestResult
 }
@@ -303,7 +292,6 @@ func New(eng *sim.Engine, pool *cluster.Pool, o *obs.Obs, cfg Config) *Server {
 			shedBy: map[string]*obs.Counter{
 				ShedQueue:    counterHandle(o, pre+"shed_"+ShedQueue),
 				ShedCores:    counterHandle(o, pre+"shed_"+ShedCores),
-				ShedDRAM:     counterHandle(o, pre+"shed_"+ShedDRAM),
 				ShedBrownout: counterHandle(o, pre+"shed_"+ShedBrownout),
 			},
 			// Capacity = the shed threshold, so a window's fraction is
@@ -313,7 +301,6 @@ func New(eng *sim.Engine, pool *cluster.Pool, o *obs.Obs, cfg Config) *Server {
 		s.tenants = append(s.tenants, ts)
 	}
 	o.CounterFunc("serve.outstanding", func() int64 { return int64(s.outstanding) })
-	o.CounterFunc("serve.dram_reserved", func() int64 { return s.dramReserved })
 	return s
 }
 
@@ -462,7 +449,7 @@ func expDuration(rng *rand.Rand, meanSec float64) time.Duration {
 func (s *Server) admit(p *sim.Proc, ts *tenantState) {
 	ts.cArrived.Add(1)
 	req := s.buildRequest(p, ts)
-	if reason := s.shedReason(ts, req.mem); reason != "" {
+	if reason := s.shedReason(ts); reason != "" {
 		ts.cShed.Add(1)
 		ts.shedBy[reason].Add(1)
 		s.obs.Instant(p, "serve", "shed", "tenant", ts.spec.Name, "reason", reason)
@@ -475,7 +462,6 @@ func (s *Server) admit(p *sim.Proc, ts *tenantState) {
 	}
 	ts.cAdmitted.Add(1)
 	s.outstanding++
-	s.dramReserved += req.mem
 	ts.queued++
 	s.lanes[ts.spec.Class].push(ts.spec.Name, ts.spec.weight, req.cost, req)
 	s.tokens.Put(struct{}{})
@@ -510,18 +496,14 @@ func (s *Server) buildRequest(p *sim.Proc, ts *tenantState) *request {
 	if cost < 1 {
 		cost = 1
 	}
-	mem := cmd.MemBytes
-	if mem <= 0 {
-		mem = defaultTaskMem
-	}
 	if d := ts.spec.Deadline; d > 0 {
 		cmd.Deadline = p.Now().Add(d)
 	}
-	return &request{ts: ts, seq: seq, cmd: cmd, cost: cost, mem: mem, arrived: p.Now()}
+	return &request{ts: ts, seq: seq, cmd: cmd, cost: cost, arrived: p.Now()}
 }
 
 // shedReason returns the admission-control reason to reject, or "".
-func (s *Server) shedReason(ts *tenantState, mem int64) string {
+func (s *Server) shedReason(ts *tenantState) string {
 	if ts.queued >= s.cfg.Limits.MaxQueuedPerTenant {
 		return ShedQueue
 	}
@@ -530,9 +512,6 @@ func (s *Server) shedReason(ts *tenantState, mem int64) string {
 	}
 	if limit := s.brownoutLimit(ts.spec.Class); limit < s.cfg.Limits.MaxOutstanding && s.outstanding >= limit {
 		return ShedBrownout
-	}
-	if b := s.cfg.Limits.DRAMBudget; b > 0 && s.dramReserved+mem > b {
-		return ShedDRAM
 	}
 	return ""
 }
@@ -614,11 +593,10 @@ func (s *Server) worker(p *sim.Proc) {
 }
 
 // finish records one dispatched request's outcome and releases its
-// admission reservations.
+// outstanding slot.
 func (s *Server) finish(p *sim.Proc, req *request, dev int, resp *core.Response, err error) {
 	ts := req.ts
 	s.outstanding--
-	s.dramReserved -= req.mem
 	ts.servedCost += req.cost
 	lat := p.Now().Sub(req.arrived)
 	ts.hLatency.Observe(lat)

@@ -200,24 +200,6 @@ func TestAdmissionSheds(t *testing.T) {
 	}
 }
 
-// TestDRAMBudgetSheds: a budget below two default reservations admits one
-// request at a time and sheds on reservation pressure.
-func TestDRAMBudgetSheds(t *testing.T) {
-	spec := TenantSpec{
-		Name: "mem", Class: Interactive, Weight: 1,
-		Arrival:   Arrival{Kind: Poisson, Rate: 500},
-		Workloads: grepWorkload(),
-	}
-	cfg := defaultConfig(spec)
-	cfg.Limits.DRAMBudget = defaultTaskMem + defaultTaskMem/2
-	srv, _ := runServing(t, 1, cfg, nil, 0)
-	checkConservation(t, srv, "mem")
-	st := srv.Stats("mem")
-	if st.ShedBy[ShedDRAM] == 0 {
-		t.Fatalf("expected DRAM shedding, got %v", st.ShedBy)
-	}
-}
-
 // resultKey indexes outcomes for cross-run comparison.
 type resultKey struct {
 	tenant string
