@@ -50,6 +50,8 @@ type funcDef struct {
 	name   string
 	params []string
 	body   *stmtBlock
+	arrays []bool  // the parameters used as arrays, by body or by a function it calls
+	calls  []*call // the calls in body
 }
 
 // Statements.

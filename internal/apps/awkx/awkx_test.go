@@ -225,6 +225,25 @@ func TestArrayByReference(t *testing.T) {
 		BEGIN { a["k"] = 0; fill(a); print a["k"] }`, "", "42\n")
 }
 
+// arrayParamPrograms: a parameter the callee uses as an array, itself or by
+// passing it on, makes the caller's untyped argument that array, with the
+// output mawk prints. A membership test creates the array but no element.
+// Each is also a fuzzSeeds entry.
+var arrayParamPrograms = []struct{ prog, want string }{
+	{`function f(a){a["z"]=1} BEGIN{f(u); n=0; for(k in u) n++; print n}`, "1\n"},
+	{`function f(a){a["z"]=1} BEGIN{f(u); print u["z"]}`, "1\n"},
+	{`function g(b){b[1]=1} function f(a){g(a)} BEGIN{f(u); print length(u)}`, "1\n"},
+	{`function f(a){split("x y z", a)} BEGIN{f(u); print length(u)}`, "3\n"},
+	{`function f(a,  loc){loc["q"]=1; a["z"]=1} BEGIN{f(u); print length(u)}`, "1\n"},
+	{`function f(a){print ("k" in a)} BEGIN{f(u); print length(u)}`, "0\n0\n"},
+}
+
+func TestArrayParameterMakesTheArgumentAnArray(t *testing.T) {
+	for _, c := range arrayParamPrograms {
+		expectAwk(t, c.prog, "", c.want)
+	}
+}
+
 func TestBuiltinsStrings(t *testing.T) {
 	expectAwk(t, `BEGIN {
 		print length("hello")

@@ -49,6 +49,7 @@ type code struct{ begins, rules, ends []execFn }
 type function struct {
 	name    string
 	nparams int
+	arrays  []bool // funcDef.arrays
 	body    execFn
 }
 
@@ -64,7 +65,7 @@ func compile(p *program) *code {
 		c.funcs = make(map[string]*function, len(p.funcs))
 	}
 	for name, fd := range p.funcs {
-		c.funcs[name] = &function{name: name, nparams: len(fd.params)}
+		c.funcs[name] = &function{name: name, nparams: len(fd.params), arrays: fd.arrays}
 	}
 	for name, fd := range p.funcs {
 		c.funcs[name].body = c.stmt(fd.body)
@@ -761,9 +762,9 @@ func (c *compiler) call(ex *call) evalFn {
 	return func(in *interp) (value, error) {
 		fr := frame{scalars: make([]value, fn.nparams)}
 		// Bind arguments in the caller's scope before pushing the frame. A
-		// bare name passes its array, if it has become one by now.
+		// bare name passes its array if it is one or the parameter is one.
 		for i, arg := range args {
-			if vr := names[i]; vr != nil && in.isArray(vr.varSlot) {
+			if vr := names[i]; vr != nil && (fn.arrays[i] || in.isArray(vr.varSlot)) {
 				if fr.arrays == nil {
 					fr.arrays = make([]*array, fn.nparams)
 				}

@@ -534,7 +534,7 @@ func (in *interp) refCall(ex *call) (value, error) {
 	fr := frame{scalars: make([]value, len(fd.params))}
 	// Bind arguments in the caller's scope before pushing the frame.
 	for i, arg := range ex.args {
-		if vr, ok := arg.(*varRef); ok && in.isArray(vr.varSlot) {
+		if vr, ok := arg.(*varRef); ok && (fd.arrays[i] || in.isArray(vr.varSlot)) {
 			if fr.arrays == nil {
 				fr.arrays = make([]*array, len(fd.params))
 			}

@@ -3,7 +3,8 @@ package awkx
 import "testing"
 
 // fuzzSeeds start both fuzzers below and are part of what
-// TestCompiledEqualsTreeWalk runs, the strnum table's programs last.
+// TestCompiledEqualsTreeWalk runs, the strnum and array-parameter tables'
+// programs last.
 var fuzzSeeds = append([]string{
 	`{ print $2, $1 }`,
 	`BEGIN { FS = ":" } { n += NF; a[$1]++ } END { print n, length(a) }`,
@@ -21,7 +22,7 @@ var fuzzSeeds = append([]string{
 	`{ do { $1e9 = NF++ } while (NF < 1e9) }`,
 	`BEGIN { x["k"]; n = 0; for (k in x) n++; print n }`, `BEGIN { if (y["k"] == "") ; print ("k" in y) }`,
 	`function f() { while (1) {} } BEGIN { print x[f()] }`,
-}, strnumSeeds()...)
+}, append(progsOf(strnumPrograms), progsOf(arrayParamPrograms)...)...)
 
 // FuzzAwkParse feeds arbitrary text to the parser, which must answer with a
 // program or an error and never panic or run past the end of its tokens.

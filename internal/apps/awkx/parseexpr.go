@@ -116,7 +116,7 @@ func (p *parser) parseBinary(min int) (expr, error) {
 			if arr.kind != tIdent {
 				return nil, p.errf("expected array name after in")
 			}
-			left = &inExpr{index: []expr{left}, arr: p.bind(arr.text)}
+			left = &inExpr{index: []expr{left}, arr: p.bind(arr.text, true)}
 			continue
 		}
 		var right expr
@@ -192,7 +192,9 @@ func (p *parser) parsePrimary() (expr, error) {
 			return nil, err
 		}
 		args, err := p.parseArgs()
-		return &call{name: t.text, args: args}, err
+		c := &call{name: t.text, args: args}
+		p.fn.calls = append(p.fn.calls, c)
+		return c, err
 	case tBuiltin:
 		p.pos++
 		if !p.isOp("(") && t.text != "length" { // bare `length` means length($0)
@@ -205,16 +207,21 @@ func (p *parser) parsePrimary() (expr, error) {
 			if bc.args, err = p.parseArgs(); err != nil {
 				return nil, err
 			}
+			if t.text == "split" && len(bc.args) > 1 {
+				if vr, ok := bc.args[1].(*varRef); ok {
+					p.bind(vr.name, true)
+				}
+			}
 		}
 		return bc, nil
 	case tIdent:
 		p.pos++
 		if p.isOp("[") {
-			arr := p.bind(t.text)
+			arr := p.bind(t.text, true)
 			index, err := p.parseSubscripts()
 			return &indexRef{arr: arr, index: index}, err
 		}
-		return &varRef{name: t.text, varSlot: p.bind(t.text)}, nil
+		return &varRef{name: t.text, varSlot: p.bind(t.text, false)}, nil
 	}
 	if t.kind == tOp {
 		switch t.text {
@@ -284,7 +291,7 @@ func (p *parser) parseGetline() (expr, error) {
 	// Optional simple lvalue: identifier or $field.
 	if t := p.peek(); t.kind == tIdent {
 		p.pos++
-		g.target = &varRef{name: t.text, varSlot: p.bind(t.text)}
+		g.target = &varRef{name: t.text, varSlot: p.bind(t.text, false)}
 	} else if p.isOp("$") {
 		p.pos++
 		idx, err := p.parsePostfixDollar()
@@ -312,7 +319,7 @@ func (p *parser) parsePostfixDollar() (expr, error) {
 		return &numLit{v: t.num}, nil
 	case t.kind == tIdent:
 		p.pos++
-		return &varRef{name: t.text, varSlot: p.bind(t.text)}, nil
+		return &varRef{name: t.text, varSlot: p.bind(t.text, false)}, nil
 	case t.kind == tOp && t.text == "(":
 		p.pos++
 		e, err := p.parseExpr()

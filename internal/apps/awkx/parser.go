@@ -25,7 +25,7 @@ type parser struct {
 	pos  int
 	noGT int // >0 while '>' means print redirection, not comparison
 
-	params  []string       // parameters of the function being parsed
+	fn      *funcDef       // the function being parsed; outside one, one without parameters
 	globals map[string]int // global name -> slot
 }
 
@@ -34,7 +34,7 @@ func parse(src string) (*program, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, globals: make(map[string]int)}
+	p := &parser{toks: toks, globals: make(map[string]int), fn: &funcDef{}}
 	for i, name := range specialNames {
 		p.globals[name] = i
 	}
@@ -42,10 +42,11 @@ func parse(src string) (*program, error) {
 }
 
 // bind resolves a variable name to its slot, giving a global its slot on
-// first mention.
-func (p *parser) bind(name string) varSlot {
-	for i, param := range p.params {
+// first mention. A parameter used as an array is marked as one.
+func (p *parser) bind(name string, array bool) varSlot {
+	for i, param := range p.fn.params {
 		if param == name {
+			p.fn.arrays[i] = p.fn.arrays[i] || array
 			return varSlot{local: true, idx: i}
 		}
 	}
@@ -131,6 +132,20 @@ func (p *parser) parseProgram() (*program, error) {
 		}
 		p.skipNewlines()
 	}
+	// A parameter passed on as an array parameter is an array too; a round
+	// per function reaches the end of every chain of calls.
+	for range prog.funcs {
+		for _, fd := range prog.funcs {
+			for _, c := range fd.calls {
+				g := prog.funcs[c.name]
+				for i, a := range c.args {
+					if vr, ok := a.(*varRef); ok && vr.local && g != nil && i < len(g.arrays) && g.arrays[i] {
+						fd.arrays[vr.idx] = true
+					}
+				}
+			}
+		}
+	}
 	return prog, nil
 }
 
@@ -157,9 +172,9 @@ func (p *parser) parseFunction() (*funcDef, error) {
 	p.pos++ // )
 	p.skipNewlines()
 	var err error
-	p.params = fd.params
+	fd.arrays, p.fn = make([]bool, len(fd.params)), fd
 	fd.body, err = p.parseBlock()
-	p.params = nil
+	p.fn = &funcDef{}
 	return fd, err
 }
 
@@ -240,7 +255,7 @@ func (p *parser) parseStmt() (stmt, error) {
 			if name.kind != tIdent && name.kind != tFuncName {
 				return nil, p.errf("expected array name after delete")
 			}
-			ds := &deleteStmt{arr: p.bind(name.text)}
+			ds := &deleteStmt{arr: p.bind(name.text, true)}
 			if !p.isOp("[") {
 				return ds, nil
 			}
@@ -388,7 +403,7 @@ func (p *parser) parseFor() (stmt, error) {
 			return nil, err
 		}
 		body, err := p.parseSimpleOrBlock()
-		return &forInStmt{v: p.bind(varName), arr: p.bind(arr.text), body: body}, err
+		return &forInStmt{v: p.bind(varName, false), arr: p.bind(arr.text, true), body: body}, err
 	}
 	// Each of init, cond and post may be left out.
 	st, err := &loopStmt{}, error(nil)

@@ -35,10 +35,10 @@ var strnumPrograms = []struct{ prog, want string }{
 	{`BEGIN { FS = "," } { y = $2; split("1e1 abc", a, " "); print (y == 10), (a[1] == 10), (a[2] == 0), (substr($2, 1) == 10), ($1 "" == 10), ($5 "" == 0) }`, "1 1 0 0 0 1\n"},
 }
 
-// strnumSeeds returns the programs of strnumPrograms.
-func strnumSeeds() []string {
-	progs := make([]string, len(strnumPrograms))
-	for i, c := range strnumPrograms {
+// progsOf returns the programs of a table of cases.
+func progsOf(cases []struct{ prog, want string }) []string {
+	progs := make([]string, len(cases))
+	for i, c := range cases {
 		progs[i] = c.prog
 	}
 	return progs

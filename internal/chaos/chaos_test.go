@@ -14,6 +14,7 @@ import (
 	"compstor/internal/core"
 	"compstor/internal/flash"
 	"compstor/internal/sim"
+	"compstor/internal/ssd"
 )
 
 // randomPlan derives a randomized-but-seeded plan for n devices: fault
@@ -96,8 +97,7 @@ func runMode(t *testing.T, devices int, files []cluster.File, plan *chaos.Plan, 
 			Channels: 8, DiesPerChan: 1, PlanesPerDie: 1,
 			BlocksPerPlan: 128, PagesPerBlock: 32, PageSize: 4096,
 		},
-		SerialReads: !pipeline,
-		ScanChunks:  scanChunks,
+		Ablation: ssd.Ablation{SerialReads: !pipeline, ScanChunks: scanChunks},
 	}
 	sys := core.NewSystem(cfg)
 	pool := cluster.NewPool(sys.Eng, sys.Devices)

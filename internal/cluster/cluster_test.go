@@ -11,6 +11,7 @@ import (
 	"compstor/internal/core"
 	"compstor/internal/flash"
 	"compstor/internal/sim"
+	"compstor/internal/ssd"
 )
 
 func newSystem(t *testing.T, devices int) (*core.System, *Pool) {
@@ -36,8 +37,7 @@ func newSystemMode(t *testing.T, devices int, pipeline bool, scanChunks int) (*c
 			Channels: 8, DiesPerChan: 1, PlanesPerDie: 1,
 			BlocksPerPlan: 128, PagesPerBlock: 32, PageSize: 4096,
 		},
-		SerialReads: !pipeline,
-		ScanChunks:  scanChunks,
+		Ablation: ssd.Ablation{SerialReads: !pipeline, ScanChunks: scanChunks},
 	})
 	return sys, NewPool(sys.Eng, sys.Devices)
 }

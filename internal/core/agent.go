@@ -37,14 +37,9 @@ type Agent struct {
 // clear.
 func (a *Agent) SetFaultHook(fn func(p *sim.Proc, cmd Command) error) { a.faultHook = fn }
 
-// AttachAgent installs an agent on a CompStor drive. It panics on
-// conventional drives, which have no ISPS to serve.
-func AttachAgent(drive *ssd.SSD) *Agent {
-	sub := drive.ISPS()
-	if sub == nil {
-		panic("core: AttachAgent on a drive without an ISPS")
-	}
-	a := &Agent{drive: drive, sub: sub}
+// attachAgent installs an agent on one of NewSystem's CompStor drives.
+func attachAgent(drive *ssd.SSD) *Agent {
+	a := &Agent{drive: drive, sub: drive.ISPS()}
 	drive.SetVendorHandler(a.handle)
 	if o := drive.Obs(); o != nil {
 		o.CounterFunc("agent.minions", func() int64 { return a.minions })

@@ -20,9 +20,9 @@ type Client struct {
 	view  *minfs.View
 }
 
-// NewClient opens an in-situ session on a drive. The drive must be a
+// newClient opens an in-situ session on a drive. The drive must be a
 // CompStor with an attached agent.
-func NewClient(drive *ssd.SSD) *Client {
+func newClient(drive *ssd.SSD) *Client {
 	return &Client{drive: drive, drv: drive.Driver(), view: drive.HostView()}
 }
 

@@ -11,6 +11,7 @@ import (
 	"compstor/internal/flash"
 	"compstor/internal/isps"
 	"compstor/internal/sim"
+	"compstor/internal/ssd"
 )
 
 func smallGeometry() flash.Geometry {
@@ -316,7 +317,7 @@ func TestTaskStatusStrings(t *testing.T) {
 func TestStockDeviceSplitsLargeScans(t *testing.T) {
 	data := bytes.Repeat([]byte("a line of the text to scan\n"), (1<<20)/27+1)
 	run := func(scanChunks int) (string, isps.ParScanStats) {
-		sys := NewSystem(SystemConfig{CompStors: 1, Registry: appset.Base(), ScanChunks: scanChunks})
+		sys := NewSystem(SystemConfig{CompStors: 1, Registry: appset.Base(), Ablation: ssd.Ablation{ScanChunks: scanChunks}})
 		unit := sys.Device(0)
 		var out string
 		sys.Go("client", func(p *sim.Proc) {
@@ -342,5 +343,76 @@ func TestStockDeviceSplitsLargeScans(t *testing.T) {
 	}
 	if split != serial || serial != "38837\n" {
 		t.Errorf("split printed %q, serial %q", split, serial)
+	}
+}
+
+// TestAblationsEndToEnd sets each ssd.Ablation field alone through
+// NewSystem. The four in-situ ones leave a grep -c minion's stdout as the
+// stock drive prints it and change how long the minion takes. LinearFTL,
+// which NewSystem copies to the conventional drive too, keeps the data it
+// stores and writes it sequentially at a lower throughput.
+func TestAblationsEndToEnd(t *testing.T) {
+	data := bytes.Repeat([]byte("a line of the text to scan\n"), (1<<20)/27+1)
+	grep := func(ab ssd.Ablation) (string, sim.Duration) {
+		sys := NewSystem(SystemConfig{CompStors: 1, Registry: appset.Base(), Ablation: ab})
+		defer sys.Close()
+		unit := sys.Device(0)
+		var out string
+		var elapsed sim.Duration
+		sys.Go("client", func(p *sim.Proc) {
+			if err := unit.Client.FS().WriteFile(p, "big.txt", data); err != nil {
+				t.Error(err)
+				return
+			}
+			start := p.Now()
+			resp, err := unit.Client.Run(p, Command{Exec: "grep", Args: []string{"-c", "text", "big.txt"}})
+			if err != nil || resp.Status != StatusOK {
+				t.Errorf("%+v: grep: %v %+v", ab, err, resp)
+				return
+			}
+			out, elapsed = string(resp.Stdout), p.Now().Sub(start)
+		})
+		sys.Run()
+		return out, elapsed
+	}
+	stockOut, stockTime := grep(ssd.Ablation{})
+	for _, ab := range []ssd.Ablation{{SerialReads: true}, {ScanChunks: 1}, {SharedCores: true}, {ViaNVMePath: true}} {
+		if out, elapsed := grep(ab); out != stockOut || elapsed == stockTime {
+			t.Errorf("%+v: printed %q in %v, the stock drive %q in %v", ab, out, elapsed, stockOut, stockTime)
+		}
+	}
+
+	const chunk = 64 // pages per write command
+	payload := data[:1<<20]
+	write := func(ab ssd.Ablation) ([]byte, sim.Duration) {
+		sys := NewSystem(SystemConfig{ConventionalSSD: true, Registry: appset.Base(), Geometry: smallGeometry(), Ablation: ab})
+		defer sys.Close()
+		drv, ps := sys.Conventional.Driver(), sys.Conventional.PageSize()
+		var back []byte
+		var elapsed sim.Duration
+		sys.Go("writer", func(p *sim.Proc) {
+			start := p.Now()
+			for off := 0; off < len(payload); off += chunk * ps {
+				if err := drv.Write(p, int64(off/ps), payload[off:off+chunk*ps]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			elapsed = p.Now().Sub(start)
+			var err error
+			if back, err = drv.Read(p, 0, int64(len(payload)/ps)); err != nil {
+				t.Error(err)
+			}
+		})
+		sys.Run()
+		return back, elapsed
+	}
+	striped, stripedTime := write(ssd.Ablation{})
+	linear, linearTime := write(ssd.Ablation{LinearFTL: true})
+	if !bytes.Equal(striped, payload) || !bytes.Equal(linear, payload) {
+		t.Error("a conventional drive read back other bytes than it was written")
+	}
+	if linearTime <= stripedTime {
+		t.Errorf("linear FTL wrote 1 MiB in %v, the striped one in %v", linearTime, stripedTime)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"compstor/internal/cpu"
 	"compstor/internal/isps"
 	"compstor/internal/sim"
+	"compstor/internal/ssd"
 	"compstor/internal/textgen"
 )
 
@@ -39,7 +40,7 @@ func TestStreamCPUFractionIsMeasured(t *testing.T) {
 		{cpu.ClassBzip2, func(b string) []string { return []string{"bzip2", b} }},
 		{cpu.ClassBunzip2, func(b string) []string { return []string{"bunzip2", b + ".bz2"} }},
 	}
-	sys := NewSystem(SystemConfig{CompStors: 1, Registry: appset.Base(), SerialReads: true, ScanChunks: 1})
+	sys := NewSystem(SystemConfig{CompStors: 1, Registry: appset.Base(), Ablation: ssd.Ablation{SerialReads: true, ScanChunks: 1}})
 	drive := sys.Device(0).Drive
 	sub := drive.ISPS()
 	measured := map[cpu.Class]float64{}

@@ -24,10 +24,10 @@ type Host struct {
 	comp *energy.Component
 }
 
-// NewHost builds the host platform with the standard program set installed.
+// newHost builds the host platform with the standard program set installed.
 // The Xeon baseline runs each program as one process, as the paper's host
 // does: it never splits a scan.
-func NewHost(eng *sim.Engine, meter *energy.Meter, registry *apps.Registry) *Host {
+func newHost(eng *sim.Engine, meter *energy.Meter, registry *apps.Registry) *Host {
 	platform := cpu.Xeon()
 	var comp *energy.Component
 	if meter != nil {
@@ -75,17 +75,9 @@ type SystemConfig struct {
 	Geometry flash.Geometry
 	// WithHost attaches a Xeon host runner.
 	WithHost bool
-	// SharedCores / ISPSViaNVMePath forward the ablation switches to every
-	// CompStor.
-	SharedCores     bool
-	ISPSViaNVMePath bool
-	// SerialReads is forwarded to every CompStor: the serial-read ablation,
-	// without the streaming read pipeline (ISPS page cache + read-ahead).
-	SerialReads bool
-	// ScanChunks is forwarded to every CompStor's ISPS: 0 splits a large
-	// scan one chunk per core (the stock device), 1 is the paper's
-	// one-core-per-task executor.
-	ScanChunks int
+	// Ablation is copied to every drive, the conventional one included; the
+	// zero value is the stock CompStor.
+	Ablation ssd.Ablation
 	// Obs, when set, instruments the whole testbed. Each drive gets its own
 	// scope named after it (compstor0, conv0, ...); fabric timelines and
 	// host metrics live on the handle passed here.
@@ -138,31 +130,29 @@ func NewSystem(cfg SystemConfig) *System {
 		dcfg := ssd.CompStorConfig(fmt.Sprintf("compstor%d", i), cfg.Registry)
 		dcfg.Geometry = geo
 		dcfg.Meter = meter
-		dcfg.SharedCores = cfg.SharedCores
-		dcfg.ISPSViaNVMePath = cfg.ISPSViaNVMePath
-		dcfg.SerialReads = cfg.SerialReads
-		dcfg.ScanChunks = cfg.ScanChunks
+		dcfg.Ablation = cfg.Ablation
 		dcfg.Obs = cfg.Obs.Scope(dcfg.Name)
 		port := sys.Fabric.AddPort()
 		meterPort(fmt.Sprintf("pcie/port%d", port.ID()), port)
 		drive := ssd.New(eng, port, dcfg)
-		agent := AttachAgent(drive)
+		agent := attachAgent(drive)
 		sys.Devices = append(sys.Devices, &DeviceUnit{
 			Drive:  drive,
 			Agent:  agent,
-			Client: NewClient(drive),
+			Client: newClient(drive),
 		})
 	}
 	if cfg.ConventionalSSD {
 		dcfg := ssd.DefaultConfig("conv0")
 		dcfg.Geometry = geo
+		dcfg.Ablation = cfg.Ablation
 		dcfg.Obs = cfg.Obs.Scope(dcfg.Name)
 		port := sys.Fabric.AddPort()
 		meterPort(fmt.Sprintf("pcie/port%d", port.ID()), port)
 		sys.Conventional = ssd.New(eng, port, dcfg)
 	}
 	if cfg.WithHost {
-		sys.Host = NewHost(eng, meter, cfg.Registry)
+		sys.Host = newHost(eng, meter, cfg.Registry)
 		sys.Host.Sub.SetObs(cfg.Obs.Scope("host"))
 		if sys.Conventional != nil {
 			sys.Host.Mount(sys.Conventional.HostView())

@@ -96,7 +96,7 @@ func Xeon() *Platform {
 
 // StreamCPUFraction returns the share of a class's calibrated end-to-end
 // per-byte cost that is core-bound computation; the remainder is read stall.
-// The serial-read ablation (ssd.Config.SerialReads) charges the full rate as
+// The serial-read ablation (ssd.Ablation.SerialReads) charges the full rate as
 // core time and also pays the modelled flash reads, counting that stall
 // twice. The stock read pipeline overlaps the reads with compute and charges
 // only this share, the overlap HeydariGorji et al. (arXiv:2112.12415)

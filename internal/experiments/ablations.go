@@ -7,10 +7,7 @@ import (
 	"sort"
 	"time"
 
-	"compstor/internal/apps/appset"
 	"compstor/internal/core"
-	"compstor/internal/ftl"
-	"compstor/internal/pcie"
 	"compstor/internal/sim"
 	"compstor/internal/ssd"
 	"compstor/internal/trace"
@@ -40,16 +37,10 @@ type InterferenceResult struct {
 // devices.
 func AblationInterference(o Options) InterferenceResult {
 	run := func(load bool, shared bool) (mean, p99 time.Duration, count int64) {
-		eng := sim.NewEngine()
-		defer eng.Shutdown()
-		fabric := pcie.NewFabric(eng)
-		cfg := ssd.CompStorConfig("dev", appset.Base())
-		cfg.Geometry = o.Geometry
-		cfg.SharedCores = shared
-		cfg.Obs = o.Obs.Scope(fmt.Sprintf("interference.load%t.shared%t", load, shared))
-		drive := ssd.New(eng, fabric.AddPort(), cfg)
-		core.AttachAgent(drive)
-		client := core.NewClient(drive)
+		sys := o.system(o.Obs.Scope(fmt.Sprintf("interference.load%t.shared%t", load, shared)),
+			core.SystemConfig{CompStors: 1, Ablation: ssd.Ablation{SharedCores: shared}})
+		defer sys.Close()
+		eng, drive, client := sys.Eng, sys.Device(0).Drive, sys.Device(0).Client
 		payload := bytes.Repeat([]byte("interference corpus line\n"), 20_000) // ~500 KB
 
 		window := 400 * time.Millisecond
@@ -143,18 +134,13 @@ type StripingResult struct {
 // allocation policies.
 func AblationStriping(o Options) StripingResult {
 	run := func(striping bool) float64 {
-		eng := sim.NewEngine()
-		defer eng.Shutdown()
-		fabric := pcie.NewFabric(eng)
-		cfg := ssd.DefaultConfig("dev")
-		cfg.Geometry = o.Geometry
-		cfg.FTL = ftl.Config{OverProvision: 0.07, Striping: striping}
-		cfg.Obs = o.Obs.Scope(fmt.Sprintf("striping.striped%t", striping))
-		drive := ssd.New(eng, fabric.AddPort(), cfg)
-		drv := drive.Driver()
+		sys := o.system(o.Obs.Scope(fmt.Sprintf("striping.striped%t", striping)),
+			core.SystemConfig{ConventionalSSD: true, Ablation: ssd.Ablation{LinearFTL: !striping}})
+		defer sys.Close()
+		eng, drv := sys.Eng, sys.Conventional.Driver()
 		const chunk = 64
 		total := int64(2048) // pages
-		payload := bytes.Repeat([]byte{0xAB}, chunk*cfg.Geometry.PageSize)
+		payload := bytes.Repeat([]byte{0xAB}, chunk*o.Geometry.PageSize)
 		var elapsed sim.Duration
 		eng.Go("writer", func(p *sim.Proc) {
 			start := p.Now()
@@ -166,7 +152,7 @@ func AblationStriping(o Options) StripingResult {
 			elapsed = p.Now().Sub(start)
 		})
 		eng.Run()
-		return mbps(total*int64(cfg.Geometry.PageSize), elapsed)
+		return mbps(total*int64(o.Geometry.PageSize), elapsed)
 	}
 	return StripingResult{StripedMBps: run(true), LinearMBps: run(false)}
 }
@@ -193,16 +179,10 @@ type DirectPathResult struct {
 func AblationDirectPath(o Options) DirectPathResult {
 	run := func(via bool) float64 {
 		files := o.corpus()
-		eng := sim.NewEngine()
-		defer eng.Shutdown()
-		fabric := pcie.NewFabric(eng)
-		cfg := ssd.CompStorConfig("dev", appset.Base())
-		cfg.Geometry = o.Geometry
-		cfg.ISPSViaNVMePath = via
-		cfg.Obs = o.Obs.Scope(fmt.Sprintf("directpath.via%t", via))
-		drive := ssd.New(eng, fabric.AddPort(), cfg)
-		core.AttachAgent(drive)
-		client := core.NewClient(drive)
+		sys := o.system(o.Obs.Scope(fmt.Sprintf("directpath.via%t", via)),
+			core.SystemConfig{CompStors: 1, Ablation: ssd.Ablation{ViaNVMePath: via}})
+		defer sys.Close()
+		eng, client := sys.Eng, sys.Device(0).Client
 		var elapsed sim.Duration
 		var inBytes int64
 		eng.Go("driver", func(p *sim.Proc) {

@@ -63,7 +63,7 @@ func Scaleup(o Options) ScaleupResult {
 			var base float64
 			for _, cores := range []int{1, 2, 4} {
 				o.logf("scaleup: %s pipelined=%v cores=%d...", c.name, pipelined, cores)
-				cfg := core.SystemConfig{SerialReads: !pipelined, ScanChunks: cores} // 1 = the paper's executor
+				cfg := core.SystemConfig{Ablation: ssd.Ablation{SerialReads: !pipelined, ScanChunks: cores}} // 1 = the paper's executor
 				stdout, elapsed, drive := o.scanRun(fmt.Sprintf("%s.%s.c%d", path, c.name, cores), cfg, c.cmd, data)
 				if !pipelined && cores == 1 {
 					serialOut = stdout

@@ -7,61 +7,6 @@ import (
 	"compstor/internal/sim"
 )
 
-// Registry holds metrics by hierarchical name. All methods are engine-
-// context only (see the package doc); none takes a lock. A nil *Registry
-// is inert.
-type Registry struct {
-	counters map[string]*Counter
-	hists    map[string]*Histogram
-	funcs    map[string]func() int64
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		hists:    make(map[string]*Histogram),
-		funcs:    make(map[string]func() int64),
-	}
-}
-
-// Counter returns the counter registered under name, creating it on first
-// use.
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	c := r.counters[name]
-	if c == nil {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
-
-// Histogram returns the histogram registered under name, creating it on
-// first use.
-func (r *Registry) Histogram(name string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	h := r.hists[name]
-	if h == nil {
-		h = &Histogram{}
-		r.hists[name] = h
-	}
-	return h
-}
-
-// CounterFunc registers a pull-style counter whose value is read from fn at
-// snapshot time. An owned counter of the same name wins over a function.
-func (r *Registry) CounterFunc(name string, fn func() int64) {
-	if r == nil {
-		return
-	}
-	r.funcs[name] = fn
-}
-
 // Counter is a monotonically interpreted event count. Negative deltas clamp
 // at zero and positive deltas saturate at MaxInt64 rather than wrapping, so
 // a buggy caller distorts one metric instead of poisoning a whole snapshot

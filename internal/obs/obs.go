@@ -47,11 +47,14 @@ type Obs struct {
 }
 
 // shared is the state common to a root Obs and every scope derived from it.
+// The three metric maps are keyed by full (prefixed) name.
 type shared struct {
-	reg     *Registry
-	tracer  *Tracer
-	tls     *timelineStore
-	nextPid int
+	counters map[string]*Counter
+	hists    map[string]*Histogram
+	funcs    map[string]func() int64
+	tracer   *Tracer
+	tls      *timelineStore
+	nextPid  int
 }
 
 // New creates a root Obs with metrics and timelines enabled and span
@@ -59,10 +62,12 @@ type shared struct {
 // is named "host".
 func New() *Obs {
 	sh := &shared{
-		reg:     NewRegistry(),
-		tracer:  newTracer(),
-		tls:     newTimelineStore(),
-		nextPid: 2,
+		counters: make(map[string]*Counter),
+		hists:    make(map[string]*Histogram),
+		funcs:    make(map[string]func() int64),
+		tracer:   newTracer(),
+		tls:      newTimelineStore(),
+		nextPid:  2,
 	}
 	o := &Obs{shared: sh, pid: 1}
 	sh.tracer.processName(1, "host")
@@ -80,7 +85,7 @@ func (o *Obs) EnableTrace() {
 
 // Scope derives a child handle whose metric names gain the prefix
 // "name." and whose spans render under a fresh Chrome trace process named
-// after the full prefix. Registry, tracer, and timelines stay shared, so a
+// after the full prefix. Metrics, tracer, and timelines stay shared, so a
 // root snapshot sees every scope's data.
 func (o *Obs) Scope(name string) *Obs {
 	if o == nil {
@@ -99,7 +104,12 @@ func (o *Obs) Counter(name string) *Counter {
 	if o == nil {
 		return nil
 	}
-	return o.shared.reg.Counter(o.prefix + name)
+	c := o.shared.counters[o.prefix+name]
+	if c == nil {
+		c = &Counter{}
+		o.shared.counters[o.prefix+name] = c
+	}
+	return c
 }
 
 // Histogram returns the sim-time histogram registered under the scope's
@@ -108,17 +118,23 @@ func (o *Obs) Histogram(name string) *Histogram {
 	if o == nil {
 		return nil
 	}
-	return o.shared.reg.Histogram(o.prefix + name)
+	h := o.shared.hists[o.prefix+name]
+	if h == nil {
+		h = &Histogram{}
+		o.shared.hists[o.prefix+name] = h
+	}
+	return h
 }
 
 // CounterFunc registers a counter whose value is pulled from fn at snapshot
 // time. This is how existing per-layer Stats structs surface uniformly
-// without double bookkeeping.
+// without double bookkeeping. An owned counter of the same name wins over a
+// function.
 func (o *Obs) CounterFunc(name string, fn func() int64) {
 	if o == nil {
 		return
 	}
-	o.shared.reg.CounterFunc(o.prefix+name, fn)
+	o.shared.funcs[o.prefix+name] = fn
 }
 
 // Timeline returns the utilisation timeline registered under the scope's

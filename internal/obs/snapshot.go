@@ -11,9 +11,9 @@ import (
 // change. Consumers (and the CI schema test) match on it.
 const SchemaVersion = "compstor/obs/v1"
 
-// Snapshot is the stable, machine-readable form of a registry: everything
-// is sorted by name and expressed in deterministic integer nanoseconds or
-// floats, so identical seeds serialise to identical bytes.
+// Snapshot is the stable, machine-readable form of a scope's metrics:
+// everything is sorted by name and expressed in deterministic integer
+// nanoseconds or floats, so identical seeds serialise to identical bytes.
 type Snapshot struct {
 	Schema     string          `json:"schema"`
 	Name       string          `json:"name"`
@@ -58,9 +58,8 @@ type TimelineSnap struct {
 }
 
 // Snapshot collects every metric and timeline under this scope's prefix,
-// strips the prefix, and returns a stable struct. Collectors registered on
-// the shared registry run first. Engine-context only (see package doc); to
-// snapshot mid-run, schedule the call as an engine event.
+// strips the prefix, and returns a stable struct. Engine-context only (see
+// package doc); to snapshot mid-run, schedule the call as an engine event.
 func (o *Obs) Snapshot(name string) Snapshot {
 	s := Snapshot{
 		Schema:     SchemaVersion,
@@ -73,7 +72,7 @@ func (o *Obs) Snapshot(name string) Snapshot {
 	if o == nil {
 		return s
 	}
-	r := o.shared.reg
+	r := o.shared
 	keep := func(full string) (string, bool) {
 		if !strings.HasPrefix(full, o.prefix) {
 			return "", false

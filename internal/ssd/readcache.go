@@ -11,7 +11,7 @@ import (
 // The streaming in-device read pipeline, how the stock CompStor reads: an
 // ISPS-DRAM page cache in front of the FTL plus a sequential read-ahead
 // prefetcher, carved out of the subsystem's 8 GB DDR4 budget
-// (isps.Subsystem.ReserveDRAM). Config.SerialReads is the ablation without
+// (isps.Subsystem.ReserveDRAM). Ablation.SerialReads is the ablation without
 // it, the paper's synchronous read loop. It exists only on an in-situ
 // drive's dedicated flash path.
 //

@@ -3,9 +3,9 @@
 // carrying the CompStor in-storage processing subsystem with its dedicated
 // flash path.
 //
-// Two ablation configurations reproduce the paper's Table I comparisons:
+// Two ablations (Config.Ablation) reproduce the paper's Table I comparisons:
 // SharedCores runs in-situ tasks on the controller's embedded cores
-// (Biscuit-style), and ISPSViaNVMePath removes the dedicated high-bandwidth
+// (Biscuit-style), and ViaNVMePath removes the dedicated high-bandwidth
 // flash path, forcing in-situ I/O through the protocol front-end.
 package ssd
 
@@ -39,35 +39,38 @@ const (
 	ispsDriverLatency = 3 * time.Microsecond
 )
 
+// Ablation takes design choices of the stock CompStor away (DESIGN.md §5);
+// its zero value is the stock drive.
+type Ablation struct {
+	// SerialReads drops the streaming read pipeline (readcache.go): every
+	// in-situ read stalls its core, the paper's synchronous read loop.
+	SerialReads bool
+	// ScanChunks is isps.Config.ScanChunks: 0 splits a large scan one chunk
+	// per core, 1 is the paper's one-core-per-task executor.
+	ScanChunks int
+	// SharedCores runs in-situ tasks on the controller's embedded cores
+	// (Biscuit-style) instead of a dedicated subsystem.
+	SharedCores bool
+	// ViaNVMePath drops the dedicated flash path: in-situ flash access pays
+	// protocol-front-end costs per operation and loses fan-out.
+	ViaNVMePath bool
+	// LinearFTL turns off the FTL's channel-striped write allocation.
+	LinearFTL bool
+}
+
 // Config assembles a drive. Flash timing is its package's default
-// (flash.DefaultTiming); the NVMe front-end has no settings.
+// (flash.DefaultTiming), the FTL's is ftl.DefaultConfig bar
+// Ablation.LinearFTL; the NVMe front-end has no settings.
 type Config struct {
 	Name     string
 	Geometry flash.Geometry
-	FTL      ftl.Config
 
 	// InSitu attaches an ISPS (making this a CompStor). Registry is the
 	// program set to install (cloned); required when InSitu.
 	InSitu   bool
 	Registry *apps.Registry
 
-	// SerialReads is the serial-read ablation: no streaming read pipeline
-	// (ISPS-DRAM page cache + read-ahead prefetcher, readcache.go), so every
-	// in-situ read stalls its core — the paper's synchronous read loop. The
-	// pipeline only exists on in-situ drives with the dedicated flash path.
-	SerialReads bool
-
-	// ScanChunks is forwarded to the ISPS (isps.Config.ScanChunks): 0 splits
-	// a large scan one chunk per core, 1 is the paper's one-core-per-task
-	// executor.
-	ScanChunks int
-
-	// SharedCores is the Biscuit-style ablation: in-situ tasks execute on
-	// the controller's embedded cores instead of a dedicated subsystem.
-	SharedCores bool
-	// ISPSViaNVMePath is the no-dedicated-path ablation: in-situ flash
-	// access pays protocol-front-end costs per operation and loses fan-out.
-	ISPSViaNVMePath bool
+	Ablation Ablation
 
 	// Meter, when set, registers the device's ISPS energy component.
 	Meter *energy.Meter
@@ -84,7 +87,6 @@ func DefaultConfig(name string) Config {
 	return Config{
 		Name:     name,
 		Geometry: flash.DefaultGeometry(),
-		FTL:      ftl.DefaultConfig(),
 	}
 }
 
@@ -98,9 +100,10 @@ func CompStorConfig(name string, registry *apps.Registry) Config {
 
 // SSD is an assembled drive attached to a PCIe port.
 type SSD struct {
-	eng  *sim.Engine
-	cfg  Config
-	port *pcie.Port
+	eng    *sim.Engine
+	cfg    Config
+	ftlCfg ftl.Config // kept for Remount's ftl.Recover
+	port   *pcie.Port
 
 	dev  *flash.Device
 	ftl  *ftl.FTL
@@ -131,10 +134,13 @@ type SSD struct {
 func New(eng *sim.Engine, port *pcie.Port, cfg Config) *SSD {
 	// Carrying Obs inside the FTL config means Remount's Recover-built
 	// replacement FTL is instrumented too.
-	cfg.FTL.Obs = cfg.Obs
+	ftlCfg := ftl.DefaultConfig()
+	ftlCfg.Striping = !cfg.Ablation.LinearFTL
+	ftlCfg.Obs = cfg.Obs
 	s := &SSD{
 		eng:     eng,
 		cfg:     cfg,
+		ftlCfg:  ftlCfg,
 		port:    port,
 		dev:     flash.NewDevice(eng, cfg.Name+"/nand", cfg.Geometry, flash.DefaultTiming()),
 		ctrlCPU: sim.NewResource(eng, ctrlCores),
@@ -148,7 +154,7 @@ func New(eng *sim.Engine, port *pcie.Port, cfg Config) *SSD {
 		s.ioNames[i] = fmt.Sprintf("%s/io%d", cfg.Name, i)
 	}
 	s.dev.SetObs(cfg.Obs)
-	s.ftl = ftl.New(s.dev, cfg.FTL)
+	s.ftl = ftl.New(s.dev, ftlCfg)
 	s.fs = minfs.NewFS(cfg.Geometry.PageSize, s.ftl.LogicalPages())
 	if cfg.Obs != nil {
 		cfg.Obs.WatchResource("ctrl.busy", time.Millisecond, s.ctrlCPU)
@@ -167,14 +173,14 @@ func New(eng *sim.Engine, port *pcie.Port, cfg Config) *SSD {
 			Platform:   platform,
 			Registry:   cfg.Registry.Clone(),
 			Meter:      meterComp,
-			ScanChunks: cfg.ScanChunks,
+			ScanChunks: cfg.Ablation.ScanChunks,
 		}
-		if cfg.SharedCores {
+		if cfg.Ablation.SharedCores {
 			icfg.Cores = s.ctrlCPU
 		}
 		s.sub = isps.New(eng, icfg)
 		s.sub.SetObs(cfg.Obs)
-		if !cfg.SerialReads && !cfg.ISPSViaNVMePath {
+		if !cfg.Ablation.SerialReads && !cfg.Ablation.ViaNVMePath {
 			s.sub.ReserveDRAM(cachePages * int64(cfg.Geometry.PageSize))
 			c := newReadCache(s)
 			s.cache = c
@@ -212,7 +218,7 @@ func (s *SSD) Remount(p *sim.Proc) (ftl.RecoveryStats, error) {
 		defer sp.End()
 	}
 	s.dev.PowerOn()
-	f, rs, err := ftl.Recover(p, s.dev, s.cfg.FTL)
+	f, rs, err := ftl.Recover(p, s.dev, s.ftlCfg)
 	if err != nil {
 		return rs, fmt.Errorf("ssd: remount %s: %w", s.cfg.Name, err)
 	}
@@ -579,7 +585,7 @@ type ispsBlockDevice struct {
 }
 
 func (s *SSD) ispsBlockDevice() minfs.BlockDevice {
-	return &ispsBlockDevice{s: s, direct: !s.cfg.ISPSViaNVMePath}
+	return &ispsBlockDevice{s: s, direct: !s.cfg.Ablation.ViaNVMePath}
 }
 
 func (d *ispsBlockDevice) PageSize() int { return d.s.PageSize() }

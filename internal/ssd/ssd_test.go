@@ -44,7 +44,7 @@ func newSerialRig(t testing.TB) (*sim.Engine, *SSD) {
 	eng := sim.NewEngine()
 	cfg := CompStorConfig("cs0", appset.Base())
 	cfg.Geometry = smallGeometry()
-	cfg.SerialReads = true
+	cfg.Ablation.SerialReads = true
 	return eng, New(eng, pcie.NewFabric(eng).AddPort(), cfg)
 }
 
@@ -153,7 +153,7 @@ func TestViaNVMeAblationSlower(t *testing.T) {
 		fabric := pcie.NewFabric(eng)
 		cfg := CompStorConfig("cs", appset.Base())
 		cfg.Geometry = smallGeometry()
-		cfg.ISPSViaNVMePath = via
+		cfg.Ablation.ViaNVMePath = via
 		drive := New(eng, fabric.AddPort(), cfg)
 		content := bytes.Repeat([]byte("y"), 256*1024)
 		var d sim.Duration
@@ -185,7 +185,7 @@ func TestSharedCoresAblationWiring(t *testing.T) {
 	fabric := pcie.NewFabric(eng)
 	cfg := CompStorConfig("cs", appset.Base())
 	cfg.Geometry = smallGeometry()
-	cfg.SharedCores = true
+	cfg.Ablation.SharedCores = true
 	drive := New(eng, fabric.AddPort(), cfg)
 	if drive.ISPS().Cores() != drive.ctrlCPU {
 		t.Fatal("shared-core ablation did not share the controller CPU")
