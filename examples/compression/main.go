@@ -61,38 +61,30 @@ func main() {
 				panic(err)
 			}
 		}
-		hostView.Flush(p)
+		if err := hostView.Flush(p); err != nil {
+			panic(err)
+		}
 		staged, err := pool.Stage(p, cluster.Shard(devFiles, devices))
 		if err != nil {
 			panic(err)
 		}
 
 		var hostElapsed, devElapsed sim.Duration
-		var wg sim.WaitGroup
-		wg.Add(2)
-		sys.Eng.Go("host-side", func(sp *sim.Proc) {
-			defer wg.Done()
+		sides := [...]string{"host-side", "device-side"}
+		p.Fork(len(sides), func(i int) string { return sides[i] }, func(sp *sim.Proc, side int) {
 			start := sp.Now()
-			var hw sim.WaitGroup
-			workers := cpu.Xeon().Cores
-			hw.Add(workers)
-			for wk := 0; wk < workers; wk++ {
-				wk := wk
-				sys.Eng.Go("hostwork", func(hp *sim.Proc) {
-					defer hw.Done()
+			if side == 0 {
+				workers := cpu.Xeon().Cores
+				sp.Fork(workers, func(int) string { return "hostwork" }, func(hp *sim.Proc, wk int) {
 					for i := wk; i < len(hostFiles); i += workers {
 						if r := sys.Host.Run(hp, isps.TaskSpec{Exec: "bzip2", Args: []string{hostFiles[i].Name}}); r.Err != nil {
 							panic(fmt.Sprintf("host bzip2 %s: %v", hostFiles[i].Name, r.Err))
 						}
 					}
 				})
+				hostElapsed = sp.Now().Sub(start)
+				return
 			}
-			hw.Wait(sp)
-			hostElapsed = sp.Now().Sub(start)
-		})
-		sys.Eng.Go("device-side", func(sp *sim.Proc) {
-			defer wg.Done()
-			start := sp.Now()
 			for _, r := range pool.MapFiles(sp, staged, func(name string) core.Command {
 				return core.Command{Exec: "bzip2", Args: []string{name}}
 			}) {
@@ -102,7 +94,6 @@ func main() {
 			}
 			devElapsed = sp.Now().Sub(start)
 		})
-		wg.Wait(p)
 
 		hostMBps := float64(hostBytes) / hostElapsed.Seconds() / 1e6
 		devMBps := float64(devBytes) / devElapsed.Seconds() / 1e6

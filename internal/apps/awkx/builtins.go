@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+
+	"compstor/internal/apps"
 )
 
 // builtin is one built-in function: how many arguments it takes, checked
@@ -258,17 +260,17 @@ func substitute(re *compiledRegex, s, repl string, global bool) (string, int, er
 		}
 	}
 	out.Write(src[done:])
-	if out.Len() > maxString {
+	if out.Len() > apps.MaxOutput {
 		return "", 0, errStringLimit
 	}
 	return out.String(), count, nil
 }
 
 // expandRepl appends repl to out with each & expanded, reporting false
-// instead when that would take out past maxString.
+// instead when that would take out past apps.MaxOutput.
 func expandRepl(out *strings.Builder, repl string, matched []byte) bool {
 	for i := 0; i < len(repl); i++ {
-		if out.Len()+len(matched) > maxString {
+		if out.Len()+len(matched) > apps.MaxOutput {
 			return false
 		}
 		c := repl[i]
@@ -302,7 +304,7 @@ func (in *interp) sprintf(format string, args []value) (string, error) {
 		return uninitialized
 	}
 	for i := 0; i < len(format); i++ {
-		if out.Len() > maxString {
+		if out.Len() > apps.MaxOutput {
 			return "", errStringLimit
 		}
 		c := format[i]
@@ -360,7 +362,7 @@ func (in *interp) sprintf(format string, args []value) (string, error) {
 			}
 		case 's':
 			s := nextArg().Str()
-			if out.Len()+len(s) > maxString {
+			if out.Len()+len(s) > apps.MaxOutput {
 				return "", errStringLimit
 			}
 			fmt.Fprintf(&out, spec+"s", s)
@@ -368,7 +370,7 @@ func (in *interp) sprintf(format string, args []value) (string, error) {
 			return "", runtimeErr("printf: unsupported verb %%%c", verb)
 		}
 	}
-	if out.Len() > maxString {
+	if out.Len() > apps.MaxOutput {
 		return "", errStringLimit
 	}
 	return out.String(), nil

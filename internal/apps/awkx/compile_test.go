@@ -271,7 +271,7 @@ func TestFieldCountIsBounded(t *testing.T) {
 
 // A string that doubles each pass used to grow until the host ran out of
 // memory: 26 passes make 64 MiB, with 26 steps counted. Each way a program
-// builds a string now stops at maxString, in bounded memory and time.
+// builds a string now stops at apps.MaxOutput, in bounded memory and time.
 func TestStringLengthIsBounded(t *testing.T) {
 	for _, src := range []string{
 		`BEGIN { s = "x"; while (1) s = s s }`,

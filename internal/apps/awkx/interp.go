@@ -160,17 +160,15 @@ func (in *interp) setVar(s varSlot, v value) error {
 // would be given a string header per field it asked for.
 const maxFields = 4<<20 + 1
 
-// maxString bounds every string a program builds — a concatenation, a
-// sprintf or printf, a sub or gsub result, a rebuilt $0 — at the 64 MiB the
-// ISPS reserves for a task by default. Doubling a string in a loop passes it
-// in 26 steps, long before the step counter would notice.
-const maxString = 64 << 20
-
-var errStringLimit = runtimeErr("string longer than %d bytes", maxString)
+// errStringLimit stops every string a program builds — a concatenation, a
+// sprintf or printf, a sub or gsub result, a rebuilt $0 — at apps.MaxOutput.
+// Doubling a string in a loop passes it in 26 steps, long before the step
+// counter would notice.
+var errStringLimit = runtimeErr("string longer than %d bytes", apps.MaxOutput)
 
 // concat is the one place awk joins two strings.
 func concat(a, b string) (value, error) {
-	if len(a)+len(b) > maxString {
+	if len(a)+len(b) > apps.MaxOutput {
 		return uninitialized, errStringLimit
 	}
 	return str(a + b), nil
@@ -307,7 +305,7 @@ func (in *interp) ensureRecord() error {
 	for _, f := range in.fields {
 		n += len(f)
 	}
-	if n > maxString {
+	if n > apps.MaxOutput {
 		return errStringLimit
 	}
 	in.record = strings.Join(in.fields, in.ofs())

@@ -36,9 +36,12 @@ type Codec struct {
 	memo *CodecMemo // set by Bind; nil computes every time
 }
 
-// MaxOutput bounds a decoder's output at the DRAM the ISPS reserves for a
-// task by default (awk's strings obey it too); gunzip and bunzip2 stop with
-// ErrOutputLimit before their output passes it.
+// MaxOutput is the DRAM the ISPS reserves for a task whose spec does not
+// say. The paper's applications stream their input through block-sized
+// buffers, so 64 MiB covers any of them; the 8 GB ISPS then admits 128 such
+// tasks, far more than its four cores can run. No task builds a value past
+// it: gunzip and bunzip2 stop with ErrOutputLimit before their output
+// passes it, and awk before any string it builds does.
 const MaxOutput = 64 << 20
 
 // ErrOutputLimit is a decoder's error past MaxOutput.

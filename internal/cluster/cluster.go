@@ -470,16 +470,8 @@ func (pl *Pool) stageOn(p *sim.Proc, dev int, files []File) ([]string, error) {
 // position in devs and the device there. Staging, replication, the map
 // phase and every failover round fan out through here.
 func (pl *Pool) fanOut(p *sim.Proc, label string, devs []int, fn func(sp *sim.Proc, i, dev int)) {
-	var wg sim.WaitGroup
-	wg.Add(len(devs))
-	for i, dev := range devs {
-		i, dev := i, dev
-		pl.eng.Go(fmt.Sprintf("%s%d", label, dev), func(sp *sim.Proc) {
-			defer wg.Done()
-			fn(sp, i, dev)
-		})
-	}
-	wg.Wait(p)
+	p.Fork(len(devs), func(i int) string { return fmt.Sprintf("%s%d", label, devs[i]) },
+		func(sp *sim.Proc, i int) { fn(sp, i, devs[i]) })
 }
 
 // Stage writes shard i's files onto device i, all devices in parallel,
@@ -553,25 +545,18 @@ func (pl *Pool) mapOn(p *sim.Proc, dev int, files []string, makeCmd func(name st
 		workers = len(files)
 	}
 	results := make([]TaskResult, len(files))
-	var wg sim.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		w := w
-		pl.eng.Go(fmt.Sprintf("map%d.%d", dev, w), func(sp *sim.Proc) {
-			defer wg.Done()
-			// The stride is the captured worker count: a mutation of
-			// PerDeviceTasks mid-run must not change which files this
-			// worker visits (it would skip or duplicate work).
-			for fi := w; fi < len(files); fi += workers {
-				name := files[fi]
-				resp, attempts, err := pl.runTask(sp, dev, makeCmd(name))
-				results[fi] = TaskResult{
-					Device: dev, Name: name, Resp: resp, Err: err, Attempts: attempts,
-				}
+	p.Fork(workers, func(w int) string { return fmt.Sprintf("map%d.%d", dev, w) }, func(sp *sim.Proc, w int) {
+		// The stride is the captured worker count: a mutation of
+		// PerDeviceTasks mid-run must not change which files this worker
+		// visits (it would skip or duplicate work).
+		for fi := w; fi < len(files); fi += workers {
+			name := files[fi]
+			resp, attempts, err := pl.runTask(sp, dev, makeCmd(name))
+			results[fi] = TaskResult{
+				Device: dev, Name: name, Resp: resp, Err: err, Attempts: attempts,
 			}
-		})
-	}
-	wg.Wait(p)
+		}
+	})
 	return results
 }
 

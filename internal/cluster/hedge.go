@@ -98,15 +98,13 @@ func (pl *Pool) RunHedged(p *sim.Proc, dev int, cmd core.Command) (*core.Respons
 	}
 
 	out := sim.NewMailbox[hedgeOutcome]()
-	obsCtx := p.ObsCtx()
 	var tokens [2]*apps.CancelToken
 	launch := func(leg, target int) {
 		c := cmd
 		tok := &apps.CancelToken{}
 		tokens[leg] = tok
 		c.Cancel = tok
-		pl.eng.Go(fmt.Sprintf("hedge%d", leg), func(hp *sim.Proc) {
-			hp.SetObsCtx(obsCtx)
+		p.Go(fmt.Sprintf("hedge%d", leg), func(hp *sim.Proc) {
 			resp, att, err := pl.runTask(hp, target, c)
 			out.Put(hedgeOutcome{leg: leg, resp: resp, attempts: att, err: err})
 		})

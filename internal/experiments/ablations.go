@@ -7,6 +7,7 @@ import (
 	"sort"
 	"time"
 
+	"compstor/internal/cluster"
 	"compstor/internal/core"
 	"compstor/internal/sim"
 	"compstor/internal/ssd"
@@ -47,10 +48,7 @@ func AblationInterference(o Options) InterferenceResult {
 		var lats []time.Duration
 
 		eng.Go("setup", func(p *sim.Proc) {
-			if err := client.FS().WriteFile(p, "big.txt", payload); err != nil {
-				panic(err)
-			}
-			client.FS().Flush(p)
+			stageFiles(p, client.FS(), cluster.File{Name: "big.txt", Data: payload})
 		})
 		eng.Run()
 
@@ -61,7 +59,7 @@ func AblationInterference(o Options) InterferenceResult {
 						if p.Now() > sim.Time(window) {
 							return
 						}
-						client.Run(p, core.Command{Exec: "bzip2", Args: []string{"big.txt"}})
+						runOK(p, client, core.Command{Exec: "bzip2", Args: []string{"big.txt"}})
 					}
 				})
 			}
@@ -184,32 +182,18 @@ func AblationDirectPath(o Options) DirectPathResult {
 		defer sys.Close()
 		eng, client := sys.Eng, sys.Device(0).Client
 		var elapsed sim.Duration
-		var inBytes int64
 		eng.Go("driver", func(p *sim.Proc) {
-			for _, f := range files {
-				if err := client.FS().WriteFile(p, f.Name, f.Data); err != nil {
-					panic(err)
-				}
-				inBytes += int64(len(f.Data))
-			}
-			client.FS().Flush(p)
+			stageFiles(p, client.FS(), files...)
 			start := p.Now()
-			var wg sim.WaitGroup
-			wg.Add(4)
-			for wk := 0; wk < 4; wk++ {
-				wk := wk
-				eng.Go("task", func(sp *sim.Proc) {
-					defer wg.Done()
-					for i := wk; i < len(files); i += 4 {
-						client.Run(sp, core.Command{Exec: "grep", Args: []string{"-c", "the", files[i].Name}})
-					}
-				})
-			}
-			wg.Wait(p)
+			p.Fork(4, func(int) string { return "task" }, func(sp *sim.Proc, wk int) {
+				for i := wk; i < len(files); i += 4 {
+					runOK(sp, client, core.Command{Exec: "grep", Args: []string{"-c", "the", files[i].Name}})
+				}
+			})
 			elapsed = p.Now().Sub(start)
 		})
 		eng.Run()
-		return mbps(inBytes, elapsed)
+		return mbps(totalBytes(files), elapsed)
 	}
 	return DirectPathResult{DirectMBps: run(false), ViaMBps: run(true)}
 }

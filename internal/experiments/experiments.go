@@ -22,6 +22,7 @@ import (
 	"compstor/internal/cluster"
 	"compstor/internal/core"
 	"compstor/internal/flash"
+	"compstor/internal/minfs"
 	"compstor/internal/obs"
 	"compstor/internal/sim"
 	"compstor/internal/ssd"
@@ -137,25 +138,18 @@ func (o Options) newCluster(scope *obs.Obs, cfg core.SystemConfig) (*core.System
 // the pool kept busy: PerDeviceTasks x Size workers (named label0,
 // label1, ...) each send their next request only once the previous one has
 // returned. cmd builds request idx; done sees its result and latency.
-func closedLoop(p *sim.Proc, sys *core.System, pool *cluster.Pool, label string, total int,
+func closedLoop(p *sim.Proc, pool *cluster.Pool, label string, total int,
 	b cluster.Balancer, cmd func(idx int) core.Command, done func(idx int, r cluster.TaskResult, lat sim.Duration)) {
 	next := 0
-	workers := pool.PerDeviceTasks * pool.Size()
-	var wg sim.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		sys.Eng.Go(fmt.Sprintf("%s%d", label, w), func(sp *sim.Proc) {
-			defer wg.Done()
-			for next < total {
-				idx := next
-				next++
-				t0 := sp.Now()
-				r := pool.Dispatch(sp, b, cmd(idx))
-				done(idx, r, sp.Now().Sub(t0))
-			}
-		})
-	}
-	wg.Wait(p)
+	p.Fork(pool.PerDeviceTasks*pool.Size(), func(w int) string { return fmt.Sprintf("%s%d", label, w) }, func(sp *sim.Proc, _ int) {
+		for next < total {
+			idx := next
+			next++
+			t0 := sp.Now()
+			r := pool.Dispatch(sp, b, cmd(idx))
+			done(idx, r, sp.Now().Sub(t0))
+		}
+	})
 }
 
 // calibrate measures an n-device cluster's closed-loop capacity on the
@@ -174,7 +168,7 @@ func (o Options) calibrate(n int, data []byte, total int, cmd func(idx int) core
 			panic(fmt.Sprintf("calibration stage: %v", err))
 		}
 		start := p.Now()
-		closedLoop(p, sys, pool, "cal", total, cluster.LeastOutstanding{}, cmd,
+		closedLoop(p, pool, "cal", total, cluster.LeastOutstanding{}, cmd,
 			func(idx int, r cluster.TaskResult, lat sim.Duration) {
 				if r.Err != nil {
 					panic(fmt.Sprintf("calibration req %d: %v", idx, r.Err))
@@ -213,23 +207,37 @@ func (o Options) scanRun(scope string, cfg core.SystemConfig, cmd core.Command, 
 	var stdout string
 	sys.Go("driver", func(p *sim.Proc) {
 		cl := sys.Device(0).Client
-		if err := cl.FS().WriteFile(p, "scan.txt", data); err != nil {
-			panic(fmt.Sprintf("%s staging: %v", scope, err))
-		}
-		if err := cl.FS().Flush(p); err != nil {
-			panic(fmt.Sprintf("%s staging flush: %v", scope, err))
-		}
+		stageFiles(p, cl.FS(), cluster.File{Name: "scan.txt", Data: data})
 		start := p.Now()
-		resp, err := cl.Run(p, cmd)
+		stdout = string(runOK(p, cl, cmd).Stdout)
 		elapsed = p.Now().Sub(start)
-		if err != nil || resp.Status != core.StatusOK {
-			panic(fmt.Sprintf("%s: err=%v resp=%+v", scope, err, resp))
-		}
-		stdout = string(resp.Stdout)
 	})
 	sys.Run()
 	sys.Close()
 	return stdout, elapsed, sys.Device(0).Drive
+}
+
+// stageFiles writes files through view and flushes it. A failure panics with
+// its cause: a run over data that never landed must not be timed.
+func stageFiles(p *sim.Proc, view *minfs.View, files ...cluster.File) {
+	for _, f := range files {
+		if err := view.WriteFile(p, f.Name, f.Data); err != nil {
+			panic(fmt.Sprintf("experiments: staging %s: %v", f.Name, err))
+		}
+	}
+	if err := view.Flush(p); err != nil {
+		panic(fmt.Sprintf("experiments: staging flush: %v", err))
+	}
+}
+
+// runOK runs cmd through client and returns its response, panicking with the
+// cause unless the command ran and exited OK.
+func runOK(p *sim.Proc, client *core.Client, cmd core.Command) *core.Response {
+	resp, err := client.Run(p, cmd)
+	if err != nil || resp.Status != core.StatusOK {
+		panic(fmt.Sprintf("experiments: %s %q: err=%v resp=%+v", cmd.Exec, cmd.Args, err, resp))
+	}
+	return resp
 }
 
 func totalBytes(files []cluster.File) int64 {

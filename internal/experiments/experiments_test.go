@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
+	"compstor/internal/core"
 	"compstor/internal/flash"
 )
 
@@ -58,4 +60,20 @@ func TestWorkloadLookup(t *testing.T) {
 	if len(Workloads()) != 6 {
 		t.Fatal("expected the paper's six applications")
 	}
+}
+
+// fig7Point stops at a failed task instead of timing it: with a program
+// installed on neither side, the point panics with the failure.
+func TestFig7PointPanicsOnFailedTasks(t *testing.T) {
+	w := Workload{Name: "nosuch", Dataset: identityDataset, Command: func(name string) core.Command {
+		return core.Command{Exec: "nosuch", Args: []string{name}}
+	}}
+	defer func() {
+		r := recover()
+		if r == nil || !strings.Contains(fmt.Sprint(r), "nosuch") {
+			t.Fatalf("fig7Point recovered %v; want a panic naming the failed program", r)
+		}
+	}()
+	pt := tinyOptions().fig7Point(1, w)
+	t.Errorf("fig7Point returned %+v", pt)
 }

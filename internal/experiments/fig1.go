@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"compstor/internal/cluster"
 	"compstor/internal/core"
 	"compstor/internal/flash"
 	"compstor/internal/pcie"
@@ -66,27 +67,17 @@ func Fig1(o Options) Fig1Result {
 
 	scan := func(host bool) float64 {
 		var start, end sim.Time
-		var wg sim.WaitGroup
-		wg.Add(devices)
 		sys.Go("scan-driver", func(p *sim.Proc) {
 			start = p.Now()
-			for d := 0; d < devices; d++ {
-				d := d
-				sys.Eng.Go(fmt.Sprintf("scan%d", d), func(sp *sim.Proc) {
-					defer wg.Done()
-					unit := sys.Device(d)
-					var err error
-					if host {
-						_, err = unit.Client.FS().ReadFile(sp, "blob")
-					} else {
-						_, err = unit.Drive.ISPSView().ReadFile(sp, "blob")
-					}
-					if err != nil {
-						panic(fmt.Sprintf("fig1 scan: %v", err))
-					}
-				})
-			}
-			wg.Wait(p)
+			p.Fork(devices, func(d int) string { return fmt.Sprintf("scan%d", d) }, func(sp *sim.Proc, d int) {
+				view := sys.Device(d).Drive.ISPSView()
+				if host {
+					view = sys.Device(d).Client.FS()
+				}
+				if _, err := view.ReadFile(sp, "blob"); err != nil {
+					panic(fmt.Sprintf("fig1 scan: %v", err))
+				}
+			})
 			end = p.Now()
 		})
 		sys.Run()
@@ -94,17 +85,9 @@ func Fig1(o Options) Fig1Result {
 	}
 
 	// Stage.
-	var wg sim.WaitGroup
-	wg.Add(devices)
 	for d := 0; d < devices; d++ {
-		d := d
 		sys.Go(fmt.Sprintf("stage%d", d), func(p *sim.Proc) {
-			defer wg.Done()
-			v := sys.Device(d).Client.FS()
-			if err := v.WriteFile(p, "blob", payload); err != nil {
-				panic(fmt.Sprintf("fig1 staging: %v", err))
-			}
-			v.Flush(p)
+			stageFiles(p, sys.Device(d).Client.FS(), cluster.File{Name: "blob", Data: payload})
 		})
 	}
 	sys.Run()

@@ -66,7 +66,7 @@ func (o Options) fig7Point(devices int, w Workload) Fig7Point {
 	var pt Fig7Point
 	pt.Devices = devices
 	hostView := sys.Conventional.HostView()
-	var hostElapsed, devElapsed sim.Duration
+	var elapsed [2]sim.Duration // host side, device side
 	var hostBytes, devBytes int64
 	for _, f := range hostFiles {
 		hostBytes += int64(len(f.Data))
@@ -87,27 +87,26 @@ func (o Options) fig7Point(devices int, w Workload) Fig7Point {
 			panic(fmt.Sprintf("fig7 staging: %v", err))
 		}
 
-		var wg sim.WaitGroup
-		wg.Add(2)
-		sys.Eng.Go("host-side", func(sp *sim.Proc) {
-			defer wg.Done()
+		sides := [...]string{"host-side", "device-side"}
+		p.Fork(len(sides), func(i int) string { return sides[i] }, func(sp *sim.Proc, side int) {
 			start := sp.Now()
-			hostWorkers(sp, sys, w, hostFiles)
-			hostElapsed = sp.Now().Sub(start)
+			if side == 0 {
+				hostWorkers(sp, sys, w, hostFiles)
+			} else {
+				for _, r := range pool.MapFiles(sp, staged, w.Command) {
+					if r.Err != nil { // a non-OK status arrives as cluster.ErrTaskFailed
+						panic(fmt.Sprintf("fig7: %s %s: %v", w.Name, r.Name, r.Err))
+					}
+				}
+			}
+			elapsed[side] = sp.Now().Sub(start)
 		})
-		sys.Eng.Go("device-side", func(sp *sim.Proc) {
-			defer wg.Done()
-			start := sp.Now()
-			pool.MapFiles(sp, staged, w.Command)
-			devElapsed = sp.Now().Sub(start)
-		})
-		wg.Wait(p)
 	})
 	sys.Run()
 	sys.Close()
 
-	pt.HostMBps = mbps(hostBytes, hostElapsed)
-	pt.DevMBps = mbps(devBytes, devElapsed)
+	pt.HostMBps = mbps(hostBytes, elapsed[0])
+	pt.DevMBps = mbps(devBytes, elapsed[1])
 	pt.TotalMBps = pt.HostMBps + pt.DevMBps
 	return pt
 }

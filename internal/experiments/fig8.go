@@ -33,6 +33,9 @@ func Fig8(o Options) Fig8Result {
 
 		o.logf("fig8: %s on host...", w.Name)
 		host := RunHost(o, w)
+		if dev.Err != nil {
+			panic(fmt.Sprintf("fig8: %s: %d in-situ tasks failed, first: %v", w.Name, dev.Failures, dev.Err))
+		}
 
 		row := Fig8Row{
 			App:            w.Name,

@@ -188,7 +188,7 @@ func (o Options) tailStorm(name string, budgeted bool, data []byte) TailStormPoi
 		if err := pool.StageReplicated(p, []cluster.File{{Name: "serve.txt", Data: data}}); err != nil {
 			panic(fmt.Sprintf("tail storm stage: %v", err))
 		}
-		closedLoop(p, sys, pool, "storm", tailStormRequests, &cluster.RoundRobin{},
+		closedLoop(p, pool, "storm", tailStormRequests, &cluster.RoundRobin{},
 			func(int) core.Command { return tailGrepCmd() },
 			func(_ int, r cluster.TaskResult, _ sim.Duration) {
 				pt.Attempts += r.Attempts

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 
 	"compstor/internal/cluster"
@@ -104,7 +105,8 @@ type RunReport struct {
 	// the simulation: every ISPS component for a pool run, the host CPU for
 	// a host run.
 	Joules   float64
-	Failures int
+	Failures int   // a pool run's failed tasks; a host run panics at its first
+	Err      error // the first failed task's error
 }
 
 // MBps is the run's throughput in MB/s of plain corpus.
@@ -136,8 +138,9 @@ func RunPool(o Options, n int, w Workload) RunReport {
 		res.Joules = deviceEnergy(sys, n, p.Now()) - startJ
 		res.Elapsed = p.Now().Sub(start)
 		for _, r := range results {
-			if r.Err != nil || r.Resp == nil || r.Resp.Status != core.StatusOK {
+			if r.Err != nil { // a non-OK status arrives as cluster.ErrTaskFailed
 				res.Failures++
+				res.Err = cmp.Or(res.Err, r.Err)
 			}
 		}
 	})
@@ -155,15 +158,10 @@ func RunHost(o Options, w Workload) RunReport {
 	res := RunReport{PlainBytes: totalBytes(plain)}
 	view := sys.Conventional.HostView()
 	sys.Go("driver", func(p *sim.Proc) {
-		for _, f := range files {
-			if err := view.WriteFile(p, f.Name, f.Data); err != nil {
-				panic(fmt.Sprintf("experiments: host staging: %v", err))
-			}
-		}
-		view.Flush(p)
+		stageFiles(p, view, files...)
 		start := p.Now()
 		startJ := sys.Host.Energy().Energy(p.Now())
-		res.Failures = hostWorkers(p, sys, w, files)
+		hostWorkers(p, sys, w, files)
 		res.Joules = sys.Host.Energy().Energy(p.Now()) - startJ
 		res.Elapsed = p.Now().Sub(start)
 	})
@@ -173,23 +171,16 @@ func RunHost(o Options, w Workload) RunReport {
 }
 
 // hostWorkers runs w over files on the Xeon host with every core busy: one
-// proc per core, each taking every cores-th file. It returns the failures.
-func hostWorkers(p *sim.Proc, sys *core.System, w Workload, files []cluster.File) (failures int) {
+// proc per core, each taking every cores-th file. A failed task panics.
+func hostWorkers(p *sim.Proc, sys *core.System, w Workload, files []cluster.File) {
 	cores := sys.Host.Sub.Platform().Cores
-	var wg sim.WaitGroup
-	wg.Add(cores)
-	for wk := 0; wk < cores; wk++ {
-		sys.Eng.Go(fmt.Sprintf("hostwork%d", wk), func(sp *sim.Proc) {
-			defer wg.Done()
-			for i := wk; i < len(files); i += cores {
-				if r := sys.Host.Run(sp, w.Spec(files[i].Name)); r.Err != nil {
-					failures++
-				}
+	p.Fork(cores, func(wk int) string { return fmt.Sprintf("hostwork%d", wk) }, func(sp *sim.Proc, wk int) {
+		for i := wk; i < len(files); i += cores {
+			if r := sys.Host.Run(sp, w.Spec(files[i].Name)); r.Err != nil {
+				panic(fmt.Sprintf("experiments: host %s %s: %v", w.Name, files[i].Name, r.Err))
 			}
-		})
-	}
-	wg.Wait(p)
-	return failures
+		}
+	})
 }
 
 // deviceEnergy sums the ISPS components' energy at the current instant.

@@ -39,9 +39,9 @@ type Config struct {
 	// CheckpointEvery is the journal-record count (host page writes plus
 	// TRIM records) between automatic L2P checkpoints. The effective
 	// trigger also scales with the mapped-page count so serialising the
-	// full map stays a bounded fraction of write work. Zero selects the
-	// default (4096); negative disables automatic checkpoints (explicit
-	// Checkpoint still works).
+	// full map stays a bounded fraction of write work, so zero leaves that
+	// scaling alone. DefaultConfig sets 4096; negative disables automatic
+	// checkpoints (explicit Checkpoint still works).
 	CheckpointEvery int
 	// Obs optionally attaches an observability scope: read/write latency
 	// histograms, GC-pause and checkpoint histograms, stats counters, and
@@ -163,9 +163,6 @@ func New(dev *flash.Device, cfg Config) *FTL {
 	geo := dev.Geometry()
 	if cfg.OverProvision < 0 || cfg.OverProvision >= 0.9 {
 		panic(fmt.Sprintf("ftl: unreasonable over-provisioning %g", cfg.OverProvision))
-	}
-	if cfg.CheckpointEvery == 0 {
-		cfg.CheckpointEvery = DefaultConfig().CheckpointEvery
 	}
 	units := geo.Channels * geo.DiesPerChan
 	reserved, regions := reservedLayout(geo, cfg.OverProvision)

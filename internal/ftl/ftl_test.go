@@ -150,7 +150,7 @@ func TestCapacityEnforced(t *testing.T) {
 
 func TestStripingSpreadsAcrossChannels(t *testing.T) {
 	eng := sim.NewEngine()
-	f := newTestFTL(eng, Config{OverProvision: 0.07, Striping: true})
+	f := newTestFTL(eng, DefaultConfig())
 	programs := programsPerChannel(f)
 	run(t, eng, func(p *sim.Proc) error {
 		for lpn := int64(0); lpn < 8; lpn++ {
@@ -173,7 +173,9 @@ func TestStripingSpreadsAcrossChannels(t *testing.T) {
 
 func TestLinearAllocationFillsOneChannel(t *testing.T) {
 	eng := sim.NewEngine()
-	f := newTestFTL(eng, Config{OverProvision: 0.07, Striping: false})
+	cfg := DefaultConfig()
+	cfg.Striping = false
+	f := newTestFTL(eng, cfg)
 	programs := programsPerChannel(f)
 	run(t, eng, func(p *sim.Proc) error {
 		for lpn := int64(0); lpn < 8; lpn++ { // one block is 8 pages
@@ -196,7 +198,9 @@ func TestLinearAllocationFillsOneChannel(t *testing.T) {
 func TestStripingIsFasterThanLinear(t *testing.T) {
 	elapsed := func(striping bool) sim.Duration {
 		eng := sim.NewEngine()
-		f := newTestFTL(eng, Config{OverProvision: 0.07, Striping: striping})
+		cfg := DefaultConfig()
+		cfg.Striping = striping
+		f := newTestFTL(eng, cfg)
 		eng.Go("w", func(p *sim.Proc) {
 			for lpn := int64(0); lpn < 64; lpn++ {
 				if err := f.WritePage(p, lpn, fill(f, 1)); err != nil {
@@ -212,7 +216,9 @@ func TestStripingIsFasterThanLinear(t *testing.T) {
 	// concurrent writers. Use 4 writers.
 	elapsedN := func(striping bool) sim.Duration {
 		eng := sim.NewEngine()
-		f := newTestFTL(eng, Config{OverProvision: 0.07, Striping: striping})
+		cfg := DefaultConfig()
+		cfg.Striping = striping
+		f := newTestFTL(eng, cfg)
 		for w := 0; w < 4; w++ {
 			w := w
 			eng.Go("w", func(p *sim.Proc) {

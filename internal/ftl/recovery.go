@@ -93,19 +93,10 @@ func Recover(p *sim.Proc, dev *flash.Device, cfg Config) (*FTL, RecoveryStats, e
 	// 2. Scan all data blocks' spare areas, one process per allocation unit
 	// so the scan rides the media's die-level parallelism (this is what makes
 	// remount latency scale with per-unit capacity, not total capacity).
+	// Media-op spans parent under the recovery span.
 	results := make([]*unitScan, f.units)
-	var wg sim.WaitGroup
-	wg.Add(f.units)
-	obsCtx := p.ObsCtx()
-	for u := 0; u < f.units; u++ {
-		u := u
-		p.Engine().Go(fmt.Sprintf("ftl-recover-scan-%d", u), func(sp *sim.Proc) {
-			defer wg.Done()
-			sp.SetObsCtx(obsCtx) // media-op spans parent under the recovery span
-			results[u] = f.scanUnit(sp, u)
-		})
-	}
-	wg.Wait(p)
+	p.Fork(f.units, func(u int) string { return fmt.Sprintf("ftl-recover-scan-%d", u) },
+		func(sp *sim.Proc, u int) { results[u] = f.scanUnit(sp, u) })
 
 	// Merge in unit order for determinism.
 	var data, trims []scanRec

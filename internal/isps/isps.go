@@ -52,12 +52,6 @@ type Config struct {
 // Dedicated ISPS cores run compute unsliced.
 const timeSlice = time.Millisecond
 
-// defaultTaskMem is the DRAM reserved for a task whose spec does not say.
-// The paper's applications stream their input through block-sized buffers,
-// so 64 MiB covers any of them; the 8 GB ISPS then admits 128 such tasks,
-// far more than its four cores can run.
-const defaultTaskMem = 64 << 20
-
 // TaskSpec describes one in-situ execution request (the payload of a
 // minion's command).
 type TaskSpec struct {
@@ -297,7 +291,7 @@ func (s *Subsystem) admit(p *sim.Proc, spec TaskSpec) (task, error) {
 	}
 	t := task{args: spec.Args, mem: spec.MemBytes, deadline: spec.Deadline, cancel: spec.Cancel}
 	if t.mem <= 0 {
-		t.mem = defaultTaskMem
+		t.mem = apps.MaxOutput
 	}
 	if s.memUsed+t.mem > s.memTotal {
 		return task{}, fmt.Errorf("%w: %d + %d > %d", ErrNoMemory, s.memUsed, t.mem, s.memTotal)

@@ -111,20 +111,13 @@ func (s *Subsystem) scan(p *sim.Proc, t task, plan splitscan.Plan, cuts []int64)
 	s.psTasks++
 	s.psChunks += int64(n)
 	parts, errs := make([]any, n), make([]error, n)
-	obsCtx := p.ObsCtx() // the task span: chunk spans parent under it
-	var wg sim.WaitGroup
-	wg.Add(n)
-	for i := range n {
-		s.eng.Go(fmt.Sprintf("parscan/%s/%d", t.prog.Name(), i), func(wp *sim.Proc) {
-			defer wg.Done()
-			wp.SetObsCtx(obsCtx)
-			s.onCore(wp, func() {
-				sp := s.obs.Begin(wp, "isps/parscan", fmt.Sprintf("%s#%d", t.prog.Name(), i))
-				parts[i], errs[i] = splitscan.RunChunk(s.context(wp, &t, nil, io.Discard, io.Discard), plan, cuts, i)
-				sp.End()
-			})
+	// Chunk spans parent under the task span.
+	p.Fork(n, func(i int) string { return fmt.Sprintf("parscan/%s/%d", t.prog.Name(), i) }, func(wp *sim.Proc, i int) {
+		s.onCore(wp, func() {
+			sp := s.obs.Begin(wp, "isps/parscan", fmt.Sprintf("%s#%d", t.prog.Name(), i))
+			parts[i], errs[i] = splitscan.RunChunk(s.context(wp, &t, nil, io.Discard, io.Discard), plan, cuts, i)
+			sp.End()
 		})
-	}
-	wg.Wait(p)
+	})
 	return parts, cmp.Or(errs...)
 }

@@ -122,10 +122,34 @@ func (p *Proc) Now() Time { return p.eng.Now() }
 // calls without sim importing obs.
 func (p *Proc) ObsCtx() any { return p.obsCtx }
 
-// SetObsCtx replaces the process's observability context. Fan-out helpers
-// that spawn worker processes on behalf of a request should copy the
-// parent's context onto the workers so child spans parent correctly.
+// SetObsCtx replaces the process's observability context; obs calls it as
+// a span opens and closes. A child started with Go or Fork inherits its
+// spawner's context already.
 func (p *Proc) SetObsCtx(v any) { p.obsCtx = v }
+
+// Go starts a child process executing body, as Engine.Go does, in p's
+// observability context: the spans the child opens parent under the span p
+// has open. Spawns with no spawner process use Engine.Go.
+func (p *Proc) Go(name string, body func(c *Proc)) *Proc {
+	c := p.eng.Go(name, body)
+	c.obsCtx = p.obsCtx
+	return c
+}
+
+// Fork starts n children with Go in index order, child i named name(i) and
+// running body(c, i), and blocks p until every one of them has returned.
+// With n == 0 it returns without parking.
+func (p *Proc) Fork(n int, name func(i int) string, body func(c *Proc, i int)) {
+	var wg WaitGroup
+	wg.Add(n)
+	for i := range n {
+		p.Go(name(i), func(c *Proc) {
+			defer wg.Done()
+			body(c, i)
+		})
+	}
+	wg.Wait(p)
+}
 
 // stepProc switches into the process's worker coroutine and returns when it
 // blocks or finishes. It runs on the engine side, inside an event dispatch.

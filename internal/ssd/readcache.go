@@ -310,11 +310,7 @@ func (c *readCache) prefetch(p *sim.Proc, lpn, count int64) int64 {
 		c.inflight++
 		c.stats.PrefetchRuns++
 		c.seq++
-		obsCtx := p.ObsCtx()
-		c.s.eng.Go(fmt.Sprintf("%s/ra%d", c.s.cfg.Name, c.seq), func(fp *sim.Proc) {
-			fp.SetObsCtx(obsCtx)
-			c.fill(fp, fill)
-		})
+		p.Go(fmt.Sprintf("%s/ra%d", c.s.cfg.Name, c.seq), func(fp *sim.Proc) { c.fill(fp, fill) })
 	}
 	return accepted
 }

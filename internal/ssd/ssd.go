@@ -413,29 +413,20 @@ func (s *SSD) forEachPage(p *sim.Proc, n int64, fn func(cp *sim.Proc, i int64) e
 	if workers > n {
 		workers = n
 	}
-	var wg sim.WaitGroup
 	var firstErr error
-	wg.Add(int(workers))
-	obsCtx := p.ObsCtx() // workers inherit the issuing command's span
-	for w := int64(0); w < workers; w++ {
-		w := w
-		s.eng.Go(s.ioNames[w], func(cp *sim.Proc) {
-			defer wg.Done()
-			cp.SetObsCtx(obsCtx)
-			for i := w; i < n; i += workers {
-				if firstErr != nil {
-					return
-				}
-				if err := fn(cp, i); err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					return
-				}
+	p.Fork(int(workers), func(w int) string { return s.ioNames[w] }, func(cp *sim.Proc, w int) {
+		for i := int64(w); i < n; i += workers {
+			if firstErr != nil {
+				return
 			}
-		})
-	}
-	wg.Wait(p)
+			if err := fn(cp, i); err != nil {
+				if firstErr == nil {
+					firstErr = err
+				}
+				return
+			}
+		}
+	})
 	return firstErr
 }
 
