@@ -2,7 +2,8 @@
 // Plan describes, per device, transient media errors, a whole-device
 // failure at a virtual time, a slow-device latency multiplier, and dropped
 // agent responses; Install binds the plan onto an assembled core.System
-// through the fault hooks in flash, ssd, nvme, and the ISPS agent.
+// through three fault seams, one job each: media (flash), command admission
+// (nvme) and command service (ssd).
 //
 // Everything is driven by the simulation's virtual clock and per-device
 // rand streams derived from Plan.Seed, so a chaos run is exactly
@@ -33,8 +34,8 @@ var (
 	// ErrMediaProgram is a transient program failure: the page is left
 	// unusable until its block is erased, exactly as on real NAND.
 	ErrMediaProgram = errors.New("chaos: injected media program error")
-	// ErrDeviceDead is returned by every path of a device past its FailAt
-	// time: media, protocol front-end, and agent all stop answering.
+	// ErrDeviceDead is returned by a device past its FailAt time: the NVMe
+	// front-end refuses every command and the media every operation.
 	ErrDeviceDead = errors.New("chaos: device failed")
 	// ErrDropped is an agent that received a minion and never answered; the
 	// client sees a failed vendor command, as a timed-out driver would.
@@ -59,16 +60,18 @@ type DeviceFaults struct {
 	ReadErrProb    float64
 	ProgramErrProb float64
 	// DropProb is the per-minion probability that the agent drops the
-	// response.
+	// response. The draw is made as the drive hands the minion to the agent,
+	// after the command's slow and spike waits.
 	DropProb float64
 	// SlowFactor > 1 multiplies the device's per-command controller
 	// overhead: a 4x-slow device pays 3 extra overheads per command. The
-	// extra latency is charged in the protocol front-end, before the
-	// command reaches the media.
+	// extra latency is charged in the drive backend, before the command
+	// reaches the media.
 	SlowFactor float64
 	// FailAt, when non-zero, is the virtual time at which the whole device
-	// fails: from then on every media operation, NVMe command, and agent
-	// interaction errors.
+	// fails: from then on the NVMe front-end refuses every command and every
+	// media operation errors. A command admitted before FailAt runs on and
+	// meets the dead media.
 	FailAt time.Duration
 	// PowerCutAt, when non-zero, cuts the device's power at that virtual
 	// time: an operation in flight is interrupted (a program is torn), and
@@ -200,11 +203,11 @@ type Injector struct {
 }
 
 // Install binds plan onto every CompStor device of sys and returns the
-// injector. Hooks are installed at four layers: the NAND array (media
-// errors, dead media), the drive backend (slow device, dead drive), the
-// NVMe front-end (dead protocol path), and the ISPS agent (dropped
-// responses). Install replaces any previously-installed hooks on those
-// devices.
+// injector. Hooks are installed at three seams: the NAND array (media
+// errors, corruption, dead media), the NVMe front-end (whether a dead,
+// powered-off or flapping device takes the command at all) and the drive
+// backend (slow device, fail-slow, spikes, dropped minions). Install
+// replaces any previously-installed hooks on those devices.
 func Install(sys *core.System, plan *Plan) *Injector {
 	inj := &Injector{sys: sys}
 	// Surface the injected-fault counters in snapshots; Instant calls below
@@ -289,19 +292,27 @@ func Install(sys *core.System, plan *Plan) *Injector {
 			return nil
 		})
 
-		unit.Drive.SetFaultHook(func(p *sim.Proc, op nvme.Opcode) error {
-			if f.failed(p.Now()) {
+		// Whether the device answers at all is decided once per command, at
+		// admission: the NVMe front-end refuses it when the device is dead,
+		// powered off or in a flap down phase.
+		unit.Drive.Controller().SetFaultHook(func(p *sim.Proc, cmd *nvme.Command) error {
+			switch {
+			case f.failed(p.Now()):
 				inj.stats.DeadRejects++
-				return fmt.Errorf("%w: device %d backend %v", ErrDeviceDead, i, op)
-			}
-			if nand.PoweredOff() {
+				return fmt.Errorf("%w: device %d nvme %v", ErrDeviceDead, i, cmd.Op)
+			case nand.PoweredOff():
 				inj.stats.PowerRejects++
-				return fmt.Errorf("%w: device %d backend %v", ErrPowerLost, i, op)
-			}
-			if f.flapDown(p.Now()) {
+				return fmt.Errorf("%w: device %d nvme %v", ErrPowerLost, i, cmd.Op)
+			case f.flapDown(p.Now()):
 				inj.stats.FlapRejects++
-				return fmt.Errorf("%w: device %d backend %v", ErrFlap, i, op)
+				return fmt.Errorf("%w: device %d nvme %v", ErrFlap, i, cmd.Op)
 			}
+			return nil
+		})
+
+		// An admitted command is slowed in service, and a minion may then be
+		// dropped: ssd.Vendor hands it to the agent as this hook returns.
+		unit.Drive.SetFaultHook(func(p *sim.Proc, op nvme.Opcode) error {
 			if f.SlowFactor > 1 {
 				inj.stats.SlowWaits++
 				p.Wait(time.Duration(float64(unit.Drive.CmdOverhead()) * (f.SlowFactor - 1)))
@@ -315,39 +326,7 @@ func Install(sys *core.System, plan *Plan) *Injector {
 				o.Instant(p, "chaos", "latency_spike", "device", dev)
 				p.Wait(f.SpikeDelay)
 			}
-			return nil
-		})
-
-		unit.Drive.Controller().SetFaultHook(func(p *sim.Proc, cmd *nvme.Command) error {
-			if f.failed(p.Now()) {
-				inj.stats.DeadRejects++
-				return fmt.Errorf("%w: device %d nvme %v", ErrDeviceDead, i, cmd.Op)
-			}
-			if nand.PoweredOff() {
-				inj.stats.PowerRejects++
-				return fmt.Errorf("%w: device %d nvme %v", ErrPowerLost, i, cmd.Op)
-			}
-			if f.flapDown(p.Now()) {
-				inj.stats.FlapRejects++
-				return fmt.Errorf("%w: device %d nvme %v", ErrFlap, i, cmd.Op)
-			}
-			return nil
-		})
-
-		unit.Agent.SetFaultHook(func(p *sim.Proc, cmd core.Command) error {
-			if f.failed(p.Now()) {
-				inj.stats.DeadRejects++
-				return fmt.Errorf("%w: device %d agent", ErrDeviceDead, i)
-			}
-			if nand.PoweredOff() {
-				inj.stats.PowerRejects++
-				return fmt.Errorf("%w: device %d agent", ErrPowerLost, i)
-			}
-			if f.flapDown(p.Now()) {
-				inj.stats.FlapRejects++
-				return fmt.Errorf("%w: device %d agent", ErrFlap, i)
-			}
-			if f.DropProb > 0 && agentRng.Float64() < f.DropProb {
+			if op == nvme.OpVendorMinion && f.DropProb > 0 && agentRng.Float64() < f.DropProb {
 				inj.stats.Drops++
 				o.Instant(p, "chaos", "drop", "device", dev)
 				return fmt.Errorf("%w: device %d", ErrDropped, i)

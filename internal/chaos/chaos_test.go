@@ -90,6 +90,12 @@ func runWith(t *testing.T, devices int, files []cluster.File, plan *chaos.Plan, 
 // split scan, 1 the paper's one-core-per-task executor.
 func runMode(t *testing.T, devices int, files []cluster.File, plan *chaos.Plan, pipeline bool, scanChunks int) runResult {
 	t.Helper()
+	return runCmd(t, devices, files, plan, pipeline, scanChunks, grepCmd)
+}
+
+// runCmd is runMode with makeCmd in place of grep.
+func runCmd(t *testing.T, devices int, files []cluster.File, plan *chaos.Plan, pipeline bool, scanChunks int, makeCmd func(string) core.Command) runResult {
+	t.Helper()
 	cfg := core.SystemConfig{
 		CompStors: devices,
 		Registry:  appset.Base(),
@@ -107,7 +113,7 @@ func runMode(t *testing.T, devices int, files []cluster.File, plan *chaos.Plan, 
 		inj = chaos.Install(sys, plan)
 	}
 	sys.Go("driver", func(p *sim.Proc) {
-		results, err := pool.MapFilesFT(p, files, grepCmd)
+		results, err := pool.MapFilesFT(p, files, makeCmd)
 		res.runErr = err
 		for _, r := range results {
 			res.attempts += r.Attempts
@@ -158,42 +164,60 @@ func failAtMidRun(t *testing.T, devices int, files []cluster.File) time.Duration
 }
 
 // TestKilledDeviceDoesNotChangeResults is the acceptance scenario: under a
-// seeded plan that kills 1 of 4 devices mid-run, MapFilesFT must return the
-// same aggregate grep results as the fault-free baseline.
+// seeded plan that kills a device mid-run, MapFilesFT must return the same
+// aggregate results as the fault-free baseline. grep kills 1 of 4 devices
+// whose survivors also see transient faults; gzip writes its output back,
+// so a task on 1 of 2 devices can fail on the dead media just as the other
+// workers' strikes declare that device dead.
 func TestKilledDeviceDoesNotChangeResults(t *testing.T) {
-	files := corpus(24)
-	baseline := run(t, 4, files, nil)
-	if baseline.runErr != nil || len(baseline.failed) > 0 {
-		t.Fatalf("baseline: err=%v failed=%v", baseline.runErr, baseline.failed)
-	}
-	if len(baseline.outputs) != len(files) {
-		t.Fatalf("baseline covered %d/%d files", len(baseline.outputs), len(files))
-	}
+	gzipCmd := func(name string) core.Command { return core.Command{Exec: "gzip", Args: []string{name}} }
+	for _, tc := range []struct {
+		name    string
+		devices int
+		makeCmd func(string) core.Command
+		plan    func(failAt time.Duration) *chaos.Plan
+		dead    int
+	}{
+		{"grep", 4, grepCmd, func(at time.Duration) *chaos.Plan { return killPlan(7, at) }, 2},
+		{"gzip", 2, gzipCmd, func(at time.Duration) *chaos.Plan {
+			return chaos.NewPlan(7).WithDevice(0, chaos.DeviceFaults{FailAt: at})
+		}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			files := corpus(24)
+			baseline := runCmd(t, tc.devices, files, nil, false, 0, tc.makeCmd)
+			if baseline.runErr != nil || len(baseline.failed) > 0 {
+				t.Fatalf("baseline: err=%v failed=%v", baseline.runErr, baseline.failed)
+			}
+			if len(baseline.outputs) != len(files) {
+				t.Fatalf("baseline covered %d/%d files", len(baseline.outputs), len(files))
+			}
 
-	failAt := baseline.finalAt.Duration() / 2
-	faulty := run(t, 4, files, killPlan(7, failAt))
-	if faulty.runErr != nil {
-		t.Fatalf("chaos run error: %v", faulty.runErr)
-	}
-	if len(faulty.failed) > 0 {
-		t.Fatalf("chaos run lost files: %v", faulty.failed)
-	}
-	if len(faulty.outputs) != len(baseline.outputs) {
-		t.Fatalf("chaos covered %d files, baseline %d", len(faulty.outputs), len(baseline.outputs))
-	}
-	for name, want := range baseline.outputs {
-		if got := faulty.outputs[name]; got != want {
-			t.Errorf("%s: chaos output %q, baseline %q", name, got, want)
-		}
-	}
-	if len(faulty.dead) != 1 || faulty.dead[0] != 2 {
-		t.Errorf("dead devices %v, want [2]", faulty.dead)
-	}
-	if faulty.attempts <= len(files) {
-		t.Errorf("attempts %d implies no retries happened", faulty.attempts)
-	}
-	if faulty.finalAt <= baseline.finalAt {
-		t.Errorf("degraded run (%v) not slower than baseline (%v)", faulty.finalAt, baseline.finalAt)
+			faulty := runCmd(t, tc.devices, files, tc.plan(baseline.finalAt.Duration()/2), false, 0, tc.makeCmd)
+			if faulty.runErr != nil {
+				t.Fatalf("chaos run error: %v", faulty.runErr)
+			}
+			if len(faulty.failed) > 0 {
+				t.Fatalf("chaos run lost files: %v", faulty.failed)
+			}
+			if len(faulty.outputs) != len(baseline.outputs) {
+				t.Fatalf("chaos covered %d files, baseline %d", len(faulty.outputs), len(baseline.outputs))
+			}
+			for name, want := range baseline.outputs {
+				if got := faulty.outputs[name]; got != want {
+					t.Errorf("%s: chaos output %q, baseline %q", name, got, want)
+				}
+			}
+			if len(faulty.dead) != 1 || faulty.dead[0] != tc.dead {
+				t.Errorf("dead devices %v, want [%d]", faulty.dead, tc.dead)
+			}
+			if faulty.attempts <= len(files) {
+				t.Errorf("attempts %d implies no retries happened", faulty.attempts)
+			}
+			if faulty.finalAt <= baseline.finalAt {
+				t.Errorf("degraded run (%v) not slower than baseline (%v)", faulty.finalAt, baseline.finalAt)
+			}
+		})
 	}
 }
 

@@ -8,6 +8,5 @@ func (inj *Injector) Uninstall() {
 		unit.Drive.Flash().SetFaultHook(nil)
 		unit.Drive.SetFaultHook(nil)
 		unit.Drive.Controller().SetFaultHook(nil)
-		unit.Agent.SetFaultHook(nil)
 	}
 }

@@ -21,7 +21,8 @@ import (
 // Fault-tolerance errors.
 var (
 	// ErrDeviceDead marks tasks abandoned because their device was declared
-	// dead (too many consecutive transport failures).
+	// dead (too many consecutive transport failures), including a task
+	// that failed on a device declared dead while it ran.
 	ErrDeviceDead = errors.New("cluster: device marked dead")
 	// ErrNoDevices is returned when every device in the pool has died.
 	ErrNoDevices = errors.New("cluster: no alive devices")
@@ -420,6 +421,12 @@ func (pl *Pool) runTask(p *sim.Proc, dev int, cmd core.Command) (*core.Response,
 			break
 		}
 		p.Wait(delay)
+	}
+	if pl.dead[dev] && errors.Is(lastErr, ErrTaskFailed) {
+		// Other workers' strikes declared the device dead under this task:
+		// its failure is the device's, not the task's, so it is
+		// device-class and MapFilesFT re-dispatches the work.
+		lastErr = fmt.Errorf("%w: device %d: %v", ErrDeviceDead, dev, lastErr)
 	}
 	return lastResp, attempts, lastErr
 }

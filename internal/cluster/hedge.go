@@ -120,11 +120,7 @@ func (pl *Pool) RunHedged(p *sim.Proc, dev int, cmd core.Command) (*core.Respons
 		firstResp   *core.Response
 	)
 	for {
-		o, ok := out.Recv(p)
-		if !ok {
-			// The mailbox is never closed; unreachable.
-			return firstResp, attempts, firstErr
-		}
+		o, _ := out.Recv(p) // the mailbox is never closed
 		if o.leg == -1 {
 			// Hedge timer: if the primary is still outstanding, issue the
 			// tied secondary to another replica.

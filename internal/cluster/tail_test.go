@@ -85,12 +85,15 @@ func TestJitterWithoutSeedFallsBack(t *testing.T) {
 
 // --- retry budget ---
 
-// failingAgent makes device dev drop every minion at the agent, a pure
-// transport fault. DeadAfter is disabled by the callers: the device
+// failingAgent makes device dev drop every minion on its way to the agent,
+// a pure transport fault. DeadAfter is disabled by the callers: the device
 // misbehaves, it does not die.
 func failingAgent(pool *Pool, dev int) {
-	pool.Unit(dev).Agent.SetFaultHook(func(p *sim.Proc, cmd core.Command) error {
-		return fmt.Errorf("test: dropped")
+	pool.Unit(dev).Drive.SetFaultHook(func(p *sim.Proc, op nvme.Opcode) error {
+		if op == nvme.OpVendorMinion {
+			return fmt.Errorf("test: dropped")
+		}
+		return nil
 	})
 }
 

@@ -26,16 +26,7 @@ type Agent struct {
 	queries  int64
 	loads    int64
 	inflight int64 // minions accepted and not yet answered
-
-	faultHook func(p *sim.Proc, cmd Command) error
 }
-
-// SetFaultHook installs an agent-level fault injector: it runs when a
-// minion reaches the agent, before the in-storage process is spawned.
-// Returning an error makes the vendor command fail — to the client this is
-// indistinguishable from an agent crash that lost the response. Pass nil to
-// clear.
-func (a *Agent) SetFaultHook(fn func(p *sim.Proc, cmd Command) error) { a.faultHook = fn }
 
 // attachAgent installs an agent on one of NewSystem's CompStor drives.
 func attachAgent(drive *ssd.SSD) *Agent {
@@ -57,11 +48,6 @@ func (a *Agent) handle(p *sim.Proc, op nvme.Opcode, payload any) (any, int64, er
 		cmd, ok := payload.(Command)
 		if !ok {
 			return nil, 0, fmt.Errorf("core: minion payload is %T", payload)
-		}
-		if a.faultHook != nil {
-			if err := a.faultHook(p, cmd); err != nil {
-				return nil, 0, err
-			}
 		}
 		resp := a.runMinion(p, cmd)
 		return resp, resp.WireSize(), nil

@@ -77,11 +77,7 @@ func (o Options) fig7Point(devices int, w Workload) Fig7Point {
 
 	sys.Go("driver", func(p *sim.Proc) {
 		// Stage both sides before timing.
-		for _, f := range hostFiles {
-			if err := hostView.WriteFile(p, f.Name, f.Data); err != nil {
-				panic(fmt.Sprintf("fig7 host staging: %v", err))
-			}
-		}
+		stageFiles(p, hostView, hostFiles...)
 		staged, err := pool.Stage(p, cluster.Shard(devFiles, devices))
 		if err != nil {
 			panic(fmt.Sprintf("fig7 staging: %v", err))

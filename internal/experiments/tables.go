@@ -75,7 +75,9 @@ func Table3(o Options) Table3Result {
 	var m *core.Minion
 	var ftlReadsBefore, ftlReadsAfter int64
 	sys.Go("client", func(p *sim.Proc) {
-		unit.Client.FS().WriteFile(p, "sample.txt", []byte("needle one\nhay\nneedle two\n"))
+		if err := unit.Client.FS().WriteFile(p, "sample.txt", []byte("needle one\nhay\nneedle two\n")); err != nil {
+			panic(err)
+		}
 		ftlReadsBefore = unit.Drive.FTL().Stats().HostReads
 		var err error
 		m, err = unit.Client.SendMinion(p, core.Command{

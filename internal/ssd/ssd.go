@@ -295,9 +295,9 @@ func (s *SSD) SetVendorHandler(fn func(p *sim.Proc, op nvme.Opcode, payload any)
 
 // SetFaultHook installs a drive-level fault injector: it runs at the start
 // of every backend command (Read/Write/Trim/Flush/Vendor), after the
-// controller-CPU overhead is charged. Returning an error fails the command;
-// the hook may call p.Wait to model a degraded (slow) drive. Pass nil to
-// clear.
+// controller-CPU overhead is charged; for a vendor command, right before
+// the vendor handler. Returning an error fails the command; the hook may
+// call p.Wait to model a degraded (slow) drive. Pass nil to clear.
 func (s *SSD) SetFaultHook(fn func(p *sim.Proc, op nvme.Opcode) error) { s.faultHook = fn }
 
 // CmdOverhead returns the embedded-CPU time charged per NVMe command — the
