@@ -226,7 +226,6 @@ func Install(sys *core.System, plan *Plan) *Injector {
 	o.CounterFunc("chaos.flap_rejects", func() int64 { return inj.stats.FlapRejects })
 	o.CounterFunc("chaos.spikes", func() int64 { return inj.stats.Spikes })
 	for i, unit := range sys.Devices {
-		i, unit := i, unit
 		f := plan.Faults(i)
 		// One stream per device, split per fault site so the draw sequence
 		// at one layer is independent of traffic at another.

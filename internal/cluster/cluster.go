@@ -205,7 +205,6 @@ func (pl *Pool) SetObs(o *obs.Obs) {
 	// LeastOutstanding balancer and the serve-layer admission read, so a
 	// mid-run snapshot shows exactly what the scheduler saw.
 	for i := range pl.units {
-		i := i
 		o.CounterFunc(fmt.Sprintf("cluster.dev%d.inflight", i), func() int64 { return int64(pl.inflight[i]) })
 	}
 	o.CounterFunc("cluster.inflight", func() int64 { return int64(pl.TotalInFlight()) })

@@ -175,12 +175,22 @@ func (s *System) Device(i int) *DeviceUnit { return s.Devices[i] }
 func (s *System) Run() sim.Time { return s.Eng.Run() }
 
 // Close force-terminates every simulated process and releases the pooled
-// worker coroutines backing them (sim.Engine.Shutdown). Call it after the
-// last Run: daemons (write-back flushers, serving workers) otherwise stay
-// parked forever and their coroutines accumulate across testbeds. The
-// system cannot be used afterwards; reading model state for reports is
-// still fine.
-func (s *System) Close() { s.Eng.Shutdown() }
+// worker coroutines backing them (sim.Engine.Shutdown), then hands every
+// drive's flash payload and L2P map to the spare lists the next testbed's
+// drives take from (DESIGN.md §14). Call it after the last Run: daemons
+// (write-back flushers, serving workers) otherwise stay parked forever and
+// their coroutines accumulate across testbeds. The system cannot be used
+// afterwards: stats and counters can still be read, but media and map
+// cannot.
+func (s *System) Close() {
+	s.Eng.Shutdown()
+	for _, d := range s.Devices {
+		d.Drive.Release()
+	}
+	if s.Conventional != nil {
+		s.Conventional.Release()
+	}
+}
 
 // Go forks a simulated process on the system's engine.
 func (s *System) Go(name string, body func(p *sim.Proc)) { s.Eng.Go(name, body) }

@@ -68,7 +68,6 @@ func AblationInterference(o Options) InterferenceResult {
 		drv := drive.Driver()
 		maxLBA := drive.FTL().LogicalPages()
 		for wk := 0; wk < 8; wk++ {
-			wk := wk
 			eng.Go("reader", func(p *sim.Proc) {
 				lba := int64(wk * 977)
 				for p.Now() < sim.Time(window) {

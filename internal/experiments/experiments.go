@@ -186,14 +186,7 @@ func (o Options) calibrate(n int, data []byte, total int, cmd func(idx int) core
 // scanFileBytes sizes the one large file the single-file scan experiments
 // read: Books × MeanBookBytes (0.8× the corpus), clamped to [4 MiB, 64 MiB].
 func (o Options) scanFileBytes() int {
-	n := int64(o.Books) * int64(o.MeanBookBytes)
-	if n < 4<<20 {
-		n = 4 << 20
-	}
-	if n > 64<<20 {
-		n = 64 << 20
-	}
-	return int(n)
+	return int(min(max(int64(o.Books)*int64(o.MeanBookBytes), 4<<20), 64<<20))
 }
 
 // scanRun stages data as scan.txt on a fresh single-device system built

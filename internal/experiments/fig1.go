@@ -55,10 +55,7 @@ func Fig1(o Options) Fig1Result {
 	if len(o.DeviceCounts) > 0 {
 		devices = o.DeviceCounts[len(o.DeviceCounts)-1]
 	}
-	fileBytes := int64(o.Books) * int64(o.MeanBookBytes) / int64(devices)
-	if fileBytes < 1<<20 {
-		fileBytes = 1 << 20
-	}
+	fileBytes := max(int64(o.Books)*int64(o.MeanBookBytes)/int64(devices), 1<<20)
 	sys := o.system(o.Obs.Scope("scan"), core.SystemConfig{CompStors: devices})
 	payload := make([]byte, fileBytes)
 	for i := range payload {

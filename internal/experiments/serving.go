@@ -89,13 +89,7 @@ type ServingResult struct {
 
 // servingData synthesises the file every request scans (or compresses).
 func (o Options) servingData() []byte {
-	size := o.MeanBookBytes * 2
-	if size < 16<<10 {
-		size = 16 << 10
-	}
-	if size > 256<<10 {
-		size = 256 << 10
-	}
+	size := min(max(o.MeanBookBytes*2, 16<<10), 256<<10)
 	return textgen.Corpus(textgen.Config{Seed: o.Seed, Books: 1, MeanBookBytes: size})[0].Data
 }
 

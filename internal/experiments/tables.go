@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"compstor/internal/cluster"
 	"compstor/internal/core"
 	"compstor/internal/cpu"
 	"compstor/internal/flash"
@@ -75,9 +76,7 @@ func Table3(o Options) Table3Result {
 	var m *core.Minion
 	var ftlReadsBefore, ftlReadsAfter int64
 	sys.Go("client", func(p *sim.Proc) {
-		if err := unit.Client.FS().WriteFile(p, "sample.txt", []byte("needle one\nhay\nneedle two\n")); err != nil {
-			panic(err)
-		}
+		stageFiles(p, unit.Client.FS(), cluster.File{Name: "sample.txt", Data: []byte("needle one\nhay\nneedle two\n")})
 		ftlReadsBefore = unit.Drive.FTL().Stats().HostReads
 		var err error
 		m, err = unit.Client.SendMinion(p, core.Command{

@@ -3,6 +3,7 @@ package experiments
 import (
 	"cmp"
 	"fmt"
+	"slices"
 
 	"compstor/internal/cluster"
 	"compstor/internal/core"
@@ -35,49 +36,18 @@ func identityDataset(plain []cluster.File) []cluster.File { return plain }
 
 // Workloads returns the paper's six evaluation applications.
 func Workloads() []Workload {
+	on := func(exec string, args ...string) func(name string) core.Command {
+		return func(name string) core.Command {
+			return core.Command{Exec: exec, Args: slices.Concat(args, []string{name})}
+		}
+	}
 	return []Workload{
-		{
-			Name:    "gzip",
-			Dataset: identityDataset,
-			Command: func(name string) core.Command {
-				return core.Command{Exec: "gzip", Args: []string{name}}
-			},
-		},
-		{
-			Name:    "gunzip",
-			Dataset: corpusGz,
-			Command: func(name string) core.Command {
-				return core.Command{Exec: "gunzip", Args: []string{name}}
-			},
-		},
-		{
-			Name:    "bzip2",
-			Dataset: identityDataset,
-			Command: func(name string) core.Command {
-				return core.Command{Exec: "bzip2", Args: []string{name}}
-			},
-		},
-		{
-			Name:    "bunzip2",
-			Dataset: corpusBz2,
-			Command: func(name string) core.Command {
-				return core.Command{Exec: "bunzip2", Args: []string{name}}
-			},
-		},
-		{
-			Name:    "grep",
-			Dataset: identityDataset,
-			Command: func(name string) core.Command {
-				return core.Command{Exec: "grep", Args: []string{"-c", "the", name}}
-			},
-		},
-		{
-			Name:    "gawk",
-			Dataset: identityDataset,
-			Command: func(name string) core.Command {
-				return core.Command{Exec: "gawk", Args: []string{wordFreqProg, name}}
-			},
-		},
+		{Name: "gzip", Dataset: identityDataset, Command: on("gzip")},
+		{Name: "gunzip", Dataset: corpusGz, Command: on("gunzip")},
+		{Name: "bzip2", Dataset: identityDataset, Command: on("bzip2")},
+		{Name: "bunzip2", Dataset: corpusBz2, Command: on("bunzip2")},
+		{Name: "grep", Dataset: identityDataset, Command: on("grep", "-c", "the")},
+		{Name: "gawk", Dataset: identityDataset, Command: on("gawk", wordFreqProg)},
 	}
 }
 

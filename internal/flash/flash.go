@@ -10,6 +10,7 @@ package flash
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"compstor/internal/obs"
@@ -213,8 +214,17 @@ type blockStore struct {
 }
 
 // slabBytes is the payload allocation unit (rounded to whole pages, at least
-// one): Go's largest small-object size class.
+// one and at most a block): Go's largest small-object size class.
 const slabBytes = 32 << 10
+
+// spareSlabs holds the payload slabs of released devices, by length, for the
+// devices built after them to take before allocating (DESIGN.md §14). A
+// reused slab is not zeroed: storePage overwrites a whole page, and no read
+// reaches a page whose stored bit is clear.
+var spareSlabs = struct {
+	sync.Mutex
+	byLen map[int][][]byte
+}{byLen: map[int][][]byte{}}
 
 func hasBit(bits []uint64, pg int) bool { return bits[pg>>6]&(1<<(pg&63)) != 0 }
 func setBit(bits []uint64, pg int)      { bits[pg>>6] |= 1 << (pg & 63) }
@@ -281,7 +291,7 @@ func NewDevice(eng *sim.Engine, name string, geo Geometry, timing Timing) *Devic
 		powered: true,
 		lastOff: -1,
 	}
-	d.pagesPerSlab = max(1, slabBytes/geo.PageSize)
+	d.pagesPerSlab = max(1, min(slabBytes/geo.PageSize, geo.PagesPerBlock))
 	for c := 0; c < geo.Channels; c++ {
 		d.chanBus = append(d.chanBus, sim.NewLink(eng, fmt.Sprintf("%s/ch%d", name, c), timing.ChannelBytesPerSec, 0))
 	}
@@ -346,7 +356,28 @@ func (d *Device) SetObs(o *obs.Obs) {
 	o.CounterFunc("flash.oob_reads", func() int64 { return d.stats.OOBReads })
 }
 
+// Release hands the device's payload slabs to the spare list and retires the
+// device: its stats can still be read, but any later media access panics.
+func (d *Device) Release() {
+	n := d.pagesPerSlab * d.geo.PageSize
+	spareSlabs.Lock()
+	for _, b := range d.blocks {
+		if b.store != nil {
+			for _, slab := range b.store.slabs {
+				if slab != nil {
+					spareSlabs.byLen[n] = append(spareSlabs.byLen[n], slab)
+				}
+			}
+		}
+	}
+	spareSlabs.Unlock()
+	d.blocks = nil
+}
+
 func (d *Device) check(a Addr) error {
+	if d.blocks == nil {
+		panic("flash: media access to a released device")
+	}
 	if a.Channel < 0 || a.Channel >= d.geo.Channels ||
 		a.Die < 0 || a.Die >= d.geo.DiesPerChan ||
 		a.Plane < 0 || a.Plane >= d.geo.PlanesPerDie ||
@@ -383,7 +414,15 @@ func (d *Device) touch(a Addr) *blockStore {
 func (d *Device) payload(s *blockStore, pg int) []byte {
 	slab := &s.slabs[pg/d.pagesPerSlab]
 	if *slab == nil {
-		*slab = make([]byte, d.pagesPerSlab*d.geo.PageSize)
+		n := d.pagesPerSlab * d.geo.PageSize
+		spareSlabs.Lock()
+		if l := spareSlabs.byLen[n]; len(l) > 0 {
+			*slab, spareSlabs.byLen[n] = l[len(l)-1], l[:len(l)-1]
+		}
+		spareSlabs.Unlock()
+		if *slab == nil {
+			*slab = make([]byte, n)
+		}
 	}
 	off := pg % d.pagesPerSlab * d.geo.PageSize
 	return (*slab)[off : off+d.geo.PageSize]
@@ -439,28 +478,20 @@ func (d *Device) cutDuring(start sim.Time) bool {
 // Buffer ownership. The slab is private to the device: every entry point
 // copies across its boundary and none hands out a view of stored bytes.
 // ReadPageInto and PeekInto copy the payload into the caller's dst; ReadPage
-// and ReadPageOOB return a fresh slice the caller owns; ProgramPage,
-// ProgramPageOOB and InjectRaw copy the caller's data when the operation
-// completes, so the caller's buffer must stay unchanged until they return
-// and is the caller's again afterwards.
+// returns a fresh slice the caller owns; ProgramPage, ProgramPageOOB and
+// InjectRaw copy the caller's data when the operation completes, so the
+// caller's buffer must stay unchanged until they return and is the caller's
+// again afterwards.
 
 // ReadPage reads one page's payload into a fresh buffer; see ReadPageInto.
 // It and ProgramPage have no caller in this module outside tests: they
 // stay for the frozen bench/ module (bench/layers.go).
 func (d *Device) ReadPage(p *sim.Proc, a Addr) ([]byte, error) {
-	data, _, err := d.ReadPageOOB(p, a)
-	return data, err
-}
-
-// ReadPageOOB reads one page and its spare area into a fresh buffer; see
-// ReadPageInto.
-func (d *Device) ReadPageOOB(p *sim.Proc, a Addr) ([]byte, OOB, error) {
 	out := make([]byte, d.geo.PageSize)
-	oob, err := d.ReadPageInto(p, a, out)
-	if err != nil {
-		return nil, OOB{}, err
+	if _, err := d.ReadPageInto(p, a, out); err != nil {
+		return nil, err
 	}
-	return out, oob, nil
+	return out, nil
 }
 
 // ReadPageInto reads one page into dst (exactly one page long) and returns

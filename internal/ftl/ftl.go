@@ -235,6 +235,7 @@ func (f *FTL) LogicalPages() int64 { return f.logicalPages }
 func (f *FTL) Stats() Stats { return f.stats }
 
 func (f *FTL) checkLPN(lpn int64) error {
+	f.l2p.live()
 	if lpn < 0 || lpn >= f.logicalPages {
 		return fmt.Errorf("%w: lpn %d of %d", ErrCapacity, lpn, f.logicalPages)
 	}

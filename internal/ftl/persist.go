@@ -143,6 +143,7 @@ type ckptEntry struct {
 // order into whole pages, zero-padded; the entry stream is the first
 // mapped×ckptEntryBytes bytes.
 func (f *FTL) encodeMap() []byte {
+	f.l2p.live()
 	ps := int64(f.geo.PageSize)
 	need := f.l2p.mapped * ckptEntryBytes
 	b := make([]byte, (need+ps-1)/ps*ps)

@@ -1,5 +1,7 @@
 package ftl
 
+import "sync"
+
 // The logical-to-physical map is a two-level table: a directory of
 // fixed-size chunks, each allocated the first time one of its rows is
 // written. An untouched 4 GiB drive therefore costs one nil pointer per
@@ -39,17 +41,53 @@ func (t *mapTable) get(lpn int64) mapEntry {
 	return c[lpn&(mapChunkLen-1)]
 }
 
-// row returns lpn's row for update, allocating its chunk on first touch.
+// row returns lpn's row for update, taking its chunk on first touch from the
+// spare list (or allocating it) and resetting every row in full: a reused
+// chunk's seq must not outlive its FTL any more than its ppn.
 func (t *mapTable) row(lpn int64) *mapEntry {
 	c := t.chunks[lpn>>mapChunkShift]
 	if c == nil {
-		c = new([mapChunkLen]mapEntry)
+		spareChunks.Lock()
+		if n := len(spareChunks.l); n > 0 {
+			c, spareChunks.l = spareChunks.l[n-1], spareChunks.l[:n-1]
+		}
+		spareChunks.Unlock()
+		if c == nil {
+			c = new([mapChunkLen]mapEntry)
+		}
 		for i := range c {
-			c[i].ppn = -1
+			c[i] = mapEntry{ppn: -1}
 		}
 		t.chunks[lpn>>mapChunkShift] = c
 	}
 	return &c[lpn&(mapChunkLen-1)]
+}
+
+// live panics once Release has handed the table's chunks away.
+func (t *mapTable) live() {
+	if t.chunks == nil {
+		panic("ftl: map access to a released FTL")
+	}
+}
+
+// spareChunks holds the map chunks of released FTLs for the FTLs built after
+// them (DESIGN.md §14).
+var spareChunks struct {
+	sync.Mutex
+	l []*[mapChunkLen]mapEntry
+}
+
+// Release hands the FTL's map chunks to the spare list and retires the FTL:
+// its stats can still be read, but any later map access panics.
+func (f *FTL) Release() {
+	spareChunks.Lock()
+	for _, c := range f.l2p.chunks {
+		if c != nil {
+			spareChunks.l = append(spareChunks.l, c)
+		}
+	}
+	spareChunks.Unlock()
+	f.l2p.chunks = nil
 }
 
 // lpnAt returns the logical page whose live data sits at ppn, -1 if none.

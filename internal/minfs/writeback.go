@@ -10,10 +10,11 @@ import (
 // dirty-page cache (bounded by a page budget, applying backpressure like a
 // real page cache) and lands them on the device from background flusher
 // processes. Reads overlay dirty pages, so a view always sees its own
-// writes. Flush blocks until everything queued so far is durable — the
-// fsync barrier callers need before handing files to another view (the
-// host client calls it before dispatching a minion; the ISPS flushes after
-// a task so responses imply durable outputs).
+// writes. Flush blocks until the cache is empty, which takes in writes that
+// other processes queue while it waits — the fsync barrier callers need
+// before handing files to another view (the host client calls it before
+// dispatching a minion; the ISPS flushes after a task so responses imply
+// durable outputs).
 type writeBack struct {
 	eng     *sim.Engine
 	dev     BlockDevice
@@ -173,11 +174,13 @@ func (wb *writeBack) resolve() {
 	}
 }
 
-// Flush blocks until every write issued through this view so far is on the
-// device, and reports any background write error (the fsync contract: a
-// lost write surfaces here, not silently). Like Linux fsync, the error is
-// reported once and then cleared — a caller that rewrites the lost data and
-// flushes again can recover from a transient fault. When the device
+// Flush blocks until the view's write-back cache is empty: every write
+// issued through the view before the call is on the device, and so is every
+// write other processes queue before the cache drains, however long they keep
+// it from draining. It reports any background write error (the fsync
+// contract: a lost write surfaces here, not silently). Like Linux fsync, the
+// error is reported once and then cleared — a caller that rewrites the lost
+// data and flushes again can recover from a transient fault. When the device
 // implements Syncer the drained data is then made power-loss durable with a
 // device barrier, so Flush is fsync all the way to the media. Views without
 // write-back still issue the device barrier.

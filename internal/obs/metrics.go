@@ -117,16 +117,8 @@ func (h *Histogram) Quantile(q float64) sim.Duration {
 	if h == nil || h.count == 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := int64(math.Ceil(q * float64(h.count)))
-	if rank < 1 {
-		rank = 1
-	}
+	q = min(max(q, 0), 1)
+	rank := max(int64(math.Ceil(q*float64(h.count))), 1)
 	var cum int64
 	for i := 0; i < histBuckets; i++ {
 		n := h.buckets[i]
@@ -145,15 +137,8 @@ func (h *Histogram) Quantile(q float64) sim.Duration {
 		if i == 64 {
 			hi = math.MaxInt64
 		}
-		if hi > h.maxNS {
-			hi = h.maxNS
-		}
-		if lo < h.minNS {
-			lo = h.minNS
-		}
-		if hi < lo {
-			hi = lo
-		}
+		lo = max(lo, h.minNS)
+		hi = max(min(hi, h.maxNS), lo)
 		frac := float64(rank-cum) / float64(n)
 		return sim.Duration(lo + int64(frac*float64(hi-lo)))
 	}

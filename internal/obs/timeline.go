@@ -87,11 +87,7 @@ func (tl *Timeline) Fractions() []float64 {
 	out := make([]float64, len(tl.busy))
 	den := float64(tl.window) * float64(tl.capacity)
 	for i, b := range tl.busy {
-		f := float64(b) / den
-		if f > 1 {
-			f = 1
-		}
-		out[i] = f
+		out[i] = min(float64(b)/den, 1)
 	}
 	return out
 }
@@ -102,11 +98,7 @@ func (tl *Timeline) Mean() float64 {
 	if tl == nil || tl.endT <= 0 {
 		return 0
 	}
-	f := float64(tl.totalNS) / (float64(tl.endT) * float64(tl.capacity))
-	if f > 1 {
-		f = 1
-	}
-	return f
+	return min(float64(tl.totalNS)/(float64(tl.endT)*float64(tl.capacity)), 1)
 }
 
 // timelineStore registers timelines by full name.

@@ -270,10 +270,7 @@ func New(eng *sim.Engine, pool *cluster.Pool, o *obs.Obs, cfg Config) *Server {
 		if len(spec.Workloads) == 0 {
 			panic(fmt.Sprintf("serve: tenant %s has no workloads", spec.Name))
 		}
-		w := spec.Weight
-		if w < 1 {
-			w = 1
-		}
+		w := max(spec.Weight, 1)
 		mix := int64(i+1) * serveStreamMix
 		pre := "serve.tenant." + spec.Name + "."
 		ts := &tenantState{
@@ -325,7 +322,6 @@ func (s *Server) Start() {
 	s.started = s.eng.Now()
 	s.arrivalsOpen = len(s.tenants)
 	for _, ts := range s.tenants {
-		ts := ts
 		s.eng.Go("arrive."+ts.spec.Name, func(p *sim.Proc) {
 			s.arrivals(p, ts)
 			s.arrivalsOpen--
@@ -435,11 +431,7 @@ func (s *Server) arrivals(p *sim.Proc, ts *tenantState) {
 // expDuration draws an exponential duration with the given mean (seconds),
 // at least 1ns so arrivals always advance the clock.
 func expDuration(rng *rand.Rand, meanSec float64) time.Duration {
-	d := time.Duration(rng.ExpFloat64() * meanSec * 1e9)
-	if d < 1 {
-		d = 1
-	}
-	return d
+	return max(time.Duration(rng.ExpFloat64()*meanSec*1e9), 1)
 }
 
 // admit builds the arrival's request and either queues it or sheds it.
@@ -492,10 +484,7 @@ func (s *Server) buildRequest(p *sim.Proc, ts *tenantState) *request {
 	seq := ts.nextSeq
 	ts.nextSeq++
 	cmd := chosen.Make(seq)
-	cost := chosen.Cost
-	if cost < 1 {
-		cost = 1
-	}
+	cost := max(chosen.Cost, 1)
 	if d := ts.spec.Deadline; d > 0 {
 		cmd.Deadline = p.Now().Add(d)
 	}

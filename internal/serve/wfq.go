@@ -43,16 +43,8 @@ func newWFQ() *wfq {
 
 // push enqueues a request for flow with the given weight and cost.
 func (w *wfq) push(flow string, weight int, cost int64, req *request) {
-	if weight < 1 {
-		weight = 1
-	}
-	if cost < 1 {
-		cost = 1
-	}
-	start := w.vtime
-	if lf := w.lastFinish[flow]; lf > start {
-		start = lf
-	}
+	weight, cost = max(weight, 1), max(cost, 1)
+	start := max(w.vtime, w.lastFinish[flow])
 	finish := start + (cost*wfqScale+int64(weight)-1)/int64(weight)
 	w.lastFinish[flow] = finish
 	q := &queued{req: req, start: start, seq: w.nextSeq}

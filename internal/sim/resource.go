@@ -190,9 +190,5 @@ func (r *Resource) Utilization() float64 {
 	if el <= 0 {
 		return 0
 	}
-	u := (Duration(r.busyNS)).Seconds() / el
-	if u > 1 {
-		u = 1
-	}
-	return u
+	return min(Duration(r.busyNS).Seconds()/el, 1)
 }

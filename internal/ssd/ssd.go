@@ -270,6 +270,13 @@ func (s *SSD) FTL() *ftl.FTL { return s.ftl }
 // Flash exposes the NAND device (stats, wear).
 func (s *SSD) Flash() *flash.Device { return s.dev }
 
+// Release hands the drive's flash payload and L2P map on to the drives built
+// after it (flash.Device.Release, ftl.FTL.Release); only stats remain.
+func (s *SSD) Release() {
+	s.ftl.Release()
+	s.dev.Release()
+}
+
 // ISPS returns the in-storage subsystem, or nil on conventional drives.
 func (s *SSD) ISPS() *isps.Subsystem { return s.sub }
 
@@ -409,10 +416,7 @@ func (s *SSD) forEachPage(p *sim.Proc, n int64, fn func(cp *sim.Proc, i int64) e
 	}
 	// Full die-level parallelism (capped), so the fan-out can keep every
 	// plane busy on write-heavy streams.
-	workers := int64(len(s.ioNames))
-	if workers > n {
-		workers = n
-	}
+	workers := min(int64(len(s.ioNames)), n)
 	var firstErr error
 	p.Fork(int(workers), func(w int) string { return s.ioNames[w] }, func(cp *sim.Proc, w int) {
 		for i := int64(w); i < n; i += workers {
