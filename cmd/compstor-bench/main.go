@@ -64,7 +64,7 @@ const runAll = "all"
 // the same code. mu guards the mutable bookkeeping against the signal
 // goroutine; the obs data itself is only read best-effort on an early flush.
 type artifacts struct {
-	root      *obs.Obs
+	root      *obs.Obs // a traced run's one root; nil when untraced
 	stderr    io.Writer
 	outDir    string
 	cpuFile   *os.File
@@ -216,8 +216,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	root := obs.New()
+	// A traced run shares one root, because its one trace file covers every
+	// experiment. An untraced run gives each experiment a root of its own:
+	// a root's CounterFuncs capture the drives, so a shared one would keep
+	// every finished testbed alive.
+	var root *obs.Obs
 	if *tracePath != "" {
+		root = obs.New()
 		root.EnableTrace()
 	}
 
@@ -272,6 +277,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		name := e.Artefact()
 		o := opt
 		o.Obs = root.Scope(name)
+		if root == nil {
+			o.Obs = obs.New().Scope(name)
+		}
 		art.setCurrent(name, o.Obs)
 		// The label tags the experiment's samples in the CPU profile, so
 		// pprof can attribute host time per experiment (`pprof -tagfocus`).

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -167,5 +168,38 @@ func TestDiffRanksMovers(t *testing.T) {
 	stdout.Reset()
 	if code := run([]string{"-diff", a}, &stdout, &stderr); code != 2 {
 		t.Errorf("-diff with one file: exit %d, want 2", code)
+	}
+}
+
+// heapAtRule is a stdout that forces a collection and records the live heap
+// each time run prints the rule that follows an experiment's artefact.
+type heapAtRule struct{ live []uint64 }
+
+func (h *heapAtRule) Write(b []byte) (int, error) {
+	if bytes.HasPrefix(b, []byte("=====")) {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		h.live = append(h.live, ms.HeapAlloc)
+	}
+	return len(b), nil
+}
+
+// TestFinishedExperimentIsFreed: an untraced run holds on to no finished
+// experiment's testbed, so the live heap after the last row is one
+// experiment's leftovers, not the sum of every testbed the table built.
+func TestFinishedExperimentIsFreed(t *testing.T) {
+	var stdout heapAtRule
+	var stderr bytes.Buffer
+	args := []string{"-run", "all", "-books", "2", "-mean", "4096", "-devices", "1", "-outdir", t.TempDir()}
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d (stderr %q)", code, stderr.String())
+	}
+	if len(stdout.live) == 0 {
+		t.Fatal("no experiment finished")
+	}
+	const limit = 100 << 20
+	if last := stdout.live[len(stdout.live)-1]; last > limit {
+		t.Errorf("live heap after the last experiment is %d MB, want <= %d MB (after each: %v)", last>>20, limit>>20, stdout.live)
 	}
 }

@@ -1,6 +1,6 @@
 // Package chaos is the deterministic fault-injection harness: a seedable
 // Plan describes, per device, transient media errors, a whole-device
-// failure at a virtual time, a slow-device latency multiplier, and dropped
+// failure at a virtual time, a fail-slow latency multiplier, and dropped
 // agent responses; Install binds the plan onto an assembled core.System
 // through three fault seams, one job each: media (flash), command admission
 // (nvme) and command service (ssd).
@@ -61,13 +61,8 @@ type DeviceFaults struct {
 	ProgramErrProb float64
 	// DropProb is the per-minion probability that the agent drops the
 	// response. The draw is made as the drive hands the minion to the agent,
-	// after the command's slow and spike waits.
+	// after the command's fail-slow and spike waits.
 	DropProb float64
-	// SlowFactor > 1 multiplies the device's per-command controller
-	// overhead: a 4x-slow device pays 3 extra overheads per command. The
-	// extra latency is charged in the drive backend, before the command
-	// reaches the media.
-	SlowFactor float64
 	// FailAt, when non-zero, is the virtual time at which the whole device
 	// fails: from then on the NVMe front-end refuses every command and every
 	// media operation errors. A command admitted before FailAt runs on and
@@ -90,10 +85,13 @@ type DeviceFaults struct {
 	// them ever trips the clean-death model.
 
 	// FailSlowAt/FailSlowFor/FailSlowFactor define a fail-slow window: from
-	// FailSlowAt, for FailSlowFor (0 = until the end of the run), every
-	// command pays FailSlowFactor× the controller overhead. Unlike
-	// SlowFactor — a permanently mediocre device — this is a healthy device
-	// that degrades mid-run, the canonical gray failure.
+	// FailSlowAt (0 = from the start), for FailSlowFor (0 = until the end of
+	// the run), every command pays FailSlowFactor× the controller overhead:
+	// a 4x-slow device pays 3 extra overheads per command, charged in the
+	// drive backend before the command reaches the media. The window is on
+	// whenever FailSlowFactor > 1. FailSlowAt 0 is a permanently mediocre
+	// device; a later one is a healthy device that degrades mid-run, the
+	// canonical gray failure.
 	FailSlowAt     time.Duration
 	FailSlowFor    time.Duration
 	FailSlowFactor float64
@@ -118,14 +116,11 @@ func (f DeviceFaults) failed(now sim.Time) bool {
 
 // failSlow reports whether now falls inside the fail-slow window.
 func (f DeviceFaults) failSlow(now sim.Time) bool {
-	if f.FailSlowAt <= 0 || f.FailSlowFactor <= 1 {
+	if f.FailSlowFactor <= 1 {
 		return false
 	}
 	t := now.Duration()
-	if t < f.FailSlowAt {
-		return false
-	}
-	return f.FailSlowFor <= 0 || t < f.FailSlowAt+f.FailSlowFor
+	return t >= f.FailSlowAt && (f.FailSlowFor <= 0 || t < f.FailSlowAt+f.FailSlowFor)
 }
 
 // flapDown reports whether now falls in a down phase of a flapping device.
@@ -185,7 +180,6 @@ type Stats struct {
 	ReadFaults    int64 // transient media read errors injected
 	ProgramFaults int64 // transient media program errors injected
 	Drops         int64 // agent responses dropped
-	SlowWaits     int64 // commands delayed by a SlowFactor
 	DeadRejects   int64 // operations refused because the device had failed
 	PowerCuts     int64 // scheduled power cuts delivered
 	PowerRejects  int64 // operations refused on a powered-off device
@@ -206,8 +200,8 @@ type Injector struct {
 // injector. Hooks are installed at three seams: the NAND array (media
 // errors, corruption, dead media), the NVMe front-end (whether a dead,
 // powered-off or flapping device takes the command at all) and the drive
-// backend (slow device, fail-slow, spikes, dropped minions). Install
-// replaces any previously-installed hooks on those devices.
+// backend (fail-slow, spikes, dropped minions). Install replaces any
+// previously-installed hooks on those devices.
 func Install(sys *core.System, plan *Plan) *Injector {
 	inj := &Injector{sys: sys}
 	// Surface the injected-fault counters in snapshots; Instant calls below
@@ -217,7 +211,6 @@ func Install(sys *core.System, plan *Plan) *Injector {
 	o.CounterFunc("chaos.read_faults", func() int64 { return inj.stats.ReadFaults })
 	o.CounterFunc("chaos.program_faults", func() int64 { return inj.stats.ProgramFaults })
 	o.CounterFunc("chaos.drops", func() int64 { return inj.stats.Drops })
-	o.CounterFunc("chaos.slow_waits", func() int64 { return inj.stats.SlowWaits })
 	o.CounterFunc("chaos.dead_rejects", func() int64 { return inj.stats.DeadRejects })
 	o.CounterFunc("chaos.power_cuts", func() int64 { return inj.stats.PowerCuts })
 	o.CounterFunc("chaos.power_rejects", func() int64 { return inj.stats.PowerRejects })
@@ -312,10 +305,6 @@ func Install(sys *core.System, plan *Plan) *Injector {
 		// An admitted command is slowed in service, and a minion may then be
 		// dropped: ssd.Vendor hands it to the agent as this hook returns.
 		unit.Drive.SetFaultHook(func(p *sim.Proc, op nvme.Opcode) error {
-			if f.SlowFactor > 1 {
-				inj.stats.SlowWaits++
-				p.Wait(time.Duration(float64(unit.Drive.CmdOverhead()) * (f.SlowFactor - 1)))
-			}
 			if f.failSlow(p.Now()) {
 				inj.stats.FailSlowWaits++
 				p.Wait(time.Duration(float64(unit.Drive.CmdOverhead()) * (f.FailSlowFactor - 1)))

@@ -35,7 +35,7 @@ func randomPlan(seed int64, n int, intensity float64) *chaos.Plan {
 			ReadErrProb:    intensity * 0.05 * rng.Float64(),
 			ProgramErrProb: intensity * 0.02 * rng.Float64(),
 			DropProb:       intensity * 0.10 * rng.Float64(),
-			SlowFactor:     1 + intensity*3*rng.Float64(),
+			FailSlowFactor: 1 + intensity*3*rng.Float64(),
 		})
 	}
 	return pl
@@ -148,7 +148,7 @@ func killPlan(seed int64, failAt time.Duration) *chaos.Plan {
 func killPlanPerPage(seed int64, failAt time.Duration, rate float64) *chaos.Plan {
 	return chaos.NewPlan(seed).
 		WithDevice(0, chaos.DeviceFaults{ReadErrProb: 0.01 * rate, DropProb: 0.15}).
-		WithDevice(1, chaos.DeviceFaults{SlowFactor: 3, DropProb: 0.1}).
+		WithDevice(1, chaos.DeviceFaults{FailSlowFactor: 3, DropProb: 0.1}).
 		WithDevice(2, chaos.DeviceFaults{FailAt: failAt, ReadErrProb: 0.005 * rate}).
 		WithDevice(3, chaos.DeviceFaults{ProgramErrProb: 0.005 * rate, DropProb: 0.1})
 }
@@ -386,7 +386,7 @@ func TestTransientFaultsAreAbsorbed(t *testing.T) {
 	files := corpus(20)
 	baseline := run(t, 4, files, nil)
 	plan := chaos.NewPlan(99).WithDefault(chaos.DeviceFaults{
-		ReadErrProb: 0.002, ProgramErrProb: 0.001, DropProb: 0.03, SlowFactor: 1.5,
+		ReadErrProb: 0.002, ProgramErrProb: 0.001, DropProb: 0.03, FailSlowFactor: 1.5,
 	})
 	faulty := run(t, 4, files, plan)
 	if faulty.runErr != nil || len(faulty.failed) > 0 {

@@ -263,7 +263,7 @@ func Serving(o Options) ServingResult {
 	const midLoad = 0.75
 	lambda := midLoad * capacity
 	horizon := time.Duration(float64(servingTargetArrivals) / lambda * 1e9)
-	slow := chaos.NewPlan(o.Seed+1).WithDevice(0, chaos.DeviceFaults{SlowFactor: 8})
+	slow := chaos.NewPlan(o.Seed+1).WithDevice(0, chaos.DeviceFaults{FailSlowFactor: 8})
 	res.Points = append(res.Points,
 		o.servingRun("chaos_slow", midLoad, lambda, horizon, slo, data, slow, "slow-device", 0))
 	cut := chaos.NewPlan(o.Seed+2).WithDevice(0, chaos.DeviceFaults{PowerCutAt: horizon / 3})

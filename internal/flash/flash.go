@@ -347,7 +347,7 @@ func (d *Device) SetObs(o *obs.Obs) {
 	for c, bus := range d.chanBus {
 		d.chTracks = append(d.chTracks, fmt.Sprintf("flash.ch%d", c))
 		if o != nil {
-			o.WatchLink(fmt.Sprintf("flash.ch%d.busy", c), time.Millisecond, bus)
+			o.WatchLink(fmt.Sprintf("flash.ch%d.busy", c), bus)
 		}
 	}
 	o.CounterFunc("flash.reads", func() int64 { return d.stats.Reads })

@@ -174,7 +174,7 @@ func (s *Subsystem) SetObs(o *obs.Obs) {
 	s.histExec = o.Histogram("isps.task_exec")
 	queueWait := o.Histogram("isps.core_queue")
 	s.cores.SetQueueTimeHook(queueWait.Observe)
-	o.WatchResource("isps.cores.busy", time.Millisecond, s.cores)
+	o.WatchResource("isps.cores.busy", s.cores)
 	o.CounterFunc("isps.completed", func() int64 { return s.completed })
 	o.CounterFunc("isps.failed", func() int64 { return s.failed })
 	o.CounterFunc("isps.deadline_aborts", func() int64 { return s.deadlined })

@@ -34,7 +34,7 @@ func usec(ns int64) float64 { return float64(ns) / 1e3 }
 // kernel), then flow events binding cross-track parent edges so Perfetto
 // draws the causal arrows. A nil tracer or an empty run yields a valid
 // empty trace.
-func writeChromeTrace(w io.Writer, t *Tracer) error {
+func writeChromeTrace(w io.Writer, t *tracer) error {
 	out := chromeTrace{TraceEvents: []chromeEvent{}, DisplayTimeUnit: "ms"}
 	if t != nil {
 		for _, pr := range t.procs {
@@ -49,48 +49,45 @@ func writeChromeTrace(w io.Writer, t *Tracer) error {
 				Args: map[string]any{"name": th.name},
 			})
 		}
-		byID := make(map[int64]*spanRec, len(t.spans))
-		for i := range t.spans {
-			byID[t.spans[i].id] = &t.spans[i]
-		}
-		for _, ref := range t.order {
-			if ref.instant {
-				in := t.instants[ref.idx]
+		byID := make(map[int64]*record)
+		for i := range t.recs {
+			r := &t.recs[i]
+			if r.id == 0 {
 				args := map[string]any{}
-				for i := 0; i+1 < len(in.args); i += 2 {
-					args[in.args[i]] = in.args[i+1]
+				for j := 0; j+1 < len(r.args); j += 2 {
+					args[r.args[j]] = r.args[j+1]
 				}
-				if in.span != 0 {
-					args["span"] = in.span
+				if r.parent != 0 {
+					args["span"] = r.parent
 				}
 				if len(args) == 0 {
 					args = nil
 				}
 				out.TraceEvents = append(out.TraceEvents, chromeEvent{
-					Name: in.name, Ph: "i", Ts: usec(int64(in.at)),
-					Pid: in.pid, Tid: in.tid, S: "t", Args: args,
+					Name: r.name, Ph: "i", Ts: usec(int64(r.begin)),
+					Pid: r.pid, Tid: r.tid, S: "t", Args: args,
 				})
 				continue
 			}
-			sp := t.spans[ref.idx]
-			dur := usec(int64(sp.end) - int64(sp.begin))
-			args := map[string]any{"id": sp.id}
-			if sp.parent != 0 {
-				args["parent"] = sp.parent
+			byID[r.id] = r
+			dur := usec(int64(r.end) - int64(r.begin))
+			args := map[string]any{"id": r.id}
+			if r.parent != 0 {
+				args["parent"] = r.parent
 			}
 			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: sp.name, Ph: "X", Ts: usec(int64(sp.begin)), Dur: &dur,
-				Pid: sp.pid, Tid: sp.tid, Args: args,
+				Name: r.name, Ph: "X", Ts: usec(int64(r.begin)), Dur: &dur,
+				Pid: r.pid, Tid: r.tid, Args: args,
 			})
 		}
 		// Flow arrows for parent edges that cross a track: same-track
 		// nesting is already visible as a stack, cross-track (queue/mailbox)
 		// edges need explicit s→f binding.
-		for _, ref := range t.order {
-			if ref.instant {
+		for i := range t.recs {
+			sp := &t.recs[i]
+			if sp.id == 0 {
 				continue
 			}
-			sp := t.spans[ref.idx]
 			par, ok := byID[sp.parent]
 			if sp.parent == 0 || !ok || (par.pid == sp.pid && par.tid == sp.tid) {
 				continue

@@ -32,11 +32,12 @@ package obs
 
 import (
 	"io"
+	"time"
 
 	"compstor/internal/sim"
 )
 
-// Obs bundles a metrics registry, a span tracer, and a timeline store under
+// Obs bundles a metrics registry, a span tracer, and timelines under
 // a hierarchical name prefix. The zero value is not useful; create a root
 // with New and derive per-component handles with Scope. A nil *Obs disables
 // everything.
@@ -47,14 +48,14 @@ type Obs struct {
 }
 
 // shared is the state common to a root Obs and every scope derived from it.
-// The three metric maps are keyed by full (prefixed) name.
+// The four instrument maps are keyed by full (prefixed) name.
 type shared struct {
-	counters map[string]*Counter
-	hists    map[string]*Histogram
-	funcs    map[string]func() int64
-	tracer   *Tracer
-	tls      *timelineStore
-	nextPid  int
+	counters  map[string]*Counter
+	hists     map[string]*Histogram
+	funcs     map[string]func() int64
+	timelines map[string]*Timeline
+	tracer    *tracer
+	nextPid   int
 }
 
 // New creates a root Obs with metrics and timelines enabled and span
@@ -62,12 +63,12 @@ type shared struct {
 // is named "host".
 func New() *Obs {
 	sh := &shared{
-		counters: make(map[string]*Counter),
-		hists:    make(map[string]*Histogram),
-		funcs:    make(map[string]func() int64),
-		tracer:   newTracer(),
-		tls:      newTimelineStore(),
-		nextPid:  2,
+		counters:  make(map[string]*Counter),
+		hists:     make(map[string]*Histogram),
+		funcs:     make(map[string]func() int64),
+		timelines: make(map[string]*Timeline),
+		tracer:    newTracer(),
+		nextPid:   2,
 	}
 	o := &Obs{shared: sh, pid: 1}
 	sh.tracer.processName(1, "host")
@@ -128,8 +129,7 @@ func (o *Obs) Histogram(name string) *Histogram {
 
 // CounterFunc registers a counter whose value is pulled from fn at snapshot
 // time. This is how existing per-layer Stats structs surface uniformly
-// without double bookkeeping. An owned counter of the same name wins over a
-// function.
+// without double bookkeeping.
 func (o *Obs) CounterFunc(name string, fn func() int64) {
 	if o == nil {
 		return
@@ -144,12 +144,20 @@ func (o *Obs) Timeline(name string, window sim.Duration, capacity int) *Timeline
 	if o == nil {
 		return nil
 	}
-	return o.shared.tls.get(o.prefix+name, window, capacity)
+	tl := o.shared.timelines[o.prefix+name]
+	if tl == nil {
+		tl = &Timeline{window: window, capacity: capacity}
+		o.shared.timelines[o.prefix+name] = tl
+	}
+	return tl
 }
 
+// watchWindow is the initial window width of a watched link or resource.
+const watchWindow = time.Millisecond
+
 // WatchLink attaches a utilisation timeline to a link's busy hook.
-func (o *Obs) WatchLink(name string, window sim.Duration, l *sim.Link) {
-	tl := o.Timeline(name, window, 1)
+func (o *Obs) WatchLink(name string, l *sim.Link) {
+	tl := o.Timeline(name, watchWindow, 1)
 	if tl == nil {
 		return
 	}
@@ -158,8 +166,8 @@ func (o *Obs) WatchLink(name string, window sim.Duration, l *sim.Link) {
 
 // WatchResource attaches a utilisation timeline to a resource's busy hook,
 // normalising by its server count.
-func (o *Obs) WatchResource(name string, window sim.Duration, r *sim.Resource) {
-	tl := o.Timeline(name, window, r.Capacity())
+func (o *Obs) WatchResource(name string, r *sim.Resource) {
+	tl := o.Timeline(name, watchWindow, r.Capacity())
 	if tl == nil {
 		return
 	}

@@ -94,7 +94,7 @@ func TestSpanEndWithoutBegin(t *testing.T) {
 		sp.End()
 	})
 	eng.Run()
-	if n := len(o.shared.tracer.spans); n != 1 {
+	if n := len(o.shared.tracer.recs); n != 1 {
 		t.Fatalf("recorded %d spans, want 1", n)
 	}
 }
@@ -119,7 +119,7 @@ func TestSpanParenting(t *testing.T) {
 		}
 	})
 	eng.Run()
-	sp := o.shared.tracer.spans
+	sp := o.shared.tracer.recs
 	if len(sp) != 2 || sp[0].name != "inner" || sp[0].parent != sp[1].id {
 		t.Fatalf("bad parenting: %+v", sp)
 	}
@@ -137,7 +137,7 @@ func TestTraceDisabledIsNoop(t *testing.T) {
 		sp.End()
 	})
 	eng.Run()
-	if len(o.shared.tracer.spans)+len(o.shared.tracer.instants) != 0 {
+	if len(o.shared.tracer.recs) != 0 {
 		t.Fatal("disabled tracer recorded events")
 	}
 	var nilO *Obs

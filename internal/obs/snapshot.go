@@ -85,14 +85,9 @@ func (o *Obs) Snapshot(name string) Snapshot {
 		}
 	}
 	for _, full := range sortedKeys(r.funcs) {
-		n, ok := keep(full)
-		if !ok {
-			continue
+		if n, ok := keep(full); ok {
+			s.Counters = append(s.Counters, CounterSnap{Name: n, Value: r.funcs[full]()})
 		}
-		if _, owned := r.counters[full]; owned {
-			continue // an owned counter of the same name wins
-		}
-		s.Counters = append(s.Counters, CounterSnap{Name: n, Value: r.funcs[full]()})
 	}
 	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
 	for _, full := range sortedKeys(r.hists) {
@@ -112,12 +107,12 @@ func (o *Obs) Snapshot(name string) Snapshot {
 			P99NS: int64(h.Quantile(0.99)),
 		})
 	}
-	for _, full := range o.shared.tls.sortedNames() {
+	for _, full := range sortedKeys(r.timelines) {
 		n, ok := keep(full)
 		if !ok {
 			continue
 		}
-		tl := o.shared.tls.byName[full]
+		tl := r.timelines[full]
 		s.Timelines = append(s.Timelines, TimelineSnap{
 			Name:     n,
 			WindowNS: int64(tl.Window()),

@@ -25,8 +25,11 @@ func CtxOf(p *sim.Proc) Ctx {
 	return Ctx{}
 }
 
-// spanRec is one completed span.
-type spanRec struct {
+// record is one trace event: a completed span, or an instant (id 0) at
+// begin. parent is the enclosing span: a span's parent, or the span open on
+// the recording process when the instant was recorded. args are an
+// instant's alternating key, value detail strings.
+type record struct {
 	id     int64
 	parent int64
 	pid    int
@@ -34,16 +37,7 @@ type spanRec struct {
 	name   string
 	begin  sim.Time
 	end    sim.Time
-}
-
-// instantRec is one zero-duration event.
-type instantRec struct {
-	pid  int
-	tid  int
-	name string
-	at   sim.Time
-	span int64 // enclosing span at the recording site, 0 if none
-	args []string
+	args   []string
 }
 
 // threadKey identifies a track within a trace process.
@@ -52,25 +46,17 @@ type threadKey struct {
 	track string
 }
 
-// Tracer records spans and instants in virtual time. It is created off by
+// tracer records spans and instants in virtual time. It is created off by
 // default; Obs.EnableTrace flips it on. All state is engine-context only.
-type Tracer struct {
-	enabled  bool
-	nextID   int64
-	spans    []spanRec
-	instants []instantRec
-	order    []traceRef // creation-order interleave of spans and instants
-	procs    []procName
-	threads  map[threadKey]int
-	thList   []thName
-}
-
-// traceRef points into spans or instants preserving creation order, which
-// is deterministic under the sim kernel and therefore yields byte-identical
-// exports for identical seeds.
-type traceRef struct {
-	instant bool
-	idx     int
+// recs is in creation order, which is deterministic under the sim kernel
+// and therefore yields byte-identical exports for identical seeds.
+type tracer struct {
+	enabled bool
+	nextID  int64
+	recs    []record
+	procs   []procName
+	threads map[threadKey]int
+	thList  []thName
 }
 
 type procName struct {
@@ -84,17 +70,17 @@ type thName struct {
 	name string
 }
 
-func newTracer() *Tracer {
-	return &Tracer{threads: make(map[threadKey]int)}
+func newTracer() *tracer {
+	return &tracer{threads: make(map[threadKey]int)}
 }
 
-func (t *Tracer) processName(pid int, name string) {
+func (t *tracer) processName(pid int, name string) {
 	t.procs = append(t.procs, procName{pid: pid, name: name})
 }
 
 // tid returns the thread id for track within pid, assigning ids in
 // first-use order.
-func (t *Tracer) tid(pid int, track string) int {
+func (t *tracer) tid(pid int, track string) int {
 	k := threadKey{pid: pid, track: track}
 	if id, ok := t.threads[k]; ok {
 		return id
@@ -114,7 +100,7 @@ func (t *Tracer) tid(pid int, track string) int {
 // End already called) is a no-op, which is also what makes
 // end-without-begin harmless.
 type Span struct {
-	t      *Tracer
+	t      *tracer
 	p      *sim.Proc
 	prev   any
 	id     int64
@@ -125,7 +111,7 @@ type Span struct {
 	begin  sim.Time
 }
 
-func (t *Tracer) begin(p *sim.Proc, parent Ctx, pid int, track, name string) *Span {
+func (t *tracer) begin(p *sim.Proc, parent Ctx, pid int, track, name string) *Span {
 	var at sim.Time
 	if p != nil {
 		at = p.Now()
@@ -140,7 +126,7 @@ func (t *Tracer) begin(p *sim.Proc, parent Ctx, pid int, track, name string) *Sp
 }
 
 // beginAt opens a span no process carries.
-func (t *Tracer) beginAt(at sim.Time, parent Ctx, pid int, track, name string) Span {
+func (t *tracer) beginAt(at sim.Time, parent Ctx, pid int, track, name string) Span {
 	t.nextID++
 	return Span{
 		t:      t,
@@ -182,7 +168,7 @@ func (s *Span) EndAt(end sim.Time) {
 	if s.t == nil {
 		return
 	}
-	s.t.spans = append(s.t.spans, spanRec{
+	s.t.recs = append(s.t.recs, record{
 		id:     s.id,
 		parent: s.parent,
 		pid:    s.pid,
@@ -191,11 +177,10 @@ func (s *Span) EndAt(end sim.Time) {
 		begin:  s.begin,
 		end:    end,
 	})
-	s.t.order = append(s.t.order, traceRef{idx: len(s.t.spans) - 1})
 	s.t = nil
 }
 
-func (t *Tracer) instant(p *sim.Proc, pid int, track, name string, args []string) {
+func (t *tracer) instant(p *sim.Proc, pid int, track, name string, args []string) {
 	var at sim.Time
 	if p != nil {
 		at = p.Now()
@@ -203,14 +188,13 @@ func (t *Tracer) instant(p *sim.Proc, pid int, track, name string, args []string
 	t.instantAt(pid, track, name, at, CtxOf(p).id, args)
 }
 
-func (t *Tracer) instantAt(pid int, track, name string, at sim.Time, span int64, args []string) {
-	t.instants = append(t.instants, instantRec{
-		pid:  pid,
-		tid:  t.tid(pid, track),
-		name: name,
-		at:   at,
-		span: span,
-		args: args,
+func (t *tracer) instantAt(pid int, track, name string, at sim.Time, parent int64, args []string) {
+	t.recs = append(t.recs, record{
+		parent: parent,
+		pid:    pid,
+		tid:    t.tid(pid, track),
+		name:   name,
+		begin:  at,
+		args:   args,
 	})
-	t.order = append(t.order, traceRef{instant: true, idx: len(t.instants) - 1})
 }

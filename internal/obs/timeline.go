@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"sort"
-
-	"compstor/internal/sim"
-)
+import "compstor/internal/sim"
 
 // maxWindows bounds a timeline's memory: when a run outlives the budget the
 // window width doubles and adjacent buckets merge, trading resolution for
@@ -17,7 +13,6 @@ const maxWindows = 2048
 // polling sampler would keep the event queue non-empty and Engine.Run would
 // never drain.
 type Timeline struct {
-	name     string
 	window   sim.Duration
 	capacity int // busy-fraction divisor (server count for resources)
 	busy     []int64
@@ -99,38 +94,4 @@ func (tl *Timeline) Mean() float64 {
 		return 0
 	}
 	return min(float64(tl.totalNS)/(float64(tl.endT)*float64(tl.capacity)), 1)
-}
-
-// timelineStore registers timelines by full name.
-type timelineStore struct {
-	byName map[string]*Timeline
-}
-
-func newTimelineStore() *timelineStore {
-	return &timelineStore{byName: make(map[string]*Timeline)}
-}
-
-func (s *timelineStore) get(name string, window sim.Duration, capacity int) *Timeline {
-	if tl, ok := s.byName[name]; ok {
-		return tl
-	}
-	if window <= 0 {
-		window = sim.Duration(1e6) // 1ms default
-	}
-	if capacity <= 0 {
-		capacity = 1
-	}
-	tl := &Timeline{name: name, window: window, capacity: capacity}
-	s.byName[name] = tl
-	return tl
-}
-
-// sortedNames returns registered timeline names in lexical order.
-func (s *timelineStore) sortedNames() []string {
-	names := make([]string, 0, len(s.byName))
-	for n := range s.byName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

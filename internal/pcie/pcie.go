@@ -59,9 +59,9 @@ func (f *Fabric) SetObs(o *obs.Obs) {
 	if o == nil {
 		return
 	}
-	o.WatchLink("pcie.uplink.busy", time.Millisecond, f.uplink)
+	o.WatchLink("pcie.uplink.busy", f.uplink)
 	for _, p := range f.ports {
-		o.WatchLink(fmt.Sprintf("pcie.port%d.busy", p.id), time.Millisecond, p.link)
+		o.WatchLink(fmt.Sprintf("pcie.port%d.busy", p.id), p.link)
 	}
 }
 
@@ -75,7 +75,7 @@ func (f *Fabric) AddPort() *Port {
 	}
 	f.ports = append(f.ports, p)
 	if f.obs != nil {
-		f.obs.WatchLink(fmt.Sprintf("pcie.port%d.busy", id), time.Millisecond, p.link)
+		f.obs.WatchLink(fmt.Sprintf("pcie.port%d.busy", id), p.link)
 	}
 	return p
 }

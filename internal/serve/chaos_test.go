@@ -66,7 +66,7 @@ func TestServingSlowDevice(t *testing.T) {
 	quiet, _ := runServing(t, 2, cfg, nil, 0)
 	baseline := resultMap(quiet)
 
-	plan := chaos.NewPlan(7).WithDevice(0, chaos.DeviceFaults{SlowFactor: 8})
+	plan := chaos.NewPlan(7).WithDevice(0, chaos.DeviceFaults{FailSlowFactor: 8})
 	srv, expired := runServing(t, 2, cfg, plan, 30*time.Second)
 	checkOutcomes(t, srv, expired, baseline)
 	if srv.Stats("inter").Finished == 0 {

@@ -267,7 +267,7 @@ func TestArrivalsSplitFromChaosStreams(t *testing.T) {
 	quiet := mk(nil)
 	// Seed 2018 matches the serving seed on purpose: even a chaos plan
 	// seeded identically to the server must not share streams with it.
-	noisy := mk(chaos.NewPlan(2018).WithDevice(0, chaos.DeviceFaults{SlowFactor: 4, ReadErrProb: 0.02}))
+	noisy := mk(chaos.NewPlan(2018).WithDevice(0, chaos.DeviceFaults{FailSlowFactor: 4, ReadErrProb: 0.02}))
 
 	qm, nm := resultMap(quiet), resultMap(noisy)
 	if len(qm) != len(nm) {

@@ -157,7 +157,7 @@ func New(eng *sim.Engine, port *pcie.Port, cfg Config) *SSD {
 	s.ftl = ftl.New(s.dev, ftlCfg)
 	s.fs = minfs.NewFS(cfg.Geometry.PageSize, s.ftl.LogicalPages())
 	if cfg.Obs != nil {
-		cfg.Obs.WatchResource("ctrl.busy", time.Millisecond, s.ctrlCPU)
+		cfg.Obs.WatchResource("ctrl.busy", s.ctrlCPU)
 	}
 
 	if cfg.InSitu {
