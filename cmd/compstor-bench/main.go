@@ -64,7 +64,7 @@ const runAll = "all"
 // the same code. mu guards the mutable bookkeeping against the signal
 // goroutine; the obs data itself is only read best-effort on an early flush.
 type artifacts struct {
-	root      *obs.Obs // a traced run's one root; nil when untraced
+	trace     *obs.Obs // the root whose tracer every experiment's root records into
 	stderr    io.Writer
 	outDir    string
 	cpuFile   *os.File
@@ -131,7 +131,7 @@ func (a *artifacts) flush() bool {
 		ok = a.write(a.benchPath(name), scope.Snapshot(name).WriteJSON) && ok
 	}
 	if a.tracePath != "" {
-		ok = a.write(a.tracePath, a.root.WriteTrace) && ok
+		ok = a.write(a.tracePath, a.trace.WriteTrace) && ok
 	}
 	if a.memPath != "" {
 		runtime.GC()
@@ -216,18 +216,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// A traced run shares one root, because its one trace file covers every
-	// experiment. An untraced run gives each experiment a root of its own:
-	// a root's CounterFuncs capture the drives, so a shared one would keep
-	// every finished testbed alive.
-	var root *obs.Obs
+	// Each experiment gets a root of its own: a root's CounterFuncs capture
+	// the drives, so a shared one would keep every finished testbed alive.
+	// The roots share one tracer, whose one trace file covers every
+	// experiment.
+	trace := obs.New()
 	if *tracePath != "" {
-		root = obs.New()
-		root.EnableTrace()
+		trace.EnableTrace()
 	}
 
 	art := &artifacts{
-		root:      root,
+		trace:     trace,
 		stderr:    stderr,
 		outDir:    *outDir,
 		memPath:   *memProfile,
@@ -276,10 +275,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for _, e := range selected {
 		name := e.Artefact()
 		o := opt
-		o.Obs = root.Scope(name)
-		if root == nil {
-			o.Obs = obs.New().Scope(name)
-		}
+		o.Obs = trace.Fresh().Scope(name)
 		art.setCurrent(name, o.Obs)
 		// The label tags the experiment's samples in the CPU profile, so
 		// pprof can attribute host time per experiment (`pprof -tagfocus`).

@@ -55,24 +55,30 @@ type shared struct {
 	funcs     map[string]func() int64
 	timelines map[string]*Timeline
 	tracer    *tracer
-	nextPid   int
 }
 
 // New creates a root Obs with metrics and timelines enabled and span
 // tracing off (enable it with EnableTrace). The root scope's trace process
 // is named "host".
 func New() *Obs {
-	sh := &shared{
+	t := &tracer{threads: make(map[threadKey]int), nextPid: 2, procs: []procName{{pid: 1, name: "host"}}}
+	return (&Obs{shared: &shared{tracer: t}}).Fresh()
+}
+
+// Fresh creates a root with instruments of its own that records into o's
+// tracer: a run of many experiments gives each its own metrics, freed with
+// it, and still writes one trace covering all of them.
+func (o *Obs) Fresh() *Obs {
+	if o == nil {
+		return nil
+	}
+	return &Obs{pid: 1, shared: &shared{
 		counters:  make(map[string]*Counter),
 		hists:     make(map[string]*Histogram),
 		funcs:     make(map[string]func() int64),
 		timelines: make(map[string]*Timeline),
-		tracer:    newTracer(),
-		nextPid:   2,
-	}
-	o := &Obs{shared: sh, pid: 1}
-	sh.tracer.processName(1, "host")
-	return o
+		tracer:    o.shared.tracer,
+	}}
 }
 
 // EnableTrace turns on span and instant recording. Before this is called
@@ -92,9 +98,10 @@ func (o *Obs) Scope(name string) *Obs {
 	if o == nil {
 		return nil
 	}
-	c := &Obs{shared: o.shared, prefix: o.prefix + name + ".", pid: o.shared.nextPid}
-	o.shared.nextPid++
-	o.shared.tracer.processName(c.pid, c.prefix[:len(c.prefix)-1])
+	t := o.shared.tracer
+	c := &Obs{shared: o.shared, prefix: o.prefix + name + ".", pid: t.nextPid}
+	t.nextPid++
+	t.procs = append(t.procs, procName{pid: c.pid, name: c.prefix[:len(c.prefix)-1]})
 	return c
 }
 
@@ -182,7 +189,12 @@ func (o *Obs) Begin(p *sim.Proc, track, name string) *Span {
 	if o == nil || !o.shared.tracer.enabled {
 		return nil
 	}
-	return o.shared.tracer.begin(p, CtxOf(p), o.pid, track, name)
+	s := o.shared.tracer.beginAt(0, CtxOf(p), o.pid, track, name)
+	if p != nil {
+		s.rec.begin, s.p, s.prev = p.Now(), p, p.ObsCtx()
+		p.SetObsCtx(s.Ctx())
+	}
+	return &s
 }
 
 // BeginAt opens a span at an explicit instant under an explicit parent, for
@@ -203,7 +215,11 @@ func (o *Obs) Instant(p *sim.Proc, track, name string, args ...string) {
 	if o == nil || !o.shared.tracer.enabled {
 		return
 	}
-	o.shared.tracer.instant(p, o.pid, track, name, args)
+	var at sim.Time
+	if p != nil {
+		at = p.Now()
+	}
+	o.shared.tracer.instantAt(o.pid, track, name, at, CtxOf(p).id, args)
 }
 
 // InstantAt records a zero-duration trace event at an explicit virtual
@@ -216,9 +232,9 @@ func (o *Obs) InstantAt(t sim.Time, track, name string, args ...string) {
 	o.shared.tracer.instantAt(o.pid, track, name, t, 0, args)
 }
 
-// WriteTrace writes the whole shared trace (all scopes) as Chrome
-// trace-event JSON. Safe on a nil Obs and on an empty run: both produce a
-// valid, empty trace.
+// WriteTrace writes the whole shared trace (every scope of every root
+// sharing the tracer) as Chrome trace-event JSON. Safe on a nil Obs and on
+// an empty run: both produce a valid, empty trace.
 func (o *Obs) WriteTrace(w io.Writer) error {
 	if o == nil {
 		return writeChromeTrace(w, nil)

@@ -49,10 +49,13 @@ type threadKey struct {
 // tracer records spans and instants in virtual time. It is created off by
 // default; Obs.EnableTrace flips it on. All state is engine-context only.
 // recs is in creation order, which is deterministic under the sim kernel
-// and therefore yields byte-identical exports for identical seeds.
+// and therefore yields byte-identical exports for identical seeds. Every
+// root that shares the tracer draws its scopes' pids from nextPid, so one
+// trace file can cover many roots.
 type tracer struct {
 	enabled bool
 	nextID  int64
+	nextPid int
 	recs    []record
 	procs   []procName
 	threads map[threadKey]int
@@ -68,14 +71,6 @@ type thName struct {
 	pid  int
 	tid  int
 	name string
-}
-
-func newTracer() *tracer {
-	return &tracer{threads: make(map[threadKey]int)}
-}
-
-func (t *tracer) processName(pid int, name string) {
-	t.procs = append(t.procs, procName{pid: pid, name: name})
 }
 
 // tid returns the thread id for track within pid, assigning ids in
@@ -96,47 +91,27 @@ func (t *tracer) tid(pid int, track string) int {
 	return id
 }
 
-// Span is an open interval on a track. A nil *Span (tracing disabled, or
-// End already called) is a no-op, which is also what makes
-// end-without-begin harmless.
+// Span is an open interval on a track: the record End appends, with its
+// end still to set. A nil *Span (tracing disabled, or End already called)
+// is a no-op, which is also what makes end-without-begin harmless.
 type Span struct {
-	t      *tracer
-	p      *sim.Proc
-	prev   any
-	id     int64
-	parent int64
-	pid    int
-	tid    int
-	name   string
-	begin  sim.Time
+	t    *tracer
+	p    *sim.Proc
+	prev any
+	rec  record
 }
 
-func (t *tracer) begin(p *sim.Proc, parent Ctx, pid int, track, name string) *Span {
-	var at sim.Time
-	if p != nil {
-		at = p.Now()
-	}
-	s := t.beginAt(at, parent, pid, track, name)
-	if p != nil {
-		s.p = p
-		s.prev = p.ObsCtx()
-		p.SetObsCtx(Ctx{id: s.id, pid: pid})
-	}
-	return &s
-}
-
-// beginAt opens a span no process carries.
+// beginAt opens a span; Obs.Begin hands it to a process to carry.
 func (t *tracer) beginAt(at sim.Time, parent Ctx, pid int, track, name string) Span {
 	t.nextID++
-	return Span{
-		t:      t,
+	return Span{t: t, rec: record{
 		id:     t.nextID,
 		parent: parent.id,
 		pid:    pid,
 		tid:    t.tid(pid, track),
 		name:   name,
 		begin:  at,
-	}
+	}}
 }
 
 // Ctx returns the span's context for cross-queue parenting. The zero Ctx on
@@ -145,7 +120,7 @@ func (s *Span) Ctx() Ctx {
 	if s == nil {
 		return Ctx{}
 	}
-	return Ctx{id: s.id, pid: s.pid}
+	return Ctx{id: s.rec.id, pid: s.rec.pid}
 }
 
 // End closes the span at the process's current virtual time, restoring the
@@ -155,7 +130,7 @@ func (s *Span) End() {
 	if s == nil || s.t == nil {
 		return
 	}
-	end := s.begin
+	end := s.rec.begin
 	if s.p != nil {
 		end = s.p.Now()
 		s.p.SetObsCtx(s.prev)
@@ -168,24 +143,9 @@ func (s *Span) EndAt(end sim.Time) {
 	if s.t == nil {
 		return
 	}
-	s.t.recs = append(s.t.recs, record{
-		id:     s.id,
-		parent: s.parent,
-		pid:    s.pid,
-		tid:    s.tid,
-		name:   s.name,
-		begin:  s.begin,
-		end:    end,
-	})
+	s.rec.end = end
+	s.t.recs = append(s.t.recs, s.rec)
 	s.t = nil
-}
-
-func (t *tracer) instant(p *sim.Proc, pid int, track, name string, args []string) {
-	var at sim.Time
-	if p != nil {
-		at = p.Now()
-	}
-	t.instantAt(pid, track, name, at, CtxOf(p).id, args)
 }
 
 func (t *tracer) instantAt(pid int, track, name string, at sim.Time, parent int64, args []string) {

@@ -33,13 +33,13 @@ func BenchmarkProcessSwitch(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkWaitWhile is one stalled poll in engine context: the poller is
-// traced, so no poll completes inline and each is an event of its own.
+// BenchmarkWaitWhile is one stalled poll in engine context: the fast paths
+// are off, so no poll completes inline and each is an event of its own.
 func BenchmarkWaitWhile(b *testing.B) {
 	e := NewEngine()
+	e.fastOff = true
 	n := 0
 	e.Go("poller", func(p *Proc) {
-		p.SetObsCtx(true)
 		p.WaitWhile(time.Nanosecond, func() bool { n++; return n < b.N })
 	})
 	b.ResetTimer()

@@ -195,12 +195,11 @@ func (e *Engine) RunUntil(deadline Time) Time {
 
 // canInline reports whether a process delay ending at t can complete without
 // touching the event queue: the engine must be inside Run with the deadline
-// covering t, the proc must carry no tracing context (an open span pins the
-// old dispatch pattern), and no pending event may fire at or before t. Under
-// those conditions advancing the clock directly is indistinguishable from
+// covering t, and no pending event may fire at or before t. Under those
+// conditions advancing the clock directly is indistinguishable from
 // scheduling a wake-up event and dispatching it next.
-func (e *Engine) canInline(p *Proc, t Time) bool {
-	if e.fastOff || !e.running || t > e.runDeadline || p.obsCtx != nil {
+func (e *Engine) canInline(t Time) bool {
+	if e.fastOff || !e.running || t > e.runDeadline {
 		return false
 	}
 	min, ok := e.q.minTime(e.now)

@@ -12,8 +12,8 @@ import (
 // children that wait seeded delays (some zero, many ending together)
 // beside a rival process and callbacks landing on the same instants.
 type forkScenario struct {
-	seed   int64
-	traced bool // the parent carries an obs context, which Fork's children inherit
+	seed    int64
+	fastOff bool // the engine runs with the fast paths off
 }
 
 // run plays the scenario with the parent using Fork, or the hand-rolled
@@ -22,6 +22,7 @@ type forkScenario struct {
 func (sc forkScenario) run(useFork bool) (log []string, events int64, seq uint64) {
 	e := NewEngine()
 	defer e.Shutdown()
+	e.fastOff = sc.fastOff
 	a := e.EnableAccounting(AccountingConfig{})
 	rng := rand.New(rand.NewSource(sc.seed))
 	note := func(format string, args ...any) {
@@ -45,9 +46,6 @@ func (sc forkScenario) run(useFork bool) (log []string, events int64, seq uint64
 		note("child %d ends", i)
 	}
 	e.Go("parent", func(p *Proc) {
-		if sc.traced {
-			p.SetObsCtx("span")
-		}
 		p.Wait(lead)
 		note("parent forks %d", n)
 		if useFork {
@@ -80,11 +78,11 @@ func (sc forkScenario) run(useFork bool) (log []string, events int64, seq uint64
 
 // Fork is the hand-rolled fork-join: the same child start order and
 // instants, the same parent resume instant, the same order of everything
-// around them and the same event count and seq numbering — also when the
-// parent's obs context makes Fork's children wait through the queue.
+// around them and the same event count and seq numbering — also with the
+// fast paths off, when every child waits through the queue.
 func TestForkMatchesLoop(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
-		for _, sc := range []forkScenario{{seed: seed}, {seed: seed, traced: true}} {
+		for _, sc := range []forkScenario{{seed: seed}, {seed: seed, fastOff: true}} {
 			wantLog, wantEvents, wantSeq := sc.run(false)
 			gotLog, gotEvents, gotSeq := sc.run(true)
 			if !slices.Equal(gotLog, wantLog) || gotEvents != wantEvents || gotSeq != wantSeq {

@@ -207,7 +207,7 @@ func (p *Proc) WaitUntil(t Time) {
 
 func (p *Proc) waitUntil(t Time) {
 	e := p.eng
-	if e.canInline(p, t) {
+	if e.canInline(t) {
 		e.inlineAdvance(p, t)
 		return
 	}
@@ -228,7 +228,7 @@ func (p *Proc) WaitFn(d Duration, fn func() Time) {
 	}
 	e := p.eng
 	t := e.now.Add(d)
-	if e.canInline(p, t) {
+	if e.canInline(t) {
 		e.inlineAdvance(p, t)
 		done := fn()
 		switch {
@@ -237,7 +237,7 @@ func (p *Proc) WaitFn(d Duration, fn func() Time) {
 		case done < e.now:
 			panic("sim: WaitFn continuation returned a past time")
 		}
-		if e.canInline(p, done) {
+		if e.canInline(done) {
 			e.inlineAdvance(p, done)
 			return
 		}
@@ -271,7 +271,7 @@ func (p *Proc) WaitWhile(d Duration, cond func() bool) {
 func (e *Engine) poll(p *Proc, d Duration, cond func() bool) bool {
 	for cond() {
 		t := e.now.Add(d)
-		if !e.canInline(p, t) {
+		if !e.canInline(t) {
 			e.schedule(t, p, nil)
 			return false
 		}

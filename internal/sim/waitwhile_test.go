@@ -13,20 +13,20 @@ import (
 // beside processes and callbacks competing for the same instants.
 type pollScenario struct {
 	seed    int64
-	traced  bool // the pollers carry an obs context, so no wait of theirs is inline
+	traced  bool // the pollers carry an obs context, which must not change dispatch
 	fastOff bool // the engine runs with the fast paths off
 	chunked bool // the run advances in RunUntil steps
 }
 
 // run plays the scenario with the pollers using WaitWhile, or the literal
 // `for cond() { p.Wait(d) }` loop it must equal. It returns everything that
-// happened, in order and with its instant, the events dispatched and the
+// happened, in order and with its instant, the engine's accounting and the
 // last seq number.
-func (sc pollScenario) run(useWaitWhile bool) (log []string, events int64, seq uint64) {
+func (sc pollScenario) run(useWaitWhile bool) (log []string, a *Accounting, seq uint64) {
 	e := NewEngine()
 	defer e.Shutdown()
 	e.fastOff = sc.fastOff
-	a := e.EnableAccounting(AccountingConfig{})
+	a = e.EnableAccounting(AccountingConfig{})
 	rng := rand.New(rand.NewSource(sc.seed))
 	note := func(format string, args ...any) {
 		log = append(log, fmt.Sprintf("%v ", e.Now())+fmt.Sprintf(format, args...))
@@ -93,26 +93,42 @@ func (sc pollScenario) run(useWaitWhile bool) (log []string, events int64, seq u
 	} else {
 		e.Run()
 	}
-	return log, a.Events(), e.seq
+	return log, a, e.seq
 }
 
 // WaitWhile is the literal poll loop: the same resume instants, the same
 // order of everything after them, the same event count and seq numbering —
-// with the fast paths on and off, on traced pollers, and across RunUntil
-// deadlines.
+// with the fast paths on and off, and across RunUntil deadlines.
 func TestWaitWhileMatchesLoop(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
 		for _, sc := range []pollScenario{
 			{seed: seed},
-			{seed: seed, traced: true},
 			{seed: seed, fastOff: true},
 			{seed: seed, chunked: true},
 		} {
-			wantLog, wantEvents, wantSeq := sc.run(false)
-			gotLog, gotEvents, gotSeq := sc.run(true)
-			if !slices.Equal(gotLog, wantLog) || gotEvents != wantEvents || gotSeq != wantSeq {
+			wantLog, want, wantSeq := sc.run(false)
+			gotLog, got, gotSeq := sc.run(true)
+			if !slices.Equal(gotLog, wantLog) || got.Events() != want.Events() || gotSeq != wantSeq {
 				t.Fatalf("%+v: WaitWhile differs from the loop\nloop:      %d events, seq %d\n%v\nWaitWhile: %d events, seq %d\n%v",
-					sc, wantEvents, wantSeq, wantLog, gotEvents, gotSeq, gotLog)
+					sc, want.Events(), wantSeq, wantLog, got.Events(), gotSeq, gotLog)
+			}
+		}
+	}
+}
+
+// A process's obs context is opaque to the kernel: traced pollers dispatch
+// exactly as untraced ones, with as many inline waits and process switches.
+func TestTracedProcsDispatchAlike(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		for _, sc := range []pollScenario{{seed: seed}, {seed: seed, chunked: true}} {
+			wantLog, want, wantSeq := sc.run(true)
+			sc.traced = true
+			gotLog, got, gotSeq := sc.run(true)
+			if !slices.Equal(gotLog, wantLog) || got.Events() != want.Events() || gotSeq != wantSeq ||
+				got.InlineWaits() != want.InlineWaits() || got.ProcSwitches() != want.ProcSwitches() {
+				t.Fatalf("%+v: traced pollers dispatch differently\nuntraced: %d events, seq %d, %d inline, %d switches\n%v\ntraced:   %d events, seq %d, %d inline, %d switches\n%v",
+					sc, want.Events(), wantSeq, want.InlineWaits(), want.ProcSwitches(), wantLog,
+					got.Events(), gotSeq, got.InlineWaits(), got.ProcSwitches(), gotLog)
 			}
 		}
 	}
@@ -140,17 +156,15 @@ func TestWaitWhileSwitchesInOnce(t *testing.T) {
 	}
 }
 
-// A stalled WaitWhile allocates nothing per poll, in engine context (traced
-// poller) or inline.
+// A stalled WaitWhile allocates nothing per poll, in engine context (fast
+// paths off) or inline.
 func TestStalledWaitWhileAllocatesNothing(t *testing.T) {
-	for _, traced := range []bool{false, true} {
+	for _, fastOff := range []bool{false, true} {
 		e := NewEngine()
+		e.fastOff = fastOff
 		busy := true
 		cond := func() bool { return busy }
 		e.Go("poller", func(p *Proc) {
-			if traced {
-				p.SetObsCtx(true)
-			}
 			p.WaitWhile(time.Microsecond, cond)
 		})
 		var tick func()
@@ -161,7 +175,7 @@ func TestStalledWaitWhileAllocatesNothing(t *testing.T) {
 			round()
 		}
 		if n := testing.AllocsPerRun(100, round); n != 0 {
-			t.Errorf("traced=%v: %v allocs per 100 polls, want 0", traced, n)
+			t.Errorf("fastOff=%v: %v allocs per 100 polls, want 0", fastOff, n)
 		}
 		busy = false
 		e.RunUntil(e.Now().Add(time.Microsecond))
