@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 
 	"compstor/internal/apps"
 )
@@ -37,7 +36,7 @@ type decoder struct {
 	size      int // bytes the blocks decoded so far expand to
 }
 
-var decoders = sync.Pool{New: func() any { return new(decoder) }}
+var decoders = apps.Spares[decoder]{New: func() *decoder { return new(decoder) }}
 
 // Decompress parses one or more concatenated .bz2 streams (as real bunzip2
 // does) and returns the original data, verifying block and stream CRCs.
@@ -45,7 +44,7 @@ func Decompress(src []byte) ([]byte, error) { return decompress(src, apps.NewByt
 
 // decompress is Decompress into a buffer of alloc's.
 func decompress(src []byte, alloc func(n int) []byte) ([]byte, error) {
-	d := decoders.Get().(*decoder)
+	d := decoders.Get()
 	out, err := d.decompress(src, alloc)
 	d.br.src = nil
 	decoders.Put(d)

@@ -3,7 +3,6 @@ package bzip2x
 import (
 	"math/bits"
 	"slices"
-	"sync"
 
 	"compstor/internal/apps"
 	"compstor/internal/apps/huffman"
@@ -48,7 +47,7 @@ type compressor struct {
 	tied, spare []int32  // lo, hi pairs of the groups still tied, this round's and the next's
 }
 
-var compressors = sync.Pool{New: func() any { return new(compressor) }}
+var compressors = apps.Spares[compressor]{New: func() *compressor { return new(compressor) }}
 
 // sized returns s resized to n, what it held kept up to the shorter length.
 // One too short is reallocated at the next power of two, so that inputs of
@@ -65,7 +64,7 @@ func Compress(src []byte, opt Options) []byte { return compress(src, opt, apps.N
 
 // compress is Compress into a buffer of alloc's.
 func compress(src []byte, opt Options, alloc func(n int) []byte) []byte {
-	c := compressors.Get().(*compressor)
+	c := compressors.Get()
 	defer compressors.Put(c)
 	w := &c.w
 	w.out = w.out[:0]

@@ -51,6 +51,35 @@ var ErrOutputLimit = fmt.Errorf("output larger than %d bytes", MaxOutput)
 // result.
 func NewBytes(n int) []byte { return make([]byte, n) }
 
+// Spares is a codec's scratch list: a mutex-guarded LIFO of values, built by
+// New when it is empty. Unlike a sync.Pool it keeps its values through a
+// collection; a kernel never yields while it holds one, so the list holds
+// about one value per goroutine that ran the kernel.
+type Spares[T any] struct {
+	New func() *T
+	mu  sync.Mutex
+	l   []*T
+}
+
+// Get takes the last value put, or a new one.
+func (s *Spares[T]) Get() *T {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := len(s.l); n > 0 {
+		v := s.l[n-1]
+		s.l = s.l[:n-1]
+		return v
+	}
+	return s.New()
+}
+
+// Put hands v back for the next Get.
+func (s *Spares[T]) Put(v *T) {
+	s.mu.Lock()
+	s.l = append(s.l, v)
+	s.mu.Unlock()
+}
+
 // Name implements Program.
 func (c Codec) Name() string { return c.ProgName }
 

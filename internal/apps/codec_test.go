@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/maphash"
+	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -169,4 +171,38 @@ func TestCodecMemoBound(t *testing.T) {
 	if keys, held := m.retained(); keys != 1 || held != 0 {
 		t.Fatalf("oversize content: %d keys, %d bytes retained", keys, held)
 	}
+}
+
+// A codec's scratch list keeps its values through collections, which empty
+// a sync.Pool, and hands each value to one holder at a time.
+func TestSparesSurviveCollection(t *testing.T) {
+	built := 0
+	s := Spares[[64]byte]{New: func() *[64]byte { built++; return new([64]byte) }}
+	v := s.Get()
+	s.Put(v)
+	runtime.GC()
+	runtime.GC()
+	if got := s.Get(); got != v || built != 1 {
+		t.Fatalf("after two collections Get built %d values, want the one put back", built)
+	}
+	s.Put(v)
+
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 1000 {
+				v := s.Get()
+				v[0] = byte(g)
+				runtime.Gosched()
+				if v[0] != byte(g) {
+					t.Error("two holders share a value")
+					return
+				}
+				s.Put(v)
+			}
+		}()
+	}
+	wg.Wait()
 }

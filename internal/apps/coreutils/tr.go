@@ -54,11 +54,7 @@ func (Tr) Run(ctx *apps.Context, args []string) error {
 			return apps.Exitf(1, "tr: empty SET2")
 		}
 		for i, c := range set1 {
-			j := i
-			if j >= len(set2) {
-				j = len(set2) - 1
-			}
-			table[c] = int16(set2[j])
+			table[c] = int16(set2[min(i, len(set2)-1)])
 		}
 	}
 	w := bufio.NewWriter(ctx.Stdout)

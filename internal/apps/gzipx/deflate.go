@@ -4,8 +4,8 @@ import (
 	"encoding/binary"
 	"math"
 	"math/bits"
-	"sync"
 
+	"compstor/internal/apps"
 	"compstor/internal/apps/huffman"
 )
 
@@ -115,7 +115,7 @@ type compressor struct {
 	cl       []clToken
 }
 
-var compressors = sync.Pool{New: func() any {
+var compressors = apps.Spares[compressor]{New: func() *compressor {
 	return &compressor{head: make([]int32, 1<<hashBits), base: 1}
 }}
 

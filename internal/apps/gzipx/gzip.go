@@ -21,7 +21,7 @@ func Compress(src []byte) ([]byte, error) { return compress(src, apps.NewBytes) 
 
 // compress is Compress into a buffer of alloc's.
 func compress(src []byte, alloc func(n int) []byte) ([]byte, error) {
-	c := compressors.Get().(*compressor)
+	c := compressors.Get()
 	defer compressors.Put(c)
 	body := c.deflate(src)
 	out := alloc(10 + len(body) + 8)

@@ -39,7 +39,7 @@ func corpus() map[string][]byte {
 
 func TestDeflateRoundTrip(t *testing.T) {
 	for name, data := range corpus() {
-		buf := bytes.NewBuffer(compressors.New().(*compressor).deflate(data))
+		buf := bytes.NewBuffer(compressors.New().deflate(data))
 		got, used, err := inflate(buf.Bytes(), nil)
 		if err != nil {
 			t.Fatalf("%s: inflate: %v", name, err)

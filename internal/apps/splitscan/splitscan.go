@@ -144,9 +144,7 @@ type Reader struct {
 // NewReader wraps r (positioned at Pos(start)) as the realigned chunk
 // [start, end) of a size-byte file.
 func NewReader(r io.Reader, start, end, size int64) *Reader {
-	if end > size {
-		end = size
-	}
+	end = min(end, size)
 	cr := &Reader{r: r, abs: Pos(start), end: end, skip: start > 0, stop: -1}
 	if end >= size {
 		// The last chunk runs to EOF; its final line needs no terminator.

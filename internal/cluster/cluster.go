@@ -547,9 +547,7 @@ func (pl *Pool) mapOn(p *sim.Proc, dev int, files []string, makeCmd func(name st
 		// silently map zero files.
 		workers = 1
 	}
-	if workers > len(files) {
-		workers = len(files)
-	}
+	workers = min(workers, len(files))
 	results := make([]TaskResult, len(files))
 	p.Fork(workers, func(w int) string { return fmt.Sprintf("map%d.%d", dev, w) }, func(sp *sim.Proc, w int) {
 		// The stride is the captured worker count: a mutation of

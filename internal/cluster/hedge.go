@@ -60,11 +60,7 @@ func (pl *Pool) hedgeDelay() (time.Duration, bool) {
 	if pl.latencies.Count() < hedgeMinSamples {
 		return 0, false
 	}
-	d := pl.latencies.Quantile(hedgeQuantile)
-	if d < hedgeMinDelay {
-		d = hedgeMinDelay
-	}
-	return d, true
+	return max(pl.latencies.Quantile(hedgeQuantile), hedgeMinDelay), true
 }
 
 // hedgePick selects the secondary replica: the routable device with the

@@ -399,8 +399,8 @@ func TestAblationsEndToEnd(t *testing.T) {
 				}
 			}
 			elapsed = p.Now().Sub(start)
-			var err error
-			if back, err = drv.Read(p, 0, int64(len(payload)/ps)); err != nil {
+			back = make([]byte, len(payload))
+			if err := drv.ReadInto(p, 0, back); err != nil {
 				t.Error(err)
 			}
 		})

@@ -203,11 +203,7 @@ func (f *FTL) maybeCheckpoint(p *sim.Proc) error {
 	if f.cfg.CheckpointEvery < 0 || f.inCkpt {
 		return nil
 	}
-	threshold := f.cfg.CheckpointEvery
-	if m := int(f.l2p.mapped / 4); m > threshold {
-		threshold = m
-	}
-	if f.records < threshold {
+	if f.records < max(f.cfg.CheckpointEvery, int(f.l2p.mapped/4)) {
 		return nil
 	}
 	if err := f.Checkpoint(p); err != nil {

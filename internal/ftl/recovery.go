@@ -200,14 +200,10 @@ func Recover(p *sim.Proc, dev *flash.Device, cfg Config) (*FTL, RecoveryStats, e
 	// 5. Install the final map and rebuild allocator state.
 	maxSeq := f.ckptSeq
 	for _, d := range data {
-		if d.seq > maxSeq {
-			maxSeq = d.seq
-		}
+		maxSeq = max(maxSeq, d.seq)
 	}
 	for _, t := range trims {
-		if t.seq > maxSeq {
-			maxSeq = t.seq
-		}
+		maxSeq = max(maxSeq, t.seq)
 	}
 	lpns := make([]int64, 0, len(won))
 	for l := range won {
@@ -221,9 +217,7 @@ func Recover(p *sim.Proc, dev *flash.Device, cfg Config) (*FTL, RecoveryStats, e
 		f.l2p.mapped++
 		f.setLPNAt(w.ppn, l)
 		f.blocks[w.ppn/f.ppb].valid++
-		if e.seq < w.seq {
-			e.seq = w.seq
-		}
+		e.seq = max(e.seq, w.seq)
 		if w.seq > f.ckptSeq {
 			rs.ReplayedWrites++
 			f.records++

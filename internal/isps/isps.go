@@ -384,9 +384,7 @@ func (s *Subsystem) charge(p *sim.Proc, deadline sim.Time, cancel *apps.CancelTo
 				if rem <= 0 {
 					return
 				}
-				if q > rem {
-					q = rem
-				}
+				q = min(q, rem)
 			}
 			p.Wait(q)
 			s.cores.AddBusy(q)

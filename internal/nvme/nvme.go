@@ -76,7 +76,7 @@ type Command struct {
 	// Data is the host buffer the command DMAs: the source of a Write
 	// (a multiple of the page size) or the destination of a Read (exactly
 	// Pages pages). The host owns it and must leave it alone until the
-	// completion; a Read's Completion.Data is this same buffer.
+	// completion.
 	Data []byte
 
 	// Vendor payload: an opaque structure handed to the backend, with its
@@ -91,10 +91,9 @@ type Command struct {
 // Completion is the controller's answer to one command.
 type Completion struct {
 	Status       Status
-	Err          error  // detail for non-OK status
-	Data         []byte // read data
-	Payload      any    // vendor response structure
-	PayloadBytes int64  // wire size of Payload
+	Err          error // detail for non-OK status
+	Payload      any   // vendor response structure
+	PayloadBytes int64 // wire size of Payload
 	Submitted    sim.Time
 	Completed    sim.Time
 }
@@ -273,7 +272,6 @@ func (c *Controller) execute(p *sim.Proc, cmd *Command) *Completion {
 		c.port.ToHost(p, int64(len(cmd.Data)))
 		c.stats.BytesToHost += int64(len(cmd.Data))
 		c.stats.ReadPages += cmd.Pages
-		comp.Data = cmd.Data
 	case OpWrite:
 		if int64(len(cmd.Data))%ps != 0 || len(cmd.Data) == 0 {
 			return c.fail(comp, fmt.Errorf("nvme: write payload %d bytes not page-aligned", len(cmd.Data)))
@@ -388,10 +386,12 @@ func (d *Driver) do(p *sim.Proc, op Opcode, lba, pages int64, data []byte) error
 	return err
 }
 
-// Read is a convenience wrapper issuing an OpRead into a fresh buffer the
-// caller owns.
+// Read is a convenience wrapper issuing an OpRead into p's scratch memory
+// (sim.Proc.Scratch). As with bufio.Scanner.Bytes, the slice is valid until
+// p's next Read or its return: a caller that keeps the pages copies them or
+// reads with ReadInto.
 func (d *Driver) Read(p *sim.Proc, lba, pages int64) ([]byte, error) {
-	dst := make([]byte, pages*int64(d.ctrl.backend.PageSize()))
+	dst := p.Scratch(int(pages) * d.ctrl.backend.PageSize())
 	if err := d.ReadInto(p, lba, dst); err != nil {
 		return nil, err
 	}

@@ -273,7 +273,7 @@ func TestRecycledCompletionsStayApart(t *testing.T) {
 				t.Error("unaligned write succeeded")
 			}
 		}
-		if kept.Status != StatusOK || kept.Err != nil || &kept.Data[0] != &buf[0] ||
+		if kept.Status != StatusOK || kept.Err != nil || buf[0] != 9 ||
 			kept.Submitted != snapshot.Submitted || kept.Completed != snapshot.Completed {
 			t.Errorf("Submit's completion changed under later commands: %+v, was %+v", *kept, snapshot)
 		}

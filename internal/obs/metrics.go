@@ -59,16 +59,11 @@ func (h *Histogram) Observe(d sim.Duration) {
 	if h == nil {
 		return
 	}
-	v := int64(d)
-	if v < 0 {
-		v = 0
-	}
+	v := max(int64(d), 0)
 	if h.count == 0 || v < h.minNS {
 		h.minNS = v
 	}
-	if v > h.maxNS {
-		h.maxNS = v
-	}
+	h.maxNS = max(h.maxNS, v)
 	h.count++
 	if h.sumNS > math.MaxInt64-v {
 		h.sumNS = math.MaxInt64

@@ -34,9 +34,7 @@ func (tl *Timeline) Add(start sim.Time, d sim.Duration) {
 		}
 	}
 	end := start.Add(d)
-	if end > tl.endT {
-		tl.endT = end
-	}
+	tl.endT = max(tl.endT, end)
 	tl.totalNS += int64(d)
 	for t := int64(start); t < int64(end); {
 		for t/int64(tl.window) >= maxWindows {
@@ -44,10 +42,7 @@ func (tl *Timeline) Add(start sim.Time, d sim.Duration) {
 		}
 		w := int64(tl.window)
 		i := t / w
-		chunk := int64(end) - t
-		if winEnd := (i + 1) * w; winEnd-t < chunk {
-			chunk = winEnd - t
-		}
+		chunk := min(int64(end), (i+1)*w) - t
 		for int(i) >= len(tl.busy) {
 			tl.busy = append(tl.busy, 0)
 		}

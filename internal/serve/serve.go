@@ -401,10 +401,7 @@ func (s *Server) arrivals(p *sim.Proc, ts *tenantState) {
 			offMean = 100 * time.Millisecond
 		}
 		for {
-			onEnd := p.Now().Add(expDuration(ts.arrRng, onMean.Seconds()))
-			if onEnd > end {
-				onEnd = end
-			}
+			onEnd := min(p.Now().Add(expDuration(ts.arrRng, onMean.Seconds())), end)
 			for {
 				dt := expDuration(ts.arrRng, 1/a.Rate)
 				if p.Now().Add(dt) > onEnd {
@@ -462,19 +459,12 @@ func (s *Server) admit(p *sim.Proc, ts *tenantState) {
 func (s *Server) buildRequest(p *sim.Proc, ts *tenantState) *request {
 	total := 0
 	for _, w := range ts.spec.Workloads {
-		wt := w.Weight
-		if wt < 1 {
-			wt = 1
-		}
-		total += wt
+		total += max(w.Weight, 1)
 	}
 	pick := ts.pickRng.Intn(total)
 	var chosen Workload
 	for _, w := range ts.spec.Workloads {
-		wt := w.Weight
-		if wt < 1 {
-			wt = 1
-		}
+		wt := max(w.Weight, 1)
 		if pick < wt {
 			chosen = w
 			break
@@ -511,23 +501,16 @@ func (s *Server) shedReason(ts *tenantState) string {
 // device's worth of workers — brownout degrades, it never blacks out.
 func (s *Server) brownoutLimit(c Class) int {
 	frac := s.pool.HealthyFraction()
-	max := s.cfg.Limits.MaxOutstanding
+	top := s.cfg.Limits.MaxOutstanding
 	if frac >= 1 {
-		return max
+		return top
 	}
 	floor := s.pool.PerDeviceTasks
-	eff := int(math.Ceil(float64(max) * frac))
-	if eff < floor {
-		eff = floor
-	}
+	eff := max(int(math.Ceil(float64(top)*frac)), floor)
 	if c == Interactive {
 		return eff
 	}
-	bg := max - 2*(max-eff)
-	if bg < floor {
-		bg = floor
-	}
-	return bg
+	return max(top-2*(top-eff), floor)
 }
 
 // nextRequest pops the highest-priority queued request: the interactive

@@ -59,9 +59,7 @@ func (w *wfq) pop() *request {
 		return nil
 	}
 	q := heap.Pop(&w.h).(*queued)
-	if q.start > w.vtime {
-		w.vtime = q.start
-	}
+	w.vtime = max(w.vtime, q.start)
 	return q.req
 }
 

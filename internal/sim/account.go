@@ -59,9 +59,7 @@ func (e *Engine) EnableAccounting(cfg AccountingConfig) *Accounting {
 // given queue depth.
 func (a *Accounting) dispatched(depth int) {
 	a.events++
-	if depth > a.maxDepth {
-		a.maxDepth = depth
-	}
+	a.maxDepth = max(a.maxDepth, depth)
 }
 
 // Events returns the number of events dispatched since enable (inline

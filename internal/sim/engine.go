@@ -267,10 +267,5 @@ func DurationFor(n int64, bytesPerSec float64) time.Duration {
 	if bytesPerSec <= 0 {
 		panic("sim: non-positive bandwidth")
 	}
-	ns := float64(n) / bytesPerSec * 1e9
-	d := time.Duration(math.Ceil(ns))
-	if d <= 0 {
-		d = 1
-	}
-	return d
+	return max(time.Duration(math.Ceil(float64(n)/bytesPerSec*1e9)), 1)
 }

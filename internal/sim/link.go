@@ -57,10 +57,7 @@ func (l *Link) TransferTime(n int64) Time {
 	if n < 0 {
 		panic("sim: negative transfer size")
 	}
-	start := l.eng.Now()
-	if l.freeAt > start {
-		start = l.freeAt
-	}
+	start := max(l.eng.Now(), l.freeAt)
 	ser := DurationFor(n, l.bps)
 	l.freeAt = start.Add(ser)
 	done := l.freeAt.Add(l.latency)

@@ -43,6 +43,7 @@ type worker struct {
 	stop     func()
 	pollCond func() bool // WaitWhile's while its proc is parked in it; not in the per-Go Proc
 	pollD    Duration
+	scratch  []byte // Scratch's memory, handed from each proc to the worker's next
 }
 
 // killedProc is the panic payload Shutdown uses to unwind parked procs. It
@@ -127,6 +128,18 @@ func (p *Proc) ObsCtx() any { return p.obsCtx }
 // spawner's context already.
 func (p *Proc) SetObsCtx(v any) { p.obsCtx = v }
 
+// Scratch returns n bytes of arbitrary contents that are p's until its next
+// Scratch call or its return. The memory stays with p's worker, which hands
+// it to the next process it runs: a process that reads into scratch one
+// buffer at a time allocates nothing once the worker holds the largest n.
+func (p *Proc) Scratch(n int) []byte {
+	w := p.w
+	if cap(w.scratch) < n {
+		w.scratch = make([]byte, n)
+	}
+	return w.scratch[:n]
+}
+
 // Go starts a child process executing body, as Engine.Go does, in p's
 // observability context: the spans the child opens parent under the span p
 // has open. Spawns with no spawner process use Engine.Go.
@@ -199,10 +212,7 @@ func (p *Proc) Wait(d Duration) {
 // WaitUntil sleeps the process until virtual time t. If t is in the past it
 // returns immediately (yielding once).
 func (p *Proc) WaitUntil(t Time) {
-	if t < p.eng.now {
-		t = p.eng.now
-	}
-	p.waitUntil(t)
+	p.waitUntil(max(t, p.eng.now))
 }
 
 func (p *Proc) waitUntil(t Time) {

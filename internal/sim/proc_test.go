@@ -135,3 +135,34 @@ func TestManyProcsScale(t *testing.T) {
 		t.Fatalf("%d of %d processes completed", done, n)
 	}
 }
+
+// Scratch memory belongs to the worker: a process started after another
+// returned runs on its recycled worker and gets the same memory, one larger
+// than that memory gets a new one, and two live processes never share it.
+func TestScratchFollowsTheWorker(t *testing.T) {
+	e := NewEngine()
+	var a, b, c, d []byte
+	e.Go("a", func(p *Proc) { a = p.Scratch(64) })
+	e.Run()
+	e.Go("b", func(p *Proc) {
+		if b = p.Scratch(32); &b[0] != &a[0] {
+			t.Error("a process on a recycled worker got new scratch memory")
+		}
+		if again := p.Scratch(64); &again[0] != &a[0] {
+			t.Error("a second Scratch within the worker's capacity moved")
+		}
+		if big := p.Scratch(128); len(big) != 128 || &big[0] == &a[0] {
+			t.Error("a Scratch past the worker's capacity did not get new memory")
+		}
+	})
+	e.Run()
+	e.Go("c", func(p *Proc) {
+		c = p.Scratch(64)
+		p.Wait(time.Millisecond)
+	})
+	e.Go("d", func(p *Proc) { d = p.Scratch(64) }) // while c is live
+	e.Run()
+	if &c[0] == &d[0] {
+		t.Error("two live processes share scratch memory")
+	}
+}

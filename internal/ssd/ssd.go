@@ -145,11 +145,7 @@ func New(eng *sim.Engine, port *pcie.Port, cfg Config) *SSD {
 		dev:     flash.NewDevice(eng, cfg.Name+"/nand", cfg.Geometry, flash.DefaultTiming()),
 		ctrlCPU: sim.NewResource(eng, ctrlCores),
 	}
-	maxIO := cfg.Geometry.Channels * cfg.Geometry.DiesPerChan * 2
-	if maxIO > 128 {
-		maxIO = 128
-	}
-	s.ioNames = make([]string, maxIO)
+	s.ioNames = make([]string, min(cfg.Geometry.Channels*cfg.Geometry.DiesPerChan*2, 128))
 	for i := range s.ioNames {
 		s.ioNames[i] = fmt.Sprintf("%s/io%d", cfg.Name, i)
 	}

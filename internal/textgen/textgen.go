@@ -83,11 +83,7 @@ var padded = func() [][wordPad]byte {
 // stretch. It defines the corpus; Book samples it through zipfTable, which
 // is built from this very expression.
 func zipfRank(u float64) int {
-	idx := int(math.Pow(u, 3.2) * float64(len(vocabulary)))
-	if idx >= len(vocabulary) {
-		idx = len(vocabulary) - 1
-	}
-	return idx
+	return min(int(math.Pow(u, 3.2)*float64(len(vocabulary))), len(vocabulary)-1)
 }
 
 // guideSize is the number of equal slices of [0,1) the guide table indexes;

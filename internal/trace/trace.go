@@ -93,19 +93,13 @@ func (t *Table) String() string {
 // bar renders one bar with an explicit label-column width, so a chart's
 // rows align on the widest label (the same auto-sizing Table.Render does
 // for its columns) instead of truncating at a fixed width.
-func bar(label string, labelW int, value, max float64, width int) string {
+func bar(label string, labelW int, value, top float64, width int) string {
 	if width <= 0 {
 		width = 40
 	}
 	n := 0
-	if max > 0 {
-		n = int(value / max * float64(width))
-	}
-	if n > width {
-		n = width
-	}
-	if n < 0 {
-		n = 0
+	if top > 0 {
+		n = min(max(int(value/top*float64(width)), 0), width)
 	}
 	return fmt.Sprintf("%-*s %8s |%s", labelW, label, fmtFloat(value), strings.Repeat("#", n))
 }
@@ -114,20 +108,18 @@ func bar(label string, labelW int, value, max float64, width int) string {
 // largest value and aligned on the longest label.
 func BarChart(w io.Writer, title string, labels []string, values []float64) {
 	fmt.Fprintln(w, title)
-	max := 0.0
+	top := 0.0
 	labelW := 0
 	for _, v := range values {
-		if v > max {
-			max = v
+		if v > top {
+			top = v
 		}
 	}
 	for _, l := range labels {
-		if len(l) > labelW {
-			labelW = len(l)
-		}
+		labelW = max(labelW, len(l))
 	}
 	for i, v := range values {
-		fmt.Fprintln(w, bar(labels[i], labelW, v, max, 40))
+		fmt.Fprintln(w, bar(labels[i], labelW, v, top, 40))
 	}
 }
 
