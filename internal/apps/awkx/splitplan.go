@@ -15,7 +15,7 @@ import (
 // byte-for-byte.
 //
 // The splittable walker is a deny-list over the AST. Anything that carries
-// state across records (NR, ordinary variables, arrays), redirects output,
+// state across records (NR, RSTART, assigned variables, arrays), redirects output,
 // pulls extra input (getline), terminates the whole run (exit), or is
 // nondeterministic across interpreter instances (rand/srand) forces the
 // serial path. BEGIN/END blocks and user functions are denied outright:
@@ -95,9 +95,10 @@ func splitExpr(e expr) bool {
 	case *numLit, *strLit, *regexLit:
 		return true
 	case *varRef:
-		// NR (and per-file FNR) are global record numbers; a chunk worker
-		// cannot know its absolute record index.
-		return e.name != "NR" && e.name != "FNR"
+		// NR and FNR number records from the file's start, and RSTART and
+		// RLENGTH hold what match found in whichever record last called it:
+		// a chunk worker cannot know either.
+		return e.name != "NR" && e.name != "FNR" && e.name != "RSTART" && e.name != "RLENGTH"
 	case *fieldRef:
 		return splitExpr(e.idx)
 	case *assign:
@@ -130,6 +131,12 @@ func splitExpr(e expr) bool {
 		case "split":
 			// Writes an array.
 			return false
+		case "sub", "gsub":
+			// A third argument is what it rewrites: only a field is
+			// record-local.
+			if _, field := e.args[len(e.args)-1].(*fieldRef); len(e.args) == 3 && !field {
+				return false
+			}
 		}
 		return splitExprs(e.args)
 	default:

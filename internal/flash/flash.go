@@ -505,11 +505,7 @@ func (d *Device) ReadPageInto(p *sim.Proc, a Addr, dst []byte) (OOB, error) {
 	}
 	start := p.Now()
 	if d.obs != nil {
-		sp := d.obs.Begin(p, d.chTracks[a.Channel], "read")
-		defer func() {
-			d.histRead.Observe(p.Now().Sub(start))
-			sp.End()
-		}()
+		defer d.obs.Time(p, d.chTracks[a.Channel], "read", d.histRead).End()
 	}
 	di := d.dieIndex(a)
 	d.dies[di].Acquire(p)
@@ -617,11 +613,7 @@ func (d *Device) ReadOOB(p *sim.Proc, a Addr) (oob OOB, ok bool, err error) {
 	}
 	start := p.Now()
 	if d.obs != nil {
-		sp := d.obs.Begin(p, d.chTracks[a.Channel], "oob_read")
-		defer func() {
-			d.histOOB.Observe(p.Now().Sub(start))
-			sp.End()
-		}()
+		defer d.obs.Time(p, d.chTracks[a.Channel], "oob_read", d.histOOB).End()
 	}
 	di := d.dieIndex(a)
 	d.dies[di].Acquire(p)
@@ -663,11 +655,7 @@ func (d *Device) ProgramPageOOB(p *sim.Proc, a Addr, data []byte, oob OOB) error
 	}
 	start := p.Now()
 	if d.obs != nil {
-		sp := d.obs.Begin(p, d.chTracks[a.Channel], "program")
-		defer func() {
-			d.histProg.Observe(p.Now().Sub(start))
-			sp.End()
-		}()
+		defer d.obs.Time(p, d.chTracks[a.Channel], "program", d.histProg).End()
 	}
 	d.chanBus[a.Channel].Transfer(p, int64(d.geo.PageSize))
 	di := d.dieIndex(a)
@@ -706,11 +694,7 @@ func (d *Device) EraseBlock(p *sim.Proc, a Addr) error {
 	}
 	start := p.Now()
 	if d.obs != nil {
-		sp := d.obs.Begin(p, d.chTracks[a.Channel], "erase")
-		defer func() {
-			d.histErase.Observe(p.Now().Sub(start))
-			sp.End()
-		}()
+		defer d.obs.Time(p, d.chTracks[a.Channel], "erase", d.histErase).End()
 	}
 	di := d.dieIndex(a)
 	d.dies[di].Acquire(p)

@@ -128,7 +128,7 @@ type FTL struct {
 	logicalPages int64
 	stats        Stats
 	inGC         bool
-	inflight     int // sum of blockState.inflight: the checkpoint drain polls it
+	inflight     int // sum of blockState.inflight: the checkpoint drains it
 
 	// Durability state: seq is the next journal sequence number (strictly
 	// increasing across writes, TRIM records, and checkpoints); ckptSeq is
@@ -146,7 +146,7 @@ type FTL struct {
 	nextRegion      int
 	reservedPerUnit int
 
-	inCkptFn, inflightFn func() bool // WaitWhile conditions, built once
+	ckptDone, drained sim.Cond // wake on inCkpt clearing, on inflight reaching 0
 
 	obs       *obs.Obs
 	histRead  *obs.Histogram
@@ -194,8 +194,6 @@ func New(dev *flash.Device, cfg Config) *FTL {
 	}
 	f.logicalPages = int64(float64((geo.Blocks()-int64(units)*int64(reserved))*int64(geo.PagesPerBlock)) * (1 - cfg.OverProvision))
 	f.l2p = newMapTable(f.logicalPages)
-	f.inCkptFn = func() bool { return f.inCkpt }
-	f.inflightFn = func() bool { return f.inflight > 0 }
 	f.obs = cfg.Obs
 	f.histRead = f.obs.Histogram("ftl.read")
 	f.histWrite = f.obs.Histogram("ftl.write")
@@ -252,14 +250,7 @@ func (f *FTL) ReadPageInto(p *sim.Proc, lpn int64, dst []byte) error {
 	if err != nil || ppn < 0 {
 		return err
 	}
-	if f.obs != nil {
-		start := p.Now()
-		sp := f.obs.Begin(p, "ftl", "read")
-		defer func() {
-			f.histRead.Observe(p.Now().Sub(start))
-			sp.End()
-		}()
-	}
+	defer f.obs.Time(p, "ftl", "read", f.histRead).End()
 	f.stats.HostReads++
 	oob, err := f.dev.ReadPageInto(p, f.geo.AddrOfPage(ppn), dst)
 	if err != nil {
@@ -376,14 +367,7 @@ func (f *FTL) WritePage(p *sim.Proc, lpn int64, data []byte) error {
 	if len(data) != f.geo.PageSize {
 		return fmt.Errorf("ftl: write of %d bytes, page is %d", len(data), f.geo.PageSize)
 	}
-	if f.obs != nil {
-		start := p.Now()
-		sp := f.obs.Begin(p, "ftl", "write")
-		defer func() {
-			f.histWrite.Observe(p.Now().Sub(start))
-			sp.End()
-		}()
-	}
+	defer f.obs.Time(p, "ftl", "write", f.histWrite).End()
 	f.waitCheckpoint(p)
 	if err := f.maybeCheckpoint(p); err != nil {
 		return err
@@ -423,7 +407,9 @@ func (f *FTL) appendRecord(p *sim.Proc, data []byte, oob flash.OOB, allowRetire 
 		f.inflight++
 		err = f.dev.ProgramPageOOB(p, f.geo.AddrOfPage(ppn), data, oob)
 		f.blocks[blk].inflight--
-		f.inflight--
+		if f.inflight--; f.inflight == 0 {
+			f.drained.Broadcast()
+		}
 		if err == nil {
 			return ppn, nil
 		}
@@ -651,14 +637,7 @@ func (f *FTL) gcOnce(p *sim.Proc) error {
 	}
 	f.inGC = true
 	defer func() { f.inGC = false }()
-	if f.obs != nil {
-		start := p.Now()
-		sp := f.obs.Begin(p, "ftl", "gc")
-		defer func() {
-			f.histGC.Observe(p.Now().Sub(start))
-			sp.End()
-		}()
-	}
+	defer f.obs.Time(p, "ftl", "gc", f.histGC).End()
 	if err := f.relocateBlock(p, victim); err != nil {
 		return err
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"compstor/internal/flash"
 	"compstor/internal/sim"
@@ -212,4 +213,156 @@ func TestTrimJournalFaultLeavesMappingIntact(t *testing.T) {
 	if f.l2p.mapped != 4 {
 		t.Fatalf("MappedPages = %d, want 4", f.l2p.mapped)
 	}
+}
+
+// TestGCEraseFaultRetiresVictim: the first GC erase fails. The victim, its
+// live pages already relocated, is retired in place — read-only, never
+// allocated again under the churn that follows — and every page reads back
+// what was last written, before and after a power cut and Recover.
+func TestGCEraseFaultRetiresVictim(t *testing.T) {
+	eng := sim.NewEngine()
+	cfg := Config{OverProvision: 0.25, CheckpointEvery: -1}
+	f := newTestFTL(eng, cfg)
+	geo := smallGeo()
+	victim := int64(-1)
+	var gcWritesAtFault int64
+	programsToVictim := 0
+	f.dev.SetFaultHook(func(op flash.FaultOp, a flash.Addr) error {
+		switch blk := geo.BlockIndex(a); {
+		case op == flash.FaultErase && victim == -1:
+			victim, gcWritesAtFault = blk, f.stats.GCWrites
+			return errMedia
+		case op == flash.FaultProgram && blk == victim:
+			programsToVictim++
+		}
+		return nil
+	})
+	shadow := map[int64]byte{}
+	check := func(f *FTL) {
+		run(t, eng, func(p *sim.Proc) error {
+			for lpn, b := range shadow {
+				if got, err := f.ReadPage(p, lpn); err != nil || !bytes.Equal(got, fill(f, b)) {
+					return fmt.Errorf("lpn %d: %v, want %#x", lpn, err, b)
+				}
+			}
+			return nil
+		})
+	}
+	run(t, eng, func(p *sim.Proc) error {
+		rng := rand.New(rand.NewSource(3))
+		for i := 0; i < 600; i++ {
+			lpn, b := rng.Int63n(f.LogicalPages()), byte(i)
+			if err := f.WritePage(p, lpn, fill(f, b)); err != nil {
+				return err
+			}
+			shadow[lpn] = b
+		}
+		return nil
+	})
+	st := f.Stats()
+	if victim == -1 || gcWritesAtFault == 0 || st.RetiredBlocks != 1 || !f.blocks[victim].bad {
+		t.Fatalf("victim %d (bad %v), %d GC writes before its erase, stats %+v: want one retired victim with relocated pages",
+			victim, victim >= 0 && f.blocks[victim].bad, gcWritesAtFault, st)
+	}
+	if st.GCRuns < 10 || programsToVictim != 0 {
+		t.Fatalf("%d GC runs after the fault, %d programs into retired block %d: want churn that never reuses it", st.GCRuns, programsToVictim, victim)
+	}
+	check(f)
+	f.dev.PowerOff()
+	f.dev.PowerOn()
+	f2, _ := recoverFTL(t, eng, f.dev, cfg)
+	check(f2)
+}
+
+// TestGCDropsCheckpointedTrimRecord: a TRIM record that a checkpoint
+// covers is garbage. A GC pass that relocates such a record while a
+// checkpoint commits over it carries the copy past the checkpoint's prune;
+// when the copy's block is collected in turn, the record is dropped, not
+// relocated again, and the trimmed page still reads zeroes after a power cut
+// and Recover. The checkpoint's start is swept until it commits inside the
+// record's relocation.
+func TestGCDropsCheckpointedTrimRecord(t *testing.T) {
+	cfg := Config{OverProvision: 0.25, CheckpointEvery: -1}
+	ppb := int64(smallGeo().PagesPerBlock)
+	for delay := time.Duration(0); delay < 8*time.Millisecond; delay += 5 * time.Microsecond {
+		eng := sim.NewEngine()
+		f := newTestFTL(eng, cfg)
+		run(t, eng, func(p *sim.Proc) error {
+			// Linear allocation fills one block: data, the record trimming
+			// lpn 0, more data. GC will collect it while a checkpoint runs.
+			for lpn := int64(0); lpn < ppb-2; lpn++ {
+				if err := f.WritePage(p, lpn, fill(f, byte(lpn+1))); err != nil {
+					return err
+				}
+			}
+			if err := f.Trim(p, 0, 1); err != nil {
+				return err
+			}
+			if err := f.WritePage(p, ppb-2, fill(f, 0xEE)); err != nil {
+				return err
+			}
+			var ckptErr error
+			p.Go("checkpoint", func(c *sim.Proc) {
+				c.Wait(delay)
+				ckptErr = f.Checkpoint(c)
+			})
+			if err := f.gcOnce(p); err != nil {
+				return err
+			}
+			p.Wait(10 * time.Millisecond)
+			return ckptErr
+		})
+		stale := int64(-1)
+		for ppn, ts := range f.trimPages {
+			if ts <= f.ckptSeq {
+				stale = ppn
+			}
+		}
+		if stale < 0 {
+			continue
+		}
+		blk := stale / ppb
+		run(t, eng, func(p *sim.Proc) error {
+			// Move the block's live data away, twice since the first copies
+			// may land in its free tail: only the stale record is left.
+			for i := int64(0); i < 2*(ppb-2); i++ {
+				if err := f.WritePage(p, 1+i%(ppb-2), fill(f, 0xEE)); err != nil {
+					return err
+				}
+			}
+			if v := f.blocks[blk].valid; v != 1 {
+				return fmt.Errorf("block %d holds %d valid records before GC, want the TRIM record alone", blk, v)
+			}
+			before := f.Stats()
+			if err := f.gcOnce(p); err != nil {
+				return err
+			}
+			after := f.Stats()
+			if after.GCRuns != before.GCRuns+1 || after.GCWrites != before.GCWrites || len(f.trimPages) != 0 {
+				return fmt.Errorf("GC runs %d→%d, writes %d→%d, %d TRIM records left: want one run that relocates nothing",
+					before.GCRuns, after.GCRuns, before.GCWrites, after.GCWrites, len(f.trimPages))
+			}
+			if st := f.blocks[blk]; st.valid != 0 || st.nextPage != 0 {
+				return fmt.Errorf("victim block %d is %+v after GC, want erased and free", blk, st)
+			}
+			return nil
+		})
+		f.dev.PowerOff()
+		f.dev.PowerOn()
+		f2, _ := recoverFTL(t, eng, f.dev, cfg)
+		run(t, eng, func(p *sim.Proc) error {
+			if got, err := f2.ReadPage(p, 0); err != nil || !bytes.Equal(got, make([]byte, f2.PageSize())) {
+				return fmt.Errorf("trimmed lpn 0 after recovery: %v; want zeroes", err)
+			}
+			for lpn := int64(1); lpn < ppb-1; lpn++ {
+				if got, err := f2.ReadPage(p, lpn); err != nil || got[0] != 0xEE {
+					return fmt.Errorf("lpn %d after recovery: %v", lpn, err)
+				}
+			}
+			return nil
+		})
+		t.Logf("checkpoint %v after GC start commits inside the record's relocation", delay)
+		return
+	}
+	t.Fatal("no checkpoint start commits while GC relocates the TRIM record")
 }

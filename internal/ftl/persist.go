@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"time"
 
 	"compstor/internal/flash"
 	"compstor/internal/sim"
@@ -192,7 +191,9 @@ func decodeEntries(stream []byte, n int, logicalPages, totalPages int64) ([]ckpt
 // being written (the write cliff a real controller shows at checkpoint
 // time). Reads proceed freely.
 func (f *FTL) waitCheckpoint(p *sim.Proc) {
-	p.WaitWhile(20*time.Microsecond, f.inCkptFn)
+	for f.inCkpt {
+		f.ckptDone.Wait(p)
+	}
 }
 
 // maybeCheckpoint writes a checkpoint when the journal since the last one
@@ -239,18 +240,16 @@ func (f *FTL) Flush(p *sim.Proc) error {
 func (f *FTL) Checkpoint(p *sim.Proc) error {
 	f.waitCheckpoint(p)
 	f.inCkpt = true
-	defer func() { f.inCkpt = false }()
-	if f.obs != nil {
-		start := p.Now()
-		sp := f.obs.Begin(p, "ftl", "checkpoint")
-		defer func() {
-			f.histCkpt.Observe(p.Now().Sub(start))
-			sp.End()
-		}()
-	}
+	defer func() {
+		f.inCkpt = false
+		f.ckptDone.Broadcast()
+	}()
+	defer f.obs.Time(p, "ftl", "checkpoint", f.histCkpt).End()
 	// Drain programs whose sequence predates the snapshot; new mutators are
 	// stalled, so this terminates.
-	p.WaitWhile(20*time.Microsecond, f.inflightFn)
+	for f.inflight > 0 {
+		f.drained.Wait(p)
+	}
 
 	// The snapshot is taken here in one step: a GC pass caught between two
 	// of its programs keeps remapping while the chunk pages below go out.

@@ -105,6 +105,33 @@ func clip(b []byte) []byte {
 	return b
 }
 
+// TestParScanGawkDenyList: a gawk program the split deny-list admits runs
+// chunked, one it refuses (here a gsub that rewrites a variable, state that
+// outlives the record) runs serially, and both print exactly what the
+// one-core executor prints.
+func TestParScanGawkDenyList(t *testing.T) {
+	payload := parScanPayload(24000)
+	for _, c := range []struct {
+		args  []string
+		split bool
+	}{
+		{[]string{`$NF ~ /needle3/ { sub(/line/, "L", $1); print $1, $2 }`, "scan.txt"}, true},
+		{[]string{"-v", "acc=aaa", `{ print gsub(/a/, "", acc), $2 }`, "scan.txt"}, false},
+	} {
+		spec := TaskSpec{Exec: "gawk", Args: c.args}
+		seng, ssub, sview := newParRig(t, 1, nil)
+		serial := runOnRig(t, seng, ssub, sview, payload, spec)
+		peng, psub, pview := newParRig(t, 0, nil)
+		split := runOnRig(t, peng, psub, pview, payload, spec)
+		if serial.Err != nil || split.Err != nil || !bytes.Equal(split.Stdout, serial.Stdout) {
+			t.Errorf("%v: split printed %q (%v), serial %q (%v)", c.args, clip(split.Stdout), split.Err, clip(serial.Stdout), serial.Err)
+		}
+		if st := psub.ParScanStats(); (st.Tasks == 1) != c.split || (st.Fallbacks == 1) == c.split {
+			t.Errorf("%v: stats %+v, want split %v", c.args, st, c.split)
+		}
+	}
+}
+
 // TestParScanOversubscriptionQueues: more chunks than cores must queue FIFO
 // on the cores Resource and still succeed with identical output.
 func TestParScanOversubscriptionQueues(t *testing.T) {

@@ -10,23 +10,23 @@ import (
 // dirty-page cache (bounded by a page budget, applying backpressure like a
 // real page cache) and lands them on the device from background flusher
 // processes. Reads overlay dirty pages, so a view always sees its own
-// writes. Flush blocks until the cache is empty, which takes in writes that
-// other processes queue while it waits — the fsync barrier callers need
-// before handing files to another view (the host client calls it before
-// dispatching a minion; the ISPS flushes after a task so responses imply
-// durable outputs).
+// writes. Flush blocks until every write queued before it has landed — the
+// fsync barrier callers need before handing files to another view (the host
+// client calls it before dispatching a minion; the ISPS flushes after a task
+// so responses imply durable outputs) — and not for writes queued after it.
 type writeBack struct {
-	eng     *sim.Engine
 	dev     BlockDevice
 	budget  *sim.Semaphore // dirty-page tokens
 	queue   *sim.Mailbox[wbItem]
 	pending map[int64]*wbEntry
 	inFlite map[int64]bool
+	landed  sim.Cond // flushers waiting for their page's in-flight write
 
-	outstanding int
-	flushers    []*sim.Mailbox[struct{}]
-	free        []*wbEntry // recycled entries, page buffer attached
-	err         error      // first background write error; sticky, like an EIO-poisoned page cache
+	tickets uint64      // puts so far: the i-th put takes ticket i
+	marks   []flushMark // parked Flush calls, oldest first, each woken by one Signal of flushed
+	flushed sim.Cond
+	free    []*wbEntry // recycled entries, page buffer attached
+	err     error      // first background write error; sticky, like an EIO-poisoned page cache
 }
 
 // wbEntry is one dirty page. refs counts who can still reach it — the
@@ -36,14 +36,22 @@ type writeBack struct {
 // to detect being superseded, so an entry reused while one still held it
 // would pass for the original.
 type wbEntry struct {
-	data []byte
-	seq  uint64
-	refs int
+	data   []byte
+	seq    uint64 // the ticket of the put that wrote data
+	oldest uint64 // the oldest ticket it answers for: a write superseding a page inherits its ticket
+	refs   int
 }
 
 type wbItem struct {
 	lpn int64
 	seq uint64
+}
+
+// flushMark is one parked Flush: the last ticket issued before it, and how
+// many pending pages still answer for a ticket at or below that.
+type flushMark struct {
+	ticket uint64
+	left   int
 }
 
 // EnableWriteBack turns on asynchronous write-behind for this view with
@@ -54,7 +62,6 @@ func (v *View) EnableWriteBack(eng *sim.Engine, budgetPages, workers int) {
 		return
 	}
 	wb := &writeBack{
-		eng:     eng,
 		dev:     v.dev,
 		budget:  sim.NewSemaphore(eng, budgetPages),
 		queue:   sim.NewMailbox[wbItem](),
@@ -95,13 +102,13 @@ func (wb *writeBack) put(p *sim.Proc, lpn int64, src []byte) {
 		ent = &wbEntry{data: make([]byte, wb.dev.PageSize())}
 	}
 	clear(ent.data[copy(ent.data, src):])
-	ent.seq, ent.refs = 0, 1
+	wb.tickets++
+	ent.seq, ent.oldest, ent.refs = wb.tickets, wb.tickets, 1
 	if old, ok := wb.pending[lpn]; ok {
-		ent.seq = old.seq + 1
+		ent.oldest = old.oldest
 		wb.release(old)
 	}
 	wb.pending[lpn] = ent
-	wb.outstanding++
 	wb.queue.Put(wbItem{lpn: lpn, seq: ent.seq})
 }
 
@@ -112,88 +119,88 @@ func (wb *writeBack) release(ent *wbEntry) {
 	}
 }
 
-// unpend removes ent from the cache, giving up the pending map's reference.
+// unpend removes ent from the cache, giving up the pending map's reference
+// and closing the tickets it answers for: each Flush whose last ticket is at
+// or above ent.oldest has one page fewer to wait for, and those left with
+// none — the oldest marks, since a later mark waits for everything an
+// earlier one does — wake.
 func (wb *writeBack) unpend(lpn int64, ent *wbEntry) {
 	delete(wb.pending, lpn)
+	for i := range wb.marks {
+		if wb.marks[i].ticket >= ent.oldest {
+			wb.marks[i].left--
+		}
+	}
+	n := 0
+	for ; n < len(wb.marks) && wb.marks[n].left == 0; n++ {
+		wb.flushed.Signal()
+	}
+	wb.marks = wb.marks[:copy(wb.marks, wb.marks[n:])]
 	wb.release(ent)
 }
 
-// flusher is one background write-out process.
+// flusher is one background write-out process. An item whose page a newer
+// write superseded is dropped: the newer item lands the latest data.
 func (wb *writeBack) flusher(p *sim.Proc) {
-	var item wbItem
-	inFlight := func() bool { return wb.inFlite[item.lpn] } // built once per flusher
 	for {
-		var ok bool
-		item, ok = wb.queue.Recv(p)
+		item, ok := wb.queue.Recv(p)
 		if !ok {
 			return
 		}
-		ent := wb.pending[item.lpn]
-		if ent == nil || ent.seq != item.seq {
-			// A newer write superseded this one; its own queue item will
-			// land the latest data.
-			wb.resolve()
-			continue
+		if ent := wb.pending[item.lpn]; ent != nil && ent.seq == item.seq {
+			wb.land(p, item.lpn, ent)
 		}
-		ent.refs++ // held across the waits below
-		// Serialise per-page device writes to preserve ordering.
-		p.WaitWhile(5_000, inFlight) // 5µs
-		if cur := wb.pending[item.lpn]; cur != ent {
-			wb.release(ent)
-			wb.resolve()
-			continue
-		}
-		wb.inFlite[item.lpn] = true
-		err := wb.dev.WritePages(p, item.lpn, ent.data)
-		delete(wb.inFlite, item.lpn)
-		if err != nil && wb.err == nil {
-			// A background write error poisons the cache: the data is lost,
-			// the error is sticky, and every later write or Flush through
-			// this view reports it — a real page cache surfaces the same
-			// failure as EIO at fsync.
-			wb.err = fmt.Errorf("minfs: write-back flush of lpn %d: %w", item.lpn, err)
-		}
-		if wb.pending[item.lpn] == ent {
-			wb.unpend(item.lpn, ent)
-		}
-		wb.release(ent)
-		wb.resolve()
+		wb.budget.Release(1)
 	}
 }
 
-// resolve retires one queued item, releasing budget and waking flush
-// waiters when the cache drains.
-func (wb *writeBack) resolve() {
-	wb.budget.Release(1)
-	wb.outstanding--
-	if wb.outstanding == 0 {
-		for _, mb := range wb.flushers {
-			mb.Put(struct{}{})
-		}
-		wb.flushers = nil
+// land writes ent, page lpn's pending version, to the device after any write
+// of the page already in flight, so a page's writes land in order — unless a
+// newer write supersedes ent meanwhile.
+func (wb *writeBack) land(p *sim.Proc, lpn int64, ent *wbEntry) {
+	ent.refs++ // held across the waits below
+	defer wb.release(ent)
+	for wb.inFlite[lpn] {
+		wb.landed.Wait(p)
+	}
+	if wb.pending[lpn] != ent {
+		return
+	}
+	wb.inFlite[lpn] = true
+	err := wb.dev.WritePages(p, lpn, ent.data)
+	delete(wb.inFlite, lpn)
+	wb.landed.Broadcast()
+	if err != nil && wb.err == nil {
+		// A background write error poisons the cache: the data is lost, the
+		// error is sticky, and every later write or Flush through this view
+		// reports it — a real page cache surfaces the same failure as EIO at
+		// fsync.
+		wb.err = fmt.Errorf("minfs: write-back flush of lpn %d: %w", lpn, err)
+	}
+	if wb.pending[lpn] == ent {
+		wb.unpend(lpn, ent)
 	}
 }
 
-// Flush blocks until the view's write-back cache is empty: every write
-// issued through the view before the call is on the device, and so is every
-// write other processes queue before the cache drains, however long they keep
-// it from draining. It reports any background write error (the fsync
-// contract: a lost write surfaces here, not silently). Like Linux fsync, the
-// error is reported once and then cleared — a caller that rewrites the lost
-// data and flushes again can recover from a transient fault. When the device
-// implements Syncer the drained data is then made power-loss durable with a
-// device barrier, so Flush is fsync all the way to the media. Views without
-// write-back still issue the device barrier.
+// Flush blocks until every write issued through the view before the call is
+// on the device: each page pending at the call has landed, failed, or been
+// trimmed, or a later write that superseded it has landed. Writes that other
+// processes queue while it waits do not hold it up. It reports any
+// background write error (the fsync contract: a lost write surfaces here, not
+// silently). Like Linux fsync, the error is reported once and then cleared —
+// a caller that rewrites the lost data and flushes again can recover from a
+// transient fault. When the device implements Syncer the landed data is then
+// made power-loss durable with a device barrier, so Flush is fsync all the
+// way to the media. Views without write-back still issue the device barrier.
 func (v *View) Flush(p *sim.Proc) error {
 	var err error
-	if v.wb != nil {
-		if v.wb.outstanding > 0 {
-			mb := sim.NewMailbox[struct{}]()
-			v.wb.flushers = append(v.wb.flushers, mb)
-			mb.Recv(p)
+	if wb := v.wb; wb != nil {
+		if n := len(wb.pending); n > 0 {
+			wb.marks = append(wb.marks, flushMark{wb.tickets, n})
+			wb.flushed.Wait(p)
 		}
-		err = v.wb.err
-		v.wb.err = nil
+		err = wb.err
+		wb.err = nil
 	}
 	if s, ok := v.dev.(Syncer); ok {
 		if serr := s.Sync(p); serr != nil && err == nil {

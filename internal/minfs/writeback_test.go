@@ -140,8 +140,8 @@ func (d *loggedDevice) WritePages(p *sim.Proc, lpn int64, data []byte) error {
 }
 
 // A page rewritten while its first write-out is in flight is written out
-// again only once that write has landed: the second flusher polls (every
-// 5 µs) and starts at the first poll after.
+// again only once that write has landed, and at that instant: the second
+// flusher waits for the landing, not on a polling grid.
 func TestWriteBackSerialisesWritesOfOnePage(t *testing.T) {
 	eng := sim.NewEngine()
 	dev := &loggedDevice{slowDevice: &slowDevice{memDevice: newMemDevice(512, 8192), writeLatency: 500 * time.Microsecond}}
@@ -150,7 +150,7 @@ func TestWriteBackSerialisesWritesOfOnePage(t *testing.T) {
 	eng.Go("w", func(p *sim.Proc) {
 		for round := byte(1); round <= 2; round++ {
 			v.write(p, 100, bytes.Repeat([]byte{round}, 512))
-			p.Wait(100 * time.Microsecond)
+			p.Wait(103 * time.Microsecond) // not a multiple of 5µs: a flusher polling on that grid would start late
 		}
 		if err := v.Flush(p); err != nil {
 			t.Error(err)
@@ -163,8 +163,8 @@ func TestWriteBackSerialisesWritesOfOnePage(t *testing.T) {
 	if len(dev.starts) != 2 {
 		t.Fatalf("%d device writes, want 2", len(dev.starts))
 	}
-	if gap := dev.starts[1].Sub(dev.ends[0]); gap < 0 || gap >= 5*time.Microsecond {
-		t.Errorf("second write-out started %v after the first landed, want within one 5µs poll", gap)
+	if gap := dev.starts[1].Sub(dev.ends[0]); gap != 0 {
+		t.Errorf("second write-out started %v after the first landed, want at once", gap)
 	}
 }
 
@@ -343,4 +343,88 @@ func TestWriteBackFlushReportsErrorOnceThenRecovers(t *testing.T) {
 		}
 	})
 	eng.Run()
+}
+
+// Flush waits for the writes queued before it and for no later one: A's
+// flush returns the instant A's last page lands, while B keeps the cache
+// from ever draining.
+func TestFlushWaitsOnlyForEarlierWrites(t *testing.T) {
+	eng := sim.NewEngine()
+	dev := &loggedDevice{slowDevice: &slowDevice{memDevice: newMemDevice(512, 8192), writeLatency: 500 * time.Microsecond}}
+	v := NewView(NewFS(512, 8192), dev)
+	v.EnableWriteBack(eng, 256, 8)
+	var flushed, bDone sim.Time
+	eng.Go("A", func(p *sim.Proc) {
+		for lpn := int64(0); lpn < 4; lpn++ {
+			v.write(p, lpn, bytes.Repeat([]byte{'a'}, 512))
+		}
+		if err := v.Flush(p); err != nil {
+			t.Error(err)
+		}
+		flushed = p.Now()
+		for lpn := int64(0); lpn < 4; lpn++ {
+			if got, _ := dev.ReadPages(p, lpn, 1); got[0] != 'a' {
+				t.Errorf("lpn %d not on the device when A's flush returned", lpn)
+			}
+		}
+	})
+	eng.Go("B", func(p *sim.Proc) {
+		// One page per 50µs outruns eight 500µs flushers: the queue never empties.
+		for i := int64(0); i < 400; i++ {
+			v.write(p, 100+i, bytes.Repeat([]byte{'b'}, 512))
+			p.Wait(50 * time.Microsecond)
+		}
+		bDone = p.Now()
+	})
+	eng.Run()
+	// A's four items head the queue, so the first four writes are A's.
+	if landed := dev.ends[3]; flushed != landed {
+		t.Fatalf("A's flush returned at %v, want %v, when A's last page landed (B wrote until %v)", flushed, landed, bDone)
+	}
+}
+
+// volatileDevice acknowledges writes into a cache only Sync makes durable:
+// durable is what a power cut leaves.
+type volatileDevice struct {
+	*slowDevice
+	durable map[int64]byte
+}
+
+func (d *volatileDevice) Sync(p *sim.Proc) error {
+	for lpn, pg := range d.store {
+		d.durable[lpn] = pg[0]
+	}
+	return nil
+}
+
+// A flush answers for a page even when a later write supersedes it before it
+// lands — dropped from the queue, or replaced while its write is in flight:
+// a power cut right after the flush finds A's version of the page or a newer
+// one, never an older.
+func TestFlushCoversSupersededWrite(t *testing.T) {
+	for _, overwriteAt := range []time.Duration{100 * time.Microsecond, 600 * time.Microsecond} {
+		eng := sim.NewEngine()
+		dev := &volatileDevice{slowDevice: &slowDevice{memDevice: newMemDevice(512, 8192), writeLatency: 500 * time.Microsecond}, durable: map[int64]byte{}}
+		v := NewView(NewFS(512, 8192), dev)
+		v.EnableWriteBack(eng, 256, 1) // one flusher: page 7 queues behind page 1
+		var atCut byte
+		var flushed sim.Time
+		eng.Go("A", func(p *sim.Proc) {
+			v.write(p, 1, bytes.Repeat([]byte{'f'}, 512))
+			v.write(p, 7, bytes.Repeat([]byte{'a'}, 512))
+			if err := v.Flush(p); err != nil {
+				t.Error(err)
+			}
+			atCut, flushed = dev.durable[7], p.Now()
+		})
+		eng.Go("B", func(p *sim.Proc) {
+			p.Wait(overwriteAt)
+			v.write(p, 7, bytes.Repeat([]byte{'b'}, 512))
+		})
+		eng.Run()
+		if atCut != 'a' && atCut != 'b' {
+			t.Errorf("overwrite at %v: a power cut after A's flush (returned at %v) finds page 7 holding %q, want A's write or B's",
+				overwriteAt, flushed, atCut)
+		}
+	}
 }

@@ -197,6 +197,31 @@ func (o *Obs) Begin(p *sim.Proc, track, name string) *Span {
 	return &s
 }
 
+// Timing is a span opened by Time and the histogram its duration goes to;
+// a deferred End closes both. The zero Timing, from a nil Obs, does nothing.
+type Timing struct {
+	p     *sim.Proc
+	start sim.Time
+	sp    *Span
+	h     *Histogram
+}
+
+// Time opens a span as Begin does and starts timing it for h.
+func (o *Obs) Time(p *sim.Proc, track, name string, h *Histogram) Timing {
+	if o == nil {
+		return Timing{}
+	}
+	return Timing{p, p.Now(), o.Begin(p, track, name), h}
+}
+
+// End closes the span and observes its duration into the histogram.
+func (t Timing) End() {
+	if t.p != nil {
+		t.h.Observe(t.p.Now().Sub(t.start))
+		t.sp.End()
+	}
+}
+
 // BeginAt opens a span at an explicit instant under an explicit parent, for
 // engine-context code with no process to carry the context. The span comes
 // back by value, to live in a pooled operation; close it with EndAt. With

@@ -33,14 +33,23 @@ func BenchmarkProcessSwitch(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkWaitWhile is one stalled poll in engine context: the fast paths
-// are off, so no poll completes inline and each is an event of its own.
-func BenchmarkWaitWhile(b *testing.B) {
+// BenchmarkCond is one wait-and-wake round trip through a Cond: a waiter
+// parks, and a second process wakes it a nanosecond later.
+func BenchmarkCond(b *testing.B) {
 	e := NewEngine()
-	e.fastOff = true
-	n := 0
-	e.Go("poller", func(p *Proc) {
-		p.WaitWhile(time.Nanosecond, func() bool { n++; return n < b.N })
+	var c Cond
+	done := false
+	e.Go("waiter", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			c.Wait(p)
+		}
+		done = true
+	})
+	e.Go("waker", func(p *Proc) {
+		for !done {
+			p.Wait(time.Nanosecond)
+			c.Signal()
+		}
 	})
 	b.ResetTimer()
 	e.Run()

@@ -12,7 +12,8 @@
 //
 // On top of these the package offers the building blocks used by the
 // CompStor models: counted semaphores (Semaphore), multi-server stations
-// (Resource), FIFO bandwidth pipes (Link), and blocking mailboxes (Mailbox).
+// (Resource), FIFO bandwidth pipes (Link), blocking mailboxes (Mailbox), and
+// waiter lists woken by the event they wait for (Cond).
 package sim
 
 import (
@@ -130,21 +131,13 @@ func (e *Engine) dispatchNext() {
 }
 
 // exec runs one popped event: a plain callback, a process resumption, or a
-// process's pending engine-side continuation (WaitWhile's poll, WaitFn).
+// process's pending engine-side continuation (WaitFn's).
 func (e *Engine) exec(ev event) {
 	if ev.p == nil {
 		ev.fn()
 		return
 	}
 	p := ev.p
-	if w := p.w; w != nil && w.pollCond != nil {
-		// A WaitWhile poll instant: the proc resumes only once cond is false.
-		if e.poll(p, w.pollD, w.pollCond) {
-			w.pollCond = nil
-			e.stepProc(p)
-		}
-		return
-	}
 	if fn := p.pendingFn; fn != nil {
 		p.pendingFn = nil
 		done := fn()
@@ -253,6 +246,7 @@ func (e *Engine) Shutdown() {
 		w.stop()
 	}
 	e.allW, e.freeW = nil, nil
+	e.q.release()
 	e.killing = false
 	e.closed = true
 }

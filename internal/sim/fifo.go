@@ -1,6 +1,6 @@
 package sim
 
-// fifo is the queue behind Mailbox and Semaphore: a ring over one array, O(1)
+// fifo is the queue behind Mailbox, Semaphore and Cond: a ring over one array, O(1)
 // at any depth (a write-back mailbox can hold a 16,384-page staging budget).
 // A pop clears its slot and an emptied queue restarts at the array's front,
 // so a long-lived queue pins nothing that has left it and allocates only

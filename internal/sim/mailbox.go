@@ -5,9 +5,9 @@ package sim
 // available. It feeds daemon-style processes such as the minfs write-back
 // flushers and the serving layer's dispatch workers.
 type Mailbox[T any] struct {
-	items   fifo[T]
-	waiters fifo[*Proc]
-	closed  bool
+	items  fifo[T]
+	recv   Cond // receivers waiting for an item
+	closed bool
 }
 
 // NewMailbox creates an empty mailbox.
@@ -20,9 +20,7 @@ func (m *Mailbox[T]) Put(item T) {
 		panic("sim: Put on closed mailbox")
 	}
 	m.items.push(item)
-	if m.waiters.len() > 0 {
-		m.waiters.pop().unpark()
-	}
+	m.recv.Signal()
 }
 
 // Recv dequeues the oldest item, blocking the process until one is
@@ -34,8 +32,7 @@ func (m *Mailbox[T]) Recv(p *Proc) (item T, ok bool) {
 			var zero T
 			return zero, false
 		}
-		m.waiters.push(p)
-		p.park()
+		m.recv.Wait(p)
 	}
 	return m.items.pop(), true
 }
@@ -44,7 +41,5 @@ func (m *Mailbox[T]) Recv(p *Proc) (item T, ok bool) {
 // will observe ok=false once the queue drains.
 func (m *Mailbox[T]) Close() {
 	m.closed = true
-	for m.waiters.len() > 0 {
-		m.waiters.pop().unpark()
-	}
+	m.recv.Broadcast()
 }

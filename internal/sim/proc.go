@@ -37,13 +37,11 @@ type Proc struct {
 // runtime.Goexit) in a body surfaces from next, i.e. from Engine.Run on the
 // caller's goroutine.
 type worker struct {
-	p        *Proc
-	next     func() (struct{}, bool)
-	yield    func(struct{}) bool // false once stop was called: unwind
-	stop     func()
-	pollCond func() bool // WaitWhile's while its proc is parked in it; not in the per-Go Proc
-	pollD    Duration
-	scratch  []byte // Scratch's memory, handed from each proc to the worker's next
+	p       *Proc
+	next    func() (struct{}, bool)
+	yield   func(struct{}) bool // false once stop was called: unwind
+	stop    func()
+	scratch []byte // Scratch's memory, handed from each proc to the worker's next
 }
 
 // killedProc is the panic payload Shutdown uses to unwind parked procs. It
@@ -258,34 +256,4 @@ func (p *Proc) WaitFn(d Duration, fn func() Time) {
 	p.pendingFn = fn
 	e.schedule(t, p, nil)
 	p.park()
-}
-
-// WaitWhile is `for cond() { p.Wait(d) }` — the same instants, seq numbers
-// and event count — but once a poll cannot complete inline, cond is re-tested
-// in engine context, like WaitFn's continuation, and the process is switched
-// in once, when cond is false. cond must not block; callers on hot paths
-// build it once, since a closure passed here escapes.
-func (p *Proc) WaitWhile(d Duration, cond func() bool) {
-	if d < 0 {
-		panic("sim: negative wait")
-	}
-	if p.eng.poll(p, d, cond) {
-		return
-	}
-	p.w.pollCond, p.w.pollD = cond, d
-	p.park()
-}
-
-// poll runs WaitWhile's loop for as long as each wait can complete inline.
-// It reports true once cond is false; otherwise the next poll is scheduled.
-func (e *Engine) poll(p *Proc, d Duration, cond func() bool) bool {
-	for cond() {
-		t := e.now.Add(d)
-		if !e.canInline(t) {
-			e.schedule(t, p, nil)
-			return false
-		}
-		e.inlineAdvance(p, t)
-	}
-	return true
 }

@@ -155,20 +155,17 @@ func (r *Resource) Release() { r.sem.Release(1) }
 func (r *Resource) Use(p *Proc, d Duration) {
 	r.Acquire(p)
 	p.Wait(d)
-	r.addBusy(d)
+	r.AddBusy(d)
 	r.Release()
 }
 
 // BusyTime returns the total server-busy time accumulated through Use.
 func (r *Resource) BusyTime() Duration { return Duration(r.busyNS) }
 
-// AddBusy records externally-managed busy time (for callers that use
-// Acquire/Release directly but still want utilisation accounted). Callers
-// report a busy period immediately after waiting it out, so the interval is
-// taken to end at the current virtual time.
-func (r *Resource) AddBusy(d Duration) { r.addBusy(d) }
-
-func (r *Resource) addBusy(d Duration) {
+// AddBusy records busy time, Use's or that of callers holding a server
+// through Acquire/Release. A busy period is reported immediately after it is
+// waited out, so the interval is taken to end at the current virtual time.
+func (r *Resource) AddBusy(d Duration) {
 	r.busyNS += int64(d)
 	if r.onBusy != nil && d > 0 {
 		r.onBusy(r.eng.Now().Add(-d), d)

@@ -71,9 +71,32 @@ type schedQ struct {
 	cachedOK  bool
 }
 
+// spareWheels holds shut-down engines' emptied wheel slots: a slot's array
+// grows once, to its high-water event count, and the next engine (testbed,
+// repetition) starts from the grown arrays. Four cover the engines a run
+// closes before it builds the next; more would only pin idle memory.
+var spareWheels = make(chan [][]event, 4)
+
 func (q *schedQ) init() {
-	q.slots = make([][]event, wheelBuckets)
+	select {
+	case q.slots = <-spareWheels:
+	default:
+		q.slots = make([][]event, wheelBuckets)
+	}
 	q.occ = make([]uint64, occWords)
+}
+
+// release empties the queue and hands its wheel's slot arrays to the next init.
+func (q *schedQ) release() {
+	for i, s := range q.slots {
+		clear(s)
+		q.slots[i] = s[:0]
+	}
+	select {
+	case spareWheels <- q.slots:
+	default:
+	}
+	*q = schedQ{}
 }
 
 func (q *schedQ) len() int {

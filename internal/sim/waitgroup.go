@@ -2,10 +2,9 @@ package sim
 
 // WaitGroup joins forked simulated processes: a parent Adds before forking,
 // children call Done, and the parent blocks in Wait until the count drains.
-// Only one process may Wait at a time.
 type WaitGroup struct {
-	n      int
-	waiter *Proc
+	n       int
+	drained Cond
 }
 
 // Add increments the outstanding count.
@@ -16,27 +15,19 @@ func (wg *WaitGroup) Add(n int) {
 	wg.n += n
 }
 
-// Done decrements the count and wakes the waiter when it reaches zero.
+// Done decrements the count and wakes the waiters when it reaches zero.
 func (wg *WaitGroup) Done() {
 	if wg.n <= 0 {
 		panic("sim: WaitGroup Done without Add")
 	}
-	wg.n--
-	if wg.n == 0 && wg.waiter != nil {
-		w := wg.waiter
-		wg.waiter = nil
-		w.unpark()
+	if wg.n--; wg.n == 0 {
+		wg.drained.Broadcast()
 	}
 }
 
 // Wait blocks the process until the count reaches zero.
 func (wg *WaitGroup) Wait(p *Proc) {
-	if wg.n == 0 {
-		return
+	if wg.n > 0 {
+		wg.drained.Wait(p)
 	}
-	if wg.waiter != nil {
-		panic("sim: concurrent WaitGroup waiters")
-	}
-	wg.waiter = p
-	p.park()
 }

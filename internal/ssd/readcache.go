@@ -2,7 +2,6 @@ package ssd
 
 import (
 	"fmt"
-	"time"
 
 	"compstor/internal/flash"
 	"compstor/internal/sim"
@@ -85,8 +84,9 @@ type readCache struct {
 	// page is indexed by logical page number and sized with the drive, one
 	// word (slotMask, fetchBit, staleBit) a page. Invalidation cannot stop a
 	// fetch, so it marks it stale and the fetch discards its result; demand
-	// readers poll until fetchBit clears.
+	// readers wait on landing until fetchBit clears.
 	page     []uint32
+	landing  sim.Cond  // readers of pages in flight, woken as a fetch lands
 	slots    []lruSlot // slot 0's next is the most recently used, its prev the least
 	free     []uint32  // slots holding no page
 	fills    [][]int64 // idle fill lists, one per window slot
@@ -221,8 +221,8 @@ func (c *readCache) resident() int64 { return int64(len(c.slots) - 1 - len(c.fre
 // Demand path -------------------------------------------------------------------
 
 // readPages is the demand read into out (count pages): driver latency, then
-// per page either an ISPS-DRAM copy (hit), a poll-wait on an in-flight fill,
-// or a flash fetch (miss, fanned out channel-parallel and made resident
+// per page either an ISPS-DRAM copy (hit), a wait for an in-flight fill to
+// land, or a flash fetch (miss, fanned out channel-parallel and made resident
 // read-through).
 func (c *readCache) readPages(p *sim.Proc, lpn, count int64, out []byte) error {
 	p.Wait(ispsDriverLatency)
@@ -232,20 +232,18 @@ func (c *readCache) readPages(p *sim.Proc, lpn, count int64, out []byte) error {
 	}
 	ps := int64(c.s.PageSize())
 
-	// Wait out in-flight fills covering the request, then classify pages.
-	// The poll interval matches the write-back flusher's (5 µs). A miss is
-	// registered the moment it is classified: this reader may wait again
-	// before it fetches (the next page's poll, the hit copy), and whoever took
-	// the page for unclaimed meanwhile would clear this registration.
+	// Wait out in-flight fills covering the request, then classify pages. A
+	// miss is registered the moment it is classified: this reader may wait
+	// again before it fetches (the next page's fill, the hit copy), and
+	// whoever took the page for unclaimed meanwhile would clear this
+	// registration.
 	miss := c.s.newBatch()
 	defer miss.release()
 	hitPages := int64(0)
-	if miss.fetching == nil {
-		miss.fetching = func() bool { return c.page[miss.poll]&fetchBit != 0 }
-	}
 	for i := int64(0); i < count; i++ {
-		miss.poll = lpn + i
-		p.WaitWhile(5*time.Microsecond, miss.fetching)
+		for c.page[lpn+i]&fetchBit != 0 {
+			c.landing.Wait(p)
+		}
 		dst := out[i*ps : (i+1)*ps]
 		if c.hit(lpn+i, dst) {
 			hitPages++
@@ -274,6 +272,7 @@ func (c *readCache) readPages(p *sim.Proc, lpn, count int64, out []byte) error {
 func (c *readCache) landed(lpn int64, err error) bool {
 	w := c.page[lpn]
 	c.page[lpn] = w &^ (fetchBit | staleBit)
+	c.landing.Broadcast()
 	if err != nil || w&staleBit != 0 || c.s.dev.PoweredOff() {
 		return false
 	}
@@ -329,10 +328,7 @@ func (c *readCache) fill(p *sim.Proc, lpns []int64) {
 			c.s.raBusy.Add(start, p.Now().Sub(start))
 		}
 	}()
-	if c.s.cfg.Obs != nil {
-		sp := c.s.cfg.Obs.Begin(p, "isps", "readahead")
-		defer sp.End()
-	}
+	defer c.s.cfg.Obs.Begin(p, "isps", "readahead").End()
 	p.Wait(ispsDriverLatency)
 	run := c.s.newBatch()
 	defer run.release()

@@ -417,3 +417,41 @@ func BenchmarkInvalidateTail(b *testing.B) {
 		drive.invalidateCache(4096+int64(i%16)*256, 253)
 	}
 }
+
+// A demand reader of a page whose fill is in flight resumes the instant the
+// fill lands: its read ends one DRAM copy after the moment a cold read of
+// the same page, started with the fill, would have ended.
+func TestPipelineReaderWakesWhenFillLands(t *testing.T) {
+	eng, drive, bd := newPipelineRig(t)
+	ps := drive.PageSize()
+	var cold, waited sim.Duration
+	eng.Go("t", func(p *sim.Proc) {
+		if err := bd.WritePages(p, 0, bytes.Repeat(pagePattern(0x5A, ps), 4)); err != nil {
+			t.Errorf("seed write: %v", err)
+			return
+		}
+		p.Wait(time.Millisecond)
+		start := p.Now()
+		if _, err := bd.ReadPages(p, 2, 1); err != nil { // a cold read, nothing else running
+			t.Errorf("cold read: %v", err)
+			return
+		}
+		cold = p.Now().Sub(start)
+		p.Wait(time.Millisecond)
+		start = p.Now()
+		bd.Prefetch(p, 1, 1)
+		p.Wait(time.Microsecond) // the reader classifies the page while the fill is in flight
+		if _, err := bd.ReadPages(p, 1, 1); err != nil {
+			t.Errorf("waiting read: %v", err)
+			return
+		}
+		waited = p.Now().Sub(start)
+	})
+	eng.Run()
+	if st, _ := drive.ReadCacheStats(); st.Hits != 1 || st.PrefetchPages != 1 {
+		t.Fatalf("stats %+v: want the waiting read served by the fill", st)
+	}
+	if want := cold + sim.DurationFor(int64(ps), dramBytesPerSec); waited != want {
+		t.Fatalf("waiting read took %v from the fill's start, want %v (cold read %v plus one DRAM copy)", waited, want, cold)
+	}
+}

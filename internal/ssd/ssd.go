@@ -209,10 +209,7 @@ func New(eng *sim.Engine, port *pcie.Port, cfg Config) *SSD {
 // cut. The replacement FTL is swapped in for every path — host NVMe and the
 // ISPS flash-access driver alike. Returns the recovery report.
 func (s *SSD) Remount(p *sim.Proc) (ftl.RecoveryStats, error) {
-	if s.cfg.Obs != nil {
-		sp := s.cfg.Obs.Begin(p, "ssd", "remount")
-		defer sp.End()
-	}
+	defer s.cfg.Obs.Begin(p, "ssd", "remount").End()
 	s.dev.PowerOn()
 	f, rs, err := ftl.Recover(p, s.dev, s.ftlCfg)
 	if err != nil {
@@ -438,16 +435,14 @@ func (s *SSD) forEachPage(p *sim.Proc, n int64, fn func(cp *sim.Proc, i int64) e
 // recycled: newBatch, fill pages, run, release; until release the
 // destination slices are the batch's to write.
 type readBatch struct {
-	s        *SSD
-	pages    []pageRead
-	lanes    []*readLane // the first nLanes are running
-	nLanes   int
-	wg       sim.WaitGroup
-	err      error       // the first error: stops every lane at its next page
-	parent   obs.Ctx     // the issuing command's span, which every page's span joins
-	start    func()      // the start event, built once
-	fetching func() bool // the read cache's WaitWhile condition: page poll is in flight
-	poll     int64
+	s      *SSD
+	pages  []pageRead
+	lanes  []*readLane // the first nLanes are running
+	nLanes int
+	wg     sim.WaitGroup
+	err    error   // the first error: stops every lane at its next page
+	parent obs.Ctx // the issuing command's span, which every page's span joins
+	start  func()  // the start event, built once
 }
 
 // pageRead is one page of a batch: logical page lpn lands in dst.

@@ -274,3 +274,51 @@ func TestSustainedOverwriteTriggersGCThroughStack(t *testing.T) {
 		t.Fatal("GC never ran under sustained overwrites")
 	}
 }
+
+// A k-page write through the ISPS device of a ViaNVMePath drive loops
+// through the protocol front-end: k × (25 µs + ctrlCmdOverhead) plus k
+// programs one after another. The stock device fans the same pages out
+// across the channels. Both read back what they wrote.
+func TestViaNVMeAblationWritesSerially(t *testing.T) {
+	const k = 8
+	write := func(via bool) (took, program sim.Duration) {
+		eng := sim.NewEngine()
+		cfg := CompStorConfig("cs", appset.Base())
+		cfg.Geometry = smallGeometry()
+		cfg.Ablation.ViaNVMePath = via
+		drive := New(eng, pcie.NewFabric(eng).AddPort(), cfg)
+		bd := drive.ispsBlockDevice()
+		ps := drive.PageSize()
+		data := make([]byte, k*ps)
+		for i := range data {
+			data[i] = byte(i / ps * 7)
+		}
+		eng.Go("t", func(p *sim.Proc) {
+			start := p.Now()
+			if err := drive.FTL().WritePage(p, 100, data[:ps]); err != nil { // one idle program
+				t.Error(err)
+				return
+			}
+			program = p.Now().Sub(start)
+			start = p.Now()
+			if err := bd.WritePages(p, 0, data); err != nil {
+				t.Error(err)
+				return
+			}
+			took = p.Now().Sub(start)
+			got, err := bd.ReadPages(p, 0, k)
+			if err != nil || !bytes.Equal(got, data) {
+				t.Errorf("via=%v: read back differs (%v)", via, err)
+			}
+		})
+		eng.Run()
+		return took, program
+	}
+	via, program := write(true)
+	if want := k * (25*time.Microsecond + ctrlCmdOverhead + program); via != want {
+		t.Errorf("via-NVMe write of %d pages took %v, want %d × (25µs + %v + %v) = %v", k, via, k, ctrlCmdOverhead, program, want)
+	}
+	if stock, _ := write(false); stock >= ispsDriverLatency+2*program {
+		t.Errorf("stock write of %d pages took %v, want them fanned out: under %v", k, stock, ispsDriverLatency+2*program)
+	}
+}
