@@ -3,11 +3,17 @@ package core
 import (
 	"bytes"
 	stdgzip "compress/gzip"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"io"
+	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
 
+	"compstor/internal/apps/appset"
+	"compstor/internal/flash"
 	"compstor/internal/sim"
 	"compstor/internal/textgen"
 )
@@ -171,4 +177,80 @@ func TestForInOutputFileIsDeterministic(t *testing.T) {
 	if outA != want.String() {
 		t.Errorf("out is not the book's words in first-use order: %d bytes, want %d", len(outA), want.Len())
 	}
+}
+
+// TestConcurrentHostWritersOnAFullDrive is bench's ftl_churn drive with its
+// writer split four ways: a conventional SSD of 16×4×16 blocks of 64 4 KiB
+// pages at the default over-provisioning, filled to 80% through NVMe, then
+// four concurrent queue-depth-1 writers of random overwrites, each owning
+// the pages congruent to its index. No write may fail, GC must run, and
+// every filled page must read back its last acknowledged version.
+func TestConcurrentHostWritersOnAFullDrive(t *testing.T) {
+	const (
+		writers   = 4
+		overwrite = 6000 // per writer
+		batch     = 64   // pages per fill and verify command
+	)
+	geo := flash.Geometry{Channels: 16, DiesPerChan: 4, PlanesPerDie: 1, BlocksPerPlan: 16, PagesPerBlock: 64, PageSize: 4096}
+	sys := NewSystem(SystemConfig{ConventionalSSD: true, Registry: appset.Base(), Geometry: geo})
+	defer sys.Close()
+	drv, ps := sys.Conventional.Driver(), sys.Conventional.PageSize()
+	filled := int64(float64(sys.Conventional.FTL().LogicalPages()) * 0.8)
+	version := make([]uint32, filled)
+	stamp := func(page []byte, lba int64) {
+		binary.LittleEndian.PutUint64(page, uint64(lba))
+		binary.LittleEndian.PutUint32(page[8:], version[lba])
+	}
+	var failed error
+	sys.Go("driver", func(p *sim.Proc) {
+		buf := make([]byte, batch*ps)
+		for lba := int64(0); lba < filled; lba += batch {
+			n := min(batch, filled-lba)
+			for i := int64(0); i < n; i++ {
+				stamp(buf[i*int64(ps):], lba+i)
+			}
+			if failed = drv.Write(p, lba, buf[:n*int64(ps)]); failed != nil {
+				return
+			}
+		}
+		errs := make([]error, writers)
+		p.Fork(writers, func(w int) string { return "writer-" + strconv.Itoa(w) }, func(wp *sim.Proc, w int) {
+			rng := rand.New(rand.NewSource(int64(w) + 1))
+			page := make([]byte, ps)
+			for i := 0; i < overwrite; i++ {
+				lba := rng.Int63n(filled/writers)*writers + int64(w)
+				version[lba]++
+				stamp(page, lba)
+				if err := drv.Write(wp, lba, page); err != nil {
+					errs[w] = fmt.Errorf("writer %d, overwrite %d (lba %d): %w", w, i, lba, err)
+					return
+				}
+			}
+		})
+		if failed = errors.Join(errs...); failed != nil {
+			return
+		}
+		for lba := int64(0); lba < filled; lba += batch {
+			n := min(batch, filled-lba)
+			if failed = drv.ReadInto(p, lba, buf[:n*int64(ps)]); failed != nil {
+				return
+			}
+			for i := int64(0); i < n; i++ {
+				got := buf[i*int64(ps):]
+				if gotLBA, v := int64(binary.LittleEndian.Uint64(got)), binary.LittleEndian.Uint32(got[8:]); gotLBA != lba+i || v != version[lba+i] {
+					failed = fmt.Errorf("lba %d holds lba %d version %d, last acknowledged %d", lba+i, gotLBA, v, version[lba+i])
+					return
+				}
+			}
+		}
+	})
+	sys.Run()
+	st := sys.Conventional.FTL().Stats()
+	if failed != nil {
+		t.Fatalf("after %d GC runs: %v", st.GCRuns, failed)
+	}
+	if st.GCRuns == 0 {
+		t.Fatal("GC never ran")
+	}
+	t.Logf("%d overwrites from %d writers, %d GC runs", writers*overwrite, writers, st.GCRuns)
 }

@@ -94,14 +94,15 @@ func (s Stats) WriteAmplification() float64 {
 
 type blockState struct {
 	nextPage int32 // next unwritten page slot; == PagesPerBlock when sealed
-	valid    int32 // pages holding live data (mapped data + live TRIM records)
+	valid    int32 // live slots of p2l (mapped data + live TRIM records), kept by setLPNAt
 	// inflight counts programs issued but not yet mapped, so concurrent
 	// writers' target blocks are never GC victims.
 	inflight int32
 	active   bool
 	bad      bool // grown-bad: read-only, never erased or reused
-	// p2l maps each page slot to the logical page whose live data it holds
-	// (-1 = none). Allocated on the block's first mapping, kept across erases.
+	// p2l maps each page slot to the logical page whose live data it holds,
+	// oobTrim for a TRIM record not yet covered by a checkpoint, -1 for
+	// garbage. Allocated on the block's first mapping, kept across erases.
 	p2l []int64
 }
 
@@ -133,9 +134,9 @@ type FTL struct {
 	// Durability state: seq is the next journal sequence number (strictly
 	// increasing across writes, TRIM records, and checkpoints); ckptSeq is
 	// the newest durable checkpoint's sequence (0 = none); records counts
-	// journal records since it. trimPages tracks TRIM journal records not
-	// yet superseded by a checkpoint (their pages count as valid so GC
-	// relocates instead of erasing them). The reserved checkpoint regions
+	// journal records since it. trimPages maps the page of each TRIM record
+	// not yet superseded by a checkpoint to its sequence (the page's p2l slot
+	// holds oobTrim, so GC relocates it). The reserved checkpoint regions
 	// ping-pong: regions[nextRegion] takes the next checkpoint.
 	seq             uint64
 	ckptSeq         uint64
@@ -146,7 +147,8 @@ type FTL struct {
 	nextRegion      int
 	reservedPerUnit int
 
-	ckptDone, drained sim.Cond // wake on inCkpt clearing, on inflight reaching 0
+	// Wake on inCkpt clearing, on inflight reaching 0, on inGC clearing.
+	ckptDone, drained, gcDone sim.Cond
 
 	obs       *obs.Obs
 	histRead  *obs.Histogram
@@ -434,25 +436,26 @@ func (f *FTL) remap(lpn, ppn int64, seq uint64) {
 		return
 	}
 	if e.ppn >= 0 {
-		f.blocks[e.ppn/f.ppb].valid--
 		f.setLPNAt(e.ppn, -1)
 	} else {
 		f.l2p.mapped++
 	}
 	*e = mapEntry{ppn: ppn, seq: seq}
 	f.setLPNAt(ppn, lpn)
-	f.blocks[ppn/f.ppb].valid++
 }
 
-// moveMapping repoints lpn from oldPPN to newPPN after a relocation that
-// copied the journal record verbatim (same OOB, same sequence), so the row's
-// seq is deliberately untouched.
+// moveMapping repoints the live record lpn (oobTrim for a TRIM record) from
+// oldPPN to newPPN after a relocation that copied it verbatim (same OOB,
+// same sequence), so a data row's seq is deliberately untouched.
 func (f *FTL) moveMapping(lpn, oldPPN, newPPN int64) {
-	f.blocks[oldPPN/f.ppb].valid--
 	f.setLPNAt(oldPPN, -1)
-	f.l2p.row(lpn).ppn = newPPN
 	f.setLPNAt(newPPN, lpn)
-	f.blocks[newPPN/f.ppb].valid++
+	if lpn == oobTrim {
+		f.trimPages[newPPN] = f.trimPages[oldPPN]
+		delete(f.trimPages, oldPPN)
+		return
+	}
+	f.l2p.row(lpn).ppn = newPPN
 }
 
 // Trim unmaps count logical pages starting at lpn. The revocation is
@@ -490,7 +493,7 @@ func (f *FTL) Trim(p *sim.Proc, lpn, count int64) error {
 		return err // record not durable: the TRIM never happened
 	}
 	f.trimPages[ppn] = s
-	f.blocks[ppn/f.ppb].valid++
+	f.setLPNAt(ppn, oobTrim)
 	f.unmapRange(lpn, count, s)
 	f.records++
 	f.stats.TrimRecords++
@@ -504,7 +507,6 @@ func (f *FTL) unmapRange(lpn, count int64, seq uint64) {
 	for i := int64(0); i < count; i++ {
 		e := f.l2p.row(lpn + i)
 		if e.ppn >= 0 {
-			f.blocks[e.ppn/f.ppb].valid--
 			f.setLPNAt(e.ppn, -1)
 			e.ppn = -1
 			f.l2p.mapped--
@@ -576,19 +578,24 @@ func (f *FTL) popFree(u int) int64 {
 }
 
 // maybeGC runs foreground garbage collection until the free pool is
-// healthy. Called before every host write.
+// healthy. Called before every host write and TRIM record. One collector
+// runs at a time: a writer that finds one running waits for it to finish,
+// then holds the pool to the watermark like any other writer.
 func (f *FTL) maybeGC(p *sim.Proc) error {
-	if f.inGC {
-		return nil
-	}
 	// Bound the number of collections per trigger so a pathological
 	// zero-net-gain workload degrades to high write amplification instead
 	// of an unbounded loop.
 	limit := int(f.geo.Blocks())
-	// The watermark: a free block for every allocation unit to open, plus
-	// two for a victim's relocation. Foreground writes can still drain it; a
-	// reserve they cannot (ROADMAP item 2) belongs here.
-	for i := 0; f.freeBlocks < f.units+2 && i < limit; i++ {
+	for i := 0; ; i++ {
+		for f.inGC {
+			f.gcDone.Wait(p)
+		}
+		// The watermark: a free block for every allocation unit to open, plus
+		// two for a victim's relocation. No writer passes it while a
+		// collection runs or while the pool is below it.
+		if f.freeBlocks >= f.units+2 || i == limit {
+			return nil
+		}
 		if err := f.gcOnce(p); err != nil {
 			if errors.Is(err, errNoVictim) {
 				return nil // nothing collectable; let alloc fail if truly full
@@ -596,7 +603,6 @@ func (f *FTL) maybeGC(p *sim.Proc) error {
 			return err
 		}
 	}
-	return nil
 }
 
 var errNoVictim = errors.New("ftl: no GC victim")
@@ -607,8 +613,7 @@ var errNoVictim = errors.New("ftl: no GC victim")
 // Relocation copies each journal record verbatim — payload and OOB,
 // original sequence number included — so a relocated stale copy can never
 // outrank the newest acknowledged write during recovery. TRIM records not
-// yet covered by a checkpoint are relocated the same way; checkpointed ones
-// are dropped with the garbage.
+// yet covered by a checkpoint are live records like any other.
 func (f *FTL) gcOnce(p *sim.Proc) error {
 	victim := int64(-1)
 	bestValid := int32(f.ppb) + 1
@@ -636,7 +641,10 @@ func (f *FTL) gcOnce(p *sim.Proc) error {
 		return errNoVictim
 	}
 	f.inGC = true
-	defer func() { f.inGC = false }()
+	defer func() {
+		f.inGC = false
+		f.gcDone.Broadcast()
+	}()
 	defer f.obs.Time(p, "ftl", "gc", f.histGC).End()
 	if err := f.relocateBlock(p, victim); err != nil {
 		return err
@@ -663,36 +671,16 @@ func (f *FTL) gcOnce(p *sim.Proc) error {
 
 // relocateBlock copies every live record (mapped data pages and un-
 // checkpointed TRIM records) off blk, preserving each record's OOB
-// verbatim.
+// verbatim. A record superseded while it is read or programmed — a newer
+// write or TRIM, or a checkpoint covering a TRIM record — leaves its copy
+// behind as unmapped garbage.
 func (f *FTL) relocateBlock(p *sim.Proc, blk int64) error {
 	data := f.getPage()
 	defer f.putPage(data)
 	base := blk * f.ppb
 	for ppn := base; ppn < base+f.ppb; ppn++ {
-		if ts, isTrim := f.trimPages[ppn]; isTrim {
-			if ts <= f.ckptSeq {
-				// Superseded by a checkpoint while sitting here; drop it.
-				delete(f.trimPages, ppn)
-				f.blocks[blk].valid--
-				continue
-			}
-			oob, err := f.readForRelocate(p, ppn, data)
-			if err != nil {
-				return fmt.Errorf("ftl: gc read trim record: %w", err)
-			}
-			newPPN, err := f.appendRecord(p, data, oob, false)
-			if err != nil {
-				return fmt.Errorf("ftl: gc relocate trim record: %w", err)
-			}
-			delete(f.trimPages, ppn)
-			f.blocks[blk].valid--
-			f.trimPages[newPPN] = oob.Seq
-			f.blocks[newPPN/f.ppb].valid++
-			f.stats.GCWrites++
-			continue
-		}
 		lpn := f.lpnAt(ppn)
-		if lpn < 0 {
+		if lpn == -1 {
 			continue
 		}
 		oob, err := f.readForRelocate(p, ppn, data)
@@ -700,16 +688,14 @@ func (f *FTL) relocateBlock(p *sim.Proc, blk int64) error {
 			return fmt.Errorf("ftl: gc read: %w", err)
 		}
 		if f.lpnAt(ppn) != lpn {
-			continue // a concurrent host write superseded this page mid-read
+			continue // superseded mid-read
 		}
 		newPPN, err := f.appendRecord(p, data, oob, false)
 		if err != nil {
 			return fmt.Errorf("ftl: gc program: %w", err)
 		}
 		if f.lpnAt(ppn) != lpn {
-			// Superseded during the program: abandon the relocated copy
-			// (it stays unmapped and is collected as garbage later).
-			continue
+			continue // superseded during the program
 		}
 		f.moveMapping(lpn, ppn, newPPN)
 		f.stats.GCWrites++

@@ -2,6 +2,7 @@ package ftl
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -329,6 +330,67 @@ func TestGCDataIntegrityUnderChurn(t *testing.T) {
 	})
 	if f.Stats().GCRuns == 0 {
 		t.Fatal("test did not exercise GC")
+	}
+}
+
+// TestConcurrentWritersOnAFullDrive: one to four writers overwrite random
+// pages of a drive filled to half and to 80% of its exported capacity, at
+// the default 7% over-provisioning, so garbage collection runs under every
+// writer count. No write may fail, every page must read back its last
+// acknowledged version, and the tables must audit clean. Each writer owns
+// the pages congruent to its index, so "last acknowledged" is unambiguous.
+func TestConcurrentWritersOnAFullDrive(t *testing.T) {
+	const overwrites = 2000 // per writer
+	for _, fillFrac := range []float64{0.5, 0.8} {
+		for writers := 1; writers <= 4; writers++ {
+			t.Run(fmt.Sprintf("writers=%d/fill=%.0f", writers, fillFrac*100), func(t *testing.T) {
+				eng := sim.NewEngine()
+				f := newTestFTL(eng, DefaultConfig())
+				filled := int64(float64(f.LogicalPages()) * fillFrac)
+				version := make([]uint32, filled)
+				page := func(lpn int64) []byte {
+					b := make([]byte, f.PageSize())
+					binary.LittleEndian.PutUint64(b, uint64(lpn))
+					binary.LittleEndian.PutUint32(b[8:], version[lpn])
+					return b
+				}
+				run(t, eng, func(p *sim.Proc) error {
+					for lpn := int64(0); lpn < filled; lpn++ {
+						if err := f.WritePage(p, lpn, page(lpn)); err != nil {
+							return fmt.Errorf("fill lpn %d: %w", lpn, err)
+						}
+					}
+					errs := make([]error, writers)
+					p.Fork(writers, func(w int) string { return fmt.Sprintf("writer-%d", w) }, func(wp *sim.Proc, w int) {
+						rng := rand.New(rand.NewSource(int64(w) + 1))
+						for i := 0; i < overwrites; i++ {
+							lpn := rng.Int63n(filled/int64(writers))*int64(writers) + int64(w)
+							version[lpn]++
+							if err := f.WritePage(wp, lpn, page(lpn)); err != nil {
+								errs[w] = fmt.Errorf("writer %d, overwrite %d (lpn %d): %w", w, i, lpn, err)
+								return
+							}
+						}
+					})
+					if err := errors.Join(errs...); err != nil {
+						return err
+					}
+					got := make([]byte, f.PageSize())
+					for lpn := int64(0); lpn < filled; lpn++ {
+						if err := f.ReadPageInto(p, lpn, got); err != nil || !bytes.Equal(got, page(lpn)) {
+							return fmt.Errorf("lpn %d holds version %d (%v), last acknowledged %d",
+								lpn, binary.LittleEndian.Uint32(got[8:]), err, version[lpn])
+						}
+					}
+					_, err := audit(f)
+					return err
+				})
+				if f.Stats().GCRuns == 0 {
+					t.Fatal("GC never ran")
+				}
+				t.Logf("%d GC runs", f.Stats().GCRuns)
+			})
+		}
 	}
 }
 

@@ -304,7 +304,7 @@ func (f *FTL) Checkpoint(p *sim.Proc) error {
 	// pages become plain garbage for GC.
 	for ppn, ts := range f.trimPages {
 		if ts <= s {
-			f.blocks[ppn/int64(ppb)].valid--
+			f.setLPNAt(ppn, -1)
 			delete(f.trimPages, ppn)
 		}
 	}

@@ -162,22 +162,22 @@ func Recover(p *sim.Proc, dev *flash.Device, cfg Config) (*FTL, RecoveryStats, e
 		if t.seq <= f.ckptSeq {
 			continue
 		}
-		if _, seen := trimRanges[t.seq]; seen {
-			f.trimPages[t.ppn] = t.seq // extra relocated copy: still live for GC
-			continue
+		if _, seen := trimRanges[t.seq]; !seen {
+			oob, err := f.readPayload(p, t.ppn, &rs, scratch)
+			if err != nil || pageCRC(scratch) != oob.CRC {
+				rs.TornPages++
+				continue // torn TRIM record: the TRIM was never acknowledged
+			}
+			lpn, count, ok := decodeTrimRecord(scratch, f.logicalPages)
+			if !ok {
+				rs.TornPages++
+				continue
+			}
+			trimRanges[t.seq] = [2]int64{lpn, count}
 		}
-		oob, err := f.readPayload(p, t.ppn, &rs, scratch)
-		if err != nil || pageCRC(scratch) != oob.CRC {
-			rs.TornPages++
-			continue // torn TRIM record: the TRIM was never acknowledged
-		}
-		lpn, count, ok := decodeTrimRecord(scratch, f.logicalPages)
-		if !ok {
-			rs.TornPages++
-			continue
-		}
-		trimRanges[t.seq] = [2]int64{lpn, count}
+		// Every copy of an acknowledged record is live, GC's extra ones too.
 		f.trimPages[t.ppn] = t.seq
+		f.setLPNAt(t.ppn, oobTrim)
 	}
 	trimSeqs := make([]uint64, 0, len(trimRanges))
 	for s := range trimRanges {
@@ -216,15 +216,11 @@ func Recover(p *sim.Proc, dev *flash.Device, cfg Config) (*FTL, RecoveryStats, e
 		e.ppn = w.ppn
 		f.l2p.mapped++
 		f.setLPNAt(w.ppn, l)
-		f.blocks[w.ppn/f.ppb].valid++
 		e.seq = max(e.seq, w.seq)
 		if w.seq > f.ckptSeq {
 			rs.ReplayedWrites++
 			f.records++
 		}
-	}
-	for ppn := range f.trimPages {
-		f.blocks[ppn/f.ppb].valid++
 	}
 	f.records += len(trimRanges)
 	f.seq = maxSeq + 1

@@ -228,14 +228,14 @@ func tortureGeo() flash.Geometry {
 		Channels:      4,
 		DiesPerChan:   1,
 		PlanesPerDie:  1,
-		BlocksPerPlan: 24,
+		BlocksPerPlan: 16,
 		PagesPerBlock: 8,
 		PageSize:      256,
 	}
 }
 
 func tortureCfg() Config {
-	return Config{OverProvision: 0.28, Striping: true, CheckpointEvery: 48}
+	return Config{OverProvision: 0.07, Striping: true, CheckpointEvery: 48}
 }
 
 const (
@@ -246,11 +246,11 @@ const (
 
 // runTortureWorkload replays the seeded multi-writer write/trim/sync
 // workload, cutting device power at cutAt (pass -1 for no cut). It returns
-// the device, the engine, the record of every acknowledged state change,
-// and the virtual end time. The ack map is updated in the same process
+// the FTL, the engine, the record of every acknowledged state change, and
+// the virtual end time. The ack map is updated in the same process
 // continuation that observes the FTL call return, so it is exactly the set
 // of writes a client could have been told succeeded.
-func runTortureWorkload(seed int64, cutAt sim.Time) (*flash.Device, *sim.Engine, map[int64][]byte, sim.Time) {
+func runTortureWorkload(seed int64, cutAt sim.Time) (*FTL, *sim.Engine, map[int64][]byte, sim.Time) {
 	eng := sim.NewEngine()
 	dev := flash.NewDevice(eng, "nand", tortureGeo(), flash.DefaultTiming())
 	f := New(dev, tortureCfg())
@@ -297,7 +297,7 @@ func runTortureWorkload(seed int64, cutAt sim.Time) (*flash.Device, *sim.Engine,
 		eng.At(cutAt, dev.PowerOff)
 	}
 	end := eng.Run()
-	return dev, eng, ack, end
+	return f, eng, ack, end
 }
 
 // verifyRecovered asserts the remounted FTL serves exactly the acknowledged
@@ -341,15 +341,15 @@ func TestCrashTorture(t *testing.T) {
 		cuts = 25
 	}
 	for _, seed := range seeds {
-		_, _, _, end := runTortureWorkload(seed, -1)
-		if end == 0 {
-			t.Fatal("workload ran in zero time")
+		f, _, _, end := runTortureWorkload(seed, -1)
+		if end == 0 || f.Stats().GCRuns == 0 {
+			t.Fatalf("seed %d: workload ran for %v with %d GC runs, want both above zero", seed, end, f.Stats().GCRuns)
 		}
 		for i := 0; i <= cuts; i++ {
 			cutAt := sim.Time(int64(end) * int64(i) / int64(cuts))
-			dev, eng, ack, _ := runTortureWorkload(seed, cutAt)
-			dev.PowerOn()
-			f2, _ := recoverFTL(t, eng, dev, tortureCfg())
+			f, eng, ack, _ := runTortureWorkload(seed, cutAt)
+			f.dev.PowerOn()
+			f2, _ := recoverFTL(t, eng, f.dev, tortureCfg())
 			verifyRecovered(t, eng, f2, ack, fmt.Sprintf("seed %d cut %d", seed, i))
 		}
 	}
@@ -365,9 +365,9 @@ func TestCrashTortureDeterministic(t *testing.T) {
 		var maps [2]int64
 		var acks [2]int
 		for rep := 0; rep < 2; rep++ {
-			dev, eng, ack, _ := runTortureWorkload(7, cutAt)
-			dev.PowerOn()
-			f2, rs := recoverFTL(t, eng, dev, tortureCfg())
+			f, eng, ack, _ := runTortureWorkload(7, cutAt)
+			f.dev.PowerOn()
+			f2, rs := recoverFTL(t, eng, f.dev, tortureCfg())
 			stats[rep] = rs
 			maps[rep] = f2.l2p.mapped
 			acks[rep] = len(ack)

@@ -192,7 +192,8 @@ func TestTablesAgainstMaps(t *testing.T) {
 
 // audit rebuilds plain maps from f's tables and checks them against each
 // other, against every maintained counter, and against the media: the
-// page a row points at must carry that row's journal record.
+// page a row points at must carry that row's journal record, and the page
+// of a TRIM record not yet covered by a checkpoint that record.
 func audit(f *FTL) (l2p map[int64]int64, err error) {
 	l2p = map[int64]int64{}
 	for lpn := int64(0); lpn < f.logicalPages; lpn++ {
@@ -219,6 +220,13 @@ func audit(f *FTL) (l2p map[int64]int64, err error) {
 	if f.freeBlocks != free {
 		return nil, fmt.Errorf("FreeBlocks %d, free lists hold %d", f.freeBlocks, free)
 	}
+	for ppn, ts := range f.trimPages {
+		oob, ok := f.dev.PeekInto(f.geo.AddrOfPage(ppn), nil)
+		if f.lpnAt(ppn) != oobTrim || ts <= f.ckptSeq || !ok || oob.LPN != oobTrim || oob.Seq != ts {
+			return nil, fmt.Errorf("TRIM record at ppn %d, sequence %d (checkpoint %d): reverse entry %d, media holds %+v (%v)",
+				ppn, ts, f.ckptSeq, f.lpnAt(ppn), oob, ok)
+		}
+	}
 	inflight := 0
 	for blk := range f.blocks {
 		st := &f.blocks[blk]
@@ -226,14 +234,17 @@ func audit(f *FTL) (l2p map[int64]int64, err error) {
 		live := 0
 		for pg := int64(0); pg < f.ppb; pg++ {
 			ppn := int64(blk)*f.ppb + pg
-			if lpn := f.lpnAt(ppn); lpn >= 0 {
-				live++
-				if l2p[lpn] != ppn {
-					return nil, fmt.Errorf("ppn %d claims lpn %d, which maps to %d", ppn, lpn, l2p[lpn])
-				}
+			lpn := f.lpnAt(ppn)
+			if lpn == -1 {
+				continue
 			}
-			if _, ok := f.trimPages[ppn]; ok {
-				live++
+			live++
+			if lpn == oobTrim {
+				if _, ok := f.trimPages[ppn]; !ok {
+					return nil, fmt.Errorf("ppn %d holds a TRIM record the FTL does not track", ppn)
+				}
+			} else if back, ok := l2p[lpn]; !ok || back != ppn {
+				return nil, fmt.Errorf("ppn %d claims lpn %d, which maps to %d (%v)", ppn, lpn, back, ok)
 			}
 		}
 		if int(st.valid) != live {
@@ -257,7 +268,6 @@ func TestFTLModelThroughGCCheckpointRecover(t *testing.T) {
 		dev := flash.NewDevice(eng, "nand", smallGeo(), flash.DefaultTiming())
 		cfg := DefaultConfig()
 		cfg.CheckpointEvery = 150
-		cfg.OverProvision = 0.28 // concurrent writers on a tight drive can exhaust the spare blocks (ROADMAP 1d)
 		f := New(dev, cfg)
 		span := f.LogicalPages() / 2
 		model := make(map[int64]byte) // absent = zeroes

@@ -90,7 +90,8 @@ func (f *FTL) Release() {
 	f.l2p.chunks = nil
 }
 
-// lpnAt returns the logical page whose live data sits at ppn, -1 if none.
+// lpnAt returns the live record at ppn: its logical page, oobTrim for a TRIM
+// record, -1 if none.
 func (f *FTL) lpnAt(ppn int64) int64 {
 	p2l := f.blocks[ppn/f.ppb].p2l
 	if p2l == nil {
@@ -99,7 +100,9 @@ func (f *FTL) lpnAt(ppn int64) int64 {
 	return p2l[ppn%f.ppb]
 }
 
-// setLPNAt records (or, with lpn -1, clears) the reverse mapping of ppn.
+// setLPNAt records (or, with lpn -1, clears) the live record at ppn. It is
+// the only writer of a block's valid count: a slot going live counts, a
+// slot going back to -1 stops counting.
 func (f *FTL) setLPNAt(ppn, lpn int64) {
 	st := &f.blocks[ppn/f.ppb]
 	if st.p2l == nil {
@@ -108,7 +111,14 @@ func (f *FTL) setLPNAt(ppn, lpn int64) {
 			st.p2l[i] = -1
 		}
 	}
-	st.p2l[ppn%f.ppb] = lpn
+	slot := &st.p2l[ppn%f.ppb]
+	switch {
+	case *slot == -1 && lpn != -1:
+		st.valid++
+	case *slot != -1 && lpn == -1:
+		st.valid--
+	}
+	*slot = lpn
 }
 
 // getPage returns a page buffer with arbitrary contents from the FTL's free
